@@ -1160,17 +1160,10 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
 def _tensor_map_coords(f: LinearMap, g: LinearMap, elem_sparse: dict) -> dict:
     """(f (x) g) applied to a sparse 2-leg element keyed by basis pairs."""
     out: dict = {}
-    fcols = transpose(f.matrix)
-    gcols = transpose(g.matrix)
     for (a, b), c in elem_sparse.items():
-        fa = fcols[a]
-        gb = gcols[b]
-        for i, ci in enumerate(fa):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(gb):
-                if cj != 0:
-                    sp_add(out, (i, j), c * ci * cj)
+        for i, ci in f.cols[a].items():
+            for j, cj in g.cols[b].items():
+                sp_add(out, (i, j), c * ci * cj)
     return out
 
 
@@ -1334,14 +1327,12 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     psi_m, phi_m = pp.psi, pp.phi
     cent = []
     for pidx in range(m2):
-        img = sp(psi_m.apply(basis_vec(m2, pidx)))
-        dl = sws.wha.coalgebra.comul_sparse(img)
+        dl = sws.wha.coalgebra.comul_sparse(psi_m.cols[pidx])
         back = _tensor_map_coords(phi_m, phi_m, dl)
         for (a, b), c in back.items():
             cent.append((pidx, a, b, c))
     comult_n = Tensor3.from_entries((m2, m2, m2), cent)
-    counit_n = tuple(vec_dot(sws.wha.counit, psi_m.apply(basis_vec(m2, pidx)))
-                     for pidx in range(m2))
+    counit_n = tuple(sws.wha.coalgebra.counit_sparse(col) for col in psi_m.cols)
     s_n = phi_m.compose(LinearMap(sws.wha.dim, sws.wha.dim, sws.wha.antipode)).compose(psi_m)
     nd_wha = WeakHopfData(nd.carrier, StructureCoalgebra(m2, comult_n, counit_n), s_n.matrix)
     rep.merge(verify_weak_hopf(nd_wha), "nd_wha.")

@@ -32,7 +32,6 @@ from .exactlin import (
     mat_inverse,
     mat_mul,
     mat_shape,
-    mat_vec,
     transpose,
     vec_dot,
 )
@@ -71,10 +70,6 @@ def sp_scale(d: dict, c: Fraction) -> dict:
     if c == 0:
         return {}
     return {k: c * v for k, v in d.items()}
-
-
-def sp_equal(a: dict, b: dict) -> bool:
-    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +183,9 @@ class StructureCoalgebra:
     def counit_of(self, v) -> Fraction:
         return vec_dot(self.counit, v)
 
+    def counit_sparse(self, a: dict) -> Fraction:
+        return sum((c * self.counit[i] for i, c in a.items()), RAT_ZERO)
+
     @cached_property
     def _rows2(self):
         """Two-fold Sweedler rows ((a, b, c, coeff), ...) via (Delta x id)Delta."""
@@ -206,7 +204,12 @@ class StructureCoalgebra:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A linear map between based spaces, as a target x source matrix."""
+    """A linear map between based spaces.
+
+    `matrix` (target x source) is the constructor input and the serialized
+    form.  Every operation works on `cols`, the images f(e_c) as sparse
+    {row: Fraction} dicts, built once from it.
+    """
 
     source_dim: int
     target_dim: int
@@ -216,27 +219,38 @@ class LinearMap:
         if mat_shape(self.matrix) != (self.target_dim, self.source_dim):
             raise DimensionMismatch("matrix shape disagrees with declared dims")
 
+    @cached_property
+    def cols(self) -> tuple:
+        return tuple({r: row[c] for r, row in enumerate(self.matrix) if row[c] != 0}
+                     for c in range(self.source_dim))
+
+    def apply_sparse(self, a: dict) -> dict:
+        out: dict = {}
+        for c, x in a.items():
+            for r, w in self.cols[c].items():
+                sp_add(out, r, x * w)
+        return out
+
     def apply(self, v) -> tuple:
-        return mat_vec(self.matrix, v)
+        if len(v) != self.source_dim:
+            raise DimensionMismatch(f"map has source dim {self.source_dim}, vector {len(v)}")
+        return unsp(self.apply_sparse(sp(v)), self.target_dim)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         if other.target_dim != self.source_dim:
             raise DimensionMismatch("maps do not compose")
+        cols = [self.apply_sparse(col) for col in other.cols]
         return LinearMap(other.source_dim, self.target_dim,
-                         mat_mul(self.matrix, other.matrix))
+                         tuple(tuple(col.get(r, RAT_ZERO) for col in cols)
+                               for r in range(self.target_dim)))
 
     def is_identity(self) -> bool:
         return (self.source_dim == self.target_dim
-                and mat_eq(self.matrix, identity_mat(self.source_dim)))
+                and all(col == {c: RAT_ONE} for c, col in enumerate(self.cols)))
 
     def rank(self) -> int:
         from .exactlin import rank
         return rank(self.matrix)
-
-    def image_basis(self) -> list:
-        from .exactlin import span_basis
-        cols = transpose(self.matrix)
-        return span_basis(list(cols), self.target_dim)
 
 
 @dataclass(frozen=True)
@@ -293,7 +307,7 @@ class HopfData:
         return out
 
     def s_vec(self, v) -> tuple:
-        return mat_vec(self.antipode, v)
+        return unsp(self.s_sparse(sp(v)), self.dim)
 
 
 @dataclass(frozen=True)
@@ -561,17 +575,18 @@ def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
 
 def check_map(f: LinearMap, src, dst, kinds) -> VerificationReport:
     """Per-kind morphism checks; kinds within {algebra, coalgebra, antipode, injective}."""
+    if (f.source_dim, f.target_dim) != (src.dim, dst.dim):
+        raise DimensionMismatch("map dims disagree with its source and target")
     rep = VerificationReport("map")
     kinds = set(kinds)
+    cols = f.cols
     if "algebra" in kinds:
         sa = src.algebra if isinstance(src, HopfData) else src
         da = dst.algebra if isinstance(dst, HopfData) else dst
         ok, wit = True, None
         for i in range(sa.dim):
-            fi = f.apply(basis_vec(sa.dim, i))
             for j in range(sa.dim):
-                fj = f.apply(basis_vec(sa.dim, j))
-                if f.apply(sa.mul(basis_vec(sa.dim, i), basis_vec(sa.dim, j))) != da.mul(fi, fj):
+                if f.apply_sparse(dict(sa.mul_row(i, j))) != da.mul_sparse(cols[i], cols[j]):
                     ok, wit = False, (i, j)
                     break
             if not ok:
@@ -583,13 +598,11 @@ def check_map(f: LinearMap, src, dst, kinds) -> VerificationReport:
         dc = dst.coalgebra if isinstance(dst, HopfData) else dst
         ok, wit = True, None
         for i in range(sc.dim):
-            lhs = dc.comul_sparse(sp(f.apply(basis_vec(sc.dim, i))))
+            lhs = dc.comul_sparse(cols[i])
             rhs: dict = {}
             for j, k, w in sc.comul_row(i):
-                fj = f.apply(basis_vec(sc.dim, j))
-                fk = f.apply(basis_vec(sc.dim, k))
-                for a, ca in sp(fj).items():
-                    for b, cb in sp(fk).items():
+                for a, ca in cols[j].items():
+                    for b, cb in cols[k].items():
                         sp_add(rhs, (a, b), w * ca * cb)
             if lhs != rhs:
                 ok, wit = False, (i,)
@@ -597,12 +610,13 @@ def check_map(f: LinearMap, src, dst, kinds) -> VerificationReport:
         rep.add("coalgebra_map", ok, wit)
         ok, wit = True, None
         for i in range(sc.dim):
-            if dc.counit_of(f.apply(basis_vec(sc.dim, i))) != sc.counit[i]:
+            if dc.counit_sparse(cols[i]) != sc.counit[i]:
                 ok, wit = False, (i,)
                 break
         rep.add("counit_preserved", ok, wit)
     if "antipode" in kinds:
-        ok = mat_eq(mat_mul(f.matrix, src.antipode), mat_mul(dst.antipode, f.matrix))
+        ok = all(f.apply_sparse(src.s_sparse({c: RAT_ONE})) == dst.s_sparse(cols[c])
+                 for c in range(f.source_dim))
         rep.add("antipode_commuting", ok)
     if "injective" in kinds:
         rep.add("injective", not kernel_basis(f.matrix))

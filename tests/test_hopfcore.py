@@ -2,13 +2,18 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfsmash.exactlin import (
+    DimensionMismatch,
     Tensor3,
     basis_vec,
     identity_mat,
     mat,
     mat_eq,
+    mat_mul,
+    mat_vec,
     transpose,
     vec,
 )
@@ -181,6 +186,40 @@ def test_check_map_examples(kz2, ks3):
     k3 = pointwise_algebra(3)
     flip = LinearMap(3, 3, mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
     assert check_map(flip, k3, k3, ("algebra", "injective")).ok
+    # f(e_3) = e_0 + e_3 on kS3: each check names its first failing case
+    rows = [list(r) for r in identity_mat(6)]
+    rows[0][3] = F(1)
+    bent = LinearMap(6, 6, mat(rows))
+    rep = check_map(bent, ks3, ks3, ("algebra", "coalgebra"))
+    assert rep.find("algebra_map").witness == (1, 3)
+    assert rep.find("coalgebra_map").witness == (3,)
+    assert rep.find("counit_preserved").witness == (3,)
+    with pytest.raises(DimensionMismatch):
+        check_map(ident, ks3, ks3, ("algebra",))
+
+
+small_rationals = st.one_of(st.just(F(0)),
+                            st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_linear_map_agrees_with_dense_reference(p, q, r, data):
+    def draw_mat(nrows, ncols):
+        return mat(data.draw(st.lists(st.lists(small_rationals, min_size=ncols, max_size=ncols),
+                                      min_size=nrows, max_size=nrows)))
+
+    a, b = draw_mat(q, p), draw_mat(r, q)
+    v = vec(data.draw(st.lists(small_rationals, min_size=p, max_size=p)))
+    f, g = LinearMap(p, q, a), LinearMap(q, r, b)
+    assert f.apply(v) == mat_vec(a, v)
+    assert g.compose(f).matrix == mat_mul(b, a)
+    assert f.is_identity() == (p == q and mat_eq(a, identity_mat(p)))
+    # the identity with at most one entry changed
+    near = [list(row) for row in identity_mat(p)]
+    i, j = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    near[i][j] = data.draw(small_rationals)
+    assert LinearMap(p, p, mat(near)).is_identity() == mat_eq(mat(near), identity_mat(p))
 
 
 def test_drinfeld_double_kz2(kz2, double_z2):

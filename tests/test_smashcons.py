@@ -145,7 +145,7 @@ def test_theta_fault_injection(smash18):
     bad = LinearMap(f.source_dim, f.target_dim, tuple(tuple(r) for r in rows))
     rep2 = check_map(bad, smash18.carrier, target, ("algebra",))
     assert not rep2.ok
-    assert rep2.find("algebra_map").witness is not None
+    assert rep2.find("algebra_map").witness == (0, 0)
 
 
 def test_build_b_dimensions_and_checks(b54):

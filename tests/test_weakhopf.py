@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from hopfsmash import demos as dm
-from hopfsmash.exactlin import Tensor3, basis_vec, mat_eq, vec
+from hopfsmash.exactlin import Tensor3, basis_vec, mat_eq, vec, vec_dot
 from hopfsmash.hopfcore import LinearMap, dual_hopf, verify_hopf
 from hopfsmash.qtriang import verify_qt
 from hopfsmash.weakhopf import (
@@ -121,6 +121,45 @@ def test_fault_injected_groupoid_comult_fails():
                        w.antipode)
     rep = verify_weak_bialgebra(bad)
     assert not rep.ok
+
+
+def _first_weak_counit_failure(w, swap):
+    """First basis triple (f, g, h), in row-major order, where eps(f g h)
+    differs from eps(f g_(1)) eps(g_(2) h), or with swap from
+    eps(f g_(2)) eps(g_(1) h)."""
+    n = w.dim
+
+    def eps_mul(*idx):
+        x = basis_vec(n, idx[0])
+        for i in idx[1:]:
+            x = w.algebra.mul(x, basis_vec(n, i))
+        return vec_dot(w.counit, x)
+
+    for f in range(n):
+        for g in range(n):
+            for h in range(n):
+                side = F(0)
+                for a, b, c in w.coalgebra.comul_row(g):
+                    g1, g2 = (b, a) if swap else (a, b)
+                    side += c * eps_mul(f, g1) * eps_mul(g2, h)
+                if side != eps_mul(f, g, h):
+                    return (f, g, h)
+    return None
+
+
+@pytest.mark.parametrize("idx", range(9))
+def test_fault_injected_counit_weak_counit_witnesses(idx):
+    w = groupoid_wha(pair_groupoid(3))
+    counit = list(w.counit)
+    counit[idx] = F(2)
+    from hopfsmash.hopfcore import StructureCoalgebra
+    bad = WeakHopfData(w.algebra, StructureCoalgebra(9, w.comult, tuple(counit)), w.antipode)
+    rep = verify_weak_bialgebra(bad)
+    wit1 = rep.find("weak_counit_identity_1").witness
+    wit2 = rep.find("weak_counit_identity_2").witness
+    assert wit1 is not None and wit2 is not None
+    assert wit1 == _first_weak_counit_failure(bad, swap=False)
+    assert wit2 == _first_weak_counit_failure(bad, swap=True)
 
 
 def test_weak_qt_reduces_to_qt_for_hopf(double_z2):
