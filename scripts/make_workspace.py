@@ -10,7 +10,7 @@ import json
 import sys
 
 from hopfsmash import demos as dm
-from hopfsmash.cli import _ser_t3, _ser_vec
+from hopfsmash.cli import ser_t3, ser_vec
 from hopfsmash.qtriang import trivial_qt
 
 
@@ -28,9 +28,9 @@ def main(path: str) -> int:
                         "R": [[str(q3.R.entry(i, j)) for j in range(6)]
                               for i in range(6)]},
         "k3s3": {"type": "module-algebra", "host": "s3",
-                 "algebra": {"dim": 3, "mult": _ser_t3(m3.A.mult),
-                             "unit": _ser_vec(m3.A.unit)},
-                 "action": _ser_t3(m3.action)},
+                 "algebra": {"dim": 3, "mult": ser_t3(m3.A.mult),
+                             "unit": ser_vec(m3.A.unit)},
+                 "action": ser_t3(m3.action)},
         "transpositions": {"type": "subcoalgebra", "qt": "qs3-trivial",
                            "basis": [["0", "1", "0", "0", "0", "0"],
                                      ["0", "0", "1", "0", "0", "0"],

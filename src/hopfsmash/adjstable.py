@@ -19,6 +19,7 @@ from .exactlin import (
     Tensor3,
     TensorElem,
     basis_vec,
+    commutant_rows,
     coords_in_basis,
     in_span,
     kernel_basis,
@@ -36,6 +37,7 @@ from .hopfcore import (
     LinearMap,
     StructureAlgebra,
     StructureCoalgebra,
+    module_law_failures,
     opposites,
     sp,
     sp_add,
@@ -88,56 +90,58 @@ class RightComoduleData:
 def verify_left_comodule(cm: ComoduleData, subject: str = "left_comodule") -> VerificationReport:
     rep = VerificationReport(subject)
     coal = cm.coalgebra
-    ok, wit = True, None
-    for w in range(cm.dim):
-        acc = [RAT_ZERO] * cm.dim
-        for (d, w2), c in cm.rho_sparse({w: RAT_ONE}).items():
-            acc[w2] += c * coal.counit[d]
-        if tuple(acc) != basis_vec(cm.dim, w):
-            ok, wit = False, (w,)
-            break
-    rep.add("counit_law", ok, wit)
-    ok, wit = True, None
-    for w in range(cm.dim):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (d, w2), c in cm.rho_sparse({w: RAT_ONE}).items():
-            for a, b, cc in coal.comul_row(d):
-                sp_add(lhs, (a, b, w2), c * cc)
-            for (d2, w3), cc in cm.rho_sparse({w2: RAT_ONE}).items():
-                sp_add(rhs, (d, d2, w3), c * cc)
-        if lhs != rhs:
-            ok, wit = False, (w,)
-            break
-    rep.add("coassociativity", ok, wit)
+
+    def counit_failures():
+        for w in range(cm.dim):
+            acc = [RAT_ZERO] * cm.dim
+            for (d, w2), c in cm.rho_sparse({w: RAT_ONE}).items():
+                acc[w2] += c * coal.counit[d]
+            if tuple(acc) != basis_vec(cm.dim, w):
+                yield (w,)
+
+    def coassociativity_failures():
+        for w in range(cm.dim):
+            lhs: dict = {}
+            rhs: dict = {}
+            for (d, w2), c in cm.rho_sparse({w: RAT_ONE}).items():
+                for a, b, cc in coal.comul_row(d):
+                    sp_add(lhs, (a, b, w2), c * cc)
+                for (d2, w3), cc in cm.rho_sparse({w2: RAT_ONE}).items():
+                    sp_add(rhs, (d, d2, w3), c * cc)
+            if lhs != rhs:
+                yield (w,)
+
+    rep.check("counit_law", counit_failures())
+    rep.check("coassociativity", coassociativity_failures())
     return rep
 
 
 def verify_right_comodule(cm: RightComoduleData, subject: str = "right_comodule") -> VerificationReport:
     rep = VerificationReport(subject)
     coal = cm.coalgebra
-    ok, wit = True, None
-    for w in range(cm.dim):
-        acc = [RAT_ZERO] * cm.dim
-        for (w2, d), c in cm.rho_sparse({w: RAT_ONE}).items():
-            acc[w2] += c * coal.counit[d]
-        if tuple(acc) != basis_vec(cm.dim, w):
-            ok, wit = False, (w,)
-            break
-    rep.add("counit_law", ok, wit)
-    ok, wit = True, None
-    for w in range(cm.dim):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (w2, d), c in cm.rho_sparse({w: RAT_ONE}).items():
-            for (w3, d2), cc in cm.rho_sparse({w2: RAT_ONE}).items():
-                sp_add(lhs, (w3, d2, d), c * cc)
-            for a, b, cc in coal.comul_row(d):
-                sp_add(rhs, (w2, a, b), c * cc)
-        if lhs != rhs:
-            ok, wit = False, (w,)
-            break
-    rep.add("coassociativity", ok, wit)
+
+    def counit_failures():
+        for w in range(cm.dim):
+            acc = [RAT_ZERO] * cm.dim
+            for (w2, d), c in cm.rho_sparse({w: RAT_ONE}).items():
+                acc[w2] += c * coal.counit[d]
+            if tuple(acc) != basis_vec(cm.dim, w):
+                yield (w,)
+
+    def coassociativity_failures():
+        for w in range(cm.dim):
+            lhs: dict = {}
+            rhs: dict = {}
+            for (w2, d), c in cm.rho_sparse({w: RAT_ONE}).items():
+                for (w3, d2), cc in cm.rho_sparse({w2: RAT_ONE}).items():
+                    sp_add(lhs, (w3, d2, d), c * cc)
+                for a, b, cc in coal.comul_row(d):
+                    sp_add(rhs, (w2, a, b), c * cc)
+            if lhs != rhs:
+                yield (w,)
+
+    rep.check("counit_law", counit_failures())
+    rep.check("coassociativity", coassociativity_failures())
     return rep
 
 
@@ -170,43 +174,15 @@ class YetterDrinfeldData:
     def dim(self) -> int:
         return self.action.dims[1]
 
-    def act_sparse(self, h_sp: dict, v_sp: dict) -> dict:
-        out: dict = {}
-        rows = self.action._rows
-        for i, ci in h_sp.items():
-            ri = rows[i]
-            for j, cj in v_sp.items():
-                c = ci * cj
-                for k, w in ri[j]:
-                    sp_add(out, k, c * w)
-        return out
-
 
 def verify_yd(v: YetterDrinfeldData, subject: str = "yetter_drinfeld") -> VerificationReport:
     rep = VerificationReport(subject)
     h = v.host
     n = v.dim
-    ok, wit = True, None
-    for x in range(n):
-        e = {x: RAT_ONE}
-        if v.act_sparse(h.algebra.unit_sparse, e) != e:
-            ok, wit = False, (x,)
-            break
-    rep.add("action_unital", ok, wit)
-    ok, wit = True, None
-    for i in range(h.dim):
-        for j in range(h.dim):
-            prod = h.algebra.mul_sparse({i: RAT_ONE}, {j: RAT_ONE})
-            for x in range(n):
-                e = {x: RAT_ONE}
-                if v.act_sparse(prod, e) != v.act_sparse({i: RAT_ONE}, v.act_sparse({j: RAT_ONE}, e)):
-                    ok, wit = False, (i, j, x)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("action_module_law", ok, wit)
+    one = h.algebra.unit_sparse
+    rep.check("action_unital",
+              ((x,) for x in range(n) if v.action.act(one, {x: RAT_ONE}) != {x: RAT_ONE}))
+    rep.check("action_module_law", module_law_failures(h, v.action))
     rep.merge(verify_left_comodule(
         ComoduleData(h.coalgebra, n, v.coaction), "coaction"), "coaction.")
     return rep
@@ -235,7 +211,7 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
             for x2, c in v.coaction.row(x, d):
                 for (r1, r2), cr in r_items:
                     first = h.algebra.mul_sparse({d: RAT_ONE}, h.s_sparse({r2: RAT_ONE}))
-                    second = v.act_sparse({r1: RAT_ONE}, {x2: RAT_ONE})
+                    second = v.action.act({r1: RAT_ONE}, {x2: RAT_ONE})
                     for f, cf in first.items():
                         for s2, cs in second.items():
                             entries.append((x, f, s2, c * cr * cf * cs))
@@ -258,24 +234,16 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
         changed = False
         new = list(basis)
         for u in basis:
-            du = coal_r.comul_sparse(sp(u))
-            for fixed in range(nh):
-                lvec = [RAT_ZERO] * nh
-                rvec = [RAT_ZERO] * nh
-                for (a, b), c in du.items():
-                    if b == fixed:
-                        lvec[a] += c
-                    if a == fixed:
-                        rvec[b] += c
-                new.append(tuple(lvec))
-                new.append(tuple(rvec))
+            for lvec, rvec in _delta_slices(coal_r, u):
+                new.append(lvec)
+                new.append(rvec)
         improved = span_basis(new, nh)
         if len(improved) > len(basis):
             basis = improved
             changed = True
-    ok = all(in_span(list(basis), unsp(bg.ad_sparse({t: RAT_ONE}, sp(u)), nh))
-             for t in range(nh) for u in basis)
-    rep.add("d_v_is_H_module_subspace", ok)
+    rep.check("d_v_is_H_module_subspace",
+              ((t, ui) for t in range(nh) for ui, u in enumerate(basis)
+               if not in_span(list(basis), unsp(bg.adjoint_action.act({t: RAT_ONE}, sp(u)), nh))))
     rep.require()
     return BraidedComoduleResult(cm, tuple(basis), rep)
 
@@ -343,22 +311,7 @@ def build_h_tensor_w(w: ComoduleData, h: HopfData,
 
     out = HTensorW(h, w, n, action, coaction, right_coaction)
     rep = VerificationReport("h_tensor_w")
-    ok, wit = True, None
-    for t in range(nh):
-        for t2 in range(nh):
-            prod = h.algebra.mul_sparse({t: RAT_ONE}, {t2: RAT_ONE})
-            for src in range(n):
-                e = {src: RAT_ONE}
-                lhs = _act3(action, prod, e)
-                rhs = _act3(action, {t: RAT_ONE}, _act3(action, {t2: RAT_ONE}, e))
-                if lhs != rhs:
-                    ok, wit = False, (t, t2, src)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("module_law", ok, wit)
+    rep.check("module_law", module_law_failures(h, action))
     rep.merge(verify_left_comodule(out.as_comodule(), "braided_coaction"), "braided.")
     rep.merge(verify_right_comodule(
         RightComoduleData(h.coalgebra, n, right_coaction), "right_H"), "right.")
@@ -366,16 +319,6 @@ def build_h_tensor_w(w: ComoduleData, h: HopfData,
     return out
 
 
-def _act3(action: Tensor3, h_sp: dict, v_sp: dict) -> dict:
-    out: dict = {}
-    rows = action._rows
-    for i, ci in h_sp.items():
-        ri = rows[i]
-        for j, cj in v_sp.items():
-            c = ci * cj
-            for k, ww in ri[j]:
-                sp_add(out, k, c * ww)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +404,6 @@ class AdjointStableAlgebra:
     basis: tuple              # cotensor basis vectors in W* (x) H (x) W
     carrier: StructureAlgebra
     unit_in_ambient: tuple
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.w.dim * self.htw.dim
 
 
 def _nw_product(h: HopfData, nw: int, nh: int, x_sp: dict, y_sp: dict) -> dict:
@@ -559,12 +498,8 @@ def nw_direct_sum_report(w: ComoduleData, h: HopfData, components,
     comp_bases = []
     for comp in components:
         comp = list(comp)
-        ok = True
-        for ww in comp:
-            for d in range(h.dim):
-                for w2, c in w.coaction.row(ww, d):
-                    if w2 not in comp and c != 0:
-                        ok = False
+        ok = all(w2 in comp or c == 0
+                 for ww in comp for d in range(h.dim) for w2, c in w.coaction.row(ww, d))
         if not ok:
             raise HypothesisFailure("component-coaction-stable", tuple(comp))
         rep.add(f"component_{tuple(comp)}_coaction_stable", ok)
@@ -590,17 +525,11 @@ def nw_direct_sum_report(w: ComoduleData, h: HopfData, components,
         embedded_all.extend(emb)
     rep.add("components_span_nw",
             spans_equal(list(full.basis), embedded_all, nw * nh * nw))
-    ok = True
-    for ci in range(len(comp_bases)):
-        for cj in range(len(comp_bases)):
-            if ci == cj:
-                continue
-            for u in comp_bases[ci]:
-                for v in comp_bases[cj]:
-                    if _nw_product(h, nw, nh, _amb_sparse(u, nh, nw),
-                                   _amb_sparse(v, nh, nw)):
-                        ok = False
-    rep.add("cross_products_vanish", ok)
+    rep.check("cross_products_vanish",
+              ((ci, cj) for ci, bi in enumerate(comp_bases) for cj, bj in enumerate(comp_bases)
+               if ci != cj and any(_nw_product(h, nw, nh, _amb_sparse(u, nh, nw),
+                                               _amb_sparse(v, nh, nw))
+                                   for u in bi for v in bj)))
     return rep
 
 
@@ -630,45 +559,22 @@ def cotensor_right_module(wdual: RightComoduleData, v_com: ComoduleData,
             for (ap, b, c), cn in n_sp.items():
                 if c != i:
                     continue
-                moved = _act3(v_action, {b: RAT_ONE}, {vv: RAT_ONE})
+                moved = v_action.act({b: RAT_ONE}, {vv: RAT_ONE})
                 for v2, cm in moved.items():
                     out[ap * nv + v2] += ct * cn * cm
         return tuple(out)
 
-    ok, wit = True, None
-    for ti, t in enumerate(basis_v):
-        for p in range(len(n_basis_sp)):
-            img = act(t, n_basis_sp[p])
-            if proj is not None and proj.coords(img) is None:
-                ok, wit = False, (ti, p)
-                break
-        if not ok:
-            break
-    rep.add("action_preserves_cotensor", ok, wit)
-
-    ok, wit = True, None
-    for ti, t in enumerate(basis_v):
-        for p in range(len(n_basis_sp)):
-            for q in range(len(n_basis_sp)):
-                prod = _nw_product(h, nw, nh, n_basis_sp[p], n_basis_sp[q])
-                lhs = act(t, prod)
-                rhs = act(act(t, n_basis_sp[p]), n_basis_sp[q])
-                if lhs != rhs:
-                    ok, wit = False, (ti, p, q)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("module_law", ok, wit)
-
+    nn = len(n_basis_sp)
+    rep.check("action_preserves_cotensor",
+              ((ti, p) for ti, t in enumerate(basis_v) for p in range(nn)
+               if proj.coords(act(t, n_basis_sp[p])) is None))
+    rep.check("module_law",
+              ((ti, p, q) for ti, t in enumerate(basis_v) for p in range(nn) for q in range(nn)
+               if act(t, _nw_product(h, nw, nh, n_basis_sp[p], n_basis_sp[q]))
+               != act(act(t, n_basis_sp[p]), n_basis_sp[q])))
     unit_sp = _amb_sparse(n_alg.unit_in_ambient, nh, nw)
-    ok, wit = True, None
-    for ti, t in enumerate(basis_v):
-        if act(t, unit_sp) != tuple(t):
-            ok, wit = False, (ti,)
-            break
-    rep.add("unit_acts_trivially", ok, wit)
+    rep.check("unit_acts_trivially",
+              ((ti,) for ti, t in enumerate(basis_v) if act(t, unit_sp) != tuple(t)))
     return rep
 
 
@@ -732,7 +638,7 @@ def subcoalgebra_data(d_basis, q: QTStructure, bg: BraidedGroupData) -> Subcoalg
     for t in range(nh):
         row = []
         for qidx in range(m):
-            img = unsp(bg.ad_sparse({t: RAT_ONE}, sp(d_basis[qidx])), nh)
+            img = unsp(bg.adjoint_action.act({t: RAT_ONE}, sp(d_basis[qidx])), nh)
             cc = proj.coords(img)
             if cc is None:
                 raise HypothesisFailure("D-closed-under-adjoint-action", (t, qidx))
@@ -925,7 +831,6 @@ def _min_poly(mat_a) -> list:
 
 def _rational_roots(coeffs) -> tuple:
     """(roots, fully_split); coeffs ascending, monic up to scaling."""
-    from fractions import Fraction
     poly = [Fraction(c) for c in coeffs]
     roots = []
     while len(poly) > 1:
@@ -992,6 +897,22 @@ def _poly_deflate(poly, root):
     return list(reversed(out_rev))
 
 
+def _delta_slices(coal: StructureCoalgebra, v):
+    """For each basis index f, the slices (id (x) p_f) Delta(v) and
+    (p_f (x) id) Delta(v) as dense vectors."""
+    n = coal.dim
+    du = coal.comul_sparse(sp(v))
+    for fixed in range(n):
+        lv = [RAT_ZERO] * n
+        rv = [RAT_ZERO] * n
+        for (a, b), c in du.items():
+            if b == fixed:
+                lv[a] += c
+            if a == fixed:
+                rv[b] += c
+        yield tuple(lv), tuple(rv)
+
+
 @dataclass(frozen=True)
 class HrDecomposition:
     blocks: tuple      # tuple of bases (each a tuple of H-vectors)
@@ -1015,16 +936,7 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
         gens.append(tuple(tuple(h.coalgebra.comult.entry(c, k, r) for c in range(n))
                           for r in range(n)))
 
-    rows = []
-    for g in gens:
-        for r in range(n):
-            for c in range(n):
-                row = [RAT_ZERO] * (n * n)
-                for k in range(n):
-                    row[r * n + k] += g[k][c]
-                    row[k * n + c] -= g[r][k]
-                rows.append(tuple(row))
-    comm = kernel_basis(tuple(rows))
+    comm = kernel_basis(commutant_rows(gens, n))
     comm_mats = [tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n))
                  for v in comm]
 
@@ -1088,66 +1000,46 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     rep.add("direct_sum", len(concat) == n and rank(tuple(concat)) == n)
 
     coal_r = bg.braided_coalgebra
-    ok, wit = True, None
-    for bi, blk in enumerate(blocks):
-        bas = list(blk)
-        for v in blk:
-            for t in range(n):
-                if not in_span(bas, unsp(bg.ad_sparse({t: RAT_ONE}, sp(v)), n)):
-                    ok, wit = False, (bi, t)
-                    break
-            du = coal_r.comul_sparse(sp(v))
-            for fixed in range(n):
-                lv = [RAT_ZERO] * n
-                rv = [RAT_ZERO] * n
-                for (a, b), c in du.items():
-                    if b == fixed:
-                        lv[a] += c
-                    if a == fixed:
-                        rv[b] += c
-                if not in_span(bas, tuple(lv)) or not in_span(bas, tuple(rv)):
-                    ok, wit = False, (bi, "delta_r")
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("blocks_ad_and_deltaR_stable", ok, wit)
 
-    ok, wit = True, None
-    if fully_split:
+    def stability_failures():
         for bi, blk in enumerate(blocks):
-            proj = _CoordProjector(list(blk), n)
-            restrs = []
-            invariant = True
-            for g in gens:
-                rg = []
-                for v in blk:
-                    cc = proj.coords(mat_vec(g, v))
-                    if cc is None:
-                        invariant = False
-                        break
-                    rg.append(cc)
-                if not invariant:
-                    break
-                restrs.append(transpose(tuple(rg)))
-            if not invariant:
-                ok, wit = False, (bi, "not_invariant")
-                break
-            mb = len(blk)
-            rws = []
-            for g in restrs:
-                for r in range(mb):
-                    for c in range(mb):
-                        row = [RAT_ZERO] * (mb * mb)
-                        for k in range(mb):
-                            row[r * mb + k] += g[k][c]
-                            row[k * mb + c] -= g[r][k]
-                        rws.append(tuple(row))
-            if len(kernel_basis(tuple(rws))) != 1:
-                ok, wit = False, (bi,)
-                break
-    rep.add("blocks_minimal", ok, wit)
+            bas = list(blk)
+            for v in blk:
+                ad_wit = next(((bi, t) for t in range(n) if not in_span(
+                    bas, unsp(bg.adjoint_action.act({t: RAT_ONE}, sp(v)), n))), None)
+                # a Delta_R failure on the same vector is the witness in
+                # preference to an adjoint one
+                if not all(in_span(bas, lv) and in_span(bas, rv)
+                           for lv, rv in _delta_slices(coal_r, v)):
+                    yield (bi, "delta_r")
+                elif ad_wit is not None:
+                    yield ad_wit
+
+    rep.check("blocks_ad_and_deltaR_stable", stability_failures())
+
+    def restrictions(blk):
+        """The generators restricted to blk, or None when blk is not invariant."""
+        proj = _CoordProjector(list(blk), n)
+        restrs = []
+        for g in gens:
+            rg = []
+            for v in blk:
+                cc = proj.coords(mat_vec(g, v))
+                if cc is None:
+                    return None
+                rg.append(cc)
+            restrs.append(transpose(tuple(rg)))
+        return restrs
+
+    def minimality_failures():
+        for bi, blk in enumerate(blocks):
+            restrs = restrictions(blk)
+            if restrs is None:
+                yield (bi, "not_invariant")
+            elif len(kernel_basis(commutant_rows(restrs, len(blk)))) != 1:
+                yield (bi,)
+
+    rep.check("blocks_minimal", minimality_failures() if fully_split else ())
 
     ordered = tuple(tuple(blk) for blk in sorted(blocks, key=len))
     return HrDecomposition(ordered, fully_split, rep)
@@ -1248,72 +1140,54 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
 
     # the displayed closed forms, assembled directly from the braided dual
     s = pp.smash
-    ok, wit = True, None
-    for p in range(m):
-        for j in range(nh):
-            direct: dict = {}
-            for (r1, r2), cr in q.R.items():
-                # x^1 <<- R^1 on the D* leg, then f *_R (...) # h_(1) R^2 (x) x^2 # h_(2)
-                for (x1, x2), cx in x_d.items():
-                    moved: dict = {}
-                    for q2 in range(m):
-                        ca = dd.ad_coords[r1][q2][x1]
-                        if ca != 0:
-                            moved[q2] = ca
-                    if not moved:
+
+    def moved(r1: int, x: int) -> dict:
+        """d*_x <<- e_{r1} in D* coordinates."""
+        return {q2: dd.ad_coords[r1][q2][x] for q2 in range(m) if dd.ad_coords[r1][q2][x] != 0}
+
+    def comult_failures():
+        for p in range(m):
+            for j in range(nh):
+                direct: dict = {}
+                for (r1, r2), cr in q.R.items():
+                    # x^1 <<- R^1 on the D* leg, then f *_R (...) # h_(1) R^2 (x) x^2 # h_(2)
+                    for (x1, x2), cx in x_d.items():
+                        mv = moved(r1, x1)
+                        if not mv:
+                            continue
+                        left = pp.dstar_mod.A.mul_sparse({p: RAT_ONE}, mv)
+                        for j1, j2, c in h.coalgebra.comul_row(j):
+                            hh = h.algebra.mul_sparse({j1: RAT_ONE}, {r2: RAT_ONE})
+                            for fa, cfa in left.items():
+                                for th, cth in hh.items():
+                                    sp_add(direct, (fa * nh + th, x2 * nh + j2),
+                                           cr * cx * c * cfa * cth)
+                if sws.wha.coalgebra.comul_sparse({p * nh + j: RAT_ONE}) != direct:
+                    yield (p, j)
+
+    rep.check("comult_matches_dual_closed_form", comult_failures())
+    rep.check("counit_matches_lambda_pairing",
+              ((p, j) for p in range(m) for j in range(nh)
+               if sws.wha.counit[p * nh + j] != alpha_d[p] * h.counit[j]))
+
+    def antipode_failures():
+        for p in range(m):
+            for j in range(nh):
+                direct: dict = {}
+                for (r1, r2), cr in q.R.items():
+                    mv = moved(r1, p)
+                    if not mv:
                         continue
-                    left = pp.dstar_mod.A.mul_sparse({p: RAT_ONE}, moved)
-                    for j1, j2, c in h.coalgebra.comul_row(j):
-                        hh = h.algebra.mul_sparse({j1: RAT_ONE}, {r2: RAT_ONE})
-                        for fa, cfa in left.items():
-                            for th, cth in hh.items():
-                                sp_add(direct, (fa * nh + th, x2 * nh + j2),
-                                       cr * cx * c * cfa * cth)
-            built = sws.wha.coalgebra.comul_sparse({p * nh + j: RAT_ONE})
-            if built != direct:
-                ok, wit = False, (p, j)
-                break
-        if not ok:
-            break
-    rep.add("comult_matches_dual_closed_form", ok, wit)
+                    left = s.include_h(h.s_sparse({j: RAT_ONE}))
+                    right: dict = {}
+                    for fa, cfa in mv.items():
+                        sp_add(right, fa * nh + r2, cfa * cr)
+                    for key, c in s.carrier.mul_sparse(left, right).items():
+                        sp_add(direct, key, c)
+                if sws.wha.s_sparse({p * nh + j: RAT_ONE}) != direct:
+                    yield (p, j)
 
-    ok, wit = True, None
-    for p in range(m):
-        for j in range(nh):
-            want = tuple(alpha_d)[p] * h.counit[j]
-            if sws.wha.counit[p * nh + j] != want:
-                ok, wit = False, (p, j)
-                break
-        if not ok:
-            break
-    rep.add("counit_matches_lambda_pairing", ok, wit)
-
-    ok, wit = True, None
-    for p in range(m):
-        for j in range(nh):
-            direct: dict = {}
-            for (r1, r2), cr in q.R.items():
-                moved: dict = {}
-                for q2 in range(m):
-                    ca = dd.ad_coords[r1][q2][p]
-                    if ca != 0:
-                        moved[q2] = ca * cr
-                if not moved:
-                    continue
-                fpart = {k: v for k, v in moved.items()}
-                left = s.include_h(h.s_sparse({j: RAT_ONE}))
-                right: dict = {}
-                for fa, cfa in fpart.items():
-                    sp_add(right, fa * nh + r2, cfa)
-                for key, c in s.carrier.mul_sparse(left, right).items():
-                    sp_add(direct, key, c)
-            built = sws.wha.s_sparse({p * nh + j: RAT_ONE})
-            if built != direct:
-                ok, wit = False, (p, j)
-                break
-        if not ok:
-            break
-    rep.add("antipode_matches_dual_closed_form", ok, wit)
+    rep.check("antipode_matches_dual_closed_form", antipode_failures())
 
     wq, qrep = smash_qt(sws)
     rep.merge(qrep, "qt.")
@@ -1350,35 +1224,35 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     # subcomodules W of D visible on the given basis
     from .repdim import wedderburn_blocks
     nd_blocks = wedderburn_blocks(nd.carrier).blocks
-    ok, wit = True, None
     found = 0
     w_com = ComoduleData(bg.braided_coalgebra, m, _coaction_from_subcoalgebra(dd, nh))
-    for p in range(m):
-        stable = True
-        uvec = [RAT_ZERO] * nh
-        for d in range(nh):
-            for w2, c in w_com.coaction.row(p, d):
-                if w2 != p and c != 0:
-                    stable = False
-                else:
-                    uvec[d] += c
-        if not stable:
-            continue
-        found += 1
-        w1 = ComoduleData(bg.braided_coalgebra, 1,
-                          Tensor3.from_entries((1, nh, 1),
-                                               ((0, d, 0, c) for d, c in enumerate(uvec)
-                                                if c != 0)))
-        n1 = adjoint_stable_algebra(w1, h, bg)
-        nw_blocks = wedderburn_blocks(n1.carrier).blocks
-        if len(nw_blocks) != len(nd_blocks):
-            ok, wit = False, (p, tuple(nd_blocks), tuple(nw_blocks))
-            break
-        d0, e0 = nd_blocks[0], nw_blocks[0]
-        if any(di * e0 != ei * d0 for di, ei in zip(nd_blocks, nw_blocks)):
-            ok, wit = False, (p, tuple(nd_blocks), tuple(nw_blocks))
-            break
-    rep.add("nw_blocks_proportional_to_nd_blocks", ok, wit)
+
+    def proportionality_failures():
+        nonlocal found
+        for p in range(m):
+            stable = True
+            uvec = [RAT_ZERO] * nh
+            for d in range(nh):
+                for w2, c in w_com.coaction.row(p, d):
+                    if w2 != p and c != 0:
+                        stable = False
+                    else:
+                        uvec[d] += c
+            if not stable:
+                continue
+            found += 1
+            w1 = ComoduleData(bg.braided_coalgebra, 1,
+                              Tensor3.from_entries((1, nh, 1),
+                                                   ((0, d, 0, c) for d, c in enumerate(uvec)
+                                                    if c != 0)))
+            nw_blocks = wedderburn_blocks(adjoint_stable_algebra(w1, h, bg).carrier).blocks
+            if len(nw_blocks) != len(nd_blocks) or any(
+                    di * nw_blocks[0] != ei * nd_blocks[0]
+                    for di, ei in zip(nd_blocks, nw_blocks)):
+                yield (p, tuple(nd_blocks), tuple(nw_blocks))
+
+    rep.check("nw_blocks_proportional_to_nd_blocks", proportionality_failures())
+    # found counts the simple subcomodules examined up to the first failure
     rep.add("simple_subcomodules_found", found > 0, (found,), informational=True)
     return rep
 
@@ -1393,7 +1267,7 @@ def yd_summand_from_block(h: HopfData, block, bg: BraidedGroupData) -> YetterDri
     a_entries = []
     for t in range(n):
         for p in range(m):
-            img = unsp(bg.ad_sparse({t: RAT_ONE}, sp(block[p])), n)
+            img = unsp(bg.adjoint_action.act({t: RAT_ONE}, sp(block[p])), n)
             cc = proj.coords(img)
             if cc is None:
                 raise HypothesisFailure("block-ad-stable", (t, p))

@@ -57,7 +57,7 @@ from . import demos as dm
 # serialization
 # ---------------------------------------------------------------------------
 
-def _ser_vec(v):
+def ser_vec(v):
     return [rat_str(c) for c in v]
 
 
@@ -65,7 +65,7 @@ def _ser_mat(m):
     return [[rat_str(c) for c in row] for row in m]
 
 
-def _ser_t3(t: Tensor3):
+def ser_t3(t: Tensor3):
     return [[[rat_str(c) for c in row] for row in plane] for plane in t.dense()]
 
 
@@ -83,8 +83,8 @@ def _de_t3(data) -> Tensor3:
 
 def ser_hopf(h: HopfData, kind: str = "hopf") -> dict:
     return {"type": kind, "dim": h.dim,
-            "mult": _ser_t3(h.mult), "unit": _ser_vec(h.unit),
-            "comult": _ser_t3(h.comult), "counit": _ser_vec(h.counit),
+            "mult": ser_t3(h.mult), "unit": ser_vec(h.unit),
+            "comult": ser_t3(h.comult), "counit": ser_vec(h.counit),
             "antipode": _ser_mat(h.antipode)}
 
 
@@ -96,7 +96,7 @@ def de_hopf(obj: dict, cls=HopfData):
 
 def ser_algebra(a: StructureAlgebra) -> dict:
     return {"type": "algebra", "dim": a.dim,
-            "mult": _ser_t3(a.mult), "unit": _ser_vec(a.unit)}
+            "mult": ser_t3(a.mult), "unit": ser_vec(a.unit)}
 
 
 def groupoid_wha_from_json(obj: dict) -> WeakHopfData:
@@ -453,8 +453,8 @@ def _construct(ws: Workspace, recipe: str, seed: int, tol: float):
         return {"constructed": {
             "type": "braided-group",
             "dim": q.host.dim,
-            "adjoint_action": _ser_t3(bg.adjoint_action),
-            "comult_R": _ser_t3(bg.comult_R),
+            "adjoint_action": ser_t3(bg.adjoint_action),
+            "comult_R": ser_t3(bg.comult_R),
             "antipode_R": _ser_mat(bg.antipode_R),
         }}, verify_braided_group(bg)
     if op == "nd":
@@ -472,7 +472,7 @@ def _construct(ws: Workspace, recipe: str, seed: int, tol: float):
         dec = decompose_hr(transmute(q))
         return {"constructed": {
             "type": "decomposition",
-            "blocks": [[_ser_vec(v) for v in blk] for blk in dec.blocks],
+            "blocks": [[ser_vec(v) for v in blk] for blk in dec.blocks],
             "fully_split": dec.fully_split,
         }}, dec.report
     raise ValueError(f"unknown recipe {op!r}")

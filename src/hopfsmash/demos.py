@@ -10,11 +10,7 @@ from fractions import Fraction
 from .exactlin import TensorElem
 from .hopfcore import GroupTable, HopfData, group_algebra
 from .modalg import ModuleAlgebraData, permutation_module_algebra
-from .qtriang import QTStructure, qt_structure, trivial_qt
-
-
-def trivial_table() -> GroupTable:
-    return GroupTable.from_lists(["e"], [[0]])
+from .qtriang import QTStructure, qt_structure
 
 
 def cyclic_table(n: int) -> GroupTable:
@@ -80,7 +76,3 @@ def minus_r_z2(h: HopfData | None = None) -> QTStructure:
     R = TensorElem.from_entries((2, 2), [((0, 0), half), ((0, 1), half),
                                          ((1, 0), half), ((1, 1), -half)])
     return qt_structure(h, R)
-
-
-def trivial_r(h: HopfData) -> QTStructure:
-    return trivial_qt(h)

@@ -63,23 +63,6 @@ def basis_vec(n: int, i: int) -> tuple:
     return tuple(RAT_ONE if j == i else RAT_ZERO for j in range(n))
 
 
-def vec_add(u, v):
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths differ")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths differ")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    c = rat(c)
-    return tuple(c * a for a in v)
-
-
 def vec_dot(u, v):
     if len(u) != len(v):
         raise DimensionMismatch("vector lengths differ")
@@ -133,6 +116,21 @@ def transpose(m):
 def mat_eq(a, b) -> bool:
     return mat_shape(a) == mat_shape(b) and all(
         x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def commutant_rows(mats, m: int) -> tuple:
+    """Linear equations X g = g X, one per matrix entry, on the m x m unknown X
+    flattened row-major; their kernel is the commutant of the given matrices."""
+    rows = []
+    for g in mats:
+        for r in range(m):
+            for c in range(m):
+                row = [RAT_ZERO] * (m * m)
+                for k in range(m):
+                    row[r * m + k] += g[k][c]
+                    row[k * m + c] -= g[r][k]
+                rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +222,6 @@ def _sparse_rref(rows: list[dict], ncols: int):
 
 def _rows_of_mat(m) -> list[dict]:
     return [_int_row(r) for r in m]
-
-
-def rref(m):
-    """Reduced row echelon form (dense) and the pivot-column list."""
-    r, c = mat_shape(m)
-    frac_rows, pivots = _sparse_rref(_rows_of_mat(m), c)
-    dense = tuple(tuple(row.get(j, RAT_ZERO) for j in range(c)) for row in frac_rows)
-    return dense, pivots
 
 
 def rank(m) -> int:
@@ -391,6 +381,23 @@ class Tensor3:
         """Nonzero (k, coeff) pairs of the (i, j) cell."""
         return self._rows[i][j]
 
+    def act(self, h_sp: dict, x_sp: dict) -> dict:
+        """sum over i, j, k of h_i x_j t[i][j][k] e_k for sparse {index: coeff}
+        operands: the action h . x when t is an action tensor."""
+        out: dict = {}
+        rows = self._rows
+        for i, ci in h_sp.items():
+            ri = rows[i]
+            for j, cj in x_sp.items():
+                c = ci * cj
+                for k, w in ri[j]:
+                    v = out.get(k, RAT_ZERO) + c * w
+                    if v == 0:
+                        out.pop(k, None)
+                    else:
+                        out[k] = v
+        return out
+
     def entry(self, i: int, j: int, k: int) -> Fraction:
         for kk, v in self._rows[i][j]:
             if kk == k:
@@ -510,9 +517,6 @@ class TensorElem:
     def scale(self, c) -> "TensorElem":
         c = rat(c)
         return TensorElem(self.dims, tuple(c * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def swap_legs(self, perm) -> "TensorElem":
         """Reorder legs: new leg t carries old leg perm[t]."""

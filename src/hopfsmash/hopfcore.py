@@ -339,18 +339,6 @@ def tensor_mul_sparse(algs, u: dict, v: dict) -> dict:
     return out
 
 
-def tensor_unit_sparse(algs) -> dict:
-    out: dict = {(): RAT_ONE}
-    res: dict = out
-    for alg in algs:
-        nxt: dict = {}
-        for key, c in res.items():
-            for i, w in alg.unit_sparse.items():
-                nxt[key + (i,)] = c * w
-        res = nxt
-    return res
-
-
 def sparse_outer(a: dict, b: dict) -> dict:
     """Outer product of tuple-keyed (or int-keyed) sparse elements."""
     out: dict = {}
@@ -397,17 +385,6 @@ def harpoon_right(alg: StructureAlgebra, f, a) -> tuple:
     return tuple(vec_dot(f, alg.mul(a, basis_vec(alg.dim, b))) for b in range(alg.dim))
 
 
-def hit_left(coal: StructureCoalgebra, f, c) -> tuple:
-    """f -> c = c_(1) <f, c_(2)>."""
-    out = [RAT_ZERO] * coal.dim
-    for i, ci in enumerate(c):
-        if ci == 0:
-            continue
-        for j, k, w in coal.comul_row(i):
-            out[j] += ci * w * f[k]
-    return tuple(out)
-
-
 def hit_right(coal: StructureCoalgebra, c, f) -> tuple:
     """c <- f = <f, c_(1)> c_(2)."""
     out = [RAT_ZERO] * coal.dim
@@ -428,37 +405,30 @@ def verify_algebra(a: StructureAlgebra, subject: str = "algebra") -> Verificatio
     rep = VerificationReport(subject)
     n = a.dim
     u = a.unit_sparse
-    ok, wit = True, None
-    for i in range(n):
-        e = {i: RAT_ONE}
-        if a.mul_sparse(u, e) != e or a.mul_sparse(e, u) != e:
-            ok, wit = False, (i,)
-            break
-    rep.add("unit_law", ok, wit)
-    ok, wit = True, None
+    rep.check("unit_law", ((i,) for i in range(n)
+                           if a.mul_sparse(u, {i: RAT_ONE}) != {i: RAT_ONE}
+                           or a.mul_sparse({i: RAT_ONE}, u) != {i: RAT_ONE}))
     rows = a.mult._rows
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            rij = ri[j]
-            rj = rows[j]
-            for k in range(n):
-                lhs: dict = {}
-                for m, c in rij:
-                    for t, w in rows[m][k]:
-                        sp_add(lhs, t, c * w)
-                rhs: dict = {}
-                for m, c in rj[k]:
-                    for t, w in ri[m]:
-                        sp_add(rhs, t, c * w)
-                if lhs != rhs:
-                    ok, wit = False, (i, j, k)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("associativity", ok, wit)
+
+    def associativity_failures():
+        for i in range(n):
+            ri = rows[i]
+            for j in range(n):
+                rij = ri[j]
+                rj = rows[j]
+                for k in range(n):
+                    lhs: dict = {}
+                    for m, c in rij:
+                        for t, w in rows[m][k]:
+                            sp_add(lhs, t, c * w)
+                    rhs: dict = {}
+                    for m, c in rj[k]:
+                        for t, w in ri[m]:
+                            sp_add(rhs, t, c * w)
+                    if lhs != rhs:
+                        yield (i, j, k)
+
+    rep.check("associativity", associativity_failures())
     return rep
 
 
@@ -466,51 +436,65 @@ def verify_coalgebra(c: StructureCoalgebra, subject: str = "coalgebra") -> Verif
     rep = VerificationReport(subject)
     n = c.dim
     eps = c.counit
-    ok, wit = True, None
-    for i in range(n):
-        left = [RAT_ZERO] * n
-        right = [RAT_ZERO] * n
-        for j, k, w in c.comul_row(i):
-            left[k] += w * eps[j]
-            right[j] += w * eps[k]
-        if tuple(left) != basis_vec(n, i) or tuple(right) != basis_vec(n, i):
-            ok, wit = False, (i,)
-            break
-    rep.add("counit_law", ok, wit)
-    ok, wit = True, None
-    for i in range(n):
-        lhs: dict = {}
-        rhs: dict = {}
-        for j, k, w in c.comul_row(i):
-            for p, q, w2 in c.comul_row(j):
-                sp_add(lhs, (p, q, k), w * w2)
-            for p, q, w2 in c.comul_row(k):
-                sp_add(rhs, (j, p, q), w * w2)
-        if lhs != rhs:
-            ok, wit = False, (i,)
-            break
-    rep.add("coassociativity", ok, wit)
+
+    def counit_failures():
+        for i in range(n):
+            left = [RAT_ZERO] * n
+            right = [RAT_ZERO] * n
+            for j, k, w in c.comul_row(i):
+                left[k] += w * eps[j]
+                right[j] += w * eps[k]
+            if tuple(left) != basis_vec(n, i) or tuple(right) != basis_vec(n, i):
+                yield (i,)
+
+    rep.check("counit_law", counit_failures())
+
+    def coassociativity_failures():
+        for i in range(n):
+            lhs: dict = {}
+            rhs: dict = {}
+            for j, k, w in c.comul_row(i):
+                for p, q, w2 in c.comul_row(j):
+                    sp_add(lhs, (p, q, k), w * w2)
+                for p, q, w2 in c.comul_row(k):
+                    sp_add(rhs, (j, p, q), w * w2)
+            if lhs != rhs:
+                yield (i,)
+
+    rep.check("coassociativity", coassociativity_failures())
     return rep
 
 
-def _comul_of_product(h: HopfData, i: int, j: int) -> dict:
-    out: dict = {}
-    for m, c in h.algebra.mul_row(i, j):
-        for a, b, w in h.coalgebra.comul_row(m):
-            sp_add(out, (a, b), c * w)
-    return out
+def comult_multiplicative_failures(alg: StructureAlgebra, coal: StructureCoalgebra):
+    """Basis pairs (i, j) with Delta(e_i e_j) != Delta(e_i) Delta(e_j)."""
+    n = alg.dim
+    for i in range(n):
+        for j in range(n):
+            lhs: dict = {}
+            for m, c in alg.mul_row(i, j):
+                for a, b, w in coal.comul_row(m):
+                    sp_add(lhs, (a, b), c * w)
+            rhs: dict = {}
+            for a, b, w in coal.comul_row(i):
+                for a2, b2, w2 in coal.comul_row(j):
+                    c = w * w2
+                    for p, cp in alg.mul_row(a, a2):
+                        for q, cq in alg.mul_row(b, b2):
+                            sp_add(rhs, (p, q), c * cp * cq)
+            if lhs != rhs:
+                yield (i, j)
 
 
-def _comul_product(h: HopfData, i: int, j: int) -> dict:
-    out: dict = {}
-    alg = h.algebra
-    for a, b, w in h.coalgebra.comul_row(i):
-        for a2, b2, w2 in h.coalgebra.comul_row(j):
-            c = w * w2
-            for p, cp in alg.mul_row(a, a2):
-                for q, cq in alg.mul_row(b, b2):
-                    sp_add(out, (p, q), c * cp * cq)
-    return out
+def module_law_failures(h: HopfData, action: Tensor3):
+    """Triples (i, j, x) with (e_i e_j) . v_x != e_i . (e_j . v_x) for a left
+    action tensor action[h][x][y]."""
+    for i in range(h.dim):
+        for j in range(h.dim):
+            prod = h.algebra.mul_sparse({i: RAT_ONE}, {j: RAT_ONE})
+            for x in range(action.dims[1]):
+                e = {x: RAT_ONE}
+                if action.act(prod, e) != action.act({i: RAT_ONE}, action.act({j: RAT_ONE}, e)):
+                    yield (i, j, x)
 
 
 def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
@@ -523,27 +507,13 @@ def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
     unit2 = sparse_outer(h.algebra.unit_sparse, h.algebra.unit_sparse)
     rep.add("comult_unital", h.coalgebra.comul_sparse(h.algebra.unit_sparse) == unit2)
 
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            if _comul_of_product(h, i, j) != _comul_product(h, i, j):
-                ok, wit = False, (i, j)
-                break
-        if not ok:
-            break
-    rep.add("comult_multiplicative", ok, wit)
+    rep.check("comult_multiplicative", comult_multiplicative_failures(h.algebra, h.coalgebra))
 
     eps = h.counit
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            val = sum((c * eps[k] for k, c in h.algebra.mul_row(i, j)), RAT_ZERO)
-            if val != eps[i] * eps[j]:
-                ok, wit = False, (i, j)
-                break
-        if not ok:
-            break
-    rep.add("counit_multiplicative", ok, wit)
+    rep.check("counit_multiplicative",
+              ((i, j) for i in range(n) for j in range(n)
+               if sum((c * eps[k] for k, c in h.algebra.mul_row(i, j)), RAT_ZERO)
+               != eps[i] * eps[j]))
     rep.add("counit_unital", h.coalgebra.counit_of(h.unit) == 1)
 
     u = h.algebra.unit_sparse
@@ -583,41 +553,31 @@ def check_map(f: LinearMap, src, dst, kinds) -> VerificationReport:
     if "algebra" in kinds:
         sa = src.algebra if isinstance(src, HopfData) else src
         da = dst.algebra if isinstance(dst, HopfData) else dst
-        ok, wit = True, None
-        for i in range(sa.dim):
-            for j in range(sa.dim):
-                if f.apply_sparse(dict(sa.mul_row(i, j))) != da.mul_sparse(cols[i], cols[j]):
-                    ok, wit = False, (i, j)
-                    break
-            if not ok:
-                break
-        rep.add("algebra_map", ok, wit)
+        rep.check("algebra_map",
+                  ((i, j) for i in range(sa.dim) for j in range(sa.dim)
+                   if f.apply_sparse(dict(sa.mul_row(i, j))) != da.mul_sparse(cols[i], cols[j])))
         rep.add("unit_preserved", f.apply(sa.unit) == da.unit)
     if "coalgebra" in kinds:
         sc = src.coalgebra if isinstance(src, HopfData) else src
         dc = dst.coalgebra if isinstance(dst, HopfData) else dst
-        ok, wit = True, None
-        for i in range(sc.dim):
-            lhs = dc.comul_sparse(cols[i])
-            rhs: dict = {}
-            for j, k, w in sc.comul_row(i):
-                for a, ca in cols[j].items():
-                    for b, cb in cols[k].items():
-                        sp_add(rhs, (a, b), w * ca * cb)
-            if lhs != rhs:
-                ok, wit = False, (i,)
-                break
-        rep.add("coalgebra_map", ok, wit)
-        ok, wit = True, None
-        for i in range(sc.dim):
-            if dc.counit_sparse(cols[i]) != sc.counit[i]:
-                ok, wit = False, (i,)
-                break
-        rep.add("counit_preserved", ok, wit)
+
+        def coalgebra_failures():
+            for i in range(sc.dim):
+                rhs: dict = {}
+                for j, k, w in sc.comul_row(i):
+                    for a, ca in cols[j].items():
+                        for b, cb in cols[k].items():
+                            sp_add(rhs, (a, b), w * ca * cb)
+                if dc.comul_sparse(cols[i]) != rhs:
+                    yield (i,)
+
+        rep.check("coalgebra_map", coalgebra_failures())
+        rep.check("counit_preserved", ((i,) for i in range(sc.dim)
+                                       if dc.counit_sparse(cols[i]) != sc.counit[i]))
     if "antipode" in kinds:
-        ok = all(f.apply_sparse(src.s_sparse({c: RAT_ONE})) == dst.s_sparse(cols[c])
-                 for c in range(f.source_dim))
-        rep.add("antipode_commuting", ok)
+        rep.check("antipode_commuting",
+                  ((c,) for c in range(f.source_dim)
+                   if f.apply_sparse(src.s_sparse({c: RAT_ONE})) != dst.s_sparse(cols[c])))
     if "injective" in kinds:
         rep.add("injective", not kernel_basis(f.matrix))
     return rep
@@ -874,15 +834,11 @@ def drinfeld_double(h: HopfData):
                  for a, ca in sp(h.counit).items()
                  for b, cb in sp(h.unit).items()}, nn)
 
-    rev_mult: list = [[] for _ in range(n)]
-    for a1 in range(n):
-        for a2 in range(n):
-            for a, c in alg.mul_row(a1, a2):
-                rev_mult[a].append((a1, a2, c))
+    rev_mult = dual_coalgebra(alg).comul_row
     centries = []
     for a in range(n):
         for b in range(n):
-            for a1, a2, c1 in rev_mult[a]:
+            for a1, a2, c1 in rev_mult(a):
                 for b1, b2, c2 in h.coalgebra.comul_row(b):
                     centries.append((flat(a, b), flat(a2, b1), flat(a1, b2), c1 * c2))
     comult = Tensor3.from_entries((nn, nn, nn), centries)
@@ -938,11 +894,7 @@ def heisenberg_double(h: HopfData) -> StructureAlgebra:
     flat = _double_codec(n)
     alg = h.algebra
 
-    rev_mult: list = [[] for _ in range(n)]
-    for a1 in range(n):
-        for a2 in range(n):
-            for a, c in alg.mul_row(a1, a2):
-                rev_mult[a].append((a1, a2, c))
+    rev_mult = dual_coalgebra(alg).comul_row
     rev_comul: dict = {}
     for i in range(n):
         for j, k, c in h.coalgebra.comul_row(i):
@@ -955,7 +907,7 @@ def heisenberg_double(h: HopfData) -> StructureAlgebra:
                 for b in range(n):
                     cell: dict = {}
                     # Delta_{H*}(p_a) = sum p_{a1} (x) p_{a2} over mult[a1][a2][a]
-                    for a1, a2, c1 in rev_mult[a]:
+                    for a1, a2, c1 in rev_mult(a):
                         # p_{a1} . l_j = sum_{(j1, j2)} [a1 == j2] l_j1
                         hit: dict = {}
                         for j1, j2, c2 in h.coalgebra.comul_row(j):

@@ -17,6 +17,7 @@ from .exactlin import (
     Tensor3,
     TensorElem,
     basis_vec,
+    commutant_rows,
     kernel_basis,
     mat_inverse,
     span_basis,
@@ -26,8 +27,10 @@ from .exactlin import (
 from .hopfcore import (
     HopfData,
     StructureAlgebra,
+    module_law_failures,
     sp,
     sp_add,
+    sp_scale,
     sparse_outer,
     tensor_mul_sparse,
     unsp,
@@ -50,19 +53,8 @@ class ModuleAlgebraData:
         if all(c == 0 for c in self.A.unit):
             raise ValueError("degenerate carrier: the unit of A is zero")
 
-    def act_sparse(self, h_sp: dict, a_sp: dict) -> dict:
-        out: dict = {}
-        rows = self.action._rows
-        for i, ci in h_sp.items():
-            ri = rows[i]
-            for j, cj in a_sp.items():
-                c = ci * cj
-                for k, w in ri[j]:
-                    sp_add(out, k, c * w)
-        return out
-
     def act(self, h_vec, a_vec) -> tuple:
-        return unsp(self.act_sparse(sp(h_vec), sp(a_vec)), self.A.dim)
+        return unsp(self.action.act(sp(h_vec), sp(a_vec)), self.A.dim)
 
     def action_matrix(self, h_vec) -> tuple:
         cols = [self.act(h_vec, basis_vec(self.A.dim, j)) for j in range(self.A.dim)]
@@ -84,60 +76,34 @@ def verify_module_algebra(m: ModuleAlgebraData, subject: str = "module_algebra")
     rep = VerificationReport(subject)
     h, A = m.host, m.A
     nh, na = h.dim, A.dim
+    act = m.action.act
 
-    ok, wit = True, None
-    for a in range(na):
-        ea = {a: RAT_ONE}
-        if m.act_sparse(h.algebra.unit_sparse, ea) != ea:
-            ok, wit = False, (a,)
-            break
-    rep.add("action_unital", ok, wit)
+    rep.check("action_unital", ((a,) for a in range(na)
+                                if act(h.algebra.unit_sparse, {a: RAT_ONE}) != {a: RAT_ONE}))
 
-    ok, wit = True, None
-    for i in range(nh):
-        for j in range(nh):
-            prod = h.algebra.mul_sparse({i: RAT_ONE}, {j: RAT_ONE})
+    rep.check("action_module_law", module_law_failures(h, m.action))
+
+    def measuring_failures():
+        for i in range(nh):
             for a in range(na):
-                ea = {a: RAT_ONE}
-                if m.act_sparse(prod, ea) != m.act_sparse({i: RAT_ONE}, m.act_sparse({j: RAT_ONE}, ea)):
-                    ok, wit = False, (i, j, a)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("action_module_law", ok, wit)
+                for b in range(na):
+                    prod = A.mul_sparse({a: RAT_ONE}, {b: RAT_ONE})
+                    lhs = act({i: RAT_ONE}, prod)
+                    rhs: dict = {}
+                    for p, q, c in h.coalgebra.comul_row(i):
+                        va = act({p: RAT_ONE}, {a: RAT_ONE})
+                        vb = act({q: RAT_ONE}, {b: RAT_ONE})
+                        for k, w in A.mul_sparse(va, vb).items():
+                            sp_add(rhs, k, c * w)
+                    if lhs != rhs:
+                        yield (i, a, b)
 
-    ok, wit = True, None
-    for i in range(nh):
-        for a in range(na):
-            for b in range(na):
-                prod = A.mul_sparse({a: RAT_ONE}, {b: RAT_ONE})
-                lhs = m.act_sparse({i: RAT_ONE}, prod)
-                rhs: dict = {}
-                for p, q, c in h.coalgebra.comul_row(i):
-                    va = m.act_sparse({p: RAT_ONE}, {a: RAT_ONE})
-                    vb = m.act_sparse({q: RAT_ONE}, {b: RAT_ONE})
-                    for k, w in A.mul_sparse(va, vb).items():
-                        sp_add(rhs, k, c * w)
-                if lhs != rhs:
-                    ok, wit = False, (i, a, b)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("measuring", ok, wit)
+    rep.check("measuring", measuring_failures())
 
-    ok, wit = True, None
     one_a = A.unit_sparse
     eps = h.counit
-    for i in range(nh):
-        target = {k: eps[i] * v for k, v in one_a.items()} if eps[i] != 0 else {}
-        if m.act_sparse({i: RAT_ONE}, one_a) != target:
-            ok, wit = False, (i,)
-            break
-    rep.add("unit_absorbed", ok, wit)
+    rep.check("unit_absorbed",
+              ((i,) for i in range(nh) if act({i: RAT_ONE}, one_a) != sp_scale(one_a, eps[i])))
     return rep
 
 
@@ -150,8 +116,8 @@ def is_quantum_commutative(q, m: ModuleAlgebraData) -> tuple:
             lhs = A.mul_sparse({a: RAT_ONE}, {b: RAT_ONE})
             rhs: dict = {}
             for (r1, r2), c in r_items:
-                vb = m.act_sparse({r2: RAT_ONE}, {b: RAT_ONE})
-                va = m.act_sparse({r1: RAT_ONE}, {a: RAT_ONE})
+                vb = m.action.act({r2: RAT_ONE}, {b: RAT_ONE})
+                va = m.action.act({r1: RAT_ONE}, {a: RAT_ONE})
                 for k, w in A.mul_sparse(vb, va).items():
                     sp_add(rhs, k, c * w)
             if lhs != rhs:
@@ -165,7 +131,7 @@ def u_acts_trivially(q, m: ModuleAlgebraData) -> tuple:
     u_sp = sp(drinfeld_element(q).u)
     for a in range(m.A.dim):
         ea = {a: RAT_ONE}
-        if m.act_sparse(u_sp, ea) != ea:
+        if m.action.act(u_sp, ea) != ea:
             return False, (a,)
     return True, None
 
@@ -216,14 +182,10 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
 
     rep.add("x_symmetric", s.x.swap_legs((1, 0)) == s.x)
 
-    ok, wit = True, None
-    for a in range(n):
-        lft = tensor_mul_sparse((A, A), sparse_outer({a: RAT_ONE}, A.unit_sparse), x_sp)
-        rgt = tensor_mul_sparse((A, A), x_sp, sparse_outer(A.unit_sparse, {a: RAT_ONE}))
-        if lft != rgt:
-            ok, wit = False, (a,)
-            break
-    rep.add("casimir_centrality", ok, wit)
+    rep.check("casimir_centrality",
+              ((a,) for a in range(n)
+               if tensor_mul_sparse((A, A), sparse_outer({a: RAT_ONE}, A.unit_sparse), x_sp)
+               != tensor_mul_sparse((A, A), x_sp, sparse_outer(A.unit_sparse, {a: RAT_ONE}))))
 
     m_x: dict = {}
     for (i, j), c in s.x.items():
@@ -238,47 +200,41 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
     rep.add("alpha_normalization", tuple(acc) == A.unit)
 
     # dual bases: x^1 <x^2 -> alpha, a> = a for all basis a
-    ok, wit = True, None
-    for a in range(n):
-        acc = [RAT_ZERO] * n
-        for (i, j), c in s.x.items():
-            acc[i] += c * vec_dot(alpha, A.mul(basis_vec(n, a), basis_vec(n, j)))
-        if tuple(acc) != basis_vec(n, a):
-            ok, wit = False, (a,)
-            break
-    rep.add("dual_basis_identity", ok, wit)
+    def dual_basis_failures():
+        for a in range(n):
+            acc = [RAT_ZERO] * n
+            for (i, j), c in s.x.items():
+                acc[i] += c * vec_dot(alpha, A.mul(basis_vec(n, a), basis_vec(n, j)))
+            if tuple(acc) != basis_vec(n, a):
+                yield (a,)
+
+    rep.check("dual_basis_identity", dual_basis_failures())
 
     # alpha is H-invariant: <alpha, h . a> = eps(h) <alpha, a>
-    ok, wit = True, None
-    for i in range(h.dim):
-        for a in range(n):
-            va = m.act_sparse({i: RAT_ONE}, {a: RAT_ONE})
-            val = sum((c * alpha[k] for k, c in va.items()), RAT_ZERO)
-            if val != h.counit[i] * alpha[a]:
-                ok, wit = False, (i, a)
-                break
-        if not ok:
-            break
-    rep.add("alpha_invariant", ok, wit)
+    act = m.action.act
+    rep.check("alpha_invariant",
+              ((i, a) for i in range(h.dim) for a in range(n)
+               if sum((c * alpha[k] for k, c in act({i: RAT_ONE}, {a: RAT_ONE}).items()), RAT_ZERO)
+               != h.counit[i] * alpha[a]))
 
     # h . x^1 (x) x^2 = x^1 (x) S(h) . x^2 in the involutory semisimple case
     from .exactlin import identity_mat, mat_eq, mat_mul
     if mat_eq(mat_mul(h.antipode, h.antipode), identity_mat(h.dim)):
-        ok, wit = True, None
-        for t in range(h.dim):
-            lhs: dict = {}
-            rhs: dict = {}
-            for (i, j), c in s.x.items():
-                for k, w in m.act_sparse({t: RAT_ONE}, {i: RAT_ONE}).items():
-                    sp_add(lhs, (k, j), c * w)
-            st = h.s_sparse({t: RAT_ONE})
-            for (i, j), c in s.x.items():
-                for k, w in m.act_sparse(st, {j: RAT_ONE}).items():
-                    sp_add(rhs, (i, k), c * w)
-            if lhs != rhs:
-                ok, wit = False, (t,)
-                break
-        rep.add("antipode_flip_identity", ok, wit)
+        def antipode_flip_failures():
+            for t in range(h.dim):
+                lhs: dict = {}
+                rhs: dict = {}
+                for (i, j), c in s.x.items():
+                    for k, w in act({t: RAT_ONE}, {i: RAT_ONE}).items():
+                        sp_add(lhs, (k, j), c * w)
+                st = h.s_sparse({t: RAT_ONE})
+                for (i, j), c in s.x.items():
+                    for k, w in act(st, {j: RAT_ONE}).items():
+                        sp_add(rhs, (i, k), c * w)
+                if lhs != rhs:
+                    yield (t,)
+
+        rep.check("antipode_flip_identity", antipode_flip_failures())
     return rep
 
 
@@ -309,7 +265,7 @@ def _stable_closure(m: ModuleAlgebraData, seed) -> list:
                 for w in (A.mul_sparse({i: RAT_ONE}, vs), A.mul_sparse(vs, {i: RAT_ONE})):
                     new.append(unsp(w, n))
             for t in range(h.dim):
-                new.append(unsp(m.act_sparse({t: RAT_ONE}, vs), n))
+                new.append(unsp(m.action.act({t: RAT_ONE}, vs), n))
         improved = span_basis(new, n)
         if len(improved) > len(basis):
             basis = improved
@@ -324,17 +280,7 @@ def is_H_simple(m: ModuleAlgebraData) -> HSimplicityResult:
     n = A.dim
     ops = [A.left_mult_matrix(basis_vec(n, i)) for i in range(n)]
     ops += [m.action_matrix(basis_vec(h.dim, t)) for t in range(h.dim)]
-    rows = []
-    for op in ops:
-        # unknown M (n x n), constraint M op - op M = 0, rows indexed by (r, c)
-        for r in range(n):
-            for c in range(n):
-                row = [RAT_ZERO] * (n * n)
-                for k in range(n):
-                    row[r * n + k] += op[k][c]
-                    row[k * n + c] -= op[r][k]
-                rows.append(tuple(row))
-    commutant = kernel_basis(tuple(rows))
+    commutant = kernel_basis(commutant_rows(ops, n))
     if len(commutant) == 1:
         return HSimplicityResult("certified_simple", commutant_dim=1)
     for a in range(n):

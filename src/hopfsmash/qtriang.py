@@ -32,8 +32,10 @@ from .hopfcore import (
     StructureCoalgebra,
     convolution_algebra,
     harpoon_left,
+    module_law_failures,
     sp,
     sp_add,
+    sp_scale,
     sparse_outer,
     tensor_mul_sparse,
     unsp,
@@ -97,14 +99,14 @@ def verify_qt(q: QTStructure, subject: str = "qt") -> VerificationReport:
     rep.add("R_invertible_left", tensor_mul_sparse(algs2, rbar, r) == one2)
     rep.add("R_invertible_right", tensor_mul_sparse(algs2, r, rbar) == one2)
 
-    ok, wit = True, None
-    for i in range(h.dim):
-        dlt = {(a, b): c for a, b, c in h.coalgebra.comul_row(i)}
-        cop = {(b, a): c for a, b, c in h.coalgebra.comul_row(i)}
-        if tensor_mul_sparse(algs2, r, dlt) != tensor_mul_sparse(algs2, cop, r):
-            ok, wit = False, (i,)
-            break
-    rep.add("intertwines_comult", ok, wit)
+    def intertwining_failures():
+        for i in range(h.dim):
+            dlt = {(a, b): c for a, b, c in h.coalgebra.comul_row(i)}
+            cop = {(b, a): c for a, b, c in h.coalgebra.comul_row(i)}
+            if tensor_mul_sparse(algs2, r, dlt) != tensor_mul_sparse(algs2, cop, r):
+                yield (i,)
+
+    rep.check("intertwines_comult", intertwining_failures())
 
     algs3 = (alg, alg, alg)
     one = alg.unit_sparse
@@ -222,16 +224,6 @@ class BraidedGroupData:
     def braided_coalgebra(self) -> StructureCoalgebra:
         return StructureCoalgebra(self.host.host.dim, self.comult_R, self.host.host.counit)
 
-    def ad_sparse(self, h_sp: dict, x_sp: dict) -> dict:
-        out: dict = {}
-        rows = self.adjoint_action._rows
-        for i, ci in h_sp.items():
-            ri = rows[i]
-            for j, cj in x_sp.items():
-                c = ci * cj
-                for k, w in ri[j]:
-                    sp_add(out, k, c * w)
-        return out
 
 
 def transmute(q: QTStructure) -> BraidedGroupData:
@@ -240,13 +232,6 @@ def transmute(q: QTStructure) -> BraidedGroupData:
     n = h.dim
     ad = adjoint_action_tensor(h)
     ad_rows = ad._rows
-
-    def ad_vec(i: int, j: int) -> tuple:
-        v = [RAT_ZERO] * n
-        for k, c in ad_rows[i][j]:
-            v[k] = c
-        return tuple(v)
-
     r_items = list(q.R.items())
     comult_entries = []
     for i in range(n):
@@ -282,103 +267,67 @@ def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
     h = q.host
     n = h.dim
     rep.merge(verify_coalgebra(bg.braided_coalgebra), "braided.")
+    act = bg.adjoint_action.act
 
-    ok, wit = True, None
-    for i in range(n):
-        e = {i: RAT_ONE}
-        if bg.ad_sparse(h.algebra.unit_sparse, e) != e:
-            ok, wit = False, (i,)
-            break
-    rep.add("adjoint_unital", ok, wit)
+    rep.check("adjoint_unital", ((i,) for i in range(n)
+                                 if act(h.algebra.unit_sparse, {i: RAT_ONE}) != {i: RAT_ONE}))
 
     # module law (h g) .ad x = h .ad (g .ad x) on all triples
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            prod = h.algebra.mul_sparse({i: RAT_ONE}, {j: RAT_ONE})
-            for x in range(n):
-                ex = {x: RAT_ONE}
-                lhs = bg.ad_sparse(prod, ex)
-                rhs = bg.ad_sparse({i: RAT_ONE}, bg.ad_sparse({j: RAT_ONE}, ex))
-                if lhs != rhs:
-                    ok, wit = False, (i, j, x)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("adjoint_module_law", ok, wit)
+    rep.check("adjoint_module_law", module_law_failures(h, bg.adjoint_action))
 
     # adjoint measures the product: h .ad (x y) = (h_(1) .ad x)(h_(2) .ad y)
-    ok, wit = True, None
-    for i in range(n):
-        for x in range(n):
-            for y in range(n):
-                prod = h.algebra.mul_sparse({x: RAT_ONE}, {y: RAT_ONE})
-                lhs = bg.ad_sparse({i: RAT_ONE}, prod)
-                rhs: dict = {}
-                for a, b, c in h.coalgebra.comul_row(i):
-                    pa = bg.ad_sparse({a: RAT_ONE}, {x: RAT_ONE})
-                    pb = bg.ad_sparse({b: RAT_ONE}, {y: RAT_ONE})
-                    for m, cm in h.algebra.mul_sparse(pa, pb).items():
-                        sp_add(rhs, m, c * cm)
-                if lhs != rhs:
-                    ok, wit = False, (i, x, y)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("adjoint_measuring", ok, wit)
+    def measuring_failures():
+        for i in range(n):
+            for x in range(n):
+                for y in range(n):
+                    prod = h.algebra.mul_sparse({x: RAT_ONE}, {y: RAT_ONE})
+                    lhs = act({i: RAT_ONE}, prod)
+                    rhs: dict = {}
+                    for a, b, c in h.coalgebra.comul_row(i):
+                        pa = act({a: RAT_ONE}, {x: RAT_ONE})
+                        pb = act({b: RAT_ONE}, {y: RAT_ONE})
+                        for m, cm in h.algebra.mul_sparse(pa, pb).items():
+                            sp_add(rhs, m, c * cm)
+                    if lhs != rhs:
+                        yield (i, x, y)
+
+    rep.check("adjoint_measuring", measuring_failures())
 
     coal_R = bg.braided_coalgebra
-    ok, wit = True, None
-    for i in range(n):
-        for x in range(n):
-            lhs = coal_R.comul_sparse(bg.ad_sparse({i: RAT_ONE}, {x: RAT_ONE}))
-            rhs: dict = {}
-            for a, b, c in h.coalgebra.comul_row(i):
-                for p, q2, w in coal_R.comul_row(x):
-                    va = bg.ad_sparse({a: RAT_ONE}, {p: RAT_ONE})
-                    vb = bg.ad_sparse({b: RAT_ONE}, {q2: RAT_ONE})
-                    for key, cc in sparse_outer(va, vb).items():
-                        sp_add(rhs, key, c * w * cc)
-            if lhs != rhs:
-                ok, wit = False, (i, x)
-                break
-        if not ok:
-            break
-    rep.add("comult_R_module_map", ok, wit)
 
-    ok, wit = True, None
-    for i in range(n):
-        acc: dict = {}
-        for j, k, c in coal_R.comul_row(i):
-            srj = {r: bg.antipode_R[r][j] for r in range(n) if bg.antipode_R[r][j] != 0}
-            for m, cm in h.algebra.mul_sparse(srj, {k: RAT_ONE}).items():
-                sp_add(acc, m, c * cm)
-        if acc != {k: h.counit[i] * v for k, v in h.algebra.unit_sparse.items() if h.counit[i] != 0}:
-            ok, wit = False, (i,)
-            break
-    rep.add("braided_antipode_identity", ok, wit)
+    def comult_R_failures():
+        for i in range(n):
+            for x in range(n):
+                lhs = coal_R.comul_sparse(act({i: RAT_ONE}, {x: RAT_ONE}))
+                rhs: dict = {}
+                for a, b, c in h.coalgebra.comul_row(i):
+                    for p, q2, w in coal_R.comul_row(x):
+                        va = act({a: RAT_ONE}, {p: RAT_ONE})
+                        vb = act({b: RAT_ONE}, {q2: RAT_ONE})
+                        for key, cc in sparse_outer(va, vb).items():
+                            sp_add(rhs, key, c * w * cc)
+                if lhs != rhs:
+                    yield (i, x)
+
+    rep.check("comult_R_module_map", comult_R_failures())
+
+    def braided_antipode_failures():
+        for i in range(n):
+            acc: dict = {}
+            for j, k, c in coal_R.comul_row(i):
+                srj = {r: bg.antipode_R[r][j] for r in range(n) if bg.antipode_R[r][j] != 0}
+                for m, cm in h.algebra.mul_sparse(srj, {k: RAT_ONE}).items():
+                    sp_add(acc, m, c * cm)
+            if acc != sp_scale(h.algebra.unit_sparse, h.counit[i]):
+                yield (i,)
+
+    rep.check("braided_antipode_identity", braided_antipode_failures())
     return rep
 
 
 # ---------------------------------------------------------------------------
 # Mueger-center membership of a module algebra
 # ---------------------------------------------------------------------------
-
-def _act_sparse(action: Tensor3, h_sp: dict, a_sp: dict) -> dict:
-    out: dict = {}
-    rows = action._rows
-    for i, ci in h_sp.items():
-        ri = rows[i]
-        for j, cj in a_sp.items():
-            c = ci * cj
-            for k, w in ri[j]:
-                sp_add(out, k, c * w)
-    return out
-
 
 def muger_membership(q: QTStructure, act) -> tuple:
     """(R_2^2 R_1^1) . a (x) R_2^1 R_1^2 = a (x) 1 for all basis a of A.
@@ -393,41 +342,40 @@ def muger_membership(q: QTStructure, act) -> tuple:
     r_items = list(q.R.items())
     one = alg.unit_sparse
 
-    ok_a, wit_a = True, None
-    for a in range(dim_a):
-        lhs: dict = {}
-        for (a1, b1), c1 in r_items:
-            for (a2, b2), c2 in r_items:
-                hh = alg.mul_sparse({b2: RAT_ONE}, {a1: RAT_ONE})
-                va = _act_sparse(action, hh, {a: RAT_ONE})
-                if not va:
-                    continue
-                hh2 = alg.mul_sparse({a2: RAT_ONE}, {b1: RAT_ONE})
-                for key, c in sparse_outer(va, hh2).items():
-                    sp_add(lhs, key, c1 * c2 * c)
-        if lhs != sparse_outer({a: RAT_ONE}, one):
-            ok_a, wit_a = False, (a,)
-            break
+    def double_braiding_failures():
+        for a in range(dim_a):
+            lhs: dict = {}
+            for (a1, b1), c1 in r_items:
+                for (a2, b2), c2 in r_items:
+                    hh = alg.mul_sparse({b2: RAT_ONE}, {a1: RAT_ONE})
+                    va = action.act(hh, {a: RAT_ONE})
+                    if not va:
+                        continue
+                    hh2 = alg.mul_sparse({a2: RAT_ONE}, {b1: RAT_ONE})
+                    for key, c in sparse_outer(va, hh2).items():
+                        sp_add(lhs, key, c1 * c2 * c)
+            if lhs != sparse_outer({a: RAT_ONE}, one):
+                yield (a,)
 
-    ok_b, wit_b = True, None
-    for a in range(dim_a):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (a1, b1), c in r_items:
-            va = _act_sparse(action, {a1: RAT_ONE}, {a: RAT_ONE})
-            for key, cc in sparse_outer(va, {b1: RAT_ONE}).items():
-                sp_add(lhs, key, c * cc)
-            vb = _act_sparse(action, {b1: RAT_ONE}, {a: RAT_ONE})
-            for key, cc in sparse_outer(vb, h.s_sparse({a1: RAT_ONE})).items():
-                sp_add(rhs, key, c * cc)
-        if lhs != rhs:
-            ok_b, wit_b = False, (a,)
-            break
+    def antipode_form_failures():
+        for a in range(dim_a):
+            lhs: dict = {}
+            rhs: dict = {}
+            for (a1, b1), c in r_items:
+                va = action.act({a1: RAT_ONE}, {a: RAT_ONE})
+                for key, cc in sparse_outer(va, {b1: RAT_ONE}).items():
+                    sp_add(lhs, key, c * cc)
+                vb = action.act({b1: RAT_ONE}, {a: RAT_ONE})
+                for key, cc in sparse_outer(vb, h.s_sparse({a1: RAT_ONE})).items():
+                    sp_add(rhs, key, c * cc)
+            if lhs != rhs:
+                yield (a,)
 
-    if ok_a != ok_b:
+    wit_a = next(double_braiding_failures(), None)
+    if (wit_a is None) != (next(antipode_form_failures(), None) is None):
         raise RuntimeError("the two Mueger-center criteria disagree; "
                            "QT/module preconditions must be violated")
-    return (ok_a, wit_a if not ok_a else None)
+    return (wit_a is None, wit_a)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +393,7 @@ def braided_right_action_on_dual(bg: BraidedGroupData, f, h_vec) -> tuple:
     out = [RAT_ZERO] * n
     h_sp = sp(h_vec)
     for l in range(n):
-        img = bg.ad_sparse(h_sp, {l: RAT_ONE})
+        img = bg.adjoint_action.act(h_sp, {l: RAT_ONE})
         out[l] = sum((c * f[k] for k, c in img.items()), RAT_ZERO)
     return tuple(out)
 
@@ -495,14 +443,10 @@ def hr_dual_separability(q: QTStructure, ip, bg: BraidedGroupData | None = None)
     rep.add("swap_symmetric", x.swap_legs((1, 0)) == x)
     ar = hr_star_algebra(bg)
     x_sp = {idx: c for idx, c in x.items()}
-    ok, wit = True, None
-    for i in range(n):
-        lft = tensor_mul_sparse((ar, ar), sparse_outer({i: RAT_ONE}, ar.unit_sparse), x_sp)
-        rgt = tensor_mul_sparse((ar, ar), x_sp, sparse_outer(ar.unit_sparse, {i: RAT_ONE}))
-        if lft != rgt:
-            ok, wit = False, (i,)
-            break
-    rep.add("separability_equation", ok, wit)
+    rep.check("separability_equation",
+              ((i,) for i in range(n)
+               if tensor_mul_sparse((ar, ar), sparse_outer({i: RAT_ONE}, ar.unit_sparse), x_sp)
+               != tensor_mul_sparse((ar, ar), x_sp, sparse_outer(ar.unit_sparse, {i: RAT_ONE}))))
     m_x: dict = {}
     for (i, j), c in x.items():
         for k, w in ar.mul_row(i, j):
@@ -539,24 +483,24 @@ def almost_triangular_equivalences(q: QTStructure, bg: BraidedGroupData | None =
 
     ar = hr_star_algebra(bg)
     r_items = list(q.R.items())
-    cond3, wit3 = True, None
-    for fidx in range(n):
-        f = basis_vec(n, fidx)
-        for gidx in range(n):
-            g = basis_vec(n, gidx)
-            lhs = ar.mul_sparse({fidx: RAT_ONE}, {gidx: RAT_ONE})
-            rhs: dict = {}
-            for (a1, b1), c in r_items:
-                gg = braided_right_action_on_dual(bg, g, basis_vec(n, a1))
-                ff = braided_right_action_on_dual(bg, f, basis_vec(n, b1))
-                for m, cm in ar.mul_sparse(sp(gg), sp(ff)).items():
-                    sp_add(rhs, m, c * cm)
-            if lhs != rhs:
-                cond3, wit3 = False, (fidx, gidx)
-                break
-        if not cond3:
-            break
-    rep.add("cond3_hr_dual_quantum_commutative", cond3, wit3, informational=True)
+
+    def quantum_commutativity_failures():
+        for fidx in range(n):
+            f = basis_vec(n, fidx)
+            for gidx in range(n):
+                g = basis_vec(n, gidx)
+                lhs = ar.mul_sparse({fidx: RAT_ONE}, {gidx: RAT_ONE})
+                rhs: dict = {}
+                for (a1, b1), c in r_items:
+                    gg = braided_right_action_on_dual(bg, g, basis_vec(n, a1))
+                    ff = braided_right_action_on_dual(bg, f, basis_vec(n, b1))
+                    for m, cm in ar.mul_sparse(sp(gg), sp(ff)).items():
+                        sp_add(rhs, m, c * cm)
+                if lhs != rhs:
+                    yield (fidx, gidx)
+
+    cond3 = rep.check("cond3_hr_dual_quantum_commutative", quantum_commutativity_failures(),
+                      informational=True)
 
     class _AdAct:
         action = bg.adjoint_action

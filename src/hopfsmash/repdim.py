@@ -10,6 +10,7 @@ near-degenerate spectra.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ import numpy as np
 from .exactlin import (
     RAT_ZERO,
     basis_vec,
+    in_span,
     kernel_basis,
     rank,
     span_basis,
@@ -142,16 +144,10 @@ def fpdim_report(s_wha, a_mod, tol: float = DEFAULT_TOL, seed: int = 0) -> Fpdim
     br = wedderburn_blocks(s_wha.algebra, tol, seed)
     rep.add("residual_below_tolerance", br.residual < tol, (br.residual,))
     na = a_mod.A.dim
-    fpdims = []
-    ok, wit = True, None
-    for d in br.blocks:
-        if d % na != 0:
-            ok, wit = False, (d, na)
-            break
-        fpdims.append(d // na)
-    rep.add("dimension_divisibility", ok, wit)
+    ok = rep.check("dimension_divisibility", ((d, na) for d in br.blocks if d % na != 0))
+    fpdims = tuple(d // na for d in itertools.takewhile(lambda d: d % na == 0, br.blocks))
     rep.add("fpdims_positive_integers", ok and all(f >= 1 for f in fpdims))
-    return FpdimReport(br.blocks, tuple(fpdims), rep)
+    return FpdimReport(br.blocks, fpdims, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +183,9 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
     r = len(c_basis)
 
     dual = convolution_algebra(h.coalgebra)
-    ok = all(
-        _in_span_vec(c_basis, dual.mul(u, v), n)
-        for u in c_basis for v in c_basis)
-    rep.add("c_hstar_closed_under_convolution", ok)
-    if not ok:
+    if not rep.check("c_hstar_closed_under_convolution",
+                     ((i, j) for i, u in enumerate(c_basis) for j, v in enumerate(c_basis)
+                      if not in_span(c_basis, dual.mul(u, v)))):
         raise HypothesisFailure("C(H*)-subalgebra")
 
     from .adjstable import _CoordProjector
@@ -288,14 +282,10 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
                     w[idx] += ci * bv
         idems.append(tuple(w))
 
-    ok = all(dual.mul(f, f) == f for f in idems)
-    rep.add("idempotent", ok)
-    ok = True
-    for i in range(len(idems)):
-        for j in range(i + 1, len(idems)):
-            if any(c != 0 for c in dual.mul(idems[i], idems[j])):
-                ok = False
-    rep.add("orthogonal", ok)
+    rep.check("idempotent", ((i,) for i, f in enumerate(idems) if dual.mul(f, f) != f))
+    rep.check("orthogonal",
+              ((i, j) for i in range(len(idems)) for j in range(i + 1, len(idems))
+               if any(c != 0 for c in dual.mul(idems[i], idems[j]))))
     total = [RAT_ZERO] * n
     for f in idems:
         for i, c in enumerate(f):
@@ -303,15 +293,9 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
     rep.add("sum_to_counit", tuple(total) == h.counit)
 
     ar = hr_star_algebra(bg)
-    ok, wit = True, None
-    for f in idems:
-        for b in range(n):
-            if ar.mul(f, basis_vec(n, b)) != ar.mul(basis_vec(n, b), f):
-                ok, wit = False, (b,)
-                break
-        if not ok:
-            break
-    rep.add("central_in_hr_star", ok, wit)
+    rep.check("central_in_hr_star",
+              ((b,) for f in idems for b in range(n)
+               if ar.mul(f, basis_vec(n, b)) != ar.mul(basis_vec(n, b), f)))
 
     coal_r = bg.braided_coalgebra
     block_bases = []
@@ -339,17 +323,10 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
     dims_a = sorted(len(b) for b in block_bases)
     dims_b = sorted(len(b) for b in dec.blocks)
     rep.add("blocks_match_decomposition_dims", dims_a == dims_b, (dims_a, dims_b))
-    matched = True
-    for bb in block_bases:
-        if not any(spans_equal(list(bb), list(db), n) for db in dec.blocks):
-            matched = False
-    rep.add("blocks_match_decomposition_spaces", matched)
+    rep.check("blocks_match_decomposition_spaces",
+              ((i,) for i, bb in enumerate(block_bases)
+               if not any(spans_equal(list(bb), list(db), n) for db in dec.blocks)))
     return ClassIdempotents(tuple(idems), tuple(block_bases), rep)
-
-
-def _in_span_vec(basis, v, n) -> bool:
-    from .exactlin import in_span
-    return in_span(list(basis), v)
 
 
 # ---------------------------------------------------------------------------

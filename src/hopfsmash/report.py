@@ -4,6 +4,15 @@ Failures are data, not exceptions; a report collects one entry per axiom
 instance (batched over basis tuples) and remembers the first witness of each
 failure. Informational entries record facts (e.g. S^2 = id) that are allowed
 to be false without failing the report.
+
+An axiom check is written once, as a lazy iterable of its failing cases:
+
+    rep.check("unit_law", ((i,) for i in range(n) if not unital(i)))
+
+or, for deep or hoisted loops, a local generator function that yields the
+witness tuple where a failure is found. `check` consumes only up to the
+first failure, so a failing check stops early and a passing one does the
+same work as the bare loops.
 """
 
 from __future__ import annotations
@@ -51,6 +60,12 @@ class VerificationReport:
     def add(self, name: str, passed: bool, witness=None, informational=False) -> bool:
         self.checks.append(Check(name, bool(passed), witness, informational))
         return bool(passed)
+
+    def check(self, name: str, failures, informational=False) -> bool:
+        """Record `name` with the first case `failures` yields as its witness;
+        the check passes when nothing is yielded."""
+        witness = next(iter(failures), None)
+        return self.add(name, witness is None, witness, informational)
 
     def merge(self, other: "VerificationReport", prefix: str = "") -> None:
         for c in other.checks:

@@ -11,6 +11,7 @@ hypothesis can never masquerade as a failed theorem.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .exactlin import (
@@ -34,6 +35,7 @@ from .hopfcore import (
     StructureAlgebra,
     StructureCoalgebra,
     drinfeld_double,
+    dual_coalgebra,
     group_algebra,
     heisenberg_double,
     opposites,
@@ -116,7 +118,7 @@ def smash_algebra(A_mod: ModuleAlgebraData, verify: bool | None = None) -> Smash
                 for j in range(nh):
                     cell: dict = {}
                     for p, q, c in h.coalgebra.comul_row(i):
-                        acted = A_mod.act_sparse({p: RAT_ONE}, {b: RAT_ONE})
+                        acted = A_mod.action.act({p: RAT_ONE}, {b: RAT_ONE})
                         if not acted:
                             continue
                         left = A.mul_sparse({a: RAT_ONE}, acted)
@@ -150,10 +152,6 @@ class SmashWeakStructure:
     wha: WeakHopfData
     report: VerificationReport
 
-    def one_tilde(self) -> dict:
-        """Delta-tilde(1) as a sparse 2-leg element of (A#H) (x) (A#H)."""
-        return self.wha.delta_one
-
 
 def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData) -> SmashWeakStructure:
     """Weak Hopf structure on A#H:
@@ -186,6 +184,14 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
     x_items = list(sep.x.items())
     alpha = sep.alpha
 
+    def twisted(a_sp: dict) -> dict:
+        """R^2.a # R^1."""
+        out: dict = {}
+        for (r1, r2), cr in r_items:
+            for t, ct in A_mod.action.act({r2: RAT_ONE}, a_sp).items():
+                sp_add(out, s.flat(t, r1), cr * ct)
+        return out
+
     centries = []
     for a in range(na):
         for i in range(nh):
@@ -195,7 +201,7 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
                     lh = h.algebra.mul_sparse({r1: RAT_ONE}, {p: RAT_ONE})
                     for (x1, x2), cx in x_items:
                         la = A.mul_sparse({a: RAT_ONE},
-                                          A_mod.act_sparse({r2: RAT_ONE}, {x1: RAT_ONE}))
+                                          A_mod.action.act({r2: RAT_ONE}, {x1: RAT_ONE}))
                         for ta, ca in la.items():
                             for th, ch in lh.items():
                                 centries.append((src, s.flat(ta, th), s.flat(x2, pq),
@@ -207,11 +213,7 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
     for a in range(na):
         for i in range(nh):
             left = s.include_h(h.s_sparse({i: RAT_ONE}))
-            right: dict = {}
-            for (r1, r2), cr in r_items:
-                for ta, ca in A_mod.act_sparse({r2: RAT_ONE}, {a: RAT_ONE}).items():
-                    sp_add(right, s.flat(ta, r1), cr * ca)
-            col = s.carrier.mul_sparse(left, right)
+            col = s.carrier.mul_sparse(left, twisted({a: RAT_ONE}))
             for rr, cc in col.items():
                 anti[rr][s.flat(a, i)] = cc
     wha = WeakHopfData(s.carrier,
@@ -222,102 +224,81 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
     rep.merge(verify_weak_hopf(wha), "wha.")
 
     # closed forms of the counital maps
-    ok_s = ok_t = True
-    wit_s = wit_t = None
-    for a in range(na):
-        for i in range(nh):
-            src = {s.flat(a, i): RAT_ONE}
-            closed_s: dict = {}
-            for (r1, r2), cr in r_items:
-                hh = h.algebra.mul_sparse({r2: RAT_ONE}, h.s_sparse({i: RAT_ONE}))
-                for m, cm in hh.items():
-                    for ta, ca in A_mod.act_sparse({m: RAT_ONE}, {a: RAT_ONE}).items():
-                        sp_add(closed_s, s.flat(ta, r1), cr * cm * ca)
-            if ok_s and wha.eps_s_sparse(src) != closed_s:
-                ok_s, wit_s = False, (a, i)
-            closed_t: dict = {}
-            if h.counit[i] != 0:
-                for t, ct in h.algebra.unit_sparse.items():
-                    sp_add(closed_t, s.flat(a, t), h.counit[i] * ct)
-            if ok_t and wha.eps_t_sparse(src) != closed_t:
-                ok_t, wit_t = False, (a, i)
-    rep.add("eps_s_closed_form", ok_s, wit_s)
-    rep.add("eps_t_closed_form", ok_t, wit_t)
+    def eps_s_failures():
+        for a in range(na):
+            for i in range(nh):
+                closed_s: dict = {}
+                for (r1, r2), cr in r_items:
+                    hh = h.algebra.mul_sparse({r2: RAT_ONE}, h.s_sparse({i: RAT_ONE}))
+                    for ta, ca in A_mod.action.act(hh, {a: RAT_ONE}).items():
+                        sp_add(closed_s, s.flat(ta, r1), cr * ca)
+                if wha.eps_s_sparse({s.flat(a, i): RAT_ONE}) != closed_s:
+                    yield (a, i)
+
+    def eps_t_failures():
+        for a in range(na):
+            for i in range(nh):
+                closed_t: dict = {}
+                if h.counit[i] != 0:
+                    for t, ct in h.algebra.unit_sparse.items():
+                        sp_add(closed_t, s.flat(a, t), h.counit[i] * ct)
+                if wha.eps_t_sparse({s.flat(a, i): RAT_ONE}) != closed_t:
+                    yield (a, i)
+
+    rep.check("eps_s_closed_form", eps_s_failures())
+    rep.check("eps_t_closed_form", eps_t_failures())
 
     algs2 = (s.carrier, s.carrier)
+
     # helper identity (a#1)(R^2.b # R^1) = (R^2.b # R^1)(a#1)
-    ok, wit = True, None
-    for a in range(na):
-        av = s.include_a({a: RAT_ONE})
-        for b in range(na):
-            bv: dict = {}
-            for (r1, r2), cr in r_items:
-                for t, ct in A_mod.act_sparse({r2: RAT_ONE}, {b: RAT_ONE}).items():
-                    sp_add(bv, s.flat(t, r1), cr * ct)
-            if s.carrier.mul_sparse(av, bv) != s.carrier.mul_sparse(bv, av):
-                ok, wit = False, (a, b)
-                break
-        if not ok:
-            break
-    rep.add("helper_eq1_1", ok, wit)
+    def helper_1_failures():
+        for a in range(na):
+            av = s.include_a({a: RAT_ONE})
+            for b in range(na):
+                bv = twisted({b: RAT_ONE})
+                if s.carrier.mul_sparse(av, bv) != s.carrier.mul_sparse(bv, av):
+                    yield (a, b)
+
+    rep.check("helper_eq1_1", helper_1_failures())
 
     # helper identity (R1^2.a # R1^1)(R2^2.b # R2^1) = R^2.(b a) # R^1
-    ok, wit = True, None
-    for a in range(na):
-        for b in range(na):
-            av: dict = {}
-            bv = {}
-            for (r1, r2), cr in r_items:
-                for t, ct in A_mod.act_sparse({r2: RAT_ONE}, {a: RAT_ONE}).items():
-                    sp_add(av, s.flat(t, r1), cr * ct)
-                for t, ct in A_mod.act_sparse({r2: RAT_ONE}, {b: RAT_ONE}).items():
-                    sp_add(bv, s.flat(t, r1), cr * ct)
-            rhs: dict = {}
-            ba = A.mul_sparse({b: RAT_ONE}, {a: RAT_ONE})
-            for (r1, r2), cr in r_items:
-                for t, ct in A_mod.act_sparse({r2: RAT_ONE}, ba).items():
-                    sp_add(rhs, s.flat(t, r1), cr * ct)
-            if s.carrier.mul_sparse(av, bv) != rhs:
-                ok, wit = False, (a, b)
-                break
-        if not ok:
-            break
-    rep.add("helper_eq1_2", ok, wit)
+    rep.check("helper_eq1_2",
+              ((a, b) for a in range(na) for b in range(na)
+               if s.carrier.mul_sparse(twisted({a: RAT_ONE}), twisted({b: RAT_ONE}))
+               != twisted(A.mul_sparse({b: RAT_ONE}, {a: RAT_ONE}))))
 
     one_t = wha.delta_one
+
     # helper identity Delta(a#h) = 1t_(1)(a#h_(1)) (x) 1t_(2)(1#h_(2))
-    ok, wit = True, None
-    for a in range(na):
-        for i in range(nh):
-            rhs: dict = {}
-            for p, pq, c in h.coalgebra.comul_row(i):
-                pairs = sparse_outer({s.flat(a, p): RAT_ONE},
-                                     s.include_h({pq: RAT_ONE}))
-                for key, cc in tensor_mul_sparse(algs2, one_t, pairs).items():
-                    sp_add(rhs, key, c * cc)
-            lhs = wha.coalgebra.comul_sparse({s.flat(a, i): RAT_ONE})
-            if lhs != rhs:
-                ok, wit = False, (a, i)
-                break
-        if not ok:
-            break
-    rep.add("helper_eq1_3", ok, wit)
+    def helper_3_failures():
+        for a in range(na):
+            for i in range(nh):
+                rhs: dict = {}
+                for p, pq, c in h.coalgebra.comul_row(i):
+                    pairs = sparse_outer({s.flat(a, p): RAT_ONE},
+                                         s.include_h({pq: RAT_ONE}))
+                    for key, cc in tensor_mul_sparse(algs2, one_t, pairs).items():
+                        sp_add(rhs, key, c * cc)
+                if wha.coalgebra.comul_sparse({s.flat(a, i): RAT_ONE}) != rhs:
+                    yield (a, i)
+
+    rep.check("helper_eq1_3", helper_3_failures())
 
     # helper identity 1t(1#h_(1)) (x) ... = (1#h_(1))1t (x) ...
-    ok, wit = True, None
-    for i in range(nh):
-        lhs: dict = {}
-        rhs: dict = {}
-        for p, pq, c in h.coalgebra.comul_row(i):
-            pairs = sparse_outer(s.include_h({p: RAT_ONE}), s.include_h({pq: RAT_ONE}))
-            for key, cc in tensor_mul_sparse(algs2, one_t, pairs).items():
-                sp_add(lhs, key, c * cc)
-            for key, cc in tensor_mul_sparse(algs2, pairs, one_t).items():
-                sp_add(rhs, key, c * cc)
-        if lhs != rhs:
-            ok, wit = False, (i,)
-            break
-    rep.add("helper_eq1_4", ok, wit)
+    def helper_4_failures():
+        for i in range(nh):
+            lhs: dict = {}
+            rhs: dict = {}
+            for p, pq, c in h.coalgebra.comul_row(i):
+                pairs = sparse_outer(s.include_h({p: RAT_ONE}), s.include_h({pq: RAT_ONE}))
+                for key, cc in tensor_mul_sparse(algs2, one_t, pairs).items():
+                    sp_add(lhs, key, c * cc)
+                for key, cc in tensor_mul_sparse(algs2, pairs, one_t).items():
+                    sp_add(rhs, key, c * cc)
+            if lhs != rhs:
+                yield (i,)
+
+    rep.check("helper_eq1_4", helper_4_failures())
 
     rep.add("delta_one_idempotent",
             tensor_mul_sparse(algs2, one_t, one_t) == one_t)
@@ -325,13 +306,7 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
     # target subalgebra A # 1 and source subalgebra {R^2.a # R^1}
     tgt = [unsp(s.include_a({a: RAT_ONE}), n) for a in range(na)]
     rep.add("target_is_A_smash_1", spans_equal(list(wha.target_basis), tgt, n))
-    src = []
-    for a in range(na):
-        v: dict = {}
-        for (r1, r2), cr in r_items:
-            for t, ct in A_mod.act_sparse({r2: RAT_ONE}, {a: RAT_ONE}).items():
-                sp_add(v, s.flat(t, r1), cr * ct)
-        src.append(unsp(v, n))
+    src = [unsp(twisted({a: RAT_ONE}), n) for a in range(na)]
     rep.add("source_is_Rtwisted_A", spans_equal(list(wha.source_basis), src, n))
 
     out = SmashWeakStructure(s, q, sep, wha, rep)
@@ -566,19 +541,14 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
     if n <= VERIFY_DIM_LIMIT:
         verify_algebra(carrier, "B_carrier").require()
 
-    rev_a: list = [[] for _ in range(na)]
-    for k1 in range(na):
-        for k2 in range(na):
-            for k, c in A.mul_row(k1, k2):
-                rev_a[k].append((k1, k2, c))
-
+    rev_a = dual_coalgebra(A).comul_row
     r_items = list(q.R.items())
     centries = []
     for a in range(na):
         for i in range(nh):
             for k in range(na):
                 src = flat(a, i, k)
-                for k1, k2, ck in rev_a[k]:
+                for k1, k2, ck in rev_a(k):
                     for p, pq, c in h.coalgebra.comul_row(i):
                         for (ra1, ra2), cra in r_items:       # copy R_1
                             for (rb1, rb2), crb in r_items:   # copy R_2
@@ -589,7 +559,7 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
                                     continue
                                 for (x1, x2), cx in x_items:
                                     aleg = A.mul_sparse(
-                                        A_mod.act_sparse({ra2: RAT_ONE}, {x1: RAT_ONE}),
+                                        A_mod.action.act({ra2: RAT_ONE}, {x1: RAT_ONE}),
                                         {a: RAT_ONE})
                                     if not aleg:
                                         continue
@@ -624,7 +594,7 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
                             continue
                         duall = harpoon_right(
                             A, alpha,
-                            unsp(A_mod.act_sparse({ra2: RAT_ONE}, {a: RAT_ONE}), na))
+                            unsp(A_mod.action.act({ra2: RAT_ONE}, {a: RAT_ONE}), na))
                         for (x1, x2), cx in x_items:
                             scal = A_mod.action.entry(rb2, x1, k)
                             if scal == 0:
@@ -657,7 +627,7 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
                 for (x11, x12), cx1 in x_items:   # x_1
                     for (x21, x22), cx2 in x_items:  # x_2
                         aleg = A.mul_sparse(
-                            A_mod.act_sparse({rc2: RAT_ONE}, {x21: RAT_ONE}),
+                            A_mod.action.act({rc2: RAT_ONE}, {x21: RAT_ONE}),
                             {x11: RAT_ONE})
                         if not aleg:
                             continue
@@ -707,7 +677,7 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
                             sp_add(tv, flat(ta, t, w), cx * ct * ca * cw)
             for (r1, r2), cr in r_items:
                 ra = A.mul_sparse(
-                    {k: v for k, v in A_mod.act_sparse({r2: RAT_ONE}, {a: RAT_ONE}).items()},
+                    A_mod.action.act({r2: RAT_ONE}, {a: RAT_ONE}),
                     {x1: RAT_ONE})
                 for ta, ca in ra.items():
                     for w, cw in enumerate(dualv):
@@ -719,36 +689,23 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
             spans_equal(list(wha.target_basis), tvecs, n))
     rep.add("source_matches_closed_form",
             spans_equal(list(wha.source_basis), svecs, n))
-    ok, wit = True, None
-    for a in range(na):
-        for b in range(na):
-            ab = sp(A.mul(basis_vec(na, a), basis_vec(na, b)))
-            tv_ab: dict = {}
-            for t, ct in ab.items():
-                for idx, cv in enumerate(tvecs[t]):
-                    if cv != 0:
-                        sp_add(tv_ab, idx, ct * cv)
-            if carrier.mul_sparse(sp(tvecs[a]), sp(tvecs[b])) != tv_ab:
-                ok, wit = False, (a, b)
-                break
-        if not ok:
-            break
-    rep.add("target_iso_is_algebra_map", ok, wit)
-    ok, wit = True, None
-    for a in range(na):
-        for b in range(na):
-            ba = sp(A.mul(basis_vec(na, b), basis_vec(na, a)))
-            sv_ba: dict = {}
-            for t, ct in ba.items():
-                for idx, cv in enumerate(svecs[t]):
-                    if cv != 0:
-                        sp_add(sv_ba, idx, ct * cv)
-            if carrier.mul_sparse(sp(svecs[a]), sp(svecs[b])) != sv_ba:
-                ok, wit = False, (a, b)
-                break
-        if not ok:
-            break
-    rep.add("source_iso_is_antialgebra_map", ok, wit)
+
+    def image_of(vecs, x: dict) -> dict:
+        out: dict = {}
+        for t, ct in x.items():
+            for idx, cv in enumerate(vecs[t]):
+                if cv != 0:
+                    sp_add(out, idx, ct * cv)
+        return out
+
+    rep.check("target_iso_is_algebra_map",
+              ((a, b) for a in range(na) for b in range(na)
+               if carrier.mul_sparse(sp(tvecs[a]), sp(tvecs[b]))
+               != image_of(tvecs, A.mul_sparse({a: RAT_ONE}, {b: RAT_ONE}))))
+    rep.check("source_iso_is_antialgebra_map",
+              ((a, b) for a in range(na) for b in range(na)
+               if carrier.mul_sparse(sp(svecs[a]), sp(svecs[b]))
+               != image_of(svecs, A.mul_sparse({b: RAT_ONE}, {a: RAT_ONE}))))
     rep.add("target_iso_injective", rank(tuple(tvecs)) == na)
     rep.add("source_iso_injective", rank(tuple(svecs)) == na)
 
@@ -780,7 +737,7 @@ def phi_embed(sws: SmashWeakStructure, b: BAlgebra):
                 sp_p = h.s_sparse({p: RAT_ONE})
                 for (x1, x2), cx in x_items:
                     xa = A.mul_sparse({x1: RAT_ONE}, {a: RAT_ONE})
-                    aleg = A_mod.act_sparse(sp_p, xa)
+                    aleg = A_mod.action.act(sp_p, xa)
                     dualv = harpoon_left(A, basis_vec(na, x2), alpha)
                     for ta, ca in aleg.items():
                         for w, cw in enumerate(dualv):
@@ -805,7 +762,7 @@ def phi_embed(sws: SmashWeakStructure, b: BAlgebra):
                 sp_add(lhs, b.flat(t, i, k), ct)
             rhs: dict = {}
             for p, pq, c in h.coalgebra.comul_row(i):
-                pa = A_mod.act_sparse({p: RAT_ONE}, {a: RAT_ONE})
+                pa = A_mod.action.act({p: RAT_ONE}, {a: RAT_ONE})
                 dualv = harpoon_right(A, basis_vec(na, k), unsp(pa, na))
                 for w, cw in enumerate(dualv):
                     if cw != 0:
@@ -899,19 +856,18 @@ def double_smash_decomposition(h: HopfData, double=None) -> VerificationReport:
                     sp_add(col, s.flat(l, y * n + t), w * ct)
             iota_cols.append(col)
 
-    ok, wit = True, None
-    for u in range(nn):
-        for v in range(nn):
-            lhs: dict = {}
-            for k, c in hei.mul_row(u, v):
-                for key, cc in iota_cols[k].items():
-                    sp_add(lhs, key, c * cc)
-            if lhs != big.mul_sparse(iota_cols[u], iota_cols[v]):
-                ok, wit = False, (u, v)
-                break
-        if not ok:
-            break
-    rep.add("heisenberg_map_multiplicative", ok, wit)
+    def combination(cols, row) -> dict:
+        """sum_k c_k cols[k] over the (k, c_k) pairs of a structure row."""
+        out: dict = {}
+        for k, c in row:
+            for key, cc in cols[k].items():
+                sp_add(out, key, c * cc)
+        return out
+
+    rep.check("heisenberg_map_multiplicative",
+              ((u, v) for u in range(nn) for v in range(nn)
+               if combination(iota_cols, hei.mul_row(u, v))
+               != big.mul_sparse(iota_cols[u], iota_cols[v])))
     rep.add("heisenberg_map_injective",
             rank(tuple(unsp(c, ntot) for c in iota_cols)) == nn)
 
@@ -929,32 +885,14 @@ def double_smash_decomposition(h: HopfData, double=None) -> VerificationReport:
                         sp_add(col, s.flat(la, i * n + t2), ct * ci * ca)
         c_cols.append(col)
 
-    ok, wit = True, None
-    for t in range(n):
-        for u in range(nn):
-            a = big.mul_sparse(c_cols[t], iota_cols[u])
-            bdir = big.mul_sparse(iota_cols[u], c_cols[t])
-            if a != bdir:
-                ok, wit = False, (t, u)
-                break
-        if not ok:
-            break
-    rep.add("C_centralizes_heisenberg_part", ok, wit)
-
-    ok, wit = True, None
-    for t in range(n):
-        for t2 in range(n):
-            lhs = big.mul_sparse(c_cols[t], c_cols[t2])
-            rhs: dict = {}
-            for m2, cm in h.algebra.mul_row(t, t2):
-                for key, cc in c_cols[m2].items():
-                    sp_add(rhs, key, cm * cc)
-            if lhs != rhs:
-                ok, wit = False, (t, t2)
-                break
-        if not ok:
-            break
-    rep.add("C_product_formula", ok, wit)
+    rep.check("C_centralizes_heisenberg_part",
+              ((t, u) for t in range(n) for u in range(nn)
+               if big.mul_sparse(c_cols[t], iota_cols[u])
+               != big.mul_sparse(iota_cols[u], c_cols[t])))
+    rep.check("C_product_formula",
+              ((t, t2) for t in range(n) for t2 in range(n)
+               if big.mul_sparse(c_cols[t], c_cols[t2])
+               != combination(c_cols, h.algebra.mul_row(t, t2))))
     rep.add("C_iso_to_H_injective", rank(tuple(unsp(c, ntot) for c in c_cols)) == n)
 
     if ntot <= 16:
@@ -967,31 +905,26 @@ def double_smash_decomposition(h: HopfData, double=None) -> VerificationReport:
                for y in range(nn) for t in range(n)]
     rep.add("total_map_bijective", rank(tuple(unsp(c, ntot) for c in mu_cols)) == ntot)
 
-    ok, wit = True, None
     hrows = h.algebra.mult._rows
-    for y1 in range(nn):
-        base = y1 * n
-        for t1 in range(n):
-            left = mu_cols[base + t1]
-            for y2 in range(nn):
-                hr = hei.mul_row(y1, y2)
-                for t2 in range(n):
-                    lhs: dict = {}
-                    for ky, cy in hr:
-                        off = ky * n
-                        for kt, ck in hrows[t1][t2]:
-                            for key, cc in mu_cols[off + kt].items():
-                                sp_add(lhs, key, cy * ck * cc)
-                    if lhs != big.mul_sparse(left, mu_cols[y2 * n + t2]):
-                        ok, wit = False, (y1, t1, y2, t2)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("total_map_multiplicative", ok, wit)
+
+    def total_map_failures():
+        for y1 in range(nn):
+            base = y1 * n
+            for t1 in range(n):
+                left = mu_cols[base + t1]
+                for y2 in range(nn):
+                    hr = hei.mul_row(y1, y2)
+                    for t2 in range(n):
+                        lhs: dict = {}
+                        for ky, cy in hr:
+                            off = ky * n
+                            for kt, ck in hrows[t1][t2]:
+                                for key, cc in mu_cols[off + kt].items():
+                                    sp_add(lhs, key, cy * ck * cc)
+                        if lhs != big.mul_sparse(left, mu_cols[y2 * n + t2]):
+                            yield (y1, t1, y2, t2)
+
+    rep.check("total_map_multiplicative", total_map_failures())
     return rep
 
 
@@ -1034,35 +967,21 @@ def double_module_spot_check(h: HopfData, double=None) -> VerificationReport:
                     sp_add(out, key, c * cv * cc)
         return out
 
-    ok, wit = True, None
-    for u in range(big.dim):
-        for v in range(big.dim):
-            uv = {k: c for k, c in big.mul_row(u, v)}
-            for y in range(n):
-                for mm in range(n):
-                    w0 = {(y, mm): RAT_ONE}
-                    lhs = act_elem(uv, w0)
-                    rhs = act_elem({u: RAT_ONE}, act_elem({v: RAT_ONE}, w0))
-                    if lhs != rhs:
-                        ok, wit = False, (u, v, y, mm)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("module_law", ok, wit)
-    ok, wit = True, None
+    def module_law_failures():
+        for u in range(big.dim):
+            for v in range(big.dim):
+                uv = {k: c for k, c in big.mul_row(u, v)}
+                for y in range(n):
+                    for mm in range(n):
+                        w0 = {(y, mm): RAT_ONE}
+                        if act_elem(uv, w0) != act_elem({u: RAT_ONE}, act_elem({v: RAT_ONE}, w0)):
+                            yield (u, v, y, mm)
+
+    rep.check("module_law", module_law_failures())
     one = sp(big.unit)
-    for y in range(n):
-        for mm in range(n):
-            if act_elem(one, {(y, mm): RAT_ONE}) != {(y, mm): RAT_ONE}:
-                ok, wit = False, (y, mm)
-                break
-        if not ok:
-            break
-    rep.add("unit_acts_as_identity", ok, wit)
+    rep.check("unit_acts_as_identity",
+              ((y, mm) for y in range(n) for mm in range(n)
+               if act_elem(one, {(y, mm): RAT_ONE}) != {(y, mm): RAT_ONE}))
     return rep
 
 
@@ -1153,16 +1072,13 @@ def groupoid_case_study(table: GroupTable, point_action, h: HopfData | None = No
         return s.flat(point_action[reps[i]][0], g)
 
     eidx = tuple(tuple(e_unit(i, j) for j in range(t)) for i in range(t))
-    ok, wit = True, None
-    for i in range(t):
-        for j in range(t):
-            for k in range(t):
-                for l in range(t):
-                    prod = s.carrier.mul_sparse({eidx[i][j]: RAT_ONE}, {eidx[k][l]: RAT_ONE})
-                    want = {eidx[i][l]: RAT_ONE} if j == k else {}
-                    if prod != want:
-                        ok, wit = False, (i, j, k, l)
-    rep.add("matrix_unit_relations", ok, wit)
+    # the witnesses of the matrix-unit, iso and group-like checks are the last
+    # failing case in index order, so those cases are scanned in reverse
+    back = range(t - 1, -1, -1)
+    rep.check("matrix_unit_relations",
+              ((i, j, k, l) for i, j, k, l in itertools.product(back, repeat=4)
+               if s.carrier.mul_sparse({eidx[i][j]: RAT_ONE}, {eidx[k][l]: RAT_ONE})
+               != ({eidx[i][l]: RAT_ONE} if j == k else {})))
 
     yvecs = [basis_vec(s.carrier.dim, eidx[i][j]) for i in range(t) for j in range(t)]
     cen = s.carrier.centralizer_basis(yvecs)
@@ -1178,20 +1094,10 @@ def groupoid_case_study(table: GroupTable, point_action, h: HopfData | None = No
     cvecs = [unsp(c_of(g1), s.carrier.dim) for g1 in stab]
     rep.add("centralizer_is_stabilizer_algebra",
             spans_equal(cen, cvecs, s.carrier.dim))
-    ok, wit = True, None
-    for ai, g1 in enumerate(stab):
-        for bi, g2 in enumerate(stab):
-            lhs = s.carrier.mul_sparse(sp(cvecs[ai]), sp(cvecs[bi]))
-            prod = table.table[g1][g2]
-            if prod not in stab:
-                ok, wit = False, (g1, g2)
-                break
-            if lhs != c_of(prod):
-                ok, wit = False, (g1, g2)
-                break
-        if not ok:
-            break
-    rep.add("centralizer_product_formula", ok, wit)
+    rep.check("centralizer_product_formula",
+              ((g1, g2) for ai, g1 in enumerate(stab) for bi, g2 in enumerate(stab)
+               if table.table[g1][g2] not in stab
+               or s.carrier.mul_sparse(sp(cvecs[ai]), sp(cvecs[bi])) != c_of(table.table[g1][g2])))
 
     # Xi: M_t(k) (x) kG_1 -> A#H, E_ij (x) g |-> E_ij c(g)
     ns = len(stab)
@@ -1207,46 +1113,44 @@ def groupoid_case_study(table: GroupTable, point_action, h: HopfData | None = No
     def src_flat(i, j, a):
         return (i * t + j) * ns + a
 
-    ok, wit = True, None
-    for i in range(t):
-        for j in range(t):
-            for a, g1 in enumerate(stab):
-                u = sp(cols[src_flat(i, j, a)])
-                for k in range(t):
-                    for l in range(t):
-                        for bidx, g2 in enumerate(stab):
-                            v = sp(cols[src_flat(k, l, bidx)])
-                            lhs = s.carrier.mul_sparse(u, v)
-                            rhs: dict = {}
-                            if j == k:
-                                prod = table.table[g1][g2]
-                                pa = stab.index(prod)
-                                rhs = sp(cols[src_flat(i, l, pa)])
-                            if lhs != rhs:
-                                ok, wit = False, (i, j, g1, k, l, g2)
-    rep.add("iso_multiplicative", ok, wit)
+    back_stab = tuple(enumerate(stab))[::-1]
+
+    def iso_failures():
+        for i in back:
+            for j in back:
+                for a, g1 in back_stab:
+                    u = sp(cols[src_flat(i, j, a)])
+                    for k in back:
+                        for l in back:
+                            for bidx, g2 in back_stab:
+                                rhs: dict = {}
+                                if j == k:
+                                    pa = stab.index(table.table[g1][g2])
+                                    rhs = sp(cols[src_flat(i, l, pa)])
+                                if s.carrier.mul_sparse(u, sp(cols[src_flat(k, l, bidx)])) != rhs:
+                                    yield (i, j, g1, k, l, g2)
+
+    rep.check("iso_multiplicative", iso_failures())
 
     coal = sws.wha.coalgebra
-    ok, wit = True, None
-    for i in range(t):
-        for j in range(t):
-            if coal.comul_sparse({eidx[i][j]: RAT_ONE}) != \
-                    {(eidx[i][j], eidx[i][j]): RAT_ONE}:
-                ok, wit = False, (i, j)
-    rep.add("matrix_units_grouplike", ok, wit)
+    rep.check("matrix_units_grouplike",
+              ((i, j) for i in back for j in back
+               if coal.comul_sparse({eidx[i][j]: RAT_ONE}) != {(eidx[i][j], eidx[i][j]): RAT_ONE}))
     # weak group-likeness: Delta(c) = (c (x) c) Delta(1) = Delta(1) (c (x) c);
     # the naive c (x) c fails already for c = 1 since Delta(1) != 1 (x) 1
     one_t = sws.wha.delta_one
     algs2 = (s.carrier, s.carrier)
-    ok, wit = True, None
-    for ai, g1 in enumerate(stab):
-        v = sp(cvecs[ai])
-        dv = coal.comul_sparse(v)
-        vv = sparse_outer(v, v)
-        if dv != tensor_mul_sparse(algs2, vv, one_t) or \
-                dv != tensor_mul_sparse(algs2, one_t, vv):
-            ok, wit = False, (g1,)
-    rep.add("stabilizer_image_grouplike", ok, wit)
+
+    def grouplike_failures():
+        for ai, g1 in back_stab:
+            v = sp(cvecs[ai])
+            dv = coal.comul_sparse(v)
+            vv = sparse_outer(v, v)
+            if dv != tensor_mul_sparse(algs2, vv, one_t) or \
+                    dv != tensor_mul_sparse(algs2, one_t, vv):
+                yield (g1,)
+
+    rep.check("stabilizer_image_grouplike", grouplike_failures())
 
     out = CaseStudyReport(t, stab, tuple(reps), eidx, tuple(cen),
                           transpose(tuple(cols)), sws, rep)

@@ -29,6 +29,7 @@ from .hopfcore import (
     StructureAlgebra,
     StructureCoalgebra,
     check_map,
+    comult_multiplicative_failures,
     sp,
     sp_add,
     sparse_outer,
@@ -118,26 +119,6 @@ class WeakHopfData(HopfData):
 # verifiers
 # ---------------------------------------------------------------------------
 
-def _comult_multiplicative(alg: StructureAlgebra, coal: StructureCoalgebra):
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            lhs: dict = {}
-            for m, c in alg.mul_row(i, j):
-                for a, b, w in coal.comul_row(m):
-                    sp_add(lhs, (a, b), c * w)
-            rhs: dict = {}
-            for a, b, w in coal.comul_row(i):
-                for a2, b2, w2 in coal.comul_row(j):
-                    c = w * w2
-                    for p, cp in alg.mul_row(a, a2):
-                        for q, cq in alg.mul_row(b, b2):
-                            sp_add(rhs, (p, q), c * cp * cq)
-            if lhs != rhs:
-                return False, (i, j)
-    return True, None
-
-
 def _first_difference(u: dict, v: dict) -> int:
     """Smallest index where two sparse vectors differ."""
     return min(k for k in u.keys() | v.keys() if u.get(k, RAT_ZERO) != v.get(k, RAT_ZERO))
@@ -152,8 +133,7 @@ def verify_weak_bialgebra(w: WeakHopfData, subject: str = "weak_bialgebra") -> V
     n = w.dim
     alg, coal = w.algebra, w.coalgebra
 
-    ok, wit = _comult_multiplicative(alg, coal)
-    rep.add("comult_multiplicative", ok, wit)
+    rep.check("comult_multiplicative", comult_multiplicative_failures(alg, coal))
 
     d1 = w.delta_one
     lhs: dict = {}
@@ -222,33 +202,16 @@ def counital_data(w: WeakHopfData) -> CounitalData:
     src, tgt = w.source_basis, w.target_basis
     rep.add("source_contains_unit", in_span(list(src), w.unit))
     rep.add("target_contains_unit", in_span(list(tgt), w.unit))
-    ok, wit = True, None
-    for i, u in enumerate(src):
-        for j, v in enumerate(src):
-            if not in_span(list(src), w.algebra.mul(u, v)):
-                ok, wit = False, (i, j)
-                break
-        if not ok:
-            break
-    rep.add("source_closed_under_product", ok, wit)
-    ok, wit = True, None
-    for i, u in enumerate(tgt):
-        for j, v in enumerate(tgt):
-            if not in_span(list(tgt), w.algebra.mul(u, v)):
-                ok, wit = False, (i, j)
-                break
-        if not ok:
-            break
-    rep.add("target_closed_under_product", ok, wit)
-    ok, wit = True, None
-    for i, u in enumerate(src):
-        for j, v in enumerate(tgt):
-            if w.algebra.mul(u, v) != w.algebra.mul(v, u):
-                ok, wit = False, (i, j)
-                break
-        if not ok:
-            break
-    rep.add("source_target_commute", ok, wit)
+    mul = w.algebra.mul
+    rep.check("source_closed_under_product",
+              ((i, j) for i, u in enumerate(src) for j, v in enumerate(src)
+               if not in_span(list(src), mul(u, v))))
+    rep.check("target_closed_under_product",
+              ((i, j) for i, u in enumerate(tgt) for j, v in enumerate(tgt)
+               if not in_span(list(tgt), mul(u, v))))
+    rep.check("source_target_commute",
+              ((i, j) for i, u in enumerate(src) for j, v in enumerate(tgt)
+               if mul(u, v) != mul(v, u)))
     # standard consequences, as exact matrix identities
     rep.add("eps_t_compose_S", mat_eq(mat_mul(w.eps_t, w.antipode), mat_mul(w.eps_t, w.eps_s)))
     rep.add("S_compose_eps_s", mat_eq(mat_mul(w.antipode, w.eps_s), mat_mul(w.eps_t, w.antipode)))
@@ -292,31 +255,31 @@ def verify_weak_hopf(w: WeakHopfData, subject: str = "weak_hopf") -> Verificatio
     rep.add("antipode_target", ok_t, wit_t)
     rep.add("antipode_triple", ok_3, wit_3)
 
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            lhs = w.s_sparse(alg.mul_sparse({i: RAT_ONE}, {j: RAT_ONE}))
-            rhs = alg.mul_sparse(w.s_sparse({j: RAT_ONE}), w.s_sparse({i: RAT_ONE}))
-            if lhs != rhs:
-                ok, wit = False, (i, j)
-                break
-        if not ok:
-            break
-    rep.add("antipode_anti_algebra", ok and w.s_sparse(alg.unit_sparse) == alg.unit_sparse,
-            wit, informational=True)
-    ok, wit = True, None
-    for i in range(n):
-        lhs = coal.comul_sparse(w.s_sparse({i: RAT_ONE}))
-        rhs: dict = {}
-        for a, b, c in coal.comul_row(i):
-            for key, cc in sparse_outer(w.s_sparse({b: RAT_ONE}),
-                                        w.s_sparse({a: RAT_ONE})).items():
-                sp_add(rhs, key, c * cc)
-        if lhs != rhs:
-            ok, wit = False, (i,)
-            break
-    eps_ok = all(coal.counit_sparse(dict(w.antipode_cols[i])) == w.counit[i] for i in range(n))
-    rep.add("antipode_anti_coalgebra", ok and eps_ok, wit, informational=True)
+    def anti_algebra_failures():
+        for i in range(n):
+            for j in range(n):
+                if w.s_sparse(alg.mul_sparse({i: RAT_ONE}, {j: RAT_ONE})) != \
+                        alg.mul_sparse(w.s_sparse({j: RAT_ONE}), w.s_sparse({i: RAT_ONE})):
+                    yield (i, j)
+        if w.s_sparse(alg.unit_sparse) != alg.unit_sparse:
+            yield ("unit",)
+
+    rep.check("antipode_anti_algebra", anti_algebra_failures(), informational=True)
+
+    def anti_coalgebra_failures():
+        for i in range(n):
+            rhs: dict = {}
+            for a, b, c in coal.comul_row(i):
+                for key, cc in sparse_outer(w.s_sparse({b: RAT_ONE}),
+                                            w.s_sparse({a: RAT_ONE})).items():
+                    sp_add(rhs, key, c * cc)
+            if coal.comul_sparse(w.s_sparse({i: RAT_ONE})) != rhs:
+                yield (i,)
+        for i in range(n):
+            if coal.counit_sparse(dict(w.antipode_cols[i])) != w.counit[i]:
+                yield (i, "counit")
+
+    rep.check("antipode_anti_coalgebra", anti_coalgebra_failures(), informational=True)
     return rep
 
 
@@ -352,14 +315,14 @@ def verify_weak_qt(wq: WeakQTStructure, subject: str = "weak_qt") -> Verificatio
     rep.add("rbar_r_is_delta_one", tensor_mul_sparse(algs2, rbar, r) == d1)
     rep.add("r_rbar_is_delta_cop_one", tensor_mul_sparse(algs2, r, rbar) == d1cop)
 
-    ok, wit = True, None
-    for i in range(w.dim):
-        dlt = {(a, b): c for a, b, c in coal.comul_row(i)}
-        cop = {(b, a): c for a, b, c in coal.comul_row(i)}
-        if tensor_mul_sparse(algs2, cop, r) != tensor_mul_sparse(algs2, r, dlt):
-            ok, wit = False, (i,)
-            break
-    rep.add("intertwines_comult", ok, wit)
+    def intertwining_failures():
+        for i in range(w.dim):
+            dlt = {(a, b): c for a, b, c in coal.comul_row(i)}
+            cop = {(b, a): c for a, b, c in coal.comul_row(i)}
+            if tensor_mul_sparse(algs2, cop, r) != tensor_mul_sparse(algs2, r, dlt):
+                yield (i,)
+
+    rep.check("intertwines_comult", intertwining_failures())
 
     algs3 = (alg, alg, alg)
     one = alg.unit_sparse
@@ -418,44 +381,36 @@ def almost_triangular_wha_report(wq: WeakQTStructure) -> VerificationReport:
     ad = adjoint_action_tensor(w)
     r_items = list(wq.Rw.items())
     d1 = w.delta_one
-    cond5, wit5 = True, None
-    for bvec in c_hs:
-        b_sp = sp(bvec)
-        lhs: dict = {}
-        for (a1, b1), c1 in r_items:
-            for (a2, b2), c2 in r_items:
-                hh = alg.mul_sparse({b2: RAT_ONE}, {a1: RAT_ONE})
-                adb: dict = {}
-                for m, cm in hh.items():
-                    for t, ct in b_sp.items():
-                        for k, ck in ad.row(m, t):
-                            sp_add(adb, k, cm * ct * ck)
-                hh2 = alg.mul_sparse({a2: RAT_ONE}, {b1: RAT_ONE})
-                for key, c in sparse_outer(adb, hh2).items():
-                    sp_add(lhs, key, c1 * c2 * c)
-        rhs: dict = {}
-        for (a, b), c in d1.items():
-            adb = {}
-            for t, ct in b_sp.items():
-                for k, ck in ad.row(a, t):
-                    sp_add(adb, k, ct * ck)
-            for m, cm in adb.items():
-                sp_add(rhs, (m, b), c * cm)
-        if lhs != rhs:
-            cond5, wit5 = False, None
-            break
-    rep.add("cond5_cHs_in_muger_center", cond5, wit5, informational=True)
 
-    cond6, wit6 = True, None
-    for i in range(n):
-        for j in range(n):
-            corner = tensor_mul_sparse(algs2, tensor_mul_sparse(algs2, d1, {(i, j): RAT_ONE}), d1)
-            if tensor_mul_sparse(algs2, z, corner) != tensor_mul_sparse(algs2, corner, z):
-                cond6, wit6 = False, (i, j)
-                break
-        if not cond6:
-            break
-    rep.add("cond6_z_central_in_corner", cond6, wit6, informational=True)
+    def muger_failures():
+        for bi, bvec in enumerate(c_hs):
+            b_sp = sp(bvec)
+            lhs: dict = {}
+            for (a1, b1), c1 in r_items:
+                for (a2, b2), c2 in r_items:
+                    hh = alg.mul_sparse({b2: RAT_ONE}, {a1: RAT_ONE})
+                    adb = ad.act(hh, b_sp)
+                    hh2 = alg.mul_sparse({a2: RAT_ONE}, {b1: RAT_ONE})
+                    for key, c in sparse_outer(adb, hh2).items():
+                        sp_add(lhs, key, c1 * c2 * c)
+            rhs: dict = {}
+            for (a, b), c in d1.items():
+                for m, cm in ad.act({a: RAT_ONE}, b_sp).items():
+                    sp_add(rhs, (m, b), c * cm)
+            if lhs != rhs:
+                yield (bi,)
+
+    cond5 = rep.check("cond5_cHs_in_muger_center", muger_failures(), informational=True)
+
+    def corner_failures():
+        for i in range(n):
+            for j in range(n):
+                corner = tensor_mul_sparse(
+                    algs2, tensor_mul_sparse(algs2, d1, {(i, j): RAT_ONE}), d1)
+                if tensor_mul_sparse(algs2, z, corner) != tensor_mul_sparse(algs2, corner, z):
+                    yield (i, j)
+
+    cond6 = rep.check("cond6_z_central_in_corner", corner_failures(), informational=True)
 
     agree = cond2 == cond3 == cond4 == cond5 == cond6
     rep.add("conditions_agree", agree,

@@ -35,7 +35,8 @@ def test_fault_injected_action_fails(ks3, m3):
     bad = ModuleAlgebraData(ks3, m3.A, Tensor3.from_dense(dense))
     rep = verify_module_algebra(bad)
     assert not rep.ok
-    assert any(c.witness is not None for c in rep.failures())
+    assert [(c.name, c.witness) for c in rep.failures()] == [
+        ("action_module_law", (1, 1, 0)), ("unit_absorbed", (1,))]
 
 
 def test_zero_unit_rejected(ks3, m3):

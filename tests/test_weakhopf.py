@@ -121,6 +121,9 @@ def test_fault_injected_groupoid_comult_fails():
                        w.antipode)
     rep = verify_weak_bialgebra(bad)
     assert not rep.ok
+    assert [(c.name, c.witness) for c in rep.failures()] == [
+        ("coalgebra.counit_law", (1,)), ("comult_multiplicative", (0, 1)),
+        ("weak_counit_identity_1", (0, 1, 2)), ("weak_counit_identity_2", (0, 1, 0))]
 
 
 def _first_weak_counit_failure(w, swap):
