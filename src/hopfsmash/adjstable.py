@@ -1171,6 +1171,7 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
                if sws.wha.counit[p * nh + j] != alpha_d[p] * h.counit[j]))
 
     def antipode_failures():
+        lefts = [s.include_h(h.s_sparse({j: RAT_ONE})) for j in range(nh)]
         for p in range(m):
             for j in range(nh):
                 direct: dict = {}
@@ -1178,7 +1179,7 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
                     mv = moved(r1, p)
                     if not mv:
                         continue
-                    left = s.include_h(h.s_sparse({j: RAT_ONE}))
+                    left = lefts[j]
                     right: dict = {}
                     for fa, cfa in mv.items():
                         sp_add(right, fa * nh + r2, cfa * cr)

@@ -40,6 +40,7 @@ from .qtriang import (
     qt_structure,
     transmute,
     trivial_qt,
+    unverified_qt,
     verify_qt,
 )
 from .report import HypothesisFailure, VerificationReport
@@ -170,7 +171,8 @@ class Workspace:
             return groupoid_wha_from_json(obj)
         raise ValueError(f"object {name!r} of type {t!r} is not a weak Hopf algebra")
 
-    def resolve_qt(self, name: str) -> QTStructure:
+    def qt_inputs(self, name: str) -> tuple:
+        """(host, R) of the qt object `name`, nothing verified."""
         obj = self.get(name)
         if obj.get("type") != "qt":
             raise ValueError(f"object {name!r} is not a qt structure")
@@ -179,7 +181,10 @@ class Workspace:
         R = TensorElem.from_entries(
             (host.dim, host.dim),
             (((i, j), c) for i, row in enumerate(rmat) for j, c in enumerate(row)))
-        return qt_structure(host, R)
+        return host, R
+
+    def resolve_qt(self, name: str) -> QTStructure:
+        return qt_structure(*self.qt_inputs(name))
 
     def resolve_weak_qt(self, name: str) -> WeakQTStructure:
         obj = self.get(name)
@@ -355,7 +360,7 @@ def _suite_adjoint_stable(ws: Workspace, target: str, seed: int, tol: float):
 
 SUITES = {
     "hopf": lambda ws, t, s, tol: verify_hopf(ws.resolve_hopf(t), f"hopf:{t}"),
-    "qt": lambda ws, t, s, tol: verify_qt(ws.resolve_qt(t), f"qt:{t}"),
+    "qt": lambda ws, t, s, tol: verify_qt(unverified_qt(*ws.qt_inputs(t)), f"qt:{t}"),
     "module-algebra": lambda ws, t, s, tol: verify_module_algebra(
         ws.resolve_module_algebra(t), f"module-algebra:{t}"),
     "weak-hopf": lambda ws, t, s, tol: verify_weak_hopf(

@@ -32,6 +32,8 @@ from .hopfcore import (
     StructureCoalgebra,
     convolution_algebra,
     harpoon_left,
+    hexagon_sides,
+    intertwining_failures,
     module_law_failures,
     sp,
     sp_add,
@@ -64,8 +66,8 @@ class QTStructure:
         return {(b, a): c for (a, b), c in self.R.items()}
 
 
-def qt_structure(host: HopfData, R: TensorElem, Rinv: TensorElem | None = None) -> QTStructure:
-    """Wrap (H, R); Rinv defaults to (S (x) id)(R) and the axioms are verified."""
+def unverified_qt(host: HopfData, R: TensorElem, Rinv: TensorElem | None = None) -> QTStructure:
+    """Wrap (H, R) with Rinv defaulting to (S (x) id)(R); nothing is verified."""
     n = host.dim
     if R.dims != (n, n):
         raise ValueError("R must be a 2-leg tensor over H (x) H")
@@ -75,7 +77,12 @@ def qt_structure(host: HopfData, R: TensorElem, Rinv: TensorElem | None = None) 
             for r, w in host.antipode_cols[a]:
                 entries.append(((r, b), c * w))
         Rinv = TensorElem.from_entries((n, n), entries)
-    q = QTStructure(host, R, Rinv)
+    return QTStructure(host, R, Rinv)
+
+
+def qt_structure(host: HopfData, R: TensorElem, Rinv: TensorElem | None = None) -> QTStructure:
+    """`unverified_qt`, with the axioms verified."""
+    q = unverified_qt(host, R, Rinv)
     verify_qt(q).require()
     return q
 
@@ -99,35 +106,10 @@ def verify_qt(q: QTStructure, subject: str = "qt") -> VerificationReport:
     rep.add("R_invertible_left", tensor_mul_sparse(algs2, rbar, r) == one2)
     rep.add("R_invertible_right", tensor_mul_sparse(algs2, r, rbar) == one2)
 
-    def intertwining_failures():
-        for i in range(h.dim):
-            dlt = {(a, b): c for a, b, c in h.coalgebra.comul_row(i)}
-            cop = {(b, a): c for a, b, c in h.coalgebra.comul_row(i)}
-            if tensor_mul_sparse(algs2, r, dlt) != tensor_mul_sparse(algs2, cop, r):
-                yield (i,)
-
-    rep.check("intertwines_comult", intertwining_failures())
-
-    algs3 = (alg, alg, alg)
-    one = alg.unit_sparse
-    r13 = {}
-    r23 = {}
-    r12 = {}
-    for (a, b), c in r.items():
-        for u, cu in one.items():
-            sp_add(r13, (a, u, b), c * cu)
-            sp_add(r23, (u, a, b), c * cu)
-            sp_add(r12, (a, b, u), c * cu)
-    lhs = {}
-    for (a, b), c in r.items():
-        for j, k, w in h.coalgebra.comul_row(a):
-            sp_add(lhs, (j, k, b), c * w)
-    rep.add("delta_tensor_id", lhs == tensor_mul_sparse(algs3, r13, r23))
-    lhs = {}
-    for (a, b), c in r.items():
-        for j, k, w in h.coalgebra.comul_row(b):
-            sp_add(lhs, (a, j, k), c * w)
-    rep.add("id_tensor_delta", lhs == tensor_mul_sparse(algs3, r13, r12))
+    rep.check("intertwines_comult", intertwining_failures(alg, h.coalgebra, r))
+    d_id, r13r23, id_d, r13r12 = hexagon_sides(alg, h.coalgebra, r)
+    rep.add("delta_tensor_id", d_id == r13r23)
+    rep.add("id_tensor_delta", id_d == r13r12)
     return rep
 
 

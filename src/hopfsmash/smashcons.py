@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from .exactlin import (
     RAT_ONE,
@@ -113,15 +114,15 @@ def smash_algebra(A_mod: ModuleAlgebraData, verify: bool | None = None) -> Smash
 
     rowdicts: dict = {}
     for a in range(na):
-        for i in range(nh):
-            for b in range(na):
+        for b in range(na):
+            # a (e_p . b) for every p; i and j do not enter
+            lefts = [A.mul_sparse({a: RAT_ONE}, A_mod.action.act({p: RAT_ONE}, {b: RAT_ONE}))
+                     for p in range(nh)]
+            for i in range(nh):
                 for j in range(nh):
                     cell: dict = {}
                     for p, q, c in h.coalgebra.comul_row(i):
-                        acted = A_mod.action.act({p: RAT_ONE}, {b: RAT_ONE})
-                        if not acted:
-                            continue
-                        left = A.mul_sparse({a: RAT_ONE}, acted)
+                        left = lefts[p]
                         for m, cm in h.algebra.mul_row(q, j):
                             for t, ct in left.items():
                                 sp_add(cell, t * nh + m, c * cm * ct)
@@ -543,6 +544,23 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
 
     rev_a = dual_coalgebra(A).comul_row
     r_items = list(q.R.items())
+
+    # loop invariants of the comultiplication and of R_B, each computed once
+    # for the indices it reads
+    @cache
+    def h_leg(rb1: int, p: int, ra1: int) -> dict:
+        return h.algebra.mul_sparse(h.algebra.mul_sparse({rb1: RAT_ONE}, {p: RAT_ONE}),
+                                    {ra1: RAT_ONE})
+
+    @cache
+    def a_leg(r2: int, x1: int, a: int) -> dict:
+        return A.mul_sparse(A_mod.action.act({r2: RAT_ONE}, {x1: RAT_ONE}), {a: RAT_ONE})
+
+    @cache
+    def dual_act(r2: int, k: int) -> tuple:
+        """Nonzero (w, coeff) of p_k <| r2 on the dual basis."""
+        return tuple((w, cw) for w in range(na) if (cw := A_mod.action.entry(r2, w, k)) != 0)
+
     centries = []
     for a in range(na):
         for i in range(nh):
@@ -552,25 +570,19 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
                     for p, pq, c in h.coalgebra.comul_row(i):
                         for (ra1, ra2), cra in r_items:       # copy R_1
                             for (rb1, rb2), crb in r_items:   # copy R_2
-                                hleg = h.algebra.mul_sparse(
-                                    h.algebra.mul_sparse({rb1: RAT_ONE}, {p: RAT_ONE}),
-                                    {ra1: RAT_ONE})
-                                if not hleg:
+                                hl = h_leg(rb1, p, ra1)
+                                if not hl:
                                     continue
                                 for (x1, x2), cx in x_items:
-                                    aleg = A.mul_sparse(
-                                        A_mod.action.act({ra2: RAT_ONE}, {x1: RAT_ONE}),
-                                        {a: RAT_ONE})
-                                    if not aleg:
+                                    al = a_leg(ra2, x1, a)
+                                    if not al:
                                         continue
                                     # a*_(1) <| R_2^2 on dual basis p_{k1}
-                                    dual1 = [A_mod.action.entry(rb2, w, k1) for w in range(na)]
+                                    dual1 = dual_act(rb2, k1)
                                     coeff0 = c * cra * crb * cx * ck
-                                    for ta, ca in aleg.items():
-                                        for th, chh in hleg.items():
-                                            for w, cw in enumerate(dual1):
-                                                if cw == 0:
-                                                    continue
+                                    for ta, ca in al.items():
+                                        for th, chh in hl.items():
+                                            for w, cw in dual1:
                                                 centries.append(
                                                     (src,
                                                      flat(ta, th, k2),
@@ -616,6 +628,12 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
     # R_B and its inverse (S_B (x) id)(R_B)
     gram = [[vec_dot(alpha, A.mul(basis_vec(na, w1), basis_vec(na, w2)))
              for w2 in range(na)] for w1 in range(na)]
+
+    @cache
+    def mult_col(x: int, k: int) -> tuple:
+        """Nonzero (w, coeff) of e_k in e_w e_x."""
+        return tuple((w, cw) for w in range(na) if (cw := A.mult.entry(w, x, k)) != 0)
+
     rb: dict = {}
     for (ra1, ra2), cra in r_items:          # R_1
         for (rb1, rb2), crb in r_items:      # R_2
@@ -626,29 +644,23 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
                     continue
                 for (x11, x12), cx1 in x_items:   # x_1
                     for (x21, x22), cx2 in x_items:  # x_2
-                        aleg = A.mul_sparse(
-                            A_mod.action.act({rc2: RAT_ONE}, {x21: RAT_ONE}),
-                            {x11: RAT_ONE})
-                        if not aleg:
+                        al = a_leg(rc2, x21, x11)
+                        if not al:
                             continue
                         for w1 in range(na):
                             for w2 in range(na):
                                 cg = gram[w1][w2]
                                 if cg == 0:
                                     continue
-                                dual1 = [A_mod.action.entry(ra2, w, w1) for w in range(na)]
-                                dual2 = [A.mult.entry(w, x12, w2) for w in range(na)]
+                                dual1 = dual_act(ra2, w1)
+                                dual2 = mult_col(x12, w2)
                                 coeff0 = cra * crb * crc * cx1 * cx2 * cg
-                                for ta, ca in aleg.items():
+                                for ta, ca in al.items():
                                     for t1, c1 in h1.items():
-                                        for u1, cu1 in enumerate(dual1):
-                                            if cu1 == 0:
-                                                continue
+                                        for u1, cu1 in dual1:
                                             first = flat(ta, t1, u1)
                                             for t2, c2 in h2.items():
-                                                for u2, cu2 in enumerate(dual2):
-                                                    if cu2 == 0:
-                                                        continue
+                                                for u2, cu2 in dual2:
                                                     sp_add(rb, (first, flat(x22, t2, u2)),
                                                            coeff0 * ca * c1 * cu1 * c2 * cu2)
     R_B = TensorElem.from_entries((n, n), list(rb.items()))

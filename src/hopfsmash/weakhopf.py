@@ -30,6 +30,8 @@ from .hopfcore import (
     StructureCoalgebra,
     check_map,
     comult_multiplicative_failures,
+    hexagon_sides,
+    intertwining_failures,
     sp,
     sp_add,
     sparse_outer,
@@ -315,35 +317,10 @@ def verify_weak_qt(wq: WeakQTStructure, subject: str = "weak_qt") -> Verificatio
     rep.add("rbar_r_is_delta_one", tensor_mul_sparse(algs2, rbar, r) == d1)
     rep.add("r_rbar_is_delta_cop_one", tensor_mul_sparse(algs2, r, rbar) == d1cop)
 
-    def intertwining_failures():
-        for i in range(w.dim):
-            dlt = {(a, b): c for a, b, c in coal.comul_row(i)}
-            cop = {(b, a): c for a, b, c in coal.comul_row(i)}
-            if tensor_mul_sparse(algs2, cop, r) != tensor_mul_sparse(algs2, r, dlt):
-                yield (i,)
-
-    rep.check("intertwines_comult", intertwining_failures())
-
-    algs3 = (alg, alg, alg)
-    one = alg.unit_sparse
-    r13: dict = {}
-    r23: dict = {}
-    r12: dict = {}
-    for (a, b), c in r.items():
-        for u, cu in one.items():
-            sp_add(r13, (a, u, b), c * cu)
-            sp_add(r23, (u, a, b), c * cu)
-            sp_add(r12, (a, b, u), c * cu)
-    lhs: dict = {}
-    for (a, b), c in r.items():
-        for j, k, ww in coal.comul_row(a):
-            sp_add(lhs, (j, k, b), c * ww)
-    rep.add("delta_tensor_id", lhs == tensor_mul_sparse(algs3, r13, r23))
-    lhs = {}
-    for (a, b), c in r.items():
-        for j, k, ww in coal.comul_row(b):
-            sp_add(lhs, (a, j, k), c * ww)
-    rep.add("id_tensor_delta", lhs == tensor_mul_sparse(algs3, r13, r12))
+    rep.check("intertwines_comult", intertwining_failures(alg, coal, r))
+    d_id, r13r23, id_d, r13r12 = hexagon_sides(alg, coal, r)
+    rep.add("delta_tensor_id", d_id == r13r23)
+    rep.add("id_tensor_delta", id_d == r13r12)
 
     corner = tensor_mul_sparse(algs2, tensor_mul_sparse(algs2, d1cop, r), d1)
     rep.add("corner_support", corner == r, informational=True)

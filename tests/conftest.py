@@ -1,12 +1,34 @@
 """Shared worlds, session-scoped: the expensive constructions (doubles, the
 54-dimensional enveloping algebra, the smash weak structure) are built once."""
 
+import hashlib
+
 import pytest
 
 from hopfsmash import demos as dm
+from hopfsmash.exactlin import Tensor3, TensorElem
 from hopfsmash.hopfcore import drinfeld_double, integrals
 from hopfsmash.modalg import separability
 from hopfsmash.qtriang import transmute, trivial_qt
+
+
+def _structure_digest(*parts) -> str:
+    """First 16 hex digits of a sha256 over the exact entries of each part:
+    the cells of a Tensor3, the terms of a TensorElem, or nested tuples."""
+    def canon(x):
+        if isinstance(x, Tensor3):
+            d0, d1, _ = x.dims
+            return repr([(i, j, x.row(i, j)) for i in range(d0) for j in range(d1)])
+        if isinstance(x, TensorElem):
+            return repr(sorted(x.items()))
+        return repr(x)
+    return hashlib.sha256("|".join(canon(p) for p in parts).encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="session")
+def structure_digest():
+    """Pins structure tensors to their exact values without spelling them out."""
+    return _structure_digest
 
 
 @pytest.fixture(scope="session")

@@ -186,3 +186,49 @@ def test_demo_case_study_serialization(tmp_path, monkeypatch):
     assert len(cs["stabilizer"]) == 2
     assert len(cs["matrix_units"]) == 3
     assert len(cs["iso_matrix"]) == 18
+
+
+def _starter_workspace(path):
+    import importlib.util
+    from pathlib import Path
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_workspace.py"
+    spec = importlib.util.spec_from_file_location("make_workspace", script)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    assert mod.main(str(path)) == 0
+    return path
+
+
+def test_verify_qt_checks_r_once(tmp_path, monkeypatch):
+    from hopfsmash import cli, qtriang
+    ws = _starter_workspace(tmp_path / "ws.json")
+    calls = []
+    real = qtriang.verify_qt
+
+    def counted(q, *args):
+        calls.append(q)
+        return real(q, *args)
+
+    monkeypatch.setattr(qtriang, "verify_qt", counted)
+    monkeypatch.setattr(cli, "verify_qt", counted)
+    assert main(["verify", str(ws), "qs3-trivial", "qt"]) == 0
+    assert len(calls) == 1
+
+
+def test_verify_qt_corrupted_r_reports_witness(tmp_path, capsys):
+    ws = _starter_workspace(tmp_path / "ws.json")
+    doc = json.loads(ws.read_text())
+    # R = 1 (x) 1 + t (x) 1 for the transposition t = (0 2 1): t is not central,
+    # so R Delta(h) = Delta^cop(h) R fails on some h that does not commute with t
+    doc["objects"]["qs3-trivial"]["R"][1][0] = "1"
+    ws.write_text(json.dumps(doc))
+    out = tmp_path / "rep.json"
+    assert main(["--json", str(out), "verify", str(ws), "qs3-trivial", "qt"]) == 1
+    assert "refused" not in capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    assert payload["ok"] is False
+    failed = {c["axiom"]: c.get("witness") for c in payload["report"]["checks"]
+              if c["status"] == "fail"}
+    (h,) = failed["intertwines_comult"]
+    table = doc["objects"]["s3"]["table"]
+    assert table[1][h] != table[h][1]

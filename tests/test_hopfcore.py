@@ -244,6 +244,34 @@ def test_drinfeld_double_ks3(double_s3):
     assert verify_qt(q).ok
 
 
+def test_drinfeld_double_ks3_tensors_pinned(double_s3, structure_digest):
+    # exact structure tensors of D(kS3), pinned from the build that recomputed
+    # each dragged column for every (a, b, c, d)
+    dd, q = double_s3
+    assert structure_digest(dd.mult, dd.unit) == "4d8a157f4ea90ec0"
+    assert structure_digest(dd.comult, dd.counit) == "f78ceb642fc6ed05"
+    assert structure_digest(dd.antipode) == "670696955b10e717"
+    assert structure_digest(q.R, q.Rinv) == "33d65f8c5f35a9a8"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_antipode_involutive_agrees_with_dense_reference(ks3, double_z2, data):
+    h = data.draw(st.sampled_from([ks3, double_z2[0]]))
+    n = h.dim
+    anti = [list(row) for row in h.antipode]
+    if data.draw(st.booleans()):
+        # D S D^{-1} for a diagonal D: still an involution, no longer S
+        d = [data.draw(st.sampled_from([F(1), F(-1), F(2), F(1, 3)])) for _ in range(n)]
+        anti = [[d[r] * anti[r][c] / d[c] for c in range(n)] for r in range(n)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        anti[i][j] += data.draw(st.sampled_from([F(1), F(-1), F(1, 2)]))
+    bent = HopfData(h.algebra, h.coalgebra, mat(anti))
+    dense = mat_eq(mat_mul(bent.antipode, bent.antipode), identity_mat(n))
+    assert verify_hopf(bent).find("antipode_involutive").passed == dense
+
+
 def test_double_makes_host_module_algebra(kz2, double_z2):
     # the validating check for the double's product convention: the canonical
     # action formulas must make H a quantum commutative module algebra

@@ -1,10 +1,21 @@
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfsmash import demos as dm
-from hopfsmash.exactlin import TensorElem, vec
-from hopfsmash.hopfcore import GroupTable, group_algebra
+from hopfsmash.exactlin import Tensor3, TensorElem, vec
+from hopfsmash.hopfcore import (
+    GroupTable,
+    StructureAlgebra,
+    drinfeld_double,
+    group_algebra,
+    hexagon_sides,
+    sp_add,
+    tensor_mul_sparse,
+)
 from hopfsmash.modalg import adjoint_module_algebra
 from hopfsmash.qtriang import (
     QTStructure,
@@ -20,6 +31,7 @@ from hopfsmash.qtriang import (
     verify_qt,
 )
 from hopfsmash.report import HypothesisFailure
+from hopfsmash.weakhopf import WeakHopfData, WeakQTStructure, verify_weak_qt
 
 
 def test_trivial_r_passes(ks3, q_s3):
@@ -46,6 +58,70 @@ def test_fake_r_fails_with_witness(kz2):
     assert rep.failures()
     with pytest.raises(HypothesisFailure):
         qt_structure(kz2, fake)
+
+
+def _unit_padded_hexagon_reference(alg, coal, r):
+    """(Delta (x) id)(R), R^13 R^23, (id (x) Delta)(R), R^13 R^12 with each leg
+    padded by every term of the unit and multiplied in A (x) A (x) A."""
+    algs3 = (alg, alg, alg)
+    one = alg.unit_sparse
+    r13, r23, r12, d_id, id_d = {}, {}, {}, {}, {}
+    for (a, b), c in r.items():
+        for u, cu in one.items():
+            sp_add(r13, (a, u, b), c * cu)
+            sp_add(r23, (u, a, b), c * cu)
+            sp_add(r12, (a, b, u), c * cu)
+        for j, k, w in coal.comul_row(a):
+            sp_add(d_id, (j, k, b), c * w)
+        for j, k, w in coal.comul_row(b):
+            sp_add(id_d, (a, j, k), c * w)
+    return (d_id, tensor_mul_sparse(algs3, r13, r23),
+            id_d, tensor_mul_sparse(algs3, r13, r12))
+
+
+@cache
+def _cyclic_double(n):
+    return drinfeld_double(group_algebra(dm.cyclic_table(n)))
+
+
+_deltas = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_hexagon_sides_match_unit_padded_products(n, data):
+    dd, q = _cyclic_double(n)
+    m = dd.dim
+    idx = st.integers(0, m - 1)
+    r = dict(q.r_sparse)
+    for _ in range(data.draw(st.integers(0, 3))):
+        sp_add(r, (data.draw(idx), data.draw(idx)), data.draw(_deltas))
+    entries = [(i, j, k, c) for i in range(m) for j in range(m)
+               for k, c in dd.algebra.mul_row(i, j)]
+    unit = list(dd.unit)
+    one = [i for i, c in enumerate(unit) if c != 0]
+    for _ in range(data.draw(st.integers(0, 3))):
+        # a perturbation on a unit term's row breaks the unit law
+        i = data.draw(st.sampled_from(one)) if data.draw(st.booleans()) else data.draw(idx)
+        entries.append((i, data.draw(idx), data.draw(idx), data.draw(_deltas)))
+    if data.draw(st.booleans()):
+        unit[data.draw(idx)] += data.draw(_deltas)
+    alg = StructureAlgebra(m, Tensor3.from_entries((m, m, m), entries), tuple(unit))
+    assert hexagon_sides(alg, dd.coalgebra, r) == \
+        _unit_padded_hexagon_reference(alg, dd.coalgebra, r)
+
+
+def test_fault_injected_r_fails_delta_tensor_id(double_z2):
+    # 2R still intertwines the coproduct but is not (Delta (x) id)-compatible:
+    # (Delta (x) id)(2R) = 2 R^13 R^23 != 4 R^13 R^23
+    dd, q = double_z2
+    twice = TensorElem.from_entries((4, 4), [(k, 2 * c) for k, c in q.R.items()])
+    reports = (verify_qt(QTStructure(dd, twice, q.Rinv)),
+               verify_weak_qt(WeakQTStructure(WeakHopfData.from_hopf(dd), twice, q.Rinv)))
+    for rep in reports:
+        assert rep.find("intertwines_comult").passed
+        assert not rep.find("delta_tensor_id").passed
+        assert not rep.find("id_tensor_delta").passed
 
 
 def test_drinfeld_element_trivial(q_s3, ks3):

@@ -38,6 +38,11 @@ def test_smash_dimensions(smash18):
     assert smash18.na == 3 and smash18.nh == 6
 
 
+def test_smash_k3s3_tensors_pinned(smash18, structure_digest):
+    # pinned from the build that recomputed a (e_p . b) for every (i, j)
+    assert structure_digest(smash18.carrier.mult, smash18.carrier.unit) == "7f9f8e59620a9db6"
+
+
 def test_smash_with_trivial_coefficients_is_h(ks3):
     m = trivial_module_algebra(ks3, pointwise_algebra(1))
     s = smash_algebra(m)
@@ -154,6 +159,20 @@ def test_build_b_dimensions_and_checks(b54):
     for name in ("target_matches_closed_form", "source_matches_closed_form",
                  "target_iso_is_algebra_map", "source_iso_is_antialgebra_map"):
         assert b54.report.find(name).passed, name
+
+
+def test_build_b_tensors_pinned(b54, double_mod_z2, structure_digest):
+    # k^3 over (kS3, 1 (x) 1) and kZ2 over D(kZ2) with its two-term R, pinned
+    # from the build that rebuilt the R/x-loop invariants in the innermost loops
+    m, q = double_mod_z2
+    b16 = build_B(m, q, separability(m))
+    for b, pins in ((b54, ("9bdec80a1a482e4f", "205efc7e9cd3d82b",
+                           "733bd4caeee2eaa9", "cad9d3d72d1e9811")),
+                    (b16, ("8b7eb2bc16a351d7", "2e8093c937006db7",
+                           "a441790bc6648a59", "1c3fb8e4e51a909e"))):
+        w = b.wha
+        assert (structure_digest(w.mult, w.unit), structure_digest(w.comult, w.counit),
+                structure_digest(w.antipode), structure_digest(b.rqt.Rw, b.rqt.Rw_bar)) == pins
 
 
 def test_build_b_trivial_coefficients(double_z2):
