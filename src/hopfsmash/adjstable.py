@@ -9,26 +9,20 @@ e_d (x) w' in rho(w)); a right comodule stores rho[w][w'][d].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactlin import (
     RAT_ONE,
     RAT_ZERO,
+    Subspace,
     Tensor3,
     TensorElem,
     basis_vec,
     commutant_rows,
-    coords_in_basis,
-    in_span,
     kernel_basis,
-    mat_inverse,
-    mat_mul,
-    mat_vec,
     rank,
     span_basis,
-    spans_equal,
+    split,
     transpose,
     vec_dot,
 )
@@ -241,9 +235,10 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
         if len(improved) > len(basis):
             basis = improved
             changed = True
+    d_v = Subspace(basis, nh)
     rep.check("d_v_is_H_module_subspace",
               ((t, ui) for t in range(nh) for ui, u in enumerate(basis)
-               if not in_span(list(basis), unsp(bg.adjoint_action.act({t: RAT_ONE}, sp(u)), nh))))
+               if not d_v.contains(unsp(bg.adjoint_action.act({t: RAT_ONE}, sp(u)), nh))))
     rep.require()
     return BraidedComoduleResult(cm, tuple(basis), rep)
 
@@ -365,38 +360,6 @@ def cotensor(wdual: RightComoduleData, m: ComoduleData) -> list:
 # the R-adjoint-stable algebra N_W
 # ---------------------------------------------------------------------------
 
-class _CoordProjector:
-    """Expresses vectors in the span of a fixed independent basis, exactly."""
-
-    def __init__(self, basis, ambient: int):
-        self.basis = [tuple(b) for b in basis]
-        self.ambient = ambient
-        bt = tuple(self.basis)
-        g = tuple(tuple(vec_dot(u, v) for v in self.basis) for u in self.basis)
-        ginv = mat_inverse(g)
-        if ginv is None:
-            raise ValueError("basis vectors are linearly dependent")
-        self._lift = mat_mul(ginv, bt)
-        self._sparse_basis = [tuple((i, c) for i, c in enumerate(b) if c != 0)
-                              for b in self.basis]
-
-    def coords(self, v):
-        nz = [(j, x) for j, x in enumerate(v) if x != 0]
-        c = tuple(sum((row[j] * x for j, x in nz), RAT_ZERO) for row in self._lift)
-        recon: dict = {}
-        for ci, b in zip(c, self._sparse_basis):
-            if ci != 0:
-                for idx, bv in b:
-                    w = recon.get(idx, RAT_ZERO) + ci * bv
-                    if w == 0:
-                        recon.pop(idx, None)
-                    else:
-                        recon[idx] = w
-        if recon != dict(nz):
-            return None
-        return c
-
-
 @dataclass(frozen=True)
 class AdjointStableAlgebra:
     w: ComoduleData
@@ -446,14 +409,14 @@ def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
     basis = cotensor(wd, htw.as_comodule())
     nw, nh = w.dim, h.dim
     m = len(basis)
-    proj = _CoordProjector(basis, nw * nh * nw)
+    span = Subspace(basis, nw * nh * nw)
 
     sparse_basis = [_amb_sparse(b, nh, nw) for b in basis]
     rowdicts: dict = {}
     for p in range(m):
         for q in range(m):
             prod = _nw_product(h, nw, nh, sparse_basis[p], sparse_basis[q])
-            coords = proj.coords(_amb_dense(prod, nw, nh))
+            coords = span.coords(_amb_dense(prod, nw, nh))
             if coords is None:
                 raise ValueError(f"product of cotensor basis {p}, {q} leaves the cotensor")
             cell = {k: c for k, c in enumerate(coords) if c != 0}
@@ -524,7 +487,7 @@ def nw_direct_sum_report(w: ComoduleData, h: HopfData, components,
         comp_bases.append(emb)
         embedded_all.extend(emb)
     rep.add("components_span_nw",
-            spans_equal(list(full.basis), embedded_all, nw * nh * nw))
+            Subspace(full.basis, nw * nh * nw) == Subspace(embedded_all, nw * nh * nw))
     rep.check("cross_products_vanish",
               ((ci, cj) for ci, bi in enumerate(comp_bases) for cj, bj in enumerate(comp_bases)
                if ci != cj and any(_nw_product(h, nw, nh, _amb_sparse(u, nh, nw),
@@ -545,8 +508,7 @@ def cotensor_right_module(wdual: RightComoduleData, v_com: ComoduleData,
     nh = h.dim
     nv = v_com.dim
     basis_v = cotensor(wdual, v_com)
-    mv = len(basis_v)
-    proj = _CoordProjector(basis_v, nw * nv) if mv else None
+    span_v = Subspace(basis_v, nw * nv)
     n_basis_sp = [_amb_sparse(b, nh, nw) for b in n_alg.basis]
 
     def act(t_vec, n_sp) -> tuple:
@@ -567,7 +529,7 @@ def cotensor_right_module(wdual: RightComoduleData, v_com: ComoduleData,
     nn = len(n_basis_sp)
     rep.check("action_preserves_cotensor",
               ((ti, p) for ti, t in enumerate(basis_v) for p in range(nn)
-               if proj.coords(act(t, n_basis_sp[p])) is None))
+               if not span_v.contains(act(t, n_basis_sp[p]))))
     rep.check("module_law",
               ((ti, p, q) for ti, t in enumerate(basis_v) for p in range(nn) for q in range(nn)
                if act(t, _nw_product(h, nw, nh, n_basis_sp[p], n_basis_sp[q]))
@@ -603,7 +565,7 @@ def subcoalgebra_data(d_basis, q: QTStructure, bg: BraidedGroupData) -> Subcoalg
     nh = h.dim
     d_basis = [tuple(v) for v in d_basis]
     m = len(d_basis)
-    proj = _CoordProjector(d_basis, nh)
+    span = Subspace(d_basis, nh)
     coal_r = bg.braided_coalgebra
 
     comult_entries = []
@@ -617,7 +579,7 @@ def subcoalgebra_data(d_basis, q: QTStructure, bg: BraidedGroupData) -> Subcoalg
         # columns (second leg fixed) are vectors in H over the first leg
         col_coords = {}
         for b, col in bycol.items():
-            cc = proj.coords(unsp(col, nh))
+            cc = span.coords(unsp(col, nh))
             if cc is None:
                 raise HypothesisFailure("D-closed-under-Delta_R-first-leg", (p, b))
             col_coords[b] = cc
@@ -625,7 +587,7 @@ def subcoalgebra_data(d_basis, q: QTStructure, bg: BraidedGroupData) -> Subcoalg
             row = [RAT_ZERO] * nh
             for b, cc in col_coords.items():
                 row[b] = cc[qidx]
-            rc = proj.coords(tuple(row))
+            rc = span.coords(tuple(row))
             if rc is None:
                 raise HypothesisFailure("D-closed-under-Delta_R-second-leg", (p, qidx))
             for r, c in enumerate(rc):
@@ -639,7 +601,7 @@ def subcoalgebra_data(d_basis, q: QTStructure, bg: BraidedGroupData) -> Subcoalg
         row = []
         for qidx in range(m):
             img = unsp(bg.adjoint_action.act({t: RAT_ONE}, sp(d_basis[qidx])), nh)
-            cc = proj.coords(img)
+            cc = span.coords(img)
             if cc is None:
                 raise HypothesisFailure("D-closed-under-adjoint-action", (t, qidx))
             row.append(cc)
@@ -716,7 +678,7 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
             (nd.carrier.dim, s.carrier.dim))
 
     # Psi
-    proj_nd = _CoordProjector(list(nd.basis), m * nh * m)
+    nd_span = Subspace(nd.basis, m * nh * m)
     psi_cols = []
     for t in nd.basis:
         col: dict = {}
@@ -766,7 +728,7 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
     for convention in ("first_leg_out", "second_leg_out"):
         cols = phi_columns(convention)
         cand_cols[convention] = cols
-        coords = [proj_nd.coords(cvec) for cvec in cols]
+        coords = [nd_span.coords(cvec) for cvec in cols]
         if any(c is None for c in coords):
             statuses[convention] = "not_well_defined"
             continue
@@ -814,89 +776,6 @@ def _coaction_from_subcoalgebra(dd: SubcoalgebraData, nh: int) -> Tensor3:
 # decomposition of H_R into minimal H-module subcoalgebras
 # ---------------------------------------------------------------------------
 
-def _min_poly(mat_a) -> list:
-    """Monic minimal polynomial coefficients [c_0, ..., c_{k-1}, 1]."""
-    n = len(mat_a)
-    from .exactlin import identity_mat, solve
-    powers = [identity_mat(n)]
-    while True:
-        nxt = mat_mul(powers[-1], mat_a)
-        cols = [tuple(p[i][j] for p in powers) for i in range(n) for j in range(n)]
-        target = tuple(nxt[i][j] for i in range(n) for j in range(n))
-        sol = solve(tuple(cols), target)
-        if sol is not None:
-            return [-c for c in sol] + [RAT_ONE]
-        powers.append(nxt)
-
-
-def _rational_roots(coeffs) -> tuple:
-    """(roots, fully_split); coeffs ascending, monic up to scaling."""
-    poly = [Fraction(c) for c in coeffs]
-    roots = []
-    while len(poly) > 1:
-        if poly[0] == 0:
-            roots.append(Fraction(0))
-            poly = poly[1:]
-            continue
-        den = 1
-        for c in poly:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ip = [int(c * den) for c in poly]
-        if len(ip) <= 1:
-            break
-        a0, ak = abs(ip[0]), abs(ip[-1])
-        found = None
-        for p in _divisors(a0):
-            for q in _divisors(ak):
-                for sgn in (1, -1):
-                    cand = Fraction(sgn * p, q)
-                    if _poly_eval(poly, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return tuple(roots), False
-        roots.append(found)
-        poly = _poly_deflate(poly, found)
-    return tuple(roots), True
-
-
-def _divisors(n: int):
-    n = abs(n)
-    if n == 0:
-        return (1,)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return tuple(sorted(out))
-
-
-def _poly_eval(poly, x):
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deflate(poly, root):
-    # synthetic division, highest degree first
-    rev = list(reversed(poly))
-    out_rev = []
-    acc = Fraction(0)
-    for c in rev[:-1]:
-        acc = acc * root + c
-        out_rev.append(acc)
-    return list(reversed(out_rev))
-
-
 def _delta_slices(coal: StructureCoalgebra, v):
     """For each basis index f, the slices (id (x) p_f) Delta(v) and
     (p_f (x) id) Delta(v) as dense vectors."""
@@ -940,59 +819,7 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     comm_mats = [tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n))
                  for v in comm]
 
-    blocks = [[basis_vec(n, i) for i in range(n)]]
-    fully_split = True
-    for cm in comm_mats:
-        new_blocks = []
-        for blk in blocks:
-            if len(blk) == 1:
-                new_blocks.append(blk)
-                continue
-            proj = _CoordProjector(blk, n)
-            restr = []
-            okblk = True
-            for v in blk:
-                img = mat_vec(cm, v)
-                cc = proj.coords(img)
-                if cc is None:
-                    okblk = False
-                    break
-                restr.append(cc)
-            if not okblk:
-                new_blocks.append(blk)
-                fully_split = False
-                continue
-            restr_mat = transpose(tuple(restr))
-            mp = _min_poly(restr_mat)
-            roots, split = _rational_roots(mp)
-            if not split:
-                fully_split = False
-                new_blocks.append(blk)
-                continue
-            pieces = []
-            covered = 0
-            for lam in sorted(set(roots)):
-                shifted = tuple(tuple(restr_mat[r][c] - (lam if r == c else 0)
-                                      for c in range(len(blk))) for r in range(len(blk)))
-                ker = kernel_basis(shifted)
-                if not ker:
-                    continue
-                piece = []
-                for kv in ker:
-                    vec_amb = [RAT_ZERO] * n
-                    for ci, bvec in zip(kv, blk):
-                        if ci != 0:
-                            for idx, bv in enumerate(bvec):
-                                vec_amb[idx] += ci * bv
-                    piece.append(tuple(vec_amb))
-                pieces.append(span_basis(piece, n))
-                covered += len(pieces[-1])
-            if covered != len(blk):
-                fully_split = False
-                new_blocks.append(blk)
-            else:
-                new_blocks.extend(pieces)
-        blocks = new_blocks
+    blocks, fully_split = split(comm_mats, n)
 
     rep = VerificationReport("decompose_hr")
     rep.add("fully_split", fully_split, informational=True)
@@ -1003,13 +830,13 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
 
     def stability_failures():
         for bi, blk in enumerate(blocks):
-            bas = list(blk)
+            span = Subspace(blk, n)
             for v in blk:
-                ad_wit = next(((bi, t) for t in range(n) if not in_span(
-                    bas, unsp(bg.adjoint_action.act({t: RAT_ONE}, sp(v)), n))), None)
+                ad_wit = next(((bi, t) for t in range(n) if not span.contains(
+                    unsp(bg.adjoint_action.act({t: RAT_ONE}, sp(v)), n))), None)
                 # a Delta_R failure on the same vector is the witness in
                 # preference to an adjoint one
-                if not all(in_span(bas, lv) and in_span(bas, rv)
+                if not all(span.contains(lv) and span.contains(rv)
                            for lv, rv in _delta_slices(coal_r, v)):
                     yield (bi, "delta_r")
                 elif ad_wit is not None:
@@ -1017,24 +844,11 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
 
     rep.check("blocks_ad_and_deltaR_stable", stability_failures())
 
-    def restrictions(blk):
-        """The generators restricted to blk, or None when blk is not invariant."""
-        proj = _CoordProjector(list(blk), n)
-        restrs = []
-        for g in gens:
-            rg = []
-            for v in blk:
-                cc = proj.coords(mat_vec(g, v))
-                if cc is None:
-                    return None
-                rg.append(cc)
-            restrs.append(transpose(tuple(rg)))
-        return restrs
-
     def minimality_failures():
         for bi, blk in enumerate(blocks):
-            restrs = restrictions(blk)
-            if restrs is None:
+            span = Subspace(blk, n)
+            restrs = [span.restrict(g) for g in gens]
+            if None in restrs:
                 yield (bi, "not_invariant")
             elif len(kernel_basis(commutant_rows(restrs, len(blk)))) != 1:
                 yield (bi,)
@@ -1110,17 +924,16 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
         for v in blk:
             concat.append(v)
             block_of.append(bi)
-    coords = coords_in_basis(concat, ip.Lambda)
+    coords = Subspace(concat, nh).coords(ip.Lambda)
     if coords is None:
         raise HypothesisFailure("Lambda-in-span-of-decomposition")
-    d_span = span_basis(list(dd.basis), nh)
+    d_space = Subspace(dd.basis, nh)
     lam_d = [RAT_ZERO] * nh
     for c, v, bi in zip(coords, concat, block_of):
-        if c != 0 and spans_equal(list(decomposition.blocks[bi]) + list(dd.basis),
-                                  list(dd.basis), nh):
+        if c != 0 and all(d_space.contains(u) for u in decomposition.blocks[bi]):
             for i, bv in enumerate(v):
                 lam_d[i] += c * bv
-    alpha_d = coords_in_basis(list(dd.basis), tuple(lam_d))
+    alpha_d = d_space.coords(tuple(lam_d))
     if alpha_d is None:
         raise HypothesisFailure("Lambda-projection-in-D")
     sep_d = SeparabilityData(x_d, tuple(alpha_d))
@@ -1264,12 +1077,12 @@ def yd_summand_from_block(h: HopfData, block, bg: BraidedGroupData) -> YetterDri
     n = h.dim
     block = [tuple(v) for v in block]
     m = len(block)
-    proj = _CoordProjector(block, n)
+    span = Subspace(block, n)
     a_entries = []
     for t in range(n):
         for p in range(m):
             img = unsp(bg.adjoint_action.act({t: RAT_ONE}, sp(block[p])), n)
-            cc = proj.coords(img)
+            cc = span.coords(img)
             if cc is None:
                 raise HypothesisFailure("block-ad-stable", (t, p))
             for r, c in enumerate(cc):
@@ -1282,7 +1095,7 @@ def yd_summand_from_block(h: HopfData, block, bg: BraidedGroupData) -> YetterDri
         for (a, b), c in du.items():
             bycol.setdefault(a, [RAT_ZERO] * n)[b] += c
         for a, col in bycol.items():
-            cc = proj.coords(tuple(col))
+            cc = span.coords(tuple(col))
             if cc is None:
                 raise HypothesisFailure("block-coproduct-stable", (p, a))
             for r, c in enumerate(cc):

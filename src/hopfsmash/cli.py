@@ -70,18 +70,6 @@ def ser_t3(t: Tensor3):
     return [[[rat_str(c) for c in row] for row in plane] for plane in t.dense()]
 
 
-def _de_vec(data):
-    return vec(data)
-
-
-def _de_mat(data):
-    return mat(data)
-
-
-def _de_t3(data) -> Tensor3:
-    return Tensor3.from_dense([[[rat(c) for c in row] for row in plane] for plane in data])
-
-
 def ser_hopf(h: HopfData, kind: str = "hopf") -> dict:
     return {"type": kind, "dim": h.dim,
             "mult": ser_t3(h.mult), "unit": ser_vec(h.unit),
@@ -90,9 +78,10 @@ def ser_hopf(h: HopfData, kind: str = "hopf") -> dict:
 
 
 def de_hopf(obj: dict, cls=HopfData):
-    return cls(StructureAlgebra(obj["dim"], _de_t3(obj["mult"]), _de_vec(obj["unit"])),
-               StructureCoalgebra(obj["dim"], _de_t3(obj["comult"]), _de_vec(obj["counit"])),
-               _de_mat(obj["antipode"]))
+    dim = obj["dim"]
+    return cls(StructureAlgebra(dim, Tensor3.from_dense(obj["mult"]), vec(obj["unit"])),
+               StructureCoalgebra(dim, Tensor3.from_dense(obj["comult"]), vec(obj["counit"])),
+               mat(obj["antipode"]))
 
 
 def ser_algebra(a: StructureAlgebra) -> dict:
@@ -203,9 +192,9 @@ class Workspace:
         if obj.get("type") != "module-algebra":
             raise ValueError(f"object {name!r} is not a module algebra")
         host = self.resolve_hopf(obj["host"])
-        alg = StructureAlgebra(obj["algebra"]["dim"], _de_t3(obj["algebra"]["mult"]),
-                               _de_vec(obj["algebra"]["unit"]))
-        return ModuleAlgebraData(host, alg, _de_t3(obj["action"]))
+        alg = StructureAlgebra(obj["algebra"]["dim"], Tensor3.from_dense(obj["algebra"]["mult"]),
+                               vec(obj["algebra"]["unit"]))
+        return ModuleAlgebraData(host, alg, Tensor3.from_dense(obj["action"]))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +336,7 @@ def _suite_adjoint_stable(ws: Workspace, target: str, seed: int, tol: float):
     if obj.get("type") != "subcoalgebra":
         raise ValueError(f"object {target!r} is not a subcoalgebra")
     q = ws.resolve_qt(obj["qt"])
-    basis = [_de_vec(v) for v in obj["basis"]]
+    basis = [vec(v) for v in obj["basis"]]
     pp = psi_phi(basis, q)
     rep = VerificationReport(f"adjoint-stable:{target}")
     rep.merge(pp.report, "psi_phi.")
@@ -466,7 +455,7 @@ def _construct(ws: Workspace, recipe: str, seed: int, tol: float):
         from .adjstable import psi_phi
         obj = ws.get(args[0])
         q = ws.resolve_qt(obj["qt"])
-        basis = [_de_vec(v) for v in obj["basis"]]
+        basis = [vec(v) for v in obj["basis"]]
         pp = psi_phi(basis, q)
         return {"constructed": ser_algebra(pp.nd.carrier),
                 "psi": _ser_mat(pp.psi.matrix),

@@ -277,7 +277,7 @@ def mat_inverse(m):
 
 
 # ---------------------------------------------------------------------------
-# subspaces (canonical RREF bases make comparisons exact and cheap)
+# subspaces: canonical RREF bases, membership and coordinates
 # ---------------------------------------------------------------------------
 
 def span_basis(vectors, dim: int | None = None) -> list:
@@ -292,26 +292,210 @@ def span_basis(vectors, dim: int | None = None) -> list:
     return [tuple(r.get(j, RAT_ZERO) for j in range(dim)) for r in frac_rows]
 
 
-def in_span(basis, v) -> bool:
-    """Exact membership of v in the span of the basis vectors."""
-    if not basis:
-        return is_zero_vec(v)
-    m = transpose(tuple(basis))
-    return solve(m, v) is not None
+class Subspace:
+    """The span of the given vectors in Q^dim, from one elimination of the
+    vectors augmented with the identity, [v_1 .. v_k | I_k].
+
+    The reduced rows with a pivot among the first dim columns form `basis`,
+    the canonical basis that span_basis(vectors, dim) lists; their last k columns
+    say which combination of the given vectors makes each basis vector. A row
+    whose pivot lies beyond dim records a dependence among the given vectors.
+    Membership and coordinate queries then cost one pass over the basis.
+    """
+
+    __slots__ = ("ambient", "basis", "_vectors", "_independent", "_pivots", "_rows", "_combs")
+
+    def __init__(self, vectors, dim: int):
+        self._vectors = tuple(tuple(v) for v in vectors)
+        self.ambient = dim
+        k = len(self._vectors)
+        rows = [_int_row((*v, *basis_vec(k, i))) for i, v in enumerate(self._vectors)]
+        frac_rows, pivots = _sparse_rref(rows, dim + k)
+        r = sum(1 for p in pivots if p < dim)  # pivots ascend: basis rows first
+        self._independent = r == k
+        self._pivots = pivots[:r]
+        self._rows = [{j: c for j, c in row.items() if j < dim} for row in frac_rows[:r]]
+        self._combs = [{j - dim: c for j, c in row.items() if j >= dim} for row in frac_rows[:r]]
+        self.basis = tuple(tuple(row.get(j, RAT_ZERO) for j in range(dim)) for row in self._rows)
+
+    def _basis_coeffs(self, v):
+        """Coefficients of v on the canonical basis, or None outside the span."""
+        if len(v) != self.ambient:
+            raise DimensionMismatch(f"vector of length {len(v)} in a subspace of Q^{self.ambient}")
+        coeffs = [v[p] for p in self._pivots]
+        recon: dict = {}
+        for a, row in zip(coeffs, self._rows):
+            if a != 0:
+                for j, c in row.items():
+                    w = recon.get(j, RAT_ZERO) + a * c
+                    if w == 0:
+                        recon.pop(j, None)
+                    else:
+                        recon[j] = w
+        if recon != {j: x for j, x in enumerate(v) if x != 0}:
+            return None
+        return coeffs
+
+    def contains(self, v) -> bool:
+        return self._basis_coeffs(v) is not None
+
+    def coords(self, v):
+        """Coordinates of v in the given vectors, or None outside the span."""
+        if not self._independent:
+            raise ValueError("basis vectors are linearly dependent")
+        coeffs = self._basis_coeffs(v)
+        if coeffs is None:
+            return None
+        out = [RAT_ZERO] * len(self._vectors)
+        for a, comb in zip(coeffs, self._combs):
+            if a != 0:
+                for i, c in comb.items():
+                    out[i] += a * c
+        return tuple(out)
+
+    def restrict(self, op):
+        """The matrix of op on this subspace in the coordinates of the given
+        vectors, or None when op does not map the subspace into itself."""
+        cols = []
+        for v in self._vectors:
+            c = self.coords(mat_vec(op, v))
+            if c is None:
+                return None
+            cols.append(c)
+        return transpose(tuple(cols))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Subspace) and self.ambient == other.ambient
+                and self.basis == other.basis)
 
 
-def coords_in_basis(basis, v):
-    """Coordinates of v in the given basis, or None if v is outside the span."""
-    if not basis:
-        return () if is_zero_vec(v) else None
-    return solve(transpose(tuple(basis)), v)
+# ---------------------------------------------------------------------------
+# splitting into joint eigenspaces over Q
+# ---------------------------------------------------------------------------
+
+def split(ops, dim: int) -> tuple:
+    """(blocks, fully_split): Q^dim cut into the joint eigenspaces of the
+    dim x dim matrices ops, refining by one op after another; each block is a
+    canonical basis. A block stays whole, and fully_split is False, when an op
+    does not preserve it or is not diagonalisable over Q on it."""
+    blocks = [[basis_vec(dim, i) for i in range(dim)]]
+    fully_split = True
+    for op in ops:
+        refined = []
+        for blk in blocks:
+            pieces = _eigenspaces(op, blk, dim) if len(blk) > 1 else [blk]
+            if pieces is None:
+                fully_split = False
+                pieces = [blk]
+            refined.extend(pieces)
+        blocks = refined
+    return blocks, fully_split
 
 
-def spans_equal(vs, ws, dim: int | None = None) -> bool:
-    vs, ws = list(vs), list(ws)
-    if dim is None:
-        dim = len(vs[0]) if vs else (len(ws[0]) if ws else 0)
-    return span_basis(vs, dim) == span_basis(ws, dim)
+def _eigenspaces(op, blk, dim: int):
+    """Canonical bases of the eigenspaces of op on span(blk), by ascending
+    eigenvalue, or None when they do not exhaust span(blk) over Q."""
+    restr = Subspace(blk, dim).restrict(op)
+    if restr is None:
+        return None
+    roots, rational = _rational_roots(_min_poly(restr))
+    if not rational:
+        return None
+    k = len(blk)
+    pieces = []
+    for lam in sorted(set(roots)):
+        shifted = tuple(tuple(restr[r][c] - (lam if r == c else 0) for c in range(k))
+                        for r in range(k))
+        piece = []
+        for kv in kernel_basis(shifted):
+            amb = [RAT_ZERO] * dim
+            for ci, bvec in zip(kv, blk):
+                if ci != 0:
+                    for idx, bv in enumerate(bvec):
+                        amb[idx] += ci * bv
+            piece.append(tuple(amb))
+        pieces.append(span_basis(piece, dim))
+    return pieces if sum(len(p) for p in pieces) == k else None
+
+
+def _min_poly(mat_a) -> list:
+    """Monic minimal polynomial coefficients [c_0, ..., c_{k-1}, 1]."""
+    n = len(mat_a)
+    powers = [identity_mat(n)]
+    while True:
+        nxt = mat_mul(powers[-1], mat_a)
+        cols = [tuple(p[i][j] for p in powers) for i in range(n) for j in range(n)]
+        target = tuple(nxt[i][j] for i in range(n) for j in range(n))
+        sol = solve(tuple(cols), target)
+        if sol is not None:
+            return [-c for c in sol] + [RAT_ONE]
+        powers.append(nxt)
+
+
+def _rational_roots(coeffs) -> tuple:
+    """(roots, fully_split); coeffs ascending, monic up to scaling."""
+    poly = [Fraction(c) for c in coeffs]
+    roots = []
+    while len(poly) > 1:
+        if poly[0] == 0:
+            roots.append(Fraction(0))
+            poly = poly[1:]
+            continue
+        den = 1
+        for c in poly:
+            den = den * c.denominator // gcd(den, c.denominator)
+        ip = [int(c * den) for c in poly]
+        a0, ak = abs(ip[0]), abs(ip[-1])
+        found = None
+        for p in _divisors(a0):
+            for q in _divisors(ak):
+                for sgn in (1, -1):
+                    cand = Fraction(sgn * p, q)
+                    if _poly_eval(poly, cand) == 0:
+                        found = cand
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            return tuple(roots), False
+        roots.append(found)
+        poly = _poly_deflate(poly, found)
+    return tuple(roots), True
+
+
+def _divisors(n: int):
+    n = abs(n)
+    if n == 0:
+        return (1,)
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            if i != n // i:
+                out.append(n // i)
+        i += 1
+    return tuple(sorted(out))
+
+
+def _poly_eval(poly, x):
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_deflate(poly, root):
+    # synthetic division, highest degree first
+    rev = list(reversed(poly))
+    out_rev = []
+    acc = Fraction(0)
+    for c in rev[:-1]:
+        acc = acc * root + c
+        out_rev.append(acc)
+    return list(reversed(out_rev))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +524,7 @@ class Tensor3:
         d2 = len(data[0][0]) if d1 else 0
         rows = tuple(
             tuple(
-                tuple((k, rat(x)) for k, x in enumerate(data[i][j]) if rat(x) != 0)
+                tuple((k, x) for k, x in enumerate(map(rat, data[i][j])) if x != 0)
                 for j in range(d1))
             for i in range(d0))
         return Tensor3((d0, d1, d2), rows)

@@ -18,12 +18,14 @@ import numpy as np
 
 from .exactlin import (
     RAT_ZERO,
+    Subspace,
     basis_vec,
-    in_span,
     kernel_basis,
     rank,
+    solve,
     span_basis,
-    spans_equal,
+    split,
+    transpose,
     vec_dot,
 )
 from .hopfcore import (
@@ -183,70 +185,18 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
     r = len(c_basis)
 
     dual = convolution_algebra(h.coalgebra)
+    c_space = Subspace(c_basis, n)
     if not rep.check("c_hstar_closed_under_convolution",
                      ((i, j) for i, u in enumerate(c_basis) for j, v in enumerate(c_basis)
-                      if not in_span(c_basis, dual.mul(u, v)))):
+                      if not c_space.contains(dual.mul(u, v)))):
         raise HypothesisFailure("C(H*)-subalgebra")
 
-    from .adjstable import _CoordProjector
-    proj = _CoordProjector(c_basis, n)
-    restr = []
-    for u in c_basis:
-        rgu = []
-        for v in c_basis:
-            cc = proj.coords(dual.mul(u, v))
-            rgu.append(cc)
-        restr.append(rgu)
-
-    # split the commutative algebra C into one-dimensional blocks
-    blocks = [[basis_vec(r, i) for i in range(r)]]
-    from .adjstable import _min_poly, _rational_roots
-    from .exactlin import mat_vec, transpose, kernel_basis as kb
-    for gen_idx in range(r):
-        gen = transpose(tuple(restr[gen_idx]))  # matrix of left conv by c_basis[gen_idx]
-        new_blocks = []
-        for blk in blocks:
-            if len(blk) == 1:
-                new_blocks.append(blk)
-                continue
-            bproj = _CoordProjector(blk, r)
-            rg = []
-            split_ok = True
-            for v in blk:
-                cc = bproj.coords(mat_vec(gen, v))
-                if cc is None:
-                    split_ok = False
-                    break
-                rg.append(cc)
-            if not split_ok:
-                new_blocks.append(blk)
-                continue
-            rmat = transpose(tuple(rg))
-            roots, split = _rational_roots(_min_poly(rmat))
-            if not split:
-                raise HypothesisFailure("C(H*)-split-over-Q")
-            pieces = []
-            covered = 0
-            for lam in sorted(set(roots)):
-                shifted = tuple(tuple(rmat[i][j] - (lam if i == j else 0)
-                                      for j in range(len(blk))) for i in range(len(blk)))
-                ker = kb(shifted)
-                if not ker:
-                    continue
-                piece = []
-                for kv in ker:
-                    w = [RAT_ZERO] * r
-                    for ci, bvec in zip(kv, blk):
-                        if ci != 0:
-                            for idx, bv in enumerate(bvec):
-                                w[idx] += ci * bv
-                    piece.append(tuple(w))
-                pieces.append(span_basis(piece, r))
-                covered += len(pieces[-1])
-            if covered != len(blk):
-                raise HypothesisFailure("C(H*)-split-over-Q")
-            new_blocks.extend(pieces)
-        blocks = new_blocks
+    # split the commutative algebra C into one-dimensional blocks, by the
+    # matrices of left convolution with each basis element of C
+    gens = [transpose(tuple(c_space.coords(dual.mul(u, v)) for v in c_basis)) for u in c_basis]
+    blocks, fully_split = split(gens, r)
+    if not fully_split:
+        raise HypothesisFailure("C(H*)-split-over-Q")
     rep.add("c_hstar_splits_into_lines", all(len(b) == 1 for b in blocks), (len(blocks),))
     if not all(len(b) == 1 for b in blocks):
         raise HypothesisFailure("C(H*)-split-over-Q")
@@ -263,7 +213,6 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
 
     # F_i: the element of C acting as identity on line i and zero elsewhere
     idems = []
-    from .exactlin import solve
     for i in range(len(reps)):
         rows_m = []
         rhs = []
@@ -323,9 +272,9 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
     dims_a = sorted(len(b) for b in block_bases)
     dims_b = sorted(len(b) for b in dec.blocks)
     rep.add("blocks_match_decomposition_dims", dims_a == dims_b, (dims_a, dims_b))
+    dec_spaces = [Subspace(db, n) for db in dec.blocks]
     rep.check("blocks_match_decomposition_spaces",
-              ((i,) for i, bb in enumerate(block_bases)
-               if not any(spans_equal(list(bb), list(db), n) for db in dec.blocks)))
+              ((i,) for i, bb in enumerate(block_bases) if Subspace(bb, n) not in dec_spaces))
     return ClassIdempotents(tuple(idems), tuple(block_bases), rep)
 
 

@@ -19,13 +19,12 @@ from .exactlin import (
     RAT_ONE,
     RAT_ZERO,
     Tensor3,
+    Subspace,
     TensorElem,
     basis_vec,
-    in_span,
     kernel_basis,
     rank,
     span_basis,
-    spans_equal,
     transpose,
     vec_dot,
 )
@@ -306,9 +305,9 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
 
     # target subalgebra A # 1 and source subalgebra {R^2.a # R^1}
     tgt = [unsp(s.include_a({a: RAT_ONE}), n) for a in range(na)]
-    rep.add("target_is_A_smash_1", spans_equal(list(wha.target_basis), tgt, n))
+    rep.add("target_is_A_smash_1", Subspace(wha.target_basis, n) == Subspace(tgt, n))
     src = [unsp(twisted({a: RAT_ONE}), n) for a in range(na)]
-    rep.add("source_is_Rtwisted_A", spans_equal(list(wha.source_basis), src, n))
+    rep.add("source_is_Rtwisted_A", Subspace(wha.source_basis, n) == Subspace(src, n))
 
     out = SmashWeakStructure(s, q, sep, wha, rep)
     rep.require()
@@ -698,9 +697,9 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
         tvecs.append(unsp(tv, n))
         svecs.append(unsp(sv, n))
     rep.add("target_matches_closed_form",
-            spans_equal(list(wha.target_basis), tvecs, n))
+            Subspace(wha.target_basis, n) == Subspace(tvecs, n))
     rep.add("source_matches_closed_form",
-            spans_equal(list(wha.source_basis), svecs, n))
+            Subspace(wha.source_basis, n) == Subspace(svecs, n))
 
     def image_of(vecs, x: dict) -> dict:
         out: dict = {}
@@ -784,7 +783,7 @@ def phi_embed(sws: SmashWeakStructure, b: BAlgebra):
             diff_cols.append(unsp(lhs, n_b))
         rows.extend(transpose(tuple(diff_cols)))
     equalizer = kernel_basis(tuple(rows))
-    rep.add("image_equals_equalizer", spans_equal(image, equalizer, n_b))
+    rep.add("image_equals_equalizer", Subspace(image, n_b) == Subspace(equalizer, n_b))
     rep.add("image_dimension", len(image) == s.carrier.dim, (len(image),))
     rep.require()
     return f, tuple(image), rep
@@ -797,9 +796,9 @@ def rb_in_image_iff_muger(b: BAlgebra, image, q: QTStructure,
     zmat = [[RAT_ZERO] * n for _ in range(n)]
     for (i, j), c in b.rqt.Rw.items():
         zmat[i][j] = c
-    img = list(image)
-    in_img = all(in_span(img, tuple(zmat[i][j] for i in range(n))) for j in range(n)) and \
-        all(in_span(img, tuple(zmat[i][j] for j in range(n))) for i in range(n))
+    img = Subspace(image, n)
+    in_img = all(img.contains(tuple(zmat[i][j] for i in range(n))) for j in range(n)) and \
+        all(img.contains(tuple(zmat[i][j] for j in range(n))) for i in range(n))
     member, _ = muger_membership(q, A_mod)
     if in_img != member:
         raise RuntimeError("R_B membership and Mueger membership disagree; "
@@ -910,7 +909,7 @@ def double_smash_decomposition(h: HopfData, double=None) -> VerificationReport:
     if ntot <= 16:
         cen = big.centralizer_basis([unsp(c, ntot) for c in iota_cols])
         rep.add("C_equals_full_centralizer",
-                spans_equal(cen, [unsp(c, ntot) for c in c_cols], ntot))
+                Subspace(cen, ntot) == Subspace([unsp(c, ntot) for c in c_cols], ntot))
 
     # total map mu: (y (x) t) |-> iota(y) c(t)
     mu_cols = [big.mul_sparse(iota_cols[y], c_cols[t])
@@ -1105,7 +1104,7 @@ def groupoid_case_study(table: GroupTable, point_action, h: HopfData | None = No
 
     cvecs = [unsp(c_of(g1), s.carrier.dim) for g1 in stab]
     rep.add("centralizer_is_stabilizer_algebra",
-            spans_equal(cen, cvecs, s.carrier.dim))
+            Subspace(cen, s.carrier.dim) == Subspace(cvecs, s.carrier.dim))
     rep.check("centralizer_product_formula",
               ((g1, g2) for ai, g1 in enumerate(stab) for bi, g2 in enumerate(stab)
                if table.table[g1][g2] not in stab

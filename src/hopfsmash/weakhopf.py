@@ -21,8 +21,8 @@ from .exactlin import (
     mat,
     mat_eq,
     mat_mul,
+    Subspace,
     span_basis,
-    in_span,
 )
 from .hopfcore import (
     HopfData,
@@ -202,15 +202,16 @@ def counital_data(w: WeakHopfData) -> CounitalData:
     rep.add("eps_s_idempotent", mat_eq(mat_mul(w.eps_s, w.eps_s), w.eps_s))
     rep.add("eps_t_idempotent", mat_eq(mat_mul(w.eps_t, w.eps_t), w.eps_t))
     src, tgt = w.source_basis, w.target_basis
-    rep.add("source_contains_unit", in_span(list(src), w.unit))
-    rep.add("target_contains_unit", in_span(list(tgt), w.unit))
+    src_space, tgt_space = Subspace(src, w.dim), Subspace(tgt, w.dim)
+    rep.add("source_contains_unit", src_space.contains(w.unit))
+    rep.add("target_contains_unit", tgt_space.contains(w.unit))
     mul = w.algebra.mul
     rep.check("source_closed_under_product",
               ((i, j) for i, u in enumerate(src) for j, v in enumerate(src)
-               if not in_span(list(src), mul(u, v))))
+               if not src_space.contains(mul(u, v))))
     rep.check("target_closed_under_product",
               ((i, j) for i, u in enumerate(tgt) for j, v in enumerate(tgt)
-               if not in_span(list(tgt), mul(u, v))))
+               if not tgt_space.contains(mul(u, v))))
     rep.check("source_target_commute",
               ((i, j) for i, u in enumerate(src) for j, v in enumerate(tgt)
                if mul(u, v) != mul(v, u)))
@@ -340,15 +341,15 @@ def almost_triangular_wha_report(wq: WeakQTStructure) -> VerificationReport:
     hs = list(w.source_basis)
     ht = list(w.target_basis)
     c_hs = alg.centralizer_basis(hs)
-    cc_hs = alg.centralizer_basis(c_hs)
+    cc_hs = Subspace(alg.centralizer_basis(c_hs), n)
     c_ht = alg.centralizer_basis(ht)
-    cc_ht = alg.centralizer_basis(c_ht)
+    cc_ht = Subspace(alg.centralizer_basis(c_ht), n)
 
     zmat = [[RAT_ZERO] * n for _ in range(n)]
     for (a, b), c in z.items():
         zmat[a][b] = c
-    cond2 = all(in_span(cc_hs, tuple(zmat[a][b] for a in range(n))) for b in range(n))
-    cond3 = all(in_span(cc_ht, tuple(zmat[a][b] for b in range(n))) for a in range(n))
+    cond2 = all(cc_hs.contains(tuple(zmat[a][b] for a in range(n))) for b in range(n))
+    cond3 = all(cc_ht.contains(tuple(zmat[a][b] for b in range(n))) for a in range(n))
     cond4 = cond2 and cond3
     rep.add("cond2_z_in_ccHs_tensor_H", cond2, informational=True)
     rep.add("cond3_z_in_H_tensor_ccHt", cond3, informational=True)

@@ -11,11 +11,10 @@ import pytest
 
 from hopfsmash import demos as dm
 from hopfsmash.hopfcore import verify_hopf
-from hopfsmash.modalg import adjoint_module_algebra, separability
+from hopfsmash.modalg import adjoint_module_algebra
 from hopfsmash.qtriang import (
     hr_dual_separability,
     almost_triangular_equivalences,
-    trivial_qt,
 )
 from hopfsmash.report import HypothesisFailure
 

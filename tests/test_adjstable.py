@@ -47,6 +47,11 @@ def test_decompose_hr_s3_matches_classes(hr_decomposition, s3_table):
                    for b in hr_decomposition.blocks)
 
 
+def test_decompose_hr_s3_blocks_pinned(hr_decomposition, structure_digest):
+    # exact blocks, pinned: the splitting kernel must reproduce them bit for bit
+    assert structure_digest(hr_decomposition.blocks) == "1cf47adbd53b8eea"
+
+
 def test_decompose_hr_kz2(kz2, q_z2):
     from hopfsmash.qtriang import transmute
     dec = decompose_hr(transmute(q_z2))
@@ -218,6 +223,14 @@ def test_psi_phi_transpositions(transposition_block, q_s3, bg_s3):
     assert pp.nd.carrier.dim == 18
     assert pp.psi.compose(pp.phi).is_identity()
     assert pp.phi.compose(pp.psi).is_identity()
+
+
+def test_psi_phi_transpositions_pinned(transposition_block, q_s3, bg_s3, structure_digest):
+    # N_D's multiplication and Psi/Phi, pinned: coordinates in the cotensor
+    # basis must come out exactly as pinned
+    pp = psi_phi(transposition_block, q_s3, bg_s3)
+    assert structure_digest(pp.nd.carrier.mult, pp.nd.carrier.unit) == "cbd871625bba9930"
+    assert structure_digest(pp.psi.matrix, pp.phi.matrix) == "9328ec19c4ab5b7c"
 
 
 def test_psi_phi_whole_hr(q_s3, bg_s3):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hopfsmash.exactlin import (
     DimensionMismatch,
+    Subspace,
     Tensor3,
     TensorElem,
     basis_vec,
@@ -21,8 +22,9 @@ from hopfsmash.exactlin import (
     rat_str,
     solve,
     span_basis,
-    spans_equal,
+    split,
     tensor_product,
+    transpose,
     vec,
     zero_mat,
 )
@@ -162,9 +164,110 @@ def test_inverse_round_trip(n, m, data):
 def test_span_utilities():
     b = span_basis([vec([1, 1, 0]), vec([2, 2, 0]), vec([0, 0, 1])], 3)
     assert len(b) == 2
-    assert spans_equal([vec([1, 1, 0]), vec([0, 0, 2])],
-                       [vec([3, 3, 0]), vec([1, 1, 5])], 3)
-    assert not spans_equal([vec([1, 0, 0])], [vec([0, 1, 0])], 3)
+    assert (Subspace([vec([1, 1, 0]), vec([0, 0, 2])], 3)
+            == Subspace([vec([3, 3, 0]), vec([1, 1, 5])], 3))
+    assert Subspace([vec([1, 0, 0])], 3) != Subspace([vec([0, 1, 0])], 3)
+
+
+def _dense_rref(vs, dim):
+    """Reference: textbook Gauss-Jordan on dense rows, nonzero rows only."""
+    rows = [list(v) for v in vs]
+    out, r = [], 0
+    for c in range(dim):
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return [tuple(row) for row in rows[:r]]
+
+
+sparse_entries = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2), F(1, 2)])
+
+
+@st.composite
+def subspace_cases(draw):
+    """(dim, vectors, queries): lists with repeats, zero vectors and
+    combinations of earlier vectors, queried with members and non-members."""
+    dim = draw(st.integers(1, 5))
+    vector = st.lists(sparse_entries, min_size=dim, max_size=dim).map(tuple)
+    vs = draw(st.lists(vector, max_size=5))
+    extra = draw(st.lists(st.tuples(st.lists(sparse_entries, min_size=len(vs), max_size=len(vs)),
+                                    st.booleans()), max_size=2))
+    for coeffs, zero in extra:
+        vs.append(tuple(F(0) for _ in range(dim)) if zero or not vs
+                  else tuple(sum((c * v[i] for c, v in zip(coeffs, vs)), F(0))
+                             for i in range(dim)))
+    perm = draw(st.permutations(range(len(vs))))
+    vs = [vs[i] for i in perm]
+    combos = draw(st.lists(st.lists(rationals, min_size=len(vs), max_size=len(vs)), max_size=3))
+    queries = [tuple(sum((c * v[i] for c, v in zip(cs, vs)), F(0)) for i in range(dim))
+               for cs in combos]
+    queries += draw(st.lists(vector, max_size=3))
+    return dim, vs, queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_cases())
+def test_subspace_agrees_with_dense_reference(case):
+    dim, vs, queries = case
+    sub = Subspace(vs, dim)
+    ref = _dense_rref(vs, dim)
+    assert list(sub.basis) == ref == span_basis(vs, dim)
+    independent = len(ref) == len(vs)
+    for v in queries:
+        expect = solve(transpose(tuple(vs)), v) if vs else (() if not any(v) else None)
+        assert sub.contains(v) == (expect is not None)
+        if independent:
+            assert sub.coords(v) == expect
+        else:
+            with pytest.raises(ValueError, match="linearly dependent"):
+                sub.coords(v)
+    assert sub == Subspace(list(reversed(vs)) + ref, dim)
+    other = Subspace(queries, dim)
+    assert (sub == other) == (ref == _dense_rref(queries, dim))
+
+
+def test_subspace_edge_cases():
+    empty = Subspace([], 3)
+    assert empty.basis == ()
+    assert empty.contains(vec([0, 0, 0])) and not empty.contains(vec([0, 1, 0]))
+    assert empty.coords(vec([0, 0, 0])) == () and empty.coords(vec([1, 0, 0])) is None
+    with_zero = Subspace([vec([1, 2, 0]), vec([0, 0, 0])], 3)
+    assert with_zero.basis == (vec([1, 2, 0]),)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        with_zero.coords(vec([1, 2, 0]))
+    with pytest.raises(DimensionMismatch):
+        empty.contains(vec([0, 0]))
+    line = Subspace([vec([1, 1])], 2)
+    assert line.restrict(mat([[0, 1], [1, 0]])) == ((F(1),),)
+    assert line.restrict(mat([[1, 0], [0, 2]])) is None
+
+
+def test_split_into_eigenspaces():
+    # diag(1, 1, 3) conjugated by a unipotent P: eigenspaces span{P e_0, P e_1}
+    # and span{P e_2}; a second operator separates the first plane
+    p = mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    p_inv = mat_inverse(p)
+    op1 = mat_mul(mat_mul(p, mat([[1, 0, 0], [0, 1, 0], [0, 0, 3]])), p_inv)
+    op2 = mat_mul(mat_mul(p, mat([[0, 0, 0], [0, 5, 0], [0, 0, 0]])), p_inv)
+    cols = transpose(p)
+    blocks, fully_split = split([op1], 3)
+    assert fully_split
+    assert blocks == [span_basis(cols[:2], 3), span_basis(cols[2:], 3)]
+    blocks, fully_split = split([op1, op2], 3)
+    assert fully_split
+    assert blocks == [span_basis([cols[0]], 3), span_basis([cols[1]], 3),
+                      span_basis([cols[2]], 3)]
+    # x^2 + 1 has no rational root; a Jordan block is not diagonalisable
+    for op in (mat([[0, -1], [1, 0]]), mat([[2, 1], [0, 2]])):
+        blocks, fully_split = split([op], 2)
+        assert not fully_split and blocks == [[basis_vec(2, 0), basis_vec(2, 1)]]
 
 
 def test_tensor_product_legs():

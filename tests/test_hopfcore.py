@@ -14,7 +14,6 @@ from hopfsmash.exactlin import (
     mat_eq,
     mat_mul,
     mat_vec,
-    transpose,
     vec,
 )
 from hopfsmash.hopfcore import (

@@ -1,0 +1,65 @@
+"""Source hygiene: no module imports a name it never uses.
+
+An AST scan stands in for pyflakes: a name bound by an import counts as used
+when it appears anywhere in the module as a name, as the root of an
+attribute chain, in a string annotation, or in `__all__`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(p for d in ("src/hopfsmash", "tests", "scripts")
+                 for p in (ROOT / d).glob("*.py"))
+
+
+def _imported(tree):
+    """(bound name, line) for every import in the module, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def _used(tree) -> set:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and isinstance(
+                node.annotation, ast.Constant) and isinstance(node.annotation.value, str):
+            used |= _used(ast.parse(node.annotation.value, mode="eval"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and isinstance(
+                node.returns, ast.Constant) and isinstance(node.returns.value, str):
+            used |= _used(ast.parse(node.returns.value, mode="eval"))
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return used
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    used = _used(tree)
+    return [(name, line) for name, line in _imported(tree) if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_unused_and_accepts_used():
+    src = ("from __future__ import annotations\n"
+           "import os.path\n"
+           "from a import b, c as d, e\n"
+           "def f(x: 'e') -> None:\n"
+           "    from g import h\n"
+           "    return os.sep, d\n")
+    assert unused_imports(src) == [("b", 3), ("h", 5)]

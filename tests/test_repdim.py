@@ -103,6 +103,12 @@ def test_class_idempotents_ks3(ks3, q_s3, ip_s3, bg_s3, s3_table):
     assert sorted(len(b) for b in ci.blocks) == [1, 2, 3]
 
 
+def test_class_idempotents_ks3_pinned(ks3, q_s3, ip_s3, bg_s3, structure_digest):
+    # exact idempotents and blocks, pinned: the splitting kernel must reproduce them
+    ci = class_idempotents(ks3, q_s3, ip_s3, bg_s3)
+    assert structure_digest(ci.idempotents, ci.blocks) == "4dc6d7e7ef9e54c9"
+
+
 def test_class_idempotents_kz2(kz2, q_z2, ip_z2):
     ci = class_idempotents(kz2, q_z2, ip_z2)
     assert len(ci.idempotents) == 2

@@ -3,12 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 from hopfsmash import demos as dm
-from hopfsmash.exactlin import basis_vec, vec
+from hopfsmash.exactlin import basis_vec
 from hopfsmash.hopfcore import (
     GroupTable,
     group_algebra,
-    heisenberg_double,
-    sp,
     sparse_outer,
 )
 from hopfsmash.modalg import (
