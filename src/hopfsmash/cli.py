@@ -4,6 +4,8 @@
     hopfsmash verify <workspace.json> <target> <suite> [--json PATH]
     hopfsmash construct <workspace.json> <recipe> <out.json>
 
+--seed, --tol and --json may come before or after the subcommand.
+
 Workspace files are single JSON documents {"objects": {name: object}} with
 rationals serialized as "p/q" strings. Recipes take their arguments inline,
 e.g. `construct ws.json double:kz2 out.json`. Exit code 0 iff every check in
@@ -108,6 +110,16 @@ def groupoid_wha_from_json(obj: dict) -> WeakHopfData:
     return groupoid_wha(g)
 
 
+def _square_tensor(rows, n: int, what: str) -> TensorElem:
+    """The 2-leg tensor of an n x n JSON matrix of rationals; ValueError on
+    any other shape, so a short matrix is never padded with zeros."""
+    if (not isinstance(rows, list) or len(rows) != n
+            or any(not isinstance(row, list) or len(row) != n for row in rows)):
+        raise ValueError(f"{what} must be a {n} x {n} matrix over the host")
+    return TensorElem.from_entries(
+        (n, n), (((i, j), rat(c)) for i, row in enumerate(rows) for j, c in enumerate(row)))
+
+
 class Workspace:
     """Named objects loaded from a single JSON document; references resolve
     lazily and every name must be unique."""
@@ -166,11 +178,7 @@ class Workspace:
         if obj.get("type") != "qt":
             raise ValueError(f"object {name!r} is not a qt structure")
         host = self.resolve_hopf(obj["host"])
-        rmat = [[rat(c) for c in row] for row in obj["R"]]
-        R = TensorElem.from_entries(
-            (host.dim, host.dim),
-            (((i, j), c) for i, row in enumerate(rmat) for j, c in enumerate(row)))
-        return host, R
+        return host, _square_tensor(obj["R"], host.dim, f"{name}.R")
 
     def resolve_qt(self, name: str) -> QTStructure:
         return qt_structure(*self.qt_inputs(name))
@@ -180,12 +188,8 @@ class Workspace:
         if obj.get("type") != "weak-qt":
             raise ValueError(f"object {name!r} is not a weak-qt structure")
         host = self.resolve_weak_hopf(obj["host"])
-        def tens(rows):
-            return TensorElem.from_entries(
-                (host.dim, host.dim),
-                (((i, j), rat(c)) for i, row in enumerate(rows)
-                 for j, c in enumerate(row)))
-        return WeakQTStructure(host, tens(obj["R"]), tens(obj["Rbar"]))
+        return WeakQTStructure(host, _square_tensor(obj["R"], host.dim, f"{name}.R"),
+                               _square_tensor(obj["Rbar"], host.dim, f"{name}.Rbar"))
 
     def resolve_module_algebra(self, name: str) -> ModuleAlgebraData:
         obj = self.get(name)
@@ -504,22 +508,26 @@ def cmd_construct(path: str, recipe: str, out: str, seed: int, tol: float) -> in
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="hopfsmash", description=__doc__)
-    ap.add_argument("--seed", type=int, default=0, help="seed for the block oracle")
-    ap.add_argument("--tol", type=float, default=1e-8, help="float tolerance for repdim")
-    ap.add_argument("--json", default=None, help="write the JSON report here")
+    # the global flags are accepted before and after the subcommand; they set
+    # nothing when absent, so one given before is not reset by the subcommand
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--seed", type=int, help="seed for the block oracle (default 0)")
+    flags.add_argument("--tol", type=float, help="float tolerance for repdim (default 1e-8)")
+    flags.add_argument("--json", help="write the JSON report here")
+    ap = argparse.ArgumentParser(prog="hopfsmash", description=__doc__, parents=[flags])
     sub = ap.add_subparsers(dest="cmd", required=True)
-    d = sub.add_parser("demo", help="run a named end-to-end pipeline")
+    d = sub.add_parser("demo", parents=[flags], help="run a named end-to-end pipeline")
     d.add_argument("name")
-    v = sub.add_parser("verify", help="run a check suite against a workspace object")
+    v = sub.add_parser("verify", parents=[flags],
+                       help="run a check suite against a workspace object")
     v.add_argument("workspace")
     v.add_argument("target")
     v.add_argument("suite")
-    c = sub.add_parser("construct", help="build an object and write it out")
+    c = sub.add_parser("construct", parents=[flags], help="build an object and write it out")
     c.add_argument("workspace")
     c.add_argument("recipe")
     c.add_argument("out")
-    ns = ap.parse_args(argv)
+    ns = ap.parse_args(argv, argparse.Namespace(seed=0, tol=1e-8, json=None))
     if ns.cmd == "demo":
         return cmd_demo(ns.name, ns.seed, ns.tol, ns.json)
     if ns.cmd == "verify":

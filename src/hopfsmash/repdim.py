@@ -186,14 +186,15 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
 
     dual = convolution_algebra(h.coalgebra)
     c_space = Subspace(c_basis, n)
+    prods = [[dual.mul(u, v) for v in c_basis] for u in c_basis]
     if not rep.check("c_hstar_closed_under_convolution",
-                     ((i, j) for i, u in enumerate(c_basis) for j, v in enumerate(c_basis)
-                      if not c_space.contains(dual.mul(u, v)))):
+                     ((i, j) for i in range(r) for j in range(r)
+                      if not c_space.contains(prods[i][j]))):
         raise HypothesisFailure("C(H*)-subalgebra")
 
     # split the commutative algebra C into one-dimensional blocks, by the
     # matrices of left convolution with each basis element of C
-    gens = [transpose(tuple(c_space.coords(dual.mul(u, v)) for v in c_basis)) for u in c_basis]
+    gens = [transpose(tuple(c_space.coords(uv) for uv in row)) for row in prods]
     blocks, fully_split = split(gens, r)
     if not fully_split:
         raise HypothesisFailure("C(H*)-split-over-Q")
@@ -211,17 +212,18 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
                     w[idx] += ci * bv
         reps.append(tuple(w))
 
-    # F_i: the element of C acting as identity on line i and zero elsewhere
+    # F_i: the element of C acting as identity on line i and zero elsewhere;
+    # one system, solved for each line's right-hand side
+    rows_m = []
+    for repv in reps:
+        cols = [dual.mul(cb, repv) for cb in c_basis]
+        rows_m.extend(tuple(col[t] for col in cols) for t in range(n))
+    rows_m = tuple(rows_m)
     idems = []
     for i in range(len(reps)):
-        rows_m = []
-        rhs = []
-        for j, repv in enumerate(reps):
-            cols = [dual.mul(cb, repv) for cb in c_basis]
-            for t in range(n):
-                rows_m.append(tuple(col[t] for col in cols))
-                rhs.append(repv[t] if i == j else RAT_ZERO)
-        sol = solve(tuple(rows_m), tuple(rhs))
+        rhs = tuple(repv[t] if i == j else RAT_ZERO for j, repv in enumerate(reps)
+                    for t in range(n))
+        sol = solve(rows_m, rhs)
         if sol is None:
             raise HypothesisFailure("C(H*)-idempotent-solve")
         w = [RAT_ZERO] * n

@@ -232,3 +232,49 @@ def test_verify_qt_corrupted_r_reports_witness(tmp_path, capsys):
     (h,) = failed["intertwines_comult"]
     table = doc["objects"]["s3"]["table"]
     assert table[1][h] != table[h][1]
+
+
+def test_global_flags_before_subcommand(tmp_path):
+    out = tmp_path / "before.json"
+    assert main(["--json", str(out), "--seed", "3", "demo", "double-z2"]) == 0
+    assert json.loads(out.read_text())["ok"] is True
+
+
+def test_global_flags_after_subcommand(tmp_path):
+    # the form in the cli docstring: hopfsmash demo <name> [--seed N] [--json PATH]
+    out = tmp_path / "after.json"
+    assert main(["demo", "double-z2", "--seed", "3", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["ok"] is True
+
+
+def test_global_flags_after_verify(tmp_path):
+    ws = write_workspace(tmp_path / "ws.json")
+    out = tmp_path / "rep.json"
+    assert main(["verify", str(ws), "z2", "hopf", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["report"]["ok"] is True
+
+
+def test_short_r_is_rejected_not_padded(tmp_path, capsys):
+    ws = _starter_workspace(tmp_path / "ws.json")
+    doc = json.loads(ws.read_text())
+    doc["objects"]["qs3-trivial"]["R"] = [["1"]]
+    ws.write_text(json.dumps(doc))
+    assert main(["verify", str(ws), "qs3-trivial", "qt"]) == 2
+    assert "6 x 6" in capsys.readouterr().err
+
+
+def test_short_weak_r_is_rejected_not_padded(tmp_path, capsys):
+    morphs = [{"src": j, "dst": i} for i in range(2) for j in range(2)]
+    idx = {(m["dst"], m["src"]): a for a, m in enumerate(morphs)}
+    compose = [[idx[(mi["dst"], mj["src"])] if mi["src"] == mj["dst"] else None
+                for mj in morphs] for mi in morphs]
+    full = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    doc = {"objects": {
+        "pair2": {"type": "groupoid", "objects": 2, "morphisms": morphs,
+                  "compose": compose, "identities": [idx[(0, 0)], idx[(1, 1)]],
+                  "inverses": [idx[(m["src"], m["dst"])] for m in morphs]},
+        "wq": {"type": "weak-qt", "host": "pair2", "R": full, "Rbar": [["1"]]}}}
+    ws = tmp_path / "g.json"
+    ws.write_text(json.dumps(doc))
+    assert main(["verify", str(ws), "wq", "weak-qt"]) == 2
+    assert "wq.Rbar" in capsys.readouterr().err

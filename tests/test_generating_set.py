@@ -1,0 +1,311 @@
+"""Certified generating sets and the axiom scans reduced to A x S.
+
+`generating_set` is checked against an independent span closure, and the
+reduced associativity, Delta- and eps-multiplicativity scans are checked
+against full scans kept here: a full-scan reference report (every index
+taken as a generator, so each reduced scan is the full scan) and brute-force
+first failures written with plain dict arithmetic.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfsmash import demos as dm
+from hopfsmash.exactlin import Subspace, Tensor3, basis_vec
+from hopfsmash.hopfcore import (
+    StructureAlgebra,
+    StructureCoalgebra,
+    drinfeld_double,
+    generating_set,
+    group_algebra,
+    heisenberg_double,
+    verify_algebra,
+    verify_hopf,
+)
+from hopfsmash.weakhopf import WeakHopfData, verify_weak_bialgebra
+
+DELTAS = (F(1), F(-1), F(2), F(1, 2))
+
+
+@pytest.fixture(scope="module")
+def double_z3():
+    return drinfeld_double(group_algebra(dm.cyclic_table(3)))[0]
+
+
+@pytest.fixture(scope="module")
+def hosts(ks3, double_z2, double_z3, sws18):
+    """The objects whose constants the sweeps perturb."""
+    return {"kS3": ks3, "D(kZ2)": double_z2[0], "D(kZ3)": double_z3,
+            "k3#kS3": sws18.wha}
+
+
+# ---------------------------------------------------------------------------
+# references kept in the test
+# ---------------------------------------------------------------------------
+
+def _add(acc, key, c):
+    w = acc.get(key, 0) + c
+    if w:
+        acc[key] = w
+    else:
+        acc.pop(key, None)
+
+
+def _mul(alg, u, v):
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            for k, w in alg.mult.row(i, j):
+                _add(out, k, a * b * w)
+    return out
+
+
+def _vec(d, n):
+    return tuple(d.get(i, F(0)) for i in range(n))
+
+
+def _closure(alg, gens):
+    """Span of the left-normed words in gens: W := W + W gens until stable."""
+    n = alg.dim
+    vecs = [basis_vec(n, s) for s in gens]
+    while True:
+        space = Subspace(vecs, n)
+        grown = [_vec(_mul(alg, dict(enumerate(w)), {s: F(1)}), n)
+                 for w in space.basis for s in gens]
+        new = [w for w in grown if not space.contains(w)]
+        if not new:
+            return space
+        vecs = list(space.basis) + new
+
+
+def _first_assoc_failure(alg, middle=None):
+    n = alg.dim
+    for i in range(n):
+        for j in range(n) if middle is None else middle:
+            for k in range(n):
+                e = {i: F(1)}, {j: F(1)}, {k: F(1)}
+                if _mul(alg, _mul(alg, e[0], e[1]), e[2]) != _mul(alg, e[0], _mul(alg, e[1], e[2])):
+                    return (i, j, k)
+    return None
+
+
+def _comul(coal, u):
+    out = {}
+    for i, c in u.items():
+        for a in range(coal.dim):
+            for b, w in coal.comult.row(i, a):
+                _add(out, (a, b), c * w)
+    return out
+
+
+def _first_comult_failure(alg, coal, right=None):
+    n = alg.dim
+    for i in range(n):
+        for j in range(n) if right is None else right:
+            lhs = _comul(coal, _mul(alg, {i: F(1)}, {j: F(1)}))
+            rhs = {}
+            for (a, b), c in _comul(coal, {i: F(1)}).items():
+                for (x, y), d in _comul(coal, {j: F(1)}).items():
+                    for p, cp in _mul(alg, {a: F(1)}, {x: F(1)}).items():
+                        for q, cq in _mul(alg, {b: F(1)}, {y: F(1)}).items():
+                            _add(rhs, (p, q), c * d * cp * cq)
+            if lhs != rhs:
+                return (i, j)
+    return None
+
+
+def _first_counit_failure(alg, eps, right=None):
+    n = alg.dim
+    for i in range(n):
+        for j in range(n) if right is None else right:
+            if sum((c * eps[k] for k, c in alg.mult.row(i, j)), F(0)) != eps[i] * eps[j]:
+                return (i, j)
+    return None
+
+
+def _full_scan_reports(h, weak):
+    """Report dicts with every index as a generator: each reduced scan is then
+    the full scan."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StructureAlgebra, "generators", property(lambda a: tuple(range(a.dim))))
+        return _reports(h, weak)
+
+
+def _reports(h, weak):
+    second = verify_weak_bialgebra(h) if weak else verify_hopf(h)
+    return verify_algebra(h.algebra).to_dict(), second.to_dict()
+
+
+def _perturbed(h, which, i, j, k, delta):
+    n = h.dim
+    if which == "counit":
+        counit = list(h.counit)
+        counit[i] += delta
+        return type(h)(h.algebra, StructureCoalgebra(n, h.comult, tuple(counit)), h.antipode)
+    t = h.mult if which == "mult" else h.comult
+    cells = {(a, b): dict(t.row(a, b)) for a in range(n) for b in range(n)}
+    _add(cells[(i, j)], k, delta)
+    bad = Tensor3.from_row_dicts(t.dims, cells)
+    if which == "mult":
+        return type(h)(StructureAlgebra(n, bad, h.unit), h.coalgebra, h.antipode)
+    return type(h)(h.algebra, StructureCoalgebra(n, bad, h.counit), h.antipode)
+
+
+# ---------------------------------------------------------------------------
+# the kernel
+# ---------------------------------------------------------------------------
+
+def _test_algebras(hosts):
+    algs = {name: h.algebra for name, h in hosts.items()}
+    algs["kZ2"] = dm.k_z2().algebra
+    algs["Heis(kZ2)"] = heisenberg_double(dm.k_z2())
+    return algs
+
+
+def test_closure_of_generators_is_whole_algebra(hosts, b54):
+    for name, alg in {**_test_algebras(hosts), "B": b54.wha.algebra}.items():
+        gens = generating_set(alg)
+        assert list(gens) == sorted(set(gens)), name
+        assert _closure(alg, gens) == Subspace([basis_vec(alg.dim, i) for i in range(alg.dim)],
+                                               alg.dim), name
+        assert alg.generators == gens
+
+
+def test_generators_are_greedy_in_basis_order(hosts):
+    # each index joins S exactly when e_i is outside the closure of the ones before it
+    for name, alg in _test_algebras(hosts).items():
+        gens = generating_set(alg)
+        for i in range(alg.dim):
+            earlier = [s for s in gens if s < i]
+            outside = not _closure(alg, earlier).contains(basis_vec(alg.dim, i))
+            assert outside == (i in gens), (name, i)
+        if name in ("kS3", "D(kZ3)", "k3#kS3"):
+            assert len(gens) < alg.dim, name
+
+
+def test_closure_is_a_subspace_not_an_index_set():
+    # e0 e0 = e1 + e2 and every other product zero: the support of the words
+    # in e0 is every index, but their span misses e1 - e2
+    alg = StructureAlgebra(3, Tensor3.from_row_dicts((3, 3, 3), {(0, 0): {1: F(1), 2: F(1)}}),
+                           (F(0), F(0), F(0)))
+    assert generating_set(alg) == (0, 1)
+
+
+def test_words_are_left_normed():
+    # e0 e0 = e1 and e1 e0 = e2, while e0 e1 = 0: the words (e0 e0) e0 ... reach
+    # e2, the words e0 (e0 e0) ... do not
+    alg = StructureAlgebra(3, Tensor3.from_row_dicts((3, 3, 3), {(0, 0): {1: F(1)},
+                                                                 (1, 0): {2: F(1)}}),
+                           (F(0), F(0), F(0)))
+    assert generating_set(alg) == (0,)
+
+
+def test_zero_product_needs_every_index():
+    alg = StructureAlgebra(3, Tensor3.from_row_dicts((3, 3, 3), {}), (F(0),) * 3)
+    assert generating_set(alg) == (0, 1, 2)
+    assert verify_algebra(alg).find("associativity").passed
+
+
+# ---------------------------------------------------------------------------
+# reduced scans against full scans
+# ---------------------------------------------------------------------------
+
+def test_assoc_witness_with_middle_outside_s(ks3):
+    # every perturbed mult constant of kS3 whose first failing triple has its
+    # middle index outside S is still rejected, with that triple as witness
+    hits = 0
+    for i in range(6):
+        for j in range(6):
+            for k in range(6):
+                bad = _perturbed(ks3, "mult", i, j, k, F(1))
+                first = _first_assoc_failure(bad.algebra)
+                rep = verify_algebra(bad.algebra)
+                assert rep.find("associativity").witness == first
+                if first is not None and first[1] not in bad.algebra.generators:
+                    hits += 1
+    assert hits > 0
+
+
+def test_comult_witness_with_right_index_outside_s(ks3):
+    hits = 0
+    for i in range(6):
+        for j in range(6):
+            for k in range(6):
+                bad = _perturbed(ks3, "comult", i, j, k, F(-1))
+                first = _first_comult_failure(bad.algebra, bad.coalgebra)
+                rep = verify_hopf(bad)
+                assert rep.find("comult_multiplicative").witness == first, (i, j, k)
+                if first is not None and first[1] not in bad.algebra.generators:
+                    hits += 1
+    assert hits > 0
+
+
+def test_faults_seen_only_through_the_last_generator(hosts):
+    # D(kZ3), S = (0, 1, 3, 4, 6, 7): each fault below breaks its law for the
+    # generator 7 alone, so a scan over S without its last element passes it
+    h = hosts["D(kZ3)"]
+    gens = (0, 1, 3, 4, 6, 7)
+    assert h.algebra.generators == gens
+    bad = _perturbed(h, "mult", 7, 7, 0, F(1))
+    assert bad.algebra.generators == gens
+    assert _first_assoc_failure(bad.algebra, gens[:-1]) is None
+    first = _first_assoc_failure(bad.algebra)
+    assert first is not None
+    assert verify_algebra(bad.algebra).find("associativity").witness == first
+    bad = _perturbed(h, "comult", 7, 0, 6, F(1))
+    assert _first_comult_failure(bad.algebra, bad.coalgebra, gens[:-1]) is None
+    first = _first_comult_failure(bad.algebra, bad.coalgebra)
+    assert first is not None
+    rep = verify_hopf(bad)
+    assert rep.find("algebra.associativity").passed
+    assert rep.find("comult_multiplicative").witness == first
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reduced_scans_match_full_scans(hosts, data):
+    name = data.draw(st.sampled_from(("kS3", "D(kZ2)", "D(kZ3)", "k3#kS3")))
+    which = data.draw(st.sampled_from(("mult", "comult", "counit")))
+    h = hosts[name]
+    n = h.dim
+    unit_rows = sorted(i for i, c in enumerate(h.unit) if c != 0)
+    index = st.integers(0, n - 1)
+    i = data.draw(st.one_of(st.sampled_from(unit_rows), index))
+    j, k = data.draw(index), data.draw(index)
+    bad = _perturbed(h, which, i, j, k, data.draw(st.sampled_from(DELTAS)))
+    weak = isinstance(h, WeakHopfData)
+    reports = _reports(bad, weak)
+    assert reports == _full_scan_reports(bad, weak)
+    assoc = reports[0]["checks"][1]
+    assert assoc["axiom"] == "associativity"
+    first = _first_assoc_failure(bad.algebra)
+    assert assoc.get("witness") == (None if first is None else list(first))
+
+
+def test_unperturbed_hosts_pass(hosts):
+    for name, h in hosts.items():
+        weak = isinstance(h, WeakHopfData)
+        rep = (verify_weak_bialgebra if weak else verify_hopf)(h)
+        assert rep.ok, name
+
+
+def test_failed_associativity_falls_back_to_full_scans(ks3):
+    # this fault breaks associativity, and Delta and eps multiplicativity only
+    # at right arguments outside S = (0, 1, 2): the reductions, which assume
+    # associativity, would pass it, so both laws are scanned in full
+    bad = _perturbed(ks3, "mult", 0, 3, 0, F(1))
+    gens = (0, 1, 2)
+    assert ks3.algebra.generators == bad.algebra.generators == gens
+    assert _first_comult_failure(bad.algebra, bad.coalgebra, gens) is None
+    assert _first_counit_failure(bad.algebra, bad.counit, gens) is None
+    comult_first = _first_comult_failure(bad.algebra, bad.coalgebra)
+    counit_first = _first_counit_failure(bad.algebra, bad.counit)
+    rep = verify_hopf(bad)
+    assert not rep.find("algebra.associativity").passed
+    assert rep.find("comult_multiplicative").witness == comult_first
+    assert rep.find("counit_multiplicative").witness == counit_first
+    weak = verify_weak_bialgebra(WeakHopfData.from_hopf(bad))
+    assert weak.find("comult_multiplicative").witness == comult_first
