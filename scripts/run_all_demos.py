@@ -20,7 +20,7 @@ def main() -> int:
             continue
         t0 = time.time()
         print(f"== {name}")
-        rc = cmd_demo(name, seed=0, tol=1e-8, json_path=None)
+        rc = cmd_demo(name, seed=0, json_path=None)
         print(f"== {name}: {'ok' if rc == 0 else 'FAILED'} ({time.time() - t0:.1f}s)\n")
         if rc != 0:
             failures.append(name)

@@ -20,6 +20,7 @@ from .exactlin import (
     basis_vec,
     commutant_rows,
     kernel_basis,
+    lin_comb,
     rank,
     span_basis,
     split,
@@ -441,13 +442,8 @@ def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
     carrier = StructureAlgebra(m, mult, unit_coords)
     verify_algebra(carrier, "adjoint_stable_algebra").require()
 
-    amb_unit = [RAT_ZERO] * (nw * nh * nw)
-    for p, c in enumerate(unit_coords):
-        if c != 0:
-            for idx, bv in enumerate(basis[p]):
-                if bv != 0:
-                    amb_unit[idx] += c * bv
-    return AdjointStableAlgebra(w, htw, tuple(basis), carrier, tuple(amb_unit))
+    amb_unit = lin_comb(unit_coords, basis, nw * nh * nw)
+    return AdjointStableAlgebra(w, htw, tuple(basis), carrier, amb_unit)
 
 
 def nw_direct_sum_report(w: ComoduleData, h: HopfData, components,

@@ -1,13 +1,14 @@
 """Command-line front door.
 
-    hopfsmash demo <name> [--seed N] [--tol T] [--json PATH]
+    hopfsmash demo <name> [--seed N] [--json PATH]
     hopfsmash verify <workspace.json> <target> <suite> [--json PATH]
     hopfsmash construct <workspace.json> <recipe> <out.json>
 
---seed, --tol and --json may come before or after the subcommand.
+--seed and --json may come before or after the subcommand.
 
 Workspace files are single JSON documents {"objects": {name: object}} with
-rationals serialized as "p/q" strings. Recipes take their arguments inline,
+rationals serialized as "p/q" strings or JSON integers; a float, a boolean or a
+zero denominator is refused with exit code 2. Recipes take their arguments inline,
 e.g. `construct ws.json double:kz2 out.json`. Exit code 0 iff every check in
 the run passed; reports embed the tool version and the input content hash.
 """
@@ -18,6 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 from .exactlin import Tensor3, TensorElem, mat, rat, rat_str, vec
@@ -110,14 +112,25 @@ def groupoid_wha_from_json(obj: dict) -> WeakHopfData:
     return groupoid_wha(g)
 
 
+@contextmanager
+def _parsing(what: str):
+    """Scope for reading workspace scalars: a refused one (a bool, a float, a
+    malformed string, a zero denominator) becomes a ValueError naming what."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def _square_tensor(rows, n: int, what: str) -> TensorElem:
     """The 2-leg tensor of an n x n JSON matrix of rationals; ValueError on
     any other shape, so a short matrix is never padded with zeros."""
     if (not isinstance(rows, list) or len(rows) != n
             or any(not isinstance(row, list) or len(row) != n for row in rows)):
         raise ValueError(f"{what} must be a {n} x {n} matrix over the host")
-    return TensorElem.from_entries(
-        (n, n), (((i, j), rat(c)) for i, row in enumerate(rows) for j, c in enumerate(row)))
+    with _parsing(what):
+        return TensorElem.from_entries(
+            (n, n), (((i, j), rat(c)) for i, row in enumerate(rows) for j, c in enumerate(row)))
 
 
 class Workspace:
@@ -158,7 +171,8 @@ class Workspace:
         if t == "group":
             return group_algebra(GroupTable.from_lists(obj["elements"], obj["table"]))
         if t in ("hopf", "weak-hopf"):
-            return de_hopf(obj)
+            with _parsing(f"object {name!r}"):
+                return de_hopf(obj)
         raise ValueError(f"object {name!r} of type {t!r} is not a Hopf algebra")
 
     def resolve_weak_hopf(self, name: str) -> WeakHopfData:
@@ -167,7 +181,8 @@ class Workspace:
         if t == "group":
             return WeakHopfData.from_hopf(self.resolve_hopf(name))
         if t in ("hopf", "weak-hopf"):
-            return de_hopf(obj, WeakHopfData)
+            with _parsing(f"object {name!r}"):
+                return de_hopf(obj, WeakHopfData)
         if t == "groupoid":
             return groupoid_wha_from_json(obj)
         raise ValueError(f"object {name!r} of type {t!r} is not a weak Hopf algebra")
@@ -196,16 +211,27 @@ class Workspace:
         if obj.get("type") != "module-algebra":
             raise ValueError(f"object {name!r} is not a module algebra")
         host = self.resolve_hopf(obj["host"])
-        alg = StructureAlgebra(obj["algebra"]["dim"], Tensor3.from_dense(obj["algebra"]["mult"]),
-                               vec(obj["algebra"]["unit"]))
-        return ModuleAlgebraData(host, alg, Tensor3.from_dense(obj["action"]))
+        with _parsing(f"object {name!r}"):
+            alg = StructureAlgebra(obj["algebra"]["dim"],
+                                   Tensor3.from_dense(obj["algebra"]["mult"]),
+                                   vec(obj["algebra"]["unit"]))
+            return ModuleAlgebraData(host, alg, Tensor3.from_dense(obj["action"]))
+
+    def resolve_subcoalgebra(self, name: str) -> tuple:
+        """(qt structure, basis) of the subcoalgebra object `name`."""
+        obj = self.get(name)
+        if obj.get("type") != "subcoalgebra":
+            raise ValueError(f"object {name!r} is not a subcoalgebra")
+        q = self.resolve_qt(obj["qt"])
+        with _parsing(f"object {name!r}"):
+            return q, [vec(v) for v in obj["basis"]]
 
 
 # ---------------------------------------------------------------------------
 # demos
 # ---------------------------------------------------------------------------
 
-def _demo_s3_groupoid(seed: int, tol: float):
+def _demo_s3_groupoid(seed: int):
     from .smashcons import groupoid_case_study, smash_qt
     from .repdim import fpdim_report
     cs = groupoid_case_study(dm.s3_table(), dm.natural_point_action(3))
@@ -213,7 +239,7 @@ def _demo_s3_groupoid(seed: int, tol: float):
     out.merge(cs.report, "case_study.")
     wq, qrep = smash_qt(cs.sws)
     out.merge(qrep, "qt.")
-    fp = fpdim_report(cs.sws.wha, cs.sws.smash.A_mod, tol, seed)
+    fp = fpdim_report(cs.sws.wha, cs.sws.smash.A_mod, seed=seed)
     out.merge(fp.report, "fpdim.")
     out.add("blocks_are_3_3", fp.blocks == (3, 3), fp.blocks)
     out.add("fpdims_are_1_1", fp.fpdims == (1, 1), fp.fpdims)
@@ -230,7 +256,7 @@ def _demo_double(table: GroupTable):
     return out, {"dim": h.dim ** 3}
 
 
-def _demo_hr_s3(seed: int, tol: float):
+def _demo_hr_s3(seed: int):
     from .adjstable import decompose_hr
     from .repdim import class_idempotents
     h = dm.k_s3()
@@ -250,7 +276,7 @@ def _demo_hr_s3(seed: int, tol: float):
     return out, {"block_dims": dims}
 
 
-def _demo_nd_transpositions(seed: int, tol: float):
+def _demo_nd_transpositions(seed: int):
     from .adjstable import decompose_hr, nd_transport_report, psi_phi
     h = dm.k_s3()
     q = trivial_qt(h)
@@ -266,36 +292,35 @@ def _demo_nd_transpositions(seed: int, tol: float):
     return out, {"nd_dim": pp.nd.carrier.dim}
 
 
-def _demo_heisenberg_z2(seed: int, tol: float):
+def _demo_heisenberg_z2(seed: int):
     from .repdim import wedderburn_blocks
     h = dm.k_z2()
     hz = heisenberg_double(h)
     out = VerificationReport("demo:heisenberg-z2")
-    br = wedderburn_blocks(hz, tol, seed)
+    br = wedderburn_blocks(hz, seed=seed)
     out.add("single_block_of_2", br.blocks == (2,), br.blocks)
-    out.add("residual_below_tolerance", br.residual < tol, (br.residual,))
     return out, {"block_report": br.to_dict()}
 
 
 DEMOS = {
-    "s3-groupoid": lambda seed, tol: _demo_s3_groupoid(seed, tol),
-    "double-z2": lambda seed, tol: _demo_double(dm.z2_table()),
-    "double-s3": lambda seed, tol: _demo_double(dm.s3_table()),
+    "s3-groupoid": _demo_s3_groupoid,
+    "double-z2": lambda seed: _demo_double(dm.z2_table()),
+    "double-s3": lambda seed: _demo_double(dm.s3_table()),
     "hr-s3": _demo_hr_s3,
     "nd-transpositions": _demo_nd_transpositions,
     "heisenberg-z2": _demo_heisenberg_z2,
 }
 
 
-def cmd_demo(name: str, seed: int, tol: float, json_path: str | None) -> int:
+def cmd_demo(name: str, seed: int, json_path: str | None) -> int:
     if name not in DEMOS:
         print(f"error: unknown demo {name!r}; choose from {sorted(DEMOS)}", file=sys.stderr)
         return 2
-    rep, extra = DEMOS[name](seed, tol)
+    rep, extra = DEMOS[name](seed)
     print(rep.summary())
     payload = {"tool_version": __version__,
                "input_hash": hashlib.sha256(name.encode()).hexdigest(),
-               "command": ["demo", name], "seed": seed, "tolerance": tol,
+               "command": ["demo", name], "seed": seed,
                "ok": rep.ok, "extra": extra, "report": rep.to_dict()}
     path = json_path or f"{name}-report.json"
     with open(path, "w", encoding="utf-8") as fh:
@@ -308,7 +333,7 @@ def cmd_demo(name: str, seed: int, tol: float, json_path: str | None) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _suite_smash_pipeline(ws: Workspace, target: str, seed: int, tol: float):
+def _suite_smash_pipeline(ws: Workspace, target: str):
     from .smashcons import smash_algebra, smash_weak_structure, smash_qt
     m = ws.resolve_module_algebra(target)
     obj = ws.get(target)
@@ -334,13 +359,9 @@ def _suite_smash_pipeline(ws: Workspace, target: str, seed: int, tol: float):
     return rep
 
 
-def _suite_adjoint_stable(ws: Workspace, target: str, seed: int, tol: float):
+def _suite_adjoint_stable(ws: Workspace, target: str):
     from .adjstable import psi_phi
-    obj = ws.get(target)
-    if obj.get("type") != "subcoalgebra":
-        raise ValueError(f"object {target!r} is not a subcoalgebra")
-    q = ws.resolve_qt(obj["qt"])
-    basis = [vec(v) for v in obj["basis"]]
+    q, basis = ws.resolve_subcoalgebra(target)
     pp = psi_phi(basis, q)
     rep = VerificationReport(f"adjoint-stable:{target}")
     rep.merge(pp.report, "psi_phi.")
@@ -352,22 +373,21 @@ def _suite_adjoint_stable(ws: Workspace, target: str, seed: int, tol: float):
 
 
 SUITES = {
-    "hopf": lambda ws, t, s, tol: verify_hopf(ws.resolve_hopf(t), f"hopf:{t}"),
-    "qt": lambda ws, t, s, tol: verify_qt(unverified_qt(*ws.qt_inputs(t)), f"qt:{t}"),
-    "module-algebra": lambda ws, t, s, tol: verify_module_algebra(
+    "hopf": lambda ws, t: verify_hopf(ws.resolve_hopf(t), f"hopf:{t}"),
+    "qt": lambda ws, t: verify_qt(unverified_qt(*ws.qt_inputs(t)), f"qt:{t}"),
+    "module-algebra": lambda ws, t: verify_module_algebra(
         ws.resolve_module_algebra(t), f"module-algebra:{t}"),
-    "weak-hopf": lambda ws, t, s, tol: verify_weak_hopf(
+    "weak-hopf": lambda ws, t: verify_weak_hopf(
         ws.resolve_weak_hopf(t), f"weak-hopf:{t}"),
-    "weak-qt": lambda ws, t, s, tol: verify_weak_qt(ws.resolve_weak_qt(t), f"weak-qt:{t}"),
-    "almost-triangular": lambda ws, t, s, tol: almost_triangular_wha_report(
+    "weak-qt": lambda ws, t: verify_weak_qt(ws.resolve_weak_qt(t), f"weak-qt:{t}"),
+    "almost-triangular": lambda ws, t: almost_triangular_wha_report(
         ws.resolve_weak_qt(t)),
     "smash-pipeline": _suite_smash_pipeline,
     "adjoint-stable": _suite_adjoint_stable,
 }
 
 
-def cmd_verify(path: str, target: str, suite: str, seed: int, tol: float,
-               json_path: str | None) -> int:
+def cmd_verify(path: str, target: str, suite: str, json_path: str | None) -> int:
     if suite not in SUITES:
         print(f"error: unknown suite {suite!r}; choose from {sorted(SUITES)}",
               file=sys.stderr)
@@ -378,7 +398,7 @@ def cmd_verify(path: str, target: str, suite: str, seed: int, tol: float,
         print(f"error: cannot load workspace {path!r}: {exc}", file=sys.stderr)
         return 2
     try:
-        rep = SUITES[suite](ws, target, seed, tol)
+        rep = SUITES[suite](ws, target)
     except HypothesisFailure as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
@@ -399,7 +419,7 @@ def cmd_verify(path: str, target: str, suite: str, seed: int, tol: float,
 # construct
 # ---------------------------------------------------------------------------
 
-def _construct(ws: Workspace, recipe: str, seed: int, tol: float):
+def _construct(ws: Workspace, recipe: str):
     if ":" not in recipe:
         raise ValueError("recipe must look like 'op:target[,target2]'")
     op, _, argstr = recipe.partition(":")
@@ -457,9 +477,7 @@ def _construct(ws: Workspace, recipe: str, seed: int, tol: float):
         }}, verify_braided_group(bg)
     if op == "nd":
         from .adjstable import psi_phi
-        obj = ws.get(args[0])
-        q = ws.resolve_qt(obj["qt"])
-        basis = [vec(v) for v in obj["basis"]]
+        q, basis = ws.resolve_subcoalgebra(args[0])
         pp = psi_phi(basis, q)
         return {"constructed": ser_algebra(pp.nd.carrier),
                 "psi": _ser_mat(pp.psi.matrix),
@@ -476,14 +494,14 @@ def _construct(ws: Workspace, recipe: str, seed: int, tol: float):
     raise ValueError(f"unknown recipe {op!r}")
 
 
-def cmd_construct(path: str, recipe: str, out: str, seed: int, tol: float) -> int:
+def cmd_construct(path: str, recipe: str, out: str) -> int:
     try:
         ws = Workspace.load(path)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot load workspace {path!r}: {exc}", file=sys.stderr)
         return 2
     try:
-        payload, rep = _construct(ws, recipe, seed, tol)
+        payload, rep = _construct(ws, recipe)
     except HypothesisFailure as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
@@ -511,8 +529,7 @@ def main(argv=None) -> int:
     # the global flags are accepted before and after the subcommand; they set
     # nothing when absent, so one given before is not reset by the subcommand
     flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    flags.add_argument("--seed", type=int, help="seed for the block oracle (default 0)")
-    flags.add_argument("--tol", type=float, help="float tolerance for repdim (default 1e-8)")
+    flags.add_argument("--seed", type=int, help="seed for exact block sizes (default 0)")
     flags.add_argument("--json", help="write the JSON report here")
     ap = argparse.ArgumentParser(prog="hopfsmash", description=__doc__, parents=[flags])
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -527,13 +544,13 @@ def main(argv=None) -> int:
     c.add_argument("workspace")
     c.add_argument("recipe")
     c.add_argument("out")
-    ns = ap.parse_args(argv, argparse.Namespace(seed=0, tol=1e-8, json=None))
+    ns = ap.parse_args(argv, argparse.Namespace(seed=0, json=None))
     if ns.cmd == "demo":
-        return cmd_demo(ns.name, ns.seed, ns.tol, ns.json)
+        return cmd_demo(ns.name, ns.seed, ns.json)
     if ns.cmd == "verify":
-        return cmd_verify(ns.workspace, ns.target, ns.suite, ns.seed, ns.tol, ns.json)
+        return cmd_verify(ns.workspace, ns.target, ns.suite, ns.json)
     if ns.cmd == "construct":
-        return cmd_construct(ns.workspace, ns.recipe, ns.out, ns.seed, ns.tol)
+        return cmd_construct(ns.workspace, ns.recipe, ns.out)
     return 2
 
 

@@ -34,10 +34,17 @@ class DimensionMismatch(ValueError):
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, string 'p/q', or Fraction to an exact rational."""
+    """Coerce an int, string 'p/q', or Fraction to an exact rational. A bool
+    or a float raises TypeError; a string that is not a rational or has a zero
+    denominator raises ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
@@ -69,8 +76,15 @@ def vec_dot(u, v):
     return sum((a * b for a, b in zip(u, v)), RAT_ZERO)
 
 
-def is_zero_vec(v) -> bool:
-    return all(a == 0 for a in v)
+def lin_comb(coeffs, vectors, dim: int) -> tuple:
+    """sum_p coeffs[p] vectors[p], a vector of length dim."""
+    out = [RAT_ZERO] * dim
+    for c, v in zip(coeffs, vectors):
+        if c != 0:
+            for idx, x in enumerate(v):
+                if x != 0:
+                    out[idx] += c * x
+    return tuple(out)
 
 
 def mat(rows) -> tuple:
@@ -406,15 +420,8 @@ def _eigenspaces(op, blk, dim: int):
     for lam in sorted(set(roots)):
         shifted = tuple(tuple(restr[r][c] - (lam if r == c else 0) for c in range(k))
                         for r in range(k))
-        piece = []
-        for kv in kernel_basis(shifted):
-            amb = [RAT_ZERO] * dim
-            for ci, bvec in zip(kv, blk):
-                if ci != 0:
-                    for idx, bv in enumerate(bvec):
-                        amb[idx] += ci * bv
-            piece.append(tuple(amb))
-        pieces.append(span_basis(piece, dim))
+        pieces.append(span_basis([lin_comb(kv, blk, dim) for kv in kernel_basis(shifted)],
+                                 dim))
     return pieces if sum(len(p) for p in pieces) == k else None
 
 
@@ -496,6 +503,25 @@ def _poly_deflate(poly, root):
         acc = acc * root + c
         out_rev.append(acc)
     return list(reversed(out_rev))
+
+
+def _poly_gcd(a, b) -> list:
+    """Monic gcd over Q of two polynomials, coefficients ascending, by
+    Euclid's algorithm; a and b must not both be zero."""
+    def strip(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+    a, b = strip([Fraction(c) for c in a]), strip([Fraction(c) for c in b])
+    while b:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            strip(a)
+        a, b = b, a
+    return [c / a[-1] for c in a]
 
 
 # ---------------------------------------------------------------------------

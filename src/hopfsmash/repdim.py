@@ -1,11 +1,10 @@
-"""Numerical Wedderburn block decomposition over the complex field,
-Frobenius-Perron dimension reports, the class idempotents of C(H*), and the
-divisibility corollary for irreducible Yetter-Drinfeld summands.
+"""Exact Wedderburn block sizes over the algebraic closure, Frobenius-Perron
+dimension reports, the class idempotents of C(H*), and the divisibility
+corollary for irreducible Yetter-Drinfeld summands.
 
-This is the only non-exact module: the center and all subspaces are computed
-exactly; only the spectrum splitting (a seeded random central element in the
-regular representation) runs over complex floats, with loud failure on
-near-degenerate spectra.
+Everything here is exact: block sizes come from the minimal polynomial of a
+seeded central element on the centre and the power sums of the regular
+trace, certified against dim Z(A) and dim A.
 """
 
 from __future__ import annotations
@@ -13,14 +12,16 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from math import isqrt
 
 from .exactlin import (
     RAT_ZERO,
     Subspace,
+    _min_poly,
+    _poly_gcd,
     basis_vec,
     kernel_basis,
+    lin_comb,
     rank,
     solve,
     span_basis,
@@ -39,8 +40,6 @@ from .modalg import regular_trace
 from .qtriang import BraidedGroupData, QTStructure, hr_star_algebra
 from .report import HypothesisFailure, VerificationReport
 
-DEFAULT_TOL = 1e-8
-GAP_FLOOR = 1e-4
 MAX_RESEEDS = 3
 
 
@@ -48,84 +47,61 @@ MAX_RESEEDS = 3
 class BlockReport:
     dim: int
     blocks: tuple       # sorted simple-module dimensions d, sum d^2 = dim
-    residual: float
     seed: int
-    tolerance: float
 
     def to_dict(self) -> dict:
-        return {"dim": self.dim, "blocks": list(self.blocks),
-                "residual": self.residual, "seed": self.seed,
-                "tolerance": self.tolerance}
+        return {"dim": self.dim, "blocks": list(self.blocks), "seed": self.seed}
 
 
-def _check_semisimple(a: StructureAlgebra) -> None:
+def _check_semisimple(a: StructureAlgebra) -> tuple:
+    """The regular trace alpha of a; NotSemisimple when its trace form is
+    degenerate."""
     alpha = regular_trace(a)
     n = a.dim
     gram = tuple(tuple(vec_dot(alpha, a.mul(basis_vec(n, i), basis_vec(n, j)))
                        for j in range(n)) for i in range(n))
     if rank(gram) != n:
         raise NotSemisimple("regular trace form is degenerate: nonzero radical")
+    return alpha
 
 
-def wedderburn_blocks(a: StructureAlgebra, tol: float = DEFAULT_TOL,
-                      seed: int = 0) -> BlockReport:
-    """Complex Wedderburn block sizes via the spectrum of a seeded random
-    central element in the regular representation; center exact, re-seeds up
-    to 3 times on near-degenerate spectra, deterministic for a fixed seed."""
-    _check_semisimple(a)
+def wedderburn_blocks(a: StructureAlgebra, *, seed: int = 0) -> BlockReport:
+    """Exact Wedderburn block sizes d_i of a semisimple algebra over the
+    algebraic closure; deterministic for a fixed seed.
+
+    A seeded central z = sum_i lambda_i e_i has power sums p_m = alpha(z^m) =
+    sum_i d_i^2 lambda_i^m under the regular trace alpha. If the minimal
+    polynomial mu of L_z on Z(A) has degree r = dim Z(A), the lambda_i are
+    distinct, and the polynomial part Q of mu(x) sum_m p_m x^(-m-1) has
+    Q(lambda_i) = d_i^2 mu'(lambda_i); so deg gcd(mu, Q - d^2 mu') blocks have
+    size d, rational lambda_i or not. Otherwise z is re-seeded."""
+    alpha = _check_semisimple(a)
     n = a.dim
     center = a.center_basis()
-    last_err = None
-    for attempt in range(MAX_RESEEDS + 1):
-        cur = seed + attempt
+    r = len(center)
+    zspace = Subspace(center, n)
+    for cur in range(seed, seed + MAX_RESEEDS + 1):
         rng = random.Random(cur)
-        z = [RAT_ZERO] * n
-        for b in center:
-            c = rng.randint(1, 97)
-            for i, bv in enumerate(b):
-                z[i] += c * bv
-        lz = a.left_mult_matrix(tuple(z))
-        mat = np.array([[float(x) for x in row] for row in lz], dtype=float)
-        eig = np.linalg.eigvals(mat)
-        scale = max(1.0, float(np.abs(eig).max()))
-        clusters: list[list[complex]] = []
-        for lam in eig:
-            placed = False
-            for cl in clusters:
-                if abs(lam - cl[0]) <= 1e-6 * scale:
-                    cl.append(lam)
-                    placed = True
-                    break
-            if not placed:
-                clusters.append([lam])
-        centers = [sum(cl) / len(cl) for cl in clusters]
-        gap = min((abs(c1 - c2) for i, c1 in enumerate(centers)
-                   for c2 in centers[i + 1:]), default=float("inf"))
-        if gap <= GAP_FLOOR * scale:
-            last_err = f"eigenvalue gap {gap:.2e} below floor (seed {cur})"
+        z = lin_comb([rng.randint(1, 97) for _ in center], center, n)
+        mu = _min_poly(transpose(tuple(zspace.coords(a.mul(z, c)) for c in center)))
+        if len(mu) <= r:
             continue
-        sizes = sorted(len(cl) for cl in clusters)
-        dims = []
-        okay = True
-        for m in sizes:
-            d = round(m ** 0.5)
-            if d * d != m:
-                okay = False
-                break
-            dims.append(d)
-        if not okay:
-            last_err = f"cluster size not a perfect square (seed {cur}): {sizes}"
-            continue
-        if sum(d * d for d in dims) != n:
-            last_err = f"cluster sizes {sizes} do not sum to {n} (seed {cur})"
-            continue
-        residual = max(max(abs(lam - sum(cl) / len(cl)) for lam in cl)
-                       for cl in clusters) / scale
-        if residual >= tol:
-            last_err = f"cluster spread {residual:.2e} above tolerance (seed {cur})"
-            continue
-        return BlockReport(n, tuple(sorted(dims)), float(residual), cur, tol)
-    raise NotSemisimple(f"block detection failed after {MAX_RESEEDS + 1} seeds: {last_err}")
+        sums, power = [], a.unit
+        for _ in range(r):
+            sums.append(vec_dot(alpha, power))
+            power = a.mul(z, power)
+        q = [sum(mu[k + m + 1] * sums[m] for m in range(r - k)) for k in range(r)]
+        dmu = [k * c for k, c in enumerate(mu)][1:]
+        blocks = []
+        for d in range(1, isqrt(n) + 1):
+            g = _poly_gcd(mu, [x - d * d * y for x, y in zip(q, dmu)])
+            blocks.extend([d] * (len(g) - 1))
+        if len(blocks) != r or sum(d * d for d in blocks) != n:
+            raise NotSemisimple(f"block sizes {tuple(blocks)} do not certify dim Z(A) = {r} "
+                                f"and dim A = {n} (seed {cur})")
+        return BlockReport(n, tuple(blocks), cur)
+    raise NotSemisimple(f"no seeded central element separates the {r} blocks "
+                        f"after {MAX_RESEEDS + 1} seeds")
 
 
 @dataclass(frozen=True)
@@ -135,7 +111,7 @@ class FpdimReport:
     report: VerificationReport
 
 
-def fpdim_report(s_wha, a_mod, tol: float = DEFAULT_TOL, seed: int = 0) -> FpdimReport:
+def fpdim_report(s_wha, a_mod, *, seed: int = 0) -> FpdimReport:
     """For each Wedderburn block (= simple module V) of A#H: dim A divides
     dim V and FPdim V = dim V / dim A, an exact integer."""
     from .modalg import is_H_simple
@@ -143,8 +119,7 @@ def fpdim_report(s_wha, a_mod, tol: float = DEFAULT_TOL, seed: int = 0) -> Fpdim
     if hs.kind != "certified_simple":
         raise HypothesisFailure("A-is-H-simple", hs.kind)
     rep = VerificationReport("fpdim")
-    br = wedderburn_blocks(s_wha.algebra, tol, seed)
-    rep.add("residual_below_tolerance", br.residual < tol, (br.residual,))
+    br = wedderburn_blocks(s_wha.algebra, seed=seed)
     na = a_mod.A.dim
     ok = rep.check("dimension_divisibility", ((d, na) for d in br.blocks if d % na != 0))
     fpdims = tuple(d // na for d in itertools.takewhile(lambda d: d % na == 0, br.blocks))
@@ -203,14 +178,7 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
         raise HypothesisFailure("C(H*)-split-over-Q")
 
     # block representatives in H* coordinates
-    reps = []
-    for blk in blocks:
-        w = [RAT_ZERO] * n
-        for ci, bvec in zip(blk[0], c_basis):
-            if ci != 0:
-                for idx, bv in enumerate(bvec):
-                    w[idx] += ci * bv
-        reps.append(tuple(w))
+    reps = [lin_comb(blk[0], c_basis, n) for blk in blocks]
 
     # F_i: the element of C acting as identity on line i and zero elsewhere;
     # one system, solved for each line's right-hand side
@@ -226,22 +194,13 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
         sol = solve(rows_m, rhs)
         if sol is None:
             raise HypothesisFailure("C(H*)-idempotent-solve")
-        w = [RAT_ZERO] * n
-        for ci, bvec in zip(sol, c_basis):
-            if ci != 0:
-                for idx, bv in enumerate(bvec):
-                    w[idx] += ci * bv
-        idems.append(tuple(w))
+        idems.append(lin_comb(sol, c_basis, n))
 
     rep.check("idempotent", ((i,) for i, f in enumerate(idems) if dual.mul(f, f) != f))
     rep.check("orthogonal",
               ((i, j) for i in range(len(idems)) for j in range(i + 1, len(idems))
                if any(c != 0 for c in dual.mul(idems[i], idems[j]))))
-    total = [RAT_ZERO] * n
-    for f in idems:
-        for i, c in enumerate(f):
-            total[i] += c
-    rep.add("sum_to_counit", tuple(total) == h.counit)
+    rep.add("sum_to_counit", lin_comb([1] * len(idems), idems, n) == h.counit)
 
     ar = hr_star_algebra(bg)
     rep.check("central_in_hr_star",

@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a pass line.
 
-Every check is exact (denominators and all) except the Wedderburn block
-residual, whose tolerance is pinned at 1e-8. The big Heisenberg case
-(dimension 216) carries a 10-minute budget and typically runs in seconds.
+Every check is exact, denominators and Wedderburn block sizes included. The
+big Heisenberg case (dimension 216) carries a 10-minute budget and typically
+runs in seconds.
 """
 
 import time
@@ -17,8 +17,6 @@ from hopfsmash.qtriang import (
     almost_triangular_equivalences,
 )
 from hopfsmash.report import HypothesisFailure
-
-BLOCK_TOLERANCE = 1e-8
 
 
 def _announce(num, text):
@@ -58,14 +56,16 @@ def test_criterion_2_groupoid_example(s3_table):
 
 def test_criterion_3_fpdim(sws18, m3):
     from hopfsmash.repdim import fpdim_report, wedderburn_blocks
-    br = wedderburn_blocks(sws18.wha.algebra, tol=BLOCK_TOLERANCE)
+    alg = sws18.wha.algebra
+    br = wedderburn_blocks(alg)
     assert br.blocks == (3, 3)
-    assert br.residual < BLOCK_TOLERANCE
-    fp = fpdim_report(sws18.wha, m3, tol=BLOCK_TOLERANCE)
+    assert len(br.blocks) == len(alg.center_basis())
+    assert sum(d * d for d in br.blocks) == alg.dim
+    fp = fpdim_report(sws18.wha, m3)
     assert fp.report.ok
     assert fp.fpdims == (1, 1)
-    _announce(3, "blocks {3, 3} with residual < 1e-8, dim A = 3 divides both, "
-                 "FPdim = 1 for both simples")
+    _announce(3, "exact blocks {3, 3} (two blocks = dim Z, 9 + 9 = 18), dim A = 3 "
+                 "divides both, FPdim = 1 for both simples")
 
 
 def test_criterion_4_b_embedding(b54, sws18, q_s3, m3):

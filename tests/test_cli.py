@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from hopfsmash import __version__
-from hopfsmash.cli import main
+from hopfsmash import demos as dm
+from hopfsmash.cli import main, ser_hopf
 
 
 def write_workspace(path):
@@ -278,3 +281,17 @@ def test_short_weak_r_is_rejected_not_padded(tmp_path, capsys):
     ws.write_text(json.dumps(doc))
     assert main(["verify", str(ws), "wq", "weak-qt"]) == 2
     assert "wq.Rbar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell, scalar", [((0, 1, 0), "1/0"), ((0, 1, 0), 1.5),
+                                          ((0, 0, 0), True)],
+                         ids=["zero-denominator", "float", "bool"])
+def test_workspace_scalar_is_refused(tmp_path, capsys, cell, scalar):
+    # True sits where kZ2 has a 1, so reading it as 1 would pass every check
+    h = ser_hopf(dm.k_z2())
+    i, j, k = cell
+    h["mult"][i][j][k] = scalar
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps({"objects": {"h": h}}))
+    assert main(["verify", str(ws), "h", "hopf"]) == 2
+    assert "object 'h'" in capsys.readouterr().err

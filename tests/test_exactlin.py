@@ -9,6 +9,7 @@ from hopfsmash.exactlin import (
     Subspace,
     Tensor3,
     TensorElem,
+    _poly_gcd,
     basis_vec,
     contract,
     identity_mat,
@@ -39,6 +40,22 @@ def test_rat_string_roundtrip():
     assert rat_str(F(5)) == "5"
     with pytest.raises(TypeError):
         rat(1.5)
+
+
+def test_rat_refuses_inexact_and_ill_formed_scalars():
+    with pytest.raises(TypeError):
+        rat(True)
+    with pytest.raises(ValueError):
+        rat("1/0")
+    with pytest.raises(ValueError):
+        rat("one")
+
+
+def test_poly_gcd_is_monic():
+    # (x - 1)(x - 2) and (2x - 4)(x + 3) share x - 2
+    assert _poly_gcd([2, -3, 1], [-12, 2, 2]) == [-2, 1]
+    assert _poly_gcd([1, 0, 1], [0, 1]) == [1]
+    assert _poly_gcd([0, 0, 3], [0]) == [0, 0, 1]
 
 
 def test_kernel_examples():

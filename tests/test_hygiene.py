@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and the package
+imports nothing outside the standard library.
 
 An AST scan stands in for pyflakes: a name bound by an import counts as used
 when it appears anywhere in the module as a name, as the root of an
@@ -6,6 +7,7 @@ attribute chain, in a string annotation, or in `__all__`.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for d in ("src/hopfsmash", "tests", "scripts")
                  for p in (ROOT / d).glob("*.py"))
+PACKAGE = sorted((ROOT / "src/hopfsmash").glob("*.py"))
 
 
 def _imported(tree):
@@ -63,3 +66,34 @@ def test_scan_finds_unused_and_accepts_used():
            "    from g import h\n"
            "    return os.sep, d\n")
     assert unused_imports(src) == [("b", 3), ("h", 5)]
+
+
+def foreign_imports(source: str) -> list:
+    """(top-level module, line) of every absolute import that is neither in
+    the standard library nor hopfsmash itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(top, node.lineno) for top in (n.split(".")[0] for n in names)
+                  if top not in sys.stdlib_module_names and top != "hopfsmash"]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_only_stdlib(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_scan_finds_foreign_imports():
+    src = ("import os, numpy.linalg\n"
+           "from fractions import Fraction\n"
+           "from . import exactlin\n"
+           "from hopfsmash.cli import main\n"
+           "def f():\n"
+           "    from scipy import sparse\n")
+    assert foreign_imports(src) == [("numpy", 1), ("scipy", 6)]

@@ -23,7 +23,8 @@ def test_blocks_ks3(ks3):
     assert len(ks3.algebra.center_basis()) == 3
     br = wedderburn_blocks(ks3.algebra)
     assert br.blocks == (1, 1, 2)
-    assert br.residual < 1e-8
+    assert len(br.blocks) == len(ks3.algebra.center_basis())
+    assert sum(d * d for d in br.blocks) == ks3.dim
 
 
 def test_blocks_smash(smash18):
@@ -38,6 +39,37 @@ def test_blocks_matrix_algebra():
     assert wedderburn_blocks(m2.algebra).blocks == (2,)
     m3 = groupoid_wha(pair_groupoid(3))
     assert wedderburn_blocks(m3.algebra).blocks == (3,)
+
+
+def _exact_blocks(a):
+    br = wedderburn_blocks(a)
+    assert len(br.blocks) == len(a.center_basis())
+    assert sum(d * d for d in br.blocks) == a.dim
+    return br.blocks
+
+
+def test_blocks_irrational_characters_kz5():
+    # the central characters of kZ5 take the primitive 5th roots of unity:
+    # no rational root splits the centre, yet the five blocks are exact
+    assert _exact_blocks(group_algebra(dm.cyclic_table(5)).algebra) == (1, 1, 1, 1, 1)
+
+
+def test_blocks_ks4():
+    assert _exact_blocks(group_algebra(dm.symmetric_table(4)).algebra) == (1, 1, 2, 3, 3)
+
+
+def test_blocks_double_s3(double_s3):
+    # D(kS3) has 8 simple modules, two of them with characters in Q(omega)
+    dd, _ = double_s3
+    assert _exact_blocks(dd.algebra) == (1, 1, 2, 2, 2, 2, 3, 3)
+
+
+def test_blocks_reseed_when_z_does_not_separate():
+    # seed 63 draws the same coefficient for both idempotents of k x k, so
+    # z is a scalar and the next seed is taken
+    br = wedderburn_blocks(pointwise_algebra(2), seed=63)
+    assert br.blocks == (1, 1)
+    assert br.seed == 64
 
 
 def test_blocks_deterministic(ks3):
