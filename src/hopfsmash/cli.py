@@ -467,14 +467,13 @@ def _construct(ws: Workspace, recipe: str):
     if op == "transmute":
         q = ws.resolve_qt(args[0])
         bg = transmute(q)
-        from .qtriang import verify_braided_group
         return {"constructed": {
             "type": "braided-group",
             "dim": q.host.dim,
             "adjoint_action": ser_t3(bg.adjoint_action),
             "comult_R": ser_t3(bg.comult_R),
             "antipode_R": _ser_mat(bg.antipode_R),
-        }}, verify_braided_group(bg)
+        }}, bg.report
     if op == "nd":
         from .adjstable import psi_phi
         q, basis = ws.resolve_subcoalgebra(args[0])

@@ -129,18 +129,24 @@ class StructureAlgebra:
         return True
 
     def centralizer_basis(self, vectors) -> list:
-        """Exact basis of {w : w v = v w for all given v}."""
-        rows = []
+        """Exact basis of {w : w v = v w for all given v}: the kernel of the
+        rows of w |-> w v - v w, read off the multiplication rows."""
+        n = self.dim
+        rows = self.mult._rows
+        eqs = []
         for v in vectors:
-            diff = [
-                tuple(x - y for x, y in zip(self.mul(basis_vec(self.dim, c), v),
-                                            self.mul(v, basis_vec(self.dim, c))))
-                for c in range(self.dim)
-            ]
-            rows.extend(transpose(tuple(diff)))
-        if not rows:
-            return [basis_vec(self.dim, i) for i in range(self.dim)]
-        return kernel_basis(tuple(rows))
+            m = [[RAT_ZERO] * n for _ in range(n)]    # m[r][c]: e_r in e_c v - v e_c
+            for j, cj in sp(v).items():
+                rj = rows[j]
+                for c in range(n):
+                    for r, w in rows[c][j]:
+                        m[r][c] += cj * w
+                    for r, w in rj[c]:
+                        m[r][c] -= cj * w
+            eqs.extend(tuple(row) for row in m)
+        if not eqs:
+            return [basis_vec(n, i) for i in range(n)]
+        return kernel_basis(tuple(eqs))
 
     def center_basis(self) -> list:
         return self.centralizer_basis([basis_vec(self.dim, i) for i in range(self.dim)])
@@ -566,16 +572,73 @@ def comult_multiplicative_failures(alg: StructureAlgebra, coal: StructureCoalgeb
                 yield (i, j)
 
 
-def module_law_failures(h: HopfData, action: Tensor3):
-    """Triples (i, j, x) with (e_i e_j) . v_x != e_i . (e_j . v_x) for a left
-    action tensor action[h][x][y]."""
+def module_law_failures(h: HopfData, action: Tensor3, right=None):
+    """Triples (i, j, x), j in `right` (every index when None), with
+    (e_i e_j) . v_x != e_i . (e_j . v_x) for a left action tensor
+    action[h][x][y].
+
+    On an associative H it is enough that `right` is S = h.algebra.generators:
+    if T = {w : (g w) . v = g . (w . v) for all g, v} holds S, then for w in T,
+    s in S: (g (w s)) . v = ((g w) s) . v = (g w) . (s . v) = g . (w . (s . v))
+    = g . ((w s) . v) by associativity, s, w, s in turn; so T = H.
+    """
+    rows = action._rows
+    mult = h.algebra.mult._rows
     for i in range(h.dim):
-        for j in range(h.dim):
-            prod = h.algebra.mul_sparse({i: RAT_ONE}, {j: RAT_ONE})
+        ri = rows[i]
+        for j in range(h.dim) if right is None else right:
+            rij = mult[i][j]
+            rj = rows[j]
             for x in range(action.dims[1]):
-                e = {x: RAT_ONE}
-                if action.act(prod, e) != action.act({i: RAT_ONE}, action.act({j: RAT_ONE}, e)):
+                lhs: dict = {}
+                for k, c in rij:
+                    for y, w in rows[k][x]:
+                        sp_add(lhs, y, c * w)
+                rhs: dict = {}
+                for k, c in rj[x]:
+                    for y, w in ri[k]:
+                        sp_add(rhs, y, c * w)
+                if lhs != rhs:
                     yield (i, j, x)
+
+
+def measuring_failures(h: HopfData, action: Tensor3, alg: StructureAlgebra, acting=None):
+    """Triples (i, x, y), i in `acting` (every index when None), with
+    e_i . (e_x e_y) != (h_(1) . e_x)(h_(2) . e_y), h = e_i, for a left action
+    tensor action[h][x][y] of H on the algebra alg.
+
+    Once the module law holds and Delta is multiplicative, it is enough that
+    `acting` is S = h.algebra.generators: if T = {w : w . (x y) =
+    (w_(1) . x)(w_(2) . y) for all x, y} holds S, then for w in T, s in S:
+    (w s) . (x y) = w . (s . (x y)) = w . ((s_(1) . x)(s_(2) . y))
+    = (w_(1) . (s_(1) . x))(w_(2) . (s_(2) . y))
+    = ((w_(1) s_(1)) . x)((w_(2) s_(2)) . y) = ((w s)_(1) . x)((w s)_(2) . y)
+    by the module law, s, w, the module law and Delta(w s) = Delta(w) Delta(s);
+    so T is closed under right products by S, T = H.
+    """
+    rows = action._rows
+    mult = alg.mult._rows
+    na = action.dims[1]
+    for i in range(h.dim) if acting is None else acting:
+        ri = rows[i]
+        delta = h.coalgebra.comul_row(i)
+        for x in range(na):
+            # h_(1) . e_x = sum c e_k, paired with the action rows of h_(2)
+            left = [(mult[k], rows[b], c * ck) for a, b, c in delta for k, ck in rows[a][x]]
+            mx = mult[x]
+            for y in range(na):
+                lhs: dict = {}
+                for k, ck in mx[y]:
+                    for m, cm in ri[k]:
+                        sp_add(lhs, m, ck * cm)
+                rhs: dict = {}
+                for mk, rb, c in left:
+                    for k2, c2 in rb[y]:
+                        cc = c * c2
+                        for m, cm in mk[k2]:
+                            sp_add(rhs, m, cc * cm)
+                if lhs != rhs:
+                    yield (i, x, y)
 
 
 def intertwining_failures(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict):

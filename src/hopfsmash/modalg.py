@@ -27,6 +27,7 @@ from .exactlin import (
 from .hopfcore import (
     HopfData,
     StructureAlgebra,
+    measuring_failures,
     module_law_failures,
     sp,
     sp_add,
@@ -83,22 +84,7 @@ def verify_module_algebra(m: ModuleAlgebraData, subject: str = "module_algebra")
 
     rep.check("action_module_law", module_law_failures(h, m.action))
 
-    def measuring_failures():
-        for i in range(nh):
-            for a in range(na):
-                for b in range(na):
-                    prod = A.mul_sparse({a: RAT_ONE}, {b: RAT_ONE})
-                    lhs = act({i: RAT_ONE}, prod)
-                    rhs: dict = {}
-                    for p, q, c in h.coalgebra.comul_row(i):
-                        va = act({p: RAT_ONE}, {a: RAT_ONE})
-                        vb = act({q: RAT_ONE}, {b: RAT_ONE})
-                        for k, w in A.mul_sparse(va, vb).items():
-                            sp_add(rhs, k, c * w)
-                    if lhs != rhs:
-                        yield (i, a, b)
-
-    rep.check("measuring", measuring_failures())
+    rep.check("measuring", measuring_failures(h, m.action, A))
 
     one_a = A.unit_sparse
     eps = h.counit

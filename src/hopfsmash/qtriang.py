@@ -10,11 +10,18 @@ The QT axiom orientation, fixed once and used by every downstream formula:
 
 All downstream formulas (Delta_R, the smash antipode, the weak R-matrix) are
 written in this convention, so it is not configurable.
+
+The braided-group identities are scanned with one argument in the certified
+generating set S of the host (see verify_braided_group), and the right
+action of H on H_R^* used by the equivalences and the dual separability
+idempotent is read off the adjoint action tensor once per braided group
+(BraidedGroupData.dual_right_action).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .exactlin import (
     RAT_ONE,
@@ -22,18 +29,17 @@ from .exactlin import (
     Tensor3,
     TensorElem,
     basis_vec,
-    mat_vec,
-    transpose,
-    vec_dot,
 )
 from .hopfcore import (
     HopfData,
     StructureAlgebra,
     StructureCoalgebra,
+    certified_scan,
+    comult_multiplicative_failures,
     convolution_algebra,
-    harpoon_left,
     hexagon_sides,
     intertwining_failures,
+    measuring_failures,
     module_law_failures,
     sp,
     sp_add,
@@ -41,6 +47,7 @@ from .hopfcore import (
     sparse_outer,
     tensor_mul_sparse,
     unsp,
+    verify_algebra,
     verify_coalgebra,
 )
 from .report import VerificationReport
@@ -195,21 +202,37 @@ def adjoint_action_tensor(h: HopfData) -> Tensor3:
 
 @dataclass(frozen=True)
 class BraidedGroupData:
-    """The transmuted braided group H_R: adjoint action, Delta_R, S_R."""
+    """The transmuted braided group H_R: adjoint action, Delta_R, S_R, and the
+    report `transmute` verified them with (None when built directly)."""
 
     host: QTStructure
     adjoint_action: Tensor3
     comult_R: Tensor3
     antipode_R: tuple
+    report: VerificationReport | None = field(default=None, compare=False)
 
     @property
     def braided_coalgebra(self) -> StructureCoalgebra:
         return StructureCoalgebra(self.host.host.dim, self.comult_R, self.host.host.counit)
 
+    @cached_property
+    def dual_right_action(self) -> tuple:
+        """dual_right_action[a][g] = e^g <<- e_a as {l: coeff}, where
+        <f <<- h, l> = <f, h .ad l>; so <e^g <<- e_a, e_l> = ad[a][l][g], read
+        off the nonzeros of the adjoint action tensor.  Shared by every
+        caller: read it, do not modify it."""
+        n = self.host.host.dim
+        table = [[{} for _ in range(n)] for _ in range(n)]
+        for a, row in enumerate(self.adjoint_action._rows):
+            for l, cell in enumerate(row):
+                for g, c in cell:
+                    table[a][g][l] = c
+        return tuple(map(tuple, table))
 
 
 def transmute(q: QTStructure) -> BraidedGroupData:
-    """Assemble (ad, Delta_R, S_R) and verify the braided-group identities."""
+    """Assemble (ad, Delta_R, S_R) and verify the braided-group identities;
+    the report is kept on the result."""
     h = q.host
     n = h.dim
     ad = adjoint_action_tensor(h)
@@ -239,68 +262,94 @@ def transmute(q: QTStructure) -> BraidedGroupData:
     antipode_R = tuple(tuple(row) for row in anti)
 
     bg = BraidedGroupData(q, ad, comult_R, antipode_R)
-    verify_braided_group(bg).require()
-    return bg
+    return replace(bg, report=verify_braided_group(bg).require())
 
 
 def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
+    """The braided-group identities of (ad, Delta_R, S_R) over the host H.
+
+    The module law is scanned with its second factor in S =
+    h.algebra.generators, and the measuring law and the Delta_R module map
+    with the acting element in S once the module law has passed; the
+    inductions are in hopfcore.module_law_failures, hopfcore.measuring_failures
+    and comult_R_failures below.  They need an associative H with Delta
+    multiplicative, which is checked here (and not reported), since the host
+    may come from `unverified_qt`; without it every law is scanned in full.
+    A reduced scan that fails is rerun in full, so witnesses are the full
+    scans' first failing cases.
+    """
     rep = VerificationReport("braided_group")
     q = bg.host
     h = q.host
     n = h.dim
+    alg = h.algebra
+    ad = bg.adjoint_action
+    ad_rows = ad._rows
     rep.merge(verify_coalgebra(bg.braided_coalgebra), "braided.")
-    act = bg.adjoint_action.act
 
     rep.check("adjoint_unital", ((i,) for i in range(n)
-                                 if act(h.algebra.unit_sparse, {i: RAT_ONE}) != {i: RAT_ONE}))
+                                 if ad.act(alg.unit_sparse, {i: RAT_ONE}) != {i: RAT_ONE}))
 
-    # module law (h g) .ad x = h .ad (g .ad x) on all triples
-    rep.check("adjoint_module_law", module_law_failures(h, bg.adjoint_action))
+    gens = None
+    if verify_algebra(alg).find("associativity").passed and next(
+            comult_multiplicative_failures(alg, h.coalgebra, alg.generators), None) is None:
+        gens = alg.generators
+
+    # module law (h g) .ad x = h .ad (g .ad x)
+    module_ok = rep.check("adjoint_module_law", certified_scan(
+        lambda js: module_law_failures(h, ad, js), gens, n))
+    acting = gens if module_ok else None
 
     # adjoint measures the product: h .ad (x y) = (h_(1) .ad x)(h_(2) .ad y)
-    def measuring_failures():
-        for i in range(n):
-            for x in range(n):
-                for y in range(n):
-                    prod = h.algebra.mul_sparse({x: RAT_ONE}, {y: RAT_ONE})
-                    lhs = act({i: RAT_ONE}, prod)
-                    rhs: dict = {}
-                    for a, b, c in h.coalgebra.comul_row(i):
-                        pa = act({a: RAT_ONE}, {x: RAT_ONE})
-                        pb = act({b: RAT_ONE}, {y: RAT_ONE})
-                        for m, cm in h.algebra.mul_sparse(pa, pb).items():
-                            sp_add(rhs, m, c * cm)
-                    if lhs != rhs:
-                        yield (i, x, y)
-
-    rep.check("adjoint_measuring", measuring_failures())
+    rep.check("adjoint_measuring", certified_scan(
+        lambda hs: measuring_failures(h, ad, alg, hs), acting, n))
 
     coal_R = bg.braided_coalgebra
 
-    def comult_R_failures():
-        for i in range(n):
+    def comult_R_failures(hs):
+        """Pairs (i, x) with Delta_R(h .ad x) != (h_(1) .ad x_(1)) (x) (h_(2) .ad x_(2)),
+        h = e_i, x_(1) (x) x_(2) = Delta_R(x).
+
+        Once the module law holds and Delta is multiplicative, i in S is
+        enough: if T = {w : Delta_R(w .ad x) = (w_(1) .ad x_(1)) (x)
+        (w_(2) .ad x_(2)) for all x} holds S, then for w in T, s in S:
+        Delta_R((w s) .ad x) = Delta_R(w .ad (s .ad x))
+        = (w_(1) .ad (s .ad x)_(1)) (x) (w_(2) .ad (s .ad x)_(2))
+        = (w_(1) .ad (s_(1) .ad x_(1))) (x) (w_(2) .ad (s_(2) .ad x_(2)))
+        = ((w_(1) s_(1)) .ad x_(1)) (x) ((w_(2) s_(2)) .ad x_(2))
+        = ((w s)_(1) .ad x_(1)) (x) ((w s)_(2) .ad x_(2))
+        by the module law, w, s, the module law and Delta(w s) = Delta(w) Delta(s);
+        so T = H.
+        """
+        for i in hs:
+            ri = ad_rows[i]
+            delta = h.coalgebra.comul_row(i)
             for x in range(n):
-                lhs = coal_R.comul_sparse(act({i: RAT_ONE}, {x: RAT_ONE}))
+                lhs: dict = {}
+                for k, ck in ri[x]:
+                    for p, p2, w in coal_R.comul_row(k):
+                        sp_add(lhs, (p, p2), ck * w)
                 rhs: dict = {}
-                for a, b, c in h.coalgebra.comul_row(i):
-                    for p, q2, w in coal_R.comul_row(x):
-                        va = act({a: RAT_ONE}, {p: RAT_ONE})
-                        vb = act({b: RAT_ONE}, {q2: RAT_ONE})
-                        for key, cc in sparse_outer(va, vb).items():
-                            sp_add(rhs, key, c * w * cc)
+                for a, b, c in delta:
+                    ra, rb = ad_rows[a], ad_rows[b]
+                    for p, p2, w in coal_R.comul_row(x):
+                        cw = c * w
+                        for k1, c1 in ra[p]:
+                            for k2, c2 in rb[p2]:
+                                sp_add(rhs, (k1, k2), cw * c1 * c2)
                 if lhs != rhs:
                     yield (i, x)
 
-    rep.check("comult_R_module_map", comult_R_failures())
+    rep.check("comult_R_module_map", certified_scan(comult_R_failures, acting, n))
 
     def braided_antipode_failures():
         for i in range(n):
             acc: dict = {}
             for j, k, c in coal_R.comul_row(i):
                 srj = {r: bg.antipode_R[r][j] for r in range(n) if bg.antipode_R[r][j] != 0}
-                for m, cm in h.algebra.mul_sparse(srj, {k: RAT_ONE}).items():
+                for m, cm in alg.mul_sparse(srj, {k: RAT_ONE}).items():
                     sp_add(acc, m, c * cm)
-            if acc != sp_scale(h.algebra.unit_sparse, h.counit[i]):
+            if acc != sp_scale(alg.unit_sparse, h.counit[i]):
                 yield (i,)
 
     rep.check("braided_antipode_identity", braided_antipode_failures())
@@ -369,17 +418,6 @@ def hr_star_algebra(bg: BraidedGroupData) -> StructureAlgebra:
     return convolution_algebra(bg.braided_coalgebra)
 
 
-def braided_right_action_on_dual(bg: BraidedGroupData, f, h_vec) -> tuple:
-    """f <<- h with <f <<- h, l> = <f, h .ad l>."""
-    n = bg.host.host.dim
-    out = [RAT_ZERO] * n
-    h_sp = sp(h_vec)
-    for l in range(n):
-        img = bg.adjoint_action.act(h_sp, {l: RAT_ONE})
-        out[l] = sum((c * f[k] for k, c in img.items()), RAT_ZERO)
-    return tuple(out)
-
-
 def hr_dual_separability(q: QTStructure, ip, bg: BraidedGroupData | None = None):
     """x = R^2 -> lambda_(1) (x) S*(lambda_(2)) <<- R^1 in H_R^* (x) H_R^*.
 
@@ -392,32 +430,34 @@ def hr_dual_separability(q: QTStructure, ip, bg: BraidedGroupData | None = None)
     if bg is None:
         bg = transmute(q)
     lam = ip.lam
-    st = transpose(h.antipode)
-
-    # Delta_{H*}(lambda)[a][b] = <lambda, e_a e_b>
-    wab = [[vec_dot(lam, h.algebra.mul(basis_vec(n, a), basis_vec(n, b)))
-            for b in range(n)] for a in range(n)]
+    mult = h.algebra.mult._rows
+    # Delta_{H*}(lambda) = sum_{a, b} <lambda, e_a e_b> e^a (x) e^b
+    wab = [[sum((w * lam[k] for k, w in mult[a][b]), RAT_ZERO) for b in range(n)]
+           for a in range(n)]
+    dual = bg.dual_right_action
     entries = []
     for (r1, r2), cr in q.R.items():
-        er1 = basis_vec(n, r1)
-        er2 = basis_vec(n, r2)
+        # left[a]: e_r2 -> e^a = sum_i <e^a, e_i e_r2> e^i
+        left = [[] for _ in range(n)]
+        for i in range(n):
+            for a, c in mult[i][r2]:
+                left[a].append((i, c))
+        # right[b]: S*(e^b) <<- e_r1, with S*(e^b) = sum_g antipode[b][g] e^g
+        right = []
+        for b in range(n):
+            acc: dict = {}
+            for g, cg in enumerate(h.antipode[b]):
+                if cg != 0:
+                    for j, cj in dual[r1][g].items():
+                        sp_add(acc, j, cg * cj)
+            right.append(acc)
         for a in range(n):
-            pa = [RAT_ZERO] * n
-            pa[a] = RAT_ONE
-            left = harpoon_left(h.algebra, er2, tuple(pa))
             for b in range(n):
                 c = wab[a][b] * cr
                 if c == 0:
                     continue
-                pb = [RAT_ZERO] * n
-                pb[b] = RAT_ONE
-                right = braided_right_action_on_dual(bg, mat_vec(st, tuple(pb)), er1)
-                for i, ci in enumerate(left):
-                    if ci == 0:
-                        continue
-                    for j, cj in enumerate(right):
-                        if cj == 0:
-                            continue
+                for i, ci in left[a]:
+                    for j, cj in right[b].items():
                         entries.append(((i, j), c * ci * cj))
     x = TensorElem.from_entries((n, n), entries)
 
@@ -465,18 +505,15 @@ def almost_triangular_equivalences(q: QTStructure, bg: BraidedGroupData | None =
 
     ar = hr_star_algebra(bg)
     r_items = list(q.R.items())
+    dual = bg.dual_right_action
 
     def quantum_commutativity_failures():
         for fidx in range(n):
-            f = basis_vec(n, fidx)
             for gidx in range(n):
-                g = basis_vec(n, gidx)
                 lhs = ar.mul_sparse({fidx: RAT_ONE}, {gidx: RAT_ONE})
                 rhs: dict = {}
                 for (a1, b1), c in r_items:
-                    gg = braided_right_action_on_dual(bg, g, basis_vec(n, a1))
-                    ff = braided_right_action_on_dual(bg, f, basis_vec(n, b1))
-                    for m, cm in ar.mul_sparse(sp(gg), sp(ff)).items():
+                    for m, cm in ar.mul_sparse(dual[a1][gidx], dual[b1][fidx]).items():
                         sp_add(rhs, m, c * cm)
                 if lhs != rhs:
                     yield (fidx, gidx)

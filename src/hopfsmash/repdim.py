@@ -58,7 +58,7 @@ def _check_semisimple(a: StructureAlgebra) -> tuple:
     degenerate."""
     alpha = regular_trace(a)
     n = a.dim
-    gram = tuple(tuple(vec_dot(alpha, a.mul(basis_vec(n, i), basis_vec(n, j)))
+    gram = tuple(tuple(sum((c * alpha[k] for k, c in a.mul_row(i, j)), RAT_ZERO)
                        for j in range(n)) for i in range(n))
     if rank(gram) != n:
         raise NotSemisimple("regular trace form is degenerate: nonzero radical")

@@ -218,6 +218,28 @@ def test_verify_qt_checks_r_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_construct_transmute_verifies_once(tmp_path, monkeypatch):
+    from hopfsmash import qtriang
+    ws = _starter_workspace(tmp_path / "ws.json")
+    calls = []
+    real = qtriang.verify_braided_group
+
+    def counted(bg):
+        calls.append(bg)
+        return real(bg)
+
+    monkeypatch.setattr(qtriang, "verify_braided_group", counted)
+    out = tmp_path / "bg.json"
+    assert main(["construct", str(ws), "transmute:qs3-trivial", str(out)]) == 0
+    assert len(calls) == 1
+    report = json.loads(out.read_text())["report"]
+    assert report["subject"] == "braided_group" and report["ok"]
+    assert [c["axiom"] for c in report["checks"]] == [
+        "braided.counit_law", "braided.coassociativity", "adjoint_unital",
+        "adjoint_module_law", "adjoint_measuring", "comult_R_module_map",
+        "braided_antipode_identity"]
+
+
 def test_verify_qt_corrupted_r_reports_witness(tmp_path, capsys):
     ws = _starter_workspace(tmp_path / "ws.json")
     doc = json.loads(ws.read_text())

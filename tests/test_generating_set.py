@@ -1,7 +1,8 @@
 """Certified generating sets and the axiom scans reduced to A x S.
 
 `generating_set` is checked against an independent span closure, and the
-reduced associativity, Delta- and eps-multiplicativity scans are checked
+reduced associativity, Delta- and eps-multiplicativity scans, and the
+braided-group module law, measuring law and Delta_R module map, are checked
 against full scans kept here: a full-scan reference report (every index
 taken as a generator, so each reduced scan is the full scan) and brute-force
 first failures written with plain dict arithmetic.
@@ -25,6 +26,7 @@ from hopfsmash.hopfcore import (
     verify_algebra,
     verify_hopf,
 )
+from hopfsmash.qtriang import BraidedGroupData, QTStructure, transmute, verify_braided_group
 from hopfsmash.weakhopf import WeakHopfData, verify_weak_bialgebra
 
 DELTAS = (F(1), F(-1), F(2), F(1, 2))
@@ -32,13 +34,13 @@ DELTAS = (F(1), F(-1), F(2), F(1, 2))
 
 @pytest.fixture(scope="module")
 def double_z3():
-    return drinfeld_double(group_algebra(dm.cyclic_table(3)))[0]
+    return drinfeld_double(group_algebra(dm.cyclic_table(3)))
 
 
 @pytest.fixture(scope="module")
 def hosts(ks3, double_z2, double_z3, sws18):
     """The objects whose constants the sweeps perturb."""
-    return {"kS3": ks3, "D(kZ2)": double_z2[0], "D(kZ3)": double_z3,
+    return {"kS3": ks3, "D(kZ2)": double_z2[0], "D(kZ3)": double_z3[0],
             "k3#kS3": sws18.wha}
 
 
@@ -139,16 +141,19 @@ def _reports(h, weak):
     return verify_algebra(h.algebra).to_dict(), second.to_dict()
 
 
+def _perturbed_t3(t, i, j, k, delta):
+    cells = {(a, b): dict(t.row(a, b)) for a in range(t.dims[0]) for b in range(t.dims[1])}
+    _add(cells[(i, j)], k, delta)
+    return Tensor3.from_row_dicts(t.dims, cells)
+
+
 def _perturbed(h, which, i, j, k, delta):
     n = h.dim
     if which == "counit":
         counit = list(h.counit)
         counit[i] += delta
         return type(h)(h.algebra, StructureCoalgebra(n, h.comult, tuple(counit)), h.antipode)
-    t = h.mult if which == "mult" else h.comult
-    cells = {(a, b): dict(t.row(a, b)) for a in range(n) for b in range(n)}
-    _add(cells[(i, j)], k, delta)
-    bad = Tensor3.from_row_dicts(t.dims, cells)
+    bad = _perturbed_t3(h.mult if which == "mult" else h.comult, i, j, k, delta)
     if which == "mult":
         return type(h)(StructureAlgebra(n, bad, h.unit), h.coalgebra, h.antipode)
     return type(h)(h.algebra, StructureCoalgebra(n, bad, h.counit), h.antipode)
@@ -309,3 +314,199 @@ def test_failed_associativity_falls_back_to_full_scans(ks3):
     assert rep.find("counit_multiplicative").witness == counit_first
     weak = verify_weak_bialgebra(WeakHopfData.from_hopf(bad))
     assert weak.find("comult_multiplicative").witness == comult_first
+
+
+# ---------------------------------------------------------------------------
+# the braided group: module law, measuring and the Delta_R module map
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def braided(bg_s3, double_z2, double_z3):
+    return {"kS3": bg_s3, "D(kZ2)": transmute(double_z2[1]), "D(kZ3)": transmute(double_z3[1])}
+
+
+def _act(bg, h, x):
+    out = {}
+    for i, a in h.items():
+        for j, b in x.items():
+            for k, w in bg.adjoint_action.row(i, j):
+                _add(out, k, a * b * w)
+    return out
+
+
+def _first_module_law_failure(bg, right=None):
+    h = bg.host.host
+    n = h.dim
+    for i in range(n):
+        for j in range(n) if right is None else right:
+            for x in range(n):
+                e = {x: F(1)}
+                if (_act(bg, _mul(h.algebra, {i: F(1)}, {j: F(1)}), e)
+                        != _act(bg, {i: F(1)}, _act(bg, {j: F(1)}, e))):
+                    return (i, j, x)
+    return None
+
+
+def _first_measuring_failure(bg, acting=None):
+    h = bg.host.host
+    n = h.dim
+    for i in range(n) if acting is None else acting:
+        for x in range(n):
+            for y in range(n):
+                lhs = _act(bg, {i: F(1)}, _mul(h.algebra, {x: F(1)}, {y: F(1)}))
+                rhs = {}
+                for (a, b), c in _comul(h.coalgebra, {i: F(1)}).items():
+                    prod = _mul(h.algebra, _act(bg, {a: F(1)}, {x: F(1)}),
+                                _act(bg, {b: F(1)}, {y: F(1)}))
+                    for k, w in prod.items():
+                        _add(rhs, k, c * w)
+                if lhs != rhs:
+                    return (i, x, y)
+    return None
+
+
+def _first_comult_R_failure(bg, acting=None):
+    h = bg.host.host
+    n = h.dim
+    coal_r = bg.braided_coalgebra
+    for i in range(n) if acting is None else acting:
+        for x in range(n):
+            lhs = _comul(coal_r, _act(bg, {i: F(1)}, {x: F(1)}))
+            rhs = {}
+            for (a, b), c in _comul(h.coalgebra, {i: F(1)}).items():
+                for (p, q), w in _comul(coal_r, {x: F(1)}).items():
+                    for k1, c1 in _act(bg, {a: F(1)}, {p: F(1)}).items():
+                        for k2, c2 in _act(bg, {b: F(1)}, {q: F(1)}).items():
+                            _add(rhs, (k1, k2), c * w * c1 * c2)
+            if lhs != rhs:
+                return (i, x)
+    return None
+
+
+def _witness(rep, name):
+    return rep.find(name).witness
+
+
+def _full_scan_braided_report(bg):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StructureAlgebra, "generators", property(lambda a: tuple(range(a.dim))))
+        return verify_braided_group(bg).to_dict()
+
+
+def _assert_full_scan_witnesses(bg):
+    """The braided report equals the full-scan reference, and its three reduced
+    checks carry the brute-force first failures."""
+    rep = verify_braided_group(bg)
+    assert rep.to_dict() == _full_scan_braided_report(bg)
+    assert _witness(rep, "adjoint_module_law") == _first_module_law_failure(bg)
+    assert _witness(rep, "adjoint_measuring") == _first_measuring_failure(bg)
+    assert _witness(rep, "comult_R_module_map") == _first_comult_R_failure(bg)
+    return rep
+
+
+def _perturbed_bg(bg, which, i, j, k, delta):
+    q = bg.host
+    if which == "ad":
+        return BraidedGroupData(q, _perturbed_t3(bg.adjoint_action, i, j, k, delta),
+                                bg.comult_R, bg.antipode_R)
+    if which == "comult_R":
+        return BraidedGroupData(q, bg.adjoint_action,
+                                _perturbed_t3(bg.comult_R, i, j, k, delta), bg.antipode_R)
+    if which == "antipode_R":
+        anti = [list(row) for row in bg.antipode_R]
+        anti[i][j] += delta
+        return BraidedGroupData(q, bg.adjoint_action, bg.comult_R,
+                                tuple(tuple(row) for row in anti))
+    bad = _perturbed(q.host, which, i, j, k, delta)
+    return BraidedGroupData(QTStructure(bad, q.R, q.Rinv), bg.adjoint_action, bg.comult_R,
+                            bg.antipode_R)
+
+
+def test_unperturbed_braided_groups_pass(braided):
+    for name, bg in braided.items():
+        rep = _assert_full_scan_witnesses(bg)
+        assert rep.ok, name
+        assert rep.to_dict() == bg.report.to_dict(), name
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_braided_reduced_scans_match_full_scans(braided, data):
+    name = data.draw(st.sampled_from(sorted(braided)))
+    which = data.draw(st.sampled_from(("ad", "comult_R", "antipode_R", "mult", "comult")))
+    bg = braided[name]
+    index = st.integers(0, bg.host.host.dim - 1)
+    i, j, k = data.draw(index), data.draw(index), data.draw(index)
+    _assert_full_scan_witnesses(
+        _perturbed_bg(bg, which, i, j, k, data.draw(st.sampled_from(DELTAS))))
+
+
+def test_every_ad_constant_of_ks3(braided):
+    bg = braided["kS3"]
+    failed = 0
+    for i in range(6):
+        for j in range(6):
+            for k in range(6):
+                bad = _perturbed_bg(bg, "ad", i, j, k, F(1))
+                rep = verify_braided_group(bad).to_dict()
+                assert rep == _full_scan_braided_report(bad), (i, j, k)
+                failed += not rep["ok"]
+    assert failed == 6 ** 3
+
+
+def _scaled_action(bg, g, c):
+    """bg with the basis element g acting by c times the identity."""
+    n = bg.host.host.dim
+    cells = {(a, x): dict(bg.adjoint_action.row(a, x)) for a in range(n) for x in range(n)}
+    for x in range(n):
+        cells[(g, x)] = {x: F(c)}
+    return BraidedGroupData(bg.host, Tensor3.from_row_dicts((n, n, n), cells),
+                            bg.comult_R, bg.antipode_R)
+
+
+def test_braided_faults_seen_only_through_the_last_generator(q_z2):
+    # kZ2, S = (0, 1): with g = e_1 acting by -1 the action is a module but not
+    # measuring, and with g acting by 2 not a module; each failure is seen only
+    # through g, so a scan over S without its last element passes it
+    bg = transmute(q_z2)
+    gens = (0, 1)
+    assert bg.host.host.algebra.generators == gens
+    minus = _scaled_action(bg, 1, -1)
+    assert _first_module_law_failure(minus) is None
+    assert _first_measuring_failure(minus, gens[:-1]) is None
+    assert _first_comult_R_failure(minus, gens[:-1]) is None
+    rep = _assert_full_scan_witnesses(minus)
+    assert _witness(rep, "adjoint_measuring") == (1, 0, 0)
+    assert _witness(rep, "comult_R_module_map") == (1, 0)
+    two = _scaled_action(bg, 1, 2)
+    assert _first_module_law_failure(two, gens[:-1]) is None
+    assert _witness(_assert_full_scan_witnesses(two), "adjoint_module_law") == (1, 1, 0)
+
+
+def test_host_gate_falls_back_to_full_scans(braided):
+    # kS3, S = (0, 1, 2).  The mult fault breaks associativity and the module
+    # law only at second factors outside S; the comult fault breaks Delta
+    # multiplicativity and the measuring law only at acting elements outside S.
+    # The reductions, which assume both, would pass them.
+    bg = braided["kS3"]
+    gens = (0, 1, 2)
+    bad = _perturbed_bg(bg, "mult", 0, 3, 0, F(1))
+    assert bad.host.host.algebra.generators == gens
+    assert not verify_algebra(bad.host.host.algebra).find("associativity").passed
+    assert _first_module_law_failure(bad, gens) is None
+    assert _witness(_assert_full_scan_witnesses(bad), "adjoint_module_law") is not None
+    bad = _perturbed_bg(bg, "comult", 3, 0, 0, F(1))
+    assert verify_hopf(bad.host.host).find("algebra.associativity").passed
+    assert not verify_hopf(bad.host.host).find("comult_multiplicative").passed
+    assert _first_module_law_failure(bad) is None
+    assert _first_measuring_failure(bad, gens) is None
+    assert _witness(_assert_full_scan_witnesses(bad), "adjoint_measuring") is not None
+
+
+def test_measuring_is_reduced_only_after_the_module_law(braided):
+    # kS3: this ad fault breaks the module law, and the measuring law only at
+    # an acting element outside S
+    bad = _perturbed_bg(braided["kS3"], "ad", 3, 0, 0, F(1))
+    assert _first_module_law_failure(bad) is not None
+    assert _first_measuring_failure(bad, (0, 1, 2)) is None
+    assert _witness(_assert_full_scan_witnesses(bad), "adjoint_measuring") is not None

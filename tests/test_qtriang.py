@@ -242,3 +242,43 @@ def test_equivalences_consistency_on_doubles(double_z2, double_s3):
     # and the concrete values: D(kZ2) almost-triangular, D(kS3) not
     assert almost_triangular_equivalences(double_z2[1]).find("cond2_almost_triangular").passed
     assert not almost_triangular_equivalences(double_s3[1]).find("cond2_almost_triangular").passed
+
+
+def _equivalence_checks(cond2, cond3, cond4):
+    """The four checks of the report; each condition is (status, witness)."""
+    names = ("cond2_almost_triangular", "cond3_hr_dual_quantum_commutative",
+             "cond4_adjoint_in_muger_center")
+    checks = [{"axiom": name, "status": status, **({"witness": wit} if wit else {}),
+               "informational": True}
+              for name, (status, wit) in zip(names, (cond2, cond3, cond4))]
+    return checks + [{"axiom": "conditions_agree", "status": "pass"}]
+
+
+def test_equivalences_pinned_on_doubles(double_z2, double_s3):
+    abelian = _equivalence_checks(("pass", None), ("pass", None), ("pass", None))
+    s3 = _equivalence_checks(("fail", None), ("fail", [1, 8]), ("fail", [1]))
+    for q, checks in ((double_z2[1], abelian), (_cyclic_double(3)[1], abelian),
+                      (double_s3[1], s3)):
+        assert almost_triangular_equivalences(q).to_dict() == {
+            "subject": "almost_triangular_equivalences", "ok": True, "checks": checks}
+
+
+def _right_action_on_dual_reference(bg, f, a):
+    """f <<- e_a with <f <<- e_a, e_l> = <f, e_a .ad e_l>, as a dense vector."""
+    n = bg.host.host.dim
+    out = []
+    for l in range(n):
+        img = bg.adjoint_action.act({a: F(1)}, {l: F(1)})
+        out.append(sum((c * f[k] for k, c in img.items()), F(0)))
+    return tuple(out)
+
+
+def test_dual_right_action_table_matches_the_pairing(double_z2, bg_s3):
+    for bg in (transmute(double_z2[1]), bg_s3):
+        n = bg.host.host.dim
+        table = bg.dual_right_action
+        for a in range(n):
+            for g in range(n):
+                dense = tuple(table[a][g].get(l, F(0)) for l in range(n))
+                assert dense == _right_action_on_dual_reference(bg, vec([int(i == g)
+                                                                         for i in range(n)]), a)
