@@ -37,9 +37,8 @@ from .hopfcore import (
     sp,
     sp_add,
     unsp,
-    verify_algebra,
 )
-from .modalg import ModuleAlgebraData, SeparabilityData, verify_module_algebra, verify_separability
+from .modalg import ModuleAlgebraData, SeparabilityData, verify_separability
 from .qtriang import BraidedGroupData, QTStructure, qt_structure
 from .report import HypothesisFailure, VerificationReport
 
@@ -440,7 +439,7 @@ def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
     if unit_coords is None:
         raise ValueError("N_W has no unit inside the cotensor subspace")
     carrier = StructureAlgebra(m, mult, unit_coords)
-    verify_algebra(carrier, "adjoint_stable_algebra").require()
+    carrier.report.require()
 
     amb_unit = lin_comb(unit_coords, basis, nw * nh * nw)
     return AdjointStableAlgebra(w, htw, tuple(basis), carrier, amb_unit)
@@ -623,7 +622,7 @@ def dstar_module_algebra(dd: SubcoalgebraData, hop: HopfData) -> ModuleAlgebraDa
                 if c != 0:
                     act_entries.append((t, p, r, c))
     mod = ModuleAlgebraData(hop, alg, Tensor3.from_entries((nh, m, m), act_entries))
-    verify_module_algebra(mod, "dstar_module_algebra").require()
+    mod.report.require()
     return mod
 
 
@@ -880,8 +879,7 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     from .qtriang import (classify_triangularity, hr_dual_separability, transmute)
     from .smashcons import smash_weak_structure, smash_qt
     from .weakhopf import (WeakHopfData, WeakQTStructure,
-                           almost_triangular_wha_report, verify_weak_hopf,
-                           verify_weak_qt)
+                           almost_triangular_wha_report, verify_weak_qt)
     from .modalg import SeparabilityData, regular_trace
     from .exactlin import TensorElem
 
@@ -1019,7 +1017,7 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     counit_n = tuple(sws.wha.coalgebra.counit_sparse(col) for col in psi_m.cols)
     s_n = phi_m.compose(LinearMap(sws.wha.dim, sws.wha.dim, sws.wha.antipode)).compose(psi_m)
     nd_wha = WeakHopfData(nd.carrier, StructureCoalgebra(m2, comult_n, counit_n), s_n.matrix)
-    rep.merge(verify_weak_hopf(nd_wha), "nd_wha.")
+    rep.merge(nd_wha.report, "nd_wha.")
     r_n = _tensor_map_coords(phi_m, phi_m, wq.r_sparse())
     rbar_n = _tensor_map_coords(phi_m, phi_m, wq.rbar_sparse())
     nd_wq = WeakQTStructure(nd_wha,

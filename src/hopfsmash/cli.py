@@ -33,7 +33,6 @@ from .hopfcore import (
     group_algebra,
     heisenberg_double,
     integrals,
-    verify_algebra,
     verify_hopf,
 )
 from .modalg import ModuleAlgebraData, separability, verify_module_algebra
@@ -150,8 +149,10 @@ class Workspace:
         if not isinstance(objects, dict):
             raise ValueError("workspace 'objects' must be a mapping")
         for name, obj in objects.items():
+            if not isinstance(obj, dict):
+                raise ValueError(f"object {name!r} must be a mapping")
             for field in ("host", "qt", "group"):
-                ref = obj.get(field) if isinstance(obj, dict) else None
+                ref = obj.get(field)
                 if ref is not None and ref not in objects:
                     raise ValueError(
                         f"object {name!r} references missing object {ref!r}")
@@ -342,7 +343,7 @@ def _suite_smash_pipeline(ws: Workspace, target: str):
     else:
         q = trivial_qt(m.host)
     rep = VerificationReport(f"smash-pipeline:{target}")
-    rep.merge(verify_module_algebra(m), "module.")
+    rep.merge(m.report, "module.")
     sep = separability(m)
     s = smash_algebra(m)
     sws = smash_weak_structure(s, q, sep)
@@ -424,28 +425,30 @@ def _construct(ws: Workspace, recipe: str):
         raise ValueError("recipe must look like 'op:target[,target2]'")
     op, _, argstr = recipe.partition(":")
     args = [a for a in argstr.split(",") if a]
+    if not args:
+        raise ValueError(f"recipe {recipe!r} names no target")
     if op == "group-algebra":
         obj = ws.get(args[0])
         h = group_algebra(GroupTable.from_lists(obj["elements"], obj["table"]))
-        return {"constructed": ser_hopf(h)}, verify_hopf(h)
+        return {"constructed": ser_hopf(h)}, h.report
     if op == "dual":
         h = dual_hopf(ws.resolve_hopf(args[0]))
-        return {"constructed": ser_hopf(h)}, verify_hopf(h)
+        return {"constructed": ser_hopf(h)}, h.report
     if op == "double":
         dd, q = drinfeld_double(ws.resolve_hopf(args[0]))
-        from .qtriang import verify_qt
-        rep = verify_hopf(dd)
-        rep.merge(verify_qt(q), "qt.")
+        rep = VerificationReport("hopf")    # dd.report is shared: merge, do not add
+        rep.merge(dd.report)
+        rep.merge(q.report, "qt.")
         rmat = [[rat_str(q.R.entry(i, j)) for j in range(dd.dim)] for i in range(dd.dim)]
         return {"constructed": ser_hopf(dd), "R": rmat}, rep
     if op == "heisenberg":
         a = heisenberg_double(ws.resolve_hopf(args[0]))
-        return {"constructed": ser_algebra(a)}, verify_algebra(a)
+        return {"constructed": ser_algebra(a)}, a.report
     if op == "smash":
         from .smashcons import smash_algebra
         s = smash_algebra(ws.resolve_module_algebra(args[0]))
         return {"constructed": ser_algebra(s.carrier),
-                "codec": "flat = a_index * dim_H + h_index"}, verify_algebra(s.carrier)
+                "codec": "flat = a_index * dim_H + h_index"}, s.carrier.report
     if op == "smash-wha":
         from .smashcons import smash_algebra, smash_weak_structure
         m = ws.resolve_module_algebra(args[0])

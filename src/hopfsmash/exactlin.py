@@ -548,6 +548,8 @@ class Tensor3:
         d0 = len(data)
         d1 = len(data[0]) if d0 else 0
         d2 = len(data[0][0]) if d1 else 0
+        if any(len(plane) != d1 or any(len(row) != d2 for row in plane) for plane in data):
+            raise DimensionMismatch(f"ragged tensor: not every plane is {d1} x {d2}")
         rows = tuple(
             tuple(
                 tuple((k, x) for k, x in enumerate(map(rat, data[i][j])) if x != 0)

@@ -113,6 +113,11 @@ class StructureAlgebra:
         """generating_set(self), computed once per algebra."""
         return generating_set(self)
 
+    @cached_property
+    def report(self) -> VerificationReport:
+        """verify_algebra(self), computed once; shared, so read it."""
+        return verify_algebra(self)
+
     def left_mult_matrix(self, v) -> tuple:
         cols = [self.mul(v, basis_vec(self.dim, c)) for c in range(self.dim)]
         return transpose(tuple(cols))
@@ -316,6 +321,11 @@ class HopfData:
 
     def s_vec(self, v) -> tuple:
         return unsp(self.s_sparse(sp(v)), self.dim)
+
+    @cached_property
+    def report(self) -> VerificationReport:
+        """verify_hopf(self), computed once; shared, so read it."""
+        return verify_hopf(self)
 
 
 @dataclass(frozen=True)
@@ -698,7 +708,7 @@ def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
     eps(x w) eps(s) = eps(x) eps(w) eps(s) = eps(x) eps(w s), so T = A.
     """
     rep = VerificationReport(subject)
-    rep.merge(verify_algebra(h.algebra), "algebra.")
+    rep.merge(h.algebra.report, "algebra.")
     rep.merge(verify_coalgebra(h.coalgebra), "coalgebra.")
     n = h.dim
 
@@ -870,7 +880,7 @@ def group_algebra(table: GroupTable) -> HopfData:
     h = HopfData(StructureAlgebra(n, mult, unit),
                  StructureCoalgebra(n, comult, counit),
                  mat(anti))
-    verify_hopf(h, "group_algebra").require()
+    h.report.require()
     return h
 
 
@@ -883,7 +893,7 @@ def dual_hopf(h: HopfData) -> HopfData:
     out = HopfData(convolution_algebra(h.coalgebra),
                    dual_coalgebra(h.algebra),
                    transpose(h.antipode))
-    verify_hopf(out, "dual_hopf").require()
+    out.report.require()
     return out
 
 
@@ -905,7 +915,7 @@ def opposites(h: HopfData, which: str) -> HopfData:
         if anti is None:
             raise ValueError("antipode is not invertible; H^op/H^cop need S^{-1}")
     out = HopfData(alg, coal, anti)
-    verify_hopf(out, f"opposites_{which}").require()
+    out.report.require()
     return out
 
 
@@ -1069,7 +1079,7 @@ def drinfeld_double(h: HopfData):
             for r, c in col.items():
                 anti[r][flat(a, b)] = c
     dh = HopfData(dalg, dcoal, mat(anti))
-    verify_hopf(dh, "drinfeld_double").require()
+    dh.report.require()
 
     r_entries: dict = {}
     for i in range(n):
@@ -1129,5 +1139,5 @@ def heisenberg_double(h: HopfData) -> StructureAlgebra:
                  for i, ci in sp(h.unit).items()
                  for a, ca in sp(h.counit).items()}, nn)
     out = StructureAlgebra(nn, mult, unit)
-    verify_algebra(out, "heisenberg_double").require()
+    out.report.require()
     return out

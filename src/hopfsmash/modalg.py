@@ -10,6 +10,7 @@ the canonical symmetric separability idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exactlin import (
     RAT_ONE,
@@ -60,6 +61,11 @@ class ModuleAlgebraData:
     def action_matrix(self, h_vec) -> tuple:
         cols = [self.act(h_vec, basis_vec(self.A.dim, j)) for j in range(self.A.dim)]
         return transpose(tuple(cols))
+
+    @cached_property
+    def report(self) -> VerificationReport:
+        """verify_module_algebra(self), computed once; shared, so read it."""
+        return verify_module_algebra(self)
 
 
 @dataclass(frozen=True)
@@ -297,7 +303,7 @@ def permutation_module_algebra(h: HopfData, table, point_action) -> ModuleAlgebr
             entries.append((g, x, point_action[g][x], RAT_ONE))
     action = Tensor3.from_entries((h.dim, npts, npts), entries)
     m = ModuleAlgebraData(h, A, action)
-    verify_module_algebra(m, "permutation_module_algebra").require()
+    m.report.require()
     return m
 
 
@@ -305,7 +311,7 @@ def adjoint_module_algebra(h: HopfData) -> ModuleAlgebraData:
     """H acting on itself by h .ad x = h_(1) x S(h_(2))."""
     from .qtriang import adjoint_action_tensor
     m = ModuleAlgebraData(h, h.algebra, adjoint_action_tensor(h))
-    verify_module_algebra(m, "adjoint_module_algebra").require()
+    m.report.require()
     return m
 
 
@@ -318,5 +324,5 @@ def trivial_module_algebra(h: HopfData, A: StructureAlgebra) -> ModuleAlgebraDat
         for a in range(A.dim):
             entries.append((t, a, a, h.counit[t]))
     m = ModuleAlgebraData(h, A, Tensor3.from_entries((h.dim, A.dim, A.dim), entries))
-    verify_module_algebra(m, "trivial_module_algebra").require()
+    m.report.require()
     return m

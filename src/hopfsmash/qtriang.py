@@ -20,8 +20,8 @@ idempotent is read off the adjoint action tensor once per braided group
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .exactlin import (
     RAT_ONE,
@@ -35,7 +35,6 @@ from .hopfcore import (
     StructureAlgebra,
     StructureCoalgebra,
     certified_scan,
-    comult_multiplicative_failures,
     convolution_algebra,
     hexagon_sides,
     intertwining_failures,
@@ -47,7 +46,6 @@ from .hopfcore import (
     sparse_outer,
     tensor_mul_sparse,
     unsp,
-    verify_algebra,
     verify_coalgebra,
 )
 from .report import VerificationReport
@@ -72,6 +70,11 @@ class QTStructure:
     def r21_sparse(self) -> dict:
         return {(b, a): c for (a, b), c in self.R.items()}
 
+    @cached_property
+    def report(self) -> VerificationReport:
+        """verify_qt(self), computed once; shared, so read it."""
+        return verify_qt(self)
+
 
 def unverified_qt(host: HopfData, R: TensorElem, Rinv: TensorElem | None = None) -> QTStructure:
     """Wrap (H, R) with Rinv defaulting to (S (x) id)(R); nothing is verified."""
@@ -90,7 +93,7 @@ def unverified_qt(host: HopfData, R: TensorElem, Rinv: TensorElem | None = None)
 def qt_structure(host: HopfData, R: TensorElem, Rinv: TensorElem | None = None) -> QTStructure:
     """`unverified_qt`, with the axioms verified."""
     q = unverified_qt(host, R, Rinv)
-    verify_qt(q).require()
+    q.report.require()
     return q
 
 
@@ -186,14 +189,15 @@ def classify_triangularity(q: QTStructure) -> TriangularityClass:
 def adjoint_action_tensor(h: HopfData) -> Tensor3:
     """ad[h][x][y]: coefficient of e_y in h .ad x = h_(1) x S(h_(2))."""
     n = h.dim
+    s_cols = [dict(col) for col in h.antipode_cols]    # S(e_b); e_a e_j is a mult row
     rowdicts = {}
     for i in range(n):
+        delta = h.coalgebra.comul_row(i)
         for j in range(n):
             cell: dict = {}
-            for a, b, c in h.coalgebra.comul_row(i):
-                left = h.algebra.mul_sparse({a: RAT_ONE}, {j: RAT_ONE})
-                sb = h.s_sparse({b: RAT_ONE})
-                for m, cm in h.algebra.mul_sparse(left, sb).items():
+            for a, b, c in delta:
+                for m, cm in h.algebra.mul_sparse(dict(h.algebra.mul_row(a, j)),
+                                                  s_cols[b]).items():
                     sp_add(cell, m, c * cm)
             if cell:
                 rowdicts[(i, j)] = cell
@@ -202,14 +206,17 @@ def adjoint_action_tensor(h: HopfData) -> Tensor3:
 
 @dataclass(frozen=True)
 class BraidedGroupData:
-    """The transmuted braided group H_R: adjoint action, Delta_R, S_R, and the
-    report `transmute` verified them with (None when built directly)."""
+    """The transmuted braided group H_R: adjoint action, Delta_R and S_R."""
 
     host: QTStructure
     adjoint_action: Tensor3
     comult_R: Tensor3
     antipode_R: tuple
-    report: VerificationReport | None = field(default=None, compare=False)
+
+    @cached_property
+    def report(self) -> VerificationReport:
+        """verify_braided_group(self), computed once; shared, so read it."""
+        return verify_braided_group(self)
 
     @property
     def braided_coalgebra(self) -> StructureCoalgebra:
@@ -231,21 +238,24 @@ class BraidedGroupData:
 
 
 def transmute(q: QTStructure) -> BraidedGroupData:
-    """Assemble (ad, Delta_R, S_R) and verify the braided-group identities;
-    the report is kept on the result."""
+    """Assemble (ad, Delta_R, S_R) and verify the braided-group identities."""
     h = q.host
     n = h.dim
     ad = adjoint_action_tensor(h)
     ad_rows = ad._rows
     r_items = list(q.R.items())
+
+    @cache
+    def first(a: int, r2: int) -> dict:
+        """e_a S(e_r2)."""
+        return h.algebra.mul_sparse({a: RAT_ONE}, dict(h.antipode_cols[r2]))
+
     comult_entries = []
     for i in range(n):
         for a, b, c in h.coalgebra.comul_row(i):
             for (r1, r2), cr in r_items:
-                sb = h.s_sparse({r2: RAT_ONE})
-                first = h.algebra.mul_sparse({a: RAT_ONE}, sb)
                 second = ad_rows[r1][b]
-                for f, cf in first.items():
+                for f, cf in first(a, r2).items():
                     for s, cs in second:
                         comult_entries.append((i, f, s, c * cr * cf * cs))
     comult_R = Tensor3.from_entries((n, n, n), comult_entries)
@@ -262,7 +272,8 @@ def transmute(q: QTStructure) -> BraidedGroupData:
     antipode_R = tuple(tuple(row) for row in anti)
 
     bg = BraidedGroupData(q, ad, comult_R, antipode_R)
-    return replace(bg, report=verify_braided_group(bg).require())
+    bg.report.require()
+    return bg
 
 
 def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
@@ -273,10 +284,10 @@ def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
     with the acting element in S once the module law has passed; the
     inductions are in hopfcore.module_law_failures, hopfcore.measuring_failures
     and comult_R_failures below.  They need an associative H with Delta
-    multiplicative, which is checked here (and not reported), since the host
-    may come from `unverified_qt`; without it every law is scanned in full.
-    A reduced scan that fails is rerun in full, so witnesses are the full
-    scans' first failing cases.
+    multiplicative, which is read from the host's own report h.report (not
+    reported here); without it every law is scanned in full.  A reduced scan
+    that fails is rerun in full, so witnesses are the full scans' first
+    failing cases.
     """
     rep = VerificationReport("braided_group")
     q = bg.host
@@ -290,9 +301,9 @@ def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
     rep.check("adjoint_unital", ((i,) for i in range(n)
                                  if ad.act(alg.unit_sparse, {i: RAT_ONE}) != {i: RAT_ONE}))
 
+    hrep = h.report
     gens = None
-    if verify_algebra(alg).find("associativity").passed and next(
-            comult_multiplicative_failures(alg, h.coalgebra, alg.generators), None) is None:
+    if hrep.find("algebra.associativity").passed and hrep.find("comult_multiplicative").passed:
         gens = alg.generators
 
     # module law (h g) .ad x = h .ad (g .ad x)

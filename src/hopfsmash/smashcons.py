@@ -44,7 +44,6 @@ from .hopfcore import (
     sparse_outer,
     tensor_mul_sparse,
     unsp,
-    verify_algebra,
 )
 from .modalg import (
     ModuleAlgebraData,
@@ -53,11 +52,10 @@ from .modalg import (
     permutation_module_algebra,
     separability,
     u_acts_trivially,
-    verify_module_algebra,
 )
 from .qtriang import QTStructure, classify_triangularity, muger_membership, trivial_qt
 from .report import HypothesisFailure, VerificationReport
-from .weakhopf import WeakHopfData, WeakQTStructure, check_wha_morphism, verify_weak_hopf, verify_weak_qt
+from .weakhopf import WeakHopfData, WeakQTStructure, check_wha_morphism, verify_weak_qt
 
 VERIFY_DIM_LIMIT = 64
 
@@ -103,9 +101,11 @@ class SmashProduct:
         return out
 
 
-def smash_algebra(A_mod: ModuleAlgebraData, verify: bool | None = None) -> SmashProduct:
-    """(a#h)(b#g) = a (h_(1).b) # h_(2) g on the carrier A (x) H."""
-    verify_module_algebra(A_mod).require()
+def smash_algebra(A_mod: ModuleAlgebraData) -> SmashProduct:
+    """(a#h)(b#g) = a (h_(1).b) # h_(2) g on the carrier A (x) H.  A carrier of
+    dimension above VERIFY_DIM_LIMIT is not verified here; carrier.report runs
+    when it is first read."""
+    A_mod.report.require()
     h = A_mod.host
     A = A_mod.A
     na, nh = A.dim, h.dim
@@ -133,10 +133,8 @@ def smash_algebra(A_mod: ModuleAlgebraData, verify: bool | None = None) -> Smash
         for t, ct in h.algebra.unit_sparse.items():
             unit[a * nh + t] = ca * ct
     carrier = StructureAlgebra(n, mult, tuple(unit))
-    if verify is None:
-        verify = n <= VERIFY_DIM_LIMIT
-    if verify:
-        verify_algebra(carrier, "smash_algebra").require()
+    if n <= VERIFY_DIM_LIMIT:
+        carrier.report.require()
     return SmashProduct(A_mod, h, carrier)
 
 
@@ -221,7 +219,7 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
                        tuple(tuple(row) for row in anti))
 
     rep = VerificationReport("smash_weak_structure")
-    rep.merge(verify_weak_hopf(wha), "wha.")
+    rep.merge(wha.report, "wha.")
 
     # closed forms of the counital maps
     def eps_s_failures():
@@ -538,8 +536,6 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
                 if cw != 0:
                     sp_add(unit, flat(x1, t, w), cx * ct * cw)
     carrier = StructureAlgebra(n, mult, unsp(unit, n))
-    if n <= VERIFY_DIM_LIMIT:
-        verify_algebra(carrier, "B_carrier").require()
 
     rev_a = dual_coalgebra(A).comul_row
     r_items = list(q.R.items())
@@ -622,7 +618,7 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
     wha = WeakHopfData(carrier, StructureCoalgebra(n, comult, counit),
                        tuple(tuple(row) for row in anti))
     rep = VerificationReport("build_B")
-    rep.merge(verify_weak_hopf(wha), "wha.")
+    rep.merge(wha.report, "wha.")
 
     # R_B and its inverse (S_B (x) id)(R_B)
     gram = [[vec_dot(alpha, A.mul(basis_vec(na, w1), basis_vec(na, w2)))
@@ -832,7 +828,7 @@ def double_module_algebra(h: HopfData, double=None):
                             entries.append((a * n + bb, l, m2, cm * cd * w))
     action = Tensor3.from_entries((dd.dim, n, n), entries)
     m = ModuleAlgebraData(dd, h.algebra, action)
-    verify_module_algebra(m, "double_module_algebra").require()
+    m.report.require()
     qc, wit = is_quantum_commutative(qd, m)
     if not qc:
         raise HypothesisFailure("double-action-quantum-commutative", wit)

@@ -37,7 +37,6 @@ from .hopfcore import (
     sp_add,
     sparse_outer,
     tensor_mul_sparse,
-    verify_algebra,
     verify_coalgebra,
 )
 from .report import VerificationReport
@@ -49,6 +48,11 @@ class WeakHopfData(HopfData):
     @staticmethod
     def from_hopf(h: HopfData) -> "WeakHopfData":
         return WeakHopfData(h.algebra, h.coalgebra, h.antipode)
+
+    @cached_property
+    def report(self) -> VerificationReport:
+        """verify_weak_hopf(self), not HopfData's strong axioms; shared, so read it."""
+        return verify_weak_hopf(self)
 
     @cached_property
     def delta_one(self) -> dict:
@@ -135,7 +139,7 @@ def verify_weak_bialgebra(w: WeakHopfData, subject: str = "weak_bialgebra") -> V
     w.algebra.generators, once algebra.associativity has passed; the induction
     is in comult_multiplicative_failures and needs no unit or counit law."""
     rep = VerificationReport(subject)
-    rep.merge(verify_algebra(w.algebra), "algebra.")
+    rep.merge(w.algebra.report, "algebra.")
     rep.merge(verify_coalgebra(w.coalgebra), "coalgebra.")
     n = w.dim
     alg, coal = w.algebra, w.coalgebra
@@ -486,7 +490,7 @@ def groupoid_wha(g: GroupoidData) -> WeakHopfData:
     w = WeakHopfData(StructureAlgebra(n, mult, tuple(unit)),
                      StructureCoalgebra(n, comult, counit),
                      mat(anti))
-    verify_weak_hopf(w, "groupoid_wha").require()
+    w.report.require()
     return w
 
 

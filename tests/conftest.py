@@ -2,6 +2,7 @@
 54-dimensional enveloping algebra, the smash weak structure) are built once."""
 
 import hashlib
+import sys
 
 import pytest
 
@@ -29,6 +30,27 @@ def _structure_digest(*parts) -> str:
 def structure_digest():
     """Pins structure tensors to their exact values without spelling them out."""
     return _structure_digest
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) -> the first arguments of every later call of
+    module.name, under each hopfsmash binding of it (a `from .x import f`
+    keeps its own reference)."""
+    def install(module, name):
+        real = getattr(module, name)
+        calls = []
+
+        def counted(obj, *args, **kwargs):
+            calls.append(obj)
+            return real(obj, *args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("hopfsmash") and \
+                    getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+    return install
 
 
 @pytest.fixture(scope="session")

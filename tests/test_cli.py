@@ -202,33 +202,18 @@ def _starter_workspace(path):
     return path
 
 
-def test_verify_qt_checks_r_once(tmp_path, monkeypatch):
-    from hopfsmash import cli, qtriang
+def test_verify_qt_checks_r_once(tmp_path, count_calls):
+    from hopfsmash import qtriang
     ws = _starter_workspace(tmp_path / "ws.json")
-    calls = []
-    real = qtriang.verify_qt
-
-    def counted(q, *args):
-        calls.append(q)
-        return real(q, *args)
-
-    monkeypatch.setattr(qtriang, "verify_qt", counted)
-    monkeypatch.setattr(cli, "verify_qt", counted)
+    calls = count_calls(qtriang, "verify_qt")
     assert main(["verify", str(ws), "qs3-trivial", "qt"]) == 0
     assert len(calls) == 1
 
 
-def test_construct_transmute_verifies_once(tmp_path, monkeypatch):
+def test_construct_transmute_verifies_once(tmp_path, count_calls):
     from hopfsmash import qtriang
     ws = _starter_workspace(tmp_path / "ws.json")
-    calls = []
-    real = qtriang.verify_braided_group
-
-    def counted(bg):
-        calls.append(bg)
-        return real(bg)
-
-    monkeypatch.setattr(qtriang, "verify_braided_group", counted)
+    calls = count_calls(qtriang, "verify_braided_group")
     out = tmp_path / "bg.json"
     assert main(["construct", str(ws), "transmute:qs3-trivial", str(out)]) == 0
     assert len(calls) == 1
@@ -238,6 +223,75 @@ def test_construct_transmute_verifies_once(tmp_path, monkeypatch):
         "braided.counit_law", "braided.coassociativity", "adjoint_unital",
         "adjoint_module_law", "adjoint_measuring", "comult_R_module_map",
         "braided_antipode_identity"]
+
+
+def test_construct_double_verifies_once(tmp_path, count_calls):
+    from hopfsmash import hopfcore, qtriang
+    ws = _starter_workspace(tmp_path / "ws.json")
+    hopf = count_calls(hopfcore, "verify_hopf")
+    qt = count_calls(qtriang, "verify_qt")
+    assert main(["construct", str(ws), "double:s3", str(tmp_path / "d.json")]) == 0
+    assert len([h for h in hopf if h.dim == 36]) == 1
+    assert len([q for q in qt if q.host.dim == 36]) == 1
+
+
+def test_construct_double_leaves_the_shared_report_alone(tmp_path, monkeypatch):
+    from hopfsmash import cli
+    from hopfsmash.hopfcore import verify_hopf
+    ws = _starter_workspace(tmp_path / "ws.json")
+    built = []
+    real = cli.drinfeld_double
+    monkeypatch.setattr(cli, "drinfeld_double", lambda h: built.append(real(h)) or built[-1])
+    out = tmp_path / "d.json"
+    assert main(["construct", str(ws), "double:z2", str(out)]) == 0
+    ((dd, q),) = built
+    assert [c.name for c in dd.report.checks] == [c.name for c in verify_hopf(dd).checks]
+    report = json.loads(out.read_text())["report"]
+    assert report["subject"] == "hopf"
+    assert [c["axiom"] for c in report["checks"]] == (
+        [c.name for c in dd.report.checks] + ["qt." + c.name for c in q.report.checks])
+
+
+def test_construct_heisenberg_verifies_once(tmp_path, count_calls):
+    from hopfsmash import hopfcore
+    ws = _starter_workspace(tmp_path / "ws.json")
+    calls = count_calls(hopfcore, "verify_algebra")
+    assert main(["construct", str(ws), "heisenberg:s3", str(tmp_path / "h.json")]) == 0
+    assert len([a for a in calls if a.dim == 36]) == 1
+
+
+@pytest.mark.parametrize("tensor", ["mult", "action"])
+@pytest.mark.parametrize("length", ["short", "long"])
+def test_ragged_tensor_is_refused_not_padded(tmp_path, capsys, tensor, length):
+    ws = _starter_workspace(tmp_path / "ws.json")
+    doc = json.loads(ws.read_text())
+    obj = doc["objects"]["k3s3"]
+    row = (obj["algebra"]["mult"] if tensor == "mult" else obj["action"])[0][1]
+    if length == "short":
+        row.pop()
+    else:
+        row.append("1")
+    ws.write_text(json.dumps(doc))
+    assert main(["verify", str(ws), "k3s3", "module-algebra"]) == 2
+    err = capsys.readouterr().err
+    assert "object 'k3s3'" in err and "ragged" in err
+
+
+def test_object_that_is_not_a_mapping_is_refused(tmp_path, capsys):
+    ws = _starter_workspace(tmp_path / "ws.json")
+    doc = json.loads(ws.read_text())
+    doc["objects"]["k3s3"] = 5
+    ws.write_text(json.dumps(doc))
+    assert main(["verify", str(ws), "k3s3", "module-algebra"]) == 2
+    assert "object 'k3s3' must be a mapping" in capsys.readouterr().err
+
+
+def test_recipe_without_target_is_refused(tmp_path, capsys):
+    ws = _starter_workspace(tmp_path / "ws.json")
+    out = tmp_path / "out.json"
+    assert main(["construct", str(ws), "double:", str(out)]) == 2
+    assert "names no target" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_qt_corrupted_r_reports_witness(tmp_path, capsys):

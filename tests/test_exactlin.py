@@ -117,6 +117,15 @@ def test_tensor3_round_trip():
     assert Tensor3.from_dense(t.dense()) == t
 
 
+@pytest.mark.parametrize("data", [[[[1, 0], [0]]], [[[1, 0], [0, 2, 3]]],
+                                  [[[1, 0], [0, 2]], [[0, 0]]], [[[1], [0]], [[0], [2], [0]]]],
+                         ids=["short-row", "long-row", "short-plane", "long-plane"])
+def test_tensor3_from_dense_refuses_ragged_arrays(data):
+    # the sizes come from the first plane and row; any other length is refused
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        Tensor3.from_dense(data)
+
+
 def test_swap_legs():
     t = TensorElem.from_entries((2, 3), [((1, 2), 5)])
     s = t.swap_legs((1, 0))

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and the package
-imports nothing outside the standard library.
+"""Source hygiene: no module imports a name it never uses, the package
+imports nothing outside the standard library, and each object verifier runs
+only in its class's cached `report` property (or in the CLI's suites).
 
 An AST scan stands in for pyflakes: a name bound by an import counts as used
 when it appears anywhere in the module as a name, as the root of an
@@ -97,3 +98,57 @@ def test_scan_finds_foreign_imports():
            "def f():\n"
            "    from scipy import sparse\n")
     assert foreign_imports(src) == [("numpy", 1), ("scipy", 6)]
+
+
+# verifier -> the class whose cached `report` property runs it
+VERIFIERS = {"verify_algebra": "StructureAlgebra", "verify_hopf": "HopfData",
+             "verify_weak_hopf": "WeakHopfData", "verify_module_algebra": "ModuleAlgebraData",
+             "verify_qt": "QTStructure", "verify_braided_group": "BraidedGroupData"}
+
+
+def stray_verifier_calls(source: str, module: str) -> list:
+    """(verifier, line) of every call of a VERIFIERS name outside its own
+    class's `report`, except, in cli, inside the SUITES table: a suite
+    verifies an object loaded from disk under its own subject."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in VERIFIERS and scope != (VERIFIERS[name], "report") \
+                        and not (module == "cli" and scope == ("SUITES",)):
+                    found.append((name, child.lineno))
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "SUITES" for t in child.targets):
+                inner = scope + ("SUITES",)
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_verifiers_run_only_in_report_properties(path):
+    assert stray_verifier_calls(path.read_text(), path.stem) == []
+
+
+def test_scan_finds_stray_verifier_calls():
+    src = ("class HopfData:\n"
+           "    @cached_property\n"
+           "    def report(self):\n"
+           "        return verify_hopf(self)\n"
+           "class QTStructure:\n"
+           "    @cached_property\n"
+           "    def report(self):\n"
+           "        return verify_hopf(self.host)\n"
+           "SUITES = {'qt': lambda ws, t: verify_qt(ws.qt(t), t)}\n"
+           "def build(h):\n"
+           "    hopfcore.verify_algebra(h.algebra).require()\n")
+    assert stray_verifier_calls(src, "cli") == [("verify_hopf", 8), ("verify_algebra", 11)]
+    assert stray_verifier_calls(src, "qtriang") == [
+        ("verify_hopf", 8), ("verify_qt", 9), ("verify_algebra", 11)]

@@ -197,6 +197,14 @@ def test_transmute_double_z2(double_z2):
     assert verify_braided_group(bg).ok
 
 
+@pytest.mark.parametrize("name, pin", [("kS3", "21c2b18cee5ba3a4"), ("D(kZ2)", "c071b28e70b0668e"),
+                                       ("D(kS3)", "e1042b9e7731c8d3")])
+def test_transmute_tensors_pinned(name, pin, q_s3, double_z2, double_s3, structure_digest):
+    q = {"kS3": q_s3, "D(kZ2)": double_z2[1], "D(kS3)": double_s3[1]}[name]
+    bg = transmute(q)
+    assert structure_digest(bg.adjoint_action, bg.comult_R, bg.antipode_R) == pin
+
+
 def test_muger_trivial_r(q_s3, m3):
     assert muger_membership(q_s3, m3) == (True, None)
 
