@@ -6,11 +6,10 @@
     hopfsmash construct ws.json double:z2 dz2.json
 """
 
-import json
 import sys
 
 from hopfsmash import demos as dm
-from hopfsmash.cli import ser_t3, ser_vec
+from hopfsmash.cli import _write_json, ser_t3, ser_vec
 from hopfsmash.qtriang import trivial_qt
 
 
@@ -36,8 +35,7 @@ def main(path: str) -> int:
                                      ["0", "0", "1", "0", "0", "0"],
                                      ["0", "0", "0", "0", "0", "1"]]},
     }}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+    _write_json(path, doc)
     print(f"workspace written to {path}")
     return 0
 

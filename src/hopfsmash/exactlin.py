@@ -49,6 +49,23 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
+def rat_reader():
+    """A `rat` that parses each distinct string token once, for one read of a
+    workspace array. Only `str` tokens are memoised: False == 0 and
+    hash(False) == hash(0), so a memo keyed on values would read false as 0;
+    every other token goes through `rat` and is refused as before."""
+    memo: dict = {}
+
+    def read(x) -> Fraction:
+        if type(x) is not str:
+            return rat(x)
+        f = memo.get(x)
+        if f is None:
+            f = memo[x] = rat(x)
+        return f
+    return read
+
+
 def rat_str(x: Fraction) -> str:
     """Serialize as 'p/q', or 'p' when the denominator is 1."""
     return str(x)
@@ -534,7 +551,7 @@ class Tensor3:
 
     Storage is per-(i, j) coefficient rows, so sparse structure constants
     (group algebras, smash products) cost what they contain; `dense()`
-    materializes the full nested array for serialization.
+    materializes the full nested array.
     """
 
     __slots__ = ("dims", "_rows")
@@ -550,9 +567,11 @@ class Tensor3:
         d2 = len(data[0][0]) if d1 else 0
         if any(len(plane) != d1 or any(len(row) != d2 for row in plane) for plane in data):
             raise DimensionMismatch(f"ragged tensor: not every plane is {d1} x {d2}")
+        read = rat_reader()
+        # the "0" shortcut compares strings only, so a JSON false still reaches rat
         rows = tuple(
             tuple(
-                tuple((k, x) for k, x in enumerate(map(rat, data[i][j])) if x != 0)
+                tuple((k, f) for k, x in enumerate(data[i][j]) if x != "0" and (f := read(x)))
                 for j in range(d1))
             for i in range(d0))
         return Tensor3((d0, d1, d2), rows)

@@ -4,7 +4,7 @@ import pytest
 
 from hopfsmash import __version__
 from hopfsmash import demos as dm
-from hopfsmash.cli import main, ser_hopf
+from hopfsmash.cli import main, ser_hopf, ser_t3
 
 
 def write_workspace(path):
@@ -359,15 +359,102 @@ def test_short_weak_r_is_rejected_not_padded(tmp_path, capsys):
     assert "wq.Rbar" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cell, scalar", [((0, 1, 0), "1/0"), ((0, 1, 0), 1.5),
-                                          ((0, 0, 0), True)],
-                         ids=["zero-denominator", "float", "bool"])
-def test_workspace_scalar_is_refused(tmp_path, capsys, cell, scalar):
-    # True sits where kZ2 has a 1, so reading it as 1 would pass every check
+@pytest.mark.parametrize("cells, scalar", [([(0, 1, 0)], "1/0"), ([(0, 1, 0)], 1.5),
+                                           ([(0, 0, 0)], True),
+                                           ([(0, 1, 0), (1, 0, 0)], "1/0")],
+                         ids=["zero-denominator", "float", "bool",
+                              "repeated-zero-denominator"])
+def test_workspace_scalar_is_refused(tmp_path, capsys, cells, scalar):
+    # True sits where kZ2 has a 1, so reading it as 1 would pass every check;
+    # a repeated token is parsed once, and must still be refused
     h = ser_hopf(dm.k_z2())
-    i, j, k = cell
-    h["mult"][i][j][k] = scalar
+    for i, j, k in cells:
+        h["mult"][i][j][k] = scalar
     ws = tmp_path / "ws.json"
     ws.write_text(json.dumps({"objects": {"h": h}}))
     assert main(["verify", str(ws), "h", "hopf"]) == 2
     assert "object 'h'" in capsys.readouterr().err
+
+
+def test_false_in_r_is_refused(tmp_path, capsys):
+    ws = _starter_workspace(tmp_path / "ws.json")
+    doc = json.loads(ws.read_text())
+    doc["objects"]["qs3-trivial"]["R"][0][1] = False
+    ws.write_text(json.dumps(doc))
+    assert main(["verify", str(ws), "qs3-trivial", "qt"]) == 2
+    assert "qs3-trivial.R" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["mult", "comult", "unit", "antipode"])
+@pytest.mark.parametrize("scalar", ["1/0", 1.5, True, False, None, [1]],
+                         ids=["zero-denominator", "float", "true", "false", "null", "list"])
+def test_every_bad_scalar_in_every_field_is_refused(tmp_path, capsys, field, scalar):
+    # the last cell of kZ2's mult is its last "0": a false there is read after
+    # every other zero token, so a memo keyed on values would take it for 0
+    h = ser_hopf(dm.k_z2())
+    cell = h[field]
+    while isinstance(cell[-1], list):
+        cell = cell[-1]
+    cell[-1] = scalar
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps({"objects": {"h": h}}))
+    assert main(["verify", str(ws), "h", "hopf"]) == 2
+    assert "object 'h'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["dim", "mult"])
+def test_missing_field_is_named(tmp_path, capsys, field):
+    h = ser_hopf(dm.k_z2())
+    del h[field]
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps({"objects": {"h": h}}))
+    assert main(["verify", str(ws), "h", "hopf"]) == 2
+    assert f"object 'h' has no field {field!r}" in capsys.readouterr().err
+
+
+def test_missing_algebra_field_is_named(tmp_path, capsys):
+    ws = _starter_workspace(tmp_path / "ws.json")
+    doc = json.loads(ws.read_text())
+    del doc["objects"]["k3s3"]["algebra"]["dim"]
+    ws.write_text(json.dumps(doc))
+    assert main(["verify", str(ws), "k3s3", "module-algebra"]) == 2
+    assert "object 'k3s3.algebra' has no field 'dim'" in capsys.readouterr().err
+
+
+def test_verify_group_hopf_verifies_once(tmp_path, count_calls):
+    from hopfsmash import hopfcore
+    ws = _starter_workspace(tmp_path / "ws.json")
+    calls = count_calls(hopfcore, "verify_hopf")
+    out = tmp_path / "rep.json"
+    assert main(["--json", str(out), "verify", str(ws), "s3", "hopf"]) == 0
+    assert len(calls) == 1
+    expected = hopfcore.verify_hopf(dm.k_s3(), "hopf:s3").to_dict()
+    assert json.loads(out.read_text())["report"] == expected
+
+
+def test_verify_hopf_from_disk_verifies_once(tmp_path, count_calls):
+    from hopfsmash import hopfcore
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps({"objects": {"h": ser_hopf(dm.k_z2())}}))
+    calls = count_calls(hopfcore, "verify_hopf")
+    assert main(["verify", str(ws), "h", "hopf"]) == 0
+    assert len(calls) == 1
+
+
+def _sparse_tensor():
+    from fractions import Fraction
+    from hopfsmash.exactlin import Tensor3
+    return Tensor3.from_entries((2, 3, 4), [(0, 1, 3, Fraction(-2, 3)), (1, 2, 0, 5),
+                                            (1, 0, 2, Fraction(7, 4))])
+
+
+def test_ser_t3_round_trips():
+    from hopfsmash.exactlin import Tensor3
+    t = _sparse_tensor()
+    assert Tensor3.from_dense(ser_t3(t)) == t
+
+
+def test_ser_t3_matches_the_dense_serialisation():
+    from hopfsmash.exactlin import rat_str
+    t = _sparse_tensor()
+    assert ser_t3(t) == [[[rat_str(c) for c in row] for row in plane] for plane in t.dense()]
