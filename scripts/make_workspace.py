@@ -9,7 +9,7 @@
 import sys
 
 from hopfsmash import demos as dm
-from hopfsmash.cli import _write_json, ser_t3, ser_vec
+from hopfsmash.cli import _write_json, ser_t2, ser_t3, ser_vec
 from hopfsmash.qtriang import trivial_qt
 
 
@@ -23,9 +23,7 @@ def main(path: str) -> int:
                "table": [list(r) for r in z2.table]},
         "s3": {"type": "group", "elements": list(s3.elements),
                "table": [list(r) for r in s3.table]},
-        "qs3-trivial": {"type": "qt", "host": "s3",
-                        "R": [[str(q3.R.entry(i, j)) for j in range(6)]
-                              for i in range(6)]},
+        "qs3-trivial": {"type": "qt", "host": "s3", "R": ser_t2(q3.R)},
         "k3s3": {"type": "module-algebra", "host": "s3",
                  "algebra": {"dim": 3, "mult": ser_t3(m3.A.mult),
                              "unit": ser_vec(m3.A.unit)},

@@ -880,8 +880,7 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     from .smashcons import smash_weak_structure, smash_qt
     from .weakhopf import (WeakHopfData, WeakQTStructure,
                            almost_triangular_wha_report, verify_weak_qt)
-    from .modalg import SeparabilityData, regular_trace
-    from .exactlin import TensorElem
+    from .modalg import regular_trace
 
     h = q.host
     nh = h.dim
@@ -933,14 +932,9 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     sep_d = SeparabilityData(x_d, tuple(alpha_d))
     rep.add("alpha_equals_trace_of_dstar",
             tuple(alpha_d) == regular_trace(pp.dstar_mod.A))
-
-    from .modalg import verify_separability
     rep.merge(verify_separability(pp.dstar_mod, sep_d), "sep.")
 
-    hop = pp.dstar_mod.host
-    r21 = TensorElem.from_entries((nh, nh),
-                                  (((b, a), c) for (a, b), c in q.R.items()))
-    q_op = qt_structure(hop, r21)
+    q_op = qt_structure(pp.dstar_mod.host, q.R.flip())
 
     sws = smash_weak_structure(pp.smash, q_op, sep_d)
     rep.merge(sws.report, "smash.")
@@ -1018,11 +1012,11 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     s_n = phi_m.compose(LinearMap(sws.wha.dim, sws.wha.dim, sws.wha.antipode)).compose(psi_m)
     nd_wha = WeakHopfData(nd.carrier, StructureCoalgebra(m2, comult_n, counit_n), s_n.matrix)
     rep.merge(nd_wha.report, "nd_wha.")
-    r_n = _tensor_map_coords(phi_m, phi_m, wq.r_sparse())
-    rbar_n = _tensor_map_coords(phi_m, phi_m, wq.rbar_sparse())
+    r_n = _tensor_map_coords(phi_m, phi_m, wq.Rw.terms)
+    rbar_n = _tensor_map_coords(phi_m, phi_m, wq.Rw_bar.terms)
     nd_wq = WeakQTStructure(nd_wha,
-                            TensorElem.from_entries((m2, m2), list(r_n.items())),
-                            TensorElem.from_entries((m2, m2), list(rbar_n.items())))
+                            TensorElem.from_entries((m2, m2), r_n.items()),
+                            TensorElem.from_entries((m2, m2), rbar_n.items()))
     rep.merge(verify_weak_qt(nd_wq), "nd_wqt.")
     at_n = almost_triangular_wha_report(nd_wq)
     rep.merge(at_n, "nd_at.")

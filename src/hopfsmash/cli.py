@@ -79,6 +79,15 @@ def ser_t3(t: Tensor3):
     return out
 
 
+def ser_t2(t: TensorElem):
+    """The dense t[i][j] array of "p/q" strings, built from the nonzeros."""
+    d0, d1 = t.dims
+    out = [["0"] * d1 for _ in range(d0)]
+    for (i, j), c in t.items():
+        out[i][j] = rat_str(c)
+    return out
+
+
 def ser_hopf(h: HopfData, kind: str = "hopf") -> dict:
     return {"type": kind, "dim": h.dim,
             "mult": ser_t3(h.mult), "unit": ser_vec(h.unit),
@@ -100,21 +109,22 @@ def ser_algebra(a: StructureAlgebra) -> dict:
             "mult": ser_t3(a.mult), "unit": ser_vec(a.unit)}
 
 
-def groupoid_wha_from_json(obj: dict) -> WeakHopfData:
+def groupoid_wha_from_json(obj: dict, name: str) -> WeakHopfData:
     """{"objects": [...] or count, "morphisms": [{"src": i, "dst": j,
     "name": ...?}], "compose": table, "identities": [...], "inverses": [...]}
     -> its groupoid algebra."""
     from .weakhopf import GroupoidData, groupoid_wha
-    morphs = obj["morphisms"]
-    objects = obj["objects"]
+    morphs, objects, compose, identities, inverses = _fields(
+        obj, name, "morphisms", "objects", "compose", "identities", "inverses")
+    ends = [_fields(m, f"{name}.morphisms[{a}]", "src", "dst") for a, m in enumerate(morphs)]
     n_objects = len(objects) if isinstance(objects, list) else int(objects)
     g = GroupoidData(
         n_objects=n_objects,
-        sources=tuple(m["src"] for m in morphs),
-        targets=tuple(m["dst"] for m in morphs),
-        compose=tuple(tuple(row) for row in obj["compose"]),
-        identities=tuple(obj["identities"]),
-        inverses=tuple(obj["inverses"]),
+        sources=tuple(src for src, _ in ends),
+        targets=tuple(dst for _, dst in ends),
+        compose=tuple(tuple(row) for row in compose),
+        identities=tuple(identities),
+        inverses=tuple(inverses),
     )
     return groupoid_wha(g)
 
@@ -146,8 +156,10 @@ def _square_tensor(rows, n: int, what: str) -> TensorElem:
         raise ValueError(f"{what} must be a {n} x {n} matrix over the host")
     read = rat_reader()
     with _parsing(what):
+        # the "0" shortcut compares strings only, so a JSON false still reaches rat
         return TensorElem.from_entries(
-            (n, n), (((i, j), read(c)) for i, row in enumerate(rows) for j, c in enumerate(row)))
+            (n, n), (((i, j), f) for i, row in enumerate(rows) for j, x in enumerate(row)
+                     if x != "0" and (f := read(x))))
 
 
 class Workspace:
@@ -201,7 +213,7 @@ class Workspace:
         if t in ("hopf", "weak-hopf"):
             return de_hopf(obj, name, WeakHopfData)
         if t == "groupoid":
-            return groupoid_wha_from_json(obj)
+            return groupoid_wha_from_json(obj, name)
         raise ValueError(f"object {name!r} of type {t!r} is not a weak Hopf algebra")
 
     def qt_inputs(self, name: str) -> tuple:
@@ -469,8 +481,7 @@ def _construct(ws: Workspace, recipe: str):
         rep = VerificationReport("hopf")    # dd.report is shared: merge, do not add
         rep.merge(dd.report)
         rep.merge(q.report, "qt.")
-        rmat = [[rat_str(q.R.entry(i, j)) for j in range(dd.dim)] for i in range(dd.dim)]
-        return {"constructed": ser_hopf(dd), "R": rmat}, rep
+        return {"constructed": ser_hopf(dd), "R": ser_t2(q.R)}, rep
     if op == "heisenberg":
         a = heisenberg_double(ws.resolve_hopf(args[0]))
         return {"constructed": ser_algebra(a)}, a.report
@@ -491,11 +502,8 @@ def _construct(ws: Workspace, recipe: str):
         m = ws.resolve_module_algebra(args[0])
         q = ws.resolve_qt(args[1]) if len(args) > 1 else trivial_qt(m.host)
         b = build_B(m, q, separability(m))
-        n = b.wha.dim
         return {"constructed": ser_hopf(b.wha, "weak-hopf"),
-                "R": [[rat_str(b.rqt.Rw.entry(i, j)) for j in range(n)] for i in range(n)],
-                "Rbar": [[rat_str(b.rqt.Rw_bar.entry(i, j)) for j in range(n)]
-                         for i in range(n)],
+                "R": ser_t2(b.rqt.Rw), "Rbar": ser_t2(b.rqt.Rw_bar),
                 "codec": "flat = (a_index * dim_H + h_index) * dim_A + dual_index"}, b.report
     if op == "transmute":
         q = ws.resolve_qt(args[0])

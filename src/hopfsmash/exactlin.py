@@ -1,6 +1,6 @@
 """Exact rational linear algebra: vectors, matrices, order-3 structure tensors,
-multi-leg tensor elements, and the nullspace / solving primitives used by every
-other module.
+sparse 2-leg tensor elements, and the nullspace / solving primitives used by
+every other module.
 
 Conventions, fixed once:
   * scalars are `fractions.Fraction` (always lowest terms, denominator > 0);
@@ -8,9 +8,7 @@ Conventions, fixed once:
   * a matrix M represents the map e_c |-> sum_r M[r][c] e_r (columns index
     the source basis);
   * Tensor3 t stores t[i][j][k] = coefficient of basis vector k in the
-    product (resp. of e_j (x) e_k in the coproduct) of basis vectors i, j;
-  * contract(a, b, pairs) keeps the remaining legs of a first, then the
-    remaining legs of b, each in their original order.
+    product (resp. of e_j (x) e_k in the coproduct) of basis vectors i, j.
 
 Elimination is fraction-free: rows are cleared to integers and updated by
 cross-multiplication with gcd reduction, which keeps intermediate entries
@@ -19,7 +17,6 @@ small without ever rounding.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -76,7 +73,7 @@ def rat_str(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 def vec(entries) -> tuple:
-    return tuple(rat(x) for x in entries)
+    return tuple(map(rat_reader(), entries))
 
 
 def zero_vec(n: int) -> tuple:
@@ -93,10 +90,10 @@ def vec_dot(u, v):
     return sum((a * b for a, b in zip(u, v)), RAT_ZERO)
 
 
-def lin_comb(coeffs, vectors, dim: int) -> tuple:
-    """sum_p coeffs[p] vectors[p], a vector of length dim."""
+def lin_comb(scalars, vectors, dim: int) -> tuple:
+    """sum_p scalars[p] vectors[p], a vector of length dim."""
     out = [RAT_ZERO] * dim
-    for c, v in zip(coeffs, vectors):
+    for c, v in zip(scalars, vectors):
         if c != 0:
             for idx, x in enumerate(v):
                 if x != 0:
@@ -105,7 +102,8 @@ def lin_comb(coeffs, vectors, dim: int) -> tuple:
 
 
 def mat(rows) -> tuple:
-    m = tuple(vec(r) for r in rows)
+    read = rat_reader()
+    m = tuple(tuple(map(read, r)) for r in rows)
     if m and any(len(r) != len(m[0]) for r in m):
         raise DimensionMismatch("ragged rows")
     return m
@@ -349,13 +347,13 @@ class Subspace:
         self._combs = [{j - dim: c for j, c in row.items() if j >= dim} for row in frac_rows[:r]]
         self.basis = tuple(tuple(row.get(j, RAT_ZERO) for j in range(dim)) for row in self._rows)
 
-    def _basis_coeffs(self, v):
+    def _on_basis(self, v):
         """Coefficients of v on the canonical basis, or None outside the span."""
         if len(v) != self.ambient:
             raise DimensionMismatch(f"vector of length {len(v)} in a subspace of Q^{self.ambient}")
-        coeffs = [v[p] for p in self._pivots]
+        on_basis = [v[p] for p in self._pivots]
         recon: dict = {}
-        for a, row in zip(coeffs, self._rows):
+        for a, row in zip(on_basis, self._rows):
             if a != 0:
                 for j, c in row.items():
                     w = recon.get(j, RAT_ZERO) + a * c
@@ -365,20 +363,20 @@ class Subspace:
                         recon[j] = w
         if recon != {j: x for j, x in enumerate(v) if x != 0}:
             return None
-        return coeffs
+        return on_basis
 
     def contains(self, v) -> bool:
-        return self._basis_coeffs(v) is not None
+        return self._on_basis(v) is not None
 
     def coords(self, v):
         """Coordinates of v in the given vectors, or None outside the span."""
         if not self._independent:
             raise ValueError("basis vectors are linearly dependent")
-        coeffs = self._basis_coeffs(v)
-        if coeffs is None:
+        on_basis = self._on_basis(v)
+        if on_basis is None:
             return None
         out = [RAT_ZERO] * len(self._vectors)
-        for a, comb in zip(coeffs, self._combs):
+        for a, comb in zip(on_basis, self._combs):
             if a != 0:
                 for i, c in comb.items():
                     out[i] += a * c
@@ -456,9 +454,9 @@ def _min_poly(mat_a) -> list:
         powers.append(nxt)
 
 
-def _rational_roots(coeffs) -> tuple:
-    """(roots, fully_split); coeffs ascending, monic up to scaling."""
-    poly = [Fraction(c) for c in coeffs]
+def _rational_roots(poly) -> tuple:
+    """(roots, fully_split); coefficients ascending, monic up to scaling."""
+    poly = [Fraction(c) for c in poly]
     roots = []
     while len(poly) > 1:
         if poly[0] == 0:
@@ -578,22 +576,22 @@ class Tensor3:
 
     @staticmethod
     def from_entries(dims, entries) -> "Tensor3":
-        """Build from an iterable of (i, j, k, value)."""
+        """Build from an iterable of (i, j, k, value); zero values are skipped,
+        repeats accumulate, and an index outside dims raises DimensionMismatch."""
         d0, d1, d2 = dims
         acc: dict = {}
         for i, j, k, v in entries:
             v = rat(v)
             if v == 0:
                 continue
-            key = (i, j)
-            cell = acc.setdefault(key, {})
-            w = cell.get(k, RAT_ZERO) + v
-            if w == 0:
-                cell.pop(k, None)
-            else:
-                cell[k] = w
+            cell = acc.setdefault((i, j), {})
+            w = cell.get(k)
+            cell[k] = v if w is None else w + v
+        for (i, j), cell in acc.items():
+            if not (0 <= i < d0 and 0 <= j < d1 and all(0 <= k < d2 for k in cell)):
+                raise DimensionMismatch(f"an entry of cell {(i, j)} lies outside {tuple(dims)}")
         rows = tuple(
-            tuple(tuple(sorted(acc.get((i, j), {}).items()))
+            tuple(tuple(sorted((k, c) for k, c in acc.get((i, j), {}).items() if c))
                   for j in range(d1))
             for i in range(d0))
         return Tensor3(dims, rows)
@@ -657,156 +655,52 @@ class Tensor3:
 
 
 # ---------------------------------------------------------------------------
-# dense multi-leg tensor elements
+# sparse 2-leg tensor elements
 # ---------------------------------------------------------------------------
 
-def _strides(dims) -> tuple:
-    s = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        s[i] = s[i + 1] * dims[i + 1]
-    return tuple(s)
-
-
 class TensorElem:
-    """An element of V_1 (x) ... (x) V_m, stored densely over a multi-index.
+    """An element of V (x) W kept as its nonzero terms {(i, j): coefficient},
+    in row-major key order.
 
     Houses things like R in H(x)H or a separability idempotent in A(x)A.
     """
 
-    __slots__ = ("dims", "coeffs")
+    __slots__ = ("dims", "terms")
 
-    def __init__(self, dims, coeffs):
+    def __init__(self, dims, terms: dict):
         self.dims = tuple(dims)
-        self.coeffs = tuple(rat(c) for c in coeffs)
-        size = 1
-        for d in self.dims:
-            size *= d
-        if len(self.coeffs) != size:
-            raise DimensionMismatch("coefficient count does not match leg dimensions")
-
-    @property
-    def legs(self) -> int:
-        return len(self.dims)
-
-    @staticmethod
-    def zero(dims) -> "TensorElem":
-        size = 1
-        for d in dims:
-            size *= d
-        return TensorElem(dims, (RAT_ZERO,) * size)
-
-    @staticmethod
-    def from_vector(v) -> "TensorElem":
-        return TensorElem((len(v),), v)
-
-    @staticmethod
-    def from_matrix(m) -> "TensorElem":
-        r, c = mat_shape(m)
-        return TensorElem((r, c), tuple(x for row in m for x in row))
+        self.terms = terms
 
     @staticmethod
     def from_entries(dims, entries) -> "TensorElem":
-        """Build from an iterable of (multi_index, value); repeats accumulate."""
-        strides = _strides(dims)
-        size = 1
-        for d in dims:
-            size *= d
-        co = [RAT_ZERO] * size
-        for idx, v in entries:
-            flat = sum(i * s for i, s in zip(idx, strides))
-            co[flat] += rat(v)
-        return TensorElem(dims, co)
-
-    def entry(self, *idx) -> Fraction:
-        strides = _strides(self.dims)
-        return self.coeffs[sum(i * s for i, s in zip(idx, strides))]
+        """Build from an iterable of ((i, j), value): repeated keys accumulate,
+        zeros (also sums that cancel) are dropped, and an index outside dims
+        raises DimensionMismatch."""
+        d0, d1 = dims
+        acc: dict = {}
+        for key, v in entries:
+            c = acc.get(key)
+            acc[key] = rat(v) if c is None else c + rat(v)
+        for i, j in acc:
+            if not (0 <= i < d0 and 0 <= j < d1):
+                raise DimensionMismatch(f"index {(i, j)} lies outside {tuple(dims)}")
+        return TensorElem(dims, dict(sorted((k, c) for k, c in acc.items() if c != 0)))
 
     def items(self):
-        """Nonzero (multi_index, value) pairs."""
-        ranges = [range(d) for d in self.dims]
-        for flat, idx in enumerate(itertools.product(*ranges)):
-            c = self.coeffs[flat]
-            if c != 0:
-                yield idx, c
+        """Nonzero ((i, j), value) pairs in row-major order."""
+        return self.terms.items()
 
-    def as_matrix(self) -> tuple:
-        if self.legs != 2:
-            raise DimensionMismatch("as_matrix needs exactly 2 legs")
-        r, c = self.dims
-        return tuple(tuple(self.coeffs[i * c + j] for j in range(c)) for i in range(r))
-
-    def add(self, other) -> "TensorElem":
-        if self.dims != other.dims:
-            raise DimensionMismatch("tensor shapes differ")
-        return TensorElem(self.dims, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def sub(self, other) -> "TensorElem":
-        if self.dims != other.dims:
-            raise DimensionMismatch("tensor shapes differ")
-        return TensorElem(self.dims, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c) -> "TensorElem":
-        c = rat(c)
-        return TensorElem(self.dims, tuple(c * a for a in self.coeffs))
-
-    def swap_legs(self, perm) -> "TensorElem":
-        """Reorder legs: new leg t carries old leg perm[t]."""
-        if sorted(perm) != list(range(self.legs)):
-            raise DimensionMismatch("not a permutation of the legs")
-        new_dims = tuple(self.dims[p] for p in perm)
-        co = [RAT_ZERO] * len(self.coeffs)
-        strides_new = _strides(new_dims)
-        for idx, c in self.items():
-            new_idx = tuple(idx[p] for p in perm)
-            co[sum(i * s for i, s in zip(new_idx, strides_new))] = c
-        return TensorElem(new_dims, co)
+    def flip(self) -> "TensorElem":
+        """The image in W (x) V under the flip: sum c e_j (x) e_i for sum c e_i (x) e_j."""
+        return TensorElem(self.dims[::-1],
+                          dict(sorted(((j, i), c) for (i, j), c in self.terms.items())))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TensorElem) and self.dims == other.dims
-                and self.coeffs == other.coeffs)
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.dims, self.coeffs))
+        return hash((self.dims, frozenset(self.terms.items())))
 
     def __repr__(self):
-        nz = sum(1 for c in self.coeffs if c != 0)
-        return f"TensorElem(dims={self.dims}, nonzeros={nz})"
-
-
-def tensor_product(a: TensorElem, b: TensorElem) -> TensorElem:
-    """Outer product; legs of a first."""
-    dims = a.dims + b.dims
-    co = [x * y for x in a.coeffs for y in b.coeffs]
-    return TensorElem(dims, co)
-
-
-def contract(a: TensorElem, b: TensorElem, pairs) -> TensorElem:
-    """Exact contraction of the given (leg-of-a, leg-of-b) pairs.
-
-    Result legs: remaining legs of a in order, then remaining legs of b.
-    """
-    pairs = list(pairs)
-    for la, lb in pairs:
-        if a.dims[la] != b.dims[lb]:
-            raise DimensionMismatch(
-                f"paired legs have different dimensions: {a.dims[la]} vs {b.dims[lb]}")
-    a_con = [la for la, _ in pairs]
-    b_con = [lb for _, lb in pairs]
-    if len(set(a_con)) != len(a_con) or len(set(b_con)) != len(b_con):
-        raise DimensionMismatch("a leg may be contracted at most once")
-    a_keep = [l for l in range(a.legs) if l not in a_con]
-    b_keep = [l for l in range(b.legs) if l not in b_con]
-    dims = tuple(a.dims[l] for l in a_keep) + tuple(b.dims[l] for l in b_keep)
-    strides = _strides(dims) if dims else ()
-    size = 1
-    for d in dims:
-        size *= d
-    co = [RAT_ZERO] * size
-    b_items = list(b.items())
-    for ia, ca in a.items():
-        for ib, cb in b_items:
-            if any(ia[la] != ib[lb] for la, lb in pairs):
-                continue
-            idx = tuple(ia[l] for l in a_keep) + tuple(ib[l] for l in b_keep)
-            co[sum(i * s for i, s in zip(idx, strides))] += ca * cb
-    return TensorElem(dims, co)
+        return f"TensorElem(dims={self.dims}, nonzeros={len(self.terms)})"

@@ -890,6 +890,7 @@ def group_algebra(table: GroupTable) -> HopfData:
 
 def dual_hopf(h: HopfData) -> HopfData:
     """H*: convolution algebra, dual coalgebra, transposed antipode."""
+    h.report.require()
     out = HopfData(convolution_algebra(h.coalgebra),
                    dual_coalgebra(h.algebra),
                    transpose(h.antipode))
@@ -901,6 +902,7 @@ def opposites(h: HopfData, which: str) -> HopfData:
     """H^op, H^cop or H^opcop, with the matching antipode."""
     if which not in ("op", "cop", "opcop"):
         raise ValueError("which must be 'op', 'cop' or 'opcop'")
+    h.report.require()
     n = h.dim
     alg, coal, anti = h.algebra, h.coalgebra, h.antipode
     if which in ("op", "opcop"):
@@ -995,6 +997,7 @@ def drinfeld_double(h: HopfData):
     f * (a_(1) -> g <- S^{-1}(a_(3))) >< a_(2) b, the unique standard choice
     under which the module-algebra formulas on H hold (checked downstream).
     """
+    h.report.require()
     n = h.dim
     if h.antipode_inv is None:
         raise ValueError("drinfeld_double needs an invertible antipode")
@@ -1086,7 +1089,7 @@ def drinfeld_double(h: HopfData):
         for y, cy in eps_sp.items():
             for t, ct in unit_sp.items():
                 sp_add(r_entries, (flat(y, i), flat(i, t)), cy * ct)
-    R = TensorElem.from_entries((nn, nn), list(r_entries.items()))
+    R = TensorElem.from_entries((nn, nn), r_entries.items())
 
     from .qtriang import qt_structure
     q = qt_structure(dh, R)
@@ -1099,6 +1102,7 @@ def drinfeld_double(h: HopfData):
 
 def heisenberg_double(h: HopfData) -> StructureAlgebra:
     """H # H* with H* acting by the left hit p . l = l_(1) <p, l_(2)>."""
+    h.report.require()
     n = h.dim
     nn = n * n
     flat = _double_codec(n)

@@ -75,9 +75,6 @@ class SeparabilityData:
     x: TensorElem
     alpha: tuple
 
-    def x_sparse(self) -> dict:
-        return {idx: c for idx, c in self.x.items()}
-
 
 def verify_module_algebra(m: ModuleAlgebraData, subject: str = "module_algebra") -> VerificationReport:
     rep = VerificationReport(subject)
@@ -169,10 +166,10 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
     rep = VerificationReport("separability")
     A, h = m.A, m.host
     n = A.dim
-    x_sp = s.x_sparse()
+    x_sp = s.x.terms
     alpha = s.alpha
 
-    rep.add("x_symmetric", s.x.swap_legs((1, 0)) == s.x)
+    rep.add("x_symmetric", s.x.flip() == s.x)
 
     rep.check("casimir_centrality",
               ((a,) for a in range(n)

@@ -59,17 +59,6 @@ class QTStructure:
     R: TensorElem
     Rinv: TensorElem
 
-    @property
-    def r_sparse(self) -> dict:
-        return {idx: c for idx, c in self.R.items()}
-
-    @property
-    def rinv_sparse(self) -> dict:
-        return {idx: c for idx, c in self.Rinv.items()}
-
-    def r21_sparse(self) -> dict:
-        return {(b, a): c for (a, b), c in self.R.items()}
-
     @cached_property
     def report(self) -> VerificationReport:
         """verify_qt(self), computed once; shared, so read it."""
@@ -110,8 +99,8 @@ def verify_qt(q: QTStructure, subject: str = "qt") -> VerificationReport:
     h = q.host
     alg = h.algebra
     algs2 = (alg, alg)
-    r = q.r_sparse
-    rbar = q.rinv_sparse
+    r = q.R.terms
+    rbar = q.Rinv.terms
     one2 = sparse_outer(alg.unit_sparse, alg.unit_sparse)
     rep.add("R_invertible_left", tensor_mul_sparse(algs2, rbar, r) == one2)
     rep.add("R_invertible_right", tensor_mul_sparse(algs2, r, rbar) == one2)
@@ -162,7 +151,7 @@ def classify_triangularity(q: QTStructure) -> TriangularityClass:
     h = q.host
     alg = h.algebra
     algs2 = (alg, alg)
-    z = tensor_mul_sparse(algs2, q.r21_sparse(), q.r_sparse)
+    z = tensor_mul_sparse(algs2, q.R.flip().terms, q.R.terms)
     if z == sparse_outer(alg.unit_sparse, alg.unit_sparse):
         return TriangularityClass("triangular", True, True)
     left, right = True, True
@@ -473,9 +462,9 @@ def hr_dual_separability(q: QTStructure, ip, bg: BraidedGroupData | None = None)
     x = TensorElem.from_entries((n, n), entries)
 
     rep = VerificationReport("hr_dual_separability")
-    rep.add("swap_symmetric", x.swap_legs((1, 0)) == x)
+    rep.add("swap_symmetric", x.flip() == x)
     ar = hr_star_algebra(bg)
-    x_sp = {idx: c for idx, c in x.items()}
+    x_sp = x.terms
     rep.check("separability_equation",
               ((i,) for i in range(n)
                if tensor_mul_sparse((ar, ar), sparse_outer({i: RAT_ONE}, ar.unit_sparse), x_sp)

@@ -377,12 +377,11 @@ def smash_qt(sws: SmashWeakStructure) -> tuple[WeakQTStructure, VerificationRepo
             g2 = carrier.mul_sparse({k1: RAT_ONE}, s.include_h({r2: RAT_ONE}))
             for key, cc in sparse_outer(g1, g2).items():
                 sp_add(simplified2, key, c * cr * cc)
-    r_sp = wq.r_sparse()
-    rep.add("simplified_form_right_multiplied", r_sp == simplified1)
-    rep.add("simplified_form_left_multiplied", r_sp == simplified2)
+    rep.add("simplified_form_right_multiplied", Rw.terms == simplified1)
+    rep.add("simplified_form_left_multiplied", Rw.terms == simplified2)
 
     if classify_triangularity(q).kind == "triangular":
-        rep.add("triangular_propagates", wq.r21_sparse() == wq.rbar_sparse())
+        rep.add("triangular_propagates", Rw.flip() == Rw_bar)
     rep.require()
     return wq, rep
 

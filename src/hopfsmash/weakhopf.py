@@ -307,23 +307,14 @@ class WeakQTStructure:
     Rw: TensorElem
     Rw_bar: TensorElem
 
-    def r_sparse(self) -> dict:
-        return {idx: c for idx, c in self.Rw.items()}
-
-    def rbar_sparse(self) -> dict:
-        return {idx: c for idx, c in self.Rw_bar.items()}
-
-    def r21_sparse(self) -> dict:
-        return {(b, a): c for (a, b), c in self.Rw.items()}
-
 
 def verify_weak_qt(wq: WeakQTStructure, subject: str = "weak_qt") -> VerificationReport:
     rep = VerificationReport(subject)
     w = wq.host
     alg, coal = w.algebra, w.coalgebra
     algs2 = (alg, alg)
-    r = wq.r_sparse()
-    rbar = wq.rbar_sparse()
+    r = wq.Rw.terms
+    rbar = wq.Rw_bar.terms
     d1 = w.delta_one
     d1cop = {(b, a): c for (a, b), c in d1.items()}
     rep.add("rbar_r_is_delta_one", tensor_mul_sparse(algs2, rbar, r) == d1)
@@ -347,7 +338,7 @@ def almost_triangular_wha_report(wq: WeakQTStructure) -> VerificationReport:
     n = w.dim
     alg = w.algebra
     algs2 = (alg, alg)
-    z = tensor_mul_sparse(algs2, wq.r21_sparse(), wq.r_sparse())
+    z = tensor_mul_sparse(algs2, wq.Rw.flip().terms, wq.Rw.terms)
 
     hs = list(w.source_basis)
     ht = list(w.target_basis)

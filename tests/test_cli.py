@@ -173,6 +173,24 @@ def test_workspace_groupoid_object(tmp_path):
     assert main(["verify", str(ws), "pair2", "weak-hopf"]) == 0
 
 
+@pytest.mark.parametrize("field", ["morphisms", "objects", "compose", "identities",
+                                   "inverses", "src", "dst"])
+def test_missing_groupoid_field_is_named(tmp_path, capsys, field):
+    morphs = [{"src": 0, "dst": 0}]
+    doc = {"objects": {"g": {"type": "groupoid", "objects": 1, "morphisms": morphs,
+                             "compose": [[0]], "identities": [0], "inverses": [0]}}}
+    if field in ("src", "dst"):
+        del morphs[0][field]
+        where = "g.morphisms[0]"
+    else:
+        del doc["objects"]["g"][field]
+        where = "g"
+    ws = tmp_path / "g.json"
+    ws.write_text(json.dumps(doc))
+    assert main(["verify", str(ws), "g", "weak-hopf"]) == 2
+    assert f"object {where!r} has no field {field!r}" in capsys.readouterr().err
+
+
 def test_workspace_rejects_dangling_reference(tmp_path):
     doc = {"objects": {"q": {"type": "qt", "host": "ghost", "R": [["1"]]}}}
     ws = tmp_path / "dangling.json"
@@ -385,7 +403,7 @@ def test_false_in_r_is_refused(tmp_path, capsys):
     assert "qs3-trivial.R" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["mult", "comult", "unit", "antipode"])
+@pytest.mark.parametrize("field", ["mult", "comult", "unit", "counit", "antipode"])
 @pytest.mark.parametrize("scalar", ["1/0", 1.5, True, False, None, [1]],
                          ids=["zero-denominator", "float", "true", "false", "null", "list"])
 def test_every_bad_scalar_in_every_field_is_refused(tmp_path, capsys, field, scalar):

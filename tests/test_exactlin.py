@@ -11,7 +11,6 @@ from hopfsmash.exactlin import (
     TensorElem,
     _poly_gcd,
     basis_vec,
-    contract,
     identity_mat,
     kernel_basis,
     mat,
@@ -24,7 +23,6 @@ from hopfsmash.exactlin import (
     solve,
     span_basis,
     split,
-    tensor_product,
     transpose,
     vec,
     zero_mat,
@@ -74,42 +72,6 @@ def test_solve_examples():
         solve(mat([[1, 2]]), vec([1, 2]))
 
 
-def test_contract_identity_on_vector():
-    ident = TensorElem.from_matrix(identity_mat(3))
-    v = TensorElem.from_vector(vec([2, -1, 5]))
-    out = contract(ident, v, [(1, 0)])
-    assert out == v
-
-
-def test_contract_trivial_r_product():
-    # R = Rbar = 1 (x) 1 in kZ2-like coordinates; componentwise products
-    # against the multiplication tensor recover 1 (x) 1
-    one = TensorElem.from_entries((2, 2), [((0, 0), 1)])
-    mult = TensorElem.from_entries((2, 2, 2),
-                                   [((0, 0, 0), 1), ((0, 1, 1), 1),
-                                    ((1, 0, 1), 1), ((1, 1, 0), 1)])
-    t1 = contract(one, mult, [(0, 0)])          # legs: R^2, j, k
-    t2 = contract(t1, one, [(1, 0)])            # legs: R^2, k, Rbar^2
-    out = contract(t2, mult, [(0, 0), (2, 1)])  # legs: k, m
-    assert out == TensorElem.from_entries((2, 2), [((0, 0), 1)])
-
-
-def test_contract_full_contraction_k3():
-    # m(x) for x = sum e_i (x) e_i over pointwise k^3 is the unit (1, 1, 1),
-    # frozen from the direct expansion sum_i e_i e_i = sum_i e_i
-    x = TensorElem.from_entries((3, 3), [((i, i), 1) for i in range(3)])
-    mult = TensorElem.from_entries((3, 3, 3), [((i, i, i), 1) for i in range(3)])
-    out = contract(x, mult, [(0, 0), (1, 1)])
-    assert out == TensorElem.from_vector(vec([1, 1, 1]))
-
-
-def test_contract_shape_errors():
-    a = TensorElem.from_vector(vec([1, 2]))
-    b = TensorElem.from_vector(vec([1, 2, 3]))
-    with pytest.raises(DimensionMismatch):
-        contract(a, b, [(0, 0)])
-
-
 def test_tensor3_round_trip():
     t = Tensor3.from_dense([[[1, 0], [0, 2]], [[0, 0], [F(1, 3), 0]]])
     assert t.entry(1, 1, 0) == F(1, 3)
@@ -124,13 +86,6 @@ def test_tensor3_from_dense_refuses_ragged_arrays(data):
     # the sizes come from the first plane and row; any other length is refused
     with pytest.raises(DimensionMismatch, match="ragged"):
         Tensor3.from_dense(data)
-
-
-def test_swap_legs():
-    t = TensorElem.from_entries((2, 3), [((1, 2), 5)])
-    s = t.swap_legs((1, 0))
-    assert s.dims == (3, 2)
-    assert s.entry(2, 1) == 5
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,22 +110,6 @@ def test_kernel_vectors_are_exact(r, c, data):
     assert rank(m) + len(ker) == c
     for v in ker:
         assert all(x == 0 for x in mat_vec(m, v))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_contract_is_bilinear(data):
-    dims = (2, 2)
-    def draw_elem():
-        co = data.draw(st.lists(rationals, min_size=4, max_size=4))
-        return TensorElem(dims, co)
-    a, a2, b = draw_elem(), draw_elem(), draw_elem()
-    pairs = [(0, 1)]
-    left = contract(a.add(a2), b, pairs)
-    right = contract(a, b, pairs).add(contract(a2, b, pairs))
-    assert left == right
-    c = data.draw(rationals)
-    assert contract(a.scale(c), b, pairs) == contract(a, b, pairs).scale(c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -296,9 +235,53 @@ def test_split_into_eigenspaces():
         assert not fully_split and blocks == [[basis_vec(2, 0), basis_vec(2, 1)]]
 
 
-def test_tensor_product_legs():
-    a = TensorElem.from_vector(vec([1, 2]))
-    b = TensorElem.from_vector(vec([3, 0, 1]))
-    t = tensor_product(a, b)
-    assert t.dims == (2, 3)
-    assert t.entry(1, 2) == 2
+def test_tensor_elem_accumulates_and_drops_zeros():
+    t = TensorElem.from_entries((2, 3), [((1, 2), 1), ((0, 1), "1/2"), ((1, 2), F(1, 2)),
+                                         ((0, 0), 0)])
+    assert t.terms == {(0, 1): F(1, 2), (1, 2): F(3, 2)}
+    assert all(type(c) is F for c in t.terms.values())
+
+
+def test_tensor_elem_cancellation_leaves_no_terms():
+    t = TensorElem.from_entries((2, 2), [((0, 1), 3), ((1, 1), 0), ((0, 1), -3)])
+    assert t.terms == {}
+    assert t == TensorElem.from_entries((2, 2), [])
+    assert t != TensorElem.from_entries((2, 3), [])
+
+
+def test_tensor_elem_equality_ignores_entry_order():
+    entries = [((1, 0), 2), ((0, 1), -1), ((1, 1), F(1, 3))]
+    a = TensorElem.from_entries((2, 2), entries)
+    b = TensorElem.from_entries((2, 2), reversed(entries))
+    assert a == b and hash(a) == hash(b)
+    assert a != TensorElem.from_entries((2, 2), entries[:2])
+
+
+def test_tensor_elem_terms_are_row_major():
+    t = TensorElem.from_entries((3, 3), [((2, 0), 1), ((0, 2), 2), ((1, 1), 3), ((0, 0), 4)])
+    assert list(t.terms) == [(0, 0), (0, 2), (1, 1), (2, 0)]
+    assert list(t.items()) == list(t.terms.items())
+
+
+def test_tensor_elem_flip_swaps_legs():
+    t = TensorElem.from_entries((2, 3), [((1, 2), 5), ((0, 1), 7), ((1, 0), -1)])
+    s = t.flip()
+    assert s.dims == (3, 2)
+    assert s.terms == {(0, 1): -1, (1, 0): 7, (2, 1): 5}
+    assert list(s.terms) == sorted(s.terms)
+    assert s.flip() == t
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TensorElem.from_entries((2, 2), [((0, 2), 1)]),
+    lambda: TensorElem.from_entries((2, 2), [((2, 0), 1)]),
+    lambda: TensorElem.from_entries((2, 2), [((-1, 0), 1)]),
+    lambda: TensorElem.from_entries((2, 2), [((0, 2), 1), ((0, 2), -1)]),
+    lambda: Tensor3.from_entries((2, 2, 2), [(2, 0, 0, 1)]),
+    lambda: Tensor3.from_entries((2, 2, 2), [(0, 0, 5, 1)]),
+    lambda: Tensor3.from_entries((2, 2, 2), [(0, -1, 0, 1)]),
+], ids=["elem-column", "elem-row", "elem-negative", "elem-cancelled",
+        "t3-first", "t3-last", "t3-negative"])
+def test_from_entries_refuses_an_index_outside_dims(build):
+    with pytest.raises(DimensionMismatch, match="outside"):
+        build()

@@ -35,6 +35,7 @@ from hopfsmash.hopfcore import (
     verify_hopf,
 )
 from hopfsmash.modalg import pointwise_algebra
+from hopfsmash.report import HypothesisFailure
 
 
 def test_group_table_validation():
@@ -81,6 +82,22 @@ def test_corrupted_mult_fails_with_witness(ks3):
     rep = verify_algebra(bad)
     assert not rep.ok
     assert rep.find("associativity").witness == (1, 1, 2)
+
+
+@pytest.mark.parametrize("build", [drinfeld_double, heisenberg_double, dual_hopf,
+                                   lambda h: opposites(h, "op")],
+                         ids=["double", "heisenberg", "dual", "op"])
+def test_constructors_refuse_a_broken_host_under_its_own_check(ks3, build):
+    # the derived object fails too, but under its own check and indices; the
+    # host's check names the perturbed cell
+    dense = ks3.mult.dense()
+    dense[1][2][0] += 1
+    bad = HopfData(StructureAlgebra(6, Tensor3.from_dense(dense), ks3.unit),
+                   ks3.coalgebra, ks3.antipode)
+    with pytest.raises(HypothesisFailure) as ei:
+        build(bad)
+    assert ei.value.hypothesis == "hopf:algebra.associativity"
+    assert ei.value.witness == (1, 1, 2)
 
 
 def test_dual_kz2_isomorphic_to_kz2(kz2):
@@ -233,7 +250,7 @@ def test_drinfeld_double_trivial_group():
     h = group_algebra(GroupTable.from_lists(["e"], [[0]]))
     dd, q = drinfeld_double(h)
     assert dd.dim == 1
-    assert q.R.entry(0, 0) == 1
+    assert q.R.terms == {(0, 0): 1}
 
 
 def test_drinfeld_double_ks3(double_s3):

@@ -1,6 +1,7 @@
-"""Source hygiene: no module imports a name it never uses, the package
-imports nothing outside the standard library, and each object verifier runs
-only in its class's cached `report` property (or in the CLI's suites).
+"""Source hygiene: no module imports a name it never uses or imports again
+inside a function, the package imports nothing outside the standard library,
+and each object verifier runs only in its class's cached `report` property
+(or in the CLI's suites).
 
 An AST scan stands in for pyflakes: a name bound by an import counts as used
 when it appears anywhere in the module as a name, as the root of an
@@ -67,6 +68,34 @@ def test_scan_finds_unused_and_accepts_used():
            "    from g import h\n"
            "    return os.sep, d\n")
     assert unused_imports(src) == [("b", 3), ("h", 5)]
+
+
+def local_reimports(source: str) -> list:
+    """(name, line) of every import inside a function of a name that the
+    module already imports at top level."""
+    tree = ast.parse(source)
+    top = {name for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))
+           for name, _ in _imported(stmt)}
+    return sorted({(name, line) for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for name, line in _imported(fn) if name in top})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_local_reimports(path):
+    assert local_reimports(path.read_text()) == []
+
+
+def test_scan_finds_local_reimports():
+    src = ("import os\n"
+           "from a import b, c as d\n"
+           "def f():\n"
+           "    from a import b, e\n"
+           "    def g():\n"
+           "        import os, sys\n"
+           "        from x import d\n"
+           "    return b, e, g, os, sys, d\n")
+    assert local_reimports(src) == [("b", 4), ("d", 7), ("os", 6)]
 
 
 def foreign_imports(source: str) -> list:

@@ -93,7 +93,7 @@ def test_hexagon_sides_match_unit_padded_products(n, data):
     dd, q = _cyclic_double(n)
     m = dd.dim
     idx = st.integers(0, m - 1)
-    r = dict(q.r_sparse)
+    r = dict(q.R.terms)
     for _ in range(data.draw(st.integers(0, 3))):
         sp_add(r, (data.draw(idx), data.draw(idx)), data.draw(_deltas))
     entries = [(i, j, k, c) for i in range(m) for j in range(m)

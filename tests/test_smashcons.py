@@ -95,7 +95,7 @@ def test_smash_guard_u_triviality(kz2):
 def test_smash_qt_trivial_r_is_delta_one(sws18):
     wq, rep = smash_qt(sws18)
     assert rep.ok
-    assert wq.r_sparse() == sws18.wha.delta_one
+    assert wq.Rw.terms == sws18.wha.delta_one
     assert rep.find("triangular_propagates").passed
 
 
@@ -107,7 +107,7 @@ def test_smash_qt_degenerate_coefficients(double_z2, kz2):
     sws = smash_weak_structure(s, q, separability(m))
     wq, rep = smash_qt(sws)
     assert rep.ok
-    assert wq.r_sparse() == {idx: c for idx, c in q.R.items()}
+    assert wq.Rw == q.R
 
 
 def test_smash_qt_muger_guard(kz2, double_mod_z2):
