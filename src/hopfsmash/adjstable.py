@@ -22,9 +22,9 @@ from .exactlin import (
     kernel_basis,
     lin_comb,
     rank,
+    solve,
     span_basis,
     split,
-    transpose,
     vec_dot,
 )
 from .hopfcore import (
@@ -32,14 +32,23 @@ from .hopfcore import (
     LinearMap,
     StructureAlgebra,
     StructureCoalgebra,
+    check_map,
     module_law_failures,
     opposites,
     sp,
     sp_add,
     unsp,
 )
-from .modalg import ModuleAlgebraData, SeparabilityData, verify_separability
-from .qtriang import BraidedGroupData, QTStructure, qt_structure
+from .modalg import ModuleAlgebraData, SeparabilityData, regular_trace, verify_separability
+from .qtriang import (
+    BraidedGroupData,
+    QTStructure,
+    adjoint_action_tensor,
+    classify_triangularity,
+    hr_dual_separability,
+    qt_structure,
+    transmute,
+)
 from .report import HypothesisFailure, VerificationReport
 
 
@@ -193,7 +202,6 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
                    bg: BraidedGroupData | None = None) -> BraidedComoduleResult:
     """rho_R(x) = x_<-1> S(R^2) (x) R^1 . x_<0> makes V a left H_R-comodule;
     the generated H-module subcoalgebra D_V is extracted as a subspace."""
-    from .qtriang import transmute
     h = q.host
     if bg is None:
         bg = transmute(q)
@@ -204,7 +212,7 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
         for d in range(nh):
             for x2, c in v.coaction.row(x, d):
                 for (r1, r2), cr in r_items:
-                    first = h.algebra.mul_sparse({d: RAT_ONE}, h.s_sparse({r2: RAT_ONE}))
+                    first = h.algebra.mul_sparse({d: RAT_ONE}, h.antipode.cols[r2])
                     second = v.action.act({r1: RAT_ONE}, {x2: RAT_ONE})
                     for f, cf in first.items():
                         for s2, cs in second.items():
@@ -269,11 +277,7 @@ def build_h_tensor_w(w: ComoduleData, h: HopfData,
     rho'(h (x) w) = (h_(1) (x) w) (x) h_(2)."""
     nh, nw = h.dim, w.dim
     n = nh * nw
-    if bg is None:
-        from .qtriang import adjoint_action_tensor
-        ad = adjoint_action_tensor(h)
-    else:
-        ad = bg.adjoint_action
+    ad = adjoint_action_tensor(h) if bg is None else bg.adjoint_action
 
     def flat(i, ww):
         return i * nw + ww
@@ -434,7 +438,6 @@ def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
             rhs.append(RAT_ONE if r == q else RAT_ZERO)
             rows.append(tuple(rm[r]))
             rhs.append(RAT_ONE if r == q else RAT_ZERO)
-    from .exactlin import solve
     unit_coords = solve(tuple(rows), tuple(rhs))
     if unit_coords is None:
         raise ValueError("N_W has no unit inside the cotensor subspace")
@@ -653,7 +656,6 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
     conventions and insisting exactly one makes Phi well-defined with
     Psi o Phi = id (they collapse to one for cocommutative Delta_R|_D).
     """
-    from .qtriang import transmute
     from .smashcons import smash_algebra
     h = q.host
     if bg is None:
@@ -688,8 +690,8 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
                     cc = dd.ad_coords[j1][ridx][p]
                     if cc != 0:
                         sp_add(col, ridx * nh + j2, ct * ce * c * cc)
-        psi_cols.append(unsp(col, m * nh))
-    psi = LinearMap(nd.carrier.dim, s.carrier.dim, transpose(tuple(psi_cols)))
+        psi_cols.append(col)
+    psi = LinearMap(nd.carrier.dim, s.carrier.dim, psi_cols)
 
     # Phi for both coaction conventions
     def phi_columns(convention: str):
@@ -698,7 +700,7 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
             for j in range(nh):
                 col: dict = {}
                 for j1, j2, c in h.coalgebra.comul_row(j):
-                    s_j1 = h.s_sparse({j1: RAT_ONE})
+                    s_j1 = h.antipode.cols[j1]
                     for qidx in range(m):
                         for ridx in range(m):
                             if convention == "first_leg_out":
@@ -727,7 +729,7 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
         if any(c is None for c in coords):
             statuses[convention] = "not_well_defined"
             continue
-        cand = LinearMap(s.carrier.dim, nd.carrier.dim, transpose(tuple(coords)))
+        cand = LinearMap(s.carrier.dim, nd.carrier.dim, [sp(c) for c in coords])
         if psi.compose(cand).is_identity() and cand.compose(psi).is_identity():
             statuses[convention] = "works"
             if chosen is None:
@@ -745,7 +747,6 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
 
     rep.add("psi_phi_identity", psi.compose(phi).is_identity())
     rep.add("phi_psi_identity", phi.compose(psi).is_identity())
-    from .hopfcore import check_map
     rep.merge(check_map(psi, nd.carrier, s.carrier, ("algebra", "injective")), "psi.")
     rep.merge(check_map(phi, s.carrier, nd.carrier, ("algebra", "injective")), "phi.")
     rep.require()
@@ -876,11 +877,9 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     verify it as an almost-triangular weak Hopf algebra, transport everything
     to the N_D carrier along Psi/Phi and re-verify, and compare Wedderburn
     block multisets of N_D against N_W for the simple subcomodules W of D."""
-    from .qtriang import (classify_triangularity, hr_dual_separability, transmute)
     from .smashcons import smash_weak_structure, smash_qt
     from .weakhopf import (WeakHopfData, WeakQTStructure,
                            almost_triangular_wha_report, verify_weak_qt)
-    from .modalg import regular_trace
 
     h = q.host
     nh = h.dim
@@ -972,7 +971,7 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
                if sws.wha.counit[p * nh + j] != alpha_d[p] * h.counit[j]))
 
     def antipode_failures():
-        lefts = [s.include_h(h.s_sparse({j: RAT_ONE})) for j in range(nh)]
+        lefts = [s.include_h(h.antipode.cols[j]) for j in range(nh)]
         for p in range(m):
             for j in range(nh):
                 direct: dict = {}
@@ -986,7 +985,7 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
                         sp_add(right, fa * nh + r2, cfa * cr)
                     for key, c in s.carrier.mul_sparse(left, right).items():
                         sp_add(direct, key, c)
-                if sws.wha.s_sparse({p * nh + j: RAT_ONE}) != direct:
+                if sws.wha.antipode.cols[p * nh + j] != direct:
                     yield (p, j)
 
     rep.check("antipode_matches_dual_closed_form", antipode_failures())
@@ -1009,8 +1008,8 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
             cent.append((pidx, a, b, c))
     comult_n = Tensor3.from_entries((m2, m2, m2), cent)
     counit_n = tuple(sws.wha.coalgebra.counit_sparse(col) for col in psi_m.cols)
-    s_n = phi_m.compose(LinearMap(sws.wha.dim, sws.wha.dim, sws.wha.antipode)).compose(psi_m)
-    nd_wha = WeakHopfData(nd.carrier, StructureCoalgebra(m2, comult_n, counit_n), s_n.matrix)
+    s_n = phi_m.compose(sws.wha.antipode).compose(psi_m)
+    nd_wha = WeakHopfData(nd.carrier, StructureCoalgebra(m2, comult_n, counit_n), s_n)
     rep.merge(nd_wha.report, "nd_wha.")
     r_n = _tensor_map_coords(phi_m, phi_m, wq.Rw.terms)
     rbar_n = _tensor_map_coords(phi_m, phi_m, wq.Rw_bar.terms)

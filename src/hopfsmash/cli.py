@@ -22,10 +22,11 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__
-from .exactlin import Tensor3, TensorElem, mat, rat_reader, rat_str, vec
+from .exactlin import Tensor3, TensorElem, rat_reader, rat_str, vec
 from .hopfcore import (
     GroupTable,
     HopfData,
+    LinearMap,
     StructureAlgebra,
     StructureCoalgebra,
     dual_hopf,
@@ -47,9 +48,11 @@ from .qtriang import (
 )
 from .report import HypothesisFailure, VerificationReport
 from .weakhopf import (
+    GroupoidData,
     WeakHopfData,
     WeakQTStructure,
     almost_triangular_wha_report,
+    groupoid_wha,
     verify_weak_hopf,
     verify_weak_qt,
 )
@@ -92,7 +95,7 @@ def ser_hopf(h: HopfData, kind: str = "hopf") -> dict:
     return {"type": kind, "dim": h.dim,
             "mult": ser_t3(h.mult), "unit": ser_vec(h.unit),
             "comult": ser_t3(h.comult), "counit": ser_vec(h.counit),
-            "antipode": _ser_mat(h.antipode)}
+            "antipode": _ser_mat(h.antipode.matrix)}
 
 
 def de_hopf(obj: dict, name: str, cls=HopfData):
@@ -101,7 +104,7 @@ def de_hopf(obj: dict, name: str, cls=HopfData):
     with _parsing(f"object {name!r}"):
         return cls(StructureAlgebra(dim, Tensor3.from_dense(mult), vec(unit)),
                    StructureCoalgebra(dim, Tensor3.from_dense(comult), vec(counit)),
-                   mat(antipode))
+                   LinearMap.from_matrix(antipode))
 
 
 def ser_algebra(a: StructureAlgebra) -> dict:
@@ -112,21 +115,20 @@ def ser_algebra(a: StructureAlgebra) -> dict:
 def groupoid_wha_from_json(obj: dict, name: str) -> WeakHopfData:
     """{"objects": [...] or count, "morphisms": [{"src": i, "dst": j,
     "name": ...?}], "compose": table, "identities": [...], "inverses": [...]}
-    -> its groupoid algebra."""
-    from .weakhopf import GroupoidData, groupoid_wha
+    -> its groupoid algebra; a field of the wrong type or shape, or an index
+    out of range, is a ValueError naming the object."""
     morphs, objects, compose, identities, inverses = _fields(
         obj, name, "morphisms", "objects", "compose", "identities", "inverses")
-    ends = [_fields(m, f"{name}.morphisms[{a}]", "src", "dst") for a, m in enumerate(morphs)]
-    n_objects = len(objects) if isinstance(objects, list) else int(objects)
-    g = GroupoidData(
-        n_objects=n_objects,
-        sources=tuple(src for src, _ in ends),
-        targets=tuple(dst for _, dst in ends),
-        compose=tuple(tuple(row) for row in compose),
-        identities=tuple(identities),
-        inverses=tuple(inverses),
-    )
-    return groupoid_wha(g)
+    with _parsing(f"object {name!r}"):
+        ends = [_fields(m, f"{name}.morphisms[{a}]", "src", "dst") for a, m in enumerate(morphs)]
+        return groupoid_wha(GroupoidData(
+            n_objects=len(objects) if isinstance(objects, list) else int(objects),
+            sources=tuple(src for src, _ in ends),
+            targets=tuple(dst for _, dst in ends),
+            compose=tuple(tuple(row) for row in compose),
+            identities=tuple(identities),
+            inverses=tuple(inverses),
+        ))
 
 
 def _fields(obj: dict, name: str, *fields) -> tuple:
@@ -141,9 +143,12 @@ def _fields(obj: dict, name: str, *fields) -> tuple:
 @contextmanager
 def _parsing(what: str):
     """Scope for reading workspace scalars: a refused one (a bool, a float, a
-    malformed string, a zero denominator) becomes a ValueError naming what."""
+    malformed string, a zero denominator) becomes a ValueError naming what. A
+    refused hypothesis passes through, so a verified build may run inside."""
     try:
         yield
+    except HypothesisFailure:
+        raise
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what}: {exc}") from None
 
@@ -513,7 +518,7 @@ def _construct(ws: Workspace, recipe: str):
             "dim": q.host.dim,
             "adjoint_action": ser_t3(bg.adjoint_action),
             "comult_R": ser_t3(bg.comult_R),
-            "antipode_R": _ser_mat(bg.antipode_R),
+            "antipode_R": _ser_mat(bg.antipode_R.matrix),
         }}, bg.report
     if op == "nd":
         from .adjstable import psi_phi

@@ -76,10 +76,6 @@ def vec(entries) -> tuple:
     return tuple(map(rat_reader(), entries))
 
 
-def zero_vec(n: int) -> tuple:
-    return (RAT_ZERO,) * n
-
-
 def basis_vec(n: int, i: int) -> tuple:
     return tuple(RAT_ONE if j == i else RAT_ZERO for j in range(n))
 
@@ -113,10 +109,6 @@ def identity_mat(n: int) -> tuple:
     return tuple(basis_vec(n, i) for i in range(n))
 
 
-def zero_mat(r: int, c: int) -> tuple:
-    return tuple(zero_vec(c) for _ in range(r))
-
-
 def mat_shape(m) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 
@@ -142,11 +134,6 @@ def transpose(m):
     return tuple(tuple(m[i][j] for i in range(r)) for j in range(c))
 
 
-def mat_eq(a, b) -> bool:
-    return mat_shape(a) == mat_shape(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def commutant_rows(mats, m: int) -> tuple:
     """Linear equations X g = g X, one per matrix entry, on the m x m unknown X
     flattened row-major; their kernel is the commutant of the given matrices."""
@@ -167,8 +154,10 @@ def commutant_rows(mats, m: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _int_row(row) -> dict:
-    """Clear denominators; return {col: int} over the nonzero entries."""
-    entries = [(j, x) for j, x in enumerate(row) if x != 0]
+    """Clear denominators of a dense row or a sparse {col: x} dict; return
+    {col: int} over the nonzero entries."""
+    entries = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row))
+               if x != 0]
     if not entries:
         return {}
     den = 1

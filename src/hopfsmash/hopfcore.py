@@ -1,9 +1,10 @@
 """Structure-constant algebras, coalgebras, bialgebras and Hopf algebras.
 
 Everything is a finite-dimensional vector space over the exact rationals with
-structure tensors in the exactlin conventions.  A matrix M encodes the linear
-map e_c |-> sum_r M[r][c] e_r.  Elements travel either as dense tuples or as
-sparse {index: Fraction} dicts; the sparse form is what the axiom loops use.
+structure tensors in the exactlin conventions.  Structure maps (antipodes,
+counital maps, embeddings) are LinearMaps: the images f(e_c) as sparse
+{index: Fraction} columns.  Elements are sparse dicts in the axiom loops; only
+units and counits stay dense tuples.
 
 Pairing conventions (fixed once):
     <a -> f, b> = <f, b a>        left action of an algebra on its dual
@@ -24,10 +25,11 @@ from .exactlin import (
     DimensionMismatch,
     Tensor3,
     TensorElem,
+    _int_row,
+    _sparse_rref,
     basis_vec,
     kernel_basis,
     mat,
-    mat_inverse,
     mat_shape,
     transpose,
     vec_dot,
@@ -215,27 +217,46 @@ class StructureCoalgebra:
         return self._rows2[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearMap:
-    """A linear map between based spaces.
+    """A linear map between based spaces, kept as its columns: cols[c] is
+    f(e_c) as a sparse {row: Fraction} dict of its nonzeros.
 
-    `matrix` (target x source) is the constructor input and the serialized
-    form.  Every operation works on `cols`, the images f(e_c) as sparse
-    {row: Fraction} dicts, built once from it.
+    The column dicts are shared by every reader, so read them and never
+    modify them; compose, transpose and inverse build new ones.
     """
 
     source_dim: int
     target_dim: int
-    matrix: tuple
+    cols: tuple
 
     def __post_init__(self):
-        if mat_shape(self.matrix) != (self.target_dim, self.source_dim):
-            raise DimensionMismatch("matrix shape disagrees with declared dims")
+        object.__setattr__(self, "cols", tuple(self.cols))
+        if len(self.cols) != self.source_dim or any(
+                not 0 <= r < self.target_dim for col in self.cols for r in col):
+            raise DimensionMismatch("columns disagree with the declared dims")
 
-    @cached_property
-    def cols(self) -> tuple:
-        return tuple({r: row[c] for r, row in enumerate(self.matrix) if row[c] != 0}
-                     for c in range(self.source_dim))
+    @staticmethod
+    def from_matrix(m) -> "LinearMap":
+        """The map of a target x source matrix of rationals (M[r][c] is the
+        coefficient of e_r in f(e_c)); a ragged matrix raises DimensionMismatch."""
+        m = mat(m)
+        nrows, ncols = mat_shape(m)
+        return LinearMap(ncols, nrows, tuple({r: row[c] for r, row in enumerate(m) if row[c] != 0}
+                                             for c in range(ncols)))
+
+    @property
+    def matrix(self) -> tuple:
+        """The dense target x source matrix, for serialisation and tests."""
+        return tuple(tuple(col.get(r, RAT_ZERO) for col in self.cols)
+                     for r in range(self.target_dim))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, LinearMap) and self.target_dim == other.target_dim
+                and self.cols == other.cols)
+
+    def __hash__(self):
+        return hash((self.target_dim, tuple(frozenset(col.items()) for col in self.cols)))
 
     def apply_sparse(self, a: dict) -> dict:
         out: dict = {}
@@ -252,32 +273,50 @@ class LinearMap:
     def compose(self, other: "LinearMap") -> "LinearMap":
         if other.target_dim != self.source_dim:
             raise DimensionMismatch("maps do not compose")
-        cols = [self.apply_sparse(col) for col in other.cols]
         return LinearMap(other.source_dim, self.target_dim,
-                         tuple(tuple(col.get(r, RAT_ZERO) for col in cols)
-                               for r in range(self.target_dim)))
+                         tuple(self.apply_sparse(col) for col in other.cols))
+
+    def transpose(self) -> "LinearMap":
+        cols = tuple({} for _ in range(self.target_dim))
+        for c, col in enumerate(self.cols):
+            for r, x in col.items():
+                cols[r][c] = x
+        return LinearMap(self.target_dim, self.source_dim, cols)
 
     def is_identity(self) -> bool:
         return (self.source_dim == self.target_dim
                 and all(col == {c: RAT_ONE} for c, col in enumerate(self.cols)))
 
     def rank(self) -> int:
-        from .exactlin import rank
-        return rank(self.matrix)
+        return len(_sparse_rref([_int_row(col) for col in self.cols], self.target_dim)[1])
+
+    def inverse(self):
+        """The inverse map, or None when this map is singular.  Eliminating the
+        rows f(e_c) (+) e_c leaves e_i (+) f^{-1}(e_i) as row i exactly when
+        f is invertible."""
+        n = self.source_dim
+        if self.target_dim != n:
+            raise DimensionMismatch("inverse of a map between spaces of different dims")
+        rows, pivots = _sparse_rref([_int_row({**col, n + c: RAT_ONE})
+                                     for c, col in enumerate(self.cols)], 2 * n)
+        if pivots[:n] != list(range(n)):
+            return None
+        return LinearMap(n, n, tuple({j - n: x for j, x in row.items() if j >= n}
+                                     for row in rows[:n]))
 
 
 @dataclass(frozen=True)
 class HopfData:
-    """Algebra + coalgebra on one carrier, with an antipode matrix."""
+    """Algebra + coalgebra on one carrier, with an antipode map."""
 
     algebra: StructureAlgebra
     coalgebra: StructureCoalgebra
-    antipode: tuple
+    antipode: LinearMap
 
     def __post_init__(self):
         if self.algebra.dim != self.coalgebra.dim:
             raise DimensionMismatch("algebra and coalgebra dimensions differ")
-        if mat_shape(self.antipode) != (self.dim, self.dim):
+        if (self.antipode.source_dim, self.antipode.target_dim) != (self.dim, self.dim):
             raise DimensionMismatch("antipode matrix has wrong shape")
 
     @property
@@ -301,26 +340,8 @@ class HopfData:
         return self.coalgebra.counit
 
     @cached_property
-    def antipode_cols(self) -> tuple:
-        """S(e_j) as sparse columns."""
-        n = self.dim
-        return tuple(
-            tuple((r, self.antipode[r][j]) for r in range(n) if self.antipode[r][j] != 0)
-            for j in range(n))
-
-    @cached_property
-    def antipode_inv(self):
-        return mat_inverse(self.antipode)
-
-    def s_sparse(self, a: dict) -> dict:
-        out: dict = {}
-        for j, c in a.items():
-            for r, w in self.antipode_cols[j]:
-                sp_add(out, r, c * w)
-        return out
-
-    def s_vec(self, v) -> tuple:
-        return unsp(self.s_sparse(sp(v)), self.dim)
+    def antipode_inv(self) -> LinearMap | None:
+        return self.antipode.inverse()
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -698,6 +719,21 @@ def hexagon_sides(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict) -> t
     return d_id, r13r23, id_d, r13r12
 
 
+def antipode_convolutions(h: HopfData, i: int) -> tuple:
+    """(S(h_(1)) h_(2), h_(1) S(h_(2))) for h = e_i, as sparse vectors."""
+    s_cols = h.antipode.cols
+    left: dict = {}
+    right: dict = {}
+    for j, k, w in h.coalgebra.comul_row(i):
+        for r, ws in s_cols[j].items():
+            for t, wm in h.algebra.mul_row(r, k):
+                sp_add(left, t, w * ws * wm)
+        for r, ws in s_cols[k].items():
+            for t, wm in h.algebra.mul_row(j, r):
+                sp_add(right, t, w * ws * wm)
+    return left, right
+
+
 def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
     """Bialgebra compatibilities and the antipode convolution identities.
 
@@ -726,29 +762,13 @@ def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
                     != eps[i] * eps[j]), gens, n))
     rep.add("counit_unital", h.coalgebra.counit_of(h.unit) == 1)
 
+    # S(h_(1)) h_(2) = eps(h) 1 = h_(1) S(h_(2))
+    conv = [antipode_convolutions(h, i) for i in range(n)]
     u = h.algebra.unit_sparse
-    ok_l = ok_r = True
-    wit_l = wit_r = None
-    for i in range(n):
-        left: dict = {}
-        right: dict = {}
-        for j, k, w in h.coalgebra.comul_row(i):
-            for r, ws in h.antipode_cols[j]:
-                for t, wm in h.algebra.mul_row(r, k):
-                    sp_add(left, t, w * ws * wm)
-            for r, ws in h.antipode_cols[k]:
-                for t, wm in h.algebra.mul_row(j, r):
-                    sp_add(right, t, w * ws * wm)
-        target = sp_scale(u, eps[i])
-        if ok_l and left != target:
-            ok_l, wit_l = False, (i,)
-        if ok_r and right != target:
-            ok_r, wit_r = False, (i,)
-    rep.add("antipode_left", ok_l, wit_l)
-    rep.add("antipode_right", ok_r, wit_r)
+    rep.check("antipode_left", ((i,) for i in range(n) if conv[i][0] != sp_scale(u, eps[i])))
+    rep.check("antipode_right", ((i,) for i in range(n) if conv[i][1] != sp_scale(u, eps[i])))
 
-    rep.add("antipode_involutive",
-            all(h.s_sparse(dict(h.antipode_cols[j])) == {j: RAT_ONE} for j in range(n)),
+    rep.add("antipode_involutive", h.antipode.compose(h.antipode).is_identity(),
             informational=True)
     return rep
 
@@ -787,9 +807,9 @@ def check_map(f: LinearMap, src, dst, kinds) -> VerificationReport:
     if "antipode" in kinds:
         rep.check("antipode_commuting",
                   ((c,) for c in range(f.source_dim)
-                   if f.apply_sparse(src.s_sparse({c: RAT_ONE})) != dst.s_sparse(cols[c])))
+                   if f.apply_sparse(src.antipode.cols[c]) != dst.antipode.apply_sparse(cols[c])))
     if "injective" in kinds:
-        rep.add("injective", not kernel_basis(f.matrix))
+        rep.add("injective", f.rank() == f.source_dim)
     return rep
 
 
@@ -874,12 +894,8 @@ def group_algebra(table: GroupTable) -> HopfData:
     unit = basis_vec(n, table.identity)
     comult = Tensor3.from_entries((n, n, n), ((i, i, i, RAT_ONE) for i in range(n)))
     counit = tuple(RAT_ONE for _ in range(n))
-    anti = [[RAT_ZERO] * n for _ in range(n)]
-    for j in range(n):
-        anti[table.inv(j)][j] = RAT_ONE
-    h = HopfData(StructureAlgebra(n, mult, unit),
-                 StructureCoalgebra(n, comult, counit),
-                 mat(anti))
+    anti = LinearMap(n, n, tuple({table.inv(j): RAT_ONE} for j in range(n)))
+    h = HopfData(StructureAlgebra(n, mult, unit), StructureCoalgebra(n, comult, counit), anti)
     h.report.require()
     return h
 
@@ -893,7 +909,7 @@ def dual_hopf(h: HopfData) -> HopfData:
     h.report.require()
     out = HopfData(convolution_algebra(h.coalgebra),
                    dual_coalgebra(h.algebra),
-                   transpose(h.antipode))
+                   h.antipode.transpose())
     out.report.require()
     return out
 
@@ -1014,10 +1030,7 @@ def drinfeld_double(h: HopfData):
         for y in range(n):
             for m1, w1 in alg.mul_row(y, t1):
                 acc = RAT_ZERO
-                for r in range(n):
-                    ws = sinv[r][t3]
-                    if ws == 0:
-                        continue
+                for r, ws in sinv.cols[t3].items():
                     for m2, w2 in alg.mul_row(r, m1):
                         if m2 == c:
                             acc += ws * w2
@@ -1061,27 +1074,24 @@ def drinfeld_double(h: HopfData):
     dalg = StructureAlgebra(nn, mult, unit)
     dcoal = StructureCoalgebra(nn, comult, counit)
 
-    # S_D(p_a >< x_b) = (eps >< S(x_b)) (S*^{-1}(p_a) >< 1)
-    anti = [[RAT_ZERO] * nn for _ in range(nn)]
+    # S_D(p_a >< x_b) = (eps >< S(x_b)) (S*^{-1}(p_a) >< 1); S*^{-1}(p_a) is
+    # row a of S^{-1}, a column of its transpose
+    anti = []
     eps_sp = sp(h.counit)
     unit_sp = sp(h.unit)
+    sinv_rows = sinv.transpose().cols
     for a in range(n):
         for b in range(n):
             left: dict = {}
             for y, cy in eps_sp.items():
-                for r, ws in h.antipode_cols[b]:
+                for r, ws in h.antipode.cols[b].items():
                     sp_add(left, flat(y, r), cy * ws)
             right: dict = {}
-            for y in range(n):
-                w = sinv[a][y]
-                if w == 0:
-                    continue
+            for y, w in sinv_rows[a].items():
                 for t, ct in unit_sp.items():
                     sp_add(right, flat(y, t), w * ct)
-            col = dalg.mul_sparse(left, right)
-            for r, c in col.items():
-                anti[r][flat(a, b)] = c
-    dh = HopfData(dalg, dcoal, mat(anti))
+            anti.append(dalg.mul_sparse(left, right))
+    dh = HopfData(dalg, dcoal, LinearMap(nn, nn, anti))
     dh.report.require()
 
     r_entries: dict = {}

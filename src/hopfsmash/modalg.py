@@ -207,8 +207,7 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
                != h.counit[i] * alpha[a]))
 
     # h . x^1 (x) x^2 = x^1 (x) S(h) . x^2 in the involutory semisimple case
-    from .exactlin import identity_mat, mat_eq, mat_mul
-    if mat_eq(mat_mul(h.antipode, h.antipode), identity_mat(h.dim)):
+    if h.antipode.compose(h.antipode).is_identity():
         def antipode_flip_failures():
             for t in range(h.dim):
                 lhs: dict = {}
@@ -216,7 +215,7 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
                 for (i, j), c in s.x.items():
                     for k, w in act({t: RAT_ONE}, {i: RAT_ONE}).items():
                         sp_add(lhs, (k, j), c * w)
-                st = h.s_sparse({t: RAT_ONE})
+                st = h.antipode.cols[t]
                 for (i, j), c in s.x.items():
                     for k, w in act(st, {j: RAT_ONE}).items():
                         sp_add(rhs, (i, k), c * w)

@@ -32,6 +32,7 @@ from .exactlin import (
 )
 from .hopfcore import (
     HopfData,
+    LinearMap,
     StructureAlgebra,
     StructureCoalgebra,
     certified_scan,
@@ -73,7 +74,7 @@ def unverified_qt(host: HopfData, R: TensorElem, Rinv: TensorElem | None = None)
     if Rinv is None:
         entries = []
         for (a, b), c in R.items():
-            for r, w in host.antipode_cols[a]:
+            for r, w in host.antipode.cols[a].items():
                 entries.append(((r, b), c * w))
         Rinv = TensorElem.from_entries((n, n), entries)
     return QTStructure(host, R, Rinv)
@@ -128,11 +129,10 @@ def drinfeld_element(q: QTStructure) -> DrinfeldElement:
     h = q.host
     acc: dict = {}
     for (a, b), c in q.R.items():
-        sb = h.s_sparse({b: RAT_ONE})
-        for m, cm in h.algebra.mul_sparse(sb, {a: RAT_ONE}).items():
+        for m, cm in h.algebra.mul_sparse(h.antipode.cols[b], {a: RAT_ONE}).items():
             sp_add(acc, m, c * cm)
     u = unsp(acc, h.dim)
-    s_inv = h.s_vec(u) == u
+    s_inv = h.antipode.apply(u) == u
     central = all(h.algebra.mul(u, basis_vec(h.dim, i)) == h.algebra.mul(basis_vec(h.dim, i), u)
                   for i in range(h.dim))
     return DrinfeldElement(u, s_inv, central)
@@ -178,7 +178,7 @@ def classify_triangularity(q: QTStructure) -> TriangularityClass:
 def adjoint_action_tensor(h: HopfData) -> Tensor3:
     """ad[h][x][y]: coefficient of e_y in h .ad x = h_(1) x S(h_(2))."""
     n = h.dim
-    s_cols = [dict(col) for col in h.antipode_cols]    # S(e_b); e_a e_j is a mult row
+    s_cols = h.antipode.cols    # S(e_b); e_a e_j is a mult row
     rowdicts = {}
     for i in range(n):
         delta = h.coalgebra.comul_row(i)
@@ -200,7 +200,7 @@ class BraidedGroupData:
     host: QTStructure
     adjoint_action: Tensor3
     comult_R: Tensor3
-    antipode_R: tuple
+    antipode_R: LinearMap
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -237,7 +237,7 @@ def transmute(q: QTStructure) -> BraidedGroupData:
     @cache
     def first(a: int, r2: int) -> dict:
         """e_a S(e_r2)."""
-        return h.algebra.mul_sparse({a: RAT_ONE}, dict(h.antipode_cols[r2]))
+        return h.algebra.mul_sparse({a: RAT_ONE}, h.antipode.cols[r2])
 
     comult_entries = []
     for i in range(n):
@@ -249,16 +249,15 @@ def transmute(q: QTStructure) -> BraidedGroupData:
                         comult_entries.append((i, f, s, c * cr * cf * cs))
     comult_R = Tensor3.from_entries((n, n, n), comult_entries)
 
-    anti = [[RAT_ZERO] * n for _ in range(n)]
+    anti = []
     for j in range(n):
         acc: dict = {}
         for (r1, r2), cr in r_items:
-            inner = h.s_sparse({k: c for k, c in ad_rows[r1][j]})
+            inner = h.antipode.apply_sparse(dict(ad_rows[r1][j]))
             for m, cm in h.algebra.mul_sparse({r2: RAT_ONE}, inner).items():
                 sp_add(acc, m, cr * cm)
-        for r, c in acc.items():
-            anti[r][j] = c
-    antipode_R = tuple(tuple(row) for row in anti)
+        anti.append(acc)
+    antipode_R = LinearMap(n, n, anti)
 
     bg = BraidedGroupData(q, ad, comult_R, antipode_R)
     bg.report.require()
@@ -346,8 +345,7 @@ def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
         for i in range(n):
             acc: dict = {}
             for j, k, c in coal_R.comul_row(i):
-                srj = {r: bg.antipode_R[r][j] for r in range(n) if bg.antipode_R[r][j] != 0}
-                for m, cm in alg.mul_sparse(srj, {k: RAT_ONE}).items():
+                for m, cm in alg.mul_sparse(bg.antipode_R.cols[j], {k: RAT_ONE}).items():
                     sp_add(acc, m, c * cm)
             if acc != sp_scale(alg.unit_sparse, h.counit[i]):
                 yield (i,)
@@ -397,7 +395,7 @@ def muger_membership(q: QTStructure, act) -> tuple:
                 for key, cc in sparse_outer(va, {b1: RAT_ONE}).items():
                     sp_add(lhs, key, c * cc)
                 vb = action.act({b1: RAT_ONE}, {a: RAT_ONE})
-                for key, cc in sparse_outer(vb, h.s_sparse({a1: RAT_ONE})).items():
+                for key, cc in sparse_outer(vb, h.antipode.cols[a1]).items():
                     sp_add(rhs, key, c * cc)
             if lhs != rhs:
                 yield (a,)
@@ -435,6 +433,7 @@ def hr_dual_separability(q: QTStructure, ip, bg: BraidedGroupData | None = None)
     wab = [[sum((w * lam[k] for k, w in mult[a][b]), RAT_ZERO) for b in range(n)]
            for a in range(n)]
     dual = bg.dual_right_action
+    s_rows = h.antipode.transpose().cols    # s_rows[b][g]: coefficient of e_b in S(e_g)
     entries = []
     for (r1, r2), cr in q.R.items():
         # left[a]: e_r2 -> e^a = sum_i <e^a, e_i e_r2> e^i
@@ -442,14 +441,13 @@ def hr_dual_separability(q: QTStructure, ip, bg: BraidedGroupData | None = None)
         for i in range(n):
             for a, c in mult[i][r2]:
                 left[a].append((i, c))
-        # right[b]: S*(e^b) <<- e_r1, with S*(e^b) = sum_g antipode[b][g] e^g
+        # right[b]: S*(e^b) <<- e_r1, with S*(e^b) = sum_g s_rows[b][g] e^g
         right = []
         for b in range(n):
             acc: dict = {}
-            for g, cg in enumerate(h.antipode[b]):
-                if cg != 0:
-                    for j, cj in dual[r1][g].items():
-                        sp_add(acc, j, cg * cj)
+            for g, cg in s_rows[b].items():
+                for j, cj in dual[r1][g].items():
+                    sp_add(acc, j, cg * cj)
             right.append(acc)
         for a in range(n):
             for b in range(n):

@@ -36,8 +36,8 @@ from .hopfcore import (
     convolution_algebra,
     hit_right,
 )
-from .modalg import regular_trace
-from .qtriang import BraidedGroupData, QTStructure, hr_star_algebra
+from .modalg import is_H_simple, regular_trace
+from .qtriang import BraidedGroupData, QTStructure, hr_star_algebra, transmute
 from .report import HypothesisFailure, VerificationReport
 
 MAX_RESEEDS = 3
@@ -114,7 +114,6 @@ class FpdimReport:
 def fpdim_report(s_wha, a_mod, *, seed: int = 0) -> FpdimReport:
     """For each Wedderburn block (= simple module V) of A#H: dim A divides
     dim V and FPdim V = dim V / dim A, an exact integer."""
-    from .modalg import is_H_simple
     hs = is_H_simple(a_mod)
     if hs.kind != "certified_simple":
         raise HypothesisFailure("A-is-H-simple", hs.kind)
@@ -143,7 +142,6 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
     """Minimal idempotents F_i of the cocommutative-functions subalgebra
     C(H*), each central in H_R^*, with F_i ->_R H_R = Lambda <- F_i H* as
     exact subspaces cross-checked against the H_R decomposition."""
-    from .qtriang import transmute
     if bg is None:
         bg = transmute(q)
     n = h.dim

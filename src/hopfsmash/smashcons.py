@@ -24,6 +24,7 @@ from .exactlin import (
     basis_vec,
     kernel_basis,
     rank,
+    rat_str,
     span_basis,
     transpose,
     vec_dot,
@@ -34,9 +35,12 @@ from .hopfcore import (
     LinearMap,
     StructureAlgebra,
     StructureCoalgebra,
+    check_map,
     drinfeld_double,
     dual_coalgebra,
     group_algebra,
+    harpoon_left,
+    harpoon_right,
     heisenberg_double,
     opposites,
     sp,
@@ -53,7 +57,13 @@ from .modalg import (
     separability,
     u_acts_trivially,
 )
-from .qtriang import QTStructure, classify_triangularity, muger_membership, trivial_qt
+from .qtriang import (
+    QTStructure,
+    adjoint_action_tensor,
+    classify_triangularity,
+    muger_membership,
+    trivial_qt,
+)
 from .report import HypothesisFailure, VerificationReport
 from .weakhopf import WeakHopfData, WeakQTStructure, check_wha_morphism, verify_weak_qt
 
@@ -207,16 +217,9 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
     comult = Tensor3.from_entries((n, n, n), centries)
     counit = tuple(alpha[a] * h.counit[i] for a in range(na) for i in range(nh))
 
-    anti = [[RAT_ZERO] * n for _ in range(n)]
-    for a in range(na):
-        for i in range(nh):
-            left = s.include_h(h.s_sparse({i: RAT_ONE}))
-            col = s.carrier.mul_sparse(left, twisted({a: RAT_ONE}))
-            for rr, cc in col.items():
-                anti[rr][s.flat(a, i)] = cc
-    wha = WeakHopfData(s.carrier,
-                       StructureCoalgebra(n, comult, counit),
-                       tuple(tuple(row) for row in anti))
+    anti = [s.carrier.mul_sparse(s.include_h(h.antipode.cols[i]), twisted({a: RAT_ONE}))
+            for a in range(na) for i in range(nh)]
+    wha = WeakHopfData(s.carrier, StructureCoalgebra(n, comult, counit), LinearMap(n, n, anti))
 
     rep = VerificationReport("smash_weak_structure")
     rep.merge(wha.report, "wha.")
@@ -227,10 +230,10 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
             for i in range(nh):
                 closed_s: dict = {}
                 for (r1, r2), cr in r_items:
-                    hh = h.algebra.mul_sparse({r2: RAT_ONE}, h.s_sparse({i: RAT_ONE}))
+                    hh = h.algebra.mul_sparse({r2: RAT_ONE}, h.antipode.cols[i])
                     for ta, ca in A_mod.action.act(hh, {a: RAT_ONE}).items():
                         sp_add(closed_s, s.flat(ta, r1), cr * ca)
-                if wha.eps_s_sparse({s.flat(a, i): RAT_ONE}) != closed_s:
+                if wha.eps_s.cols[s.flat(a, i)] != closed_s:
                     yield (a, i)
 
     def eps_t_failures():
@@ -240,7 +243,7 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
                 if h.counit[i] != 0:
                     for t, ct in h.algebra.unit_sparse.items():
                         sp_add(closed_t, s.flat(a, t), h.counit[i] * ct)
-                if wha.eps_t_sparse({s.flat(a, i): RAT_ONE}) != closed_t:
+                if wha.eps_t.cols[s.flat(a, i)] != closed_t:
                     yield (a, i)
 
     rep.check("eps_s_closed_form", eps_s_failures())
@@ -349,7 +352,7 @@ def smash_qt(sws: SmashWeakStructure) -> tuple[WeakQTStructure, VerificationRepo
             for (r1, r2), cr in r_items:
                 f1 = carrier.mul_sparse(
                     carrier.mul_sparse({k1: RAT_ONE},
-                                       s.include_h(s.H.s_sparse({r1: RAT_ONE}))),
+                                       s.include_h(s.H.antipode.cols[r1])),
                     {k2p: RAT_ONE})
                 if not f1:
                     continue
@@ -429,16 +432,14 @@ def theta_embed(s: SmashProduct) -> tuple[LinearMap, StructureAlgebra, Verificat
         raise ValueError("theta_embed needs an invertible antipode")
     target = _end_tensor_h_algebra(na, h)
 
-    def theta_matrix(a: int, i: int):
-        """Matrix (over A* basis) of b* |-> a -> (b* <| S^{-1}(e_i))."""
-        m = [[RAT_ZERO] * na for _ in range(na)]
+    def theta_entries(a: int, i: int) -> dict:
+        """Nonzero entries {(b, w): value} of the matrix (over the A* basis)
+        of b* |-> a -> (b* <| S^{-1}(e_i))."""
+        m = {}
         for w in range(na):
             # p_w <| S^{-1}(e_i): <.., e_b> = <p_w, S^{-1}(e_i).e_b>
             f = [RAT_ZERO] * na
-            for y in range(nh):
-                cy = sinv[y][i]
-                if cy == 0:
-                    continue
+            for y, cy in sinv.cols[i].items():
                 for b in range(na):
                     f[b] += cy * A_mod.action.entry(y, b, w)
             # a -> f: <a -> f, b> = <f, e_b e_a>
@@ -447,7 +448,7 @@ def theta_embed(s: SmashProduct) -> tuple[LinearMap, StructureAlgebra, Verificat
                 for t, ct in A.mul_row(b, a):
                     val += ct * f[t]
                 if val != 0:
-                    m[b][w] = val
+                    m[(b, w)] = val
         return m
 
     cols = []
@@ -455,14 +456,10 @@ def theta_embed(s: SmashProduct) -> tuple[LinearMap, StructureAlgebra, Verificat
         for i in range(nh):
             col: dict = {}
             for p, q, c in h.coalgebra.comul_row(i):
-                tm = theta_matrix(a, p)
-                for u in range(na):
-                    for v in range(na):
-                        if tm[u][v] != 0:
-                            sp_add(col, (u * na + v) * nh + q, c * tm[u][v])
-            cols.append(unsp(col, target.dim))
-    f = LinearMap(s.carrier.dim, target.dim, transpose(tuple(cols)))
-    from .hopfcore import check_map
+                for (u, v), x in theta_entries(a, p).items():
+                    sp_add(col, (u * na + v) * nh + q, c * x)
+            cols.append(col)
+    f = LinearMap(s.carrier.dim, target.dim, cols)
     rep = check_map(f, s.carrier, target, ("algebra", "injective"))
     rep.require()
     return f, target, rep
@@ -526,7 +523,6 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
 
     x_items = list(sep.x.items())
     alpha = sep.alpha
-    from .hopfcore import harpoon_left, harpoon_right
     unit: dict = {}
     for (x1, x2), cx in x_items:
         dualv = harpoon_left(A, basis_vec(na, x2), alpha)
@@ -586,7 +582,7 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
     counit = tuple(alpha[a] * h.counit[i] * A.unit[k]
                    for a in range(na) for i in range(nh) for k in range(na))
 
-    anti = [[RAT_ZERO] * n for _ in range(n)]
+    anti = []
     for a in range(na):
         for i in range(nh):
             for k in range(na):
@@ -595,7 +591,7 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
                     for (rb1, rb2), crb in r_items:
                         hleg = h.algebra.mul_sparse(
                             {ra1: RAT_ONE},
-                            h.s_sparse(h.algebra.mul_sparse({rb1: RAT_ONE}, {i: RAT_ONE})))
+                            h.antipode.apply_sparse(dict(h.algebra.mul_row(rb1, i))))
                         if not hleg:
                             continue
                         duall = harpoon_right(
@@ -611,11 +607,9 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
                                     if cw == 0:
                                         continue
                                     sp_add(col, flat(x2, th, w), coeff0 * chh * cw)
-                for rr, cc in col.items():
-                    anti[rr][flat(a, i, k)] = cc
+                anti.append(col)
 
-    wha = WeakHopfData(carrier, StructureCoalgebra(n, comult, counit),
-                       tuple(tuple(row) for row in anti))
+    wha = WeakHopfData(carrier, StructureCoalgebra(n, comult, counit), LinearMap(n, n, anti))
     rep = VerificationReport("build_B")
     rep.merge(wha.report, "wha.")
 
@@ -660,8 +654,7 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
     R_B = TensorElem.from_entries((n, n), list(rb.items()))
     rbar_entries = []
     for (aidx, bidx), c in R_B.items():
-        sa = wha.s_sparse({aidx: RAT_ONE})
-        for t, ct in sa.items():
+        for t, ct in wha.antipode.cols[aidx].items():
             rbar_entries.append(((t, bidx), c * ct))
     R_B_bar = TensorElem.from_entries((n, n), rbar_entries)
     rqt = WeakQTStructure(wha, R_B, R_B_bar)
@@ -730,7 +723,6 @@ def phi_embed(sws: SmashWeakStructure, b: BAlgebra):
     s = sws.smash
     h, A_mod, A = s.H, s.A_mod, s.A_mod.A
     na, nh = s.na, s.nh
-    from .hopfcore import harpoon_left, harpoon_right
     x_items = list(b.sep.x.items())
     alpha = b.sep.alpha
     n_b = b.wha.dim
@@ -740,21 +732,20 @@ def phi_embed(sws: SmashWeakStructure, b: BAlgebra):
         for i in range(nh):
             col: dict = {}
             for p, pq, c in h.coalgebra.comul_row(i):
-                sp_p = h.s_sparse({p: RAT_ONE})
                 for (x1, x2), cx in x_items:
                     xa = A.mul_sparse({x1: RAT_ONE}, {a: RAT_ONE})
-                    aleg = A_mod.action.act(sp_p, xa)
+                    aleg = A_mod.action.act(h.antipode.cols[p], xa)
                     dualv = harpoon_left(A, basis_vec(na, x2), alpha)
                     for ta, ca in aleg.items():
                         for w, cw in enumerate(dualv):
                             if cw != 0:
                                 sp_add(col, b.flat(ta, pq, w), c * cx * ca * cw)
-            cols.append(unsp(col, n_b))
-    f = LinearMap(s.carrier.dim, n_b, transpose(tuple(cols)))
+            cols.append(col)
+    f = LinearMap(s.carrier.dim, n_b, cols)
     rep = VerificationReport("phi_embed")
     rep.merge(check_wha_morphism(f, sws.wha, b.wha), "morphism.")
 
-    image = span_basis(cols, n_b)
+    image = span_basis([unsp(col, n_b) for col in cols], n_b)
 
     # equalizer subspace
     rows = []
@@ -813,8 +804,7 @@ def double_module_algebra(h: HopfData, double=None):
     """
     dd, qd = double if double is not None else drinfeld_double(h)
     n = h.dim
-    sinv = h.antipode_inv
-    from .qtriang import adjoint_action_tensor
+    sinv = h.antipode_inv.cols
     ad = adjoint_action_tensor(h)
     entries = []
     for a in range(n):
@@ -822,8 +812,7 @@ def double_module_algebra(h: HopfData, double=None):
             for l in range(n):
                 for m, cm in ad.row(bb, l):
                     for m1, m2, cd in h.coalgebra.comul_row(m):
-                        w = sinv[a][m1]
-                        if w != 0:
+                        if w := sinv[m1].get(a):
                             entries.append((a * n + bb, l, m2, cm * cd * w))
     action = Tensor3.from_entries((dd.dim, n, n), entries)
     m = ModuleAlgebraData(dd, h.algebra, action)
@@ -849,15 +838,14 @@ def double_smash_decomposition(h: HopfData, double=None) -> VerificationReport:
 
     hei = heisenberg_double(opposites(h, "cop"))
 
-    # iota: l # q |-> l # (S(q) >< 1): columns over the Heisenberg basis
+    # iota: l # q |-> l # (S(q) >< 1): columns over the Heisenberg basis; the
+    # coefficient of p_y in S*(p_a) is row a of S, a column of its transpose
+    s_rows = h.antipode.transpose().cols
     iota_cols = []
     for l in range(n):
         for a in range(n):
             col: dict = {}
-            for y in range(n):
-                w = h.antipode[a][y]
-                if w == 0:
-                    continue
+            for y, w in s_rows[a].items():
                 for t, ct in h.algebra.unit_sparse.items():
                     sp_add(col, s.flat(l, y * n + t), w * ct)
             iota_cols.append(col)
@@ -884,9 +872,9 @@ def double_smash_decomposition(h: HopfData, double=None) -> VerificationReport:
         for t1, t2, t3, ct in h.coalgebra.comul2_row(t):
             for i in range(n):
                 for i1, i2, ci in h.coalgebra.comul_row(i):
-                    left = h.s_sparse(h.algebra.mul_sparse({i2: RAT_ONE}, {t1: RAT_ONE}))
+                    left = h.antipode.apply_sparse(dict(h.algebra.mul_row(i2, t1)))
                     left = h.algebra.mul_sparse(left, {t3: RAT_ONE})
-                    left = h.algebra.mul_sparse(left, h.s_sparse(h.s_sparse({i1: RAT_ONE})))
+                    left = h.algebra.mul_sparse(left, h.antipode.apply_sparse(h.antipode.cols[i1]))
                     for la, ca in left.items():
                         sp_add(col, s.flat(la, i * n + t2), ct * ci * ca)
         c_cols.append(col)
@@ -944,7 +932,7 @@ def double_module_spot_check(h: HopfData, double=None) -> VerificationReport:
     m, _ = double_module_algebra(h, (dd, qd))
     s = smash_algebra(m)
     big = s.carrier
-    sinv = h.antipode_inv
+    sinv = h.antipode_inv.cols
 
     def act(flat_idx: int, y: int, mm: int) -> dict:
         l, rem = s.unflat(flat_idx)
@@ -952,11 +940,11 @@ def double_module_spot_check(h: HopfData, double=None) -> VerificationReport:
         out: dict = {}
         for t1, t2, t3, ct in h.coalgebra.comul2_row(t):
             mid = h.algebra.mul_sparse({t1: RAT_ONE}, {y: RAT_ONE})
-            mid = h.algebra.mul_sparse(mid, h.s_sparse({t3: RAT_ONE}))
+            mid = h.algebra.mul_sparse(mid, h.antipode.cols[t3])
             for g, cg in mid.items():
                 for g1, g2, cd in h.coalgebra.comul_row(g):
-                    w = sinv[a][g1]
-                    if w == 0:
+                    w = sinv[g1].get(a)
+                    if w is None:
                         continue
                     first = h.algebra.mul_sparse({l: RAT_ONE}, {g2: RAT_ONE})
                     second = h.algebra.mul_sparse({t2: RAT_ONE}, {mm: RAT_ONE})
@@ -1007,7 +995,6 @@ class CaseStudyReport:
     report: VerificationReport
 
     def to_dict(self) -> dict:
-        from .exactlin import rat_str
         return {
             "t": self.t,
             "stabilizer": list(self.stabilizer),

@@ -18,16 +18,15 @@ from .exactlin import (
     RAT_ZERO,
     Tensor3,
     TensorElem,
-    mat,
-    mat_eq,
-    mat_mul,
     Subspace,
     span_basis,
 )
 from .hopfcore import (
     HopfData,
+    LinearMap,
     StructureAlgebra,
     StructureCoalgebra,
+    antipode_convolutions,
     certified_scan,
     check_map,
     comult_multiplicative_failures,
@@ -37,6 +36,7 @@ from .hopfcore import (
     sp_add,
     sparse_outer,
     tensor_mul_sparse,
+    unsp,
     verify_coalgebra,
 )
 from .report import VerificationReport
@@ -68,58 +68,32 @@ class WeakHopfData(HopfData):
             for i in range(n))
 
     @cached_property
-    def eps_s(self) -> tuple:
-        """Matrix of eps_s(h) = 1_(1) eps(h 1_(2))."""
-        n = self.dim
+    def eps_s(self) -> LinearMap:
+        """The source counital map eps_s(h) = 1_(1) eps(h 1_(2))."""
         t = self._eps_of_prod
-        cols = []
-        for i in range(n):
-            v = [RAT_ZERO] * n
+        cols = tuple({} for _ in range(self.dim))
+        for i, col in enumerate(cols):
             for (a, b), c in self.delta_one.items():
-                v[a] += c * t[i][b]
-            cols.append(tuple(v))
-        return tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
+                sp_add(col, a, c * t[i][b])
+        return LinearMap(self.dim, self.dim, cols)
 
     @cached_property
-    def eps_t(self) -> tuple:
-        """Matrix of eps_t(h) = eps(1_(1) h) 1_(2)."""
-        n = self.dim
+    def eps_t(self) -> LinearMap:
+        """The target counital map eps_t(h) = eps(1_(1) h) 1_(2)."""
         t = self._eps_of_prod
-        cols = []
-        for i in range(n):
-            v = [RAT_ZERO] * n
+        cols = tuple({} for _ in range(self.dim))
+        for i, col in enumerate(cols):
             for (a, b), c in self.delta_one.items():
-                v[b] += c * t[a][i]
-            cols.append(tuple(v))
-        return tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
+                sp_add(col, b, c * t[a][i])
+        return LinearMap(self.dim, self.dim, cols)
 
     @cached_property
     def source_basis(self) -> tuple:
-        from .exactlin import transpose
-        return tuple(span_basis(list(transpose(self.eps_s)), self.dim))
+        return tuple(span_basis([unsp(col, self.dim) for col in self.eps_s.cols], self.dim))
 
     @cached_property
     def target_basis(self) -> tuple:
-        from .exactlin import transpose
-        return tuple(span_basis(list(transpose(self.eps_t)), self.dim))
-
-    def eps_s_sparse(self, a: dict) -> dict:
-        out: dict = {}
-        for j, c in a.items():
-            for r in range(self.dim):
-                v = self.eps_s[r][j]
-                if v != 0:
-                    sp_add(out, r, c * v)
-        return out
-
-    def eps_t_sparse(self, a: dict) -> dict:
-        out: dict = {}
-        for j, c in a.items():
-            for r in range(self.dim):
-                v = self.eps_t[r][j]
-                if v != 0:
-                    sp_add(out, r, c * v)
-        return out
+        return tuple(span_basis([unsp(col, self.dim) for col in self.eps_t.cols], self.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +173,8 @@ def verify_weak_bialgebra(w: WeakHopfData, subject: str = "weak_bialgebra") -> V
 
 @dataclass(frozen=True)
 class CounitalData:
-    eps_s: tuple
-    eps_t: tuple
+    eps_s: LinearMap
+    eps_t: LinearMap
     source_basis: tuple
     target_basis: tuple
     report: VerificationReport
@@ -210,8 +184,9 @@ def counital_data(w: WeakHopfData) -> CounitalData:
     """Counital maps with exact image bases; checks idempotency, unital
     subalgebra closure, and elementwise commutation of the two images."""
     rep = VerificationReport("counital")
-    rep.add("eps_s_idempotent", mat_eq(mat_mul(w.eps_s, w.eps_s), w.eps_s))
-    rep.add("eps_t_idempotent", mat_eq(mat_mul(w.eps_t, w.eps_t), w.eps_t))
+    es, et, s = w.eps_s, w.eps_t, w.antipode
+    rep.add("eps_s_idempotent", es.compose(es) == es)
+    rep.add("eps_t_idempotent", et.compose(et) == et)
     src, tgt = w.source_basis, w.target_basis
     src_space, tgt_space = Subspace(src, w.dim), Subspace(tgt, w.dim)
     rep.add("source_contains_unit", src_space.contains(w.unit))
@@ -226,10 +201,10 @@ def counital_data(w: WeakHopfData) -> CounitalData:
     rep.check("source_target_commute",
               ((i, j) for i, u in enumerate(src) for j, v in enumerate(tgt)
                if mul(u, v) != mul(v, u)))
-    # standard consequences, as exact matrix identities
-    rep.add("eps_t_compose_S", mat_eq(mat_mul(w.eps_t, w.antipode), mat_mul(w.eps_t, w.eps_s)))
-    rep.add("S_compose_eps_s", mat_eq(mat_mul(w.antipode, w.eps_s), mat_mul(w.eps_t, w.antipode)))
-    return CounitalData(w.eps_s, w.eps_t, src, tgt, rep)
+    # standard consequences, as exact identities of maps
+    rep.add("eps_t_compose_S", et.compose(s) == et.compose(es))
+    rep.add("S_compose_eps_s", s.compose(es) == et.compose(s))
+    return CounitalData(es, et, src, tgt, rep)
 
 
 def verify_weak_hopf(w: WeakHopfData, subject: str = "weak_hopf") -> VerificationReport:
@@ -239,43 +214,28 @@ def verify_weak_hopf(w: WeakHopfData, subject: str = "weak_hopf") -> Verificatio
     rep.merge(verify_weak_bialgebra(w), "wba.")
     n = w.dim
     alg, coal = w.algebra, w.coalgebra
+    s, s_cols = w.antipode, w.antipode.cols
 
-    ok_s = ok_t = ok_3 = True
-    wit_s = wit_t = wit_3 = None
-    for i in range(n):
-        left: dict = {}
-        right: dict = {}
-        for j, k, c in coal.comul_row(i):
-            sj = w.s_sparse({j: RAT_ONE})
-            for m, cm in alg.mul_sparse(sj, {k: RAT_ONE}).items():
-                sp_add(left, m, c * cm)
-            sk = w.s_sparse({k: RAT_ONE})
-            for m, cm in alg.mul_sparse({j: RAT_ONE}, sk).items():
-                sp_add(right, m, c * cm)
-        if ok_s and left != w.eps_s_sparse({i: RAT_ONE}):
-            ok_s, wit_s = False, (i,)
-        if ok_t and right != w.eps_t_sparse({i: RAT_ONE}):
-            ok_t, wit_t = False, (i,)
-        triple: dict = {}
+    # S(h_(1)) h_(2) = eps_s(h), h_(1) S(h_(2)) = eps_t(h), S(h_(1)) h_(2) S(h_(3)) = S(h)
+    conv = [antipode_convolutions(w, i) for i in range(n)]
+    rep.check("antipode_source", ((i,) for i in range(n) if conv[i][0] != w.eps_s.cols[i]))
+    rep.check("antipode_target", ((i,) for i in range(n) if conv[i][1] != w.eps_t.cols[i]))
+
+    def triple(i: int) -> dict:
+        out: dict = {}
         for a, b, k, c in coal.comul2_row(i):
-            sa = w.s_sparse({a: RAT_ONE})
-            sk = w.s_sparse({k: RAT_ONE})
-            mid = alg.mul_sparse(sa, {b: RAT_ONE})
-            for m, cm in alg.mul_sparse(mid, sk).items():
-                sp_add(triple, m, c * cm)
-        if ok_3 and triple != w.s_sparse({i: RAT_ONE}):
-            ok_3, wit_3 = False, (i,)
-    rep.add("antipode_source", ok_s, wit_s)
-    rep.add("antipode_target", ok_t, wit_t)
-    rep.add("antipode_triple", ok_3, wit_3)
+            for m, cm in alg.mul_sparse(alg.mul_sparse(s_cols[a], {b: RAT_ONE}), s_cols[k]).items():
+                sp_add(out, m, c * cm)
+        return out
+
+    rep.check("antipode_triple", ((i,) for i in range(n) if triple(i) != s_cols[i]))
 
     def anti_algebra_failures():
         for i in range(n):
             for j in range(n):
-                if w.s_sparse(alg.mul_sparse({i: RAT_ONE}, {j: RAT_ONE})) != \
-                        alg.mul_sparse(w.s_sparse({j: RAT_ONE}), w.s_sparse({i: RAT_ONE})):
+                if s.apply_sparse(dict(alg.mul_row(i, j))) != alg.mul_sparse(s_cols[j], s_cols[i]):
                     yield (i, j)
-        if w.s_sparse(alg.unit_sparse) != alg.unit_sparse:
+        if s.apply_sparse(alg.unit_sparse) != alg.unit_sparse:
             yield ("unit",)
 
     rep.check("antipode_anti_algebra", anti_algebra_failures(), informational=True)
@@ -284,13 +244,12 @@ def verify_weak_hopf(w: WeakHopfData, subject: str = "weak_hopf") -> Verificatio
         for i in range(n):
             rhs: dict = {}
             for a, b, c in coal.comul_row(i):
-                for key, cc in sparse_outer(w.s_sparse({b: RAT_ONE}),
-                                            w.s_sparse({a: RAT_ONE})).items():
+                for key, cc in sparse_outer(s_cols[b], s_cols[a]).items():
                     sp_add(rhs, key, c * cc)
-            if coal.comul_sparse(w.s_sparse({i: RAT_ONE})) != rhs:
+            if coal.comul_sparse(s_cols[i]) != rhs:
                 yield (i,)
         for i in range(n):
-            if coal.counit_sparse(dict(w.antipode_cols[i])) != w.counit[i]:
+            if coal.counit_sparse(s_cols[i]) != w.counit[i]:
                 yield (i, "counit")
 
     rep.check("antipode_anti_coalgebra", anti_coalgebra_failures(), informational=True)
@@ -424,7 +383,22 @@ class GroupoidData:
         return len(self.sources)
 
     def validate(self) -> None:
-        n = self.n_morphisms
+        n, n_obj = self.n_morphisms, self.n_objects
+        if len(self.compose) != n:
+            raise ValueError(f"groupoid compose has {len(self.compose)} rows, expected {n}")
+        morphism = set(range(n))
+        for field, table, length, allowed in (
+                ("sources", self.sources, n, set(range(n_obj))),
+                ("targets", self.targets, n, set(range(n_obj))),
+                ("identities", self.identities, n_obj, morphism),
+                ("inverses", self.inverses, n, morphism),
+                *((f"compose[{i}]", row, n, morphism | {None})
+                  for i, row in enumerate(self.compose))):
+            if len(table) != length:
+                raise ValueError(f"groupoid {field} has length {len(table)}, expected {length}")
+            bad = next((i for i, x in enumerate(table) if x not in allowed), None)
+            if bad is not None:
+                raise ValueError(f"groupoid {field}[{bad}] = {table[bad]!r} is out of range")
         for i in range(n):
             for j in range(n):
                 defined = self.sources[i] == self.targets[j]
@@ -445,8 +419,6 @@ class GroupoidData:
                         continue
                     if ij is not None and left != right:
                         raise ValueError(f"groupoid not associative at {(i, j, k)}")
-        if len(self.identities) != self.n_objects:
-            raise ValueError("one identity per object required")
         for o, e in enumerate(self.identities):
             if self.sources[e] != o or self.targets[e] != o:
                 raise ValueError(f"identity of object {o} has wrong endpoints")
@@ -475,12 +447,9 @@ def groupoid_wha(g: GroupoidData) -> WeakHopfData:
         unit[e] = RAT_ONE
     comult = Tensor3.from_entries((n, n, n), ((i, i, i, RAT_ONE) for i in range(n)))
     counit = tuple(RAT_ONE for _ in range(n))
-    anti = [[RAT_ZERO] * n for _ in range(n)]
-    for j in range(n):
-        anti[g.inverses[j]][j] = RAT_ONE
+    anti = LinearMap(n, n, tuple({g.inverses[j]: RAT_ONE} for j in range(n)))
     w = WeakHopfData(StructureAlgebra(n, mult, tuple(unit)),
-                     StructureCoalgebra(n, comult, counit),
-                     mat(anti))
+                     StructureCoalgebra(n, comult, counit), anti)
     w.report.require()
     return w
 

@@ -191,6 +191,35 @@ def test_missing_groupoid_field_is_named(tmp_path, capsys, field):
     assert f"object {where!r} has no field {field!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("morphisms", 3, "not iterable"), ("compose", 5, "not iterable"),
+    ("compose", [[7]], "compose[0][0] = 7"), ("identities", [4], "identities[0] = 4"),
+    ("inverses", [9], "inverses[0] = 9")],
+    ids=["morphisms-int", "compose-int", "compose-index", "identities-index", "inverses-index"])
+def test_malformed_groupoid_field_is_refused(tmp_path, capsys, field, value, reason):
+    doc = {"objects": {"g": {"type": "groupoid", "objects": 1,
+                             "morphisms": [{"src": 0, "dst": 0}],
+                             "compose": [[0]], "identities": [0], "inverses": [0]}}}
+    doc["objects"]["g"][field] = value
+    ws = tmp_path / "g.json"
+    ws.write_text(json.dumps(doc))
+    assert main(["verify", str(ws), "g", "weak-hopf"]) == 2
+    err = capsys.readouterr().err
+    assert "object 'g'" in err and reason in err
+
+
+@pytest.mark.parametrize("reshape", [lambda a: [a[0][:-1]] + a[1:], lambda a: a[:-1],
+                                     lambda a: [row + ["0"] for row in a]],
+                         ids=["short-first-row", "missing-last-row", "extra-column"])
+def test_antipode_of_the_wrong_shape_is_refused(tmp_path, capsys, reshape):
+    h = ser_hopf(dm.k_s3())
+    h["antipode"] = reshape(h["antipode"])
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps({"objects": {"h": h}}))
+    assert main(["verify", str(ws), "h", "hopf"]) == 2
+    assert "object 'h'" in capsys.readouterr().err
+
+
 def test_workspace_rejects_dangling_reference(tmp_path):
     doc = {"objects": {"q": {"type": "qt", "host": "ghost", "R": [["1"]]}}}
     ws = tmp_path / "dangling.json"

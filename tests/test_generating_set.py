@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hopfsmash import demos as dm
 from hopfsmash.exactlin import Subspace, Tensor3, basis_vec
 from hopfsmash.hopfcore import (
+    LinearMap,
     StructureAlgebra,
     StructureCoalgebra,
     drinfeld_double,
@@ -413,10 +414,9 @@ def _perturbed_bg(bg, which, i, j, k, delta):
         return BraidedGroupData(q, bg.adjoint_action,
                                 _perturbed_t3(bg.comult_R, i, j, k, delta), bg.antipode_R)
     if which == "antipode_R":
-        anti = [list(row) for row in bg.antipode_R]
+        anti = [list(row) for row in bg.antipode_R.matrix]
         anti[i][j] += delta
-        return BraidedGroupData(q, bg.adjoint_action, bg.comult_R,
-                                tuple(tuple(row) for row in anti))
+        return BraidedGroupData(q, bg.adjoint_action, bg.comult_R, LinearMap.from_matrix(anti))
     bad = _perturbed(q.host, which, i, j, k, delta)
     return BraidedGroupData(QTStructure(bad, q.R, q.Rinv), bg.adjoint_action, bg.comult_R,
                             bg.antipode_R)

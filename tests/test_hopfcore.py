@@ -10,10 +10,11 @@ from hopfsmash.exactlin import (
     Tensor3,
     basis_vec,
     identity_mat,
+    kernel_basis,
     mat,
-    mat_eq,
     mat_mul,
     mat_vec,
+    transpose,
     vec,
 )
 from hopfsmash.hopfcore import (
@@ -49,7 +50,7 @@ def test_trivial_group_algebra():
     h = group_algebra(GroupTable.from_lists(["e"], [[0]]))
     assert h.dim == 1
     assert h.mult.dense() == [[[F(1)]]]
-    assert h.antipode == ((F(1),),)
+    assert h.antipode.matrix == ((F(1),),)
     assert verify_hopf(h).ok
 
 
@@ -58,7 +59,7 @@ def test_kz2_hopf(kz2):
     rep = verify_hopf(kz2)
     assert rep.ok
     # antipode of kZ2 is the identity: every element is self-inverse
-    assert mat_eq(kz2.antipode, identity_mat(2))
+    assert kz2.antipode.matrix == identity_mat(2)
 
 
 def test_ks3_mult_matches_permutation_oracle(ks3, s3_table):
@@ -103,7 +104,7 @@ def test_constructors_refuse_a_broken_host_under_its_own_check(ks3, build):
 def test_dual_kz2_isomorphic_to_kz2(kz2):
     d = dual_hopf(kz2)
     # frozen explicit iso: e -> d_e + d_g, g -> d_e - d_g
-    f = LinearMap(2, 2, mat([[1, 1], [1, -1]]))
+    f = LinearMap.from_matrix([[1, 1], [1, -1]])
     rep = check_map(f, kz2, d, ("algebra", "coalgebra", "antipode", "injective"))
     assert rep.ok
 
@@ -113,7 +114,7 @@ def test_double_dual_is_identity(ks3):
     assert dd.mult == ks3.mult
     assert dd.comult == ks3.comult
     assert dd.antipode == ks3.antipode
-    ident = LinearMap(6, 6, identity_mat(6))
+    ident = LinearMap.from_matrix(identity_mat(6))
     assert check_map(ident, ks3, dd, ("algebra", "coalgebra", "antipode", "injective")).ok
 
 
@@ -177,7 +178,7 @@ def sweedler_h4():
         (2, 2, 0, 1), (2, 1, 2, 1),
         (3, 3, 1, 1), (3, 0, 3, 1),
     ])
-    anti = mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    anti = LinearMap.from_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     return HopfData(StructureAlgebra(4, mult, vec([1, 0, 0, 0])),
                     StructureCoalgebra(4, comult, vec([1, 1, 0, 0])),
                     anti)
@@ -192,20 +193,20 @@ def test_integrals_refuse_nonsemisimple():
 
 
 def test_check_map_examples(kz2, ks3):
-    ident = LinearMap(2, 2, identity_mat(2))
+    ident = LinearMap.from_matrix(identity_mat(2))
     assert check_map(ident, kz2, kz2, ("algebra", "coalgebra", "antipode", "injective")).ok
     # eps: kS3 -> k as an algebra map
     triv = group_algebra(GroupTable.from_lists(["e"], [[0]]))
-    eps = LinearMap(6, 1, (ks3.counit,))
+    eps = LinearMap.from_matrix((ks3.counit,))
     assert check_map(eps, ks3.algebra, triv.algebra, ("algebra",)).ok
     # the flip map on pointwise k^3 is an algebra map (commutativity)
     k3 = pointwise_algebra(3)
-    flip = LinearMap(3, 3, mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    flip = LinearMap.from_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     assert check_map(flip, k3, k3, ("algebra", "injective")).ok
     # f(e_3) = e_0 + e_3 on kS3: each check names its first failing case
     rows = [list(r) for r in identity_mat(6)]
     rows[0][3] = F(1)
-    bent = LinearMap(6, 6, mat(rows))
+    bent = LinearMap.from_matrix(rows)
     rep = check_map(bent, ks3, ks3, ("algebra", "coalgebra"))
     assert rep.find("algebra_map").witness == (1, 3)
     assert rep.find("coalgebra_map").witness == (3,)
@@ -227,15 +228,39 @@ def test_linear_map_agrees_with_dense_reference(p, q, r, data):
 
     a, b = draw_mat(q, p), draw_mat(r, q)
     v = vec(data.draw(st.lists(small_rationals, min_size=p, max_size=p)))
-    f, g = LinearMap(p, q, a), LinearMap(q, r, b)
+    f, g = LinearMap.from_matrix(a), LinearMap.from_matrix(b)
+    assert f.matrix == a and (f.source_dim, f.target_dim) == (p, q)
     assert f.apply(v) == mat_vec(a, v)
     assert g.compose(f).matrix == mat_mul(b, a)
-    assert f.is_identity() == (p == q and mat_eq(a, identity_mat(p)))
+    assert f.transpose().matrix == transpose(a)
+    assert f.rank() == p - len(kernel_basis(a))
+    assert f.is_identity() == (p == q and a == identity_mat(p))
     # the identity with at most one entry changed
     near = [list(row) for row in identity_mat(p)]
     i, j = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
     near[i][j] = data.draw(small_rationals)
-    assert LinearMap(p, p, mat(near)).is_identity() == mat_eq(mat(near), identity_mat(p))
+    near = mat(near)
+    nf = LinearMap.from_matrix(near)
+    assert nf.is_identity() == (near == identity_mat(p))
+    # a square map: its inverse is the dense inverse, or None when singular
+    sq = LinearMap.from_matrix(data.draw(st.sampled_from([near, draw_mat(p, p)])))
+    inv = sq.inverse()
+    if kernel_basis(sq.matrix) == []:
+        assert mat_mul(sq.matrix, inv.matrix) == identity_mat(p)
+    else:
+        assert inv is None
+    # equal maps hash equal, whatever order their columns were filled in
+    twin = LinearMap(p, q, [dict(reversed(col.items())) for col in f.cols])
+    assert twin == f.transpose().transpose() == f and hash(twin) == hash(f)
+
+
+def test_linear_map_refuses_misfit_shapes():
+    with pytest.raises(DimensionMismatch):
+        LinearMap.from_matrix([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        LinearMap(2, 2, [{0: F(1)}])
+    with pytest.raises(DimensionMismatch):
+        LinearMap(1, 2, [{2: F(1)}])
 
 
 def test_drinfeld_double_kz2(kz2, double_z2):
@@ -266,7 +291,7 @@ def test_drinfeld_double_ks3_tensors_pinned(double_s3, structure_digest):
     dd, q = double_s3
     assert structure_digest(dd.mult, dd.unit) == "4d8a157f4ea90ec0"
     assert structure_digest(dd.comult, dd.counit) == "f78ceb642fc6ed05"
-    assert structure_digest(dd.antipode) == "670696955b10e717"
+    assert structure_digest(dd.antipode.matrix) == "670696955b10e717"
     assert structure_digest(q.R, q.Rinv) == "33d65f8c5f35a9a8"
 
 
@@ -275,7 +300,7 @@ def test_drinfeld_double_ks3_tensors_pinned(double_s3, structure_digest):
 def test_antipode_involutive_agrees_with_dense_reference(ks3, double_z2, data):
     h = data.draw(st.sampled_from([ks3, double_z2[0]]))
     n = h.dim
-    anti = [list(row) for row in h.antipode]
+    anti = [list(row) for row in h.antipode.matrix]
     if data.draw(st.booleans()):
         # D S D^{-1} for a diagonal D: still an involution, no longer S
         d = [data.draw(st.sampled_from([F(1), F(-1), F(2), F(1, 3)])) for _ in range(n)]
@@ -283,8 +308,8 @@ def test_antipode_involutive_agrees_with_dense_reference(ks3, double_z2, data):
     for _ in range(data.draw(st.integers(0, 2))):
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         anti[i][j] += data.draw(st.sampled_from([F(1), F(-1), F(1, 2)]))
-    bent = HopfData(h.algebra, h.coalgebra, mat(anti))
-    dense = mat_eq(mat_mul(bent.antipode, bent.antipode), identity_mat(n))
+    bent = HopfData(h.algebra, h.coalgebra, LinearMap.from_matrix(anti))
+    dense = mat_mul(bent.antipode.matrix, bent.antipode.matrix) == identity_mat(n)
     assert verify_hopf(bent).find("antipode_involutive").passed == dense
 
 

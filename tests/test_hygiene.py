@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses or imports again
-inside a function, the package imports nothing outside the standard library,
-and each object verifier runs only in its class's cached `report` property
-(or in the CLI's suites).
+inside a function, no package function imports from a module that its module
+already imports from at top level, the package imports nothing outside the
+standard library, and each object verifier runs only in its class's cached
+`report` property (or in the CLI's suites).
 
 An AST scan stands in for pyflakes: a name bound by an import counts as used
 when it appears anywhere in the module as a name, as the root of an
@@ -96,6 +97,38 @@ def test_scan_finds_local_reimports():
            "        from x import d\n"
            "    return b, e, g, os, sys, d\n")
     assert local_reimports(src) == [("b", 4), ("d", 7), ("os", 6)]
+
+
+def local_imports_of_top_modules(source: str) -> list:
+    """(module, line) of every import inside a function from a module that the
+    module already imports from at top level: that import cannot be breaking
+    an import cycle, so it belongs at the top."""
+    tree = ast.parse(source)
+    top = {(stmt.level, stmt.module) for stmt in tree.body
+           if isinstance(stmt, ast.ImportFrom) and stmt.module}
+    return sorted({(node.module, node.lineno) for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ImportFrom) and (node.level, node.module) in top})
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_local_imports_of_top_modules(path):
+    assert local_imports_of_top_modules(path.read_text()) == []
+
+
+def test_scan_finds_local_imports_of_top_modules():
+    src = ("from . import demos\n"
+           "from .exactlin import rat\n"
+           "def f():\n"
+           "    from .exactlin import mat\n"
+           "    from .qtriang import transmute\n"
+           "    from . import cli\n"
+           "    def g():\n"
+           "        from .exactlin import vec\n"
+           "        from exactlin import basis_vec\n"
+           "    return demos, rat, mat, transmute, cli, g\n")
+    assert local_imports_of_top_modules(src) == [("exactlin", 4), ("exactlin", 8)]
 
 
 def foreign_imports(source: str) -> list:
