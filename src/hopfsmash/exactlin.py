@@ -247,9 +247,10 @@ def rank(m) -> int:
     return len(pivots)
 
 
-def kernel_basis(m) -> list:
-    """Exact basis of the right null space {v : m v = 0}; [] iff injective."""
-    nrows, ncols = mat_shape(m)
+def kernel_basis(m, ncols: int | None = None) -> list:
+    """Exact basis of the right null space {v : m v = 0}; [] iff injective.
+    The rows of m may be sparse {col: x} dicts when ncols is given."""
+    ncols = mat_shape(m)[1] if ncols is None else ncols
     frac_rows, pivots = _sparse_rref(_rows_of_mat(m), ncols)
     pivset = set(pivots)
     free = [j for j in range(ncols) if j not in pivset]
@@ -315,13 +316,14 @@ class Subspace:
     vectors augmented with the identity, [v_1 .. v_k | I_k].
 
     The reduced rows with a pivot among the first dim columns form `basis`,
-    the canonical basis that span_basis(vectors, dim) lists; their last k columns
+    the canonical basis that span_basis(vectors, dim) lists; `pivots` are their
+    pivot columns, a column basis of the matrix [v_1 .. v_k]. Their last k columns
     say which combination of the given vectors makes each basis vector. A row
     whose pivot lies beyond dim records a dependence among the given vectors.
     Membership and coordinate queries then cost one pass over the basis.
     """
 
-    __slots__ = ("ambient", "basis", "_vectors", "_independent", "_pivots", "_rows", "_combs")
+    __slots__ = ("ambient", "basis", "pivots", "_vectors", "_independent", "_rows", "_combs")
 
     def __init__(self, vectors, dim: int):
         self._vectors = tuple(tuple(v) for v in vectors)
@@ -331,7 +333,7 @@ class Subspace:
         frac_rows, pivots = _sparse_rref(rows, dim + k)
         r = sum(1 for p in pivots if p < dim)  # pivots ascend: basis rows first
         self._independent = r == k
-        self._pivots = pivots[:r]
+        self.pivots = tuple(pivots[:r])
         self._rows = [{j: c for j, c in row.items() if j < dim} for row in frac_rows[:r]]
         self._combs = [{j - dim: c for j, c in row.items() if j >= dim} for row in frac_rows[:r]]
         self.basis = tuple(tuple(row.get(j, RAT_ZERO) for j in range(dim)) for row in self._rows)
@@ -340,7 +342,7 @@ class Subspace:
         """Coefficients of v on the canonical basis, or None outside the span."""
         if len(v) != self.ambient:
             raise DimensionMismatch(f"vector of length {len(v)} in a subspace of Q^{self.ambient}")
-        on_basis = [v[p] for p in self._pivots]
+        on_basis = [v[p] for p in self.pivots]
         recon: dict = {}
         for a, row in zip(on_basis, self._rows):
             if a != 0:

@@ -124,10 +124,6 @@ class StructureAlgebra:
         cols = [self.mul(v, basis_vec(self.dim, c)) for c in range(self.dim)]
         return transpose(tuple(cols))
 
-    def right_mult_matrix(self, v) -> tuple:
-        cols = [self.mul(basis_vec(self.dim, c), v) for c in range(self.dim)]
-        return transpose(tuple(cols))
-
     def is_commutative(self) -> bool:
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
@@ -487,9 +483,9 @@ def generating_set(alg: StructureAlgebra) -> tuple:
     return tuple(gens)
 
 
-def certified_scan(failures, gens, n: int):
-    """The failing cases of the full scan failures(range(n)), searched only
-    after the reduced scan failures(gens) has found one.
+def certified_scan(failures, gens, full):
+    """The failing cases of the full scan failures(full), e.g. full = range(n),
+    searched only after the reduced scan failures(gens) has found one.
 
     For a law closed under products, with gens a certified generating set
     (see the callers), the two scans fail together, so a passing law costs
@@ -498,7 +494,7 @@ def certified_scan(failures, gens, n: int):
     """
     if gens is not None and next(iter(failures(gens)), None) is None:
         return
-    yield from failures(range(n))
+    yield from failures(full)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +536,7 @@ def verify_algebra(a: StructureAlgebra, subject: str = "algebra") -> Verificatio
                     if lhs != rhs:
                         yield (i, j, k)
 
-    rep.check("associativity", certified_scan(associativity_failures, a.generators, n))
+    rep.check("associativity", certified_scan(associativity_failures, a.generators, range(n)))
     return rep
 
 
@@ -753,13 +749,13 @@ def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
 
     gens = h.algebra.generators if rep.find("algebra.associativity").passed else None
     rep.check("comult_multiplicative", certified_scan(
-        lambda js: comult_multiplicative_failures(h.algebra, h.coalgebra, js), gens, n))
+        lambda js: comult_multiplicative_failures(h.algebra, h.coalgebra, js), gens, range(n)))
 
     eps = h.counit
     rep.check("counit_multiplicative", certified_scan(
         lambda js: ((i, j) for i in range(n) for j in js
                     if sum((c * eps[k] for k, c in h.algebra.mul_row(i, j)), RAT_ZERO)
-                    != eps[i] * eps[j]), gens, n))
+                    != eps[i] * eps[j]), gens, range(n)))
     rep.add("counit_unital", h.coalgebra.counit_of(h.unit) == 1)
 
     # S(h_(1)) h_(2) = eps(h) 1 = h_(1) S(h_(2))
@@ -941,37 +937,49 @@ def opposites(h: HopfData, which: str) -> HopfData:
 # integrals
 # ---------------------------------------------------------------------------
 
+def _integral_equations(alg: StructureAlgebra, eps, indices) -> list:
+    """Sparse rows of e_i x = eps[i] x and x e_i = eps[i] x, i in indices,
+    on the coordinates of x, read off the multiplication rows."""
+    n = alg.dim
+    rows = []
+    for i in indices:
+        left = [{} for _ in range(n)]    # left[r][c]: e_r in e_i e_c - eps[i] e_c
+        right = [{} for _ in range(n)]   # right[r][c]: e_r in e_c e_i - eps[i] e_c
+        for c in range(n):
+            for r, w in alg.mul_row(i, c):
+                sp_add(left[r], c, w)
+            for r, w in alg.mul_row(c, i):
+                sp_add(right[r], c, w)
+            sp_add(left[c], c, -eps[i])
+            sp_add(right[c], c, -eps[i])
+        for lr, rr in zip(left, right):
+            rows.extend((lr, rr))
+    return rows
+
+
 def integrals(h: HopfData) -> IntegralPair:
     """Two-sided integral Lambda and dual integral lambda with <lambda, 1> = 1,
-    <lambda, Lambda> = 1 (hence Lambda -> lambda = epsilon)."""
+    <lambda, Lambda> = 1 (hence Lambda -> lambda = epsilon).
+
+    Once h.report has passed, the equations s Lambda = eps(s) Lambda =
+    Lambda s are written for s in S = h.algebra.generators only: eps is
+    multiplicative, so (s t) Lambda = s (t Lambda) = eps(s) eps(t) Lambda =
+    eps(s t) Lambda, and the same on the right, so they hold on all of A.
+    Likewise for lambda in H*, whose counit f |-> f(1) is multiplicative
+    because Delta(1) = 1 (x) 1.  The kernel is the same as for every index.
+    (A weak Hopf algebra's counit is not multiplicative: all indices.)"""
     n = h.dim
     eps = h.counit
-    rows = []
-    for i in range(n):
-        e = basis_vec(n, i)
-        lm = h.algebra.left_mult_matrix(e)
-        rm = h.algebra.right_mult_matrix(e)
-        for r in range(n):
-            rows.append(tuple(lm[r][c] - (eps[i] if r == c else RAT_ZERO) for c in range(n)))
-            rows.append(tuple(rm[r][c] - (eps[i] if r == c else RAT_ZERO) for c in range(n)))
-    ker = kernel_basis(tuple(rows))
+    dual = convolution_algebra(h.coalgebra)
+    verified = type(h) is HopfData and h.report.ok
+    ker = kernel_basis(_integral_equations(
+        h.algebra, eps, h.algebra.generators if verified else range(n)), n)
     if len(ker) != 1:
         raise NotSemisimple(f"integral space of H has dimension {len(ker)}, expected 1")
     Lam = ker[0]
 
-    dual = convolution_algebra(h.coalgebra)
-    one_coords = h.unit
-    rows = []
-    for i in range(n):
-        e = basis_vec(n, i)
-        lm = dual.left_mult_matrix(e)
-        rm = dual.right_mult_matrix(e)
-        for r in range(n):
-            rows.append(tuple(lm[r][c] - (one_coords[i] if r == c else RAT_ZERO)
-                              for c in range(n)))
-            rows.append(tuple(rm[r][c] - (one_coords[i] if r == c else RAT_ZERO)
-                              for c in range(n)))
-    ker = kernel_basis(tuple(rows))
+    ker = kernel_basis(_integral_equations(
+        dual, h.unit, dual.generators if verified else range(n)), n)
     if len(ker) != 1:
         raise NotSemisimple(f"integral space of H* has dimension {len(ker)}, expected 1")
     lam = ker[0]

@@ -296,12 +296,12 @@ def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
 
     # module law (h g) .ad x = h .ad (g .ad x)
     module_ok = rep.check("adjoint_module_law", certified_scan(
-        lambda js: module_law_failures(h, ad, js), gens, n))
+        lambda js: module_law_failures(h, ad, js), gens, range(n)))
     acting = gens if module_ok else None
 
     # adjoint measures the product: h .ad (x y) = (h_(1) .ad x)(h_(2) .ad y)
     rep.check("adjoint_measuring", certified_scan(
-        lambda hs: measuring_failures(h, ad, alg, hs), acting, n))
+        lambda hs: measuring_failures(h, ad, alg, hs), acting, range(n)))
 
     coal_R = bg.braided_coalgebra
 
@@ -339,7 +339,7 @@ def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
                 if lhs != rhs:
                     yield (i, x)
 
-    rep.check("comult_R_module_map", certified_scan(comult_R_failures, acting, n))
+    rep.check("comult_R_module_map", certified_scan(comult_R_failures, acting, range(n)))
 
     def braided_antipode_failures():
         for i in range(n):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfsmash import hopfcore
 from hopfsmash.exactlin import (
     DimensionMismatch,
     Tensor3,
@@ -16,6 +17,7 @@ from hopfsmash.exactlin import (
     mat_vec,
     transpose,
     vec,
+    vec_dot,
 )
 from hopfsmash.hopfcore import (
     GroupTable,
@@ -25,6 +27,7 @@ from hopfsmash.hopfcore import (
     StructureAlgebra,
     StructureCoalgebra,
     check_map,
+    convolution_algebra,
     drinfeld_double,
     dual_hopf,
     group_algebra,
@@ -190,6 +193,50 @@ def test_integrals_refuse_nonsemisimple():
     # H_4 has no nonzero two-sided integral, which integrals() must detect
     with pytest.raises(NotSemisimple):
         integrals(h)
+
+
+def _integrals_on_every_index(h):
+    """(Lambda, lambda) from the dense equations e_i x = eps(e_i) x = x e_i
+    for every basis index i, normalized as integrals() normalizes them."""
+    n = h.dim
+
+    def kernel_line(alg, eps):
+        rows = []
+        for i in range(n):
+            e = basis_vec(n, i)
+            for c in range(n):
+                ec = basis_vec(n, c)
+                for prod in (alg.mul(e, ec), alg.mul(ec, e)):
+                    rows.append(tuple(p - (eps[i] if r == c else 0) for r, p in enumerate(prod)))
+        ker = kernel_basis(tuple(rows))
+        assert len(ker) == 1
+        return ker[0]
+
+    lam_ = kernel_line(h.algebra, h.counit)
+    lam = kernel_line(convolution_algebra(h.coalgebra), h.unit)
+    lam = tuple(x / vec_dot(lam, h.unit) for x in lam)
+    return tuple(x / vec_dot(lam, lam_) for x in lam_), lam
+
+
+def test_integrals_from_generator_equations(ks3, double_s3, monkeypatch):
+    # verified inputs write the integral equations for the generators only,
+    # and the kernel, hence Lambda and lambda, is the one of every index
+    seen = []
+    real = hopfcore._integral_equations
+
+    def recorded(alg, eps, indices):
+        seen.append(tuple(indices))
+        return real(alg, eps, indices)
+
+    monkeypatch.setattr(hopfcore, "_integral_equations", recorded)
+    from hopfsmash.demos import cyclic_table
+    dz3 = drinfeld_double(group_algebra(cyclic_table(3)))[0]
+    for h in (ks3, dz3, double_s3[0]):
+        seen.clear()
+        ip = integrals(h)
+        assert seen == [h.algebra.generators, convolution_algebra(h.coalgebra).generators]
+        assert len(seen[0]) < h.dim
+        assert (ip.Lambda, ip.lam) == _integrals_on_every_index(h)
 
 
 def test_check_map_examples(kz2, ks3):

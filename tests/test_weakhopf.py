@@ -3,8 +3,16 @@ from fractions import Fraction as F
 import pytest
 
 from hopfsmash import demos as dm
-from hopfsmash.exactlin import Tensor3, basis_vec, vec, vec_dot
-from hopfsmash.hopfcore import LinearMap, dual_hopf, verify_hopf
+from hopfsmash import weakhopf
+from hopfsmash.exactlin import Tensor3, basis_vec, rank, vec, vec_dot
+from hopfsmash.hopfcore import (
+    HopfData,
+    LinearMap,
+    StructureAlgebra,
+    StructureCoalgebra,
+    dual_hopf,
+    verify_hopf,
+)
 from hopfsmash.qtriang import verify_qt
 from hopfsmash.weakhopf import (
     GroupoidData,
@@ -35,7 +43,6 @@ def test_weak_verifier_agrees_with_hopf_verifier_on_faults(ks3):
     dense = ks3.comult.dense()
     dense[2][2][2] = F(0)
     dense[2][3][3] = F(1)
-    from hopfsmash.hopfcore import HopfData, StructureCoalgebra
     bad = HopfData(ks3.algebra, StructureCoalgebra(6, Tensor3.from_dense(dense), ks3.counit),
                    ks3.antipode)
     assert not verify_hopf(bad).ok
@@ -116,7 +123,6 @@ def test_fault_injected_groupoid_comult_fails():
     dense = w.comult.dense()
     dense[1][1][1] = F(0)
     dense[1][2][1] = F(1)
-    from hopfsmash.hopfcore import StructureCoalgebra
     bad = WeakHopfData(w.algebra, StructureCoalgebra(4, Tensor3.from_dense(dense), w.counit),
                        w.antipode)
     rep = verify_weak_bialgebra(bad)
@@ -155,7 +161,6 @@ def test_fault_injected_counit_weak_counit_witnesses(idx):
     w = groupoid_wha(pair_groupoid(3))
     counit = list(w.counit)
     counit[idx] = F(2)
-    from hopfsmash.hopfcore import StructureCoalgebra
     bad = WeakHopfData(w.algebra, StructureCoalgebra(9, w.comult, tuple(counit)), w.antipode)
     rep = verify_weak_bialgebra(bad)
     wit1 = rep.find("weak_counit_identity_1").witness
@@ -163,6 +168,119 @@ def test_fault_injected_counit_weak_counit_witnesses(idx):
     assert wit1 is not None and wit2 is not None
     assert wit1 == _first_weak_counit_failure(bad, swap=False)
     assert wit2 == _first_weak_counit_failure(bad, swap=True)
+
+
+def test_counit_form_pivots_span_rows_and_columns(sws18, b54):
+    # F and H index a row basis and a column basis of T[f][h] = eps(e_f e_h)
+    for w in (sws18.wha, b54.wha):
+        fs, hs = w.counit_form_pivots
+        t = w._eps_of_prod
+        assert len(fs) == len(hs) == rank(t) == 3
+        assert rank([t[f] for f in fs]) == 3
+        assert rank([[row[h] for h in hs] for row in t]) == 3
+
+
+def _scanned_index_sets(monkeypatch):
+    """(fs, hs) of every later weak_counit_failures call, as tuples."""
+    calls = []
+    real = weakhopf.weak_counit_failures
+
+    def recorded(w, swap, fs, hs):
+        calls.append((tuple(fs), tuple(hs)))
+        return real(w, swap, fs, hs)
+
+    monkeypatch.setattr(weakhopf, "weak_counit_failures", recorded)
+    return calls
+
+
+def _smash_twin(w, comult_cell=None, counit_idx=None, mult_cell=None):
+    """k^3 # kS3 with one comult cell, counit entry or mult cell moved by +1."""
+    n = w.dim
+    alg, coal = w.algebra, w.coalgebra
+    if comult_cell is not None:
+        d = w.comult.dense()
+        i, j, k = comult_cell
+        d[i][j][k] += 1
+        coal = StructureCoalgebra(n, Tensor3.from_dense(d), w.counit)
+    if counit_idx is not None:
+        counit = list(w.counit)
+        counit[counit_idx] += 1
+        coal = StructureCoalgebra(n, w.comult, tuple(counit))
+    if mult_cell is not None:
+        d = w.mult.dense()
+        i, j, k = mult_cell
+        d[i][j][k] += 1
+        alg = StructureAlgebra(n, Tensor3.from_dense(d), w.unit)
+    return WeakHopfData(alg, coal, w.antipode)
+
+
+def test_weak_counit_reduced_scan_on_smash(sws18, monkeypatch):
+    calls = _scanned_index_sets(monkeypatch)
+    w = sws18.wha
+    fresh = WeakHopfData(w.algebra, w.coalgebra, w.antipode)
+    rep = verify_weak_bialgebra(fresh)
+    assert rep.find("weak_counit_identity_1").passed
+    assert rep.find("weak_counit_identity_2").passed
+    assert calls == [fresh.counit_form_pivots] * 2
+
+
+@pytest.mark.parametrize("twin", [{"comult_cell": (5, 1, 2)}, {"counit_idx": 7}],
+                         ids=["comult", "counit"])
+def test_fault_injected_smash_weak_counit_witnesses(sws18, twin, monkeypatch):
+    # associativity holds, so the reduced scan runs first and the full scan
+    # then reports the first failing triple in row-major order
+    bad = _smash_twin(sws18.wha, **twin)
+    calls = _scanned_index_sets(monkeypatch)
+    rep = verify_weak_bialgebra(bad)
+    assert rep.find("algebra.associativity").passed
+    full = (tuple(range(18)), tuple(range(18)))
+    assert calls == [bad.counit_form_pivots, full] * 2
+    wit1 = rep.find("weak_counit_identity_1").witness
+    wit2 = rep.find("weak_counit_identity_2").witness
+    assert wit1 is not None and wit2 is not None
+    assert wit1 == _first_weak_counit_failure(bad, swap=False)
+    assert wit2 == _first_weak_counit_failure(bad, swap=True)
+
+
+def test_fault_injected_smash_nonassociative_weak_counit_witnesses(sws18, monkeypatch):
+    # without associativity F is every index; the witness is the full scan's
+    bad = _smash_twin(sws18.wha, mult_cell=(3, 2, 5))
+    calls = _scanned_index_sets(monkeypatch)
+    rep = verify_weak_bialgebra(bad)
+    assert not rep.find("algebra.associativity").passed
+    everything = tuple(range(18))
+    reduced = (everything, bad.counit_form_pivots[1])
+    assert calls == [reduced, (everything, everything)] * 2
+    assert rep.find("weak_counit_identity_1").witness == \
+        _first_weak_counit_failure(bad, swap=False) == (1, 3, 2)
+    assert rep.find("weak_counit_identity_2").witness == \
+        _first_weak_counit_failure(bad, swap=True) == (1, 3, 2)
+
+
+def _first_anti_algebra_failure(w):
+    """First basis pair (i, j), in row-major order, with S(e_i e_j) !=
+    S(e_j) S(e_i), else ("unit",) when S(1) != 1."""
+    n = w.dim
+    s, mul = w.antipode.apply, w.algebra.mul
+    for i in range(n):
+        for j in range(n):
+            if s(mul(basis_vec(n, i), basis_vec(n, j))) != \
+                    mul(s(basis_vec(n, j)), s(basis_vec(n, i))):
+                return (i, j)
+    return ("unit",) if s(w.unit) != w.unit else None
+
+
+@pytest.mark.parametrize("cell", [(9, 4), (17, 17)])
+def test_fault_injected_antipode_anti_algebra_witness(sws18, cell):
+    # (17, 17) fails first at (0, 17), and 17 is not a generator of k^3 # kS3
+    w = sws18.wha
+    assert verify_weak_hopf(w).find("antipode_anti_algebra").passed
+    anti = [list(row) for row in w.antipode.matrix]
+    anti[cell[0]][cell[1]] += 1
+    bad = WeakHopfData(w.algebra, w.coalgebra, LinearMap.from_matrix(anti))
+    check = verify_weak_hopf(bad).find("antipode_anti_algebra")
+    assert not check.passed
+    assert check.witness == _first_anti_algebra_failure(bad)
 
 
 def test_weak_qt_reduces_to_qt_for_hopf(double_z2):
