@@ -15,7 +15,7 @@ Pairing conventions (fixed once):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -82,6 +82,8 @@ class StructureAlgebra:
     dim: int
     mult: Tensor3
     unit: tuple
+    # candidates `generators` tries first, known to a constructor; a hint only
+    first_generators: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.mult.dims != (self.dim, self.dim, self.dim):
@@ -112,8 +114,8 @@ class StructureAlgebra:
 
     @cached_property
     def generators(self) -> tuple:
-        """generating_set(self), computed once per algebra."""
-        return generating_set(self)
+        """generating_set(self, self.first_generators), computed once per algebra."""
+        return generating_set(self, self.first_generators)
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -360,17 +362,20 @@ class IntegralPair:
 def tensor_mul_sparse(algs, u: dict, v: dict) -> dict:
     """Product in A_1 (x) ... (x) A_m of sparse elements keyed by index tuples."""
     out: dict = {}
+    tabs = [alg.mult._rows for alg in algs]
     for ka, ca in u.items():
         for kb, cb in v.items():
-            terms = [((), ca * cb)]
-            for alg, ia, ib in zip(algs, ka, kb):
-                row = alg.mul_row(ia, ib)
-                if not row:
-                    terms = []
-                    break
-                terms = [(key + (k,), c * w) for key, c in terms for k, w in row]
-            for key, c in terms:
-                sp_add(out, key, c)
+            legs = []
+            for tab, ia, ib in zip(tabs, ka, kb):
+                if not (row := tab[ia][ib]):
+                    break    # a zero leg: no Fraction product is formed
+                legs.append(row)
+            else:
+                terms = [((), ca * cb)]
+                for row in legs:
+                    terms = [(key + (k,), c * w) for key, c in terms for k, w in row]
+                for key, c in terms:
+                    sp_add(out, key, c)
     return out
 
 
@@ -435,9 +440,10 @@ def hit_right(coal: StructureCoalgebra, c, f) -> tuple:
 # certified generating sets
 # ---------------------------------------------------------------------------
 
-def generating_set(alg: StructureAlgebra) -> tuple:
-    """Basis indices S, picked greedily in basis order, whose left-normed words
-    ((s_1 s_2) s_3) ... span A, with an exact certificate.
+def generating_set(alg: StructureAlgebra, first=()) -> tuple:
+    """Sorted basis indices S, picked greedily from `first`, then in basis
+    order, whose left-normed words ((s_1 s_2) s_3) ... span A, with an exact
+    certificate; a poor `first` costs size, never soundness.
 
     W, the least subspace with S in W and W S in W, is kept as sparse echelon
     rows over Fraction; e_i joins S only when it is not yet in W, so on return
@@ -467,7 +473,7 @@ def generating_set(alg: StructureAlgebra) -> tuple:
         pivots[lead] = row
         todo.extend((row, s) for s in gens)
 
-    for i in range(n):
+    for i in (*first, *sorted(set(range(n)).difference(first))):
         if len(pivots) == n:
             break
         v = residue({i: RAT_ONE})
@@ -480,7 +486,15 @@ def generating_set(alg: StructureAlgebra) -> tuple:
             row, s = todo.pop()
             if v := residue(alg.mul_sparse(row, {s: RAT_ONE})):
                 grow(v)
-    return tuple(gens)
+    return tuple(sorted(gens))
+
+
+def host_generators(alg: StructureAlgebra, host_report, prefix: str = ""):
+    """alg.generators once the host report has passed associativity and Delta
+    multiplicativity, as the inductions over products by S need; else None."""
+    ok = all(host_report.find(prefix + c).passed
+             for c in ("algebra.associativity", "comult_multiplicative"))
+    return alg.generators if ok else None
 
 
 def certified_scan(failures, gens, full):
@@ -581,20 +595,23 @@ def comult_multiplicative_failures(alg: StructureAlgebra, coal: StructureCoalgeb
     T, s in S: Delta(x (w s)) = Delta((x w) s) = Delta(x w) Delta(s) =
     Delta(x) Delta(w) Delta(s) = Delta(x) Delta(w s), so T = A.
     """
-    n = alg.dim
-    for i in range(n):
+    rows = alg.mult._rows
+    for i in range(alg.dim):
         for j in right:
             lhs: dict = {}
-            for m, c in alg.mul_row(i, j):
+            for m, c in rows[i][j]:
                 for a, b, w in coal.comul_row(m):
                     sp_add(lhs, (a, b), c * w)
             rhs: dict = {}
             for a, b, w in coal.comul_row(i):
+                ra, rb = rows[a], rows[b]
                 for a2, b2, w2 in coal.comul_row(j):
-                    c = w * w2
-                    for p, cp in alg.mul_row(a, a2):
-                        for q, cq in alg.mul_row(b, b2):
-                            sp_add(rhs, (p, q), c * cp * cq)
+                    # a product of terms with a zero leg costs no Fraction product
+                    if (ps := ra[a2]) and (qs := rb[b2]):
+                        c = w * w2
+                        for p, cp in ps:
+                            for q, cq in qs:
+                                sp_add(rhs, (p, q), c * cp * cq)
             if lhs != rhs:
                 yield (i, j)
 
@@ -668,11 +685,19 @@ def measuring_failures(h: HopfData, action: Tensor3, alg: StructureAlgebra, acti
                     yield (i, x, y)
 
 
-def intertwining_failures(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict):
-    """Basis indices (i,) with R Delta(e_i) != Delta^cop(e_i) R for a sparse
-    2-leg R keyed by index pairs."""
+def intertwining_failures(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict, indices):
+    """Basis indices (i,), i in `indices`, with R Delta(e_i) != Delta^cop(e_i) R
+    for a sparse 2-leg R keyed by index pairs.
+
+    On an associative A with Delta multiplicative it is enough that `indices`
+    is S = alg.generators: if T = {w : R Delta(w) = Delta^cop(w) R} holds S,
+    then for w in T, s in S: R Delta(w s) = R Delta(w) Delta(s) =
+    Delta^cop(w) R Delta(s) = Delta^cop(w) Delta^cop(s) R = Delta^cop(w s) R,
+    so T, a subspace, holds every left-normed word in S, T = A.  Neither a
+    unit nor a counit law is used, so this serves weak bialgebras too.
+    """
     algs2 = (alg, alg)
-    for i in range(alg.dim):
+    for i in indices:
         dlt = {(a, b): c for a, b, c in coal.comul_row(i)}
         cop = {(b, a): c for a, b, c in coal.comul_row(i)}
         if tensor_mul_sparse(algs2, r, dlt) != tensor_mul_sparse(algs2, cop, r):
@@ -710,8 +735,10 @@ def hexagon_sides(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict) -> t
         for j, k, w in coal.comul_row(b):
             sp_add(id_d, (a, j, k), c * w)
         for (x, y), cxy in r.items():
-            add_outer3(r13r23, c * cxy, times_one[a], one_times[x], alg.mul_row(b, y))
-            add_outer3(r13r12, c * cxy, alg.mul_row(a, x), one_times[y], times_one[b])
+            if by := alg.mul_row(b, y):
+                add_outer3(r13r23, c * cxy, times_one[a], one_times[x], by)
+            if ax := alg.mul_row(a, x):
+                add_outer3(r13r12, c * cxy, ax, one_times[y], times_one[b])
     return d_id, r13r23, id_d, r13r12
 
 
@@ -1068,6 +1095,12 @@ def drinfeld_double(h: HopfData):
                  for a, ca in sp(h.counit).items()
                  for b, cb in sp(h.unit).items()}, nn)
 
+    # S tries the arrows p_a >< s first, s in S_H less each s the rest generate
+    s_h = list(alg.generators)
+    for s in alg.generators:
+        if set(generating_set(alg, rest := [t for t in s_h if t != s])) <= set(rest):
+            s_h = rest
+
     rev_mult = dual_coalgebra(alg).comul_row
     centries = []
     for a in range(n):
@@ -1079,7 +1112,7 @@ def drinfeld_double(h: HopfData):
     counit = unsp({flat(a, b): h.unit[a] * h.counit[b]
                    for a in range(n) for b in range(n) if h.unit[a] * h.counit[b] != 0}, nn)
 
-    dalg = StructureAlgebra(nn, mult, unit)
+    dalg = StructureAlgebra(nn, mult, unit, tuple(flat(a, s) for a in range(n) for s in s_h))
     dcoal = StructureCoalgebra(nn, comult, counit)
 
     # S_D(p_a >< x_b) = (eps >< S(x_b)) (S*^{-1}(p_a) >< 1); S*^{-1}(p_a) is

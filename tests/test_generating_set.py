@@ -1,13 +1,15 @@
 """Certified generating sets and the axiom scans reduced to A x S.
 
 `generating_set` is checked against an independent span closure, and the
-reduced associativity, Delta- and eps-multiplicativity scans, and the
-braided-group module law, measuring law and Delta_R module map, are checked
-against full scans kept here: a full-scan reference report (every index
+reduced associativity, Delta- and eps-multiplicativity scans, the
+braided-group module law, measuring law and Delta_R module map, and the
+intertwining law of strong and weak R-matrices, are checked against full
+scans kept here: a full-scan reference report (every index
 taken as a generator, so each reduced scan is the full scan) and brute-force
 first failures written with plain dict arithmetic.
 """
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfsmash import demos as dm
-from hopfsmash.exactlin import Subspace, Tensor3, basis_vec
+from hopfsmash.exactlin import Subspace, Tensor3, TensorElem, basis_vec
 from hopfsmash.hopfcore import (
     LinearMap,
     StructureAlgebra,
@@ -27,8 +29,14 @@ from hopfsmash.hopfcore import (
     verify_algebra,
     verify_hopf,
 )
-from hopfsmash.qtriang import BraidedGroupData, QTStructure, transmute, verify_braided_group
-from hopfsmash.weakhopf import WeakHopfData, verify_weak_bialgebra
+from hopfsmash.qtriang import (
+    BraidedGroupData,
+    QTStructure,
+    transmute,
+    verify_braided_group,
+    verify_qt,
+)
+from hopfsmash.weakhopf import WeakHopfData, WeakQTStructure, verify_weak_bialgebra, verify_weak_qt
 
 DELTAS = (F(1), F(-1), F(2), F(1, 2))
 
@@ -155,8 +163,8 @@ def _perturbed(h, which, i, j, k, delta):
         counit[i] += delta
         return type(h)(h.algebra, StructureCoalgebra(n, h.comult, tuple(counit)), h.antipode)
     bad = _perturbed_t3(h.mult if which == "mult" else h.comult, i, j, k, delta)
-    if which == "mult":
-        return type(h)(StructureAlgebra(n, bad, h.unit), h.coalgebra, h.antipode)
+    if which == "mult":    # keeps the host's first_generators, so a double keeps its S
+        return type(h)(replace(h.algebra, mult=bad), h.coalgebra, h.antipode)
     return type(h)(h.algebra, StructureCoalgebra(n, bad, h.counit), h.antipode)
 
 
@@ -171,13 +179,17 @@ def _test_algebras(hosts):
     return algs
 
 
+def _whole(alg):
+    return Subspace([basis_vec(alg.dim, i) for i in range(alg.dim)], alg.dim)
+
+
 def test_closure_of_generators_is_whole_algebra(hosts, b54):
+    # both the basis-order S and the cached S (codec-ordered on the doubles) span A
     for name, alg in {**_test_algebras(hosts), "B": b54.wha.algebra}.items():
-        gens = generating_set(alg)
-        assert list(gens) == sorted(set(gens)), name
-        assert _closure(alg, gens) == Subspace([basis_vec(alg.dim, i) for i in range(alg.dim)],
-                                               alg.dim), name
-        assert alg.generators == gens
+        assert alg.generators == generating_set(alg, alg.first_generators), name
+        for gens in (generating_set(alg), alg.generators):
+            assert list(gens) == sorted(set(gens)), name
+            assert _closure(alg, gens) == _whole(alg), name
 
 
 def test_generators_are_greedy_in_basis_order(hosts):
@@ -250,10 +262,11 @@ def test_comult_witness_with_right_index_outside_s(ks3):
 
 
 def test_faults_seen_only_through_the_last_generator(hosts):
-    # D(kZ3), S = (0, 1, 3, 4, 6, 7): each fault below breaks its law for the
-    # generator 7 alone, so a scan over S without its last element passes it
+    # D(kZ3), S = (1, 4, 7), the arrows p_a >< g: each fault below breaks its
+    # law for the generator 7 alone, so a scan over S without its last element
+    # passes it
     h = hosts["D(kZ3)"]
-    gens = (0, 1, 3, 4, 6, 7)
+    gens = (1, 4, 7)
     assert h.algebra.generators == gens
     bad = _perturbed(h, "mult", 7, 7, 0, F(1))
     assert bad.algebra.generators == gens
@@ -510,3 +523,132 @@ def test_measuring_is_reduced_only_after_the_module_law(braided):
     assert _first_module_law_failure(bad) is not None
     assert _first_measuring_failure(bad, (0, 1, 2)) is None
     assert _witness(_assert_full_scan_witnesses(bad), "adjoint_measuring") is not None
+
+
+# ---------------------------------------------------------------------------
+# the order of S: codec-ordered doubles and adversarial candidate orders
+# ---------------------------------------------------------------------------
+
+def test_cyclic_doubles_are_generated_by_their_arrows():
+    # D(kZn) is spanned by the words in the n arrows p_a >< g, g a generator
+    for n in range(2, 9):
+        alg = drinfeld_double(group_algebra(dm.cyclic_table(n)))[0].algebra
+        assert alg.generators == tuple(a * n + 1 for a in range(n)), n
+        assert _closure(alg, alg.generators) == _whole(alg), n
+
+
+def test_closure_under_adversarial_first_orders(double_z3, double_s3, b54, s3_table):
+    # a bad candidate order costs size, never the certificate
+    z3 = dm.cyclic_table(3)
+    idempotents = {"D(kZ3)": [a * 3 + z3.identity for a in range(3)],
+                   "D(kS3)": [a * 6 + s3_table.identity for a in range(6)]}
+    for name, alg in (("D(kZ3)", double_z3[0].algebra), ("D(kS3)", double_s3[0].algebra),
+                      ("B", b54.wha.algebra)):
+        orders = [[i for i, c in enumerate(alg.unit) if c], list(reversed(range(alg.dim)))]
+        if name in idempotents:    # every p_a >< 1 first
+            orders.append(idempotents[name])
+        for first in orders:
+            gens = generating_set(alg, first)
+            assert list(gens) == sorted(set(gens)), (name, first)
+            assert _closure(alg, gens) == _whole(alg), (name, first)
+
+
+# ---------------------------------------------------------------------------
+# R-matrices: the intertwining law on S and the right inverse
+# ---------------------------------------------------------------------------
+
+def _mul2(alg, u, v):
+    out = {}
+    for (a, b), c in u.items():
+        for (x, y), d in v.items():
+            for p, cp in alg.mult.row(a, x):
+                for q, cq in alg.mult.row(b, y):
+                    _add(out, (p, q), c * d * cp * cq)
+    return out
+
+
+def _first_intertwining_failure(alg, coal, r):
+    for i in range(alg.dim):
+        delta = _comul(coal, {i: F(1)})
+        cop = {(b, a): c for (a, b), c in delta.items()}
+        if _mul2(alg, r, delta) != _mul2(alg, cop, r):
+            return (i,)
+    return None
+
+
+def _r_twins(R, deltas=DELTAS):
+    """R with each of its entries moved by each delta."""
+    for key, _ in sorted(R.items()):
+        for delta in deltas:
+            bad = dict(R.items())
+            _add(bad, key, delta)
+            yield TensorElem.from_entries(R.dims, list(bad.items()))
+
+
+def _full_scan_qt_report(verify, q):
+    """The report with every index as a generator: the intertwining scan is
+    then the full scan."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StructureAlgebra, "generators", property(lambda a: tuple(range(a.dim))))
+        return verify(q).to_dict()
+
+
+def test_qt_twins_of_double_s3(double_s3):
+    # every R entry of D(kS3) moved by every delta: the intertwining witness is
+    # the full scan's first failing index, and R_invertible_right is R Rbar = 1 (x) 1
+    dd, q = double_s3
+    alg = dd.algebra
+    one2 = {(a, b): ca * cb for a, ca in alg.unit_sparse.items()
+            for b, cb in alg.unit_sparse.items()}
+    hits = 0
+    for bad in _r_twins(q.R):
+        twin = QTStructure(dd, bad, q.Rinv)
+        rep = verify_qt(twin)
+        first = _first_intertwining_failure(alg, dd.coalgebra, bad.terms)
+        assert rep.find("intertwines_comult").witness == first
+        right = _mul2(alg, bad.terms, q.Rinv.terms) == one2
+        assert rep.find("R_invertible_right").passed == right
+        hits += first is not None and first[0] not in alg.generators
+    assert hits > 0
+    rep = verify_qt(q)
+    assert rep.ok and rep.find("R_invertible_right").passed
+    assert _mul2(alg, q.R.terms, q.Rinv.terms) == one2
+
+
+def test_weak_qt_twins(b54, double_s3):
+    # the same sweep over the weak R-matrix of B, and over R of D(kS3) taken as
+    # a weak R-matrix, whose witnesses lie outside S; both inverse laws are formed
+    dd, q = double_s3
+    weak_s3 = WeakQTStructure(WeakHopfData.from_hopf(dd), q.R, q.Rinv)
+    hits = 0
+    for wq, deltas in ((b54.rqt, DELTAS), (weak_s3, DELTAS[:1])):
+        w = wq.host
+        alg = w.algebra
+        d1cop = {(b, a): c for (a, b), c in w.delta_one.items()}
+        for bad in _r_twins(wq.Rw, deltas):
+            twin = WeakQTStructure(w, bad, wq.Rw_bar)
+            rep = verify_weak_qt(twin)
+            first = _first_intertwining_failure(alg, w.coalgebra, bad.terms)
+            assert rep.find("intertwines_comult").witness == first
+            assert rep.find("r_rbar_is_delta_cop_one").passed == (
+                _mul2(alg, bad.terms, wq.Rw_bar.terms) == d1cop)
+            hits += first is not None and first[0] not in alg.generators
+        assert verify_weak_qt(wq).ok
+    assert hits > 0
+    twin = WeakQTStructure(b54.wha, next(_r_twins(b54.rqt.Rw, DELTAS)), b54.rqt.Rw_bar)
+    assert verify_weak_qt(twin).to_dict() == _full_scan_qt_report(verify_weak_qt, twin)
+
+
+def test_qt_host_gate_falls_back_to_full_scans(hosts, double_z3):
+    # a host whose associativity or Delta multiplicativity fails gives no
+    # reduction: intertwining is scanned in full and R Rbar is formed
+    q = double_z3[1]
+    h = hosts["D(kZ3)"]
+    for which, i, j, k in (("mult", 7, 7, 0), ("comult", 7, 0, 6)):
+        bad = _perturbed(h, which, i, j, k, F(1))
+        twin = QTStructure(bad, q.R, q.Rinv)
+        rep = verify_qt(twin)
+        assert not verify_hopf(bad).ok
+        assert rep.find("intertwines_comult").witness == _first_intertwining_failure(
+            bad.algebra, bad.coalgebra, q.R.terms)
+        assert rep.to_dict() == _full_scan_qt_report(verify_qt, twin)

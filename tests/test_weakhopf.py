@@ -156,6 +156,68 @@ def _first_weak_counit_failure(w, swap):
     return None
 
 
+def _unit_weak_comult_reference(w):
+    """((Delta (x) id) Delta(1), (Delta(1) (x) 1)(1 (x) Delta(1)),
+    (1 (x) Delta(1))(Delta(1) (x) 1)), with the full 3-leg products."""
+    rows = w.algebra.mult.row
+    one = {i: c for i, c in enumerate(w.unit) if c}
+    d1, lhs = {}, {}
+
+    def add(acc, key, c):
+        acc[key] = acc.get(key, 0) + c
+        if not acc[key]:
+            del acc[key]
+
+    for u, cu in one.items():
+        for a, b, c in w.coalgebra.comul_row(u):
+            add(d1, (a, b), cu * c)
+    for (a, b), c in d1.items():
+        for p, q, cc in w.coalgebra.comul_row(a):
+            add(lhs, (p, q, b), c * cc)
+    d1_l = {(a, b, u): c * cu for (a, b), c in d1.items() for u, cu in one.items()}
+    d1_r = {(u, a, b): c * cu for (a, b), c in d1.items() for u, cu in one.items()}
+
+    def mul3(x, y):
+        out = {}
+        for kx, cx in x.items():
+            for ky, cy in y.items():
+                for p, cp in rows(kx[0], ky[0]):
+                    for q, cq in rows(kx[1], ky[1]):
+                        for r, cr in rows(kx[2], ky[2]):
+                            add(out, (p, q, r), cx * cy * cp * cq * cr)
+        return out
+
+    return lhs, mul3(d1_l, d1_r), mul3(d1_r, d1_l)
+
+
+def test_unit_weak_comult_from_middle_products(sws18):
+    # the middle products of the Delta(1) terms against the full 3-leg
+    # products, on genuine inputs and on twins whose Delta(1) moved; a twin
+    # whose unit law fails takes the full products
+    w = sws18.wha
+    unit_rows = [i for i, c in enumerate(w.unit) if c]
+    twins = [w, WeakHopfData.from_hopf(dual_hopf(dm.k_s3()))]
+    for i in unit_rows:
+        for j, k in ((i, 4), (1, i), (5, 9), (13, 2)):
+            dense = w.comult.dense()
+            dense[i][j][k] += 1
+            twins.append(WeakHopfData(w.algebra, StructureCoalgebra(
+                w.dim, Tensor3.from_dense(dense), w.counit), w.antipode))
+        dense = w.mult.dense()
+        dense[i][i][3] += 1
+        twins.append(WeakHopfData(StructureAlgebra(w.dim, Tensor3.from_dense(dense), w.unit),
+                                  w.coalgebra, w.antipode))
+    verdicts = set()
+    for twin in twins:
+        rep = verify_weak_bialgebra(twin)
+        lhs, order1, order2 = _unit_weak_comult_reference(twin)
+        verdicts.add((rep.find("algebra.unit_law").passed, lhs == order1, lhs == order2))
+        assert rep.find("unit_weak_comult_order1").passed == (lhs == order1)
+        assert rep.find("unit_weak_comult_order2").passed == (lhs == order2)
+    assert {v[0] for v in verdicts} == {True, False}
+    assert len({v[1:] for v in verdicts if v[0]}) > 1
+
+
 @pytest.mark.parametrize("idx", range(9))
 def test_fault_injected_counit_weak_counit_witnesses(idx):
     w = groupoid_wha(pair_groupoid(3))
