@@ -15,7 +15,7 @@ Pairing conventions (fixed once):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -82,8 +82,6 @@ class StructureAlgebra:
     dim: int
     mult: Tensor3
     unit: tuple
-    # candidates `generators` tries first, known to a constructor; a hint only
-    first_generators: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.mult.dims != (self.dim, self.dim, self.dim):
@@ -114,8 +112,8 @@ class StructureAlgebra:
 
     @cached_property
     def generators(self) -> tuple:
-        """generating_set(self, self.first_generators), computed once per algebra."""
-        return generating_set(self, self.first_generators)
+        """generating_set(self), computed once per algebra."""
+        return generating_set(self)
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -365,12 +363,8 @@ def tensor_mul_sparse(algs, u: dict, v: dict) -> dict:
     tabs = [alg.mult._rows for alg in algs]
     for ka, ca in u.items():
         for kb, cb in v.items():
-            legs = []
-            for tab, ia, ib in zip(tabs, ka, kb):
-                if not (row := tab[ia][ib]):
-                    break    # a zero leg: no Fraction product is formed
-                legs.append(row)
-            else:
+            legs = [tab[ia][ib] for tab, ia, ib in zip(tabs, ka, kb)]
+            if all(legs):    # a zero leg: no Fraction product is formed
                 terms = [((), ca * cb)]
                 for row in legs:
                     terms = [(key + (k,), c * w) for key, c in terms for k, w in row]
@@ -606,8 +600,7 @@ def comult_multiplicative_failures(alg: StructureAlgebra, coal: StructureCoalgeb
             for a, b, w in coal.comul_row(i):
                 ra, rb = rows[a], rows[b]
                 for a2, b2, w2 in coal.comul_row(j):
-                    # a product of terms with a zero leg costs no Fraction product
-                    if (ps := ra[a2]) and (qs := rb[b2]):
+                    if (ps := ra[a2]) and (qs := rb[b2]):    # else a zero leg
                         c = w * w2
                         for p, cp in ps:
                             for q, cq in qs:
@@ -704,6 +697,24 @@ def intertwining_failures(alg: StructureAlgebra, coal: StructureCoalgebra, r: di
             yield (i,)
 
 
+def unit_products(alg: StructureAlgebra, legs) -> tuple:
+    """({z: z 1}, {z: 1 z}) for z in legs, as tuples of (index, coefficient)."""
+    one = alg.unit_sparse
+    return ({z: tuple(alg.mul_sparse({z: RAT_ONE}, one).items()) for z in legs},
+            {z: tuple(alg.mul_sparse(one, {z: RAT_ONE}).items()) for z in legs})
+
+
+def add_outer3(acc: dict, c, u, v, w) -> None:
+    """acc += c u (x) v (x) w for u, v, w sequences of (index, coefficient)."""
+    if not (u and v and w):
+        return    # a zero leg: no Fraction product is formed
+    for i, ci in u:
+        for j, cj in v:
+            cij = c * ci * cj
+            for k, ck in w:
+                sp_add(acc, (i, j, k), cij * ck)
+
+
 def hexagon_sides(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict) -> tuple:
     """((Delta (x) id)(R), R^13 R^23, (id (x) Delta)(R), R^13 R^12) for a sparse
     2-leg R keyed by index pairs.
@@ -713,18 +724,7 @@ def hexagon_sides(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict) -> t
     products of the legs padded with every term of the unit, for any
     multiplication tensor, unital or not; a 1 and 1 z are formed once per index.
     """
-    one = alg.unit_sparse
-    legs = {z for key in r for z in key}
-    times_one = {z: tuple(alg.mul_sparse({z: RAT_ONE}, one).items()) for z in legs}
-    one_times = {z: tuple(alg.mul_sparse(one, {z: RAT_ONE}).items()) for z in legs}
-
-    def add_outer3(acc, c, u, v, w):
-        for i, ci in u:
-            for j, cj in v:
-                cij = c * ci * cj
-                for k, ck in w:
-                    sp_add(acc, (i, j, k), cij * ck)
-
+    times_one, one_times = unit_products(alg, {z for key in r for z in key})
     d_id: dict = {}
     id_d: dict = {}
     r13r23: dict = {}
@@ -735,10 +735,8 @@ def hexagon_sides(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict) -> t
         for j, k, w in coal.comul_row(b):
             sp_add(id_d, (a, j, k), c * w)
         for (x, y), cxy in r.items():
-            if by := alg.mul_row(b, y):
-                add_outer3(r13r23, c * cxy, times_one[a], one_times[x], by)
-            if ax := alg.mul_row(a, x):
-                add_outer3(r13r12, c * cxy, ax, one_times[y], times_one[b])
+            add_outer3(r13r23, c * cxy, times_one[a], one_times[x], alg.mul_row(b, y))
+            add_outer3(r13r12, c * cxy, alg.mul_row(a, x), one_times[y], times_one[b])
     return d_id, r13r23, id_d, r13r12
 
 
@@ -1095,12 +1093,6 @@ def drinfeld_double(h: HopfData):
                  for a, ca in sp(h.counit).items()
                  for b, cb in sp(h.unit).items()}, nn)
 
-    # S tries the arrows p_a >< s first, s in S_H less each s the rest generate
-    s_h = list(alg.generators)
-    for s in alg.generators:
-        if set(generating_set(alg, rest := [t for t in s_h if t != s])) <= set(rest):
-            s_h = rest
-
     rev_mult = dual_coalgebra(alg).comul_row
     centries = []
     for a in range(n):
@@ -1112,7 +1104,14 @@ def drinfeld_double(h: HopfData):
     counit = unsp({flat(a, b): h.unit[a] * h.counit[b]
                    for a in range(n) for b in range(n) if h.unit[a] * h.counit[b] != 0}, nn)
 
-    dalg = StructureAlgebra(nn, mult, unit, tuple(flat(a, s) for a in range(n) for s in s_h))
+    dalg = StructureAlgebra(nn, mult, unit)
+    # the cached S tries the arrows p_a >< s first, s in S_H less each s the
+    # rest generate; the certificate is unchanged
+    s_h = list(alg.generators)
+    for s in alg.generators:
+        if set(generating_set(alg, rest := [t for t in s_h if t != s])) <= set(rest):
+            s_h = rest
+    vars(dalg)["generators"] = generating_set(dalg, [flat(a, s) for a in range(n) for s in s_h])
     dcoal = StructureCoalgebra(nn, comult, counit)
 
     # S_D(p_a >< x_b) = (eps >< S(x_b)) (S*^{-1}(p_a) >< 1); S*^{-1}(p_a) is

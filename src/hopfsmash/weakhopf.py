@@ -26,6 +26,7 @@ from .hopfcore import (
     LinearMap,
     StructureAlgebra,
     StructureCoalgebra,
+    add_outer3,
     antipode_convolutions,
     certified_scan,
     check_map,
@@ -37,6 +38,7 @@ from .hopfcore import (
     sp_add,
     sparse_outer,
     tensor_mul_sparse,
+    unit_products,
     unsp,
     verify_coalgebra,
 )
@@ -141,6 +143,26 @@ def weak_counit_failures(w: WeakHopfData, swap: bool, fs, hs):
                 yield (f, g, min(diff))
 
 
+def unit_weak_comult_sides(w: WeakHopfData) -> tuple:
+    """(Delta (x) id) Delta(1) and the products (Delta(1) (x) 1)(1 (x) Delta(1)) =
+    sum c c' (a 1) (x) (b a') (x) (1 b') and (1 (x) Delta(1))(Delta(1) (x) 1) =
+    sum c c' (1 a') (x) (a b') (x) (b 1) over terms c (a, b), c' (a', b') of
+    Delta(1), exact by bilinearity for any multiplication tensor."""
+    alg, d1 = w.algebra, w.delta_one
+    lhs: dict = {}
+    for (a, b), c in d1.items():
+        for p, q, ww in w.coalgebra.comul_row(a):
+            sp_add(lhs, (p, q, b), c * ww)
+    times_one, one_times = unit_products(alg, {z for key in d1 for z in key})
+    order1: dict = {}
+    order2: dict = {}
+    for (a, b), c in d1.items():
+        for (a2, b2), c2 in d1.items():
+            add_outer3(order1, c * c2, times_one[a], alg.mul_row(b, a2), one_times[b2])
+            add_outer3(order2, c * c2, one_times[a2], alg.mul_row(a, b2), times_one[b])
+    return lhs, order1, order2
+
+
 def verify_weak_bialgebra(w: WeakHopfData, subject: str = "weak_bialgebra") -> VerificationReport:
     """Delta multiplicative, weak unit comultiplicativity (both orders), and
     both weak counit identities on all basis triples.
@@ -161,27 +183,7 @@ def verify_weak_bialgebra(w: WeakHopfData, subject: str = "weak_bialgebra") -> V
     rep.check("comult_multiplicative", certified_scan(
         lambda js: comult_multiplicative_failures(alg, coal, js), gens, range(n)))
 
-    d1 = w.delta_one
-    lhs: dict = {}
-    for (a, b), c in d1.items():
-        for p, q, ww in coal.comul_row(a):
-            sp_add(lhs, (p, q, b), c * ww)
-    if rep.find("algebra.unit_law").passed:
-        # the outer legs meet 1: (Delta(1) (x) 1)(1 (x) Delta(1)) = sum c c' (a, b a', b')
-        # and the other order sum c c' (a', a b', b), over terms c (a, b), c' (a', b')
-        order1: dict = {}
-        order2: dict = {}
-        for (a, b), c in d1.items():
-            for (a2, b2), c2 in d1.items():
-                for m, cm in alg.mul_row(b, a2):
-                    sp_add(order1, (a, m, b2), c * c2 * cm)
-                for m, cm in alg.mul_row(a, b2):
-                    sp_add(order2, (a2, m, b), c * c2 * cm)
-    else:
-        algs3, one = (alg, alg, alg), alg.unit_sparse
-        d1_l, d1_r = sparse_outer(d1, one), sparse_outer(one, d1)
-        order1 = tensor_mul_sparse(algs3, d1_l, d1_r)
-        order2 = tensor_mul_sparse(algs3, d1_r, d1_l)
+    lhs, order1, order2 = unit_weak_comult_sides(w)
     rep.add("unit_weak_comult_order1", lhs == order1)
     rep.add("unit_weak_comult_order2", lhs == order2)
 
@@ -297,10 +299,9 @@ class WeakQTStructure:
 
 
 def verify_weak_qt(wq: WeakQTStructure, subject: str = "weak_qt") -> VerificationReport:
-    """Rbar R = Delta(1), R Rbar = Delta^cop(1), R Delta = Delta^cop R and the
-    hexagons.  Intertwining is scanned on S as in verify_qt, gated on the host
-    report w.report.  Both inverse laws are formed: as Delta(1) != 1 (x) 1,
-    verify_qt's two-sided-inverse argument does not apply."""
+    """Rbar R = Delta(1), R Rbar = Delta^cop(1), R Delta = Delta^cop R (on S once
+    w.report allows, see intertwining_failures) and the hexagons.  Both inverse
+    laws are formed: as Delta(1) != 1 (x) 1, verify_qt's argument fails here."""
     rep = VerificationReport(subject)
     w = wq.host
     alg, coal = w.algebra, w.coalgebra

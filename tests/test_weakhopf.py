@@ -25,6 +25,7 @@ from hopfsmash.weakhopf import (
     one_object_groupoid,
     pair_groupoid,
     transformation_groupoid,
+    unit_weak_comult_sides,
     verify_weak_bialgebra,
     verify_weak_hopf,
     verify_weak_qt,
@@ -192,8 +193,8 @@ def _unit_weak_comult_reference(w):
 
 def test_unit_weak_comult_from_middle_products(sws18):
     # the middle products of the Delta(1) terms against the full 3-leg
-    # products, on genuine inputs and on twins whose Delta(1) moved; a twin
-    # whose unit law fails takes the full products
+    # products, on genuine inputs and on twins whose Delta(1) moved or whose
+    # unit law fails
     w = sws18.wha
     unit_rows = [i for i, c in enumerate(w.unit) if c]
     twins = [w, WeakHopfData.from_hopf(dual_hopf(dm.k_s3()))]
@@ -203,14 +204,19 @@ def test_unit_weak_comult_from_middle_products(sws18):
             dense[i][j][k] += 1
             twins.append(WeakHopfData(w.algebra, StructureCoalgebra(
                 w.dim, Tensor3.from_dense(dense), w.counit), w.antipode))
-        dense = w.mult.dense()
-        dense[i][i][3] += 1
-        twins.append(WeakHopfData(StructureAlgebra(w.dim, Tensor3.from_dense(dense), w.unit),
-                                  w.coalgebra, w.antipode))
+        # a Delta(1) leg z with z 1 != z or 1 z != z, on one side only
+        z = min(z for key in w.delta_one for z in key)
+        for cell in ((i, i), (z, i), (i, z)):
+            dense = w.mult.dense()
+            dense[cell[0]][cell[1]][3] += 1
+            twins.append(WeakHopfData(
+                StructureAlgebra(w.dim, Tensor3.from_dense(dense), w.unit),
+                w.coalgebra, w.antipode))
     verdicts = set()
     for twin in twins:
         rep = verify_weak_bialgebra(twin)
         lhs, order1, order2 = _unit_weak_comult_reference(twin)
+        assert unit_weak_comult_sides(twin) == (lhs, order1, order2)
         verdicts.add((rep.find("algebra.unit_law").passed, lhs == order1, lhs == order2))
         assert rep.find("unit_weak_comult_order1").passed == (lhs == order1)
         assert rep.find("unit_weak_comult_order2").passed == (lhs == order2)
