@@ -14,30 +14,25 @@ from dataclasses import dataclass
 from .exactlin import (
     RAT_ONE,
     RAT_ZERO,
+    LinearMap,
     Subspace,
     Tensor3,
     TensorElem,
-    basis_vec,
     commutant_rows,
     kernel_basis,
-    lin_comb,
     rank,
     solve,
+    sp_add,
     span_basis,
     split,
-    vec_dot,
 )
 from .hopfcore import (
     HopfData,
-    LinearMap,
     StructureAlgebra,
     StructureCoalgebra,
     check_map,
     module_law_failures,
     opposites,
-    sp,
-    sp_add,
-    unsp,
 )
 from .modalg import ModuleAlgebraData, SeparabilityData, regular_trace, verify_separability
 from .qtriang import (
@@ -96,10 +91,10 @@ def verify_left_comodule(cm: ComoduleData, subject: str = "left_comodule") -> Ve
 
     def counit_failures():
         for w in range(cm.dim):
-            acc = [RAT_ZERO] * cm.dim
+            acc: dict = {}
             for (d, w2), c in cm.rho_sparse({w: RAT_ONE}).items():
-                acc[w2] += c * coal.counit[d]
-            if tuple(acc) != basis_vec(cm.dim, w):
+                sp_add(acc, w2, c * coal.counit[d])
+            if acc != {w: RAT_ONE}:
                 yield (w,)
 
     def coassociativity_failures():
@@ -125,10 +120,10 @@ def verify_right_comodule(cm: RightComoduleData, subject: str = "right_comodule"
 
     def counit_failures():
         for w in range(cm.dim):
-            acc = [RAT_ZERO] * cm.dim
+            acc: dict = {}
             for (w2, d), c in cm.rho_sparse({w: RAT_ONE}).items():
-                acc[w2] += c * coal.counit[d]
-            if tuple(acc) != basis_vec(cm.dim, w):
+                sp_add(acc, w2, c * coal.counit[d])
+            if acc != {w: RAT_ONE}:
                 yield (w,)
 
     def coassociativity_failures():
@@ -221,14 +216,8 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
     rep = VerificationReport("yd_to_comodule")
     rep.merge(verify_left_comodule(cm, "rho_R"), "rho_R.")
 
-    slices = []
-    for x in range(n):
-        for x2 in range(n):
-            vvec = [RAT_ZERO] * nh
-            for d in range(nh):
-                vvec[d] = cm.coaction.entry(x, d, x2)
-            if any(c != 0 for c in vvec):
-                slices.append(tuple(vvec))
+    slices = [{d: c for d in range(nh) if (c := cm.coaction.entry(x, d, x2))}
+              for x in range(n) for x2 in range(n)]
     basis = span_basis(slices, nh)
     coal_r = bg.braided_coalgebra
     changed = True
@@ -236,9 +225,7 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
         changed = False
         new = list(basis)
         for u in basis:
-            for lvec, rvec in _delta_slices(coal_r, u):
-                new.append(lvec)
-                new.append(rvec)
+            new.extend(_delta_slices(coal_r, u))
         improved = span_basis(new, nh)
         if len(improved) > len(basis):
             basis = improved
@@ -246,7 +233,7 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
     d_v = Subspace(basis, nh)
     rep.check("d_v_is_H_module_subspace",
               ((t, ui) for t in range(nh) for ui, u in enumerate(basis)
-               if not d_v.contains(unsp(bg.adjoint_action.act({t: RAT_ONE}, sp(u)), nh))))
+               if not d_v.contains(bg.adjoint_action.act({t: RAT_ONE}, u))))
     rep.require()
     return BraidedComoduleResult(cm, tuple(basis), rep)
 
@@ -333,31 +320,12 @@ def cotensor(wdual: RightComoduleData, m: ComoduleData) -> list:
     for i in range(nw):
         for (j, d), c in wdual.rho_sparse({i: RAT_ONE}).items():
             for mm in range(nm):
-                key = (j, d, mm)
-                row = rows_by_key.setdefault(key, {})
-                col = i * nm + mm
-                row[col] = row.get(col, RAT_ZERO) + c
+                sp_add(rows_by_key.setdefault((j, d, mm), {}), i * nm + mm, c)
     for mm in range(nm):
         for (d, m2), c in m.rho_sparse({mm: RAT_ONE}).items():
             for j in range(nw):
-                key = (j, d, m2)
-                row = rows_by_key.setdefault(key, {})
-                col = j * nm + mm
-                row[col] = row.get(col, RAT_ZERO) - c
-    nvars = nw * nm
-    rows = []
-    for row in rows_by_key.values():
-        dense = [RAT_ZERO] * nvars
-        nonzero = False
-        for cidx, c in row.items():
-            if c != 0:
-                dense[cidx] = c
-                nonzero = True
-        if nonzero:
-            rows.append(tuple(dense))
-    if not rows:
-        return [basis_vec(nvars, i) for i in range(nvars)]
-    return kernel_basis(tuple(rows))
+                sp_add(rows_by_key.setdefault((j, d, m2), {}), j * nm + mm, -c)
+    return kernel_basis(rows_by_key.values(), nw * nm)
 
 
 # ---------------------------------------------------------------------------
@@ -370,38 +338,28 @@ class AdjointStableAlgebra:
     htw: HTensorW
     basis: tuple              # cotensor basis vectors in W* (x) H (x) W
     carrier: StructureAlgebra
-    unit_in_ambient: tuple
+    unit_in_ambient: dict
 
 
-def _nw_product(h: HopfData, nw: int, nh: int, x_sp: dict, y_sp: dict) -> dict:
-    """x o y = sum v*_l (x) g_l h_j (x) <w*_j, v_l> w_j on ambient sparse
-    elements keyed by (i, j, w) in W* (x) H (x) W."""
+def _amb_terms(v: dict, nh: int, nw: int) -> list:
+    """((i, j, w), c) for the terms of a vector of W* (x) H (x) W, whose flat
+    index is (i dim H + j) dim W + w."""
+    return [(((k // nw) // nh, (k // nw) % nh, k % nw), c) for k, c in v.items()]
+
+
+def _nw_product(h: HopfData, nw: int, nh: int, x: dict, y: dict) -> dict:
+    """x o y = sum v*_l (x) g_l h_j (x) <w*_j, v_l> w_j on vectors of
+    W* (x) H (x) W."""
     out: dict = {}
-    for (cp, b, c), cx in x_sp.items():
-        for (ap, bp, cpp), cy in y_sp.items():
+    y_terms = _amb_terms(y, nh, nw)
+    for (cp, b, c), cx in _amb_terms(x, nh, nw):
+        for (ap, bp, cpp), cy in y_terms:
             if cpp != cp:
                 continue
             coeff = cx * cy
             for m, cm in h.algebra.mul_row(bp, b):
-                sp_add(out, (ap, m, c), coeff * cm)
+                sp_add(out, (ap * nh + m) * nw + c, coeff * cm)
     return out
-
-
-def _amb_sparse(vec, nh: int, nw: int) -> dict:
-    out = {}
-    for flat, c in enumerate(vec):
-        if c != 0:
-            i, rem = divmod(flat, nh * nw)
-            j, ww = divmod(rem, nw)
-            out[(i, j, ww)] = c
-    return out
-
-
-def _amb_dense(d: dict, nw: int, nh: int) -> tuple:
-    out = [RAT_ZERO] * (nw * nh * nw)
-    for (i, j, ww), c in d.items():
-        out[(i * nh + j) * nw + ww] = c
-    return tuple(out)
 
 
 def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
@@ -415,36 +373,31 @@ def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
     m = len(basis)
     span = Subspace(basis, nw * nh * nw)
 
-    sparse_basis = [_amb_sparse(b, nh, nw) for b in basis]
     rowdicts: dict = {}
     for p in range(m):
         for q in range(m):
-            prod = _nw_product(h, nw, nh, sparse_basis[p], sparse_basis[q])
-            coords = span.coords(_amb_dense(prod, nw, nh))
-            if coords is None:
+            cell = span.coords(_nw_product(h, nw, nh, basis[p], basis[q]))
+            if cell is None:
                 raise ValueError(f"product of cotensor basis {p}, {q} leaves the cotensor")
-            cell = {k: c for k, c in enumerate(coords) if c != 0}
             if cell:
                 rowdicts[(p, q)] = cell
     mult = Tensor3.from_row_dicts((m, m, m), rowdicts)
 
-    rows = []
-    rhs = []
+    # the unit u: the e_r-coefficients of u e_q and of e_q u are [r == q]
+    rows, rhs = [], {}
     for q in range(m):
-        lm = [[mult.entry(p, q, r) for p in range(m)] for r in range(m)]
-        rm = [[mult.entry(q, p, r) for p in range(m)] for r in range(m)]
         for r in range(m):
-            rows.append(tuple(lm[r]))
-            rhs.append(RAT_ONE if r == q else RAT_ZERO)
-            rows.append(tuple(rm[r]))
-            rhs.append(RAT_ONE if r == q else RAT_ZERO)
-    unit_coords = solve(tuple(rows), tuple(rhs))
+            if r == q:
+                rhs[len(rows)] = rhs[len(rows) + 1] = RAT_ONE
+            rows.append({p: c for p in range(m) if (c := mult.entry(p, q, r))})
+            rows.append({p: c for p in range(m) if (c := mult.entry(q, p, r))})
+    unit_coords = solve(rows, rhs, m)
     if unit_coords is None:
         raise ValueError("N_W has no unit inside the cotensor subspace")
-    carrier = StructureAlgebra(m, mult, unit_coords)
+    carrier = StructureAlgebra(m, mult, tuple(unit_coords.get(p, RAT_ZERO) for p in range(m)))
     carrier.report.require()
 
-    amb_unit = lin_comb(unit_coords, basis, nw * nh * nw)
+    amb_unit = LinearMap(m, nw * nh * nw, basis).apply_sparse(unit_coords)
     return AdjointStableAlgebra(w, htw, tuple(basis), carrier, amb_unit)
 
 
@@ -472,25 +425,15 @@ def nw_direct_sum_report(w: ComoduleData, h: HopfData, components,
         wi = ComoduleData(w.coalgebra, len(comp),
                           Tensor3.from_entries((len(comp), h.dim, len(comp)), entries))
         ni = adjoint_stable_algebra(wi, h, bg)
-        emb = []
-        for b in ni.basis:
-            big = [RAT_ZERO] * (nw * nh * nw)
-            for flat, c in enumerate(b):
-                if c == 0:
-                    continue
-                i, rem = divmod(flat, nh * len(comp))
-                j, ww = divmod(rem, len(comp))
-                big[(comp[i] * nh + j) * nw + comp[ww]] = c
-            emb.append(tuple(big))
+        emb = [{(comp[i] * nh + j) * nw + comp[ww]: c
+                for (i, j, ww), c in _amb_terms(b, nh, len(comp))} for b in ni.basis]
         comp_bases.append(emb)
         embedded_all.extend(emb)
     rep.add("components_span_nw",
             Subspace(full.basis, nw * nh * nw) == Subspace(embedded_all, nw * nh * nw))
     rep.check("cross_products_vanish",
               ((ci, cj) for ci, bi in enumerate(comp_bases) for cj, bj in enumerate(comp_bases)
-               if ci != cj and any(_nw_product(h, nw, nh, _amb_sparse(u, nh, nw),
-                                               _amb_sparse(v, nh, nw))
-                                   for u in bi for v in bj)))
+               if ci != cj and any(_nw_product(h, nw, nh, u, v) for u in bi for v in bj)))
     return rep
 
 
@@ -507,34 +450,32 @@ def cotensor_right_module(wdual: RightComoduleData, v_com: ComoduleData,
     nv = v_com.dim
     basis_v = cotensor(wdual, v_com)
     span_v = Subspace(basis_v, nw * nv)
-    n_basis_sp = [_amb_sparse(b, nh, nw) for b in n_alg.basis]
+    n_basis = n_alg.basis
 
-    def act(t_vec, n_sp) -> tuple:
-        # t = sum T[i][vv] w*_i (x) v_vv ; n = sum N[(a, b, c)]
-        out = [RAT_ZERO] * (nw * nv)
-        for flat, ct in enumerate(t_vec):
-            if ct == 0:
-                continue
+    def act(t_vec: dict, n_vec: dict) -> dict:
+        # t = sum T[i][vv] w*_i (x) v_vv at flat index i dim V + vv
+        out: dict = {}
+        n_terms = _amb_terms(n_vec, nh, nw)
+        for flat, ct in t_vec.items():
             i, vv = divmod(flat, nv)
-            for (ap, b, c), cn in n_sp.items():
+            for (ap, b, c), cn in n_terms:
                 if c != i:
                     continue
                 moved = v_action.act({b: RAT_ONE}, {vv: RAT_ONE})
                 for v2, cm in moved.items():
-                    out[ap * nv + v2] += ct * cn * cm
-        return tuple(out)
+                    sp_add(out, ap * nv + v2, ct * cn * cm)
+        return out
 
-    nn = len(n_basis_sp)
+    nn = len(n_basis)
     rep.check("action_preserves_cotensor",
               ((ti, p) for ti, t in enumerate(basis_v) for p in range(nn)
-               if not span_v.contains(act(t, n_basis_sp[p]))))
+               if not span_v.contains(act(t, n_basis[p]))))
     rep.check("module_law",
               ((ti, p, q) for ti, t in enumerate(basis_v) for p in range(nn) for q in range(nn)
-               if act(t, _nw_product(h, nw, nh, n_basis_sp[p], n_basis_sp[q]))
-               != act(act(t, n_basis_sp[p]), n_basis_sp[q])))
-    unit_sp = _amb_sparse(n_alg.unit_in_ambient, nh, nw)
+               if act(t, _nw_product(h, nw, nh, n_basis[p], n_basis[q]))
+               != act(act(t, n_basis[p]), n_basis[q])))
     rep.check("unit_acts_trivially",
-              ((ti,) for ti, t in enumerate(basis_v) if act(t, unit_sp) != tuple(t)))
+              ((ti,) for ti, t in enumerate(basis_v) if act(t, n_alg.unit_in_ambient) != t))
     return rep
 
 
@@ -546,10 +487,10 @@ def cotensor_right_module(wdual: RightComoduleData, v_com: ComoduleData,
 class SubcoalgebraData:
     """An H-module subcoalgebra D of H_R in explicit coordinates."""
 
-    basis: tuple          # vectors in H
+    basis: tuple          # sparse vectors of H
     comult: Tensor3       # Delta_R in D-coordinates
     counit: tuple
-    ad_coords: tuple      # ad_coords[t][q] = coords of e_t .ad d_q in D
+    ad_coords: tuple      # ad_coords[t][q] = coords of e_t .ad d_q in D, sparse
 
     @property
     def dim(self) -> int:
@@ -561,14 +502,14 @@ def subcoalgebra_data(d_basis, q: QTStructure, bg: BraidedGroupData) -> Subcoalg
     coordinates of both structures on the given basis."""
     h = q.host
     nh = h.dim
-    d_basis = [tuple(v) for v in d_basis]
+    d_basis = list(d_basis)
     m = len(d_basis)
     span = Subspace(d_basis, nh)
     coal_r = bg.braided_coalgebra
 
     comult_entries = []
     for p in range(m):
-        du = coal_r.comul_sparse(sp(d_basis[p]))
+        du = coal_r.comul_sparse(d_basis[p])
         # first-leg slices must be D-valued once the second legs are, and
         # vice versa; resolve into D (x) D coordinates in two stages
         bycol: dict = {}
@@ -577,28 +518,24 @@ def subcoalgebra_data(d_basis, q: QTStructure, bg: BraidedGroupData) -> Subcoalg
         # columns (second leg fixed) are vectors in H over the first leg
         col_coords = {}
         for b, col in bycol.items():
-            cc = span.coords(unsp(col, nh))
+            cc = span.coords(col)
             if cc is None:
                 raise HypothesisFailure("D-closed-under-Delta_R-first-leg", (p, b))
             col_coords[b] = cc
         for qidx in range(m):
-            row = [RAT_ZERO] * nh
-            for b, cc in col_coords.items():
-                row[b] = cc[qidx]
-            rc = span.coords(tuple(row))
+            rc = span.coords({b: cc[qidx] for b, cc in col_coords.items() if qidx in cc})
             if rc is None:
                 raise HypothesisFailure("D-closed-under-Delta_R-second-leg", (p, qidx))
-            for r, c in enumerate(rc):
-                if c != 0:
-                    comult_entries.append((p, qidx, r, c))
+            for r, c in rc.items():
+                comult_entries.append((p, qidx, r, c))
     comult = Tensor3.from_entries((m, m, m), comult_entries)
-    counit = tuple(vec_dot(h.counit, d_basis[p]) for p in range(m))
+    counit = tuple(h.coalgebra.counit_sparse(v) for v in d_basis)
 
     ad_coords = []
     for t in range(nh):
         row = []
         for qidx in range(m):
-            img = unsp(bg.adjoint_action.act({t: RAT_ONE}, sp(d_basis[qidx])), nh)
+            img = bg.adjoint_action.act({t: RAT_ONE}, d_basis[qidx])
             cc = span.coords(img)
             if cc is None:
                 raise HypothesisFailure("D-closed-under-adjoint-action", (t, qidx))
@@ -621,8 +558,7 @@ def dstar_module_algebra(dd: SubcoalgebraData, hop: HopfData) -> ModuleAlgebraDa
     for t in range(nh):
         for p in range(m):
             for r in range(m):
-                c = dd.ad_coords[t][r][p]
-                if c != 0:
+                if c := dd.ad_coords[t][r].get(p):
                     act_entries.append((t, p, r, c))
     mod = ModuleAlgebraData(hop, alg, Tensor3.from_entries((nh, m, m), act_entries))
     mod.report.require()
@@ -679,16 +615,14 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
     psi_cols = []
     for t in nd.basis:
         col: dict = {}
-        tsp = _amb_sparse(t, nh, m)
-        for (p, j, r), ct in tsp.items():
+        for (p, j, r), ct in _amb_terms(t, nh, m):
             ce = dd.counit[r]
             if ce == 0:
                 continue
             for j1, j2, c in h.coalgebra.comul_row(j):
                 # d*_p <<- e_{j1} = sum_r ad_coords[j1][r][p] d*_r
                 for ridx in range(m):
-                    cc = dd.ad_coords[j1][ridx][p]
-                    if cc != 0:
+                    if cc := dd.ad_coords[j1][ridx].get(p):
                         sp_add(col, ridx * nh + j2, ct * ce * c * cc)
         psi_cols.append(col)
     psi = LinearMap(nd.carrier.dim, s.carrier.dim, psi_cols)
@@ -712,10 +646,9 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
                             # d*_q <<- S(e_{j1})
                             for t, cs in s_j1.items():
                                 for q2 in range(m):
-                                    ca = dd.ad_coords[t][q2][qidx]
-                                    if ca != 0:
-                                        sp_add(col, (q2, j2, ridx), c * wc * cs * ca)
-                cols.append(_amb_dense(col, m, nh))
+                                    if ca := dd.ad_coords[t][q2].get(qidx):
+                                        sp_add(col, (q2 * nh + j2) * m + ridx, c * wc * cs * ca)
+                cols.append(col)
         return cols
 
     chosen = None
@@ -729,7 +662,7 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
         if any(c is None for c in coords):
             statuses[convention] = "not_well_defined"
             continue
-        cand = LinearMap(s.carrier.dim, nd.carrier.dim, [sp(c) for c in coords])
+        cand = LinearMap(s.carrier.dim, nd.carrier.dim, coords)
         if psi.compose(cand).is_identity() and cand.compose(psi).is_identity():
             statuses[convention] = "works"
             if chosen is None:
@@ -761,10 +694,8 @@ def _coaction_from_subcoalgebra(dd: SubcoalgebraData, nh: int) -> Tensor3:
     entries = []
     for p in range(m):
         for qidx, ridx, c in _coal_rows(dd.comult, p):
-            first = dd.basis[qidx]
-            for a, ca in enumerate(first):
-                if ca != 0:
-                    entries.append((p, a, ridx, c * ca))
+            for a, ca in dd.basis[qidx].items():
+                entries.append((p, a, ridx, c * ca))
     return Tensor3.from_entries((m, nh, m), entries)
 
 
@@ -772,25 +703,20 @@ def _coaction_from_subcoalgebra(dd: SubcoalgebraData, nh: int) -> Tensor3:
 # decomposition of H_R into minimal H-module subcoalgebras
 # ---------------------------------------------------------------------------
 
-def _delta_slices(coal: StructureCoalgebra, v):
-    """For each basis index f, the slices (id (x) p_f) Delta(v) and
-    (p_f (x) id) Delta(v) as dense vectors."""
-    n = coal.dim
-    du = coal.comul_sparse(sp(v))
-    for fixed in range(n):
-        lv = [RAT_ZERO] * n
-        rv = [RAT_ZERO] * n
-        for (a, b), c in du.items():
-            if b == fixed:
-                lv[a] += c
-            if a == fixed:
-                rv[b] += c
-        yield tuple(lv), tuple(rv)
+def _delta_slices(coal: StructureCoalgebra, v: dict) -> list:
+    """The nonzero slices (id (x) p_f) Delta(v) and (p_f (x) id) Delta(v),
+    over the basis indices f."""
+    left: dict = {}
+    right: dict = {}
+    for (a, b), c in coal.comul_sparse(v).items():
+        left.setdefault(b, {})[a] = c
+        right.setdefault(a, {})[b] = c
+    return [*left.values(), *right.values()]
 
 
 @dataclass(frozen=True)
 class HrDecomposition:
-    blocks: tuple      # tuple of bases (each a tuple of H-vectors)
+    blocks: tuple      # tuple of bases (each a tuple of sparse H-vectors)
     fully_split: bool
     report: VerificationReport
 
@@ -803,24 +729,24 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     q = bg.host
     h = q.host
     n = h.dim
-    gens = []
-    for t in range(n):
-        gens.append(tuple(tuple(bg.adjoint_action.entry(t, c, r) for c in range(n))
-                          for r in range(n)))
-    for k in range(n):
-        gens.append(tuple(tuple(h.coalgebra.comult.entry(c, k, r) for c in range(n))
-                          for r in range(n)))
+    gens = [LinearMap(n, n, [dict(bg.adjoint_action.row(t, c)) for c in range(n)])
+            for t in range(n)]
+    gens += [LinearMap(n, n, [dict(h.coalgebra.comult.row(c, k)) for c in range(n)])
+             for k in range(n)]
 
-    comm = kernel_basis(commutant_rows(gens, n))
-    comm_mats = [tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n))
-                 for v in comm]
+    comm_maps = []
+    for v in kernel_basis(commutant_rows(gens, n), n * n):
+        cols = [{} for _ in range(n)]    # X[r][c] is v[r n + c]
+        for key, x in v.items():
+            cols[key % n][key // n] = x
+        comm_maps.append(LinearMap(n, n, cols))
 
-    blocks, fully_split = split(comm_mats, n)
+    blocks, fully_split = split(comm_maps, n)
 
     rep = VerificationReport("decompose_hr")
     rep.add("fully_split", fully_split, informational=True)
     concat = [v for blk in blocks for v in blk]
-    rep.add("direct_sum", len(concat) == n and rank(tuple(concat)) == n)
+    rep.add("direct_sum", len(concat) == n and rank(concat, n) == n)
 
     coal_r = bg.braided_coalgebra
 
@@ -829,11 +755,10 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
             span = Subspace(blk, n)
             for v in blk:
                 ad_wit = next(((bi, t) for t in range(n) if not span.contains(
-                    unsp(bg.adjoint_action.act({t: RAT_ONE}, sp(v)), n))), None)
+                    bg.adjoint_action.act({t: RAT_ONE}, v))), None)
                 # a Delta_R failure on the same vector is the witness in
                 # preference to an adjoint one
-                if not all(span.contains(lv) and span.contains(rv)
-                           for lv, rv in _delta_slices(coal_r, v)):
+                if not all(span.contains(sl) for sl in _delta_slices(coal_r, v)):
                     yield (bi, "delta_r")
                 elif ad_wit is not None:
                     yield ad_wit
@@ -846,7 +771,7 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
             restrs = [span.restrict(g) for g in gens]
             if None in restrs:
                 yield (bi, "not_invariant")
-            elif len(kernel_basis(commutant_rows(restrs, len(blk)))) != 1:
+            elif len(kernel_basis(commutant_rows(restrs, len(blk)), len(blk) ** 2)) != 1:
                 yield (bi,)
 
     rep.check("blocks_minimal", minimality_failures() if fully_split else ())
@@ -897,13 +822,12 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     x_full, xrep = hr_dual_separability(q, ip, bg)
     rep.merge(xrep, "x.")
     xd_entries = []
-    for p in range(m):
-        for q2 in range(m):
-            val = RAT_ZERO
-            for (a, b), c in x_full.items():
-                val += c * dd.basis[p][a] * dd.basis[q2][b]
-            if val != 0:
-                xd_entries.append(((p, q2), val))
+    for (a, b), c in x_full.items():
+        for p, dp in enumerate(dd.basis):
+            if a in dp:
+                for q2, dq in enumerate(dd.basis):
+                    if b in dq:
+                        xd_entries.append(((p, q2), c * dp[a] * dq[b]))
     x_d = TensorElem.from_entries((m, m), xd_entries)
 
     if decomposition is None:
@@ -920,17 +844,16 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     if coords is None:
         raise HypothesisFailure("Lambda-in-span-of-decomposition")
     d_space = Subspace(dd.basis, nh)
-    lam_d = [RAT_ZERO] * nh
-    for c, v, bi in zip(coords, concat, block_of):
-        if c != 0 and all(d_space.contains(u) for u in decomposition.blocks[bi]):
-            for i, bv in enumerate(v):
-                lam_d[i] += c * bv
-    alpha_d = d_space.coords(tuple(lam_d))
+    lam_d: dict = {}
+    for idx, c in coords.items():
+        if all(d_space.contains(u) for u in decomposition.blocks[block_of[idx]]):
+            for i, bv in concat[idx].items():
+                sp_add(lam_d, i, c * bv)
+    alpha_d = d_space.coords(lam_d)
     if alpha_d is None:
         raise HypothesisFailure("Lambda-projection-in-D")
-    sep_d = SeparabilityData(x_d, tuple(alpha_d))
-    rep.add("alpha_equals_trace_of_dstar",
-            tuple(alpha_d) == regular_trace(pp.dstar_mod.A))
+    sep_d = SeparabilityData(x_d, alpha_d)
+    rep.add("alpha_equals_trace_of_dstar", alpha_d == regular_trace(pp.dstar_mod.A))
     rep.merge(verify_separability(pp.dstar_mod, sep_d), "sep.")
 
     q_op = qt_structure(pp.dstar_mod.host, q.R.flip())
@@ -943,7 +866,7 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
 
     def moved(r1: int, x: int) -> dict:
         """d*_x <<- e_{r1} in D* coordinates."""
-        return {q2: dd.ad_coords[r1][q2][x] for q2 in range(m) if dd.ad_coords[r1][q2][x] != 0}
+        return {q2: c for q2 in range(m) if (c := dd.ad_coords[r1][q2].get(x))}
 
     def comult_failures():
         for p in range(m):
@@ -968,7 +891,7 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     rep.check("comult_matches_dual_closed_form", comult_failures())
     rep.check("counit_matches_lambda_pairing",
               ((p, j) for p in range(m) for j in range(nh)
-               if sws.wha.counit[p * nh + j] != alpha_d[p] * h.counit[j]))
+               if sws.wha.counit[p * nh + j] != alpha_d.get(p, RAT_ZERO) * h.counit[j]))
 
     def antipode_failures():
         lefts = [s.include_h(h.antipode.cols[j]) for j in range(nh)]
@@ -1032,20 +955,19 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
         nonlocal found
         for p in range(m):
             stable = True
-            uvec = [RAT_ZERO] * nh
+            uvec: dict = {}
             for d in range(nh):
                 for w2, c in w_com.coaction.row(p, d):
                     if w2 != p and c != 0:
                         stable = False
                     else:
-                        uvec[d] += c
+                        sp_add(uvec, d, c)
             if not stable:
                 continue
             found += 1
             w1 = ComoduleData(bg.braided_coalgebra, 1,
                               Tensor3.from_entries((1, nh, 1),
-                                                   ((0, d, 0, c) for d, c in enumerate(uvec)
-                                                    if c != 0)))
+                                                   ((0, d, 0, c) for d, c in uvec.items())))
             nw_blocks = wedderburn_blocks(adjoint_stable_algebra(w1, h, bg).carrier).blocks
             if len(nw_blocks) != len(nd_blocks) or any(
                     di * nw_blocks[0] != ei * nd_blocks[0]
@@ -1062,32 +984,28 @@ def yd_summand_from_block(h: HopfData, block, bg: BraidedGroupData) -> YetterDri
     """A decomposition block of H as a Yetter-Drinfeld module: adjoint action
     and the restriction of the original coproduct (which lands in H (x) D)."""
     n = h.dim
-    block = [tuple(v) for v in block]
+    block = list(block)
     m = len(block)
     span = Subspace(block, n)
     a_entries = []
     for t in range(n):
         for p in range(m):
-            img = unsp(bg.adjoint_action.act({t: RAT_ONE}, sp(block[p])), n)
-            cc = span.coords(img)
+            cc = span.coords(bg.adjoint_action.act({t: RAT_ONE}, block[p]))
             if cc is None:
                 raise HypothesisFailure("block-ad-stable", (t, p))
-            for r, c in enumerate(cc):
-                if c != 0:
-                    a_entries.append((t, p, r, c))
+            for r, c in cc.items():
+                a_entries.append((t, p, r, c))
     c_entries = []
     for p in range(m):
-        du = h.coalgebra.comul_sparse(sp(block[p]))
         bycol: dict = {}
-        for (a, b), c in du.items():
-            bycol.setdefault(a, [RAT_ZERO] * n)[b] += c
+        for (a, b), c in h.coalgebra.comul_sparse(block[p]).items():
+            bycol.setdefault(a, {})[b] = c
         for a, col in bycol.items():
-            cc = span.coords(tuple(col))
+            cc = span.coords(col)
             if cc is None:
                 raise HypothesisFailure("block-coproduct-stable", (p, a))
-            for r, c in enumerate(cc):
-                if c != 0:
-                    c_entries.append((p, a, r, c))
+            for r, c in cc.items():
+                c_entries.append((p, a, r, c))
     yd = YetterDrinfeldData(h,
                             Tensor3.from_entries((n, m, m), a_entries),
                             Tensor3.from_entries((m, n, m), c_entries))

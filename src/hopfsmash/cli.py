@@ -22,11 +22,20 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__
-from .exactlin import Tensor3, TensorElem, rat_reader, rat_str, vec
+from .exactlin import (
+    RAT_ZERO,
+    LinearMap,
+    Tensor3,
+    TensorElem,
+    rank,
+    rat_reader,
+    rat_str,
+    sp,
+    vec,
+)
 from .hopfcore import (
     GroupTable,
     HopfData,
-    LinearMap,
     StructureAlgebra,
     StructureCoalgebra,
     dual_hopf,
@@ -180,6 +189,8 @@ class Workspace:
         with open(path, "rb") as fh:
             raw = fh.read()
         doc = json.loads(raw.decode("utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("the top level of a workspace must be a JSON object")
         objects = doc.get("objects", {})
         if not isinstance(objects, dict):
             raise ValueError("workspace 'objects' must be a mapping")
@@ -254,14 +265,23 @@ class Workspace:
             return ModuleAlgebraData(host, alg, Tensor3.from_dense(action))
 
     def resolve_subcoalgebra(self, name: str) -> tuple:
-        """(qt structure, basis) of the subcoalgebra object `name`."""
+        """(qt structure, basis) of the subcoalgebra object `name`, the basis
+        as sparse vectors; each must have dim H entries, and they must be
+        independent."""
         obj = self.get(name)
         if obj.get("type") != "subcoalgebra":
             raise ValueError(f"object {name!r} is not a subcoalgebra")
         qt, basis = _fields(obj, name, "qt", "basis")
         q = self.resolve_qt(qt)
+        n = q.host.dim
         with _parsing(f"object {name!r}"):
-            return q, [vec(v) for v in basis]
+            vectors = [vec(v) for v in basis]
+            if any(len(v) != n for v in vectors):
+                raise ValueError(f"a basis vector does not have dim H = {n} entries")
+            vectors = [sp(v) for v in vectors]
+            if rank(vectors, n) != len(vectors):
+                raise ValueError("the basis vectors are linearly dependent")
+            return q, vectors
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -531,9 +551,11 @@ def _construct(ws: Workspace, recipe: str):
         from .adjstable import decompose_hr
         q = ws.resolve_qt(args[0])
         dec = decompose_hr(transmute(q))
+        n = q.host.dim
         return {"constructed": {
             "type": "decomposition",
-            "blocks": [[ser_vec(v) for v in blk] for blk in dec.blocks],
+            "blocks": [[ser_vec(v.get(i, RAT_ZERO) for i in range(n)) for v in blk]
+                       for blk in dec.blocks],
             "fully_split": dec.fully_split,
         }}, dec.report
     raise ValueError(f"unknown recipe {op!r}")

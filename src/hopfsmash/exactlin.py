@@ -1,12 +1,15 @@
-"""Exact rational linear algebra: vectors, matrices, order-3 structure tensors,
-sparse 2-leg tensor elements, and the nullspace / solving primitives used by
-every other module.
+"""Exact rational linear algebra: sparse vectors, linear maps, order-3
+structure tensors, sparse 2-leg tensor elements, and the nullspace / solving
+primitives used by every other module.
 
 Conventions, fixed once:
   * scalars are `fractions.Fraction` (always lowest terms, denominator > 0);
-  * vectors are tuples of Fraction, matrices are row-major tuples of rows;
-  * a matrix M represents the map e_c |-> sum_r M[r][c] e_r (columns index
-    the source basis);
+  * a vector is a sparse dict {index: Fraction} of its nonzero entries, and
+    subspaces, kernels, solutions and coordinates are given as such vectors.
+    The one dense exception is an algebra's unit and a coalgebra's counit,
+    tuples of Fraction, besides the JSON read and write paths of the CLI;
+  * a linear map is a LinearMap, its columns f(e_c) as sparse vectors; a
+    system of linear equations is a list of sparse rows;
   * Tensor3 t stores t[i][j][k] = coefficient of basis vector k in the
     product (resp. of e_j (x) e_k in the coproduct) of basis vectors i, j.
 
@@ -17,6 +20,7 @@ small without ever rounding.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -69,35 +73,16 @@ def rat_str(x: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# vectors and matrices
+# sparse vectors
 # ---------------------------------------------------------------------------
 
 def vec(entries) -> tuple:
+    """A dense vector of exact rationals, for a unit or a counit."""
     return tuple(map(rat_reader(), entries))
 
 
-def basis_vec(n: int, i: int) -> tuple:
-    return tuple(RAT_ONE if j == i else RAT_ZERO for j in range(n))
-
-
-def vec_dot(u, v):
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths differ")
-    return sum((a * b for a, b in zip(u, v)), RAT_ZERO)
-
-
-def lin_comb(scalars, vectors, dim: int) -> tuple:
-    """sum_p scalars[p] vectors[p], a vector of length dim."""
-    out = [RAT_ZERO] * dim
-    for c, v in zip(scalars, vectors):
-        if c != 0:
-            for idx, x in enumerate(v):
-                if x != 0:
-                    out[idx] += c * x
-    return tuple(out)
-
-
 def mat(rows) -> tuple:
+    """A dense row-major matrix of exact rationals, read at the boundary."""
     read = rat_reader()
     m = tuple(tuple(map(read, r)) for r in rows)
     if m and any(len(r) != len(m[0]) for r in m):
@@ -105,59 +90,147 @@ def mat(rows) -> tuple:
     return m
 
 
-def identity_mat(n: int) -> tuple:
-    return tuple(basis_vec(n, i) for i in range(n))
+def sp(v) -> dict:
+    """Dense vector -> sparse {index: coeff}."""
+    return {i: c for i, c in enumerate(v) if c != 0}
 
 
-def mat_shape(m) -> tuple[int, int]:
-    return (len(m), len(m[0]) if m else 0)
+def sp_add(acc: dict, key, c) -> None:
+    w = acc.get(key, RAT_ZERO) + c
+    if w == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = w
 
 
-def mat_vec(m, v):
-    r, c = mat_shape(m)
-    if len(v) != c:
-        raise DimensionMismatch(f"matrix is {r}x{c}, vector has length {len(v)}")
-    return tuple(vec_dot(row, v) for row in m)
+def sp_scale(d: dict, c: Fraction) -> dict:
+    if c == 0:
+        return {}
+    return {k: c * v for k, v in d.items()}
 
 
-def mat_mul(a, b):
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    if ca != rb:
-        raise DimensionMismatch(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    bt = transpose(b)
-    return tuple(tuple(vec_dot(arow, bcol) for bcol in bt) for arow in a)
+def vec_dot(u: dict, v: dict) -> Fraction:
+    """sum_i u_i v_i of two sparse vectors, e.g. a functional and a vector."""
+    if len(u) > len(v):
+        u, v = v, u
+    return sum((c * v[i] for i, c in u.items() if i in v), RAT_ZERO)
 
 
-def transpose(m):
-    r, c = mat_shape(m)
-    return tuple(tuple(m[i][j] for i in range(r)) for j in range(c))
+# ---------------------------------------------------------------------------
+# linear maps
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class LinearMap:
+    """A linear map between based spaces, kept as its columns: cols[c] is
+    f(e_c) as a sparse {row: Fraction} dict of its nonzeros.
+
+    The column dicts are shared by every reader, so read them and never
+    modify them; compose, transpose and inverse build new ones.
+    """
+
+    source_dim: int
+    target_dim: int
+    cols: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "cols", tuple(self.cols))
+        if len(self.cols) != self.source_dim or any(
+                not 0 <= r < self.target_dim for col in self.cols for r in col):
+            raise DimensionMismatch("columns disagree with the declared dims")
+
+    @staticmethod
+    def from_matrix(m) -> "LinearMap":
+        """The map of a target x source matrix of rationals (M[r][c] is the
+        coefficient of e_r in f(e_c)); a ragged matrix raises DimensionMismatch."""
+        m = mat(m)
+        ncols = len(m[0]) if m else 0
+        return LinearMap(ncols, len(m), tuple({r: row[c] for r, row in enumerate(m) if row[c] != 0}
+                                              for c in range(ncols)))
+
+    @property
+    def matrix(self) -> tuple:
+        """The dense target x source matrix, for serialisation and tests."""
+        return tuple(tuple(col.get(r, RAT_ZERO) for col in self.cols)
+                     for r in range(self.target_dim))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, LinearMap) and self.target_dim == other.target_dim
+                and self.cols == other.cols)
+
+    def __hash__(self):
+        return hash((self.target_dim, tuple(frozenset(col.items()) for col in self.cols)))
+
+    def apply_sparse(self, a: dict) -> dict:
+        out: dict = {}
+        for c, x in a.items():
+            for r, w in self.cols[c].items():
+                sp_add(out, r, x * w)
+        return out
+
+    def compose(self, other: "LinearMap") -> "LinearMap":
+        if other.target_dim != self.source_dim:
+            raise DimensionMismatch("maps do not compose")
+        return LinearMap(other.source_dim, self.target_dim,
+                         tuple(self.apply_sparse(col) for col in other.cols))
+
+    def transpose(self) -> "LinearMap":
+        """The transposed map; its columns are this map's rows."""
+        cols = tuple({} for _ in range(self.target_dim))
+        for c, col in enumerate(self.cols):
+            for r, x in col.items():
+                cols[r][c] = x
+        return LinearMap(self.target_dim, self.source_dim, cols)
+
+    def is_identity(self) -> bool:
+        return (self.source_dim == self.target_dim
+                and all(col == {c: RAT_ONE} for c, col in enumerate(self.cols)))
+
+    def rank(self) -> int:
+        return rank(self.cols, self.target_dim)
+
+    def inverse(self):
+        """The inverse map, or None when this map is singular.  Eliminating the
+        rows f(e_c) (+) e_c leaves e_i (+) f^{-1}(e_i) as row i exactly when
+        f is invertible."""
+        n = self.source_dim
+        if self.target_dim != n:
+            raise DimensionMismatch("inverse of a map between spaces of different dims")
+        rows, pivots = _sparse_rref([_int_row({**col, n + c: RAT_ONE})
+                                     for c, col in enumerate(self.cols)], 2 * n)
+        if pivots[:n] != list(range(n)):
+            return None
+        return LinearMap(n, n, tuple({j - n: x for j, x in row.items() if j >= n}
+                                     for row in rows[:n]))
 
 
-def commutant_rows(mats, m: int) -> tuple:
-    """Linear equations X g = g X, one per matrix entry, on the m x m unknown X
-    flattened row-major; their kernel is the commutant of the given matrices."""
+def commutant_rows(ops, m: int) -> list:
+    """Sparse linear equations X g = g X, one per nonzero matrix entry, on the
+    m x m unknown X flattened row-major; their kernel is the commutant of the
+    given maps of Q^m."""
     rows = []
-    for g in mats:
+    for g in ops:
+        g_rows = g.transpose().cols
         for r in range(m):
             for c in range(m):
-                row = [RAT_ZERO] * (m * m)
-                for k in range(m):
-                    row[r * m + k] += g[k][c]
-                    row[k * m + c] -= g[r][k]
-                rows.append(tuple(row))
-    return tuple(rows)
+                row: dict = {}
+                for k, x in g.cols[c].items():
+                    sp_add(row, r * m + k, x)
+                for k, x in g_rows[r].items():
+                    sp_add(row, k * m + c, -x)
+                if row:
+                    rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # sparse fraction-free elimination core
 # ---------------------------------------------------------------------------
 
-def _int_row(row) -> dict:
-    """Clear denominators of a dense row or a sparse {col: x} dict; return
-    {col: int} over the nonzero entries."""
-    entries = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row))
-               if x != 0]
+def _int_row(row: dict) -> dict:
+    """Clear denominators of a sparse {col: x} row; return {col: int} over
+    the nonzero entries."""
+    entries = [(j, x) for j, x in row.items() if x != 0]
     if not entries:
         return {}
     den = 1
@@ -170,6 +243,18 @@ def _int_row(row) -> dict:
     if g > 1:
         out = {j: v // g for j, v in out.items()}
     return out
+
+
+def _check_dim(v: dict, dim: int) -> dict:
+    if v and not (0 <= min(v) and max(v) < dim):
+        raise DimensionMismatch(f"a vector has an index outside Q^{dim}")
+    return v
+
+
+def _int_rows(vectors, dim: int) -> list[dict]:
+    """Integer rows of sparse vectors of Q^dim; an index outside raises
+    DimensionMismatch."""
+    return [_int_row(_check_dim(v, dim)) for v in vectors]
 
 
 def _reduce_content(row: dict) -> dict:
@@ -238,82 +323,56 @@ def _sparse_rref(rows: list[dict], ncols: int):
     return [frac_rows[i] for i in order], [pivots[i] for i in order]
 
 
-def _rows_of_mat(m) -> list[dict]:
-    return [_int_row(r) for r in m]
+def rank(vectors, dim: int) -> int:
+    """The dimension of the span of sparse vectors of Q^dim."""
+    return len(_sparse_rref(_int_rows(vectors, dim), dim)[1])
 
 
-def rank(m) -> int:
-    _, pivots = _sparse_rref(_rows_of_mat(m), mat_shape(m)[1])
-    return len(pivots)
-
-
-def kernel_basis(m, ncols: int | None = None) -> list:
-    """Exact basis of the right null space {v : m v = 0}; [] iff injective.
-    The rows of m may be sparse {col: x} dicts when ncols is given."""
-    ncols = mat_shape(m)[1] if ncols is None else ncols
-    frac_rows, pivots = _sparse_rref(_rows_of_mat(m), ncols)
+def kernel_basis(rows, ncols: int) -> list:
+    """Exact basis of {v in Q^ncols : row . v = 0 for every sparse row}, as
+    sparse vectors; [] iff the rows have rank ncols."""
+    frac_rows, pivots = _sparse_rref(_int_rows(rows, ncols), ncols)
     pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
     basis = []
-    for f in free:
-        v = [RAT_ZERO] * ncols
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = {p: -c for row, p in zip(frac_rows, pivots) if (c := row.get(f)) is not None}
         v[f] = RAT_ONE
-        for row, p in zip(frac_rows, pivots):
-            c = row.get(f)
-            if c is not None:
-                v[p] = -c
-        basis.append(tuple(v))
+        basis.append(v)
     return basis
 
 
-def solve(m, b):
-    """Exact solution of m x = b, or None when the system is inconsistent."""
-    nrows, ncols = mat_shape(m)
-    if len(b) != nrows:
-        raise DimensionMismatch(f"matrix is {nrows}x{ncols}, rhs has length {len(b)}")
-    aug = [list(row) + [bv] for row, bv in zip(m, b)]
-    frac_rows, pivots = _sparse_rref([_int_row(r) for r in aug], ncols + 1)
-    x = [RAT_ZERO] * ncols
+def solve(rows, rhs: dict, ncols: int):
+    """Exact sparse solution x of row_i . x = rhs[i] for the sparse rows of a
+    system in ncols unknowns, with rhs a sparse vector over the rows; None
+    when the system is inconsistent."""
+    if rhs and not (0 <= min(rhs) and max(rhs) < len(rows)):
+        raise DimensionMismatch(f"{len(rows)} equations, right-hand side index {max(rhs)}")
+    aug = [_int_row({**_check_dim(row, ncols), ncols: rhs.get(i, RAT_ZERO)})
+           for i, row in enumerate(rows)]
+    frac_rows, pivots = _sparse_rref(aug, ncols + 1)
+    x = {}
     for row, p in zip(frac_rows, pivots):
         if p == ncols:
             return None
-        x[p] = row.get(ncols, RAT_ZERO)
-    return tuple(x)
-
-
-def mat_inverse(m):
-    """Exact inverse, or None when singular."""
-    n, c = mat_shape(m)
-    if n != c:
-        raise DimensionMismatch("inverse of a non-square matrix")
-    aug = [list(row) + list(basis_vec(n, i)) for i, row in enumerate(m)]
-    frac_rows, pivots = _sparse_rref([_int_row(r) for r in aug], 2 * n)
-    if pivots[:n] != list(range(n)) or len(pivots) < n:
-        return None
-    inv = tuple(tuple(frac_rows[i].get(n + j, RAT_ZERO) for j in range(n))
-                for i in range(n))
-    return inv
+        if (c := row.get(ncols)) is not None:
+            x[p] = c
+    return x
 
 
 # ---------------------------------------------------------------------------
 # subspaces: canonical RREF bases, membership and coordinates
 # ---------------------------------------------------------------------------
 
-def span_basis(vectors, dim: int | None = None) -> list:
-    """Canonical (RREF) basis of the span of the given vectors."""
-    vectors = list(vectors)
-    if dim is None:
-        if not vectors:
-            raise DimensionMismatch("empty span needs an explicit ambient dimension")
-        dim = len(vectors[0])
-    rows = [_int_row(v) for v in vectors]
-    frac_rows, _ = _sparse_rref(rows, dim)
-    return [tuple(r.get(j, RAT_ZERO) for j in range(dim)) for r in frac_rows]
+def span_basis(vectors, dim: int) -> list:
+    """Canonical (RREF) basis of the span of sparse vectors of Q^dim."""
+    return _sparse_rref(_int_rows(vectors, dim), dim)[0]
 
 
 class Subspace:
-    """The span of the given vectors in Q^dim, from one elimination of the
-    vectors augmented with the identity, [v_1 .. v_k | I_k].
+    """The span of the given sparse vectors in Q^dim, from one elimination of
+    the vectors augmented with the identity, [v_1 .. v_k | I_k].
 
     The reduced rows with a pivot among the first dim columns form `basis`,
     the canonical basis that span_basis(vectors, dim) lists; `pivots` are their
@@ -323,66 +382,62 @@ class Subspace:
     Membership and coordinate queries then cost one pass over the basis.
     """
 
-    __slots__ = ("ambient", "basis", "pivots", "_vectors", "_independent", "_rows", "_combs")
+    __slots__ = ("ambient", "basis", "pivots", "_vectors", "_independent", "_combs")
 
     def __init__(self, vectors, dim: int):
-        self._vectors = tuple(tuple(v) for v in vectors)
+        self._vectors = tuple(vectors)
         self.ambient = dim
         k = len(self._vectors)
-        rows = [_int_row((*v, *basis_vec(k, i))) for i, v in enumerate(self._vectors)]
+        rows = [_int_row({**_check_dim(v, dim), dim + i: RAT_ONE})
+                for i, v in enumerate(self._vectors)]
         frac_rows, pivots = _sparse_rref(rows, dim + k)
         r = sum(1 for p in pivots if p < dim)  # pivots ascend: basis rows first
         self._independent = r == k
         self.pivots = tuple(pivots[:r])
-        self._rows = [{j: c for j, c in row.items() if j < dim} for row in frac_rows[:r]]
+        self.basis = tuple({j: c for j, c in row.items() if j < dim} for row in frac_rows[:r])
         self._combs = [{j - dim: c for j, c in row.items() if j >= dim} for row in frac_rows[:r]]
-        self.basis = tuple(tuple(row.get(j, RAT_ZERO) for j in range(dim)) for row in self._rows)
 
-    def _on_basis(self, v):
+    def _on_basis(self, v: dict):
         """Coefficients of v on the canonical basis, or None outside the span."""
-        if len(v) != self.ambient:
-            raise DimensionMismatch(f"vector of length {len(v)} in a subspace of Q^{self.ambient}")
-        on_basis = [v[p] for p in self.pivots]
+        _check_dim(v, self.ambient)
+        on_basis = [v.get(p, RAT_ZERO) for p in self.pivots]
         recon: dict = {}
-        for a, row in zip(on_basis, self._rows):
+        for a, row in zip(on_basis, self.basis):
             if a != 0:
                 for j, c in row.items():
-                    w = recon.get(j, RAT_ZERO) + a * c
-                    if w == 0:
-                        recon.pop(j, None)
-                    else:
-                        recon[j] = w
-        if recon != {j: x for j, x in enumerate(v) if x != 0}:
+                    sp_add(recon, j, a * c)
+        if recon != {j: x for j, x in v.items() if x != 0}:
             return None
         return on_basis
 
-    def contains(self, v) -> bool:
+    def contains(self, v: dict) -> bool:
         return self._on_basis(v) is not None
 
-    def coords(self, v):
-        """Coordinates of v in the given vectors, or None outside the span."""
+    def coords(self, v: dict):
+        """Coordinates of v in the given vectors as a sparse vector of Q^k, or
+        None outside the span."""
         if not self._independent:
             raise ValueError("basis vectors are linearly dependent")
         on_basis = self._on_basis(v)
         if on_basis is None:
             return None
-        out = [RAT_ZERO] * len(self._vectors)
+        out: dict = {}
         for a, comb in zip(on_basis, self._combs):
             if a != 0:
                 for i, c in comb.items():
-                    out[i] += a * c
-        return tuple(out)
+                    sp_add(out, i, a * c)
+        return out
 
-    def restrict(self, op):
-        """The matrix of op on this subspace in the coordinates of the given
+    def restrict(self, op: LinearMap):
+        """The map op on this subspace in the coordinates of the given
         vectors, or None when op does not map the subspace into itself."""
         cols = []
         for v in self._vectors:
-            c = self.coords(mat_vec(op, v))
+            c = self.coords(op.apply_sparse(v))
             if c is None:
                 return None
             cols.append(c)
-        return transpose(tuple(cols))
+        return LinearMap(len(cols), len(cols), cols)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient
@@ -395,10 +450,10 @@ class Subspace:
 
 def split(ops, dim: int) -> tuple:
     """(blocks, fully_split): Q^dim cut into the joint eigenspaces of the
-    dim x dim matrices ops, refining by one op after another; each block is a
-    canonical basis. A block stays whole, and fully_split is False, when an op
-    does not preserve it or is not diagonalisable over Q on it."""
-    blocks = [[basis_vec(dim, i) for i in range(dim)]]
+    LinearMaps ops of Q^dim, refining by one op after another; each block is
+    a canonical basis. A block stays whole, and fully_split is False, when an
+    op does not preserve it or is not diagonalisable over Q on it."""
+    blocks = [[{i: RAT_ONE} for i in range(dim)]]
     fully_split = True
     for op in ops:
         refined = []
@@ -412,7 +467,7 @@ def split(ops, dim: int) -> tuple:
     return blocks, fully_split
 
 
-def _eigenspaces(op, blk, dim: int):
+def _eigenspaces(op: LinearMap, blk, dim: int):
     """Canonical bases of the eigenspaces of op on span(blk), by ascending
     eigenvalue, or None when they do not exhaust span(blk) over Q."""
     restr = Subspace(blk, dim).restrict(op)
@@ -422,26 +477,30 @@ def _eigenspaces(op, blk, dim: int):
     if not rational:
         return None
     k = len(blk)
+    on_blk = LinearMap(k, dim, blk)
+    restr_rows = restr.transpose().cols
     pieces = []
     for lam in sorted(set(roots)):
-        shifted = tuple(tuple(restr[r][c] - (lam if r == c else 0) for c in range(k))
-                        for r in range(k))
-        pieces.append(span_basis([lin_comb(kv, blk, dim) for kv in kernel_basis(shifted)],
+        shifted = [{**row, r: row.get(r, RAT_ZERO) - lam} for r, row in enumerate(restr_rows)]
+        pieces.append(span_basis([on_blk.apply_sparse(kv) for kv in kernel_basis(shifted, k)],
                                  dim))
     return pieces if sum(len(p) for p in pieces) == k else None
 
 
-def _min_poly(mat_a) -> list:
-    """Monic minimal polynomial coefficients [c_0, ..., c_{k-1}, 1]."""
-    n = len(mat_a)
-    powers = [identity_mat(n)]
+def _min_poly(op: LinearMap) -> list:
+    """Monic minimal polynomial coefficients [c_0, ..., c_{k-1}, 1] of a map
+    of Q^n: the first power of op in the span of the lower ones."""
+    n = op.source_dim
+
+    def flat(p: LinearMap) -> dict:
+        return {c * n + r: x for c, col in enumerate(p.cols) for r, x in col.items()}
+
+    powers = [LinearMap(n, n, [{c: RAT_ONE} for c in range(n)])]
     while True:
-        nxt = mat_mul(powers[-1], mat_a)
-        cols = [tuple(p[i][j] for p in powers) for i in range(n) for j in range(n)]
-        target = tuple(nxt[i][j] for i in range(n) for j in range(n))
-        sol = solve(tuple(cols), target)
+        nxt = powers[-1].compose(op)
+        sol = Subspace([flat(p) for p in powers], n * n).coords(flat(nxt))
         if sol is not None:
-            return [-c for c in sol] + [RAT_ONE]
+            return [-sol.get(i, RAT_ZERO) for i in range(len(powers))] + [RAT_ONE]
         powers.append(nxt)
 
 
@@ -624,15 +683,15 @@ class Tensor3:
                 return v
         return RAT_ZERO
 
-    def out_vec(self, i: int, j: int) -> tuple:
-        v = [RAT_ZERO] * self.dims[2]
-        for k, c in self._rows[i][j]:
-            v[k] = c
-        return tuple(v)
-
     def dense(self) -> list:
+        """The full nested array, for tests."""
         d0, d1, d2 = self.dims
-        return [[list(self.out_vec(i, j)) for j in range(d1)] for i in range(d0)]
+        out = [[[RAT_ZERO] * d2 for _ in range(d1)] for _ in range(d0)]
+        for i, plane in enumerate(out):
+            for j, row in enumerate(plane):
+                for k, c in self._rows[i][j]:
+                    row[k] = c
+        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Tensor3) and self.dims == other.dims

@@ -1,10 +1,9 @@
 """Structure-constant algebras, coalgebras, bialgebras and Hopf algebras.
 
 Everything is a finite-dimensional vector space over the exact rationals with
-structure tensors in the exactlin conventions.  Structure maps (antipodes,
-counital maps, embeddings) are LinearMaps: the images f(e_c) as sparse
-{index: Fraction} columns.  Elements are sparse dicts in the axiom loops; only
-units and counits stay dense tuples.
+structure tensors in the exactlin conventions.  Elements are sparse
+{index: Fraction} vectors and structure maps (antipodes, counital maps,
+embeddings) are exactlin.LinearMaps; only units and counits stay dense tuples.
 
 Pairing conventions (fixed once):
     <a -> f, b> = <f, b a>        left action of an algebra on its dual
@@ -23,15 +22,13 @@ from .exactlin import (
     RAT_ONE,
     RAT_ZERO,
     DimensionMismatch,
+    LinearMap,
     Tensor3,
     TensorElem,
-    _int_row,
-    _sparse_rref,
-    basis_vec,
     kernel_basis,
-    mat,
-    mat_shape,
-    transpose,
+    sp,
+    sp_add,
+    sp_scale,
     vec_dot,
 )
 from .report import VerificationReport
@@ -39,36 +36,6 @@ from .report import VerificationReport
 
 class NotSemisimple(ValueError):
     """Integral machinery detected a non-semisimple input."""
-
-
-# ---------------------------------------------------------------------------
-# sparse element helpers
-# ---------------------------------------------------------------------------
-
-def sp(v) -> dict:
-    """Dense vector -> sparse {index: coeff}."""
-    return {i: c for i, c in enumerate(v) if c != 0}
-
-
-def unsp(d: dict, n: int) -> tuple:
-    out = [RAT_ZERO] * n
-    for i, c in d.items():
-        out[i] = c
-    return tuple(out)
-
-
-def sp_add(acc: dict, key, c) -> None:
-    w = acc.get(key, RAT_ZERO) + c
-    if w == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = w
-
-
-def sp_scale(d: dict, c: Fraction) -> dict:
-    if c == 0:
-        return {}
-    return {k: c * v for k, v in d.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +70,6 @@ class StructureAlgebra:
                     sp_add(out, k, c * w)
         return out
 
-    def mul(self, u, v) -> tuple:
-        return unsp(self.mul_sparse(sp(u), sp(v)), self.dim)
-
     @cached_property
     def unit_sparse(self) -> dict:
         return sp(self.unit)
@@ -120,10 +84,6 @@ class StructureAlgebra:
         """verify_algebra(self), computed once; shared, so read it."""
         return verify_algebra(self)
 
-    def left_mult_matrix(self, v) -> tuple:
-        cols = [self.mul(v, basis_vec(self.dim, c)) for c in range(self.dim)]
-        return transpose(tuple(cols))
-
     def is_commutative(self) -> bool:
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
@@ -133,26 +93,24 @@ class StructureAlgebra:
 
     def centralizer_basis(self, vectors) -> list:
         """Exact basis of {w : w v = v w for all given v}: the kernel of the
-        rows of w |-> w v - v w, read off the multiplication rows."""
+        sparse rows of w |-> w v - v w, read off the multiplication rows."""
         n = self.dim
         rows = self.mult._rows
         eqs = []
         for v in vectors:
-            m = [[RAT_ZERO] * n for _ in range(n)]    # m[r][c]: e_r in e_c v - v e_c
-            for j, cj in sp(v).items():
+            m = [{} for _ in range(n)]    # m[r][c]: e_r in e_c v - v e_c
+            for j, cj in v.items():
                 rj = rows[j]
                 for c in range(n):
                     for r, w in rows[c][j]:
-                        m[r][c] += cj * w
+                        sp_add(m[r], c, cj * w)
                     for r, w in rj[c]:
-                        m[r][c] -= cj * w
-            eqs.extend(tuple(row) for row in m)
-        if not eqs:
-            return [basis_vec(n, i) for i in range(n)]
-        return kernel_basis(tuple(eqs))
+                        sp_add(m[r], c, -cj * w)
+            eqs.extend(m)
+        return kernel_basis(eqs, n)
 
     def center_basis(self) -> list:
-        return self.centralizer_basis([basis_vec(self.dim, i) for i in range(self.dim)])
+        return self.centralizer_basis([{i: RAT_ONE} for i in range(self.dim)])
 
 
 @dataclass(frozen=True)
@@ -191,9 +149,6 @@ class StructureCoalgebra:
                 sp_add(out, (j, k), c * w)
         return out
 
-    def counit_of(self, v) -> Fraction:
-        return vec_dot(self.counit, v)
-
     def counit_sparse(self, a: dict) -> Fraction:
         return sum((c * self.counit[i] for i, c in a.items()), RAT_ZERO)
 
@@ -211,94 +166,6 @@ class StructureCoalgebra:
 
     def comul2_row(self, i: int):
         return self._rows2[i]
-
-
-@dataclass(frozen=True, eq=False)
-class LinearMap:
-    """A linear map between based spaces, kept as its columns: cols[c] is
-    f(e_c) as a sparse {row: Fraction} dict of its nonzeros.
-
-    The column dicts are shared by every reader, so read them and never
-    modify them; compose, transpose and inverse build new ones.
-    """
-
-    source_dim: int
-    target_dim: int
-    cols: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "cols", tuple(self.cols))
-        if len(self.cols) != self.source_dim or any(
-                not 0 <= r < self.target_dim for col in self.cols for r in col):
-            raise DimensionMismatch("columns disagree with the declared dims")
-
-    @staticmethod
-    def from_matrix(m) -> "LinearMap":
-        """The map of a target x source matrix of rationals (M[r][c] is the
-        coefficient of e_r in f(e_c)); a ragged matrix raises DimensionMismatch."""
-        m = mat(m)
-        nrows, ncols = mat_shape(m)
-        return LinearMap(ncols, nrows, tuple({r: row[c] for r, row in enumerate(m) if row[c] != 0}
-                                             for c in range(ncols)))
-
-    @property
-    def matrix(self) -> tuple:
-        """The dense target x source matrix, for serialisation and tests."""
-        return tuple(tuple(col.get(r, RAT_ZERO) for col in self.cols)
-                     for r in range(self.target_dim))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LinearMap) and self.target_dim == other.target_dim
-                and self.cols == other.cols)
-
-    def __hash__(self):
-        return hash((self.target_dim, tuple(frozenset(col.items()) for col in self.cols)))
-
-    def apply_sparse(self, a: dict) -> dict:
-        out: dict = {}
-        for c, x in a.items():
-            for r, w in self.cols[c].items():
-                sp_add(out, r, x * w)
-        return out
-
-    def apply(self, v) -> tuple:
-        if len(v) != self.source_dim:
-            raise DimensionMismatch(f"map has source dim {self.source_dim}, vector {len(v)}")
-        return unsp(self.apply_sparse(sp(v)), self.target_dim)
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        if other.target_dim != self.source_dim:
-            raise DimensionMismatch("maps do not compose")
-        return LinearMap(other.source_dim, self.target_dim,
-                         tuple(self.apply_sparse(col) for col in other.cols))
-
-    def transpose(self) -> "LinearMap":
-        cols = tuple({} for _ in range(self.target_dim))
-        for c, col in enumerate(self.cols):
-            for r, x in col.items():
-                cols[r][c] = x
-        return LinearMap(self.target_dim, self.source_dim, cols)
-
-    def is_identity(self) -> bool:
-        return (self.source_dim == self.target_dim
-                and all(col == {c: RAT_ONE} for c, col in enumerate(self.cols)))
-
-    def rank(self) -> int:
-        return len(_sparse_rref([_int_row(col) for col in self.cols], self.target_dim)[1])
-
-    def inverse(self):
-        """The inverse map, or None when this map is singular.  Eliminating the
-        rows f(e_c) (+) e_c leaves e_i (+) f^{-1}(e_i) as row i exactly when
-        f is invertible."""
-        n = self.source_dim
-        if self.target_dim != n:
-            raise DimensionMismatch("inverse of a map between spaces of different dims")
-        rows, pivots = _sparse_rref([_int_row({**col, n + c: RAT_ONE})
-                                     for c, col in enumerate(self.cols)], 2 * n)
-        if pivots[:n] != list(range(n)):
-            return None
-        return LinearMap(n, n, tuple({j - n: x for j, x in row.items() if j >= n}
-                                     for row in rows[:n]))
 
 
 @dataclass(frozen=True)
@@ -349,8 +216,8 @@ class HopfData:
 class IntegralPair:
     """A two-sided integral in H and a normalized integral of the dual."""
 
-    Lambda: tuple
-    lam: tuple
+    Lambda: dict
+    lam: dict
 
 
 # ---------------------------------------------------------------------------
@@ -407,27 +274,6 @@ def dual_coalgebra(alg: StructureAlgebra) -> StructureCoalgebra:
             for i, c in alg.mul_row(j, k):
                 entries.append((i, j, k, c))
     return StructureCoalgebra(n, Tensor3.from_entries((n, n, n), entries), alg.unit)
-
-
-def harpoon_left(alg: StructureAlgebra, a, f) -> tuple:
-    """a -> f with <a -> f, b> = <f, b a>."""
-    return tuple(vec_dot(f, alg.mul(basis_vec(alg.dim, b), a)) for b in range(alg.dim))
-
-
-def harpoon_right(alg: StructureAlgebra, f, a) -> tuple:
-    """f <- a with <f <- a, b> = <f, a b>."""
-    return tuple(vec_dot(f, alg.mul(a, basis_vec(alg.dim, b))) for b in range(alg.dim))
-
-
-def hit_right(coal: StructureCoalgebra, c, f) -> tuple:
-    """c <- f = <f, c_(1)> c_(2)."""
-    out = [RAT_ZERO] * coal.dim
-    for i, ci in enumerate(c):
-        if ci == 0:
-            continue
-        for j, k, w in coal.comul_row(i):
-            out[k] += ci * w * f[j]
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +401,14 @@ def verify_coalgebra(c: StructureCoalgebra, subject: str = "coalgebra") -> Verif
 
     def counit_failures():
         for i in range(n):
-            left = [RAT_ZERO] * n
-            right = [RAT_ZERO] * n
+            left: dict = {}
+            right: dict = {}
             for j, k, w in c.comul_row(i):
-                left[k] += w * eps[j]
-                right[j] += w * eps[k]
-            if tuple(left) != basis_vec(n, i) or tuple(right) != basis_vec(n, i):
+                if eps[j]:
+                    sp_add(left, k, w * eps[j])
+                if eps[k]:
+                    sp_add(right, j, w * eps[k])
+            if left != {i: RAT_ONE} or right != {i: RAT_ONE}:
                 yield (i,)
 
     rep.check("counit_law", counit_failures())
@@ -781,7 +629,7 @@ def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
         lambda js: ((i, j) for i in range(n) for j in js
                     if sum((c * eps[k] for k, c in h.algebra.mul_row(i, j)), RAT_ZERO)
                     != eps[i] * eps[j]), gens, range(n)))
-    rep.add("counit_unital", h.coalgebra.counit_of(h.unit) == 1)
+    rep.add("counit_unital", h.coalgebra.counit_sparse(h.algebra.unit_sparse) == 1)
 
     # S(h_(1)) h_(2) = eps(h) 1 = h_(1) S(h_(2))
     conv = [antipode_convolutions(h, i) for i in range(n)]
@@ -807,7 +655,7 @@ def check_map(f: LinearMap, src, dst, kinds) -> VerificationReport:
         rep.check("algebra_map",
                   ((i, j) for i in range(sa.dim) for j in range(sa.dim)
                    if f.apply_sparse(dict(sa.mul_row(i, j))) != da.mul_sparse(cols[i], cols[j])))
-        rep.add("unit_preserved", f.apply(sa.unit) == da.unit)
+        rep.add("unit_preserved", f.apply_sparse(sa.unit_sparse) == da.unit_sparse)
     if "coalgebra" in kinds:
         sc = src.coalgebra if isinstance(src, HopfData) else src
         dc = dst.coalgebra if isinstance(dst, HopfData) else dst
@@ -912,7 +760,7 @@ def group_algebra(table: GroupTable) -> HopfData:
     mult = Tensor3.from_entries((n, n, n),
                                 ((i, j, table.table[i][j], RAT_ONE)
                                  for i in range(n) for j in range(n)))
-    unit = basis_vec(n, table.identity)
+    unit = tuple(RAT_ONE if i == table.identity else RAT_ZERO for i in range(n))
     comult = Tensor3.from_entries((n, n, n), ((i, i, i, RAT_ONE) for i in range(n)))
     counit = tuple(RAT_ONE for _ in range(n))
     anti = LinearMap(n, n, tuple({table.inv(j): RAT_ONE} for j in range(n)))
@@ -1009,22 +857,23 @@ def integrals(h: HopfData) -> IntegralPair:
         raise NotSemisimple(f"integral space of H* has dimension {len(ker)}, expected 1")
     lam = ker[0]
 
-    pairing_one = vec_dot(lam, h.unit)
+    pairing_one = vec_dot(lam, h.algebra.unit_sparse)
     if pairing_one == 0:
         raise NotSemisimple("cannot normalize <lambda, 1> = 1 (not cosemisimple)")
-    lam = tuple(x / pairing_one for x in lam)
+    lam = sp_scale(lam, 1 / pairing_one)
     pairing = vec_dot(lam, Lam)
     if pairing == 0:
         raise NotSemisimple("cannot normalize <lambda, Lambda> = 1 (not semisimple)")
-    Lam = tuple(x / pairing for x in Lam)
+    Lam = sp_scale(Lam, 1 / pairing)
 
     for i in range(n):
-        e = basis_vec(n, i)
-        if h.algebra.mul(e, Lam) != tuple(eps[i] * x for x in Lam):
+        e = {i: RAT_ONE}
+        if h.algebra.mul_sparse(e, Lam) != sp_scale(Lam, eps[i]):
             raise NotSemisimple(f"Lambda is not a left integral at basis {i}")
-        if h.algebra.mul(Lam, e) != tuple(eps[i] * x for x in Lam):
+        if h.algebra.mul_sparse(Lam, e) != sp_scale(Lam, eps[i]):
             raise NotSemisimple(f"Lambda is not a right integral at basis {i}")
-    if harpoon_left(h.algebra, Lam, lam) != eps:
+    # <Lambda -> lambda, e_b> = <lambda, e_b Lambda>
+    if any(vec_dot(lam, h.algebra.mul_sparse({b: RAT_ONE}, Lam)) != eps[b] for b in range(n)):
         raise NotSemisimple("Lambda -> lambda != epsilon after normalization")
     return IntegralPair(Lam, lam)
 
@@ -1089,9 +938,12 @@ def drinfeld_double(h: HopfData):
                     if cell:
                         rowdicts[(flat(a, b), flat(c, d))] = cell
     mult = Tensor3.from_row_dicts((nn, nn, nn), rowdicts)
-    unit = unsp({flat(a, b): ca * cb
-                 for a, ca in sp(h.counit).items()
-                 for b, cb in sp(h.unit).items()}, nn)
+    eps_sp = sp(h.counit)
+    unit_sp = alg.unit_sparse
+    unit = [RAT_ZERO] * nn
+    for a, ca in eps_sp.items():
+        for b, cb in unit_sp.items():
+            unit[flat(a, b)] = ca * cb
 
     rev_mult = dual_coalgebra(alg).comul_row
     centries = []
@@ -1101,10 +953,9 @@ def drinfeld_double(h: HopfData):
                 for b1, b2, c2 in h.coalgebra.comul_row(b):
                     centries.append((flat(a, b), flat(a2, b1), flat(a1, b2), c1 * c2))
     comult = Tensor3.from_entries((nn, nn, nn), centries)
-    counit = unsp({flat(a, b): h.unit[a] * h.counit[b]
-                   for a in range(n) for b in range(n) if h.unit[a] * h.counit[b] != 0}, nn)
+    counit = tuple(h.unit[a] * h.counit[b] for a in range(n) for b in range(n))
 
-    dalg = StructureAlgebra(nn, mult, unit)
+    dalg = StructureAlgebra(nn, mult, tuple(unit))
     # the cached S tries the arrows p_a >< s first, s in S_H less each s the
     # rest generate; the certificate is unchanged
     s_h = list(alg.generators)
@@ -1117,8 +968,6 @@ def drinfeld_double(h: HopfData):
     # S_D(p_a >< x_b) = (eps >< S(x_b)) (S*^{-1}(p_a) >< 1); S*^{-1}(p_a) is
     # row a of S^{-1}, a column of its transpose
     anti = []
-    eps_sp = sp(h.counit)
-    unit_sp = sp(h.unit)
     sinv_rows = sinv.transpose().cols
     for a in range(n):
         for b in range(n):
@@ -1189,9 +1038,10 @@ def heisenberg_double(h: HopfData) -> StructureAlgebra:
                     if cell:
                         rowdicts[(flat(i, a), flat(j, b))] = cell
     mult = Tensor3.from_row_dicts((nn, nn, nn), rowdicts)
-    unit = unsp({flat(i, a): ci * ca
-                 for i, ci in sp(h.unit).items()
-                 for a, ca in sp(h.counit).items()}, nn)
-    out = StructureAlgebra(nn, mult, unit)
+    unit = [RAT_ZERO] * nn
+    for i, ci in alg.unit_sparse.items():
+        for a, ca in sp(h.counit).items():
+            unit[flat(i, a)] = ci * ca
+    out = StructureAlgebra(nn, mult, tuple(unit))
     out.report.require()
     return out

@@ -15,14 +15,14 @@ from functools import cached_property
 from .exactlin import (
     RAT_ONE,
     RAT_ZERO,
+    LinearMap,
     Tensor3,
     TensorElem,
-    basis_vec,
     commutant_rows,
     kernel_basis,
-    mat_inverse,
+    sp_add,
+    sp_scale,
     span_basis,
-    transpose,
     vec_dot,
 )
 from .hopfcore import (
@@ -30,12 +30,8 @@ from .hopfcore import (
     StructureAlgebra,
     measuring_failures,
     module_law_failures,
-    sp,
-    sp_add,
-    sp_scale,
     sparse_outer,
     tensor_mul_sparse,
-    unsp,
 )
 from .report import VerificationReport
 
@@ -55,13 +51,6 @@ class ModuleAlgebraData:
         if all(c == 0 for c in self.A.unit):
             raise ValueError("degenerate carrier: the unit of A is zero")
 
-    def act(self, h_vec, a_vec) -> tuple:
-        return unsp(self.action.act(sp(h_vec), sp(a_vec)), self.A.dim)
-
-    def action_matrix(self, h_vec) -> tuple:
-        cols = [self.act(h_vec, basis_vec(self.A.dim, j)) for j in range(self.A.dim)]
-        return transpose(tuple(cols))
-
     @cached_property
     def report(self) -> VerificationReport:
         """verify_module_algebra(self), computed once; shared, so read it."""
@@ -73,7 +62,7 @@ class SeparabilityData:
     """Symmetric separability idempotent x and the trace functional alpha."""
 
     x: TensorElem
-    alpha: tuple
+    alpha: dict
 
 
 def verify_module_algebra(m: ModuleAlgebraData, subject: str = "module_algebra") -> VerificationReport:
@@ -117,7 +106,7 @@ def is_quantum_commutative(q, m: ModuleAlgebraData) -> tuple:
 def u_acts_trivially(q, m: ModuleAlgebraData) -> tuple:
     """u . a = a for all basis a, u the Drinfeld element; (bool, witness)."""
     from .qtriang import drinfeld_element
-    u_sp = sp(drinfeld_element(q).u)
+    u_sp = drinfeld_element(q).u
     for a in range(m.A.dim):
         ea = {a: RAT_ONE}
         if m.action.act(u_sp, ea) != ea:
@@ -129,15 +118,21 @@ def u_acts_trivially(q, m: ModuleAlgebraData) -> tuple:
 # separability
 # ---------------------------------------------------------------------------
 
-def regular_trace(A: StructureAlgebra) -> tuple:
+def regular_trace(A: StructureAlgebra) -> dict:
     """alpha in A*: the trace of the left regular representation."""
-    out = []
+    out: dict = {}
     for i in range(A.dim):
-        tr = RAT_ZERO
         for c in range(A.dim):
-            tr += A.mult.entry(i, c, c)
-        out.append(tr)
-    return tuple(out)
+            sp_add(out, i, A.mult.entry(i, c, c))
+    return out
+
+
+def trace_form(A: StructureAlgebra, alpha: dict) -> LinearMap:
+    """The form <alpha, a b> as the map with columns e_x -> alpha, that is
+    e_x |-> sum_b <alpha, e_b e_x> e^b; its transpose sends v to alpha <- v."""
+    return LinearMap(A.dim, A.dim, tuple(
+        {b: c for b in range(A.dim) if (c := vec_dot(alpha, dict(A.mul_row(b, x))))}
+        for x in range(A.dim)))
 
 
 def separability(m: ModuleAlgebraData) -> SeparabilityData:
@@ -150,13 +145,11 @@ def separability(m: ModuleAlgebraData) -> SeparabilityData:
     A = m.A
     n = A.dim
     alpha = regular_trace(A)
-    gram = tuple(tuple(vec_dot(alpha, A.mul(basis_vec(n, i), basis_vec(n, j)))
-                       for j in range(n)) for i in range(n))
-    ginv = mat_inverse(gram)
+    ginv = trace_form(A, alpha).inverse()
     if ginv is None:
         raise ValueError("trace form is singular: A is not strongly separable over Q")
-    x = TensorElem.from_entries((n, n),
-                                (((i, j), ginv[i][j]) for i in range(n) for j in range(n)))
+    x = TensorElem.from_entries((n, n), (((i, j), c) for j, col in enumerate(ginv.cols)
+                                         for i, c in col.items()))
     out = SeparabilityData(x, alpha)
     verify_separability(m, out).require()
     return out
@@ -183,18 +176,22 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
     rep.add("multiplies_to_unit", m_x == A.unit_sparse)
 
     # <alpha, x^1> x^2 = 1_A
-    acc = [RAT_ZERO] * n
+    acc: dict = {}
     for (i, j), c in s.x.items():
-        acc[j] += c * alpha[i]
-    rep.add("alpha_normalization", tuple(acc) == A.unit)
+        if i in alpha:
+            sp_add(acc, j, c * alpha[i])
+    rep.add("alpha_normalization", acc == A.unit_sparse)
 
     # dual bases: x^1 <x^2 -> alpha, a> = a for all basis a
+    hits = trace_form(A, alpha).cols
+
     def dual_basis_failures():
         for a in range(n):
-            acc = [RAT_ZERO] * n
+            acc: dict = {}
             for (i, j), c in s.x.items():
-                acc[i] += c * vec_dot(alpha, A.mul(basis_vec(n, a), basis_vec(n, j)))
-            if tuple(acc) != basis_vec(n, a):
+                if a in hits[j]:
+                    sp_add(acc, i, c * hits[j][a])
+            if acc != {a: RAT_ONE}:
                 yield (a,)
 
     rep.check("dual_basis_identity", dual_basis_failures())
@@ -203,8 +200,8 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
     act = m.action.act
     rep.check("alpha_invariant",
               ((i, a) for i in range(h.dim) for a in range(n)
-               if sum((c * alpha[k] for k, c in act({i: RAT_ONE}, {a: RAT_ONE}).items()), RAT_ZERO)
-               != h.counit[i] * alpha[a]))
+               if vec_dot(alpha, act({i: RAT_ONE}, {a: RAT_ONE}))
+               != h.counit[i] * alpha.get(a, RAT_ZERO)))
 
     # h . x^1 (x) x^2 = x^1 (x) S(h) . x^2 in the involutory semisimple case
     if h.antipode.compose(h.antipode).is_identity():
@@ -237,7 +234,7 @@ class HSimplicityResult:
     commutant_dim: int | None = None
 
 
-def _stable_closure(m: ModuleAlgebraData, seed) -> list:
+def _stable_closure(m: ModuleAlgebraData, seed: dict) -> list:
     """Smallest subspace containing seed, closed under both multiplications
     and the H-action."""
     A, h = m.A, m.host
@@ -248,12 +245,11 @@ def _stable_closure(m: ModuleAlgebraData, seed) -> list:
         changed = False
         new = list(basis)
         for v in basis:
-            vs = sp(v)
             for i in range(n):
-                for w in (A.mul_sparse({i: RAT_ONE}, vs), A.mul_sparse(vs, {i: RAT_ONE})):
-                    new.append(unsp(w, n))
+                new.append(A.mul_sparse({i: RAT_ONE}, v))
+                new.append(A.mul_sparse(v, {i: RAT_ONE}))
             for t in range(h.dim):
-                new.append(unsp(m.action.act({t: RAT_ONE}, vs), n))
+                new.append(m.action.act({t: RAT_ONE}, v))
         improved = span_basis(new, n)
         if len(improved) > len(basis):
             basis = improved
@@ -266,13 +262,13 @@ def is_H_simple(m: ModuleAlgebraData) -> HSimplicityResult:
     explicit H-stable ideals as not-simple witnesses; inconclusive otherwise."""
     A, h = m.A, m.host
     n = A.dim
-    ops = [A.left_mult_matrix(basis_vec(n, i)) for i in range(n)]
-    ops += [m.action_matrix(basis_vec(h.dim, t)) for t in range(h.dim)]
-    commutant = kernel_basis(commutant_rows(ops, n))
+    ops = [LinearMap(n, n, [dict(A.mul_row(i, c)) for c in range(n)]) for i in range(n)]
+    ops += [LinearMap(n, n, [dict(m.action.row(t, c)) for c in range(n)]) for t in range(h.dim)]
+    commutant = kernel_basis(commutant_rows(ops, n), n * n)
     if len(commutant) == 1:
         return HSimplicityResult("certified_simple", commutant_dim=1)
     for a in range(n):
-        closure = _stable_closure(m, basis_vec(n, a))
+        closure = _stable_closure(m, {a: RAT_ONE})
         if 0 < len(closure) < n:
             return HSimplicityResult("not_simple", witness_ideal=tuple(closure),
                                      commutant_dim=len(commutant))

@@ -25,14 +25,15 @@ from functools import cache, cached_property
 
 from .exactlin import (
     RAT_ONE,
-    RAT_ZERO,
+    LinearMap,
     Tensor3,
     TensorElem,
-    basis_vec,
+    sp_add,
+    sp_scale,
+    vec_dot,
 )
 from .hopfcore import (
     HopfData,
-    LinearMap,
     StructureAlgebra,
     StructureCoalgebra,
     certified_scan,
@@ -42,12 +43,8 @@ from .hopfcore import (
     intertwining_failures,
     measuring_failures,
     module_law_failures,
-    sp,
-    sp_add,
-    sp_scale,
     sparse_outer,
     tensor_mul_sparse,
-    unsp,
     verify_coalgebra,
 )
 from .report import VerificationReport
@@ -90,7 +87,7 @@ def qt_structure(host: HopfData, R: TensorElem, Rinv: TensorElem | None = None) 
 
 def trivial_qt(host: HopfData) -> QTStructure:
     """(H, 1 (x) 1)."""
-    one = sp(host.unit)
+    one = host.algebra.unit_sparse
     entries = [((a, b), ca * cb) for a, ca in one.items() for b, cb in one.items()]
     R = TensorElem.from_entries((host.dim, host.dim), entries)
     return qt_structure(host, R, R)
@@ -134,7 +131,7 @@ def verify_qt(q: QTStructure, subject: str = "qt") -> VerificationReport:
 
 @dataclass(frozen=True)
 class DrinfeldElement:
-    u: tuple
+    u: dict
     s_invariant: bool
     central: bool
 
@@ -142,13 +139,12 @@ class DrinfeldElement:
 def drinfeld_element(q: QTStructure) -> DrinfeldElement:
     """u = S(R^2) R^1, with the semisimple-case facts u = S(u), u central reported."""
     h = q.host
-    acc: dict = {}
+    u: dict = {}
     for (a, b), c in q.R.items():
         for m, cm in h.algebra.mul_sparse(h.antipode.cols[b], {a: RAT_ONE}).items():
-            sp_add(acc, m, c * cm)
-    u = unsp(acc, h.dim)
-    s_inv = h.antipode.apply(u) == u
-    central = all(h.algebra.mul(u, basis_vec(h.dim, i)) == h.algebra.mul(basis_vec(h.dim, i), u)
+            sp_add(u, m, c * cm)
+    s_inv = h.antipode.apply_sparse(u) == u
+    central = all(h.algebra.mul_sparse(u, {i: RAT_ONE}) == h.algebra.mul_sparse({i: RAT_ONE}, u)
                   for i in range(h.dim))
     return DrinfeldElement(u, s_inv, central)
 
@@ -442,8 +438,8 @@ def hr_dual_separability(q: QTStructure, ip, bg: BraidedGroupData | None = None)
     lam = ip.lam
     mult = h.algebra.mult._rows
     # Delta_{H*}(lambda) = sum_{a, b} <lambda, e_a e_b> e^a (x) e^b
-    wab = [[sum((w * lam[k] for k, w in mult[a][b]), RAT_ZERO) for b in range(n)]
-           for a in range(n)]
+    delta_lam = {(a, b): c for a in range(n) for b in range(n)
+                 if (c := vec_dot(lam, dict(mult[a][b])))}
     dual = bg.dual_right_action
     s_rows = h.antipode.transpose().cols    # s_rows[b][g]: coefficient of e_b in S(e_g)
     entries = []
@@ -461,14 +457,10 @@ def hr_dual_separability(q: QTStructure, ip, bg: BraidedGroupData | None = None)
                 for j, cj in dual[r1][g].items():
                     sp_add(acc, j, cg * cj)
             right.append(acc)
-        for a in range(n):
-            for b in range(n):
-                c = wab[a][b] * cr
-                if c == 0:
-                    continue
-                for i, ci in left[a]:
-                    for j, cj in right[b].items():
-                        entries.append(((i, j), c * ci * cj))
+        for (a, b), w in delta_lam.items():
+            for i, ci in left[a]:
+                for j, cj in right[b].items():
+                    entries.append(((i, j), w * cr * ci * cj))
     x = TensorElem.from_entries((n, n), entries)
 
     rep = VerificationReport("hr_dual_separability")

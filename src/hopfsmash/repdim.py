@@ -15,18 +15,17 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .exactlin import (
-    RAT_ZERO,
+    RAT_ONE,
+    LinearMap,
     Subspace,
     _min_poly,
     _poly_gcd,
-    basis_vec,
     kernel_basis,
-    lin_comb,
-    rank,
     solve,
+    sp,
+    sp_add,
     span_basis,
     split,
-    transpose,
     vec_dot,
 )
 from .hopfcore import (
@@ -34,9 +33,8 @@ from .hopfcore import (
     NotSemisimple,
     StructureAlgebra,
     convolution_algebra,
-    hit_right,
 )
-from .modalg import is_H_simple, regular_trace
+from .modalg import is_H_simple, regular_trace, trace_form
 from .qtriang import BraidedGroupData, QTStructure, hr_star_algebra, transmute
 from .report import HypothesisFailure, VerificationReport
 
@@ -57,10 +55,7 @@ def _check_semisimple(a: StructureAlgebra) -> tuple:
     """The regular trace alpha of a; NotSemisimple when its trace form is
     degenerate."""
     alpha = regular_trace(a)
-    n = a.dim
-    gram = tuple(tuple(sum((c * alpha[k] for k, c in a.mul_row(i, j)), RAT_ZERO)
-                       for j in range(n)) for i in range(n))
-    if rank(gram) != n:
+    if trace_form(a, alpha).rank() != a.dim:
         raise NotSemisimple("regular trace form is degenerate: nonzero radical")
     return alpha
 
@@ -80,16 +75,17 @@ def wedderburn_blocks(a: StructureAlgebra, *, seed: int = 0) -> BlockReport:
     center = a.center_basis()
     r = len(center)
     zspace = Subspace(center, n)
+    on_center = LinearMap(r, n, center)
     for cur in range(seed, seed + MAX_RESEEDS + 1):
         rng = random.Random(cur)
-        z = lin_comb([rng.randint(1, 97) for _ in center], center, n)
-        mu = _min_poly(transpose(tuple(zspace.coords(a.mul(z, c)) for c in center)))
+        z = on_center.apply_sparse({i: rng.randint(1, 97) for i in range(r)})
+        mu = _min_poly(LinearMap(r, r, [zspace.coords(a.mul_sparse(z, c)) for c in center]))
         if len(mu) <= r:
             continue
-        sums, power = [], a.unit
+        sums, power = [], a.unit_sparse
         for _ in range(r):
             sums.append(vec_dot(alpha, power))
-            power = a.mul(z, power)
+            power = a.mul_sparse(z, power)
         q = [sum(mu[k + m + 1] * sums[m] for m in range(r - k)) for k in range(r)]
         dmu = [k * c for k, c in enumerate(mu)][1:]
         blocks = []
@@ -147,19 +143,20 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
     n = h.dim
     rep = VerificationReport("class_idempotents")
 
+    # C(H*): the functionals vanishing on every commutator e_a e_b - e_b e_a
     rows = []
     for a in range(n):
         for b in range(n):
-            diff = [x - y for x, y in zip(h.algebra.mul(basis_vec(n, a), basis_vec(n, b)),
-                                          h.algebra.mul(basis_vec(n, b), basis_vec(n, a)))]
-            if any(c != 0 for c in diff):
-                rows.append(tuple(diff))
-    c_basis = kernel_basis(tuple(rows)) if rows else [basis_vec(n, i) for i in range(n)]
+            diff = dict(h.algebra.mul_row(a, b))
+            for k, c in h.algebra.mul_row(b, a):
+                sp_add(diff, k, -c)
+            rows.append(diff)
+    c_basis = kernel_basis(rows, n)
     r = len(c_basis)
 
     dual = convolution_algebra(h.coalgebra)
     c_space = Subspace(c_basis, n)
-    prods = [[dual.mul(u, v) for v in c_basis] for u in c_basis]
+    prods = [[dual.mul_sparse(u, v) for v in c_basis] for u in c_basis]
     if not rep.check("c_hstar_closed_under_convolution",
                      ((i, j) for i in range(r) for j in range(r)
                       if not c_space.contains(prods[i][j]))):
@@ -167,7 +164,7 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
 
     # split the commutative algebra C into one-dimensional blocks, by the
     # matrices of left convolution with each basis element of C
-    gens = [transpose(tuple(c_space.coords(uv) for uv in row)) for row in prods]
+    gens = [LinearMap(r, r, [c_space.coords(uv) for uv in row]) for row in prods]
     blocks, fully_split = split(gens, r)
     if not fully_split:
         raise HypothesisFailure("C(H*)-split-over-Q")
@@ -176,34 +173,37 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
         raise HypothesisFailure("C(H*)-split-over-Q")
 
     # block representatives in H* coordinates
-    reps = [lin_comb(blk[0], c_basis, n) for blk in blocks]
+    on_c = LinearMap(r, n, c_basis)
+    reps = [on_c.apply_sparse(blk[0]) for blk in blocks]
 
     # F_i: the element of C acting as identity on line i and zero elsewhere;
-    # one system, solved for each line's right-hand side
+    # one system, equation j n + t for coordinate t of line j, solved for
+    # each line's right-hand side
     rows_m = []
     for repv in reps:
-        cols = [dual.mul(cb, repv) for cb in c_basis]
-        rows_m.extend(tuple(col[t] for col in cols) for t in range(n))
-    rows_m = tuple(rows_m)
+        rows_m.extend(LinearMap(r, n, [dual.mul_sparse(cb, repv) for cb in c_basis])
+                      .transpose().cols)
     idems = []
-    for i in range(len(reps)):
-        rhs = tuple(repv[t] if i == j else RAT_ZERO for j, repv in enumerate(reps)
-                    for t in range(n))
-        sol = solve(rows_m, rhs)
+    for i, repv in enumerate(reps):
+        sol = solve(rows_m, {i * n + t: c for t, c in repv.items()}, r)
         if sol is None:
             raise HypothesisFailure("C(H*)-idempotent-solve")
-        idems.append(lin_comb(sol, c_basis, n))
+        idems.append(on_c.apply_sparse(sol))
 
-    rep.check("idempotent", ((i,) for i, f in enumerate(idems) if dual.mul(f, f) != f))
+    rep.check("idempotent", ((i,) for i, f in enumerate(idems) if dual.mul_sparse(f, f) != f))
     rep.check("orthogonal",
               ((i, j) for i in range(len(idems)) for j in range(i + 1, len(idems))
-               if any(c != 0 for c in dual.mul(idems[i], idems[j]))))
-    rep.add("sum_to_counit", lin_comb([1] * len(idems), idems, n) == h.counit)
+               if dual.mul_sparse(idems[i], idems[j])))
+    total: dict = {}
+    for f in idems:
+        for k, c in f.items():
+            sp_add(total, k, c)
+    rep.add("sum_to_counit", total == sp(h.counit))
 
     ar = hr_star_algebra(bg)
     rep.check("central_in_hr_star",
               ((b,) for f in idems for b in range(n)
-               if ar.mul(f, basis_vec(n, b)) != ar.mul(basis_vec(n, b), f)))
+               if ar.mul_sparse(f, {b: RAT_ONE}) != ar.mul_sparse({b: RAT_ONE}, f)))
 
     coal_r = bg.braided_coalgebra
     block_bases = []
@@ -211,15 +211,22 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
     for f in idems:
         lhs_vecs = []
         for a in range(n):
-            v = [RAT_ZERO] * n
+            v: dict = {}
             for j, k, c in coal_r.comul_row(a):
-                v[j] += c * f[k]
-            lhs_vecs.append(tuple(v))
+                if k in f:
+                    sp_add(v, j, c * f[k])
+            lhs_vecs.append(v)
         lhs = span_basis(lhs_vecs, n)
         rhs_vecs = []
         for b in range(n):
-            fb = dual.mul(f, basis_vec(n, b))
-            rhs_vecs.append(hit_right(h.coalgebra, ip.Lambda, fb))
+            # Lambda <- f e_b = <f e_b, Lambda_(1)> Lambda_(2)
+            fb = dual.mul_sparse(f, {b: RAT_ONE})
+            v = {}
+            for i, ci in ip.Lambda.items():
+                for j, k, w in h.coalgebra.comul_row(i):
+                    if j in fb:
+                        sp_add(v, k, ci * w * fb[j])
+            rhs_vecs.append(v)
         rhs = span_basis(rhs_vecs, n)
         if lhs != rhs:
             ok = False

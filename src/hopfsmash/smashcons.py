@@ -18,36 +18,30 @@ from functools import cache
 from .exactlin import (
     RAT_ONE,
     RAT_ZERO,
+    LinearMap,
     Tensor3,
     Subspace,
     TensorElem,
-    basis_vec,
     kernel_basis,
     rank,
     rat_str,
+    sp_add,
     span_basis,
-    transpose,
     vec_dot,
 )
 from .hopfcore import (
     GroupTable,
     HopfData,
-    LinearMap,
     StructureAlgebra,
     StructureCoalgebra,
     check_map,
     drinfeld_double,
     dual_coalgebra,
     group_algebra,
-    harpoon_left,
-    harpoon_right,
     heisenberg_double,
     opposites,
-    sp,
-    sp_add,
     sparse_outer,
     tensor_mul_sparse,
-    unsp,
 )
 from .modalg import (
     ModuleAlgebraData,
@@ -55,6 +49,7 @@ from .modalg import (
     is_quantum_commutative,
     permutation_module_algebra,
     separability,
+    trace_form,
     u_acts_trivially,
 )
 from .qtriang import (
@@ -215,7 +210,7 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
                                 centries.append((src, s.flat(ta, th), s.flat(x2, pq),
                                                  c * cr * cx * ca * ch))
     comult = Tensor3.from_entries((n, n, n), centries)
-    counit = tuple(alpha[a] * h.counit[i] for a in range(na) for i in range(nh))
+    counit = tuple(alpha.get(a, RAT_ZERO) * h.counit[i] for a in range(na) for i in range(nh))
 
     anti = [s.carrier.mul_sparse(s.include_h(h.antipode.cols[i]), twisted({a: RAT_ONE}))
             for a in range(na) for i in range(nh)]
@@ -305,9 +300,9 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
             tensor_mul_sparse(algs2, one_t, one_t) == one_t)
 
     # target subalgebra A # 1 and source subalgebra {R^2.a # R^1}
-    tgt = [unsp(s.include_a({a: RAT_ONE}), n) for a in range(na)]
+    tgt = [s.include_a({a: RAT_ONE}) for a in range(na)]
     rep.add("target_is_A_smash_1", Subspace(wha.target_basis, n) == Subspace(tgt, n))
-    src = [unsp(twisted({a: RAT_ONE}), n) for a in range(na)]
+    src = [twisted({a: RAT_ONE}) for a in range(na)]
     rep.add("source_is_Rtwisted_A", Subspace(wha.source_basis, n) == Subspace(src, n))
 
     out = SmashWeakStructure(s, q, sep, wha, rep)
@@ -415,11 +410,11 @@ def _end_tensor_h_algebra(na: int, h: HopfData) -> StructureAlgebra:
                                 cell[flat(u, z, m)] = cm
                             if cell:
                                 rowdicts[(flat(u, v, j), flat(w, z, j2))] = cell
-    unit: dict = {}
+    unit = [RAT_ZERO] * n
     for u in range(na):
         for t, ct in h.algebra.unit_sparse.items():
             unit[flat(u, u, t)] = ct
-    return StructureAlgebra(n, Tensor3.from_row_dicts((n, n, n), rowdicts), unsp(unit, n))
+    return StructureAlgebra(n, Tensor3.from_row_dicts((n, n, n), rowdicts), tuple(unit))
 
 
 def theta_embed(s: SmashProduct) -> tuple[LinearMap, StructureAlgebra, VerificationReport]:
@@ -438,16 +433,14 @@ def theta_embed(s: SmashProduct) -> tuple[LinearMap, StructureAlgebra, Verificat
         m = {}
         for w in range(na):
             # p_w <| S^{-1}(e_i): <.., e_b> = <p_w, S^{-1}(e_i).e_b>
-            f = [RAT_ZERO] * na
+            f: dict = {}
             for y, cy in sinv.cols[i].items():
                 for b in range(na):
-                    f[b] += cy * A_mod.action.entry(y, b, w)
+                    if cb := A_mod.action.entry(y, b, w):
+                        sp_add(f, b, cy * cb)
             # a -> f: <a -> f, b> = <f, e_b e_a>
             for b in range(na):
-                val = RAT_ZERO
-                for t, ct in A.mul_row(b, a):
-                    val += ct * f[t]
-                if val != 0:
+                if val := vec_dot(f, dict(A.mul_row(b, a))):
                     m[(b, w)] = val
         return m
 
@@ -523,14 +516,14 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
 
     x_items = list(sep.x.items())
     alpha = sep.alpha
+    form = trace_form(A, alpha)
+    hit = form.cols    # hit[x] = x -> alpha
     unit: dict = {}
     for (x1, x2), cx in x_items:
-        dualv = harpoon_left(A, basis_vec(na, x2), alpha)
         for t, ct in h.algebra.unit_sparse.items():
-            for w, cw in enumerate(dualv):
-                if cw != 0:
-                    sp_add(unit, flat(x1, t, w), cx * ct * cw)
-    carrier = StructureAlgebra(n, mult, unsp(unit, n))
+            for w, cw in hit[x2].items():
+                sp_add(unit, flat(x1, t, w), cx * ct * cw)
+    carrier = StructureAlgebra(n, mult, tuple(unit.get(i, RAT_ZERO) for i in range(n)))
 
     rev_a = dual_coalgebra(A).comul_row
     r_items = list(q.R.items())
@@ -579,9 +572,10 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
                                                      flat(x2, pq, w),
                                                      coeff0 * ca * chh * cw))
     comult = Tensor3.from_entries((n, n, n), centries)
-    counit = tuple(alpha[a] * h.counit[i] * A.unit[k]
+    counit = tuple(alpha.get(a, RAT_ZERO) * h.counit[i] * A.unit[k]
                    for a in range(na) for i in range(nh) for k in range(na))
 
+    form_t = form.transpose()    # v |-> alpha <- v
     anti = []
     for a in range(na):
         for i in range(nh):
@@ -594,18 +588,14 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
                             h.antipode.apply_sparse(dict(h.algebra.mul_row(rb1, i))))
                         if not hleg:
                             continue
-                        duall = harpoon_right(
-                            A, alpha,
-                            unsp(A_mod.action.act({ra2: RAT_ONE}, {a: RAT_ONE}), na))
+                        duall = form_t.apply_sparse(A_mod.action.act({ra2: RAT_ONE}, {a: RAT_ONE}))
                         for (x1, x2), cx in x_items:
                             scal = A_mod.action.entry(rb2, x1, k)
                             if scal == 0:
                                 continue
                             coeff0 = cra * crb * cx * scal
                             for th, chh in hleg.items():
-                                for w, cw in enumerate(duall):
-                                    if cw == 0:
-                                        continue
+                                for w, cw in duall.items():
                                     sp_add(col, flat(x2, th, w), coeff0 * chh * cw)
                 anti.append(col)
 
@@ -614,9 +604,6 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
     rep.merge(wha.report, "wha.")
 
     # R_B and its inverse (S_B (x) id)(R_B)
-    gram = [[vec_dot(alpha, A.mul(basis_vec(na, w1), basis_vec(na, w2)))
-             for w2 in range(na)] for w1 in range(na)]
-
     @cache
     def mult_col(x: int, k: int) -> tuple:
         """Nonzero (w, coeff) of e_k in e_w e_x."""
@@ -635,11 +622,8 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
                         al = a_leg(rc2, x21, x11)
                         if not al:
                             continue
-                        for w1 in range(na):
-                            for w2 in range(na):
-                                cg = gram[w1][w2]
-                                if cg == 0:
-                                    continue
+                        for w1, gram_row in enumerate(form_t.cols):
+                            for w2, cg in gram_row.items():
                                 dual1 = dual_act(ra2, w1)
                                 dual2 = mult_col(x12, w2)
                                 coeff0 = cra * crb * crc * cx1 * cx2 * cg
@@ -667,46 +651,37 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
         tv: dict = {}
         sv: dict = {}
         for (x1, x2), cx in x_items:
-            dualv = harpoon_left(A, basis_vec(na, x2), alpha)
+            dualv = hit[x2]
             xa = A.mul_sparse({x1: RAT_ONE}, {a: RAT_ONE})
             for t, ct in h.algebra.unit_sparse.items():
                 for ta, ca in xa.items():
-                    for w, cw in enumerate(dualv):
-                        if cw != 0:
-                            sp_add(tv, flat(ta, t, w), cx * ct * ca * cw)
+                    for w, cw in dualv.items():
+                        sp_add(tv, flat(ta, t, w), cx * ct * ca * cw)
             for (r1, r2), cr in r_items:
                 ra = A.mul_sparse(
                     A_mod.action.act({r2: RAT_ONE}, {a: RAT_ONE}),
                     {x1: RAT_ONE})
                 for ta, ca in ra.items():
-                    for w, cw in enumerate(dualv):
-                        if cw != 0:
-                            sp_add(sv, flat(ta, r1, w), cx * cr * ca * cw)
-        tvecs.append(unsp(tv, n))
-        svecs.append(unsp(sv, n))
+                    for w, cw in dualv.items():
+                        sp_add(sv, flat(ta, r1, w), cx * cr * ca * cw)
+        tvecs.append(tv)
+        svecs.append(sv)
     rep.add("target_matches_closed_form",
             Subspace(wha.target_basis, n) == Subspace(tvecs, n))
     rep.add("source_matches_closed_form",
             Subspace(wha.source_basis, n) == Subspace(svecs, n))
 
-    def image_of(vecs, x: dict) -> dict:
-        out: dict = {}
-        for t, ct in x.items():
-            for idx, cv in enumerate(vecs[t]):
-                if cv != 0:
-                    sp_add(out, idx, ct * cv)
-        return out
-
+    t_iso, s_iso = LinearMap(na, n, tvecs), LinearMap(na, n, svecs)
     rep.check("target_iso_is_algebra_map",
               ((a, b) for a in range(na) for b in range(na)
-               if carrier.mul_sparse(sp(tvecs[a]), sp(tvecs[b]))
-               != image_of(tvecs, A.mul_sparse({a: RAT_ONE}, {b: RAT_ONE}))))
+               if carrier.mul_sparse(tvecs[a], tvecs[b])
+               != t_iso.apply_sparse(A.mul_sparse({a: RAT_ONE}, {b: RAT_ONE}))))
     rep.check("source_iso_is_antialgebra_map",
               ((a, b) for a in range(na) for b in range(na)
-               if carrier.mul_sparse(sp(svecs[a]), sp(svecs[b]))
-               != image_of(svecs, A.mul_sparse({b: RAT_ONE}, {a: RAT_ONE}))))
-    rep.add("target_iso_injective", rank(tuple(tvecs)) == na)
-    rep.add("source_iso_injective", rank(tuple(svecs)) == na)
+               if carrier.mul_sparse(svecs[a], svecs[b])
+               != s_iso.apply_sparse(A.mul_sparse({b: RAT_ONE}, {a: RAT_ONE}))))
+    rep.add("target_iso_injective", t_iso.rank() == na)
+    rep.add("source_iso_injective", s_iso.rank() == na)
 
     out = BAlgebra(A_mod, q, sep, wha, rqt, rep)
     rep.require()
@@ -724,7 +699,7 @@ def phi_embed(sws: SmashWeakStructure, b: BAlgebra):
     h, A_mod, A = s.H, s.A_mod, s.A_mod.A
     na, nh = s.na, s.nh
     x_items = list(b.sep.x.items())
-    alpha = b.sep.alpha
+    hit = trace_form(A, b.sep.alpha).cols    # hit[x] = x -> alpha
     n_b = b.wha.dim
 
     cols = []
@@ -735,17 +710,15 @@ def phi_embed(sws: SmashWeakStructure, b: BAlgebra):
                 for (x1, x2), cx in x_items:
                     xa = A.mul_sparse({x1: RAT_ONE}, {a: RAT_ONE})
                     aleg = A_mod.action.act(h.antipode.cols[p], xa)
-                    dualv = harpoon_left(A, basis_vec(na, x2), alpha)
                     for ta, ca in aleg.items():
-                        for w, cw in enumerate(dualv):
-                            if cw != 0:
-                                sp_add(col, b.flat(ta, pq, w), c * cx * ca * cw)
+                        for w, cw in hit[x2].items():
+                            sp_add(col, b.flat(ta, pq, w), c * cx * ca * cw)
             cols.append(col)
     f = LinearMap(s.carrier.dim, n_b, cols)
     rep = VerificationReport("phi_embed")
     rep.merge(check_wha_morphism(f, sws.wha, b.wha), "morphism.")
 
-    image = span_basis([unsp(col, n_b) for col in cols], n_b)
+    image = span_basis(cols, n_b)
 
     # equalizer subspace
     rows = []
@@ -760,15 +733,15 @@ def phi_embed(sws: SmashWeakStructure, b: BAlgebra):
             rhs: dict = {}
             for p, pq, c in h.coalgebra.comul_row(i):
                 pa = A_mod.action.act({p: RAT_ONE}, {a: RAT_ONE})
-                dualv = harpoon_right(A, basis_vec(na, k), unsp(pa, na))
-                for w, cw in enumerate(dualv):
-                    if cw != 0:
+                # p_k <- pa: <p_k <- pa, e_w> = <p_k, pa e_w>
+                for w in range(na):
+                    if cw := sum((ct * A.mult.entry(t, w, k) for t, ct in pa.items()), RAT_ZERO):
                         sp_add(rhs, b.flat(aa, pq, w), c * cw)
             for key, cc in rhs.items():
                 sp_add(lhs, key, -cc)
-            diff_cols.append(unsp(lhs, n_b))
-        rows.extend(transpose(tuple(diff_cols)))
-    equalizer = kernel_basis(tuple(rows))
+            diff_cols.append(lhs)
+        rows.extend(LinearMap(n_b, n_b, diff_cols).transpose().cols)
+    equalizer = kernel_basis(rows, n_b)
     rep.add("image_equals_equalizer", Subspace(image, n_b) == Subspace(equalizer, n_b))
     rep.add("image_dimension", len(image) == s.carrier.dim, (len(image),))
     rep.require()
@@ -779,12 +752,13 @@ def rb_in_image_iff_muger(b: BAlgebra, image, q: QTStructure,
                           A_mod: ModuleAlgebraData) -> tuple:
     """(R_B in Im phi (x) Im phi, A in Mueger center); the two must agree."""
     n = b.wha.dim
-    zmat = [[RAT_ZERO] * n for _ in range(n)]
+    r_cols = [{} for _ in range(n)]    # R_B as a map: columns R^1 beside e_j, rows R^2
     for (i, j), c in b.rqt.Rw.items():
-        zmat[i][j] = c
+        r_cols[j][i] = c
+    r_map = LinearMap(n, n, r_cols)
     img = Subspace(image, n)
-    in_img = all(img.contains(tuple(zmat[i][j] for i in range(n))) for j in range(n)) and \
-        all(img.contains(tuple(zmat[i][j] for j in range(n))) for i in range(n))
+    in_img = (all(img.contains(col) for col in r_map.cols)
+              and all(img.contains(row) for row in r_map.transpose().cols))
     member, _ = muger_membership(q, A_mod)
     if in_img != member:
         raise RuntimeError("R_B membership and Mueger membership disagree; "
@@ -862,8 +836,7 @@ def double_smash_decomposition(h: HopfData, double=None) -> VerificationReport:
               ((u, v) for u in range(nn) for v in range(nn)
                if combination(iota_cols, hei.mul_row(u, v))
                != big.mul_sparse(iota_cols[u], iota_cols[v])))
-    rep.add("heisenberg_map_injective",
-            rank(tuple(unsp(c, ntot) for c in iota_cols)) == nn)
+    rep.add("heisenberg_map_injective", rank(iota_cols, ntot) == nn)
 
     # C spanned by c(t) = S(x_{i(2)} t_(1)) t_(3) S^2(x_{i(1)}) # (p_i >< t_(2))
     c_cols = []
@@ -887,17 +860,16 @@ def double_smash_decomposition(h: HopfData, double=None) -> VerificationReport:
               ((t, t2) for t in range(n) for t2 in range(n)
                if big.mul_sparse(c_cols[t], c_cols[t2])
                != combination(c_cols, h.algebra.mul_row(t, t2))))
-    rep.add("C_iso_to_H_injective", rank(tuple(unsp(c, ntot) for c in c_cols)) == n)
+    rep.add("C_iso_to_H_injective", rank(c_cols, ntot) == n)
 
     if ntot <= 16:
-        cen = big.centralizer_basis([unsp(c, ntot) for c in iota_cols])
-        rep.add("C_equals_full_centralizer",
-                Subspace(cen, ntot) == Subspace([unsp(c, ntot) for c in c_cols], ntot))
+        cen = big.centralizer_basis(iota_cols)
+        rep.add("C_equals_full_centralizer", Subspace(cen, ntot) == Subspace(c_cols, ntot))
 
     # total map mu: (y (x) t) |-> iota(y) c(t)
     mu_cols = [big.mul_sparse(iota_cols[y], c_cols[t])
                for y in range(nn) for t in range(n)]
-    rep.add("total_map_bijective", rank(tuple(unsp(c, ntot) for c in mu_cols)) == ntot)
+    rep.add("total_map_bijective", rank(mu_cols, ntot) == ntot)
 
     hrows = h.algebra.mult._rows
 
@@ -972,7 +944,7 @@ def double_module_spot_check(h: HopfData, double=None) -> VerificationReport:
                             yield (u, v, y, mm)
 
     rep.check("module_law", module_law_failures())
-    one = sp(big.unit)
+    one = big.unit_sparse
     rep.check("unit_acts_as_identity",
               ((y, mm) for y in range(n) for mm in range(n)
                if act_elem(one, {(y, mm): RAT_ONE}) != {(y, mm): RAT_ONE}))
@@ -989,20 +961,22 @@ class CaseStudyReport:
     stabilizer: tuple          # indices of G_1 inside G
     coset_reps: tuple          # rep g_p with g_p . 0 = p
     matrix_unit_index: tuple   # flat smash index of E_ij at (i, j)
-    centralizer_basis: tuple
-    iso_matrix: tuple
+    centralizer_basis: tuple   # sparse vectors of A#H
+    iso: LinearMap             # M_t(k) (x) k G_1 -> A#H
     sws: SmashWeakStructure
     report: VerificationReport
 
     def to_dict(self) -> dict:
+        """The report as JSON data; vectors and the iso are written dense."""
+        n = self.iso.target_dim
         return {
             "t": self.t,
             "stabilizer": list(self.stabilizer),
             "coset_reps": list(self.coset_reps),
             "matrix_units": [list(row) for row in self.matrix_unit_index],
-            "centralizer_basis": [[rat_str(c) for c in v]
+            "centralizer_basis": [[rat_str(v.get(i, RAT_ZERO)) for i in range(n)]
                                   for v in self.centralizer_basis],
-            "iso_matrix": [[rat_str(c) for c in row] for row in self.iso_matrix],
+            "iso_matrix": [[rat_str(c) for c in row] for row in self.iso.matrix],
             "codec": "flat = a_index * dim_H + h_index",
             "report": self.report.to_dict(),
         }
@@ -1073,8 +1047,7 @@ def groupoid_case_study(table: GroupTable, point_action, h: HopfData | None = No
                if s.carrier.mul_sparse({eidx[i][j]: RAT_ONE}, {eidx[k][l]: RAT_ONE})
                != ({eidx[i][l]: RAT_ONE} if j == k else {})))
 
-    yvecs = [basis_vec(s.carrier.dim, eidx[i][j]) for i in range(t) for j in range(t)]
-    cen = s.carrier.centralizer_basis(yvecs)
+    cen = s.carrier.centralizer_basis([{eidx[i][j]: RAT_ONE} for i in range(t) for j in range(t)])
 
     def c_of(g1: int) -> dict:
         out: dict = {}
@@ -1084,24 +1057,20 @@ def groupoid_case_study(table: GroupTable, point_action, h: HopfData | None = No
             sp_add(out, s.flat(point_action[gi][0], elt), RAT_ONE)
         return out
 
-    cvecs = [unsp(c_of(g1), s.carrier.dim) for g1 in stab]
+    cvecs = [c_of(g1) for g1 in stab]
     rep.add("centralizer_is_stabilizer_algebra",
             Subspace(cen, s.carrier.dim) == Subspace(cvecs, s.carrier.dim))
     rep.check("centralizer_product_formula",
               ((g1, g2) for ai, g1 in enumerate(stab) for bi, g2 in enumerate(stab)
                if table.table[g1][g2] not in stab
-               or s.carrier.mul_sparse(sp(cvecs[ai]), sp(cvecs[bi])) != c_of(table.table[g1][g2])))
+               or s.carrier.mul_sparse(cvecs[ai], cvecs[bi]) != c_of(table.table[g1][g2])))
 
     # Xi: M_t(k) (x) kG_1 -> A#H, E_ij (x) g |-> E_ij c(g)
     ns = len(stab)
-    cols = []
-    for i in range(t):
-        for j in range(t):
-            for g1 in stab:
-                cols.append(unsp(s.carrier.mul_sparse({eidx[i][j]: RAT_ONE}, c_of(g1)),
-                                 s.carrier.dim))
-    rep.add("iso_bijective", rank(tuple(cols)) == s.carrier.dim,
-            (rank(tuple(cols)), s.carrier.dim))
+    cols = [s.carrier.mul_sparse({eidx[i][j]: RAT_ONE}, c_of(g1))
+            for i in range(t) for j in range(t) for g1 in stab]
+    iso = LinearMap(len(cols), s.carrier.dim, cols)
+    rep.add("iso_bijective", iso.rank() == s.carrier.dim, (iso.rank(), s.carrier.dim))
 
     def src_flat(i, j, a):
         return (i * t + j) * ns + a
@@ -1112,15 +1081,15 @@ def groupoid_case_study(table: GroupTable, point_action, h: HopfData | None = No
         for i in back:
             for j in back:
                 for a, g1 in back_stab:
-                    u = sp(cols[src_flat(i, j, a)])
+                    u = cols[src_flat(i, j, a)]
                     for k in back:
                         for l in back:
                             for bidx, g2 in back_stab:
                                 rhs: dict = {}
                                 if j == k:
                                     pa = stab.index(table.table[g1][g2])
-                                    rhs = sp(cols[src_flat(i, l, pa)])
-                                if s.carrier.mul_sparse(u, sp(cols[src_flat(k, l, bidx)])) != rhs:
+                                    rhs = cols[src_flat(i, l, pa)]
+                                if s.carrier.mul_sparse(u, cols[src_flat(k, l, bidx)]) != rhs:
                                     yield (i, j, g1, k, l, g2)
 
     rep.check("iso_multiplicative", iso_failures())
@@ -1136,7 +1105,7 @@ def groupoid_case_study(table: GroupTable, point_action, h: HopfData | None = No
 
     def grouplike_failures():
         for ai, g1 in back_stab:
-            v = sp(cvecs[ai])
+            v = cvecs[ai]
             dv = coal.comul_sparse(v)
             vv = sparse_outer(v, v)
             if dv != tensor_mul_sparse(algs2, vv, one_t) or \
@@ -1145,7 +1114,6 @@ def groupoid_case_study(table: GroupTable, point_action, h: HopfData | None = No
 
     rep.check("stabilizer_image_grouplike", grouplike_failures())
 
-    out = CaseStudyReport(t, stab, tuple(reps), eidx, tuple(cen),
-                          transpose(tuple(cols)), sws, rep)
+    out = CaseStudyReport(t, stab, tuple(reps), eidx, tuple(cen), iso, sws, rep)
     rep.require()
     return out

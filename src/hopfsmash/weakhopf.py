@@ -16,14 +16,15 @@ from functools import cached_property
 from .exactlin import (
     RAT_ONE,
     RAT_ZERO,
+    LinearMap,
     Tensor3,
     TensorElem,
     Subspace,
+    sp_add,
     span_basis,
 )
 from .hopfcore import (
     HopfData,
-    LinearMap,
     StructureAlgebra,
     StructureCoalgebra,
     add_outer3,
@@ -34,12 +35,9 @@ from .hopfcore import (
     hexagon_sides,
     host_generators,
     intertwining_failures,
-    sp,
-    sp_add,
     sparse_outer,
     tensor_mul_sparse,
     unit_products,
-    unsp,
     verify_coalgebra,
 )
 from .report import VerificationReport
@@ -63,11 +61,12 @@ class WeakHopfData(HopfData):
 
     @cached_property
     def _eps_of_prod(self) -> tuple:
+        """The rows of the counit form T[i][j] = eps(e_i e_j), as sparse vectors."""
         n = self.dim
         eps = self.counit
         return tuple(
-            tuple(sum((c * eps[k] for k, c in self.algebra.mul_row(i, j)), RAT_ZERO)
-                  for j in range(n))
+            {j: c for j in range(n)
+             if (c := sum((w * eps[k] for k, w in self.algebra.mul_row(i, j)), RAT_ZERO))}
             for i in range(n))
 
     @cached_property
@@ -76,7 +75,8 @@ class WeakHopfData(HopfData):
         that span its row space, and of columns that span its column space;
         the pivot columns of the RREF of T's columns and of T's rows."""
         t = self._eps_of_prod
-        return Subspace(zip(*t), self.dim).pivots, Subspace(t, self.dim).pivots
+        cols = LinearMap(self.dim, self.dim, t).transpose().cols
+        return Subspace(cols, self.dim).pivots, Subspace(t, self.dim).pivots
 
     @cached_property
     def eps_s(self) -> LinearMap:
@@ -85,7 +85,8 @@ class WeakHopfData(HopfData):
         cols = tuple({} for _ in range(self.dim))
         for i, col in enumerate(cols):
             for (a, b), c in self.delta_one.items():
-                sp_add(col, a, c * t[i][b])
+                if b in t[i]:
+                    sp_add(col, a, c * t[i][b])
         return LinearMap(self.dim, self.dim, cols)
 
     @cached_property
@@ -95,16 +96,17 @@ class WeakHopfData(HopfData):
         cols = tuple({} for _ in range(self.dim))
         for i, col in enumerate(cols):
             for (a, b), c in self.delta_one.items():
-                sp_add(col, b, c * t[a][i])
+                if i in t[a]:
+                    sp_add(col, b, c * t[a][i])
         return LinearMap(self.dim, self.dim, cols)
 
     @cached_property
     def source_basis(self) -> tuple:
-        return tuple(span_basis([unsp(col, self.dim) for col in self.eps_s.cols], self.dim))
+        return tuple(span_basis(self.eps_s.cols, self.dim))
 
     @cached_property
     def target_basis(self) -> tuple:
-        return tuple(span_basis([unsp(col, self.dim) for col in self.eps_t.cols], self.dim))
+        return tuple(span_basis(self.eps_t.cols, self.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,7 @@ def weak_counit_failures(w: WeakHopfData, swap: bool, fs, hs):
     and vanishes for all f once it does on F."""
     t = w._eps_of_prod
     alg, coal = w.algebra, w.coalgebra
-    t_on_hs = [{h: row[h] for h in hs if row[h]} for row in t]
+    t_on_hs = [{h: row[h] for h in hs if h in row} for row in t]
     for f in fs:
         tf = t[f]
         for g in range(w.dim):
@@ -136,7 +138,7 @@ def weak_counit_failures(w: WeakHopfData, swap: bool, fs, hs):
             for a, b, c in coal.comul_row(g):
                 if swap:
                     a, b = b, a
-                if tf[a]:
+                if a in tf:
                     for h, x in t_on_hs[b].items():
                         sp_add(diff, h, -c * tf[a] * x)
             if diff:
@@ -213,9 +215,9 @@ def counital_data(w: WeakHopfData) -> CounitalData:
     rep.add("eps_t_idempotent", et.compose(et) == et)
     src, tgt = w.source_basis, w.target_basis
     src_space, tgt_space = Subspace(src, w.dim), Subspace(tgt, w.dim)
-    rep.add("source_contains_unit", src_space.contains(w.unit))
-    rep.add("target_contains_unit", tgt_space.contains(w.unit))
-    mul = w.algebra.mul
+    rep.add("source_contains_unit", src_space.contains(w.algebra.unit_sparse))
+    rep.add("target_contains_unit", tgt_space.contains(w.algebra.unit_sparse))
+    mul = w.algebra.mul_sparse
     rep.check("source_closed_under_product",
               ((i, j) for i, u in enumerate(src) for j, v in enumerate(src)
                if not src_space.contains(mul(u, v))))
@@ -342,11 +344,14 @@ def almost_triangular_wha_report(wq: WeakQTStructure) -> VerificationReport:
     c_ht = alg.centralizer_basis(ht)
     cc_ht = Subspace(alg.centralizer_basis(c_ht), n)
 
-    zmat = [[RAT_ZERO] * n for _ in range(n)]
+    # z as a map: its columns are the first legs beside e_b, its rows the
+    # second legs beside e_a
+    z_cols = [{} for _ in range(n)]
     for (a, b), c in z.items():
-        zmat[a][b] = c
-    cond2 = all(cc_hs.contains(tuple(zmat[a][b] for a in range(n))) for b in range(n))
-    cond3 = all(cc_ht.contains(tuple(zmat[a][b] for b in range(n))) for a in range(n))
+        z_cols[b][a] = c
+    z_map = LinearMap(n, n, z_cols)
+    cond2 = all(cc_hs.contains(col) for col in z_map.cols)
+    cond3 = all(cc_ht.contains(row) for row in z_map.transpose().cols)
     cond4 = cond2 and cond3
     rep.add("cond2_z_in_ccHs_tensor_H", cond2, informational=True)
     rep.add("cond3_z_in_H_tensor_ccHt", cond3, informational=True)
@@ -358,8 +363,7 @@ def almost_triangular_wha_report(wq: WeakQTStructure) -> VerificationReport:
     d1 = w.delta_one
 
     def muger_failures():
-        for bi, bvec in enumerate(c_hs):
-            b_sp = sp(bvec)
+        for bi, b_sp in enumerate(c_hs):
             lhs: dict = {}
             for (a1, b1), c1 in r_items:
                 for (a2, b2), c2 in r_items:

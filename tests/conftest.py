@@ -3,6 +3,7 @@
 
 import hashlib
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +31,13 @@ def _structure_digest(*parts) -> str:
 def structure_digest():
     """Pins structure tensors to their exact values without spelling them out."""
     return _structure_digest
+
+
+@pytest.fixture(scope="session")
+def dense():
+    """dense(v, n): a sparse vector as the tuple of its n entries, the form in
+    which the pinned digests were taken."""
+    return lambda v, n: tuple(v.get(i, Fraction(0)) for i in range(n))
 
 
 @pytest.fixture

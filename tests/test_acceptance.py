@@ -93,8 +93,7 @@ def test_criterion_5_adjoint_stable_pipeline(transposition_block, q_s3, bg_s3, k
     assert pp.psi.compose(pp.phi).is_identity()
     assert pp.phi.compose(pp.psi).is_identity()
     # W = k.(single transposition): 2 * 3 = 6 * 1
-    tr_idx = next(i for v in transposition_block
-                  for i, c in enumerate(v) if c != 0 and sum(1 for x in v if x != 0) == 1)
+    tr_idx = next(i for v in transposition_block if len(v) == 1 for i in v)
     w1 = ComoduleData(bg_s3.braided_coalgebra, 1,
                       Tensor3.from_entries((1, 6, 1), [(0, tr_idx, 0, 1)]))
     n1 = adjoint_stable_algebra(w1, ks3, bg_s3)

@@ -19,7 +19,7 @@ from hopfsmash.adjstable import (
     yd_summand_from_block,
     yd_to_comodule,
 )
-from hopfsmash.exactlin import Tensor3, basis_vec, span_basis, vec
+from hopfsmash.exactlin import Tensor3, span_basis, vec
 from hopfsmash.qtriang import trivial_qt
 from hopfsmash.report import HypothesisFailure
 
@@ -42,14 +42,35 @@ def test_decompose_hr_s3_matches_classes(hr_decomposition, s3_table):
     assert hr_decomposition.report.ok
     # the blocks are exactly the class spans
     for cls in s3_table.conjugacy_classes():
-        span = [basis_vec(6, g) for g in cls]
+        span = [{g: F(1)} for g in cls]
         assert any(span_basis(list(b), 6) == span_basis(span, 6)
                    for b in hr_decomposition.blocks)
 
 
-def test_decompose_hr_s3_blocks_pinned(hr_decomposition, structure_digest):
+def test_decompose_hr_s3_blocks_pinned(hr_decomposition, structure_digest, dense):
     # exact blocks, pinned: the splitting kernel must reproduce them bit for bit
-    assert structure_digest(hr_decomposition.blocks) == "1cf47adbd53b8eea"
+    blocks = tuple(tuple(dense(v, 6) for v in blk) for blk in hr_decomposition.blocks)
+    assert structure_digest(blocks) == "1cf47adbd53b8eea"
+
+
+@pytest.mark.parametrize("double, sizes, fully_split", [
+    ("double_z2", (1, 1, 1, 1), True),
+    ("double_s3", (1, 1, 4, 9, 9, 12), False),
+], ids=["D(kZ2)", "D(kS3)"])
+def test_decompose_hr_on_doubles(request, double, sizes, fully_split):
+    # H_R of a nontrivially braided double: D(kS3) keeps blocks that do not
+    # split over Q, and its report says so without failing
+    from hopfsmash.qtriang import transmute
+    dec = decompose_hr(transmute(request.getfixturevalue(double)[1]))
+    assert tuple(len(b) for b in dec.blocks) == sizes
+    assert dec.fully_split is fully_split
+    informational = {"axiom": "fully_split", "status": "pass" if fully_split else "fail",
+                     "informational": True}
+    assert dec.report.to_dict() == {"subject": "decompose_hr", "ok": True, "checks": [
+        informational,
+        {"axiom": "direct_sum", "status": "pass"},
+        {"axiom": "blocks_ad_and_deltaR_stable", "status": "pass"},
+        {"axiom": "blocks_minimal", "status": "pass"}]}
 
 
 def test_decompose_hr_kz2(kz2, q_z2):
@@ -136,13 +157,14 @@ def test_nw_of_transposition_is_group_algebra_of_centralizer(ks3, bg_s3):
     n = adjoint_stable_algebra(w, ks3, bg_s3)
     assert n.carrier.dim == 2
     # dim-2 unital algebra with a non-unit element squaring to the unit: kZ2
+    one = n.carrier.unit_sparse
     other = None
     for i in range(2):
-        e = basis_vec(2, i)
-        if e != n.carrier.unit:
+        e = {i: F(1)}
+        if e != one:
             other = e
-    sq = n.carrier.mul(other, other)
-    assert sq == n.carrier.unit or n.carrier.mul(sq, sq) == sq
+    sq = n.carrier.mul_sparse(other, other)
+    assert sq == one or n.carrier.mul_sparse(sq, sq) == sq
 
 
 def test_nw_of_identity_class_is_group_algebra_op(ks3, bg_s3, s3_table):
@@ -153,7 +175,7 @@ def test_nw_of_identity_class_is_group_algebra_op(ks3, bg_s3, s3_table):
     # identify basis elements with group elements through the H leg
     labels = []
     for b in n.basis:
-        nz = [flat for flat, c in enumerate(b) if c != 0]
+        nz = sorted(b)
         assert len(nz) == 1
         labels.append(nz[0] % 36 // 6 if False else (nz[0] // 6) % 6)
     for p in range(6):
@@ -207,12 +229,12 @@ def test_cotensor_right_module_fault(ks3, bg_s3):
 def test_subcoalgebra_closure_guard(q_s3, bg_s3):
     # a non-closed subspace must be refused by name
     with pytest.raises(HypothesisFailure) as ei:
-        subcoalgebra_data([basis_vec(6, 1), basis_vec(6, 2)], q_s3, bg_s3)
+        subcoalgebra_data([{1: F(1)}, {2: F(1)}], q_s3, bg_s3)
     assert "D-closed" in str(ei.value) or "adjoint" in str(ei.value)
 
 
 def test_psi_phi_identity_class(q_s3, bg_s3):
-    pp = psi_phi([basis_vec(6, 0)], q_s3, bg_s3)
+    pp = psi_phi([{0: F(1)}], q_s3, bg_s3)
     assert pp.report.ok
     assert pp.nd.carrier.dim == 6
 
@@ -234,7 +256,7 @@ def test_psi_phi_transpositions_pinned(transposition_block, q_s3, bg_s3, structu
 
 
 def test_psi_phi_whole_hr(q_s3, bg_s3):
-    pp = psi_phi([basis_vec(6, i) for i in range(6)], q_s3, bg_s3)
+    pp = psi_phi([{i: F(1)} for i in range(6)], q_s3, bg_s3)
     assert pp.report.ok
     assert pp.nd.carrier.dim == 36
 
@@ -254,7 +276,7 @@ def test_nd_transport_requires_almost_triangular(double_s3, ip_s3):
     dd, q = double_s3
     # D(kS3) is not almost-triangular; the guard fires before anything is built
     with pytest.raises(HypothesisFailure) as ei:
-        nd_transport_report([basis_vec(36, 0)], q, ip_s3)
+        nd_transport_report([{0: F(1)}], q, ip_s3)
     assert "almost-triangular" in str(ei.value)
 
 
@@ -271,7 +293,7 @@ def test_hr_and_trace_separability_idempotents_coincide(q_s3, ip_s3, bg_s3,
     for (a, b), c in x_full.items():
         for p in range(m):
             for q2 in range(m):
-                w = c * pp.dd.basis[p][a] * pp.dd.basis[q2][b]
+                w = c * pp.dd.basis[p].get(a, 0) * pp.dd.basis[q2].get(b, 0)
                 if w != 0:
                     restricted[(p, q2)] = restricted.get((p, q2), 0) + w
     casimir = separability(pp.dstar_mod)

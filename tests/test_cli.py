@@ -333,6 +333,39 @@ def test_object_that_is_not_a_mapping_is_refused(tmp_path, capsys):
     assert "object 'k3s3' must be a mapping" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["verify", "{ws}", "k3s3", "module-algebra"],
+                                  ["construct", "{ws}", "double:s3", "{out}"]],
+                         ids=["verify", "construct"])
+def test_workspace_that_is_not_an_object_is_refused(tmp_path, capsys, argv):
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps([1, 2]))
+    out = tmp_path / "out.json"
+    assert main([a.format(ws=ws, out=out) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "top level of a workspace must be a JSON object" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("basis, reason", [
+    ([["0", "1", "0", "0", "0"]], "dim H = 6 entries"),
+    ([["0", "1", "0", "0", "0", "0", "0"]], "dim H = 6 entries"),
+    ([["0", "1", "0", "0", "0", "0"], ["0", "2", "0", "0", "0", "0"]], "linearly dependent"),
+], ids=["short", "long", "dependent"])
+@pytest.mark.parametrize("command", ["verify", "construct"])
+def test_subcoalgebra_basis_is_checked_when_read(tmp_path, capsys, basis, reason, command):
+    ws = _starter_workspace(tmp_path / "ws.json")
+    doc = json.loads(ws.read_text())
+    doc["objects"]["transpositions"]["basis"] = basis
+    ws.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    argv = (["verify", str(ws), "transpositions", "adjoint-stable"] if command == "verify"
+            else ["construct", str(ws), "nd:transpositions", str(out)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "object 'transpositions'" in err and reason in err
+    assert not out.exists()
+
+
 def test_recipe_without_target_is_refused(tmp_path, capsys):
     ws = _starter_workspace(tmp_path / "ws.json")
     out = tmp_path / "out.json"

@@ -6,29 +6,121 @@ from hypothesis import strategies as st
 
 from hopfsmash.exactlin import (
     DimensionMismatch,
+    LinearMap,
     Subspace,
     Tensor3,
     TensorElem,
     _poly_gcd,
-    basis_vec,
-    identity_mat,
+    commutant_rows,
     kernel_basis,
     mat,
-    mat_inverse,
-    mat_mul,
-    mat_vec,
     rank,
     rat,
     rat_str,
     solve,
+    sp,
     span_basis,
     split,
-    transpose,
     vec,
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
+
+# ---------------------------------------------------------------------------
+# a dense reference: vectors are tuples, matrices row-major tuples of rows
+# ---------------------------------------------------------------------------
+
+def _dense(v, n):
+    return tuple(v.get(i, F(0)) for i in range(n))
+
+
+def _mat_vec(m, v):
+    return tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in m)
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), F(0))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def _identity(n):
+    return tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def _dense_rref(vs, dim):
+    """Reference: textbook Gauss-Jordan on dense rows, nonzero rows only."""
+    rows = [list(v) for v in vs]
+    out, r = [], 0
+    for c in range(dim):
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return [tuple(row) for row in rows[:r]]
+
+
+def _dense_pivots(ref):
+    return tuple(next(c for c, x in enumerate(row) if x != 0) for row in ref)
+
+
+def _dense_kernel(rows, ncols):
+    """The basis of {v : rows v = 0} read off the RREF, one vector per free column."""
+    ref = _dense_rref(rows, ncols)
+    pivots = _dense_pivots(ref)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for row, p in zip(ref, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _dense_solve(m, b):
+    """A solution of m x = b with the free unknowns zero, or None."""
+    ncols = len(m[0]) if m else 0
+    ref = _dense_rref([tuple(row) + (bv,) for row, bv in zip(m, b)], ncols + 1)
+    x = [F(0)] * ncols
+    for row, p in zip(ref, _dense_pivots(ref)):
+        if p == ncols:
+            return None
+        x[p] = row[ncols]
+    return tuple(x)
+
+
+def _coords(vs, v, dim):
+    """Coordinates of v in the independent vectors vs, or None outside their span."""
+    cols = tuple(tuple(u[i] for u in vs) for i in range(dim))
+    return _dense_solve(cols, v) if vs else (() if not any(v) else None)
+
+
+def _commutant_dense(mats, m):
+    """The equations X g = g X on X flattened row-major, one per entry."""
+    rows = []
+    for g in mats:
+        for r in range(m):
+            for c in range(m):
+                row = [F(0)] * (m * m)
+                for k in range(m):
+                    row[r * m + k] += g[k][c]
+                    row[k * m + c] -= g[r][k]
+                rows.append(tuple(row))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
 
 def test_rat_string_roundtrip():
     assert rat("3/2") == F(3, 2)
@@ -56,19 +148,23 @@ def test_poly_gcd_is_monic():
 
 
 def test_kernel_examples():
-    assert kernel_basis(identity_mat(2)) == []
-    k = kernel_basis(mat([[1, 1], [1, 1]]))
+    assert kernel_basis([{0: F(1)}, {1: F(1)}], 2) == []
+    k = kernel_basis([{0: F(1), 1: F(1)}, {0: F(1), 1: F(1)}], 2)
     assert len(k) == 1 and k[0][0] == -k[0][1] != 0
-    assert len(kernel_basis(mat([[0] * 3] * 3))) == 3
+    assert kernel_basis([{}, {}, {}], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    with pytest.raises(DimensionMismatch):
+        kernel_basis([{3: F(1)}], 3)
 
 
 def test_solve_examples():
-    assert solve(mat([[2]]), vec([3])) == (F(3, 2),)
-    b = vec([4, -1, 7])
-    assert solve(identity_mat(3), b) == b
-    assert solve(mat([[1], [1]]), vec([1, 2])) is None
+    assert solve([{0: F(2)}], {0: F(3)}, 1) == {0: F(3, 2)}
+    b = {0: F(4), 1: F(-1), 2: F(7)}
+    assert solve([{0: F(1)}, {1: F(1)}, {2: F(1)}], b, 3) == b
+    assert solve([{0: F(1)}, {0: F(1)}], {0: F(1), 1: F(2)}, 1) is None
     with pytest.raises(DimensionMismatch):
-        solve(mat([[1, 2]]), vec([1, 2]))
+        solve([{0: F(1), 1: F(2)}], {0: F(1), 1: F(2)}, 2)
+    with pytest.raises(DimensionMismatch):
+        solve([{0: F(1), 1: F(2)}], {0: F(1)}, 1)
 
 
 def test_tensor3_round_trip():
@@ -93,10 +189,10 @@ def test_solve_recovers_vector_when_injective(n, data):
     rows = data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
                               min_size=n, max_size=n + 2))
     m = mat(rows)
-    if rank(m) < n:
+    if rank([sp(row) for row in m], n) < n:
         return
     x = vec(data.draw(st.lists(rationals, min_size=n, max_size=n)))
-    assert solve(m, mat_vec(m, x)) == x
+    assert solve([sp(row) for row in m], sp(_mat_vec(m, x)), n) == sp(x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,10 +201,11 @@ def test_kernel_vectors_are_exact(r, c, data):
     rows = data.draw(st.lists(st.lists(rationals, min_size=c, max_size=c),
                               min_size=r, max_size=r))
     m = mat(rows)
-    ker = kernel_basis(m)
-    assert rank(m) + len(ker) == c
+    ker = kernel_basis([sp(row) for row in m], c)
+    assert rank([sp(row) for row in m], c) + len(ker) == c
+    assert [_dense(v, c) for v in ker] == _dense_kernel(m, c)
     for v in ker:
-        assert all(x == 0 for x in mat_vec(m, v))
+        assert all(x == 0 for x in _mat_vec(m, _dense(v, c)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,38 +214,28 @@ def test_inverse_round_trip(n, m, data):
     rows = data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
                               min_size=n, max_size=n))
     a = mat(rows)
-    inv = mat_inverse(a)
+    inv = LinearMap.from_matrix(a).inverse()
     if inv is not None:
-        assert mat_mul(a, inv) == identity_mat(n)
-        assert mat_mul(inv, a) == identity_mat(n)
+        assert _mat_mul(a, inv.matrix) == _identity(n)
+        assert _mat_mul(inv.matrix, a) == _identity(n)
     else:
-        assert rank(a) < n
+        assert rank([sp(row) for row in a], n) < n
 
 
 def test_span_utilities():
-    b = span_basis([vec([1, 1, 0]), vec([2, 2, 0]), vec([0, 0, 1])], 3)
-    assert len(b) == 2
-    assert (Subspace([vec([1, 1, 0]), vec([0, 0, 2])], 3)
-            == Subspace([vec([3, 3, 0]), vec([1, 1, 5])], 3))
-    assert Subspace([vec([1, 0, 0])], 3) != Subspace([vec([0, 1, 0])], 3)
-
-
-def _dense_rref(vs, dim):
-    """Reference: textbook Gauss-Jordan on dense rows, nonzero rows only."""
-    rows = [list(v) for v in vs]
-    out, r = [], 0
-    for c in range(dim):
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return [tuple(row) for row in rows[:r]]
+    b = span_basis([{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}, {2: F(1)}], 3)
+    assert b == [{0: 1, 1: 1}, {2: 1}]
+    assert (Subspace([{0: F(1), 1: F(1)}, {2: F(2)}], 3)
+            == Subspace([{0: F(3), 1: F(3)}, {0: F(1), 1: F(1), 2: F(5)}], 3))
+    assert Subspace([{0: F(1)}], 3) != Subspace([{1: F(1)}], 3)
+    # an index outside the ambient space is refused, as LinearMap refuses it
+    for bad in ({3: F(1)}, {-1: F(1)}):
+        with pytest.raises(DimensionMismatch):
+            span_basis([bad], 3)
+        with pytest.raises(DimensionMismatch):
+            Subspace([{0: F(1)}, bad], 3)
+        with pytest.raises(DimensionMismatch):
+            Subspace([{0: F(1)}], 3).contains(bad)
 
 
 sparse_entries = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2), F(1, 2)])
@@ -173,54 +260,79 @@ def subspace_cases(draw):
     queries = [tuple(sum((c * v[i] for c, v in zip(cs, vs)), F(0)) for i in range(dim))
                for cs in combos]
     queries += draw(st.lists(vector, max_size=3))
-    return dim, vs, queries
+    ops = draw(st.lists(st.lists(st.lists(sparse_entries, min_size=dim, max_size=dim),
+                                 min_size=dim, max_size=dim), max_size=2))
+    return dim, vs, queries, [mat(op) for op in ops]
 
 
 @settings(max_examples=150, deadline=None)
 @given(subspace_cases())
 def test_subspace_agrees_with_dense_reference(case):
-    dim, vs, queries = case
-    sub = Subspace(vs, dim)
+    dim, vs, queries, ops = case
+    sub = Subspace([sp(v) for v in vs], dim)
     ref = _dense_rref(vs, dim)
-    assert list(sub.basis) == ref == span_basis(vs, dim)
+    assert [_dense(v, dim) for v in sub.basis] == ref
+    assert span_basis([sp(v) for v in vs], dim) == list(sub.basis)
+    assert sub.pivots == _dense_pivots(ref)
     independent = len(ref) == len(vs)
     for v in queries:
-        expect = solve(transpose(tuple(vs)), v) if vs else (() if not any(v) else None)
-        assert sub.contains(v) == (expect is not None)
+        expect = _coords(vs, v, dim)
+        assert sub.contains(sp(v)) == (expect is not None)
         if independent:
-            assert sub.coords(v) == expect
+            got = sub.coords(sp(v))
+            assert (None if got is None else _dense(got, len(vs))) == expect
         else:
             with pytest.raises(ValueError, match="linearly dependent"):
-                sub.coords(v)
-    assert sub == Subspace(list(reversed(vs)) + ref, dim)
-    other = Subspace(queries, dim)
+                sub.coords(sp(v))
+    assert sub == Subspace([sp(v) for v in reversed(vs)] + list(sub.basis), dim)
+    other = Subspace([sp(v) for v in queries], dim)
     assert (sub == other) == (ref == _dense_rref(queries, dim))
+    # restrict: the matrix of op on span(vs) in the coordinates of vs
+    for op in ops:
+        images = [_mat_vec(op, v) for v in vs]
+        if independent:
+            cols = [_coords(vs, w, dim) for w in images]
+            got = sub.restrict(LinearMap.from_matrix(op))
+            if None in cols:
+                assert got is None
+            else:
+                assert got.matrix == tuple(zip(*cols))
+    # kernel_basis and commutant_rows: the vectors as rows, the ops as maps
+    assert [_dense(v, dim) for v in kernel_basis([sp(v) for v in vs], dim)] == \
+        _dense_kernel(vs, dim)
+    if ops:
+        comm = kernel_basis(commutant_rows([LinearMap.from_matrix(op) for op in ops], dim),
+                            dim * dim)
+        assert [_dense(v, dim * dim) for v in comm] == \
+            _dense_kernel(_commutant_dense(ops, dim), dim * dim)
 
 
 def test_subspace_edge_cases():
     empty = Subspace([], 3)
     assert empty.basis == ()
-    assert empty.contains(vec([0, 0, 0])) and not empty.contains(vec([0, 1, 0]))
-    assert empty.coords(vec([0, 0, 0])) == () and empty.coords(vec([1, 0, 0])) is None
-    with_zero = Subspace([vec([1, 2, 0]), vec([0, 0, 0])], 3)
-    assert with_zero.basis == (vec([1, 2, 0]),)
+    assert empty.contains({}) and not empty.contains({1: F(1)})
+    assert empty.coords({}) == {} and empty.coords({0: F(1)}) is None
+    with_zero = Subspace([{0: F(1), 1: F(2)}, {}], 3)
+    assert with_zero.basis == ({0: 1, 1: 2},)
     with pytest.raises(ValueError, match="linearly dependent"):
-        with_zero.coords(vec([1, 2, 0]))
+        with_zero.coords({0: F(1), 1: F(2)})
     with pytest.raises(DimensionMismatch):
-        empty.contains(vec([0, 0]))
-    line = Subspace([vec([1, 1])], 2)
-    assert line.restrict(mat([[0, 1], [1, 0]])) == ((F(1),),)
-    assert line.restrict(mat([[1, 0], [0, 2]])) is None
+        empty.contains({3: F(1)})
+    line = Subspace([{0: F(1), 1: F(1)}], 2)
+    assert line.restrict(LinearMap.from_matrix([[0, 1], [1, 0]])).matrix == ((F(1),),)
+    assert line.restrict(LinearMap.from_matrix([[1, 0], [0, 2]])) is None
 
 
 def test_split_into_eigenspaces():
     # diag(1, 1, 3) conjugated by a unipotent P: eigenspaces span{P e_0, P e_1}
     # and span{P e_2}; a second operator separates the first plane
     p = mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-    p_inv = mat_inverse(p)
-    op1 = mat_mul(mat_mul(p, mat([[1, 0, 0], [0, 1, 0], [0, 0, 3]])), p_inv)
-    op2 = mat_mul(mat_mul(p, mat([[0, 0, 0], [0, 5, 0], [0, 0, 0]])), p_inv)
-    cols = transpose(p)
+    p_inv = LinearMap.from_matrix(p).inverse().matrix
+    op1 = LinearMap.from_matrix(_mat_mul(_mat_mul(p, mat([[1, 0, 0], [0, 1, 0], [0, 0, 3]])),
+                                         p_inv))
+    op2 = LinearMap.from_matrix(_mat_mul(_mat_mul(p, mat([[0, 0, 0], [0, 5, 0], [0, 0, 0]])),
+                                         p_inv))
+    cols = [sp(col) for col in zip(*p)]
     blocks, fully_split = split([op1], 3)
     assert fully_split
     assert blocks == [span_basis(cols[:2], 3), span_basis(cols[2:], 3)]
@@ -230,8 +342,8 @@ def test_split_into_eigenspaces():
                       span_basis([cols[2]], 3)]
     # x^2 + 1 has no rational root; a Jordan block is not diagonalisable
     for op in (mat([[0, -1], [1, 0]]), mat([[2, 1], [0, 2]])):
-        blocks, fully_split = split([op], 2)
-        assert not fully_split and blocks == [[basis_vec(2, 0), basis_vec(2, 1)]]
+        blocks, fully_split = split([LinearMap.from_matrix(op)], 2)
+        assert not fully_split and blocks == [[{0: 1}, {1: 1}]]
 
 
 def test_tensor_elem_accumulates_and_drops_zeros():

@@ -8,21 +8,17 @@ from hypothesis import strategies as st
 from hopfsmash import hopfcore
 from hopfsmash.exactlin import (
     DimensionMismatch,
+    LinearMap,
     Tensor3,
-    basis_vec,
-    identity_mat,
     kernel_basis,
     mat,
-    mat_mul,
-    mat_vec,
-    transpose,
+    sp,
     vec,
     vec_dot,
 )
 from hopfsmash.hopfcore import (
     GroupTable,
     HopfData,
-    LinearMap,
     NotSemisimple,
     StructureAlgebra,
     StructureCoalgebra,
@@ -31,7 +27,6 @@ from hopfsmash.hopfcore import (
     drinfeld_double,
     dual_hopf,
     group_algebra,
-    harpoon_left,
     heisenberg_double,
     integrals,
     opposites,
@@ -40,6 +35,20 @@ from hopfsmash.hopfcore import (
 )
 from hopfsmash.modalg import pointwise_algebra
 from hopfsmash.report import HypothesisFailure
+
+
+# a dense reference for the sparse maps: matrices are row-major tuples
+def _identity(n):
+    return tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def _mat_vec(m, v):
+    return tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in m)
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), F(0))
+                       for j in range(len(b[0]))) for i in range(len(a)))
 
 
 def test_group_table_validation():
@@ -62,7 +71,7 @@ def test_kz2_hopf(kz2):
     rep = verify_hopf(kz2)
     assert rep.ok
     # antipode of kZ2 is the identity: every element is self-inverse
-    assert kz2.antipode.matrix == identity_mat(2)
+    assert kz2.antipode.matrix == _identity(2)
 
 
 def test_ks3_mult_matches_permutation_oracle(ks3, s3_table):
@@ -117,7 +126,7 @@ def test_double_dual_is_identity(ks3):
     assert dd.mult == ks3.mult
     assert dd.comult == ks3.comult
     assert dd.antipode == ks3.antipode
-    ident = LinearMap.from_matrix(identity_mat(6))
+    ident = LinearMap.from_matrix(_identity(6))
     assert check_map(ident, ks3, dd, ("algebra", "coalgebra", "antipode", "injective")).ok
 
 
@@ -149,22 +158,23 @@ def test_opposites(kz2, ks3):
 def test_integrals_kz2(kz2):
     ip = integrals(kz2)
     # frozen: Lambda = e + g (normalized so <lambda, Lambda> = 1), lambda = d_e
-    assert ip.Lambda == vec([1, 1])
-    assert ip.lam == vec([1, 0])
+    assert ip.Lambda == {0: 1, 1: 1}
+    assert ip.lam == {0: 1}
 
 
 def test_integrals_ks3(ks3):
     ip = integrals(ks3)
-    assert ip.Lambda == vec([1] * 6)
-    assert ip.lam == vec([1, 0, 0, 0, 0, 0])
-    # Lambda -> lambda = eps
-    assert harpoon_left(ks3.algebra, ip.Lambda, ip.lam) == ks3.counit
+    assert ip.Lambda == {i: 1 for i in range(6)}
+    assert ip.lam == {0: 1}
+    # Lambda -> lambda = eps: <lambda, e_b Lambda> = eps(e_b)
+    assert tuple(vec_dot(ip.lam, ks3.algebra.mul_sparse({b: F(1)}, ip.Lambda))
+                 for b in range(6)) == ks3.counit
 
 
 def test_integrals_trivial():
     h = group_algebra(GroupTable.from_lists(["e"], [[0]]))
     ip = integrals(h)
-    assert ip.Lambda == vec([1]) and ip.lam == vec([1])
+    assert ip.Lambda == {0: 1} and ip.lam == {0: 1}
 
 
 def sweedler_h4():
@@ -196,26 +206,26 @@ def test_integrals_refuse_nonsemisimple():
 
 
 def _integrals_on_every_index(h):
-    """(Lambda, lambda) from the dense equations e_i x = eps(e_i) x = x e_i
-    for every basis index i, normalized as integrals() normalizes them."""
+    """(Lambda, lambda) from the equations e_i x = eps(e_i) x = x e_i for
+    every basis index i, normalized as integrals() normalizes them."""
     n = h.dim
 
     def kernel_line(alg, eps):
         rows = []
         for i in range(n):
-            e = basis_vec(n, i)
             for c in range(n):
-                ec = basis_vec(n, c)
-                for prod in (alg.mul(e, ec), alg.mul(ec, e)):
-                    rows.append(tuple(p - (eps[i] if r == c else 0) for r, p in enumerate(prod)))
-        ker = kernel_basis(tuple(rows))
+                for prod in (alg.mul_sparse({i: F(1)}, {c: F(1)}),
+                             alg.mul_sparse({c: F(1)}, {i: F(1)})):
+                    row = {r: prod.get(r, 0) - (eps[i] if r == c else 0) for r in range(n)}
+                    rows.append({r: x for r, x in row.items() if x})
+        ker = kernel_basis(rows, n)
         assert len(ker) == 1
         return ker[0]
 
     lam_ = kernel_line(h.algebra, h.counit)
     lam = kernel_line(convolution_algebra(h.coalgebra), h.unit)
-    lam = tuple(x / vec_dot(lam, h.unit) for x in lam)
-    return tuple(x / vec_dot(lam, lam_) for x in lam_), lam
+    lam = {k: x / vec_dot(lam, sp(h.unit)) for k, x in lam.items()}
+    return {k: x / vec_dot(lam, lam_) for k, x in lam_.items()}, lam
 
 
 def test_integrals_from_generator_equations(ks3, double_s3, monkeypatch):
@@ -240,7 +250,7 @@ def test_integrals_from_generator_equations(ks3, double_s3, monkeypatch):
 
 
 def test_check_map_examples(kz2, ks3):
-    ident = LinearMap.from_matrix(identity_mat(2))
+    ident = LinearMap.from_matrix(_identity(2))
     assert check_map(ident, kz2, kz2, ("algebra", "coalgebra", "antipode", "injective")).ok
     # eps: kS3 -> k as an algebra map
     triv = group_algebra(GroupTable.from_lists(["e"], [[0]]))
@@ -251,7 +261,7 @@ def test_check_map_examples(kz2, ks3):
     flip = LinearMap.from_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     assert check_map(flip, k3, k3, ("algebra", "injective")).ok
     # f(e_3) = e_0 + e_3 on kS3: each check names its first failing case
-    rows = [list(r) for r in identity_mat(6)]
+    rows = [list(r) for r in _identity(6)]
     rows[0][3] = F(1)
     bent = LinearMap.from_matrix(rows)
     rep = check_map(bent, ks3, ks3, ("algebra", "coalgebra"))
@@ -277,23 +287,23 @@ def test_linear_map_agrees_with_dense_reference(p, q, r, data):
     v = vec(data.draw(st.lists(small_rationals, min_size=p, max_size=p)))
     f, g = LinearMap.from_matrix(a), LinearMap.from_matrix(b)
     assert f.matrix == a and (f.source_dim, f.target_dim) == (p, q)
-    assert f.apply(v) == mat_vec(a, v)
-    assert g.compose(f).matrix == mat_mul(b, a)
-    assert f.transpose().matrix == transpose(a)
-    assert f.rank() == p - len(kernel_basis(a))
-    assert f.is_identity() == (p == q and a == identity_mat(p))
+    assert f.apply_sparse(sp(v)) == sp(_mat_vec(a, v))
+    assert g.compose(f).matrix == _mat_mul(b, a)
+    assert f.transpose().matrix == tuple(zip(*a))
+    assert f.rank() == p - len(kernel_basis([sp(row) for row in a], p))
+    assert f.is_identity() == (p == q and a == _identity(p))
     # the identity with at most one entry changed
-    near = [list(row) for row in identity_mat(p)]
+    near = [list(row) for row in _identity(p)]
     i, j = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
     near[i][j] = data.draw(small_rationals)
     near = mat(near)
     nf = LinearMap.from_matrix(near)
-    assert nf.is_identity() == (near == identity_mat(p))
+    assert nf.is_identity() == (near == _identity(p))
     # a square map: its inverse is the dense inverse, or None when singular
     sq = LinearMap.from_matrix(data.draw(st.sampled_from([near, draw_mat(p, p)])))
     inv = sq.inverse()
-    if kernel_basis(sq.matrix) == []:
-        assert mat_mul(sq.matrix, inv.matrix) == identity_mat(p)
+    if kernel_basis([sp(row) for row in sq.matrix], p) == []:
+        assert _mat_mul(sq.matrix, inv.matrix) == _identity(p)
     else:
         assert inv is None
     # equal maps hash equal, whatever order their columns were filled in
@@ -356,7 +366,7 @@ def test_antipode_involutive_agrees_with_dense_reference(ks3, double_z2, data):
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         anti[i][j] += data.draw(st.sampled_from([F(1), F(-1), F(1, 2)]))
     bent = HopfData(h.algebra, h.coalgebra, LinearMap.from_matrix(anti))
-    dense = mat_mul(bent.antipode.matrix, bent.antipode.matrix) == identity_mat(n)
+    dense = _mat_mul(bent.antipode.matrix, bent.antipode.matrix) == _identity(n)
     assert verify_hopf(bent).find("antipode_involutive").passed == dense
 
 
@@ -408,8 +418,8 @@ def test_cyclic_group_algebras(n):
     assert verify_hopf(h).ok
     ip = integrals(h)
     # Lambda = sum of all group elements, lambda = delta_e, for every kZ_n
-    assert ip.Lambda == tuple(F(1) for _ in range(n))
-    assert ip.lam == basis_vec(n, 0)
+    assert ip.Lambda == {i: F(1) for i in range(n)}
+    assert ip.lam == {0: F(1)}
 
 
 @settings(max_examples=8, deadline=None)
