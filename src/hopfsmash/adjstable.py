@@ -22,6 +22,7 @@ from .exactlin import (
     kernel_basis,
     rank,
     solve,
+    sp,
     sp_add,
     span_basis,
     split,
@@ -31,6 +32,7 @@ from .hopfcore import (
     StructureAlgebra,
     StructureCoalgebra,
     check_map,
+    convolution_algebra,
     module_law_failures,
     opposites,
 )
@@ -714,41 +716,72 @@ def _delta_slices(coal: StructureCoalgebra, v: dict) -> list:
     return [*left.values(), *right.values()]
 
 
+def hit_space(coal: StructureCoalgebra, f: dict, n: int) -> list:
+    """Canonical basis of f -> H = span of (id (x) f) Delta(e_a) over a, for
+    a functional f on the coalgebra coal of dimension n."""
+    vecs = []
+    for a in range(n):
+        v: dict = {}
+        for j, k, c in coal.comul_row(a):
+            if k in f:
+                sp_add(v, j, c * f[k])
+        vecs.append(v)
+    return span_basis(vecs, n)
+
+
 @dataclass(frozen=True)
 class HrDecomposition:
-    blocks: tuple      # tuple of bases (each a tuple of sparse H-vectors)
+    blocks: tuple       # tuple of bases (each a tuple of sparse H-vectors)
+    idempotents: tuple  # the block idempotents F_i of C(H*), in split order
     fully_split: bool
     report: VerificationReport
 
 
 def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
-    """Minimal H-module subcoalgebras D_1, ..., D_r of H_R: the simple
-    summands of H under the operator algebra generated by the adjoint action
-    and the coaction slices (f (x) id) Delta; split exactly over Q via the
-    commutant, refused-with-flag when a commutant eigenvalue is irrational."""
-    q = bg.host
-    h = q.host
+    """Minimal H-module subcoalgebras D_1, ..., D_r of H_R, from the centre:
+    C(H*), the functionals vanishing on commutators, is cut into ideals by the
+    joint eigenspaces of its left convolutions; the components F_i of the
+    unit eps along those ideals are the block idempotents, and D_i = F_i ->_R
+    H_R. fully_split is False, and minimality is not certified, when a
+    convolution eigenvalue is irrational and an ideal of C(H*) stays whole."""
+    h = bg.host.host
     n = h.dim
-    gens = [LinearMap(n, n, [dict(bg.adjoint_action.row(t, c)) for c in range(n)])
-            for t in range(n)]
-    gens += [LinearMap(n, n, [dict(h.coalgebra.comult.row(c, k)) for c in range(n)])
-             for k in range(n)]
+    rows = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            diff = dict(h.algebra.mul_row(a, b))
+            for k, c in h.algebra.mul_row(b, a):
+                sp_add(diff, k, -c)
+            rows.append(diff)
+    c_basis = kernel_basis(rows, n)
+    r = len(c_basis)
+    c_space = Subspace(c_basis, n)
+    dual = convolution_algebra(h.coalgebra)
+    conv = []
+    for i, u in enumerate(c_basis):
+        cols = [c_space.coords(dual.mul_sparse(u, v)) for v in c_basis]
+        if None in cols:
+            raise HypothesisFailure("C(H*)-subalgebra", (i, cols.index(None)))
+        conv.append(LinearMap(r, r, cols))
+    c_blocks, fully_split = split(conv, r)
 
-    comm_maps = []
-    for v in kernel_basis(commutant_rows(gens, n), n * n):
-        cols = [{} for _ in range(n)]    # X[r][c] is v[r n + c]
-        for key, x in v.items():
-            cols[key % n][key // n] = x
-        comm_maps.append(LinearMap(n, n, cols))
-
-    blocks, fully_split = split(comm_maps, n)
+    # eps, an algebra map, is the unit of C: eps = sum_i F_i with F_i in the
+    # i-th ideal, read off by one coordinate solve
+    on_c = LinearMap(r, n, c_basis)
+    members = [(i, on_c.apply_sparse(v)) for i, blk in enumerate(c_blocks) for v in blk]
+    unit = Subspace([m for _, m in members], n).coords(sp(h.counit))
+    idems = [{} for _ in c_blocks]
+    for p, c in unit.items():
+        i, m = members[p]
+        for k, x in m.items():
+            sp_add(idems[i], k, c * x)
+    coal_r = bg.braided_coalgebra
+    blocks = [hit_space(coal_r, f, n) for f in idems]
 
     rep = VerificationReport("decompose_hr")
     rep.add("fully_split", fully_split, informational=True)
     concat = [v for blk in blocks for v in blk]
     rep.add("direct_sum", len(concat) == n and rank(concat, n) == n)
-
-    coal_r = bg.braided_coalgebra
 
     def stability_failures():
         for bi, blk in enumerate(blocks):
@@ -766,6 +799,10 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     rep.check("blocks_ad_and_deltaR_stable", stability_failures())
 
     def minimality_failures():
+        gens = [LinearMap(n, n, [dict(bg.adjoint_action.row(t, c)) for c in range(n)])
+                for t in range(n)]
+        gens += [LinearMap(n, n, [dict(h.coalgebra.comult.row(c, k)) for c in range(n)])
+                 for k in range(n)]
         for bi, blk in enumerate(blocks):
             span = Subspace(blk, n)
             restrs = [span.restrict(g) for g in gens]
@@ -777,7 +814,7 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     rep.check("blocks_minimal", minimality_failures() if fully_split else ())
 
     ordered = tuple(tuple(blk) for blk in sorted(blocks, key=len))
-    return HrDecomposition(ordered, fully_split, rep)
+    return HrDecomposition(ordered, tuple(idems), fully_split, rep)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .exactlin import (
     LinearMap,
     Tensor3,
     TensorElem,
+    _array,
     rank,
     rat_reader,
     rat_str,
@@ -140,6 +141,14 @@ def groupoid_wha_from_json(obj: dict, name: str) -> WeakHopfData:
         ))
 
 
+def _group_algebra(obj: dict, name: str) -> HopfData:
+    """kG of a group object, its table validated; a malformed field is a
+    ValueError naming the object."""
+    elements, table = _fields(obj, name, "elements", "table")
+    with _parsing(f"object {name!r}"):
+        return group_algebra(GroupTable.from_lists(_array(elements), table))
+
+
 def _fields(obj: dict, name: str, *fields) -> tuple:
     """The values of `fields` in the workspace object `name`; a missing field
     is a ValueError naming the object and the field."""
@@ -199,7 +208,7 @@ class Workspace:
                 raise ValueError(f"object {name!r} must be a mapping")
             for field in ("host", "qt", "group"):
                 ref = obj.get(field)
-                if ref is not None and ref not in objects:
+                if ref is not None and (not isinstance(ref, str) or ref not in objects):
                     raise ValueError(
                         f"object {name!r} references missing object {ref!r}")
         return Workspace(objects, raw)
@@ -216,7 +225,7 @@ class Workspace:
         obj = self.get(name)
         t = obj.get("type")
         if t == "group":
-            return group_algebra(GroupTable.from_lists(*_fields(obj, name, "elements", "table")))
+            return _group_algebra(obj, name)
         if t in ("hopf", "weak-hopf"):
             return de_hopf(obj, name)
         raise ValueError(f"object {name!r} of type {t!r} is not a Hopf algebra")
@@ -331,7 +340,7 @@ def _demo_hr_s3(seed: int):
     out.merge(dec.report, "decompose.")
     dims = sorted(len(b) for b in dec.blocks)
     out.add("block_dims_1_2_3", dims == [1, 2, 3], tuple(dims))
-    ci = class_idempotents(h, q, ip, bg)
+    ci = class_idempotents(h, q, ip, bg, dec)
     out.merge(ci.report, "idempotents.")
     x, xrep = hr_dual_separability(q, ip, bg)
     out.merge(xrep, "x.")
@@ -495,8 +504,7 @@ def _construct(ws: Workspace, recipe: str):
     if not args:
         raise ValueError(f"recipe {recipe!r} names no target")
     if op == "group-algebra":
-        h = group_algebra(GroupTable.from_lists(
-            *_fields(ws.get(args[0]), args[0], "elements", "table")))
+        h = _group_algebra(ws.get(args[0]), args[0])
         return {"constructed": ser_hopf(h)}, h.report
     if op == "dual":
         h = dual_hopf(ws.resolve_hopf(args[0]))

@@ -76,15 +76,23 @@ def rat_str(x: Fraction) -> str:
 # sparse vectors
 # ---------------------------------------------------------------------------
 
+def _array(x):
+    """x, when it is a list or a tuple; a TypeError otherwise, so that a JSON
+    string or object is never read as the array of its characters or keys."""
+    if not isinstance(x, (list, tuple)):
+        raise TypeError(f"expected an array, not {type(x).__name__}")
+    return x
+
+
 def vec(entries) -> tuple:
     """A dense vector of exact rationals, for a unit or a counit."""
-    return tuple(map(rat_reader(), entries))
+    return tuple(map(rat_reader(), _array(entries)))
 
 
 def mat(rows) -> tuple:
     """A dense row-major matrix of exact rationals, read at the boundary."""
     read = rat_reader()
-    m = tuple(tuple(map(read, r)) for r in rows)
+    m = tuple(tuple(map(read, _array(r))) for r in _array(rows))
     if m and any(len(r) != len(m[0]) for r in m):
         raise DimensionMismatch("ragged rows")
     return m
@@ -610,10 +618,11 @@ class Tensor3:
 
     @staticmethod
     def from_dense(data) -> "Tensor3":
-        d0 = len(data)
-        d1 = len(data[0]) if d0 else 0
-        d2 = len(data[0][0]) if d1 else 0
-        if any(len(plane) != d1 or any(len(row) != d2 for row in plane) for plane in data):
+        d0 = len(_array(data))
+        d1 = len(_array(data[0])) if d0 else 0
+        d2 = len(_array(data[0][0])) if d1 else 0
+        if any(len(_array(plane)) != d1 or any(len(_array(row)) != d2 for row in plane)
+               for plane in data):
             raise DimensionMismatch(f"ragged tensor: not every plane is {d1} x {d2}")
         read = rat_reader()
         # the "0" shortcut compares strings only, so a JSON false still reaches rat

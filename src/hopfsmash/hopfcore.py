@@ -51,6 +51,8 @@ class StructureAlgebra:
     unit: tuple
 
     def __post_init__(self):
+        if type(self.dim) is not int:
+            raise TypeError(f"dimension {self.dim!r} is not an integer")
         if self.mult.dims != (self.dim, self.dim, self.dim):
             raise DimensionMismatch("multiplication tensor has wrong shape")
         if len(self.unit) != self.dim:
@@ -705,8 +707,8 @@ class GroupTable:
         n = self.order
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise ValueError("group table is not square")
-        if any(x not in range(n) for r in self.table for x in r):
-            raise ValueError("group table entries out of range")
+        if any(type(x) is not int or not 0 <= x < n for r in self.table for x in r):
+            raise ValueError("group table entries must be integers in range")
         ident = None
         for e in range(n):
             if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):

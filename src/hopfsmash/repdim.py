@@ -14,18 +14,16 @@ import random
 from dataclasses import dataclass
 from math import isqrt
 
+from .adjstable import HrDecomposition, decompose_hr, hit_space, yd_to_comodule
 from .exactlin import (
     RAT_ONE,
     LinearMap,
     Subspace,
     _min_poly,
     _poly_gcd,
-    kernel_basis,
-    solve,
     sp,
     sp_add,
     span_basis,
-    split,
     vec_dot,
 )
 from .hopfcore import (
@@ -134,62 +132,24 @@ class ClassIdempotents:
 
 
 def class_idempotents(h: HopfData, q: QTStructure, ip,
-                      bg: BraidedGroupData | None = None) -> ClassIdempotents:
-    """Minimal idempotents F_i of the cocommutative-functions subalgebra
-    C(H*), each central in H_R^*, with F_i ->_R H_R = Lambda <- F_i H* as
-    exact subspaces cross-checked against the H_R decomposition."""
+                      bg: BraidedGroupData | None = None,
+                      decomposition: HrDecomposition | None = None) -> ClassIdempotents:
+    """The block idempotents F_i of the cocommutative-functions subalgebra
+    C(H*) that `decompose_hr` splits from, checked as orthogonal idempotents
+    summing to eps, each central in H_R^*, with F_i ->_R H_R = Lambda <- F_i H*
+    as exact subspaces. Refused when C(H*) does not split into lines over Q."""
     if bg is None:
         bg = transmute(q)
+    if decomposition is None:
+        decomposition = decompose_hr(bg)
     n = h.dim
     rep = VerificationReport("class_idempotents")
-
-    # C(H*): the functionals vanishing on every commutator e_a e_b - e_b e_a
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            diff = dict(h.algebra.mul_row(a, b))
-            for k, c in h.algebra.mul_row(b, a):
-                sp_add(diff, k, -c)
-            rows.append(diff)
-    c_basis = kernel_basis(rows, n)
-    r = len(c_basis)
+    idems = decomposition.idempotents
+    rep.add("c_hstar_splits_into_lines", decomposition.fully_split, (len(idems),))
+    if not decomposition.fully_split:
+        raise HypothesisFailure("C(H*)-split-over-Q")
 
     dual = convolution_algebra(h.coalgebra)
-    c_space = Subspace(c_basis, n)
-    prods = [[dual.mul_sparse(u, v) for v in c_basis] for u in c_basis]
-    if not rep.check("c_hstar_closed_under_convolution",
-                     ((i, j) for i in range(r) for j in range(r)
-                      if not c_space.contains(prods[i][j]))):
-        raise HypothesisFailure("C(H*)-subalgebra")
-
-    # split the commutative algebra C into one-dimensional blocks, by the
-    # matrices of left convolution with each basis element of C
-    gens = [LinearMap(r, r, [c_space.coords(uv) for uv in row]) for row in prods]
-    blocks, fully_split = split(gens, r)
-    if not fully_split:
-        raise HypothesisFailure("C(H*)-split-over-Q")
-    rep.add("c_hstar_splits_into_lines", all(len(b) == 1 for b in blocks), (len(blocks),))
-    if not all(len(b) == 1 for b in blocks):
-        raise HypothesisFailure("C(H*)-split-over-Q")
-
-    # block representatives in H* coordinates
-    on_c = LinearMap(r, n, c_basis)
-    reps = [on_c.apply_sparse(blk[0]) for blk in blocks]
-
-    # F_i: the element of C acting as identity on line i and zero elsewhere;
-    # one system, equation j n + t for coordinate t of line j, solved for
-    # each line's right-hand side
-    rows_m = []
-    for repv in reps:
-        rows_m.extend(LinearMap(r, n, [dual.mul_sparse(cb, repv) for cb in c_basis])
-                      .transpose().cols)
-    idems = []
-    for i, repv in enumerate(reps):
-        sol = solve(rows_m, {i * n + t: c for t, c in repv.items()}, r)
-        if sol is None:
-            raise HypothesisFailure("C(H*)-idempotent-solve")
-        idems.append(on_c.apply_sparse(sol))
-
     rep.check("idempotent", ((i,) for i, f in enumerate(idems) if dual.mul_sparse(f, f) != f))
     rep.check("orthogonal",
               ((i, j) for i in range(len(idems)) for j in range(i + 1, len(idems))
@@ -205,42 +165,24 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
               ((b,) for f in idems for b in range(n)
                if ar.mul_sparse(f, {b: RAT_ONE}) != ar.mul_sparse({b: RAT_ONE}, f)))
 
-    coal_r = bg.braided_coalgebra
     block_bases = []
     ok = True
     for f in idems:
-        lhs_vecs = []
-        for a in range(n):
-            v: dict = {}
-            for j, k, c in coal_r.comul_row(a):
-                if k in f:
-                    sp_add(v, j, c * f[k])
-            lhs_vecs.append(v)
-        lhs = span_basis(lhs_vecs, n)
+        lhs = hit_space(bg.braided_coalgebra, f, n)
         rhs_vecs = []
         for b in range(n):
             # Lambda <- f e_b = <f e_b, Lambda_(1)> Lambda_(2)
             fb = dual.mul_sparse(f, {b: RAT_ONE})
-            v = {}
+            v: dict = {}
             for i, ci in ip.Lambda.items():
                 for j, k, w in h.coalgebra.comul_row(i):
                     if j in fb:
                         sp_add(v, k, ci * w * fb[j])
             rhs_vecs.append(v)
-        rhs = span_basis(rhs_vecs, n)
-        if lhs != rhs:
+        if lhs != span_basis(rhs_vecs, n):
             ok = False
         block_bases.append(tuple(lhs))
     rep.add("hit_spaces_match", ok)
-
-    from .adjstable import decompose_hr
-    dec = decompose_hr(bg)
-    dims_a = sorted(len(b) for b in block_bases)
-    dims_b = sorted(len(b) for b in dec.blocks)
-    rep.add("blocks_match_decomposition_dims", dims_a == dims_b, (dims_a, dims_b))
-    dec_spaces = [Subspace(db, n) for db in dec.blocks]
-    rep.check("blocks_match_decomposition_spaces",
-              ((i,) for i, bb in enumerate(block_bases) if Subspace(bb, n) not in dec_spaces))
     return ClassIdempotents(tuple(idems), tuple(block_bases), rep)
 
 
@@ -250,7 +192,6 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
 
 def dv_divisibility(v, q: QTStructure, bg: BraidedGroupData | None = None) -> VerificationReport:
     """dim D_V divides dim V for an irreducible Yetter-Drinfeld module V."""
-    from .adjstable import yd_to_comodule
     rep = VerificationReport("dv_divisibility")
     res = yd_to_comodule(v, q, bg)
     dv = len(res.d_v_basis)

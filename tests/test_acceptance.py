@@ -10,6 +10,7 @@ import time
 import pytest
 
 from hopfsmash import demos as dm
+from hopfsmash.exactlin import Subspace
 from hopfsmash.hopfcore import verify_hopf
 from hopfsmash.modalg import adjoint_module_algebra
 from hopfsmash.qtriang import (
@@ -113,7 +114,10 @@ def test_criterion_6_decomposition(hr_decomposition, ks3, q_s3, ip_s3, bg_s3):
     assert len(ci.idempotents) == 3
     assert ci.report.find("central_in_hr_star").passed
     assert ci.report.find("hit_spaces_match").passed
-    assert ci.report.find("blocks_match_decomposition_spaces").passed
+    # the class-idempotent hit spaces are the decomposition's blocks
+    dec_spaces = [Subspace(b, 6) for b in hr_decomposition.blocks]
+    assert len(ci.blocks) == len(dec_spaces)
+    assert all(Subspace(b, 6) in dec_spaces for b in ci.blocks)
     _announce(6, "H_R(kS3) = blocks {1, 2, 3}; 3 exact central idempotents of "
                  "H_R^* with matching hit subspaces")
 

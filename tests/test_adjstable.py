@@ -19,7 +19,9 @@ from hopfsmash.adjstable import (
     yd_summand_from_block,
     yd_to_comodule,
 )
-from hopfsmash.exactlin import Tensor3, span_basis, vec
+from hopfsmash import demos as dm
+from hopfsmash.exactlin import (LinearMap, Subspace, Tensor3, commutant_rows, kernel_basis,
+                                span_basis, split, vec)
 from hopfsmash.qtriang import trivial_qt
 from hopfsmash.report import HypothesisFailure
 
@@ -71,6 +73,44 @@ def test_decompose_hr_on_doubles(request, double, sizes, fully_split):
         {"axiom": "direct_sum", "status": "pass"},
         {"axiom": "blocks_ad_and_deltaR_stable", "status": "pass"},
         {"axiom": "blocks_minimal", "status": "pass"}]}
+
+
+def _commutant_route(bg):
+    """The blocks of H_R by the commutant, kept as a reference for the
+    centre route: the joint eigenspaces of the commutant of the adjoint
+    action and the coaction slices (f (x) id) Delta, an n^2-unknown solve."""
+    h = bg.host.host
+    n = h.dim
+    gens = [LinearMap(n, n, [dict(bg.adjoint_action.row(t, c)) for c in range(n)])
+            for t in range(n)]
+    gens += [LinearMap(n, n, [dict(h.coalgebra.comult.row(c, k)) for c in range(n)])
+             for k in range(n)]
+    comm = []
+    for v in kernel_basis(commutant_rows(gens, n), n * n):
+        cols = [{} for _ in range(n)]    # X[r][c] is v[r n + c]
+        for key, x in v.items():
+            cols[key % n][key // n] = x
+        comm.append(LinearMap(n, n, cols))
+    return split(comm, n)
+
+
+@pytest.mark.parametrize("host", ["kZ2", "kS3", "D(kZ2)", "D(kZ3)", "D(kS3)"])
+def test_decompose_hr_matches_the_commutant_route(request, host):
+    from hopfsmash.hopfcore import drinfeld_double, group_algebra
+    from hopfsmash.qtriang import transmute
+    q = {"kZ2": lambda: request.getfixturevalue("q_z2"),
+         "kS3": lambda: request.getfixturevalue("q_s3"),
+         "D(kZ2)": lambda: request.getfixturevalue("double_z2")[1],
+         "D(kZ3)": lambda: drinfeld_double(group_algebra(dm.cyclic_table(3)))[1],
+         "D(kS3)": lambda: request.getfixturevalue("double_s3")[1]}[host]()
+    bg = transmute(q)
+    n = q.host.dim
+    dec = decompose_hr(bg)
+    blocks, fully_split = _commutant_route(bg)
+    assert dec.fully_split is fully_split
+    spaces = [Subspace(b, n) for b in blocks]
+    assert len(dec.blocks) == len(spaces)
+    assert all(Subspace(b, n) in spaces for b in dec.blocks)
 
 
 def test_decompose_hr_kz2(kz2, q_z2):

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfsmash import __version__
 from hopfsmash import demos as dm
-from hopfsmash.cli import main, ser_hopf, ser_t3
+from hopfsmash.cli import cmd_demo, main, ser_hopf, ser_t3
 
 
 def write_workspace(path):
@@ -54,6 +58,13 @@ def test_demo_heisenberg(tmp_path, capsys, monkeypatch):
     assert payload["ok"] is True
     assert payload["tool_version"] == __version__
     assert "input_hash" in payload
+
+
+def test_demo_hr_s3_decomposes_once(tmp_path, count_calls):
+    from hopfsmash import adjstable
+    calls = count_calls(adjstable, "decompose_hr")
+    assert cmd_demo("hr-s3", 0, str(tmp_path / "hr-s3.json")) == 0
+    assert len(calls) == 1
 
 
 def test_demo_unknown_name(tmp_path, monkeypatch):
@@ -538,3 +549,91 @@ def test_ser_t3_matches_the_dense_serialisation():
     from hopfsmash.exactlin import rat_str
     t = _sparse_tensor()
     assert ser_t3(t) == [[[rat_str(c) for c in row] for row in plane] for plane in t.dense()]
+
+
+# ---------------------------------------------------------------------------
+# malformed fields: the starter workspace plus a serialised kZ2
+# ---------------------------------------------------------------------------
+
+SUITE_OF = {"z2": "hopf", "s3": "hopf", "qs3-trivial": "qt", "k3s3": "module-algebra",
+            "transpositions": "adjoint-stable", "kz2": "hopf"}
+
+
+@pytest.fixture(scope="module")
+def starter_doc(tmp_path_factory):
+    doc = json.loads(_starter_workspace(tmp_path_factory.mktemp("ws") / "ws.json").read_text())
+    doc["objects"]["kz2"] = ser_hopf(dm.k_z2())
+    return doc
+
+
+def _replaced(doc, target, path, value):
+    """A copy of doc with objects[target][path[0]][path[1]]... set to value."""
+    doc = json.loads(json.dumps(doc))
+    obj = doc["objects"][target]
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("target, path, value", [
+    # a string where an array is expected was read character by character
+    ("kz2", ("unit",), "10"),
+    ("kz2", ("counit",), "11"),
+    ("kz2", ("antipode",), ["10", "01"]),
+    ("kz2", ("mult",), [["10", "01"], ["01", "10"]]),
+    ("k3s3", ("algebra", "unit"), "100"),
+    ("transpositions", ("basis",), ["010000", "001000", "000001"]),
+    # a count or a table entry that is not an integer, element names that are
+    # not a list, a reference that is not a name
+    ("kz2", ("dim",), 2.0),
+    ("k3s3", ("algebra", "dim"), 3.0),
+    ("z2", ("elements",), 5),
+    ("z2", ("elements",), None),
+    ("z2", ("elements",), {"e": 1, "g": 2}),
+    ("z2", ("table",), 3),
+    ("z2", ("table", 0, 0), 0.0),
+    ("z2", ("table", 0, 1), True),
+    ("z2", ("table", 0, 0), False),
+    ("qs3-trivial", ("host",), ["s3"]),
+], ids=["unit-string", "counit-string", "antipode-row-strings", "mult-cell-strings",
+        "algebra-unit-string", "basis-strings", "dim-float", "algebra-dim-float",
+        "elements-int", "elements-null", "elements-object", "table-int", "table-entry-float",
+        "table-entry-true", "table-entry-false", "host-list"])
+def test_malformed_field_is_refused(tmp_path, capsys, starter_doc, target, path, value):
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(_replaced(starter_doc, target, path, value)))
+    assert main(["verify", str(ws), target, SUITE_OF[target]]) == 2
+    assert f"object {target!r}" in capsys.readouterr().err
+
+
+SCALARS = st.one_of(st.text(max_size=6), st.integers(-3, 9), st.floats(), st.booleans(),
+                    st.none())
+VALUES = st.one_of(SCALARS, st.lists(st.one_of(SCALARS, st.lists(SCALARS, max_size=3)),
+                                     max_size=4),
+                   st.dictionaries(st.text(max_size=3), SCALARS, max_size=3))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(SUITE_OF)), st.data())
+def test_fuzzed_workspace_field_exits_cleanly(starter_doc, tmp_path_factory, target, data):
+    # one field of one object (or of a module algebra's algebra) replaced by a
+    # value of any JSON type, or a list truncated: verify returns 0, 1 or 2,
+    # and 2 says why
+    obj = starter_doc["objects"][target]
+    paths = [(f,) for f in obj] + [(f, g) for f in obj if isinstance(obj[f], dict)
+                                   for g in obj[f]]
+    path = data.draw(st.sampled_from(paths))
+    old = obj[path[0]] if len(path) == 1 else obj[path[0]][path[1]]
+    choices = [VALUES]
+    if isinstance(old, list) and old:
+        choices.append(st.integers(0, len(old) - 1).map(lambda k: old[:k]))
+    value = data.draw(st.one_of(choices))
+    ws = tmp_path_factory.getbasetemp() / "fuzz.json"
+    ws.write_text(json.dumps(_replaced(starter_doc, target, path, value)))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main(["verify", str(ws), target, SUITE_OF[target]])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert "error:" in err.getvalue()
