@@ -21,10 +21,10 @@ from .exactlin import (
     commutant_rows,
     kernel_basis,
     rank,
-    solve,
     sp,
     sp_add,
     span_basis,
+    span_closure,
     split,
 )
 from .hopfcore import (
@@ -47,6 +47,8 @@ from .qtriang import (
     transmute,
 )
 from .report import HypothesisFailure, VerificationReport
+from .smashcons import smash_algebra, smash_qt, smash_weak_structure
+from .weakhopf import WeakHopfData, WeakQTStructure, almost_triangular_wha_report, verify_weak_qt
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +222,8 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
 
     slices = [{d: c for d in range(nh) if (c := cm.coaction.entry(x, d, x2))}
               for x in range(n) for x2 in range(n)]
-    basis = span_basis(slices, nh)
     coal_r = bg.braided_coalgebra
-    changed = True
-    while changed:
-        changed = False
-        new = list(basis)
-        for u in basis:
-            new.extend(_delta_slices(coal_r, u))
-        improved = span_basis(new, nh)
-        if len(improved) > len(basis):
-            basis = improved
-            changed = True
+    basis = span_closure(slices, lambda u: _delta_slices(coal_r, u).values(), nh)
     d_v = Subspace(basis, nh)
     rep.check("d_v_is_H_module_subspace",
               ((t, ui) for t in range(nh) for ui, u in enumerate(basis)
@@ -366,8 +358,9 @@ def _nw_product(h: HopfData, nw: int, nh: int, x: dict, y: dict) -> dict:
 
 def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
                            bg: BraidedGroupData | None = None) -> AdjointStableAlgebra:
-    """N_W = W* [] (H (x) W) with the convolution-style product; associativity,
-    unit (located by exact solve) and closure are verified."""
+    """N_W = W* [] (H (x) W) with the convolution-style product; closure,
+    associativity and the unit law of the unit sum_i w*_i (x) 1 (x) w_i are
+    verified."""
     htw = build_h_tensor_w(w, h, bg)
     wd = dual_right_comodule(w)
     basis = cotensor(wd, htw.as_comodule())
@@ -385,21 +378,15 @@ def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
                 rowdicts[(p, q)] = cell
     mult = Tensor3.from_row_dicts((m, m, m), rowdicts)
 
-    # the unit u: the e_r-coefficients of u e_q and of e_q u are [r == q]
-    rows, rhs = [], {}
-    for q in range(m):
-        for r in range(m):
-            if r == q:
-                rhs[len(rows)] = rhs[len(rows) + 1] = RAT_ONE
-            rows.append({p: c for p in range(m) if (c := mult.entry(p, q, r))})
-            rows.append({p: c for p in range(m) if (c := mult.entry(q, p, r))})
-    unit_coords = solve(rows, rhs, m)
+    # the unit sum_i w*_i (x) 1 (x) w_i: x o u = x and u o y = y term by term
+    one = h.algebra.unit_sparse
+    amb_unit = {(i * nh + k) * nw + i: c for i in range(nw) for k, c in one.items()}
+    unit_coords = span.coords(amb_unit)
     if unit_coords is None:
         raise ValueError("N_W has no unit inside the cotensor subspace")
     carrier = StructureAlgebra(m, mult, tuple(unit_coords.get(p, RAT_ZERO) for p in range(m)))
     carrier.report.require()
 
-    amb_unit = LinearMap(m, nw * nh * nw, basis).apply_sparse(unit_coords)
     return AdjointStableAlgebra(w, htw, tuple(basis), carrier, amb_unit)
 
 
@@ -489,10 +476,9 @@ def cotensor_right_module(wdual: RightComoduleData, v_com: ComoduleData,
 class SubcoalgebraData:
     """An H-module subcoalgebra D of H_R in explicit coordinates."""
 
-    basis: tuple          # sparse vectors of H
-    comult: Tensor3       # Delta_R in D-coordinates
-    counit: tuple
-    ad_coords: tuple      # ad_coords[t][q] = coords of e_t .ad d_q in D, sparse
+    basis: tuple                     # sparse vectors of H
+    coalgebra: StructureCoalgebra    # (Delta_R, eps) in D-coordinates
+    ad_coords: tuple                 # ad_coords[t][q] = coords of e_t .ad d_q in D, sparse
 
     @property
     def dim(self) -> int:
@@ -530,8 +516,8 @@ def subcoalgebra_data(d_basis, q: QTStructure, bg: BraidedGroupData) -> Subcoalg
                 raise HypothesisFailure("D-closed-under-Delta_R-second-leg", (p, qidx))
             for r, c in rc.items():
                 comult_entries.append((p, qidx, r, c))
-    comult = Tensor3.from_entries((m, m, m), comult_entries)
-    counit = tuple(h.coalgebra.counit_sparse(v) for v in d_basis)
+    coal = StructureCoalgebra(m, Tensor3.from_entries((m, m, m), comult_entries),
+                              tuple(h.coalgebra.counit_sparse(v) for v in d_basis))
 
     ad_coords = []
     for t in range(nh):
@@ -543,18 +529,13 @@ def subcoalgebra_data(d_basis, q: QTStructure, bg: BraidedGroupData) -> Subcoalg
                 raise HypothesisFailure("D-closed-under-adjoint-action", (t, qidx))
             row.append(cc)
         ad_coords.append(tuple(row))
-    return SubcoalgebraData(tuple(d_basis), comult, counit, tuple(ad_coords))
+    return SubcoalgebraData(tuple(d_basis), coal, tuple(ad_coords))
 
 
 def dstar_module_algebra(dd: SubcoalgebraData, hop: HopfData) -> ModuleAlgebraData:
-    """D* as a left H^op-module algebra: convolution product dual to Delta_R
-    on D, action <d* <<- h, d> = <d*, h .ad d>."""
+    """D* as a left H^op-module algebra: the convolution algebra of (D,
+    Delta_R), with the action <d* <<- h, d> = <d*, h .ad d>."""
     m = dd.dim
-    entries = []
-    for i in range(m):
-        for j, k, c in _coal_rows(dd.comult, i):
-            entries.append((j, k, i, c))
-    alg = StructureAlgebra(m, Tensor3.from_entries((m, m, m), entries), dd.counit)
     nh = hop.dim
     act_entries = []
     for t in range(nh):
@@ -562,15 +543,10 @@ def dstar_module_algebra(dd: SubcoalgebraData, hop: HopfData) -> ModuleAlgebraDa
             for r in range(m):
                 if c := dd.ad_coords[t][r].get(p):
                     act_entries.append((t, p, r, c))
-    mod = ModuleAlgebraData(hop, alg, Tensor3.from_entries((nh, m, m), act_entries))
+    mod = ModuleAlgebraData(hop, convolution_algebra(dd.coalgebra),
+                            Tensor3.from_entries((nh, m, m), act_entries))
     mod.report.require()
     return mod
-
-
-def _coal_rows(t3: Tensor3, i: int):
-    for j in range(t3.dims[1]):
-        for k, c in t3.row(i, j):
-            yield j, k, c
 
 
 @dataclass(frozen=True)
@@ -581,7 +557,6 @@ class PsiPhiResult:
     smash: "object"            # SmashProduct of D* # H^op
     dstar_mod: ModuleAlgebraData
     dd: SubcoalgebraData
-    coaction_convention: str
     report: VerificationReport
 
 
@@ -590,17 +565,20 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
     Phi(d* # h) = (d*_<0> <<- S(h_(1))) (x) h_(2) (x) d*_<1>, mutually inverse
     algebra isomorphisms between N_D and D* # H^op.
 
-    The right D-coaction on D* is pinned down by testing both a-priori
-    conventions and insisting exactly one makes Phi well-defined with
-    Psi o Phi = id (they collapse to one for cocommutative Delta_R|_D).
+    The right D-coaction on D* is the one dual_right_comodule gives D* from
+    the left coaction Delta_R|_D of D on itself, so the one that forms N_D =
+    D* [] (H (x) D): rho(d*_p) = sum d*_q (x) d_r over the terms d_r (x) d_p
+    of Delta_R(d_q), the first leg of Delta_R going out.  A column of Phi
+    outside N_D is refused as "phi-coaction-convention", the column index as
+    witness.
     """
-    from .smashcons import smash_algebra
     h = q.host
     if bg is None:
         bg = transmute(q)
     dd = subcoalgebra_data(d_basis, q, bg)
     m = dd.dim
     nh = h.dim
+    counit = dd.coalgebra.counit
     rep = VerificationReport("psi_phi")
 
     w = ComoduleData(bg.braided_coalgebra, m, _coaction_from_subcoalgebra(dd, nh))
@@ -613,12 +591,11 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
             (nd.carrier.dim, s.carrier.dim))
 
     # Psi
-    nd_span = Subspace(nd.basis, m * nh * m)
     psi_cols = []
     for t in nd.basis:
         col: dict = {}
         for (p, j, r), ct in _amb_terms(t, nh, m):
-            ce = dd.counit[r]
+            ce = counit[r]
             if ce == 0:
                 continue
             for j1, j2, c in h.coalgebra.comul_row(j):
@@ -629,64 +606,36 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
         psi_cols.append(col)
     psi = LinearMap(nd.carrier.dim, s.carrier.dim, psi_cols)
 
-    # Phi for both coaction conventions
-    def phi_columns(convention: str):
-        cols = []
-        for p in range(m):
-            for j in range(nh):
-                col: dict = {}
-                for j1, j2, c in h.coalgebra.comul_row(j):
-                    s_j1 = h.antipode.cols[j1]
-                    for qidx in range(m):
-                        for ridx in range(m):
-                            if convention == "first_leg_out":
-                                wc = dd.comult.entry(qidx, ridx, p)
-                            else:
-                                wc = dd.comult.entry(qidx, p, ridx)
-                            if wc == 0:
-                                continue
-                            # d*_q <<- S(e_{j1})
-                            for t, cs in s_j1.items():
-                                for q2 in range(m):
-                                    if ca := dd.ad_coords[t][q2].get(qidx):
-                                        sp_add(col, (q2 * nh + j2) * m + ridx, c * wc * cs * ca)
-                cols.append(col)
-        return cols
-
-    chosen = None
-    phi = None
-    statuses = {}
-    cand_cols = {}
-    for convention in ("first_leg_out", "second_leg_out"):
-        cols = phi_columns(convention)
-        cand_cols[convention] = cols
-        coords = [nd_span.coords(cvec) for cvec in cols]
-        if any(c is None for c in coords):
-            statuses[convention] = "not_well_defined"
-            continue
-        cand = LinearMap(s.carrier.dim, nd.carrier.dim, coords)
-        if psi.compose(cand).is_identity() and cand.compose(psi).is_identity():
-            statuses[convention] = "works"
-            if chosen is None:
-                chosen = convention
-                phi = cand
-        else:
-            statuses[convention] = "not_inverse"
-    if phi is None:
-        raise HypothesisFailure("phi-coaction-convention", tuple(statuses.items()))
-    both_same = cand_cols["first_leg_out"] == cand_cols["second_leg_out"]
-    rep.add("coaction_convention_unique",
-            both_same or list(statuses.values()).count("works") == 1,
-            tuple(statuses.items()), informational=False)
-    rep.add(f"coaction_convention_{chosen}", True, informational=True)
+    # Phi: rho(d*_p) = sum d*_q (x) d_r over the terms d_r (x) d_p of Delta_R(d_q)
+    rho: list = [[] for _ in range(m)]
+    for qidx in range(m):
+        for ridx, p, wc in dd.coalgebra.comul_row(qidx):
+            rho[p].append((qidx, ridx, wc))
+    nd_span = Subspace(nd.basis, m * nh * m)
+    phi_cols = []
+    for p in range(m):
+        for j in range(nh):
+            col = {}
+            for j1, j2, c in h.coalgebra.comul_row(j):
+                s_j1 = h.antipode.cols[j1]
+                for qidx, ridx, wc in rho[p]:
+                    # d*_q <<- S(e_{j1})
+                    for t, cs in s_j1.items():
+                        for q2 in range(m):
+                            if ca := dd.ad_coords[t][q2].get(qidx):
+                                sp_add(col, (q2 * nh + j2) * m + ridx, c * wc * cs * ca)
+            coords = nd_span.coords(col)
+            if coords is None:
+                raise HypothesisFailure("phi-coaction-convention", (len(phi_cols),))
+            phi_cols.append(coords)
+    phi = LinearMap(s.carrier.dim, nd.carrier.dim, phi_cols)
 
     rep.add("psi_phi_identity", psi.compose(phi).is_identity())
     rep.add("phi_psi_identity", phi.compose(psi).is_identity())
     rep.merge(check_map(psi, nd.carrier, s.carrier, ("algebra", "injective")), "psi.")
     rep.merge(check_map(phi, s.carrier, nd.carrier, ("algebra", "injective")), "phi.")
     rep.require()
-    return PsiPhiResult(psi, phi, nd, s, dmod, dd,
-                        chosen if not both_same else "coincide", rep)
+    return PsiPhiResult(psi, phi, nd, s, dmod, dd, rep)
 
 
 def _coaction_from_subcoalgebra(dd: SubcoalgebraData, nh: int) -> Tensor3:
@@ -695,7 +644,7 @@ def _coaction_from_subcoalgebra(dd: SubcoalgebraData, nh: int) -> Tensor3:
     m = dd.dim
     entries = []
     for p in range(m):
-        for qidx, ridx, c in _coal_rows(dd.comult, p):
+        for qidx, ridx, c in dd.coalgebra.comul_row(p):
             for a, ca in dd.basis[qidx].items():
                 entries.append((p, a, ridx, c * ca))
     return Tensor3.from_entries((m, nh, m), entries)
@@ -705,15 +654,14 @@ def _coaction_from_subcoalgebra(dd: SubcoalgebraData, nh: int) -> Tensor3:
 # decomposition of H_R into minimal H-module subcoalgebras
 # ---------------------------------------------------------------------------
 
-def _delta_slices(coal: StructureCoalgebra, v: dict) -> list:
-    """The nonzero slices (id (x) p_f) Delta(v) and (p_f (x) id) Delta(v),
-    over the basis indices f."""
-    left: dict = {}
-    right: dict = {}
+def _delta_slices(coal: StructureCoalgebra, v: dict) -> dict:
+    """The nonzero slices of Delta(v): (id (x) e^f) Delta(v) under the key
+    ("leg1", f), then (e^f (x) id) Delta(v) under ("leg2", f), f ascending."""
+    out: dict = {}
     for (a, b), c in coal.comul_sparse(v).items():
-        left.setdefault(b, {})[a] = c
-        right.setdefault(a, {})[b] = c
-    return [*left.values(), *right.values()]
+        out.setdefault(("leg1", b), {})[a] = c
+        out.setdefault(("leg2", a), {})[b] = c
+    return {key: out[key] for key in sorted(out)}
 
 
 def hit_space(coal: StructureCoalgebra, f: dict, n: int) -> list:
@@ -778,23 +726,25 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     coal_r = bg.braided_coalgebra
     blocks = [hit_space(coal_r, f, n) for f in idems]
 
+    blocks.sort(key=len)
     rep = VerificationReport("decompose_hr")
     rep.add("fully_split", fully_split, informational=True)
     concat = [v for blk in blocks for v in blk]
     rep.add("direct_sum", len(concat) == n and rank(concat, n) == n)
 
     def stability_failures():
+        """(block, vector, "ad", t) and (block, vector, "delta_r", slice), the
+        blocks in their returned order, in scan order: per basis vector, e_t
+        .ad v over t, then the slices of Delta_R(v)."""
         for bi, blk in enumerate(blocks):
             span = Subspace(blk, n)
-            for v in blk:
-                ad_wit = next(((bi, t) for t in range(n) if not span.contains(
-                    bg.adjoint_action.act({t: RAT_ONE}, v))), None)
-                # a Delta_R failure on the same vector is the witness in
-                # preference to an adjoint one
-                if not all(span.contains(sl) for sl in _delta_slices(coal_r, v)):
-                    yield (bi, "delta_r")
-                elif ad_wit is not None:
-                    yield ad_wit
+            for vi, v in enumerate(blk):
+                for t in range(n):
+                    if not span.contains(bg.adjoint_action.act({t: RAT_ONE}, v)):
+                        yield (bi, vi, "ad", t)
+                for key, sl in _delta_slices(coal_r, v).items():
+                    if not span.contains(sl):
+                        yield (bi, vi, "delta_r", *key)
 
     rep.check("blocks_ad_and_deltaR_stable", stability_failures())
 
@@ -813,7 +763,7 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
 
     rep.check("blocks_minimal", minimality_failures() if fully_split else ())
 
-    ordered = tuple(tuple(blk) for blk in sorted(blocks, key=len))
+    ordered = tuple(tuple(blk) for blk in blocks)
     return HrDecomposition(ordered, tuple(idems), fully_split, rep)
 
 
@@ -839,10 +789,6 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     verify it as an almost-triangular weak Hopf algebra, transport everything
     to the N_D carrier along Psi/Phi and re-verify, and compare Wedderburn
     block multisets of N_D against N_W for the simple subcomodules W of D."""
-    from .smashcons import smash_weak_structure, smash_qt
-    from .weakhopf import (WeakHopfData, WeakQTStructure,
-                           almost_triangular_wha_report, verify_weak_qt)
-
     h = q.host
     nh = h.dim
     cls = classify_triangularity(q)
@@ -986,7 +932,6 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     from .repdim import wedderburn_blocks
     nd_blocks = wedderburn_blocks(nd.carrier).blocks
     found = 0
-    w_com = ComoduleData(bg.braided_coalgebra, m, _coaction_from_subcoalgebra(dd, nh))
 
     def proportionality_failures():
         nonlocal found
@@ -994,7 +939,7 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
             stable = True
             uvec: dict = {}
             for d in range(nh):
-                for w2, c in w_com.coaction.row(p, d):
+                for w2, c in nd.w.coaction.row(p, d):
                     if w2 != p and c != 0:
                         stable = False
                     else:

@@ -22,6 +22,7 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__
+from .adjstable import decompose_hr, nd_transport_report, psi_phi
 from .exactlin import (
     RAT_ZERO,
     LinearMap,
@@ -56,7 +57,16 @@ from .qtriang import (
     unverified_qt,
     verify_qt,
 )
+from .repdim import class_idempotents, fpdim_report, wedderburn_blocks
 from .report import HypothesisFailure, VerificationReport
+from .smashcons import (
+    build_B,
+    double_smash_decomposition,
+    groupoid_case_study,
+    smash_algebra,
+    smash_qt,
+    smash_weak_structure,
+)
 from .weakhopf import (
     GroupoidData,
     WeakHopfData,
@@ -126,13 +136,15 @@ def groupoid_wha_from_json(obj: dict, name: str) -> WeakHopfData:
     """{"objects": [...] or count, "morphisms": [{"src": i, "dst": j,
     "name": ...?}], "compose": table, "identities": [...], "inverses": [...]}
     -> its groupoid algebra; a field of the wrong type or shape, or an index
-    out of range, is a ValueError naming the object."""
+    that is not an int in range, is a ValueError naming the object."""
     morphs, objects, compose, identities, inverses = _fields(
         obj, name, "morphisms", "objects", "compose", "identities", "inverses")
     with _parsing(f"object {name!r}"):
         ends = [_fields(m, f"{name}.morphisms[{a}]", "src", "dst") for a, m in enumerate(morphs)]
+        if not isinstance(objects, list) and type(objects) is not int:
+            raise ValueError(f"objects must be a list or an integer count, not {objects!r}")
         return groupoid_wha(GroupoidData(
-            n_objects=len(objects) if isinstance(objects, list) else int(objects),
+            n_objects=len(objects) if isinstance(objects, list) else objects,
             sources=tuple(src for src, _ in ends),
             targets=tuple(dst for _, dst in ends),
             compose=tuple(tuple(row) for row in compose),
@@ -304,8 +316,6 @@ def _write_json(path: str, doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _demo_s3_groupoid(seed: int):
-    from .smashcons import groupoid_case_study, smash_qt
-    from .repdim import fpdim_report
     cs = groupoid_case_study(dm.s3_table(), dm.natural_point_action(3))
     out = VerificationReport("demo:s3-groupoid")
     out.merge(cs.report, "case_study.")
@@ -320,7 +330,6 @@ def _demo_s3_groupoid(seed: int):
 
 
 def _demo_double(table: GroupTable):
-    from .smashcons import double_smash_decomposition
     h = group_algebra(table)
     rep = double_smash_decomposition(h)
     out = VerificationReport(f"demo:double-{table.order}")
@@ -329,8 +338,6 @@ def _demo_double(table: GroupTable):
 
 
 def _demo_hr_s3(seed: int):
-    from .adjstable import decompose_hr
-    from .repdim import class_idempotents
     h = dm.k_s3()
     q = trivial_qt(h)
     bg = transmute(q)
@@ -349,7 +356,6 @@ def _demo_hr_s3(seed: int):
 
 
 def _demo_nd_transpositions(seed: int):
-    from .adjstable import decompose_hr, nd_transport_report, psi_phi
     h = dm.k_s3()
     q = trivial_qt(h)
     bg = transmute(q)
@@ -365,7 +371,6 @@ def _demo_nd_transpositions(seed: int):
 
 
 def _demo_heisenberg_z2(seed: int):
-    from .repdim import wedderburn_blocks
     h = dm.k_z2()
     hz = heisenberg_double(h)
     out = VerificationReport("demo:heisenberg-z2")
@@ -405,7 +410,6 @@ def cmd_demo(name: str, seed: int, json_path: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_smash_pipeline(ws: Workspace, target: str):
-    from .smashcons import smash_algebra, smash_weak_structure, smash_qt
     m = ws.resolve_module_algebra(target)
     obj = ws.get(target)
     if "qt" in obj:
@@ -431,7 +435,6 @@ def _suite_smash_pipeline(ws: Workspace, target: str):
 
 
 def _suite_adjoint_stable(ws: Workspace, target: str):
-    from .adjstable import psi_phi
     q, basis = ws.resolve_subcoalgebra(target)
     pp = psi_phi(basis, q)
     rep = VerificationReport(f"adjoint-stable:{target}")
@@ -519,19 +522,16 @@ def _construct(ws: Workspace, recipe: str):
         a = heisenberg_double(ws.resolve_hopf(args[0]))
         return {"constructed": ser_algebra(a)}, a.report
     if op == "smash":
-        from .smashcons import smash_algebra
         s = smash_algebra(ws.resolve_module_algebra(args[0]))
         return {"constructed": ser_algebra(s.carrier),
                 "codec": "flat = a_index * dim_H + h_index"}, s.carrier.report
     if op == "smash-wha":
-        from .smashcons import smash_algebra, smash_weak_structure
         m = ws.resolve_module_algebra(args[0])
         q = ws.resolve_qt(args[1]) if len(args) > 1 else trivial_qt(m.host)
         sws = smash_weak_structure(smash_algebra(m), q, separability(m))
         return {"constructed": ser_hopf(sws.wha, "weak-hopf"),
                 "codec": "flat = a_index * dim_H + h_index"}, sws.report
     if op == "build-B":
-        from .smashcons import build_B
         m = ws.resolve_module_algebra(args[0])
         q = ws.resolve_qt(args[1]) if len(args) > 1 else trivial_qt(m.host)
         b = build_B(m, q, separability(m))
@@ -549,14 +549,12 @@ def _construct(ws: Workspace, recipe: str):
             "antipode_R": _ser_mat(bg.antipode_R.matrix),
         }}, bg.report
     if op == "nd":
-        from .adjstable import psi_phi
         q, basis = ws.resolve_subcoalgebra(args[0])
         pp = psi_phi(basis, q)
         return {"constructed": ser_algebra(pp.nd.carrier),
                 "psi": _ser_mat(pp.psi.matrix),
                 "phi": _ser_mat(pp.phi.matrix)}, pp.report
     if op == "decompose-hr":
-        from .adjstable import decompose_hr
         q = ws.resolve_qt(args[0])
         dec = decompose_hr(transmute(q))
         n = q.host.dim

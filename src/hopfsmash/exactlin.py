@@ -378,6 +378,17 @@ def span_basis(vectors, dim: int) -> list:
     return _sparse_rref(_int_rows(vectors, dim), dim)[0]
 
 
+def span_closure(seed, images, dim: int) -> list:
+    """Canonical basis of the least subspace of Q^dim that contains the seed
+    vectors and is closed under the maps whose values at v images(v) lists."""
+    basis = span_basis(seed, dim)
+    while True:
+        grown = span_basis([*basis, *(w for v in basis for w in images(v))], dim)
+        if len(grown) == len(basis):
+            return basis
+        basis = grown
+
+
 class Subspace:
     """The span of the given sparse vectors in Q^dim, from one elimination of
     the vectors augmented with the identity, [v_1 .. v_k | I_k].

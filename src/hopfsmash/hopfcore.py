@@ -253,9 +253,37 @@ def sparse_outer(a: dict, b: dict) -> dict:
     return out
 
 
+def multiply_legs(alg: StructureAlgebra, x: dict) -> dict:
+    """m(x) = x^1 x^2 for a 2-leg sparse element x of A (x) A."""
+    out: dict = {}
+    rows = alg.mult._rows
+    for (i, j), c in x.items():
+        for k, w in rows[i][j]:
+            sp_add(out, k, c * w)
+    return out
+
+
+def casimir_failures(alg: StructureAlgebra, x: dict):
+    """Basis indices (a,) with (e_a (x) 1) x != x (1 (x) e_a) in A (x) A: the
+    separability equation a x = x a."""
+    algs2 = (alg, alg)
+    one = alg.unit_sparse
+    for a in range(alg.dim):
+        if tensor_mul_sparse(algs2, sparse_outer({a: RAT_ONE}, one), x) \
+                != tensor_mul_sparse(algs2, x, sparse_outer(one, {a: RAT_ONE})):
+            yield (a,)
+
+
 # ---------------------------------------------------------------------------
 # dual constructions and pairing actions
 # ---------------------------------------------------------------------------
+
+def opposite_algebra(alg: StructureAlgebra) -> StructureAlgebra:
+    """A^op: e_j . e_i = e_i e_j."""
+    n = alg.dim
+    entries = [(j, i, k, c) for i in range(n) for j in range(n) for k, c in alg.mul_row(i, j)]
+    return StructureAlgebra(n, Tensor3.from_entries((n, n, n), entries), alg.unit)
+
 
 def convolution_algebra(coal: StructureCoalgebra) -> StructureAlgebra:
     """The dual algebra C* with <f * g, c> = <f, c_(1)><g, c_(2)>."""
@@ -709,21 +737,14 @@ class GroupTable:
             raise ValueError("group table is not square")
         if any(type(x) is not int or not 0 <= x < n for r in self.table for x in r):
             raise ValueError("group table entries must be integers in range")
-        ident = None
-        for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
-                ident = e
-                break
-        if ident is None:
-            raise ValueError("group table has no identity")
+        self.identity    # ValueError when the table has none
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
                         raise ValueError(f"group table not associative at {(i, j, k)}")
         for i in range(n):
-            if not any(self.table[i][j] == ident for j in range(n)):
-                raise ValueError(f"element {i} has no inverse")
+            self.inv(i)    # ValueError when i has none
 
     @cached_property
     def identity(self) -> int:
@@ -731,7 +752,7 @@ class GroupTable:
         for e in range(n):
             if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
                 return e
-        raise ValueError("no identity")
+        raise ValueError("group table has no identity")
 
     def inv(self, i: int) -> int:
         for j in range(self.order):
@@ -793,9 +814,7 @@ def opposites(h: HopfData, which: str) -> HopfData:
     n = h.dim
     alg, coal, anti = h.algebra, h.coalgebra, h.antipode
     if which in ("op", "opcop"):
-        entries = [(j, i, k, c) for i in range(n) for j in range(n)
-                   for k, c in h.algebra.mul_row(i, j)]
-        alg = StructureAlgebra(n, Tensor3.from_entries((n, n, n), entries), h.unit)
+        alg = opposite_algebra(alg)
     if which in ("cop", "opcop"):
         entries = [(i, k, j, c) for i in range(n) for j, k, c in h.coalgebra.comul_row(i)]
         coal = StructureCoalgebra(n, Tensor3.from_entries((n, n, n), entries), h.counit)

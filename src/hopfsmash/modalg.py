@@ -22,17 +22,18 @@ from .exactlin import (
     kernel_basis,
     sp_add,
     sp_scale,
-    span_basis,
+    span_closure,
     vec_dot,
 )
 from .hopfcore import (
     HopfData,
     StructureAlgebra,
+    casimir_failures,
     measuring_failures,
     module_law_failures,
-    sparse_outer,
-    tensor_mul_sparse,
+    multiply_legs,
 )
+from .qtriang import adjoint_action_tensor, drinfeld_element
 from .report import VerificationReport
 
 
@@ -105,7 +106,6 @@ def is_quantum_commutative(q, m: ModuleAlgebraData) -> tuple:
 
 def u_acts_trivially(q, m: ModuleAlgebraData) -> tuple:
     """u . a = a for all basis a, u the Drinfeld element; (bool, witness)."""
-    from .qtriang import drinfeld_element
     u_sp = drinfeld_element(q).u
     for a in range(m.A.dim):
         ea = {a: RAT_ONE}
@@ -164,16 +164,8 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
 
     rep.add("x_symmetric", s.x.flip() == s.x)
 
-    rep.check("casimir_centrality",
-              ((a,) for a in range(n)
-               if tensor_mul_sparse((A, A), sparse_outer({a: RAT_ONE}, A.unit_sparse), x_sp)
-               != tensor_mul_sparse((A, A), x_sp, sparse_outer(A.unit_sparse, {a: RAT_ONE}))))
-
-    m_x: dict = {}
-    for (i, j), c in s.x.items():
-        for k, w in A.mul_row(i, j):
-            sp_add(m_x, k, c * w)
-    rep.add("multiplies_to_unit", m_x == A.unit_sparse)
+    rep.check("casimir_centrality", casimir_failures(A, x_sp))
+    rep.add("multiplies_to_unit", multiply_legs(A, x_sp) == A.unit_sparse)
 
     # <alpha, x^1> x^2 = 1_A
     acc: dict = {}
@@ -234,29 +226,6 @@ class HSimplicityResult:
     commutant_dim: int | None = None
 
 
-def _stable_closure(m: ModuleAlgebraData, seed: dict) -> list:
-    """Smallest subspace containing seed, closed under both multiplications
-    and the H-action."""
-    A, h = m.A, m.host
-    n = A.dim
-    basis = span_basis([seed], n)
-    changed = True
-    while changed:
-        changed = False
-        new = list(basis)
-        for v in basis:
-            for i in range(n):
-                new.append(A.mul_sparse({i: RAT_ONE}, v))
-                new.append(A.mul_sparse(v, {i: RAT_ONE}))
-            for t in range(h.dim):
-                new.append(m.action.act({t: RAT_ONE}, v))
-        improved = span_basis(new, n)
-        if len(improved) > len(basis):
-            basis = improved
-            changed = True
-    return basis
-
-
 def is_H_simple(m: ModuleAlgebraData) -> HSimplicityResult:
     """Certified simplicity via a 1-dimensional commutant of A as an A#H-module;
     explicit H-stable ideals as not-simple witnesses; inconclusive otherwise."""
@@ -267,8 +236,16 @@ def is_H_simple(m: ModuleAlgebraData) -> HSimplicityResult:
     commutant = kernel_basis(commutant_rows(ops, n), n * n)
     if len(commutant) == 1:
         return HSimplicityResult("certified_simple", commutant_dim=1)
+    units = [{i: RAT_ONE} for i in range(n)]
+
+    def images(v: dict) -> list:
+        return [*(A.mul_sparse(u, v) for u in units), *(A.mul_sparse(v, u) for u in units),
+                *(m.action.act({t: RAT_ONE}, v) for t in range(h.dim))]
+
     for a in range(n):
-        closure = _stable_closure(m, {a: RAT_ONE})
+        # the least subspace holding e_a and closed under both
+        # multiplications and the H-action
+        closure = span_closure([units[a]], images, n)
         if 0 < len(closure) < n:
             return HSimplicityResult("not_simple", witness_ideal=tuple(closure),
                                      commutant_dim=len(commutant))
@@ -301,7 +278,6 @@ def permutation_module_algebra(h: HopfData, table, point_action) -> ModuleAlgebr
 
 def adjoint_module_algebra(h: HopfData) -> ModuleAlgebraData:
     """H acting on itself by h .ad x = h_(1) x S(h_(2))."""
-    from .qtriang import adjoint_action_tensor
     m = ModuleAlgebraData(h, h.algebra, adjoint_action_tensor(h))
     m.report.require()
     return m

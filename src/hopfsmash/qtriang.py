@@ -36,6 +36,7 @@ from .hopfcore import (
     HopfData,
     StructureAlgebra,
     StructureCoalgebra,
+    casimir_failures,
     certified_scan,
     convolution_algebra,
     hexagon_sides,
@@ -43,6 +44,8 @@ from .hopfcore import (
     intertwining_failures,
     measuring_failures,
     module_law_failures,
+    multiply_legs,
+    opposite_algebra,
     sparse_outer,
     tensor_mul_sparse,
     verify_coalgebra,
@@ -366,6 +369,29 @@ def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
 # Mueger-center membership of a module algebra
 # ---------------------------------------------------------------------------
 
+def double_braiding_failures(alg: StructureAlgebra, r: TensorElem, action: Tensor3,
+                             vectors, delta_one: dict):
+    """Indices (i,) of the vectors v_i with (R_2^2 R_1^1) . v (x) R_2^1 R_1^2
+    != (1_(1) . v) (x) 1_(2), for R_1 = R_2 = r over alg acting by action; the
+    right-hand side is v (x) 1 when Delta(1) = 1 (x) 1."""
+    r_items = list(r.items())
+    braids = [(alg.mul_sparse({b2: RAT_ONE}, {a1: RAT_ONE}),
+               alg.mul_sparse({a2: RAT_ONE}, {b1: RAT_ONE}), c1 * c2)
+              for (a1, b1), c1 in r_items for (a2, b2), c2 in r_items]
+    for i, v in enumerate(vectors):
+        lhs: dict = {}
+        for hh, hh2, c12 in braids:
+            if va := action.act(hh, v):
+                for key, c in sparse_outer(va, hh2).items():
+                    sp_add(lhs, key, c12 * c)
+        rhs: dict = {}
+        for (a, b), c in delta_one.items():
+            for k, ck in action.act({a: RAT_ONE}, v).items():
+                sp_add(rhs, (k, b), c * ck)
+        if lhs != rhs:
+            yield (i,)
+
+
 def muger_membership(q: QTStructure, act) -> tuple:
     """(R_2^2 R_1^1) . a (x) R_2^1 R_1^2 = a (x) 1 for all basis a of A.
 
@@ -378,21 +404,6 @@ def muger_membership(q: QTStructure, act) -> tuple:
     dim_a = action.dims[1]
     r_items = list(q.R.items())
     one = alg.unit_sparse
-
-    def double_braiding_failures():
-        for a in range(dim_a):
-            lhs: dict = {}
-            for (a1, b1), c1 in r_items:
-                for (a2, b2), c2 in r_items:
-                    hh = alg.mul_sparse({b2: RAT_ONE}, {a1: RAT_ONE})
-                    va = action.act(hh, {a: RAT_ONE})
-                    if not va:
-                        continue
-                    hh2 = alg.mul_sparse({a2: RAT_ONE}, {b1: RAT_ONE})
-                    for key, c in sparse_outer(va, hh2).items():
-                        sp_add(lhs, key, c1 * c2 * c)
-            if lhs != sparse_outer({a: RAT_ONE}, one):
-                yield (a,)
 
     def antipode_form_failures():
         for a in range(dim_a):
@@ -408,7 +419,9 @@ def muger_membership(q: QTStructure, act) -> tuple:
             if lhs != rhs:
                 yield (a,)
 
-    wit_a = next(double_braiding_failures(), None)
+    wit_a = next(double_braiding_failures(alg, q.R, action,
+                                          ({a: RAT_ONE} for a in range(dim_a)),
+                                          sparse_outer(one, one)), None)
     if (wit_a is None) != (next(antipode_form_failures(), None) is None):
         raise RuntimeError("the two Mueger-center criteria disagree; "
                            "QT/module preconditions must be violated")
@@ -467,22 +480,11 @@ def hr_dual_separability(q: QTStructure, ip, bg: BraidedGroupData | None = None)
     rep.add("swap_symmetric", x.flip() == x)
     ar = hr_star_algebra(bg)
     x_sp = x.terms
-    rep.check("separability_equation",
-              ((i,) for i in range(n)
-               if tensor_mul_sparse((ar, ar), sparse_outer({i: RAT_ONE}, ar.unit_sparse), x_sp)
-               != tensor_mul_sparse((ar, ar), x_sp, sparse_outer(ar.unit_sparse, {i: RAT_ONE}))))
-    m_x: dict = {}
-    for (i, j), c in x.items():
-        for k, w in ar.mul_row(i, j):
-            sp_add(m_x, k, c * w)
-    rep.add("multiplies_to_unit", m_x == ar.unit_sparse)
-
+    rep.check("separability_equation", casimir_failures(ar, x_sp))
+    rep.add("multiplies_to_unit", multiply_legs(ar, x_sp) == ar.unit_sparse)
     # idempotent in the enveloping algebra A (x) A^op
-    flip_entries = [(j, i, k, c) for i in range(n) for j in range(n)
-                    for k, c in ar.mul_row(i, j)]
-    ar_op = StructureAlgebra(n, Tensor3.from_entries((n, n, n), flip_entries), ar.unit)
     rep.add("idempotent_in_enveloping_algebra",
-            tensor_mul_sparse((ar, ar_op), x_sp, x_sp) == x_sp)
+            tensor_mul_sparse((ar, opposite_algebra(ar)), x_sp, x_sp) == x_sp)
     return x, rep
 
 
@@ -523,9 +525,9 @@ def almost_triangular_equivalences(q: QTStructure, bg: BraidedGroupData | None =
     cond3 = rep.check("cond3_hr_dual_quantum_commutative", quantum_commutativity_failures(),
                       informational=True)
 
-    class _AdAct:
-        action = bg.adjoint_action
-    cond4, wit4 = muger_membership(q, _AdAct)
+    from .modalg import ModuleAlgebraData    # modalg imports qtriang at top
+    adjoint = ModuleAlgebraData(h, h.algebra, bg.adjoint_action)
+    cond4, wit4 = muger_membership(q, adjoint)
     rep.add("cond4_adjoint_in_muger_center", cond4, wit4, informational=True)
 
     rep.add("conditions_agree", cond2 == cond3 == cond4,

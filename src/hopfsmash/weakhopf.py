@@ -40,6 +40,7 @@ from .hopfcore import (
     unit_products,
     verify_coalgebra,
 )
+from .qtriang import adjoint_action_tensor, double_braiding_failures
 from .report import VerificationReport
 
 
@@ -357,29 +358,9 @@ def almost_triangular_wha_report(wq: WeakQTStructure) -> VerificationReport:
     rep.add("cond3_z_in_H_tensor_ccHt", cond3, informational=True)
     rep.add("cond4_both", cond4, informational=True)
 
-    from .qtriang import adjoint_action_tensor
-    ad = adjoint_action_tensor(w)
-    r_items = list(wq.Rw.items())
     d1 = w.delta_one
-
-    def muger_failures():
-        for bi, b_sp in enumerate(c_hs):
-            lhs: dict = {}
-            for (a1, b1), c1 in r_items:
-                for (a2, b2), c2 in r_items:
-                    hh = alg.mul_sparse({b2: RAT_ONE}, {a1: RAT_ONE})
-                    adb = ad.act(hh, b_sp)
-                    hh2 = alg.mul_sparse({a2: RAT_ONE}, {b1: RAT_ONE})
-                    for key, c in sparse_outer(adb, hh2).items():
-                        sp_add(lhs, key, c1 * c2 * c)
-            rhs: dict = {}
-            for (a, b), c in d1.items():
-                for m, cm in ad.act({a: RAT_ONE}, b_sp).items():
-                    sp_add(rhs, (m, b), c * cm)
-            if lhs != rhs:
-                yield (bi,)
-
-    cond5 = rep.check("cond5_cHs_in_muger_center", muger_failures(), informational=True)
+    cond5 = rep.check("cond5_cHs_in_muger_center", double_braiding_failures(
+        alg, wq.Rw, adjoint_action_tensor(w), c_hs, d1), informational=True)
 
     def corner_failures():
         for i in range(n):
@@ -426,19 +407,20 @@ class GroupoidData:
         n, n_obj = self.n_morphisms, self.n_objects
         if len(self.compose) != n:
             raise ValueError(f"groupoid compose has {len(self.compose)} rows, expected {n}")
-        morphism = set(range(n))
-        for field, table, length, allowed in (
-                ("sources", self.sources, n, set(range(n_obj))),
-                ("targets", self.targets, n, set(range(n_obj))),
-                ("identities", self.identities, n_obj, morphism),
-                ("inverses", self.inverses, n, morphism),
-                *((f"compose[{i}]", row, n, morphism | {None})
-                  for i, row in enumerate(self.compose))):
+        for field, table, length, bound, partial in (
+                ("sources", self.sources, n, n_obj, False),
+                ("targets", self.targets, n, n_obj, False),
+                ("identities", self.identities, n_obj, n, False),
+                ("inverses", self.inverses, n, n, False),
+                *((f"compose[{i}]", row, n, n, True) for i, row in enumerate(self.compose))):
             if len(table) != length:
                 raise ValueError(f"groupoid {field} has length {len(table)}, expected {length}")
-            bad = next((i for i, x in enumerate(table) if x not in allowed), None)
+            # an index is an int, never a bool or a float that equals one
+            bad = next((i for i, x in enumerate(table) if not (
+                type(x) is int and 0 <= x < bound or partial and x is None)), None)
             if bad is not None:
-                raise ValueError(f"groupoid {field}[{bad}] = {table[bad]!r} is out of range")
+                raise ValueError(
+                    f"groupoid {field}[{bad}] = {table[bad]!r} is not an index below {bound}")
         for i in range(n):
             for j in range(n):
                 defined = self.sources[i] == self.targets[j]

@@ -153,6 +153,8 @@ def test_criterion_8_heisenberg(kz2, ks3, double_z2, double_s3):
     rep = double_smash_decomposition(ks3, double_s3)
     elapsed = time.time() - t0
     assert rep.ok
+    # C is the whole centralizer of the Heisenberg part at dim 216 as well
+    assert rep.find("C_equals_full_centralizer").passed
     assert elapsed < 600, f"kS3 case took {elapsed:.0f}s, over the 10-minute budget"
     _announce(8, f"H # D(H) ~ Heisenberg(H^cop) (x) H exactly for kZ2 (dim 8) "
                  f"and kS3 (dim 216, {elapsed:.1f}s)")

@@ -113,6 +113,32 @@ def test_decompose_hr_matches_the_commutant_route(request, host):
     assert all(Subspace(b, n) in spaces for b in dec.blocks)
 
 
+@pytest.mark.parametrize("corrupt_ad", [False, True],
+                         ids=["delta_r-slice", "adjoint-before-delta_r"])
+def test_decompose_hr_stability_witness_is_the_first_failure(bg_s3, s3_table, corrupt_ad):
+    # fault injection on H_R(kS3): Delta_R(e) gains e_x (x) e_y, x, y the two
+    # 3-cycles, which leaves every block F_i -> H_R as it was but the first
+    # block k.e not Delta_R-stable; with corrupt_ad, e_1 .ad e also gains e_x.
+    # Per vector the adjoint images come first, then the slices of Delta_R
+    from hopfsmash.qtriang import BraidedGroupData
+
+    def plus(t3, extra):
+        d0, d1, _ = t3.dims
+        return Tensor3.from_entries(t3.dims, [(i, j, k, c) for i in range(d0) for j in range(d1)
+                                              for k, c in t3.row(i, j)] + [extra])
+
+    e = s3_table.identity
+    x, y = next(c for c in s3_table.conjugacy_classes() if len(c) == 2)
+    ad = plus(bg_s3.adjoint_action, (1, e, x, 1)) if corrupt_ad else bg_s3.adjoint_action
+    bad = BraidedGroupData(bg_s3.host, ad, plus(bg_s3.comult_R, (e, x, y, 1)),
+                           bg_s3.antipode_R)
+    dec = decompose_hr(bad)
+    assert [len(b) for b in dec.blocks] == [1, 2, 3] and dec.blocks[0] == ({e: 1},)
+    check = dec.report.find("blocks_ad_and_deltaR_stable")
+    assert not check.passed
+    assert check.witness == ((0, 0, "ad", 1) if corrupt_ad else (0, 0, "delta_r", "leg1", y))
+
+
 def test_decompose_hr_kz2(kz2, q_z2):
     from hopfsmash.qtriang import transmute
     dec = decompose_hr(transmute(q_z2))
@@ -293,6 +319,23 @@ def test_psi_phi_transpositions_pinned(transposition_block, q_s3, bg_s3, structu
     pp = psi_phi(transposition_block, q_s3, bg_s3)
     assert structure_digest(pp.nd.carrier.mult, pp.nd.carrier.unit) == "cbd871625bba9930"
     assert structure_digest(pp.psi.matrix, pp.phi.matrix) == "9328ec19c4ab5b7c"
+
+
+def test_psi_phi_on_a_block_with_noncocommutative_delta_r(double_s3):
+    # the 4-dimensional block of H_R(D(kS3)): Delta_R restricted to it is not
+    # cocommutative, so only the coaction dual to Delta_R|_D makes Phi land in N_D
+    from hopfsmash.qtriang import transmute
+    q = double_s3[1]
+    bg = transmute(q)
+    block = next(b for b in decompose_hr(bg).blocks if len(b) == 4)
+    dd = subcoalgebra_data(block, q, bg)
+    assert any(dd.coalgebra.comult.entry(p, a, b) != dd.coalgebra.comult.entry(p, b, a)
+               for p in range(4) for a in range(4) for b in range(4))
+    pp = psi_phi(block, q, bg)
+    assert pp.report.ok
+    assert pp.nd.carrier.dim == 36 * 4
+    assert pp.psi.compose(pp.phi).is_identity()
+    assert pp.phi.compose(pp.psi).is_identity()
 
 
 def test_psi_phi_whole_hr(q_s3, bg_s3):

@@ -205,8 +205,17 @@ def test_missing_groupoid_field_is_named(tmp_path, capsys, field):
 @pytest.mark.parametrize("field, value, reason", [
     ("morphisms", 3, "not iterable"), ("compose", 5, "not iterable"),
     ("compose", [[7]], "compose[0][0] = 7"), ("identities", [4], "identities[0] = 4"),
-    ("inverses", [9], "inverses[0] = 9")],
-    ids=["morphisms-int", "compose-int", "compose-index", "identities-index", "inverses-index"])
+    ("inverses", [9], "inverses[0] = 9"),
+    # an index equal to a valid one, but not an int
+    ("identities", [False], "identities[0] = False"),
+    ("compose", [[False]], "compose[0][0] = False"),
+    ("morphisms", [{"src": False, "dst": 0}], "sources[0] = False"),
+    ("objects", "1", "objects must be a list or an integer"),
+    ("objects", True, "objects must be a list or an integer"),
+    ("objects", 1.7, "objects must be a list or an integer")],
+    ids=["morphisms-int", "compose-int", "compose-index", "identities-index", "inverses-index",
+         "identities-bool", "compose-bool", "src-bool", "objects-str", "objects-bool",
+         "objects-float"])
 def test_malformed_groupoid_field_is_refused(tmp_path, capsys, field, value, reason):
     doc = {"objects": {"g": {"type": "groupoid", "objects": 1,
                              "morphisms": [{"src": 0, "dst": 0}],

@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses or imports again
 inside a function, no package function imports from a module that its module
-already imports from at top level, the package imports nothing outside the
-standard library, and each object verifier runs only in its class's cached
-`report` property (or in the CLI's suites).
+already imports from at top level or that does not import its module (only an
+import cycle justifies a function-local import), the package imports nothing
+outside the standard library, and each object verifier runs only in its
+class's cached `report` property (or in the CLI's suites).
 
 An AST scan stands in for pyflakes: a name bound by an import counts as used
 when it appears anywhere in the module as a name, as the root of an
@@ -129,6 +130,51 @@ def test_scan_finds_local_imports_of_top_modules():
            "        from exactlin import basis_vec\n"
            "    return demos, rat, mat, transmute, cli, g\n")
     assert local_imports_of_top_modules(src) == [("exactlin", 4), ("exactlin", 8)]
+
+
+def _package_imports(nodes) -> list:
+    """(module, line) of each relative import among nodes: `from .x import f`
+    and `from . import x` both import the package module x."""
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            mods = [node.module] if node.module else [alias.name for alias in node.names]
+            found += [(mod, node.lineno) for mod in mods]
+    return found
+
+
+def local_imports_without_cycle(sources: dict) -> list:
+    """(module, imported module, line) of every import inside a function of a
+    package module whose target does not import the importing module at top
+    level: only breaking an import cycle justifies a function-local import.
+    sources maps module names to their source."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    top = {name: {mod for mod, _ in _package_imports(tree.body)} for name, tree in trees.items()}
+    return sorted((name, mod, line) for name, tree in trees.items()
+                  for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for mod, line in _package_imports(ast.walk(fn))
+                  if name not in top.get(mod, ()))
+
+
+def test_local_imports_only_break_cycles():
+    assert local_imports_without_cycle({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_scan_finds_local_imports_without_cycle():
+    sources = {"a": ("from .b import f\n"
+                     "def g():\n"
+                     "    from .c import h\n"
+                     "    return f, h\n"),
+               "b": "def f():\n    from .a import g\n    return g\n",
+               "c": ("from . import a\n"
+                     "def h():\n"
+                     "    from .b import f\n"
+                     "    from . import a\n"
+                     "    return a, f\n")}
+    # a -> c and b -> a break cycles, as c and a import a and b at top; c -> b
+    # and c -> a do not, as neither b nor a imports c at top
+    assert local_imports_without_cycle(sources) == [("c", "a", 4), ("c", "b", 3)]
 
 
 def foreign_imports(source: str) -> list:

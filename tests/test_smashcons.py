@@ -10,6 +10,7 @@ from hopfsmash.hopfcore import (
 )
 from hopfsmash.modalg import (
     adjoint_module_algebra,
+    permutation_module_algebra,
     pointwise_algebra,
     separability,
     trivial_module_algebra,
@@ -256,6 +257,32 @@ def test_case_study_refuses_intransitive(s3_table):
         groupoid_case_study(s3_table, action)
     assert "transitive-action" in str(ei.value)
     assert ei.value.witness is not None
+
+
+def test_case_study_witness_is_the_first_failing_case(s3_table, ks3):
+    # fault injection: a wrong inverse of the coset representative g_1 skews
+    # the matrix units E_1j, E_j1; the witness is the least failing (i, j, k, l)
+    action = dm.natural_point_action(3)
+    reps = [next(g for g in range(6) if action[g][0] == p) for p in range(3)]
+
+    class SkewedInverse(GroupTable):
+        def inv(self, i):
+            return 3 if i == reps[1] else super().inv(i)
+
+    skewed = SkewedInverse(s3_table.elements, s3_table.table)
+    with pytest.raises(HypothesisFailure) as ei:
+        groupoid_case_study(skewed, action, ks3)
+    assert ei.value.hypothesis == "groupoid_case_study:matrix_unit_relations"
+
+    # oracle: every failing relation E_ij E_kl = [j == k] E_il, in index order
+    s = smash_algebra(permutation_module_algebra(ks3, s3_table, action))
+    e = [[{s.flat(action[reps[i]][0], s3_table.table[reps[i]][skewed.inv(reps[j])]): F(1)}
+          for j in range(3)] for i in range(3)]
+    failing = [(i, j, k, l) for i in range(3) for j in range(3) for k in range(3)
+               for l in range(3)
+               if s.carrier.mul_sparse(e[i][j], e[k][l]) != (e[i][l] if j == k else {})]
+    assert len(failing) > 1
+    assert ei.value.witness == failing[0]
 
 
 def test_double_module_algebra_ks3(ks3, double_s3):
