@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import (
-    RAT_ONE,
-    RAT_ZERO,
     LinearMap,
     Subspace,
     Tensor3,
@@ -96,19 +94,19 @@ def verify_left_comodule(cm: ComoduleData, subject: str = "left_comodule") -> Ve
     def counit_failures():
         for w in range(cm.dim):
             acc: dict = {}
-            for (d, w2), c in cm.rho_sparse({w: RAT_ONE}).items():
+            for (d, w2), c in cm.rho_sparse({w: 1}).items():
                 sp_add(acc, w2, c * coal.counit[d])
-            if acc != {w: RAT_ONE}:
+            if acc != {w: 1}:
                 yield (w,)
 
     def coassociativity_failures():
         for w in range(cm.dim):
             lhs: dict = {}
             rhs: dict = {}
-            for (d, w2), c in cm.rho_sparse({w: RAT_ONE}).items():
+            for (d, w2), c in cm.rho_sparse({w: 1}).items():
                 for a, b, cc in coal.comul_row(d):
                     sp_add(lhs, (a, b, w2), c * cc)
-                for (d2, w3), cc in cm.rho_sparse({w2: RAT_ONE}).items():
+                for (d2, w3), cc in cm.rho_sparse({w2: 1}).items():
                     sp_add(rhs, (d, d2, w3), c * cc)
             if lhs != rhs:
                 yield (w,)
@@ -125,17 +123,17 @@ def verify_right_comodule(cm: RightComoduleData, subject: str = "right_comodule"
     def counit_failures():
         for w in range(cm.dim):
             acc: dict = {}
-            for (w2, d), c in cm.rho_sparse({w: RAT_ONE}).items():
+            for (w2, d), c in cm.rho_sparse({w: 1}).items():
                 sp_add(acc, w2, c * coal.counit[d])
-            if acc != {w: RAT_ONE}:
+            if acc != {w: 1}:
                 yield (w,)
 
     def coassociativity_failures():
         for w in range(cm.dim):
             lhs: dict = {}
             rhs: dict = {}
-            for (w2, d), c in cm.rho_sparse({w: RAT_ONE}).items():
-                for (w3, d2), cc in cm.rho_sparse({w2: RAT_ONE}).items():
+            for (w2, d), c in cm.rho_sparse({w: 1}).items():
+                for (w3, d2), cc in cm.rho_sparse({w2: 1}).items():
                     sp_add(lhs, (w3, d2, d), c * cc)
                 for a, b, cc in coal.comul_row(d):
                     sp_add(rhs, (w2, a, b), c * cc)
@@ -183,7 +181,7 @@ def verify_yd(v: YetterDrinfeldData, subject: str = "yetter_drinfeld") -> Verifi
     n = v.dim
     one = h.algebra.unit_sparse
     rep.check("action_unital",
-              ((x,) for x in range(n) if v.action.act(one, {x: RAT_ONE}) != {x: RAT_ONE}))
+              ((x,) for x in range(n) if v.action.act(one, {x: 1}) != {x: 1}))
     rep.check("action_module_law", module_law_failures(h, v.action))
     rep.merge(verify_left_comodule(
         ComoduleData(h.coalgebra, n, v.coaction), "coaction"), "coaction.")
@@ -211,8 +209,8 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
         for d in range(nh):
             for x2, c in v.coaction.row(x, d):
                 for (r1, r2), cr in r_items:
-                    first = h.algebra.mul_sparse({d: RAT_ONE}, h.antipode.cols[r2])
-                    second = v.action.act({r1: RAT_ONE}, {x2: RAT_ONE})
+                    first = h.algebra.mul_sparse({d: 1}, h.antipode.cols[r2])
+                    second = v.action.act({r1: 1}, {x2: 1})
                     for f, cf in first.items():
                         for s2, cs in second.items():
                             entries.append((x, f, s2, c * cr * cf * cs))
@@ -227,7 +225,7 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
     d_v = Subspace(basis, nh)
     rep.check("d_v_is_H_module_subspace",
               ((t, ui) for t in range(nh) for ui, u in enumerate(basis)
-               if not d_v.contains(bg.adjoint_action.act({t: RAT_ONE}, u))))
+               if not d_v.contains(bg.adjoint_action.act({t: 1}, u))))
     rep.require()
     return BraidedComoduleResult(cm, tuple(basis), rep)
 
@@ -312,11 +310,11 @@ def cotensor(wdual: RightComoduleData, m: ComoduleData) -> list:
     nw, nm, nc = wdual.dim, m.dim, wdual.coalgebra.dim
     rows_by_key: dict = {}
     for i in range(nw):
-        for (j, d), c in wdual.rho_sparse({i: RAT_ONE}).items():
+        for (j, d), c in wdual.rho_sparse({i: 1}).items():
             for mm in range(nm):
                 sp_add(rows_by_key.setdefault((j, d, mm), {}), i * nm + mm, c)
     for mm in range(nm):
-        for (d, m2), c in m.rho_sparse({mm: RAT_ONE}).items():
+        for (d, m2), c in m.rho_sparse({mm: 1}).items():
             for j in range(nw):
                 sp_add(rows_by_key.setdefault((j, d, m2), {}), j * nm + mm, -c)
     return kernel_basis(rows_by_key.values(), nw * nm)
@@ -384,7 +382,7 @@ def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
     unit_coords = span.coords(amb_unit)
     if unit_coords is None:
         raise ValueError("N_W has no unit inside the cotensor subspace")
-    carrier = StructureAlgebra(m, mult, tuple(unit_coords.get(p, RAT_ZERO) for p in range(m)))
+    carrier = StructureAlgebra(m, mult, tuple(unit_coords.get(p, 0) for p in range(m)))
     carrier.report.require()
 
     return AdjointStableAlgebra(w, htw, tuple(basis), carrier, amb_unit)
@@ -450,7 +448,7 @@ def cotensor_right_module(wdual: RightComoduleData, v_com: ComoduleData,
             for (ap, b, c), cn in n_terms:
                 if c != i:
                     continue
-                moved = v_action.act({b: RAT_ONE}, {vv: RAT_ONE})
+                moved = v_action.act({b: 1}, {vv: 1})
                 for v2, cm in moved.items():
                     sp_add(out, ap * nv + v2, ct * cn * cm)
         return out
@@ -523,7 +521,7 @@ def subcoalgebra_data(d_basis, q: QTStructure, bg: BraidedGroupData) -> Subcoalg
     for t in range(nh):
         row = []
         for qidx in range(m):
-            img = bg.adjoint_action.act({t: RAT_ONE}, d_basis[qidx])
+            img = bg.adjoint_action.act({t: 1}, d_basis[qidx])
             cc = span.coords(img)
             if cc is None:
                 raise HypothesisFailure("D-closed-under-adjoint-action", (t, qidx))
@@ -740,7 +738,7 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
             span = Subspace(blk, n)
             for vi, v in enumerate(blk):
                 for t in range(n):
-                    if not span.contains(bg.adjoint_action.act({t: RAT_ONE}, v)):
+                    if not span.contains(bg.adjoint_action.act({t: 1}, v)):
                         yield (bi, vi, "ad", t)
                 for key, sl in _delta_slices(coal_r, v).items():
                     if not span.contains(sl):
@@ -861,20 +859,20 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
                         mv = moved(r1, x1)
                         if not mv:
                             continue
-                        left = pp.dstar_mod.A.mul_sparse({p: RAT_ONE}, mv)
+                        left = pp.dstar_mod.A.mul_sparse({p: 1}, mv)
                         for j1, j2, c in h.coalgebra.comul_row(j):
-                            hh = h.algebra.mul_sparse({j1: RAT_ONE}, {r2: RAT_ONE})
+                            hh = h.algebra.mul_sparse({j1: 1}, {r2: 1})
                             for fa, cfa in left.items():
                                 for th, cth in hh.items():
                                     sp_add(direct, (fa * nh + th, x2 * nh + j2),
                                            cr * cx * c * cfa * cth)
-                if sws.wha.coalgebra.comul_sparse({p * nh + j: RAT_ONE}) != direct:
+                if sws.wha.coalgebra.comul_sparse({p * nh + j: 1}) != direct:
                     yield (p, j)
 
     rep.check("comult_matches_dual_closed_form", comult_failures())
     rep.check("counit_matches_lambda_pairing",
               ((p, j) for p in range(m) for j in range(nh)
-               if sws.wha.counit[p * nh + j] != alpha_d.get(p, RAT_ZERO) * h.counit[j]))
+               if sws.wha.counit[p * nh + j] != alpha_d.get(p, 0) * h.counit[j]))
 
     def antipode_failures():
         lefts = [s.include_h(h.antipode.cols[j]) for j in range(nh)]
@@ -972,7 +970,7 @@ def yd_summand_from_block(h: HopfData, block, bg: BraidedGroupData) -> YetterDri
     a_entries = []
     for t in range(n):
         for p in range(m):
-            cc = span.coords(bg.adjoint_action.act({t: RAT_ONE}, block[p]))
+            cc = span.coords(bg.adjoint_action.act({t: 1}, block[p]))
             if cc is None:
                 raise HypothesisFailure("block-ad-stable", (t, p))
             for r, c in cc.items():

@@ -24,7 +24,6 @@ from contextlib import contextmanager
 from . import __version__
 from .adjstable import decompose_hr, nd_transport_report, psi_phi
 from .exactlin import (
-    RAT_ZERO,
     LinearMap,
     Tensor3,
     TensorElem,
@@ -560,7 +559,7 @@ def _construct(ws: Workspace, recipe: str):
         n = q.host.dim
         return {"constructed": {
             "type": "decomposition",
-            "blocks": [[ser_vec(v.get(i, RAT_ZERO) for i in range(n)) for v in blk]
+            "blocks": [[ser_vec(v.get(i, 0) for i in range(n)) for v in blk]
                        for blk in dec.blocks],
             "fully_split": dec.fully_split,
         }}, dec.report

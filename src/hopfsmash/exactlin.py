@@ -3,11 +3,14 @@ structure tensors, sparse 2-leg tensor elements, and the nullspace / solving
 primitives used by every other module.
 
 Conventions, fixed once:
-  * scalars are `fractions.Fraction` (always lowest terms, denominator > 0);
-  * a vector is a sparse dict {index: Fraction} of its nonzero entries, and
+  * scalars are exact: an `int` where integral, else a `fractions.Fraction`
+    (lowest terms, denominator > 0). `rat` reads them so and `qdiv` is the one
+    division, since int / int would be a float. A sum or product of Fractions
+    may be an integral Fraction; it equals, hashes and prints as its int;
+  * a vector is a sparse dict {index: scalar} of its nonzero entries, and
     subspaces, kernels, solutions and coordinates are given as such vectors.
     The one dense exception is an algebra's unit and a coalgebra's counit,
-    tuples of Fraction, besides the JSON read and write paths of the CLI;
+    tuples of scalars, besides the JSON read and write paths of the CLI;
   * a linear map is a LinearMap, its columns f(e_c) as sparse vectors; a
     system of linear equations is a list of sparse rows;
   * Tensor3 t stores t[i][j][k] = coefficient of basis vector k in the
@@ -24,30 +27,37 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-Rat = Fraction
-
-RAT_ZERO = Fraction(0)
-RAT_ONE = Fraction(1)
-
 
 class DimensionMismatch(ValueError):
     """Shapes of the operands do not line up."""
 
 
-def rat(x) -> Fraction:
-    """Coerce an int, string 'p/q', or Fraction to an exact rational. A bool
-    or a float raises TypeError; a string that is not a rational or has a zero
-    denominator raises ValueError."""
+def _exact(f: Fraction) -> int | Fraction:
+    return f.numerator if f.denominator == 1 else f
+
+
+def rat(x) -> int | Fraction:
+    """Coerce an int, string 'p/q', or Fraction to an exact scalar: the int
+    when it is integral, else the Fraction. A bool or a float raises
+    TypeError; a string that is not a rational or has a zero denominator
+    raises ValueError."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
     if isinstance(x, Fraction):
-        return x
+        return _exact(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return _exact(Fraction(x))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
+
+
+def qdiv(a, b) -> int | Fraction:
+    """a / b for exact scalars: the int when the quotient is integral, else
+    the Fraction; b == 0 raises ZeroDivisionError. The one division of the
+    package, as int / int would be a float."""
+    return _exact(Fraction(a, b))
 
 
 def rat_reader():
@@ -57,7 +67,7 @@ def rat_reader():
     every other token goes through `rat` and is refused as before."""
     memo: dict = {}
 
-    def read(x) -> Fraction:
+    def read(x) -> int | Fraction:
         if type(x) is not str:
             return rat(x)
         f = memo.get(x)
@@ -67,8 +77,9 @@ def rat_reader():
     return read
 
 
-def rat_str(x: Fraction) -> str:
-    """Serialize as 'p/q', or 'p' when the denominator is 1."""
+def rat_str(x: int | Fraction) -> str:
+    """Serialize as 'p/q', or 'p' when the denominator is 1; an int and the
+    equal Fraction give the same text."""
     return str(x)
 
 
@@ -104,24 +115,24 @@ def sp(v) -> dict:
 
 
 def sp_add(acc: dict, key, c) -> None:
-    w = acc.get(key, RAT_ZERO) + c
+    w = acc.get(key, 0) + c
     if w == 0:
         acc.pop(key, None)
     else:
         acc[key] = w
 
 
-def sp_scale(d: dict, c: Fraction) -> dict:
+def sp_scale(d: dict, c: int | Fraction) -> dict:
     if c == 0:
         return {}
     return {k: c * v for k, v in d.items()}
 
 
-def vec_dot(u: dict, v: dict) -> Fraction:
+def vec_dot(u: dict, v: dict) -> int | Fraction:
     """sum_i u_i v_i of two sparse vectors, e.g. a functional and a vector."""
     if len(u) > len(v):
         u, v = v, u
-    return sum((c * v[i] for i, c in u.items() if i in v), RAT_ZERO)
+    return sum(c * v[i] for i, c in u.items() if i in v)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +142,7 @@ def vec_dot(u: dict, v: dict) -> Fraction:
 @dataclass(frozen=True, eq=False)
 class LinearMap:
     """A linear map between based spaces, kept as its columns: cols[c] is
-    f(e_c) as a sparse {row: Fraction} dict of its nonzeros.
+    f(e_c) as a sparse {row: scalar} dict of its nonzeros.
 
     The column dicts are shared by every reader, so read them and never
     modify them; compose, transpose and inverse build new ones.
@@ -159,7 +170,7 @@ class LinearMap:
     @property
     def matrix(self) -> tuple:
         """The dense target x source matrix, for serialisation and tests."""
-        return tuple(tuple(col.get(r, RAT_ZERO) for col in self.cols)
+        return tuple(tuple(col.get(r, 0) for col in self.cols)
                      for r in range(self.target_dim))
 
     def __eq__(self, other) -> bool:
@@ -192,7 +203,7 @@ class LinearMap:
 
     def is_identity(self) -> bool:
         return (self.source_dim == self.target_dim
-                and all(col == {c: RAT_ONE} for c, col in enumerate(self.cols)))
+                and all(col == {c: 1} for c, col in enumerate(self.cols)))
 
     def rank(self) -> int:
         return rank(self.cols, self.target_dim)
@@ -204,7 +215,7 @@ class LinearMap:
         n = self.source_dim
         if self.target_dim != n:
             raise DimensionMismatch("inverse of a map between spaces of different dims")
-        rows, pivots = _sparse_rref([_int_row({**col, n + c: RAT_ONE})
+        rows, pivots = _sparse_rref([_int_row({**col, n + c: 1})
                                      for c, col in enumerate(self.cols)], 2 * n)
         if pivots[:n] != list(range(n)):
             return None
@@ -280,7 +291,7 @@ def _sparse_rref(rows: list[dict], ncols: int):
     """Fraction-free reduced echelon form of integer sparse rows.
 
     Returns (pivot_rows, pivots) where pivot_rows[i] is a normalized sparse
-    Fraction row with leading 1 in column pivots[i], reduced above and below.
+    rational row with leading 1 in column pivots[i], reduced above and below.
     """
     work = [dict(r) for r in rows if r]
     piv_rows: list[dict] = []
@@ -312,8 +323,8 @@ def _sparse_rref(rows: list[dict], ncols: int):
         work = nxt
         piv_rows.append(prow)
         pivots.append(col)
-    # back-substitute to reduced form, over Fraction
-    frac_rows = [{j: Fraction(v, r[pivots[i]]) for j, v in r.items()}
+    # back-substitute to reduced form, over the rationals
+    frac_rows = [{j: qdiv(v, r[pivots[i]]) for j, v in r.items()}
                  for i, r in enumerate(piv_rows)]
     for i in range(len(frac_rows) - 1, -1, -1):
         for k in range(i):
@@ -322,7 +333,7 @@ def _sparse_rref(rows: list[dict], ncols: int):
                 continue
             rk = frac_rows[k]
             for j, v in frac_rows[i].items():
-                w = rk.get(j, RAT_ZERO) - c * v
+                w = rk.get(j, 0) - c * v
                 if w:
                     rk[j] = w
                 else:
@@ -346,7 +357,7 @@ def kernel_basis(rows, ncols: int) -> list:
         if f in pivset:
             continue
         v = {p: -c for row, p in zip(frac_rows, pivots) if (c := row.get(f)) is not None}
-        v[f] = RAT_ONE
+        v[f] = 1
         basis.append(v)
     return basis
 
@@ -357,7 +368,7 @@ def solve(rows, rhs: dict, ncols: int):
     when the system is inconsistent."""
     if rhs and not (0 <= min(rhs) and max(rhs) < len(rows)):
         raise DimensionMismatch(f"{len(rows)} equations, right-hand side index {max(rhs)}")
-    aug = [_int_row({**_check_dim(row, ncols), ncols: rhs.get(i, RAT_ZERO)})
+    aug = [_int_row({**_check_dim(row, ncols), ncols: rhs.get(i, 0)})
            for i, row in enumerate(rows)]
     frac_rows, pivots = _sparse_rref(aug, ncols + 1)
     x = {}
@@ -407,7 +418,7 @@ class Subspace:
         self._vectors = tuple(vectors)
         self.ambient = dim
         k = len(self._vectors)
-        rows = [_int_row({**_check_dim(v, dim), dim + i: RAT_ONE})
+        rows = [_int_row({**_check_dim(v, dim), dim + i: 1})
                 for i, v in enumerate(self._vectors)]
         frac_rows, pivots = _sparse_rref(rows, dim + k)
         r = sum(1 for p in pivots if p < dim)  # pivots ascend: basis rows first
@@ -419,7 +430,7 @@ class Subspace:
     def _on_basis(self, v: dict):
         """Coefficients of v on the canonical basis, or None outside the span."""
         _check_dim(v, self.ambient)
-        on_basis = [v.get(p, RAT_ZERO) for p in self.pivots]
+        on_basis = [v.get(p, 0) for p in self.pivots]
         recon: dict = {}
         for a, row in zip(on_basis, self.basis):
             if a != 0:
@@ -472,7 +483,7 @@ def split(ops, dim: int) -> tuple:
     LinearMaps ops of Q^dim, refining by one op after another; each block is
     a canonical basis. A block stays whole, and fully_split is False, when an
     op does not preserve it or is not diagonalisable over Q on it."""
-    blocks = [[{i: RAT_ONE} for i in range(dim)]]
+    blocks = [[{i: 1} for i in range(dim)]]
     fully_split = True
     for op in ops:
         refined = []
@@ -500,7 +511,7 @@ def _eigenspaces(op: LinearMap, blk, dim: int):
     restr_rows = restr.transpose().cols
     pieces = []
     for lam in sorted(set(roots)):
-        shifted = [{**row, r: row.get(r, RAT_ZERO) - lam} for r, row in enumerate(restr_rows)]
+        shifted = [{**row, r: row.get(r, 0) - lam} for r, row in enumerate(restr_rows)]
         pieces.append(span_basis([on_blk.apply_sparse(kv) for kv in kernel_basis(shifted, k)],
                                  dim))
     return pieces if sum(len(p) for p in pieces) == k else None
@@ -514,22 +525,21 @@ def _min_poly(op: LinearMap) -> list:
     def flat(p: LinearMap) -> dict:
         return {c * n + r: x for c, col in enumerate(p.cols) for r, x in col.items()}
 
-    powers = [LinearMap(n, n, [{c: RAT_ONE} for c in range(n)])]
+    powers = [LinearMap(n, n, [{c: 1} for c in range(n)])]
     while True:
         nxt = powers[-1].compose(op)
         sol = Subspace([flat(p) for p in powers], n * n).coords(flat(nxt))
         if sol is not None:
-            return [-sol.get(i, RAT_ZERO) for i in range(len(powers))] + [RAT_ONE]
+            return [-sol.get(i, 0) for i in range(len(powers))] + [1]
         powers.append(nxt)
 
 
 def _rational_roots(poly) -> tuple:
     """(roots, fully_split); coefficients ascending, monic up to scaling."""
-    poly = [Fraction(c) for c in poly]
     roots = []
     while len(poly) > 1:
         if poly[0] == 0:
-            roots.append(Fraction(0))
+            roots.append(0)
             poly = poly[1:]
             continue
         den = 1
@@ -541,7 +551,7 @@ def _rational_roots(poly) -> tuple:
         for p in _divisors(a0):
             for q in _divisors(ak):
                 for sgn in (1, -1):
-                    cand = Fraction(sgn * p, q)
+                    cand = qdiv(sgn * p, q)
                     if _poly_eval(poly, cand) == 0:
                         found = cand
                         break
@@ -572,7 +582,7 @@ def _divisors(n: int):
 
 
 def _poly_eval(poly, x):
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(poly):
         acc = acc * x + c
     return acc
@@ -582,7 +592,7 @@ def _poly_deflate(poly, root):
     # synthetic division, highest degree first
     rev = list(reversed(poly))
     out_rev = []
-    acc = Fraction(0)
+    acc = 0
     for c in rev[:-1]:
         acc = acc * root + c
         out_rev.append(acc)
@@ -596,16 +606,16 @@ def _poly_gcd(a, b) -> list:
         while p and p[-1] == 0:
             p.pop()
         return p
-    a, b = strip([Fraction(c) for c in a]), strip([Fraction(c) for c in b])
+    a, b = strip(list(a)), strip(list(b))
     while b:
         while len(a) >= len(b):
-            q = a[-1] / b[-1]
+            q = qdiv(a[-1], b[-1])
             shift = len(a) - len(b)
             for i, c in enumerate(b):
                 a[shift + i] -= q * c
             strip(a)
         a, b = b, a
-    return [c / a[-1] for c in a]
+    return [qdiv(c, a[-1]) for c in a]
 
 
 # ---------------------------------------------------------------------------
@@ -690,23 +700,23 @@ class Tensor3:
             for j, cj in x_sp.items():
                 c = ci * cj
                 for k, w in ri[j]:
-                    v = out.get(k, RAT_ZERO) + c * w
+                    v = out.get(k, 0) + c * w
                     if v == 0:
                         out.pop(k, None)
                     else:
                         out[k] = v
         return out
 
-    def entry(self, i: int, j: int, k: int) -> Fraction:
+    def entry(self, i: int, j: int, k: int) -> int | Fraction:
         for kk, v in self._rows[i][j]:
             if kk == k:
                 return v
-        return RAT_ZERO
+        return 0
 
     def dense(self) -> list:
         """The full nested array, for tests."""
         d0, d1, d2 = self.dims
-        out = [[[RAT_ZERO] * d2 for _ in range(d1)] for _ in range(d0)]
+        out = [[[0] * d2 for _ in range(d1)] for _ in range(d0)]
         for i, plane in enumerate(out):
             for j, row in enumerate(plane):
                 for k, c in self._rows[i][j]:

@@ -2,7 +2,7 @@
 
 Everything is a finite-dimensional vector space over the exact rationals with
 structure tensors in the exactlin conventions.  Elements are sparse
-{index: Fraction} vectors and structure maps (antipodes, counital maps,
+{index: coefficient} vectors and structure maps (antipodes, counital maps,
 embeddings) are exactlin.LinearMaps; only units and counits stay dense tuples.
 
 Pairing conventions (fixed once):
@@ -19,13 +19,12 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .exactlin import (
-    RAT_ONE,
-    RAT_ZERO,
     DimensionMismatch,
     LinearMap,
     Tensor3,
     TensorElem,
     kernel_basis,
+    qdiv,
     sp,
     sp_add,
     sp_scale,
@@ -112,7 +111,7 @@ class StructureAlgebra:
         return kernel_basis(eqs, n)
 
     def center_basis(self) -> list:
-        return self.centralizer_basis([{i: RAT_ONE} for i in range(self.dim)])
+        return self.centralizer_basis([{i: 1} for i in range(self.dim)])
 
 
 @dataclass(frozen=True)
@@ -151,8 +150,8 @@ class StructureCoalgebra:
                 sp_add(out, (j, k), c * w)
         return out
 
-    def counit_sparse(self, a: dict) -> Fraction:
-        return sum((c * self.counit[i] for i, c in a.items()), RAT_ZERO)
+    def counit_sparse(self, a: dict) -> int | Fraction:
+        return sum(c * self.counit[i] for i, c in a.items())
 
     @cached_property
     def _rows2(self):
@@ -233,7 +232,7 @@ def tensor_mul_sparse(algs, u: dict, v: dict) -> dict:
     for ka, ca in u.items():
         for kb, cb in v.items():
             legs = [tab[ia][ib] for tab, ia, ib in zip(tabs, ka, kb)]
-            if all(legs):    # a zero leg: no Fraction product is formed
+            if all(legs):    # a zero leg: no product is formed
                 terms = [((), ca * cb)]
                 for row in legs:
                     terms = [(key + (k,), c * w) for key, c in terms for k, w in row]
@@ -269,8 +268,8 @@ def casimir_failures(alg: StructureAlgebra, x: dict):
     algs2 = (alg, alg)
     one = alg.unit_sparse
     for a in range(alg.dim):
-        if tensor_mul_sparse(algs2, sparse_outer({a: RAT_ONE}, one), x) \
-                != tensor_mul_sparse(algs2, x, sparse_outer(one, {a: RAT_ONE})):
+        if tensor_mul_sparse(algs2, sparse_outer({a: 1}, one), x) \
+                != tensor_mul_sparse(algs2, x, sparse_outer(one, {a: 1})):
             yield (a,)
 
 
@@ -316,7 +315,7 @@ def generating_set(alg: StructureAlgebra, first=()) -> tuple:
     certificate; a poor `first` costs size, never soundness.
 
     W, the least subspace with S in W and W S in W, is kept as sparse echelon
-    rows over Fraction; e_i joins S only when it is not yet in W, so on return
+    rows over the rationals; e_i joins S only when it is not yet in W, so on return
     W holds every e_i, that is W = A.  W is a subspace, not an index set: the
     closure of index sets is sound only for monomial tensors.
     """
@@ -339,14 +338,14 @@ def generating_set(alg: StructureAlgebra, first=()) -> tuple:
     def grow(v: dict) -> None:
         lead = min(v)
         c = v[lead]
-        row = {k: x / c for k, x in v.items()}
+        row = {k: qdiv(x, c) for k, x in v.items()}
         pivots[lead] = row
         todo.extend((row, s) for s in gens)
 
     for i in (*first, *sorted(set(range(n)).difference(first))):
         if len(pivots) == n:
             break
-        v = residue({i: RAT_ONE})
+        v = residue({i: 1})
         if not v:
             continue
         gens.append(i)
@@ -354,7 +353,7 @@ def generating_set(alg: StructureAlgebra, first=()) -> tuple:
         grow(v)
         while todo:
             row, s = todo.pop()
-            if v := residue(alg.mul_sparse(row, {s: RAT_ONE})):
+            if v := residue(alg.mul_sparse(row, {s: 1})):
                 grow(v)
     return tuple(sorted(gens))
 
@@ -398,8 +397,8 @@ def verify_algebra(a: StructureAlgebra, subject: str = "algebra") -> Verificatio
     n = a.dim
     u = a.unit_sparse
     rep.check("unit_law", ((i,) for i in range(n)
-                           if a.mul_sparse(u, {i: RAT_ONE}) != {i: RAT_ONE}
-                           or a.mul_sparse({i: RAT_ONE}, u) != {i: RAT_ONE}))
+                           if a.mul_sparse(u, {i: 1}) != {i: 1}
+                           or a.mul_sparse({i: 1}, u) != {i: 1}))
     rows = a.mult._rows
 
     def associativity_failures(middle):
@@ -438,7 +437,7 @@ def verify_coalgebra(c: StructureCoalgebra, subject: str = "coalgebra") -> Verif
                     sp_add(left, k, w * eps[j])
                 if eps[k]:
                     sp_add(right, j, w * eps[k])
-            if left != {i: RAT_ONE} or right != {i: RAT_ONE}:
+            if left != {i: 1} or right != {i: 1}:
                 yield (i,)
 
     rep.check("counit_law", counit_failures())
@@ -578,14 +577,14 @@ def intertwining_failures(alg: StructureAlgebra, coal: StructureCoalgebra, r: di
 def unit_products(alg: StructureAlgebra, legs) -> tuple:
     """({z: z 1}, {z: 1 z}) for z in legs, as tuples of (index, coefficient)."""
     one = alg.unit_sparse
-    return ({z: tuple(alg.mul_sparse({z: RAT_ONE}, one).items()) for z in legs},
-            {z: tuple(alg.mul_sparse(one, {z: RAT_ONE}).items()) for z in legs})
+    return ({z: tuple(alg.mul_sparse({z: 1}, one).items()) for z in legs},
+            {z: tuple(alg.mul_sparse(one, {z: 1}).items()) for z in legs})
 
 
 def add_outer3(acc: dict, c, u, v, w) -> None:
     """acc += c u (x) v (x) w for u, v, w sequences of (index, coefficient)."""
     if not (u and v and w):
-        return    # a zero leg: no Fraction product is formed
+        return    # a zero leg: no product is formed
     for i, ci in u:
         for j, cj in v:
             cij = c * ci * cj
@@ -657,7 +656,7 @@ def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
     eps = h.counit
     rep.check("counit_multiplicative", certified_scan(
         lambda js: ((i, j) for i in range(n) for j in js
-                    if sum((c * eps[k] for k, c in h.algebra.mul_row(i, j)), RAT_ZERO)
+                    if sum(c * eps[k] for k, c in h.algebra.mul_row(i, j))
                     != eps[i] * eps[j]), gens, range(n)))
     rep.add("counit_unital", h.coalgebra.counit_sparse(h.algebra.unit_sparse) == 1)
 
@@ -781,12 +780,12 @@ def group_algebra(table: GroupTable) -> HopfData:
     table.validate()
     n = table.order
     mult = Tensor3.from_entries((n, n, n),
-                                ((i, j, table.table[i][j], RAT_ONE)
+                                ((i, j, table.table[i][j], 1)
                                  for i in range(n) for j in range(n)))
-    unit = tuple(RAT_ONE if i == table.identity else RAT_ZERO for i in range(n))
-    comult = Tensor3.from_entries((n, n, n), ((i, i, i, RAT_ONE) for i in range(n)))
-    counit = tuple(RAT_ONE for _ in range(n))
-    anti = LinearMap(n, n, tuple({table.inv(j): RAT_ONE} for j in range(n)))
+    unit = tuple(1 if i == table.identity else 0 for i in range(n))
+    comult = Tensor3.from_entries((n, n, n), ((i, i, i, 1) for i in range(n)))
+    counit = (1,) * n
+    anti = LinearMap(n, n, tuple({table.inv(j): 1} for j in range(n)))
     h = HopfData(StructureAlgebra(n, mult, unit), StructureCoalgebra(n, comult, counit), anti)
     h.report.require()
     return h
@@ -881,20 +880,20 @@ def integrals(h: HopfData) -> IntegralPair:
     pairing_one = vec_dot(lam, h.algebra.unit_sparse)
     if pairing_one == 0:
         raise NotSemisimple("cannot normalize <lambda, 1> = 1 (not cosemisimple)")
-    lam = sp_scale(lam, 1 / pairing_one)
+    lam = sp_scale(lam, qdiv(1, pairing_one))
     pairing = vec_dot(lam, Lam)
     if pairing == 0:
         raise NotSemisimple("cannot normalize <lambda, Lambda> = 1 (not semisimple)")
-    Lam = sp_scale(Lam, 1 / pairing)
+    Lam = sp_scale(Lam, qdiv(1, pairing))
 
     for i in range(n):
-        e = {i: RAT_ONE}
+        e = {i: 1}
         if h.algebra.mul_sparse(e, Lam) != sp_scale(Lam, eps[i]):
             raise NotSemisimple(f"Lambda is not a left integral at basis {i}")
         if h.algebra.mul_sparse(Lam, e) != sp_scale(Lam, eps[i]):
             raise NotSemisimple(f"Lambda is not a right integral at basis {i}")
     # <Lambda -> lambda, e_b> = <lambda, e_b Lambda>
-    if any(vec_dot(lam, h.algebra.mul_sparse({b: RAT_ONE}, Lam)) != eps[b] for b in range(n)):
+    if any(vec_dot(lam, h.algebra.mul_sparse({b: 1}, Lam)) != eps[b] for b in range(n)):
         raise NotSemisimple("Lambda -> lambda != epsilon after normalization")
     return IntegralPair(Lam, lam)
 
@@ -932,7 +931,7 @@ def drinfeld_double(h: HopfData):
         out: dict = {}
         for y in range(n):
             for m1, w1 in alg.mul_row(y, t1):
-                acc = RAT_ZERO
+                acc = 0
                 for r, ws in sinv.cols[t3].items():
                     for m2, w2 in alg.mul_row(r, m1):
                         if m2 == c:
@@ -944,7 +943,7 @@ def drinfeld_double(h: HopfData):
     rowdicts: dict = {}
     comul2 = h.coalgebra.comul2_row
     for a in range(n):
-        pa = {a: RAT_ONE}
+        pa = {a: 1}
         for b in range(n):
             for c in range(n):
                 # p_a * q(c; t1, t3) for each Sweedler term of b; d does not enter
@@ -961,7 +960,7 @@ def drinfeld_double(h: HopfData):
     mult = Tensor3.from_row_dicts((nn, nn, nn), rowdicts)
     eps_sp = sp(h.counit)
     unit_sp = alg.unit_sparse
-    unit = [RAT_ZERO] * nn
+    unit = [0] * nn
     for a, ca in eps_sp.items():
         for b, cb in unit_sp.items():
             unit[flat(a, b)] = ca * cb
@@ -1059,7 +1058,7 @@ def heisenberg_double(h: HopfData) -> StructureAlgebra:
                     if cell:
                         rowdicts[(flat(i, a), flat(j, b))] = cell
     mult = Tensor3.from_row_dicts((nn, nn, nn), rowdicts)
-    unit = [RAT_ZERO] * nn
+    unit = [0] * nn
     for i, ci in alg.unit_sparse.items():
         for a, ca in sp(h.counit).items():
             unit[flat(i, a)] = ci * ca

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exactlin import (
-    RAT_ONE,
-    RAT_ZERO,
     LinearMap,
     Tensor3,
     TensorElem,
@@ -73,7 +71,7 @@ def verify_module_algebra(m: ModuleAlgebraData, subject: str = "module_algebra")
     act = m.action.act
 
     rep.check("action_unital", ((a,) for a in range(na)
-                                if act(h.algebra.unit_sparse, {a: RAT_ONE}) != {a: RAT_ONE}))
+                                if act(h.algebra.unit_sparse, {a: 1}) != {a: 1}))
 
     rep.check("action_module_law", module_law_failures(h, m.action))
 
@@ -82,7 +80,7 @@ def verify_module_algebra(m: ModuleAlgebraData, subject: str = "module_algebra")
     one_a = A.unit_sparse
     eps = h.counit
     rep.check("unit_absorbed",
-              ((i,) for i in range(nh) if act({i: RAT_ONE}, one_a) != sp_scale(one_a, eps[i])))
+              ((i,) for i in range(nh) if act({i: 1}, one_a) != sp_scale(one_a, eps[i])))
     return rep
 
 
@@ -92,11 +90,11 @@ def is_quantum_commutative(q, m: ModuleAlgebraData) -> tuple:
     r_items = list(q.R.items())
     for a in range(A.dim):
         for b in range(A.dim):
-            lhs = A.mul_sparse({a: RAT_ONE}, {b: RAT_ONE})
+            lhs = A.mul_sparse({a: 1}, {b: 1})
             rhs: dict = {}
             for (r1, r2), c in r_items:
-                vb = m.action.act({r2: RAT_ONE}, {b: RAT_ONE})
-                va = m.action.act({r1: RAT_ONE}, {a: RAT_ONE})
+                vb = m.action.act({r2: 1}, {b: 1})
+                va = m.action.act({r1: 1}, {a: 1})
                 for k, w in A.mul_sparse(vb, va).items():
                     sp_add(rhs, k, c * w)
             if lhs != rhs:
@@ -108,7 +106,7 @@ def u_acts_trivially(q, m: ModuleAlgebraData) -> tuple:
     """u . a = a for all basis a, u the Drinfeld element; (bool, witness)."""
     u_sp = drinfeld_element(q).u
     for a in range(m.A.dim):
-        ea = {a: RAT_ONE}
+        ea = {a: 1}
         if m.action.act(u_sp, ea) != ea:
             return False, (a,)
     return True, None
@@ -183,7 +181,7 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
             for (i, j), c in s.x.items():
                 if a in hits[j]:
                     sp_add(acc, i, c * hits[j][a])
-            if acc != {a: RAT_ONE}:
+            if acc != {a: 1}:
                 yield (a,)
 
     rep.check("dual_basis_identity", dual_basis_failures())
@@ -192,8 +190,8 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
     act = m.action.act
     rep.check("alpha_invariant",
               ((i, a) for i in range(h.dim) for a in range(n)
-               if vec_dot(alpha, act({i: RAT_ONE}, {a: RAT_ONE}))
-               != h.counit[i] * alpha.get(a, RAT_ZERO)))
+               if vec_dot(alpha, act({i: 1}, {a: 1}))
+               != h.counit[i] * alpha.get(a, 0)))
 
     # h . x^1 (x) x^2 = x^1 (x) S(h) . x^2 in the involutory semisimple case
     if h.antipode.compose(h.antipode).is_identity():
@@ -202,11 +200,11 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
                 lhs: dict = {}
                 rhs: dict = {}
                 for (i, j), c in s.x.items():
-                    for k, w in act({t: RAT_ONE}, {i: RAT_ONE}).items():
+                    for k, w in act({t: 1}, {i: 1}).items():
                         sp_add(lhs, (k, j), c * w)
                 st = h.antipode.cols[t]
                 for (i, j), c in s.x.items():
-                    for k, w in act(st, {j: RAT_ONE}).items():
+                    for k, w in act(st, {j: 1}).items():
                         sp_add(rhs, (i, k), c * w)
                 if lhs != rhs:
                     yield (t,)
@@ -236,11 +234,11 @@ def is_H_simple(m: ModuleAlgebraData) -> HSimplicityResult:
     commutant = kernel_basis(commutant_rows(ops, n), n * n)
     if len(commutant) == 1:
         return HSimplicityResult("certified_simple", commutant_dim=1)
-    units = [{i: RAT_ONE} for i in range(n)]
+    units = [{i: 1} for i in range(n)]
 
     def images(v: dict) -> list:
         return [*(A.mul_sparse(u, v) for u in units), *(A.mul_sparse(v, u) for u in units),
-                *(m.action.act({t: RAT_ONE}, v) for t in range(h.dim))]
+                *(m.action.act({t: 1}, v) for t in range(h.dim))]
 
     for a in range(n):
         # the least subspace holding e_a and closed under both
@@ -258,8 +256,8 @@ def is_H_simple(m: ModuleAlgebraData) -> HSimplicityResult:
 
 def pointwise_algebra(n: int) -> StructureAlgebra:
     """k^n with coordinatewise product."""
-    mult = Tensor3.from_entries((n, n, n), ((i, i, i, RAT_ONE) for i in range(n)))
-    return StructureAlgebra(n, mult, tuple(RAT_ONE for _ in range(n)))
+    mult = Tensor3.from_entries((n, n, n), ((i, i, i, 1) for i in range(n)))
+    return StructureAlgebra(n, mult, (1,) * n)
 
 
 def permutation_module_algebra(h: HopfData, table, point_action) -> ModuleAlgebraData:
@@ -269,7 +267,7 @@ def permutation_module_algebra(h: HopfData, table, point_action) -> ModuleAlgebr
     entries = []
     for g in range(table.order):
         for x in range(npts):
-            entries.append((g, x, point_action[g][x], RAT_ONE))
+            entries.append((g, x, point_action[g][x], 1))
     action = Tensor3.from_entries((h.dim, npts, npts), entries)
     m = ModuleAlgebraData(h, A, action)
     m.report.require()

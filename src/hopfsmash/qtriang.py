@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .exactlin import (
-    RAT_ONE,
     LinearMap,
     Tensor3,
     TensorElem,
@@ -144,10 +143,10 @@ def drinfeld_element(q: QTStructure) -> DrinfeldElement:
     h = q.host
     u: dict = {}
     for (a, b), c in q.R.items():
-        for m, cm in h.algebra.mul_sparse(h.antipode.cols[b], {a: RAT_ONE}).items():
+        for m, cm in h.algebra.mul_sparse(h.antipode.cols[b], {a: 1}).items():
             sp_add(u, m, c * cm)
     s_inv = h.antipode.apply_sparse(u) == u
-    central = all(h.algebra.mul_sparse(u, {i: RAT_ONE}) == h.algebra.mul_sparse({i: RAT_ONE}, u)
+    central = all(h.algebra.mul_sparse(u, {i: 1}) == h.algebra.mul_sparse({i: 1}, u)
                   for i in range(h.dim))
     return DrinfeldElement(u, s_inv, central)
 
@@ -251,7 +250,7 @@ def transmute(q: QTStructure) -> BraidedGroupData:
     @cache
     def first(a: int, r2: int) -> dict:
         """e_a S(e_r2)."""
-        return h.algebra.mul_sparse({a: RAT_ONE}, h.antipode.cols[r2])
+        return h.algebra.mul_sparse({a: 1}, h.antipode.cols[r2])
 
     comult_entries = []
     for i in range(n):
@@ -268,7 +267,7 @@ def transmute(q: QTStructure) -> BraidedGroupData:
         acc: dict = {}
         for (r1, r2), cr in r_items:
             inner = h.antipode.apply_sparse(dict(ad_rows[r1][j]))
-            for m, cm in h.algebra.mul_sparse({r2: RAT_ONE}, inner).items():
+            for m, cm in h.algebra.mul_sparse({r2: 1}, inner).items():
                 sp_add(acc, m, cr * cm)
         anti.append(acc)
     antipode_R = LinearMap(n, n, anti)
@@ -301,7 +300,7 @@ def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
     rep.merge(verify_coalgebra(bg.braided_coalgebra), "braided.")
 
     rep.check("adjoint_unital", ((i,) for i in range(n)
-                                 if ad.act(alg.unit_sparse, {i: RAT_ONE}) != {i: RAT_ONE}))
+                                 if ad.act(alg.unit_sparse, {i: 1}) != {i: 1}))
 
     gens = host_generators(alg, h.report)
 
@@ -356,7 +355,7 @@ def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
         for i in range(n):
             acc: dict = {}
             for j, k, c in coal_R.comul_row(i):
-                for m, cm in alg.mul_sparse(bg.antipode_R.cols[j], {k: RAT_ONE}).items():
+                for m, cm in alg.mul_sparse(bg.antipode_R.cols[j], {k: 1}).items():
                     sp_add(acc, m, c * cm)
             if acc != sp_scale(alg.unit_sparse, h.counit[i]):
                 yield (i,)
@@ -375,8 +374,8 @@ def double_braiding_failures(alg: StructureAlgebra, r: TensorElem, action: Tenso
     != (1_(1) . v) (x) 1_(2), for R_1 = R_2 = r over alg acting by action; the
     right-hand side is v (x) 1 when Delta(1) = 1 (x) 1."""
     r_items = list(r.items())
-    braids = [(alg.mul_sparse({b2: RAT_ONE}, {a1: RAT_ONE}),
-               alg.mul_sparse({a2: RAT_ONE}, {b1: RAT_ONE}), c1 * c2)
+    braids = [(alg.mul_sparse({b2: 1}, {a1: 1}),
+               alg.mul_sparse({a2: 1}, {b1: 1}), c1 * c2)
               for (a1, b1), c1 in r_items for (a2, b2), c2 in r_items]
     for i, v in enumerate(vectors):
         lhs: dict = {}
@@ -386,7 +385,7 @@ def double_braiding_failures(alg: StructureAlgebra, r: TensorElem, action: Tenso
                     sp_add(lhs, key, c12 * c)
         rhs: dict = {}
         for (a, b), c in delta_one.items():
-            for k, ck in action.act({a: RAT_ONE}, v).items():
+            for k, ck in action.act({a: 1}, v).items():
                 sp_add(rhs, (k, b), c * ck)
         if lhs != rhs:
             yield (i,)
@@ -410,17 +409,17 @@ def muger_membership(q: QTStructure, act) -> tuple:
             lhs: dict = {}
             rhs: dict = {}
             for (a1, b1), c in r_items:
-                va = action.act({a1: RAT_ONE}, {a: RAT_ONE})
-                for key, cc in sparse_outer(va, {b1: RAT_ONE}).items():
+                va = action.act({a1: 1}, {a: 1})
+                for key, cc in sparse_outer(va, {b1: 1}).items():
                     sp_add(lhs, key, c * cc)
-                vb = action.act({b1: RAT_ONE}, {a: RAT_ONE})
+                vb = action.act({b1: 1}, {a: 1})
                 for key, cc in sparse_outer(vb, h.antipode.cols[a1]).items():
                     sp_add(rhs, key, c * cc)
             if lhs != rhs:
                 yield (a,)
 
     wit_a = next(double_braiding_failures(alg, q.R, action,
-                                          ({a: RAT_ONE} for a in range(dim_a)),
+                                          ({a: 1} for a in range(dim_a)),
                                           sparse_outer(one, one)), None)
     if (wit_a is None) != (next(antipode_form_failures(), None) is None):
         raise RuntimeError("the two Mueger-center criteria disagree; "
@@ -514,7 +513,7 @@ def almost_triangular_equivalences(q: QTStructure, bg: BraidedGroupData | None =
     def quantum_commutativity_failures():
         for fidx in range(n):
             for gidx in range(n):
-                lhs = ar.mul_sparse({fidx: RAT_ONE}, {gidx: RAT_ONE})
+                lhs = ar.mul_sparse({fidx: 1}, {gidx: 1})
                 rhs: dict = {}
                 for (a1, b1), c in r_items:
                     for m, cm in ar.mul_sparse(dual[a1][gidx], dual[b1][fidx]).items():

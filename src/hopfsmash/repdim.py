@@ -16,7 +16,6 @@ from math import isqrt
 
 from .adjstable import HrDecomposition, decompose_hr, hit_space, yd_to_comodule
 from .exactlin import (
-    RAT_ONE,
     LinearMap,
     Subspace,
     _min_poly,
@@ -163,7 +162,7 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
     ar = hr_star_algebra(bg)
     rep.check("central_in_hr_star",
               ((b,) for f in idems for b in range(n)
-               if ar.mul_sparse(f, {b: RAT_ONE}) != ar.mul_sparse({b: RAT_ONE}, f)))
+               if ar.mul_sparse(f, {b: 1}) != ar.mul_sparse({b: 1}, f)))
 
     block_bases = []
     ok = True
@@ -172,7 +171,7 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
         rhs_vecs = []
         for b in range(n):
             # Lambda <- f e_b = <f e_b, Lambda_(1)> Lambda_(2)
-            fb = dual.mul_sparse(f, {b: RAT_ONE})
+            fb = dual.mul_sparse(f, {b: 1})
             v: dict = {}
             for i, ci in ip.Lambda.items():
                 for j, k, w in h.coalgebra.comul_row(i):

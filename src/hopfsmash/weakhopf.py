@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exactlin import (
-    RAT_ONE,
-    RAT_ZERO,
     LinearMap,
     Tensor3,
     TensorElem,
@@ -67,7 +65,7 @@ class WeakHopfData(HopfData):
         eps = self.counit
         return tuple(
             {j: c for j in range(n)
-             if (c := sum((w * eps[k] for k, w in self.algebra.mul_row(i, j)), RAT_ZERO))}
+             if (c := sum(w * eps[k] for k, w in self.algebra.mul_row(i, j)))}
             for i in range(n))
 
     @cached_property
@@ -252,7 +250,7 @@ def verify_weak_hopf(w: WeakHopfData, subject: str = "weak_hopf") -> Verificatio
     def triple(i: int) -> dict:
         out: dict = {}
         for a, b, k, c in coal.comul2_row(i):
-            for m, cm in alg.mul_sparse(alg.mul_sparse(s_cols[a], {b: RAT_ONE}), s_cols[k]).items():
+            for m, cm in alg.mul_sparse(alg.mul_sparse(s_cols[a], {b: 1}), s_cols[k]).items():
                 sp_add(out, m, c * cm)
         return out
 
@@ -366,7 +364,7 @@ def almost_triangular_wha_report(wq: WeakQTStructure) -> VerificationReport:
         for i in range(n):
             for j in range(n):
                 corner = tensor_mul_sparse(
-                    algs2, tensor_mul_sparse(algs2, d1, {(i, j): RAT_ONE}), d1)
+                    algs2, tensor_mul_sparse(algs2, d1, {(i, j): 1}), d1)
                 if tensor_mul_sparse(algs2, z, corner) != tensor_mul_sparse(algs2, corner, z):
                     yield (i, j)
 
@@ -462,14 +460,14 @@ def groupoid_wha(g: GroupoidData) -> WeakHopfData:
         for j in range(n):
             k = g.compose[i][j]
             if k is not None:
-                entries.append((i, j, k, RAT_ONE))
+                entries.append((i, j, k, 1))
     mult = Tensor3.from_entries((n, n, n), entries)
-    unit = [RAT_ZERO] * n
+    unit = [0] * n
     for e in g.identities:
-        unit[e] = RAT_ONE
-    comult = Tensor3.from_entries((n, n, n), ((i, i, i, RAT_ONE) for i in range(n)))
-    counit = tuple(RAT_ONE for _ in range(n))
-    anti = LinearMap(n, n, tuple({g.inverses[j]: RAT_ONE} for j in range(n)))
+        unit[e] = 1
+    comult = Tensor3.from_entries((n, n, n), ((i, i, i, 1) for i in range(n)))
+    counit = (1,) * n
+    anti = LinearMap(n, n, tuple({g.inverses[j]: 1} for j in range(n)))
     w = WeakHopfData(StructureAlgebra(n, mult, tuple(unit)),
                      StructureCoalgebra(n, comult, counit), anti)
     w.report.require()

@@ -16,14 +16,20 @@ from hopfsmash.qtriang import transmute, trivial_qt
 
 def _structure_digest(*parts) -> str:
     """First 16 hex digits of a sha256 over the exact entries of each part:
-    the cells of a Tensor3, the terms of a TensorElem, or nested tuples."""
+    the cells of a Tensor3, the terms of a TensorElem, or nested tuples of
+    scalars. Each scalar is read as a Fraction, so an int and the equal
+    Fraction give one digest."""
+    def scalars(x):
+        return tuple(map(scalars, x)) if isinstance(x, tuple) else Fraction(x)
+
     def canon(x):
         if isinstance(x, Tensor3):
             d0, d1, _ = x.dims
-            return repr([(i, j, x.row(i, j)) for i in range(d0) for j in range(d1)])
+            return repr([(i, j, tuple((k, Fraction(c)) for k, c in x.row(i, j)))
+                         for i in range(d0) for j in range(d1)])
         if isinstance(x, TensorElem):
-            return repr(sorted(x.items()))
-        return repr(x)
+            return repr(sorted((key, Fraction(c)) for key, c in x.items()))
+        return repr(scalars(x))
     return hashlib.sha256("|".join(canon(p) for p in parts).encode()).hexdigest()[:16]
 
 

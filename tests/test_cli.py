@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -317,6 +318,23 @@ def test_construct_double_leaves_the_shared_report_alone(tmp_path, monkeypatch):
     assert report["subject"] == "hopf"
     assert [c["axiom"] for c in report["checks"]] == (
         [c.name for c in dd.report.checks] + ["qt." + c.name for c in q.report.checks])
+
+
+@pytest.mark.parametrize("recipe, pin", [
+    ("double:s3", "ef94a9cf4b5a46a2"),
+    ("smash-wha:k3s3", "036c33ad5bfbe305"),
+    ("build-B:k3s3", "ef83a02548e26eb3"),
+])
+def test_construct_objects_pinned(tmp_path, recipe, pin):
+    # the written object, byte for byte: compact json.dumps of the member
+    # reproduces the text of the file
+    ws = _starter_workspace(tmp_path / "ws.json")
+    out = tmp_path / "out.json"
+    assert main(["construct", str(ws), recipe, str(out)]) == 0
+    text = out.read_text()
+    member = json.dumps(json.loads(text)["objects"])
+    assert member in text
+    assert hashlib.sha256(member.encode()).hexdigest()[:16] == pin
 
 
 def test_construct_heisenberg_verifies_once(tmp_path, count_calls):

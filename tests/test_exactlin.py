@@ -14,6 +14,7 @@ from hopfsmash.exactlin import (
     commutant_rows,
     kernel_basis,
     mat,
+    qdiv,
     rank,
     rat,
     rat_str,
@@ -57,7 +58,7 @@ def _dense_rref(vs, dim):
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
+        rows[r] = [F(x) / rows[r][c] for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
@@ -125,6 +126,10 @@ def _commutant_dense(mats, m):
 def test_rat_string_roundtrip():
     assert rat("3/2") == F(3, 2)
     assert rat("-7") == F(-7)
+    # an integral value is the int itself, whatever form it is read from
+    assert type(rat("4/2")) is int and rat("4/2") == 2
+    assert type(rat(F(6, 3))) is int and rat(F(6, 3)) == 2
+    assert type(rat("3/2")) is F
     assert rat_str(F(3, 2)) == "3/2"
     assert rat_str(F(5)) == "5"
     with pytest.raises(TypeError):
@@ -132,12 +137,36 @@ def test_rat_string_roundtrip():
 
 
 def test_rat_refuses_inexact_and_ill_formed_scalars():
-    with pytest.raises(TypeError):
-        rat(True)
+    for bad in (True, False, 1.0):
+        with pytest.raises(TypeError):
+            rat(bad)
     with pytest.raises(ValueError):
         rat("1/0")
     with pytest.raises(ValueError):
         rat("one")
+
+
+@given(st.integers(-24, 24) | rationals, (st.integers(-6, 6) | rationals).filter(bool))
+def test_qdiv_is_exact_and_int_exactly_when_integral(a, b):
+    q = qdiv(a, b)
+    assert q == F(a) / F(b)
+    assert (type(q) is int) == ((F(a) / F(b)).denominator == 1)
+    assert type(q) in (int, F)
+
+
+def test_qdiv_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        qdiv(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        qdiv(F(1, 2), F(0))
+
+
+@given(st.integers(-30, 30), st.integers(1, 9), st.integers(1, 4))
+def test_rat_reads_an_integral_value_as_an_int(p, q, k):
+    for x in (F(p * k, k), f"{p * k}/{k}", str(p), p):
+        assert type(rat(x)) is int and rat(x) == p
+    r = rat(f"{p}/{q}")
+    assert r == F(p, q) and (type(r) is int) == (p % q == 0)
 
 
 def test_poly_gcd_is_monic():

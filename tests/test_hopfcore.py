@@ -224,8 +224,8 @@ def _integrals_on_every_index(h):
 
     lam_ = kernel_line(h.algebra, h.counit)
     lam = kernel_line(convolution_algebra(h.coalgebra), h.unit)
-    lam = {k: x / vec_dot(lam, sp(h.unit)) for k, x in lam.items()}
-    return {k: x / vec_dot(lam, lam_) for k, x in lam_.items()}, lam
+    lam = {k: F(x) / vec_dot(lam, sp(h.unit)) for k, x in lam.items()}
+    return {k: F(x) / vec_dot(lam, lam_) for k, x in lam_.items()}, lam
 
 
 def test_integrals_from_generator_equations(ks3, double_s3, monkeypatch):

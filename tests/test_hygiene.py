@@ -2,8 +2,9 @@
 inside a function, no package function imports from a module that its module
 already imports from at top level or that does not import its module (only an
 import cycle justifies a function-local import), the package imports nothing
-outside the standard library, and each object verifier runs only in its
-class's cached `report` property (or in the CLI's suites).
+outside the standard library, each object verifier runs only in its
+class's cached `report` property (or in the CLI's suites), and no package
+code divides with `/` outside `exactlin.qdiv`: an int / int is a float.
 
 An AST scan stands in for pyflakes: a name bound by an import counts as used
 when it appears anywhere in the module as a name, as the root of an
@@ -260,3 +261,31 @@ def test_scan_finds_stray_verifier_calls():
     assert stray_verifier_calls(src, "cli") == [("verify_hopf", 8), ("verify_algebra", 11)]
     assert stray_verifier_calls(src, "qtriang") == [
         ("verify_hopf", 8), ("verify_qt", 9), ("verify_algebra", 11)]
+
+
+def divisions(source: str, module: str) -> list:
+    """Line of every `/` and `/=` in the module, except inside the function
+    qdiv of exactlin, the one division of exact scalars."""
+    tree = ast.parse(source)
+    allowed = {id(node) for fn in ast.walk(tree)
+               if module == "exactlin" and isinstance(fn, ast.FunctionDef) and fn.name == "qdiv"
+               for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div) and id(node) not in allowed)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_division_outside_qdiv(path):
+    assert divisions(path.read_text(), path.stem) == []
+
+
+def test_scan_finds_divisions():
+    src = ("def qdiv(a, b):\n"
+           "    return a / b\n"
+           "def f(x, y):\n"
+           "    x /= y\n"
+           "    return x // y, [c / y for c in (x,)]\n"
+           "half = 1 / 2  # a / b\n")
+    assert divisions(src, "exactlin") == [4, 5, 6]
+    assert divisions(src, "hopfcore") == [2, 4, 5, 6]
