@@ -3,13 +3,16 @@ object, cotensor products, R-adjoint-stable algebras N_W, the Psi/Phi
 isomorphism N_D ~ D* # H^op, the decomposition of H_R into minimal H-module
 subcoalgebras, and the transport of the weak Hopf structure onto N_D.
 
-Coaction tensors: a left comodule stores rho[w][d][w'] (= coefficient of
-e_d (x) w' in rho(w)); a right comodule stores rho[w][w'][d].
+Coaction tensors: a left C-comodule stores rho[w][d][w'] (= coefficient of
+e_d (x) w' in rho(w)).  A right C-comodule, rho(w) = w' (x) e_d, is a left
+C^cop-comodule, so it is a ComoduleData over co_opposite(C) in the same
+layout and is checked by the same comodule-law kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exactlin import (
     LinearMap,
@@ -30,9 +33,13 @@ from .hopfcore import (
     StructureAlgebra,
     StructureCoalgebra,
     check_map,
+    co_opposite,
+    coassociativity_failures,
     convolution_algebra,
+    counit_law_failures,
     module_law_failures,
     opposites,
+    sweedler_rows,
 )
 from .modalg import ModuleAlgebraData, SeparabilityData, regular_trace, verify_separability
 from .qtriang import (
@@ -55,106 +62,35 @@ from .weakhopf import WeakHopfData, WeakQTStructure, almost_triangular_wha_repor
 
 @dataclass(frozen=True)
 class ComoduleData:
-    """A left comodule over the given coalgebra."""
+    """A left comodule over the given coalgebra; a right C-comodule is one
+    over co_opposite(C)."""
 
     coalgebra: StructureCoalgebra
     dim: int
     coaction: Tensor3  # (dim, dim C, dim)
 
-    def rho_sparse(self, w_sp: dict) -> dict:
-        out: dict = {}
-        rows = self.coaction._rows
-        for w, c in w_sp.items():
-            for d in range(self.coalgebra.dim):
-                for w2, cc in rows[w][d]:
-                    sp_add(out, (d, w2), c * cc)
-        return out
-
-
-@dataclass(frozen=True)
-class RightComoduleData:
-    coalgebra: StructureCoalgebra
-    dim: int
-    coaction: Tensor3  # (dim, dim, dim C)
-
-    def rho_sparse(self, w_sp: dict) -> dict:
-        out: dict = {}
-        rows = self.coaction._rows
-        for w, c in w_sp.items():
-            for w2 in range(self.dim):
-                for d, cc in rows[w][w2]:
-                    sp_add(out, (w2, d), c * cc)
-        return out
+    @cached_property
+    def rows(self):
+        """Sweedler rows ((d, w', c), ...) of rho(e_w), one per w."""
+        return sweedler_rows(self.coaction)
 
 
 def verify_left_comodule(cm: ComoduleData, subject: str = "left_comodule") -> VerificationReport:
     rep = VerificationReport(subject)
     coal = cm.coalgebra
-
-    def counit_failures():
-        for w in range(cm.dim):
-            acc: dict = {}
-            for (d, w2), c in cm.rho_sparse({w: 1}).items():
-                sp_add(acc, w2, c * coal.counit[d])
-            if acc != {w: 1}:
-                yield (w,)
-
-    def coassociativity_failures():
-        for w in range(cm.dim):
-            lhs: dict = {}
-            rhs: dict = {}
-            for (d, w2), c in cm.rho_sparse({w: 1}).items():
-                for a, b, cc in coal.comul_row(d):
-                    sp_add(lhs, (a, b, w2), c * cc)
-                for (d2, w3), cc in cm.rho_sparse({w2: 1}).items():
-                    sp_add(rhs, (d, d2, w3), c * cc)
-            if lhs != rhs:
-                yield (w,)
-
-    rep.check("counit_law", counit_failures())
-    rep.check("coassociativity", coassociativity_failures())
+    rep.check("counit_law", counit_law_failures(cm.rows, coal.counit))
+    rep.check("coassociativity", coassociativity_failures(cm.rows, coal.rows))
     return rep
 
 
-def verify_right_comodule(cm: RightComoduleData, subject: str = "right_comodule") -> VerificationReport:
-    rep = VerificationReport(subject)
-    coal = cm.coalgebra
-
-    def counit_failures():
-        for w in range(cm.dim):
-            acc: dict = {}
-            for (w2, d), c in cm.rho_sparse({w: 1}).items():
-                sp_add(acc, w2, c * coal.counit[d])
-            if acc != {w: 1}:
-                yield (w,)
-
-    def coassociativity_failures():
-        for w in range(cm.dim):
-            lhs: dict = {}
-            rhs: dict = {}
-            for (w2, d), c in cm.rho_sparse({w: 1}).items():
-                for (w3, d2), cc in cm.rho_sparse({w2: 1}).items():
-                    sp_add(lhs, (w3, d2, d), c * cc)
-                for a, b, cc in coal.comul_row(d):
-                    sp_add(rhs, (w2, a, b), c * cc)
-            if lhs != rhs:
-                yield (w,)
-
-    rep.check("counit_law", counit_failures())
-    rep.check("coassociativity", coassociativity_failures())
-    return rep
-
-
-def dual_right_comodule(cm: ComoduleData) -> RightComoduleData:
-    """W* with rho(w*_i) = sum_j w*_j (x) (coefficient tensor of rho_W)."""
-    n, nc = cm.dim, cm.coalgebra.dim
-    entries = []
-    for j in range(n):
-        for d in range(nc):
-            for i, c in cm.coaction.row(j, d):
-                entries.append((i, j, d, c))
-    out = RightComoduleData(cm.coalgebra, n, Tensor3.from_entries((n, n, nc), entries))
-    verify_right_comodule(out, "dual_right_comodule").require()
+def dual_right_comodule(cm: ComoduleData) -> ComoduleData:
+    """W* with rho(w*_i) = sum_j w*_j (x) (coefficient tensor of rho_W), a
+    right C-comodule held as a left co_opposite(C)-comodule."""
+    n = cm.dim
+    entries = [(i, d, j, c) for j, row in enumerate(cm.rows) for d, i, c in row]
+    out = ComoduleData(co_opposite(cm.coalgebra), n,
+                       Tensor3.from_entries((n, cm.coalgebra.dim, n), entries))
+    verify_left_comodule(out, "dual_right_comodule").require()
     return out
 
 
@@ -241,7 +177,7 @@ class HTensorW:
     dim: int
     action: Tensor3          # (dim H, dim, dim): left multiplication
     coaction: Tensor3        # (dim, dim H, dim): left H_R-comodule
-    right_coaction: Tensor3  # (dim, dim, dim H): right H-comodule
+    right_coaction: Tensor3  # (dim, dim H, dim): right H-comodule, left over H^cop
 
     def flat(self, i: int, w: int) -> int:
         return i * self.w.dim + w
@@ -284,15 +220,15 @@ def build_h_tensor_w(w: ComoduleData, h: HopfData,
     for i in range(nh):
         for ww in range(nw):
             for p, pq, c in h.coalgebra.comul_row(i):
-                r_entries.append((flat(i, ww), flat(p, ww), pq, c))
-    right_coaction = Tensor3.from_entries((n, n, nh), r_entries)
+                r_entries.append((flat(i, ww), pq, flat(p, ww), c))
+    right_coaction = Tensor3.from_entries((n, nh, n), r_entries)
 
     out = HTensorW(h, w, n, action, coaction, right_coaction)
     rep = VerificationReport("h_tensor_w")
     rep.check("module_law", module_law_failures(h, action))
     rep.merge(verify_left_comodule(out.as_comodule(), "braided_coaction"), "braided.")
-    rep.merge(verify_right_comodule(
-        RightComoduleData(h.coalgebra, n, right_coaction), "right_H"), "right.")
+    rep.merge(verify_left_comodule(
+        ComoduleData(co_opposite(h.coalgebra), n, right_coaction), "right_H"), "right.")
     rep.require()
     return out
 
@@ -303,18 +239,19 @@ def build_h_tensor_w(w: ComoduleData, h: HopfData,
 # cotensor products
 # ---------------------------------------------------------------------------
 
-def cotensor(wdual: RightComoduleData, m: ComoduleData) -> list:
-    """Exact basis of W* [] M = {t : (rho_{W*} (x) id) t = (id (x) rho_M) t}."""
-    if wdual.coalgebra.dim != m.coalgebra.dim:
-        raise ValueError("cotensor factors live over different coalgebras")
-    nw, nm, nc = wdual.dim, m.dim, wdual.coalgebra.dim
+def cotensor(wdual: ComoduleData, m: ComoduleData) -> list:
+    """Exact basis of W* [] M = {t : (rho_{W*} (x) id) t = (id (x) rho_M) t},
+    for a right C-comodule W* held over co_opposite(C) and a left one M."""
+    if wdual.coalgebra != co_opposite(m.coalgebra):
+        raise ValueError("cotensor needs W* over co_opposite of M's coalgebra")
+    nw, nm = wdual.dim, m.dim
     rows_by_key: dict = {}
-    for i in range(nw):
-        for (j, d), c in wdual.rho_sparse({i: 1}).items():
+    for i, row in enumerate(wdual.rows):
+        for d, j, c in row:
             for mm in range(nm):
                 sp_add(rows_by_key.setdefault((j, d, mm), {}), i * nm + mm, c)
-    for mm in range(nm):
-        for (d, m2), c in m.rho_sparse({mm: 1}).items():
+    for mm, row in enumerate(m.rows):
+        for d, m2, c in row:
             for j in range(nw):
                 sp_add(rows_by_key.setdefault((j, d, m2), {}), j * nm + mm, -c)
     return kernel_basis(rows_by_key.values(), nw * nm)
@@ -399,16 +336,10 @@ def nw_direct_sum_report(w: ComoduleData, h: HopfData, components,
     comp_bases = []
     for comp in components:
         comp = list(comp)
-        ok = all(w2 in comp or c == 0
-                 for ww in comp for d in range(h.dim) for w2, c in w.coaction.row(ww, d))
-        if not ok:
+        if any(w2 not in comp for ww in comp for _, w2, _ in w.rows[ww]):
             raise HypothesisFailure("component-coaction-stable", tuple(comp))
-        rep.add(f"component_{tuple(comp)}_coaction_stable", ok)
-        entries = []
-        for a, ww in enumerate(comp):
-            for d in range(h.dim):
-                for w2, c in w.coaction.row(ww, d):
-                    entries.append((a, d, comp.index(w2), c))
+        entries = [(a, d, comp.index(w2), c)
+                   for a, ww in enumerate(comp) for d, w2, c in w.rows[ww]]
         wi = ComoduleData(w.coalgebra, len(comp),
                           Tensor3.from_entries((len(comp), h.dim, len(comp)), entries))
         ni = adjoint_stable_algebra(wi, h, bg)
@@ -424,7 +355,7 @@ def nw_direct_sum_report(w: ComoduleData, h: HopfData, components,
     return rep
 
 
-def cotensor_right_module(wdual: RightComoduleData, v_com: ComoduleData,
+def cotensor_right_module(wdual: ComoduleData, v_com: ComoduleData,
                           v_action: Tensor3,
                           n_alg: AdjointStableAlgebra) -> VerificationReport:
     """W* [] V is a right N_W-module via

@@ -14,6 +14,7 @@ Pairing conventions (fixed once):
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -114,6 +115,14 @@ class StructureAlgebra:
         return self.centralizer_basis([{i: 1} for i in range(self.dim)])
 
 
+def sweedler_rows(t: Tensor3) -> tuple:
+    """rows[w] = ((d, w', c), ...) for rho(e_w) = sum c e_d (x) e_w' read off a
+    coaction tensor t[w][d][w']; for t = Delta these are the coproduct rows."""
+    d0, d1, _ = t.dims
+    return tuple(tuple((d, w2, c) for d in range(d1) for w2, c in t.row(w, d))
+                 for w in range(d0))
+
+
 @dataclass(frozen=True)
 class StructureCoalgebra:
     """A coalgebra given by its comultiplication tensor and counit vector."""
@@ -129,24 +138,17 @@ class StructureCoalgebra:
             raise DimensionMismatch("counit vector has wrong length")
 
     @cached_property
-    def _rows(self):
+    def rows(self):
         """Per-basis Sweedler rows: comul_row(i) = ((j, k, c), ...)."""
-        rows = []
-        for i in range(self.dim):
-            acc = []
-            for j in range(self.dim):
-                for k, c in self.comult.row(i, j):
-                    acc.append((j, k, c))
-            rows.append(tuple(acc))
-        return tuple(rows)
+        return sweedler_rows(self.comult)
 
     def comul_row(self, i: int):
-        return self._rows[i]
+        return self.rows[i]
 
     def comul_sparse(self, a: dict) -> dict:
         out: dict = {}
         for i, c in a.items():
-            for j, k, w in self._rows[i]:
+            for j, k, w in self.rows[i]:
                 sp_add(out, (j, k), c * w)
         return out
 
@@ -159,8 +161,8 @@ class StructureCoalgebra:
         rows = []
         for i in range(self.dim):
             acc: dict = {}
-            for j, k, c in self._rows[i]:
-                for a, b, w in self._rows[j]:
+            for j, k, c in self.rows[i]:
+                for a, b, w in self.rows[j]:
                     sp_add(acc, (a, b, k), c * w)
             rows.append(tuple((a, b, k, c) for (a, b, k), c in acc.items()))
         return tuple(rows)
@@ -282,6 +284,13 @@ def opposite_algebra(alg: StructureAlgebra) -> StructureAlgebra:
     n = alg.dim
     entries = [(j, i, k, c) for i in range(n) for j in range(n) for k, c in alg.mul_row(i, j)]
     return StructureAlgebra(n, Tensor3.from_entries((n, n, n), entries), alg.unit)
+
+
+def co_opposite(coal: StructureCoalgebra) -> StructureCoalgebra:
+    """C^cop: Delta^cop(c) = c_(2) (x) c_(1), same counit."""
+    n = coal.dim
+    entries = [(i, k, j, c) for i in range(n) for j, k, c in coal.comul_row(i)]
+    return StructureCoalgebra(n, Tensor3.from_entries((n, n, n), entries), coal.counit)
 
 
 def convolution_algebra(coal: StructureCoalgebra) -> StructureAlgebra:
@@ -423,38 +432,43 @@ def verify_algebra(a: StructureAlgebra, subject: str = "algebra") -> Verificatio
     return rep
 
 
+def counit_law_failures(rows, counit):
+    """Indices (w,) with (eps (x) id) rho(e_w) != e_w, for the Sweedler rows
+    of a left coaction rho over a coalgebra with counit eps."""
+    for w, row in enumerate(rows):
+        acc: dict = {}
+        for d, w2, c in row:
+            if counit[d]:
+                sp_add(acc, w2, c * counit[d])
+        if acc != {w: 1}:
+            yield (w,)
+
+
+def coassociativity_failures(rows, comul_rows):
+    """Indices (w,) with (Delta (x) id) rho(e_w) != (id (x) rho) rho(e_w), for
+    the Sweedler rows of a left coaction rho and of the coproduct Delta."""
+    for w, row in enumerate(rows):
+        lhs: dict = {}
+        rhs: dict = {}
+        for d, w2, c in row:
+            for a, b, cc in comul_rows[d]:
+                sp_add(lhs, (a, b, w2), c * cc)
+            for d2, w3, cc in rows[w2]:
+                sp_add(rhs, (d, d2, w3), c * cc)
+        if lhs != rhs:
+            yield (w,)
+
+
 def verify_coalgebra(c: StructureCoalgebra, subject: str = "coalgebra") -> VerificationReport:
+    """The comodule kernels on C as a left comodule over itself, rho = Delta;
+    the right counit law is the left one on the swapped rows, those of C^cop.
+    The two counit scans are merged in index order, so the witness is the
+    first index failing either side."""
     rep = VerificationReport(subject)
-    n = c.dim
-    eps = c.counit
-
-    def counit_failures():
-        for i in range(n):
-            left: dict = {}
-            right: dict = {}
-            for j, k, w in c.comul_row(i):
-                if eps[j]:
-                    sp_add(left, k, w * eps[j])
-                if eps[k]:
-                    sp_add(right, j, w * eps[k])
-            if left != {i: 1} or right != {i: 1}:
-                yield (i,)
-
-    rep.check("counit_law", counit_failures())
-
-    def coassociativity_failures():
-        for i in range(n):
-            lhs: dict = {}
-            rhs: dict = {}
-            for j, k, w in c.comul_row(i):
-                for p, q, w2 in c.comul_row(j):
-                    sp_add(lhs, (p, q, k), w * w2)
-                for p, q, w2 in c.comul_row(k):
-                    sp_add(rhs, (j, p, q), w * w2)
-            if lhs != rhs:
-                yield (i,)
-
-    rep.check("coassociativity", coassociativity_failures())
+    swapped = [tuple((k, j, w) for j, k, w in row) for row in c.rows]
+    rep.check("counit_law", heapq.merge(counit_law_failures(c.rows, c.counit),
+                                        counit_law_failures(swapped, c.counit)))
+    rep.check("coassociativity", coassociativity_failures(c.rows, c.rows))
     return rep
 
 
@@ -810,13 +824,11 @@ def opposites(h: HopfData, which: str) -> HopfData:
     if which not in ("op", "cop", "opcop"):
         raise ValueError("which must be 'op', 'cop' or 'opcop'")
     h.report.require()
-    n = h.dim
     alg, coal, anti = h.algebra, h.coalgebra, h.antipode
     if which in ("op", "opcop"):
         alg = opposite_algebra(alg)
     if which in ("cop", "opcop"):
-        entries = [(i, k, j, c) for i in range(n) for j, k, c in h.coalgebra.comul_row(i)]
-        coal = StructureCoalgebra(n, Tensor3.from_entries((n, n, n), entries), h.counit)
+        coal = co_opposite(coal)
     if which in ("op", "cop"):
         anti = h.antipode_inv
         if anti is None:

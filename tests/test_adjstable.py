@@ -4,7 +4,6 @@ import pytest
 
 from hopfsmash.adjstable import (
     ComoduleData,
-    RightComoduleData,
     adjoint_stable_algebra,
     build_h_tensor_w,
     cotensor,
@@ -22,6 +21,7 @@ from hopfsmash.adjstable import (
 from hopfsmash import demos as dm
 from hopfsmash.exactlin import (LinearMap, Subspace, Tensor3, commutant_rows, kernel_basis,
                                 span_basis, split, vec)
+from hopfsmash.hopfcore import StructureCoalgebra, co_opposite, dual_hopf
 from hopfsmash.qtriang import trivial_qt
 from hopfsmash.report import HypothesisFailure
 
@@ -208,14 +208,52 @@ def test_cotensor_dimensions(ks3, bg_s3, s3_table):
 
 def test_cotensor_trivial_coaction_full():
     # both coactions through the trivial one-dimensional coalgebra: equalizer
-    # is everything
-    from hopfsmash.hopfcore import StructureCoalgebra
+    # is everything; the point coalgebra is its own co-opposite
     point = StructureCoalgebra(1, Tensor3.from_entries((1, 1, 1), [(0, 0, 0, 1)]), vec([1]))
-    wd = RightComoduleData(point, 2, Tensor3.from_entries((2, 2, 1),
-                                                          [(0, 0, 0, 1), (1, 1, 0, 1)]))
+    wd = ComoduleData(co_opposite(point), 2,
+                      Tensor3.from_entries((2, 1, 2), [(0, 0, 0, 1), (1, 0, 1, 1)]))
     m = ComoduleData(point, 3, Tensor3.from_entries((3, 1, 3),
                                                     [(i, 0, i, 1) for i in range(3)]))
     assert len(cotensor(wd, m)) == 6
+
+
+def test_cotensor_refuses_wdual_not_over_the_co_opposite(ks3):
+    # C = k^S3 is not cocommutative, so the right label matters.  For the
+    # regular comodules C [] C = C; a W* over C in place of C^cop is refused,
+    # as is one over kS3 or over the point coalgebra
+    c = dual_hopf(ks3).coalgebra
+    right = co_opposite(c)
+    assert right != c
+    m = ComoduleData(c, 6, c.comult)
+    assert len(cotensor(ComoduleData(right, 6, right.comult), m)) == 6
+    point = StructureCoalgebra(1, Tensor3.from_entries((1, 1, 1), [(0, 0, 0, 1)]), vec([1]))
+    for wd in (ComoduleData(c, 6, right.comult), ComoduleData(ks3.coalgebra, 6, right.comult),
+               ComoduleData(point, 1, point.comult)):
+        with pytest.raises(ValueError, match="co_opposite"):
+            cotensor(wd, m)
+
+
+def test_fault_injected_right_coaction_fails(ks3):
+    # C = k^S3 is not cocommutative; C as a right C-comodule, rho = Delta, is
+    # the left co_opposite(C)-comodule whose coaction tensor is Delta^cop
+    c = dual_hopf(ks3).coalgebra
+    right = co_opposite(c)
+    assert right != c
+    assert verify_left_comodule(ComoduleData(right, 6, right.comult)).ok
+    e = ks3.unit.index(1)    # the counit of k^S3 is evaluation at e
+    cells = {(w, d): dict(right.comult.row(w, d)) for w in range(6) for d in range(6)}
+
+    def twin(d):
+        # one more e_d (x) p_3 in rho(p_3): p_3 feeds (id (x) rho) rho(p_0)
+        bumped = {key: dict(cell) for key, cell in cells.items()}
+        bumped[(3, d)][3] = bumped[(3, d)].get(3, 0) + 1
+        entries = [(w, dd, k, x) for (w, dd), cell in bumped.items() for k, x in cell.items()]
+        rep = verify_left_comodule(
+            ComoduleData(right, 6, Tensor3.from_entries((6, 6, 6), entries)), "right_comodule")
+        return [(ch.name, ch.witness) for ch in rep.failures()]
+
+    assert twin(e) == [("counit_law", (3,)), ("coassociativity", (0,))]
+    assert twin((e + 1) % 6) == [("coassociativity", (0,))]
 
 
 def test_nw_of_transposition_is_group_algebra_of_centralizer(ks3, bg_s3):

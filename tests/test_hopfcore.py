@@ -31,6 +31,7 @@ from hopfsmash.hopfcore import (
     integrals,
     opposites,
     verify_algebra,
+    verify_coalgebra,
     verify_hopf,
 )
 from hopfsmash.modalg import pointwise_algebra
@@ -270,6 +271,30 @@ def test_check_map_examples(kz2, ks3):
     assert rep.find("counit_preserved").witness == (3,)
     with pytest.raises(DimensionMismatch):
         check_map(ident, ks3, ks3, ("algebra",))
+
+
+def test_check_map_refuses_a_non_unital_algebra_map():
+    # k^2 -> k^3, e_i |-> e_i: multiplicative and injective, but it sends
+    # 1 = e_0 + e_1 to e_0 + e_1, not to e_0 + e_1 + e_2
+    f = LinearMap(2, 3, ({0: 1}, {1: 1}))
+    rep = check_map(f, pointwise_algebra(2), pointwise_algebra(3), ("algebra", "injective"))
+    assert rep.find("algebra_map").passed
+    assert rep.find("injective").passed
+    assert [c.name for c in rep.failures()] == ["unit_preserved"]
+
+
+@pytest.mark.parametrize("breaks", [{2: "right"}, {3: "left"},
+                                    {1: "left", 2: "right"}, {1: "right", 3: "left"}],
+                         ids=["right", "left", "left-first", "right-first"])
+def test_counit_law_witness_is_the_first_failing_index(breaks):
+    # k^4 with group-like e_i and counit 1 everywhere; Delta(e_i) = e_0 (x) e_i
+    # breaks the right counit law alone at i, Delta(e_i) = e_i (x) e_0 the left
+    n = 4
+    legs = {i: {"right": (0, i), "left": (i, 0)}.get(breaks.get(i), (i, i)) for i in range(n)}
+    coal = StructureCoalgebra(n, Tensor3.from_entries(
+        (n, n, n), [(i, a, b, 1) for i, (a, b) in legs.items()]), (1,) * n)
+    rep = verify_coalgebra(coal)
+    assert rep.find("counit_law").witness == (min(breaks),)
 
 
 small_rationals = st.one_of(st.just(F(0)),

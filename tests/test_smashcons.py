@@ -156,7 +156,8 @@ def test_build_b_dimensions_and_checks(b54):
     assert b54.wha.dim == 54
     assert b54.report.ok
     for name in ("target_matches_closed_form", "source_matches_closed_form",
-                 "target_iso_is_algebra_map", "source_iso_is_antialgebra_map"):
+                 *(f"{iso}.{row}" for iso in ("target_iso", "source_iso")
+                   for row in ("algebra_map", "unit_preserved", "injective"))):
         assert b54.report.find(name).passed, name
 
 
@@ -301,6 +302,9 @@ def test_double_smash_decomposition_kz2(kz2, double_z2):
     rep = double_smash_decomposition(kz2, double_z2)
     assert rep.ok
     assert rep.find("dimension_product").passed
+    for piece in ("iota", "c"):
+        for row in ("algebra_map", "unit_preserved", "injective"):
+            assert rep.find(f"{piece}.{row}").passed
     assert rep.find("C_equals_full_centralizer").passed
 
 
