@@ -118,7 +118,7 @@ def verify_yd(v: YetterDrinfeldData, subject: str = "yetter_drinfeld") -> Verifi
     one = h.algebra.unit_sparse
     rep.check("action_unital",
               ((x,) for x in range(n) if v.action.act(one, {x: 1}) != {x: 1}))
-    rep.check("action_module_law", module_law_failures(h, v.action))
+    rep.check("action_module_law", module_law_failures(h.algebra, v.action))
     rep.merge(verify_left_comodule(
         ComoduleData(h.coalgebra, n, v.coaction), "coaction"), "coaction.")
     return rep
@@ -175,9 +175,8 @@ class HTensorW:
     h: HopfData
     w: ComoduleData
     dim: int
-    action: Tensor3          # (dim H, dim, dim): left multiplication
-    coaction: Tensor3        # (dim, dim H, dim): left H_R-comodule
-    right_coaction: Tensor3  # (dim, dim H, dim): right H-comodule, left over H^cop
+    action: Tensor3    # (dim H, dim, dim): left multiplication
+    coaction: Tensor3  # (dim, dim H, dim): left H_R-comodule
 
     def flat(self, i: int, w: int) -> int:
         return i * self.w.dim + w
@@ -188,8 +187,7 @@ class HTensorW:
 
 def build_h_tensor_w(w: ComoduleData, h: HopfData,
                      bg: BraidedGroupData | None = None) -> HTensorW:
-    """h'(h (x) w) = h'h (x) w; rho(h (x) w) = h_(1) .ad w_<-1> (x) h_(2) (x) w_<0>;
-    rho'(h (x) w) = (h_(1) (x) w) (x) h_(2)."""
+    """h'(h (x) w) = h'h (x) w; rho(h (x) w) = h_(1) .ad w_<-1> (x) h_(2) (x) w_<0>."""
     nh, nw = h.dim, w.dim
     n = nh * nw
     ad = adjoint_action_tensor(h) if bg is None else bg.adjoint_action
@@ -216,19 +214,10 @@ def build_h_tensor_w(w: ComoduleData, h: HopfData,
                             c_entries.append((src, m, flat(pq, w0), c * cw * cm))
     coaction = Tensor3.from_entries((n, nh, n), c_entries)
 
-    r_entries = []
-    for i in range(nh):
-        for ww in range(nw):
-            for p, pq, c in h.coalgebra.comul_row(i):
-                r_entries.append((flat(i, ww), pq, flat(p, ww), c))
-    right_coaction = Tensor3.from_entries((n, nh, n), r_entries)
-
-    out = HTensorW(h, w, n, action, coaction, right_coaction)
+    out = HTensorW(h, w, n, action, coaction)
     rep = VerificationReport("h_tensor_w")
-    rep.check("module_law", module_law_failures(h, action))
+    rep.check("module_law", module_law_failures(h.algebra, action))
     rep.merge(verify_left_comodule(out.as_comodule(), "braided_coaction"), "braided.")
-    rep.merge(verify_left_comodule(
-        ComoduleData(co_opposite(h.coalgebra), n, right_coaction), "right_H"), "right.")
     rep.require()
     return out
 

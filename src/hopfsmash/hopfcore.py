@@ -500,21 +500,21 @@ def comult_multiplicative_failures(alg: StructureAlgebra, coal: StructureCoalgeb
                 yield (i, j)
 
 
-def module_law_failures(h: HopfData, action: Tensor3, right=None):
+def module_law_failures(alg: StructureAlgebra, action: Tensor3, right=None):
     """Triples (i, j, x), j in `right` (every index when None), with
     (e_i e_j) . v_x != e_i . (e_j . v_x) for a left action tensor
-    action[h][x][y].
+    action[h][x][y] of the algebra alg.
 
-    On an associative H it is enough that `right` is S = h.algebra.generators:
+    On an associative A it is enough that `right` is S = alg.generators:
     if T = {w : (g w) . v = g . (w . v) for all g, v} holds S, then for w in T,
     s in S: (g (w s)) . v = ((g w) s) . v = (g w) . (s . v) = g . (w . (s . v))
-    = g . ((w s) . v) by associativity, s, w, s in turn; so T = H.
+    = g . ((w s) . v) by associativity, s, w, s in turn; so T = A.
     """
     rows = action._rows
-    mult = h.algebra.mult._rows
-    for i in range(h.dim):
+    mult = alg.mult._rows
+    for i in range(alg.dim):
         ri = rows[i]
-        for j in range(h.dim) if right is None else right:
+        for j in range(alg.dim) if right is None else right:
             rij = mult[i][j]
             rj = rows[j]
             for x in range(action.dims[1]):
@@ -911,14 +911,60 @@ def integrals(h: HopfData) -> IntegralPair:
 
 
 # ---------------------------------------------------------------------------
-# Drinfeld double
+# product algebras
 # ---------------------------------------------------------------------------
 
-def _double_codec(n: int):
-    def flat(a: int, b: int) -> int:
-        return a * n + b
-    return flat
+def matrix_algebra(t: int) -> StructureAlgebra:
+    """M_t(k) on the matrix units, flat index i * t + j: E_ij E_jl = E_il."""
+    n = t * t
+    mult = Tensor3.from_entries((n, n, n), ((i * t + j, j * t + l, i * t + l, 1)
+                                            for i in range(t) for j in range(t) for l in range(t)))
+    return StructureAlgebra(n, mult, tuple(int(i == j) for i in range(t) for j in range(t)))
 
+
+def tensor_algebra(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
+    """A (x) B, flat index x * dim B + y: (x (x) y)(x' (x) y') = x x' (x) y y'."""
+    nb = b.dim
+    n = a.dim * nb
+    entries = ((x1 * nb + y1, x2 * nb + y2, k * nb + m, ca * cb)
+               for x1 in range(a.dim) for x2 in range(a.dim) if (ra := a.mul_row(x1, x2))
+               for y1 in range(nb) for y2 in range(nb)
+               for k, ca in ra for m, cb in b.mul_row(y1, y2))
+    unit = tuple(ca * cb for ca in a.unit for cb in b.unit)
+    return StructureAlgebra(n, Tensor3.from_entries((n, n, n), entries), unit)
+
+
+def smash_carrier(alg: StructureAlgebra, h: HopfData, action: Tensor3) -> StructureAlgebra:
+    """A # H on A (x) H, flat index a * dim H + h, for a left action tensor
+    action[h][x][y] of H on A: (a # h)(b # g) = a (h_(1) . b) # h_(2) g, with
+    unit 1 # 1.  The carrier is returned unverified."""
+    na, nh = alg.dim, h.dim
+    n = na * nh
+    rowdicts: dict = {}
+    for a in range(na):
+        for b in range(na):
+            # a (e_p . b) for every p; i and j do not enter
+            lefts = [alg.mul_sparse({a: 1}, action.act({p: 1}, {b: 1})) for p in range(nh)]
+            for i in range(nh):
+                for j in range(nh):
+                    cell: dict = {}
+                    for p, q, c in h.coalgebra.comul_row(i):
+                        left = lefts[p]
+                        for m, cm in h.algebra.mul_row(q, j):
+                            for t, ct in left.items():
+                                sp_add(cell, t * nh + m, c * cm * ct)
+                    if cell:
+                        rowdicts[(a * nh + i, b * nh + j)] = cell
+    unit = [0] * n
+    for a, ca in alg.unit_sparse.items():
+        for t, ct in h.algebra.unit_sparse.items():
+            unit[a * nh + t] = ca * ct
+    return StructureAlgebra(n, Tensor3.from_row_dicts((n, n, n), rowdicts), tuple(unit))
+
+
+# ---------------------------------------------------------------------------
+# Drinfeld double
+# ---------------------------------------------------------------------------
 
 def drinfeld_double(h: HopfData):
     """D(H) on H* (x) H with R = sum_i (eps >< x_i) (x) (p_i >< 1).
@@ -932,7 +978,10 @@ def drinfeld_double(h: HopfData):
     if h.antipode_inv is None:
         raise ValueError("drinfeld_double needs an invertible antipode")
     nn = n * n
-    flat = _double_codec(n)
+
+    def flat(a: int, b: int) -> int:
+        return a * n + b
+
     sinv = h.antipode_inv
     alg = h.algebra
     dualalg = convolution_algebra(h.coalgebra)
@@ -1032,48 +1081,11 @@ def drinfeld_double(h: HopfData):
 # ---------------------------------------------------------------------------
 
 def heisenberg_double(h: HopfData) -> StructureAlgebra:
-    """H # H* with H* acting by the left hit p . l = l_(1) <p, l_(2)>."""
-    h.report.require()
+    """H # H* with H* acting by the left hit p . l = l_(1) <p, l_(2)>, on the
+    flat index l * dim H + p; hit[p][l] is the coefficient of l_(1)."""
     n = h.dim
-    nn = n * n
-    flat = _double_codec(n)
-    alg = h.algebra
-
-    rev_mult = dual_coalgebra(alg).comul_row
-    rev_comul: dict = {}
-    for i in range(n):
-        for j, k, c in h.coalgebra.comul_row(i):
-            rev_comul.setdefault((j, k), []).append((i, c))
-
-    rowdicts: dict = {}
-    for i in range(n):
-        for a in range(n):
-            for j in range(n):
-                for b in range(n):
-                    cell: dict = {}
-                    # Delta_{H*}(p_a) = sum p_{a1} (x) p_{a2} over mult[a1][a2][a]
-                    for a1, a2, c1 in rev_mult(a):
-                        # p_{a1} . l_j = sum_{(j1, j2)} [a1 == j2] l_j1
-                        hit: dict = {}
-                        for j1, j2, c2 in h.coalgebra.comul_row(j):
-                            if j2 == a1:
-                                sp_add(hit, j1, c2)
-                        if not hit:
-                            continue
-                        conv = rev_comul.get((a2, b), ())
-                        if not conv:
-                            continue
-                        for j1, c2 in hit.items():
-                            for m, c3 in alg.mul_row(i, j1):
-                                for k, c4 in conv:
-                                    sp_add(cell, flat(m, k), c1 * c2 * c3 * c4)
-                    if cell:
-                        rowdicts[(flat(i, a), flat(j, b))] = cell
-    mult = Tensor3.from_row_dicts((nn, nn, nn), rowdicts)
-    unit = [0] * nn
-    for i, ci in alg.unit_sparse.items():
-        for a, ca in sp(h.counit).items():
-            unit[flat(i, a)] = ci * ca
-    out = StructureAlgebra(nn, mult, tuple(unit))
+    hit = Tensor3.from_entries((n, n, n), ((p, l, l1, c) for l in range(n)
+                                           for l1, p, c in h.coalgebra.comul_row(l)))
+    out = smash_carrier(h.algebra, dual_hopf(h), hit)
     out.report.require()
     return out

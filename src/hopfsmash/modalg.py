@@ -73,7 +73,7 @@ def verify_module_algebra(m: ModuleAlgebraData, subject: str = "module_algebra")
     rep.check("action_unital", ((a,) for a in range(na)
                                 if act(h.algebra.unit_sparse, {a: 1}) != {a: 1}))
 
-    rep.check("action_module_law", module_law_failures(h, m.action))
+    rep.check("action_module_law", module_law_failures(h.algebra, m.action))
 
     rep.check("measuring", measuring_failures(h, m.action, A))
 

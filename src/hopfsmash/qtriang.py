@@ -306,7 +306,7 @@ def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
 
     # module law (h g) .ad x = h .ad (g .ad x)
     module_ok = rep.check("adjoint_module_law", certified_scan(
-        lambda js: module_law_failures(h, ad, js), gens, range(n)))
+        lambda js: module_law_failures(h.algebra, ad, js), gens, range(n)))
     acting = gens if module_ok else None
 
     # adjoint measures the product: h .ad (x y) = (h_(1) .ad x)(h_(2) .ad y)

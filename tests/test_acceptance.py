@@ -47,9 +47,10 @@ def test_criterion_2_groupoid_example(s3_table):
     assert cs.report.ok
     assert cs.t == 3
     assert len(cs.stabilizer) == 2
-    for name in ("matrix_unit_relations", "centralizer_is_stabilizer_algebra",
-                 "centralizer_product_formula", "iso_bijective",
-                 "iso_multiplicative", "matrix_units_grouplike"):
+    for name in ("units.algebra_map", "units.unit_preserved", "units.injective",
+                 "centralizer_is_stabilizer_algebra",
+                 "c.algebra_map", "c.unit_preserved", "c.injective", "iso_bijective",
+                 "iso.algebra_map", "iso.unit_preserved", "matrix_units_grouplike"):
         assert cs.report.find(name).passed, name
     _announce(2, "S3 on 3 points: t = 3, |G_1| = 2, exact matrix units, "
                  "centralizer ~ kZ2, A#H ~ M_3(k) (x) kZ2")

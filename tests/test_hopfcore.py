@@ -13,6 +13,7 @@ from hopfsmash.exactlin import (
     kernel_basis,
     mat,
     sp,
+    sp_add,
     vec,
     vec_dot,
 )
@@ -25,11 +26,14 @@ from hopfsmash.hopfcore import (
     check_map,
     convolution_algebra,
     drinfeld_double,
+    dual_coalgebra,
     dual_hopf,
     group_algebra,
     heisenberg_double,
     integrals,
+    matrix_algebra,
     opposites,
+    tensor_algebra,
     verify_algebra,
     verify_coalgebra,
     verify_hopf,
@@ -413,6 +417,79 @@ def test_heisenberg_kz2_is_m2(kz2):
     assert len(hz.center_basis()) == 1
     from hopfsmash.repdim import wedderburn_blocks
     assert wedderburn_blocks(hz).blocks == (2,)
+
+
+def _heisenberg_reference(h):
+    """The Heisenberg double H # H* by its own product loop, kept as a
+    reference for the smash kernel: (l_i # p_a)(l_j # p_b) =
+    l_i (p_a1 . l_j) # p_a2 p_b with the hit p . l = l_(1) <p, l_(2)>."""
+    n = h.dim
+    nn = n * n
+    rev_mult = dual_coalgebra(h.algebra).comul_row
+    rev_comul = {}
+    for i in range(n):
+        for j, k, c in h.coalgebra.comul_row(i):
+            rev_comul.setdefault((j, k), []).append((i, c))
+    rowdicts = {}
+    for i, a, j, b in itertools.product(range(n), repeat=4):
+        cell = {}
+        for a1, a2, c1 in rev_mult(a):
+            for j1, j2, c2 in h.coalgebra.comul_row(j):
+                if j2 != a1:
+                    continue
+                for m, c3 in h.algebra.mul_row(i, j1):
+                    for k, c4 in rev_comul.get((a2, b), ()):
+                        sp_add(cell, m * n + k, c1 * c2 * c3 * c4)
+        if cell:
+            rowdicts[(i * n + a, j * n + b)] = cell
+    unit = [0] * nn
+    for i, ci in h.algebra.unit_sparse.items():
+        for a, ca in sp(h.counit).items():
+            unit[i * n + a] = ci * ca
+    return StructureAlgebra(nn, Tensor3.from_row_dicts((nn, nn, nn), rowdicts), tuple(unit))
+
+
+@pytest.mark.parametrize("host", ["kZ2", "kS3", "kS3^cop", "D(kZ2)", "(kS3)*"])
+def test_heisenberg_double_matches_the_reference_loop(host, kz2, ks3, double_z2):
+    # (kS3)* is the one host here that is not cocommutative, so only it tells
+    # the left hit l_(1) <p, l_(2)> from the right hit <p, l_(1)> l_(2)
+    h = {"kZ2": kz2, "kS3": ks3, "kS3^cop": opposites(ks3, "cop"), "D(kZ2)": double_z2[0],
+         "(kS3)*": dual_hopf(ks3)}[host]
+    hz = heisenberg_double(h)
+    ref = _heisenberg_reference(h)
+    assert hz.mult.dense() == ref.mult.dense()
+    assert hz.unit == ref.unit
+
+
+def _kronecker(a, b):
+    """The dense product tensor of A (x) B on the index x * dim B + y."""
+    nb = len(b)
+    n = len(a) * nb
+    out = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for x1, x2, k in itertools.product(range(len(a)), repeat=3):
+        for y1, y2, m in itertools.product(range(nb), repeat=3):
+            out[x1 * nb + y1][x2 * nb + y2][k * nb + m] = a[x1][x2][k] * b[y1][y2][m]
+    return out
+
+
+def test_matrix_algebra_is_the_matrix_units():
+    for t in (1, 2, 3):
+        m = matrix_algebra(t)
+        assert m.mult.dense() == [[[int(j == k and p == i and q == l)
+                                    for p in range(t) for q in range(t)]
+                                   for k in range(t) for l in range(t)]
+                                  for i in range(t) for j in range(t)]
+        assert m.unit == tuple(int(i == j) for i in range(t) for j in range(t))
+        assert verify_algebra(m).ok
+
+
+def test_tensor_algebra_is_the_kronecker_product(kz2, ks3, double_z2):
+    for a, b in ((matrix_algebra(2), ks3.algebra), (kz2.algebra, double_z2[0].algebra),
+                 (ks3.algebra, matrix_algebra(2))):
+        ab = tensor_algebra(a, b)
+        assert ab.mult.dense() == _kronecker(a.mult.dense(), b.mult.dense())
+        assert ab.unit == tuple(x * y for x in a.unit for y in b.unit)
+        assert verify_algebra(ab).ok
 
 
 def test_heisenberg_trivial():

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from hopfsmash import demos as dm
+from hopfsmash import smashcons
+from hopfsmash.exactlin import Tensor3
 from hopfsmash.hopfcore import (
     GroupTable,
     group_algebra,
@@ -263,6 +265,7 @@ def test_case_study_refuses_intransitive(s3_table):
 def test_case_study_witness_is_the_first_failing_case(s3_table, ks3):
     # fault injection: a wrong inverse of the coset representative g_1 skews
     # the matrix units E_1j, E_j1; the witness is the least failing (i, j, k, l)
+    # on the flat matrix-unit indices (i * t + j, k * t + l) of M_t(k)
     action = dm.natural_point_action(3)
     reps = [next(g for g in range(6) if action[g][0] == p) for p in range(3)]
 
@@ -273,7 +276,7 @@ def test_case_study_witness_is_the_first_failing_case(s3_table, ks3):
     skewed = SkewedInverse(s3_table.elements, s3_table.table)
     with pytest.raises(HypothesisFailure) as ei:
         groupoid_case_study(skewed, action, ks3)
-    assert ei.value.hypothesis == "groupoid_case_study:matrix_unit_relations"
+    assert ei.value.hypothesis == "groupoid_case_study:units.algebra_map"
 
     # oracle: every failing relation E_ij E_kl = [j == k] E_il, in index order
     s = smash_algebra(permutation_module_algebra(ks3, s3_table, action))
@@ -283,7 +286,8 @@ def test_case_study_witness_is_the_first_failing_case(s3_table, ks3):
                for l in range(3)
                if s.carrier.mul_sparse(e[i][j], e[k][l]) != (e[i][l] if j == k else {})]
     assert len(failing) > 1
-    assert ei.value.witness == failing[0]
+    i, j, k, l = failing[0]
+    assert ei.value.witness == (i * 3 + j, k * 3 + l)
 
 
 def test_double_module_algebra_ks3(ks3, double_s3):
@@ -310,6 +314,37 @@ def test_double_smash_decomposition_kz2(kz2, double_z2):
 
 def test_double_module_spot_check_kz2(kz2, double_z2):
     assert double_module_spot_check(kz2, double_z2).ok
+
+
+def test_fault_injected_double_action_fails_module_law(kz2, double_z2, monkeypatch):
+    # move one constant of the H # D(H) action on H (x) M to the next target
+    # index, at an element off the unit; the witness is the first failing
+    # (u, v, x) in index order, found here by a dense scan
+    big = smash_algebra(double_module_algebra(kz2, double_z2)[0]).carrier
+    cells = smashcons._double_action_tensor(kz2).dense()
+    u, x, y = next((u, x, y) for u in range(8) if u not in big.unit_sparse
+                   for x in range(4) for y in range(4) if cells[u][x][y])
+    cells[u][x][(y + 1) % 4] += cells[u][x][y]
+    cells[u][x][y] = 0
+    moved = Tensor3.from_entries((8, 4, 4), [(u, x, y, c) for u, plane in enumerate(cells)
+                                             for x, row in enumerate(plane)
+                                             for y, c in enumerate(row)])
+    monkeypatch.setattr(smashcons, "_double_action_tensor", lambda h: moved)
+    rep = double_module_spot_check(kz2, double_z2)
+
+    mult = big.mult.dense()
+
+    def act(u, v):    # e_u . v for a dense v on H (x) M
+        return [sum(v[x] * cells[u][x][z] for x in range(4)) for z in range(4)]
+
+    basis = [[int(x == z) for z in range(4)] for x in range(4)]
+    failing = [(i, j, x) for i in range(8) for j in range(8) for x in range(4)
+               if [sum(mult[i][j][k] * act(k, basis[x])[z] for k in range(8)) for z in range(4)]
+               != act(i, act(j, basis[x]))]
+    assert failing
+    assert not rep.find("module_law").passed
+    assert rep.find("module_law").witness == failing[0]
+    assert rep.find("unit_acts_as_identity").passed
 
 
 def test_smash_includes(smash18, m3, ks3):
