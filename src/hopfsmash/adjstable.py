@@ -86,10 +86,7 @@ def verify_left_comodule(cm: ComoduleData, subject: str = "left_comodule") -> Ve
 def dual_right_comodule(cm: ComoduleData) -> ComoduleData:
     """W* with rho(w*_i) = sum_j w*_j (x) (coefficient tensor of rho_W), a
     right C-comodule held as a left co_opposite(C)-comodule."""
-    n = cm.dim
-    entries = [(i, d, j, c) for j, row in enumerate(cm.rows) for d, i, c in row]
-    out = ComoduleData(co_opposite(cm.coalgebra), n,
-                       Tensor3.from_entries((n, cm.coalgebra.dim, n), entries))
+    out = ComoduleData(co_opposite(cm.coalgebra), cm.dim, cm.coaction.permuted((2, 1, 0)))
     verify_left_comodule(out, "dual_right_comodule").require()
     return out
 
@@ -154,8 +151,8 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
     rep = VerificationReport("yd_to_comodule")
     rep.merge(verify_left_comodule(cm, "rho_R"), "rho_R.")
 
-    slices = [{d: c for d in range(nh) if (c := cm.coaction.entry(x, d, x2))}
-              for x in range(n) for x2 in range(n)]
+    by_end = cm.coaction.permuted((0, 2, 1))
+    slices = [dict(by_end.row(x, x2)) for x in range(n) for x2 in range(n)]
     coal_r = bg.braided_coalgebra
     basis = span_closure(slices, lambda u: _delta_slices(coal_r, u).values(), nh)
     d_v = Subspace(basis, nh)
@@ -396,7 +393,7 @@ class SubcoalgebraData:
 
     basis: tuple                     # sparse vectors of H
     coalgebra: StructureCoalgebra    # (Delta_R, eps) in D-coordinates
-    ad_coords: tuple                 # ad_coords[t][q] = coords of e_t .ad d_q in D, sparse
+    ad_coords: Tensor3               # ad_coords[t][q][p]: coefficient of d_p in e_t .ad d_q
 
     @property
     def dim(self) -> int:
@@ -437,32 +434,23 @@ def subcoalgebra_data(d_basis, q: QTStructure, bg: BraidedGroupData) -> Subcoalg
     coal = StructureCoalgebra(m, Tensor3.from_entries((m, m, m), comult_entries),
                               tuple(h.coalgebra.counit_sparse(v) for v in d_basis))
 
-    ad_coords = []
+    ad_entries = []
     for t in range(nh):
-        row = []
         for qidx in range(m):
-            img = bg.adjoint_action.act({t: 1}, d_basis[qidx])
-            cc = span.coords(img)
+            cc = span.coords(bg.adjoint_action.act({t: 1}, d_basis[qidx]))
             if cc is None:
                 raise HypothesisFailure("D-closed-under-adjoint-action", (t, qidx))
-            row.append(cc)
-        ad_coords.append(tuple(row))
-    return SubcoalgebraData(tuple(d_basis), coal, tuple(ad_coords))
+            ad_entries.extend((t, qidx, p, c) for p, c in cc.items())
+    return SubcoalgebraData(tuple(d_basis), coal,
+                            Tensor3.from_entries((nh, m, m), ad_entries))
 
 
 def dstar_module_algebra(dd: SubcoalgebraData, hop: HopfData) -> ModuleAlgebraData:
     """D* as a left H^op-module algebra: the convolution algebra of (D,
-    Delta_R), with the action <d* <<- h, d> = <d*, h .ad d>."""
-    m = dd.dim
-    nh = hop.dim
-    act_entries = []
-    for t in range(nh):
-        for p in range(m):
-            for r in range(m):
-                if c := dd.ad_coords[t][r].get(p):
-                    act_entries.append((t, p, r, c))
+    Delta_R), with the action <d* <<- h, d> = <d*, h .ad d>: action[t][p][r]
+    = ad_coords[t][r][p]."""
     mod = ModuleAlgebraData(hop, convolution_algebra(dd.coalgebra),
-                            Tensor3.from_entries((nh, m, m), act_entries))
+                            dd.ad_coords.permuted((0, 2, 1)))
     mod.report.require()
     return mod
 
@@ -504,6 +492,7 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
     nd = adjoint_stable_algebra(w, h, bg)
     hop = opposites(h, "op")
     dmod = dstar_module_algebra(dd, hop)
+    moved = dmod.action.row    # moved(t, p): d*_p <<- e_t in D* coordinates
     s = smash_algebra(dmod)
     rep.add("dimensions_match", nd.carrier.dim == s.carrier.dim,
             (nd.carrier.dim, s.carrier.dim))
@@ -517,10 +506,8 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
             if ce == 0:
                 continue
             for j1, j2, c in h.coalgebra.comul_row(j):
-                # d*_p <<- e_{j1} = sum_r ad_coords[j1][r][p] d*_r
-                for ridx in range(m):
-                    if cc := dd.ad_coords[j1][ridx].get(p):
-                        sp_add(col, ridx * nh + j2, ct * ce * c * cc)
+                for ridx, cc in moved(j1, p):
+                    sp_add(col, ridx * nh + j2, ct * ce * c * cc)
         psi_cols.append(col)
     psi = LinearMap(nd.carrier.dim, s.carrier.dim, psi_cols)
 
@@ -539,9 +526,8 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
                 for qidx, ridx, wc in rho[p]:
                     # d*_q <<- S(e_{j1})
                     for t, cs in s_j1.items():
-                        for q2 in range(m):
-                            if ca := dd.ad_coords[t][q2].get(qidx):
-                                sp_add(col, (q2 * nh + j2) * m + ridx, c * wc * cs * ca)
+                        for q2, ca in moved(t, qidx):
+                            sp_add(col, (q2 * nh + j2) * m + ridx, c * wc * cs * ca)
             coords = nd_span.coords(col)
             if coords is None:
                 raise HypothesisFailure("phi-coaction-convention", (len(phi_cols),))
@@ -767,7 +753,7 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
 
     def moved(r1: int, x: int) -> dict:
         """d*_x <<- e_{r1} in D* coordinates."""
-        return {q2: c for q2 in range(m) if (c := dd.ad_coords[r1][q2].get(x))}
+        return dict(pp.dstar_mod.action.row(r1, x))
 
     def comult_failures():
         for p in range(m):

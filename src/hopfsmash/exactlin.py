@@ -362,24 +362,6 @@ def kernel_basis(rows, ncols: int) -> list:
     return basis
 
 
-def solve(rows, rhs: dict, ncols: int):
-    """Exact sparse solution x of row_i . x = rhs[i] for the sparse rows of a
-    system in ncols unknowns, with rhs a sparse vector over the rows; None
-    when the system is inconsistent."""
-    if rhs and not (0 <= min(rhs) and max(rhs) < len(rows)):
-        raise DimensionMismatch(f"{len(rows)} equations, right-hand side index {max(rhs)}")
-    aug = [_int_row({**_check_dim(row, ncols), ncols: rhs.get(i, 0)})
-           for i, row in enumerate(rows)]
-    frac_rows, pivots = _sparse_rref(aug, ncols + 1)
-    x = {}
-    for row, p in zip(frac_rows, pivots):
-        if p == ncols:
-            return None
-        if (c := row.get(ncols)) is not None:
-            x[p] = c
-    return x
-
-
 # ---------------------------------------------------------------------------
 # subspaces: canonical RREF bases, membership and coordinates
 # ---------------------------------------------------------------------------
@@ -671,8 +653,8 @@ class Tensor3:
             if not (0 <= i < d0 and 0 <= j < d1 and all(0 <= k < d2 for k in cell)):
                 raise DimensionMismatch(f"an entry of cell {(i, j)} lies outside {tuple(dims)}")
         rows = tuple(
-            tuple(tuple(sorted((k, c) for k, c in acc.get((i, j), {}).items() if c))
-                  for j in range(d1))
+            tuple(tuple(sorted((k, c) for k, c in cell.items() if c))
+                  if (cell := acc.get((i, j))) else () for j in range(d1))
             for i in range(d0))
         return Tensor3(dims, rows)
 
@@ -689,6 +671,22 @@ class Tensor3:
     def row(self, i: int, j: int):
         """Nonzero (k, coeff) pairs of the (i, j) cell."""
         return self._rows[i][j]
+
+    def permuted(self, order) -> "Tensor3":
+        """The tensor u with u[i_order[0]][i_order[1]][i_order[2]] =
+        t[i_0][i_1][i_2]: leg m of u is leg order[m] of t.  So (1, 0, 2) of a
+        product is the opposite product, (0, 2, 1) of a coproduct the
+        co-opposite one, and a row of a permutation reads t along any leg."""
+        if sorted(order) != [0, 1, 2]:
+            raise ValueError(f"{order!r} is not an order of the legs 0, 1, 2")
+        a, b, c = order
+        entries = []
+        for i, plane in enumerate(self._rows):
+            for j, cell in enumerate(plane):
+                for k, v in cell:
+                    idx = (i, j, k)
+                    entries.append((idx[a], idx[b], idx[c], v))
+        return Tensor3.from_entries(tuple(self.dims[m] for m in order), entries)
 
     def act(self, h_sp: dict, x_sp: dict) -> dict:
         """sum over i, j, k of h_i x_j t[i][j][k] e_k for sparse {index: coeff}

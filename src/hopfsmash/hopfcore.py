@@ -281,37 +281,22 @@ def casimir_failures(alg: StructureAlgebra, x: dict):
 
 def opposite_algebra(alg: StructureAlgebra) -> StructureAlgebra:
     """A^op: e_j . e_i = e_i e_j."""
-    n = alg.dim
-    entries = [(j, i, k, c) for i in range(n) for j in range(n) for k, c in alg.mul_row(i, j)]
-    return StructureAlgebra(n, Tensor3.from_entries((n, n, n), entries), alg.unit)
+    return StructureAlgebra(alg.dim, alg.mult.permuted((1, 0, 2)), alg.unit)
 
 
 def co_opposite(coal: StructureCoalgebra) -> StructureCoalgebra:
     """C^cop: Delta^cop(c) = c_(2) (x) c_(1), same counit."""
-    n = coal.dim
-    entries = [(i, k, j, c) for i in range(n) for j, k, c in coal.comul_row(i)]
-    return StructureCoalgebra(n, Tensor3.from_entries((n, n, n), entries), coal.counit)
+    return StructureCoalgebra(coal.dim, coal.comult.permuted((0, 2, 1)), coal.counit)
 
 
 def convolution_algebra(coal: StructureCoalgebra) -> StructureAlgebra:
     """The dual algebra C* with <f * g, c> = <f, c_(1)><g, c_(2)>."""
-    n = coal.dim
-    entries = []
-    for i in range(n):
-        for j, k, c in coal.comul_row(i):
-            entries.append((j, k, i, c))
-    return StructureAlgebra(n, Tensor3.from_entries((n, n, n), entries), coal.counit)
+    return StructureAlgebra(coal.dim, coal.comult.permuted((1, 2, 0)), coal.counit)
 
 
 def dual_coalgebra(alg: StructureAlgebra) -> StructureCoalgebra:
     """The dual coalgebra A* with <Delta f, a (x) b> = <f, a b>."""
-    n = alg.dim
-    entries = []
-    for j in range(n):
-        for k in range(n):
-            for i, c in alg.mul_row(j, k):
-                entries.append((i, j, k, c))
-    return StructureCoalgebra(n, Tensor3.from_entries((n, n, n), entries), alg.unit)
+    return StructureCoalgebra(alg.dim, alg.mult.permuted((2, 0, 1)), alg.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +552,22 @@ def measuring_failures(h: HopfData, action: Tensor3, alg: StructureAlgebra, acti
                             sp_add(rhs, m, cc * cm)
                 if lhs != rhs:
                     yield (i, x, y)
+
+
+def quantum_commutativity_failures(r: TensorElem, alg: StructureAlgebra, action: Tensor3):
+    """Pairs (a, b), in row-major order, with e_a e_b != (r^2 . e_b)(r^1 . e_a)
+    summed over the terms r^1 (x) r^2 of r, for a left action tensor
+    action[h][x][y] of the host of r on the algebra alg."""
+    r_items = list(r.items())
+    for a in range(alg.dim):
+        moved_a = [dict(action.row(r1, a)) for (r1, _), _ in r_items]
+        for b in range(alg.dim):
+            rhs: dict = {}
+            for ((_, r2), c), va in zip(r_items, moved_a):
+                for k, w in alg.mul_sparse(dict(action.row(r2, b)), va).items():
+                    sp_add(rhs, k, c * w)
+            if alg.mul_sparse({a: 1}, {b: 1}) != rhs:
+                yield (a, b)
 
 
 def intertwining_failures(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict, indices):
@@ -1082,10 +1083,9 @@ def drinfeld_double(h: HopfData):
 
 def heisenberg_double(h: HopfData) -> StructureAlgebra:
     """H # H* with H* acting by the left hit p . l = l_(1) <p, l_(2)>, on the
-    flat index l * dim H + p; hit[p][l] is the coefficient of l_(1)."""
-    n = h.dim
-    hit = Tensor3.from_entries((n, n, n), ((p, l, l1, c) for l in range(n)
-                                           for l1, p, c in h.coalgebra.comul_row(l)))
+    flat index l * dim H + p; the hit tensor hit[p][l][l1] = Delta[l][l1][p]
+    is Delta with its legs moved."""
+    hit = h.coalgebra.comult.permuted((2, 0, 1))
     out = smash_carrier(h.algebra, dual_hopf(h), hit)
     out.report.require()
     return out

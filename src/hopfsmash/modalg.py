@@ -30,6 +30,7 @@ from .hopfcore import (
     measuring_failures,
     module_law_failures,
     multiply_legs,
+    quantum_commutativity_failures,
 )
 from .qtriang import adjoint_action_tensor, drinfeld_element
 from .report import VerificationReport
@@ -86,20 +87,8 @@ def verify_module_algebra(m: ModuleAlgebraData, subject: str = "module_algebra")
 
 def is_quantum_commutative(q, m: ModuleAlgebraData) -> tuple:
     """a b = (R^2 . b)(R^1 . a) on all basis pairs; returns (bool, witness)."""
-    A = m.A
-    r_items = list(q.R.items())
-    for a in range(A.dim):
-        for b in range(A.dim):
-            lhs = A.mul_sparse({a: 1}, {b: 1})
-            rhs: dict = {}
-            for (r1, r2), c in r_items:
-                vb = m.action.act({r2: 1}, {b: 1})
-                va = m.action.act({r1: 1}, {a: 1})
-                for k, w in A.mul_sparse(vb, va).items():
-                    sp_add(rhs, k, c * w)
-            if lhs != rhs:
-                return False, (a, b)
-    return True, None
+    wit = next(quantum_commutativity_failures(q.R, m.A, m.action), None)
+    return wit is None, wit
 
 
 def u_acts_trivially(q, m: ModuleAlgebraData) -> tuple:
@@ -121,7 +110,9 @@ def regular_trace(A: StructureAlgebra) -> dict:
     out: dict = {}
     for i in range(A.dim):
         for c in range(A.dim):
-            sp_add(out, i, A.mult.entry(i, c, c))
+            for k, v in A.mul_row(i, c):
+                if k == c:
+                    sp_add(out, i, v)
     return out
 
 

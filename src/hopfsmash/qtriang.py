@@ -12,10 +12,10 @@ All downstream formulas (Delta_R, the smash antipode, the weak R-matrix) are
 written in this convention, so it is not configurable.
 
 The braided-group identities are scanned with one argument in the certified
-generating set S of the host (see verify_braided_group), and the right
-action of H on H_R^* used by the equivalences and the dual separability
-idempotent is read off the adjoint action tensor once per braided group
-(BraidedGroupData.dual_right_action).
+generating set S of the host (see verify_braided_group).  The right action
+of H on H_R^* used by the equivalences and the dual separability idempotent
+is the adjoint action tensor with its last two legs swapped, a Tensor3 formed
+once per braided group (BraidedGroupData.dual_right_action).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .hopfcore import (
     module_law_failures,
     multiply_legs,
     opposite_algebra,
+    quantum_commutativity_failures,
     sparse_outer,
     tensor_mul_sparse,
     verify_coalgebra,
@@ -225,18 +226,12 @@ class BraidedGroupData:
         return StructureCoalgebra(self.host.host.dim, self.comult_R, self.host.host.counit)
 
     @cached_property
-    def dual_right_action(self) -> tuple:
-        """dual_right_action[a][g] = e^g <<- e_a as {l: coeff}, where
-        <f <<- h, l> = <f, h .ad l>; so <e^g <<- e_a, e_l> = ad[a][l][g], read
-        off the nonzeros of the adjoint action tensor.  Shared by every
-        caller: read it, do not modify it."""
-        n = self.host.host.dim
-        table = [[{} for _ in range(n)] for _ in range(n)]
-        for a, row in enumerate(self.adjoint_action._rows):
-            for l, cell in enumerate(row):
-                for g, c in cell:
-                    table[a][g][l] = c
-        return tuple(map(tuple, table))
+    def dual_right_action(self) -> Tensor3:
+        """dual_right_action[a][g][l] = <e^g <<- e_a, e_l>, where
+        <f <<- h, l> = <f, h .ad l> = ad[a][l][g]: the adjoint action tensor
+        with its last two legs swapped, a left action of H^op on H_R^*.
+        Shared by every caller: read it, do not modify it."""
+        return self.adjoint_action.permuted((0, 2, 1))
 
 
 def transmute(q: QTStructure) -> BraidedGroupData:
@@ -466,7 +461,7 @@ def hr_dual_separability(q: QTStructure, ip, bg: BraidedGroupData | None = None)
         for b in range(n):
             acc: dict = {}
             for g, cg in s_rows[b].items():
-                for j, cj in dual[r1][g].items():
+                for j, cj in dual.row(r1, g):
                     sp_add(acc, j, cg * cj)
             right.append(acc)
         for (a, b), w in delta_lam.items():
@@ -497,7 +492,6 @@ def almost_triangular_equivalences(q: QTStructure, bg: BraidedGroupData | None =
     (H^op, R^21), (4) the adjoint module lies in the Mueger center; then
     assert they agree."""
     h = q.host
-    n = h.dim
     if bg is None:
         bg = transmute(q)
     rep = VerificationReport("almost_triangular_equivalences")
@@ -506,22 +500,9 @@ def almost_triangular_equivalences(q: QTStructure, bg: BraidedGroupData | None =
     cond2 = cls.kind in ("triangular", "almost_triangular_strict")
     rep.add("cond2_almost_triangular", cond2, informational=True)
 
-    ar = hr_star_algebra(bg)
-    r_items = list(q.R.items())
-    dual = bg.dual_right_action
-
-    def quantum_commutativity_failures():
-        for fidx in range(n):
-            for gidx in range(n):
-                lhs = ar.mul_sparse({fidx: 1}, {gidx: 1})
-                rhs: dict = {}
-                for (a1, b1), c in r_items:
-                    for m, cm in ar.mul_sparse(dual[a1][gidx], dual[b1][fidx]).items():
-                        sp_add(rhs, m, c * cm)
-                if lhs != rhs:
-                    yield (fidx, gidx)
-
-    cond3 = rep.check("cond3_hr_dual_quantum_commutative", quantum_commutativity_failures(),
+    cond3 = rep.check("cond3_hr_dual_quantum_commutative",
+                      quantum_commutativity_failures(q.R.flip(), hr_star_algebra(bg),
+                                                     bg.dual_right_action),
                       informational=True)
 
     from .modalg import ModuleAlgebraData    # modalg imports qtriang at top

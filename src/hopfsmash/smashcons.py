@@ -379,6 +379,7 @@ def theta_embed(s: SmashProduct) -> tuple[LinearMap, StructureAlgebra, Verificat
     if sinv is None:
         raise ValueError("theta_embed needs an invertible antipode")
     target = tensor_algebra(matrix_algebra(na), h.algebra)
+    dual_act = A_mod.action.permuted((0, 2, 1)).row    # (b, <p_w <| e_y, e_b>) at (y, w)
 
     def theta_entries(a: int, i: int) -> dict:
         """Nonzero entries {(b, w): value} of the matrix (over the A* basis)
@@ -388,9 +389,8 @@ def theta_embed(s: SmashProduct) -> tuple[LinearMap, StructureAlgebra, Verificat
             # p_w <| S^{-1}(e_i): <.., e_b> = <p_w, S^{-1}(e_i).e_b>
             f: dict = {}
             for y, cy in sinv.cols[i].items():
-                for b in range(na):
-                    if cb := A_mod.action.entry(y, b, w):
-                        sp_add(f, b, cy * cb)
+                for b, cb in dual_act(y, w):
+                    sp_add(f, b, cy * cb)
             # a -> f: <a -> f, b> = <f, e_b e_a>
             for b in range(na):
                 if val := vec_dot(f, dict(A.mul_row(b, a))):
@@ -492,10 +492,8 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
     def a_leg(r2: int, x1: int, a: int) -> dict:
         return A.mul_sparse(A_mod.action.act({r2: 1}, {x1: 1}), {a: 1})
 
-    @cache
-    def dual_act(r2: int, k: int) -> tuple:
-        """Nonzero (w, coeff) of p_k <| r2 on the dual basis."""
-        return tuple((w, cw) for w in range(na) if (cw := A_mod.action.entry(r2, w, k)) != 0)
+    # dual_act(r2, k): nonzero (w, coeff) of p_k <| r2 on the dual basis
+    dual_act = A_mod.action.permuted((0, 2, 1)).row
 
     centries = []
     for a in range(na):
@@ -556,11 +554,9 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
     rep = VerificationReport("build_B")
     rep.merge(wha.report, "wha.")
 
-    # R_B and its inverse (S_B (x) id)(R_B)
-    @cache
-    def mult_col(x: int, k: int) -> tuple:
-        """Nonzero (w, coeff) of e_k in e_w e_x."""
-        return tuple((w, cw) for w in range(na) if (cw := A.mult.entry(w, x, k)) != 0)
+    # R_B and its inverse (S_B (x) id)(R_B); mult_col(x, k): nonzero (w, coeff)
+    # of e_k in e_w e_x
+    mult_col = A.mult.permuted((1, 2, 0)).row
 
     rb: dict = {}
     for (ra1, ra2), cra in r_items:          # R_1
@@ -647,6 +643,7 @@ def phi_embed(sws: SmashWeakStructure, b: BAlgebra):
     x_items = list(b.sep.x.items())
     hit = trace_form(A, b.sep.alpha).cols    # hit[x] = x -> alpha
     n_b = b.wha.dim
+    by_target = A.mult.permuted((0, 2, 1)).row    # (w, coefficient of e_k in e_t e_w) at (t, k)
 
     cols = []
     for a in range(na):
@@ -680,9 +677,9 @@ def phi_embed(sws: SmashWeakStructure, b: BAlgebra):
             for p, pq, c in h.coalgebra.comul_row(i):
                 pa = A_mod.action.act({p: 1}, {a: 1})
                 # p_k <- pa: <p_k <- pa, e_w> = <p_k, pa e_w>
-                for w in range(na):
-                    if cw := sum(ct * A.mult.entry(t, w, k) for t, ct in pa.items()):
-                        sp_add(rhs, b.flat(aa, pq, w), c * cw)
+                for t, ct in pa.items():
+                    for w, cw in by_target(t, k):
+                        sp_add(rhs, b.flat(aa, pq, w), c * ct * cw)
             for key, cc in rhs.items():
                 sp_add(lhs, key, -cc)
             diff_cols.append(lhs)

@@ -9,6 +9,7 @@ from hopfsmash.adjstable import (
     cotensor,
     cotensor_right_module,
     decompose_hr,
+    dstar_module_algebra,
     dual_right_comodule,
     nd_transport_report,
     nw_direct_sum_report,
@@ -21,7 +22,7 @@ from hopfsmash.adjstable import (
 from hopfsmash import demos as dm
 from hopfsmash.exactlin import (LinearMap, Subspace, Tensor3, commutant_rows, kernel_basis,
                                 span_basis, split, vec)
-from hopfsmash.hopfcore import StructureCoalgebra, co_opposite, dual_hopf
+from hopfsmash.hopfcore import StructureCoalgebra, co_opposite, dual_hopf, opposites
 from hopfsmash.qtriang import trivial_qt
 from hopfsmash.report import HypothesisFailure
 
@@ -254,6 +255,42 @@ def test_fault_injected_right_coaction_fails(ks3):
 
     assert twin(e) == [("counit_law", (3,)), ("coassociativity", (0,))]
     assert twin((e + 1) % 6) == [("coassociativity", (0,))]
+
+
+@pytest.mark.parametrize("host", ["kS3", "(kS3)*"])
+def test_dual_right_comodule_matches_the_reference_loop(host, ks3):
+    # C as a left comodule over itself; on the non-cocommutative (kS3)* the
+    # coaction tensor is not symmetric in its outer legs, so the order shows
+    c = {"kS3": ks3, "(kS3)*": dual_hopf(ks3)}[host].coalgebra
+    n = c.dim
+    cm = ComoduleData(c, n, c.comult)
+    ref = Tensor3.from_entries((n, n, n), [(i, d, j, x) for j, row in enumerate(cm.rows)
+                                           for d, i, x in row])
+    out = dual_right_comodule(cm)
+    assert out.coalgebra == co_opposite(c) and out.coaction == ref
+    assert (ref != c.comult) == (host == "(kS3)*")
+
+
+@pytest.mark.parametrize("block", ["transpositions", "whole"])
+def test_subcoalgebra_action_tensors_match_the_reference_loops(block, transposition_block,
+                                                               ks3, q_s3, bg_s3):
+    # the coordinates of e_t .ad d_q in D that ad_coords held as nested dicts,
+    # and D*'s action read off them, kept here as the reference
+    basis = {"transpositions": transposition_block,
+             "whole": [{i: F(1)} for i in range(6)]}[block]
+    dd = subcoalgebra_data(basis, q_s3, bg_s3)
+    m = dd.dim
+    span = Subspace(list(basis), 6)
+    coords = [[span.coords(bg_s3.adjoint_action.act({t: 1}, basis[qi])) for qi in range(m)]
+              for t in range(6)]
+    assert dd.ad_coords.dims == (6, m, m)
+    assert all(dict(dd.ad_coords.row(t, qi)) == coords[t][qi]
+               for t in range(6) for qi in range(m))
+    action = Tensor3.from_entries((6, m, m), [(t, p, r, c) for t in range(6) for p in range(m)
+                                              for r in range(m)
+                                              if (c := coords[t][r].get(p))])
+    assert dstar_module_algebra(dd, opposites(ks3, "op")).action == action
+    assert action != dd.ad_coords
 
 
 def test_nw_of_transposition_is_group_algebra_of_centralizer(ks3, bg_s3):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hopfsmash import __version__
 from hopfsmash import demos as dm
-from hopfsmash.cli import cmd_demo, main, ser_hopf, ser_t3
+from hopfsmash.cli import DEMOS, cmd_demo, main, ser_hopf, ser_t3
 
 
 def write_workspace(path):
@@ -664,3 +664,16 @@ def test_fuzzed_workspace_field_exits_cleanly(starter_doc, tmp_path_factory, tar
     assert rc in (0, 1, 2)
     if rc == 2:
         assert "error:" in err.getvalue()
+
+
+def test_output_digests_prints_one_line_per_written_file(monkeypatch, capsys):
+    import importlib
+    from pathlib import Path
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    digests = importlib.import_module("output_digests")
+    assert digests.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    pairs = [line.split("  ") for line in lines]
+    assert len(lines) == 26 == len({name for _, name in pairs})
+    assert all(len(h) == 64 and int(h, 16) >= 0 for h, _ in pairs)
+    assert [name for _, name in pairs][-6:] == [f"{d}-report.json" for d in sorted(DEMOS)]

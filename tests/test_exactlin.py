@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfsmash import demos as dm
 from hopfsmash.exactlin import (
     DimensionMismatch,
     LinearMap,
@@ -18,11 +19,9 @@ from hopfsmash.exactlin import (
     rank,
     rat,
     rat_str,
-    solve,
     sp,
     span_basis,
     split,
-    vec,
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -185,17 +184,6 @@ def test_kernel_examples():
         kernel_basis([{3: F(1)}], 3)
 
 
-def test_solve_examples():
-    assert solve([{0: F(2)}], {0: F(3)}, 1) == {0: F(3, 2)}
-    b = {0: F(4), 1: F(-1), 2: F(7)}
-    assert solve([{0: F(1)}, {1: F(1)}, {2: F(1)}], b, 3) == b
-    assert solve([{0: F(1)}, {0: F(1)}], {0: F(1), 1: F(2)}, 1) is None
-    with pytest.raises(DimensionMismatch):
-        solve([{0: F(1), 1: F(2)}], {0: F(1), 1: F(2)}, 2)
-    with pytest.raises(DimensionMismatch):
-        solve([{0: F(1), 1: F(2)}], {0: F(1)}, 1)
-
-
 def test_tensor3_round_trip():
     t = Tensor3.from_dense([[[1, 0], [0, 2]], [[0, 0], [F(1, 3), 0]]])
     assert t.entry(1, 1, 0) == F(1, 3)
@@ -212,16 +200,46 @@ def test_tensor3_from_dense_refuses_ragged_arrays(data):
         Tensor3.from_dense(data)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4), st.data())
-def test_solve_recovers_vector_when_injective(n, data):
-    rows = data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
-                              min_size=n, max_size=n + 2))
-    m = mat(rows)
-    if rank([sp(row) for row in m], n) < n:
-        return
-    x = vec(data.draw(st.lists(rationals, min_size=n, max_size=n)))
-    assert solve([sp(row) for row in m], sp(_mat_vec(m, x)), n) == sp(x)
+ORDERS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
+def _assert_dense_transpose(t, order):
+    # u[i_order[0]][i_order[1]][i_order[2]] = t[i_0][i_1][i_2], read off dense arrays
+    u = t.permuted(order)
+    assert u.dims == tuple(t.dims[m] for m in order)
+    cells, moved = t.dense(), u.dense()
+    for i in range(t.dims[0]):
+        for j in range(t.dims[1]):
+            for k in range(t.dims[2]):
+                idx = (i, j, k)
+                assert moved[idx[order[0]]][idx[order[1]]][idx[order[2]]] == cells[i][j][k]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_permuted_is_the_dense_transpose_of_an_action_tensor(order):
+    action = dm.k3_module_algebra().action    # shape (dim kS3, dim k^3, dim k^3)
+    assert action.dims == (6, 3, 3)
+    _assert_dense_transpose(action, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)), st.data())
+def test_permuted_is_the_dense_transpose(dims, data):
+    d0, d1, d2 = dims
+    cells = data.draw(st.lists(st.lists(st.lists(rationals, min_size=d2, max_size=d2),
+                                        min_size=d1, max_size=d1), min_size=d0, max_size=d0))
+    t = Tensor3.from_dense(cells)
+    for order in ORDERS:
+        _assert_dense_transpose(t, order)
+    assert t.permuted((0, 1, 2)) == t
+    assert t.permuted((1, 2, 0)).permuted((2, 0, 1)) == t
+
+
+def test_permuted_refuses_a_non_permutation():
+    t = Tensor3.from_dense([[[1]]])
+    for order in [(0, 0, 1), (0, 1), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="not an order"):
+            t.permuted(order)
 
 
 @settings(max_examples=60, deadline=None)

@@ -24,6 +24,7 @@ from hopfsmash.hopfcore import (
     StructureAlgebra,
     StructureCoalgebra,
     check_map,
+    co_opposite,
     convolution_algebra,
     drinfeld_double,
     dual_coalgebra,
@@ -32,6 +33,7 @@ from hopfsmash.hopfcore import (
     heisenberg_double,
     integrals,
     matrix_algebra,
+    opposite_algebra,
     opposites,
     tensor_algebra,
     verify_algebra,
@@ -459,6 +461,30 @@ def test_heisenberg_double_matches_the_reference_loop(host, kz2, ks3, double_z2)
     ref = _heisenberg_reference(h)
     assert hz.mult.dense() == ref.mult.dense()
     assert hz.unit == ref.unit
+
+
+@pytest.mark.parametrize("host", ["kS3", "(kS3)*"])
+def test_dual_and_opposite_builders_match_the_reference_loops(host, ks3):
+    # the hand-written leg moves these builders used to run, kept here as the
+    # reference; kS3 is not commutative and (kS3)* is not cocommutative, so
+    # between them every builder below changes its input and a wrong leg
+    # order shows on one of the two
+    h = {"kS3": ks3, "(kS3)*": dual_hopf(ks3)}[host]
+    n, alg, coal = h.dim, h.algebra, h.coalgebra
+
+    def built(entries):
+        return Tensor3.from_entries((n, n, n), entries)
+
+    op = built((j, i, k, c) for i in range(n) for j in range(n) for k, c in alg.mul_row(i, j))
+    cop = built((i, k, j, c) for i in range(n) for j, k, c in coal.comul_row(i))
+    conv = built((j, k, i, c) for i in range(n) for j, k, c in coal.comul_row(i))
+    dual = built((i, j, k, c) for j in range(n) for k in range(n) for i, c in alg.mul_row(j, k))
+    assert opposite_algebra(alg) == StructureAlgebra(n, op, alg.unit)
+    assert co_opposite(coal) == StructureCoalgebra(n, cop, coal.counit)
+    assert convolution_algebra(coal) == StructureAlgebra(n, conv, coal.counit)
+    assert dual_coalgebra(alg) == StructureCoalgebra(n, dual, alg.unit)
+    assert (op != alg.mult) == (host == "kS3")
+    assert (cop != coal.comult) == (host == "(kS3)*")
 
 
 def _kronecker(a, b):

@@ -11,22 +11,28 @@ from hopfsmash.hopfcore import (
     GroupTable,
     StructureAlgebra,
     drinfeld_double,
+    dual_hopf,
     group_algebra,
     hexagon_sides,
     sp_add,
+    sparse_outer,
     tensor_mul_sparse,
 )
-from hopfsmash.modalg import adjoint_module_algebra
+from hopfsmash.modalg import ModuleAlgebraData, adjoint_module_algebra, is_quantum_commutative
 from hopfsmash.qtriang import (
+    BraidedGroupData,
     QTStructure,
+    adjoint_action_tensor,
     classify_triangularity,
     drinfeld_element,
     hr_dual_separability,
+    hr_star_algebra,
     muger_membership,
     almost_triangular_equivalences,
     qt_structure,
     transmute,
     trivial_qt,
+    unverified_qt,
     verify_braided_group,
     verify_qt,
 )
@@ -287,6 +293,85 @@ def test_dual_right_action_table_matches_the_pairing(double_z2, bg_s3):
         table = bg.dual_right_action
         for a in range(n):
             for g in range(n):
-                dense = tuple(table[a][g].get(l, F(0)) for l in range(n))
+                row = dict(table.row(a, g))
+                dense = tuple(row.get(l, F(0)) for l in range(n))
                 assert dense == _right_action_on_dual_reference(bg, vec([int(i == g)
                                                                          for i in range(n)]), a)
+
+
+@pytest.mark.parametrize("host", ["kS3", "(kS3)*"])
+def test_dual_right_action_matches_the_table_loop(host, ks3):
+    # the nested-dict table dual_right_action used to be, kept as the
+    # reference.  The property reads the adjoint action tensor alone, so on
+    # (kS3)*, which carries no R-matrix, a braided group that is never
+    # verified serves
+    h = {"kS3": ks3, "(kS3)*": dual_hopf(ks3)}[host]
+    n = h.dim
+    one = h.algebra.unit_sparse
+    ad = adjoint_action_tensor(h)
+    r = TensorElem.from_entries((n, n), sparse_outer(one, one).items())
+    bg = BraidedGroupData(unverified_qt(h, r), ad, None, None)
+    table = [[{} for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for l in range(n):
+            for g, c in ad.row(a, l):
+                table[a][g][l] = c
+    assert all(dict(bg.dual_right_action.row(a, g)) == table[a][g]
+               for a in range(n) for g in range(n))
+    # (kS3)* is commutative: its adjoint action is eps(a) e_l, which the swap fixes
+    assert (bg.dual_right_action != ad) == (host == "kS3")
+
+
+def _qc_first_failure(mult, act, terms):
+    """First (a, b) in row-major order with e_a e_b != sum c (x . e_b)(y . e_a)
+    over the terms (x, y, c), by dense sums; None when there is none."""
+    n = len(mult)
+    for a in range(n):
+        for b in range(n):
+            rhs = [0] * n
+            for x, y, c in terms:
+                for i, u in enumerate(act[x][b]):
+                    for j, v in enumerate(act[y][a]):
+                        if u and v:
+                            for k in range(n):
+                                rhs[k] += c * u * v * mult[i][j][k]
+            if list(mult[a][b]) != rhs:
+                return (a, b)
+    return None
+
+
+def _moved_entry(t, acting):
+    """t with the last nonzero entry of t[acting] moved to the next target index."""
+    cells = t.dense()
+    x, y = max((x, y) for x, row in enumerate(cells[acting]) for y, c in enumerate(row) if c)
+    d = t.dims[2]
+    cells[acting][x][(y + 1) % d] += cells[acting][x][y]
+    cells[acting][x][y] = 0
+    return Tensor3.from_dense(cells)
+
+
+def test_quantum_commutativity_fault_twins(double_z2, ks3, q_s3, m3):
+    # cond3 on D(kZ2): H_R^* quantum commutative under R^21 and the right
+    # action, that is f g = sum (g <<- R^1)(f <<- R^2); one entry of the dual
+    # action moved makes it fail at the first pair a dense scan finds
+    q = double_z2[1]
+    bg = transmute(q)
+    assert almost_triangular_equivalences(q, bg).find("cond3_hr_dual_quantum_commutative").passed
+    (r1, _), _ = next(iter(q.R.items()))    # the first leg of R's first term
+    moved = _moved_entry(bg.dual_right_action, r1)
+    twin = BraidedGroupData(q, bg.adjoint_action, bg.comult_R, bg.antipode_R)
+    twin.__dict__["dual_right_action"] = moved    # what the cached property would hold
+    cond3 = almost_triangular_equivalences(q, twin).find("cond3_hr_dual_quantum_commutative")
+    wit = _qc_first_failure(hr_star_algebra(bg).mult.dense(), moved.dense(),
+                            [(a, b, c) for (a, b), c in q.R.items()])
+    assert wit is not None
+    assert not cond3.passed and cond3.witness == wit
+
+    # k^3 # kS3: a b = (R^2 . b)(R^1 . a) holds; with trivial R only the unit
+    # acts, so the twin moves an entry of the unit's action
+    assert is_quantum_commutative(q_s3, m3) == (True, None)
+    moved = _moved_entry(m3.action, ks3.unit.index(1))
+    wit = _qc_first_failure(m3.A.mult.dense(), moved.dense(),
+                            [(b, a, c) for (a, b), c in q_s3.R.items()])
+    assert wit is not None
+    assert is_quantum_commutative(q_s3, ModuleAlgebraData(ks3, m3.A, moved)) == (False, wit)

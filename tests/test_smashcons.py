@@ -7,6 +7,9 @@ from hopfsmash import smashcons
 from hopfsmash.exactlin import Tensor3
 from hopfsmash.hopfcore import (
     GroupTable,
+    co_opposite,
+    drinfeld_double,
+    dual_hopf,
     group_algebra,
     sparse_outer,
 )
@@ -314,6 +317,21 @@ def test_double_smash_decomposition_kz2(kz2, double_z2):
 
 def test_double_module_spot_check_kz2(kz2, double_z2):
     assert double_module_spot_check(kz2, double_z2).ok
+
+
+def test_double_smash_decomposition_on_a_host_that_is_not_cocommutative(ks3):
+    # (kS3)* = k^S3: H # D(H) ~ Heisenberg(H^cop) (x) H and the H # D(H)-module
+    # H (x) M, on a host whose coproduct is not symmetric (dim 216 again)
+    h = dual_hopf(ks3)
+    assert co_opposite(h.coalgebra) != h.coalgebra
+    double = drinfeld_double(h)
+    rep = double_smash_decomposition(h, double)
+    assert rep.ok
+    for piece in ("iota", "c"):
+        for row in ("algebra_map", "unit_preserved", "injective"):
+            assert rep.find(f"{piece}.{row}").passed
+    assert rep.find("C_equals_full_centralizer").passed
+    assert double_module_spot_check(h, double).ok
 
 
 def test_fault_injected_double_action_fails_module_law(kz2, double_z2, monkeypatch):
