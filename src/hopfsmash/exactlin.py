@@ -660,13 +660,9 @@ class Tensor3:
 
     @staticmethod
     def from_row_dicts(dims, rowdicts) -> "Tensor3":
-        """Build from {(i, j): {k: value}}; absent cells are zero."""
-        d0, d1, d2 = dims
-        rows = tuple(
-            tuple(tuple(sorted((k, v) for k, v in rowdicts.get((i, j), {}).items() if v != 0))
-                  for j in range(d1))
-            for i in range(d0))
-        return Tensor3(dims, rows)
+        """Build from {(i, j): {k: value}} by from_entries; absent cells are zero."""
+        return Tensor3.from_entries(dims, ((i, j, k, v) for (i, j), cell in rowdicts.items()
+                                           for k, v in cell.items()))
 
     def row(self, i: int, j: int):
         """Nonzero (k, coeff) pairs of the (i, j) cell."""

@@ -379,8 +379,9 @@ def certified_scan(failures, gens, full):
 # ---------------------------------------------------------------------------
 
 def verify_algebra(a: StructureAlgebra, subject: str = "algebra") -> VerificationReport:
-    """Left/right unit laws, and associativity by Light's test on the basis
-    triples (i, s, k) with s in S = a.generators.
+    """Left/right unit laws, and associativity as the module law of A acting
+    on itself, scanned by Light's test on the basis triples (i, s, k) with s
+    in S = a.generators.
 
     If (x s) y = x (s y) for all x, y and s in S, then T = {w : (x w) y =
     x (w y) for all x, y} holds S, and for w in T, s in S:
@@ -393,27 +394,8 @@ def verify_algebra(a: StructureAlgebra, subject: str = "algebra") -> Verificatio
     rep.check("unit_law", ((i,) for i in range(n)
                            if a.mul_sparse(u, {i: 1}) != {i: 1}
                            or a.mul_sparse({i: 1}, u) != {i: 1}))
-    rows = a.mult._rows
-
-    def associativity_failures(middle):
-        for i in range(n):
-            ri = rows[i]
-            for j in middle:
-                rij = ri[j]
-                rj = rows[j]
-                for k in range(n):
-                    lhs: dict = {}
-                    for m, c in rij:
-                        for t, w in rows[m][k]:
-                            sp_add(lhs, t, c * w)
-                    rhs: dict = {}
-                    for m, c in rj[k]:
-                        for t, w in ri[m]:
-                            sp_add(rhs, t, c * w)
-                    if lhs != rhs:
-                        yield (i, j, k)
-
-    rep.check("associativity", certified_scan(associativity_failures, a.generators, range(n)))
+    rep.check("associativity", certified_scan(
+        lambda js: module_law_failures(a, a.mult, js), a.generators, range(n)))
     return rep
 
 
@@ -686,6 +668,44 @@ def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
     return rep
 
 
+def algebra_map_failures(f: LinearMap, src: StructureAlgebra, dst: StructureAlgebra,
+                         right=None, src_op: bool = False, dst_op: bool = False):
+    """Basis pairs (i, j), j in `right` (every index when None), with
+    f(e_i e_j) != f(e_i) f(e_j) for a linear map f from src to dst.
+
+    src_op reads the product of src swapped, f(e_j e_i), and dst_op that of
+    dst, f(e_j) f(e_i), in place: either makes it an anti-algebra map scan,
+    the two listing the same failures in transposed order.  `right` may be a
+    generating set S of src where the caller shows the law closed under right
+    products by S (see verify_weak_hopf).
+    """
+    cols = f.cols
+    for i in range(src.dim):
+        for j in range(src.dim) if right is None else right:
+            lhs = f.apply_sparse(dict(src.mul_row(j, i) if src_op else src.mul_row(i, j)))
+            if lhs != (dst.mul_sparse(cols[j], cols[i]) if dst_op
+                       else dst.mul_sparse(cols[i], cols[j])):
+                yield (i, j)
+
+
+def coalgebra_map_failures(f: LinearMap, src: StructureCoalgebra, dst: StructureCoalgebra,
+                           cop: bool = False):
+    """Basis indices (i,) with Delta(f(e_i)) != (f (x) f) Delta(e_i) for a
+    linear map f from src to dst; cop reads the coproduct of src swapped,
+    f(e_i(2)) (x) f(e_i(1)), in place: an anti-coalgebra map scan."""
+    cols = f.cols
+    for i in range(src.dim):
+        rhs: dict = {}
+        for j, k, w in src.comul_row(i):
+            if cop:
+                j, k = k, j
+            for a, ca in cols[j].items():
+                for b, cb in cols[k].items():
+                    sp_add(rhs, (a, b), w * ca * cb)
+        if dst.comul_sparse(cols[i]) != rhs:
+            yield (i,)
+
+
 def check_map(f: LinearMap, src, dst, kinds) -> VerificationReport:
     """Per-kind morphism checks; kinds within {algebra, coalgebra, antipode, injective}."""
     if (f.source_dim, f.target_dim) != (src.dim, dst.dim):
@@ -696,25 +716,12 @@ def check_map(f: LinearMap, src, dst, kinds) -> VerificationReport:
     if "algebra" in kinds:
         sa = src.algebra if isinstance(src, HopfData) else src
         da = dst.algebra if isinstance(dst, HopfData) else dst
-        rep.check("algebra_map",
-                  ((i, j) for i in range(sa.dim) for j in range(sa.dim)
-                   if f.apply_sparse(dict(sa.mul_row(i, j))) != da.mul_sparse(cols[i], cols[j])))
+        rep.check("algebra_map", algebra_map_failures(f, sa, da))
         rep.add("unit_preserved", f.apply_sparse(sa.unit_sparse) == da.unit_sparse)
     if "coalgebra" in kinds:
         sc = src.coalgebra if isinstance(src, HopfData) else src
         dc = dst.coalgebra if isinstance(dst, HopfData) else dst
-
-        def coalgebra_failures():
-            for i in range(sc.dim):
-                rhs: dict = {}
-                for j, k, w in sc.comul_row(i):
-                    for a, ca in cols[j].items():
-                        for b, cb in cols[k].items():
-                            sp_add(rhs, (a, b), w * ca * cb)
-                if dc.comul_sparse(cols[i]) != rhs:
-                    yield (i,)
-
-        rep.check("coalgebra_map", coalgebra_failures())
+        rep.check("coalgebra_map", coalgebra_map_failures(f, sc, dc))
         rep.check("counit_preserved", ((i,) for i in range(sc.dim)
                                        if dc.counit_sparse(cols[i]) != sc.counit[i]))
     if "antipode" in kinds:
@@ -941,26 +948,25 @@ def smash_carrier(alg: StructureAlgebra, h: HopfData, action: Tensor3) -> Struct
     unit 1 # 1.  The carrier is returned unverified."""
     na, nh = alg.dim, h.dim
     n = na * nh
-    rowdicts: dict = {}
-    for a in range(na):
-        for b in range(na):
-            # a (e_p . b) for every p; i and j do not enter
-            lefts = [alg.mul_sparse({a: 1}, action.act({p: 1}, {b: 1})) for p in range(nh)]
-            for i in range(nh):
-                for j in range(nh):
-                    cell: dict = {}
-                    for p, q, c in h.coalgebra.comul_row(i):
-                        left = lefts[p]
-                        for m, cm in h.algebra.mul_row(q, j):
-                            for t, ct in left.items():
-                                sp_add(cell, t * nh + m, c * cm * ct)
-                    if cell:
-                        rowdicts[(a * nh + i, b * nh + j)] = cell
+
+    def entries():
+        for a in range(na):
+            for b in range(na):
+                # a (e_p . b) for every p; i and j do not enter
+                lefts = [alg.mul_sparse({a: 1}, action.act({p: 1}, {b: 1})) for p in range(nh)]
+                for i in range(nh):
+                    for j in range(nh):
+                        for p, q, c in h.coalgebra.comul_row(i):
+                            left = lefts[p]
+                            for m, cm in h.algebra.mul_row(q, j):
+                                for t, ct in left.items():
+                                    yield a * nh + i, b * nh + j, t * nh + m, c * cm * ct
+
     unit = [0] * n
     for a, ca in alg.unit_sparse.items():
         for t, ct in h.algebra.unit_sparse.items():
             unit[a * nh + t] = ca * ct
-    return StructureAlgebra(n, Tensor3.from_row_dicts((n, n, n), rowdicts), tuple(unit))
+    return StructureAlgebra(n, Tensor3.from_entries((n, n, n), entries()), tuple(unit))
 
 
 # ---------------------------------------------------------------------------

@@ -367,17 +367,14 @@ def double_braiding_failures(alg: StructureAlgebra, r: TensorElem, action: Tenso
                              vectors, delta_one: dict):
     """Indices (i,) of the vectors v_i with (R_2^2 R_1^1) . v (x) R_2^1 R_1^2
     != (1_(1) . v) (x) 1_(2), for R_1 = R_2 = r over alg acting by action; the
-    right-hand side is v (x) 1 when Delta(1) = 1 (x) 1."""
-    r_items = list(r.items())
-    braids = [(alg.mul_sparse({b2: 1}, {a1: 1}),
-               alg.mul_sparse({a2: 1}, {b1: 1}), c1 * c2)
-              for (a1, b1), c1 in r_items for (a2, b2), c2 in r_items]
+    left-hand side reads the terms x (x) y of R^21 R as (x . v) (x) y, and
+    the right-hand side is v (x) 1 when Delta(1) = 1 (x) 1."""
+    z = tensor_mul_sparse((alg, alg), r.flip().terms, r.terms)
     for i, v in enumerate(vectors):
         lhs: dict = {}
-        for hh, hh2, c12 in braids:
-            if va := action.act(hh, v):
-                for key, c in sparse_outer(va, hh2).items():
-                    sp_add(lhs, key, c12 * c)
+        for (x, y), c in z.items():
+            for k, ck in action.act({x: 1}, v).items():
+                sp_add(lhs, (k, y), c * ck)
         rhs: dict = {}
         for (a, b), c in delta_one.items():
             for k, ck in action.act({a: 1}, v).items():

@@ -37,6 +37,7 @@ from .hopfcore import (
     HopfData,
     StructureAlgebra,
     StructureCoalgebra,
+    algebra_map_failures,
     check_map,
     drinfeld_double,
     dual_coalgebra,
@@ -239,11 +240,10 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
 
     rep.check("helper_eq1_1", helper_1_failures())
 
-    # helper identity (R1^2.a # R1^1)(R2^2.b # R2^1) = R^2.(b a) # R^1
-    rep.check("helper_eq1_2",
-              ((a, b) for a in range(na) for b in range(na)
-               if s.carrier.mul_sparse(twisted({a: 1}), twisted({b: 1}))
-               != twisted(A.mul_sparse({b: 1}, {a: 1}))))
+    # helper identity (R1^2.a # R1^1)(R2^2.b # R2^1) = R^2.(b a) # R^1: a |->
+    # R^2.a # R^1 is an algebra map from A^op
+    twist = LinearMap(na, n, [twisted({a: 1}) for a in range(na)])
+    rep.check("helper_eq1_2", algebra_map_failures(twist, A, s.carrier, src_op=True))
 
     one_t = wha.delta_one
 
@@ -293,9 +293,15 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
 
 
 def smash_qt(sws: SmashWeakStructure) -> tuple[WeakQTStructure, VerificationReport]:
-    """R-matrix 1t_(2)(1#R^1)1t'_(1) (x) 1t_(1)(1#R^2)1t'_(2) on A#H.
+    """The weak R-matrix on A#H and its weak inverse, products in
+    (A#H) (x) (A#H):
 
-    Refused unless A lies in the Mueger center of the module category.
+        R_w    = Delta^cop(1) (1#R^1 (x) 1#R^2) Delta(1)
+        Rbar_w = Delta(1) (1#S(R^1) (x) 1#R^2) Delta^cop(1)
+
+    with R_w checked against its collapsed forms (1#R) Delta(1) and
+    Delta^cop(1) (1#R).  Refused unless A lies in the Mueger center of the
+    module category.
     """
     s, q = sws.smash, sws.q
     member, wit = muger_membership(q, s.A_mod)
@@ -305,60 +311,28 @@ def smash_qt(sws: SmashWeakStructure) -> tuple[WeakQTStructure, VerificationRepo
     carrier = s.carrier
     algs2 = (carrier, carrier)
     one_t = sws.wha.delta_one
-    r_items = list(q.R.items())
+    one_t_cop = {(b, a): c for (a, b), c in one_t.items()}
 
-    big: dict = {}
-    for (k1, k2), c in one_t.items():
-        for (k1p, k2p), cp in one_t.items():
-            for (r1, r2), cr in r_items:
-                f1 = carrier.mul_sparse(
-                    carrier.mul_sparse({k2: 1}, s.include_h({r1: 1})),
-                    {k1p: 1})
-                if not f1:
-                    continue
-                f2 = carrier.mul_sparse(
-                    carrier.mul_sparse({k1: 1}, s.include_h({r2: 1})),
-                    {k2p: 1})
-                for key, cc in sparse_outer(f1, f2).items():
-                    sp_add(big, key, c * cp * cr * cc)
-    Rw = TensorElem.from_entries((carrier.dim, carrier.dim), list(big.items()))
-
-    rbar: dict = {}
-    for (k1, k2), c in one_t.items():
-        for (k1p, k2p), cp in one_t.items():
-            for (r1, r2), cr in r_items:
-                f1 = carrier.mul_sparse(
-                    carrier.mul_sparse({k1: 1},
-                                       s.include_h(s.H.antipode.cols[r1])),
-                    {k2p: 1})
-                if not f1:
-                    continue
-                f2 = carrier.mul_sparse(
-                    carrier.mul_sparse({k2: 1}, s.include_h({r2: 1})),
-                    {k1p: 1})
-                for key, cc in sparse_outer(f1, f2).items():
-                    sp_add(rbar, key, c * cp * cr * cc)
-    Rw_bar = TensorElem.from_entries((carrier.dim, carrier.dim), list(rbar.items()))
+    one_r: dict = {}     # 1#R^1 (x) 1#R^2
+    one_sr: dict = {}    # 1#S(R^1) (x) 1#R^2
+    for (r1, r2), cr in q.R.items():
+        second = s.include_h({r2: 1})
+        for out, first in ((one_r, {r1: 1}), (one_sr, s.H.antipode.cols[r1])):
+            for key, cc in sparse_outer(s.include_h(first), second).items():
+                sp_add(out, key, cr * cc)
+    right_multiplied = tensor_mul_sparse(algs2, one_r, one_t)
+    Rw = TensorElem.from_entries((carrier.dim, carrier.dim),
+                                 tensor_mul_sparse(algs2, one_t_cop, right_multiplied).items())
+    Rw_bar = TensorElem.from_entries((carrier.dim, carrier.dim), tensor_mul_sparse(
+        algs2, tensor_mul_sparse(algs2, one_t, one_sr), one_t_cop).items())
 
     wq = WeakQTStructure(sws.wha, Rw, Rw_bar)
     rep = VerificationReport("smash_qt")
     rep.merge(verify_weak_qt(wq), "wqt.")
 
-    # both collapsed forms of the R-matrix
-    simplified1: dict = {}
-    simplified2: dict = {}
-    for (k1, k2), c in one_t.items():
-        for (r1, r2), cr in r_items:
-            f1 = carrier.mul_sparse(s.include_h({r1: 1}), {k1: 1})
-            f2 = carrier.mul_sparse(s.include_h({r2: 1}), {k2: 1})
-            for key, cc in sparse_outer(f1, f2).items():
-                sp_add(simplified1, key, c * cr * cc)
-            g1 = carrier.mul_sparse({k2: 1}, s.include_h({r1: 1}))
-            g2 = carrier.mul_sparse({k1: 1}, s.include_h({r2: 1}))
-            for key, cc in sparse_outer(g1, g2).items():
-                sp_add(simplified2, key, c * cr * cc)
-    rep.add("simplified_form_right_multiplied", Rw.terms == simplified1)
-    rep.add("simplified_form_left_multiplied", Rw.terms == simplified2)
+    rep.add("simplified_form_right_multiplied", Rw.terms == right_multiplied)
+    rep.add("simplified_form_left_multiplied",
+            Rw.terms == tensor_mul_sparse(algs2, one_t_cop, one_r))
 
     if classify_triangularity(q).kind == "triangular":
         rep.add("triangular_propagates", Rw.flip() == Rw_bar)

@@ -443,3 +443,20 @@ def test_tensor_elem_flip_swaps_legs():
 def test_from_entries_refuses_an_index_outside_dims(build):
     with pytest.raises(DimensionMismatch, match="outside"):
         build()
+
+
+def test_from_row_dicts_is_from_entries():
+    cells = {(0, 1): {2: 3, 0: F(1, 2), 1: 0}, (1, 0): {}, (1, 1): {1: "2/4"}}
+    t = Tensor3.from_row_dicts((2, 2, 3), cells)
+    assert t == Tensor3.from_entries((2, 2, 3), [(0, 1, 2, 3), (0, 1, 0, F(1, 2)),
+                                                 (1, 1, 1, F(1, 2))])
+    assert t.row(0, 1) == ((0, F(1, 2)), (2, 3))
+    assert t.row(0, 0) == () == t.row(1, 0)
+
+
+@pytest.mark.parametrize("cells", [{(2, 0): {0: 1}}, {(0, 2): {0: 1}}, {(0, 0): {2: 1}},
+                                   {(0, -1): {0: 1}}],
+                         ids=["first", "second", "last", "negative"])
+def test_from_row_dicts_refuses_an_index_outside_dims(cells):
+    with pytest.raises(DimensionMismatch, match="outside"):
+        Tensor3.from_row_dicts((2, 2, 2), cells)

@@ -558,3 +558,28 @@ def test_cyclic_double_is_qt(n):
     dd, q = drinfeld_double(group_algebra(dm.cyclic_table(n)))
     assert dd.dim == n * n
     assert verify_qt(q).ok
+
+
+def test_map_scans_read_the_opposite_in_place(ks3):
+    # S of kS3 is an anti-algebra map and S of (kS3)* an anti-coalgebra map;
+    # on a twin with one antipode entry moved, the in-place swaps list what
+    # the scans over the built opposites list
+    alg, dual = ks3.algebra, dual_hopf(ks3)
+    coal = dual.coalgebra
+    assert list(hopfcore.algebra_map_failures(ks3.antipode, alg, alg))
+    assert not list(hopfcore.algebra_map_failures(ks3.antipode, alg, alg, dst_op=True))
+    assert not list(hopfcore.algebra_map_failures(ks3.antipode, alg, alg, src_op=True))
+    assert list(hopfcore.coalgebra_map_failures(dual.antipode, coal, coal))
+    assert not list(hopfcore.coalgebra_map_failures(dual.antipode, coal, coal, cop=True))
+    for h, cell in ((ks3, (1, 2)), (dual, (4, 0))):
+        anti = [list(row) for row in h.antipode.matrix]
+        anti[cell[0]][cell[1]] += 1
+        f = LinearMap.from_matrix(anti)
+        a, c = h.algebra, h.coalgebra
+        dst_op = list(hopfcore.algebra_map_failures(f, a, a, dst_op=True))
+        src_op = list(hopfcore.algebra_map_failures(f, a, a, src_op=True))
+        assert dst_op and dst_op == list(hopfcore.algebra_map_failures(f, a, opposite_algebra(a)))
+        assert src_op == list(hopfcore.algebra_map_failures(f, opposite_algebra(a), a))
+        assert src_op == sorted((j, i) for i, j in dst_op)
+        cop = list(hopfcore.coalgebra_map_failures(f, c, c, cop=True))
+        assert cop and cop == list(hopfcore.coalgebra_map_failures(f, co_opposite(c), c))

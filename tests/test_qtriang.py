@@ -24,6 +24,7 @@ from hopfsmash.qtriang import (
     QTStructure,
     adjoint_action_tensor,
     classify_triangularity,
+    double_braiding_failures,
     drinfeld_element,
     hr_dual_separability,
     hr_star_algebra,
@@ -375,3 +376,35 @@ def test_quantum_commutativity_fault_twins(double_z2, ks3, q_s3, m3):
                             [(b, a, c) for (a, b), c in q_s3.R.items()])
     assert wit is not None
     assert is_quantum_commutative(q_s3, ModuleAlgebraData(ks3, m3.A, moved)) == (False, wit)
+
+
+def _braid_list_failures(alg, r, action, vectors, delta_one):
+    """double_braiding_failures as it ran before reading R^21 R: the left side
+    summed over the |R|^2 pairs of terms of R, (b2 a1) . v (x) a2 b1."""
+    braids = [(alg.mul_sparse({b2: 1}, {a1: 1}), alg.mul_sparse({a2: 1}, {b1: 1}), c1 * c2)
+              for (a1, b1), c1 in r.items() for (a2, b2), c2 in r.items()]
+    out = []
+    for i, v in enumerate(vectors):
+        lhs: dict = {}
+        for hh, hh2, c12 in braids:
+            for key, c in sparse_outer(action.act(hh, v), hh2).items():
+                sp_add(lhs, key, c12 * c)
+        rhs: dict = {}
+        for (a, b), c in delta_one.items():
+            for k, ck in action.act({a: 1}, v).items():
+                sp_add(rhs, (k, b), c * ck)
+        if lhs != rhs:
+            out.append((i,))
+    return out
+
+
+@pytest.mark.parametrize("name, failing", [("double_z2", 0), ("double_s3", 35)])
+def test_double_braiding_failures_match_the_braid_list(request, name, failing):
+    # the adjoint module of D(H) over D(H) itself
+    dd, q = request.getfixturevalue(name)
+    ad = adjoint_action_tensor(dd)
+    one = dd.algebra.unit_sparse
+    args = (dd.algebra, q.R, ad, [{a: 1} for a in range(dd.dim)], sparse_outer(one, one))
+    found = list(double_braiding_failures(*args))
+    assert found == _braid_list_failures(*args)
+    assert len(found) == failing

@@ -11,6 +11,7 @@ from hopfsmash.hopfcore import (
     drinfeld_double,
     dual_hopf,
     group_algebra,
+    sp_add,
     sparse_outer,
 )
 from hopfsmash.modalg import (
@@ -370,3 +371,54 @@ def test_smash_includes(smash18, m3, ks3):
     hv = smash18.include_h({1: F(1)})
     prod = smash18.carrier.mul_sparse(av, hv)
     assert prod == {smash18.flat(0, 1): F(1)}
+
+
+def _smash_qt_loops(sws):
+    """R_w, Rbar_w and the collapsed forms (1#R) Delta(1), Delta^cop(1) (1#R)
+    of smash_qt, summed term by term over Delta(1) and R with carrier products:
+    the loops smash_qt ran before it formed them as products in (A#H) (x) (A#H)."""
+    s, q = sws.smash, sws.q
+    mul, inc = s.carrier.mul_sparse, s.include_h
+    one_t = sws.wha.delta_one
+    r_items = list(q.R.items())
+    rw: dict = {}
+    rbar: dict = {}
+    for (k1, k2), c in one_t.items():
+        for (k1p, k2p), cp in one_t.items():
+            for (r1, r2), cr in r_items:
+                f1 = mul(mul({k2: 1}, inc({r1: 1})), {k1p: 1})
+                f2 = mul(mul({k1: 1}, inc({r2: 1})), {k2p: 1})
+                for key, cc in sparse_outer(f1, f2).items():
+                    sp_add(rw, key, c * cp * cr * cc)
+                f1 = mul(mul({k1: 1}, inc(s.H.antipode.cols[r1])), {k2p: 1})
+                f2 = mul(mul({k2: 1}, inc({r2: 1})), {k1p: 1})
+                for key, cc in sparse_outer(f1, f2).items():
+                    sp_add(rbar, key, c * cp * cr * cc)
+    right: dict = {}
+    left: dict = {}
+    for (k1, k2), c in one_t.items():
+        for (r1, r2), cr in r_items:
+            for key, cc in sparse_outer(mul(inc({r1: 1}), {k1: 1}),
+                                        mul(inc({r2: 1}), {k2: 1})).items():
+                sp_add(right, key, c * cr * cc)
+            for key, cc in sparse_outer(mul({k2: 1}, inc({r1: 1})),
+                                        mul({k1: 1}, inc({r2: 1}))).items():
+                sp_add(left, key, c * cr * cc)
+    return rw, rbar, right, left
+
+
+def test_smash_qt_products_match_the_term_loops(sws18, double_z2):
+    # k^2 # D(kZ2) with the trivial action has both a nontrivial R and
+    # Delta(1) != 1 (x) 1; k^3 # kS3 has R = 1 (x) 1
+    dd, q = double_z2
+    m = trivial_module_algebra(dd, pointwise_algebra(2))
+    sws8 = smash_weak_structure(smash_algebra(m), q, separability(m))
+    assert (sws8.wha.dim, len(q.R.terms), len(sws8.wha.delta_one)) == (8, 4, 8)
+    for sws in (sws18, sws8):
+        wq, rep = smash_qt(sws)
+        rw, rbar, right, left = _smash_qt_loops(sws)
+        assert wq.Rw.terms == rw == right == left
+        assert wq.Rw_bar.terms == rbar
+        assert rep.find("simplified_form_right_multiplied").passed
+        assert rep.find("simplified_form_left_multiplied").passed
+    assert wq.Rw.terms != sws8.wha.delta_one

@@ -394,3 +394,45 @@ def test_counital_consequences_on_smash(sws18):
     assert cd.report.ok
     assert len(cd.source_basis) == 3
     assert len(cd.target_basis) == 3
+
+
+def _first_anti_coalgebra_failure(w):
+    """First basis index (i,) with Delta(S(e_i)) != S(e_i(2)) (x) S(e_i(1)),
+    read off the dense matrices of Delta and S, else (i, "counit") for the
+    first i with eps(S(e_i)) != eps(e_i)."""
+    n = w.dim
+    delta, s = w.comult.dense(), w.antipode.matrix    # s[r][c]: e_r in S(e_c)
+    for i in range(n):
+        lhs = [[sum(s[m][i] * delta[m][a][b] for m in range(n)) for b in range(n)]
+               for a in range(n)]
+        rhs = [[sum(delta[i][p][q] * s[a][q] * s[b][p] for p in range(n) for q in range(n))
+                for b in range(n)] for a in range(n)]
+        if lhs != rhs:
+            return (i,)
+    for i in range(n):
+        if sum(s[m][i] * w.counit[m] for m in range(n)) != w.counit[i]:
+            return (i, "counit")
+    return None
+
+
+@pytest.mark.parametrize("cell", [(9, 4), (4, 9), (0, 17)])
+def test_fault_injected_antipode_anti_coalgebra_witness(sws18, cell):
+    w = sws18.wha
+    assert verify_weak_hopf(w).find("antipode_anti_coalgebra").passed
+    anti = [list(row) for row in w.antipode.matrix]
+    anti[cell[0]][cell[1]] += 1
+    bad = WeakHopfData(w.algebra, w.coalgebra, LinearMap.from_matrix(anti))
+    check = verify_weak_hopf(bad).find("antipode_anti_coalgebra")
+    assert not check.passed
+    assert check.informational
+    assert check.witness == _first_anti_coalgebra_failure(bad)
+
+
+def test_verify_weak_hopf_builds_no_transposed_tensor(b54, monkeypatch):
+    # the anti-laws read the product and coproduct swapped in place
+    w = b54.wha
+    monkeypatch.setattr(Tensor3, "permuted", lambda *a: pytest.fail("tensor transposed"))
+    rep = verify_weak_hopf(WeakHopfData(w.algebra, w.coalgebra, w.antipode))
+    assert rep.ok
+    assert rep.find("antipode_anti_algebra").passed
+    assert rep.find("antipode_anti_coalgebra").passed
