@@ -289,15 +289,16 @@ def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
     m = len(basis)
     span = Subspace(basis, nw * nh * nw)
 
-    rowdicts: dict = {}
-    for p in range(m):
-        for q in range(m):
-            cell = span.coords(_nw_product(h, nw, nh, basis[p], basis[q]))
-            if cell is None:
-                raise ValueError(f"product of cotensor basis {p}, {q} leaves the cotensor")
-            if cell:
-                rowdicts[(p, q)] = cell
-    mult = Tensor3.from_row_dicts((m, m, m), rowdicts)
+    def products():
+        for p in range(m):
+            for q in range(m):
+                cell = span.coords(_nw_product(h, nw, nh, basis[p], basis[q]))
+                if cell is None:
+                    raise ValueError(f"product of cotensor basis {p}, {q} leaves the cotensor")
+                for k, v in cell.items():
+                    yield p, q, k, v
+
+    mult = Tensor3.from_entries((m, m, m), products())
 
     # the unit sum_i w*_i (x) 1 (x) w_i: x o u = x and u o y = y term by term
     one = h.algebra.unit_sparse

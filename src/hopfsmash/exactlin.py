@@ -639,24 +639,27 @@ class Tensor3:
     @staticmethod
     def from_entries(dims, entries) -> "Tensor3":
         """Build from an iterable of (i, j, k, value); zero values are skipped,
-        repeats accumulate, and an index outside dims raises DimensionMismatch."""
+        repeats accumulate, and an index outside dims raises DimensionMismatch.
+        Only the cells that received an entry are touched; the rest stay ()."""
         d0, d1, d2 = dims
         acc: dict = {}
         for i, j, k, v in entries:
             v = rat(v)
             if v == 0:
                 continue
-            cell = acc.setdefault((i, j), {})
-            w = cell.get(k)
-            cell[k] = v if w is None else w + v
+            cell = acc.get((i, j))
+            if cell is None:
+                acc[(i, j)] = {k: v}
+            else:
+                w = cell.get(k)
+                cell[k] = v if w is None else w + v
         for (i, j), cell in acc.items():
-            if not (0 <= i < d0 and 0 <= j < d1 and all(0 <= k < d2 for k in cell)):
+            if not (0 <= i < d0 and 0 <= j < d1 and 0 <= min(cell) and max(cell) < d2):
                 raise DimensionMismatch(f"an entry of cell {(i, j)} lies outside {tuple(dims)}")
-        rows = tuple(
-            tuple(tuple(sorted((k, c) for k, c in cell.items() if c))
-                  if (cell := acc.get((i, j))) else () for j in range(d1))
-            for i in range(d0))
-        return Tensor3(dims, rows)
+        planes = [[()] * d1 for _ in range(d0)]
+        for (i, j), cell in acc.items():
+            planes[i][j] = tuple(sorted(kc for kc in cell.items() if kc[1]))
+        return Tensor3(dims, tuple(map(tuple, planes)))
 
     @staticmethod
     def from_row_dicts(dims, rowdicts) -> "Tensor3":

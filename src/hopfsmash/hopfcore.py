@@ -945,22 +945,31 @@ def tensor_algebra(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra
 def smash_carrier(alg: StructureAlgebra, h: HopfData, action: Tensor3) -> StructureAlgebra:
     """A # H on A (x) H, flat index a * dim H + h, for a left action tensor
     action[h][x][y] of H on A: (a # h)(b # g) = a (h_(1) . b) # h_(2) g, with
-    unit 1 # 1.  The carrier is returned unverified."""
+    unit 1 # 1.  The work follows the nonzero Sweedler terms: e_p . b is read
+    once per (b, p), an (a, b, i) whose terms a (e_p . b) # e_q over
+    Delta(e_i) = sum e_p (x) e_q all vanish is skipped, and the j loop runs
+    over the terms left.  The carrier is returned unverified."""
     na, nh = alg.dim, h.dim
     n = na * nh
+    comul, h_rows = h.coalgebra.rows, h.algebra.mult._rows
 
     def entries():
-        for a in range(na):
-            for b in range(na):
-                # a (e_p . b) for every p; i and j do not enter
-                lefts = [alg.mul_sparse({a: 1}, action.act({p: 1}, {b: 1})) for p in range(nh)]
+        for b in range(na):
+            hits = [dict(action.row(p, b)) for p in range(nh)]
+            for a in range(na):
+                lefts = [alg.mul_sparse({a: 1}, hit) for hit in hits]
                 for i in range(nh):
+                    # (t dim H, q, c c_t) for the terms c c_t (e_t (x) e_q)
+                    terms = [(t * nh, q, c * ct) for p, q, c in comul[i]
+                             for t, ct in lefts[p].items()]
+                    if not terms:
+                        continue
+                    row = a * nh + i
                     for j in range(nh):
-                        for p, q, c in h.coalgebra.comul_row(i):
-                            left = lefts[p]
-                            for m, cm in h.algebra.mul_row(q, j):
-                                for t, ct in left.items():
-                                    yield a * nh + i, b * nh + j, t * nh + m, c * cm * ct
+                        col = b * nh + j
+                        for t, q, w in terms:
+                            for m, cm in h_rows[q][j]:
+                                yield row, col, t + m, w * cm
 
     unit = [0] * n
     for a, ca in alg.unit_sparse.items():
@@ -1008,24 +1017,28 @@ def drinfeld_double(h: HopfData):
                     sp_add(out, y, acc * w1)
         return out
 
-    rowdicts: dict = {}
     comul2 = h.coalgebra.comul2_row
-    for a in range(n):
-        pa = {a: 1}
-        for b in range(n):
-            for c in range(n):
-                # p_a * q(c; t1, t3) for each Sweedler term of b; d does not enter
-                terms = [(t2, w, dualalg.mul_sparse(pa, q))
-                         for t1, t2, t3, w in comul2(b) if (q := dragged(c, t1, t3))]
-                for d in range(n):
-                    cell: dict = {}
-                    for t2, w, fq in terms:
-                        for m, wm in alg.mul_row(t2, d):
-                            for y, cy in fq.items():
-                                sp_add(cell, flat(y, m), w * wm * cy)
-                    if cell:
-                        rowdicts[(flat(a, b), flat(c, d))] = cell
-    mult = Tensor3.from_row_dicts((nn, nn, nn), rowdicts)
+
+    def products():
+        for a in range(n):
+            pa = {a: 1}
+            for b in range(n):
+                row = flat(a, b)
+                for c in range(n):
+                    # p_a * q(c; t1, t3) for each Sweedler term of b; d does not enter
+                    terms = [(t2, w, dualalg.mul_sparse(pa, q))
+                             for t1, t2, t3, w in comul2(b) if (q := dragged(c, t1, t3))]
+                    for d in range(n):
+                        cell: dict = {}
+                        for t2, w, fq in terms:
+                            for m, wm in alg.mul_row(t2, d):
+                                for y, cy in fq.items():
+                                    sp_add(cell, flat(y, m), w * wm * cy)
+                        col = flat(c, d)
+                        for k, v in cell.items():
+                            yield row, col, k, v
+
+    mult = Tensor3.from_entries((nn, nn, nn), products())
     eps_sp = sp(h.counit)
     unit_sp = alg.unit_sparse
     unit = [0] * nn

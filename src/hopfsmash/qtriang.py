@@ -193,18 +193,20 @@ def adjoint_action_tensor(h: HopfData) -> Tensor3:
     """ad[h][x][y]: coefficient of e_y in h .ad x = h_(1) x S(h_(2))."""
     n = h.dim
     s_cols = h.antipode.cols    # S(e_b); e_a e_j is a mult row
-    rowdicts = {}
-    for i in range(n):
-        delta = h.coalgebra.comul_row(i)
-        for j in range(n):
-            cell: dict = {}
-            for a, b, c in delta:
-                for m, cm in h.algebra.mul_sparse(dict(h.algebra.mul_row(a, j)),
-                                                  s_cols[b]).items():
-                    sp_add(cell, m, c * cm)
-            if cell:
-                rowdicts[(i, j)] = cell
-    return Tensor3.from_row_dicts((n, n, n), rowdicts)
+
+    def entries():
+        for i in range(n):
+            delta = h.coalgebra.comul_row(i)
+            for j in range(n):
+                cell: dict = {}
+                for a, b, c in delta:
+                    for m, cm in h.algebra.mul_sparse(dict(h.algebra.mul_row(a, j)),
+                                                      s_cols[b]).items():
+                        sp_add(cell, m, c * cm)
+                for m, cm in cell.items():
+                    yield i, j, m, cm
+
+    return Tensor3.from_entries((n, n, n), entries())
 
 
 @dataclass(frozen=True)

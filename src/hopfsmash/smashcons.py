@@ -424,22 +424,11 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
     def flat(a, i, k):
         return (a * nh + i) * na + k
 
-    rowdicts: dict = {}
-    for a in range(na):
-        for i in range(nh):
-            for k in range(na):
-                src = flat(a, i, k)
-                for b in range(na):
-                    for j in range(nh):
-                        for l in range(na):
-                            if l != a:
-                                continue
-                            cell = {}
-                            for m, cm in h.algebra.mul_row(i, j):
-                                cell[flat(b, m, k)] = cm
-                            if cell:
-                                rowdicts[(src, flat(b, j, l))] = cell
-    mult = Tensor3.from_row_dicts((n, n, n), rowdicts)
+    # <b*, a> leaves only the columns b (x) g (x) a
+    mult = Tensor3.from_entries((n, n, n), (
+        (flat(a, i, k), flat(b, j, a), flat(b, m, k), cm)
+        for a in range(na) for i in range(nh) for k in range(na)
+        for b in range(na) for j in range(nh) for m, cm in h.algebra.mul_row(i, j)))
 
     x_items = list(sep.x.items())
     alpha = sep.alpha

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -438,11 +439,32 @@ def test_tensor_elem_flip_swaps_legs():
     lambda: Tensor3.from_entries((2, 2, 2), [(2, 0, 0, 1)]),
     lambda: Tensor3.from_entries((2, 2, 2), [(0, 0, 5, 1)]),
     lambda: Tensor3.from_entries((2, 2, 2), [(0, -1, 0, 1)]),
+    lambda: Tensor3.from_entries((2, 2, 2), [(0, 0, 2, 1), (0, 0, 1, 1), (0, 0, 2, -1)]),
 ], ids=["elem-column", "elem-row", "elem-negative", "elem-cancelled",
-        "t3-first", "t3-last", "t3-negative"])
+        "t3-first", "t3-last", "t3-negative", "t3-cancelled"])
 def test_from_entries_refuses_an_index_outside_dims(build):
     with pytest.raises(DimensionMismatch, match="outside"):
         build()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_entries_is_from_dense_of_the_accumulated_entries(seed):
+    # shuffled entries with repeats against the dense sums; the repeats in
+    # cell (2, 3) cancel, and it reads () like the cells with no entry
+    rng = random.Random(seed)
+    dense = [[[0] * 5 for _ in range(4)] for _ in range(3)]
+    entries = [(2, 3, 4, F(1, 2)), (2, 3, 1, 3), (2, 3, 4, F(-1, 2)), (2, 3, 1, -3)]
+    for _ in range(60):
+        i, j, k = rng.randrange(3), rng.randrange(3), rng.randrange(5)
+        v = rng.choice((-2, -1, F(1, 2), 1, 0))
+        reps = rng.choice((1, 2))
+        entries += [(i, j, k, v)] * reps
+        dense[i][j][k] += reps * v
+    rng.shuffle(entries)
+    t = Tensor3.from_entries((3, 4, 5), entries)
+    assert t == Tensor3.from_dense(dense)
+    assert t.row(2, 3) == ()
+    assert all(cell == tuple(sorted(cell)) for plane in t._rows for cell in plane)
 
 
 def test_from_row_dicts_is_from_entries():

@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfsmash import demos as dm
 from hopfsmash import hopfcore
 from hopfsmash.exactlin import (
     DimensionMismatch,
@@ -463,6 +465,84 @@ def test_heisenberg_double_matches_the_reference_loop(host, kz2, ks3, double_z2)
     assert hz.unit == ref.unit
 
 
+def _smash_reference(alg, h, action):
+    """A # H by the loop smash_carrier ran over every (a, b, i, j) and every
+    Sweedler term of Delta(e_i), kept as a reference for its sparse loop:
+    (a # e_i)(b # e_j) = a (e_p . b) # e_q e_j over Delta(e_i) = e_p (x) e_q."""
+    na, nh = alg.dim, h.dim
+    n = na * nh
+
+    def entries():
+        for a in range(na):
+            for b in range(na):
+                lefts = [alg.mul_sparse({a: 1}, action.act({p: 1}, {b: 1})) for p in range(nh)]
+                for i in range(nh):
+                    for j in range(nh):
+                        for p, q, c in h.coalgebra.comul_row(i):
+                            for m, cm in h.algebra.mul_row(q, j):
+                                for t, ct in lefts[p].items():
+                                    yield a * nh + i, b * nh + j, t * nh + m, c * cm * ct
+
+    unit = [0] * n
+    for a, ca in alg.unit_sparse.items():
+        for t, ct in h.algebra.unit_sparse.items():
+            unit[a * nh + t] = ca * ct
+    return StructureAlgebra(n, Tensor3.from_entries((n, n, n), entries()), tuple(unit))
+
+
+def _random_smash_data(seed):
+    """A random 3-dimensional product and a random action tensor of (kS3)*
+    on it, every row with 0 to 3 terms from {-2, -1, 1/2, 1}: a formula
+    input, neither associative nor an action, on which terms cancel."""
+    rng = random.Random(seed)
+    h = dual_hopf(dm.k_s3())
+
+    def cells(d0, d1, d2):
+        return [(i, j, k, rng.choice((-2, -1, F(1, 2), 1)))
+                for i in range(d0) for j in range(d1)
+                for k in rng.sample(range(d2), rng.choice((0, 1, 2, 3)))]
+
+    alg = StructureAlgebra(3, Tensor3.from_entries((3, 3, 3), cells(3, 3, 3)), (1, 0, F(1, 2)))
+    return alg, h, Tensor3.from_entries((h.dim, 3, 3), cells(h.dim, 3, 3))
+
+
+SMASH_CARRIERS = ["H#D(kZ2)", "H#D(kZ3)", "H#D(kS3)", "k3#kS3", "Heis(kS3^cop)",
+                  "Heis((kS3)*)", "random-0", "random-1", "random-2"]
+
+
+@pytest.mark.parametrize("carrier", SMASH_CARRIERS)
+def test_smash_carrier_matches_the_reference_loop(carrier, kz2, ks3, double_z2, double_s3):
+    # _rows are compared, not dense(): the same sorted cells, () where empty
+    from hopfsmash.smashcons import double_module_algebra
+
+    def double_smash(h, double):
+        m, _ = double_module_algebra(h, double)
+        return m.A, m.host, m.action
+
+    def heisenberg(h):
+        return h.algebra, dual_hopf(h), h.coalgebra.comult.permuted((2, 0, 1))
+
+    kz3 = group_algebra(dm.cyclic_table(3))
+    k3 = dm.k3_module_algebra(ks3)
+    args = {"H#D(kZ2)": lambda: double_smash(kz2, double_z2),
+            "H#D(kZ3)": lambda: double_smash(kz3, drinfeld_double(kz3)),
+            "H#D(kS3)": lambda: double_smash(ks3, double_s3),
+            "k3#kS3": lambda: (k3.A, k3.host, k3.action),
+            "Heis(kS3^cop)": lambda: heisenberg(opposites(ks3, "cop")),
+            "Heis((kS3)*)": lambda: heisenberg(dual_hopf(ks3))}.get(
+                carrier, lambda: _random_smash_data(int(carrier.removeprefix("random-"))))()
+    if carrier.startswith("random"):
+        alg, h, action = args
+        # some a (e_p . b) loses a term to cancellation
+        assert any({m for k, _ in action.row(p, b) for m, _ in alg.mul_row(a, k)}
+                   != set(alg.mul_sparse({a: 1}, dict(action.row(p, b))))
+                   for a in range(3) for b in range(3) for p in range(h.dim))
+    built, ref = hopfcore.smash_carrier(*args), _smash_reference(*args)
+    assert built.mult._rows == ref.mult._rows
+    assert built.unit == ref.unit
+    assert any(any(plane) for plane in built.mult._rows)
+
+
 @pytest.mark.parametrize("host", ["kS3", "(kS3)*"])
 def test_dual_and_opposite_builders_match_the_reference_loops(host, ks3):
     # the hand-written leg moves these builders used to run, kept here as the
@@ -540,7 +620,6 @@ from hypothesis import strategies as st
 @settings(max_examples=12, deadline=None)
 @given(st.integers(1, 6))
 def test_cyclic_group_algebras(n):
-    from hopfsmash import demos as dm
     h = group_algebra(dm.cyclic_table(n))
     assert h.dim == n
     assert verify_hopf(h).ok
@@ -553,7 +632,6 @@ def test_cyclic_group_algebras(n):
 @settings(max_examples=8, deadline=None)
 @given(st.integers(2, 5))
 def test_cyclic_double_is_qt(n):
-    from hopfsmash import demos as dm
     from hopfsmash.qtriang import verify_qt
     dd, q = drinfeld_double(group_algebra(dm.cyclic_table(n)))
     assert dd.dim == n * n

@@ -3,8 +3,9 @@ inside a function, no package function imports from a module that its module
 already imports from at top level or that does not import its module (only an
 import cycle justifies a function-local import), the package imports nothing
 outside the standard library, each object verifier runs only in its
-class's cached `report` property (or in the CLI's suites), and no package
-code divides with `/` outside `exactlin.qdiv`: an int / int is a float.
+class's cached `report` property (or in the CLI's suites), no package code
+divides with `/` outside `exactlin.qdiv` (an int / int is a float), and no
+package code builds a tensor through `from_row_dicts`.
 
 An AST scan stands in for pyflakes: a name bound by an import counts as used
 when it appears anywhere in the module as a name, as the root of an
@@ -289,3 +290,28 @@ def test_scan_finds_divisions():
            "half = 1 / 2  # a / b\n")
     assert divisions(src, "exactlin") == [4, 5, 6]
     assert divisions(src, "hopfcore") == [2, 4, 5, 6]
+
+
+def row_dict_builds(source: str) -> list:
+    """Line of every call of `from_row_dicts`: package code yields its entries
+    straight into `Tensor3.from_entries`, the one builder of tensor rows, and
+    holds no second copy of the cells in a {(i, j): {k: v}} dict."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and (node.func.id if isinstance(node.func, ast.Name)
+                       else getattr(node.func, "attr", None)) == "from_row_dicts")
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_row_dict_builds(path):
+    assert row_dict_builds(path.read_text()) == []
+
+
+def test_scan_finds_row_dict_builds():
+    src = ("from .exactlin import Tensor3\n"
+           "def f(n, cells):\n"
+           "    t = Tensor3.from_entries((n, n, n), [])\n"
+           "    return Tensor3.from_row_dicts((n, n, n), cells), t\n"
+           "g = from_row_dicts\n"
+           "h = from_row_dicts((1, 1, 1), {})\n")
+    assert row_dict_builds(src) == [4, 6]
