@@ -37,7 +37,9 @@ from .hopfcore import (
     coassociativity_failures,
     convolution_algebra,
     counit_law_failures,
+    end_algebra,
     module_law_failures,
+    opposite_algebra,
     opposites,
     sweedler_rows,
 )
@@ -253,7 +255,7 @@ class AdjointStableAlgebra:
     htw: HTensorW
     basis: tuple              # cotensor basis vectors in W* (x) H (x) W
     carrier: StructureAlgebra
-    unit_in_ambient: dict
+    ambient: StructureAlgebra    # end_algebra(dim W, H^op), holding the basis
 
 
 def _amb_terms(v: dict, nh: int, nw: int) -> list:
@@ -262,37 +264,24 @@ def _amb_terms(v: dict, nh: int, nw: int) -> list:
     return [(((k // nw) // nh, (k // nw) % nh, k % nw), c) for k, c in v.items()]
 
 
-def _nw_product(h: HopfData, nw: int, nh: int, x: dict, y: dict) -> dict:
-    """x o y = sum v*_l (x) g_l h_j (x) <w*_j, v_l> w_j on vectors of
-    W* (x) H (x) W."""
-    out: dict = {}
-    y_terms = _amb_terms(y, nh, nw)
-    for (cp, b, c), cx in _amb_terms(x, nh, nw):
-        for (ap, bp, cpp), cy in y_terms:
-            if cpp != cp:
-                continue
-            coeff = cx * cy
-            for m, cm in h.algebra.mul_row(bp, b):
-                sp_add(out, (ap * nh + m) * nw + c, coeff * cm)
-    return out
-
-
 def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
                            bg: BraidedGroupData | None = None) -> AdjointStableAlgebra:
-    """N_W = W* [] (H (x) W) with the convolution-style product; closure,
+    """N_W = W* [] (H (x) W) with the convolution-style product
+    x o y = sum v*_l (x) g_l h_j (x) <w*_j, v_l> w_j, the product of the
+    ambient End(W*) (x) H^op = end_algebra(dim W, H^op); closure,
     associativity and the unit law of the unit sum_i w*_i (x) 1 (x) w_i are
     verified."""
     htw = build_h_tensor_w(w, h, bg)
     wd = dual_right_comodule(w)
     basis = cotensor(wd, htw.as_comodule())
-    nw, nh = w.dim, h.dim
     m = len(basis)
-    span = Subspace(basis, nw * nh * nw)
+    ambient = end_algebra(w.dim, opposite_algebra(h.algebra))
+    span = Subspace(basis, ambient.dim)
 
     def products():
         for p in range(m):
             for q in range(m):
-                cell = span.coords(_nw_product(h, nw, nh, basis[p], basis[q]))
+                cell = span.coords(ambient.mul_sparse(basis[p], basis[q]))
                 if cell is None:
                     raise ValueError(f"product of cotensor basis {p}, {q} leaves the cotensor")
                 for k, v in cell.items():
@@ -300,16 +289,13 @@ def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
 
     mult = Tensor3.from_entries((m, m, m), products())
 
-    # the unit sum_i w*_i (x) 1 (x) w_i: x o u = x and u o y = y term by term
-    one = h.algebra.unit_sparse
-    amb_unit = {(i * nh + k) * nw + i: c for i in range(nw) for k, c in one.items()}
-    unit_coords = span.coords(amb_unit)
+    unit_coords = span.coords(ambient.unit_sparse)
     if unit_coords is None:
         raise ValueError("N_W has no unit inside the cotensor subspace")
     carrier = StructureAlgebra(m, mult, tuple(unit_coords.get(p, 0) for p in range(m)))
     carrier.report.require()
 
-    return AdjointStableAlgebra(w, htw, tuple(basis), carrier, amb_unit)
+    return AdjointStableAlgebra(w, htw, tuple(basis), carrier, ambient)
 
 
 def nw_direct_sum_report(w: ComoduleData, h: HopfData, components,
@@ -335,10 +321,10 @@ def nw_direct_sum_report(w: ComoduleData, h: HopfData, components,
         comp_bases.append(emb)
         embedded_all.extend(emb)
     rep.add("components_span_nw",
-            Subspace(full.basis, nw * nh * nw) == Subspace(embedded_all, nw * nh * nw))
+            Subspace(full.basis, full.ambient.dim) == Subspace(embedded_all, full.ambient.dim))
     rep.check("cross_products_vanish",
               ((ci, cj) for ci, bi in enumerate(comp_bases) for cj, bj in enumerate(comp_bases)
-               if ci != cj and any(_nw_product(h, nw, nh, u, v) for u in bi for v in bj)))
+               if ci != cj and any(full.ambient.mul_sparse(u, v) for u in bi for v in bj)))
     return rep
 
 
@@ -377,10 +363,10 @@ def cotensor_right_module(wdual: ComoduleData, v_com: ComoduleData,
                if not span_v.contains(act(t, n_basis[p]))))
     rep.check("module_law",
               ((ti, p, q) for ti, t in enumerate(basis_v) for p in range(nn) for q in range(nn)
-               if act(t, _nw_product(h, nw, nh, n_basis[p], n_basis[q]))
+               if act(t, n_alg.ambient.mul_sparse(n_basis[p], n_basis[q]))
                != act(act(t, n_basis[p]), n_basis[q])))
     rep.check("unit_acts_trivially",
-              ((ti,) for ti, t in enumerate(basis_v) if act(t, n_alg.unit_in_ambient) != t))
+              ((ti,) for ti, t in enumerate(basis_v) if act(t, n_alg.ambient.unit_sparse) != t))
     return rep
 
 

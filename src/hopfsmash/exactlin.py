@@ -652,7 +652,7 @@ class Tensor3:
                 acc[(i, j)] = {k: v}
             else:
                 w = cell.get(k)
-                cell[k] = v if w is None else w + v
+                cell[k] = v if w is None else rat(w + v)
         for (i, j), cell in acc.items():
             if not (0 <= i < d0 and 0 <= j < d1 and 0 <= min(cell) and max(cell) < d2):
                 raise DimensionMismatch(f"an entry of cell {(i, j)} lies outside {tuple(dims)}")
@@ -757,7 +757,7 @@ class TensorElem:
         acc: dict = {}
         for key, v in entries:
             c = acc.get(key)
-            acc[key] = rat(v) if c is None else c + rat(v)
+            acc[key] = rat(v) if c is None else rat(c + rat(v))
         for i, j in acc:
             if not (0 <= i < d0 and 0 <= j < d1):
                 raise DimensionMismatch(f"index {(i, j)} lies outside {tuple(dims)}")

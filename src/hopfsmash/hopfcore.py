@@ -942,6 +942,32 @@ def tensor_algebra(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra
     return StructureAlgebra(n, Tensor3.from_entries((n, n, n), entries), unit)
 
 
+def end_algebra(nv: int, alg: StructureAlgebra) -> StructureAlgebra:
+    """End(V) (x) A for dim V = nv on a (x) e_i (x) k = E_ka (x) e_i, with E_ka
+    the matrix unit v_a |-> v_k, at flat index (a dim A + i) nv + k:
+    (a (x) h (x) k)(b (x) g (x) k') = <v*_k', v_a> b (x) hg (x) k, with unit
+    sum_k k (x) 1 (x) k.  A cell does not depend on a, so it is formed once
+    per (i, k, b, j) and the rows, already sorted, are written directly."""
+    na = alg.dim
+    n = nv * na * nv
+    rows = alg.mult._rows
+    planes = [()] * n
+    for i in range(na):
+        for k in range(nv):
+            cells = [((b * na + j) * nv, tuple(((b * na + m) * nv + k, c) for m, c in rows[i][j]))
+                     for b in range(nv) for j in range(na)]
+            for a in range(nv):
+                plane = [()] * n
+                for col, cell in cells:
+                    plane[col + a] = cell
+                planes[(a * na + i) * nv + k] = tuple(plane)
+    unit = [0] * n
+    for k in range(nv):
+        for i, c in alg.unit_sparse.items():
+            unit[(k * na + i) * nv + k] = c
+    return StructureAlgebra(n, Tensor3((n, n, n), tuple(planes)), tuple(unit))
+
+
 def smash_carrier(alg: StructureAlgebra, h: HopfData, action: Tensor3) -> StructureAlgebra:
     """A # H on A (x) H, flat index a * dim H + h, for a left action tensor
     action[h][x][y] of H on A: (a # h)(b # g) = a (h_(1) . b) # h_(2) g, with

@@ -2,10 +2,10 @@
 End(A*) (x) H, the enveloping weak Hopf algebra B = A (x) H (x) A*, the
 transformation-groupoid case study, and the H # D(H) decomposition.
 
-The products are built by hopfcore: A#H by smash_carrier, End(A*) (x) H and
-M_t(k) (x) k G_1 by tensor_algebra and matrix_algebra, and each map between
-them is checked by check_map; only mu of H # D(H) is an algebra map scanned
-by hand.
+The products are built by hopfcore: A#H by smash_carrier, End(A*) (x) H
+(Theta's target and B's carrier) by end_algebra, M_t(k) (x) k G_1 by
+tensor_algebra and matrix_algebra, and each map between them is checked by
+check_map; only mu of H # D(H) is an algebra map scanned by hand.
 
 Basis codec: A#H uses (A-index major, H-index minor); B uses the triple
 (a, h, a*) flattened as ((a * dim H) + h) * dim A + a*.  Every theorem
@@ -30,7 +30,6 @@ from .exactlin import (
     rat_str,
     sp_add,
     span_basis,
-    vec_dot,
 )
 from .hopfcore import (
     GroupTable,
@@ -41,6 +40,7 @@ from .hopfcore import (
     check_map,
     drinfeld_double,
     dual_coalgebra,
+    end_algebra,
     group_algebra,
     heisenberg_double,
     matrix_algebra,
@@ -344,42 +344,38 @@ def smash_qt(sws: SmashWeakStructure) -> tuple[WeakQTStructure, VerificationRepo
 # Theta: A#H -> End(A*) (x) H
 # ---------------------------------------------------------------------------
 
-def theta_embed(s: SmashProduct) -> tuple[LinearMap, StructureAlgebra, VerificationReport]:
-    """Theta(a#h) = theta(a # h_(1)) (x) h_(2) with
-    theta(a#h)(b*) = a -> (b* <| S^{-1}(h)); an algebra embedding."""
-    h, A_mod, A = s.H, s.A_mod, s.A_mod.A
-    na, nh = s.na, s.nh
+def _theta_columns(s: SmashProduct) -> list:
+    """Columns of Theta(a # e_i) = sum c theta(a # e_p) (x) e_q over
+    Delta(e_i) = sum c e_p (x) e_q, with theta(a#h)(b*) = a -> (b* <| S^{-1}(h)),
+    at end_algebra(dim A, H)'s index: the entry at p_b of the image of p_w sits
+    at e_w (x) e_q (x) p_b.  theta_embed and phi_embed both read these columns,
+    so both refuse an H without an invertible antipode."""
+    h, na, nh = s.H, s.na, s.nh
     sinv = h.antipode_inv
     if sinv is None:
-        raise ValueError("theta_embed needs an invertible antipode")
-    target = tensor_algebra(matrix_algebra(na), h.algebra)
-    dual_act = A_mod.action.permuted((0, 2, 1)).row    # (b, <p_w <| e_y, e_b>) at (y, w)
-
-    def theta_entries(a: int, i: int) -> dict:
-        """Nonzero entries {(b, w): value} of the matrix (over the A* basis)
-        of b* |-> a -> (b* <| S^{-1}(e_i))."""
-        m = {}
-        for w in range(na):
-            # p_w <| S^{-1}(e_i): <.., e_b> = <p_w, S^{-1}(e_i).e_b>
-            f: dict = {}
-            for y, cy in sinv.cols[i].items():
-                for b, cb in dual_act(y, w):
-                    sp_add(f, b, cy * cb)
-            # a -> f: <a -> f, b> = <f, e_b e_a>
-            for b in range(na):
-                if val := vec_dot(f, dict(A.mul_row(b, a))):
-                    m[(b, w)] = val
-        return m
-
+        raise ValueError("theta_embed and phi_embed need an invertible antipode")
+    # dragged[p][w] = p_w <| S^{-1}(e_p), with <p_w <| e_y, e_b> = <p_w, e_y . e_b>
+    dual_act = s.A_mod.action.permuted((0, 2, 1)).act
+    dragged = [[dual_act(sinv.cols[p], {w: 1}) for w in range(na)] for p in range(nh)]
+    hit = s.A_mod.A.mult.permuted((2, 1, 0)).act    # hit(f, {a: 1}) = a -> f
     cols = []
     for a in range(na):
         for i in range(nh):
             col: dict = {}
             for p, q, c in h.coalgebra.comul_row(i):
-                for (u, v), x in theta_entries(a, p).items():
-                    sp_add(col, (u * na + v) * nh + q, c * x)
+                for w, f in enumerate(dragged[p]):
+                    for b, val in hit(f, {a: 1}).items():
+                        sp_add(col, (w * nh + q) * na + b, c * val)
             cols.append(col)
-    f = LinearMap(s.carrier.dim, target.dim, cols)
+    return cols
+
+
+def theta_embed(s: SmashProduct) -> tuple[LinearMap, StructureAlgebra, VerificationReport]:
+    """Theta(a#h) = theta(a # h_(1)) (x) h_(2) with
+    theta(a#h)(b*) = a -> (b* <| S^{-1}(h)); an algebra embedding into
+    End(A*) (x) H = end_algebra(dim A, H)."""
+    target = end_algebra(s.na, s.H.algebra)
+    f = LinearMap(s.carrier.dim, target.dim, _theta_columns(s))
     rep = check_map(f, s.carrier, target, ("algebra", "injective"))
     rep.require()
     return f, target, rep
@@ -407,12 +403,17 @@ class BAlgebra:
         return self.q.host.dim
 
     def flat(self, a: int, i: int, k: int) -> int:
+        """Index of e_a (x) e_i (x) p_k: end_algebra(dim A, H)'s layout, with
+        e_a (x) p_k the matrix unit p_a |-> p_k of End(A*)."""
         return (a * self.nh + i) * self.na + k
 
 
 def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> BAlgebra:
     """B with (a (x) h (x) a*)(b (x) g (x) b*) = <b*, a> b (x) hg (x) a*,
-    the displayed weak Hopf structure maps, and R_B; all verified."""
+    the displayed weak Hopf structure maps, and R_B; all verified.  The
+    carrier is end_algebra(dim A, H); its unit sum_k e_k (x) 1 (x) p_k is the
+    paper's sum x^1 (x) 1 (x) (x^2 -> alpha) by separability's
+    dual_basis_identity."""
     qc, wit = is_quantum_commutative(q, A_mod)
     if not qc:
         raise HypothesisFailure("quantum-commutativity", wit)
@@ -421,25 +422,14 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
     na, nh = A.dim, h.dim
     n = na * nh * na
 
-    def flat(a, i, k):
-        return (a * nh + i) * na + k
-
-    # <b*, a> leaves only the columns b (x) g (x) a
-    mult = Tensor3.from_entries((n, n, n), (
-        (flat(a, i, k), flat(b, j, a), flat(b, m, k), cm)
-        for a in range(na) for i in range(nh) for k in range(na)
-        for b in range(na) for j in range(nh) for m, cm in h.algebra.mul_row(i, j)))
+    # only A_mod and q fix B's layout, so the index is read before B exists
+    flat = BAlgebra(A_mod, q, sep, None, None, None).flat
+    carrier = end_algebra(na, h.algebra)
 
     x_items = list(sep.x.items())
     alpha = sep.alpha
     form = trace_form(A, alpha)
     hit = form.cols    # hit[x] = x -> alpha
-    unit: dict = {}
-    for (x1, x2), cx in x_items:
-        for t, ct in h.algebra.unit_sparse.items():
-            for w, cw in hit[x2].items():
-                sp_add(unit, flat(x1, t, w), cx * ct * cw)
-    carrier = StructureAlgebra(n, mult, tuple(unit.get(i, 0) for i in range(n)))
 
     rev_a = dual_coalgebra(A).comul_row
     r_items = list(q.R.items())
@@ -596,30 +586,24 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
 def phi_embed(sws: SmashWeakStructure, b: BAlgebra):
     """phi(a#h) = S(h_(1)).a_<0> (x) h_(2) (x) a_<1> with
     a_<0> (x) a_<1> = x^1 a (x) (x^2 -> alpha); a weak Hopf monomorphism whose
-    image is the equalizer {t : (a . leg1) t = t <|<| a for all a}."""
+    image is the equalizer {t : (a . leg1) t = t <|<| a for all a}.
+
+    phi is Theta, read off _theta_columns: x^1 a (x) (x^2 -> alpha) =
+    sum_w e_w (x) (a -> p_w) by separability's dual_basis_identity, moving
+    S(h_(1)) across the pairing turns S(h_(1)).e_w (x) p_w into
+    e_w (x) (p_w <| S(h_(1))), and S = S^{-1} since S^2 = id for a semisimple
+    H in characteristic 0.  check_wha_morphism and the equalizer certify the
+    columns all the same."""
     ut, wit = u_acts_trivially(sws.q, sws.smash.A_mod)
     if not ut:
         raise HypothesisFailure("drinfeld-element-acts-trivially", wit)
     s = sws.smash
     h, A_mod, A = s.H, s.A_mod, s.A_mod.A
     na, nh = s.na, s.nh
-    x_items = list(b.sep.x.items())
-    hit = trace_form(A, b.sep.alpha).cols    # hit[x] = x -> alpha
     n_b = b.wha.dim
     by_target = A.mult.permuted((0, 2, 1)).row    # (w, coefficient of e_k in e_t e_w) at (t, k)
 
-    cols = []
-    for a in range(na):
-        for i in range(nh):
-            col: dict = {}
-            for p, pq, c in h.coalgebra.comul_row(i):
-                for (x1, x2), cx in x_items:
-                    xa = A.mul_sparse({x1: 1}, {a: 1})
-                    aleg = A_mod.action.act(h.antipode.cols[p], xa)
-                    for ta, ca in aleg.items():
-                        for w, cw in hit[x2].items():
-                            sp_add(col, b.flat(ta, pq, w), c * cx * ca * cw)
-            cols.append(col)
+    cols = _theta_columns(s)
     f = LinearMap(s.carrier.dim, n_b, cols)
     rep = VerificationReport("phi_embed")
     rep.merge(check_wha_morphism(f, sws.wha, b.wha), "morphism.")

@@ -21,8 +21,9 @@ from hopfsmash.adjstable import (
 )
 from hopfsmash import demos as dm
 from hopfsmash.exactlin import (LinearMap, Subspace, Tensor3, commutant_rows, kernel_basis,
-                                span_basis, split, vec)
-from hopfsmash.hopfcore import StructureCoalgebra, co_opposite, dual_hopf, opposites
+                                sp_add, span_basis, split, vec)
+from hopfsmash.hopfcore import (StructureCoalgebra, co_opposite, dual_hopf, end_algebra,
+                                opposite_algebra, opposites)
 from hopfsmash.qtriang import trivial_qt
 from hopfsmash.report import HypothesisFailure
 
@@ -343,6 +344,49 @@ def test_nw_direct_sum(ks3, bg_s3):
     w = grouplike_comodule(bg_s3, [0, 1])
     rep = nw_direct_sum_report(w, ks3, [(0,), (1,)], bg_s3)
     assert rep.ok
+
+
+def _nw_product_reference(h, nw, x, y):
+    """The N_W product adjoint_stable_algebra ran by hand before it read its
+    ambient, kept as a reference: x o y = sum v*_l (x) g_l h_j (x) <w*_j, v_l> w_j
+    on vectors of W* (x) H (x) W at flat index (i dim H + j) dim W + w."""
+    nh = h.dim
+
+    def terms(v):
+        return [(((k // nw) // nh, (k // nw) % nh, k % nw), c) for k, c in v.items()]
+
+    out = {}
+    y_terms = terms(y)
+    for (cp, b, c), cx in terms(x):
+        for (ap, bp, cpp), cy in y_terms:
+            if cpp == cp:
+                for m, cm in h.algebra.mul_row(bp, b):
+                    sp_add(out, (ap * nh + m) * nw + c, cx * cy * cm)
+    return out
+
+
+@pytest.mark.parametrize("nw", [1, 2, 3])
+@pytest.mark.parametrize("host", ["kS3", "D(kZ2)"])
+def test_nw_ambient_product_matches_the_reference_loop(host, nw, ks3, double_z2):
+    h = {"kS3": ks3, "D(kZ2)": double_z2[0]}[host]
+    ambient = end_algebra(nw, opposite_algebra(h.algebra))
+    assert ambient.dim == nw * h.dim * nw
+    assert all(ambient.mul_sparse({x: 1}, {y: 1}) == _nw_product_reference(h, nw, {x: 1}, {y: 1})
+               for x in range(ambient.dim) for y in range(ambient.dim))
+    # the unit sum_i w*_i (x) 1 (x) w_i
+    assert ambient.unit_sparse == {(i * h.dim + k) * nw + i: c for i in range(nw)
+                                   for k, c in h.algebra.unit_sparse.items()}
+
+
+@pytest.mark.parametrize("indices", [[0], [1, 2], [1, 2, 5]])
+def test_nw_reads_its_products_in_end_of_w_dual_tensor_h_op(indices, ks3, bg_s3):
+    w = grouplike_comodule(bg_s3, indices)
+    n = adjoint_stable_algebra(w, ks3, bg_s3)
+    assert n.ambient == end_algebra(len(indices), opposite_algebra(ks3.algebra))
+    span = Subspace(list(n.basis), n.ambient.dim)
+    assert all(span.coords(_nw_product_reference(ks3, w.dim, u, v))
+               == dict(n.carrier.mul_row(p, q))
+               for p, u in enumerate(n.basis) for q, v in enumerate(n.basis))
 
 
 def test_cotensor_right_module(ks3, bg_s3):

@@ -467,6 +467,14 @@ def test_from_entries_is_from_dense_of_the_accumulated_entries(seed):
     assert all(cell == tuple(sorted(cell)) for plane in t._rows for cell in plane)
 
 
+def test_from_entries_gives_an_int_for_an_integral_sum():
+    # a repeated 1/2 adds up to the int 1, as every integral scalar is an int
+    t = Tensor3.from_entries((1, 1, 1), [(0, 0, 0, F(1, 2)), (0, 0, 0, F(1, 2))])
+    elem = TensorElem.from_entries((1, 1), [((0, 0), F(1, 2)), ((0, 0), F(1, 2))])
+    assert t.row(0, 0) == ((0, 1),) and type(t.row(0, 0)[0][1]) is int
+    assert elem.terms == {(0, 0): 1} and type(elem.terms[(0, 0)]) is int
+
+
 def test_from_row_dicts_is_from_entries():
     cells = {(0, 1): {2: 3, 0: F(1, 2), 1: 0}, (1, 0): {}, (1, 1): {1: "2/4"}}
     t = Tensor3.from_row_dicts((2, 2, 3), cells)

@@ -31,6 +31,7 @@ from hopfsmash.hopfcore import (
     drinfeld_double,
     dual_coalgebra,
     dual_hopf,
+    end_algebra,
     group_algebra,
     heisenberg_double,
     integrals,
@@ -596,6 +597,23 @@ def test_tensor_algebra_is_the_kronecker_product(kz2, ks3, double_z2):
         assert ab.mult.dense() == _kronecker(a.mult.dense(), b.mult.dense())
         assert ab.unit == tuple(x * y for x in a.unit for y in b.unit)
         assert verify_algebra(ab).ok
+
+
+@pytest.mark.parametrize("nv", [0, 1, 2, 3])
+def test_end_algebra_is_the_matrix_units_tensor_the_algebra(nv, kz2, ks3, double_z2):
+    # a (x) e_i (x) k is E_ka (x) e_i of tensor_algebra(matrix_algebra(nv), A);
+    # the rows are compared cell by cell, so order and () cells count too
+    for alg in (kz2.algebra, ks3.algebra, double_z2[0].algebra, matrix_algebra(2)):
+        na = alg.dim
+        end, ref = end_algebra(nv, alg), tensor_algebra(matrix_algebra(nv), alg)
+        moved = [(k * nv + a) * na + i for a in range(nv) for i in range(na) for k in range(nv)]
+        back = {m: x for x, m in enumerate(moved)}
+        assert end.dim == ref.dim == len(back)
+        assert all(end.mul_row(x, y) == tuple(sorted(
+                       (back[m], c) for m, c in ref.mul_row(moved[x], moved[y])))
+                   for x in range(end.dim) for y in range(end.dim))
+        assert end.unit == tuple(ref.unit[m] for m in moved)
+        assert end.report.ok
 
 
 def test_heisenberg_trivial():

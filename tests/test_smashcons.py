@@ -19,6 +19,7 @@ from hopfsmash.modalg import (
     permutation_module_algebra,
     pointwise_algebra,
     separability,
+    trace_form,
     trivial_module_algebra,
 )
 from hopfsmash.report import HypothesisFailure
@@ -215,6 +216,46 @@ def test_phi_trivial_coefficients_is_iso(double_z2):
     f, image, rep = phi_embed(sws, b)
     assert rep.ok
     assert f.rank() == 4 == b.wha.dim
+
+
+def _phi_reference(sws, b):
+    """The column loop phi_embed ran before it read Theta's columns, kept as
+    a reference: phi(a # e_i) = sum c S(e_p).(x^1 a) (x) e_q (x) (x^2 -> alpha)
+    over Delta(e_i) = sum c e_p (x) e_q."""
+    s = sws.smash
+    h, act, A = s.H, s.A_mod.action.act, s.A_mod.A
+    hit = trace_form(A, b.sep.alpha).cols    # hit[x] = x -> alpha
+    cols = []
+    for a in range(s.na):
+        for i in range(s.nh):
+            col = {}
+            for p, pq, c in h.coalgebra.comul_row(i):
+                for (x1, x2), cx in b.sep.x.items():
+                    for ta, ca in act(h.antipode.cols[p], A.mul_sparse({x1: 1}, {a: 1})).items():
+                        for w, cw in hit[x2].items():
+                            sp_add(col, b.flat(ta, pq, w), c * cx * ca * cw)
+            cols.append(col)
+    return tuple(cols)
+
+
+@pytest.mark.parametrize("world", ["kZ2/D(kZ2)", "k3#kS3", "k/D(kZ2)", "k2/kZ2"])
+def test_phi_embed_matches_the_reference_loop(world, sws18, b54, double_mod_z2, double_z2,
+                                              kz2, q_z2):
+    if world == "k3#kS3":
+        sws, b = sws18, b54
+    else:
+        m, q = {"kZ2/D(kZ2)": lambda: double_mod_z2,
+                "k/D(kZ2)": lambda: (trivial_module_algebra(double_z2[0], pointwise_algebra(1)),
+                                     double_z2[1]),
+                "k2/kZ2": lambda: (dm.k2_module_algebra_over_z2(kz2), q_z2)}[world]()
+        sep = separability(m)
+        sws, b = smash_weak_structure(smash_algebra(m), q, sep), build_B(m, q, sep)
+    f, _, rep = phi_embed(sws, b)
+    assert rep.ok
+    assert f.cols == _phi_reference(sws, b)
+    # phi is Theta, on the carrier B shares with Theta's target
+    theta, target, _ = theta_embed(sws.smash)
+    assert theta.cols == f.cols and target == b.wha.algebra
 
 
 def test_rb_in_image_iff_muger_positive(b54, sws18, q_s3, m3):
