@@ -23,8 +23,10 @@ small without ever rounding.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 
@@ -292,54 +294,75 @@ def _sparse_rref(rows: list[dict], ncols: int):
 
     Returns (pivot_rows, pivots) where pivot_rows[i] is a normalized sparse
     rational row with leading 1 in column pivots[i], reduced above and below.
+
+    The work follows the nonzero entries. The rows not yet chosen as pivots
+    are kept by number, with an index from each column to the numbers of the
+    rows holding it, so a pivot column costs the rows that hold it and no
+    others. The pivot is the shortest of those rows, the lowest number on a
+    tie; an updated row keeps its number. The reduced echelon form is
+    canonical, so the pivot choice changes only the cost.
     """
-    work = [dict(r) for r in rows if r]
+    work = dict(enumerate(dict(r) for r in rows if r))
+    holders = defaultdict(set)    # column -> numbers of the work rows holding it
+    for idx, r in work.items():
+        for j in r:
+            holders[j].add(idx)
     piv_rows: list[dict] = []
     pivots: list[int] = []
-    for col in range(ncols):
-        cand = None
-        for idx, r in enumerate(work):
-            if col in r:
-                if cand is None or len(r) < len(work[cand]):
-                    cand = idx
-        if cand is None:
+    for col in sorted(holders):
+        if col >= ncols:
+            break
+        held = holders[col]
+        if not held:
             continue
+        cand = min(held, key=lambda idx: (len(work[idx]), idx))
         prow = work.pop(cand)
+        for j in prow:
+            holders[j].discard(cand)
         p = prow[col]
-        nxt = []
-        for r in work:
-            a = r.get(col)
-            if a is None:
-                nxt.append(r)
-                continue
+        for idx in held:
+            r = work[idx]
+            a = r[col]
             new = {}
             for j in r.keys() | prow.keys():
                 w = r.get(j, 0) * p - prow.get(j, 0) * a
                 if w:
                     new[j] = w
-            new.pop(col, None)
+                    if j not in r:
+                        holders[j].add(idx)
+                elif j != col:    # col cancels in every held row; held is not read again
+                    holders[j].discard(idx)
             if new:
-                nxt.append(_reduce_content(new))
-        work = nxt
+                work[idx] = _reduce_content(new)
+            else:
+                del work[idx]
         piv_rows.append(prow)
         pivots.append(col)
-    # back-substitute to reduced form, over the rationals
+    # back-substitute to reduced form, over the rationals; pivot row i holds
+    # pivot columns of its own and later rows only, and clearing pivot i from
+    # row k adds row i's other columns, none of them a pivot still to clear,
+    # so the rows holding each pivot column are read off once, here
     frac_rows = [{j: qdiv(v, r[pivots[i]]) for j, v in r.items()}
                  for i, r in enumerate(piv_rows)]
+    position = {c: i for i, c in enumerate(pivots)}
+    above: list[list] = [[] for _ in pivots]    # above[i]: the rows k < i holding pivots[i]
+    for k, row in enumerate(frac_rows):
+        for j in row:
+            i = position.get(j)
+            if i is not None and i != k:
+                above[i].append(k)
     for i in range(len(frac_rows) - 1, -1, -1):
-        for k in range(i):
-            c = frac_rows[k].get(pivots[i])
-            if c is None or c == 0:
-                continue
+        ri = frac_rows[i]
+        for k in above[i]:
             rk = frac_rows[k]
-            for j, v in frac_rows[i].items():
+            c = rk[pivots[i]]
+            for j, v in ri.items():
                 w = rk.get(j, 0) - c * v
                 if w:
                     rk[j] = w
                 else:
                     rk.pop(j, None)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [frac_rows[i] for i in order], [pivots[i] for i in order]
+    return frac_rows, pivots
 
 
 def rank(vectors, dim: int) -> int:
@@ -670,6 +693,17 @@ class Tensor3:
     def row(self, i: int, j: int):
         """Nonzero (k, coeff) pairs of the (i, j) cell."""
         return self._rows[i][j]
+
+    def support(self) -> tuple:
+        """(right, left): right[i] lists the j whose cell (i, j) is nonempty,
+        and left[j] the i, each ascending."""
+        cols = range(self.dims[1])
+        right = tuple(tuple(compress(cols, plane)) for plane in self._rows)
+        left = [[] for _ in cols]
+        for i, js in enumerate(right):
+            for j in js:
+                left[j].append(i)
+        return right, tuple(map(tuple, left))
 
     def permuted(self, order) -> "Tensor3":
         """The tensor u with u[i_order[0]][i_order[1]][i_order[2]] =

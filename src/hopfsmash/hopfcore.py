@@ -26,6 +26,7 @@ from .exactlin import (
     TensorElem,
     kernel_basis,
     qdiv,
+    rat,
     sp,
     sp_add,
     sp_scale,
@@ -80,6 +81,12 @@ class StructureAlgebra:
     def generators(self) -> tuple:
         """generating_set(self), computed once per algebra."""
         return generating_set(self)
+
+    @cached_property
+    def support(self) -> tuple:
+        """self.mult.support(), computed once per algebra: right[i] holds the
+        j with e_i e_j nonzero, left[j] the i."""
+        return self.mult.support()
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -476,15 +483,21 @@ def module_law_failures(alg: StructureAlgebra, action: Tensor3, right=None):
     if T = {w : (g w) . v = g . (w . v) for all g, v} holds S, then for w in T,
     s in S: (g (w s)) . v = ((g w) s) . v = (g w) . (s . v) = g . (w . (s . v))
     = g . ((w s) . v) by associativity, s, w, s in turn; so T = A.
+
+    Only the x where a side can be nonzero are formed, read off the action's
+    cell support: e_j . v_x, or e_k . v_x for some e_k in e_i e_j, must be
+    nonzero.  Every x skipped is 0 = 0, so the failures and their order are
+    those of the scan over every x.
     """
     rows = action._rows
     mult = alg.mult._rows
+    acts = action.support()[0]    # acts[k]: the x with e_k . v_x nonzero
     for i in range(alg.dim):
         ri = rows[i]
         for j in range(alg.dim) if right is None else right:
             rij = mult[i][j]
             rj = rows[j]
-            for x in range(action.dims[1]):
+            for x in sorted(set(acts[j]).union(*(acts[k] for k, _ in rij))):
                 lhs: dict = {}
                 for k, c in rij:
                     for y, w in rows[k][x]:
@@ -678,10 +691,29 @@ def algebra_map_failures(f: LinearMap, src: StructureAlgebra, dst: StructureAlge
     the two listing the same failures in transposed order.  `right` may be a
     generating set S of src where the caller shows the law closed under right
     products by S (see verify_weak_hopf).
+
+    Only the pairs where a side can be nonzero are formed, read off the
+    cell supports of the two products and the supports of f's columns: j is
+    a candidate for i when e_i e_j is nonzero, or when some e_a in f(e_i) and
+    e_b in f(e_j) have e_a e_b nonzero (each product read swapped under its
+    flag).  Every pair skipped is 0 = 0, so the failures and their order are
+    those of the scan over every pair.
     """
     cols = f.cols
+    src_side = src.support[1 if src_op else 0]    # the j with e_i e_j nonzero
+    dst_side = dst.support[1 if dst_op else 0]    # the b with e_a e_b nonzero
+    holders = [[] for _ in range(dst.dim)]        # holders[b]: the j with e_b in f(e_j)
+    for j, col in enumerate(cols):
+        for b in col:
+            holders[b].append(j)
+    reach: dict = {}    # reach[a]: the j whose f(e_j) holds some b in dst_side[a]
     for i in range(src.dim):
-        for j in range(src.dim) if right is None else right:
+        cand = set(src_side[i])
+        for a in cols[i]:
+            if (r := reach.get(a)) is None:
+                r = reach[a] = {j for b in dst_side[a] for j in holders[b]}
+            cand |= r
+        for j in sorted(cand) if right is None else [j for j in right if j in cand]:
             lhs = f.apply_sparse(dict(src.mul_row(j, i) if src_op else src.mul_row(i, j)))
             if lhs != (dst.mul_sparse(cols[j], cols[i]) if dst_op
                        else dst.mul_sparse(cols[i], cols[j])):
@@ -931,15 +963,27 @@ def matrix_algebra(t: int) -> StructureAlgebra:
 
 
 def tensor_algebra(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
-    """A (x) B, flat index x * dim B + y: (x (x) y)(x' (x) y') = x x' (x) y y'."""
-    nb = b.dim
-    n = a.dim * nb
-    entries = ((x1 * nb + y1, x2 * nb + y2, k * nb + m, ca * cb)
-               for x1 in range(a.dim) for x2 in range(a.dim) if (ra := a.mul_row(x1, x2))
-               for y1 in range(nb) for y2 in range(nb)
-               for k, ca in ra for m, cb in b.mul_row(y1, y2))
+    """A (x) B, flat index x * dim B + y: (x (x) y)(x' (x) y') = x x' (x) y y'.
+    A cell is the outer product of a nonempty cell of A and one of B, formed
+    once and already sorted, so it is written directly."""
+    na, nb = a.dim, b.dim
+    n = na * nb
+    a_rows, b_rows = a.mult._rows, b.mult._rows
+    planes = []
+    for x1 in range(na):
+        a_plane = a_rows[x1]
+        for y1 in range(nb):
+            b_plane = b_rows[y1]
+            plane = [()] * n
+            for x2, ra in enumerate(a_plane):
+                if ra:
+                    for y2, rb in enumerate(b_plane):
+                        if rb:
+                            plane[x2 * nb + y2] = tuple([(k * nb + m, rat(ca * cb))
+                                                         for k, ca in ra for m, cb in rb])
+            planes.append(tuple(plane))
     unit = tuple(ca * cb for ca in a.unit for cb in b.unit)
-    return StructureAlgebra(n, Tensor3.from_entries((n, n, n), entries), unit)
+    return StructureAlgebra(n, Tensor3((n, n, n), tuple(planes)), unit)
 
 
 def end_algebra(nv: int, alg: StructureAlgebra) -> StructureAlgebra:
@@ -973,35 +1017,43 @@ def smash_carrier(alg: StructureAlgebra, h: HopfData, action: Tensor3) -> Struct
     action[h][x][y] of H on A: (a # h)(b # g) = a (h_(1) . b) # h_(2) g, with
     unit 1 # 1.  The work follows the nonzero Sweedler terms: e_p . b is read
     once per (b, p), an (a, b, i) whose terms a (e_p . b) # e_q over
-    Delta(e_i) = sum e_p (x) e_q all vanish is skipped, and the j loop runs
-    over the terms left.  The carrier is returned unverified."""
+    Delta(e_i) = sum e_p (x) e_q all vanish is skipped, and for the terms
+    left only the nonempty products e_q e_j are read.  The cells of a row
+    a # e_i and a column block b # H are formed in one (a, b, i) iteration
+    and written directly.  The carrier is returned unverified."""
     na, nh = alg.dim, h.dim
     n = na * nh
-    comul, h_rows = h.coalgebra.rows, h.algebra.mult._rows
-
-    def entries():
-        for b in range(na):
-            hits = [dict(action.row(p, b)) for p in range(nh)]
-            for a in range(na):
-                lefts = [alg.mul_sparse({a: 1}, hit) for hit in hits]
-                for i in range(nh):
-                    # (t dim H, q, c c_t) for the terms c c_t (e_t (x) e_q)
-                    terms = [(t * nh, q, c * ct) for p, q, c in comul[i]
-                             for t, ct in lefts[p].items()]
-                    if not terms:
-                        continue
-                    row = a * nh + i
-                    for j in range(nh):
-                        col = b * nh + j
-                        for t, q, w in terms:
-                            for m, cm in h_rows[q][j]:
-                                yield row, col, t + m, w * cm
+    comul = h.coalgebra.rows
+    # nonempty[q]: the (j, cell of e_q e_j) with the cell nonempty
+    nonempty = [[(j, cell) for j, cell in enumerate(plane) if cell]
+                for plane in h.algebra.mult._rows]
+    planes = [[()] * n for _ in range(n)]
+    for b in range(na):
+        hits = [dict(action.row(p, b)) for p in range(nh)]
+        for a in range(na):
+            lefts = [alg.mul_sparse({a: 1}, hit) for hit in hits]
+            for i in range(nh):
+                # (t dim H, q, c c_t) for the terms c c_t (e_t (x) e_q)
+                terms = [(t * nh, q, c * ct) for p, q, c in comul[i]
+                         for t, ct in lefts[p].items()]
+                if not terms:
+                    continue
+                cells: dict = {}    # j -> the cell at column b # e_j
+                for t, q, w in terms:
+                    for j, qj in nonempty[q]:
+                        if (cell := cells.get(j)) is None:
+                            cell = cells[j] = {}
+                        for m, cm in qj:
+                            cell[t + m] = cell.get(t + m, 0) + w * cm
+                plane = planes[a * nh + i]
+                for j, cell in cells.items():
+                    plane[b * nh + j] = tuple(sorted((k, rat(v)) for k, v in cell.items() if v))
 
     unit = [0] * n
     for a, ca in alg.unit_sparse.items():
         for t, ct in h.algebra.unit_sparse.items():
             unit[a * nh + t] = ca * ct
-    return StructureAlgebra(n, Tensor3.from_entries((n, n, n), entries()), tuple(unit))
+    return StructureAlgebra(n, Tensor3((n, n, n), tuple(map(tuple, planes))), tuple(unit))
 
 
 # ---------------------------------------------------------------------------
@@ -1045,26 +1097,28 @@ def drinfeld_double(h: HopfData):
 
     comul2 = h.coalgebra.comul2_row
 
-    def products():
-        for a in range(n):
-            pa = {a: 1}
-            for b in range(n):
-                row = flat(a, b)
-                for c in range(n):
-                    # p_a * q(c; t1, t3) for each Sweedler term of b; d does not enter
-                    terms = [(t2, w, dualalg.mul_sparse(pa, q))
-                             for t1, t2, t3, w in comul2(b) if (q := dragged(c, t1, t3))]
-                    for d in range(n):
-                        cell: dict = {}
-                        for t2, w, fq in terms:
-                            for m, wm in alg.mul_row(t2, d):
-                                for y, cy in fq.items():
-                                    sp_add(cell, flat(y, m), w * wm * cy)
-                        col = flat(c, d)
-                        for k, v in cell.items():
-                            yield row, col, k, v
-
-    mult = Tensor3.from_entries((nn, nn, nn), products())
+    # each cell ((a, b), (c, d)) is formed in one iteration and written directly
+    planes = []
+    for a in range(n):
+        pa = {a: 1}
+        for b in range(n):
+            plane = []
+            for c in range(n):
+                # p_a * q(c; t1, t3) for each Sweedler term of b; d does not enter
+                terms = [(t2, w, fq) for t1, t2, t3, w in comul2(b)
+                         if (q := dragged(c, t1, t3)) and (fq := dualalg.mul_sparse(pa, q))]
+                if not terms:
+                    plane.extend([()] * n)
+                    continue
+                for d in range(n):
+                    cell: dict = {}
+                    for t2, w, fq in terms:
+                        for m, wm in alg.mul_row(t2, d):
+                            for y, cy in fq.items():
+                                sp_add(cell, flat(y, m), w * wm * cy)
+                    plane.append(tuple(sorted((k, rat(v)) for k, v in cell.items())))
+            planes.append(tuple(plane))
+    mult = Tensor3((nn, nn, nn), tuple(planes))
     eps_sp = sp(h.counit)
     unit_sp = alg.unit_sparse
     unit = [0] * nn

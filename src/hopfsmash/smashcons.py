@@ -5,7 +5,7 @@ transformation-groupoid case study, and the H # D(H) decomposition.
 The products are built by hopfcore: A#H by smash_carrier, End(A*) (x) H
 (Theta's target and B's carrier) by end_algebra, M_t(k) (x) k G_1 by
 tensor_algebra and matrix_algebra, and each map between them is checked by
-check_map; only mu of H # D(H) is an algebra map scanned by hand.
+check_map or its algebra map kernel.
 
 Basis codec: A#H uses (A-index major, H-index minor); B uses the triple
 (a, h, a*) flattened as ((a * dim H) + h) * dim A + a*.  Every theorem
@@ -26,7 +26,6 @@ from .exactlin import (
     Subspace,
     TensorElem,
     kernel_basis,
-    rank,
     rat_str,
     sp_add,
     span_basis,
@@ -745,33 +744,13 @@ def double_smash_decomposition(h: HopfData, double=None) -> VerificationReport:
     rep.add("C_equals_full_centralizer",
             Subspace(big.centralizer_basis(acting), ntot) == Subspace(c_cols, ntot))
 
-    # total map mu: (y (x) t) |-> iota(y) c(t)
-    mu_cols = [big.mul_sparse(iota_cols[y], c_cols[t])
-               for y in range(nn) for t in range(n)]
-    rep.add("total_map_bijective", rank(mu_cols, ntot) == ntot)
-
-    # mu is not a check_map call: its source Heis (x) H has no product tensor
-    # built, and this scan is what certifies a carrier above VERIFY_DIM_LIMIT
-    hrows = h.algebra.mult._rows
-
-    def total_map_failures():
-        for y1 in range(nn):
-            base = y1 * n
-            for t1 in range(n):
-                left = mu_cols[base + t1]
-                for y2 in range(nn):
-                    hr = hei.mul_row(y1, y2)
-                    for t2 in range(n):
-                        lhs: dict = {}
-                        for ky, cy in hr:
-                            off = ky * n
-                            for kt, ck in hrows[t1][t2]:
-                                for key, cc in mu_cols[off + kt].items():
-                                    sp_add(lhs, key, cy * ck * cc)
-                        if lhs != big.mul_sparse(left, mu_cols[y2 * n + t2]):
-                            yield (y1, t1, y2, t2)
-
-    rep.check("total_map_multiplicative", total_map_failures())
+    # total map mu: (y (x) t) |-> iota(y) c(t) on Heis (x) H, flat index
+    # y * n + t; with the rank it certifies a carrier above VERIFY_DIM_LIMIT
+    mu = LinearMap(ntot, ntot, [big.mul_sparse(iota_cols[y], c_cols[t])
+                                for y in range(nn) for t in range(n)])
+    rep.add("total_map_bijective", mu.rank() == ntot)
+    rep.check("total_map_multiplicative",
+              algebra_map_failures(mu, tensor_algebra(hei, h.algebra), big))
     return rep
 
 

@@ -74,10 +74,12 @@ class WeakHopfData(HopfData):
     def counit_form_pivots(self) -> tuple:
         """(F, H): indices of rows of T = _eps_of_prod, T[f][h] = eps(e_f e_h),
         that span its row space, and of columns that span its column space;
-        the pivot columns of the RREF of T's columns and of T's rows."""
+        the pivot columns of the RREF of T's columns and of T's rows, read as
+        the leading index of each canonical basis row."""
         t = self._eps_of_prod
         cols = LinearMap(self.dim, self.dim, t).transpose().cols
-        return Subspace(cols, self.dim).pivots, Subspace(t, self.dim).pivots
+        return (tuple(min(row) for row in span_basis(cols, self.dim)),
+                tuple(min(row) for row in span_basis(t, self.dim)))
 
     @cached_property
     def eps_s(self) -> LinearMap:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hopfsmash.exactlin import (
     Tensor3,
     TensorElem,
     _poly_gcd,
+    _sparse_rref,
     commutant_rows,
     kernel_basis,
     mat,
@@ -268,6 +270,84 @@ def test_inverse_round_trip(n, m, data):
         assert _mat_mul(inv.matrix, a) == _identity(n)
     else:
         assert rank([sp(row) for row in a], n) < n
+
+
+def _row_scan_rref(rows, ncols):
+    """The elimination _sparse_rref ran before its column index, kept as the
+    reference: every remaining row is scanned for each pivot column, and the
+    shortest row holding it, the first on a tie, is the pivot."""
+    work = [dict(r) for r in rows if r]
+    piv_rows, pivots = [], []
+    for col in range(ncols):
+        cand = None
+        for idx, r in enumerate(work):
+            if col in r and (cand is None or len(r) < len(work[cand])):
+                cand = idx
+        if cand is None:
+            continue
+        prow = work.pop(cand)
+        p = prow[col]
+        nxt = []
+        for r in work:
+            a = r.get(col)
+            if a is None:
+                nxt.append(r)
+                continue
+            new = {j: w for j in r.keys() | prow.keys()
+                   if (w := r.get(j, 0) * p - prow.get(j, 0) * a)}
+            new.pop(col, None)
+            if new:
+                g = 0
+                for v in new.values():
+                    g = gcd(g, v)
+                nxt.append({j: v // g for j, v in new.items()})
+        work = nxt
+        piv_rows.append(prow)
+        pivots.append(col)
+    frac_rows = [{j: qdiv(v, r[pivots[i]]) for j, v in r.items()}
+                 for i, r in enumerate(piv_rows)]
+    for i in range(len(frac_rows) - 1, -1, -1):
+        for k in range(i):
+            c = frac_rows[k].get(pivots[i])
+            if c is None:
+                continue
+            for j, v in frac_rows[i].items():
+                w = frac_rows[k].get(j, 0) - c * v
+                if w:
+                    frac_rows[k][j] = w
+                else:
+                    frac_rows[k].pop(j, None)
+    return frac_rows, pivots
+
+
+@st.composite
+def integer_systems(draw):
+    """(rows, ncols): sparse integer rows with a few entries each, plus
+    combinations of earlier rows, so that fill-in, cancellation and
+    dependent rows all occur."""
+    ncols = draw(st.integers(1, 24))
+    entry = st.tuples(st.integers(0, ncols - 1), st.integers(-3, 3).filter(bool))
+    rows = [dict(r) for r in draw(st.lists(st.lists(entry, max_size=5), max_size=24))]
+    for a, b, c in draw(st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23),
+                                           st.integers(-2, 2)), max_size=4)):
+        if rows:
+            ra, rb = rows[a % len(rows)], rows[b % len(rows)]
+            rows.append({j: w for j in ra.keys() | rb.keys()
+                         if (w := ra.get(j, 0) + c * rb.get(j, 0))})
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems())
+def test_sparse_rref_is_the_row_scan_elimination(system):
+    # the same rows, in the same order, with the same keys in the same order
+    rows, ncols = system
+    got, pivots = _sparse_rref([dict(r) for r in rows], ncols)
+    ref, ref_pivots = _row_scan_rref(rows, ncols)
+    assert pivots == ref_pivots
+    assert [list(r.items()) for r in got] == [list(r.items()) for r in ref]
+    dense = [tuple(F(r.get(j, 0)) for j in range(ncols)) for r in rows]
+    assert [_dense(r, ncols) for r in got] == _dense_rref(dense, ncols)
 
 
 def test_span_utilities():

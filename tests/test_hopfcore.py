@@ -679,3 +679,239 @@ def test_map_scans_read_the_opposite_in_place(ks3):
         assert src_op == sorted((j, i) for i, j in dst_op)
         cop = list(hopfcore.coalgebra_map_failures(f, c, c, cop=True))
         assert cop and cop == list(hopfcore.coalgebra_map_failures(f, co_opposite(c), c))
+
+
+# ---------------------------------------------------------------------------
+# the support-indexed law kernels against the scans over every case
+# ---------------------------------------------------------------------------
+
+def _algebra_map_reference(f, src, dst, right=None, src_op=False, dst_op=False):
+    """The scan algebra_map_failures ran over every pair (i, j), kept as the
+    reference for its support-indexed scan."""
+    cols = f.cols
+    for i in range(src.dim):
+        for j in range(src.dim) if right is None else right:
+            lhs = f.apply_sparse(dict(src.mul_row(j, i) if src_op else src.mul_row(i, j)))
+            if lhs != (dst.mul_sparse(cols[j], cols[i]) if dst_op
+                       else dst.mul_sparse(cols[i], cols[j])):
+                yield (i, j)
+
+
+def _module_law_reference(alg, action, right=None):
+    """The scan module_law_failures ran over every triple (i, j, x), kept as
+    the reference for its support-indexed scan."""
+    rows = action._rows
+    mult = alg.mult._rows
+    for i in range(alg.dim):
+        for j in range(alg.dim) if right is None else right:
+            for x in range(action.dims[1]):
+                lhs: dict = {}
+                for k, c in mult[i][j]:
+                    for y, w in rows[k][x]:
+                        sp_add(lhs, y, c * w)
+                rhs: dict = {}
+                for k, c in rows[j][x]:
+                    for y, w in rows[i][k]:
+                        sp_add(rhs, y, c * w)
+                if lhs != rhs:
+                    yield (i, j, x)
+
+
+def _moved(t, i, j, k, delta):
+    """A copy of the tensor t with t[i][j][k] moved by delta; a cell may
+    empty out, or an empty one fill."""
+    cell = dict(t.row(i, j))
+    cell[k] = cell.get(k, 0) + delta
+    planes = [list(plane) for plane in t._rows]
+    planes[i][j] = tuple(sorted((m, c) for m, c in cell.items() if c))
+    return Tensor3(t.dims, tuple(map(tuple, planes)))
+
+
+def _fault_twins(t):
+    """One-constant twins of t: a constant moved, a single-term cell
+    emptied, and an empty cell filled (a second term in the first cell
+    when no cell is empty)."""
+    d0, d1, d2 = t.dims
+    cells = [(i, j) for i in range(d0) for j in range(d1)]
+    full = [ij for ij in cells if t.row(*ij)]
+    i, j = full[len(full) // 2]
+    k, c = t.row(i, j)[0]
+    twins = [_moved(t, i, j, k, 1)]
+    single = [ij for ij in full if len(t.row(*ij)) == 1]
+    if single:
+        i, j = single[-1]
+        twins.append(_moved(t, i, j, t.row(i, j)[0][0], -t.row(i, j)[0][1]))
+    empty = [ij for ij in cells if not t.row(*ij)]
+    if empty:
+        twins.append(_moved(t, *empty[0], d2 - 1, F(1, 2)))
+    else:
+        i, j = full[0]
+        k = next(m for m in range(d2) if m not in dict(t.row(i, j)))
+        twins.append(_moved(t, i, j, k, -2))
+    return twins
+
+
+def _law_hosts(kz2, ks3):
+    """(name, algebra, extra maps) for kS3, D(kZ3), M_2 and H # D(kZ2)."""
+    from hopfsmash.smashcons import double_module_algebra, smash_algebra
+    kz3 = group_algebra(dm.cyclic_table(3))
+    d3 = drinfeld_double(kz3)[0]
+    carrier = smash_algebra(double_module_algebra(kz2, drinfeld_double(kz2))[0]).carrier
+    transpose = LinearMap(4, 4, [{(x % 2) * 2 + x // 2: 1} for x in range(4)])
+    return [("kS3", ks3.algebra, [ks3.antipode]), ("D(kZ3)", d3.algebra, [d3.antipode]),
+            ("M_2", matrix_algebra(2), [transpose]), ("H#D(kZ2)", carrier, [])]
+
+
+@pytest.mark.parametrize("host", ["kS3", "D(kZ3)", "M_2", "H#D(kZ2)"])
+def test_indexed_algebra_map_scan_lists_the_full_scans_failures(host, kz2, ks3):
+    # genuine algebras and their one-constant twins, as source and as target,
+    # under the identity, a map with two-term columns and the host's own
+    # (anti-)automorphism; every flag and both `right`s
+    name, alg, maps = next(h for h in _law_hosts(kz2, ks3) if h[0] == host)
+    n = alg.dim
+    twins = [StructureAlgebra(n, t, alg.unit) for t in _fault_twins(alg.mult)]
+    shear = LinearMap(n, n, [{i: 1, (i + 1) % n: 1} for i in range(n)])
+    ident = LinearMap(n, n, [{i: 1} for i in range(n)])
+    failing = 0
+    for f in (ident, shear, *maps):
+        for src, dst in ((alg, alg), *((alg, t) for t in twins), *((t, alg) for t in twins)):
+            for right in (None, alg.generators):
+                for src_op, dst_op in itertools.product((False, True), repeat=2):
+                    args = (f, src, dst, right, src_op, dst_op)
+                    got = list(hopfcore.algebra_map_failures(*args))
+                    assert got == list(_algebra_map_reference(*args))
+                    failing += bool(got)
+    assert failing    # the comparison saw failures, not only passes
+    assert not list(hopfcore.algebra_map_failures(ident, alg, alg))
+
+
+@pytest.mark.parametrize("host", ["kS3", "D(kZ3)", "M_2", "H#D(kZ2)"])
+def test_indexed_module_law_scan_lists_the_full_scans_failures(host, kz2, ks3):
+    # the regular module law (associativity) of each algebra and of its
+    # twins, with either product acting, on every index and on the generators
+    name, alg, _ = next(h for h in _law_hosts(kz2, ks3) if h[0] == host)
+    twins = [StructureAlgebra(alg.dim, t, alg.unit) for t in _fault_twins(alg.mult)]
+    failing = 0
+    for a in (alg, *twins):
+        for action in (alg.mult, *(t.mult for t in twins)):
+            for right in (None, alg.generators):
+                got = list(hopfcore.module_law_failures(a, action, right))
+                assert got == list(_module_law_reference(a, action, right))
+                failing += bool(got)
+    assert failing
+    assert not list(hopfcore.module_law_failures(alg, alg.mult))
+
+
+def test_indexed_module_law_scan_on_a_non_square_action(kz2, double_z2):
+    # H # D(kZ2) acting on H (x) M, and twins of that action
+    from hopfsmash.smashcons import _double_action_tensor, double_module_algebra, smash_algebra
+    big = smash_algebra(double_module_algebra(kz2, double_z2)[0]).carrier
+    action = _double_action_tensor(kz2)
+    assert not list(hopfcore.module_law_failures(big, action))
+    for twin in _fault_twins(action):
+        got = list(hopfcore.module_law_failures(big, twin))
+        assert got and got == list(_module_law_reference(big, twin))
+
+
+# ---------------------------------------------------------------------------
+# builders that write each cell where it is formed, against from_entries
+# ---------------------------------------------------------------------------
+
+def _typed(t):
+    """The cells of t with the type of each coefficient: int and the equal
+    Fraction compare equal, so the type is checked on its own."""
+    return [[tuple((k, c, type(c)) for k, c in cell) for cell in plane] for plane in t._rows]
+
+
+def _rescaled_kz2(s):
+    """kZ2 on the basis 1, x = s g: x x = s^2 1, Delta(x) = x (x) x / s,
+    eps(x) = s, S = id; for s = 2 or 1/2 its constants have halves."""
+    mult = Tensor3.from_entries((2, 2, 2), [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
+                                            (1, 1, 0, s * s)])
+    comult = Tensor3.from_entries((2, 2, 2), [(0, 0, 0, 1), (1, 1, 1, F(1) / s)])
+    h = HopfData(StructureAlgebra(2, mult, (1, 0)), StructureCoalgebra(2, comult, (1, s)),
+                 LinearMap(2, 2, [{0: 1}, {1: 1}]))
+    h.report.require()
+    return h
+
+
+def _tensor_reference(a, b):
+    """tensor_algebra by the entry stream into from_entries it used before."""
+    nb = b.dim
+    n = a.dim * nb
+    entries = ((x1 * nb + y1, x2 * nb + y2, k * nb + m, ca * cb)
+               for x1 in range(a.dim) for x2 in range(a.dim) if (ra := a.mul_row(x1, x2))
+               for y1 in range(nb) for y2 in range(nb)
+               for k, ca in ra for m, cb in b.mul_row(y1, y2))
+    return StructureAlgebra(n, Tensor3.from_entries((n, n, n), entries),
+                            tuple(ca * cb for ca in a.unit for cb in b.unit))
+
+
+def test_tensor_algebra_matches_the_from_entries_reference(kz2, ks3, double_z2):
+    # (1/4 . 1)(4 . 1) = 1: an integral product of halves stays an int
+    quarter, four = _rescaled_kz2(F(1, 2)).algebra, _rescaled_kz2(2).algebra
+    assert dict(quarter.mul_row(1, 1)) == {0: F(1, 4)}
+    for a, b in ((quarter, four), (four, quarter), (matrix_algebra(2), ks3.algebra),
+                 (kz2.algebra, double_z2[0].algebra), (quarter, matrix_algebra(2))):
+        built, ref = tensor_algebra(a, b), _tensor_reference(a, b)
+        assert _typed(built.mult) == _typed(ref.mult)
+        assert built.unit == ref.unit
+    assert tensor_algebra(quarter, four).mul_row(3, 3) == ((0, 1),)
+    assert type(tensor_algebra(quarter, four).mul_row(3, 3)[0][1]) is int
+
+
+@pytest.mark.parametrize("carrier", ["H#D(kZ2)", "Heis(kZ2 on 1, 2g)", "random-0", "random-1"])
+def test_smash_carrier_cells_are_rat_normalised(carrier, kz2, double_z2):
+    # the reference goes through from_entries, which reads every sum with rat
+    from hopfsmash.smashcons import double_module_algebra
+    if carrier == "H#D(kZ2)":
+        m = double_module_algebra(kz2, double_z2)[0]
+        args = (m.A, m.host, m.action)
+    elif carrier.startswith("Heis"):
+        h = _rescaled_kz2(2)
+        args = (h.algebra, dual_hopf(h), h.coalgebra.comult.permuted((2, 0, 1)))
+    else:
+        args = _random_smash_data(int(carrier.removeprefix("random-")))
+    built, ref = hopfcore.smash_carrier(*args), _smash_reference(*args)
+    assert _typed(built.mult) == _typed(ref.mult)
+    assert any(type(c) is F for plane in built.mult._rows for cell in plane for _, c in cell) \
+        == carrier.startswith(("Heis", "random"))
+
+
+def _double_product_reference(h):
+    """The product of drinfeld_double(h) by the entry stream into
+    from_entries it used before: (p_a >< b)(p_c >< d) =
+    p_a * (b_(1) -> p_c <- S^{-1}(b_(3))) >< b_(2) d."""
+    n = h.dim
+    nn = n * n
+    alg, sinv = h.algebra, h.antipode_inv
+    dualalg = convolution_algebra(h.coalgebra)
+
+    def dragged(c, t1, t3):
+        out: dict = {}
+        for y in range(n):
+            for m1, w1 in alg.mul_row(y, t1):
+                acc = sum(ws * w2 for r, ws in sinv.cols[t3].items()
+                          for m2, w2 in alg.mul_row(r, m1) if m2 == c)
+                if acc != 0:
+                    sp_add(out, y, acc * w1)
+        return out
+
+    def products():
+        for a, b, c, d in itertools.product(range(n), repeat=4):
+            for t1, t2, t3, w in h.coalgebra.comul2_row(b):
+                fq = dualalg.mul_sparse({a: 1}, dragged(c, t1, t3))
+                for m, wm in alg.mul_row(t2, d):
+                    for y, cy in fq.items():
+                        yield a * n + b, c * n + d, y * n + m, w * wm * cy
+
+    return Tensor3.from_entries((nn, nn, nn), products())
+
+
+@pytest.mark.parametrize("host", ["kZ2", "kS3", "kZ2 on 1, 2g", "kZ2 on 1, g/2"])
+def test_double_product_matches_the_from_entries_reference(host, kz2, ks3, double_z2,
+                                                           double_s3):
+    h = {"kZ2": kz2, "kS3": ks3, "kZ2 on 1, 2g": _rescaled_kz2(2),
+         "kZ2 on 1, g/2": _rescaled_kz2(F(1, 2))}[host]
+    dd = {"kZ2": double_z2, "kS3": double_s3}.get(host) or drinfeld_double(h)
+    assert _typed(dd[0].mult) == _typed(_double_product_reference(h))

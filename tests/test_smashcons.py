@@ -463,3 +463,57 @@ def test_smash_qt_products_match_the_term_loops(sws18, double_z2):
         assert rep.find("simplified_form_right_multiplied").passed
         assert rep.find("simplified_form_left_multiplied").passed
     assert wq.Rw.terms != sws8.wha.delta_one
+
+
+def _total_map_reference(hei, h, mu_cols, big):
+    """The hand scan that checked mu before it went through
+    algebra_map_failures: (y1, t1, y2, t2) with
+    mu((y1 (x) t1)(y2 (x) t2)) != mu(y1 (x) t1) mu(y2 (x) t2), in that order."""
+    n = h.dim
+    hrows = h.algebra.mult._rows
+    for y1 in range(n * n):
+        for t1 in range(n):
+            left = mu_cols[y1 * n + t1]
+            for y2 in range(n * n):
+                for t2 in range(n):
+                    lhs: dict = {}
+                    for ky, cy in hei.mul_row(y1, y2):
+                        for kt, ck in hrows[t1][t2]:
+                            for key, cc in mu_cols[ky * n + kt].items():
+                                sp_add(lhs, key, cy * ck * cc)
+                    if lhs != big.mul_sparse(left, mu_cols[y2 * n + t2]):
+                        yield (y1, t1, y2, t2)
+
+
+@pytest.mark.parametrize("cell", [(5, 6), (2, 6)])
+def test_carrier_fault_fails_total_map_multiplicative_at_the_hand_scans_witness(
+        cell, kz2, double_z2, monkeypatch):
+    # one constant of the H # D(kZ2) carrier moved, in a nonempty cell and in
+    # an empty one (e_0 with coefficient 2); mu is then scanned by
+    # algebra_map_failures, whose witness is the hand scan's first failure
+    # (y1, t1, y2, t2) read on the flat index of Heis (x) H
+    real_smash, real_scan = smashcons.smash_algebra, smashcons.algebra_map_failures
+    seen = []
+
+    def faulty(m):
+        s = real_smash(m)
+        t = s.carrier.mult
+        k, c = (t.row(*cell) or ((0, 1),))[0]
+        planes = [list(plane) for plane in t._rows]
+        planes[cell[0]][cell[1]] = tuple(sorted({**dict(t.row(*cell)), k: c + 1}.items()))
+        twin = type(s.carrier)(s.carrier.dim, Tensor3(t.dims, tuple(map(tuple, planes))),
+                               s.carrier.unit)
+        return type(s)(s.A_mod, s.H, twin)
+
+    def recorded(f, src, dst, *args, **kwargs):
+        seen.append((f, dst))
+        return real_scan(f, src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(smashcons, "smash_algebra", faulty)
+    monkeypatch.setattr(smashcons, "algebra_map_failures", recorded)
+    check = double_smash_decomposition(kz2, double_z2).find("total_map_multiplicative")
+    assert not check.passed
+    (mu, big), = seen
+    hei = smashcons.heisenberg_double(smashcons.opposites(kz2, "cop"))
+    y1, t1, y2, t2 = next(_total_map_reference(hei, kz2, mu.cols, big))
+    assert check.witness == (y1 * 2 + t1, y2 * 2 + t2)

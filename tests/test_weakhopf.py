@@ -4,7 +4,7 @@ import pytest
 
 from hopfsmash import demos as dm
 from hopfsmash import weakhopf
-from hopfsmash.exactlin import LinearMap, Tensor3, rank, sp, vec_dot
+from hopfsmash.exactlin import LinearMap, Subspace, Tensor3, rank, sp, vec_dot
 from hopfsmash.hopfcore import (
     HopfData,
     StructureAlgebra,
@@ -244,6 +244,16 @@ def test_counit_form_pivots_span_rows_and_columns(sws18, b54):
         assert len(fs) == len(hs) == rank(t, w.dim) == 3
         assert rank([t[f] for f in fs], w.dim) == 3
         assert rank([{h: row[h] for h in hs if h in row} for row in t], w.dim) == 3
+
+
+def test_counit_form_pivots_are_the_augmented_subspace_pivots(sws18, b54):
+    # the leading indices of span_basis are the pivots of the identity-
+    # augmented Subspaces these pivots were once read from, kept here as
+    # the reference
+    for w in (sws18.wha, b54.wha):
+        t = w._eps_of_prod
+        cols = LinearMap(w.dim, w.dim, t).transpose().cols
+        assert w.counit_form_pivots == (Subspace(cols, w.dim).pivots, Subspace(t, w.dim).pivots)
 
 
 def _scanned_index_sets(monkeypatch):
