@@ -174,19 +174,23 @@ def verify_weak_bialgebra(w: WeakHopfData, subject: str = "weak_bialgebra") -> V
 
     Once algebra.associativity has passed, Delta multiplicativity is scanned
     on the pairs (i, s), s in S = w.algebra.generators; the induction is in
-    comult_multiplicative_failures and needs no unit or counit law.  The weak
-    counit identities are scanned on F x A x H (F = all indices without
-    associativity); see weak_counit_failures."""
+    comult_multiplicative_failures and needs no unit or counit law.  Once it
+    has passed too, coassociativity is scanned on S (see verify_coalgebra;
+    no unit law enters there either), so that scan runs first and the rows
+    keep their order.  The weak counit identities are scanned on F x A x H
+    (F = all indices without associativity); see weak_counit_failures."""
     rep = VerificationReport(subject)
     rep.merge(w.algebra.report, "algebra.")
-    rep.merge(verify_coalgebra(w.coalgebra), "coalgebra.")
     n = w.dim
     alg, coal = w.algebra, w.coalgebra
 
     assoc = rep.find("algebra.associativity").passed
     gens = alg.generators if assoc else None
-    rep.check("comult_multiplicative", certified_scan(
-        lambda js: comult_multiplicative_failures(alg, coal, js), gens, range(n)))
+    multiplicative = next(iter(certified_scan(
+        lambda js: comult_multiplicative_failures(alg, coal, js), gens, range(n))), None)
+    rep.merge(verify_coalgebra(coal, gens=gens if multiplicative is None else None),
+              "coalgebra.")
+    rep.add("comult_multiplicative", multiplicative is None, multiplicative)
 
     lhs, order1, order2 = unit_weak_comult_sides(w)
     rep.add("unit_weak_comult_order1", lhs == order1)

@@ -16,15 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfsmash import demos as dm
+from hopfsmash import hopfcore
 from hopfsmash.exactlin import LinearMap, Subspace, Tensor3, TensorElem
 from hopfsmash.hopfcore import (
     StructureAlgebra,
     StructureCoalgebra,
+    coassociativity_failures,
     drinfeld_double,
     generating_set,
     group_algebra,
     heisenberg_double,
     verify_algebra,
+    verify_coalgebra,
     verify_hopf,
 )
 from hopfsmash.qtriang import (
@@ -323,6 +326,73 @@ def test_failed_associativity_falls_back_to_full_scans(ks3):
     assert rep.find("counit_multiplicative").witness == counit_first
     weak = verify_weak_bialgebra(WeakHopfData.from_hopf(bad))
     assert weak.find("comult_multiplicative").witness == comult_first
+
+
+def _first_coassoc_failure(coal):
+    for w in range(coal.dim):
+        d = _comul(coal, {w: F(1)})
+        lhs, rhs = {}, {}
+        for (a, b), c in d.items():
+            for (p, q), cc in _comul(coal, {a: F(1)}).items():
+                _add(lhs, (p, q, b), c * cc)
+            for (p, q), cc in _comul(coal, {b: F(1)}).items():
+                _add(rhs, (a, p, q), c * cc)
+        if lhs != rhs:
+            return (w,)
+    return None
+
+
+@pytest.fixture
+def coassoc_scans(monkeypatch):
+    """The index lists coassociativity is scanned on, in call order."""
+    seen = []
+
+    def spy(rows, comul_rows, indices=None):
+        seen.append(list(indices))
+        return coassociativity_failures(rows, comul_rows, indices)
+
+    monkeypatch.setattr(hopfcore, "coassociativity_failures", spy)
+    return seen
+
+
+def test_coassociativity_on_s_reruns_the_full_scan(coassoc_scans):
+    # kZ3 with Delta(g^k) = g^k (x) g^2k: multiplicative, since k |-> 2k is a
+    # homomorphism, but (Delta (x) id) Delta(g^k) = g^k (x) g^2k (x) g^2k and
+    # (id (x) Delta) Delta(g^k) = g^k (x) g^2k (x) g^4k part at k = 1, 2.  With
+    # S = (2,) the scan on S fails at (2,); the witness is the full scan's (1,)
+    kz3 = group_algebra(dm.cyclic_table(3))
+    alg = StructureAlgebra(3, kz3.mult, kz3.unit)
+    vars(alg)["generators"] = generating_set(alg, (2,))
+    assert alg.generators == (2,)
+    coal = StructureCoalgebra(3, Tensor3.from_entries(
+        (3, 3, 3), [(k, k, 2 * k % 3, 1) for k in range(3)]), kz3.counit)
+    bad = type(kz3)(alg, coal, kz3.antipode)
+    assert _first_comult_failure(alg, coal) is None
+    assert _first_coassoc_failure(coal) == (1,)
+    assert next(coassociativity_failures(coal.rows, coal.rows, alg.generators)) == (2,)
+    for verify, host in ((verify_hopf, bad), (verify_weak_bialgebra, WeakHopfData.from_hopf(bad))):
+        coassoc_scans.clear()
+        rep = verify(host)
+        assert rep.find("algebra.associativity").passed
+        assert rep.find("comult_multiplicative").passed
+        row = rep.find("coalgebra.coassociativity")
+        assert (row.passed, row.witness) == (False, (1,))
+        assert coassoc_scans == [[2], [0, 1, 2]]
+
+
+def test_bare_verify_coalgebra_scans_every_index(ks3, coassoc_scans):
+    # no generating set: the full scan alone, on the probe's coalgebra as on kS3
+    coal = StructureCoalgebra(3, Tensor3.from_entries(
+        (3, 3, 3), [(k, k, 2 * k % 3, 1) for k in range(3)]), (1, 1, 1))
+    row = verify_coalgebra(coal).find("coassociativity")
+    assert (row.passed, row.witness) == (False, (1,))
+    assert verify_coalgebra(ks3.coalgebra).find("coassociativity").passed
+    assert coassoc_scans == [[0, 1, 2], list(range(6))]
+    # a host that passes scans coassociativity on S alone
+    kz3 = group_algebra(dm.cyclic_table(3))
+    coassoc_scans.clear()
+    assert verify_hopf(kz3).ok
+    assert coassoc_scans == [list(kz3.algebra.generators)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,260 @@
+"""Every reduction of `verify_hopf` and `verify_qt` against a reference that
+checks the axioms in full, on every single-cell twin of small hosts.
+
+A twin moves one number by +1: a cell of μ or Δ (empty cells included), an
+entry of the unit, the counit or the antipode, or an entry of R.  The
+references below scan every index, pair and triple, with plain dict
+arithmetic and nothing from hopfsmash beyond reading the data types; each
+row of the verifier's report must give the reference's verdict and witness.
+"""
+
+import itertools
+
+import pytest
+
+from hopfsmash import demos as dm
+from hopfsmash.exactlin import LinearMap, Tensor3, TensorElem
+from hopfsmash.hopfcore import HopfData, StructureAlgebra, StructureCoalgebra, verify_hopf
+from hopfsmash.qtriang import QTStructure, verify_qt
+
+# ---------------------------------------------------------------------------
+# dense references, from the axioms
+# ---------------------------------------------------------------------------
+
+
+def _add(acc, key, c):
+    w = acc.get(key, 0) + c
+    if w:
+        acc[key] = w
+    else:
+        acc.pop(key, None)
+
+
+class _Host:
+    """mul, comul, counit and antipode of a HopfData as dict arithmetic."""
+
+    def __init__(self, h):
+        n = self.n = h.dim
+        self.mu = [[dict(h.mult.row(i, j)) for j in range(n)] for i in range(n)]
+        self.delta = [{(a, b): c for a in range(n) for b, c in h.comult.row(i, a)}
+                      for i in range(n)]
+        self.eps = list(h.counit)
+        self.one = {i: c for i, c in enumerate(h.unit) if c}
+        self.s_cols = [dict(col) for col in h.antipode.cols]
+
+    def mul(self, x, y):
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                for k, w in self.mu[i][j].items():
+                    _add(out, k, a * b * w)
+        return out
+
+    def comul(self, x):
+        out = {}
+        for i, a in x.items():
+            for key, w in self.delta[i].items():
+                _add(out, key, a * w)
+        return out
+
+    def counit(self, x):
+        return sum(a * self.eps[i] for i, a in x.items())
+
+    def antipode(self, x):
+        out = {}
+        for i, a in x.items():
+            for k, w in self.s_cols[i].items():
+                _add(out, k, a * w)
+        return out
+
+    def tmul(self, x, y):
+        """Product in the tensor power A (x) ... (x) A of tuple-keyed elements."""
+        out = {}
+        for ka, a in x.items():
+            for kb, b in y.items():
+                terms = {(): a * b}
+                for i, j in zip(ka, kb):
+                    terms = {key + (k,): c * w for key, c in terms.items()
+                             for k, w in self.mu[i][j].items()}
+                for key, c in terms.items():
+                    _add(out, key, c)
+        return out
+
+
+def _first(cases):
+    return next(iter(cases), None)
+
+
+def hopf_reference(h):
+    """[(row, value)] in verify_hopf's order: a scan's value is its first
+    failing case in full-scan order (None when none fails), a single test's
+    value is its verdict."""
+    x = _Host(h)
+    n = x.n
+    e = [{i: 1} for i in range(n)]
+    one = x.one
+    rows = [("algebra.unit_law", _first(
+        (i,) for i in range(n) if x.mul(one, e[i]) != e[i] or x.mul(e[i], one) != e[i]))]
+    rows.append(("algebra.associativity", _first(
+        (i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
+        if x.mul(x.mul(e[i], e[j]), e[k]) != x.mul(e[i], x.mul(e[j], e[k])))))
+
+    def counit_ok(w):
+        left, right = {}, {}
+        for (a, b), c in x.delta[w].items():
+            _add(left, b, c * x.eps[a])
+            _add(right, a, c * x.eps[b])
+        return left == right == e[w]
+
+    def coassociative(w):
+        lhs, rhs = {}, {}
+        for (a, b), c in x.delta[w].items():
+            for (p, q), cc in x.delta[a].items():
+                _add(lhs, (p, q, b), c * cc)
+            for (p, q), cc in x.delta[b].items():
+                _add(rhs, (a, p, q), c * cc)
+        return lhs == rhs
+
+    rows.append(("coalgebra.counit_law", _first((w,) for w in range(n) if not counit_ok(w))))
+    rows.append(("coalgebra.coassociativity",
+                 _first((w,) for w in range(n) if not coassociative(w))))
+    one2 = {(a, b): ca * cb for a, ca in one.items() for b, cb in one.items()}
+    rows.append(("comult_unital", x.comul(one) == one2))
+    rows.append(("comult_multiplicative", _first(
+        (i, j) for i, j in itertools.product(range(n), repeat=2)
+        if x.comul(x.mul(e[i], e[j])) != x.tmul(x.delta[i], x.delta[j]))))
+    rows.append(("counit_multiplicative", _first(
+        (i, j) for i, j in itertools.product(range(n), repeat=2)
+        if x.counit(x.mul(e[i], e[j])) != x.eps[i] * x.eps[j])))
+    rows.append(("counit_unital", x.counit(one) == 1))
+
+    def convolution(i, left):
+        out = {}
+        for (a, b), c in x.delta[i].items():
+            prod = (x.mul(x.antipode(e[a]), e[b]) if left
+                    else x.mul(e[a], x.antipode(e[b])))
+            for k, w in prod.items():
+                _add(out, k, c * w)
+        return out
+
+    def eps_one(i):
+        return {k: x.eps[i] * c for k, c in one.items() if x.eps[i] * c}
+
+    rows.append(("antipode_left", _first(
+        (i,) for i in range(n) if convolution(i, True) != eps_one(i))))
+    rows.append(("antipode_right", _first(
+        (i,) for i in range(n) if convolution(i, False) != eps_one(i))))
+    rows.append(("antipode_involutive",
+                 all(x.antipode(x.antipode(e[i])) == e[i] for i in range(n))))
+    return rows
+
+
+def qt_reference(q):
+    """[(row, value)] in verify_qt's order, as in hopf_reference, from the
+    axioms of (H, R, Rbar)."""
+    x = _Host(q.host)
+    n = x.n
+    r, rbar = dict(q.R.terms), dict(q.Rinv.terms)
+    one2 = {(a, b): ca * cb for a, ca in x.one.items() for b, cb in x.one.items()}
+    rows = [("R_invertible_left", x.tmul(rbar, r) == one2),
+            ("R_invertible_right", x.tmul(r, rbar) == one2)]
+    rows.append(("intertwines_comult", _first(
+        (i,) for i in range(n)
+        if x.tmul(r, x.delta[i]) != x.tmul({(b, a): c for (a, b), c in x.delta[i].items()}, r))))
+    r13, r23, r12, d_id, id_d = {}, {}, {}, {}, {}
+    for (a, b), c in r.items():
+        for u, cu in x.one.items():
+            _add(r13, (a, u, b), c * cu)
+            _add(r23, (u, a, b), c * cu)
+            _add(r12, (a, b, u), c * cu)
+        for (p, s), w in x.delta[a].items():
+            _add(d_id, (p, s, b), c * w)
+        for (p, s), w in x.delta[b].items():
+            _add(id_d, (a, p, s), c * w)
+    rows.append(("delta_tensor_id", d_id == x.tmul(r13, r23)))
+    rows.append(("id_tensor_delta", id_d == x.tmul(r13, r12)))
+    return rows
+
+
+def _mismatches(report, reference):
+    """The rows whose verdict or witness differs from the reference's."""
+    got = [(c.name, c.passed, c.witness) for c in report.checks]
+    want = [(name, v if isinstance(v, bool) else v is None, None if isinstance(v, bool) else v)
+            for name, v in reference]
+    assert [g[0] for g in got] == [w[0] for w in want]
+    return [(g, w) for g, w in zip(got, want) if g != w]
+
+
+# ---------------------------------------------------------------------------
+# single-cell twins
+# ---------------------------------------------------------------------------
+
+
+def _moved_tensor(t, i, j, k):
+    cells = t.dense()
+    cells[i][j][k] += 1
+    return Tensor3.from_dense(cells)
+
+
+def hopf_twins(h):
+    """(label, twin) for every +1 move of one cell of mu or Delta, one unit,
+    counit or antipode entry."""
+    n = h.dim
+    for i, j, k in itertools.product(range(n), repeat=3):
+        alg = StructureAlgebra(n, _moved_tensor(h.mult, i, j, k), h.unit)
+        yield ("mult", i, j, k), HopfData(alg, h.coalgebra, h.antipode)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        coal = StructureCoalgebra(n, _moved_tensor(h.comult, i, j, k), h.counit)
+        yield ("comult", i, j, k), HopfData(h.algebra, coal, h.antipode)
+    for i in range(n):
+        unit = tuple(c + (m == i) for m, c in enumerate(h.unit))
+        yield ("unit", i), HopfData(StructureAlgebra(n, h.mult, unit), h.coalgebra, h.antipode)
+    for i in range(n):
+        counit = tuple(c + (m == i) for m, c in enumerate(h.counit))
+        yield ("counit", i), HopfData(h.algebra, StructureCoalgebra(n, h.comult, counit),
+                                      h.antipode)
+    for r, c in itertools.product(range(n), repeat=2):
+        cols = [dict(col) for col in h.antipode.cols]
+        cols[c][r] = cols[c].get(r, 0) + 1
+        cols[c] = {k: v for k, v in cols[c].items() if v}
+        yield ("antipode", r, c), HopfData(h.algebra, h.coalgebra, LinearMap(n, n, cols))
+
+
+@pytest.fixture(scope="module")
+def twin_hosts(kz2, ks3, double_z2):
+    return {"kZ2": kz2, "kS3": ks3, "D(kZ2)": double_z2[0]}
+
+
+@pytest.mark.parametrize("host, count", [("kZ2", 24), ("kS3", 480), ("D(kZ2)", 152)])
+def test_verify_hopf_twins_match_the_dense_reference(twin_hosts, host, count):
+    h = twin_hosts[host]
+    assert _mismatches(verify_hopf(h), hopf_reference(h)) == []
+    seen = 0
+    for label, twin in hopf_twins(h):
+        seen += 1
+        rep = verify_hopf(twin)
+        assert _mismatches(rep, hopf_reference(twin)) == [], label
+        assert not rep.ok, label    # every single-cell move breaks a law
+    assert seen == count
+
+
+def test_verify_qt_twins_match_the_dense_reference(double_z2):
+    dd, q = double_z2
+    n = dd.dim
+    assert _mismatches(verify_qt(q), qt_reference(q)) == []
+    for a, b in itertools.product(range(n), repeat=2):
+        terms = dict(q.R.terms)
+        terms[(a, b)] = terms.get((a, b), 0) + 1
+        twin = QTStructure(dd, TensorElem.from_entries((n, n), terms.items()), q.Rinv)
+        rep = verify_qt(twin)
+        assert _mismatches(rep, qt_reference(twin)) == [], (a, b)
+        assert not rep.ok, (a, b)
+
+
+def test_the_references_see_a_planted_fault(ks3):
+    # a reference that passed everything would make the sweeps above vacuous
+    twin = next(t for label, t in hopf_twins(ks3) if label == ("comult", 1, 0, 0))
+    rows = dict(hopf_reference(twin))
+    assert rows["comult_multiplicative"] is not None
+    assert rows["coalgebra.counit_law"] == (1,)
+    assert dict(hopf_reference(dm.k_z2()))["algebra.associativity"] is None
