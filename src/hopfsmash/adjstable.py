@@ -38,6 +38,7 @@ from .hopfcore import (
     convolution_algebra,
     counit_law_failures,
     end_algebra,
+    map_legs,
     module_law_failures,
     opposite_algebra,
     opposites,
@@ -52,6 +53,7 @@ from .qtriang import (
     hr_dual_separability,
     qt_structure,
     transmute,
+    transmuted_coaction,
 )
 from .report import HypothesisFailure, VerificationReport
 from .smashcons import smash_algebra, smash_qt, smash_weak_structure
@@ -138,18 +140,7 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
     if bg is None:
         bg = transmute(q)
     n, nh = v.dim, h.dim
-    r_items = list(q.R.items())
-    entries = []
-    for x in range(n):
-        for d in range(nh):
-            for x2, c in v.coaction.row(x, d):
-                for (r1, r2), cr in r_items:
-                    first = h.algebra.mul_sparse({d: 1}, h.antipode.cols[r2])
-                    second = v.action.act({r1: 1}, {x2: 1})
-                    for f, cf in first.items():
-                        for s2, cs in second.items():
-                            entries.append((x, f, s2, c * cr * cf * cs))
-    cm = ComoduleData(bg.braided_coalgebra, n, Tensor3.from_entries((n, nh, n), entries))
+    cm = ComoduleData(bg.braided_coalgebra, n, transmuted_coaction(q, v.coaction, v.action))
     rep = VerificationReport("yd_to_comodule")
     rep.merge(verify_left_comodule(cm, "rho_R"), "rho_R.")
 
@@ -662,16 +653,6 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
 # transport of the weak Hopf structure onto N_D
 # ---------------------------------------------------------------------------
 
-def _tensor_map_coords(f: LinearMap, g: LinearMap, elem_sparse: dict) -> dict:
-    """(f (x) g) applied to a sparse 2-leg element keyed by basis pairs."""
-    out: dict = {}
-    for (a, b), c in elem_sparse.items():
-        for i, ci in f.cols[a].items():
-            for j, cj in g.cols[b].items():
-                sp_add(out, (i, j), c * ci * cj)
-    return out
-
-
 def nd_transport_report(d_basis, q: QTStructure, ip,
                         bg: BraidedGroupData | None = None,
                         decomposition: HrDecomposition | None = None) -> VerificationReport:
@@ -695,14 +676,8 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
 
     x_full, xrep = hr_dual_separability(q, ip, bg)
     rep.merge(xrep, "x.")
-    xd_entries = []
-    for (a, b), c in x_full.items():
-        for p, dp in enumerate(dd.basis):
-            if a in dp:
-                for q2, dq in enumerate(dd.basis):
-                    if b in dq:
-                        xd_entries.append(((p, q2), c * dp[a] * dq[b]))
-    x_d = TensorElem.from_entries((m, m), xd_entries)
+    on_d = LinearMap(m, nh, dd.basis).transpose()    # e_a |-> sum_p <e_a, d_p> e_p
+    x_d = TensorElem.from_entries((m, m), map_legs(on_d, on_d, x_full.terms).items())
 
     if decomposition is None:
         decomposition = decompose_hr(bg)
@@ -800,7 +775,7 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     cent = []
     for pidx in range(m2):
         dl = sws.wha.coalgebra.comul_sparse(psi_m.cols[pidx])
-        back = _tensor_map_coords(phi_m, phi_m, dl)
+        back = map_legs(phi_m, phi_m, dl)
         for (a, b), c in back.items():
             cent.append((pidx, a, b, c))
     comult_n = Tensor3.from_entries((m2, m2, m2), cent)
@@ -808,8 +783,8 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     s_n = phi_m.compose(sws.wha.antipode).compose(psi_m)
     nd_wha = WeakHopfData(nd.carrier, StructureCoalgebra(m2, comult_n, counit_n), s_n)
     rep.merge(nd_wha.report, "nd_wha.")
-    r_n = _tensor_map_coords(phi_m, phi_m, wq.Rw.terms)
-    rbar_n = _tensor_map_coords(phi_m, phi_m, wq.Rw_bar.terms)
+    r_n = map_legs(phi_m, phi_m, wq.Rw.terms)
+    rbar_n = map_legs(phi_m, phi_m, wq.Rw_bar.terms)
     nd_wq = WeakQTStructure(nd_wha,
                             TensorElem.from_entries((m2, m2), r_n.items()),
                             TensorElem.from_entries((m2, m2), rbar_n.items()))

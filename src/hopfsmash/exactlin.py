@@ -169,6 +169,11 @@ class LinearMap:
         return LinearMap(ncols, len(m), tuple({r: row[c] for r, row in enumerate(m) if row[c] != 0}
                                               for c in range(ncols)))
 
+    @staticmethod
+    def identity(n: int) -> "LinearMap":
+        """The identity map of Q^n."""
+        return LinearMap(n, n, tuple({c: 1} for c in range(n)))
+
     @property
     def matrix(self) -> tuple:
         """The dense target x source matrix, for serialisation and tests."""
@@ -394,15 +399,53 @@ def span_basis(vectors, dim: int) -> list:
     return _sparse_rref(_int_rows(vectors, dim), dim)[0]
 
 
+class Echelon:
+    """A subspace grown one vector at a time, as echelon rows with leading
+    coefficient 1 kept by leading index.  residue(v) reduces v in place and
+    returns it, empty exactly when v lies in the span; so pass a copy of a
+    vector the caller still holds.  add(v) takes a nonzero residue in as a
+    row and returns that row."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict = {}    # leading index -> row, leading coefficient 1
+
+    def residue(self, v: dict) -> dict:
+        rows = self.rows
+        while v:
+            lead = min(v)
+            row = rows.get(lead)
+            if row is None:
+                return v
+            c = v[lead]
+            for k, x in row.items():
+                sp_add(v, k, -c * x)
+        return v
+
+    def add(self, v: dict) -> dict:
+        lead = min(v)
+        c = v[lead]
+        row = self.rows[lead] = {k: qdiv(x, c) for k, x in v.items()}
+        return row
+
+
 def span_closure(seed, images, dim: int) -> list:
     """Canonical basis of the least subspace of Q^dim that contains the seed
-    vectors and is closed under the maps whose values at v images(v) lists."""
-    basis = span_basis(seed, dim)
-    while True:
-        grown = span_basis([*basis, *(w for v in basis for w in images(v))], dim)
-        if len(grown) == len(basis):
-            return basis
-        basis = grown
+    vectors and is closed under the linear maps whose values at v images(v)
+    lists.  The images of each row are reduced once, as the row joins."""
+    ech = Echelon()
+    todo: list = []    # rows whose images are not yet reduced
+
+    def take(vectors) -> None:
+        for v in vectors:
+            if v := ech.residue(dict(_check_dim(v, dim))):
+                todo.append(ech.add(v))
+
+    take(seed)
+    while todo:
+        take(images(todo.pop()))
+    return span_basis(ech.rows.values(), dim)
 
 
 class Subspace:
@@ -524,19 +567,25 @@ def _eigenspaces(op: LinearMap, blk, dim: int):
 
 def _min_poly(op: LinearMap) -> list:
     """Monic minimal polynomial coefficients [c_0, ..., c_{k-1}, 1] of a map
-    of Q^n: the first power of op in the span of the lower ones."""
+    of Q^n: the first power of op in the span of the lower ones.
+
+    The Krylov sequence op^0, op^1, ... is reduced into one Echelon, each
+    power flattened and tagged with 1 at coordinate n^2 + k.  The residue of
+    op^k is the tagged combination op^k - sum_j b_j op^j of the lower powers,
+    so once its flat part vanishes its tags are the coefficients."""
     n = op.source_dim
-
-    def flat(p: LinearMap) -> dict:
-        return {c * n + r: x for c, col in enumerate(p.cols) for r, x in col.items()}
-
-    powers = [LinearMap(n, n, [{c: 1} for c in range(n)])]
+    nn = n * n
+    ech = Echelon()
+    power = LinearMap.identity(n)
     while True:
-        nxt = powers[-1].compose(op)
-        sol = Subspace([flat(p) for p in powers], n * n).coords(flat(nxt))
-        if sol is not None:
-            return [-sol.get(i, 0) for i in range(len(powers))] + [1]
-        powers.append(nxt)
+        k = len(ech.rows)    # power = op^k
+        flat = {c * n + r: x for c, col in enumerate(power.cols) for r, x in col.items()}
+        flat[nn + k] = 1
+        v = ech.residue(flat)
+        if min(v) >= nn:
+            return [v.get(nn + j, 0) for j in range(k)] + [1]
+        ech.add(v)
+        power = power.compose(op)
 
 
 def _rational_roots(poly) -> tuple:

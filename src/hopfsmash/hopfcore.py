@@ -21,6 +21,7 @@ from functools import cache, cached_property
 
 from .exactlin import (
     DimensionMismatch,
+    Echelon,
     LinearMap,
     Tensor3,
     TensorElem,
@@ -301,6 +302,30 @@ def multiply_legs(alg: StructureAlgebra, x: dict) -> dict:
     return out
 
 
+def map_legs(f: LinearMap, g: LinearMap, x: dict) -> dict:
+    """(f (x) g)(x) for a sparse 2-leg element x keyed by index pairs; a leg
+    left as it is takes LinearMap.identity."""
+    out: dict = {}
+    fc, gc = f.cols, g.cols
+    for (a, b), c in x.items():
+        gb = gc[b]
+        for i, ci in fc[a].items():
+            cci = c * ci
+            for j, cj in gb.items():
+                sp_add(out, (i, j), cci * cj)
+    return out
+
+
+def leg_map(x: dict, n: int) -> LinearMap:
+    """A sparse 2-leg element x of A (x) A, dim A = n, as the map of A whose
+    column b holds the first legs beside e_b; its rows are the second legs
+    beside each e_a."""
+    cols = [{} for _ in range(n)]
+    for (a, b), c in x.items():
+        cols[b][a] = c
+    return LinearMap(n, n, cols)
+
+
 def casimir_failures(alg: StructureAlgebra, x: dict):
     """Basis indices (a,) with (e_a (x) 1) x != x (1 (x) e_a) in A (x) A: the
     separability equation a x = x a."""
@@ -345,46 +370,32 @@ def generating_set(alg: StructureAlgebra, first=()) -> tuple:
     order, whose left-normed words ((s_1 s_2) s_3) ... span A, with an exact
     certificate; a poor `first` costs size, never soundness.
 
-    W, the least subspace with S in W and W S in W, is kept as sparse echelon
-    rows over the rationals; e_i joins S only when it is not yet in W, so on return
+    W, the least subspace with S in W and W S in W, is kept as an Echelon
+    over the rationals; e_i joins S only when it is not yet in W, so on return
     W holds every e_i, that is W = A.  W is a subspace, not an index set: the
     closure of index sets is sound only for monomial tensors.
     """
     n = alg.dim
-    pivots: dict = {}    # leading index -> echelon row of W with leading coeff 1
+    w = Echelon()
     todo: list = []      # (row of W, s): products w s not yet reduced into W
     gens: list = []
 
-    def residue(v: dict) -> dict:
-        while v:
-            lead = min(v)
-            row = pivots.get(lead)
-            if row is None:
-                return v
-            c = v[lead]
-            for k, x in row.items():
-                sp_add(v, k, -c * x)
-        return v
-
     def grow(v: dict) -> None:
-        lead = min(v)
-        c = v[lead]
-        row = {k: qdiv(x, c) for k, x in v.items()}
-        pivots[lead] = row
+        row = w.add(v)
         todo.extend((row, s) for s in gens)
 
     for i in (*first, *sorted(set(range(n)).difference(first))):
-        if len(pivots) == n:
+        if len(w.rows) == n:
             break
-        v = residue({i: 1})
+        v = w.residue({i: 1})
         if not v:
             continue
         gens.append(i)
-        todo.extend((row, i) for row in pivots.values())
+        todo.extend((row, i) for row in w.rows.values())
         grow(v)
         while todo:
             row, s = todo.pop()
-            if v := residue(alg.mul_sparse(row, {s: 1})):
+            if v := w.residue(alg.mul_sparse(row, {s: 1})):
                 grow(v)
     return tuple(sorted(gens))
 
@@ -685,6 +696,34 @@ def hexagon_sides(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict) -> t
     return d_id, r13r23, id_d, r13r12
 
 
+def r_matrix_rows(rep: VerificationReport, alg: StructureAlgebra, coal: StructureCoalgebra,
+                  r: dict, gens) -> None:
+    """The rows intertwines_comult, scanned on gens unless None (see
+    intertwining_failures), delta_tensor_id and id_tensor_delta of a sparse
+    2-leg R keyed by index pairs."""
+    rep.check("intertwines_comult", certified_scan(
+        lambda idx: intertwining_failures(alg, coal, r, idx), gens, range(alg.dim)))
+    d_id, r13r23, id_d, r13r12 = hexagon_sides(alg, coal, r)
+    rep.add("delta_tensor_id", d_id == r13r23)
+    rep.add("id_tensor_delta", id_d == r13r12)
+
+
+def bialgebra_prelude(rep: VerificationReport, alg: StructureAlgebra,
+                      coal: StructureCoalgebra) -> tuple:
+    """Merge alg.report as "algebra.", scan Delta multiplicativity on S, and
+    merge verify_coalgebra as "coalgebra.", scanned on S once that passed;
+    returns (S, the Delta scan's first failing pair or None).  S is
+    alg.generators once associativity passed, else None, a full scan (see
+    comult_multiplicative_failures and verify_coalgebra)."""
+    rep.merge(alg.report, "algebra.")
+    gens = alg.generators if rep.find("algebra.associativity").passed else None
+    multiplicative = next(iter(certified_scan(
+        lambda js: comult_multiplicative_failures(alg, coal, js), gens, range(alg.dim))), None)
+    rep.merge(verify_coalgebra(coal, gens=gens if multiplicative is None else None),
+              "coalgebra.")
+    return gens, multiplicative
+
+
 def antipode_convolutions(h: HopfData, i: int) -> tuple:
     """(S(h_(1)) h_(2), h_(1) S(h_(2))) for h = e_i, as sparse vectors."""
     s_cols = h.antipode.cols
@@ -703,24 +742,16 @@ def antipode_convolutions(h: HopfData, i: int) -> tuple:
 def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
     """Bialgebra compatibilities and the antipode convolution identities.
 
-    Once algebra.associativity has passed, Delta and eps multiplicativity are
-    scanned on the pairs (i, s), s in S = h.algebra.generators; for Delta see
-    comult_multiplicative_failures.  For eps, T = {w : eps(x w) = eps(x) eps(w)
-    for all x} holds S, and for w in T, s in S: eps(x (w s)) = eps((x w) s) =
-    eps(x w) eps(s) = eps(x) eps(w) eps(s) = eps(x) eps(w s), so T = A.
-    Coassociativity is scanned on S once Delta multiplicativity has passed
-    too (see verify_coalgebra), so that scan runs first; the rows keep their
-    order.
+    Delta multiplicativity and coassociativity are scanned on S as
+    bialgebra_prelude says, and eps multiplicativity on the pairs (i, s), s
+    in S, once algebra.associativity has passed: T = {w : eps(x w) = eps(x)
+    eps(w) for all x} holds S, and for w in T, s in S: eps(x (w s)) =
+    eps((x w) s) = eps(x w) eps(s) = eps(x) eps(w) eps(s) = eps(x) eps(w s),
+    so T = A.
     """
     rep = VerificationReport(subject)
-    rep.merge(h.algebra.report, "algebra.")
     n = h.dim
-    gens = h.algebra.generators if rep.find("algebra.associativity").passed else None
-    multiplicative = next(iter(certified_scan(
-        lambda js: comult_multiplicative_failures(h.algebra, h.coalgebra, js), gens, range(n))),
-        None)
-    rep.merge(verify_coalgebra(h.coalgebra, gens=gens if multiplicative is None else None),
-              "coalgebra.")
+    gens, multiplicative = bialgebra_prelude(rep, h.algebra, h.coalgebra)
 
     unit2 = sparse_outer(h.algebra.unit_sparse, h.algebra.unit_sparse)
     rep.add("comult_unital", h.coalgebra.comul_sparse(h.algebra.unit_sparse) == unit2)

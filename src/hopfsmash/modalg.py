@@ -27,6 +27,8 @@ from .hopfcore import (
     HopfData,
     StructureAlgebra,
     casimir_failures,
+    leg_map,
+    map_legs,
     measuring_failures,
     module_law_failures,
     multiply_legs,
@@ -156,26 +158,13 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
     rep.check("casimir_centrality", casimir_failures(A, x_sp))
     rep.add("multiplies_to_unit", multiply_legs(A, x_sp) == A.unit_sparse)
 
-    # <alpha, x^1> x^2 = 1_A
-    acc: dict = {}
-    for (i, j), c in s.x.items():
-        if i in alpha:
-            sp_add(acc, j, c * alpha[i])
-    rep.add("alpha_normalization", acc == A.unit_sparse)
+    # <alpha, x^1> x^2 = 1_A, with x as the map e_j |-> x^1 <x^2, e^j>
+    x_map = leg_map(x_sp, n)
+    rep.add("alpha_normalization", x_map.transpose().apply_sparse(alpha) == A.unit_sparse)
 
     # dual bases: x^1 <x^2 -> alpha, a> = a for all basis a
-    hits = trace_form(A, alpha).cols
-
-    def dual_basis_failures():
-        for a in range(n):
-            acc: dict = {}
-            for (i, j), c in s.x.items():
-                if a in hits[j]:
-                    sp_add(acc, i, c * hits[j][a])
-            if acc != {a: 1}:
-                yield (a,)
-
-    rep.check("dual_basis_identity", dual_basis_failures())
+    dual = x_map.compose(trace_form(A, alpha).transpose())
+    rep.check("dual_basis_identity", ((a,) for a, col in enumerate(dual.cols) if col != {a: 1}))
 
     # alpha is H-invariant: <alpha, h . a> = eps(h) <alpha, a>
     act = m.action.act
@@ -186,18 +175,16 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
 
     # h . x^1 (x) x^2 = x^1 (x) S(h) . x^2 in the involutory semisimple case
     if h.antipode.compose(h.antipode).is_identity():
+        ident = LinearMap.identity(n)
+
+        def acting(t: dict) -> LinearMap:
+            """a |-> t . a, for t in H."""
+            return LinearMap(n, n, [act(t, {a: 1}) for a in range(n)])
+
         def antipode_flip_failures():
             for t in range(h.dim):
-                lhs: dict = {}
-                rhs: dict = {}
-                for (i, j), c in s.x.items():
-                    for k, w in act({t: 1}, {i: 1}).items():
-                        sp_add(lhs, (k, j), c * w)
-                st = h.antipode.cols[t]
-                for (i, j), c in s.x.items():
-                    for k, w in act(st, {j: 1}).items():
-                        sp_add(rhs, (i, k), c * w)
-                if lhs != rhs:
+                if (map_legs(acting({t: 1}), ident, x_sp)
+                        != map_legs(ident, acting(h.antipode.cols[t]), x_sp)):
                     yield (t,)
 
         rep.check("antipode_flip_identity", antipode_flip_failures())

@@ -38,15 +38,16 @@ from .hopfcore import (
     casimir_failures,
     certified_scan,
     convolution_algebra,
-    hexagon_sides,
     host_generators,
-    intertwining_failures,
+    map_legs,
     measuring_failures,
     module_law_failures,
     multiply_legs,
     opposite_algebra,
     quantum_commutativity_failures,
+    r_matrix_rows,
     sparse_outer,
+    sweedler_rows,
     tensor_mul_sparse,
     verify_coalgebra,
 )
@@ -73,11 +74,8 @@ def unverified_qt(host: HopfData, R: TensorElem, Rinv: TensorElem | None = None)
     if R.dims != (n, n):
         raise ValueError("R must be a 2-leg tensor over H (x) H")
     if Rinv is None:
-        entries = []
-        for (a, b), c in R.items():
-            for r, w in host.antipode.cols[a].items():
-                entries.append(((r, b), c * w))
-        Rinv = TensorElem.from_entries((n, n), entries)
+        Rinv = TensorElem.from_entries(
+            (n, n), map_legs(host.antipode, LinearMap.identity(n), R.terms).items())
     return QTStructure(host, R, Rinv)
 
 
@@ -119,12 +117,7 @@ def verify_qt(q: QTStructure, subject: str = "qt") -> VerificationReport:
     rep.add("R_invertible_right", (left and assoc and hrep.find("algebra.unit_law").passed)
             or tensor_mul_sparse(algs2, r, rbar) == one2)
 
-    rep.check("intertwines_comult", certified_scan(
-        lambda idx: intertwining_failures(alg, h.coalgebra, r, idx),
-        host_generators(alg, hrep), range(h.dim)))
-    d_id, r13r23, id_d, r13r12 = hexagon_sides(alg, h.coalgebra, r)
-    rep.add("delta_tensor_id", d_id == r13r23)
-    rep.add("id_tensor_delta", id_d == r13r12)
+    r_matrix_rows(rep, alg, h.coalgebra, r, host_generators(alg, hrep))
     return rep
 
 
@@ -142,10 +135,8 @@ class DrinfeldElement:
 def drinfeld_element(q: QTStructure) -> DrinfeldElement:
     """u = S(R^2) R^1, with the semisimple-case facts u = S(u), u central reported."""
     h = q.host
-    u: dict = {}
-    for (a, b), c in q.R.items():
-        for m, cm in h.algebra.mul_sparse(h.antipode.cols[b], {a: 1}).items():
-            sp_add(u, m, c * cm)
+    u = multiply_legs(h.algebra, map_legs(h.antipode, LinearMap.identity(h.dim),
+                                          q.R.flip().terms))
     s_inv = h.antipode.apply_sparse(u) == u
     central = all(h.algebra.mul_sparse(u, {i: 1}) == h.algebra.mul_sparse({i: 1}, u)
                   for i in range(h.dim))
@@ -236,6 +227,31 @@ class BraidedGroupData:
         return self.adjoint_action.permuted((0, 2, 1))
 
 
+def transmuted_coaction(q: QTStructure, coaction: Tensor3, action: Tensor3) -> Tensor3:
+    """rho_R(x) = x_<-1> S(R^2) (x) R^1 . x_<0>, for a left coaction tensor
+    coaction[x][d][x'] of the host H of q and a left action tensor
+    action[h][x][y] of H on the same space: the coaction over H_R.  On
+    (Delta, ad) it is Delta_R(h) = h_(1) S(R^2) (x) R^1 .ad h_(2)."""
+    h = q.host
+    n, nh = coaction.dims[0], h.dim
+    r_items = list(q.R.items())
+
+    @cache
+    def first(d: int, r2: int) -> dict:
+        """e_d S(e_r2)."""
+        return h.algebra.mul_sparse({d: 1}, h.antipode.cols[r2])
+
+    entries = []
+    for x, row in enumerate(sweedler_rows(coaction)):
+        for d, x2, c in row:
+            for (r1, r2), cr in r_items:
+                if second := action.row(r1, x2):
+                    for f, cf in first(d, r2).items():
+                        for s, cs in second:
+                            entries.append((x, f, s, c * cr * cf * cs))
+    return Tensor3.from_entries((n, nh, n), entries)
+
+
 def transmute(q: QTStructure) -> BraidedGroupData:
     """Assemble (ad, Delta_R, S_R) and verify the braided-group identities."""
     h = q.host
@@ -243,21 +259,7 @@ def transmute(q: QTStructure) -> BraidedGroupData:
     ad = adjoint_action_tensor(h)
     ad_rows = ad._rows
     r_items = list(q.R.items())
-
-    @cache
-    def first(a: int, r2: int) -> dict:
-        """e_a S(e_r2)."""
-        return h.algebra.mul_sparse({a: 1}, h.antipode.cols[r2])
-
-    comult_entries = []
-    for i in range(n):
-        for a, b, c in h.coalgebra.comul_row(i):
-            for (r1, r2), cr in r_items:
-                second = ad_rows[r1][b]
-                for f, cf in first(a, r2).items():
-                    for s, cs in second:
-                        comult_entries.append((i, f, s, c * cr * cf * cs))
-    comult_R = Tensor3.from_entries((n, n, n), comult_entries)
+    comult_R = transmuted_coaction(q, h.comult, ad)
 
     anti = []
     for j in range(n):
@@ -395,21 +397,14 @@ def muger_membership(q: QTStructure, act) -> tuple:
     alg = h.algebra
     action = act.action
     dim_a = action.dims[1]
-    r_items = list(q.R.items())
     one = alg.unit_sparse
+    ident = LinearMap.identity(h.dim)
+    r, r21 = q.R.terms, q.R.flip().terms
 
     def antipode_form_failures():
         for a in range(dim_a):
-            lhs: dict = {}
-            rhs: dict = {}
-            for (a1, b1), c in r_items:
-                va = action.act({a1: 1}, {a: 1})
-                for key, cc in sparse_outer(va, {b1: 1}).items():
-                    sp_add(lhs, key, c * cc)
-                vb = action.act({b1: 1}, {a: 1})
-                for key, cc in sparse_outer(vb, h.antipode.cols[a1]).items():
-                    sp_add(rhs, key, c * cc)
-            if lhs != rhs:
+            on_a = LinearMap(h.dim, dim_a, [dict(action.row(t, a)) for t in range(h.dim)])
+            if map_legs(on_a, ident, r) != map_legs(on_a, h.antipode, r21):
                 yield (a,)
 
     wit_a = next(double_braiding_failures(alg, q.R, action,
@@ -447,26 +442,13 @@ def hr_dual_separability(q: QTStructure, ip, bg: BraidedGroupData | None = None)
     delta_lam = {(a, b): c for a in range(n) for b in range(n)
                  if (c := vec_dot(lam, dict(mult[a][b])))}
     dual = bg.dual_right_action
-    s_rows = h.antipode.transpose().cols    # s_rows[b][g]: coefficient of e_b in S(e_g)
+    s_star = h.antipode.transpose()    # e^b |-> S*(e^b)
     entries = []
     for (r1, r2), cr in q.R.items():
-        # left[a]: e_r2 -> e^a = sum_i <e^a, e_i e_r2> e^i
-        left = [[] for _ in range(n)]
-        for i in range(n):
-            for a, c in mult[i][r2]:
-                left[a].append((i, c))
-        # right[b]: S*(e^b) <<- e_r1, with S*(e^b) = sum_g s_rows[b][g] e^g
-        right = []
-        for b in range(n):
-            acc: dict = {}
-            for g, cg in s_rows[b].items():
-                for j, cj in dual.row(r1, g):
-                    sp_add(acc, j, cg * cj)
-            right.append(acc)
-        for (a, b), w in delta_lam.items():
-            for i, ci in left[a]:
-                for j, cj in right[b].items():
-                    entries.append(((i, j), w * cr * ci * cj))
+        # e^a |-> e_r2 -> e^a = sum_i <e^a, e_i e_r2> e^i, e^b |-> S*(e^b) <<- e_r1
+        hit = LinearMap(n, n, [dict(mult[i][r2]) for i in range(n)]).transpose()
+        moved = LinearMap(n, n, [dict(dual.row(r1, g)) for g in range(n)]).compose(s_star)
+        entries.extend((key, cr * c) for key, c in map_legs(hit, moved, delta_lam).items())
     x = TensorElem.from_entries((n, n), entries)
 
     rep = VerificationReport("hr_dual_separability")

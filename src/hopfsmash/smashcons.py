@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .exactlin import (
     LinearMap,
@@ -42,6 +42,8 @@ from .hopfcore import (
     end_algebra,
     group_algebra,
     heisenberg_double,
+    leg_map,
+    map_legs,
     matrix_algebra,
     module_law_failures,
     opposite_algebra,
@@ -105,13 +107,16 @@ class SmashProduct:
                 sp_add(out, self.flat(a, t), c * ct)
         return out
 
+    @cached_property
+    def h_inclusion(self) -> LinearMap:
+        """The map H -> A#H, h |-> 1 # h."""
+        one = self.A_mod.A.unit_sparse
+        return LinearMap(self.nh, self.carrier.dim,
+                         [{self.flat(a, t): c for a, c in one.items()} for t in range(self.nh)])
+
     def include_h(self, h_sp: dict) -> dict:
         """h |-> 1 # h."""
-        out: dict = {}
-        for t, c in h_sp.items():
-            for a, ca in self.A_mod.A.unit_sparse.items():
-                sp_add(out, self.flat(a, t), c * ca)
-        return out
+        return self.h_inclusion.apply_sparse(h_sp)
 
 
 def smash_algebra(A_mod: ModuleAlgebraData) -> SmashProduct:
@@ -246,17 +251,16 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
 
     one_t = wha.delta_one
 
+    iota = s.h_inclusion
+    deltas = [{(p, pq): c for p, pq, c in h.coalgebra.comul_row(i)} for i in range(nh)]
+
     # helper identity Delta(a#h) = 1t_(1)(a#h_(1)) (x) 1t_(2)(1#h_(2))
     def helper_3_failures():
         for a in range(na):
+            at_a = LinearMap(nh, n, [{s.flat(a, p): 1} for p in range(nh)])    # h |-> a # h
             for i in range(nh):
-                rhs: dict = {}
-                for p, pq, c in h.coalgebra.comul_row(i):
-                    pairs = sparse_outer({s.flat(a, p): 1},
-                                         s.include_h({pq: 1}))
-                    for key, cc in tensor_mul_sparse(algs2, one_t, pairs).items():
-                        sp_add(rhs, key, c * cc)
-                if wha.coalgebra.comul_sparse({s.flat(a, i): 1}) != rhs:
+                if (wha.coalgebra.comul_sparse({s.flat(a, i): 1})
+                        != tensor_mul_sparse(algs2, one_t, map_legs(at_a, iota, deltas[i]))):
                     yield (a, i)
 
     rep.check("helper_eq1_3", helper_3_failures())
@@ -264,15 +268,8 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
     # helper identity 1t(1#h_(1)) (x) ... = (1#h_(1))1t (x) ...
     def helper_4_failures():
         for i in range(nh):
-            lhs: dict = {}
-            rhs: dict = {}
-            for p, pq, c in h.coalgebra.comul_row(i):
-                pairs = sparse_outer(s.include_h({p: 1}), s.include_h({pq: 1}))
-                for key, cc in tensor_mul_sparse(algs2, one_t, pairs).items():
-                    sp_add(lhs, key, c * cc)
-                for key, cc in tensor_mul_sparse(algs2, pairs, one_t).items():
-                    sp_add(rhs, key, c * cc)
-            if lhs != rhs:
+            pairs = map_legs(iota, iota, deltas[i])
+            if tensor_mul_sparse(algs2, one_t, pairs) != tensor_mul_sparse(algs2, pairs, one_t):
                 yield (i,)
 
     rep.check("helper_eq1_4", helper_4_failures())
@@ -312,13 +309,9 @@ def smash_qt(sws: SmashWeakStructure) -> tuple[WeakQTStructure, VerificationRepo
     one_t = sws.wha.delta_one
     one_t_cop = {(b, a): c for (a, b), c in one_t.items()}
 
-    one_r: dict = {}     # 1#R^1 (x) 1#R^2
-    one_sr: dict = {}    # 1#S(R^1) (x) 1#R^2
-    for (r1, r2), cr in q.R.items():
-        second = s.include_h({r2: 1})
-        for out, first in ((one_r, {r1: 1}), (one_sr, s.H.antipode.cols[r1])):
-            for key, cc in sparse_outer(s.include_h(first), second).items():
-                sp_add(out, key, cr * cc)
+    iota = s.h_inclusion
+    one_r = map_legs(iota, iota, q.R.terms)                          # 1#R^1 (x) 1#R^2
+    one_sr = map_legs(iota.compose(s.H.antipode), iota, q.R.terms)   # 1#S(R^1) (x) 1#R^2
     right_multiplied = tensor_mul_sparse(algs2, one_r, one_t)
     Rw = TensorElem.from_entries((carrier.dim, carrier.dim),
                                  tensor_mul_sparse(algs2, one_t_cop, right_multiplied).items())
@@ -537,11 +530,8 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
                                                     sp_add(rb, (first, flat(x22, t2, u2)),
                                                            coeff0 * ca * c1 * cu1 * c2 * cu2)
     R_B = TensorElem.from_entries((n, n), list(rb.items()))
-    rbar_entries = []
-    for (aidx, bidx), c in R_B.items():
-        for t, ct in wha.antipode.cols[aidx].items():
-            rbar_entries.append(((t, bidx), c * ct))
-    R_B_bar = TensorElem.from_entries((n, n), rbar_entries)
+    R_B_bar = TensorElem.from_entries(
+        (n, n), map_legs(wha.antipode, LinearMap.identity(n), R_B.terms).items())
     rqt = WeakQTStructure(wha, R_B, R_B_bar)
     rep.merge(verify_weak_qt(rqt), "wqt.")
 
@@ -641,10 +631,7 @@ def rb_in_image_iff_muger(b: BAlgebra, image, q: QTStructure,
                           A_mod: ModuleAlgebraData) -> tuple:
     """(R_B in Im phi (x) Im phi, A in Mueger center); the two must agree."""
     n = b.wha.dim
-    r_cols = [{} for _ in range(n)]    # R_B as a map: columns R^1 beside e_j, rows R^2
-    for (i, j), c in b.rqt.Rw.items():
-        r_cols[j][i] = c
-    r_map = LinearMap(n, n, r_cols)
+    r_map = leg_map(b.rqt.Rw.terms, n)
     img = Subspace(image, n)
     in_img = (all(img.contains(col) for col in r_map.cols)
               and all(img.contains(row) for row in r_map.transpose().cols))

@@ -29,16 +29,15 @@ from .hopfcore import (
     add_outer3,
     algebra_map_failures,
     antipode_convolutions,
+    bialgebra_prelude,
     certified_scan,
     check_map,
     coalgebra_map_failures,
-    comult_multiplicative_failures,
-    hexagon_sides,
     host_generators,
-    intertwining_failures,
+    leg_map,
+    r_matrix_rows,
     tensor_mul_sparse,
     unit_products,
-    verify_coalgebra,
 )
 from .qtriang import adjoint_action_tensor, double_braiding_failures
 from .report import VerificationReport
@@ -172,24 +171,13 @@ def verify_weak_bialgebra(w: WeakHopfData, subject: str = "weak_bialgebra") -> V
     """Delta multiplicative, weak unit comultiplicativity (both orders), and
     both weak counit identities on all basis triples.
 
-    Once algebra.associativity has passed, Delta multiplicativity is scanned
-    on the pairs (i, s), s in S = w.algebra.generators; the induction is in
-    comult_multiplicative_failures and needs no unit or counit law.  Once it
-    has passed too, coassociativity is scanned on S (see verify_coalgebra;
-    no unit law enters there either), so that scan runs first and the rows
-    keep their order.  The weak counit identities are scanned on F x A x H
-    (F = all indices without associativity); see weak_counit_failures."""
+    Delta multiplicativity and coassociativity are scanned on S as
+    bialgebra_prelude says; neither induction needs a unit or counit law.
+    The weak counit identities are scanned on F x A x H (F = all indices
+    without associativity); see weak_counit_failures."""
     rep = VerificationReport(subject)
-    rep.merge(w.algebra.report, "algebra.")
     n = w.dim
-    alg, coal = w.algebra, w.coalgebra
-
-    assoc = rep.find("algebra.associativity").passed
-    gens = alg.generators if assoc else None
-    multiplicative = next(iter(certified_scan(
-        lambda js: comult_multiplicative_failures(alg, coal, js), gens, range(n))), None)
-    rep.merge(verify_coalgebra(coal, gens=gens if multiplicative is None else None),
-              "coalgebra.")
+    gens, multiplicative = bialgebra_prelude(rep, w.algebra, w.coalgebra)
     rep.add("comult_multiplicative", multiplicative is None, multiplicative)
 
     lhs, order1, order2 = unit_weak_comult_sides(w)
@@ -197,7 +185,7 @@ def verify_weak_bialgebra(w: WeakHopfData, subject: str = "weak_bialgebra") -> V
     rep.add("unit_weak_comult_order2", lhs == order2)
 
     fs, hs = w.counit_form_pivots
-    reduced, full = (fs if assoc else range(n), hs), (range(n), range(n))
+    reduced, full = (range(n) if gens is None else fs, hs), (range(n), range(n))
     for name, swap in (("weak_counit_identity_1", False), ("weak_counit_identity_2", True)):
         rep.check(name, certified_scan(
             lambda fh, swap=swap: weak_counit_failures(w, swap, *fh), reduced, full))
@@ -311,12 +299,7 @@ def verify_weak_qt(wq: WeakQTStructure, subject: str = "weak_qt") -> Verificatio
     rep.add("rbar_r_is_delta_one", tensor_mul_sparse(algs2, rbar, r) == d1)
     rep.add("r_rbar_is_delta_cop_one", tensor_mul_sparse(algs2, r, rbar) == d1cop)
 
-    rep.check("intertwines_comult", certified_scan(
-        lambda idx: intertwining_failures(alg, coal, r, idx),
-        host_generators(alg, w.report, "wba."), range(w.dim)))
-    d_id, r13r23, id_d, r13r12 = hexagon_sides(alg, coal, r)
-    rep.add("delta_tensor_id", d_id == r13r23)
-    rep.add("id_tensor_delta", id_d == r13r12)
+    r_matrix_rows(rep, alg, coal, r, host_generators(alg, w.report, "wba."))
 
     corner = tensor_mul_sparse(algs2, tensor_mul_sparse(algs2, d1cop, r), d1)
     rep.add("corner_support", corner == r, informational=True)
@@ -340,12 +323,7 @@ def almost_triangular_wha_report(wq: WeakQTStructure) -> VerificationReport:
     c_ht = alg.centralizer_basis(ht)
     cc_ht = Subspace(alg.centralizer_basis(c_ht), n)
 
-    # z as a map: its columns are the first legs beside e_b, its rows the
-    # second legs beside e_a
-    z_cols = [{} for _ in range(n)]
-    for (a, b), c in z.items():
-        z_cols[b][a] = c
-    z_map = LinearMap(n, n, z_cols)
+    z_map = leg_map(z, n)
     cond2 = all(cc_hs.contains(col) for col in z_map.cols)
     cond3 = all(cc_ht.contains(row) for row in z_map.transpose().cols)
     cond4 = cond2 and cond3
