@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Print the median wall time of each stage of the paper's pipeline on the
+Drinfeld double D(kG) of a group G:
+
+    PYTHONPATH=src python scripts/stage_times.py s4 [--runs 3] [--skip STAGE ...]
+
+The host is zN (the cyclic group of order N) or sN (the symmetric group on
+N points).  Each run builds D(kG) afresh and then times, in order:
+`drinfeld_double`, split into its build and its `verify_hopf` and `verify_qt`
+reports; `adjoint_action_tensor`; `transmute` with its report;
+`verify_braided_group` run a second time; `almost_triangular_equivalences`;
+and `double_smash_decomposition`.  A stage named after --skip is left out;
+H # D(kG) has dimension |G|^3, so on s4 that is the decomposition.  The
+table is markdown, one line per stage, with the median over the runs.
+"""
+
+import argparse
+import statistics
+import sys
+import time
+from contextlib import contextmanager
+
+from hopfsmash import demos as dm
+from hopfsmash import hopfcore, qtriang
+from hopfsmash.hopfcore import drinfeld_double, group_algebra
+from hopfsmash.qtriang import (
+    adjoint_action_tensor,
+    almost_triangular_equivalences,
+    transmute,
+    verify_braided_group,
+)
+from hopfsmash.smashcons import double_smash_decomposition
+
+STAGES = ("drinfeld_double", "  build", "  verify_hopf", "  verify_qt",
+          "adjoint_action_tensor", "transmute", "verify_braided_group",
+          "almost_triangular_equivalences", "double_smash_decomposition")
+
+
+def host_table(name: str):
+    kinds = {"z": dm.cyclic_table, "s": dm.symmetric_table}
+    if name[:1] not in kinds or not name[1:].isdigit():
+        raise SystemExit(f"unknown host {name!r}: expected zN or sN")
+    return kinds[name[0]](int(name[1:]))
+
+
+@contextmanager
+def timed(module, name: str, spent: dict):
+    """Add the seconds spent in module.name to spent[name] while inside."""
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            spent[name] = spent.get(name, 0.0) + time.perf_counter() - t0
+
+    setattr(module, name, wrapper)
+    try:
+        yield
+    finally:
+        setattr(module, name, inner)
+
+
+def one_run(h, skip) -> dict:
+    """{stage: seconds} for one pass of the pipeline on D(h)."""
+    out: dict = {}
+    spent: dict = {}
+    with timed(hopfcore, "verify_hopf", spent), timed(qtriang, "verify_qt", spent):
+        t0 = time.perf_counter()
+        dh, q = drinfeld_double(h)
+        out["drinfeld_double"] = time.perf_counter() - t0
+    out["  verify_hopf"] = spent.get("verify_hopf", 0.0)
+    out["  verify_qt"] = spent.get("verify_qt", 0.0)
+    out["  build"] = out["drinfeld_double"] - out["  verify_hopf"] - out["  verify_qt"]
+
+    def stage(name, call):
+        """call(), timed into out[name]; None when name is skipped."""
+        if name in skip:
+            return None
+        t0 = time.perf_counter()
+        result = call()
+        out[name] = time.perf_counter() - t0
+        return result
+
+    stage("adjoint_action_tensor", lambda: adjoint_action_tensor(dh))
+    if (bg := stage("transmute", lambda: transmute(q))) is not None:
+        stage("verify_braided_group", lambda: verify_braided_group(bg).require())
+        stage("almost_triangular_equivalences",
+              lambda: almost_triangular_equivalences(q, bg).require())
+    stage("double_smash_decomposition",
+          lambda: double_smash_decomposition(h, (dh, q)).require())
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("host", help="zN or sN")
+    ap.add_argument("--runs", type=int, default=3)
+    ap.add_argument("--skip", nargs="*", default=[], choices=STAGES[4:])
+    args = ap.parse_args(argv)
+    h = group_algebra(host_table(args.host))
+    h.report.require()
+    runs = [one_run(h, set(args.skip)) for _ in range(max(1, args.runs))]
+    print(f"D(k{args.host.upper()}), dim {h.dim ** 2}: median of {len(runs)} runs")
+    print("| stage | s |\n| --- | --- |")
+    for name in STAGES:
+        if name in runs[0]:
+            print(f"| `{name.strip()}`{' (in the above)' if name[0] == ' ' else ''} "
+                  f"| {statistics.median(r[name] for r in runs):.4g} |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

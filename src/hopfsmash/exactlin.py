@@ -703,8 +703,9 @@ class Tensor3:
         # the "0" shortcut compares strings only, so a JSON false still reaches rat
         rows = tuple(
             tuple(
-                tuple((k, f) for k, x in enumerate(data[i][j]) if x != "0" and (f := read(x)))
-                for j in range(d1))
+                () if row.count("0") == d2
+                else tuple((k, f) for k, x in enumerate(row) if x != "0" and (f := read(x)))
+                for row in data[i])
             for i in range(d0))
         return Tensor3((d0, d1, d2), rows)
 
@@ -812,6 +813,15 @@ class Tensor3:
 
     def __repr__(self):
         return f"Tensor3(dims={self.dims})"
+
+
+def sorted_plane(d1: int, cells: dict) -> tuple:
+    """A plane of d1 cells from accumulators {j: {k: value}}: cell j holds
+    the nonzero (k, rat(value)) ascending, and every other cell is ()."""
+    plane = [()] * d1
+    for j, cell in cells.items():
+        plane[j] = tuple(sorted((k, rat(v)) for k, v in cell.items() if v))
+    return tuple(plane)
 
 
 # ---------------------------------------------------------------------------

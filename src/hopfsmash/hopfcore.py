@@ -15,6 +15,7 @@ Pairing conventions (fixed once):
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -28,6 +29,7 @@ from .exactlin import (
     kernel_basis,
     qdiv,
     rat,
+    sorted_plane,
     sp,
     sp_add,
     sp_scale,
@@ -509,24 +511,29 @@ def comult_multiplicative_failures(alg: StructureAlgebra, coal: StructureCoalgeb
     T = {w : Delta(x w) = Delta(x) Delta(w) for all x} holds S, then for w in
     T, s in S: Delta(x (w s)) = Delta((x w) s) = Delta(x w) Delta(s) =
     Delta(x) Delta(w) Delta(s) = Delta(x) Delta(w s), so T = A.
+
+    A term e_a (x) e_b of Delta(e_i) meets only its partners in Delta(e_j),
+    the e_a2 (x) e_b2 with e_a e_a2 nonzero, listed once per (a, j) as the
+    (cell a a2, b2, w2) of mates[a].
     """
-    rows = alg.mult._rows
-    for i in range(alg.dim):
-        for j in right:
-            lhs: dict = {}
-            for m, c in rows[i][j]:
-                for a, b, w in coal.comul_row(m):
-                    sp_add(lhs, (a, b), c * w)
-            rhs: dict = {}
-            for a, b, w in coal.comul_row(i):
-                ra, rb = rows[a], rows[b]
-                for a2, b2, w2 in coal.comul_row(j):
-                    if (ps := ra[a2]) and (qs := rb[b2]):    # else a zero leg
+    rows, comul = alg.mult._rows, coal.rows
+    scans = [(j, [[(ra[a2], b2, w2) for a2, b2, w2 in comul[j] if ra[a2]] for ra in rows])
+             for j in right]
+    for i, ri in enumerate(rows):
+        for j, mates in scans:
+            acc: dict = {}    # Delta(e_i e_j) - Delta(e_i) Delta(e_j)
+            for m, c in ri[j]:
+                for a, b, w in comul[m]:
+                    acc[a, b] = acc.get((a, b), 0) + c * w
+            for a, b, w in comul[i]:
+                for ps, b2, w2 in mates[a]:
+                    if qs := rows[b][b2]:
                         c = w * w2
                         for p, cp in ps:
+                            cpc = c * cp
                             for q, cq in qs:
-                                sp_add(rhs, (p, q), c * cp * cq)
-            if lhs != rhs:
+                                acc[p, q] = acc.get((p, q), 0) - cpc * cq
+            if any(acc.values()):
                 yield (i, j)
 
 
@@ -579,45 +586,51 @@ def measuring_failures(h: HopfData, action: Tensor3, alg: StructureAlgebra, acti
     = ((w_(1) s_(1)) . x)((w_(2) s_(2)) . y) = ((w s)_(1) . x)((w s)_(2) . y)
     by the module law, s, w, the module law and Delta(w s) = Delta(w) Delta(s);
     so T is closed under right products by S, T = H.
+
+    Row (i, x) accumulates both sides over y from nonzero terms only: the
+    nonempty cells (x, y), and each y that the second leg h_(2) of a term
+    with h_(1) . e_x nonzero acts on.  Every y skipped is 0 = 0.
     """
-    rows = action._rows
-    mult = alg.mult._rows
-    na = action.dims[1]
+    rows, mult = action._rows, alg.mult._rows
+    acts, right = action.support()[0], alg.support[0]    # acts[b]: the y with e_b . v_y nonzero
     for i in range(h.dim) if acting is None else acting:
-        ri = rows[i]
-        delta = h.coalgebra.comul_row(i)
-        for x in range(na):
-            # h_(1) . e_x = sum c e_k, paired with the action rows of h_(2)
-            left = [(mult[k], rows[b], c * ck) for a, b, c in delta for k, ck in rows[a][x]]
-            mx = mult[x]
-            for y in range(na):
-                lhs: dict = {}
+        ri, delta = rows[i], h.coalgebra.comul_row(i)
+        for x, mx in enumerate(mult):
+            acc: dict = {}    # (y, m) -> coefficient of e_m at y
+            for y in right[x]:
                 for k, ck in mx[y]:
                     for m, cm in ri[k]:
-                        sp_add(lhs, m, ck * cm)
-                rhs: dict = {}
-                for mk, rb, c in left:
-                    for k2, c2 in rb[y]:
-                        cc = c * c2
-                        for m, cm in mk[k2]:
-                            sp_add(rhs, m, cc * cm)
-                if lhs != rhs:
-                    yield (i, x, y)
+                        acc[y, m] = acc.get((y, m), 0) + ck * cm
+            for a, b, c in delta:
+                if moved := rows[a][x]:    # h_(1) . e_x
+                    rb = rows[b]
+                    for y in acts[b]:
+                        for k2, c2 in rb[y]:
+                            for k, ck in moved:
+                                cck = c * c2 * ck
+                                for m, cm in mult[k][k2]:
+                                    acc[y, m] = acc.get((y, m), 0) - cck * cm
+            if any(acc.values()):
+                yield from ((i, x, y) for y in sorted({y for (y, _), v in acc.items() if v}))
 
 
 def quantum_commutativity_failures(r: TensorElem, alg: StructureAlgebra, action: Tensor3):
     """Pairs (a, b), in row-major order, with e_a e_b != (r^2 . e_b)(r^1 . e_a)
     summed over the terms r^1 (x) r^2 of r, for a left action tensor
-    action[h][x][y] of the host of r on the algebra alg."""
-    r_items = list(r.items())
+    action[h][x][y] of the host of r on the algebra alg.  The moved legs
+    are multiplied inline, and a term of r with r^1 . e_a = 0 is skipped."""
+    mult, rows = alg.mult._rows, action._rows
     for a in range(alg.dim):
-        moved_a = [dict(action.row(r1, a)) for (r1, _), _ in r_items]
+        moved = [(rows[r2], c, va) for (r1, r2), c in r.items() if (va := rows[r1][a])]
         for b in range(alg.dim):
-            rhs: dict = {}
-            for ((_, r2), c), va in zip(r_items, moved_a):
-                for k, w in alg.mul_sparse(dict(action.row(r2, b)), va).items():
-                    sp_add(rhs, k, c * w)
-            if alg.mul_sparse({a: 1}, {b: 1}) != rhs:
+            acc = dict(mult[a][b])    # e_a e_b - (r^2 . e_b)(r^1 . e_a)
+            for r2_rows, c, va in moved:
+                for p, cp in r2_rows[b]:
+                    rp, ccp = mult[p], c * cp
+                    for q, cq in va:
+                        for k, w in rp[q]:
+                            acc[k] = acc.get(k, 0) - ccp * cq * w
+            if any(acc.values()):
                 yield (a, b)
 
 
@@ -777,8 +790,8 @@ def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
 
 def algebra_map_failures(f: LinearMap, src: StructureAlgebra, dst: StructureAlgebra,
                          right=None, src_op: bool = False, dst_op: bool = False):
-    """Basis pairs (i, j), j in `right` (every index when None), with
-    f(e_i e_j) != f(e_i) f(e_j) for a linear map f from src to dst.
+    """Ascending basis pairs (i, j), j in `right` (every index when None),
+    with f(e_i e_j) != f(e_i) f(e_j) for a linear map f from src to dst.
 
     src_op reads the product of src swapped, f(e_j e_i), and dst_op that of
     dst, f(e_j) f(e_i), in place: either makes it an anti-algebra map scan,
@@ -786,31 +799,37 @@ def algebra_map_failures(f: LinearMap, src: StructureAlgebra, dst: StructureAlge
     generating set S of src where the caller shows the law closed under right
     products by S (see verify_weak_hopf).
 
-    Only the pairs where a side can be nonzero are formed, read off the
-    cell supports of the two products and the supports of f's columns: j is
-    a candidate for i when e_i e_j is nonzero, or when some e_a in f(e_i) and
-    e_b in f(e_j) have e_a e_b nonzero (each product read swapped under its
-    flag).  Every pair skipped is 0 = 0, so the failures and their order are
-    those of the scan over every pair.
+    Row i accumulates both sides over j from nonzero terms only (Gustavson's
+    row-at-a-time sparse product): the nonempty cells (i, j), and for each
+    e_a in f(e_i) and nonempty cell (a, b) the j with e_b in f(e_j), read
+    off `holders`; each side is restricted to `right`.  Every pair skipped
+    is 0 = 0, so the failures are those of the scan over every pair.
     """
     cols = f.cols
+    src_rows, dst_rows = src.mult._rows, dst.mult._rows
     src_side = src.support[1 if src_op else 0]    # the j with e_i e_j nonzero
     dst_side = dst.support[1 if dst_op else 0]    # the b with e_a e_b nonzero
-    holders = [[] for _ in range(dst.dim)]        # holders[b]: the j with e_b in f(e_j)
-    for j, col in enumerate(cols):
-        for b in col:
-            holders[b].append(j)
-    reach: dict = {}    # reach[a]: the j whose f(e_j) holds some b in dst_side[a]
+    keep = None if right is None else set(right)
+    holders = [[] for _ in range(dst.dim)]        # holders[b]: (j, coefficient of e_b in f(e_j))
+    for j in range(src.dim) if keep is None else keep:
+        for b, cb in cols[j].items():
+            holders[b].append((j, cb))
     for i in range(src.dim):
-        cand = set(src_side[i])
-        for a in cols[i]:
-            if (r := reach.get(a)) is None:
-                r = reach[a] = {j for b in dst_side[a] for j in holders[b]}
-            cand |= r
-        for j in sorted(cand) if right is None else [j for j in right if j in cand]:
-            lhs = f.apply_sparse(dict(src.mul_row(j, i) if src_op else src.mul_row(i, j)))
-            if lhs != (dst.mul_sparse(cols[j], cols[i]) if dst_op
-                       else dst.mul_sparse(cols[i], cols[j])):
+        acc = defaultdict(dict)    # j -> {k: coefficient of e_k in f(e_i e_j) - f(e_i) f(e_j)}
+        for j in src_side[i] if keep is None else keep.intersection(src_side[i]):
+            cell = acc[j]
+            for m, c in src_rows[j][i] if src_op else src_rows[i][j]:
+                for k, w in cols[m].items():
+                    cell[k] = cell.get(k, 0) + c * w
+        for a, ca in cols[i].items():
+            for b in dst_side[a]:
+                ab = dst_rows[b][a] if dst_op else dst_rows[a][b]
+                for j, cb in holders[b]:
+                    cell, c = acc[j], ca * cb
+                    for k, w in ab:
+                        cell[k] = cell.get(k, 0) - c * w
+        for j in sorted(acc):
+            if any(acc[j].values()):
                 yield (i, j)
 
 
@@ -1191,27 +1210,25 @@ def drinfeld_double(h: HopfData):
 
     comul2 = h.coalgebra.comul2_row
 
-    # each cell ((a, b), (c, d)) is formed in one iteration and written directly
+    # plane (a, b) accumulates each cell (c, d) over the Sweedler terms of b
+    # whose middle leg t2 meets d in a nonempty cell, and is written directly
+    right = alg.support[0]
     planes = []
     for a in range(n):
         pa = {a: 1}
         for b in range(n):
-            plane = []
+            cells = defaultdict(dict)
             for c in range(n):
-                # p_a * q(c; t1, t3) for each Sweedler term of b; d does not enter
-                terms = [(t2, w, fq) for t1, t2, t3, w in comul2(b)
-                         if (q := dragged(c, t1, t3)) and (fq := dualalg.mul_sparse(pa, q))]
-                if not terms:
-                    plane.extend([()] * n)
-                    continue
-                for d in range(n):
-                    cell: dict = {}
-                    for t2, w, fq in terms:
-                        for m, wm in alg.mul_row(t2, d):
-                            for y, cy in fq.items():
-                                sp_add(cell, flat(y, m), w * wm * cy)
-                    plane.append(tuple(sorted((k, rat(v)) for k, v in cell.items())))
-            planes.append(tuple(plane))
+                # p_a * q(c; t1, t3); d does not enter
+                for t1, t2, t3, w in comul2(b):
+                    if (q := dragged(c, t1, t3)) and (fq := dualalg.mul_sparse(pa, q)):
+                        for d in right[t2]:
+                            cell = cells[flat(c, d)]
+                            for m, wm in alg.mul_row(t2, d):
+                                for y, cy in fq.items():
+                                    k = flat(y, m)
+                                    cell[k] = cell.get(k, 0) + w * wm * cy
+            planes.append(sorted_plane(nn, cells))
     mult = Tensor3((nn, nn, nn), tuple(planes))
     eps_sp = sp(h.counit)
     unit_sp = alg.unit_sparse

@@ -20,6 +20,7 @@ once per braided group (BraidedGroupData.dual_right_action).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -27,6 +28,7 @@ from .exactlin import (
     LinearMap,
     Tensor3,
     TensorElem,
+    sorted_plane,
     sp_add,
     sp_scale,
     vec_dot,
@@ -35,12 +37,14 @@ from .hopfcore import (
     HopfData,
     StructureAlgebra,
     StructureCoalgebra,
+    by_leg,
     casimir_failures,
     certified_scan,
     convolution_algebra,
     host_generators,
     map_legs,
     measuring_failures,
+    meeting,
     module_law_failures,
     multiply_legs,
     opposite_algebra,
@@ -181,23 +185,26 @@ def classify_triangularity(q: QTStructure) -> TriangularityClass:
 # ---------------------------------------------------------------------------
 
 def adjoint_action_tensor(h: HopfData) -> Tensor3:
-    """ad[h][x][y]: coefficient of e_y in h .ad x = h_(1) x S(h_(2))."""
+    """ad[h][x][y]: coefficient of e_y in h .ad x = h_(1) x S(h_(2)).
+
+    A term e_a (x) e_b of Delta(e_i) meets only the x with e_a e_x nonzero,
+    and each cell is written sorted into the plane where it is formed."""
     n = h.dim
-    s_cols = h.antipode.cols    # S(e_b); e_a e_j is a mult row
-
-    def entries():
-        for i in range(n):
-            delta = h.coalgebra.comul_row(i)
-            for j in range(n):
-                cell: dict = {}
-                for a, b, c in delta:
-                    for m, cm in h.algebra.mul_sparse(dict(h.algebra.mul_row(a, j)),
-                                                      s_cols[b]).items():
-                        sp_add(cell, m, c * cm)
-                for m, cm in cell.items():
-                    yield i, j, m, cm
-
-    return Tensor3.from_entries((n, n, n), entries())
+    rows, right = h.algebra.mult._rows, h.algebra.support[0]
+    planes = []
+    for i in range(n):
+        cells = defaultdict(dict)    # x -> {y: coefficient}
+        for a, b, c in h.coalgebra.comul_row(i):
+            ra, sb = rows[a], h.antipode.cols[b].items()
+            for x in right[a]:
+                cell = cells[x]
+                for p, cp in ra[x]:
+                    rp, ccp = rows[p], c * cp
+                    for r, cr in sb:
+                        for m, w in rp[r]:
+                            cell[m] = cell.get(m, 0) + ccp * cr * w
+        planes.append(sorted_plane(n, cells))
+    return Tensor3((n, n, n), tuple(planes))
 
 
 @dataclass(frozen=True)
@@ -231,25 +238,31 @@ def transmuted_coaction(q: QTStructure, coaction: Tensor3, action: Tensor3) -> T
     """rho_R(x) = x_<-1> S(R^2) (x) R^1 . x_<0>, for a left coaction tensor
     coaction[x][d][x'] of the host H of q and a left action tensor
     action[h][x][y] of H on the same space: the coaction over H_R.  On
-    (Delta, ad) it is Delta_R(h) = h_(1) S(R^2) (x) R^1 .ad h_(2)."""
+    (Delta, ad) it is Delta_R(h) = h_(1) S(R^2) (x) R^1 .ad h_(2).  Only the
+    R^1 acting on x_<0> are met; each cell is written sorted where it is formed."""
     h = q.host
     n, nh = coaction.dims[0], h.dim
-    r_items = list(q.R.items())
+    by_first = by_leg(q.R.terms, 0)
+    acted = action.support()[1]    # acted[x2]: the r1 with e_r1 . v_x2 nonzero
 
     @cache
-    def first(d: int, r2: int) -> dict:
-        """e_d S(e_r2)."""
-        return h.algebra.mul_sparse({d: 1}, h.antipode.cols[r2])
+    def first(d: int, r2: int) -> tuple:
+        """e_d S(e_r2), as (index, coefficient) pairs."""
+        return tuple(h.algebra.mul_sparse({d: 1}, h.antipode.cols[r2]).items())
 
-    entries = []
-    for x, row in enumerate(sweedler_rows(coaction)):
+    planes = []
+    for row in sweedler_rows(coaction):
+        cells = defaultdict(dict)    # f -> {s: coefficient}, the cell (x, f)
         for d, x2, c in row:
-            for (r1, r2), cr in r_items:
+            for r1 in meeting(by_first, acted[x2]):
                 if second := action.row(r1, x2):
-                    for f, cf in first(d, r2).items():
-                        for s, cs in second:
-                            entries.append((x, f, s, c * cr * cf * cs))
-    return Tensor3.from_entries((n, nh, n), entries)
+                    for (_, r2), cr in by_first[r1]:
+                        for f, cf in first(d, r2):
+                            cell, ccf = cells[f], c * cr * cf
+                            for s, cs in second:
+                                cell[s] = cell.get(s, 0) + ccf * cs
+        planes.append(sorted_plane(nh, cells))
+    return Tensor3((n, nh, n), tuple(planes))
 
 
 def transmute(q: QTStructure) -> BraidedGroupData:

@@ -61,13 +61,11 @@ class WeakHopfData(HopfData):
 
     @cached_property
     def _eps_of_prod(self) -> tuple:
-        """The rows of the counit form T[i][j] = eps(e_i e_j), as sparse vectors."""
-        n = self.dim
-        eps = self.counit
+        """The rows of the counit form T[i][j] = eps(e_i e_j), read off the nonempty cells."""
+        eps, rows = self.counit, self.algebra.mult._rows
         return tuple(
-            {j: c for j in range(n)
-             if (c := sum(w * eps[k] for k, w in self.algebra.mul_row(i, j)))}
-            for i in range(n))
+            {j: c for j in js if (c := sum(w * eps[k] for k, w in rows[i][j]))}
+            for i, js in enumerate(self.algebra.support[0]))
 
     @cached_property
     def counit_form_pivots(self) -> tuple:

@@ -677,3 +677,21 @@ def test_output_digests_prints_one_line_per_written_file(monkeypatch, capsys):
     assert len(lines) == 26 == len({name for _, name in pairs})
     assert all(len(h) == 64 and int(h, 16) >= 0 for h, _ in pairs)
     assert [name for _, name in pairs][-6:] == [f"{d}-report.json" for d in sorted(DEMOS)]
+
+
+def test_stage_times_prints_every_stage_and_leaves_the_verifiers_in_place(monkeypatch, capsys):
+    import importlib
+    from pathlib import Path
+
+    from hopfsmash import hopfcore, qtriang
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    stage_times = importlib.import_module("stage_times")
+    verifiers = (hopfcore.verify_hopf, qtriang.verify_qt)
+    assert stage_times.main(["z2", "--runs", "2"]) == 0
+    rows = [line.split("|")[1].strip() for line in capsys.readouterr().out.splitlines()[3:]]
+    assert [r.split("`")[1] for r in rows] == [s.strip() for s in stage_times.STAGES]
+    assert (hopfcore.verify_hopf, qtriang.verify_qt) == verifiers
+    assert stage_times.main(["s3", "--runs", "1", "--skip", "double_smash_decomposition"]) == 0
+    assert "double_smash_decomposition" not in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        stage_times.main(["q5"])

@@ -751,23 +751,38 @@ def _fault_twins(t):
     return twins
 
 
-def _law_hosts(kz2, ks3):
-    """(name, algebra, extra maps) for kS3, D(kZ3), M_2 and H # D(kZ2)."""
-    from hopfsmash.smashcons import double_module_algebra, smash_algebra
-    kz3 = group_algebra(dm.cyclic_table(3))
-    d3 = drinfeld_double(kz3)[0]
-    carrier = smash_algebra(double_module_algebra(kz2, drinfeld_double(kz2))[0]).carrier
-    transpose = LinearMap(4, 4, [{(x % 2) * 2 + x // 2: 1} for x in range(4)])
-    return [("kS3", ks3.algebra, [ks3.antipode]), ("D(kZ3)", d3.algebra, [d3.antipode]),
-            ("M_2", matrix_algebra(2), [transpose]), ("H#D(kZ2)", carrier, [])]
+LAW_HOSTS = ["kS3", "D(kZ2)", "D(kZ3)", "D(kS3)", "M_2", "H#D(kZ2)", "kZ2 on 1, 2g"]
 
 
-@pytest.mark.parametrize("host", ["kS3", "D(kZ3)", "M_2", "H#D(kZ2)"])
-def test_indexed_algebra_map_scan_lists_the_full_scans_failures(host, kz2, ks3):
+def _law_host(name, request):
+    """(algebra, extra maps) of one of LAW_HOSTS; the maps are the host's
+    own (anti-)automorphisms.  kZ2 on the basis 1, 2g has halves."""
+    if name == "M_2":
+        transpose = LinearMap(4, 4, [{(x % 2) * 2 + x // 2: 1} for x in range(4)])
+        return matrix_algebra(2), [transpose]
+    if name == "H#D(kZ2)":
+        from hopfsmash.smashcons import smash_algebra
+        return smash_algebra(request.getfixturevalue("double_mod_z2")[0]).carrier, []
+    h = _hopf_host(name, request)
+    return h.algebra, [h.antipode]
+
+
+def _hopf_host(name, request):
+    """The Hopf algebra named in LAW_HOSTS or HOPF_HOSTS."""
+    return {"kS3": lambda: request.getfixturevalue("ks3"),
+            "D(kZ2)": lambda: request.getfixturevalue("double_z2")[0],
+            "D(kZ3)": lambda: drinfeld_double(group_algebra(dm.cyclic_table(3)))[0],
+            "D(kS3)": lambda: request.getfixturevalue("double_s3")[0],
+            "kZ2 on 1, 2g": lambda: _rescaled_kz2(2),
+            "kZ2 on 1, g/2": lambda: _rescaled_kz2(F(1, 2))}[name]()
+
+
+@pytest.mark.parametrize("host", LAW_HOSTS)
+def test_indexed_algebra_map_scan_lists_the_full_scans_failures(host, request):
     # genuine algebras and their one-constant twins, as source and as target,
     # under the identity, a map with two-term columns and the host's own
     # (anti-)automorphism; every flag and both `right`s
-    name, alg, maps = next(h for h in _law_hosts(kz2, ks3) if h[0] == host)
+    alg, maps = _law_host(host, request)
     n = alg.dim
     twins = [StructureAlgebra(n, t, alg.unit) for t in _fault_twins(alg.mult)]
     shear = LinearMap(n, n, [{i: 1, (i + 1) % n: 1} for i in range(n)])
@@ -785,11 +800,11 @@ def test_indexed_algebra_map_scan_lists_the_full_scans_failures(host, kz2, ks3):
     assert not list(hopfcore.algebra_map_failures(ident, alg, alg))
 
 
-@pytest.mark.parametrize("host", ["kS3", "D(kZ3)", "M_2", "H#D(kZ2)"])
-def test_indexed_module_law_scan_lists_the_full_scans_failures(host, kz2, ks3):
+@pytest.mark.parametrize("host", LAW_HOSTS)
+def test_indexed_module_law_scan_lists_the_full_scans_failures(host, request):
     # the regular module law (associativity) of each algebra and of its
     # twins, with either product acting, on every index and on the generators
-    name, alg, _ = next(h for h in _law_hosts(kz2, ks3) if h[0] == host)
+    alg, _ = _law_host(host, request)
     twins = [StructureAlgebra(alg.dim, t, alg.unit) for t in _fault_twins(alg.mult)]
     failing = 0
     for a in (alg, *twins):
@@ -811,6 +826,201 @@ def test_indexed_module_law_scan_on_a_non_square_action(kz2, double_z2):
     for twin in _fault_twins(action):
         got = list(hopfcore.module_law_failures(big, twin))
         assert got and got == list(_module_law_reference(big, twin))
+
+
+def _comult_multiplicative_reference(alg, coal, right):
+    """The scan comult_multiplicative_failures ran over every Sweedler pair,
+    kept as the reference for its partner lists."""
+    rows = alg.mult._rows
+    for i in range(alg.dim):
+        for j in right:
+            lhs: dict = {}
+            for m, c in rows[i][j]:
+                for a, b, w in coal.comul_row(m):
+                    sp_add(lhs, (a, b), c * w)
+            rhs: dict = {}
+            for a, b, w in coal.comul_row(i):
+                ra, rb = rows[a], rows[b]
+                for a2, b2, w2 in coal.comul_row(j):
+                    if (ps := ra[a2]) and (qs := rb[b2]):
+                        c = w * w2
+                        for p, cp in ps:
+                            for q, cq in qs:
+                                sp_add(rhs, (p, q), c * cp * cq)
+            if lhs != rhs:
+                yield (i, j)
+
+
+def _measuring_reference(h, action, alg, acting=None):
+    """The scan measuring_failures ran over every (x, y), kept as the
+    reference for its row accumulators."""
+    rows = action._rows
+    mult = alg.mult._rows
+    na = action.dims[1]
+    for i in range(h.dim) if acting is None else acting:
+        ri = rows[i]
+        delta = h.coalgebra.comul_row(i)
+        for x in range(na):
+            left = [(mult[k], rows[b], c * ck) for a, b, c in delta for k, ck in rows[a][x]]
+            mx = mult[x]
+            for y in range(na):
+                lhs: dict = {}
+                for k, ck in mx[y]:
+                    for m, cm in ri[k]:
+                        sp_add(lhs, m, ck * cm)
+                rhs: dict = {}
+                for mk, rb, c in left:
+                    for k2, c2 in rb[y]:
+                        cc = c * c2
+                        for m, cm in mk[k2]:
+                            sp_add(rhs, m, cc * cm)
+                if lhs != rhs:
+                    yield (i, x, y)
+
+
+def _quantum_commutativity_reference(r, alg, action):
+    """The scan quantum_commutativity_failures ran through mul_sparse, kept
+    as the reference for its inline products."""
+    r_items = list(r.items())
+    for a in range(alg.dim):
+        moved_a = [dict(action.row(r1, a)) for (r1, _), _ in r_items]
+        for b in range(alg.dim):
+            rhs: dict = {}
+            for ((_, r2), c), va in zip(r_items, moved_a):
+                for k, w in alg.mul_sparse(dict(action.row(r2, b)), va).items():
+                    sp_add(rhs, k, c * w)
+            if alg.mul_sparse({a: 1}, {b: 1}) != rhs:
+                yield (a, b)
+
+
+def _adjoint_reference(h):
+    """adjoint_action_tensor by the entry stream into from_entries it used
+    before: h .ad x = h_(1) x S(h_(2)), cell by cell through mul_sparse."""
+    n = h.dim
+    s_cols = h.antipode.cols
+
+    def entries():
+        for i in range(n):
+            for j in range(n):
+                cell: dict = {}
+                for a, b, c in h.coalgebra.comul_row(i):
+                    for m, cm in h.algebra.mul_sparse(dict(h.algebra.mul_row(a, j)),
+                                                      s_cols[b]).items():
+                        sp_add(cell, m, c * cm)
+                for m, cm in cell.items():
+                    yield i, j, m, cm
+
+    return Tensor3.from_entries((n, n, n), entries())
+
+
+def _hopf_twins(h):
+    """h and its one-constant twins: the product, the coproduct or the
+    antipode moved alone."""
+    n = h.dim
+    anti = [dict(col) for col in h.antipode.cols]
+    k, c = next(iter(anti[n - 1].items()))
+    anti[n - 1][k] = c + 1
+    anti[0][n - 1] = anti[0].get(n - 1, 0) + F(1, 2)
+    anti = LinearMap(n, n, [{k: c for k, c in col.items() if c} for col in anti])
+    return [h, HopfData(h.algebra, h.coalgebra, anti),
+            *(HopfData(StructureAlgebra(n, t, h.unit), h.coalgebra, h.antipode)
+              for t in _fault_twins(h.mult)),
+            *(HopfData(h.algebra, StructureCoalgebra(n, t, h.counit), h.antipode)
+              for t in _fault_twins(h.comult))]
+
+
+HOPF_HOSTS = ["kS3", "D(kZ2)", "D(kS3)", "kZ2 on 1, 2g", "kZ2 on 1, g/2"]
+
+
+@pytest.mark.parametrize("host", HOPF_HOSTS)
+def test_partnered_comult_scan_lists_the_full_scans_failures(host, request):
+    # each twin of the product or coproduct, on every index and on S
+    h = _hopf_host(host, request)
+    failing = 0
+    for t in _hopf_twins(h):
+        for right in (range(h.dim), h.algebra.generators):
+            got = list(hopfcore.comult_multiplicative_failures(t.algebra, t.coalgebra, right))
+            assert got == list(_comult_multiplicative_reference(t.algebra, t.coalgebra, right))
+            failing += bool(got)
+    assert failing
+    assert not list(hopfcore.comult_multiplicative_failures(h.algebra, h.coalgebra,
+                                                            range(h.dim)))
+
+
+@pytest.mark.parametrize("host", HOPF_HOSTS)
+def test_adjoint_tensor_is_the_formula_cell_by_cell(host, request):
+    # scalar types included: the cells are rat-normalised as from_entries did
+    from hopfsmash.qtriang import adjoint_action_tensor
+    for t in _hopf_twins(_hopf_host(host, request)):
+        assert _typed(adjoint_action_tensor(t)) == _typed(_adjoint_reference(t))
+
+
+def _measuring_worlds(request):
+    """(name, H, action, A): the adjoint action of each Hopf host on itself
+    and the module algebras k^3 over kS3, k^2 over kZ2 and kZ2 over D(kZ2)."""
+    from hopfsmash.qtriang import adjoint_action_tensor
+    worlds = []
+    for name in HOPF_HOSTS:
+        h = _hopf_host(name, request)
+        worlds.append((name, h, adjoint_action_tensor(h), h.algebra))
+    for name, m in (("k3 over kS3", request.getfixturevalue("m3")),
+                    ("k2 over kZ2", dm.k2_module_algebra_over_z2()),
+                    ("kZ2 over D(kZ2)", request.getfixturevalue("double_mod_z2")[0])):
+        worlds.append((name, m.host, m.action, m.A))
+    return worlds
+
+
+@pytest.mark.parametrize("world", [*HOPF_HOSTS, "k3 over kS3", "k2 over kZ2", "kZ2 over D(kZ2)"])
+def test_accumulated_measuring_scan_lists_the_full_scans_failures(world, request):
+    # twins of the action, of the algebra acted on and of the coproduct,
+    # acting on every index and on S
+    _, h, action, alg = next(w for w in _measuring_worlds(request) if w[0] == world)
+    na = alg.dim
+    cases = [(h, action, alg), *((h, t, alg) for t in _fault_twins(action)),
+             *((h, action, StructureAlgebra(na, t, alg.unit)) for t in _fault_twins(alg.mult)),
+             *((HopfData(h.algebra, StructureCoalgebra(h.dim, t, h.counit), h.antipode),
+                action, alg) for t in _fault_twins(h.comult))]
+    failing = 0
+    for args in cases:
+        for acting in (None, h.algebra.generators):
+            got = list(hopfcore.measuring_failures(*args, acting))
+            assert got == list(_measuring_reference(*args, acting))
+            failing += bool(got)
+    assert failing
+    assert not list(hopfcore.measuring_failures(h, action, alg))
+
+
+def _qc_worlds(request):
+    """(name, r, A, action): k^3 over kS3 under R = 1, k^2 over kZ2 under
+    R-, the doubles D(kZ2) and D(kS3) on themselves by ad under their R, and
+    H_R^* over (H^op, R^21) for kS3 and D(kZ2)."""
+    from hopfsmash.qtriang import adjoint_action_tensor, hr_star_algebra, transmute
+    m3, q_s3 = request.getfixturevalue("m3"), request.getfixturevalue("q_s3")
+    k2 = dm.k2_module_algebra_over_z2()
+    worlds = [("k3 over kS3", q_s3.R, m3.A, m3.action),
+              ("k2 over kZ2 R-", dm.minus_r_z2(k2.host).R, k2.A, k2.action)]
+    for name, fixture in (("D(kZ2)", "double_z2"), ("D(kS3)", "double_s3")):
+        dh, q = request.getfixturevalue(fixture)
+        worlds.append((name, q.R, dh.algebra, adjoint_action_tensor(dh)))
+    d2 = request.getfixturevalue("double_z2")[1]
+    for name, q in (("H_R* of kS3", q_s3), ("H_R* of D(kZ2)", d2)):
+        bg = transmute(q)
+        worlds.append((name, q.R.flip(), hr_star_algebra(bg), bg.dual_right_action))
+    return worlds
+
+
+@pytest.mark.parametrize("world", ["k3 over kS3", "k2 over kZ2 R-", "D(kZ2)", "D(kS3)",
+                                   "H_R* of kS3", "H_R* of D(kZ2)"])
+def test_inline_quantum_commutativity_lists_the_full_scans_failures(world, request):
+    _, r, alg, action = next(w for w in _qc_worlds(request) if w[0] == world)
+    cases = [(alg, action), *((alg, t) for t in _fault_twins(action)),
+             *((StructureAlgebra(alg.dim, t, alg.unit), action) for t in _fault_twins(alg.mult))]
+    failing = 0
+    for a, t in cases:
+        got = list(hopfcore.quantum_commutativity_failures(r, a, t))
+        assert got == list(_quantum_commutativity_reference(r, a, t))
+        failing += bool(got)
+    assert failing
 
 
 # ---------------------------------------------------------------------------
