@@ -82,18 +82,26 @@ from . import demos as dm
 # serialization
 # ---------------------------------------------------------------------------
 
+class Tokens(list):
+    """A row of `rat_str` tokens ([-0-9/], never escaped in JSON), so that
+    `_encode` writes it with one str.join."""
+
+    __slots__ = ()    # as small as a list: no per-row __dict__
+
+
 def ser_vec(v):
-    return [rat_str(c) for c in v]
+    return Tokens(rat_str(c) for c in v)
 
 
 def _ser_mat(m):
-    return [[rat_str(c) for c in row] for row in m]
+    return [ser_vec(row) for row in m]
 
 
 def ser_t3(t: Tensor3):
     """The dense t[i][j][k] array of "p/q" strings, built from the nonzeros."""
     d0, d1, d2 = t.dims
-    out = [[["0"] * d2 for _ in range(d1)] for _ in range(d0)]
+    zero = ["0"] * d2
+    out = [[Tokens(zero) for _ in range(d1)] for _ in range(d0)]
     for i, plane in enumerate(out):
         for j, row in enumerate(plane):
             for k, c in t.row(i, j):
@@ -104,7 +112,8 @@ def ser_t3(t: Tensor3):
 def ser_t2(t: TensorElem):
     """The dense t[i][j] array of "p/q" strings, built from the nonzeros."""
     d0, d1 = t.dims
-    out = [["0"] * d1 for _ in range(d0)]
+    zero = ["0"] * d1
+    out = [Tokens(zero) for _ in range(d0)]
     for (i, j), c in t.items():
         out[i][j] = rat_str(c)
     return out
@@ -304,10 +313,28 @@ class Workspace:
             return q, vectors
 
 
+def _encode(x) -> str:
+    """json.dumps(x), byte for byte: a Tokens row of strs is joined as it
+    stands, lists, tuples and str-keyed dicts are recursed with json's default
+    separators, and every other value (a Tokens row holding a non-str too)
+    goes to json.dumps."""
+    if type(x) is Tokens:
+        try:
+            return '["' + '", "'.join(x) + '"]' if x else "[]"
+        except TypeError:
+            return json.dumps(x)
+    if isinstance(x, (list, tuple)):
+        return "[" + ", ".join(map(_encode, x)) + "]"
+    if isinstance(x, dict) and all(isinstance(k, str) for k in x):
+        return "{" + ", ".join(json.dumps(k) + ": " + _encode(v) for k, v in x.items()) + "}"
+    return json.dumps(x)
+
+
 def _write_json(path: str, doc: dict) -> None:
-    """Write `doc` as compact JSON: with no indent, json's C encoder runs."""
+    """Write `doc` as compact JSON, byte-identical to json.dumps(doc); every
+    file the package writes goes through here."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
+        fh.write(_encode(doc))
 
 
 # ---------------------------------------------------------------------------

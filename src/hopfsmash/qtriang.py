@@ -278,9 +278,10 @@ def transmute(q: QTStructure) -> BraidedGroupData:
     for j in range(n):
         acc: dict = {}
         for (r1, r2), cr in r_items:
-            inner = h.antipode.apply_sparse(dict(ad_rows[r1][j]))
-            for m, cm in h.algebra.mul_sparse({r2: 1}, inner).items():
-                sp_add(acc, m, cr * cm)
+            if cell := ad_rows[r1][j]:    # an empty ad cell adds nothing
+                inner = h.antipode.apply_sparse(dict(cell))
+                for m, cm in h.algebra.mul_sparse({r2: 1}, inner).items():
+                    sp_add(acc, m, cr * cm)
         anti.append(acc)
     antipode_R = LinearMap(n, n, anti)
 

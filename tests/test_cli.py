@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,17 @@ from hypothesis import strategies as st
 
 from hopfsmash import __version__
 from hopfsmash import demos as dm
-from hopfsmash.cli import DEMOS, cmd_demo, main, ser_hopf, ser_t3
+from hopfsmash.cli import (
+    DEMOS,
+    Tokens,
+    Workspace,
+    _construct,
+    _encode,
+    cmd_demo,
+    main,
+    ser_hopf,
+    ser_t3,
+)
 
 
 def write_workspace(path):
@@ -560,7 +571,6 @@ def test_verify_hopf_from_disk_verifies_once(tmp_path, count_calls):
 
 
 def _sparse_tensor():
-    from fractions import Fraction
     from hopfsmash.exactlin import Tensor3
     return Tensor3.from_entries((2, 3, 4), [(0, 1, 3, Fraction(-2, 3)), (1, 2, 0, 5),
                                             (1, 0, 2, Fraction(7, 4))])
@@ -576,6 +586,75 @@ def test_ser_t3_matches_the_dense_serialisation():
     from hopfsmash.exactlin import rat_str
     t = _sparse_tensor()
     assert ser_t3(t) == [[[rat_str(c) for c in row] for row in plane] for plane in t.dense()]
+
+
+# ---------------------------------------------------------------------------
+# the writer: _encode(doc) is json.dumps(doc), byte for byte
+# ---------------------------------------------------------------------------
+
+RATS = st.builds(lambda p, q: str(Fraction(p, q)), st.integers(-10**9, 10**9),
+                 st.integers(1, 10**4))
+TOKEN_ROWS = st.lists(RATS, max_size=6).map(Tokens)
+
+
+def _mutated(row, at, value):
+    row = Tokens(row)
+    row[at % len(row)] = value
+    return row
+
+
+# a Tokens row that a test has mutated to hold a non-str, as the malformed
+# workspace tests do
+MUTATED_ROWS = st.builds(_mutated, st.lists(RATS, min_size=1, max_size=6), st.integers(0, 5),
+                         st.one_of(st.booleans(), st.none(), st.integers()))
+TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\n\x1f\x7f\u00e9\u2028\U0001f600'),
+                         st.characters()), max_size=8)
+JSON_SCALARS = st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+DOCS = st.recursive(
+    st.one_of(JSON_SCALARS, TOKEN_ROWS, MUTATED_ROWS),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(TEXT, children, max_size=4),
+                               st.dictionaries(JSON_SCALARS, children, max_size=4)),
+    max_leaves=24)
+
+
+@given(DOCS)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+def test_encode_is_json_dumps(doc):
+    assert _encode(doc) == json.dumps(doc)
+
+
+def test_encode_joins_token_rows():
+    assert _encode(Tokens(["-2/3", "0", "5"])) == '["-2/3", "0", "5"]'
+    assert _encode(Tokens()) == "[]" == json.dumps(Tokens())
+    assert _encode({"t": [Tokens([""]), Tokens(["1", True])]}) == '{"t": [[""], ["1", true]]}'
+
+
+def _token_rows(x):
+    if isinstance(x, Tokens):
+        yield x
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _token_rows(y)
+    elif isinstance(x, dict):
+        for y in x.values():
+            yield from _token_rows(y)
+
+
+RECIPES = ("group-algebra:s3", "dual:s3", "double:z2", "double:s3", "heisenberg:z2",
+           "heisenberg:s3", "smash:k3s3", "smash-wha:k3s3", "build-B:k3s3",
+           "transmute:qs3-trivial", "nd:transpositions", "decompose-hr:qs3-trivial")
+
+
+def test_encode_is_json_dumps_on_every_recipe(tmp_path):
+    ws = Workspace.load(str(_starter_workspace(tmp_path / "ws.json")))
+    for recipe in RECIPES:
+        payload, rep = _construct(ws, recipe)
+        doc = {"objects": {recipe: payload.pop("constructed")}, "report": rep.to_dict()}
+        doc.update(payload)
+        assert any(_token_rows(doc)), recipe
+        assert _encode(doc) == json.dumps(doc), recipe
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 `exactlin.Echelon` grows the subspaces of `generating_set`, `span_closure`
 and `_min_poly`; `qtriang.transmuted_coaction` is Delta_R in `transmute` and
-rho_R in `yd_to_comodule`; `hopfcore.map_legs` applies f (x) g to a two-leg
+rho_R in `yd_to_comodule`, and `transmute`'s S_R loop skips empty ad cells; `hopfcore.map_legs` applies f (x) g to a two-leg
 element and `hopfcore.leg_map` reads one as a map.  The code each of them
 replaced is kept here as a reference, and the kernels must give the same
 answers on the worlds the suite builds and on seeded inputs with Fractions:
@@ -379,6 +379,30 @@ def test_transmuted_coaction_reads_r_in_order(double_s3):
     swapped = unverified_qt(h, q.R.flip())
     assert q.R.flip() != q.R
     assert transmuted_coaction(swapped, h.comult, ad) != transmuted_coaction(q, h.comult, ad)
+
+
+def _antipode_r_reference(q, ad):
+    """S_R(e_j) = sum R^2 S(R^1 .ad e_j), over every R term."""
+    h = q.host
+    anti = []
+    for j in range(h.dim):
+        acc = {}
+        for (r1, r2), cr in q.R.items():
+            inner = h.antipode.apply_sparse(dict(ad._rows[r1][j]))
+            for m, cm in h.algebra.mul_sparse({r2: 1}, inner).items():
+                _add(acc, m, cr * cm)
+        anti.append(acc)
+    return anti
+
+
+def test_antipode_r_is_the_old_loop(qt_worlds):
+    # the loop now skips an R term whose ad cell is empty; the columns must
+    # come out the same, key order and scalar types included
+    for name, q in qt_worlds.items():
+        bg = transmute(q)
+        got = [[(k, c, type(c)) for k, c in col.items()] for col in bg.antipode_R.cols]
+        ref = _antipode_r_reference(q, bg.adjoint_action)
+        assert got == [[(k, c, type(c)) for k, c in col.items()] for col in ref], name
 
 
 # ---------------------------------------------------------------------------

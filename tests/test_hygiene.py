@@ -4,8 +4,9 @@ already imports from at top level or that does not import its module (only an
 import cycle justifies a function-local import), the package imports nothing
 outside the standard library, each object verifier runs only in its
 class's cached `report` property (or in the CLI's suites), no package code
-divides with `/` outside `exactlin.qdiv` (an int / int is a float), and no
-package code builds a tensor through `from_row_dicts`.
+divides with `/` outside `exactlin.qdiv` (an int / int is a float), no
+package code builds a tensor through `from_row_dicts`, and package code opens
+a file for writing only in `cli._write_json`, the one writer.
 
 An AST scan stands in for pyflakes: a name bound by an import counts as used
 when it appears anywhere in the module as a name, as the root of an
@@ -315,3 +316,50 @@ def test_scan_finds_row_dict_builds():
            "g = from_row_dicts\n"
            "h = from_row_dicts((1, 1, 1), {})\n")
     assert row_dict_builds(src) == [4, 6]
+
+
+def file_writes(source: str, module: str) -> list:
+    """Line of every call that writes a file: `write_text`, `write_bytes`, or
+    an `open` whose mode is not a literal without w, a, x and + (the mode is
+    the `mode` keyword, else the second argument of `open(...)` and the first
+    of `x.open(...)`; no mode reads), except inside cli's `_write_json`, so
+    every file the package writes is byte-identical to json.dumps."""
+    tree = ast.parse(source)
+    allowed = {id(node) for fn in ast.walk(tree)
+               if module == "cli" and isinstance(fn, ast.FunctionDef)
+               and fn.name == "_write_json" for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in allowed:
+            continue
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            found.append(node.lineno)
+        elif name == "open":
+            at = 1 if isinstance(f, ast.Name) else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[at] if len(node.args) > at else None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and isinstance(mode.value, str)
+                                         and not set("wax+") & set(mode.value)):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_files_are_written_only_by_write_json(path):
+    assert file_writes(path.read_text(), path.stem) == []
+
+
+def test_scan_finds_file_writes():
+    src = ("import os\n"
+           "def _write_json(path, doc):\n"
+           "    with open(path, 'w', encoding='utf-8') as fh:\n"
+           "        fh.write(doc)\n"
+           "def load(path, p, mode):\n"
+           "    open(path), open(path, 'rb'), open(path, mode='r'), p.open()\n"
+           "    open(path, 'a'), open(path, mode='r+'), open(path, mode)\n"
+           "    p.open('x'), p.write_text(''), os.open(path, os.O_WRONLY)\n")
+    assert file_writes(src, "cli") == [7, 7, 7, 8, 8, 8]
+    assert file_writes(src, "smashcons") == [3, 7, 7, 7, 8, 8, 8]

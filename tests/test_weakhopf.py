@@ -2,14 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from hopfsmash import adjstable
 from hopfsmash import demos as dm
 from hopfsmash import weakhopf
-from hopfsmash.exactlin import LinearMap, Subspace, Tensor3, rank, sp, vec_dot
+from hopfsmash.exactlin import LinearMap, Subspace, Tensor3, TensorElem, rank, sp, vec_dot
 from hopfsmash.hopfcore import (
     HopfData,
     StructureAlgebra,
     StructureCoalgebra,
     dual_hopf,
+    tensor_mul_sparse,
     verify_hopf,
 )
 from hopfsmash.qtriang import verify_qt
@@ -397,6 +399,56 @@ def test_almost_triangular_report_on_triangular_smash(sws18):
     rep = almost_triangular_wha_report(wq)
     assert rep.ok
     assert rep.find("almost_triangular").passed
+
+
+def _cond6_reference(wq):
+    """The first (i, j) of all n^2 pairs where z = R^21 R does not commute
+    with the corner Delta(1)(e_i (x) e_j)Delta(1); None when there is none."""
+    w = wq.host
+    algs2 = (w.algebra, w.algebra)
+    z = tensor_mul_sparse(algs2, wq.Rw.flip().terms, wq.Rw.terms)
+    d1 = w.delta_one
+    for i in range(w.dim):
+        for j in range(w.dim):
+            corner = tensor_mul_sparse(algs2, tensor_mul_sparse(algs2, d1, {(i, j): 1}), d1)
+            if tensor_mul_sparse(algs2, z, corner) != tensor_mul_sparse(algs2, corner, z):
+                return (i, j)
+    return None
+
+
+@pytest.fixture(scope="module")
+def corner_worlds(double_z2, double_s3, b54, q_s3, ip_s3, bg_s3, hr_decomposition,
+                  transposition_block):
+    """D(kZ2), D(kS3) and B, and the N_D that nd_transport_report builds for
+    the transpositions (read off its second almost-triangular report)."""
+    seen = []
+    real = adjstable.almost_triangular_wha_report
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adjstable, "almost_triangular_wha_report",
+                   lambda wq: seen.append(wq) or real(wq))
+        adjstable.nd_transport_report(transposition_block, q_s3, ip_s3, bg_s3,
+                                      hr_decomposition)
+    worlds = {name: WeakQTStructure(WeakHopfData.from_hopf(dd), q.R, q.Rinv)
+              for name, (dd, q) in (("D(kZ2)", double_z2), ("D(kS3)", double_s3))}
+    return {**worlds, "B": b54.rqt, "N_D": seen[1]}
+
+
+def test_cond6_corners_match_the_all_pairs_loop(corner_worlds):
+    # the report forms only the corners that Delta(1) can reach; twins of N_D
+    # with one cell of R moved by +1 perturb z so that cond6 fails
+    nd = corner_worlds["N_D"]
+    n = nd.host.dim
+    twins = {}
+    for cell in ((12, 9), (15, 11)):
+        terms = dict(nd.Rw.terms)
+        terms[cell] = terms.get(cell, 0) + 1
+        twins[f"N_D {cell}"] = WeakQTStructure(
+            nd.host, TensorElem.from_entries((n, n), terms.items()), nd.Rw_bar)
+    for name, wq in {**corner_worlds, **twins}.items():
+        check = almost_triangular_wha_report(wq).find("cond6_z_central_in_corner")
+        ref = _cond6_reference(wq)
+        assert (check.passed, check.witness) == (ref is None, ref), name
+        assert (ref is None) == (name in ("D(kZ2)", "B", "N_D")), name
 
 
 def test_counital_consequences_on_smash(sws18):
