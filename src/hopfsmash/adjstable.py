@@ -32,12 +32,14 @@ from .hopfcore import (
     HopfData,
     StructureAlgebra,
     StructureCoalgebra,
+    certified_scan,
     check_map,
     co_opposite,
     coassociativity_failures,
     convolution_algebra,
     counit_law_failures,
     end_algebra,
+    host_generators,
     map_legs,
     module_law_failures,
     opposite_algebra,
@@ -119,7 +121,8 @@ def verify_yd(v: YetterDrinfeldData, subject: str = "yetter_drinfeld") -> Verifi
     one = h.algebra.unit_sparse
     rep.check("action_unital",
               ((x,) for x in range(n) if v.action.act(one, {x: 1}) != {x: 1}))
-    rep.check("action_module_law", module_law_failures(h.algebra, v.action))
+    rep.check("action_module_law", certified_scan(lambda js: module_law_failures(
+        h.algebra, v.action, js), host_generators(h.algebra, h.report), range(h.dim)))
     rep.merge(verify_left_comodule(
         ComoduleData(h.coalgebra, n, v.coaction), "coaction"), "coaction.")
     return rep
@@ -206,7 +209,8 @@ def build_h_tensor_w(w: ComoduleData, h: HopfData,
 
     out = HTensorW(h, w, n, action, coaction)
     rep = VerificationReport("h_tensor_w")
-    rep.check("module_law", module_law_failures(h.algebra, action))
+    rep.check("module_law", certified_scan(lambda js: module_law_failures(h.algebra, action, js),
+                                           host_generators(h.algebra, h.report), range(nh)))
     rep.merge(verify_left_comodule(out.as_comodule(), "braided_coaction"), "braided.")
     rep.require()
     return out

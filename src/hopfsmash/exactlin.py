@@ -156,8 +156,9 @@ class LinearMap:
 
     def __post_init__(self):
         object.__setattr__(self, "cols", tuple(self.cols))
-        if len(self.cols) != self.source_dim or any(
-                not 0 <= r < self.target_dim for col in self.cols for r in col):
+        rows = set().union(*self.cols)    # every key of every column, for one min and max
+        if len(self.cols) != self.source_dim or not (
+                0 <= min(rows, default=0) and max(rows, default=-1) < self.target_dim):
             raise DimensionMismatch("columns disagree with the declared dims")
 
     @staticmethod

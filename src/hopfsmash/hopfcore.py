@@ -547,30 +547,28 @@ def module_law_failures(alg: StructureAlgebra, action: Tensor3, right=None):
     s in S: (g (w s)) . v = ((g w) s) . v = (g w) . (s . v) = g . (w . (s . v))
     = g . ((w s) . v) by associativity, s, w, s in turn; so T = A.
 
-    Only the x where a side can be nonzero are formed, read off the action's
-    cell support: e_j . v_x, or e_k . v_x for some e_k in e_i e_j, must be
-    nonzero.  Every x skipped is 0 = 0, so the failures and their order are
-    those of the scan over every x.
+    Pair (i, j) accumulates both sides over every x in one flat dict keyed
+    x nv + y, from nonzero terms only: the entries of e_k . for e_k in e_i e_j,
+    and the nonempty cells (x, e_j . v_x) read through row i.  Every x with no
+    nonzero key is 0 = 0, so the failures and their order are the full scan's.
     """
-    rows = action._rows
-    mult = alg.mult._rows
+    rows, mult, nv = action._rows, alg.mult._rows, action.dims[2]
     acts = action.support()[0]    # acts[k]: the x with e_k . v_x nonzero
-    for i in range(alg.dim):
-        ri = rows[i]
+    entries = [[(x * nv + y, w) for x in xs for y, w in plane[x]]    # e_k . as (x nv + y, w)
+               for plane, xs in zip(rows, acts)]
+    for i, ri in enumerate(rows):
         for j in range(alg.dim) if right is None else right:
-            rij = mult[i][j]
-            rj = rows[j]
-            for x in sorted(set(acts[j]).union(*(acts[k] for k, _ in rij))):
-                lhs: dict = {}
-                for k, c in rij:
-                    for y, w in rows[k][x]:
-                        sp_add(lhs, y, c * w)
-                rhs: dict = {}
-                for k, c in rj[x]:
+            acc: dict = {}    # x nv + y -> v_y in (e_i e_j) . v_x - e_i . (e_j . v_x)
+            for k, c in mult[i][j]:
+                for key, w in entries[k]:
+                    acc[key] = acc.get(key, 0) + c * w
+            for x in acts[j]:
+                for k, c in rows[j][x]:
                     for y, w in ri[k]:
-                        sp_add(rhs, y, c * w)
-                if lhs != rhs:
-                    yield (i, j, x)
+                        key = x * nv + y
+                        acc[key] = acc.get(key, 0) - c * w
+            if any(acc.values()):
+                yield from ((i, j, x) for x in sorted({key // nv for key, v in acc.items() if v}))
 
 
 def measuring_failures(h: HopfData, action: Tensor3, alg: StructureAlgebra, acting=None):

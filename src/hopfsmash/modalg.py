@@ -27,6 +27,8 @@ from .hopfcore import (
     HopfData,
     StructureAlgebra,
     casimir_failures,
+    certified_scan,
+    host_generators,
     leg_map,
     map_legs,
     measuring_failures,
@@ -68,6 +70,8 @@ class SeparabilityData:
 
 
 def verify_module_algebra(m: ModuleAlgebraData, subject: str = "module_algebra") -> VerificationReport:
+    """The module-algebra axioms; the module law, then measuring once it has
+    passed, is scanned on S by certified_scan when host_generators allows."""
     rep = VerificationReport(subject)
     h, A = m.host, m.A
     nh, na = h.dim, A.dim
@@ -76,9 +80,12 @@ def verify_module_algebra(m: ModuleAlgebraData, subject: str = "module_algebra")
     rep.check("action_unital", ((a,) for a in range(na)
                                 if act(h.algebra.unit_sparse, {a: 1}) != {a: 1}))
 
-    rep.check("action_module_law", module_law_failures(h.algebra, m.action))
+    gens = host_generators(h.algebra, h.report)
+    module_ok = rep.check("action_module_law", certified_scan(
+        lambda js: module_law_failures(h.algebra, m.action, js), gens, range(nh)))
 
-    rep.check("measuring", measuring_failures(h, m.action, A))
+    rep.check("measuring", certified_scan(lambda hs: measuring_failures(h, m.action, A, hs),
+                                          gens if module_ok else None, range(nh)))
 
     one_a = A.unit_sparse
     eps = h.counit

@@ -221,7 +221,7 @@ class BraidedGroupData:
         """verify_braided_group(self), computed once; shared, so read it."""
         return verify_braided_group(self)
 
-    @property
+    @cached_property
     def braided_coalgebra(self) -> StructureCoalgebra:
         return StructureCoalgebra(self.host.host.dim, self.comult_R, self.host.host.counit)
 
@@ -304,12 +304,10 @@ def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
     failing cases.
     """
     rep = VerificationReport("braided_group")
-    q = bg.host
-    h = q.host
+    h = bg.host.host
     n = h.dim
     alg = h.algebra
     ad = bg.adjoint_action
-    ad_rows = ad._rows
     rep.merge(verify_coalgebra(bg.braided_coalgebra), "braided.")
 
     rep.check("adjoint_unital", ((i,) for i in range(n)
@@ -326,48 +324,13 @@ def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
     rep.check("adjoint_measuring", certified_scan(
         lambda hs: measuring_failures(h, ad, alg, hs), acting, range(n)))
 
-    coal_R = bg.braided_coalgebra
-
-    def comult_R_failures(hs):
-        """Pairs (i, x) with Delta_R(h .ad x) != (h_(1) .ad x_(1)) (x) (h_(2) .ad x_(2)),
-        h = e_i, x_(1) (x) x_(2) = Delta_R(x).
-
-        Once the module law holds and Delta is multiplicative, i in S is
-        enough: if T = {w : Delta_R(w .ad x) = (w_(1) .ad x_(1)) (x)
-        (w_(2) .ad x_(2)) for all x} holds S, then for w in T, s in S:
-        Delta_R((w s) .ad x) = Delta_R(w .ad (s .ad x))
-        = (w_(1) .ad (s .ad x)_(1)) (x) (w_(2) .ad (s .ad x)_(2))
-        = (w_(1) .ad (s_(1) .ad x_(1))) (x) (w_(2) .ad (s_(2) .ad x_(2)))
-        = ((w_(1) s_(1)) .ad x_(1)) (x) ((w_(2) s_(2)) .ad x_(2))
-        = ((w s)_(1) .ad x_(1)) (x) ((w s)_(2) .ad x_(2))
-        by the module law, w, s, the module law and Delta(w s) = Delta(w) Delta(s);
-        so T = H.
-        """
-        for i in hs:
-            ri = ad_rows[i]
-            delta = h.coalgebra.comul_row(i)
-            for x in range(n):
-                lhs: dict = {}
-                for k, ck in ri[x]:
-                    for p, p2, w in coal_R.comul_row(k):
-                        sp_add(lhs, (p, p2), ck * w)
-                rhs: dict = {}
-                for a, b, c in delta:
-                    ra, rb = ad_rows[a], ad_rows[b]
-                    for p, p2, w in coal_R.comul_row(x):
-                        cw = c * w
-                        for k1, c1 in ra[p]:
-                            for k2, c2 in rb[p2]:
-                                sp_add(rhs, (k1, k2), cw * c1 * c2)
-                if lhs != rhs:
-                    yield (i, x)
-
-    rep.check("comult_R_module_map", certified_scan(comult_R_failures, acting, range(n)))
+    rep.check("comult_R_module_map", certified_scan(
+        lambda hs: comult_R_failures(bg, hs), acting, range(n)))
 
     def braided_antipode_failures():
         for i in range(n):
             acc: dict = {}
-            for j, k, c in coal_R.comul_row(i):
+            for j, k, c in bg.braided_coalgebra.comul_row(i):
                 for m, cm in alg.mul_sparse(bg.antipode_R.cols[j], {k: 1}).items():
                     sp_add(acc, m, c * cm)
             if acc != sp_scale(alg.unit_sparse, h.counit[i]):
@@ -375,6 +338,48 @@ def verify_braided_group(bg: BraidedGroupData) -> VerificationReport:
 
     rep.check("braided_antipode_identity", braided_antipode_failures())
     return rep
+
+
+def comult_R_failures(bg: BraidedGroupData, acting):
+    """Pairs (i, x), i in `acting`, with Delta_R(h .ad x) !=
+    (h_(1) .ad x_(1)) (x) (h_(2) .ad x_(2)), h = e_i, x_(1) (x) x_(2) = Delta_R(x).
+
+    Once the module law holds and Delta is multiplicative, i in S is
+    enough: if T = {w : Delta_R(w .ad x) = (w_(1) .ad x_(1)) (x)
+    (w_(2) .ad x_(2)) for all x} holds S, then for w in T, s in S:
+    Delta_R((w s) .ad x) = Delta_R(w .ad (s .ad x))
+    = (w_(1) .ad (s .ad x)_(1)) (x) (w_(2) .ad (s .ad x)_(2))
+    = (w_(1) .ad (s_(1) .ad x_(1))) (x) (w_(2) .ad (s_(2) .ad x_(2)))
+    = ((w_(1) s_(1)) .ad x_(1)) (x) ((w_(2) s_(2)) .ad x_(2))
+    = ((w s)_(1) .ad x_(1)) (x) ((w s)_(2) .ad x_(2))
+    by the module law, w, s, the module law and Delta(w s) = Delta(w) Delta(s);
+    so T = H.
+
+    Pair (i, x) accumulates both sides in one flat dict keyed k1 n + k2.  A
+    term e_a (x) e_b of Delta(e_i), grouped under each e_p that e_a acts on,
+    meets only the terms e_p (x) e_p2 of Delta_R(x), and skips (b, p2) empty.
+    """
+    h, ad = bg.host.host, bg.adjoint_action
+    n, ad_rows, acts, rows_R = h.dim, ad._rows, ad.support()[0], bg.braided_coalgebra.rows
+    groups = [by_leg({(p, p2): w for p, p2, w in row}, 0) for row in rows_R]    # Delta_R(x)
+    for i in acting:
+        mates = by_leg({(p, a, b): c for a, b, c in h.coalgebra.comul_row(i) for p in acts[a]}, 0)
+        for x, gx in enumerate(groups):
+            acc: dict = {}    # k1 n + k2 -> lhs - rhs at e_k1 (x) e_k2
+            for k, ck in ad_rows[i][x]:
+                for p, p2, w in rows_R[k]:
+                    acc[p * n + p2] = acc.get(p * n + p2, 0) + ck * w
+            for p in meeting(gx, mates):
+                for (_, a, b), c in mates.get(p, ()):
+                    first, rb = ad_rows[a][p], ad_rows[b]
+                    for (_, p2), w in gx[p]:
+                        if second := rb[p2]:
+                            for k1, c1 in first:
+                                base, cc1 = k1 * n, c * w * c1
+                                for k2, c2 in second:
+                                    acc[base + k2] = acc.get(base + k2, 0) - cc1 * c2
+            if any(acc.values()):
+                yield (i, x)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ from hypothesis import strategies as st
 
 from hopfsmash import demos as dm
 from hopfsmash import hopfcore
+from hopfsmash.adjstable import (
+    ComoduleData,
+    YetterDrinfeldData,
+    build_h_tensor_w,
+    verify_yd,
+)
 from hopfsmash.exactlin import (
     DimensionMismatch,
     LinearMap,
@@ -43,7 +49,8 @@ from hopfsmash.hopfcore import (
     verify_coalgebra,
     verify_hopf,
 )
-from hopfsmash.modalg import pointwise_algebra
+from hopfsmash.modalg import ModuleAlgebraData, pointwise_algebra, verify_module_algebra
+from hopfsmash.qtriang import BraidedGroupData, comult_R_failures, transmute
 from hopfsmash.report import HypothesisFailure
 
 
@@ -354,6 +361,21 @@ def test_linear_map_refuses_misfit_shapes():
         LinearMap(1, 2, [{2: F(1)}])
 
 
+@pytest.mark.parametrize("cols", [[{0: 1}, {3: 1}], [{-1: 1}, {0: 1}], [{0: 1, 2: 1, 5: 2}, {}],
+                                  [{}, {-2: 1, 1: 1}], [{1: 1}, {0: 1, -1: 1, 3: 1}]])
+def test_linear_map_refuses_every_out_of_range_key(cols):
+    # the range check reads every key of every column, wherever it sits
+    with pytest.raises(DimensionMismatch, match="declared dims"):
+        LinearMap(2, 3, cols)
+
+
+def test_linear_map_accepts_every_in_range_shape():
+    assert LinearMap(2, 3, [{0: 1, 2: 1}, {1: 1}]).matrix == ((1, 0), (0, 1), (1, 0))
+    assert LinearMap(2, 3, [{}, {}]).rank() == 0
+    assert LinearMap(2, 0, [{}, {}]).target_dim == 0
+    assert LinearMap(0, 3, []).cols == ()
+
+
 def test_drinfeld_double_kz2(kz2, double_z2):
     dd, q = double_z2
     assert dd.dim == 4
@@ -409,7 +431,7 @@ def test_double_makes_host_module_algebra(kz2, double_z2):
     # action formulas must make H a quantum commutative module algebra
     from hopfsmash.smashcons import double_module_algebra
     m, q = double_module_algebra(kz2, double_z2)
-    from hopfsmash.modalg import is_quantum_commutative, verify_module_algebra
+    from hopfsmash.modalg import is_quantum_commutative
     assert verify_module_algebra(m).ok
     assert is_quantum_commutative(q, m) == (True, None)
 
@@ -800,21 +822,136 @@ def test_indexed_algebra_map_scan_lists_the_full_scans_failures(host, request):
     assert not list(hopfcore.algebra_map_failures(ident, alg, alg))
 
 
-@pytest.mark.parametrize("host", LAW_HOSTS)
+def _grouplike_comodule(bg, indices):
+    """The k-span of group-like basis elements of H_R as a left H_R-comodule."""
+    m, n = len(indices), bg.host.host.dim
+    return ComoduleData(bg.braided_coalgebra, m, Tensor3.from_entries(
+        (m, n, m), [(a, g, a, 1) for a, g in enumerate(indices)]))
+
+
+MODULE_ACTIONS = ["ad on kS3", "k^3 over kS3", "H (x) W over kS3"]
+
+
+def _module_action(name, request):
+    """(algebra, action tensor) of a host in LAW_HOSTS acting on itself, or of
+    one of MODULE_ACTIONS: the adjoint action, the action on k^3 (nv = 3, not
+    dim H), and build_h_tensor_w's action on H (x) W, W spanned by three
+    group-likes (nv = 18)."""
+    if name in LAW_HOSTS:
+        alg, _ = _law_host(name, request)
+        return alg, alg.mult
+    ks3, bg = request.getfixturevalue("ks3"), request.getfixturevalue("bg_s3")
+    return ks3.algebra, {
+        "ad on kS3": lambda: bg.adjoint_action,
+        "k^3 over kS3": lambda: request.getfixturevalue("m3").action,
+        "H (x) W over kS3": lambda: build_h_tensor_w(
+            _grouplike_comodule(bg, [1, 2, 4]), ks3, bg).action}[name]()
+
+
+@pytest.mark.parametrize("host", LAW_HOSTS + MODULE_ACTIONS)
 def test_indexed_module_law_scan_lists_the_full_scans_failures(host, request):
-    # the regular module law (associativity) of each algebra and of its
-    # twins, with either product acting, on every index and on the generators
-    alg, _ = _law_host(host, request)
+    # the regular module law (associativity) of each algebra, and three module
+    # actions of kS3; each with the twins of the algebra and of the action, on
+    # every index and on the generators
+    alg, action = _module_action(host, request)
     twins = [StructureAlgebra(alg.dim, t, alg.unit) for t in _fault_twins(alg.mult)]
     failing = 0
     for a in (alg, *twins):
-        for action in (alg.mult, *(t.mult for t in twins)):
+        for act in (action, *_fault_twins(action)):
             for right in (None, alg.generators):
-                got = list(hopfcore.module_law_failures(a, action, right))
-                assert got == list(_module_law_reference(a, action, right))
+                got = list(hopfcore.module_law_failures(a, act, right))
+                assert got == list(_module_law_reference(a, act, right))
                 failing += bool(got)
     assert failing
-    assert not list(hopfcore.module_law_failures(alg, alg.mult))
+    assert not list(hopfcore.module_law_failures(alg, action))
+
+
+def _first_module_law_failure(alg, action):
+    return next(_module_law_reference(alg, action), None)
+
+
+def test_certified_module_law_sites_keep_the_full_scans_witness(ks3, m3, bg_s3):
+    # verify_module_algebra, verify_yd and build_h_tensor_w scan the module law
+    # on S once the host's report allows it; a failing action, and a host
+    # whose product is not associative (host_generators None, a full scan),
+    # must give the full scan's first failure
+    bad_mult = next(t for t in _fault_twins(ks3.mult)
+                    if list(_module_law_reference(StructureAlgebra(6, t, ks3.unit), t)))
+    bad = HopfData(StructureAlgebra(6, bad_mult, ks3.unit), ks3.coalgebra, ks3.antipode)
+    assert hopfcore.host_generators(bad.algebra, bad.report) is None
+    assert hopfcore.host_generators(ks3.algebra, ks3.report) == ks3.algebra.generators
+    seen = 0
+    for h in (ks3, bad):
+        for action in (m3.action, *_fault_twins(m3.action)):
+            want = _first_module_law_failure(h.algebra, action)
+            rep = verify_module_algebra(ModuleAlgebraData(h, m3.A, action))
+            assert rep.find("action_module_law").witness == want
+            assert rep.find("measuring").witness == next(
+                hopfcore.measuring_failures(h, action, m3.A), None)
+            seen += want is not None
+        for action in (bg_s3.adjoint_action, *_fault_twins(bg_s3.adjoint_action)):
+            rep = verify_yd(YetterDrinfeldData(h, action, ks3.comult))
+            assert rep.find("action_module_law").witness == _first_module_law_failure(
+                h.algebra, action)
+    w = _grouplike_comodule(bg_s3, [1, 2, 4])
+    with pytest.raises(HypothesisFailure) as refused:
+        build_h_tensor_w(w, bad, bg_s3)
+    assert refused.value.hypothesis == "h_tensor_w:module_law"
+    left_mult = Tensor3.from_entries((6, 18, 18), [
+        (t, i * 3 + v, m * 3 + v, c) for t in range(6) for i in range(6)
+        for m, c in bad.algebra.mul_row(t, i) for v in range(3)])
+    assert refused.value.witness == _first_module_law_failure(bad.algebra, left_mult)
+    assert seen >= 4
+
+
+def _comult_R_reference(bg, acting):
+    """The scan comult_R_failures ran over every pair of a Delta(e_i) term
+    with a Delta_R(x) term, kept as the reference for its partner lists."""
+    h = bg.host.host
+    ad_rows = bg.adjoint_action._rows
+    coal_R = bg.braided_coalgebra
+    for i in acting:
+        ri = ad_rows[i]
+        delta = h.coalgebra.comul_row(i)
+        for x in range(h.dim):
+            lhs: dict = {}
+            for k, ck in ri[x]:
+                for p, p2, w in coal_R.comul_row(k):
+                    sp_add(lhs, (p, p2), ck * w)
+            rhs: dict = {}
+            for a, b, c in delta:
+                ra, rb = ad_rows[a], ad_rows[b]
+                for p, p2, w in coal_R.comul_row(x):
+                    cw = c * w
+                    for k1, c1 in ra[p]:
+                        for k2, c2 in rb[p2]:
+                            sp_add(rhs, (k1, k2), cw * c1 * c2)
+            if lhs != rhs:
+                yield (i, x)
+
+
+@pytest.mark.parametrize("name", ["kS3", "D(kZ2)", "D(kS3)", "kZ2 with R-"])
+def test_comult_R_partner_lists_list_the_full_scans_failures(name, request):
+    # the braided group and the twins of its ad and Delta_R: every failure in
+    # scan order, on every index and on the generators
+    q = {"kS3": lambda: request.getfixturevalue("q_s3"),
+         "D(kZ2)": lambda: request.getfixturevalue("double_z2")[1],
+         "D(kS3)": lambda: request.getfixturevalue("double_s3")[1],
+         "kZ2 with R-": dm.minus_r_z2}[name]()
+    bg = transmute(q)
+    h = q.host
+    assert not list(comult_R_failures(bg, range(h.dim)))
+    twins = [BraidedGroupData(q, t, bg.comult_R, bg.antipode_R)
+             for t in _fault_twins(bg.adjoint_action)]
+    twins += [BraidedGroupData(q, bg.adjoint_action, t, bg.antipode_R)
+              for t in _fault_twins(bg.comult_R)]
+    failing = 0
+    for b in twins:
+        for acting in (range(h.dim), h.algebra.generators):
+            got = list(comult_R_failures(b, acting))
+            assert got == list(_comult_R_reference(b, acting))
+            failing += bool(got)
+    assert failing
 
 
 def test_indexed_module_law_scan_on_a_non_square_action(kz2, double_z2):
@@ -994,7 +1131,7 @@ def _qc_worlds(request):
     """(name, r, A, action): k^3 over kS3 under R = 1, k^2 over kZ2 under
     R-, the doubles D(kZ2) and D(kS3) on themselves by ad under their R, and
     H_R^* over (H^op, R^21) for kS3 and D(kZ2)."""
-    from hopfsmash.qtriang import adjoint_action_tensor, hr_star_algebra, transmute
+    from hopfsmash.qtriang import adjoint_action_tensor, hr_star_algebra
     m3, q_s3 = request.getfixturevalue("m3"), request.getfixturevalue("q_s3")
     k2 = dm.k2_module_algebra_over_z2()
     worlds = [("k3 over kS3", q_s3.R, m3.A, m3.action),

@@ -1,11 +1,14 @@
-"""Every reduction of `verify_hopf` and `verify_qt` against a reference that
-checks the axioms in full, on every single-cell twin of small hosts.
+"""Every reduction of `verify_hopf`, `verify_qt`, `verify_module_algebra` and
+`verify_braided_group` against a reference that checks the axioms in full,
+on every single-cell twin of small hosts.
 
 A twin moves one number by +1: a cell of μ or Δ (empty cells included), an
-entry of the unit, the counit or the antipode, or an entry of R.  The
-references below scan every index, pair and triple, with plain dict
-arithmetic and nothing from hopfsmash beyond reading the data types; each
-row of the verifier's report must give the reference's verdict and witness.
+entry of the unit, the counit or the antipode, an entry of R, a cell of a
+module algebra's action or product, or a cell of a braided group's ad, Δ_R
+or S_R.  The references below scan every index, pair and triple, with plain
+dict arithmetic and nothing from hopfsmash beyond reading the data types;
+each row of the verifier's report must give the reference's verdict and
+witness.
 """
 
 import itertools
@@ -15,7 +18,14 @@ import pytest
 from hopfsmash import demos as dm
 from hopfsmash.exactlin import LinearMap, Tensor3, TensorElem
 from hopfsmash.hopfcore import HopfData, StructureAlgebra, StructureCoalgebra, verify_hopf
-from hopfsmash.qtriang import QTStructure, verify_qt
+from hopfsmash.modalg import ModuleAlgebraData, verify_module_algebra
+from hopfsmash.qtriang import (
+    BraidedGroupData,
+    QTStructure,
+    transmute,
+    verify_braided_group,
+    verify_qt,
+)
 
 # ---------------------------------------------------------------------------
 # dense references, from the axioms
@@ -30,12 +40,28 @@ def _add(acc, key, c):
         acc.pop(key, None)
 
 
+def _cells(t):
+    """t[i][j] as nested lists of {k: coefficient} dicts."""
+    d0, d1, _ = t.dims
+    return [[dict(t.row(i, j)) for j in range(d1)] for i in range(d0)]
+
+
+def _bilinear(cells, x, y):
+    """sum x_i y_j cells[i][j] for sparse x, y: a product or an action."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            for k, w in cells[i][j].items():
+                _add(out, k, a * b * w)
+    return out
+
+
 class _Host:
     """mul, comul, counit and antipode of a HopfData as dict arithmetic."""
 
     def __init__(self, h):
         n = self.n = h.dim
-        self.mu = [[dict(h.mult.row(i, j)) for j in range(n)] for i in range(n)]
+        self.mu = _cells(h.mult)
         self.delta = [{(a, b): c for a in range(n) for b, c in h.comult.row(i, a)}
                       for i in range(n)]
         self.eps = list(h.counit)
@@ -43,12 +69,7 @@ class _Host:
         self.s_cols = [dict(col) for col in h.antipode.cols]
 
     def mul(self, x, y):
-        out = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                for k, w in self.mu[i][j].items():
-                    _add(out, k, a * b * w)
-        return out
+        return _bilinear(self.mu, x, y)
 
     def comul(self, x):
         out = {}
@@ -85,6 +106,30 @@ def _first(cases):
     return next(iter(cases), None)
 
 
+def _coalgebra_rows(prefix, delta, eps):
+    """The counit-law and coassociativity rows of the coproduct rows delta,
+    {(a, b): coefficient} per index, with counit eps."""
+    def counit_ok(w):
+        left, right = {}, {}
+        for (a, b), c in delta[w].items():
+            _add(left, b, c * eps[a])
+            _add(right, a, c * eps[b])
+        return left == right == {w: 1}
+
+    def coassociative(w):
+        lhs, rhs = {}, {}
+        for (a, b), c in delta[w].items():
+            for (p, q), cc in delta[a].items():
+                _add(lhs, (p, q, b), c * cc)
+            for (p, q), cc in delta[b].items():
+                _add(rhs, (a, p, q), c * cc)
+        return lhs == rhs
+
+    n = len(delta)
+    return [(prefix + "counit_law", _first((w,) for w in range(n) if not counit_ok(w))),
+            (prefix + "coassociativity", _first((w,) for w in range(n) if not coassociative(w)))]
+
+
 def hopf_reference(h):
     """[(row, value)] in verify_hopf's order: a scan's value is its first
     failing case in full-scan order (None when none fails), a single test's
@@ -99,25 +144,7 @@ def hopf_reference(h):
         (i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
         if x.mul(x.mul(e[i], e[j]), e[k]) != x.mul(e[i], x.mul(e[j], e[k])))))
 
-    def counit_ok(w):
-        left, right = {}, {}
-        for (a, b), c in x.delta[w].items():
-            _add(left, b, c * x.eps[a])
-            _add(right, a, c * x.eps[b])
-        return left == right == e[w]
-
-    def coassociative(w):
-        lhs, rhs = {}, {}
-        for (a, b), c in x.delta[w].items():
-            for (p, q), cc in x.delta[a].items():
-                _add(lhs, (p, q, b), c * cc)
-            for (p, q), cc in x.delta[b].items():
-                _add(rhs, (a, p, q), c * cc)
-        return lhs == rhs
-
-    rows.append(("coalgebra.counit_law", _first((w,) for w in range(n) if not counit_ok(w))))
-    rows.append(("coalgebra.coassociativity",
-                 _first((w,) for w in range(n) if not coassociative(w))))
+    rows.extend(_coalgebra_rows("coalgebra.", x.delta, x.eps))
     one2 = {(a, b): ca * cb for a, ca in one.items() for b, cb in one.items()}
     rows.append(("comult_unital", x.comul(one) == one2))
     rows.append(("comult_multiplicative", _first(
@@ -174,6 +201,89 @@ def qt_reference(q):
     rows.append(("delta_tensor_id", d_id == x.tmul(r13, r23)))
     rows.append(("id_tensor_delta", id_d == x.tmul(r13, r12)))
     return rows
+
+
+def _module_law_first(x, act, nv):
+    """The first (i, j, v) with (e_i e_j) . e_v != e_i . (e_j . e_v) for the
+    action cells act of the host x on a space of dimension nv."""
+    e = [{i: 1} for i in range(max(x.n, nv))]
+    return _first((i, j, v) for i, j, v in itertools.product(range(x.n), range(x.n), range(nv))
+                  if _bilinear(act, x.mul(e[i], e[j]), e[v])
+                  != _bilinear(act, e[i], _bilinear(act, e[j], e[v])))
+
+
+def _measuring_first(x, act, mu, nv):
+    """The first (i, u, v) with e_i . (e_u e_v) != (h_(1) . e_u)(h_(2) . e_v)."""
+    e = [{i: 1} for i in range(max(x.n, nv))]
+
+    def measured(i, u, v):
+        rhs = {}
+        for (a, b), c in x.delta[i].items():
+            for k, w in _bilinear(mu, _bilinear(act, e[a], e[u]),
+                                  _bilinear(act, e[b], e[v])).items():
+                _add(rhs, k, c * w)
+        return _bilinear(act, e[i], _bilinear(mu, e[u], e[v])) == rhs
+
+    return _first((i, u, v) for i, u, v in itertools.product(range(x.n), range(nv), range(nv))
+                  if not measured(i, u, v))
+
+
+def module_algebra_reference(m):
+    """[(row, value)] in verify_module_algebra's order, from the axioms of an
+    H-module algebra A."""
+    x = _Host(m.host)
+    na = m.A.dim
+    act, mu = _cells(m.action), _cells(m.A.mult)
+    e = [{i: 1} for i in range(max(x.n, na))]
+    one_a = {k: c for k, c in enumerate(m.A.unit) if c}
+    return [("action_unital", _first((v,) for v in range(na)
+                                     if _bilinear(act, x.one, e[v]) != e[v])),
+            ("action_module_law", _module_law_first(x, act, na)),
+            ("measuring", _measuring_first(x, act, mu, na)),
+            ("unit_absorbed", _first(
+                (i,) for i in range(x.n)
+                if _bilinear(act, e[i], one_a)
+                != {k: x.eps[i] * c for k, c in one_a.items() if x.eps[i] * c}))]
+
+
+def braided_reference(bg):
+    """[(row, value)] in verify_braided_group's order, from the axioms of
+    (ad, Delta_R, S_R) over the host H."""
+    x = _Host(bg.host.host)
+    n = x.n
+    ad = _cells(bg.adjoint_action)
+    delta_r = [{(a, b): c for a in range(n) for b, c in bg.comult_R.row(i, a)}
+               for i in range(n)]
+    s_r = [dict(col) for col in bg.antipode_R.cols]
+    e = [{i: 1} for i in range(n)]
+
+    def module_map(i, v):
+        lhs, rhs = {}, {}
+        for k, ck in _bilinear(ad, e[i], e[v]).items():
+            for key, w in delta_r[k].items():
+                _add(lhs, key, ck * w)
+        for (a, b), c in x.delta[i].items():
+            for (p, q), w in delta_r[v].items():
+                for k1, c1 in _bilinear(ad, e[a], e[p]).items():
+                    for k2, c2 in _bilinear(ad, e[b], e[q]).items():
+                        _add(rhs, (k1, k2), c * w * c1 * c2)
+        return lhs == rhs
+
+    def antipode_ok(i):
+        acc = {}
+        for (a, b), c in delta_r[i].items():
+            for k, w in x.mul(s_r[a], e[b]).items():
+                _add(acc, k, c * w)
+        return acc == {k: x.eps[i] * c for k, c in x.one.items() if x.eps[i] * c}
+
+    return [*_coalgebra_rows("braided.", delta_r, x.eps),
+            ("adjoint_unital", _first((i,) for i in range(n)
+                                      if _bilinear(ad, x.one, e[i]) != e[i])),
+            ("adjoint_module_law", _module_law_first(x, ad, n)),
+            ("adjoint_measuring", _measuring_first(x, ad, x.mu, n)),
+            ("comult_R_module_map", _first(
+                (i, v) for i, v in itertools.product(range(n), repeat=2) if not module_map(i, v))),
+            ("braided_antipode_identity", _first((i,) for i in range(n) if not antipode_ok(i)))]
 
 
 def _mismatches(report, reference):
@@ -258,3 +368,61 @@ def test_the_references_see_a_planted_fault(ks3):
     assert rows["comult_multiplicative"] is not None
     assert rows["coalgebra.counit_law"] == (1,)
     assert dict(hopf_reference(dm.k_z2()))["algebra.associativity"] is None
+
+
+def _cell_twins(t):
+    """(i, j, k, twin) for every +1 move of one cell of t, empty cells included."""
+    for i, j, k in itertools.product(*map(range, t.dims)):
+        yield i, j, k, _moved_tensor(t, i, j, k)
+
+
+def module_algebra_twins(m):
+    """(label, twin) for every +1 move of one cell of the action or of A's product."""
+    for *cell, action in _cell_twins(m.action):
+        yield ("action", *cell), ModuleAlgebraData(m.host, m.A, action)
+    for *cell, mult in _cell_twins(m.A.mult):
+        algebra = StructureAlgebra(m.A.dim, mult, m.A.unit)
+        yield ("A.mult", *cell), ModuleAlgebraData(m.host, algebra, m.action)
+
+
+def braided_twins(bg):
+    """(label, twin) for every +1 move of one cell of ad or Delta_R, or one
+    entry of S_R."""
+    n = bg.host.host.dim
+    for *cell, ad in _cell_twins(bg.adjoint_action):
+        yield ("ad", *cell), BraidedGroupData(bg.host, ad, bg.comult_R, bg.antipode_R)
+    for *cell, comult_r in _cell_twins(bg.comult_R):
+        yield ("comult_R", *cell), BraidedGroupData(bg.host, bg.adjoint_action, comult_r,
+                                                    bg.antipode_R)
+    for r, c in itertools.product(range(n), repeat=2):
+        cols = [dict(col) for col in bg.antipode_R.cols]
+        cols[c][r] = cols[c].get(r, 0) + 1
+        cols[c] = {k: v for k, v in cols[c].items() if v}
+        yield ("antipode_R", r, c), BraidedGroupData(bg.host, bg.adjoint_action, bg.comult_R,
+                                                     LinearMap(n, n, cols))
+
+
+@pytest.mark.parametrize("name, count", [("k^3 over kS3", 81), ("k^2 over kZ2", 16)])
+def test_verify_module_algebra_twins_match_the_dense_reference(m3, name, count):
+    m = m3 if name == "k^3 over kS3" else dm.k2_module_algebra_over_z2()
+    assert _mismatches(verify_module_algebra(m), module_algebra_reference(m)) == []
+    seen = failing = 0
+    for label, twin in module_algebra_twins(m):
+        seen += 1
+        rep = verify_module_algebra(twin)
+        assert _mismatches(rep, module_algebra_reference(twin)) == [], label
+        failing += not rep.ok
+    assert seen == failing == count    # every single-cell move breaks a law
+
+
+@pytest.mark.parametrize("name, count", [("kS3", 468), ("D(kZ2)", 144)])
+def test_verify_braided_group_twins_match_the_dense_reference(bg_s3, double_z2, name, count):
+    bg = bg_s3 if name == "kS3" else transmute(double_z2[1])
+    assert _mismatches(verify_braided_group(bg), braided_reference(bg)) == []
+    seen = failing = 0
+    for label, twin in braided_twins(bg):
+        seen += 1
+        rep = verify_braided_group(twin)
+        assert _mismatches(rep, braided_reference(twin)) == [], label
+        failing += not rep.ok
+    assert seen == failing == count    # every single-cell move breaks an identity
