@@ -51,10 +51,10 @@ from .qtriang import (
     BraidedGroupData,
     QTStructure,
     adjoint_action_tensor,
+    braided_group_of,
     classify_triangularity,
     hr_dual_separability,
     qt_structure,
-    transmute,
     transmuted_coaction,
 )
 from .report import HypothesisFailure, VerificationReport
@@ -140,8 +140,7 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
     """rho_R(x) = x_<-1> S(R^2) (x) R^1 . x_<0> makes V a left H_R-comodule;
     the generated H-module subcoalgebra D_V is extracted as a subspace."""
     h = q.host
-    if bg is None:
-        bg = transmute(q)
+    bg = braided_group_of(q, bg)
     n, nh = v.dim, h.dim
     cm = ComoduleData(bg.braided_coalgebra, n, transmuted_coaction(q, v.coaction, v.action))
     rep = VerificationReport("yd_to_comodule")
@@ -458,11 +457,15 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
     D* [] (H (x) D): rho(d*_p) = sum d*_q (x) d_r over the terms d_r (x) d_p
     of Delta_R(d_q), the first leg of Delta_R going out.  A column of Phi
     outside N_D is refused as "phi-coaction-convention", the column index as
-    witness.
+    witness.  Computed once per bg and basis (the given vectors in order);
+    shared, so read it.
     """
+    bg = braided_group_of(q, bg)
+    d_basis = list(d_basis)
+    key = ("psi_phi", tuple(tuple(sorted(v.items())) for v in d_basis))
+    if key in bg.memo:
+        return bg.memo[key]
     h = q.host
-    if bg is None:
-        bg = transmute(q)
     dd = subcoalgebra_data(d_basis, q, bg)
     m = dd.dim
     nh = h.dim
@@ -521,7 +524,7 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
     rep.merge(check_map(psi, nd.carrier, s.carrier, ("algebra", "injective")), "psi.")
     rep.merge(check_map(phi, s.carrier, nd.carrier, ("algebra", "injective")), "phi.")
     rep.require()
-    return PsiPhiResult(psi, phi, nd, s, dmod, dd, rep)
+    return bg.memo.setdefault(key, PsiPhiResult(psi, phi, nd, s, dmod, dd, rep))
 
 
 def _coaction_from_subcoalgebra(dd: SubcoalgebraData, nh: int) -> Tensor3:
@@ -577,7 +580,10 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     joint eigenspaces of its left convolutions; the components F_i of the
     unit eps along those ideals are the block idempotents, and D_i = F_i ->_R
     H_R. fully_split is False, and minimality is not certified, when a
-    convolution eigenvalue is irrational and an ideal of C(H*) stays whole."""
+    convolution eigenvalue is irrational and an ideal of C(H*) stays whole.
+    Computed once per bg; shared, so read it."""
+    if "decompose_hr" in bg.memo:
+        return bg.memo["decompose_hr"]
     h = bg.host.host
     n = h.dim
     rows = []
@@ -650,7 +656,8 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     rep.check("blocks_minimal", minimality_failures() if fully_split else ())
 
     ordered = tuple(tuple(blk) for blk in blocks)
-    return HrDecomposition(ordered, tuple(idems), fully_split, rep)
+    return bg.memo.setdefault("decompose_hr",
+                              HrDecomposition(ordered, tuple(idems), fully_split, rep))
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +677,7 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
     cls = classify_triangularity(q)
     if cls.kind == "quasi_triangular_only":
         raise HypothesisFailure("almost-triangular", cls.witness)
-    if bg is None:
-        bg = transmute(q)
+    bg = braided_group_of(q, bg)
     rep = VerificationReport("nd_transport")
 
     pp = psi_phi(d_basis, q, bg)

@@ -233,6 +233,14 @@ class BraidedGroupData:
         Shared by every caller: read it, do not modify it."""
         return self.adjoint_action.permuted((0, 2, 1))
 
+    @cached_property
+    def memo(self) -> dict:
+        """What decompose_hr, psi_phi (per exact basis) and hr_dual_separability
+        (per lambda) derive from this braided group, each stored once built
+        and verified; a refused input is not stored.  Shared: read it, do not
+        modify it."""
+        return {}
+
 
 def transmuted_coaction(q: QTStructure, coaction: Tensor3, action: Tensor3) -> Tensor3:
     """rho_R(x) = x_<-1> S(R^2) (x) R^1 . x_<0>, for a left coaction tensor
@@ -287,6 +295,17 @@ def transmute(q: QTStructure) -> BraidedGroupData:
 
     bg = BraidedGroupData(q, ad, comult_R, antipode_R)
     bg.report.require()
+    return bg
+
+
+def braided_group_of(q: QTStructure, bg: BraidedGroupData | None) -> BraidedGroupData:
+    """bg, or transmute(q) when it is None.  A bg transmuted from another
+    QTStructure (bg.host is not q) is refused with ValueError: its Delta_R and
+    S_R belong to another R."""
+    if bg is None:
+        return transmute(q)
+    if bg.host is not q:
+        raise ValueError("bg was not transmuted from q")
     return bg
 
 
@@ -449,12 +468,14 @@ def hr_dual_separability(q: QTStructure, ip, bg: BraidedGroupData | None = None)
 
     Returns (x, report); the report checks swap symmetry, the separability
     equation a x = x a in H_R^*, m(x) = 1, and idempotency in the enveloping
-    algebra.
+    algebra.  Computed once per bg and lambda; shared, so read it.
     """
+    bg = braided_group_of(q, bg)
+    key = ("hr_dual_separability", tuple(sorted(ip.lam.items())))
+    if key in bg.memo:
+        return bg.memo[key]
     h = q.host
     n = h.dim
-    if bg is None:
-        bg = transmute(q)
     lam = ip.lam
     mult = h.algebra.mult._rows
     # Delta_{H*}(lambda) = sum_{a, b} <lambda, e_a e_b> e^a (x) e^b
@@ -479,7 +500,7 @@ def hr_dual_separability(q: QTStructure, ip, bg: BraidedGroupData | None = None)
     # idempotent in the enveloping algebra A (x) A^op
     rep.add("idempotent_in_enveloping_algebra",
             tensor_mul_sparse((ar, opposite_algebra(ar)), x_sp, x_sp) == x_sp)
-    return x, rep
+    return bg.memo.setdefault(key, (x, rep))
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +513,7 @@ def almost_triangular_equivalences(q: QTStructure, bg: BraidedGroupData | None =
     (H^op, R^21), (4) the adjoint module lies in the Mueger center; then
     assert they agree."""
     h = q.host
-    if bg is None:
-        bg = transmute(q)
+    bg = braided_group_of(q, bg)
     rep = VerificationReport("almost_triangular_equivalences")
 
     cls = classify_triangularity(q)

@@ -32,7 +32,7 @@ from .hopfcore import (
     convolution_algebra,
 )
 from .modalg import is_H_simple, regular_trace, trace_form
-from .qtriang import BraidedGroupData, QTStructure, hr_star_algebra, transmute
+from .qtriang import BraidedGroupData, QTStructure, braided_group_of, hr_star_algebra
 from .report import HypothesisFailure, VerificationReport
 
 MAX_RESEEDS = 3
@@ -137,8 +137,7 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
     C(H*) that `decompose_hr` splits from, checked as orthogonal idempotents
     summing to eps, each central in H_R^*, with F_i ->_R H_R = Lambda <- F_i H*
     as exact subspaces. Refused when C(H*) does not split into lines over Q."""
-    if bg is None:
-        bg = transmute(q)
+    bg = braided_group_of(q, bg)
     if decomposition is None:
         decomposition = decompose_hr(bg)
     n = h.dim

@@ -5,8 +5,11 @@ import cycle justifies a function-local import), the package imports nothing
 outside the standard library, each object verifier runs only in its
 class's cached `report` property (or in the CLI's suites), no package code
 divides with `/` outside `exactlin.qdiv` (an int / int is a float), no
-package code builds a tensor through `from_row_dicts`, and package code opens
-a file for writing only in `cli._write_json`, the one writer.
+package code builds a tensor through `from_row_dicts`, package code opens
+a file for writing only in `cli._write_json`, the one writer, and no
+`functools.cache`/`lru_cache` wraps a module-level function or method (its
+entries would live as long as the process; a memo belongs to the value that
+owns it).
 
 An AST scan stands in for pyflakes: a name bound by an import counts as used
 when it appears anywhere in the module as a name, as the root of an
@@ -363,3 +366,58 @@ def test_scan_finds_file_writes():
            "    p.open('x'), p.write_text(''), os.open(path, os.O_WRONLY)\n")
     assert file_writes(src, "cli") == [7, 7, 7, 8, 8, 8]
     assert file_writes(src, "smashcons") == [3, 7, 7, 7, 8, 8, 8]
+
+
+CACHES = ("cache", "lru_cache")
+
+
+def process_caches(source: str) -> list:
+    """Line of every `cache`/`lru_cache` (bare, as `functools.` attribute, or
+    called as `lru_cache(maxsize=...)`) outside a function body: a decorator
+    of a module-level function or method, or a module-level wrap.  A cache
+    inside a function, such as `drinfeld_double`'s `dragged`, dies with the
+    call."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if not isinstance(node, ast.Lambda):
+                for dec in node.decorator_list:
+                    visit(dec)
+            return
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in CACHES:
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_process_lifetime_caches(path):
+    assert process_caches(path.read_text()) == []
+
+
+def test_scan_finds_process_caches():
+    src = ("import functools\n"
+           "from functools import cache, cached_property, lru_cache\n"
+           "@cache\n"
+           "def f(x):\n"
+           "    @cache\n"
+           "    def local(y):\n"
+           "        return y\n"
+           "    return local(x)\n"
+           "@functools.lru_cache(maxsize=None)\n"
+           "def g(x):\n"
+           "    return x\n"
+           "class C:\n"
+           "    @cached_property\n"
+           "    def memo(self):\n"
+           "        return {}\n"
+           "    @lru_cache\n"
+           "    def m(self):\n"
+           "        return 1\n"
+           "h = cache(lambda x: x)\n")
+    assert process_caches(src) == [3, 9, 16, 19]
