@@ -9,9 +9,11 @@ N points).  Each run builds D(kG) afresh and then times, in order:
 `drinfeld_double`, split into its build and its `verify_hopf` and `verify_qt`
 reports; `adjoint_action_tensor`; `transmute` with its report;
 `verify_braided_group` run a second time; `almost_triangular_equivalences`;
-and `double_smash_decomposition`.  A stage named after --skip is left out;
-H # D(kG) has dimension |G|^3, so on s4 that is the decomposition.  The
-table is markdown, one line per stage, with the median over the runs.
+`decompose_hr` of the braided group and `wedderburn_blocks` of D(kG), the
+largest eliminations of the pipeline; and `double_smash_decomposition`.  A
+stage named after --skip is left out; H # D(kG) has dimension |G|^3, so on
+s4 that is the decomposition.  The table is markdown, one line per stage,
+with the median over the runs.
 """
 
 import argparse
@@ -22,6 +24,7 @@ from contextlib import contextmanager
 
 from hopfsmash import demos as dm
 from hopfsmash import hopfcore, qtriang
+from hopfsmash.adjstable import decompose_hr
 from hopfsmash.hopfcore import drinfeld_double, group_algebra
 from hopfsmash.qtriang import (
     adjoint_action_tensor,
@@ -29,11 +32,13 @@ from hopfsmash.qtriang import (
     transmute,
     verify_braided_group,
 )
+from hopfsmash.repdim import wedderburn_blocks
 from hopfsmash.smashcons import double_smash_decomposition
 
 STAGES = ("drinfeld_double", "  build", "  verify_hopf", "  verify_qt",
           "adjoint_action_tensor", "transmute", "verify_braided_group",
-          "almost_triangular_equivalences", "double_smash_decomposition")
+          "almost_triangular_equivalences", "decompose_hr", "wedderburn_blocks",
+          "double_smash_decomposition")
 
 
 def host_table(name: str):
@@ -88,6 +93,8 @@ def one_run(h, skip) -> dict:
         stage("verify_braided_group", lambda: verify_braided_group(bg).require())
         stage("almost_triangular_equivalences",
               lambda: almost_triangular_equivalences(q, bg).require())
+        stage("decompose_hr", lambda: decompose_hr(bg).report.require())
+    stage("wedderburn_blocks", lambda: wedderburn_blocks(dh.algebra))
     stage("double_smash_decomposition",
           lambda: double_smash_decomposition(h, (dh, q)).require())
     return out

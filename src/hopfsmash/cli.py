@@ -450,12 +450,6 @@ def _suite_smash_pipeline(ws: Workspace, target: str):
     rep.merge(sws.report, "wha.")
     wq, qrep = smash_qt(sws)
     rep.merge(qrep, "qt.")
-    # decode flat witnesses into (a, h) smash coordinates for readability
-    for c in rep.failures():
-        if isinstance(c.witness, tuple):
-            decoded = tuple(s.unflat(w) if isinstance(w, int) and w < s.carrier.dim
-                            else w for w in c.witness)
-            c.witness = (c.witness, decoded)
     rep.add("codec", True, ("flat = a_index * dim_H + h_index",), informational=True)
     return rep
 

@@ -16,14 +16,13 @@ Conventions, fixed once:
   * Tensor3 t stores t[i][j][k] = coefficient of basis vector k in the
     product (resp. of e_j (x) e_k in the coproduct) of basis vectors i, j.
 
-Elimination is fraction-free: rows are cleared to integers and updated by
-cross-multiplication with gcd reduction, which keeps intermediate entries
-small without ever rounding.
+One elimination, `Echelon`, reduces every linear system: rows over the
+rationals with leading coefficient 1, grown one vector at a time and read
+off in reduced echelon form, which is canonical.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -223,12 +222,11 @@ class LinearMap:
         n = self.source_dim
         if self.target_dim != n:
             raise DimensionMismatch("inverse of a map between spaces of different dims")
-        rows, pivots = _sparse_rref([_int_row({**col, n + c: 1})
-                                     for c, col in enumerate(self.cols)], 2 * n)
-        if pivots[:n] != list(range(n)):
+        ech = Echelon({**col, n + c: 1} for c, col in enumerate(self.cols))
+        if any(i not in ech.rows for i in range(n)):
             return None
         return LinearMap(n, n, tuple({j - n: x for j, x in row.items() if j >= n}
-                                     for row in rows[:n]))
+                                     for row in ech.reduced()))
 
 
 def commutant_rows(ops, m: int) -> list:
@@ -251,26 +249,8 @@ def commutant_rows(ops, m: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# sparse fraction-free elimination core
+# elimination: one Echelon, canonical RREF bases, kernels
 # ---------------------------------------------------------------------------
-
-def _int_row(row: dict) -> dict:
-    """Clear denominators of a sparse {col: x} row; return {col: int} over
-    the nonzero entries."""
-    entries = [(j, x) for j, x in row.items() if x != 0]
-    if not entries:
-        return {}
-    den = 1
-    for _, x in entries:
-        den = den * x.denominator // gcd(den, x.denominator)
-    out = {j: int(x * den) for j, x in entries}
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
-    if g > 1:
-        out = {j: v // g for j, v in out.items()}
-    return out
-
 
 def _check_dim(v: dict, dim: int) -> dict:
     if v and not (0 <= min(v) and max(v) < dim):
@@ -278,139 +258,22 @@ def _check_dim(v: dict, dim: int) -> dict:
     return v
 
 
-def _int_rows(vectors, dim: int) -> list[dict]:
-    """Integer rows of sparse vectors of Q^dim; an index outside raises
-    DimensionMismatch."""
-    return [_int_row(_check_dim(v, dim)) for v in vectors]
-
-
-def _reduce_content(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {j: v // g for j, v in row.items()}
-    return row
-
-
-def _sparse_rref(rows: list[dict], ncols: int):
-    """Fraction-free reduced echelon form of integer sparse rows.
-
-    Returns (pivot_rows, pivots) where pivot_rows[i] is a normalized sparse
-    rational row with leading 1 in column pivots[i], reduced above and below.
-
-    The work follows the nonzero entries. The rows not yet chosen as pivots
-    are kept by number, with an index from each column to the numbers of the
-    rows holding it, so a pivot column costs the rows that hold it and no
-    others. The pivot is the shortest of those rows, the lowest number on a
-    tie; an updated row keeps its number. The reduced echelon form is
-    canonical, so the pivot choice changes only the cost.
-    """
-    work = dict(enumerate(dict(r) for r in rows if r))
-    holders = defaultdict(set)    # column -> numbers of the work rows holding it
-    for idx, r in work.items():
-        for j in r:
-            holders[j].add(idx)
-    piv_rows: list[dict] = []
-    pivots: list[int] = []
-    for col in sorted(holders):
-        if col >= ncols:
-            break
-        held = holders[col]
-        if not held:
-            continue
-        cand = min(held, key=lambda idx: (len(work[idx]), idx))
-        prow = work.pop(cand)
-        for j in prow:
-            holders[j].discard(cand)
-        p = prow[col]
-        for idx in held:
-            r = work[idx]
-            a = r[col]
-            new = {}
-            for j in r.keys() | prow.keys():
-                w = r.get(j, 0) * p - prow.get(j, 0) * a
-                if w:
-                    new[j] = w
-                    if j not in r:
-                        holders[j].add(idx)
-                elif j != col:    # col cancels in every held row; held is not read again
-                    holders[j].discard(idx)
-            if new:
-                work[idx] = _reduce_content(new)
-            else:
-                del work[idx]
-        piv_rows.append(prow)
-        pivots.append(col)
-    # back-substitute to reduced form, over the rationals; pivot row i holds
-    # pivot columns of its own and later rows only, and clearing pivot i from
-    # row k adds row i's other columns, none of them a pivot still to clear,
-    # so the rows holding each pivot column are read off once, here
-    frac_rows = [{j: qdiv(v, r[pivots[i]]) for j, v in r.items()}
-                 for i, r in enumerate(piv_rows)]
-    position = {c: i for i, c in enumerate(pivots)}
-    above: list[list] = [[] for _ in pivots]    # above[i]: the rows k < i holding pivots[i]
-    for k, row in enumerate(frac_rows):
-        for j in row:
-            i = position.get(j)
-            if i is not None and i != k:
-                above[i].append(k)
-    for i in range(len(frac_rows) - 1, -1, -1):
-        ri = frac_rows[i]
-        for k in above[i]:
-            rk = frac_rows[k]
-            c = rk[pivots[i]]
-            for j, v in ri.items():
-                w = rk.get(j, 0) - c * v
-                if w:
-                    rk[j] = w
-                else:
-                    rk.pop(j, None)
-    return frac_rows, pivots
-
-
-def rank(vectors, dim: int) -> int:
-    """The dimension of the span of sparse vectors of Q^dim."""
-    return len(_sparse_rref(_int_rows(vectors, dim), dim)[1])
-
-
-def kernel_basis(rows, ncols: int) -> list:
-    """Exact basis of {v in Q^ncols : row . v = 0 for every sparse row}, as
-    sparse vectors; [] iff the rows have rank ncols."""
-    frac_rows, pivots = _sparse_rref(_int_rows(rows, ncols), ncols)
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = {p: -c for row, p in zip(frac_rows, pivots) if (c := row.get(f)) is not None}
-        v[f] = 1
-        basis.append(v)
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# subspaces: canonical RREF bases, membership and coordinates
-# ---------------------------------------------------------------------------
-
-def span_basis(vectors, dim: int) -> list:
-    """Canonical (RREF) basis of the span of sparse vectors of Q^dim."""
-    return _sparse_rref(_int_rows(vectors, dim), dim)[0]
-
-
 class Echelon:
     """A subspace grown one vector at a time, as echelon rows with leading
-    coefficient 1 kept by leading index.  residue(v) reduces v in place and
-    returns it, empty exactly when v lies in the span; so pass a copy of a
-    vector the caller still holds.  add(v) takes a nonzero residue in as a
-    row and returns that row."""
+    coefficient 1 kept by leading index.  Echelon(rows) is the span of the
+    given sparse rows, read with their zero entries dropped.  residue(v)
+    reduces v in place and returns it, empty exactly when v lies in the span;
+    so pass a copy of a vector the caller still holds.  add(v) takes a nonzero
+    residue in as a row and returns that row.  reduced() lists the rows in
+    reduced echelon form."""
 
     __slots__ = ("rows",)
 
-    def __init__(self):
+    def __init__(self, rows=()):
         self.rows: dict = {}    # leading index -> row, leading coefficient 1
+        for row in rows:
+            if v := self.residue({j: x for j, x in row.items() if x}):
+                self.add(v)
 
     def residue(self, v: dict) -> dict:
         rows = self.rows
@@ -430,6 +293,49 @@ class Echelon:
         row = self.rows[lead] = {k: qdiv(x, c) for k, x in v.items()}
         return row
 
+    def reduced(self) -> list:
+        """The canonical basis of the span: new rows, each cleared above its
+        lead (so every lead is 0 in every other row), listed by ascending
+        lead, each with its keys ascending and every scalar through rat."""
+        leads = sorted(self.rows)
+        done: dict = {}    # lead -> reduced row, for the leads already passed
+        for lead in reversed(leads):
+            row = dict(self.rows[lead])
+            # a reduced row holds no lead but its own, so clearing one lead
+            # of row adds no other
+            for j in [j for j in row if j in done]:
+                c = row[j]
+                for k, x in done[j].items():
+                    sp_add(row, k, -c * x)
+            done[lead] = row
+        return [{k: rat(x) for k, x in sorted(done[lead].items())} for lead in leads]
+
+
+def rank(vectors, dim: int) -> int:
+    """The dimension of the span of sparse vectors of Q^dim."""
+    return len(Echelon(_check_dim(v, dim) for v in vectors).rows)
+
+
+def kernel_basis(rows, ncols: int) -> list:
+    """Exact basis of {v in Q^ncols : row . v = 0 for every sparse row}, as
+    sparse vectors; [] iff the rows have rank ncols."""
+    reduced = Echelon(_check_dim(r, ncols) for r in rows).reduced()
+    pivots = [next(iter(row)) for row in reduced]
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = {p: -c for row, p in zip(reduced, pivots) if (c := row.get(f)) is not None}
+        v[f] = 1
+        basis.append(v)
+    return basis
+
+
+def span_basis(vectors, dim: int) -> list:
+    """Canonical (RREF) basis of the span of sparse vectors of Q^dim."""
+    return Echelon(_check_dim(v, dim) for v in vectors).reduced()
+
 
 def span_closure(seed, images, dim: int) -> list:
     """Canonical basis of the least subspace of Q^dim that contains the seed
@@ -446,7 +352,7 @@ def span_closure(seed, images, dim: int) -> list:
     take(seed)
     while todo:
         take(images(todo.pop()))
-    return span_basis(ech.rows.values(), dim)
+    return ech.reduced()
 
 
 class Subspace:
@@ -467,14 +373,13 @@ class Subspace:
         self._vectors = tuple(vectors)
         self.ambient = dim
         k = len(self._vectors)
-        rows = [_int_row({**_check_dim(v, dim), dim + i: 1})
-                for i, v in enumerate(self._vectors)]
-        frac_rows, pivots = _sparse_rref(rows, dim + k)
-        r = sum(1 for p in pivots if p < dim)  # pivots ascend: basis rows first
-        self._independent = r == k
-        self.pivots = tuple(pivots[:r])
-        self.basis = tuple({j: c for j, c in row.items() if j < dim} for row in frac_rows[:r])
-        self._combs = [{j - dim: c for j, c in row.items() if j >= dim} for row in frac_rows[:r]]
+        reduced = Echelon({**_check_dim(v, dim), dim + i: 1}
+                          for i, v in enumerate(self._vectors)).reduced()
+        rows = [row for row in reduced if next(iter(row)) < dim]
+        self._independent = len(rows) == k
+        self.pivots = tuple(next(iter(row)) for row in rows)
+        self.basis = tuple({j: c for j, c in row.items() if j < dim} for row in rows)
+        self._combs = [{j - dim: c for j, c in row.items() if j >= dim} for row in rows]
 
     def _on_basis(self, v: dict):
         """Coefficients of v on the canonical basis, or None outside the span."""
@@ -560,7 +465,11 @@ def _eigenspaces(op: LinearMap, blk, dim: int):
     restr_rows = restr.transpose().cols
     pieces = []
     for lam in sorted(set(roots)):
-        shifted = [{**row, r: row.get(r, 0) - lam} for r, row in enumerate(restr_rows)]
+        shifted = []
+        for r, row in enumerate(restr_rows):
+            row = dict(row)
+            sp_add(row, r, -lam)
+            shifted.append(row)
         pieces.append(span_basis([on_blk.apply_sparse(kv) for kv in kernel_basis(shifted, k)],
                                  dim))
     return pieces if sum(len(p) for p in pieces) == k else None

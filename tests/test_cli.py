@@ -120,6 +120,18 @@ def test_verify_smash_pipeline(tmp_path):
     assert main(["verify", str(ws), "k3s3", "smash-pipeline"]) == 0
 
 
+def test_verify_smash_pipeline_refuses_a_broken_action(tmp_path, capsys):
+    # one flipped action cell breaks the module law; the pipeline's builders
+    # each require their hypotheses, so it is refused before any smash report
+    ws = write_workspace(tmp_path / "ws.json")
+    doc = json.loads(ws.read_text())
+    doc["objects"]["k3s3"]["action"][1][0][0] = "0"    # was "1": (0 2 1) fixes e_0
+    ws.write_text(json.dumps(doc))
+    assert main(["verify", str(ws), "k3s3", "smash-pipeline"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refused:") and "witness: (1, 0)" in err
+
+
 def test_verify_json_report(tmp_path):
     ws = write_workspace(tmp_path / "ws.json")
     out = tmp_path / "rep.json"

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from hopfsmash import demos as dm
 from hopfsmash.exactlin import (
     DimensionMismatch,
+    Echelon,
     LinearMap,
     Subspace,
     Tensor3,
     TensorElem,
     _poly_gcd,
-    _sparse_rref,
     commutant_rows,
     kernel_basis,
     mat,
@@ -273,9 +273,9 @@ def test_inverse_round_trip(n, m, data):
 
 
 def _row_scan_rref(rows, ncols):
-    """The elimination _sparse_rref ran before its column index, kept as the
-    reference: every remaining row is scanned for each pivot column, and the
-    shortest row holding it, the first on a tie, is the pivot."""
+    """A fraction-free elimination of integer rows, kept as the reference:
+    every remaining row is scanned for each pivot column, and the shortest
+    row holding it, the first on a tie, is the pivot."""
     work = [dict(r) for r in rows if r]
     piv_rows, pivots = [], []
     for col in range(ncols):
@@ -337,17 +337,74 @@ def integer_systems(draw):
     return rows, ncols
 
 
+def _assert_reduced_form(got):
+    """Keys ascend in every row, leads ascend across rows, and every scalar is
+    an int where integral, else a Fraction."""
+    assert all(list(r) == sorted(r) for r in got)
+    assert [next(iter(r)) for r in got] == sorted(next(iter(r)) for r in got)
+    assert all(type(x) is (int if F(x).denominator == 1 else F)
+               for r in got for x in r.values())
+
+
 @settings(max_examples=200, deadline=None)
 @given(integer_systems())
-def test_sparse_rref_is_the_row_scan_elimination(system):
-    # the same rows, in the same order, with the same keys in the same order
+def test_echelon_reduced_is_the_row_scan_elimination(system):
+    # the same rows with the same pivots and values, keys ascending
     rows, ncols = system
-    got, pivots = _sparse_rref([dict(r) for r in rows], ncols)
+    got = Echelon(rows).reduced()
     ref, ref_pivots = _row_scan_rref(rows, ncols)
-    assert pivots == ref_pivots
-    assert [list(r.items()) for r in got] == [list(r.items()) for r in ref]
+    assert [next(iter(r)) for r in got] == ref_pivots
+    assert got == ref
+    _assert_reduced_form(got)
     dense = [tuple(F(r.get(j, 0)) for j in range(ncols)) for r in rows]
     assert [_dense(r, ncols) for r in got] == _dense_rref(dense, ncols)
+
+
+@st.composite
+def fraction_systems(draw):
+    """(rows, ncols): sparse rows of Q^dim with Fraction entries of
+    denominator up to 4, explicit zeros among them, and combinations of
+    earlier rows; on a drawn flag each row i is tagged with 1 at dim + i, the
+    layout of Subspace's [v | I] and of inverse's f(e_c) (+) e_c."""
+    dim = draw(st.integers(1, 8))
+    scalar = st.just(F(0)) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    entry = st.tuples(st.integers(0, dim - 1), scalar)
+    rows = [dict(r) for r in draw(st.lists(st.lists(entry, max_size=5), max_size=10))]
+    for a, b, c in draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), scalar),
+                                 max_size=3)):
+        if rows:
+            ra, rb = rows[a % len(rows)], rows[b % len(rows)]
+            rows.append({j: ra.get(j, 0) + c * rb.get(j, 0) for j in ra.keys() | rb.keys()})
+    if draw(st.booleans()):
+        return [{**r, dim + i: F(1)} for i, r in enumerate(rows)], dim + len(rows)
+    return rows, dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_systems())
+def test_echelon_reduced_is_the_dense_rref_over_fractions(system):
+    rows, ncols = system
+    got = Echelon(rows).reduced()
+    _assert_reduced_form(got)
+    dense = [tuple(F(r.get(j, 0)) for j in range(ncols)) for r in rows]
+    assert [_dense(r, ncols) for r in got] == _dense_rref(dense, ncols)
+
+
+def test_explicit_zeros_are_read_as_absent_entries():
+    # a zero at the least index of a row or column is no lead: each of the
+    # five public entry points reads the rows as if the zeros were absent
+    rows = [{0: 0, 1: F(3), 2: 0}, {0: F(1), 1: F(0), 2: F(2)}, {1: F(0)}]
+    clean = [{j: x for j, x in r.items() if x} for r in rows]
+    assert rank(rows, 3) == rank(clean, 3) == 2
+    assert span_basis(rows, 3) == span_basis(clean, 3) == [{0: 1, 2: 2}, {1: 1}]
+    assert kernel_basis(rows, 3) == kernel_basis(clean, 3) == [{0: -2, 2: 1}]
+    sub = Subspace(rows, 3)
+    assert sub == Subspace(clean, 3) and sub.pivots == (0, 1)
+    assert not sub._independent and sub.contains({0: F(2), 1: F(1), 2: F(4)})
+    f = LinearMap(2, 2, ({0: 0, 1: F(2)}, {0: F(1), 1: 0}))
+    assert f.rank() == 2
+    assert f.inverse() == LinearMap(2, 2, ({1: 1}, {0: F(1, 2)}))
+    assert LinearMap(2, 2, ({0: 0}, {1: F(1)})).inverse() is None
 
 
 def test_span_utilities():
