@@ -7,6 +7,10 @@ Coaction tensors: a left C-comodule stores rho[w][d][w'] (= coefficient of
 e_d (x) w' in rho(w)).  A right C-comodule, rho(w) = w' (x) e_d, is a left
 C^cop-comodule, so it is a ComoduleData over co_opposite(C) in the same
 layout and is checked by the same comodule-law kernels.
+
+A structure read on an invariant subspace (Delta_R and ad on a block D, a
+YD summand, N_W's product, C(H*)'s convolutions) goes through one kernel,
+exactlin.Subspace.restricted; each caller refuses a value outside by name.
 """
 
 from __future__ import annotations
@@ -138,7 +142,8 @@ class BraidedComoduleResult:
 def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
                    bg: BraidedGroupData | None = None) -> BraidedComoduleResult:
     """rho_R(x) = x_<-1> S(R^2) (x) R^1 . x_<0> makes V a left H_R-comodule;
-    the generated H-module subcoalgebra D_V is extracted as a subspace."""
+    the generated H-module subcoalgebra D_V is extracted as a subspace, its
+    ad-stability read by Subspace.restricted."""
     h = q.host
     bg = braided_group_of(q, bg)
     n, nh = v.dim, h.dim
@@ -150,10 +155,9 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
     slices = [dict(by_end.row(x, x2)) for x in range(n) for x2 in range(n)]
     coal_r = bg.braided_coalgebra
     basis = span_closure(slices, lambda u: _delta_slices(coal_r, u).values(), nh)
-    d_v = Subspace(basis, nh)
-    rep.check("d_v_is_H_module_subspace",
-              ((t, ui) for t in range(nh) for ui, u in enumerate(basis)
-               if not d_v.contains(bg.adjoint_action.act({t: 1}, u))))
+    _, leaves = Subspace(basis, nh).restricted(bg.adjoint_action, LinearMap.identity(nh).cols,
+                                               basis)
+    rep.add("d_v_is_H_module_subspace", leaves is None, leaves)
     rep.require()
     return BraidedComoduleResult(cm, tuple(basis), rep)
 
@@ -183,27 +187,23 @@ def build_h_tensor_w(w: ComoduleData, h: HopfData,
     nh, nw = h.dim, w.dim
     n = nh * nw
     ad = adjoint_action_tensor(h) if bg is None else bg.adjoint_action
-
-    def flat(i, ww):
-        return i * nw + ww
-
-    a_entries = []
+    a_entries = []    # at flat index i dim W + w, as HTensorW.flat
     for t in range(nh):
         for i in range(nh):
             for m, c in h.algebra.mul_row(t, i):
                 for ww in range(nw):
-                    a_entries.append((t, flat(i, ww), flat(m, ww), c))
+                    a_entries.append((t, i * nw + ww, m * nw + ww, c))
     action = Tensor3.from_entries((nh, n, n), a_entries)
 
     c_entries = []
     for i in range(nh):
         for ww in range(nw):
-            src = flat(i, ww)
+            src = i * nw + ww
             for p, pq, c in h.coalgebra.comul_row(i):
                 for d in range(nh):
                     for w0, cw in w.coaction.row(ww, d):
                         for m, cm in ad.row(p, d):
-                            c_entries.append((src, m, flat(pq, w0), c * cw * cm))
+                            c_entries.append((src, m, pq * nw + w0, c * cw * cm))
     coaction = Tensor3.from_entries((n, nh, n), c_entries)
 
     out = HTensorW(h, w, n, action, coaction)
@@ -213,8 +213,6 @@ def build_h_tensor_w(w: ComoduleData, h: HopfData,
     rep.merge(verify_left_comodule(out.as_comodule(), "braided_coaction"), "braided.")
     rep.require()
     return out
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -262,27 +260,18 @@ def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
                            bg: BraidedGroupData | None = None) -> AdjointStableAlgebra:
     """N_W = W* [] (H (x) W) with the convolution-style product
     x o y = sum v*_l (x) g_l h_j (x) <w*_j, v_l> w_j, the product of the
-    ambient End(W*) (x) H^op = end_algebra(dim W, H^op); closure,
-    associativity and the unit law of the unit sum_i w*_i (x) 1 (x) w_i are
-    verified."""
+    ambient End(W*) (x) H^op = end_algebra(dim W, H^op) read on the cotensor by
+    Subspace.restricted; closure, associativity and the unit law of the unit
+    sum_i w*_i (x) 1 (x) w_i are verified."""
     htw = build_h_tensor_w(w, h, bg)
     wd = dual_right_comodule(w)
     basis = cotensor(wd, htw.as_comodule())
     m = len(basis)
     ambient = end_algebra(w.dim, opposite_algebra(h.algebra))
     span = Subspace(basis, ambient.dim)
-
-    def products():
-        for p in range(m):
-            for q in range(m):
-                cell = span.coords(ambient.mul_sparse(basis[p], basis[q]))
-                if cell is None:
-                    raise ValueError(f"product of cotensor basis {p}, {q} leaves the cotensor")
-                for k, v in cell.items():
-                    yield p, q, k, v
-
-    mult = Tensor3.from_entries((m, m, m), products())
-
+    mult, leaves = span.restricted(ambient.mult, basis, basis)
+    if mult is None:
+        raise ValueError("product of cotensor basis {}, {} leaves the cotensor".format(*leaves))
     unit_coords = span.coords(ambient.unit_sparse)
     if unit_coords is None:
         raise ValueError("N_W has no unit inside the cotensor subspace")
@@ -382,48 +371,29 @@ class SubcoalgebraData:
 
 
 def subcoalgebra_data(d_basis, q: QTStructure, bg: BraidedGroupData) -> SubcoalgebraData:
-    """Check closure of D under Delta_R and the adjoint action; return exact
-    coordinates of both structures on the given basis."""
+    """Delta_R and the adjoint action on D in the coordinates of the given
+    basis, read by Subspace.restricted; a value outside D is refused by name."""
     h = q.host
-    nh = h.dim
     d_basis = list(d_basis)
-    m = len(d_basis)
-    span = Subspace(d_basis, nh)
-    coal_r = bg.braided_coalgebra
-
-    comult_entries = []
-    for p in range(m):
-        du = coal_r.comul_sparse(d_basis[p])
-        # first-leg slices must be D-valued once the second legs are, and
-        # vice versa; resolve into D (x) D coordinates in two stages
-        bycol: dict = {}
-        for (a, b), c in du.items():
-            bycol.setdefault(b, {})[a] = c
-        # columns (second leg fixed) are vectors in H over the first leg
-        col_coords = {}
-        for b, col in bycol.items():
-            cc = span.coords(col)
-            if cc is None:
-                raise HypothesisFailure("D-closed-under-Delta_R-first-leg", (p, b))
-            col_coords[b] = cc
-        for qidx in range(m):
-            rc = span.coords({b: cc[qidx] for b, cc in col_coords.items() if qidx in cc})
-            if rc is None:
-                raise HypothesisFailure("D-closed-under-Delta_R-second-leg", (p, qidx))
-            for r, c in rc.items():
-                comult_entries.append((p, qidx, r, c))
-    coal = StructureCoalgebra(m, Tensor3.from_entries((m, m, m), comult_entries),
-                              tuple(h.coalgebra.counit_sparse(v) for v in d_basis))
-
-    ad_entries = []
-    for t in range(nh):
-        for qidx in range(m):
-            cc = span.coords(bg.adjoint_action.act({t: 1}, d_basis[qidx]))
-            if cc is None:
-                raise HypothesisFailure("D-closed-under-adjoint-action", (t, qidx))
-            ad_entries.extend((t, qidx, p, c) for p, c in cc.items())
-    return SubcoalgebraData(tuple(d_basis), coal,
-                            Tensor3.from_entries((nh, m, m), ad_entries))
+    span = Subspace(d_basis, h.dim)
+    units, d_units = LinearMap.identity(h.dim).cols, LinearMap.identity(len(d_basis)).cols
+    # Delta_R(d_p) in D (x) D, in two stages: each first-leg column
+    # (id (x) e^b) Delta_R(d_p) = sum_q cols[p][b][q] d_q lies in D, and then
+    # so does each second leg sum_b cols[p][b][q] e_b of sum_q d_q (x) (...);
+    # d_p's second legs are read before d_(p+1)'s first legs
+    cols, first = span.restricted(bg.comult_R_cop, d_basis, units)
+    if first is not None:
+        cols, _ = span.restricted(bg.comult_R_cop, d_basis[:first[0]], units)
+    comult, second = span.restricted(cols.permuted((0, 2, 1)), d_units[:cols.dims[0]], d_units)
+    if comult is None:
+        raise HypothesisFailure("D-closed-under-Delta_R-second-leg", second)
+    if first is not None:
+        raise HypothesisFailure("D-closed-under-Delta_R-first-leg", first)
+    ad, leaves = span.restricted(bg.adjoint_action, units, d_basis)
+    if ad is None:
+        raise HypothesisFailure("D-closed-under-adjoint-action", leaves)
+    counit = tuple(h.coalgebra.counit_sparse(v) for v in d_basis)
+    return SubcoalgebraData(tuple(d_basis), StructureCoalgebra(len(d_basis), comult, counit), ad)
 
 
 def dstar_module_algebra(dd: SubcoalgebraData, hop: HopfData) -> ModuleAlgebraData:
@@ -577,7 +547,8 @@ class HrDecomposition:
 def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     """Minimal H-module subcoalgebras D_1, ..., D_r of H_R, from the centre:
     C(H*), the functionals vanishing on commutators, is cut into ideals by the
-    joint eigenspaces of its left convolutions; the components F_i of the
+    joint eigenspaces of its left convolutions (conv[i][j][k], the coefficient
+    of c_k in c_i * c_j, read by Subspace.restricted); the components F_i of the
     unit eps along those ideals are the block idempotents, and D_i = F_i ->_R
     H_R. fully_split is False, and minimality is not certified, when a
     convolution eigenvalue is irrational and an ideal of C(H*) stays whole.
@@ -596,14 +567,11 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     c_basis = kernel_basis(rows, n)
     r = len(c_basis)
     c_space = Subspace(c_basis, n)
-    dual = convolution_algebra(h.coalgebra)
-    conv = []
-    for i, u in enumerate(c_basis):
-        cols = [c_space.coords(dual.mul_sparse(u, v)) for v in c_basis]
-        if None in cols:
-            raise HypothesisFailure("C(H*)-subalgebra", (i, cols.index(None)))
-        conv.append(LinearMap(r, r, cols))
-    c_blocks, fully_split = split(conv, r)
+    conv, leaves = c_space.restricted(convolution_algebra(h.coalgebra).mult, c_basis, c_basis)
+    if conv is None:
+        raise HypothesisFailure("C(H*)-subalgebra", leaves)
+    c_blocks, fully_split = split([LinearMap(r, r, [dict(conv.row(i, j)) for j in range(r)])
+                                   for i in range(r)], r)
 
     # eps, an algebra map, is the unit of C: eps = sum_i F_i with F_i in the
     # i-th ideal, read off by one coordinate solve
@@ -840,32 +808,18 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
 
 def yd_summand_from_block(h: HopfData, block, bg: BraidedGroupData) -> YetterDrinfeldData:
     """A decomposition block of H as a Yetter-Drinfeld module: adjoint action
-    and the restriction of the original coproduct (which lands in H (x) D)."""
-    n = h.dim
+    and the restriction of the original coproduct (which lands in H (x) D),
+    coaction[p][a][r] the coefficient of block_r in (e^a (x) id) Delta(block_p),
+    both read by Subspace.restricted."""
     block = list(block)
-    m = len(block)
-    span = Subspace(block, n)
-    a_entries = []
-    for t in range(n):
-        for p in range(m):
-            cc = span.coords(bg.adjoint_action.act({t: 1}, block[p]))
-            if cc is None:
-                raise HypothesisFailure("block-ad-stable", (t, p))
-            for r, c in cc.items():
-                a_entries.append((t, p, r, c))
-    c_entries = []
-    for p in range(m):
-        bycol: dict = {}
-        for (a, b), c in h.coalgebra.comul_sparse(block[p]).items():
-            bycol.setdefault(a, {})[b] = c
-        for a, col in bycol.items():
-            cc = span.coords(col)
-            if cc is None:
-                raise HypothesisFailure("block-coproduct-stable", (p, a))
-            for r, c in cc.items():
-                c_entries.append((p, a, r, c))
-    yd = YetterDrinfeldData(h,
-                            Tensor3.from_entries((n, m, m), a_entries),
-                            Tensor3.from_entries((m, n, m), c_entries))
+    span = Subspace(block, h.dim)
+    units = LinearMap.identity(h.dim).cols
+    action, leaves = span.restricted(bg.adjoint_action, units, block)
+    if action is None:
+        raise HypothesisFailure("block-ad-stable", leaves)
+    coaction, leaves = span.restricted(h.coalgebra.comult, block, units)
+    if coaction is None:
+        raise HypothesisFailure("block-coproduct-stable", leaves)
+    yd = YetterDrinfeldData(h, action, coaction)
     verify_yd(yd, "yd_summand").require()
     return yd

@@ -143,7 +143,8 @@ def vec_dot(u: dict, v: dict) -> int | Fraction:
 @dataclass(frozen=True, eq=False)
 class LinearMap:
     """A linear map between based spaces, kept as its columns: cols[c] is
-    f(e_c) as a sparse {row: scalar} dict of its nonzeros.
+    f(e_c) as a sparse {row: scalar} dict.  Equality, hash and is_identity
+    read the matrix, so an explicit zero a caller gave does not count.
 
     The column dicts are shared by every reader, so read them and never
     modify them; compose, transpose and inverse build new ones.
@@ -180,12 +181,17 @@ class LinearMap:
         return tuple(tuple(col.get(r, 0) for col in self.cols)
                      for r in range(self.target_dim))
 
+    def _nonzero(self) -> tuple:
+        """The columns without the explicit zeros a caller may have given."""
+        return tuple({r: x for r, x in col.items() if x} for col in self.cols)
+
     def __eq__(self, other) -> bool:
+        """Equal matrices: explicit zero entries do not count."""
         return (isinstance(other, LinearMap) and self.target_dim == other.target_dim
-                and self.cols == other.cols)
+                and (self.cols == other.cols or self._nonzero() == other._nonzero()))
 
     def __hash__(self):
-        return hash((self.target_dim, tuple(frozenset(col.items()) for col in self.cols)))
+        return hash((self.target_dim, tuple(frozenset(col.items()) for col in self._nonzero())))
 
     def apply_sparse(self, a: dict) -> dict:
         out: dict = {}
@@ -209,8 +215,7 @@ class LinearMap:
         return LinearMap(self.target_dim, self.source_dim, cols)
 
     def is_identity(self) -> bool:
-        return (self.source_dim == self.target_dim
-                and all(col == {c: 1} for c, col in enumerate(self.cols)))
+        return self == LinearMap.identity(self.source_dim)
 
     def rank(self) -> int:
         return rank(self.cols, self.target_dim)
@@ -422,6 +427,21 @@ class Subspace:
                 return None
             cols.append(c)
         return LinearMap(len(cols), len(cols), cols)
+
+    def restricted(self, t: Tensor3, xs, ys) -> tuple:
+        """(u, None), u the Tensor3 with u[p][q][r] the coefficient of the r-th
+        given vector in t.act(xs[p], ys[q]) (zero values skipped); or
+        (None, (p, q)) for the first pair, p outer, whose value leaves the span."""
+        planes = []
+        for p, x in enumerate(xs):
+            cells: dict = {}
+            for q, y in enumerate(ys):
+                if v := t.act(x, y):
+                    c = cells[q] = self.coords(v)
+                    if c is None:
+                        return None, (p, q)
+            planes.append(sorted_plane(len(ys), cells))
+        return Tensor3((len(planes), len(ys), len(self._vectors)), tuple(planes)), None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient

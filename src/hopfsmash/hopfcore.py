@@ -66,15 +66,7 @@ class StructureAlgebra:
         return self.mult.row(i, j)
 
     def mul_sparse(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        rows = self.mult._rows
-        for i, ca in a.items():
-            ri = rows[i]
-            for j, cb in b.items():
-                c = ca * cb
-                for k, w in ri[j]:
-                    sp_add(out, k, c * w)
-        return out
+        return self.mult.act(a, b)
 
     @cached_property
     def unit_sparse(self) -> dict:

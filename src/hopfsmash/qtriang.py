@@ -234,6 +234,11 @@ class BraidedGroupData:
         return self.adjoint_action.permuted((0, 2, 1))
 
     @cached_property
+    def comult_R_cop(self) -> Tensor3:
+        """Delta_R^cop's tensor, formed once per braided group; shared, so read it."""
+        return self.comult_R.permuted((0, 2, 1))
+
+    @cached_property
     def memo(self) -> dict:
         """What decompose_hr, psi_phi (per exact basis) and hr_dual_separability
         (per lambda) derive from this braided group, each stored once built

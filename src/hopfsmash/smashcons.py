@@ -96,9 +96,6 @@ class SmashProduct:
     def flat(self, a: int, h: int) -> int:
         return a * self.nh + h
 
-    def unflat(self, idx: int) -> tuple:
-        return divmod(idx, self.nh)
-
     def include_a(self, a_sp: dict) -> dict:
         """a |-> a # 1."""
         out: dict = {}

@@ -21,7 +21,7 @@ from hopfsmash.adjstable import (
 )
 from hopfsmash import demos as dm
 from hopfsmash.exactlin import (LinearMap, Subspace, Tensor3, commutant_rows, kernel_basis,
-                                sp_add, span_basis, split, vec)
+                                rank, sp_add, span_basis, split, vec)
 from hopfsmash.hopfcore import (StructureCoalgebra, co_opposite, dual_hopf, end_algebra,
                                 opposite_algebra, opposites)
 from hopfsmash.qtriang import trivial_qt
@@ -500,3 +500,223 @@ def test_hr_and_trace_separability_idempotents_coincide(q_s3, ip_s3, bg_s3,
                     restricted[(p, q2)] = restricted.get((p, q2), 0) + w
     casimir = separability(pp.dstar_mod)
     assert restricted == {k: v for k, v in casimir.x.items()}
+
+
+# ---------------------------------------------------------------------------
+# the sites that read Subspace.restricted, against the loops they replaced
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["kS3", "D(kZ3)", "D(kS3)"])
+def hr_world(request):
+    """(q, bg, the blocks of H_R): kS3 under the trivial R, D(kZ3) and D(kS3)."""
+    from hopfsmash.hopfcore import drinfeld_double, group_algebra
+    from hopfsmash.qtriang import transmute
+    q = {"kS3": lambda: request.getfixturevalue("q_s3"),
+         "D(kZ3)": lambda: drinfeld_double(group_algebra(dm.cyclic_table(3)))[1],
+         "D(kS3)": lambda: request.getfixturevalue("double_s3")[1]}[request.param]()
+    bg = transmute(q)
+    return q, bg, decompose_hr(bg).blocks
+
+
+def _twins(vectors, n, shifts=(1, 2)):
+    """The given vectors with one of them moved, its indices shifted by each
+    of the shifts mod n; only twins whose vectors stay independent."""
+    for i, v in enumerate(vectors):
+        for s in shifts:
+            twin = list(vectors)
+            twin[i] = {(k + s) % n: c for k, c in v.items()}
+            if rank(twin, n) == len(twin):
+                yield twin
+
+
+def _refusal(build):
+    """(type, name, witness) of the refusal build() raises, or None."""
+    try:
+        build()
+    except HypothesisFailure as e:
+        return type(e), e.hypothesis, e.witness
+    except ValueError as e:
+        return type(e), str(e), None
+    return None
+
+
+def _typed_cells(t):
+    d0, d1, _ = t.dims
+    return [(i, j, k, c, type(c)) for i in range(d0) for j in range(d1) for k, c in t.row(i, j)]
+
+
+def _subcoalgebra_reference(d_basis, q, bg):
+    """The loops subcoalgebra_data ran before it read Subspace.restricted:
+    (Delta_R on D, ad_coords) as Tensor3s, or their HypothesisFailure.  The
+    first-leg stage takes b in the insertion order of Delta_R(d_p)."""
+    h = q.host
+    nh = h.dim
+    d_basis = list(d_basis)
+    m = len(d_basis)
+    span = Subspace(d_basis, nh)
+    comult_entries = []
+    for p in range(m):
+        bycol = {}
+        for (a, b), c in bg.braided_coalgebra.comul_sparse(d_basis[p]).items():
+            bycol.setdefault(b, {})[a] = c
+        col_coords = {}
+        for b, col in bycol.items():
+            cc = span.coords(col)
+            if cc is None:
+                raise HypothesisFailure("D-closed-under-Delta_R-first-leg", (p, b))
+            col_coords[b] = cc
+        for qidx in range(m):
+            rc = span.coords({b: cc[qidx] for b, cc in col_coords.items() if qidx in cc})
+            if rc is None:
+                raise HypothesisFailure("D-closed-under-Delta_R-second-leg", (p, qidx))
+            comult_entries.extend((p, qidx, r, c) for r, c in rc.items())
+    ad_entries = []
+    for t in range(nh):
+        for qidx in range(m):
+            cc = span.coords(bg.adjoint_action.act({t: 1}, d_basis[qidx]))
+            if cc is None:
+                raise HypothesisFailure("D-closed-under-adjoint-action", (t, qidx))
+            ad_entries.extend((t, qidx, p, c) for p, c in cc.items())
+    return (Tensor3.from_entries((m, m, m), comult_entries),
+            Tensor3.from_entries((nh, m, m), ad_entries))
+
+
+def _yd_summand_reference(h, block, bg):
+    """The loops yd_summand_from_block ran before it read Subspace.restricted:
+    (action, coaction) as Tensor3s, or their HypothesisFailure."""
+    n = h.dim
+    block = list(block)
+    m = len(block)
+    span = Subspace(block, n)
+    a_entries = []
+    for t in range(n):
+        for p in range(m):
+            cc = span.coords(bg.adjoint_action.act({t: 1}, block[p]))
+            if cc is None:
+                raise HypothesisFailure("block-ad-stable", (t, p))
+            a_entries.extend((t, p, r, c) for r, c in cc.items())
+    c_entries = []
+    for p in range(m):
+        bycol = {}
+        for (a, b), c in h.coalgebra.comul_sparse(block[p]).items():
+            bycol.setdefault(a, {})[b] = c
+        for a, col in bycol.items():
+            cc = span.coords(col)
+            if cc is None:
+                raise HypothesisFailure("block-coproduct-stable", (p, a))
+            c_entries.extend((p, a, r, c) for r, c in cc.items())
+    return Tensor3.from_entries((n, m, m), a_entries), Tensor3.from_entries((m, n, m), c_entries)
+
+
+def _nw_mult_reference(ambient, basis):
+    """The loop adjoint_stable_algebra ran for N_W's product before it read
+    Subspace.restricted: the product tensor in the cotensor basis, or its
+    ValueError."""
+    m = len(basis)
+    span = Subspace(basis, ambient.dim)
+    entries = []
+    for p in range(m):
+        for q in range(m):
+            cell = span.coords(ambient.mul_sparse(basis[p], basis[q]))
+            if cell is None:
+                raise ValueError(f"product of cotensor basis {p}, {q} leaves the cotensor")
+            entries.extend((p, q, k, v) for k, v in cell.items())
+    return Tensor3.from_entries((m, m, m), entries)
+
+
+# first-leg witnesses (reference, restricted) on the twins of each host's
+# blocks: the reference takes b in Delta_R(d_p)'s insertion order,
+# Subspace.restricted the least b
+FIRST_LEG_MOVES = {
+    "kS3": [],
+    "D(kZ3)": [((0, 8), (0, 5)), ((0, 7), (0, 4)), ((0, 8), (0, 5))],
+    "D(kS3)": [((0, 2), (0, 1)), ((0, 2), (0, 1)), ((0, 24), (0, 18)), ((0, 24), (0, 18)),
+               ((0, 2), (0, 1)), ((1, 4), (1, 3)), ((2, 18), (2, 12)), ((0, 29), (0, 11)),
+               ((0, 29), (0, 11)), ((1, 23), (1, 17)), ((1, 23), (1, 17)), ((0, 2), (0, 1)),
+               ((1, 4), (1, 3)), ((2, 18), (2, 12)), ((0, 29), (0, 11)), ((0, 29), (0, 11)),
+               ((1, 23), (1, 17)), ((1, 23), (1, 17)), ((0, 31), (0, 19)), ((1, 31), (1, 19))],
+}
+
+
+def test_subcoalgebra_data_matches_the_reference_loops(hr_world, request):
+    q, bg, blocks = hr_world
+    n = q.host.dim
+    moves = []
+    for blk in blocks:
+        dd = subcoalgebra_data(blk, q, bg)
+        comult, ad = _subcoalgebra_reference(blk, q, bg)
+        assert _typed_cells(dd.coalgebra.comult) == _typed_cells(comult)
+        assert _typed_cells(dd.ad_coords) == _typed_cells(ad)
+        for twin in _twins(blk, n):
+            got = _refusal(lambda: subcoalgebra_data(twin, q, bg))
+            ref = _refusal(lambda: _subcoalgebra_reference(twin, q, bg))
+            assert (got is None) == (ref is None)
+            if ref is None:
+                continue
+            assert got[:2] == ref[:2]
+            if got[2] != ref[2]:
+                assert ref[1] == "D-closed-under-Delta_R-first-leg" and got[2][0] == ref[2][0]
+                moves.append((ref[2], got[2]))
+    assert moves == FIRST_LEG_MOVES[request.node.callspec.id]
+
+
+def test_yd_summand_matches_the_reference_loops(hr_world):
+    q, bg, blocks = hr_world
+    h = q.host
+    refused = 0
+    for blk in blocks:
+        yd = yd_summand_from_block(h, blk, bg)
+        action, coaction = _yd_summand_reference(h, blk, bg)
+        assert _typed_cells(yd.action) == _typed_cells(action)
+        assert _typed_cells(yd.coaction) == _typed_cells(coaction)
+        for twin in _twins(blk, h.dim):
+            ref = _refusal(lambda: _yd_summand_reference(h, twin, bg))
+            assert _refusal(lambda: yd_summand_from_block(h, twin, bg)) == ref
+            refused += ref is not None
+    assert refused > 0
+
+
+def test_nw_product_matches_the_reference_loop(hr_world, monkeypatch):
+    # N_D for the blocks of up to four vectors, and twins of its cotensor
+    # basis fed to adjoint_stable_algebra in place of the cotensor
+    from hopfsmash import adjstable
+    q, bg, blocks = hr_world
+    h = q.host
+    refused = 0
+    for blk in (b for b in blocks if len(b) <= 4):
+        dd = subcoalgebra_data(blk, q, bg)
+        w = ComoduleData(bg.braided_coalgebra, dd.dim,
+                         adjstable._coaction_from_subcoalgebra(dd, h.dim))
+        nw = adjoint_stable_algebra(w, h, bg)
+        basis = list(nw.basis)
+        assert _typed_cells(nw.carrier.mult) == _typed_cells(_nw_mult_reference(nw.ambient, basis))
+        for twin in _twins(basis[:3], nw.ambient.dim, (1,)):
+            twin += basis[3:]
+            if rank(twin, nw.ambient.dim) < len(twin):
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(adjstable, "cotensor", lambda wd, m: twin)
+                got = _refusal(lambda: adjoint_stable_algebra(w, h, bg))
+            ref = _refusal(lambda: _nw_mult_reference(nw.ambient, twin))
+            assert got == ref or (ref is None and "leaves the cotensor" not in got[1])
+            refused += ref is not None
+    assert refused > 0
+
+
+def test_d_v_check_matches_the_reference_loop(ks3, q_s3, bg_s3, hr_decomposition, monkeypatch):
+    # yd_to_comodule on twins of D_V's basis: the same first (t, u) whose
+    # e_t .ad u leaves D_V as the scan over contains
+    from hopfsmash import adjstable
+    blk = hr_decomposition.blocks[2]
+    yd = yd_summand_from_block(ks3, blk, bg_s3)
+    refused = 0
+    for twin in _twins(list(blk), 6):
+        span = Subspace(twin, 6)
+        ref = next(((t, ui) for t in range(6) for ui, u in enumerate(twin)
+                    if not span.contains(bg_s3.adjoint_action.act({t: 1}, u))), None)
+        monkeypatch.setattr(adjstable, "span_closure", lambda seed, images, dim: twin)
+        got = _refusal(lambda: yd_to_comodule(yd, q_s3, bg_s3))
+        assert got == (None if ref is None else
+                       (HypothesisFailure, "yd_to_comodule:d_v_is_H_module_subspace", ref))
+        refused += ref is not None
+    assert refused > 0

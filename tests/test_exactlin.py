@@ -508,6 +508,106 @@ def test_subspace_edge_cases():
     assert line.restrict(LinearMap.from_matrix([[1, 0], [0, 2]])) is None
 
 
+def _restricted_dense(t, vs, xs, ys, dim):
+    """Dense reference for Subspace.restricted on dense vectors: the
+    coordinates in vs of each value sum_ij x_i y_j t[i][j], p outer, q inner,
+    up to the first value outside span(vs)."""
+    d = t.dense()
+    u = []
+    for p, x in enumerate(xs):
+        plane = []
+        for q, y in enumerate(ys):
+            value = tuple(sum((x[i] * y[j] * d[i][j][k] for i in range(len(x))
+                               for j in range(len(y))), F(0)) for k in range(dim))
+            c = _coords(vs, value, dim)
+            if c is None:
+                return None, (p, q)
+            plane.append(c)
+        u.append(plane)
+    return u, None
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_restricted_agrees_with_dense_reference(seed):
+    # a tensor whose cells are combinations of the vectors (closed), with one
+    # cell moved out of their span on odd seeds (leaving); operands include a
+    # zero vector and e_0 - e_1, whose values vanish where planes 0 and 1 agree
+    # (copies of each other when d0 > 2)
+    rng = random.Random(seed)
+    scalars = (0, 0, 1, -1, 2, F(1, 2))
+    dim, d0, d1 = rng.randint(2, 5), rng.randint(2, 4), rng.randint(1, 4)
+    vs = []
+    while len(vs) < rng.randint(1, dim - 1):
+        v = tuple(F(rng.choice(scalars)) for _ in range(dim))
+        if len(_dense_rref(vs + [v], dim)) == len(vs) + 1:
+            vs.append(v)
+    entries = [(i, j, k, sum((rng.choice(scalars) * v[k] for v in vs), F(0)))
+               for i in range(d0) for j in range(d1) for k in range(dim)
+               if i != 1 or d0 == 2]
+    entries += [(1, j, k, c) for i, j, k, c in entries if i == 0 and d0 > 2]
+    if seed % 2:
+        outside = next(k for k in range(dim) if _coords(vs, _dense({k: 1}, dim), dim) is None)
+        entries.append((rng.randrange(d0), rng.randrange(d1), outside, 1))
+    t = Tensor3.from_entries((d0, d1, dim), entries)
+
+    def operand(n):
+        return tuple(F(rng.choice(scalars)) for _ in range(n))
+
+    xs = [operand(d0) for _ in range(rng.randint(1, 3))] + [(F(0),) * d0]
+    xs.insert(rng.randrange(len(xs)), (F(1), F(-1)) + (F(0),) * (d0 - 2))
+    ys = [operand(d1) for _ in range(rng.randint(1, 3))]
+    got, leaves = Subspace([sp(v) for v in vs], dim).restricted(
+        t, [sp(x) for x in xs], [sp(y) for y in ys])
+    expect, expect_leaves = _restricted_dense(t, vs, xs, ys, dim)
+    assert leaves == expect_leaves
+    if expect is None:
+        assert got is None
+        return
+    assert got.dims == (len(xs), len(ys), len(vs))
+    assert [[_dense(dict(got.row(p, q)), len(vs)) for q in range(len(ys))]
+            for p in range(len(xs))] == expect
+    # every stored scalar is nonzero and exact: an int where integral
+    assert all(c != 0 and type(c) is type(rat(c))
+               for p in range(len(xs)) for q in range(len(ys)) for _, c in got.row(p, q))
+
+
+def test_restricted_closed_and_leaving_cases():
+    # span{e_0} in Q^2: values e_0 stay, e_1 leaves; an empty cell, and a
+    # value that cancels, are zero and stay empty
+    t = Tensor3.from_row_dicts((3, 2, 2), {(0, 1): {0: F(2)}, (1, 0): {1: 1}, (2, 0): {1: 1},
+                                           (1, 1): {0: F(1, 2)}, (2, 1): {0: F(1, 2)}})
+    line = Subspace([{0: 2}], 2)
+    units = [{0: 1}, {1: 1}]
+    u, leaves = line.restricted(t, [{0: 1}, {1: 1, 2: -1}], units)
+    assert leaves is None and u.dims == (2, 2, 1)
+    assert [[u.row(p, q) for q in range(2)] for p in range(2)] == [[(), ((0, 1),)], [(), ()]]
+    assert type(u.entry(0, 1, 0)) is int
+    assert line.restricted(t, [{1: 1}], [{1: 1}])[0].row(0, 0) == ((0, F(1, 4)),)
+    # the first pair, p outer: (0, 1) before (1, 0), though (1, 0) leaves too
+    t2 = Tensor3.from_row_dicts((2, 2, 2), {(0, 1): {1: 1}, (1, 0): {1: 1}})
+    assert line.restricted(t2, units, units) == (None, (0, 1))
+    assert line.restricted(t2, units[::-1], units) == (None, (0, 0))
+    assert line.restricted(t2, [{0: 1}], [{0: 1}])[0].row(0, 0) == ()
+    # no operands: an empty tensor of the right shape
+    empty, leaves = line.restricted(t2, [], units)
+    assert leaves is None and empty.dims == (0, 2, 1)
+    # coordinates in dependent vectors are refused, as coords refuses them
+    with pytest.raises(ValueError, match="linearly dependent"):
+        Subspace([{0: 1}, {0: 2}], 2).restricted(t2, units, units)
+
+
+def test_linear_map_equality_reads_the_matrix():
+    # an explicit zero in a column changes neither equality, hash nor is_identity
+    with_zero = LinearMap(2, 2, ({0: 0, 1: 2}, {0: 1}))
+    plain = LinearMap(2, 2, ({1: 2}, {0: 1}))
+    assert with_zero == plain and hash(with_zero) == hash(plain)
+    assert with_zero != LinearMap(2, 2, ({1: 2}, {0: 2}))
+    assert with_zero != LinearMap(2, 3, ({1: 2}, {0: 1}))
+    assert LinearMap(2, 2, ({0: 1, 1: 0}, {1: 1})).is_identity()
+    assert not LinearMap(2, 2, ({0: 1, 1: 0}, {0: 1})).is_identity()
+    assert not LinearMap(2, 3, ({0: 1}, {1: 1})).is_identity()
+
+
 def test_split_into_eigenspaces():
     # diag(1, 1, 3) conjugated by a unipotent P: eigenspaces span{P e_0, P e_1}
     # and span{P e_2}; a second operator separates the first plane

@@ -102,7 +102,7 @@ def test_transformation_groupoid_matches_smash(s3_table, smash18):
     midx = {m: i for i, m in enumerate(morphs)}
     cols = []
     for flat in range(18):
-        a, hh = smash18.unflat(flat)
+        a, hh = divmod(flat, smash18.nh)
         src = act[s3_table.inv(hh)][a]
         cols.append({midx[(hh, src)]: F(1)})
     f = LinearMap(18, 18, cols)
@@ -498,3 +498,30 @@ def test_verify_weak_hopf_builds_no_transposed_tensor(b54, monkeypatch):
     assert rep.ok
     assert rep.find("antipode_anti_algebra").passed
     assert rep.find("antipode_anti_coalgebra").passed
+
+
+@pytest.mark.parametrize("world", ["kS3", "k3 # kS3"])
+def test_counital_closure_witnesses_match_the_reference_scan(world, request):
+    # counital_data on twins of the source and target bases (one vector
+    # moved, its indices shifted by 1 or 2), set as a fresh WeakHopfData's
+    # cached bases: the same first (i, j) whose product leaves the span as
+    # the scan over contains that the closure checks ran before
+    w = {"kS3": lambda: WeakHopfData.from_hopf(request.getfixturevalue("ks3")),
+         "k3 # kS3": lambda: request.getfixturevalue("sws18").wha}[world]()
+    refused = 0
+    for side in ("source", "target"):
+        basis = getattr(w, f"{side}_basis")
+        for i, shift in ((i, s) for i in range(len(basis)) for s in (1, 2)):
+            twin = list(basis)
+            twin[i] = {(k + shift) % w.dim: c for k, c in basis[i].items()}
+            if rank(twin, w.dim) < len(twin):
+                continue
+            fresh = WeakHopfData(w.algebra, w.coalgebra, w.antipode)
+            fresh.__dict__[f"{side}_basis"] = tuple(twin)
+            span = Subspace(twin, w.dim)
+            ref = next(((a, b) for a, u in enumerate(twin) for b, v in enumerate(twin)
+                        if not span.contains(w.algebra.mul_sparse(u, v))), None)
+            check = counital_data(fresh).report.find(f"{side}_closed_under_product")
+            assert (check.passed, check.witness) == (ref is None, ref)
+            refused += ref is not None
+    assert refused > 0
