@@ -15,11 +15,11 @@ exactlin.Subspace.restricted; each caller refuses a value outside by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .exactlin import (
     LinearMap,
+    Record,
     Subspace,
     Tensor3,
     TensorElem,
@@ -70,14 +70,16 @@ from .weakhopf import WeakHopfData, WeakQTStructure, almost_triangular_wha_repor
 # comodules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComoduleData:
+class ComoduleData(Record):
     """A left comodule over the given coalgebra; a right C-comodule is one
     over co_opposite(C)."""
 
     coalgebra: StructureCoalgebra
     dim: int
     coaction: Tensor3  # (dim, dim C, dim)
+
+    def __init__(self, coalgebra, dim, coaction):
+        vars(self).update(coalgebra=coalgebra, dim=dim, coaction=coaction)
 
     @cached_property
     def rows(self):
@@ -105,13 +107,15 @@ def dual_right_comodule(cm: ComoduleData) -> ComoduleData:
 # Yetter-Drinfeld data and the braided coaction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class YetterDrinfeldData:
+class YetterDrinfeldData(Record):
     """Simultaneous left H-module and left H-comodule (over Delta)."""
 
     host: HopfData
     action: Tensor3    # (dim H, dim V, dim V)
     coaction: Tensor3  # (dim V, dim H, dim V)
+
+    def __init__(self, host, action, coaction):
+        vars(self).update(host=host, action=action, coaction=coaction)
 
     @property
     def dim(self) -> int:
@@ -132,11 +136,13 @@ def verify_yd(v: YetterDrinfeldData, subject: str = "yetter_drinfeld") -> Verifi
     return rep
 
 
-@dataclass(frozen=True)
-class BraidedComoduleResult:
+class BraidedComoduleResult(Record):
     comodule: ComoduleData
     d_v_basis: tuple
     report: VerificationReport
+
+    def __init__(self, comodule, d_v_basis, report):
+        vars(self).update(comodule=comodule, d_v_basis=d_v_basis, report=report)
 
 
 def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
@@ -166,13 +172,15 @@ def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
 # the H (x) W object
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HTensorW:
+class HTensorW(Record):
     h: HopfData
     w: ComoduleData
     dim: int
     action: Tensor3    # (dim H, dim, dim): left multiplication
     coaction: Tensor3  # (dim, dim H, dim): left H_R-comodule
+
+    def __init__(self, h, w, dim, action, coaction):
+        vars(self).update(h=h, w=w, dim=dim, action=action, coaction=coaction)
 
     def flat(self, i: int, w: int) -> int:
         return i * self.w.dim + w
@@ -241,13 +249,15 @@ def cotensor(wdual: ComoduleData, m: ComoduleData) -> list:
 # the R-adjoint-stable algebra N_W
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdjointStableAlgebra:
+class AdjointStableAlgebra(Record):
     w: ComoduleData
     htw: HTensorW
     basis: tuple              # cotensor basis vectors in W* (x) H (x) W
     carrier: StructureAlgebra
     ambient: StructureAlgebra    # end_algebra(dim W, H^op), holding the basis
+
+    def __init__(self, w, htw, basis, carrier, ambient):
+        vars(self).update(w=w, htw=htw, basis=basis, carrier=carrier, ambient=ambient)
 
 
 def _amb_terms(v: dict, nh: int, nw: int) -> list:
@@ -357,13 +367,15 @@ def cotensor_right_module(wdual: ComoduleData, v_com: ComoduleData,
 # N_D ~ D* # H^op via Psi and Phi
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubcoalgebraData:
+class SubcoalgebraData(Record):
     """An H-module subcoalgebra D of H_R in explicit coordinates."""
 
     basis: tuple                     # sparse vectors of H
     coalgebra: StructureCoalgebra    # (Delta_R, eps) in D-coordinates
     ad_coords: Tensor3               # ad_coords[t][q][p]: coefficient of d_p in e_t .ad d_q
+
+    def __init__(self, basis, coalgebra, ad_coords):
+        vars(self).update(basis=basis, coalgebra=coalgebra, ad_coords=ad_coords)
 
     @property
     def dim(self) -> int:
@@ -406,8 +418,7 @@ def dstar_module_algebra(dd: SubcoalgebraData, hop: HopfData) -> ModuleAlgebraDa
     return mod
 
 
-@dataclass(frozen=True)
-class PsiPhiResult:
+class PsiPhiResult(Record):
     psi: LinearMap
     phi: LinearMap
     nd: AdjointStableAlgebra
@@ -415,6 +426,10 @@ class PsiPhiResult:
     dstar_mod: ModuleAlgebraData
     dd: SubcoalgebraData
     report: VerificationReport
+
+    def __init__(self, psi, phi, nd, smash, dstar_mod, dd, report):
+        vars(self).update(psi=psi, phi=phi, nd=nd, smash=smash, dstar_mod=dstar_mod, dd=dd,
+                          report=report)
 
 
 def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiPhiResult:
@@ -536,12 +551,15 @@ def hit_space(coal: StructureCoalgebra, f: dict, n: int) -> list:
     return span_basis(vecs, n)
 
 
-@dataclass(frozen=True)
-class HrDecomposition:
+class HrDecomposition(Record):
     blocks: tuple       # tuple of bases (each a tuple of sparse H-vectors)
     idempotents: tuple  # the block idempotents F_i of C(H*), in split order
     fully_split: bool
     report: VerificationReport
+
+    def __init__(self, blocks, idempotents, fully_split, report):
+        vars(self).update(blocks=blocks, idempotents=idempotents, fully_split=fully_split,
+                          report=report)
 
 
 def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:

@@ -2,7 +2,7 @@
 
     hopfsmash demo <name> [--seed N] [--json PATH]
     hopfsmash verify <workspace.json> <target> <suite> [--json PATH]
-    hopfsmash construct <workspace.json> <recipe> <out.json>
+    hopfsmash construct <workspace.json> <recipe> <out.json> [--json PATH]
 
 --seed and --json may come before or after the subcommand.
 
@@ -16,7 +16,6 @@ the run passed; reports embed the tool version and the input content hash.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from contextlib import contextmanager
@@ -234,7 +233,7 @@ class Workspace:
         return Workspace(objects, raw)
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.raw).hexdigest()
+        return _sha256(self.raw)
 
     def get(self, name: str) -> dict:
         if name not in self.objects:
@@ -330,6 +329,13 @@ def _encode(x) -> str:
     return json.dumps(x)
 
 
+def _sha256(data: bytes) -> str:
+    """The hex SHA-256 of data: the `input_hash` of every report.  hashlib is
+    imported here, on first use, as it adds to every start-up otherwise."""
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
+
+
 def _write_json(path: str, doc: dict) -> None:
     """Write `doc` as compact JSON, byte-identical to json.dumps(doc); every
     file the package writes goes through here."""
@@ -422,7 +428,7 @@ def cmd_demo(name: str, seed: int, json_path: str | None) -> int:
     rep, extra = DEMOS[name](seed)
     print(rep.summary())
     payload = {"tool_version": __version__,
-               "input_hash": hashlib.sha256(name.encode()).hexdigest(),
+               "input_hash": _sha256(name.encode()),
                "command": ["demo", name], "seed": seed,
                "ok": rep.ok, "extra": extra, "report": rep.to_dict()}
     path = json_path or f"{name}-report.json"
@@ -587,7 +593,7 @@ def _construct(ws: Workspace, recipe: str):
     raise ValueError(f"unknown recipe {op!r}")
 
 
-def cmd_construct(path: str, recipe: str, out: str) -> int:
+def cmd_construct(path: str, recipe: str, out: str, json_path: str | None) -> int:
     try:
         ws = Workspace.load(path)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -608,6 +614,9 @@ def cmd_construct(path: str, recipe: str, out: str) -> int:
            "report": rep.to_dict()}
     doc.update(payload)
     _write_json(out, doc)
+    if json_path:
+        _write_json(json_path, {"tool_version": __version__, "input_hash": doc["input_hash"],
+                                "command": doc["command"], "ok": rep.ok, "report": doc["report"]})
     print(rep.summary())
     print(f"object written to {out}")
     return 0 if rep.ok else 1
@@ -642,7 +651,7 @@ def main(argv=None) -> int:
     if ns.cmd == "verify":
         return cmd_verify(ns.workspace, ns.target, ns.suite, ns.json)
     if ns.cmd == "construct":
-        return cmd_construct(ns.workspace, ns.recipe, ns.out)
+        return cmd_construct(ns.workspace, ns.recipe, ns.out, ns.json)
     return 2
 
 

@@ -23,7 +23,6 @@ off in reduced echelon form, which is canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd
@@ -137,11 +136,54 @@ def vec_dot(u: dict, v: dict) -> int | Fraction:
 
 
 # ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+class Record:
+    """A record whose fields are the names annotated in its class body, after
+    those of its bases, read once per class.  Instances compare == (only to
+    the same class), hash and print field by field, as frozen dataclasses do,
+    and refuse setattr and delattr.  Each subclass writes its own __init__,
+    storing the fields through vars(self), where cached properties also keep
+    their values; `class C(Record, mutable=True)` keeps the fields assignable
+    and the instances unhashable."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, mutable: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__annotations__)
+        if mutable:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a read-only {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a read-only {type(self).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # linear maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class LinearMap:
+class LinearMap(Record):
     """A linear map between based spaces, kept as its columns: cols[c] is
     f(e_c) as a sparse {row: scalar} dict.  Equality, hash and is_identity
     read the matrix, so an explicit zero a caller gave does not count.
@@ -154,12 +196,13 @@ class LinearMap:
     target_dim: int
     cols: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "cols", tuple(self.cols))
-        rows = set().union(*self.cols)    # every key of every column, for one min and max
-        if len(self.cols) != self.source_dim or not (
-                0 <= min(rows, default=0) and max(rows, default=-1) < self.target_dim):
+    def __init__(self, source_dim, target_dim, cols):
+        cols = tuple(cols)
+        rows = set().union(*cols)    # every key of every column, for one min and max
+        if len(cols) != source_dim or not (
+                0 <= min(rows, default=0) and max(rows, default=-1) < target_dim):
             raise DimensionMismatch("columns disagree with the declared dims")
+        vars(self).update(source_dim=source_dim, target_dim=target_dim, cols=cols)
 
     @staticmethod
     def from_matrix(m) -> "LinearMap":

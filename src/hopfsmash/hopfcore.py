@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -24,6 +23,7 @@ from .exactlin import (
     DimensionMismatch,
     Echelon,
     LinearMap,
+    Record,
     Tensor3,
     TensorElem,
     kernel_basis,
@@ -46,21 +46,21 @@ class NotSemisimple(ValueError):
 # carriers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StructureAlgebra:
+class StructureAlgebra(Record):
     """An algebra given by its multiplication tensor and unit vector."""
 
     dim: int
     mult: Tensor3
     unit: tuple
 
-    def __post_init__(self):
-        if type(self.dim) is not int:
-            raise TypeError(f"dimension {self.dim!r} is not an integer")
-        if self.mult.dims != (self.dim, self.dim, self.dim):
+    def __init__(self, dim, mult, unit):
+        if type(dim) is not int:
+            raise TypeError(f"dimension {dim!r} is not an integer")
+        if mult.dims != (dim, dim, dim):
             raise DimensionMismatch("multiplication tensor has wrong shape")
-        if len(self.unit) != self.dim:
+        if len(unit) != dim:
             raise DimensionMismatch("unit vector has wrong length")
+        vars(self).update(dim=dim, mult=mult, unit=unit)
 
     def mul_row(self, i: int, j: int):
         return self.mult.row(i, j)
@@ -125,19 +125,19 @@ def sweedler_rows(t: Tensor3) -> tuple:
                  for plane, ds in zip(t._rows, t.support()[0]))
 
 
-@dataclass(frozen=True)
-class StructureCoalgebra:
+class StructureCoalgebra(Record):
     """A coalgebra given by its comultiplication tensor and counit vector."""
 
     dim: int
     comult: Tensor3
     counit: tuple
 
-    def __post_init__(self):
-        if self.comult.dims != (self.dim, self.dim, self.dim):
+    def __init__(self, dim, comult, counit):
+        if comult.dims != (dim, dim, dim):
             raise DimensionMismatch("comultiplication tensor has wrong shape")
-        if len(self.counit) != self.dim:
+        if len(counit) != dim:
             raise DimensionMismatch("counit vector has wrong length")
+        vars(self).update(dim=dim, comult=comult, counit=counit)
 
     @cached_property
     def rows(self):
@@ -173,19 +173,20 @@ class StructureCoalgebra:
         return self._rows2[i]
 
 
-@dataclass(frozen=True)
-class HopfData:
+class HopfData(Record):
     """Algebra + coalgebra on one carrier, with an antipode map."""
 
     algebra: StructureAlgebra
     coalgebra: StructureCoalgebra
     antipode: LinearMap
 
-    def __post_init__(self):
-        if self.algebra.dim != self.coalgebra.dim:
+    def __init__(self, algebra, coalgebra, antipode):
+        n = algebra.dim
+        if n != coalgebra.dim:
             raise DimensionMismatch("algebra and coalgebra dimensions differ")
-        if (self.antipode.source_dim, self.antipode.target_dim) != (self.dim, self.dim):
+        if (antipode.source_dim, antipode.target_dim) != (n, n):
             raise DimensionMismatch("antipode matrix has wrong shape")
+        vars(self).update(algebra=algebra, coalgebra=coalgebra, antipode=antipode)
 
     @property
     def dim(self) -> int:
@@ -217,12 +218,14 @@ class HopfData:
         return verify_hopf(self)
 
 
-@dataclass(frozen=True)
-class IntegralPair:
+class IntegralPair(Record):
     """A two-sided integral in H and a normalized integral of the dual."""
 
     Lambda: dict
     lam: dict
+
+    def __init__(self, Lambda, lam):
+        vars(self).update(Lambda=Lambda, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -872,12 +875,14 @@ def check_map(f: LinearMap, src, dst, kinds) -> VerificationReport:
 # group algebras
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(Record):
     """A finite group as a multiplication table over element names."""
 
     elements: tuple
     table: tuple
+
+    def __init__(self, elements, table):
+        vars(self).update(elements=elements, table=table)
 
     @staticmethod
     def from_lists(elements, table) -> "GroupTable":

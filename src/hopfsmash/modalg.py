@@ -9,11 +9,11 @@ the canonical symmetric separability idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .exactlin import (
     LinearMap,
+    Record,
     Tensor3,
     TensorElem,
     commutant_rows,
@@ -40,8 +40,7 @@ from .qtriang import adjoint_action_tensor, drinfeld_element
 from .report import VerificationReport
 
 
-@dataclass(frozen=True)
-class ModuleAlgebraData:
+class ModuleAlgebraData(Record):
     """An algebra A with a left H-action tensor action[h][a][b]
     (= coefficient of e_b in h . e_a)."""
 
@@ -49,11 +48,12 @@ class ModuleAlgebraData:
     A: StructureAlgebra
     action: Tensor3
 
-    def __post_init__(self):
-        if self.action.dims != (self.host.dim, self.A.dim, self.A.dim):
+    def __init__(self, host, A, action):
+        if action.dims != (host.dim, A.dim, A.dim):
             raise ValueError("action tensor shape must be (dim H, dim A, dim A)")
-        if all(c == 0 for c in self.A.unit):
+        if all(c == 0 for c in A.unit):
             raise ValueError("degenerate carrier: the unit of A is zero")
+        vars(self).update(host=host, A=A, action=action)
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -61,12 +61,14 @@ class ModuleAlgebraData:
         return verify_module_algebra(self)
 
 
-@dataclass(frozen=True)
-class SeparabilityData:
+class SeparabilityData(Record):
     """Symmetric separability idempotent x and the trace functional alpha."""
 
     x: TensorElem
     alpha: dict
+
+    def __init__(self, x, alpha):
+        vars(self).update(x=x, alpha=alpha)
 
 
 def verify_module_algebra(m: ModuleAlgebraData, subject: str = "module_algebra") -> VerificationReport:
@@ -202,11 +204,13 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
 # H-simplicity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HSimplicityResult:
+class HSimplicityResult(Record):
     kind: str  # certified_simple | not_simple | inconclusive
-    witness_ideal: tuple | None = None
-    commutant_dim: int | None = None
+    witness_ideal: tuple | None
+    commutant_dim: int | None
+
+    def __init__(self, kind, witness_ideal=None, commutant_dim=None):
+        vars(self).update(kind=kind, witness_ideal=witness_ideal, commutant_dim=commutant_dim)
 
 
 def is_H_simple(m: ModuleAlgebraData) -> HSimplicityResult:

@@ -21,11 +21,11 @@ once per braided group (BraidedGroupData.dual_right_action).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .exactlin import (
     LinearMap,
+    Record,
     Tensor3,
     TensorElem,
     sorted_plane,
@@ -58,13 +58,15 @@ from .hopfcore import (
 from .report import VerificationReport
 
 
-@dataclass(frozen=True)
-class QTStructure:
+class QTStructure(Record):
     """An R-matrix (with its inverse) on a verified Hopf algebra."""
 
     host: HopfData
     R: TensorElem
     Rinv: TensorElem
+
+    def __init__(self, host, R, Rinv):
+        vars(self).update(host=host, R=R, Rinv=Rinv)
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -129,11 +131,13 @@ def verify_qt(q: QTStructure, subject: str = "qt") -> VerificationReport:
 # Drinfeld element and triangularity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DrinfeldElement:
+class DrinfeldElement(Record):
     u: dict
     s_invariant: bool
     central: bool
+
+    def __init__(self, u, s_invariant, central):
+        vars(self).update(u=u, s_invariant=s_invariant, central=central)
 
 
 def drinfeld_element(q: QTStructure) -> DrinfeldElement:
@@ -147,12 +151,15 @@ def drinfeld_element(q: QTStructure) -> DrinfeldElement:
     return DrinfeldElement(u, s_inv, central)
 
 
-@dataclass(frozen=True)
-class TriangularityClass:
+class TriangularityClass(Record):
     kind: str  # triangular | almost_triangular_strict | quasi_triangular_only
     in_center_tensor_h: bool
     in_h_tensor_center: bool
-    witness: tuple | None = None
+    witness: tuple | None
+
+    def __init__(self, kind, in_center_tensor_h, in_h_tensor_center, witness=None):
+        vars(self).update(kind=kind, in_center_tensor_h=in_center_tensor_h,
+                          in_h_tensor_center=in_h_tensor_center, witness=witness)
 
 
 def classify_triangularity(q: QTStructure) -> TriangularityClass:
@@ -207,14 +214,17 @@ def adjoint_action_tensor(h: HopfData) -> Tensor3:
     return Tensor3((n, n, n), tuple(planes))
 
 
-@dataclass(frozen=True)
-class BraidedGroupData:
+class BraidedGroupData(Record):
     """The transmuted braided group H_R: adjoint action, Delta_R and S_R."""
 
     host: QTStructure
     adjoint_action: Tensor3
     comult_R: Tensor3
     antipode_R: LinearMap
+
+    def __init__(self, host, adjoint_action, comult_R, antipode_R):
+        vars(self).update(host=host, adjoint_action=adjoint_action, comult_R=comult_R,
+                          antipode_R=antipode_R)
 
     @cached_property
     def report(self) -> VerificationReport:

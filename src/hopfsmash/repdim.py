@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import isqrt
 
 from .adjstable import HrDecomposition, decompose_hr, hit_space, yd_to_comodule
 from .exactlin import (
     LinearMap,
+    Record,
     Subspace,
     _min_poly,
     _poly_gcd,
@@ -38,11 +38,13 @@ from .report import HypothesisFailure, VerificationReport
 MAX_RESEEDS = 3
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(Record):
     dim: int
     blocks: tuple       # sorted simple-module dimensions d, sum d^2 = dim
     seed: int
+
+    def __init__(self, dim, blocks, seed):
+        vars(self).update(dim=dim, blocks=blocks, seed=seed)
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "blocks": list(self.blocks), "seed": self.seed}
@@ -97,11 +99,13 @@ def wedderburn_blocks(a: StructureAlgebra, *, seed: int = 0) -> BlockReport:
                         f"after {MAX_RESEEDS + 1} seeds")
 
 
-@dataclass(frozen=True)
-class FpdimReport:
+class FpdimReport(Record):
     blocks: tuple
     fpdims: tuple
     report: VerificationReport
+
+    def __init__(self, blocks, fpdims, report):
+        vars(self).update(blocks=blocks, fpdims=fpdims, report=report)
 
 
 def fpdim_report(s_wha, a_mod, *, seed: int = 0) -> FpdimReport:
@@ -123,11 +127,13 @@ def fpdim_report(s_wha, a_mod, *, seed: int = 0) -> FpdimReport:
 # class idempotents of C(H*)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassIdempotents:
+class ClassIdempotents(Record):
     idempotents: tuple    # vectors in H*
     blocks: tuple         # bases of Lambda <- F_i H* in H
     report: VerificationReport
+
+    def __init__(self, idempotents, blocks, report):
+        vars(self).update(idempotents=idempotents, blocks=blocks, report=report)
 
 
 def class_idempotents(h: HopfData, q: QTStructure, ip,

@@ -17,7 +17,7 @@ same work as the bare loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .exactlin import Record
 
 
 class HypothesisFailure(ValueError):
@@ -32,12 +32,17 @@ class HypothesisFailure(ValueError):
         super().__init__(msg)
 
 
-@dataclass
-class Check:
+class Check(Record, mutable=True):
     name: str
     passed: bool
-    witness: tuple | None = None
-    informational: bool = False
+    witness: tuple | None
+    informational: bool
+
+    def __init__(self, name, passed, witness=None, informational=False):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+        self.informational = informational
 
     def to_dict(self) -> dict:
         d = {"axiom": self.name, "status": "pass" if self.passed else "fail"}
@@ -48,10 +53,13 @@ class Check:
         return d
 
 
-@dataclass
-class VerificationReport:
-    subject: str = ""
-    checks: list[Check] = field(default_factory=list)
+class VerificationReport(Record, mutable=True):
+    subject: str
+    checks: list[Check]
+
+    def __init__(self, subject="", checks=None):
+        self.subject = subject
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

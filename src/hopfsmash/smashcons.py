@@ -17,11 +17,11 @@ hypothesis can never masquerade as a failed theorem.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .exactlin import (
     LinearMap,
+    Record,
     Tensor3,
     Subspace,
     TensorElem,
@@ -79,11 +79,13 @@ VERIFY_DIM_LIMIT = 64
 # the smash product algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmashProduct:
+class SmashProduct(Record):
     A_mod: ModuleAlgebraData
     H: HopfData
     carrier: StructureAlgebra
+
+    def __init__(self, A_mod, H, carrier):
+        vars(self).update(A_mod=A_mod, H=H, carrier=carrier)
 
     @property
     def na(self) -> int:
@@ -131,13 +133,15 @@ def smash_algebra(A_mod: ModuleAlgebraData) -> SmashProduct:
 # the weak Hopf structure on A#H
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmashWeakStructure:
+class SmashWeakStructure(Record):
     smash: SmashProduct
     q: QTStructure
     sep: SeparabilityData
     wha: WeakHopfData
     report: VerificationReport
+
+    def __init__(self, smash, q, sep, wha, report):
+        vars(self).update(smash=smash, q=q, sep=sep, wha=wha, report=report)
 
 
 def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData) -> SmashWeakStructure:
@@ -374,14 +378,16 @@ def theta_embed(s: SmashProduct) -> tuple[LinearMap, StructureAlgebra, Verificat
 # the enveloping weak Hopf algebra B = A (x) H (x) A*
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BAlgebra:
+class BAlgebra(Record):
     A_mod: ModuleAlgebraData
     q: QTStructure
     sep: SeparabilityData
     wha: WeakHopfData
     rqt: WeakQTStructure
     report: VerificationReport
+
+    def __init__(self, A_mod, q, sep, wha, rqt, report):
+        vars(self).update(A_mod=A_mod, q=q, sep=sep, wha=wha, rqt=rqt, report=report)
 
     @property
     def na(self) -> int:
@@ -784,8 +790,7 @@ def double_module_spot_check(h: HopfData, double=None) -> VerificationReport:
 # the transformation-groupoid case study
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CaseStudyReport:
+class CaseStudyReport(Record):
     t: int
     stabilizer: tuple          # indices of G_1 inside G
     coset_reps: tuple          # rep g_p with g_p . 0 = p
@@ -794,6 +799,12 @@ class CaseStudyReport:
     iso: LinearMap             # M_t(k) (x) k G_1 -> A#H
     sws: SmashWeakStructure
     report: VerificationReport
+
+    def __init__(self, t, stabilizer, coset_reps, matrix_unit_index, centralizer_basis, iso, sws,
+                 report):
+        vars(self).update(t=t, stabilizer=stabilizer, coset_reps=coset_reps,
+                          matrix_unit_index=matrix_unit_index, centralizer_basis=centralizer_basis,
+                          iso=iso, sws=sws, report=report)
 
     def to_dict(self) -> dict:
         """The report as JSON data; vectors and the iso are written dense."""

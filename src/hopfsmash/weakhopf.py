@@ -11,11 +11,11 @@ counital maps eps_s(h) = 1_(1) eps(h 1_(2)), eps_t(h) = eps(1_(1) h) 1_(2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .exactlin import (
     LinearMap,
+    Record,
     Tensor3,
     TensorElem,
     Subspace,
@@ -190,13 +190,16 @@ def verify_weak_bialgebra(w: WeakHopfData, subject: str = "weak_bialgebra") -> V
     return rep
 
 
-@dataclass(frozen=True)
-class CounitalData:
+class CounitalData(Record):
     eps_s: LinearMap
     eps_t: LinearMap
     source_basis: tuple
     target_basis: tuple
     report: VerificationReport
+
+    def __init__(self, eps_s, eps_t, source_basis, target_basis, report):
+        vars(self).update(eps_s=eps_s, eps_t=eps_t, source_basis=source_basis,
+                          target_basis=target_basis, report=report)
 
 
 def counital_data(w: WeakHopfData) -> CounitalData:
@@ -272,11 +275,13 @@ def verify_weak_hopf(w: WeakHopfData, subject: str = "weak_hopf") -> Verificatio
 # weak quasi-triangular structures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeakQTStructure:
+class WeakQTStructure(Record):
     host: WeakHopfData
     Rw: TensorElem
     Rw_bar: TensorElem
+
+    def __init__(self, host, Rw, Rw_bar):
+        vars(self).update(host=host, Rw=Rw, Rw_bar=Rw_bar)
 
 
 def verify_weak_qt(wq: WeakQTStructure, subject: str = "weak_qt") -> VerificationReport:
@@ -358,8 +363,7 @@ def check_wha_morphism(f, src: WeakHopfData, dst: WeakHopfData) -> VerificationR
 # groupoids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupoidData:
+class GroupoidData(Record):
     """Finite groupoid: morphisms with source/target, partial composition."""
 
     n_objects: int
@@ -368,6 +372,10 @@ class GroupoidData:
     compose: tuple   # compose[i][j] = index of m_i after m_j, or None
     identities: tuple
     inverses: tuple
+
+    def __init__(self, n_objects, sources, targets, compose, identities, inverses):
+        vars(self).update(n_objects=n_objects, sources=sources, targets=targets, compose=compose,
+                          identities=identities, inverses=inverses)
 
     @property
     def n_morphisms(self) -> int:

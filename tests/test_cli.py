@@ -474,6 +474,22 @@ def test_global_flags_after_verify(tmp_path):
     assert json.loads(out.read_text())["report"]["ok"] is True
 
 
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_construct_writes_its_json_report(tmp_path, before):
+    # --json is a global flag: construct writes the report with verify's keys
+    ws = write_workspace(tmp_path / "ws.json")
+    out, rep = tmp_path / "dz2.json", tmp_path / "rep.json"
+    args = ["construct", str(ws), "double:z2", str(out)]
+    flag = ["--json", str(rep)]
+    assert main(flag + args if before else args + flag) == 0
+    payload, doc = json.loads(rep.read_text()), json.loads(out.read_text())
+    assert list(payload) == ["tool_version", "input_hash", "command", "ok", "report"]
+    assert payload["tool_version"] == __version__ and payload["ok"] is True
+    assert payload["input_hash"] == hashlib.sha256(ws.read_bytes()).hexdigest()
+    assert payload["command"] == ["construct", str(ws), "double:z2", str(out)]
+    assert payload["report"] == doc["report"] and payload["report"]["ok"] is True
+
+
 def test_short_r_is_rejected_not_padded(tmp_path, capsys):
     ws = _starter_workspace(tmp_path / "ws.json")
     doc = json.loads(ws.read_text())

@@ -9,7 +9,8 @@ package code builds a tensor through `from_row_dicts`, package code opens
 a file for writing only in `cli._write_json`, the one writer, and no
 `functools.cache`/`lru_cache` wraps a module-level function or method (its
 entries would live as long as the process; a memo belongs to the value that
-owns it).
+owns it), and importing the nine layers loads none of the standard-library
+modules that only slow every start-up (`dataclasses`, `inspect`, `hashlib`).
 
 An AST scan stands in for pyflakes: a name bound by an import counts as used
 when it appears anywhere in the module as a name, as the root of an
@@ -17,6 +18,8 @@ attribute chain, in a string annotation, or in `__all__`.
 """
 
 import ast
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -421,3 +424,36 @@ def test_scan_finds_process_caches():
            "        return 1\n"
            "h = cache(lambda x: x)\n")
     assert process_caches(src) == [3, 9, 16, 19]
+
+
+LAYERS = ("exactlin", "hopfcore", "qtriang", "modalg", "weakhopf", "smashcons",
+          "adjstable", "repdim", "cli")
+# dataclasses loads inspect, ast and dis and execs generated methods for each
+# record; hashlib loads OpenSSL: milliseconds on every run of every command
+STARTUP_FORBIDDEN = ("dataclasses", "inspect", "hashlib")
+
+
+def startup_imports(src: Path) -> list:
+    """The STARTUP_FORBIDDEN modules that importing the nine layers of the
+    hopfsmash package under src loads into a fresh interpreter (without site,
+    and not counting what the interpreter had loaded before)."""
+    code = (f"import sys\nbefore = set(sys.modules)\nsys.path.insert(0, {str(src)!r})\n"
+            f"for layer in {LAYERS!r}:\n    __import__('hopfsmash.' + layer)\n"
+            f"print(*(m for m in {STARTUP_FORBIDDEN!r} if m in set(sys.modules) - before))")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    return run.stdout.split()
+
+
+def test_startup_loads_no_slow_modules():
+    assert startup_imports(ROOT / "src") == []
+
+
+def test_startup_scan_finds_a_planted_dataclass(tmp_path):
+    shutil.copytree(ROOT / "src/hopfsmash", tmp_path / "hopfsmash",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    planted = tmp_path / "hopfsmash" / "repdim.py"
+    planted.write_text(planted.read_text() + (
+        "\n\nfrom dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Planted:\n    x: int\n"))
+    assert startup_imports(tmp_path) == ["dataclasses", "inspect"]
