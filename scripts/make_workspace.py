@@ -9,7 +9,7 @@
 import sys
 
 from hopfsmash import demos as dm
-from hopfsmash.cli import _write_json, ser_t2, ser_t3, ser_vec
+from hopfsmash.cli import _write_json, ser_vec
 from hopfsmash.qtriang import trivial_qt
 
 
@@ -23,17 +23,18 @@ def main(path: str) -> int:
                "table": [list(r) for r in z2.table]},
         "s3": {"type": "group", "elements": list(s3.elements),
                "table": [list(r) for r in s3.table]},
-        "qs3-trivial": {"type": "qt", "host": "s3", "R": ser_t2(q3.R)},
+        "qs3-trivial": {"type": "qt", "host": "s3", "R": q3.R},
         "k3s3": {"type": "module-algebra", "host": "s3",
-                 "algebra": {"dim": 3, "mult": ser_t3(m3.A.mult),
+                 "algebra": {"dim": 3, "mult": m3.A.mult,
                              "unit": ser_vec(m3.A.unit)},
-                 "action": ser_t3(m3.action)},
+                 "action": m3.action},
         "transpositions": {"type": "subcoalgebra", "qt": "qs3-trivial",
                            "basis": [["0", "1", "0", "0", "0", "0"],
                                      ["0", "0", "1", "0", "0", "0"],
                                      ["0", "0", "0", "0", "0", "1"]]},
     }}
-    _write_json(path, doc)
+    if not _write_json(path, doc):
+        return 2
     print(f"workspace written to {path}")
     return 0
 

@@ -8,7 +8,8 @@
 
 Workspace files are single JSON documents {"objects": {name: object}} with
 rationals serialized as "p/q" strings or JSON integers; a float, a boolean or a
-zero denominator is refused with exit code 2. Recipes take their arguments inline,
+zero denominator is refused with exit code 2, as is an output path that cannot
+be written. Recipes take their arguments inline,
 e.g. `construct ws.json double:kz2 out.json`. Exit code 0 iff every check in
 the run passed; reports embed the tool version and the input content hash.
 """
@@ -83,7 +84,7 @@ from . import demos as dm
 
 class Tokens(list):
     """A row of `rat_str` tokens ([-0-9/], never escaped in JSON), so that
-    `_encode` writes it with one str.join."""
+    the writer joins it with one str.join."""
 
     __slots__ = ()    # as small as a list: no per-row __dict__
 
@@ -96,32 +97,10 @@ def _ser_mat(m):
     return [ser_vec(row) for row in m]
 
 
-def ser_t3(t: Tensor3):
-    """The dense t[i][j][k] array of "p/q" strings, built from the nonzeros."""
-    d0, d1, d2 = t.dims
-    zero = ["0"] * d2
-    out = [[Tokens(zero) for _ in range(d1)] for _ in range(d0)]
-    for i, plane in enumerate(out):
-        for j, row in enumerate(plane):
-            for k, c in t.row(i, j):
-                row[k] = rat_str(c)
-    return out
-
-
-def ser_t2(t: TensorElem):
-    """The dense t[i][j] array of "p/q" strings, built from the nonzeros."""
-    d0, d1 = t.dims
-    zero = ["0"] * d1
-    out = [Tokens(zero) for _ in range(d0)]
-    for (i, j), c in t.items():
-        out[i][j] = rat_str(c)
-    return out
-
-
 def ser_hopf(h: HopfData, kind: str = "hopf") -> dict:
     return {"type": kind, "dim": h.dim,
-            "mult": ser_t3(h.mult), "unit": ser_vec(h.unit),
-            "comult": ser_t3(h.comult), "counit": ser_vec(h.counit),
+            "mult": h.mult, "unit": ser_vec(h.unit),
+            "comult": h.comult, "counit": ser_vec(h.counit),
             "antipode": _ser_mat(h.antipode.matrix)}
 
 
@@ -136,7 +115,7 @@ def de_hopf(obj: dict, name: str, cls=HopfData):
 
 def ser_algebra(a: StructureAlgebra) -> dict:
     return {"type": "algebra", "dim": a.dim,
-            "mult": ser_t3(a.mult), "unit": ser_vec(a.unit)}
+            "mult": a.mult, "unit": ser_vec(a.unit)}
 
 
 def groupoid_wha_from_json(obj: dict, name: str) -> WeakHopfData:
@@ -312,21 +291,80 @@ class Workspace:
             return q, vectors
 
 
-def _encode(x) -> str:
-    """json.dumps(x), byte for byte: a Tokens row of strs is joined as it
-    stands, lists, tuples and str-keyed dicts are recursed with json's default
-    separators, and every other value (a Tokens row holding a non-str too)
-    goes to json.dumps."""
+def _row_text(tokens) -> str:
+    """The JSON array of a nonempty row of `rat_str` tokens, by one str.join."""
+    return '["' + '", "'.join(tokens) + '"]'
+
+
+def _zero_row(n: int) -> str:
+    """The JSON text of a row of n "0" tokens."""
+    return "[" + ", ".join(['"0"'] * n) + "]"
+
+
+def _dense_rows(cells, n: int, zero: str) -> str:
+    """The JSON text of a dense array with n columns, read from each row's
+    nonzero (k, value) pairs: an empty row is `zero`, the text of n "0"
+    tokens, and a nonempty one is joined from its tokens."""
+    rows = []
+    for cell in cells:
+        if cell:
+            row = ["0"] * n
+            for k, c in cell:
+                row[k] = rat_str(c)
+            rows.append(_row_text(row))
+        else:
+            rows.append(zero)
+    return "[" + ", ".join(rows) + "]"
+
+
+def _chunks(x):
+    """json.dumps(x) in pieces, none longer than one plane of a tensor.  A
+    Tensor3 or TensorElem is written as its dense array of "p/q" strings from
+    its nonzero cells, a plane at a time; a Tokens row of strs is joined as it
+    stands; lists, tuples and dicts are recursed with json's default
+    separators; every other value (a Tokens row holding a non-str too) goes to
+    json.dumps."""
     if type(x) is Tokens:
         try:
-            return '["' + '", "'.join(x) + '"]' if x else "[]"
+            yield _row_text(x) if x else "[]"
         except TypeError:
-            return json.dumps(x)
-    if isinstance(x, (list, tuple)):
-        return "[" + ", ".join(map(_encode, x)) + "]"
-    if isinstance(x, dict) and all(isinstance(k, str) for k in x):
-        return "{" + ", ".join(json.dumps(k) + ": " + _encode(v) for k, v in x.items()) + "}"
-    return json.dumps(x)
+            yield json.dumps(x)
+    elif type(x) is Tensor3:
+        d0, d1, d2 = x.dims
+        zero = _zero_row(d2)
+        yield "["
+        for i in range(d0):
+            plane = (x.row(i, j) for j in range(d1))
+            yield (", " if i else "") + _dense_rows(plane, d2, zero)
+        yield "]"
+    elif type(x) is TensorElem:
+        d0, d1 = x.dims
+        cells = [[] for _ in range(d0)]
+        for (i, j), c in x.items():
+            cells[i].append((j, c))
+        yield _dense_rows(cells, d1, _zero_row(d1))
+    elif isinstance(x, (list, tuple)):
+        yield "["
+        for n, y in enumerate(x):
+            if n:
+                yield ", "
+            yield from _chunks(y)
+        yield "]"
+    elif isinstance(x, dict):
+        yield "{"
+        for n, (k, v) in enumerate(x.items()):
+            # a key that is not a str is converted, or refused, as json.dumps does
+            key = json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+            yield (", " if n else "") + key + ": "
+            yield from _chunks(v)
+        yield "}"
+    else:
+        yield json.dumps(x)
+
+
+def _encode(x) -> str:
+    """json.dumps of x with every tensor in it made dense, byte for byte."""
+    return "".join(_chunks(x))
 
 
 def _sha256(data: bytes) -> str:
@@ -336,11 +374,17 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_json(path: str, doc: dict) -> None:
-    """Write `doc` as compact JSON, byte-identical to json.dumps(doc); every
-    file the package writes goes through here."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_encode(doc))
+def _write_json(path: str, doc: dict) -> bool:
+    """Write `doc` as compact JSON, byte-identical to `_encode(doc)`, one
+    piece at a time; every file the package writes goes through here.  False,
+    with the reason on stderr, when the file cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(_chunks(doc))
+    except OSError as exc:
+        print(f"error: cannot write {path!r}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +476,8 @@ def cmd_demo(name: str, seed: int, json_path: str | None) -> int:
                "command": ["demo", name], "seed": seed,
                "ok": rep.ok, "extra": extra, "report": rep.to_dict()}
     path = json_path or f"{name}-report.json"
-    _write_json(path, payload)
+    if not _write_json(path, payload):
+        return 2
     print(f"report written to {path}")
     return 0 if rep.ok else 1
 
@@ -517,7 +562,8 @@ def cmd_verify(path: str, target: str, suite: str, json_path: str | None) -> int
         payload = {"tool_version": __version__, "input_hash": ws.content_hash(),
                    "command": ["verify", path, target, suite],
                    "ok": rep.ok, "report": rep.to_dict()}
-        _write_json(json_path, payload)
+        if not _write_json(json_path, payload):
+            return 2
     return 0 if rep.ok else 1
 
 
@@ -543,7 +589,7 @@ def _construct(ws: Workspace, recipe: str):
         rep = VerificationReport("hopf")    # dd.report is shared: merge, do not add
         rep.merge(dd.report)
         rep.merge(q.report, "qt.")
-        return {"constructed": ser_hopf(dd), "R": ser_t2(q.R)}, rep
+        return {"constructed": ser_hopf(dd), "R": q.R}, rep
     if op == "heisenberg":
         a = heisenberg_double(ws.resolve_hopf(args[0]))
         return {"constructed": ser_algebra(a)}, a.report
@@ -562,7 +608,7 @@ def _construct(ws: Workspace, recipe: str):
         q = ws.resolve_qt(args[1]) if len(args) > 1 else trivial_qt(m.host)
         b = build_B(m, q, separability(m))
         return {"constructed": ser_hopf(b.wha, "weak-hopf"),
-                "R": ser_t2(b.rqt.Rw), "Rbar": ser_t2(b.rqt.Rw_bar),
+                "R": b.rqt.Rw, "Rbar": b.rqt.Rw_bar,
                 "codec": "flat = (a_index * dim_H + h_index) * dim_A + dual_index"}, b.report
     if op == "transmute":
         q = ws.resolve_qt(args[0])
@@ -570,8 +616,8 @@ def _construct(ws: Workspace, recipe: str):
         return {"constructed": {
             "type": "braided-group",
             "dim": q.host.dim,
-            "adjoint_action": ser_t3(bg.adjoint_action),
-            "comult_R": ser_t3(bg.comult_R),
+            "adjoint_action": bg.adjoint_action,
+            "comult_R": bg.comult_R,
             "antipode_R": _ser_mat(bg.antipode_R.matrix),
         }}, bg.report
     if op == "nd":
@@ -613,10 +659,12 @@ def cmd_construct(path: str, recipe: str, out: str, json_path: str | None) -> in
            "objects": {name: payload.pop("constructed")},
            "report": rep.to_dict()}
     doc.update(payload)
-    _write_json(out, doc)
-    if json_path:
-        _write_json(json_path, {"tool_version": __version__, "input_hash": doc["input_hash"],
-                                "command": doc["command"], "ok": rep.ok, "report": doc["report"]})
+    if not _write_json(out, doc):
+        return 2
+    if json_path and not _write_json(
+            json_path, {"tool_version": __version__, "input_hash": doc["input_hash"],
+                        "command": doc["command"], "ok": rep.ok, "report": doc["report"]}):
+        return 2
     print(rep.summary())
     print(f"object written to {out}")
     return 0 if rep.ok else 1

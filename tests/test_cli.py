@@ -16,11 +16,18 @@ from hopfsmash.cli import (
     Workspace,
     _construct,
     _encode,
+    _write_json,
     cmd_demo,
     main,
     ser_hopf,
-    ser_t3,
 )
+from hopfsmash.exactlin import Tensor3, TensorElem, rat_str
+
+
+def _as_json(x):
+    """x as a workspace file holds it: tensors made dense, as json.loads reads
+    back what the CLI writes; a test mutates this copy."""
+    return json.loads(_encode(x))
 
 
 def write_workspace(path):
@@ -256,7 +263,7 @@ def test_malformed_groupoid_field_is_refused(tmp_path, capsys, field, value, rea
                                      lambda a: [row + ["0"] for row in a]],
                          ids=["short-first-row", "missing-last-row", "extra-column"])
 def test_antipode_of_the_wrong_shape_is_refused(tmp_path, capsys, reshape):
-    h = ser_hopf(dm.k_s3())
+    h = _as_json(ser_hopf(dm.k_s3()))
     h["antipode"] = reshape(h["antipode"])
     ws = tmp_path / "ws.json"
     ws.write_text(json.dumps({"objects": {"h": h}}))
@@ -490,6 +497,26 @@ def test_construct_writes_its_json_report(tmp_path, before):
     assert payload["report"] == doc["report"] and payload["report"]["ok"] is True
 
 
+def test_construct_to_a_path_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    ws = write_workspace(tmp_path / "ws.json")
+    out = str(tmp_path / "nodir" / "out.json")
+    assert main(["construct", str(ws), "double:z2", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out!r}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["demo", "verify", "construct"])
+def test_json_report_to_a_path_that_cannot_be_opened_exits_2(tmp_path, capsys, command):
+    ws = write_workspace(tmp_path / "ws.json")
+    rep = str(tmp_path / "nodir" / "r.json")
+    argv = {"demo": ["demo", "double-z2"],
+            "verify": ["verify", str(ws), "z2", "hopf"],
+            "construct": ["construct", str(ws), "double:z2", str(tmp_path / "dz2.json")]}
+    assert main(["--json", rep] + argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {rep!r}: ") and err.count("\n") == 1
+
+
 def test_short_r_is_rejected_not_padded(tmp_path, capsys):
     ws = _starter_workspace(tmp_path / "ws.json")
     doc = json.loads(ws.read_text())
@@ -524,7 +551,7 @@ def test_short_weak_r_is_rejected_not_padded(tmp_path, capsys):
 def test_workspace_scalar_is_refused(tmp_path, capsys, cells, scalar):
     # True sits where kZ2 has a 1, so reading it as 1 would pass every check;
     # a repeated token is parsed once, and must still be refused
-    h = ser_hopf(dm.k_z2())
+    h = _as_json(ser_hopf(dm.k_z2()))
     for i, j, k in cells:
         h["mult"][i][j][k] = scalar
     ws = tmp_path / "ws.json"
@@ -548,7 +575,7 @@ def test_false_in_r_is_refused(tmp_path, capsys):
 def test_every_bad_scalar_in_every_field_is_refused(tmp_path, capsys, field, scalar):
     # the last cell of kZ2's mult is its last "0": a false there is read after
     # every other zero token, so a memo keyed on values would take it for 0
-    h = ser_hopf(dm.k_z2())
+    h = _as_json(ser_hopf(dm.k_z2()))
     cell = h[field]
     while isinstance(cell[-1], list):
         cell = cell[-1]
@@ -561,7 +588,7 @@ def test_every_bad_scalar_in_every_field_is_refused(tmp_path, capsys, field, sca
 
 @pytest.mark.parametrize("field", ["dim", "mult"])
 def test_missing_field_is_named(tmp_path, capsys, field):
-    h = ser_hopf(dm.k_z2())
+    h = _as_json(ser_hopf(dm.k_z2()))
     del h[field]
     ws = tmp_path / "ws.json"
     ws.write_text(json.dumps({"objects": {"h": h}}))
@@ -592,37 +619,66 @@ def test_verify_group_hopf_verifies_once(tmp_path, count_calls):
 def test_verify_hopf_from_disk_verifies_once(tmp_path, count_calls):
     from hopfsmash import hopfcore
     ws = tmp_path / "ws.json"
-    ws.write_text(json.dumps({"objects": {"h": ser_hopf(dm.k_z2())}}))
+    ws.write_text(json.dumps({"objects": {"h": _as_json(ser_hopf(dm.k_z2()))}}))
     calls = count_calls(hopfcore, "verify_hopf")
     assert main(["verify", str(ws), "h", "hopf"]) == 0
     assert len(calls) == 1
 
 
 def _sparse_tensor():
-    from hopfsmash.exactlin import Tensor3
     return Tensor3.from_entries((2, 3, 4), [(0, 1, 3, Fraction(-2, 3)), (1, 2, 0, 5),
                                             (1, 0, 2, Fraction(7, 4))])
 
 
-def test_ser_t3_round_trips():
-    from hopfsmash.exactlin import Tensor3
+def test_tensor3_written_round_trips():
     t = _sparse_tensor()
-    assert Tensor3.from_dense(ser_t3(t)) == t
+    assert Tensor3.from_dense(_as_json(t)) == t
 
 
-def test_ser_t3_matches_the_dense_serialisation():
-    from hopfsmash.exactlin import rat_str
+def test_tensor3_written_as_its_dense_array():
     t = _sparse_tensor()
-    assert ser_t3(t) == [[[rat_str(c) for c in row] for row in plane] for plane in t.dense()]
+    assert _as_json(t) == [[[rat_str(c) for c in row] for row in plane] for plane in t.dense()]
 
 
 # ---------------------------------------------------------------------------
-# the writer: _encode(doc) is json.dumps(doc), byte for byte
+# the writer: _encode(doc) is json.dumps of the dense document, byte for byte
 # ---------------------------------------------------------------------------
+
+def _dense(x):
+    """The dense document: each Tensor3 and TensorElem in x as its nested
+    array of `rat_str` tokens, by the rule of the dense serialisers the
+    writer replaced."""
+    if isinstance(x, Tensor3):
+        return [[[rat_str(c) for c in row] for row in plane] for plane in x.dense()]
+    if isinstance(x, TensorElem):
+        d0, d1 = x.dims
+        return [[rat_str(x.terms.get((i, j), 0)) for j in range(d1)] for i in range(d0)]
+    if type(x) in (list, tuple):
+        return type(x)(map(_dense, x))
+    if isinstance(x, dict):
+        return {k: _dense(v) for k, v in x.items()}
+    return x
+
 
 RATS = st.builds(lambda p, q: str(Fraction(p, q)), st.integers(-10**9, 10**9),
                  st.integers(1, 10**4))
 TOKEN_ROWS = st.lists(RATS, max_size=6).map(Tokens)
+COEFFS = st.one_of(st.integers(-10**6, 10**6),
+                   st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**4)))
+
+
+@st.composite
+def tensors(draw, legs):
+    """A Tensor3 (legs 3) or TensorElem (legs 2) with every dim in 0..4, and
+    up to 12 entries: all zero when there are none or they cancel."""
+    dims = tuple(draw(st.integers(0, 4)) for _ in range(legs))
+    entries = []
+    if all(dims):
+        index = st.tuples(*(st.integers(0, d - 1) for d in dims))
+        entries = draw(st.lists(st.tuples(index, COEFFS), max_size=12))
+    if legs == 3:
+        return Tensor3.from_entries(dims, [(*idx, c) for idx, c in entries])
+    return TensorElem.from_entries(dims, entries)
 
 
 def _mutated(row, at, value):
@@ -639,7 +695,7 @@ TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\n\x1f\x7f\u00e9\u2028\U0001f60
                          st.characters()), max_size=8)
 JSON_SCALARS = st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none())
 DOCS = st.recursive(
-    st.one_of(JSON_SCALARS, TOKEN_ROWS, MUTATED_ROWS),
+    st.one_of(JSON_SCALARS, TOKEN_ROWS, MUTATED_ROWS, tensors(3), tensors(2)),
     lambda children: st.one_of(st.lists(children, max_size=4),
                                st.lists(children, max_size=4).map(tuple),
                                st.dictionaries(TEXT, children, max_size=4),
@@ -650,7 +706,15 @@ DOCS = st.recursive(
 @given(DOCS)
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 def test_encode_is_json_dumps(doc):
-    assert _encode(doc) == json.dumps(doc)
+    assert _encode(doc) == json.dumps(_dense(doc))
+
+
+@pytest.mark.parametrize("t", [Tensor3.from_entries(dims, []) for dims in
+                               [(0, 0, 0), (0, 2, 3), (2, 0, 3), (2, 3, 0), (1, 1, 1)]]
+                         + [TensorElem.from_entries(dims, []) for dims in
+                            [(0, 0), (0, 3), (3, 0), (1, 1)]], ids=repr)
+def test_encode_writes_an_empty_or_zero_tensor_dense(t):
+    assert _encode(t) == json.dumps(_dense(t))
 
 
 def test_encode_joins_token_rows():
@@ -675,14 +739,43 @@ RECIPES = ("group-algebra:s3", "dual:s3", "double:z2", "double:s3", "heisenberg:
            "transmute:qs3-trivial", "nd:transpositions", "decompose-hr:qs3-trivial")
 
 
+def _construct_doc(ws, recipe):
+    """The document `construct` writes for recipe, less its header."""
+    payload, rep = _construct(ws, recipe)
+    doc = {"objects": {recipe: payload.pop("constructed")}, "report": rep.to_dict()}
+    doc.update(payload)
+    return doc
+
+
 def test_encode_is_json_dumps_on_every_recipe(tmp_path):
     ws = Workspace.load(str(_starter_workspace(tmp_path / "ws.json")))
+    out = tmp_path / "out.json"
     for recipe in RECIPES:
-        payload, rep = _construct(ws, recipe)
-        doc = {"objects": {recipe: payload.pop("constructed")}, "report": rep.to_dict()}
-        doc.update(payload)
+        doc = _construct_doc(ws, recipe)
         assert any(_token_rows(doc)), recipe
-        assert _encode(doc) == json.dumps(doc), recipe
+        assert _encode(doc) == json.dumps(_dense(doc)), recipe
+        assert _write_json(str(out), doc)
+        assert out.read_text(encoding="utf-8") == _encode(doc), recipe
+
+
+def test_write_json_holds_one_plane_of_text_at_a_time(tmp_path):
+    # B = End(A*) (x) H has dim 54: its dense mult and comult are 2 x 54^3
+    # tokens, 99.6 % of them "0".  The document holds the tensors themselves,
+    # and the writer streams their text instead of building the whole file.
+    import tracemalloc
+    ws = Workspace.load(str(_starter_workspace(tmp_path / "ws.json")))
+    tracemalloc.start()
+    try:
+        doc = _construct_doc(ws, "build-B:k3s3")
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _write_json(str(tmp_path / "B.json"), doc)
+        written = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "B.json").stat().st_size > 1_500_000
+    assert held < 1_000_000, held
+    assert written < 500_000, written
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +789,7 @@ SUITE_OF = {"z2": "hopf", "s3": "hopf", "qs3-trivial": "qt", "k3s3": "module-alg
 @pytest.fixture(scope="module")
 def starter_doc(tmp_path_factory):
     doc = json.loads(_starter_workspace(tmp_path_factory.mktemp("ws") / "ws.json").read_text())
-    doc["objects"]["kz2"] = ser_hopf(dm.k_z2())
+    doc["objects"]["kz2"] = _as_json(ser_hopf(dm.k_z2()))
     return doc
 
 
