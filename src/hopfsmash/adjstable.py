@@ -78,9 +78,6 @@ class ComoduleData(Record):
     dim: int
     coaction: Tensor3  # (dim, dim C, dim)
 
-    def __init__(self, coalgebra, dim, coaction):
-        vars(self).update(coalgebra=coalgebra, dim=dim, coaction=coaction)
-
     @cached_property
     def rows(self):
         """Sweedler rows ((d, w', c), ...) of rho(e_w), one per w."""
@@ -114,9 +111,6 @@ class YetterDrinfeldData(Record):
     action: Tensor3    # (dim H, dim V, dim V)
     coaction: Tensor3  # (dim V, dim H, dim V)
 
-    def __init__(self, host, action, coaction):
-        vars(self).update(host=host, action=action, coaction=coaction)
-
     @property
     def dim(self) -> int:
         return self.action.dims[1]
@@ -140,9 +134,6 @@ class BraidedComoduleResult(Record):
     comodule: ComoduleData
     d_v_basis: tuple
     report: VerificationReport
-
-    def __init__(self, comodule, d_v_basis, report):
-        vars(self).update(comodule=comodule, d_v_basis=d_v_basis, report=report)
 
 
 def yd_to_comodule(v: YetterDrinfeldData, q: QTStructure,
@@ -178,12 +169,6 @@ class HTensorW(Record):
     dim: int
     action: Tensor3    # (dim H, dim, dim): left multiplication
     coaction: Tensor3  # (dim, dim H, dim): left H_R-comodule
-
-    def __init__(self, h, w, dim, action, coaction):
-        vars(self).update(h=h, w=w, dim=dim, action=action, coaction=coaction)
-
-    def flat(self, i: int, w: int) -> int:
-        return i * self.w.dim + w
 
     def as_comodule(self) -> ComoduleData:
         return ComoduleData(self.w.coalgebra, self.dim, self.coaction)
@@ -255,9 +240,6 @@ class AdjointStableAlgebra(Record):
     basis: tuple              # cotensor basis vectors in W* (x) H (x) W
     carrier: StructureAlgebra
     ambient: StructureAlgebra    # end_algebra(dim W, H^op), holding the basis
-
-    def __init__(self, w, htw, basis, carrier, ambient):
-        vars(self).update(w=w, htw=htw, basis=basis, carrier=carrier, ambient=ambient)
 
 
 def _amb_terms(v: dict, nh: int, nw: int) -> list:
@@ -374,9 +356,6 @@ class SubcoalgebraData(Record):
     coalgebra: StructureCoalgebra    # (Delta_R, eps) in D-coordinates
     ad_coords: Tensor3               # ad_coords[t][q][p]: coefficient of d_p in e_t .ad d_q
 
-    def __init__(self, basis, coalgebra, ad_coords):
-        vars(self).update(basis=basis, coalgebra=coalgebra, ad_coords=ad_coords)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -426,10 +405,6 @@ class PsiPhiResult(Record):
     dstar_mod: ModuleAlgebraData
     dd: SubcoalgebraData
     report: VerificationReport
-
-    def __init__(self, psi, phi, nd, smash, dstar_mod, dd, report):
-        vars(self).update(psi=psi, phi=phi, nd=nd, smash=smash, dstar_mod=dstar_mod, dd=dd,
-                          report=report)
 
 
 def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiPhiResult:
@@ -556,10 +531,6 @@ class HrDecomposition(Record):
     idempotents: tuple  # the block idempotents F_i of C(H*), in split order
     fully_split: bool
     report: VerificationReport
-
-    def __init__(self, blocks, idempotents, fully_split, report):
-        vars(self).update(blocks=blocks, idempotents=idempotents, fully_split=fully_split,
-                          report=report)
 
 
 def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:

@@ -533,7 +533,7 @@ SUITES = {
         ws.resolve_weak_hopf(t), f"weak-hopf:{t}"),
     "weak-qt": lambda ws, t: verify_weak_qt(ws.resolve_weak_qt(t), f"weak-qt:{t}"),
     "almost-triangular": lambda ws, t: almost_triangular_wha_report(
-        ws.resolve_weak_qt(t)),
+        ws.resolve_weak_qt(t), f"almost-triangular:{t}"),
     "smash-pipeline": _suite_smash_pipeline,
     "adjoint-stable": _suite_adjoint_stable,
 }

@@ -141,21 +141,44 @@ def vec_dot(u: dict, v: dict) -> int | Fraction:
 
 class Record:
     """A record whose fields are the names annotated in its class body, after
-    those of its bases, read once per class.  Instances compare == (only to
-    the same class), hash and print field by field, as frozen dataclasses do,
-    and refuse setattr and delattr.  Each subclass writes its own __init__,
-    storing the fields through vars(self), where cached properties also keep
-    their values; `class C(Record, mutable=True)` keeps the fields assignable
-    and the instances unhashable."""
+    those of its bases, read once per class; a value assigned to a field in
+    the class body is its default.  Instances compare == (only to the same
+    class), hash and print field by field, as frozen dataclasses do, and
+    refuse setattr and delattr.  The constructor takes the fields in order or
+    by keyword and stores them through vars(self), where cached properties
+    also keep their values; a subclass that must do more than store its
+    fields writes its own.  `class C(Record, mutable=True)` keeps the fields
+    assignable and the instances unhashable."""
 
     _fields = ()
+    _defaults = {}
 
     def __init_subclass__(cls, mutable: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields += tuple(cls.__annotations__)
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields += own
+        cls._defaults = {**cls._defaults, **{f: cls.__dict__[f] for f in own if f in cls.__dict__}}
         if mutable:
             cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
             cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments "
+                            f"but {len(args)} were given")
+        for f in kwargs:
+            if f not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {f!r}")
+            if f in fields[:len(args)]:
+                raise TypeError(f"{name}() got multiple values for argument {f!r}")
+        values = vars(self)
+        values.update(self._defaults)
+        values.update(zip(fields, args))
+        values.update(kwargs)
+        missing = [f for f in fields if f not in values]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments {missing}")
 
     def _values(self) -> tuple:
         return tuple(map(vars(self).__getitem__, self._fields))

@@ -224,9 +224,6 @@ class IntegralPair(Record):
     Lambda: dict
     lam: dict
 
-    def __init__(self, Lambda, lam):
-        vars(self).update(Lambda=Lambda, lam=lam)
-
 
 # ---------------------------------------------------------------------------
 # tensor-power products of sparse elements
@@ -880,9 +877,6 @@ class GroupTable(Record):
 
     elements: tuple
     table: tuple
-
-    def __init__(self, elements, table):
-        vars(self).update(elements=elements, table=table)
 
     @staticmethod
     def from_lists(elements, table) -> "GroupTable":

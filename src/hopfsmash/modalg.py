@@ -67,9 +67,6 @@ class SeparabilityData(Record):
     x: TensorElem
     alpha: dict
 
-    def __init__(self, x, alpha):
-        vars(self).update(x=x, alpha=alpha)
-
 
 def verify_module_algebra(m: ModuleAlgebraData, subject: str = "module_algebra") -> VerificationReport:
     """The module-algebra axioms; the module law, then measuring once it has
@@ -206,11 +203,8 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
 
 class HSimplicityResult(Record):
     kind: str  # certified_simple | not_simple | inconclusive
-    witness_ideal: tuple | None
-    commutant_dim: int | None
-
-    def __init__(self, kind, witness_ideal=None, commutant_dim=None):
-        vars(self).update(kind=kind, witness_ideal=witness_ideal, commutant_dim=commutant_dim)
+    witness_ideal: tuple | None = None
+    commutant_dim: int | None = None
 
 
 def is_H_simple(m: ModuleAlgebraData) -> HSimplicityResult:

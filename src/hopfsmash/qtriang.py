@@ -65,9 +65,6 @@ class QTStructure(Record):
     R: TensorElem
     Rinv: TensorElem
 
-    def __init__(self, host, R, Rinv):
-        vars(self).update(host=host, R=R, Rinv=Rinv)
-
     @cached_property
     def report(self) -> VerificationReport:
         """verify_qt(self), computed once; shared, so read it."""
@@ -136,9 +133,6 @@ class DrinfeldElement(Record):
     s_invariant: bool
     central: bool
 
-    def __init__(self, u, s_invariant, central):
-        vars(self).update(u=u, s_invariant=s_invariant, central=central)
-
 
 def drinfeld_element(q: QTStructure) -> DrinfeldElement:
     """u = S(R^2) R^1, with the semisimple-case facts u = S(u), u central reported."""
@@ -155,11 +149,7 @@ class TriangularityClass(Record):
     kind: str  # triangular | almost_triangular_strict | quasi_triangular_only
     in_center_tensor_h: bool
     in_h_tensor_center: bool
-    witness: tuple | None
-
-    def __init__(self, kind, in_center_tensor_h, in_h_tensor_center, witness=None):
-        vars(self).update(kind=kind, in_center_tensor_h=in_center_tensor_h,
-                          in_h_tensor_center=in_h_tensor_center, witness=witness)
+    witness: tuple | None = None
 
 
 def classify_triangularity(q: QTStructure) -> TriangularityClass:
@@ -221,10 +211,6 @@ class BraidedGroupData(Record):
     adjoint_action: Tensor3
     comult_R: Tensor3
     antipode_R: LinearMap
-
-    def __init__(self, host, adjoint_action, comult_R, antipode_R):
-        vars(self).update(host=host, adjoint_action=adjoint_action, comult_R=comult_R,
-                          antipode_R=antipode_R)
 
     @cached_property
     def report(self) -> VerificationReport:

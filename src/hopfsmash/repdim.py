@@ -43,9 +43,6 @@ class BlockReport(Record):
     blocks: tuple       # sorted simple-module dimensions d, sum d^2 = dim
     seed: int
 
-    def __init__(self, dim, blocks, seed):
-        vars(self).update(dim=dim, blocks=blocks, seed=seed)
-
     def to_dict(self) -> dict:
         return {"dim": self.dim, "blocks": list(self.blocks), "seed": self.seed}
 
@@ -104,9 +101,6 @@ class FpdimReport(Record):
     fpdims: tuple
     report: VerificationReport
 
-    def __init__(self, blocks, fpdims, report):
-        vars(self).update(blocks=blocks, fpdims=fpdims, report=report)
-
 
 def fpdim_report(s_wha, a_mod, *, seed: int = 0) -> FpdimReport:
     """For each Wedderburn block (= simple module V) of A#H: dim A divides
@@ -131,9 +125,6 @@ class ClassIdempotents(Record):
     idempotents: tuple    # vectors in H*
     blocks: tuple         # bases of Lambda <- F_i H* in H
     report: VerificationReport
-
-    def __init__(self, idempotents, blocks, report):
-        vars(self).update(idempotents=idempotents, blocks=blocks, report=report)
 
 
 def class_idempotents(h: HopfData, q: QTStructure, ip,

@@ -84,9 +84,6 @@ class SmashProduct(Record):
     H: HopfData
     carrier: StructureAlgebra
 
-    def __init__(self, A_mod, H, carrier):
-        vars(self).update(A_mod=A_mod, H=H, carrier=carrier)
-
     @property
     def na(self) -> int:
         return self.A_mod.A.dim
@@ -139,9 +136,6 @@ class SmashWeakStructure(Record):
     sep: SeparabilityData
     wha: WeakHopfData
     report: VerificationReport
-
-    def __init__(self, smash, q, sep, wha, report):
-        vars(self).update(smash=smash, q=q, sep=sep, wha=wha, report=report)
 
 
 def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData) -> SmashWeakStructure:
@@ -385,9 +379,6 @@ class BAlgebra(Record):
     wha: WeakHopfData
     rqt: WeakQTStructure
     report: VerificationReport
-
-    def __init__(self, A_mod, q, sep, wha, rqt, report):
-        vars(self).update(A_mod=A_mod, q=q, sep=sep, wha=wha, rqt=rqt, report=report)
 
     @property
     def na(self) -> int:
@@ -799,12 +790,6 @@ class CaseStudyReport(Record):
     iso: LinearMap             # M_t(k) (x) k G_1 -> A#H
     sws: SmashWeakStructure
     report: VerificationReport
-
-    def __init__(self, t, stabilizer, coset_reps, matrix_unit_index, centralizer_basis, iso, sws,
-                 report):
-        vars(self).update(t=t, stabilizer=stabilizer, coset_reps=coset_reps,
-                          matrix_unit_index=matrix_unit_index, centralizer_basis=centralizer_basis,
-                          iso=iso, sws=sws, report=report)
 
     def to_dict(self) -> dict:
         """The report as JSON data; vectors and the iso are written dense."""

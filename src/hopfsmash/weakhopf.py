@@ -197,10 +197,6 @@ class CounitalData(Record):
     target_basis: tuple
     report: VerificationReport
 
-    def __init__(self, eps_s, eps_t, source_basis, target_basis, report):
-        vars(self).update(eps_s=eps_s, eps_t=eps_t, source_basis=source_basis,
-                          target_basis=target_basis, report=report)
-
 
 def counital_data(w: WeakHopfData) -> CounitalData:
     """Counital maps with exact image bases; checks idempotency, closure of the
@@ -280,9 +276,6 @@ class WeakQTStructure(Record):
     Rw: TensorElem
     Rw_bar: TensorElem
 
-    def __init__(self, host, Rw, Rw_bar):
-        vars(self).update(host=host, Rw=Rw, Rw_bar=Rw_bar)
-
 
 def verify_weak_qt(wq: WeakQTStructure, subject: str = "weak_qt") -> VerificationReport:
     """Rbar R = Delta(1), R Rbar = Delta^cop(1), R Delta = Delta^cop R (on S once
@@ -306,10 +299,11 @@ def verify_weak_qt(wq: WeakQTStructure, subject: str = "weak_qt") -> Verificatio
     return rep
 
 
-def almost_triangular_wha_report(wq: WeakQTStructure) -> VerificationReport:
+def almost_triangular_wha_report(wq: WeakQTStructure,
+                                 subject: str = "almost_triangular_wha") -> VerificationReport:
     """Conditions (2)-(6) of the almost-triangular equivalence, evaluated
     independently and checked for mutual consistency."""
-    rep = VerificationReport("almost_triangular_wha")
+    rep = VerificationReport(subject)
     w = wq.host
     n = w.dim
     alg = w.algebra
@@ -372,10 +366,6 @@ class GroupoidData(Record):
     compose: tuple   # compose[i][j] = index of m_i after m_j, or None
     identities: tuple
     inverses: tuple
-
-    def __init__(self, n_objects, sources, targets, compose, identities, inverses):
-        vars(self).update(n_objects=n_objects, sources=sources, targets=targets, compose=compose,
-                          identities=identities, inverses=inverses)
 
     @property
     def n_morphisms(self) -> int:

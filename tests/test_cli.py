@@ -259,6 +259,41 @@ def test_malformed_groupoid_field_is_refused(tmp_path, capsys, field, value, rea
     assert "object 'g'" in err and reason in err
 
 
+# well-typed groupoids that break a law: (objects, (src, dst) per morphism,
+# compose, identities, inverses), where compose[i][j] is i after j
+RETRACT = (2, [(0, 0), (0, 1), (0, 0), (1, 0), (1, 1)],    # id_a, i, e = s i, s, id_b
+           [[0, None, 2, 3, None], [1, None, 1, 4, None], [2, None, 2, 3, None],
+            [None, 2, None, None, 3], [None, 1, None, None, 4]], [0, 4], [0, 3, 2, 1, 4])
+
+
+@pytest.mark.parametrize("groupoid, reason", [
+    ((1, [(0, 0), (0, 0)], [[0, 1]], [0], [0, 1]), "groupoid compose has 1 rows, expected 2"),
+    ((1, [(0, 0), (0, 0)], [[0, 1], [1, 0]], [0, 1], [0, 1]),
+     "groupoid identities has length 2, expected 1"),
+    ((2, [(0, 0), (1, 1)], [[1, None], [None, 1]], [0, 1], [0, 1]),
+     "composite endpoints broken at (0, 0)"),
+    ((1, [(0, 0), (0, 0)], [[1, 0], [0, 0]], [0], [0, 1]),
+     "groupoid not associative at (0, 0, 1)"),
+    ((2, [(0, 0), (1, 1)], [[0, None], [None, 1]], [1, 0], [0, 1]),
+     "identity of object 0 has wrong endpoints"),
+    # here 1 after its declared inverse 0 is 1, not the identity 0; in RETRACT,
+    # i after s is id_b but s after i is e, not id_a
+    ((1, [(0, 0), (0, 0)], [[0, 1], [1, 0]], [0], [0, 0]), "inverse law broken at 1"),
+    (RETRACT, "inverse law broken at 1"),
+], ids=["compose-rows", "identities-length", "composite-endpoints", "not-associative",
+        "identity-endpoints", "no-right-inverse", "no-left-inverse"])
+def test_groupoid_that_breaks_a_law_is_refused(tmp_path, capsys, groupoid, reason):
+    objects, ends, compose, identities, inverses = groupoid
+    doc = {"objects": {"g": {"type": "groupoid", "objects": objects,
+                             "morphisms": [{"src": a, "dst": b} for a, b in ends],
+                             "compose": compose, "identities": identities,
+                             "inverses": inverses}}}
+    ws = tmp_path / "g.json"
+    ws.write_text(json.dumps(doc))
+    assert main(["verify", str(ws), "g", "weak-hopf"]) == 2
+    assert f"error: object 'g': {reason}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("reshape", [lambda a: [a[0][:-1]] + a[1:], lambda a: a[:-1],
                                      lambda a: [row + ["0"] for row in a]],
                          ids=["short-first-row", "missing-last-row", "extra-column"])
@@ -895,3 +930,86 @@ def test_stage_times_prints_every_stage_and_leaves_the_verifiers_in_place(monkey
     assert "double_smash_decomposition" not in capsys.readouterr().out
     with pytest.raises(SystemExit):
         stage_times.main(["q5"])
+
+
+# ---------------------------------------------------------------------------
+# the weak Hopf suites on constructed objects, read back from disk
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def constructed(tmp_path_factory):
+    """recipe -> the document `construct` writes for it from the starter workspace."""
+    tmp = tmp_path_factory.mktemp("constructed")
+    ws = _starter_workspace(tmp / "ws.json")
+    docs = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for recipe in ("smash-wha:k3s3", "build-B:k3s3"):
+            out = tmp / f"{recipe.replace(':', '_')}.json"
+            assert main(["construct", str(ws), recipe, str(out)]) == 0
+            docs[recipe] = json.loads(out.read_text())
+    return docs
+
+
+def _moved(cells) -> None:
+    """Move the first nonzero entry of a nested list of rational strings to
+    the first zero entry of its innermost row."""
+    rows = [cells]
+    while not isinstance(rows[0][0], str):
+        rows = [r for row in rows for r in row]
+    row = next(r for r in rows if any(x != "0" for x in r))
+    k = next(i for i, x in enumerate(row) if x != "0")
+    z = row.index("0")
+    row[k], row[z] = "0", row[k]
+
+
+@pytest.mark.parametrize("recipe", ["smash-wha:k3s3", "build-B:k3s3"])
+@pytest.mark.parametrize("broken", [False, True], ids=["built", "comult-cell-moved"])
+def test_constructed_weak_hopf_round_trips(tmp_path, capsys, constructed, recipe, broken):
+    doc = json.loads(json.dumps(constructed[recipe]))
+    name = recipe.replace(":", "_")
+    if broken:
+        _moved(doc["objects"][name]["comult"])
+    ws = tmp_path / "w.json"
+    ws.write_text(json.dumps(doc))
+    assert main(["verify", str(ws), name, "weak-hopf"]) == (1 if broken else 0)
+    out = capsys.readouterr().out
+    assert out.startswith(f"weak-hopf:{name}: {'FAILED' if broken else 'OK'}")
+    assert ("witness=" in out) == broken
+
+
+def _weak_qt_workspace(path, b_doc, move_r=False):
+    r = json.loads(json.dumps(b_doc["R"]))
+    if move_r:
+        _moved(r)
+    path.write_text(json.dumps({"objects": {
+        "B": b_doc["objects"]["build-B_k3s3"],
+        "rb": {"type": "weak-qt", "host": "B", "R": r, "Rbar": b_doc["Rbar"]}}}))
+    return path
+
+
+@pytest.mark.parametrize("suite", ["weak-qt", "almost-triangular"])
+def test_build_b_r_matrix_passes_the_weak_qt_suites(tmp_path, capsys, constructed, suite):
+    ws = _weak_qt_workspace(tmp_path / "bq.json", constructed["build-B:k3s3"])
+    out = tmp_path / "rep.json"
+    assert main(["--json", str(out), "verify", str(ws), "rb", suite]) == 0
+    assert capsys.readouterr().out.startswith(f"{suite}:rb: OK")
+    assert json.loads(out.read_text())["report"]["subject"] == f"{suite}:rb"
+
+
+def test_a_moved_r_cell_fails_weak_qt(tmp_path, capsys, constructed):
+    ws = _weak_qt_workspace(tmp_path / "bq.json", constructed["build-B:k3s3"], move_r=True)
+    assert main(["verify", str(ws), "rb", "weak-qt"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("weak-qt:rb: FAILED") and "witness=" in out
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["trivial-r", "corrupted-r"])
+def test_smash_pipeline_reads_the_qt_its_module_algebra_names(tmp_path, capsys, corrupt):
+    ws = _starter_workspace(tmp_path / "ws.json")
+    doc = json.loads(ws.read_text())
+    doc["objects"]["k3s3"]["qt"] = "qs3-trivial"
+    if corrupt:    # R = 1 (x) 1 + t (x) 1 is not an R-matrix, so resolve_qt refuses it
+        doc["objects"]["qs3-trivial"]["R"][1][0] = "1"
+    ws.write_text(json.dumps(doc))
+    assert main(["verify", str(ws), "k3s3", "smash-pipeline"]) == (1 if corrupt else 0)
+    assert ("refused:" in capsys.readouterr().err) == corrupt

@@ -222,6 +222,26 @@ def test_integrals_refuse_nonsemisimple():
         integrals(h)
 
 
+def test_sweedler_h4_is_a_hopf_algebra_that_no_semisimple_step_accepts():
+    # H_4 is not built from a group: S^2(x) = -x, no two-sided integral, a
+    # nonzero radical (x); its double D(H_4) is a quasi-triangular Hopf
+    # algebra whose dual has no integral either
+    from hopfsmash.qtriang import verify_qt
+    from hopfsmash.repdim import wedderburn_blocks
+    h = sweedler_h4()
+    rep = verify_hopf(h)
+    assert rep.ok and [c.name for c in rep.checks if not c.passed] == ["antipode_involutive"]
+    assert h.antipode.apply_sparse(h.antipode.apply_sparse({2: 1})) == {2: -1}
+    with pytest.raises(NotSemisimple, match="integral space of H has dimension 0"):
+        integrals(h)
+    with pytest.raises(NotSemisimple, match="trace form is degenerate"):
+        wedderburn_blocks(h.algebra)
+    d, q = drinfeld_double(h)
+    assert d.dim == 16 and verify_hopf(d).ok and verify_qt(q).ok
+    with pytest.raises(NotSemisimple, match="integral space of H\\* has dimension 0"):
+        integrals(d)
+
+
 def _integrals_on_every_index(h):
     """(Lambda, lambda) from the equations e_i x = eps(e_i) x = x e_i for
     every basis index i, normalized as integrals() normalizes them."""

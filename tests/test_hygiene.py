@@ -9,8 +9,10 @@ package code builds a tensor through `from_row_dicts`, package code opens
 a file for writing only in `cli._write_json`, the one writer, and no
 `functools.cache`/`lru_cache` wraps a module-level function or method (its
 entries would live as long as the process; a memo belongs to the value that
-owns it), and importing the nine layers loads none of the standard-library
-modules that only slow every start-up (`dataclasses`, `inspect`, `hashlib`).
+owns it), importing the nine layers loads none of the standard-library
+modules that only slow every start-up (`dataclasses`, `inspect`, `hashlib`),
+and no record writes a constructor that only stores its fields, the job of
+`Record.__init__`.
 
 An AST scan stands in for pyflakes: a name bound by an import counts as used
 when it appears anywhere in the module as a name, as the root of an
@@ -457,3 +459,50 @@ def test_startup_scan_finds_a_planted_dataclass(tmp_path):
         "\n\nfrom dataclasses import dataclass\n\n\n"
         "@dataclass(frozen=True)\nclass Planted:\n    x: int\n"))
     assert startup_imports(tmp_path) == ["dataclasses", "inspect"]
+
+
+def store_only_constructors(source: str) -> list:
+    """Line of every `__init__` of a Record subclass (a class with `Record`,
+    or a Record subclass defined earlier in the module, among its bases)
+    whose body is a single `vars(self).update(...)`."""
+    records, found = {"Record"}, []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or not any(
+                getattr(b, "id", getattr(b, "attr", None)) in records for b in node.bases):
+            continue
+        records.add(node.name)
+        found += [fn.lineno for fn in node.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                  and len(fn.body) == 1 and isinstance(fn.body[0], ast.Expr)
+                  and isinstance(fn.body[0].value, ast.Call)
+                  and ast.unparse(fn.body[0].value.func) == "vars(self).update"]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_records_write_no_store_only_constructor(path):
+    assert store_only_constructors(path.read_text()) == []
+
+
+def test_scan_finds_store_only_constructors():
+    src = ("from .exactlin import Record\n"
+           "class A(Record):\n"
+           "    x: int\n"
+           "    def __init__(self, x):\n"
+           "        vars(self).update(x=x)\n"
+           "class B(A):\n"
+           "    def __init__(self, x):\n"
+           "        vars(self).update(x=x)\n"
+           "class C(Record):\n"
+           "    x: int\n"
+           "    def __init__(self, x):\n"
+           "        if x < 0:\n"
+           "            raise ValueError(x)\n"
+           "        vars(self).update(x=x)\n"
+           "class D:\n"
+           "    def __init__(self, x):\n"
+           "        vars(self).update(x=x)\n"
+           "class E(exactlin.Record, mutable=True):\n"
+           "    def __init__(self, x):\n"
+           "        vars(self).update(x=x)\n")
+    assert store_only_constructors(src) == [4, 7, 19]

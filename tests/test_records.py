@@ -3,10 +3,12 @@ were: fields read-only, cached properties filled in the instance dict,
 equality and hash field by field, today's keyword construction and defaults,
 and each constructor's refusals."""
 
+import importlib
+
 import pytest
 
 from hopfsmash import demos as dm
-from hopfsmash.exactlin import DimensionMismatch, LinearMap, Tensor3
+from hopfsmash.exactlin import DimensionMismatch, LinearMap, Record, Tensor3
 from hopfsmash.hopfcore import GroupTable, HopfData, StructureAlgebra, group_algebra
 from hopfsmash.modalg import HSimplicityResult
 from hopfsmash.qtriang import TriangularityClass, transmute, trivial_qt, unverified_qt
@@ -131,3 +133,80 @@ def test_constructor_refusals_still_raise():
     with pytest.raises(DimensionMismatch):
         HopfData(h.algebra, h.coalgebra, LinearMap.identity(3))
     assert LinearMap(2, 1, iter(({0: 1}, {}))).cols == ({0: 1}, {})
+
+
+# The constructors the store-only records wrote by hand before Record.__init__
+# took their place: each record's fields in order, with their defaults.
+SIGNATURES = {
+    "adjstable.ComoduleData": ("coalgebra", "dim", "coaction"),
+    "adjstable.YetterDrinfeldData": ("host", "action", "coaction"),
+    "adjstable.BraidedComoduleResult": ("comodule", "d_v_basis", "report"),
+    "adjstable.HTensorW": ("h", "w", "dim", "action", "coaction"),
+    "adjstable.AdjointStableAlgebra": ("w", "htw", "basis", "carrier", "ambient"),
+    "adjstable.SubcoalgebraData": ("basis", "coalgebra", "ad_coords"),
+    "adjstable.PsiPhiResult": ("psi", "phi", "nd", "smash", "dstar_mod", "dd", "report"),
+    "adjstable.HrDecomposition": ("blocks", "idempotents", "fully_split", "report"),
+    "hopfcore.IntegralPair": ("Lambda", "lam"),
+    "hopfcore.GroupTable": ("elements", "table"),
+    "modalg.SeparabilityData": ("x", "alpha"),
+    "modalg.HSimplicityResult": ("kind", ("witness_ideal", None), ("commutant_dim", None)),
+    "qtriang.QTStructure": ("host", "R", "Rinv"),
+    "qtriang.DrinfeldElement": ("u", "s_invariant", "central"),
+    "qtriang.TriangularityClass": ("kind", "in_center_tensor_h", "in_h_tensor_center",
+                                   ("witness", None)),
+    "qtriang.BraidedGroupData": ("host", "adjoint_action", "comult_R", "antipode_R"),
+    "repdim.BlockReport": ("dim", "blocks", "seed"),
+    "repdim.FpdimReport": ("blocks", "fpdims", "report"),
+    "repdim.ClassIdempotents": ("idempotents", "blocks", "report"),
+    "smashcons.SmashProduct": ("A_mod", "H", "carrier"),
+    "smashcons.SmashWeakStructure": ("smash", "q", "sep", "wha", "report"),
+    "smashcons.BAlgebra": ("A_mod", "q", "sep", "wha", "rqt", "report"),
+    "smashcons.CaseStudyReport": ("t", "stabilizer", "coset_reps", "matrix_unit_index",
+                                  "centralizer_basis", "iso", "sws", "report"),
+    "weakhopf.CounitalData": ("eps_s", "eps_t", "source_basis", "target_basis", "report"),
+    "weakhopf.WeakQTStructure": ("host", "Rw", "Rw_bar"),
+    "weakhopf.GroupoidData": ("n_objects", "sources", "targets", "compose", "identities",
+                              "inverses"),
+}
+
+
+def _record_class(qualified: str):
+    module, name = qualified.split(".")
+    return getattr(importlib.import_module(f"hopfsmash.{module}"), name)
+
+
+@pytest.mark.parametrize("qualified", sorted(SIGNATURES))
+def test_store_only_records_keep_their_signatures(qualified):
+    cls = _record_class(qualified)
+    row = [p if isinstance(p, tuple) else (p,) for p in SIGNATURES[qualified]]
+    assert cls._fields == tuple(p[0] for p in row)
+    assert cls._defaults == {p[0]: p[1] for p in row if len(p) == 2}
+    assert "__init__" not in vars(cls) and cls.__init__ is Record.__init__
+    values = [object() for _ in row]
+    x, y = cls(*values), cls(**dict(zip(cls._fields, values)))
+    assert x == y and hash(x) == hash(y) and [getattr(x, f) for f in cls._fields] == values
+
+
+def test_record_without_annotations_adds_no_field():
+    assert WeakHopfData._fields == HopfData._fields == ("algebra", "coalgebra", "antipode")
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((1, 2, 3), {}, "GroupTable() takes 2 positional arguments but 3 were given"),
+    ((), {"elements": (), "table": (), "order": 1},
+     "GroupTable() got an unexpected keyword argument 'order'"),
+    (((),), {"elements": ()}, "GroupTable() got multiple values for argument 'elements'"),
+    (((),), {}, "GroupTable() missing required arguments ['table']"),
+    ((), {}, "GroupTable() missing required arguments ['elements', 'table']"),
+], ids=["too-many", "unknown-keyword", "repeated", "missing-one", "missing-all"])
+def test_constructor_refuses_a_call_a_function_would(args, kwargs, message):
+    with pytest.raises(TypeError) as exc:
+        GroupTable(*args, **kwargs)
+    assert str(exc.value) == message
+
+
+def test_a_defaulted_field_can_still_be_missing_after_it():
+    with pytest.raises(TypeError, match=r"missing required arguments \['in_h_tensor_center'\]"):
+        TriangularityClass("triangular", True, witness=(0,))
+    t = TriangularityClass("triangular", True, in_h_tensor_center=False, witness=(0,))
+    assert (t.in_h_tensor_center, t.witness) == (False, (0,))
