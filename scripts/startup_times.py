@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the median start-up times of hopfsmash over fresh interpreters:
 
-    PYTHONPATH=src python scripts/startup_times.py [--runs 5]
+    PYTHONPATH=src python scripts/startup_times.py [--runs 5] [--against DIR]
 
 Each measurement runs in a new interpreter on a copy of the imported
 hopfsmash package, made in a temporary directory:
@@ -15,6 +15,11 @@ hopfsmash package, made in a temporary directory:
     the copy with bytecode on, timed from the outside.
 Runs alternate between the measurements.  The table is markdown, one line
 per measurement, with the median over the runs.
+
+--against DIR compares this tree with the checkout DIR (its src/hopfsmash,
+which must have the same demos) within one invocation: each run times every
+measurement on both trees in turn, alternating which goes first, and the
+table gives both medians and the number of runs this tree was faster in.
 """
 
 import argparse
@@ -48,36 +53,58 @@ def python(args, env: dict, cwd) -> tuple:
     return time.perf_counter() - t0, run.stdout
 
 
+def measurements(package: Path, tmp: Path) -> dict:
+    """{measurement: function timing it once} on a copy of package in tmp."""
+    shutil.copytree(package, tmp / "hopfsmash", ignore=shutil.ignore_patterns("__pycache__"))
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    cold = {**base, "PYTHONPATH": str(tmp)}
+    warm = {**cold, "PYTHONPYCACHEPREFIX": str(tmp / "pycache")}
+    python(["-c", IMPORT], warm, tmp)    # fill the bytecode cache
+    rows = {"import of the nine layers, bytecode off":
+            lambda: float(python(["-B", "-c", IMPORT], cold, tmp)[1]),
+            "import of the nine layers, bytecode on":
+            lambda: float(python(["-c", IMPORT], warm, tmp)[1])}
+    for name in sorted(DEMOS):
+        rows[f"`demo {name}` process wall"] = (
+            lambda name=name: python(["-m", "hopfsmash", "demo", name], warm, tmp)[0])
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--runs", type=int, default=5)
+    ap.add_argument("--against", metavar="DIR", type=Path,
+                    help="a second checkout, timed in turn with this tree")
     args = ap.parse_args(argv)
     runs = max(1, args.runs)
-    package = Path(hopfsmash.__file__).parent
+    packages = [Path(hopfsmash.__file__).parent]
+    if args.against is not None:
+        packages.append(args.against / "src" / "hopfsmash")
+        if not packages[1].is_dir():
+            ap.error(f"{packages[1]} is not a directory")
     with tempfile.TemporaryDirectory() as tmp:
-        shutil.copytree(package, Path(tmp) / "hopfsmash",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        base = {k: v for k, v in os.environ.items()
-                if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
-        cold = {**base, "PYTHONPATH": tmp}
-        warm = {**cold, "PYTHONPYCACHEPREFIX": str(Path(tmp) / "pycache")}
-        python(["-c", IMPORT], warm, tmp)    # fill the bytecode cache
-        rows = {"import of the nine layers, bytecode off":
-                lambda: float(python(["-B", "-c", IMPORT], cold, tmp)[1]),
-                "import of the nine layers, bytecode on":
-                lambda: float(python(["-c", IMPORT], warm, tmp)[1])}
-        for name in sorted(DEMOS):
-            rows[f"`demo {name}` process wall"] = (
-                lambda name=name: python(["-m", "hopfsmash", "demo", name], warm, tmp)[0])
-        times = {row: [] for row in rows}
-        for _ in range(runs):
-            for row, measure in rows.items():
-                times[row].append(measure())
+        trees = [measurements(package, Path(tmp) / str(side))
+                 for side, package in enumerate(packages)]
+        times = {row: [[] for _ in trees] for row in trees[0]}
+        for run in range(runs):
+            order = list(range(len(trees)))[::1 if run % 2 == 0 else -1]
+            for row, ts in times.items():
+                for side in order:
+                    ts[side].append(trees[side][row]())
     print(f"hopfsmash start-up, Python {platform.python_version()}: "
           f"median of {runs} fresh interpreters")
-    print("| measurement | s |\n| --- | --- |")
-    for row, ts in times.items():
-        print(f"| {row} | {statistics.median(ts):.4f} |")
+    if len(trees) == 1:
+        print("| measurement | s |\n| --- | --- |")
+        for row, (ts,) in times.items():
+            print(f"| {row} | {statistics.median(ts):.4f} |")
+        return 0
+    print(f"| measurement | this tree (s) | {args.against} (s) | this tree faster |\n"
+          "| --- | --- | --- | --- |")
+    for row, (ours, theirs) in times.items():
+        wins = sum(a < b for a, b in zip(ours, theirs))
+        print(f"| {row} | {statistics.median(ours):.4f} | {statistics.median(theirs):.4f} "
+              f"| {wins}/{runs} |")
     return 0
 
 

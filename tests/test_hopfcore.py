@@ -1282,3 +1282,58 @@ def test_double_product_matches_the_from_entries_reference(host, kz2, ks3, doubl
          "kZ2 on 1, g/2": _rescaled_kz2(F(1, 2))}[host]
     dd = {"kZ2": double_z2, "kS3": double_s3}.get(host) or drinfeld_double(h)
     assert _typed(dd[0].mult) == _typed(_double_product_reference(h))
+
+
+def _twisted_reference(a, b, tau):
+    """A (x)_tau B as a dense array written from the formula
+    (x (x) y)(x2 (x) y2) = sum c (e_x e_x3) (x) (e_y3 e_y2) over the terms
+    (x3, y3, c) of tau(e_y (x) e_x2), read into from_entries."""
+    na, nb = a.dim, b.dim
+    n = na * nb
+    da, db = a.mult.dense(), b.mult.dense()
+    out = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for x, y, x2, y2 in itertools.product(range(na), range(nb), range(na), range(nb)):
+        for x3, y3, c in tau[y][x2]:
+            for k, m in itertools.product(range(na), range(nb)):
+                out[x * nb + y][x2 * nb + y2][k * nb + m] += c * da[x][x3][k] * db[y3][y2][m]
+    return Tensor3.from_entries((n, n, n), ((i, j, k, v) for i, plane in enumerate(out)
+                                            for j, cell in enumerate(plane)
+                                            for k, v in enumerate(cell)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["random", "flip", "zero"])
+def test_twisted_product_matches_the_dense_reference(kind, seed):
+    # A (dim 3) and B (dim 2) are random products, not associative; the random
+    # tau has Fraction constants, empty entries and pairs of terms that cancel
+    rng = random.Random(seed)
+    consts = (-2, -1, F(1, 2), 1, F(1, 3))
+
+    def algebra(d):
+        entries = [(i, j, k, rng.choice(consts)) for i in range(d) for j in range(d)
+                   for k in rng.sample(range(d), rng.choice((0, 1, 2)))]
+        return StructureAlgebra(d, Tensor3.from_entries((d, d, d), entries),
+                                tuple(rng.choice((0, 1, F(1, 2))) for _ in range(d)))
+
+    a, b = algebra(3), algebra(2)
+    if kind == "random":
+        def terms():
+            out = [(rng.randrange(3), rng.randrange(2), rng.choice(consts))
+                   for _ in range(rng.choice((0, 1, 2)))]
+            if rng.random() < 0.4:
+                x3, y3, c = rng.randrange(3), rng.randrange(2), rng.choice(consts)
+                out += [(x3, y3, c), (x3, y3, -c)]
+            return out
+        tau = [[terms() for _ in range(3)] for _ in range(2)]
+        assert any(not t for row in tau for t in row)
+        assert any((x3, y3, -c) in t for row in tau for t in row for x3, y3, c in t)
+    else:
+        tau = [[[(x2, y, 1)] if kind == "flip" else [] for x2 in range(3)] for y in range(2)]
+    built = hopfcore.twisted_product(a, b, tau)
+    assert _typed(built.mult) == _typed(_twisted_reference(a, b, tau))
+    assert built.unit == tuple(ca * cb for ca in a.unit for cb in b.unit)
+    if kind == "flip":
+        flat = tensor_algebra(a, b)
+        assert _typed(built.mult) == _typed(flat.mult)
+        assert built.unit == flat.unit
+    assert any(any(plane) for plane in built.mult._rows) == (kind != "zero")

@@ -492,24 +492,23 @@ def test_carrier_fault_fails_total_map_multiplicative_at_the_hand_scans_witness(
     # an empty one (e_0 with coefficient 2); mu is then scanned by
     # algebra_map_failures, whose witness is the hand scan's first failure
     # (y1, t1, y2, t2) read on the flat index of Heis (x) H
-    real_smash, real_scan = smashcons.smash_algebra, smashcons.algebra_map_failures
+    real_carrier, real_scan = smashcons.smash_carrier, smashcons.algebra_map_failures
     seen = []
 
-    def faulty(m):
-        s = real_smash(m)
-        t = s.carrier.mult
+    def faulty(alg, h, action):
+        carrier = real_carrier(alg, h, action)
+        t = carrier.mult
         k, c = (t.row(*cell) or ((0, 1),))[0]
         planes = [list(plane) for plane in t._rows]
         planes[cell[0]][cell[1]] = tuple(sorted({**dict(t.row(*cell)), k: c + 1}.items()))
-        twin = type(s.carrier)(s.carrier.dim, Tensor3(t.dims, tuple(map(tuple, planes))),
-                               s.carrier.unit)
-        return type(s)(s.A_mod, s.H, twin)
+        return type(carrier)(carrier.dim, Tensor3(t.dims, tuple(map(tuple, planes))),
+                             carrier.unit)
 
     def recorded(f, src, dst, *args, **kwargs):
         seen.append((f, dst))
         return real_scan(f, src, dst, *args, **kwargs)
 
-    monkeypatch.setattr(smashcons, "smash_algebra", faulty)
+    monkeypatch.setattr(smashcons, "smash_carrier", faulty)
     monkeypatch.setattr(smashcons, "algebra_map_failures", recorded)
     check = double_smash_decomposition(kz2, double_z2).find("total_map_multiplicative")
     assert not check.passed
