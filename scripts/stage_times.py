@@ -10,20 +10,25 @@ N points).  Each run builds D(kG) afresh and then times, in order:
 reports; `adjoint_action_tensor`; `transmute` with its report;
 `verify_braided_group` run a second time; `almost_triangular_equivalences`;
 `decompose_hr` of the braided group and `wedderburn_blocks` of D(kG), the
-largest eliminations of the pipeline; and `double_smash_decomposition`.  A
-stage named after --skip is left out; H # D(kG) has dimension |G|^3, so on
-s4 that is the decomposition.  The table is markdown, one line per stage,
-with the median over the runs.
+largest eliminations of the pipeline; and `double_smash_decomposition`, split
+into its builds of the carrier of H # D(kG) (`smash_carrier`), of
+Heis(kG^cop) (`heisenberg_double`) and of Heis(kG^cop) (x) kG
+(`tensor_algebra`), and its `total_map_multiplicative` scan
+(`algebra_map_failures`, timed while its failures are drawn).  A stage named
+after --skip is left out; H # D(kG) has dimension |G|^3, so on s4 that is the
+decomposition.  The table is markdown, one line per stage, with the median
+over the runs.
 """
 
 import argparse
 import statistics
 import sys
 import time
-from contextlib import contextmanager
+import types
+from contextlib import ExitStack, contextmanager
 
 from hopfsmash import demos as dm
-from hopfsmash import hopfcore, qtriang
+from hopfsmash import hopfcore, qtriang, smashcons
 from hopfsmash.adjstable import decompose_hr
 from hopfsmash.hopfcore import drinfeld_double, group_algebra
 from hopfsmash.qtriang import (
@@ -38,7 +43,13 @@ from hopfsmash.smashcons import double_smash_decomposition
 STAGES = ("drinfeld_double", "  build", "  verify_hopf", "  verify_qt",
           "adjoint_action_tensor", "transmute", "verify_braided_group",
           "almost_triangular_equivalences", "decompose_hr", "wedderburn_blocks",
-          "double_smash_decomposition")
+          "double_smash_decomposition", "  smash_carrier", "  heisenberg_double",
+          "  tensor_algebra", "  total_map_multiplicative")
+# sub-row of double_smash_decomposition -> the smashcons name it times
+DECOMPOSITION_PARTS = {"  smash_carrier": "smash_carrier",
+                       "  heisenberg_double": "heisenberg_double",
+                       "  tensor_algebra": "tensor_algebra",
+                       "  total_map_multiplicative": "algebra_map_failures"}
 
 
 def host_table(name: str):
@@ -50,15 +61,32 @@ def host_table(name: str):
 
 @contextmanager
 def timed(module, name: str, spent: dict):
-    """Add the seconds spent in module.name to spent[name] while inside."""
+    """Add the seconds spent in module.name to spent[name] while inside; a
+    generator it returns is timed while its items are drawn, where a lazy
+    scan does its work."""
     inner = getattr(module, name)
+
+    def add(t0):
+        spent[name] = spent.get(name, 0.0) + time.perf_counter() - t0
+
+    def drawn(gen):
+        while True:
+            t0 = time.perf_counter()
+            try:
+                item = next(gen)
+            except StopIteration:
+                return
+            finally:
+                add(t0)
+            yield item
 
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         try:
-            return inner(*args, **kwargs)
+            out = inner(*args, **kwargs)
         finally:
-            spent[name] = spent.get(name, 0.0) + time.perf_counter() - t0
+            add(t0)
+        return drawn(out) if isinstance(out, types.GeneratorType) else out
 
     setattr(module, name, wrapper)
     try:
@@ -95,8 +123,14 @@ def one_run(h, skip) -> dict:
               lambda: almost_triangular_equivalences(q, bg).require())
         stage("decompose_hr", lambda: decompose_hr(bg).report.require())
     stage("wedderburn_blocks", lambda: wedderburn_blocks(dh.algebra))
-    stage("double_smash_decomposition",
-          lambda: double_smash_decomposition(h, (dh, q)).require())
+    parts: dict = {}
+    with ExitStack() as stack:
+        for name in DECOMPOSITION_PARTS.values():
+            stack.enter_context(timed(smashcons, name, parts))
+        stage("double_smash_decomposition",
+              lambda: double_smash_decomposition(h, (dh, q)).require())
+    if "double_smash_decomposition" in out:
+        out.update((row, parts.get(name, 0.0)) for row, name in DECOMPOSITION_PARTS.items())
     return out
 
 
@@ -104,7 +138,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("host", help="zN or sN")
     ap.add_argument("--runs", type=int, default=3)
-    ap.add_argument("--skip", nargs="*", default=[], choices=STAGES[4:])
+    ap.add_argument("--skip", nargs="*", default=[],
+                    choices=[name for name in STAGES[4:] if name[0] != " "])
     args = ap.parse_args(argv)
     h = group_algebra(host_table(args.host))
     h.report.require()

@@ -38,9 +38,12 @@ def _exact(f: Fraction) -> int | Fraction:
 
 def rat(x) -> int | Fraction:
     """Coerce an int, string 'p/q', or Fraction to an exact scalar: the int
-    when it is integral, else the Fraction. A bool or a float raises
-    TypeError; a string that is not a rational or has a zero denominator
-    raises ValueError."""
+    when it is integral, else the Fraction. An `int` is returned at once, as
+    it is already exact; any other int subclass comes back as a plain int. A
+    bool or a float raises TypeError; a string that is not a rational or has
+    a zero denominator raises ValueError."""
+    if type(x) is int:
+        return x
     if isinstance(x, int) and not isinstance(x, bool):
         return int(x)
     if isinstance(x, Fraction):
@@ -707,27 +710,27 @@ class Tensor3:
 
     @staticmethod
     def from_entries(dims, entries) -> "Tensor3":
-        """Build from an iterable of (i, j, k, value); zero values are skipped,
-        repeats accumulate, and an index outside dims raises DimensionMismatch.
-        Only the cells that received an entry are touched; the rest stay ()."""
+        """Build from an iterable of (i, j, k, value): repeats accumulate, an
+        index outside dims raises DimensionMismatch (also when its value is
+        zero), and each cell that received an entry is written by
+        `sorted_cell`, so zeros and sums that cancel are dropped. The rest
+        of the cells stay ()."""
         d0, d1, d2 = dims
         acc: dict = {}
         for i, j, k, v in entries:
-            v = rat(v)
-            if v == 0:
-                continue
+            if type(v) is not int:
+                v = rat(v)
             cell = acc.get((i, j))
             if cell is None:
                 acc[(i, j)] = {k: v}
             else:
-                w = cell.get(k)
-                cell[k] = v if w is None else rat(w + v)
+                cell[k] = cell.get(k, 0) + v
         for (i, j), cell in acc.items():
             if not (0 <= i < d0 and 0 <= j < d1 and 0 <= min(cell) and max(cell) < d2):
                 raise DimensionMismatch(f"an entry of cell {(i, j)} lies outside {tuple(dims)}")
         planes = [[()] * d1 for _ in range(d0)]
         for (i, j), cell in acc.items():
-            planes[i][j] = tuple(sorted(kc for kc in cell.items() if kc[1]))
+            planes[i][j] = sorted_cell(cell)
         return Tensor3(dims, tuple(map(tuple, planes)))
 
     @staticmethod
@@ -811,12 +814,23 @@ class Tensor3:
         return f"Tensor3(dims={self.dims})"
 
 
+def sorted_cell(acc: dict) -> tuple:
+    """The nonzero (k, value) pairs of an accumulator {k: value}, k ascending:
+    the one writer of a structure-tensor cell. A value goes through `rat` only
+    when it is not already an int, so an integral Fraction becomes its int;
+    a one-entry accumulator is written without a sort."""
+    if len(acc) == 1:
+        [(k, v)] = acc.items()
+        return ((k, v if type(v) is int else rat(v)),) if v else ()
+    return tuple(sorted([(k, v if type(v) is int else rat(v)) for k, v in acc.items() if v]))
+
+
 def sorted_plane(d1: int, cells: dict) -> tuple:
-    """A plane of d1 cells from accumulators {j: {k: value}}: cell j holds
-    the nonzero (k, rat(value)) ascending, and every other cell is ()."""
+    """A plane of d1 cells from accumulators {j: {k: value}}: cell j is
+    `sorted_cell` of its accumulator, and every other cell is ()."""
     plane = [()] * d1
     for j, cell in cells.items():
-        plane[j] = tuple(sorted((k, rat(v)) for k, v in cell.items() if v))
+        plane[j] = sorted_cell(cell)
     return tuple(plane)
 
 
@@ -840,17 +854,19 @@ class TensorElem:
     @staticmethod
     def from_entries(dims, entries) -> "TensorElem":
         """Build from an iterable of ((i, j), value): repeated keys accumulate,
-        zeros (also sums that cancel) are dropped, and an index outside dims
-        raises DimensionMismatch."""
+        an index outside dims raises DimensionMismatch (also when its value is
+        zero), and the terms are `sorted_cell` of the sums, so zeros and sums
+        that cancel are dropped."""
         d0, d1 = dims
         acc: dict = {}
         for key, v in entries:
-            c = acc.get(key)
-            acc[key] = rat(v) if c is None else rat(c + rat(v))
+            if type(v) is not int:
+                v = rat(v)
+            acc[key] = acc.get(key, 0) + v
         for i, j in acc:
             if not (0 <= i < d0 and 0 <= j < d1):
                 raise DimensionMismatch(f"index {(i, j)} lies outside {tuple(dims)}")
-        return TensorElem(dims, dict(sorted((k, c) for k, c in acc.items() if c != 0)))
+        return TensorElem(dims, dict(sorted_cell(acc)))
 
     def items(self):
         """Nonzero ((i, j), value) pairs in row-major order."""

@@ -29,6 +29,7 @@ from .exactlin import (
     kernel_basis,
     qdiv,
     rat,
+    sorted_cell,
     sp,
     sp_add,
     sp_scale,
@@ -1066,23 +1067,26 @@ def matrix_algebra(t: int) -> StructureAlgebra:
 # kept: twisted_product with the flip tau builds Heis(kS3^cop) (x) kS3 1.7-1.8 times slower
 def tensor_algebra(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     """A (x) B, flat index x * dim B + y: (x (x) y)(x' (x) y') = x x' (x) y y'.
-    A cell is the outer product of a nonempty cell of A and one of B, formed
-    once and already sorted, so it is written directly."""
+    A cell is the outer product of a nonempty cell of A and one of B, listed
+    by the supports, formed once and already sorted, so it is written
+    directly; a product goes through `rat` only when it is not an int."""
     na, nb = a.dim, b.dim
     n = na * nb
-    a_rows, b_rows = a.mult._rows, b.mult._rows
+    a_rows, a_right = a.mult._rows, a.support[0]
+    # b_cells[y1]: the (y2, cell of e_y1 e_y2) with the cell nonempty
+    b_cells = [[(y2, plane[y2]) for y2 in right]
+               for plane, right in zip(b.mult._rows, b.support[0])]
     planes = []
     for x1 in range(na):
         a_plane = a_rows[x1]
         for y1 in range(nb):
-            b_plane = b_rows[y1]
             plane = [()] * n
-            for x2, ra in enumerate(a_plane):
-                if ra:
-                    for y2, rb in enumerate(b_plane):
-                        if rb:
-                            plane[x2 * nb + y2] = tuple([(k * nb + m, rat(ca * cb))
-                                                         for k, ca in ra for m, cb in rb])
+            for x2 in a_right[x1]:
+                ra, col = a_plane[x2], x2 * nb
+                for y2, rb in b_cells[y1]:
+                    plane[col + y2] = tuple([
+                        (k * nb + m, c if type(c := ca * cb) is int else rat(c))
+                        for k, ca in ra for m, cb in rb])
             planes.append(tuple(plane))
     unit = tuple(ca * cb for ca in a.unit for cb in b.unit)
     return StructureAlgebra(n, Tensor3((n, n, n), tuple(planes)), unit)
@@ -1149,7 +1153,7 @@ def twisted_product(a: StructureAlgebra, b: StructureAlgebra, tau) -> StructureA
                                 cell[t + m] = cell.get(t + m, 0) + w * cm
                 plane = planes[x * nb + y]
                 for y2, cell in cells.items():
-                    plane[x2 * nb + y2] = tuple(sorted((k, rat(v)) for k, v in cell.items() if v))
+                    plane[x2 * nb + y2] = sorted_cell(cell)
     unit = [0] * n
     for x, cx in a.unit_sparse.items():
         for y, cy in b.unit_sparse.items():

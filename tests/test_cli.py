@@ -932,6 +932,29 @@ def test_stage_times_prints_every_stage_and_leaves_the_verifiers_in_place(monkey
         stage_times.main(["q5"])
 
 
+def test_stage_times_splits_the_decomposition_and_restores_smashcons(monkeypatch, capsys):
+    import importlib
+    from pathlib import Path
+
+    from hopfsmash import smashcons
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    stage_times = importlib.import_module("stage_times")
+    names = stage_times.DECOMPOSITION_PARTS.values()
+    before = [getattr(smashcons, name) for name in names]
+    assert stage_times.main(["z2", "--runs", "1"]) == 0
+    assert [getattr(smashcons, name) for name in names] == before
+    rows = {line.split("`")[1]: float(line.split("|")[2])
+            for line in capsys.readouterr().out.splitlines()[3:]}
+    parts = [rows[row.strip()] for row in stage_times.DECOMPOSITION_PARTS]
+    # each part ran, and the parts, timed apart, fit inside the whole
+    assert all(s > 0 for s in parts) and sum(parts) <= rows["double_smash_decomposition"]
+    assert stage_times.main(["z2", "--runs", "1", "--skip", "double_smash_decomposition"]) == 0
+    out = capsys.readouterr().out
+    assert not any(f"`{row.strip()}`" in out for row in stage_times.DECOMPOSITION_PARTS)
+    with pytest.raises(SystemExit):
+        stage_times.main(["z2", "--skip", "  smash_carrier"])
+
+
 # ---------------------------------------------------------------------------
 # the weak Hopf suites on constructed objects, read back from disk
 # ---------------------------------------------------------------------------

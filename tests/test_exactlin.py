@@ -22,6 +22,7 @@ from hopfsmash.exactlin import (
     rank,
     rat,
     rat_str,
+    sorted_cell,
     sp,
     span_basis,
     split,
@@ -146,6 +147,22 @@ def test_rat_refuses_inexact_and_ill_formed_scalars():
         rat("1/0")
     with pytest.raises(ValueError):
         rat("one")
+
+
+def test_rat_int_path_keeps_every_refusal_and_normalisation():
+    # an exact int returns at once; nothing else takes that path
+    class Small(int):
+        pass
+
+    assert rat(7) == 7 and type(rat(7)) is int
+    assert rat(Small(3)) == 3 and type(rat(Small(3))) is int
+    assert rat(F(4, 2)) == 2 and type(rat(F(4, 2))) is int
+    for bad in (True, False, 1.0, 2.0, float("nan")):
+        with pytest.raises(TypeError):
+            rat(bad)
+    for bad in ("1/0", "-3/0", "one", "1.5.2", "", "1/2/3"):
+        with pytest.raises(ValueError):
+            rat(bad)
 
 
 @given(st.integers(-24, 24) | rationals, (st.integers(-6, 6) | rationals).filter(bool))
@@ -677,8 +694,12 @@ def test_tensor_elem_flip_swaps_legs():
     lambda: Tensor3.from_entries((2, 2, 2), [(0, 0, 5, 1)]),
     lambda: Tensor3.from_entries((2, 2, 2), [(0, -1, 0, 1)]),
     lambda: Tensor3.from_entries((2, 2, 2), [(0, 0, 2, 1), (0, 0, 1, 1), (0, 0, 2, -1)]),
+    lambda: TensorElem.from_entries((2, 2), [((5, 0), 0)]),
+    lambda: Tensor3.from_entries((2, 2, 2), [(5, 0, 0, 0)]),
+    lambda: Tensor3.from_entries((2, 2, 2), [(0, 0, 0, 1), (0, 0, 7, F(0))]),
 ], ids=["elem-column", "elem-row", "elem-negative", "elem-cancelled",
-        "t3-first", "t3-last", "t3-negative", "t3-cancelled"])
+        "t3-first", "t3-last", "t3-negative", "t3-cancelled",
+        "elem-zero", "t3-zero", "t3-zero-in-a-filled-cell"])
 def test_from_entries_refuses_an_index_outside_dims(build):
     with pytest.raises(DimensionMismatch, match="outside"):
         build()
@@ -702,6 +723,32 @@ def test_from_entries_is_from_dense_of_the_accumulated_entries(seed):
     assert t == Tensor3.from_dense(dense)
     assert t.row(2, 3) == ()
     assert all(cell == tuple(sorted(cell)) for plane in t._rows for cell in plane)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sorted_cell_is_the_expression_it_replaces(seed):
+    # ints, Fractions, integral Fractions, zeros and pairs that cancel, in
+    # empty, one-entry and larger accumulators; values and scalar types agree
+    rng = random.Random(seed)
+    scalars = (0, 1, -2, 5, F(1, 2), F(-2, 3), F(4, 2), F(-6, 3), F(0))
+    cells = [{}, {3: 0}, {3: F(0)}, {0: 7}, {4: F(6, 3)}, {2: F(1, 3)}]
+    for _ in range(200):
+        acc: dict = {}
+        for _ in range(rng.choice((1, 1, 2, 4, 9))):
+            k, v = rng.randrange(12), rng.choice(scalars)
+            acc[k] = acc.get(k, 0) + v
+            if rng.random() < 0.2:
+                acc[k] -= v
+        cells.append(acc)
+    for acc in cells:
+        ref = tuple(sorted((k, rat(v)) for k, v in acc.items() if v))
+        got = sorted_cell(acc)
+        assert type(got) is tuple and got == ref, acc
+        assert [type(v) for _, v in got] == [type(v) for _, v in ref], acc
+    with pytest.raises(TypeError):
+        sorted_cell({0: 1.5})
+    with pytest.raises(TypeError):
+        sorted_cell({0: True, 1: 2})
 
 
 def test_from_entries_gives_an_int_for_an_integral_sum():

@@ -11,8 +11,9 @@ a file for writing only in `cli._write_json`, the one writer, and no
 entries would live as long as the process; a memo belongs to the value that
 owns it), importing the nine layers loads none of the standard-library
 modules that only slow every start-up (`dataclasses`, `inspect`, `hashlib`),
-and no record writes a constructor that only stores its fields, the job of
-`Record.__init__`.
+no record writes a constructor that only stores its fields, the job of
+`Record.__init__`, and no package function filters, normalises and sorts
+a cell's entries itself, the job of `exactlin.sorted_cell`.
 
 An AST scan stands in for pyflakes: a name bound by an import counts as used
 when it appears anywhere in the module as a name, as the root of an
@@ -506,3 +507,58 @@ def test_scan_finds_store_only_constructors():
            "    def __init__(self, x):\n"
            "        vars(self).update(x=x)\n")
     assert store_only_constructors(src) == [4, 7, 19]
+
+
+def filtered_sorts(source: str, module: str) -> list:
+    """(function, line) of every `sorted` call on a generator or list
+    comprehension with an `if` filter, the function named by its dotted
+    path, except inside exactlin's `sorted_cell`, the one writer of a
+    structure-tensor cell.  A set comprehension, such as the failure keys of
+    `module_law_failures`, is no cell and is not matched."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+                if module == "exactlin" and inner == ("sorted_cell",):
+                    continue
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == "sorted" and child.args
+                  and isinstance(child.args[0], (ast.GeneratorExp, ast.ListComp))
+                  and any(gen.ifs for gen in child.args[0].generators)):
+                found.append((".".join(scope), child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_cells_are_written_only_by_sorted_cell(path):
+    assert filtered_sorts(path.read_text(), path.stem) == []
+
+
+def test_scan_finds_filtered_sorts():
+    # the four cell writers that sorted_cell replaced, and what stays allowed
+    src = ("class Tensor3:\n"
+           "    def from_entries(dims, acc):\n"
+           "        return tuple(sorted(kc for kc in acc.items() if kc[1]))\n"
+           "def sorted_plane(d1, cells):\n"
+           "    return [tuple(sorted((k, rat(v)) for k, v in c.items() if v)) for c in cells]\n"
+           "class TensorElem:\n"
+           "    def from_entries(dims, acc):\n"
+           "        return dict(sorted([(k, c) for k, c in acc.items() if c != 0]))\n"
+           "def twisted_product(cell):\n"
+           "    return sorted((k, v) for k, v in cell.items() for _ in (1,) if v)\n"
+           "def sorted_cell(acc):\n"
+           "    return tuple(sorted((k, v) for k, v in acc.items() if v))\n"
+           "def module_law_failures(acc, nv):\n"
+           "    return sorted({key // nv for key, v in acc.items() if v})\n"
+           "def unfiltered(acc):\n"
+           "    return sorted(acc.items()), sorted(k for k in acc), sorted(x or 0 for x in acc)\n")
+    sites = [("Tensor3.from_entries", 3), ("sorted_plane", 5),
+             ("TensorElem.from_entries", 8), ("twisted_product", 10)]
+    assert filtered_sorts(src, "exactlin") == sites
+    assert filtered_sorts(src, "hopfcore") == sites + [("sorted_cell", 12)]
