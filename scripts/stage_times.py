@@ -7,7 +7,8 @@ Drinfeld double D(kG) of a group G:
 The host is zN (the cyclic group of order N) or sN (the symmetric group on
 N points).  Each run builds D(kG) afresh and then times, in order:
 `drinfeld_double`, split into its build and its `verify_hopf` and `verify_qt`
-reports; `adjoint_action_tensor`; `transmute` with its report;
+reports, with the build's product (`twisted_product`) and coproduct
+(`Tensor3.kron`) timed apart; `adjoint_action_tensor`; `transmute` with its report;
 `verify_braided_group` run a second time; `almost_triangular_equivalences`;
 `decompose_hr` of the braided group and `wedderburn_blocks` of D(kG), the
 largest eliminations of the pipeline; and `double_smash_decomposition`, split
@@ -30,6 +31,7 @@ from contextlib import ExitStack, contextmanager
 from hopfsmash import demos as dm
 from hopfsmash import hopfcore, qtriang, smashcons
 from hopfsmash.adjstable import decompose_hr
+from hopfsmash.exactlin import Tensor3
 from hopfsmash.hopfcore import drinfeld_double, group_algebra
 from hopfsmash.qtriang import (
     adjoint_action_tensor,
@@ -40,8 +42,8 @@ from hopfsmash.qtriang import (
 from hopfsmash.repdim import wedderburn_blocks
 from hopfsmash.smashcons import double_smash_decomposition
 
-STAGES = ("drinfeld_double", "  build", "  verify_hopf", "  verify_qt",
-          "adjoint_action_tensor", "transmute", "verify_braided_group",
+STAGES = ("drinfeld_double", "  build", "  product", "  coproduct", "  verify_hopf",
+          "  verify_qt", "adjoint_action_tensor", "transmute", "verify_braided_group",
           "almost_triangular_equivalences", "decompose_hr", "wedderburn_blocks",
           "double_smash_decomposition", "  smash_carrier", "  heisenberg_double",
           "  tensor_algebra", "  total_map_multiplicative")
@@ -99,10 +101,15 @@ def one_run(h, skip) -> dict:
     """{stage: seconds} for one pass of the pipeline on D(h)."""
     out: dict = {}
     spent: dict = {}
-    with timed(hopfcore, "verify_hopf", spent), timed(qtriang, "verify_qt", spent):
+    with ExitStack() as stack:
+        for module, name in ((hopfcore, "verify_hopf"), (qtriang, "verify_qt"),
+                             (hopfcore, "twisted_product"), (Tensor3, "kron")):
+            stack.enter_context(timed(module, name, spent))
         t0 = time.perf_counter()
         dh, q = drinfeld_double(h)
         out["drinfeld_double"] = time.perf_counter() - t0
+    out["  product"] = spent.get("twisted_product", 0.0)
+    out["  coproduct"] = spent.get("kron", 0.0)
     out["  verify_hopf"] = spent.get("verify_hopf", 0.0)
     out["  verify_qt"] = spent.get("verify_qt", 0.0)
     out["  build"] = out["drinfeld_double"] - out["  verify_hopf"] - out["  verify_qt"]
@@ -139,7 +146,7 @@ def main(argv=None) -> int:
     ap.add_argument("host", help="zN or sN")
     ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--skip", nargs="*", default=[],
-                    choices=[name for name in STAGES[4:] if name[0] != " "])
+                    choices=[name for name in STAGES[1:] if name[0] != " "])
     args = ap.parse_args(argv)
     h = group_algebra(host_table(args.host))
     h.report.require()

@@ -180,13 +180,8 @@ def build_h_tensor_w(w: ComoduleData, h: HopfData,
     nh, nw = h.dim, w.dim
     n = nh * nw
     ad = adjoint_action_tensor(h) if bg is None else bg.adjoint_action
-    a_entries = []    # at flat index i dim W + w, as HTensorW.flat
-    for t in range(nh):
-        for i in range(nh):
-            for m, c in h.algebra.mul_row(t, i):
-                for ww in range(nw):
-                    a_entries.append((t, i * nw + ww, m * nw + ww, c))
-    action = Tensor3.from_entries((nh, n, n), a_entries)
+    # m (x) id_W at flat index i dim W + w, as HTensorW.flat
+    action = h.mult.kron(Tensor3.from_entries((1, nw, nw), ((0, w, w, 1) for w in range(nw))))
 
     c_entries = []
     for i in range(nh):

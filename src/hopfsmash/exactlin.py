@@ -770,6 +770,32 @@ class Tensor3:
                     entries.append((idx[a], idx[b], idx[c], v))
         return Tensor3.from_entries(tuple(self.dims[m] for m in order), entries)
 
+    def kron(self, u: "Tensor3") -> "Tensor3":
+        """The outer product w[i n0 + i'][j n1 + j'][k n2 + k'] = t[i][j][k]
+        u[i'][j'][k'] for u of dims (n0, n1, n2): the tensor product of two
+        algebras or two coalgebras on the flat index x * n + y.  A cell is the
+        outer product of a nonempty cell of t and one of u, listed by the
+        supports, formed once and already sorted, so it is written directly;
+        a product goes through `rat` only when it is not an int."""
+        d0, d1, d2 = self.dims
+        n0, n1, n2 = u.dims
+        m1 = d1 * n1
+        # u_cells[i']: the (j', cell u[i'][j']) with the cell nonempty
+        u_cells = [[(j2, plane[j2]) for j2 in right]
+                   for plane, right in zip(u._rows, u.support()[0])]
+        planes = []
+        for plane_t, right in zip(self._rows, self.support()[0]):
+            for i2 in range(n0):
+                plane = [()] * m1
+                for j1 in right:
+                    rt, col = plane_t[j1], j1 * n1
+                    for j2, ru in u_cells[i2]:
+                        plane[col + j2] = tuple([
+                            (k * n2 + m, c if type(c := ct * cu) is int else rat(c))
+                            for k, ct in rt for m, cu in ru])
+                planes.append(tuple(plane))
+        return Tensor3((d0 * n0, m1, d2 * n2), tuple(planes))
+
     def act(self, h_sp: dict, x_sp: dict) -> dict:
         """sum over i, j, k of h_i x_j t[i][j][k] e_k for sparse {index: coeff}
         operands: the action h . x when t is an action tensor."""

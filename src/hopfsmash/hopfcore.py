@@ -28,7 +28,6 @@ from .exactlin import (
     TensorElem,
     kernel_basis,
     qdiv,
-    rat,
     sorted_cell,
     sp,
     sp_add,
@@ -1066,30 +1065,20 @@ def matrix_algebra(t: int) -> StructureAlgebra:
 
 # kept: twisted_product with the flip tau builds Heis(kS3^cop) (x) kS3 1.7-1.8 times slower
 def tensor_algebra(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
-    """A (x) B, flat index x * dim B + y: (x (x) y)(x' (x) y') = x x' (x) y y'.
-    A cell is the outer product of a nonempty cell of A and one of B, listed
-    by the supports, formed once and already sorted, so it is written
-    directly; a product goes through `rat` only when it is not an int."""
-    na, nb = a.dim, b.dim
-    n = na * nb
-    a_rows, a_right = a.mult._rows, a.support[0]
-    # b_cells[y1]: the (y2, cell of e_y1 e_y2) with the cell nonempty
-    b_cells = [[(y2, plane[y2]) for y2 in right]
-               for plane, right in zip(b.mult._rows, b.support[0])]
-    planes = []
-    for x1 in range(na):
-        a_plane = a_rows[x1]
-        for y1 in range(nb):
-            plane = [()] * n
-            for x2 in a_right[x1]:
-                ra, col = a_plane[x2], x2 * nb
-                for y2, rb in b_cells[y1]:
-                    plane[col + y2] = tuple([
-                        (k * nb + m, c if type(c := ca * cb) is int else rat(c))
-                        for k, ca in ra for m, cb in rb])
-            planes.append(tuple(plane))
+    """A (x) B, flat index x * dim B + y: (x (x) y)(x' (x) y') = x x' (x) y y',
+    the outer product of the two multiplication tensors (`Tensor3.kron`)."""
     unit = tuple(ca * cb for ca in a.unit for cb in b.unit)
-    return StructureAlgebra(n, Tensor3((n, n, n), tuple(planes)), unit)
+    return StructureAlgebra(a.dim * b.dim, a.mult.kron(b.mult), unit)
+
+
+def inclusions(a: StructureAlgebra, b: StructureAlgebra) -> tuple:
+    """The factor inclusions x |-> x (x) 1 and y |-> 1 (x) y as LinearMaps on
+    the flat index x * dim B + y shared by A (x) B, A # H and D(H).  Only the
+    dims and units are read."""
+    na, nb = a.dim, b.dim
+    one_a, one_b = a.unit_sparse, b.unit_sparse
+    return (LinearMap(na, na * nb, [{x * nb + y: c for y, c in one_b.items()} for x in range(na)]),
+            LinearMap(nb, na * nb, [{x * nb + y: c for x, c in one_a.items()} for y in range(nb)]))
 
 
 def end_algebra(nv: int, alg: StructureAlgebra) -> StructureAlgebra:
@@ -1183,17 +1172,15 @@ def drinfeld_double(h: HopfData):
     Multiplication convention: (f >< a)(g >< b) =
     f * (a_(1) -> g <- S^{-1}(a_(3))) >< a_(2) b, the unique standard choice
     under which the module-algebra formulas on H hold (checked downstream).
-    It is the twisted product H* (x)_tau H with that tau(a (x) g).
+    It is the twisted product H* (x)_tau H with that tau(a (x) g).  The
+    coproduct is the tensor coalgebra (H*)^cop (x) H, by `Tensor3.kron`, and
+    S_D and R are written through the factor `inclusions` of H* and H.
     """
     h.report.require()
     n = h.dim
     if h.antipode_inv is None:
         raise ValueError("drinfeld_double needs an invertible antipode")
     nn = n * n
-
-    def flat(a: int, b: int) -> int:
-        return a * n + b
-
     sinv = h.antipode_inv
     alg = h.algebra
 
@@ -1215,19 +1202,8 @@ def drinfeld_double(h: HopfData):
     # tau(e_b (x) p_c) = (b_(1) -> p_c <- S^{-1}(b_(3))) (x) b_(2)
     tau = [[[(y, t2, w * cy) for t1, t2, t3, w in h.coalgebra.comul2_row(b)
              for y, cy in dragged(c, t1, t3)] for c in range(n)] for b in range(n)]
-    dalg = twisted_product(convolution_algebra(h.coalgebra), alg, tau)
-    eps_sp = sp(h.counit)
-    unit_sp = alg.unit_sparse
-
-    rev_mult = dual_coalgebra(alg).comul_row
-    centries = []
-    for a in range(n):
-        for b in range(n):
-            for a1, a2, c1 in rev_mult(a):
-                for b1, b2, c2 in h.coalgebra.comul_row(b):
-                    centries.append((flat(a, b), flat(a2, b1), flat(a1, b2), c1 * c2))
-    comult = Tensor3.from_entries((nn, nn, nn), centries)
-    counit = tuple(h.unit[a] * h.counit[b] for a in range(n) for b in range(n))
+    dual = convolution_algebra(h.coalgebra)
+    dalg = twisted_product(dual, alg, tau)
 
     # the cached S tries the arrows p_a >< s first, s in S_H less each s the
     # rest generate; the certificate is unchanged
@@ -1235,33 +1211,23 @@ def drinfeld_double(h: HopfData):
     for s in alg.generators:
         if set(generating_set(alg, rest := [t for t in s_h if t != s])) <= set(rest):
             s_h = rest
-    vars(dalg)["generators"] = generating_set(dalg, [flat(a, s) for a in range(n) for s in s_h])
-    dcoal = StructureCoalgebra(nn, comult, counit)
+    vars(dalg)["generators"] = generating_set(dalg, [a * n + s for a in range(n) for s in s_h])
+    # Delta_D is the tensor coalgebra (H*)^cop (x) H
+    dcoal = StructureCoalgebra(nn, co_opposite(dual_coalgebra(alg)).comult.kron(h.comult),
+                               tuple(ca * cb for ca in h.unit for cb in h.counit))
 
     # S_D(p_a >< x_b) = (eps >< S(x_b)) (S*^{-1}(p_a) >< 1); S*^{-1}(p_a) is
     # row a of S^{-1}, a column of its transpose
-    anti = []
-    sinv_rows = sinv.transpose().cols
-    for a in range(n):
-        for b in range(n):
-            left: dict = {}
-            for y, cy in eps_sp.items():
-                for r, ws in h.antipode.cols[b].items():
-                    sp_add(left, flat(y, r), cy * ws)
-            right: dict = {}
-            for y, w in sinv_rows[a].items():
-                for t, ct in unit_sp.items():
-                    sp_add(right, flat(y, t), w * ct)
-            anti.append(dalg.mul_sparse(left, right))
+    on_dual, on_h = inclusions(dual, alg)
+    lefts = on_h.compose(h.antipode).cols
+    rights = on_dual.compose(sinv.transpose()).cols
+    anti = [dalg.mul_sparse(lefts[b], rights[a]) for a in range(n) for b in range(n)]
     dh = HopfData(dalg, dcoal, LinearMap(nn, nn, anti))
     dh.report.require()
 
-    r_entries: dict = {}
-    for i in range(n):
-        for y, cy in eps_sp.items():
-            for t, ct in unit_sp.items():
-                sp_add(r_entries, (flat(y, i), flat(i, t)), cy * ct)
-    R = TensorElem.from_entries((nn, nn), r_entries.items())
+    # R = sum_i (eps >< x_i) (x) (p_i >< 1)
+    R = TensorElem.from_entries(
+        (nn, nn), map_legs(on_h, on_dual, {(i, i): 1 for i in range(n)}).items())
 
     from .qtriang import qt_structure
     q = qt_structure(dh, R)

@@ -83,7 +83,9 @@ def unverified_qt(host: HopfData, R: TensorElem, Rinv: TensorElem | None = None)
 
 
 def qt_structure(host: HopfData, R: TensorElem, Rinv: TensorElem | None = None) -> QTStructure:
-    """`unverified_qt`, with the axioms verified."""
+    """`unverified_qt`, with the axioms verified on a host whose Hopf report
+    passes: a host that is no Hopf algebra is refused by its own row."""
+    host.report.require()
     q = unverified_qt(host, R, Rinv)
     q.report.require()
     return q
@@ -92,8 +94,7 @@ def qt_structure(host: HopfData, R: TensorElem, Rinv: TensorElem | None = None) 
 def trivial_qt(host: HopfData) -> QTStructure:
     """(H, 1 (x) 1)."""
     one = host.algebra.unit_sparse
-    entries = [((a, b), ca * cb) for a, ca in one.items() for b, cb in one.items()]
-    R = TensorElem.from_entries((host.dim, host.dim), entries)
+    R = TensorElem.from_entries((host.dim, host.dim), sparse_outer(one, one).items())
     return qt_structure(host, R, R)
 
 

@@ -9,9 +9,9 @@ check_map or its algebra map kernel.
 
 Basis codec: A#H uses (A-index major, H-index minor); B uses the triple
 (a, h, a*) flattened as ((a * dim H) + h) * dim A + a*.  Every theorem
-hypothesis (quantum commutativity, u-triviality, Mueger membership,
-transitivity) is machine-checked before a construction proceeds, so a failed
-hypothesis can never masquerade as a failed theorem.
+hypothesis (the host is Hopf, quantum commutativity, u-triviality, Mueger
+membership, transitivity) is machine-checked before a construction proceeds,
+so a failed hypothesis can never masquerade as a failed theorem.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .exactlin import (
     kernel_basis,
     rat_str,
     sp_add,
+    sp_scale,
     span_basis,
 )
 from .hopfcore import (
@@ -38,11 +39,13 @@ from .hopfcore import (
     algebra_map_failures,
     certified_scan,
     check_map,
+    convolution_algebra,
     drinfeld_double,
     dual_coalgebra,
     end_algebra,
     group_algebra,
     heisenberg_double,
+    inclusions,
     leg_map,
     map_legs,
     matrix_algebra,
@@ -79,6 +82,9 @@ from .weakhopf import WeakHopfData, WeakQTStructure, check_wha_morphism, verify_
 # ---------------------------------------------------------------------------
 
 class SmashProduct(Record):
+    """A # H on the flat index a * dim H + h; its factor inclusions a |-> a # 1
+    and h |-> 1 # h are the `inclusions` pair of A and H, formed once."""
+
     A_mod: ModuleAlgebraData
     H: HopfData
     carrier: StructureAlgebra
@@ -94,24 +100,23 @@ class SmashProduct(Record):
     def flat(self, a: int, h: int) -> int:
         return a * self.nh + h
 
+    @cached_property
+    def factor_inclusions(self) -> tuple:
+        """(a |-> a # 1, h |-> 1 # h) as LinearMaps into A # H."""
+        return inclusions(self.A_mod.A, self.H.algebra)
+
     def include_a(self, a_sp: dict) -> dict:
         """a |-> a # 1."""
-        out: dict = {}
-        for a, c in a_sp.items():
-            for t, ct in self.H.algebra.unit_sparse.items():
-                sp_add(out, self.flat(a, t), c * ct)
-        return out
+        return self.factor_inclusions[0].apply_sparse(a_sp)
 
-    @cached_property
+    @property
     def h_inclusion(self) -> LinearMap:
         """The map H -> A#H, h |-> 1 # h."""
-        one = self.A_mod.A.unit_sparse
-        return LinearMap(self.nh, self.carrier.dim,
-                         [{self.flat(a, t): c for a, c in one.items()} for t in range(self.nh)])
+        return self.factor_inclusions[1]
 
     def include_h(self, h_sp: dict) -> dict:
         """h |-> 1 # h."""
-        return self.h_inclusion.apply_sparse(h_sp)
+        return self.factor_inclusions[1].apply_sparse(h_sp)
 
 
 def smash_algebra(A_mod: ModuleAlgebraData) -> SmashProduct:
@@ -142,8 +147,15 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
         eps(a#h)   = <alpha, a> eps(h)
         S(a#h)     = (1 # S(h)) (R^2 . a # R^1)
 
-    Refused (with the violated hypotheses by name) unless A is quantum
-    commutative over (H, R) and the Drinfeld element acts trivially.
+    Delta is built as (a#1 (x) 1) Delta(1) (1#h_(1) (x) 1#h_(2)) from
+    Delta(1) = sum (R^2.x^1 # R^1) (x) (x^2 # 1).  That identity needs only
+    (a#1)(b#g) = ab # g and (b#g)(1#h) = b # gh, which hold once the action
+    is unital and absorbs the unit (the rows smash_algebra requires) and H
+    has Delta(1) = 1 (x) 1 and the counit law (the host gate below).
+
+    Refused (with the violated hypotheses by name) unless the host is a Hopf
+    algebra, A is quantum commutative over (H, R) and the Drinfeld element
+    acts trivially.
     """
     if q.host != s.H:
         raise ValueError("the QT structure must live on the acting Hopf algebra")
@@ -152,6 +164,9 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
     n = na * nh
 
     violated = []
+    host_failures = h.report.failures()
+    if host_failures:
+        violated.append(("host-is-hopf", host_failures[0].witness))
     qc, wit_qc = is_quantum_commutative(q, A_mod)
     if not qc:
         violated.append(("quantum-commutativity", wit_qc))
@@ -163,8 +178,8 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
                                 tuple(w for _, w in violated))
 
     r_items = list(q.R.items())
-    x_items = list(sep.x.items())
     alpha = sep.alpha
+    a_in, iota = s.factor_inclusions
 
     def twisted(a_sp: dict) -> dict:
         """R^2.a # R^1."""
@@ -174,24 +189,22 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
                 sp_add(out, s.flat(t, r1), cr * ct)
         return out
 
+    twist = LinearMap(na, n, [twisted({a: 1}) for a in range(na)])
+    algs2 = (s.carrier, s.carrier)
+    deltas = [{(p, pq): c for p, pq, c in h.coalgebra.comul_row(i)} for i in range(nh)]
+    delta_one = map_legs(twist, a_in, sep.x.terms)    # sum (R^2.x^1 # R^1) (x) (x^2 # 1)
     centries = []
     for a in range(na):
+        left = tensor_mul_sparse(algs2, sparse_outer(a_in.cols[a], s.carrier.unit_sparse),
+                                 delta_one)
         for i in range(nh):
             src = s.flat(a, i)
-            for p, pq, c in h.coalgebra.comul_row(i):
-                for (r1, r2), cr in r_items:
-                    lh = h.algebra.mul_sparse({r1: 1}, {p: 1})
-                    for (x1, x2), cx in x_items:
-                        la = A.mul_sparse({a: 1},
-                                          A_mod.action.act({r2: 1}, {x1: 1}))
-                        for ta, ca in la.items():
-                            for th, ch in lh.items():
-                                centries.append((src, s.flat(ta, th), s.flat(x2, pq),
-                                                 c * cr * cx * ca * ch))
+            centries.extend((src, j, k, c) for (j, k), c in tensor_mul_sparse(
+                algs2, left, map_legs(iota, iota, deltas[i])).items())
     comult = Tensor3.from_entries((n, n, n), centries)
     counit = tuple(alpha.get(a, 0) * h.counit[i] for a in range(na) for i in range(nh))
 
-    anti = [s.carrier.mul_sparse(s.include_h(h.antipode.cols[i]), twisted({a: 1}))
+    anti = [s.carrier.mul_sparse(s.include_h(h.antipode.cols[i]), twist.cols[a])
             for a in range(na) for i in range(nh)]
     wha = WeakHopfData(s.carrier, StructureCoalgebra(n, comult, counit), LinearMap(n, n, anti))
 
@@ -210,27 +223,17 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
                 if wha.eps_s.cols[s.flat(a, i)] != closed_s:
                     yield (a, i)
 
-    def eps_t_failures():
-        for a in range(na):
-            for i in range(nh):
-                closed_t: dict = {}
-                if h.counit[i] != 0:
-                    for t, ct in h.algebra.unit_sparse.items():
-                        sp_add(closed_t, s.flat(a, t), h.counit[i] * ct)
-                if wha.eps_t.cols[s.flat(a, i)] != closed_t:
-                    yield (a, i)
-
     rep.check("eps_s_closed_form", eps_s_failures())
-    rep.check("eps_t_closed_form", eps_t_failures())
-
-    algs2 = (s.carrier, s.carrier)
+    rep.check("eps_t_closed_form",
+              ((a, i) for a in range(na) for i in range(nh)
+               if wha.eps_t.cols[s.flat(a, i)] != sp_scale(a_in.cols[a], h.counit[i])))
 
     # helper identity (a#1)(R^2.b # R^1) = (R^2.b # R^1)(a#1)
     def helper_1_failures():
         for a in range(na):
-            av = s.include_a({a: 1})
+            av = a_in.cols[a]
             for b in range(na):
-                bv = twisted({b: 1})
+                bv = twist.cols[b]
                 if s.carrier.mul_sparse(av, bv) != s.carrier.mul_sparse(bv, av):
                     yield (a, b)
 
@@ -238,13 +241,9 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
 
     # helper identity (R1^2.a # R1^1)(R2^2.b # R2^1) = R^2.(b a) # R^1: a |->
     # R^2.a # R^1 is an algebra map from A^op
-    twist = LinearMap(na, n, [twisted({a: 1}) for a in range(na)])
     rep.check("helper_eq1_2", algebra_map_failures(twist, A, s.carrier, src_op=True))
 
     one_t = wha.delta_one
-
-    iota = s.h_inclusion
-    deltas = [{(p, pq): c for p, pq, c in h.coalgebra.comul_row(i)} for i in range(nh)]
 
     # helper identity Delta(a#h) = 1t_(1)(a#h_(1)) (x) 1t_(2)(1#h_(2))
     def helper_3_failures():
@@ -270,10 +269,8 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
             tensor_mul_sparse(algs2, one_t, one_t) == one_t)
 
     # target subalgebra A # 1 and source subalgebra {R^2.a # R^1}
-    tgt = [s.include_a({a: 1}) for a in range(na)]
-    rep.add("target_is_A_smash_1", Subspace(wha.target_basis, n) == Subspace(tgt, n))
-    src = [twisted({a: 1}) for a in range(na)]
-    rep.add("source_is_Rtwisted_A", Subspace(wha.source_basis, n) == Subspace(src, n))
+    rep.add("target_is_A_smash_1", Subspace(wha.target_basis, n) == Subspace(a_in.cols, n))
+    rep.add("source_is_Rtwisted_A", Subspace(wha.source_basis, n) == Subspace(twist.cols, n))
 
     out = SmashWeakStructure(s, q, sep, wha, rep)
     rep.require()
@@ -684,15 +681,10 @@ def double_smash_decomposition(h: HopfData, double=None) -> VerificationReport:
 
     # iota: l # q |-> l # (S(q) >< 1): columns over the Heisenberg basis; the
     # coefficient of p_y in S*(p_a) is row a of S, a column of its transpose
-    s_rows = h.antipode.transpose().cols
-    iota_cols = []
-    for l in range(n):
-        for a in range(n):
-            col: dict = {}
-            for y, w in s_rows[a].items():
-                for t, ct in h.algebra.unit_sparse.items():
-                    sp_add(col, s.flat(l, y * n + t), w * ct)
-            iota_cols.append(col)
+    on_dual, _ = inclusions(convolution_algebra(h.coalgebra), h.algebra)
+    dual_s = on_dual.compose(h.antipode.transpose()).cols
+    iota_cols = [{s.flat(l, k): c for k, c in dual_s[a].items()}
+                 for l in range(n) for a in range(n)]
 
     iota = check_map(LinearMap(nn, ntot, iota_cols), hei, big, ("algebra", "injective"))
     rep.merge(iota, "iota.")

@@ -21,7 +21,8 @@ from hopfsmash.cli import (
     main,
     ser_hopf,
 )
-from hopfsmash.exactlin import Tensor3, TensorElem, rat_str
+from hopfsmash.exactlin import LinearMap, Tensor3, TensorElem, rat_str
+from hopfsmash.hopfcore import HopfData
 
 
 def _as_json(x):
@@ -436,16 +437,21 @@ def test_object_that_is_not_a_mapping_is_refused(tmp_path, capsys):
     assert "object 'k3s3' must be a mapping" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["verify", "{ws}", "k3s3", "module-algebra"],
-                                  ["construct", "{ws}", "double:s3", "{out}"]],
-                         ids=["verify", "construct"])
-def test_workspace_that_is_not_an_object_is_refused(tmp_path, capsys, argv):
+@pytest.mark.parametrize("doc, argv, reason", [
+    ([1, 2], ["verify", "{ws}", "k3s3", "module-algebra"],
+     "top level of a workspace must be a JSON object"),
+    ([1, 2], ["construct", "{ws}", "double:s3", "{out}"],
+     "top level of a workspace must be a JSON object"),
+    ({"objects": [1, 2]}, ["construct", "{ws}", "double:s3", "{out}"],
+     "workspace 'objects' must be a mapping"),
+], ids=["verify", "construct", "objects-not-a-mapping"])
+def test_workspace_that_is_not_an_object_is_refused(tmp_path, capsys, doc, argv, reason):
     ws = tmp_path / "ws.json"
-    ws.write_text(json.dumps([1, 2]))
+    ws.write_text(json.dumps(doc))
     out = tmp_path / "out.json"
     assert main([a.format(ws=ws, out=out) for a in argv]) == 2
     err = capsys.readouterr().err
-    assert "top level of a workspace must be a JSON object" in err
+    assert reason in err
     assert "Traceback" not in err and not out.exists()
 
 
@@ -475,6 +481,47 @@ def test_recipe_without_target_is_refused(tmp_path, capsys):
     assert main(["construct", str(ws), "double:", str(out)]) == 2
     assert "names no target" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["verify", "{ws}", "k3s3", "weak-hopf"],
+     "'k3s3' of type 'module-algebra' is not a weak Hopf algebra"),
+    (["verify", "{ws}", "qs3-trivial", "weak-qt"], "'qs3-trivial' is not a weak-qt structure"),
+    (["construct", "{ws}", "doubles3", "{out}"], "recipe must look like 'op:target"),
+], ids=["not-weak-hopf", "not-weak-qt", "recipe-without-colon"])
+def test_target_or_recipe_of_the_wrong_form_is_refused(tmp_path, capsys, argv, reason):
+    ws = _starter_workspace(tmp_path / "ws.json")
+    out = tmp_path / "out.json"
+    assert main([a.format(ws=ws, out=out) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert reason in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_host_that_is_not_hopf_is_refused_by_its_own_row(tmp_path, capsys):
+    # kS3 with S = id fails antipode_left; a smash construction over it is
+    # refused by that row, not by a theorem downstream of the host
+    ws = _starter_workspace(tmp_path / "ws.json")
+    doc = json.loads(ws.read_text())
+    h = dm.k_s3()
+    doc["objects"]["hs3"] = _as_json(ser_hopf(HopfData(h.algebra, h.coalgebra,
+                                                       LinearMap.identity(h.dim))))
+    doc["objects"]["k3s3"]["host"] = "hs3"
+    ws.write_text(json.dumps(doc))
+    rep = tmp_path / "rep.json"
+    assert main(["--json", str(rep), "verify", str(ws), "hs3", "hopf"]) == 1
+    failed = [c for c in json.loads(rep.read_text())["report"]["checks"]
+              if c["status"] == "fail"]
+    assert failed[0] == {"axiom": "antipode_left", "status": "fail", "witness": [3]}
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    for argv in (["verify", str(ws), "k3s3", "smash-pipeline"],
+                 ["construct", str(ws), "smash-wha:k3s3", str(out)],
+                 ["construct", str(ws), "build-B:k3s3", str(out)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "refused: hypothesis violated: hopf:antipode_left (witness: (3,))\n", argv
+        assert not out.exists()
 
 
 def test_verify_qt_corrupted_r_reports_witness(tmp_path, capsys):
@@ -953,6 +1000,25 @@ def test_stage_times_splits_the_decomposition_and_restores_smashcons(monkeypatch
     assert not any(f"`{row.strip()}`" in out for row in stage_times.DECOMPOSITION_PARTS)
     with pytest.raises(SystemExit):
         stage_times.main(["z2", "--skip", "  smash_carrier"])
+
+
+def test_stage_times_splits_the_double_build_and_restores_the_kernels(monkeypatch, capsys):
+    import importlib
+    from pathlib import Path
+
+    from hopfsmash import hopfcore
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    stage_times = importlib.import_module("stage_times")
+    before = (hopfcore.twisted_product, Tensor3.kron)
+    assert stage_times.main(["s3", "--runs", "1", "--skip", "double_smash_decomposition"]) == 0
+    assert (hopfcore.twisted_product, Tensor3.kron) == before
+    rows = {line.split("`")[1]: float(line.split("|")[2])
+            for line in capsys.readouterr().out.splitlines()[3:]}
+    # the product and the coproduct ran, and fit inside the build
+    assert rows["product"] > 0 and rows["coproduct"] > 0
+    assert rows["product"] + rows["coproduct"] <= rows["build"]
+    with pytest.raises(SystemExit):
+        stage_times.main(["z2", "--skip", "  coproduct"])
 
 
 # ---------------------------------------------------------------------------

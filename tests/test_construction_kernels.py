@@ -3,7 +3,9 @@
 `exactlin.Echelon` grows the subspaces of `generating_set`, `span_closure`
 and `_min_poly`; `qtriang.transmuted_coaction` is Delta_R in `transmute` and
 rho_R in `yd_to_comodule`, and `transmute`'s S_R loop skips empty ad cells; `hopfcore.map_legs` applies f (x) g to a two-leg
-element and `hopfcore.leg_map` reads one as a map.  The code each of them
+element and `hopfcore.leg_map` reads one as a map; `hopfcore.inclusions`
+writes the factor inclusions, through which D(H)'s S_D and R and the
+coproduct of A # H are built.  The code each of them
 replaced is kept here as a reference, and the kernels must give the same
 answers on the worlds the suite builds and on seeded inputs with Fractions:
 dependent seeds, dimension 1, cancelling terms and non-square legs.
@@ -29,22 +31,35 @@ from hopfsmash.exactlin import (
 )
 from hopfsmash.hopfcore import (
     StructureAlgebra,
+    drinfeld_double,
+    dual_coalgebra,
+    dual_hopf,
     generating_set,
+    inclusions,
     integrals,
     leg_map,
     map_legs,
+    matrix_algebra,
+    tensor_algebra,
     tensor_mul_sparse,
 )
-from hopfsmash.modalg import SeparabilityData, verify_separability
+from hopfsmash.modalg import (
+    SeparabilityData,
+    pointwise_algebra,
+    separability,
+    trivial_module_algebra,
+    verify_separability,
+)
 from hopfsmash.qtriang import (
     adjoint_action_tensor,
     drinfeld_element,
     hr_dual_separability,
     transmute,
     transmuted_coaction,
+    trivial_qt,
     unverified_qt,
 )
-from hopfsmash.smashcons import smash_qt
+from hopfsmash.smashcons import smash_algebra, smash_qt, smash_weak_structure
 
 
 def _add(acc, key, c):
@@ -652,3 +667,150 @@ def test_leg_map_is_the_old_loop(sws18, b54):
         assert m == LinearMap(n, n, cols)
         rows = [{b: c for (a2, b), c in x.items() if a2 == a} for a in range(n)]
         assert list(m.transpose().cols) == rows
+
+
+# ---------------------------------------------------------------------------
+# references: the factor inclusions and the D(H) and A # H structure loops
+# before Tensor3.kron and hopfcore.inclusions
+# ---------------------------------------------------------------------------
+
+def _typed_items(d):
+    return [(k, c, type(c)) for k, c in d.items()]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inclusions_are_x_tensor_1_and_1_tensor_y(seed, ks3):
+    # units with several terms and Fraction coefficients: k^2 and M_2(k) have
+    # 1 = e_0 + e_1 and E_00 + E_11, (kS3)* has 1 = eps = sum_g p_g
+    rng = random.Random(seed)
+    algs = [pointwise_algebra(2), matrix_algebra(2), dual_hopf(ks3).algebra, ks3.algebra]
+    for _ in range(6):
+        a, b = (StructureAlgebra(alg.dim, alg.mult, tuple(scale * c for c in alg.unit))
+                for alg, scale in ((rng.choice(algs), rng.choice((1, F(1, 2), -3)))
+                                   for _ in range(2)))
+        na, nb = a.dim, b.dim
+        on_a, on_b = inclusions(a, b)
+        assert (on_a.source_dim, on_a.target_dim, on_b.source_dim, on_b.target_dim) \
+            == (na, na * nb, nb, na * nb)
+        for x in range(na):
+            ref = {x * nb + y: c for y, c in enumerate(b.unit) if c}
+            assert _typed_items(on_a.cols[x]) == _typed_items(ref)
+        for y in range(nb):
+            ref = {x * nb + y: c for x, c in enumerate(a.unit) if c}
+            assert _typed_items(on_b.cols[y]) == _typed_items(ref)
+    # in A (x) B they multiply to x (x) y
+    a, b = matrix_algebra(2), ks3.algebra
+    on_a, on_b = inclusions(a, b)
+    ab = tensor_algebra(a, b)
+    for x in range(a.dim):
+        for y in range(b.dim):
+            assert ab.mul_sparse(on_a.cols[x], on_b.cols[y]) == {x * b.dim + y: 1}
+
+
+def test_smash_inclusions_are_the_old_loops(sws18, double_mod_z2):
+    for s in (sws18.smash, smash_algebra(double_mod_z2[0])):
+        one_a, one_h = s.A_mod.A.unit_sparse, s.H.algebra.unit_sparse
+        old_h = LinearMap(s.nh, s.carrier.dim,
+                          [{s.flat(a, t): c for a, c in one_a.items()} for t in range(s.nh)])
+        assert s.h_inclusion == old_h
+        assert all(_typed_items(s.h_inclusion.cols[t]) == _typed_items(old_h.cols[t])
+                   for t in range(s.nh))
+        for a in range(s.na):
+            old_a: dict = {}
+            for t, ct in one_h.items():
+                _add(old_a, s.flat(a, t), ct)
+            assert _typed_items(s.include_a({a: 1})) == _typed_items(old_a)
+        assert s.include_h({0: F(1, 2), 1: 3}) == old_h.apply_sparse({0: F(1, 2), 1: 3})
+
+
+def _double_structure_reference(h, dalg):
+    """Delta_D, the columns of S_D and R of drinfeld_double(h) by the loops
+    they were written with: Delta_D(p_a >< x_b) = (p_a2 >< x_b1) (x)
+    (p_a1 >< x_b2), S_D(p_a >< x_b) = (eps >< S(x_b)) (S*^{-1}(p_a) >< 1) and
+    R = sum_i (eps >< x_i) (x) (p_i >< 1)."""
+    n = h.dim
+    nn = n * n
+
+    def flat(a, b):
+        return a * n + b
+
+    eps_sp = {i: c for i, c in enumerate(h.counit) if c}
+    unit_sp = h.algebra.unit_sparse
+    rev_mult = dual_coalgebra(h.algebra).comul_row
+    centries = []
+    for a in range(n):
+        for b in range(n):
+            for a1, a2, c1 in rev_mult(a):
+                for b1, b2, c2 in h.coalgebra.comul_row(b):
+                    centries.append((flat(a, b), flat(a2, b1), flat(a1, b2), c1 * c2))
+    comult = Tensor3.from_entries((nn, nn, nn), centries)
+
+    anti = []
+    sinv_rows = h.antipode_inv.transpose().cols
+    for a in range(n):
+        for b in range(n):
+            left: dict = {}
+            for y, cy in eps_sp.items():
+                for r, ws in h.antipode.cols[b].items():
+                    _add(left, flat(y, r), cy * ws)
+            right: dict = {}
+            for y, w in sinv_rows[a].items():
+                for t, ct in unit_sp.items():
+                    _add(right, flat(y, t), w * ct)
+            anti.append(dalg.mul_sparse(left, right))
+
+    r_entries: dict = {}
+    for i in range(n):
+        for y, cy in eps_sp.items():
+            for t, ct in unit_sp.items():
+                _add(r_entries, (flat(y, i), flat(i, t)), cy * ct)
+    return comult, anti, TensorElem.from_entries((nn, nn), r_entries.items())
+
+
+@pytest.mark.parametrize("host", ["kZ2", "kS3", "(kS3)*", "D(kZ2)"])
+def test_double_structure_maps_are_the_old_loops(host, kz2, ks3, double_z2, double_s3):
+    h = {"kZ2": kz2, "kS3": ks3, "(kS3)*": dual_hopf(ks3), "D(kZ2)": double_z2[0]}[host]
+    dd, q = {"kZ2": double_z2, "kS3": double_s3}.get(host) or drinfeld_double(h)
+    comult, anti, r = _double_structure_reference(h, dd.algebra)
+    assert _typed(dd.comult) == _typed(comult)
+    assert dd.counit == tuple(ca * cb for ca in h.unit for cb in h.counit)
+    # the columns of S_D in their dict order, and R in its term order
+    assert [_typed_items(col) for col in dd.antipode.cols] == [_typed_items(c) for c in anti]
+    assert _typed_items(q.R.terms) == _typed_items(r.terms)
+
+
+def _smash_comult_reference(sws):
+    """Delta(a#h) = a (R^2 . x^1) # R^1 h_(1) (x) x^2 # h_(2) by the loop over
+    the terms of Delta(h), R and x that built it before."""
+    s, q, sep = sws.smash, sws.q, sws.sep
+    A_mod, h, A = s.A_mod, s.H, s.A_mod.A
+    n = s.carrier.dim
+    centries = []
+    for a in range(s.na):
+        for i in range(s.nh):
+            for p, pq, c in h.coalgebra.comul_row(i):
+                for (r1, r2), cr in q.R.items():
+                    lh = h.algebra.mul_sparse({r1: 1}, {p: 1})
+                    for (x1, x2), cx in sep.x.items():
+                        la = A.mul_sparse({a: 1}, A_mod.action.act({r2: 1}, {x1: 1}))
+                        for ta, ca in la.items():
+                            for th, ch in lh.items():
+                                centries.append((s.flat(a, i), s.flat(ta, th), s.flat(x2, pq),
+                                                 c * cr * cx * ca * ch))
+    return Tensor3.from_entries((n, n, n), centries)
+
+
+@pytest.mark.parametrize("world", ["k3/kS3", "kZ2/D(kZ2)", "k/D(kZ2)", "k2/kZ2", "k2/D(kZ2)"])
+def test_smash_coproduct_is_the_old_loop(world, sws18, kz2, double_z2, double_mod_z2):
+    if world == "k3/kS3":
+        sws = sws18
+    else:
+        m, q = {"kZ2/D(kZ2)": double_mod_z2,
+                "k/D(kZ2)": (trivial_module_algebra(double_z2[0], pointwise_algebra(1)),
+                             double_z2[1]),
+                "k2/kZ2": (dm.k2_module_algebra_over_z2(kz2), trivial_qt(kz2)),
+                "k2/D(kZ2)": (trivial_module_algebra(double_z2[0], pointwise_algebra(2)),
+                              double_z2[1])}[world]
+        sws = smash_weak_structure(smash_algebra(m), q, separability(m))
+    assert sws.report.ok
+    assert _typed(sws.wha.comult) == _typed(_smash_comult_reference(sws))

@@ -774,3 +774,57 @@ def test_from_row_dicts_is_from_entries():
 def test_from_row_dicts_refuses_an_index_outside_dims(cells):
     with pytest.raises(DimensionMismatch, match="outside"):
         Tensor3.from_row_dicts((2, 2, 2), cells)
+
+
+def _typed_cells(t):
+    """The cells of t with the type of each scalar, which == ignores."""
+    return [[tuple((k, c, type(c)) for k, c in cell) for cell in plane] for plane in t._rows]
+
+
+def _kron_reference(t, u):
+    """The outer product from the dense formula
+    w[i n0 + i'][j n1 + j'][k n2 + k'] = t[i][j][k] u[i'][j'][k'], read into
+    from_entries."""
+    (d0, d1, d2), (n0, n1, n2) = t.dims, u.dims
+    dt, du = t.dense(), u.dense()
+    return Tensor3.from_entries(
+        (d0 * n0, d1 * n1, d2 * n2),
+        ((i * n0 + i2, j * n1 + j2, k * n2 + k2, dt[i][j][k] * du[i2][j2][k2])
+         for i in range(d0) for j in range(d1) for k in range(d2)
+         for i2 in range(n0) for j2 in range(n1) for k2 in range(n2)))
+
+
+def _random_tensor(rng, dims):
+    # Fractions whose products may be integral, zero entries, and pairs that
+    # cancel, so that some filled cells come out empty
+    scalars = (0, 1, -1, 2, 3, F(1, 2), F(-2, 3), F(3, 2))
+    entries = []
+    for _ in range(rng.randrange(2 * dims[0] * dims[1] * dims[2] + 1)):
+        i, j, k = (rng.randrange(d) for d in dims)
+        v = rng.choice(scalars)
+        entries.append((i, j, k, v))
+        if rng.random() < 0.2:
+            entries.append((i, j, k, -v))
+    return Tensor3.from_entries(dims, entries)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kron_matches_the_dense_formula(seed):
+    # non-square and mismatched dims, empty tensors and one-entry tensors
+    rng = random.Random(seed)
+    shapes = [(2, 3, 2), (3, 2, 4), (1, 1, 1), (2, 2, 2), (1, 3, 3), (0, 2, 2), (2, 0, 3),
+              (3, 3, 0)]
+    filled = 0
+    for _ in range(12):
+        t = _random_tensor(rng, rng.choice(shapes))
+        u = _random_tensor(rng, rng.choice(shapes))
+        w, ref = t.kron(u), _kron_reference(t, u)
+        assert w.dims == ref.dims
+        assert _typed_cells(w) == _typed_cells(ref)
+        filled += any(map(any, w._rows))
+    assert filled >= 2
+    half = Tensor3.from_entries((1, 1, 1), [(0, 0, 0, F(1, 2))])
+    two = Tensor3.from_entries((1, 1, 1), [(0, 0, 0, 2)])
+    assert half.kron(two).row(0, 0) == ((0, 1),) and type(half.kron(two).row(0, 0)[0][1]) is int
+    empty = Tensor3.from_entries((2, 2, 2), [(0, 0, 0, F(1, 2)), (0, 0, 0, F(-1, 2))])
+    assert _typed_cells(empty.kron(two)) == _typed_cells(Tensor3.from_entries((2, 2, 2), []))

@@ -4,9 +4,10 @@ import pytest
 
 from hopfsmash import demos as dm
 from hopfsmash import smashcons
-from hopfsmash.exactlin import Tensor3
+from hopfsmash.exactlin import LinearMap, Tensor3, TensorElem
 from hopfsmash.hopfcore import (
     GroupTable,
+    HopfData,
     co_opposite,
     drinfeld_double,
     dual_hopf,
@@ -15,6 +16,7 @@ from hopfsmash.hopfcore import (
     sparse_outer,
 )
 from hopfsmash.modalg import (
+    ModuleAlgebraData,
     adjoint_module_algebra,
     permutation_module_algebra,
     pointwise_algebra,
@@ -22,6 +24,7 @@ from hopfsmash.modalg import (
     trace_form,
     trivial_module_algebra,
 )
+from hopfsmash.qtriang import trivial_qt, unverified_qt
 from hopfsmash.report import HypothesisFailure
 from hopfsmash.smashcons import (
     build_B,
@@ -99,6 +102,22 @@ def test_smash_guard_u_triviality(kz2):
     assert "drinfeld-element-acts-trivially" in str(ei.value)
 
 
+def test_smash_guard_host_is_hopf(ks3, m3, sep3):
+    # kS3 with S = id is no Hopf algebra; k^3 is still a module algebra over
+    # it, and an unverified R reaches the gate, which names the host first
+    bad = HopfData(ks3.algebra, ks3.coalgebra, LinearMap.identity(ks3.dim))
+    assert bad.report.failures()[0].name == "antipode_left"
+    m = ModuleAlgebraData(bad, m3.A, m3.action)
+    s = smash_algebra(m)
+    q = unverified_qt(bad, TensorElem.from_entries((6, 6), [((0, 0), 1)]))
+    with pytest.raises(HypothesisFailure) as ei:
+        smash_weak_structure(s, q, sep3)
+    assert ei.value.hypothesis == "host-is-hopf"
+    assert ei.value.witness == ((3,),)
+    with pytest.raises(HypothesisFailure, match="hopf:antipode_left"):
+        trivial_qt(bad)
+
+
 def test_smash_qt_trivial_r_is_delta_one(sws18):
     wq, rep = smash_qt(sws18)
     assert rep.ok
@@ -151,7 +170,6 @@ def test_theta_fault_injection(smash18):
     rows = [list(r) for r in f.matrix]
     nz = next((i, j) for i, row in enumerate(rows) for j, c in enumerate(row) if c != 0)
     rows[nz[0]][nz[1]] = -rows[nz[0]][nz[1]]
-    from hopfsmash.exactlin import LinearMap
     from hopfsmash.hopfcore import check_map
     bad = LinearMap.from_matrix(rows)
     rep2 = check_map(bad, smash18.carrier, target, ("algebra",))
