@@ -734,6 +734,20 @@ class Tensor3:
         return Tensor3(dims, tuple(map(tuple, planes)))
 
     @staticmethod
+    def combination(dims, terms) -> "Tensor3":
+        """sum c t over the (c, t) of terms, each t of the given dims (else
+        DimensionMismatch), summed by from_entries; a lone term with c = 1 is
+        t itself."""
+        terms = list(terms)
+        if any(t.dims != tuple(dims) for _, t in terms):
+            raise DimensionMismatch(f"a term of the combination is not of dims {tuple(dims)}")
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
+        return Tensor3.from_entries(dims, ((i, j, k, c * v) for c, t in terms
+                                           for i, plane in enumerate(t._rows)
+                                           for j, cell in enumerate(plane) for k, v in cell))
+
+    @staticmethod
     def from_row_dicts(dims, rowdicts) -> "Tensor3":
         """Build from {(i, j): {k: value}} by from_entries; absent cells are zero."""
         return Tensor3.from_entries(dims, ((i, j, k, v) for (i, j), cell in rowdicts.items()

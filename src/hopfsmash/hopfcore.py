@@ -1107,6 +1107,26 @@ def end_algebra(nv: int, alg: StructureAlgebra) -> StructureAlgebra:
     return StructureAlgebra(n, Tensor3((n, n, n), tuple(planes)), tuple(unit))
 
 
+def end_inclusions(nv: int, alg: StructureAlgebra, *actions) -> tuple:
+    """The maps into End(V) (x) A = end_algebra(nv, alg), as LinearMaps on its
+    flat index: iota(h) = sum_k k (x) h (x) k, an algebra map, and for each
+    action tensor t of a space X on V (cell (x, w) the vector x . v_w) the
+    map x |-> sum_w (x . v_w) (x) 1 (x) w, an anti-algebra map when t is a
+    left action.  On s = a (x) h (x) k they act by iota(g) s = a (x) gh (x) k,
+    s map(x) = (x . v_a) (x) h (x) k and map(x) s = a (x) h (x) (v*_k <| x),
+    with <v*_k <| x, v_w> = <v*_k, x . v_w>."""
+    n0 = alg.dim
+    one = alg.unit_sparse
+
+    def flat(a: int, i: int, k: int) -> int:
+        return (a * n0 + i) * nv + k
+
+    iota = LinearMap(n0, nv * n0 * nv, [{flat(k, i, k): 1 for k in range(nv)} for i in range(n0)])
+    return (iota, *(LinearMap(t.dims[0], nv * n0 * nv, [
+        {flat(a, i, w): c * ci for w in range(nv) for a, c in t.row(x, w) for i, ci in one.items()}
+        for x in range(t.dims[0])]) for t in actions))
+
+
 def twisted_product(a: StructureAlgebra, b: StructureAlgebra, tau) -> StructureAlgebra:
     """A (x)_tau B on the flat index x * dim B + y for a twisting map
     tau: B (x) A -> A (x) B given as tau[y][x2], the terms (x3, y3, c) of

@@ -12,6 +12,7 @@ dependent seeds, dimension 1, cancelling terms and non-square legs.
 """
 
 import copy
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -26,20 +27,24 @@ from hopfsmash.exactlin import (
     Tensor3,
     TensorElem,
     _min_poly,
+    sp_add,
     span_basis,
     span_closure,
 )
 from hopfsmash.hopfcore import (
     StructureAlgebra,
+    algebra_map_failures,
     drinfeld_double,
     dual_coalgebra,
     dual_hopf,
+    end_inclusions,
     generating_set,
     inclusions,
     integrals,
     leg_map,
     map_legs,
     matrix_algebra,
+    opposite_algebra,
     tensor_algebra,
     tensor_mul_sparse,
 )
@@ -47,6 +52,7 @@ from hopfsmash.modalg import (
     SeparabilityData,
     pointwise_algebra,
     separability,
+    trace_form,
     trivial_module_algebra,
     verify_separability,
 )
@@ -59,7 +65,13 @@ from hopfsmash.qtriang import (
     trivial_qt,
     unverified_qt,
 )
-from hopfsmash.smashcons import smash_algebra, smash_qt, smash_weak_structure
+from hopfsmash.smashcons import (
+    _theta_columns,
+    build_B,
+    smash_algebra,
+    smash_qt,
+    smash_weak_structure,
+)
 
 
 def _add(acc, key, c):
@@ -814,3 +826,204 @@ def test_smash_coproduct_is_the_old_loop(world, sws18, kz2, double_z2, double_mo
         sws = smash_weak_structure(smash_algebra(m), q, separability(m))
     assert sws.report.ok
     assert _typed(sws.wha.comult) == _typed(_smash_comult_reference(sws))
+
+
+def _b_worlds(world, b54, kz2, double_z2, double_mod_z2):
+    """B and its module algebra on the worlds of the smash coproduct test."""
+    if world == "k3/kS3":
+        return b54
+    m, q = {"kZ2/D(kZ2)": double_mod_z2,
+            "k/D(kZ2)": (trivial_module_algebra(double_z2[0], pointwise_algebra(1)),
+                         double_z2[1]),
+            "k2/kZ2": (dm.k2_module_algebra_over_z2(kz2), trivial_qt(kz2))}[world]
+    return build_B(m, q, separability(m))
+
+
+def _b_reference(b):
+    """(Delta_B, the columns of S_B, R_B, B_t's and B_s's closed forms) by the
+    loops that built them before they were products of end_inclusions' maps:
+
+        Delta_B(a h f) = (R_1^2.x^1) a (x) R_2^1 h_(1) R_1^1 (x) f_(2)
+                         (x) x^2 (x) h_(2) (x) (f_(1) <| R_2^2)
+        S_B(a h p_k) = <p_k, R_2^2.x^1> x^2 (x) R_1^1 S(R_2^1 h) (x) alpha <- (R_1^2.a)
+        R_B = <alpha, e_w1 e_w2> (R_3^2.x_2^1) x_1^1 (x) R_2^1 R_3^1 (x) (p_w1 <| R_1^2)
+              (x) x_2^2 (x) R_1^1 R_2^2 (x) (x_1^2 -> p_w2)
+
+    and B_t, B_s spanned by x^1 a (x) 1 (x) (x^2 -> alpha) and
+    (R^2.a) x^1 (x) R^1 (x) (x^2 -> alpha)."""
+    A_mod, q, sep, flat = b.A_mod, b.q, b.sep, b.flat
+    h, A = q.host, A_mod.A
+    na, nh = A.dim, h.dim
+    n = na * nh * na
+    x_items, r_items = list(sep.x.items()), list(q.R.items())
+    form = trace_form(A, sep.alpha)
+    form_t = form.transpose()
+    rev_a = dual_coalgebra(A).comul_row
+    dual_act = A_mod.action.permuted((0, 2, 1)).row
+    mult_col = A.mult.permuted((1, 2, 0)).row
+
+    def h_leg(rb1, p, ra1):
+        return h.algebra.mul_sparse(h.algebra.mul_sparse({rb1: 1}, {p: 1}), {ra1: 1})
+
+    def a_leg(r2, x1, a):
+        return A.mul_sparse(A_mod.action.act({r2: 1}, {x1: 1}), {a: 1})
+
+    centries = []
+    for a in range(na):
+        for i in range(nh):
+            for k in range(na):
+                for k1, k2, ck in rev_a(k):
+                    for p, pq, c in h.coalgebra.comul_row(i):
+                        for (ra1, ra2), cra in r_items:
+                            for (rb1, rb2), crb in r_items:
+                                for (x1, x2), cx in x_items:
+                                    for ta, ca in a_leg(ra2, x1, a).items():
+                                        for th, chh in h_leg(rb1, p, ra1).items():
+                                            for w, cw in dual_act(rb2, k1):
+                                                centries.append((
+                                                    flat(a, i, k), flat(ta, th, k2),
+                                                    flat(x2, pq, w),
+                                                    c * cra * crb * cx * ck * ca * chh * cw))
+    anti = []
+    for a in range(na):
+        for i in range(nh):
+            for k in range(na):
+                col = {}
+                for (ra1, ra2), cra in r_items:
+                    for (rb1, rb2), crb in r_items:
+                        hleg = h.algebra.mul_sparse(
+                            {ra1: 1}, h.antipode.apply_sparse(dict(h.algebra.mul_row(rb1, i))))
+                        duall = form_t.apply_sparse(A_mod.action.act({ra2: 1}, {a: 1}))
+                        for (x1, x2), cx in x_items:
+                            scal = A_mod.action.entry(rb2, x1, k)
+                            for th, chh in hleg.items():
+                                for w, cw in duall.items():
+                                    sp_add(col, flat(x2, th, w), cra * crb * cx * scal * chh * cw)
+                anti.append(col)
+    rb = {}
+    for (ra1, ra2), cra in r_items:
+        for (rb1, rb2), crb in r_items:
+            for (rc1, rc2), crc in r_items:
+                h1 = h.algebra.mul_sparse({rb1: 1}, {rc1: 1})
+                h2 = h.algebra.mul_sparse({ra1: 1}, {rb2: 1})
+                for (x11, x12), cx1 in x_items:
+                    for (x21, x22), cx2 in x_items:
+                        for w1, gram_row in enumerate(form_t.cols):
+                            for w2, cg in gram_row.items():
+                                coeff0 = cra * crb * crc * cx1 * cx2 * cg
+                                for ta, ca in a_leg(rc2, x21, x11).items():
+                                    for t1, c1 in h1.items():
+                                        for u1, cu1 in dual_act(ra2, w1):
+                                            for t2, c2 in h2.items():
+                                                for u2, cu2 in mult_col(x12, w2):
+                                                    sp_add(rb, (flat(ta, t1, u1),
+                                                                flat(x22, t2, u2)),
+                                                           coeff0 * ca * c1 * cu1 * c2 * cu2)
+    tvecs, svecs = [], []
+    for a in range(na):
+        tv, sv = {}, {}
+        for (x1, x2), cx in x_items:
+            for t, ct in h.algebra.unit_sparse.items():
+                for ta, ca in A.mul_sparse({x1: 1}, {a: 1}).items():
+                    for w, cw in form.cols[x2].items():
+                        sp_add(tv, flat(ta, t, w), cx * ct * ca * cw)
+            for (r1, r2), cr in r_items:
+                for ta, ca in A.mul_sparse(A_mod.action.act({r2: 1}, {a: 1}), {x1: 1}).items():
+                    for w, cw in form.cols[x2].items():
+                        sp_add(sv, flat(ta, r1, w), cx * cr * ca * cw)
+        tvecs.append(tv)
+        svecs.append(sv)
+    return (Tensor3.from_entries((n, n, n), centries), anti,
+            TensorElem.from_entries((n, n), list(rb.items())), tvecs, svecs)
+
+
+def _theta_reference(s):
+    """Theta(a # e_i) = sum c theta(a # e_p) (x) e_q over Delta(e_i), with
+    theta(a#h)(b*) = a -> (b* <| S^{-1}(h)), by the loop that wrote B's flat
+    index by hand."""
+    h, na, nh = s.H, s.na, s.nh
+    dual_act = s.A_mod.action.permuted((0, 2, 1)).act
+    dragged = [[dual_act(h.antipode_inv.cols[p], {w: 1}) for w in range(na)] for p in range(nh)]
+    hit = s.A_mod.A.mult.permuted((2, 1, 0)).act
+    cols = []
+    for a in range(na):
+        for i in range(nh):
+            col = {}
+            for p, q, c in h.coalgebra.comul_row(i):
+                for w, f in enumerate(dragged[p]):
+                    for b, val in hit(f, {a: 1}).items():
+                        sp_add(col, (w * nh + q) * na + b, c * val)
+            cols.append(col)
+    return cols
+
+
+def _sorted_typed(col):
+    return sorted(_typed_items(col))
+
+
+@pytest.mark.parametrize("world", ["k3/kS3", "kZ2/D(kZ2)", "k/D(kZ2)", "k2/kZ2"])
+def test_b_structure_maps_are_the_old_loops(world, b54, kz2, double_z2, double_mod_z2):
+    b = _b_worlds(world, b54, kz2, double_z2, double_mod_z2)
+    assert b.report.ok
+    comult, anti, rb, tvecs, svecs = _b_reference(b)
+    w, A, h = b.wha, b.A_mod.A, b.q.host
+    assert _typed(w.comult) == _typed(comult)
+    assert [_sorted_typed(col) for col in w.antipode.cols] == [_sorted_typed(c) for c in anti]
+    assert _typed_items(b.rqt.Rw.terms) == _typed_items(rb.terms)
+    # the closed forms: B_t = target(A), and B_s = sigma(A) with
+    # sigma(a) = sum left(R^2.a) iota(R^1)
+    iota, left, target, _ = end_inclusions(b.na, h.algebra, A.mult,
+                                           opposite_algebra(A).mult, b.A_mod.action)
+
+    def sigma(a):
+        out = {}
+        for (r1, r2), cr in b.q.R.items():
+            moved = left.apply_sparse(b.A_mod.action.act({r2: 1}, {a: 1}))
+            for key, c in w.algebra.mul_sparse(moved, iota.cols[r1]).items():
+                sp_add(out, key, cr * c)
+        return out
+
+    # equal values; the old loop left integral sums as Fractions, which these
+    # spans and check_map never show
+    assert list(target.cols) == tvecs
+    assert [sigma(a) for a in range(b.na)] == svecs
+
+
+@pytest.mark.parametrize("world", ["k3/kS3", "kZ2/D(kZ2)", "k/D(kZ2)", "k2/kZ2"])
+def test_theta_columns_are_the_old_loop(world, b54, kz2, double_z2, double_mod_z2):
+    b = _b_worlds(world, b54, kz2, double_z2, double_mod_z2)
+    s = smash_algebra(b.A_mod)
+    cols = _theta_columns(s, b.wha.algebra)
+    assert [_sorted_typed(col) for col in cols] == [_sorted_typed(c) for c in _theta_reference(s)]
+
+
+@pytest.mark.parametrize("world", ["k3/kS3", "kZ2/D(kZ2)"])
+def test_end_inclusions_act_on_their_slots(world, b54, kz2, double_z2, double_mod_z2):
+    # on every t = a (x) h (x) p_k of B: iota(g) t = a (x) gh (x) p_k,
+    # t left(y) = ya (x) h (x) p_k and acting(r) t = a (x) h (x) (p_k <| r)
+    b = _b_worlds(world, b54, kz2, double_z2, double_mod_z2)
+    carrier, A, h = b.wha.algebra, b.A_mod.A, b.q.host
+    iota, left, target, acting = end_inclusions(b.na, h.algebra, A.mult,
+                                                opposite_algebra(A).mult, b.A_mod.action)
+    dual_act = b.A_mod.action.permuted((0, 2, 1)).act    # dual_act(r, f) = f <| r
+
+    def elem(a_sp, h_sp, f_sp):
+        """a (x) h (x) f for sparse a, h and f."""
+        return {b.flat(a, i, k): ca * ci * ck for (a, ca), (i, ci), (k, ck) in itertools.product(
+            a_sp.items(), h_sp.items(), f_sp.items())}
+
+    for a, i, k in itertools.product(range(b.na), range(b.nh), range(b.na)):
+        t = {b.flat(a, i, k): 1}
+        for g in range(b.nh):
+            assert carrier.mul_sparse(iota.cols[g], t) == elem(
+                {a: 1}, h.algebra.mul_sparse({g: 1}, {i: 1}), {k: 1})
+            assert carrier.mul_sparse(acting.cols[g], t) == elem(
+                {a: 1}, {i: 1}, dual_act({g: 1}, {k: 1}))
+        for y in range(b.na):
+            assert carrier.mul_sparse(t, left.cols[y]) == elem(
+                A.mul_sparse({y: 1}, {a: 1}), {i: 1}, {k: 1})
+    # iota and target are unital algebra maps, left and acting anti-algebra maps
+    for f, src, anti in ((iota, h.algebra, False), (target, A, False), (left, A, True),
+                         (acting, h.algebra, True)):
+        assert list(algebra_map_failures(f, src, carrier, src_op=anti)) == []
+        assert f.apply_sparse(src.unit_sparse) == carrier.unit_sparse

@@ -828,3 +828,46 @@ def test_kron_matches_the_dense_formula(seed):
     assert half.kron(two).row(0, 0) == ((0, 1),) and type(half.kron(two).row(0, 0)[0][1]) is int
     empty = Tensor3.from_entries((2, 2, 2), [(0, 0, 0, F(1, 2)), (0, 0, 0, F(-1, 2))])
     assert _typed_cells(empty.kron(two)) == _typed_cells(Tensor3.from_entries((2, 2, 2), []))
+
+
+def _combination_reference(dims, terms):
+    """sum c t from the dense arrays, summed as Fractions and read into
+    from_entries."""
+    d0, d1, d2 = dims
+    acc = [[[F(0)] * d2 for _ in range(d1)] for _ in range(d0)]
+    for c, t in terms:
+        for i, plane in enumerate(t.dense()):
+            for j, row in enumerate(plane):
+                for k, v in enumerate(row):
+                    acc[i][j][k] += F(c) * v
+    return Tensor3.from_entries(dims, ((i, j, k, v) for i, plane in enumerate(acc)
+                                       for j, row in enumerate(plane)
+                                       for k, v in enumerate(row) if v))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_combination_matches_the_dense_formula(seed):
+    # Fraction and zero coefficients, no terms, and terms that cancel
+    rng = random.Random(seed)
+    for _ in range(10):
+        dims = rng.choice([(2, 3, 2), (1, 1, 1), (3, 2, 4), (2, 0, 3)])
+        terms = [(rng.choice((1, -1, 2, 0, F(1, 2), F(-2, 3))), _random_tensor(rng, dims))
+                 for _ in range(rng.randrange(4))]
+        if terms and rng.random() < 0.5:
+            terms.append((-terms[0][0], terms[0][1]))
+        assert _typed_cells(Tensor3.combination(dims, terms)) == \
+            _typed_cells(_combination_reference(dims, terms))
+    t = _random_tensor(rng, (2, 3, 2))
+    assert Tensor3.combination((2, 3, 2), [(1, t)]) is t
+    halves = Tensor3.combination((2, 3, 2), [(F(1, 2), t), (F(1, 2), t)])
+    assert _typed_cells(halves) == _typed_cells(t)
+    assert Tensor3.combination((2, 3, 2), [(F(1, 2), t), (F(-1, 2), t)]) == \
+        Tensor3.from_entries((2, 3, 2), [])
+
+
+def test_combination_refuses_mismatched_dims():
+    t = Tensor3.from_entries((2, 2, 2), [(0, 0, 0, 1)])
+    u = Tensor3.from_entries((2, 2, 3), [(0, 0, 2, 1)])
+    for terms in ([(1, u)], [(1, t), (2, u)], [(1, u), (1, t)]):
+        with pytest.raises(DimensionMismatch):
+            Tensor3.combination((2, 2, 2), terms)

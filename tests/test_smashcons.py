@@ -102,18 +102,28 @@ def test_smash_guard_u_triviality(kz2):
     assert "drinfeld-element-acts-trivially" in str(ei.value)
 
 
-def test_smash_guard_host_is_hopf(ks3, m3, sep3):
-    # kS3 with S = id is no Hopf algebra; k^3 is still a module algebra over
-    # it, and an unverified R reaches the gate, which names the host first
-    bad = HopfData(ks3.algebra, ks3.coalgebra, LinearMap.identity(ks3.dim))
+@pytest.mark.parametrize("construction", ["smash_weak_structure", "build_B"])
+@pytest.mark.parametrize("antipode", ["identity", "zero"])
+def test_smash_guard_host_is_hopf(antipode, construction, ks3, m3, sep3):
+    # kS3 with S = id or S = 0 is no Hopf algebra; k^3 is still a module
+    # algebra over it, and an unverified R reaches the one gate of A # H and
+    # B, which names the host first, so no axiom of B is reported as failed
+    anti = {"identity": LinearMap.identity(ks3.dim),
+            "zero": LinearMap(ks3.dim, ks3.dim, [{}] * ks3.dim)}[antipode]
+    bad = HopfData(ks3.algebra, ks3.coalgebra, anti)
     assert bad.report.failures()[0].name == "antipode_left"
     m = ModuleAlgebraData(bad, m3.A, m3.action)
-    s = smash_algebra(m)
     q = unverified_qt(bad, TensorElem.from_entries((6, 6), [((0, 0), 1)]))
+    build = {"smash_weak_structure": lambda: smash_weak_structure(smash_algebra(m), q, sep3),
+             "build_B": lambda: build_B(m, q, sep3)}[construction]
     with pytest.raises(HypothesisFailure) as ei:
-        smash_weak_structure(s, q, sep3)
-    assert ei.value.hypothesis == "host-is-hopf"
-    assert ei.value.witness == ((3,),)
+        build()
+    violated = ["host-is-hopf"]
+    if antipode == "zero" and construction == "smash_weak_structure":
+        # u = S(R^2) R^1 is zero too, and only A # H asks for u . a = a
+        violated.append("drinfeld-element-acts-trivially")
+    assert ei.value.hypothesis == "; ".join(violated)
+    assert ei.value.witness[0] == {"identity": (3,), "zero": (0,)}[antipode]
     with pytest.raises(HypothesisFailure, match="hopf:antipode_left"):
         trivial_qt(bad)
 
