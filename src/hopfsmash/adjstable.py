@@ -509,16 +509,11 @@ def _delta_slices(coal: StructureCoalgebra, v: dict) -> dict:
 
 
 def hit_space(coal: StructureCoalgebra, f: dict, n: int) -> list:
-    """Canonical basis of f -> H = span of (id (x) f) Delta(e_a) over a, for
-    a functional f on the coalgebra coal of dimension n."""
-    vecs = []
-    for a in range(n):
-        v: dict = {}
-        for j, k, c in coal.comul_row(a):
-            if k in f:
-                sp_add(v, j, c * f[k])
-        vecs.append(v)
-    return span_basis(vecs, n)
+    """Canonical basis of f -> H = span of the left hits f -> e_a =
+    (id (x) f) Delta(e_a) over a, for a functional f on the coalgebra coal
+    of dimension n."""
+    left = coal.hits[0]
+    return span_basis([left.act(f, {a: 1}) for a in range(n)], n)
 
 
 class HrDecomposition(Record):

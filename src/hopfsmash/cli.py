@@ -575,9 +575,15 @@ def _construct(ws: Workspace, recipe: str):
     if ":" not in recipe:
         raise ValueError("recipe must look like 'op:target[,target2]'")
     op, _, argstr = recipe.partition(":")
-    args = [a for a in argstr.split(",") if a]
-    if not args:
+    args = argstr.split(",")
+    if not any(args):
         raise ValueError(f"recipe {recipe!r} names no target")
+    if "" in args:
+        raise ValueError(f"recipe {recipe!r} has an empty target")
+    counts = (1, 2) if op in ("smash-wha", "build-B") else (1,)
+    if len(args) not in counts:
+        raise ValueError(f"recipe {recipe!r} names {len(args)} targets; "
+                         f"{op} takes {' or '.join(map(str, counts))}")
     if op == "group-algebra":
         h = _group_algebra(ws.get(args[0]), args[0])
         return {"constructed": ser_hopf(h)}, h.report

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 from .exactlin import (
     DimensionMismatch,
@@ -170,6 +170,14 @@ class StructureCoalgebra(Record):
 
     def comul2_row(self, i: int):
         return self._rows2[i]
+
+    @cached_property
+    def hits(self) -> tuple:
+        """(left, right): the action tensors of the dual on C by the hits
+        p -> c = c_(1) <p, c_(2)> and c <- p = <p, c_(1)> c_(2), each Delta
+        with its legs moved, so left[p][c][c1] = Delta[c][c1][p] and
+        right[p][c][c2] = Delta[c][p][c2]; read them with Tensor3.act(p, c)."""
+        return self.comult.permuted((2, 0, 1)), self.comult.permuted((1, 0, 2))
 
 
 class HopfData(Record):
@@ -726,23 +734,31 @@ def bialgebra_prelude(rep: VerificationReport, alg: StructureAlgebra,
     return gens, multiplicative
 
 
-def antipode_convolutions(h: HopfData, i: int) -> tuple:
-    """(S(h_(1)) h_(2), h_(1) S(h_(2))) for h = e_i, as sparse vectors."""
-    s_cols = h.antipode.cols
-    left: dict = {}
-    right: dict = {}
-    for j, k, w in h.coalgebra.comul_row(i):
-        for r, ws in s_cols[j].items():
-            for t, wm in h.algebra.mul_row(r, k):
-                sp_add(left, t, w * ws * wm)
-        for r, ws in s_cols[k].items():
-            for t, wm in h.algebra.mul_row(j, r):
-                sp_add(right, t, w * ws * wm)
-    return left, right
+def convolution(f: LinearMap, g: LinearMap, coal: StructureCoalgebra,
+                alg: StructureAlgebra) -> LinearMap:
+    """The convolution f * g : c |-> f(c_(1)) g(c_(2)) of maps f, g from the
+    coalgebra coal to the algebra alg, one accumulator per basis element
+    read through the Sweedler rows of coal and the cells of alg."""
+    fc, gc, rows = f.cols, g.cols, alg.mult._rows
+    cols = []
+    for row in coal.rows:
+        acc: dict = {}
+        for j, k, w in row:
+            gk = gc[k]
+            for r, cr in fc[j].items():
+                rr, wr = rows[r], w * cr
+                for t, ct in gk.items():
+                    c = wr * ct
+                    for m, cm in rr[t]:
+                        acc[m] = acc.get(m, 0) + c * cm
+        cols.append({m: c for m, c in acc.items() if c})
+    return LinearMap(coal.dim, alg.dim, cols)
 
 
 def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
-    """Bialgebra compatibilities and the antipode convolution identities.
+    """Bialgebra compatibilities and the antipode convolution identities:
+    antipode_left and antipode_right read the columns of S * id and id * S
+    (`convolution`), each against eps(h) 1.
 
     Delta multiplicativity and coassociativity are scanned on S as
     bialgebra_prelude says, and eps multiplicativity on the pairs (i, s), s
@@ -767,10 +783,11 @@ def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
     rep.add("counit_unital", h.coalgebra.counit_sparse(h.algebra.unit_sparse) == 1)
 
     # S(h_(1)) h_(2) = eps(h) 1 = h_(1) S(h_(2))
-    conv = [antipode_convolutions(h, i) for i in range(n)]
+    ident = LinearMap.identity(n)
     u = h.algebra.unit_sparse
-    rep.check("antipode_left", ((i,) for i in range(n) if conv[i][0] != sp_scale(u, eps[i])))
-    rep.check("antipode_right", ((i,) for i in range(n) if conv[i][1] != sp_scale(u, eps[i])))
+    for name, f, g in (("antipode_left", h.antipode, ident), ("antipode_right", ident, h.antipode)):
+        cols = convolution(f, g, h.coalgebra, h.algebra).cols
+        rep.check(name, ((i,) for i in range(n) if cols[i] != sp_scale(u, eps[i])))
 
     rep.add("antipode_involutive", h.antipode.compose(h.antipode).is_identity(),
             informational=True)
@@ -1204,24 +1221,13 @@ def drinfeld_double(h: HopfData):
     sinv = h.antipode_inv
     alg = h.algebra
 
-    # q(c; t1, t3) = t1 -> p_c <- S^{-1}(e_t3), computed once per key
-    @cache
-    def dragged(c: int, t1: int, t3: int) -> tuple:
-        out: dict = {}
-        for y in range(n):
-            for m1, w1 in alg.mul_row(y, t1):
-                acc = 0
-                for r, ws in sinv.cols[t3].items():
-                    for m2, w2 in alg.mul_row(r, m1):
-                        if m2 == c:
-                            acc += ws * w2
-                if acc != 0:
-                    sp_add(out, y, acc * w1)
-        return tuple(out.items())
-
-    # tau(e_b (x) p_c) = (b_(1) -> p_c <- S^{-1}(b_(3))) (x) b_(2)
+    # tau(e_b (x) p_c) = (b_(1) -> p_c <- S^{-1}(b_(3))) (x) b_(2), by the
+    # hits of H on the coalgebra H*
+    dual_coal = dual_coalgebra(alg)
+    left, right = dual_coal.hits
     tau = [[[(y, t2, w * cy) for t1, t2, t3, w in h.coalgebra.comul2_row(b)
-             for y, cy in dragged(c, t1, t3)] for c in range(n)] for b in range(n)]
+             for y, cy in right.act(sinv.cols[t3], dict(left.row(t1, c))).items()]
+            for c in range(n)] for b in range(n)]
     dual = convolution_algebra(h.coalgebra)
     dalg = twisted_product(dual, alg, tau)
 
@@ -1233,7 +1239,7 @@ def drinfeld_double(h: HopfData):
             s_h = rest
     vars(dalg)["generators"] = generating_set(dalg, [a * n + s for a in range(n) for s in s_h])
     # Delta_D is the tensor coalgebra (H*)^cop (x) H
-    dcoal = StructureCoalgebra(nn, co_opposite(dual_coalgebra(alg)).comult.kron(h.comult),
+    dcoal = StructureCoalgebra(nn, co_opposite(dual_coal).comult.kron(h.comult),
                                tuple(ca * cb for ca in h.unit for cb in h.counit))
 
     # S_D(p_a >< x_b) = (eps >< S(x_b)) (S*^{-1}(p_a) >< 1); S*^{-1}(p_a) is
@@ -1260,9 +1266,7 @@ def drinfeld_double(h: HopfData):
 
 def heisenberg_double(h: HopfData) -> StructureAlgebra:
     """H # H* with H* acting by the left hit p . l = l_(1) <p, l_(2)>, on the
-    flat index l * dim H + p; the hit tensor hit[p][l][l1] = Delta[l][l1][p]
-    is Delta with its legs moved."""
-    hit = h.coalgebra.comult.permuted((2, 0, 1))
-    out = smash_carrier(h.algebra, dual_hopf(h), hit)
+    flat index l * dim H + p."""
+    out = smash_carrier(h.algebra, dual_hopf(h), h.coalgebra.hits[0])
     out.report.require()
     return out

@@ -162,19 +162,12 @@ def class_idempotents(h: HopfData, q: QTStructure, ip,
 
     block_bases = []
     ok = True
+    right = h.coalgebra.hits[1]
     for f in idems:
         lhs = hit_space(bg.braided_coalgebra, f, n)
-        rhs_vecs = []
-        for b in range(n):
-            # Lambda <- f e_b = <f e_b, Lambda_(1)> Lambda_(2)
-            fb = dual.mul_sparse(f, {b: 1})
-            v: dict = {}
-            for i, ci in ip.Lambda.items():
-                for j, k, w in h.coalgebra.comul_row(i):
-                    if j in fb:
-                        sp_add(v, k, ci * w * fb[j])
-            rhs_vecs.append(v)
-        if lhs != span_basis(rhs_vecs, n):
+        # Lambda <- f e_b = <f e_b, Lambda_(1)> Lambda_(2)
+        rhs = [right.act(dual.mul_sparse(f, {b: 1}), ip.Lambda) for b in range(n)]
+        if lhs != span_basis(rhs, n):
             ok = False
         block_bases.append(tuple(lhs))
     rep.add("hit_spaces_match", ok)

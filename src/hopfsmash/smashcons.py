@@ -40,6 +40,7 @@ from .hopfcore import (
     algebra_map_failures,
     certified_scan,
     check_map,
+    convolution,
     convolution_algebra,
     drinfeld_double,
     dual_coalgebra,
@@ -348,9 +349,8 @@ def _theta_columns(s: SmashProduct, carrier: StructureAlgebra) -> list:
         raise ValueError("theta_embed and phi_embed need an invertible antipode")
     iota, target, acting = end_inclusions(s.na, h.algebra, opposite_algebra(s.A_mod.A).mult,
                                           s.A_mod.action)
-    dragged = acting.compose(sinv)
-    tails = [multiply_legs(carrier, map_legs(dragged, iota, h.coalgebra.comul_sparse({i: 1})))
-             for i in range(s.nh)]    # acting(S^{-1}(h_(1))) iota(h_(2)) at h = e_i
+    # tails[i] = acting(S^{-1}(h_(1))) iota(h_(2)) at h = e_i
+    tails = convolution(acting.compose(sinv), iota, h.coalgebra, carrier).cols
     return [carrier.mul_sparse(target.cols[a], tail) for a in range(s.na) for tail in tails]
 
 
@@ -599,17 +599,12 @@ def double_module_algebra(h: HopfData, double=None):
     """
     dd, qd = double if double is not None else drinfeld_double(h)
     n = h.dim
-    sinv = h.antipode_inv.cols
-    ad = adjoint_action_tensor(h)
-    entries = []
-    for a in range(n):
-        for bb in range(n):
-            for l in range(n):
-                for m, cm in ad.row(bb, l):
-                    for m1, m2, cd in h.coalgebra.comul_row(m):
-                        if w := sinv[m1].get(a):
-                            entries.append((a * n + bb, l, m2, cm * cd * w))
-    action = Tensor3.from_entries((dd.dim, n, n), entries)
+    # (p_a >< e_b).l = (e_b .ad l) <- S*^{-1}(p_a), and S*^{-1}(p_a) is row a of S^{-1}
+    ad, right = adjoint_action_tensor(h), h.coalgebra.hits[1]
+    action = Tensor3.from_entries((dd.dim, n, n), (
+        (a * n + b, l, k, c) for a, p in enumerate(h.antipode_inv.transpose().cols)
+        for b in range(n) for l in range(n)
+        for k, c in right.act(p, dict(ad.row(b, l))).items()))
     m = ModuleAlgebraData(dd, h.algebra, action)
     m.report.require()
     qc, wit = is_quantum_commutative(qd, m)

@@ -33,6 +33,33 @@ def _structure_digest(*parts) -> str:
     return hashlib.sha256("|".join(canon(p) for p in parts).encode()).hexdigest()[:16]
 
 
+def _even_part(m, even):
+    """The sub-module algebra of the module algebra m on the basis vectors
+    listed in even, in that order, with its product and action read in
+    their coordinates."""
+    from hopfsmash.exactlin import Subspace
+    from hopfsmash.hopfcore import StructureAlgebra
+    from hopfsmash.modalg import ModuleAlgebraData
+    vectors = [{e: 1} for e in even]
+    span = Subspace(vectors, m.A.dim)
+    mult, _ = span.restricted(m.A.mult, vectors, vectors)
+    action, _ = span.restricted(m.action, [{d: 1} for d in range(m.host.dim)], vectors)
+    unit = tuple(m.A.unit[e] for e in even)
+    return ModuleAlgebraData(m.host, StructureAlgebra(len(even), mult, unit), action)
+
+
+def _ka3_world(ks3, double=None):
+    """(kA3, R of D(kS3)): kA3 is the span of the even permutations in the
+    D(kS3)-module algebra double_module_algebra(kS3), a sub-module algebra
+    since it is closed under products, conjugation and the grading.  Its host
+    D(kS3) is not cocommutative and its R has more than one term."""
+    from hopfsmash.smashcons import double_module_algebra
+    m, q = double_module_algebra(ks3, double)
+    even = [i for i, p in enumerate(dm.s3_table().elements)
+            if sum(a > b for j, a in enumerate(p) for b in p[j + 1:]) % 2 == 0]
+    return _even_part(m, even), q
+
+
 @pytest.fixture(scope="session")
 def structure_digest():
     """Pins structure tensors to their exact values without spelling them out."""
@@ -130,6 +157,11 @@ def double_z2(kz2):
 @pytest.fixture(scope="session")
 def double_s3(ks3):
     return drinfeld_double(ks3)
+
+
+@pytest.fixture(scope="session")
+def ka3_s3(ks3, double_s3):
+    return _ka3_world(ks3, double_s3)
 
 
 @pytest.fixture(scope="session")

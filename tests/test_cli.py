@@ -483,6 +483,36 @@ def test_recipe_without_target_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("recipe, reason", [
+    ("group-algebra:z2,s3", "names 2 targets; group-algebra takes 1"),
+    ("dual:s3,nonsense", "names 2 targets; dual takes 1"),
+    ("double:z2,nonsense", "names 2 targets; double takes 1"),
+    ("heisenberg:z2,s3", "names 2 targets; heisenberg takes 1"),
+    ("smash:k3s3,qs3-trivial", "names 2 targets; smash takes 1"),
+    ("smash-wha:k3s3,qs3-trivial,extra", "names 3 targets; smash-wha takes 1 or 2"),
+    ("build-B:k3s3,,qs3-trivial", "has an empty target"),
+    ("transmute:qs3-trivial,nonsense", "names 2 targets; transmute takes 1"),
+    ("nd:transpositions,nonsense", "names 2 targets; nd takes 1"),
+    ("decompose-hr:qs3-trivial,", "has an empty target"),
+], ids=lambda x: x.partition(":")[0] if ":" in x else "")
+def test_recipe_with_the_wrong_targets_is_refused(tmp_path, capsys, recipe, reason):
+    # each op takes one target, smash-wha and build-B one or two; a target
+    # past those, or an empty one, is refused before anything is built
+    ws = _starter_workspace(tmp_path / "ws.json")
+    out = tmp_path / "out.json"
+    assert main(["construct", str(ws), recipe, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"recipe {recipe!r} {reason}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_smash_wha_takes_its_qt_as_a_second_target(tmp_path, capsys):
+    ws = _starter_workspace(tmp_path / "ws.json")
+    out = tmp_path / "out.json"
+    assert main(["construct", str(ws), "smash-wha:k3s3,qs3-trivial", str(out)]) == 0
+    assert "smash-wha_k3s3_qs3-trivial" in json.loads(out.read_text())["objects"]
+
+
 @pytest.mark.parametrize("argv, reason", [
     (["verify", "{ws}", "k3s3", "weak-hopf"],
      "'k3s3' of type 'module-algebra' is not a weak Hopf algebra"),

@@ -5,8 +5,10 @@ and `_min_poly`; `qtriang.transmuted_coaction` is Delta_R in `transmute` and
 rho_R in `yd_to_comodule`, and `transmute`'s S_R loop skips empty ad cells; `hopfcore.map_legs` applies f (x) g to a two-leg
 element and `hopfcore.leg_map` reads one as a map; `hopfcore.inclusions`
 writes the factor inclusions, through which D(H)'s S_D and R and the
-coproduct of A # H are built.  The code each of them
-replaced is kept here as a reference, and the kernels must give the same
+coproduct of A # H are built; `hopfcore.convolution` forms f * g and
+`StructureCoalgebra.hits` the two hits of the dual on a coalgebra, through
+which the antipode rows, D(H)'s tau, Theta and the hit spaces are written.
+The code each of them replaced is kept here as a reference, and the kernels must give the same
 answers on the worlds the suite builds and on seeded inputs with Fractions:
 dependent seeds, dimension 1, cancelling terms and non-square legs.
 """
@@ -19,7 +21,14 @@ from fractions import Fraction as F
 import pytest
 
 from hopfsmash import demos as dm
-from hopfsmash.adjstable import YetterDrinfeldData, yd_summand_from_block, yd_to_comodule
+from hopfsmash.adjstable import (
+    HrDecomposition,
+    YetterDrinfeldData,
+    decompose_hr,
+    hit_space,
+    yd_summand_from_block,
+    yd_to_comodule,
+)
 from hopfsmash.exactlin import (
     Echelon,
     LinearMap,
@@ -32,11 +41,16 @@ from hopfsmash.exactlin import (
     span_closure,
 )
 from hopfsmash.hopfcore import (
+    IntegralPair,
     StructureAlgebra,
+    StructureCoalgebra,
     algebra_map_failures,
+    convolution,
+    convolution_algebra,
     drinfeld_double,
     dual_coalgebra,
     dual_hopf,
+    end_algebra,
     end_inclusions,
     generating_set,
     inclusions,
@@ -65,13 +79,17 @@ from hopfsmash.qtriang import (
     trivial_qt,
     unverified_qt,
 )
+from hopfsmash.repdim import class_idempotents
 from hopfsmash.smashcons import (
     _theta_columns,
     build_B,
     smash_algebra,
     smash_qt,
     smash_weak_structure,
+    theta_embed,
 )
+from hopfsmash.weakhopf import WeakHopfData
+from test_hopfcore import _rescaled_kz2
 
 
 def _add(acc, key, c):
@@ -1027,3 +1045,219 @@ def test_end_inclusions_act_on_their_slots(world, b54, kz2, double_z2, double_mo
                          (acting, h.algebra, True)):
         assert list(algebra_map_failures(f, src, carrier, src_op=anti)) == []
         assert f.apply_sparse(src.unit_sparse) == carrier.unit_sparse
+
+
+@pytest.mark.parametrize("world", ["kA3/D(kS3)"])
+def test_theta_on_a_host_that_is_not_cocommutative(world, ka3_s3):
+    # every world above has a cocommutative host, on which Theta's tail
+    # acting(S^{-1}(h_(1))) iota(h_(2)) is unchanged by swapping the legs of
+    # Delta; over D(kS3) it is not, and theta_embed refuses the swap
+    s = smash_algebra(ka3_s3[0])
+    cols = _theta_columns(s, end_algebra(s.na, s.H.algebra))
+    assert [_sorted_typed(col) for col in cols] == [_sorted_typed(c) for c in _theta_reference(s)]
+    assert theta_embed(s)[2].ok
+
+
+# ---------------------------------------------------------------------------
+# convolution and the hits against the Sweedler sums they replaced
+# ---------------------------------------------------------------------------
+
+def _convolution_reference(f, g, coal, alg):
+    """The columns of f * g by the Sweedler sum over the dense arrays:
+    e_i |-> sum Delta[i][j][k] f[r][j] g[t][k] mult[r][t][m] e_m."""
+    delta, mult, fm, gm = coal.comult.dense(), alg.mult.dense(), f.matrix, g.matrix
+    cols = []
+    for i in range(coal.dim):
+        acc = {}
+        for j, k in itertools.product(range(coal.dim), repeat=2):
+            if delta[i][j][k]:
+                for r, t in itertools.product(range(alg.dim), repeat=2):
+                    if fm[r][j] and gm[t][k]:
+                        c = delta[i][j][k] * fm[r][j] * gm[t][k]
+                        for m, cm in enumerate(mult[r][t]):
+                            if cm:
+                                acc[m] = acc.get(m, 0) + c * cm
+        cols.append({m: c for m, c in acc.items() if c})
+    return cols
+
+
+def _antipode_convolutions_reference(h, i):
+    """(S(h_(1)) h_(2), h_(1) S(h_(2))) for h = e_i, by the fused loop that
+    verify_hopf and verify_weak_hopf read before convolution."""
+    s_cols = h.antipode.cols
+    left, right = {}, {}
+    for j, k, w in h.coalgebra.comul_row(i):
+        for r, ws in s_cols[j].items():
+            for t, wm in h.algebra.mul_row(r, k):
+                sp_add(left, t, w * ws * wm)
+        for r, ws in s_cols[k].items():
+            for t, wm in h.algebra.mul_row(j, r):
+                sp_add(right, t, w * ws * wm)
+    return left, right
+
+
+def _triple_reference(w, i):
+    """S(h_(1)) h_(2) S(h_(3)) for h = e_i, by the loop over the two-fold
+    Sweedler rows (Delta (x) id) Delta(e_i) that verify_weak_hopf read."""
+    alg, s_cols = w.algebra, w.antipode.cols
+    out = {}
+    for a, b, k, c in w.coalgebra.comul2_row(i):
+        for m, cm in alg.mul_sparse(alg.mul_sparse(s_cols[a], {b: 1}), s_cols[k]).items():
+            sp_add(out, m, c * cm)
+    return out
+
+
+@pytest.fixture(scope="module")
+def convolution_hosts(double_s3):
+    return {"D(kS3)": double_s3[0], "kZ2 on 1, g/2": _rescaled_kz2(F(1, 2))}
+
+
+@pytest.mark.parametrize("host", ["D(kS3)", "kZ2 on 1, g/2"])
+def test_convolution_is_the_sweedler_sum(convolution_hosts, host):
+    h = convolution_hosts[host]
+    n = h.dim
+    rng = random.Random(n)
+    ident = LinearMap.identity(n)
+    pairs = [(h.antipode, ident), (ident, h.antipode), (_map(rng, n, n, 2), _map(rng, n, n, 3))]
+    for f, g in pairs:
+        got = convolution(f, g, h.coalgebra, h.algebra).cols
+        want = _convolution_reference(f, g, h.coalgebra, h.algebra)
+        assert [_sorted_typed(col) for col in got] == [_sorted_typed(col) for col in want]
+    # (S * id) * S is the (Delta (x) id) Delta sum, and S * id, id * S the old loop
+    s_id = convolution(h.antipode, ident, h.coalgebra, h.algebra)
+    assert list(convolution(s_id, h.antipode, h.coalgebra, h.algebra).cols) == [
+        _triple_reference(h, i) for i in range(n)]
+    assert any(type(c) is F for col in s_id.cols for c in col.values()) == (host != "D(kS3)")
+
+
+def test_convolution_reads_delta_in_order(double_s3):
+    # on a coalgebra that is not cocommutative, f * g and the same sum over
+    # Delta^cop differ
+    h = double_s3[0]
+    n = h.dim
+    ident = LinearMap.identity(n)
+    cop = StructureCoalgebra(n, h.comult.permuted((0, 2, 1)), h.counit)
+    f = LinearMap(n, n, [{(i * 7) % n: 1} for i in range(n)])
+    assert convolution(f, ident, h.coalgebra, h.algebra) != convolution(f, ident, cop, h.algebra)
+    assert list(convolution(f, ident, h.coalgebra, h.algebra).cols) == \
+        _convolution_reference(f, ident, h.coalgebra, h.algebra)
+
+
+def test_antipode_convolutions_agree_on_twins_whose_antipode_rows_fail(sws18):
+    # S and Delta twins of k^3 # kS3 (every S entry, and the nonzero and the
+    # first 60 empty Delta cells), where S * id, id * S and (S * id) * S are
+    # not eps_s, eps_t and S
+    w = sws18.wha
+    n = w.dim
+    ident = LinearMap.identity(n)
+    twins = []
+    for r, c in itertools.product(range(n), repeat=2):
+        cols = [dict(col) for col in w.antipode.cols]
+        cols[c][r] = cols[c].get(r, 0) + 1
+        twins.append(WeakHopfData(w.algebra, w.coalgebra,
+                                  LinearMap(n, n, [{k: v for k, v in col.items() if v}
+                                                   for col in cols])))
+    cells = list(itertools.product(range(n), repeat=3))
+    nonzero = [cell for cell in cells if w.comult.entry(*cell)]
+    empty = [cell for cell in cells if not w.comult.entry(*cell)]
+    for i, j, k in nonzero + empty[:60]:
+        dense = w.comult.dense()
+        dense[i][j][k] += 1
+        twins.append(WeakHopfData(w.algebra, StructureCoalgebra(n, Tensor3.from_dense(dense),
+                                                                w.counit), w.antipode))
+    failing = 0
+    for twin in twins:
+        s_id = convolution(twin.antipode, ident, twin.coalgebra, twin.algebra)
+        id_s = convolution(ident, twin.antipode, twin.coalgebra, twin.algebra)
+        triple = convolution(s_id, twin.antipode, twin.coalgebra, twin.algebra)
+        olds = [_antipode_convolutions_reference(twin, i) for i in range(n)]
+        assert list(s_id.cols) == [old[0] for old in olds]
+        assert list(id_s.cols) == [old[1] for old in olds]
+        assert list(triple.cols) == [_triple_reference(twin, i) for i in range(n)]
+        failing += (s_id != twin.eps_s or id_s != twin.eps_t or triple != twin.antipode)
+    assert failing == len(twins)
+
+
+def _hit_references(coal):
+    """(left, right): left[p][c] = p -> e_c = <p, c_(2)> c_(1) and
+    right[p][c] = e_c <- p = <p, c_(1)> c_(2), off the dense Delta."""
+    delta, n = coal.comult.dense(), coal.dim
+    left = [[{a: delta[c][a][p] for a in range(n) if delta[c][a][p]} for c in range(n)]
+            for p in range(n)]
+    right = [[{b: delta[c][p][b] for b in range(n) if delta[c][p][b]} for c in range(n)]
+             for p in range(n)]
+    return left, right
+
+
+def _apply_hits(ref, p, c):
+    out = {}
+    for i, ci in p.items():
+        for j, cj in c.items():
+            for k, w in ref[i][j].items():
+                sp_add(out, k, ci * cj * w)
+    return out
+
+
+@pytest.mark.parametrize("coalgebra", ["(kS3)*", "D(kS3)"])
+def test_hits_are_the_two_sweedler_sums(coalgebra, ks3, double_s3):
+    coal = {"(kS3)*": dual_coalgebra(ks3.algebra), "D(kS3)": double_s3[0].coalgebra}[coalgebra]
+    n = coal.dim
+    left, right = coal.hits
+    refs = _hit_references(coal)
+    assert left != right    # neither coalgebra is cocommutative
+    rng = random.Random(n)
+    probes = [({p: 1}, {c: 1}) for p in range(n) for c in range(n)]
+    probes += [(_vector(rng, n, 3), _vector(rng, n, 3)) for _ in range(20)]
+    for p, c in probes:
+        assert left.act(p, c) == _apply_hits(refs[0], p, c)
+        assert right.act(p, c) == _apply_hits(refs[1], p, c)
+
+
+def test_hit_space_is_the_span_of_left_hits(double_s3, bg_s3):
+    # f -> H is spanned by <f, e_a(2)> e_a(1); on D(kS3) the right hits span
+    # other spaces for some f
+    for coal in (double_s3[0].coalgebra, bg_s3.braided_coalgebra):
+        n = coal.dim
+        refs = _hit_references(coal)
+        rng = random.Random(n)
+        fs = [{x: 1} for x in range(n)] + [_vector(rng, n, 3) for _ in range(10)]
+        differs = 0
+        for f in fs:
+            want = span_basis([_apply_hits(refs[0], f, {a: 1}) for a in range(n)], n)
+            assert hit_space(coal, f, n) == want
+            differs += want != span_basis([_apply_hits(refs[1], f, {a: 1}) for a in range(n)], n)
+        assert bool(differs) == (coal is double_s3[0].coalgebra)
+
+
+def test_class_idempotents_read_lambda_by_the_right_hit(double_s3):
+    # Lambda is cocommutative, so Lambda <- q = q -> Lambda and a left hit
+    # passes every world; on D(kS3) with Lambda moved to Lambda <- u, which
+    # is not, hit_spaces_match follows the right hit.  C(D(kS3)*) does not
+    # split over Q, so its idempotents are handed in as a split decomposition
+    dd, q = double_s3
+    n = dd.dim
+    bg = transmute(q)
+    dec = decompose_hr(bg)
+    split = HrDecomposition(dec.blocks, dec.idempotents, True, dec.report)
+    ip = integrals(dd)
+    dual = convolution_algebra(dd.coalgebra)
+    left, right = _hit_references(dd.coalgebra)
+    left_r = _hit_references(bg.braided_coalgebra)[0]
+    lhs = [span_basis([_apply_hits(left_r, f, {a: 1}) for a in range(n)], n)
+           for f in dec.idempotents]
+
+    def verdict(lam, hits):
+        return all(lhs_f == span_basis([_apply_hits(hits, dual.mul_sparse(f, {b: 1}), lam)
+                                        for b in range(n)], n)
+                   for f, lhs_f in zip(dec.idempotents, lhs))
+
+    assert verdict(ip.Lambda, right) and verdict(ip.Lambda, left)
+    eps = {i: c for i, c in enumerate(dd.counit) if c}
+    for x in range(n):
+        lam = _apply_hits(right, {**eps, x: eps.get(x, 0) + 1}, ip.Lambda)
+        if verdict(lam, right) != verdict(lam, left):
+            break
+    else:
+        pytest.fail("no Lambda <- (eps + p_x) tells the two hits apart")
+    ci = class_idempotents(dd, q, IntegralPair(lam, ip.lam), bg, split)
+    assert ci.report.find("hit_spaces_match").passed == verdict(lam, right)

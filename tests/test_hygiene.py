@@ -381,8 +381,7 @@ def process_caches(source: str) -> list:
     """Line of every `cache`/`lru_cache` (bare, as `functools.` attribute, or
     called as `lru_cache(maxsize=...)`) outside a function body: a decorator
     of a module-level function or method, or a module-level wrap.  A cache
-    inside a function, such as `drinfeld_double`'s `dragged`, dies with the
-    call."""
+    inside a function dies with the call."""
     found = []
 
     def visit(node):

@@ -1,6 +1,7 @@
 """Every reduction of `verify_hopf`, `verify_qt`, `verify_module_algebra` and
-`verify_braided_group` against a reference that checks the axioms in full,
-on every single-cell twin of small hosts.
+`verify_braided_group`, and the antipode rows of `verify_weak_hopf`, against
+a reference that checks the axioms in full, on the single-cell twins of
+small hosts.
 
 A twin moves one number by +1: a cell of μ or Δ (empty cells included), an
 entry of the unit, the counit or the antipode, an entry of R, a cell of a
@@ -12,20 +13,24 @@ witness.
 """
 
 import itertools
+import random
 
 import pytest
 
 from hopfsmash import demos as dm
 from hopfsmash.exactlin import LinearMap, Tensor3, TensorElem
 from hopfsmash.hopfcore import HopfData, StructureAlgebra, StructureCoalgebra, verify_hopf
-from hopfsmash.modalg import ModuleAlgebraData, verify_module_algebra
+from hopfsmash.modalg import ModuleAlgebraData, separability, verify_module_algebra
 from hopfsmash.qtriang import (
     BraidedGroupData,
     QTStructure,
     transmute,
     verify_braided_group,
+    trivial_qt,
     verify_qt,
 )
+from hopfsmash.smashcons import smash_algebra, smash_weak_structure
+from hopfsmash.weakhopf import WeakHopfData, verify_weak_hopf
 
 # ---------------------------------------------------------------------------
 # dense references, from the axioms
@@ -286,6 +291,53 @@ def braided_reference(bg):
             ("braided_antipode_identity", _first((i,) for i in range(n) if not antipode_ok(i)))]
 
 
+def weak_antipode_reference(w):
+    """[(row, value)] of verify_weak_hopf's three antipode rows, from the
+    axioms S(h_(1)) h_(2) = eps_s(h), h_(1) S(h_(2)) = eps_t(h) and
+    S(h_(1)) h_(2) S(h_(3)) = S(h), with eps_s(h) = 1_(1) eps(h 1_(2)),
+    eps_t(h) = eps(1_(1) h) 1_(2) and (Delta (x) id) Delta spelled out."""
+    x = _Host(w)
+    n = x.n
+    e = [{i: 1} for i in range(n)]
+    delta_one = x.comul(x.one)
+
+    def eps_s(i):
+        out = {}
+        for (a, b), c in delta_one.items():
+            _add(out, a, c * x.counit(x.mul(e[i], e[b])))
+        return out
+
+    def eps_t(i):
+        out = {}
+        for (a, b), c in delta_one.items():
+            _add(out, b, c * x.counit(x.mul(e[a], e[i])))
+        return out
+
+    def convolution(i, left):
+        out = {}
+        for (a, b), c in x.delta[i].items():
+            prod = (x.mul(x.antipode(e[a]), e[b]) if left
+                    else x.mul(e[a], x.antipode(e[b])))
+            for k, v in prod.items():
+                _add(out, k, c * v)
+        return out
+
+    def triple(i):
+        three = {}    # (Delta (x) id) Delta(e_i)
+        for (a, b), c in x.delta[i].items():
+            for (p, q), cc in x.delta[a].items():
+                _add(three, (p, q, b), c * cc)
+        out = {}
+        for (p, q, b), c in three.items():
+            for k, v in x.mul(x.mul(x.antipode(e[p]), e[q]), x.antipode(e[b])).items():
+                _add(out, k, c * v)
+        return out
+
+    return [("antipode_source", _first((i,) for i in range(n) if convolution(i, True) != eps_s(i))),
+            ("antipode_target", _first((i,) for i in range(n) if convolution(i, False) != eps_t(i))),
+            ("antipode_triple", _first((i,) for i in range(n) if triple(i) != x.s_cols[i]))]
+
+
 def _mismatches(report, reference):
     """The rows whose verdict or witness differs from the reference's."""
     got = [(c.name, c.passed, c.witness) for c in report.checks]
@@ -426,3 +478,56 @@ def test_verify_braided_group_twins_match_the_dense_reference(bg_s3, double_z2, 
         assert _mismatches(rep, braided_reference(twin)) == [], label
         failing += not rep.ok
     assert seen == failing == count    # every single-cell move breaks an identity
+
+
+def weak_antipode_twins(w, empty_cells=None, seed=0):
+    """(label, twin) for every +1 move of one entry of S and of one cell of
+    Delta: every nonzero cell, and every empty one, or a seeded sample of
+    `empty_cells` of them."""
+    n = w.dim
+    for r, c in itertools.product(range(n), repeat=2):
+        cols = [dict(col) for col in w.antipode.cols]
+        cols[c][r] = cols[c].get(r, 0) + 1
+        cols[c] = {k: v for k, v in cols[c].items() if v}
+        yield ("antipode", r, c), WeakHopfData(w.algebra, w.coalgebra, LinearMap(n, n, cols))
+    cells = [cell for cell in itertools.product(range(n), repeat=3) if w.comult.entry(*cell)]
+    empty = [cell for cell in itertools.product(range(n), repeat=3)
+             if not w.comult.entry(*cell)]
+    if empty_cells is not None:
+        empty = random.Random(seed).sample(empty, empty_cells)
+    for cell in cells + empty:
+        coal = StructureCoalgebra(n, _moved_tensor(w.comult, *cell), w.counit)
+        yield ("comult", *cell), WeakHopfData(w.algebra, coal, w.antipode)
+
+
+@pytest.fixture(scope="module")
+def weak_smash_worlds(kz2, sws18):
+    m = dm.k2_module_algebra_over_z2(kz2)
+    sws = smash_weak_structure(smash_algebra(m), trivial_qt(kz2), separability(m))
+    return {"k^2 # kZ2": (sws.wha, None), "k^3 # kS3": (sws18.wha, 100)}
+
+
+@pytest.mark.parametrize("name, count", [("k^2 # kZ2", 80), ("k^3 # kS3", 442)])
+def test_verify_weak_hopf_antipode_rows_match_the_dense_reference(weak_smash_worlds, name,
+                                                                  count):
+    # every S twin and the Delta twins of both A # H; the other rows of
+    # verify_weak_hopf have no dense reference here
+    w, empty_cells = weak_smash_worlds[name]
+    names = ("antipode_source", "antipode_target", "antipode_triple")
+
+    def rows(rep):
+        return [(row, rep.find(row).passed, rep.find(row).witness) for row in names]
+
+    def want(reference):
+        return [(row, v is None, v) for row, v in reference]
+
+    assert rows(verify_weak_hopf(w)) == want(weak_antipode_reference(w))
+    seen = failing = triple_failing = 0
+    for label, twin in weak_antipode_twins(w, empty_cells):
+        seen += 1
+        rep = verify_weak_hopf(twin)
+        assert rows(rep) == want(weak_antipode_reference(twin)), label
+        failing += not rep.ok
+        triple_failing += not rep.find("antipode_triple").passed
+    assert seen == failing == count    # every single-cell move breaks an axiom
+    assert triple_failing
