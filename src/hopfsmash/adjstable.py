@@ -28,6 +28,7 @@ from .exactlin import (
     rank,
     sp,
     sp_add,
+    sp_scale,
     span_basis,
     span_closure,
     split,
@@ -62,7 +63,7 @@ from .qtriang import (
     transmuted_coaction,
 )
 from .report import HypothesisFailure, VerificationReport
-from .smashcons import smash_algebra, smash_qt, smash_weak_structure
+from .smashcons import smash_algebra, smash_qt, smash_weak_structure, theta_columns
 from .weakhopf import WeakHopfData, WeakQTStructure, almost_triangular_wha_report, verify_weak_qt
 
 
@@ -403,17 +404,21 @@ class PsiPhiResult(Record):
 
 
 def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiPhiResult:
-    """Psi(sum d* (x) h (x) d) = sum eps(d) (d* <<- h_(1)) # h_(2) and
-    Phi(d* # h) = (d*_<0> <<- S(h_(1))) (x) h_(2) (x) d*_<1>, mutually inverse
-    algebra isomorphisms between N_D and D* # H^op.
+    """Psi(d*_p (x) e_j (x) d_r) = eps(d_r) (1 # e_j)(d*_p # 1) and Phi = Theta,
+    mutually inverse algebra isomorphisms between N_D and D* # H^op.
 
-    The right D-coaction on D* is the one dual_right_comodule gives D* from
-    the left coaction Delta_R|_D of D on itself, so the one that forms N_D =
-    D* [] (H (x) D): rho(d*_p) = sum d*_q (x) d_r over the terms d_r (x) d_p
-    of Delta_R(d_q), the first leg of Delta_R going out.  A column of Phi
-    outside N_D is refused as "phi-coaction-convention", the column index as
-    witness.  Computed once per bg and basis (the given vectors in order);
-    shared, so read it.
+    Psi: (1 # h)(f # 1) = (h_(1) . f) # h_(2) with h . f = f <<- h in H^op,
+    so Psi(sum d* (x) h (x) d) = sum eps(d) (d* <<- h_(1)) # h_(2), read off
+    the smash product's factor inclusions.  Phi(d* # h) = (d*_<0> <<- S(h_(1)))
+    (x) h_(2) (x) d*_<1> is Theta of D* # H^op into End(D*) (x) H^op =
+    nd.ambient (smashcons.theta_columns), as S_{H^op}^{-1} = S, read in N_D's
+    coordinates.
+
+    D's left coaction is Delta_R|_D, read by Subspace.restricted; its dual
+    right coaction on D* forms N_D = D* [] (H (x) D).  A value outside D is
+    refused as "D-closed-under-Delta_R-second-leg", a column of Phi outside
+    N_D as "phi-coaction-convention" with the column index.  Computed once
+    per bg and basis (the given vectors in order); shared, so read it.
     """
     bg = braided_group_of(q, bg)
     d_basis = list(d_basis)
@@ -421,57 +426,35 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
     if key in bg.memo:
         return bg.memo[key]
     h = q.host
-    dd = subcoalgebra_data(d_basis, q, bg)
-    m = dd.dim
     nh = h.dim
+    dd = subcoalgebra_data(d_basis, q, bg)
     counit = dd.coalgebra.counit
     rep = VerificationReport("psi_phi")
 
-    w = ComoduleData(bg.braided_coalgebra, m, _coaction_from_subcoalgebra(dd, nh))
+    units = LinearMap.identity(nh).cols
+    coaction, leaves = Subspace(d_basis, nh).restricted(bg.comult_R, d_basis, units)
+    if coaction is None:
+        raise HypothesisFailure("D-closed-under-Delta_R-second-leg", leaves)
+    w = ComoduleData(bg.braided_coalgebra, dd.dim, coaction)
     verify_left_comodule(w, "D_as_comodule").require()
     nd = adjoint_stable_algebra(w, h, bg)
-    hop = opposites(h, "op")
-    dmod = dstar_module_algebra(dd, hop)
-    moved = dmod.action.row    # moved(t, p): d*_p <<- e_t in D* coordinates
-    s = smash_algebra(dmod)
+    s = smash_algebra(dstar_module_algebra(dd, opposites(h, "op")))
     rep.add("dimensions_match", nd.carrier.dim == s.carrier.dim,
             (nd.carrier.dim, s.carrier.dim))
 
-    # Psi
-    psi_cols = []
-    for t in nd.basis:
-        col: dict = {}
-        for (p, j, r), ct in _amb_terms(t, nh, m):
-            ce = counit[r]
-            if ce == 0:
-                continue
-            for j1, j2, c in h.coalgebra.comul_row(j):
-                for ridx, cc in moved(j1, p):
-                    sp_add(col, ridx * nh + j2, ct * ce * c * cc)
-        psi_cols.append(col)
-    psi = LinearMap(nd.carrier.dim, s.carrier.dim, psi_cols)
+    # (1 # e_j)(d*_p # 1) at p dim H + j, the ambient's flat index without d_r
+    a_in, h_in = s.factor_inclusions
+    swapped = [s.carrier.mul_sparse(h_in.cols[j], a_in.cols[p])
+               for p in range(dd.dim) for j in range(nh)]
+    on_ambient = LinearMap(nd.ambient.dim, s.carrier.dim,
+                           [sp_scale(swapped[k // dd.dim], counit[k % dd.dim])
+                            for k in range(nd.ambient.dim)])
+    psi = on_ambient.compose(LinearMap(nd.carrier.dim, nd.ambient.dim, nd.basis))
 
-    # Phi: rho(d*_p) = sum d*_q (x) d_r over the terms d_r (x) d_p of Delta_R(d_q)
-    rho: list = [[] for _ in range(m)]
-    for qidx in range(m):
-        for ridx, p, wc in dd.coalgebra.comul_row(qidx):
-            rho[p].append((qidx, ridx, wc))
-    nd_span = Subspace(nd.basis, m * nh * m)
-    phi_cols = []
-    for p in range(m):
-        for j in range(nh):
-            col = {}
-            for j1, j2, c in h.coalgebra.comul_row(j):
-                s_j1 = h.antipode.cols[j1]
-                for qidx, ridx, wc in rho[p]:
-                    # d*_q <<- S(e_{j1})
-                    for t, cs in s_j1.items():
-                        for q2, ca in moved(t, qidx):
-                            sp_add(col, (q2 * nh + j2) * m + ridx, c * wc * cs * ca)
-            coords = nd_span.coords(col)
-            if coords is None:
-                raise HypothesisFailure("phi-coaction-convention", (len(phi_cols),))
-            phi_cols.append(coords)
+    nd_span = Subspace(nd.basis, nd.ambient.dim)
+    phi_cols = [nd_span.coords(col) for col in theta_columns(s, nd.ambient)]
+    if None in phi_cols:
+        raise HypothesisFailure("phi-coaction-convention", (phi_cols.index(None),))
     phi = LinearMap(s.carrier.dim, nd.carrier.dim, phi_cols)
 
     rep.add("psi_phi_identity", psi.compose(phi).is_identity())
@@ -479,19 +462,7 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
     rep.merge(check_map(psi, nd.carrier, s.carrier, ("algebra", "injective")), "psi.")
     rep.merge(check_map(phi, s.carrier, nd.carrier, ("algebra", "injective")), "phi.")
     rep.require()
-    return bg.memo.setdefault(key, PsiPhiResult(psi, phi, nd, s, dmod, dd, rep))
-
-
-def _coaction_from_subcoalgebra(dd: SubcoalgebraData, nh: int) -> Tensor3:
-    """rho = Delta_R|_D viewed in D (x over H) coordinates: rho(d_p) =
-    sum (first leg as an H-vector) (x) d_r."""
-    m = dd.dim
-    entries = []
-    for p in range(m):
-        for qidx, ridx, c in dd.coalgebra.comul_row(p):
-            for a, ca in dd.basis[qidx].items():
-                entries.append((p, a, ridx, c * ca))
-    return Tensor3.from_entries((m, nh, m), entries)
+    return bg.memo.setdefault(key, PsiPhiResult(psi, phi, nd, s, s.A_mod, dd, rep))
 
 
 # ---------------------------------------------------------------------------

@@ -336,17 +336,19 @@ def smash_qt(sws: SmashWeakStructure) -> tuple[WeakQTStructure, VerificationRepo
 # Theta: A#H -> End(A*) (x) H
 # ---------------------------------------------------------------------------
 
-def _theta_columns(s: SmashProduct, carrier: StructureAlgebra) -> list:
+def theta_columns(s: SmashProduct, carrier: StructureAlgebra) -> list:
     """Columns of Theta(a#h) = target(a) acting(S^{-1}(h_(1))) iota(h_(2)) in
     carrier = end_algebra(dim A, H), from end_inclusions' maps for the
     product of A^op and the action: on A*, target(a) is b* |-> a -> b* and
     acting(r) is b* |-> b* <| r, so the End(A*) leg is
-    theta(a#h)(b*) = a -> (b* <| S^{-1}(h)).  theta_embed and phi_embed both
-    read these columns, so both refuse an H without an invertible antipode."""
+    theta(a#h)(b*) = a -> (b* <| S^{-1}(h)).  The one route to Theta:
+    theta_embed, phi_embed and adjstable.psi_phi (Phi, for A = D* over H^op)
+    read these columns, so all three refuse an H without an invertible
+    antipode."""
     h = s.H
     sinv = h.antipode_inv
     if sinv is None:
-        raise ValueError("theta_embed and phi_embed need an invertible antipode")
+        raise ValueError("Theta needs an invertible antipode")
     iota, target, acting = end_inclusions(s.na, h.algebra, opposite_algebra(s.A_mod.A).mult,
                                           s.A_mod.action)
     # tails[i] = acting(S^{-1}(h_(1))) iota(h_(2)) at h = e_i
@@ -359,7 +361,7 @@ def theta_embed(s: SmashProduct) -> tuple[LinearMap, StructureAlgebra, Verificat
     theta(a#h)(b*) = a -> (b* <| S^{-1}(h)); an algebra embedding into
     End(A*) (x) H = end_algebra(dim A, H)."""
     target = end_algebra(s.na, s.H.algebra)
-    f = LinearMap(s.carrier.dim, target.dim, _theta_columns(s, target))
+    f = LinearMap(s.carrier.dim, target.dim, theta_columns(s, target))
     rep = check_map(f, s.carrier, target, ("algebra", "injective"))
     rep.require()
     return f, target, rep
@@ -522,7 +524,7 @@ def phi_embed(sws: SmashWeakStructure, b: BAlgebra):
     a_<0> (x) a_<1> = x^1 a (x) (x^2 -> alpha); a weak Hopf monomorphism whose
     image is the equalizer {t : (a . leg1) t = t <|<| a for all a}.
 
-    phi is Theta, read off _theta_columns: x^1 a (x) (x^2 -> alpha) =
+    phi is Theta, read off theta_columns: x^1 a (x) (x^2 -> alpha) =
     sum_w e_w (x) (a -> p_w) by separability's dual_basis_identity, moving
     S(h_(1)) across the pairing turns S(h_(1)).e_w (x) p_w into
     e_w (x) (p_w <| S(h_(1))), and S = S^{-1} since S^2 = id for a semisimple
@@ -537,7 +539,7 @@ def phi_embed(sws: SmashWeakStructure, b: BAlgebra):
     n_b = b.wha.dim
     by_target = A.mult.permuted((0, 2, 1)).row    # (w, coefficient of e_k in e_t e_w) at (t, k)
 
-    cols = _theta_columns(s, b.wha.algebra)
+    cols = theta_columns(s, b.wha.algebra)
     f = LinearMap(s.carrier.dim, n_b, cols)
     rep = VerificationReport("phi_embed")
     rep.merge(check_wha_morphism(f, sws.wha, b.wha), "morphism.")

@@ -68,37 +68,31 @@ class WeakHopfData(HopfData):
             for i, js in enumerate(self.algebra.support[0]))
 
     @cached_property
+    def counit_form(self) -> LinearMap:
+        """The counit form T as the map whose column i is row i of T."""
+        return LinearMap(self.dim, self.dim, self._eps_of_prod)
+
+    @cached_property
     def counit_form_pivots(self) -> tuple:
         """(F, H): indices of rows of T = _eps_of_prod, T[f][h] = eps(e_f e_h),
         that span its row space, and of columns that span its column space;
         the pivot columns of the RREF of T's columns and of T's rows, read as
         the leading index of each canonical basis row."""
-        t = self._eps_of_prod
-        cols = LinearMap(self.dim, self.dim, t).transpose().cols
-        return (tuple(min(row) for row in span_basis(cols, self.dim)),
-                tuple(min(row) for row in span_basis(t, self.dim)))
+        t = self.counit_form
+        return (tuple(min(row) for row in span_basis(t.transpose().cols, self.dim)),
+                tuple(min(row) for row in span_basis(t.cols, self.dim)))
 
     @cached_property
     def eps_s(self) -> LinearMap:
-        """The source counital map eps_s(h) = 1_(1) eps(h 1_(2))."""
-        t = self._eps_of_prod
-        cols = tuple({} for _ in range(self.dim))
-        for i, col in enumerate(cols):
-            for (a, b), c in self.delta_one.items():
-                if b in t[i]:
-                    sp_add(col, a, c * t[i][b])
-        return LinearMap(self.dim, self.dim, cols)
+        """The source counital map eps_s(h) = 1_(1) eps(h 1_(2)): the first
+        legs of Delta(1) beside row h of the counit form."""
+        return leg_map(self.delta_one, self.dim).compose(self.counit_form)
 
     @cached_property
     def eps_t(self) -> LinearMap:
-        """The target counital map eps_t(h) = eps(1_(1) h) 1_(2)."""
-        t = self._eps_of_prod
-        cols = tuple({} for _ in range(self.dim))
-        for i, col in enumerate(cols):
-            for (a, b), c in self.delta_one.items():
-                if i in t[a]:
-                    sp_add(col, b, c * t[a][i])
-        return LinearMap(self.dim, self.dim, cols)
+        """The target counital map eps_t(h) = eps(1_(1) h) 1_(2): the second
+        legs of Delta(1) beside column h of the counit form."""
+        return leg_map(self.delta_one, self.dim).transpose().compose(self.counit_form.transpose())
 
     @cached_property
     def source_basis(self) -> tuple:

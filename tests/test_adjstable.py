@@ -684,9 +684,7 @@ def test_nw_product_matches_the_reference_loop(hr_world, monkeypatch):
     h = q.host
     refused = 0
     for blk in (b for b in blocks if len(b) <= 4):
-        dd = subcoalgebra_data(blk, q, bg)
-        w = ComoduleData(bg.braided_coalgebra, dd.dim,
-                         adjstable._coaction_from_subcoalgebra(dd, h.dim))
+        w = psi_phi(blk, q, bg).nd.w    # D with the coaction Delta_R|_D
         nw = adjoint_stable_algebra(w, h, bg)
         basis = list(nw.basis)
         assert _typed_cells(nw.carrier.mult) == _typed_cells(_nw_mult_reference(nw.ambient, basis))
@@ -720,3 +718,109 @@ def test_d_v_check_matches_the_reference_loop(ks3, q_s3, bg_s3, hr_decomposition
                        (HypothesisFailure, "yd_to_comodule:d_v_is_H_module_subspace", ref))
         refused += ref is not None
     assert refused > 0
+
+
+# ---------------------------------------------------------------------------
+# Psi, Phi and D's coaction against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def _coaction_reference(dd, nh):
+    """The loop psi_phi read D's coaction from before Subspace.restricted:
+    rho(d_p) = sum (first leg as an H-vector) (x) d_r over Delta_R|_D(d_p)."""
+    m = dd.dim
+    entries = []
+    for p in range(m):
+        for qidx, ridx, c in dd.coalgebra.comul_row(p):
+            for a, ca in dd.basis[qidx].items():
+                entries.append((p, a, ridx, c * ca))
+    return Tensor3.from_entries((m, nh, m), entries)
+
+
+def _psi_reference(pp, h):
+    """The loop psi_phi ran for Psi before it read the factor inclusions:
+    sum eps(d) (d* <<- h_(1)) # h_(2) on each cotensor basis vector of N_D."""
+    m, nh = pp.dd.dim, h.dim
+    counit = pp.dd.coalgebra.counit
+    cols = []
+    for t in pp.nd.basis:
+        col = {}
+        for k, ct in t.items():
+            (p, j), r = divmod(k // m, nh), k % m
+            ce = counit[r]
+            if ce == 0:
+                continue
+            for j1, j2, c in h.coalgebra.comul_row(j):
+                for ridx, cc in pp.dstar_mod.action.row(j1, p):
+                    sp_add(col, ridx * nh + j2, ct * ce * c * cc)
+        cols.append(col)
+    return cols
+
+
+def _phi_reference(pp, h):
+    """The loop psi_phi ran for Phi before it read Theta:
+    (d*_<0> <<- S(h_(1))) (x) h_(2) (x) d*_<1> in N_D's coordinates, with
+    rho(d*_p) = sum d*_q (x) d_r over the terms d_r (x) d_p of Delta_R(d_q);
+    or the HypothesisFailure of the first column outside N_D."""
+    dd, m, nh = pp.dd, pp.dd.dim, h.dim
+    moved = pp.dstar_mod.action.row
+    rho = [[] for _ in range(m)]
+    for qidx in range(m):
+        for ridx, p, wc in dd.coalgebra.comul_row(qidx):
+            rho[p].append((qidx, ridx, wc))
+    nd_span = Subspace(pp.nd.basis, m * nh * m)
+    cols = []
+    for p in range(m):
+        for j in range(nh):
+            col = {}
+            for j1, j2, c in h.coalgebra.comul_row(j):
+                for qidx, ridx, wc in rho[p]:
+                    for t, cs in h.antipode.cols[j1].items():
+                        for q2, ca in moved(t, qidx):
+                            sp_add(col, (q2 * nh + j2) * m + ridx, c * wc * cs * ca)
+            coords = nd_span.coords(col)
+            if coords is None:
+                raise HypothesisFailure("phi-coaction-convention", (len(cols),))
+            cols.append(coords)
+    return cols
+
+
+def _typed_cols(cols):
+    return [sorted((k, c, type(c)) for k, c in col.items()) for col in cols]
+
+
+# the sizes of the blocks of H_R with at most nine vectors, per host
+SMALL_BLOCKS = {"kS3": [1, 2, 3], "D(kZ3)": [3, 3, 3], "D(kS3)": [1, 1, 4, 9, 9]}
+
+
+def test_psi_phi_match_the_reference_loops(hr_world, request):
+    # D's coaction by Subspace.restricted, Psi from the factor inclusions and
+    # Phi as Theta, cell for cell with scalar types; D(kS3)'s 4-block is one
+    # on which Delta_R|_D is not cocommutative
+    q, bg, blocks = hr_world
+    h = q.host
+    sizes = []
+    for blk in (b for b in blocks if len(b) <= 9):
+        pp = psi_phi(blk, q, bg)
+        assert _typed_cells(pp.nd.w.coaction) == _typed_cells(_coaction_reference(pp.dd, h.dim))
+        assert _typed_cols(pp.psi.cols) == _typed_cols(_psi_reference(pp, h))
+        assert _typed_cols(pp.phi.cols) == _typed_cols(_phi_reference(pp, h))
+        sizes.append(len(blk))
+    assert sorted(sizes) == SMALL_BLOCKS[request.node.callspec.id]
+
+
+def test_psi_phi_refuses_a_phi_column_outside_nd(transposition_block, q_s3, monkeypatch):
+    # one Theta column moved off N_D: psi_phi refuses it by name, with that
+    # column's index as witness
+    from hopfsmash import adjstable
+    from hopfsmash.qtriang import transmute
+    theta_columns = adjstable.theta_columns
+
+    def one_moved(s, carrier):
+        cols = theta_columns(s, carrier)
+        cols[4] = {(k + 1) % carrier.dim: c for k, c in cols[4].items()}
+        return cols
+
+    monkeypatch.setattr(adjstable, "theta_columns", one_moved)
+    with pytest.raises(HypothesisFailure) as ei:
+        psi_phi(transposition_block, q_s3, transmute(q_s3))
+    assert (ei.value.hypothesis, ei.value.witness) == ("phi-coaction-convention", (4,))

@@ -81,11 +81,11 @@ from hopfsmash.qtriang import (
 )
 from hopfsmash.repdim import class_idempotents
 from hopfsmash.smashcons import (
-    _theta_columns,
     build_B,
     smash_algebra,
     smash_qt,
     smash_weak_structure,
+    theta_columns,
     theta_embed,
 )
 from hopfsmash.weakhopf import WeakHopfData
@@ -1011,7 +1011,7 @@ def test_b_structure_maps_are_the_old_loops(world, b54, kz2, double_z2, double_m
 def test_theta_columns_are_the_old_loop(world, b54, kz2, double_z2, double_mod_z2):
     b = _b_worlds(world, b54, kz2, double_z2, double_mod_z2)
     s = smash_algebra(b.A_mod)
-    cols = _theta_columns(s, b.wha.algebra)
+    cols = theta_columns(s, b.wha.algebra)
     assert [_sorted_typed(col) for col in cols] == [_sorted_typed(c) for c in _theta_reference(s)]
 
 
@@ -1053,7 +1053,7 @@ def test_theta_on_a_host_that_is_not_cocommutative(world, ka3_s3):
     # acting(S^{-1}(h_(1))) iota(h_(2)) is unchanged by swapping the legs of
     # Delta; over D(kS3) it is not, and theta_embed refuses the swap
     s = smash_algebra(ka3_s3[0])
-    cols = _theta_columns(s, end_algebra(s.na, s.H.algebra))
+    cols = theta_columns(s, end_algebra(s.na, s.H.algebra))
     assert [_sorted_typed(col) for col in cols] == [_sorted_typed(c) for c in _theta_reference(s)]
     assert theta_embed(s)[2].ok
 

@@ -531,3 +531,36 @@ def test_verify_weak_hopf_antipode_rows_match_the_dense_reference(weak_smash_wor
         triple_failing += not rep.find("antipode_triple").passed
     assert seen == failing == count    # every single-cell move breaks an axiom
     assert triple_failing
+
+
+def _counital_reference(w):
+    """(eps_s, eps_t) by the loops WeakHopfData ran before it read leg_map
+    and the counit form: eps_s(e_i) = sum c T[i][b] e_a and eps_t(e_i) =
+    sum c T[a][i] e_b over the terms c e_a (x) e_b of Delta(1)."""
+    t = w._eps_of_prod
+    s_cols = tuple({} for _ in range(w.dim))
+    t_cols = tuple({} for _ in range(w.dim))
+    for i in range(w.dim):
+        for (a, b), c in w.delta_one.items():
+            if b in t[i]:
+                _add(s_cols[i], a, c * t[i][b])
+            if i in t[a]:
+                _add(t_cols[i], b, c * t[a][i])
+    return s_cols, t_cols
+
+
+def _typed(cols):
+    return [sorted((k, c, type(c)) for k, c in col.items()) for col in cols]
+
+
+def test_counital_maps_match_the_reference_loops(weak_smash_worlds, b54):
+    # eps_s and eps_t, cell for cell with scalar types, on both A # H, on B
+    # and on the Delta twins of k^3 # kS3 (all nonzero cells and 100 seeded
+    # empty ones), which the antipode rows read these maps on
+    worlds = [weak_smash_worlds["k^2 # kZ2"][0], weak_smash_worlds["k^3 # kS3"][0], b54.wha]
+    worlds += [twin for label, twin in weak_antipode_twins(worlds[1], 100, seed=7)
+               if label[0] == "comult"]
+    for w in worlds:
+        s_cols, t_cols = _counital_reference(w)
+        assert (_typed(w.eps_s.cols), _typed(w.eps_t.cols)) == (_typed(s_cols), _typed(t_cols))
+    assert len(worlds) == 3 + 118
