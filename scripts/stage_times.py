@@ -12,10 +12,10 @@ reports, with the build's product (`twisted_product`) and coproduct
 `verify_braided_group` run a second time; `almost_triangular_equivalences`;
 `decompose_hr` of the braided group and `wedderburn_blocks` of D(kG), the
 largest eliminations of the pipeline; and `double_smash_decomposition`, split
-into its builds of the carrier of H # D(kG) (`smash_carrier`), of
-Heis(kG^cop) (`heisenberg_double`) and of Heis(kG^cop) (x) kG
-(`tensor_algebra`), and its `total_map_multiplicative` scan
-(`algebra_map_failures`, timed while its failures are drawn).  A stage named
+into its builds of the carrier of H # D(kG) (`smash_carrier`) and of
+Heis(kG^cop) (`heisenberg_double`), and its `total_map_multiplicative` scan
+(`tensor_map_failures`, which reads the products of Heis(kG^cop) (x) kG off
+the two factors, timed while its failures are drawn).  A stage named
 after --skip is left out; H # D(kG) has dimension |G|^3, so on s4 that is the
 decomposition.  The table is markdown, one line per stage, with the median
 over the runs.
@@ -46,12 +46,11 @@ STAGES = ("drinfeld_double", "  build", "  product", "  coproduct", "  verify_ho
           "  verify_qt", "adjoint_action_tensor", "transmute", "verify_braided_group",
           "almost_triangular_equivalences", "decompose_hr", "wedderburn_blocks",
           "double_smash_decomposition", "  smash_carrier", "  heisenberg_double",
-          "  tensor_algebra", "  total_map_multiplicative")
+          "  total_map_multiplicative")
 # sub-row of double_smash_decomposition -> the smashcons name it times
 DECOMPOSITION_PARTS = {"  smash_carrier": "smash_carrier",
                        "  heisenberg_double": "heisenberg_double",
-                       "  tensor_algebra": "tensor_algebra",
-                       "  total_map_multiplicative": "algebra_map_failures"}
+                       "  total_map_multiplicative": "tensor_map_failures"}
 
 
 def host_table(name: str):

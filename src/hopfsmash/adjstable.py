@@ -418,7 +418,8 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
     right coaction on D* forms N_D = D* [] (H (x) D).  A value outside D is
     refused as "D-closed-under-Delta_R-second-leg", a column of Phi outside
     N_D as "phi-coaction-convention" with the column index.  Computed once
-    per bg and basis (the given vectors in order); shared, so read it.
+    per bg and basis (the given vectors in order), with H^op derived once
+    per bg; shared, so read it.
     """
     bg = braided_group_of(q, bg)
     d_basis = list(d_basis)
@@ -438,7 +439,9 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
     w = ComoduleData(bg.braided_coalgebra, dd.dim, coaction)
     verify_left_comodule(w, "D_as_comodule").require()
     nd = adjoint_stable_algebra(w, h, bg)
-    s = smash_algebra(dstar_module_algebra(dd, opposites(h, "op")))
+    if "h_op" not in bg.memo:
+        bg.memo["h_op"] = opposites(h, "op")
+    s = smash_algebra(dstar_module_algebra(dd, bg.memo["h_op"]))
     rep.add("dimensions_match", nd.carrier.dim == s.carrier.dim,
             (nd.carrier.dim, s.carrier.dim))
 

@@ -15,7 +15,6 @@ Pairing conventions (fixed once):
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 
@@ -28,6 +27,7 @@ from .exactlin import (
     TensorElem,
     kernel_basis,
     qdiv,
+    rat,
     sorted_cell,
     sp,
     sp_add,
@@ -803,40 +803,83 @@ def algebra_map_failures(f: LinearMap, src: StructureAlgebra, dst: StructureAlge
     dst, f(e_j) f(e_i), in place: either makes it an anti-algebra map scan,
     the two listing the same failures in transposed order.  `right` may be a
     generating set S of src where the caller shows the law closed under right
-    products by S (see verify_weak_hopf).
-
-    Row i accumulates both sides over j from nonzero terms only (Gustavson's
-    row-at-a-time sparse product): the nonempty cells (i, j), and for each
-    e_a in f(e_i) and nonempty cell (a, b) the j with e_b in f(e_j), read
-    off `holders`; each side is restricted to `right`.  Every pair skipped
-    is 0 = 0, so the failures are those of the scan over every pair.
+    products by S (see verify_weak_hopf).  Row i's products are src's
+    nonempty cells (i, j), j in `right`; the scan is `_map_failures`.
     """
-    cols = f.cols
-    src_rows, dst_rows = src.mult._rows, dst.mult._rows
+    rows, nd = src.mult._rows, dst.dim
     src_side = src.support[1 if src_op else 0]    # the j with e_i e_j nonzero
-    dst_side = dst.support[1 if dst_op else 0]    # the b with e_a e_b nonzero
     keep = None if right is None else set(right)
-    holders = [[] for _ in range(dst.dim)]        # holders[b]: (j, coefficient of e_b in f(e_j))
-    for j in range(src.dim) if keep is None else keep:
-        for b, cb in cols[j].items():
-            holders[b].append((j, cb))
-    for i in range(src.dim):
-        acc = defaultdict(dict)    # j -> {k: coefficient of e_k in f(e_i e_j) - f(e_i) f(e_j)}
+    cols = f.cols
+
+    def products(i: int, acc: dict) -> None:
         for j in src_side[i] if keep is None else keep.intersection(src_side[i]):
-            cell = acc[j]
-            for m, c in src_rows[j][i] if src_op else src_rows[i][j]:
+            base = j * nd
+            for m, c in rows[j][i] if src_op else rows[i][j]:
                 for k, w in cols[m].items():
-                    cell[k] = cell.get(k, 0) + c * w
+                    key = base + k
+                    acc[key] = acc.get(key, 0) + c * w
+
+    return _map_failures(f, src.dim, products, dst, keep, dst_op)
+
+
+def tensor_map_failures(f: LinearMap, a: StructureAlgebra, b: StructureAlgebra,
+                        dst: StructureAlgebra):
+    """algebra_map_failures(f, tensor_algebra(a, b), dst) without building
+    A (x) B: on the flat index x * dim B + y, row x (x) y's products
+    (x (x) y)(x2 (x) y2) = x x2 (x) y y2 are read off the outer product of
+    the factors' nonempty cells (x, x2) and (y, y2).  Every pair is scanned,
+    so the failures, and the first of them, are those of the built source."""
+    nb, nd = b.dim, dst.dim
+    cols = f.cols
+    # cells[x]: the (x2, cell x x2) with the cell nonempty, for A and for B
+    a_cells, b_cells = ([[(j, plane[j]) for j in side]
+                         for plane, side in zip(t.mult._rows, t.support[0])] for t in (a, b))
+
+    def products(i: int, acc: dict) -> None:
+        x, y = divmod(i, nb)
+        for x2, cell_a in a_cells[x]:
+            for y2, cell_b in b_cells[y]:
+                base = (x2 * nb + y2) * nd
+                for ka, ca in cell_a:
+                    shift = ka * nb
+                    for kb, cb in cell_b:
+                        c = ca * cb
+                        for k, w in cols[shift + kb].items():
+                            key = base + k
+                            acc[key] = acc.get(key, 0) + c * w
+
+    return _map_failures(f, a.dim * nb, products, dst, None, False)
+
+
+def _map_failures(f: LinearMap, n: int, products, dst: StructureAlgebra, keep, dst_op: bool):
+    """The row scan of algebra_map_failures and tensor_map_failures over a
+    source of dim n (Gustavson's row-at-a-time sparse product).  Row i keeps
+    one flat accumulator of f(e_i e_j) - f(e_i) f(e_j), keyed j dim dst + k:
+    products(i, acc) adds f(e_i e_j) from the source's nonempty cells, and
+    each e_a in f(e_i) and nonempty cell (a, b) of dst subtracts the j with
+    e_b in f(e_j), j in `keep` (every index when None), read off `holders`.
+    Every pair skipped is 0 = 0, so the failures are those of the scan over
+    every pair, yielded in ascending order."""
+    cols, nd = f.cols, dst.dim
+    dst_rows = dst.mult._rows
+    dst_side = dst.support[1 if dst_op else 0]    # the b with e_a e_b nonzero
+    holders = [[] for _ in range(nd)]    # holders[b]: (j dim dst, coefficient of e_b in f(e_j))
+    for j in range(n) if keep is None else keep:
+        for b, cb in cols[j].items():
+            holders[b].append((j * nd, cb))
+    for i in range(n):
+        acc: dict = {}    # j dim dst + k -> coefficient of e_k in f(e_i e_j) - f(e_i) f(e_j)
+        products(i, acc)
         for a, ca in cols[i].items():
             for b in dst_side[a]:
                 ab = dst_rows[b][a] if dst_op else dst_rows[a][b]
-                for j, cb in holders[b]:
-                    cell, c = acc[j], ca * cb
+                for base, cb in holders[b]:
+                    c = ca * cb
                     for k, w in ab:
-                        cell[k] = cell.get(k, 0) - c * w
-        for j in sorted(acc):
-            if any(acc[j].values()):
-                yield (i, j)
+                        key = base + k
+                        acc[key] = acc.get(key, 0) - c * w
+        if any(acc.values()):
+            yield from ((i, j) for j in sorted({key // nd for key, v in acc.items() if v}))
 
 
 def coalgebra_map_failures(f: LinearMap, src: StructureCoalgebra, dst: StructureCoalgebra,
@@ -978,7 +1021,9 @@ def dual_hopf(h: HopfData) -> HopfData:
 
 
 def opposites(h: HopfData, which: str) -> HopfData:
-    """H^op, H^cop or H^opcop, with the matching antipode."""
+    """H^op, H^cop or H^opcop, with the matching antipode.  The antipode
+    S^{-1} of H^op and H^cop has inverse S, which is stored as theirs, so
+    it is never found again by elimination."""
     if which not in ("op", "cop", "opcop"):
         raise ValueError("which must be 'op', 'cop' or 'opcop'")
     h.report.require()
@@ -992,6 +1037,8 @@ def opposites(h: HopfData, which: str) -> HopfData:
         if anti is None:
             raise ValueError("antipode is not invertible; H^op/H^cop need S^{-1}")
     out = HopfData(alg, coal, anti)
+    if which in ("op", "cop"):
+        vars(out)["antipode_inv"] = h.antipode
     out.report.require()
     return out
 
@@ -1151,9 +1198,11 @@ def twisted_product(a: StructureAlgebra, b: StructureAlgebra, tau) -> StructureA
     1 (x) 1.  A pair (y, x2) with no terms is skipped; for the terms left,
     x runs over the support of the cells x x3, and only the nonempty cells
     x x3 and y3 y2 are read.  The cells of a row x (x) y and a column block
-    x2 (x) B are formed in one (y, x2, x) iteration and written directly.
-    The carrier is returned unverified; A # H, the Heisenberg double and
-    D(H) are all built here."""
+    x2 (x) B are formed in one (y, x2, x) iteration and written once: where
+    one term and one entry of x x3 form them, each is a scaled, shifted copy
+    of a cell y3 y2, already sorted, written as `Tensor3.kron` writes; else
+    through an accumulator and `sorted_cell`.  The carrier is returned
+    unverified; A # H, the Heisenberg double and D(H) are all built here."""
     na, nb = a.dim, b.dim
     n = na * nb
     a_rows, left = a.mult._rows, a.support[1]
@@ -1168,6 +1217,19 @@ def twisted_product(a: StructureAlgebra, b: StructureAlgebra, tau) -> StructureA
             reads = [(x3, nonempty[y3], c) for x3, y3, c in terms]
             for x in set().union(*(left[x3] for x3, _, _ in terms)):
                 row = a_rows[x]
+                plane = planes[x * nb + y]
+                if len(reads) == 1 and len(row[reads[0][0]]) == 1:
+                    # one term and one entry e_k of x x3: each cell is a
+                    # scaled, shifted copy of a cell y3 y2, already sorted
+                    [(x3, b_cells, c)] = reads
+                    [(k, ck)] = row[x3]
+                    if w := c * ck:
+                        t = k * nb
+                        for y2, cell_b in b_cells:
+                            plane[x2 * nb + y2] = tuple([
+                                (t + m, v if type(v := w * cm) is int else rat(v))
+                                for m, cm in cell_b])
+                    continue
                 cells: dict = {}    # y2 -> the cell at column x2 (x) e_y2
                 for x3, b_cells, c in reads:
                     for k, ck in row[x3]:
@@ -1177,7 +1239,6 @@ def twisted_product(a: StructureAlgebra, b: StructureAlgebra, tau) -> StructureA
                                 cell = cells[y2] = {}
                             for m, cm in cell_b:
                                 cell[t + m] = cell.get(t + m, 0) + w * cm
-                plane = planes[x * nb + y]
                 for y2, cell in cells.items():
                     plane[x2 * nb + y2] = sorted_cell(cell)
     unit = [0] * n

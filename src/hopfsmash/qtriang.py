@@ -238,10 +238,10 @@ class BraidedGroupData(Record):
 
     @cached_property
     def memo(self) -> dict:
-        """What decompose_hr, psi_phi (per exact basis) and hr_dual_separability
-        (per lambda) derive from this braided group, each stored once built
-        and verified; a refused input is not stored.  Shared: read it, do not
-        modify it."""
+        """What decompose_hr, psi_phi (per exact basis, and the host's H^op
+        once) and hr_dual_separability (per lambda) derive from this braided
+        group, each stored once built and verified; a refused input is not
+        stored.  Shared: read it, do not modify it."""
         return {}
 
 

@@ -5,7 +5,7 @@ transformation-groupoid case study, and the H # D(H) decomposition.
 The products are built by hopfcore: A#H by smash_carrier, End(A*) (x) H
 (Theta's target and B's carrier) by end_algebra, M_t(k) (x) k G_1 by
 tensor_algebra and matrix_algebra, and each map between them is checked by
-check_map or its algebra map kernel.  Theta and B's structure maps are
+check_map or its algebra map kernels.  Theta and B's structure maps are
 products of the maps into End(A*) (x) H that end_inclusions writes.
 
 Basis codec: A#H uses (A-index major, H-index minor); B uses the triple
@@ -59,6 +59,7 @@ from .hopfcore import (
     smash_carrier,
     sparse_outer,
     tensor_algebra,
+    tensor_map_failures,
     tensor_mul_sparse,
 )
 from .modalg import (
@@ -672,12 +673,12 @@ def double_smash_decomposition(h: HopfData, double=None) -> VerificationReport:
             Subspace(big.centralizer_basis(acting), ntot) == Subspace(c_cols, ntot))
 
     # total map mu: (y (x) t) |-> iota(y) c(t) on Heis (x) H, flat index
-    # y * n + t; with the rank it certifies the carrier
+    # y * n + t; with the rank it certifies the carrier.  Its products are
+    # read off the factors Heis and H, so Heis (x) H is never built
     mu = LinearMap(ntot, ntot, [big.mul_sparse(iota_cols[y], c_cols[t])
                                 for y in range(nn) for t in range(n)])
     rep.add("total_map_bijective", mu.rank() == ntot)
-    rep.check("total_map_multiplicative",
-              algebra_map_failures(mu, tensor_algebra(hei, h.algebra), big))
+    rep.check("total_map_multiplicative", tensor_map_failures(mu, hei, h.algebra, big))
     return rep
 
 

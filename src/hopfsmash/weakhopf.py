@@ -85,14 +85,18 @@ class WeakHopfData(HopfData):
     @cached_property
     def eps_s(self) -> LinearMap:
         """The source counital map eps_s(h) = 1_(1) eps(h 1_(2)): the first
-        legs of Delta(1) beside row h of the counit form."""
-        return leg_map(self.delta_one, self.dim).compose(self.counit_form)
+        legs of Delta(1) beside row h of the counit form T, as (T^t L^t)^t for
+        L = leg_map(Delta(1)): the product reads T^t only at Delta(1)'s
+        second legs."""
+        legs = leg_map(self.delta_one, self.dim).transpose()
+        return self.counit_form.transpose().compose(legs).transpose()
 
     @cached_property
     def eps_t(self) -> LinearMap:
         """The target counital map eps_t(h) = eps(1_(1) h) 1_(2): the second
-        legs of Delta(1) beside column h of the counit form."""
-        return leg_map(self.delta_one, self.dim).transpose().compose(self.counit_form.transpose())
+        legs of Delta(1) beside column h of the counit form T, as (T L)^t:
+        the product reads T only at Delta(1)'s first legs."""
+        return self.counit_form.compose(leg_map(self.delta_one, self.dim)).transpose()
 
     @cached_property
     def source_basis(self) -> tuple:

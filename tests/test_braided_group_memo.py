@@ -100,11 +100,13 @@ def test_nd_transport_is_the_same_after_psi_phi(q_s3, ip_s3, transposition_block
 
 def test_the_pipeline_derives_each_object_once(ks3, q_s3, ip_s3, transposition_block,
                                                count_calls):
-    # subcoalgebra_data runs only in psi_phi, split only in decompose_hr, and
-    # casimir_failures on the 6-dimensional H_R^* only in hr_dual_separability
+    # subcoalgebra_data runs only in psi_phi, split only in decompose_hr,
+    # casimir_failures on the 6-dimensional H_R^* only in hr_dual_separability,
+    # and H^op is derived once for psi_phi on every block
     sub = count_calls(adjstable, "subcoalgebra_data")
     splits = count_calls(exactlin, "split")
     casimir = count_calls(hopfcore, "casimir_failures")
+    ops = count_calls(hopfcore, "opposites")
     bg = transmute(q_s3)
     decompose_hr(bg)
     class_idempotents(ks3, q_s3, ip_s3, bg)
@@ -113,6 +115,9 @@ def test_the_pipeline_derives_each_object_once(ks3, q_s3, ip_s3, transposition_b
     assert nd_transport_report(transposition_block, q_s3, ip_s3, bg).ok
     assert len(sub) == 1 and len(splits) == 1
     assert len([a for a in casimir if a.dim == ks3.dim]) == 1
+    for block in decompose_hr(bg).blocks:
+        psi_phi(block, q_s3, bg)
+    assert len([h for h in ops if h is ks3]) == 1
 
 
 def test_the_memo_dies_with_its_bg(q_s3, transposition_block):

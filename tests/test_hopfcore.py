@@ -172,6 +172,19 @@ def test_opposites(kz2, ks3):
         opposites(ks3, "flip")
 
 
+def test_op_and_cop_take_s_as_the_inverse_antipode(ks3, double_s3, monkeypatch):
+    # S^{-1} of H^op and H^cop has inverse S: stored, not eliminated again,
+    # and equal to what the elimination gives
+    for h in (ks3, double_s3[0], _rescaled_kz2(F(1, 2))):
+        h.antipode_inv
+        for which in ("op", "cop"):
+            with monkeypatch.context() as mp:
+                mp.setattr(LinearMap, "inverse", lambda self: pytest.fail("eliminated"))
+                out = opposites(h, which)
+                assert out.antipode_inv is h.antipode
+            assert out.antipode.inverse() == h.antipode
+
+
 def test_integrals_kz2(kz2):
     ip = integrals(kz2)
     # frozen: Lambda = e + g (normalized so <lambda, Lambda> = 1), lambda = d_e
@@ -1302,20 +1315,24 @@ def _twisted_reference(a, b, tau):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("kind", ["random", "flip", "zero"])
+@pytest.mark.parametrize("kind", ["random", "flip", "zero", "single"])
 def test_twisted_product_matches_the_dense_reference(kind, seed):
     # A (dim 3) and B (dim 2) are random products, not associative; the random
-    # tau has Fraction constants, empty entries and pairs of terms that cancel
+    # tau has Fraction constants, empty entries and pairs of terms that cancel.
+    # "single" gives every tau entry one term and every A cell one entry, with
+    # Fraction constants whose products are integral, so every cell is
+    # written directly and an integral Fraction must come out an int
     rng = random.Random(seed)
     consts = (-2, -1, F(1, 2), 1, F(1, 3))
 
-    def algebra(d):
-        entries = [(i, j, k, rng.choice(consts)) for i in range(d) for j in range(d)
-                   for k in rng.sample(range(d), rng.choice((0, 1, 2)))]
+    def algebra(d, sizes=(0, 1, 2), values=consts):
+        entries = [(i, j, k, rng.choice(values)) for i in range(d) for j in range(d)
+                   for k in rng.sample(range(d), rng.choice(sizes))]
         return StructureAlgebra(d, Tensor3.from_entries((d, d, d), entries),
                                 tuple(rng.choice((0, 1, F(1, 2))) for _ in range(d)))
 
-    a, b = algebra(3), algebra(2)
+    a = algebra(3, (1,), (F(3, 2), F(-3, 2))) if kind == "single" else algebra(3)
+    b = algebra(2)
     if kind == "random":
         def terms():
             out = [(rng.randrange(3), rng.randrange(2), rng.choice(consts))
@@ -1327,6 +1344,9 @@ def test_twisted_product_matches_the_dense_reference(kind, seed):
         tau = [[terms() for _ in range(3)] for _ in range(2)]
         assert any(not t for row in tau for t in row)
         assert any((x3, y3, -c) in t for row in tau for t in row for x3, y3, c in t)
+    elif kind == "single":
+        tau = [[[(rng.randrange(3), rng.randrange(2), rng.choice((F(2, 3), F(4, 3))))]
+                for _ in range(3)] for _ in range(2)]
     else:
         tau = [[[(x2, y, 1)] if kind == "flip" else [] for x2 in range(3)] for y in range(2)]
     built = hopfcore.twisted_product(a, b, tau)

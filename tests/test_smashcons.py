@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,12 +9,16 @@ from hopfsmash.exactlin import LinearMap, Tensor3, TensorElem
 from hopfsmash.hopfcore import (
     GroupTable,
     HopfData,
+    StructureAlgebra,
+    algebra_map_failures,
     co_opposite,
     drinfeld_double,
     dual_hopf,
     group_algebra,
     sp_add,
     sparse_outer,
+    tensor_algebra,
+    tensor_map_failures,
 )
 from hopfsmash.modalg import (
     ModuleAlgebraData,
@@ -518,9 +523,9 @@ def test_carrier_fault_fails_total_map_multiplicative_at_the_hand_scans_witness(
         cell, kz2, double_z2, monkeypatch):
     # one constant of the H # D(kZ2) carrier moved, in a nonempty cell and in
     # an empty one (e_0 with coefficient 2); mu is then scanned by
-    # algebra_map_failures, whose witness is the hand scan's first failure
-    # (y1, t1, y2, t2) read on the flat index of Heis (x) H
-    real_carrier, real_scan = smashcons.smash_carrier, smashcons.algebra_map_failures
+    # tensor_map_failures on the factors Heis and H, whose witness is the hand
+    # scan's first failure (y1, t1, y2, t2) read on the flat index of Heis (x) H
+    real_carrier, real_scan = smashcons.smash_carrier, smashcons.tensor_map_failures
     seen = []
 
     def faulty(alg, h, action):
@@ -532,15 +537,91 @@ def test_carrier_fault_fails_total_map_multiplicative_at_the_hand_scans_witness(
         return type(carrier)(carrier.dim, Tensor3(t.dims, tuple(map(tuple, planes))),
                              carrier.unit)
 
-    def recorded(f, src, dst, *args, **kwargs):
+    def recorded(f, a, b, dst):
         seen.append((f, dst))
-        return real_scan(f, src, dst, *args, **kwargs)
+        return real_scan(f, a, b, dst)
 
     monkeypatch.setattr(smashcons, "smash_carrier", faulty)
-    monkeypatch.setattr(smashcons, "algebra_map_failures", recorded)
+    monkeypatch.setattr(smashcons, "tensor_map_failures", recorded)
     check = double_smash_decomposition(kz2, double_z2).find("total_map_multiplicative")
     assert not check.passed
     (mu, big), = seen
     hei = smashcons.heisenberg_double(smashcons.opposites(kz2, "cop"))
     y1, t1, y2, t2 = next(_total_map_reference(hei, kz2, mu.cols, big))
     assert check.witness == (y1 * 2 + t1, y2 * 2 + t2)
+
+
+def _with_cell(alg, i, j, k, delta):
+    """A copy of the algebra alg with the constant of e_k in e_i e_j moved by
+    delta; an empty cell fills."""
+    t = alg.mult
+    cell = dict(t.row(i, j))
+    cell[k] = cell.get(k, 0) + delta
+    planes = [list(plane) for plane in t._rows]
+    planes[i][j] = tuple(sorted((m, c) for m, c in cell.items() if c))
+    return StructureAlgebra(alg.dim, Tensor3(t.dims, tuple(map(tuple, planes))), alg.unit)
+
+
+def _factor_read_cases(f, dst):
+    """(f, dst) as given, f with one column moved, dst with a nonempty cell
+    moved and dst with an empty cell filled by e_0 with coefficient 1/2."""
+    n = dst.dim
+    c = f.source_dim // 2
+    moved = [dict(col) for col in f.cols]
+    moved[c][n - 1] = moved[c].get(n - 1, 0) + 1
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    full = next(ij for ij in cells if dst.mul_row(*ij))
+    empty = next(ij for ij in cells if not dst.mul_row(*ij))
+    k, w = dst.mul_row(*full)[0]
+    return [(f, dst), (LinearMap(f.source_dim, n, moved), dst),
+            (f, _with_cell(dst, *full, k, w + 1)), (f, _with_cell(dst, *empty, 0, F(1, 2)))]
+
+
+@pytest.mark.parametrize("host", ["kZ2", "kZ3", "kS3"])
+def test_factor_read_lists_the_failures_of_the_built_tensor_algebra(host, request, monkeypatch):
+    # mu, Heis and H as the decomposition hands them to tensor_map_failures;
+    # the factor read against the scan of tensor_algebra(Heis, H) on mu and
+    # the carrier, a moved column of mu, a moved carrier cell and a filled one
+    fixtures = {"kZ2": ("kz2", "double_z2"), "kS3": ("ks3", "double_s3")}
+    if host in fixtures:
+        h, double = map(request.getfixturevalue, fixtures[host])
+    else:
+        h, double = group_algebra(dm.cyclic_table(3)), None
+    seen = []
+    with monkeypatch.context() as mp:
+        mp.setattr(smashcons, "tensor_map_failures", lambda *args: seen.append(args) or iter(()))
+        double_smash_decomposition(h, double)
+    (mu, hei, hh, big), = seen
+    flat = tensor_algebra(hei, hh)
+    failing = []
+    for f, dst in _factor_read_cases(mu, big):
+        got = list(tensor_map_failures(f, hei, hh, dst))
+        assert got == list(algebra_map_failures(f, flat, dst))
+        failing.append(len(got))
+    assert failing[0] == 0 and all(failing[1:])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_factor_read_matches_the_built_scan_on_random_factors(seed):
+    # A (dim 3) and B (dim 2) are random products with Fraction constants,
+    # not associative; f is the identity into A (x) B and a random map into a
+    # random target, each also with a column, a cell and an empty cell moved
+    rng = random.Random(seed)
+    consts = (-2, -1, F(1, 2), 1, F(1, 3), F(3, 2))
+
+    def algebra(d):
+        entries = [(i, j, k, rng.choice(consts)) for i in range(d) for j in range(d)
+                   for k in rng.sample(range(d), rng.choice((0, 1, 2)))]
+        return StructureAlgebra(d, Tensor3.from_entries((d, d, d), entries), (1,) + (0,) * (d - 1))
+
+    a, b, dst = algebra(3), algebra(2), algebra(5)
+    flat = tensor_algebra(a, b)
+    rand = LinearMap(6, 5, [{r: rng.choice(consts) for r in rng.sample(range(5), 2)}
+                            for _ in range(6)])
+    failing = []
+    for f, target in (*_factor_read_cases(LinearMap.identity(6), flat),
+                      *_factor_read_cases(rand, dst)):
+        got = list(tensor_map_failures(f, a, b, target))
+        assert got == list(algebra_map_failures(f, flat, target))
+        failing.append(len(got))
+    assert failing[0] == 0 and all(failing[1:])
