@@ -8,7 +8,9 @@ The host is zN (the cyclic group of order N) or sN (the symmetric group on
 N points).  Each run builds D(kG) afresh and then times, in order:
 `drinfeld_double`, split into its build and its `verify_hopf` and `verify_qt`
 reports, with the build's product (`twisted_product`) and coproduct
-(`Tensor3.kron`) timed apart; `adjoint_action_tensor`; `transmute` with its report;
+(`Tensor3.kron`) timed apart, and `verify_qt`'s `intertwines_comult` scan
+(`intertwining_failures`, timed while its failures are drawn) and its
+hexagons (`hexagon_sides`) timed apart; `adjoint_action_tensor`; `transmute` with its report;
 `verify_braided_group` run a second time; `almost_triangular_equivalences`;
 `decompose_hr` of the braided group and `wedderburn_blocks` of D(kG), the
 largest eliminations of the pipeline; and `double_smash_decomposition`, split
@@ -43,10 +45,13 @@ from hopfsmash.repdim import wedderburn_blocks
 from hopfsmash.smashcons import double_smash_decomposition
 
 STAGES = ("drinfeld_double", "  build", "  product", "  coproduct", "  verify_hopf",
-          "  verify_qt", "adjoint_action_tensor", "transmute", "verify_braided_group",
+          "  verify_qt", "    intertwines_comult", "    hexagon_sides", "adjoint_action_tensor", "transmute", "verify_braided_group",
           "almost_triangular_equivalences", "decompose_hr", "wedderburn_blocks",
           "double_smash_decomposition", "  smash_carrier", "  heisenberg_double",
           "  total_map_multiplicative")
+# sub-row of verify_qt -> the hopfcore name it times
+QT_PARTS = {"    intertwines_comult": "intertwining_failures",
+            "    hexagon_sides": "hexagon_sides"}
 # sub-row of double_smash_decomposition -> the smashcons name it times
 DECOMPOSITION_PARTS = {"  smash_carrier": "smash_carrier",
                        "  heisenberg_double": "heisenberg_double",
@@ -102,7 +107,8 @@ def one_run(h, skip) -> dict:
     spent: dict = {}
     with ExitStack() as stack:
         for module, name in ((hopfcore, "verify_hopf"), (qtriang, "verify_qt"),
-                             (hopfcore, "twisted_product"), (Tensor3, "kron")):
+                             (hopfcore, "twisted_product"), (Tensor3, "kron"),
+                             *((hopfcore, name) for name in QT_PARTS.values())):
             stack.enter_context(timed(module, name, spent))
         t0 = time.perf_counter()
         dh, q = drinfeld_double(h)
@@ -111,6 +117,7 @@ def one_run(h, skip) -> dict:
     out["  coproduct"] = spent.get("kron", 0.0)
     out["  verify_hopf"] = spent.get("verify_hopf", 0.0)
     out["  verify_qt"] = spent.get("verify_qt", 0.0)
+    out.update((row, spent.get(name, 0.0)) for row, name in QT_PARTS.items())
     out["  build"] = out["drinfeld_double"] - out["  verify_hopf"] - out["  verify_qt"]
 
     def stage(name, call):

@@ -680,7 +680,7 @@ def cmd_construct(path: str, recipe: str, out: str, json_path: str | None) -> in
 # entry point
 # ---------------------------------------------------------------------------
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     # the global flags are accepted before and after the subcommand; they set
     # nothing when absent, so one given before is not reset by the subcommand
     flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -699,7 +699,16 @@ def main(argv=None) -> int:
     c.add_argument("workspace")
     c.add_argument("recipe")
     c.add_argument("out")
-    ns = ap.parse_args(argv, argparse.Namespace(seed=0, json=None))
+    return ap
+
+
+# built once per process: a parse keeps no state in the parser, since each
+# call of main starts from its own namespace of defaults
+PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    ns = PARSER.parse_args(argv, argparse.Namespace(seed=0, json=None))
     if ns.cmd == "demo":
         return cmd_demo(ns.name, ns.seed, ns.json)
     if ns.cmd == "verify":

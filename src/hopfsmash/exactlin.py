@@ -125,6 +125,25 @@ def sp_add(acc: dict, key, c) -> None:
         acc[key] = w
 
 
+def sp_nonzero(acc: dict) -> dict:
+    """The nonzero entries of an accumulator {key: value}, in its order, each
+    value written as `sorted_cell` writes it: an integral Fraction as its int.
+    An accumulator of nonzero ints is returned as it is."""
+    values = acc.values()
+    if set(map(type, values)) <= {int} and 0 not in values:
+        return acc
+    out = {}
+    for k, v in acc.items():
+        if type(v) is not int:
+            if v.denominator != 1:
+                out[k] = v
+                continue
+            v = v.numerator
+        if v:
+            out[k] = v
+    return out
+
+
 def sp_scale(d: dict, c: int | Fraction) -> dict:
     if c == 0:
         return {}

@@ -31,6 +31,7 @@ from .exactlin import (
     sorted_cell,
     sp,
     sp_add,
+    sp_nonzero,
     sp_scale,
     vec_dot,
 )
@@ -253,33 +254,40 @@ def meeting(groups: dict, support_row):
 
 
 def tensor_mul_sparse(algs, u: dict, v: dict) -> dict:
-    """Product in A_1 (x) ... (x) A_m of sparse elements keyed by index tuples.
+    """Product in A (x) B, algs = (A, B), of sparse elements keyed by index
+    pairs; any other number of algebras raises ValueError.
 
     A pair of terms a, b is formed only where the first legs' cell (a_1, b_1)
     is nonempty: v is grouped by first leg, and a term of u meets the groups
-    that its row of algs[0].support names.  A pair skipped has a zero first
-    leg, so the product is that over every pair.
+    that its row of A.support names.  A pair skipped has a zero first leg, so
+    the product is that over every pair.  The cells (a_1, b_1) and (a_2, b_2)
+    are read directly and every term is summed into one accumulator, whose
+    zeros are dropped once at the end (`sp_nonzero`).  A key's first term is
+    stored as it is, not added to 0: 0 + Fraction goes through
+    Fraction.__radd__, many times the cost of the store.
     """
-    out: dict = {}
+    if len(algs) != 2:
+        raise ValueError(f"tensor_mul_sparse multiplies in A (x) B, not in {len(algs)} legs")
     if not (u and v):
-        return out
-    tabs = [alg.mult._rows for alg in algs]
-    first = tabs[0]
+        return {}
+    first, second = (alg.mult._rows for alg in algs)
     right = algs[0].support[0]
     groups = by_leg(v, 0)
-    for ka, ca in u.items():
-        ri = first[ka[0]]
-        for j in meeting(groups, right[ka[0]]):
-            if ri[j]:
-                for kb, cb in groups[j]:
-                    legs = [tab[ia][ib] for tab, ia, ib in zip(tabs, ka, kb)]
-                    if all(legs):    # a zero leg: no product is formed
-                        terms = [((), ca * cb)]
-                        for row in legs:
-                            terms = [(key + (k,), c * w) for key, c in terms for k, w in row]
-                        for key, c in terms:
-                            sp_add(out, key, c)
-    return out
+    acc: dict = {}
+    get = acc.get
+    for (a1, a2), ca in u.items():
+        ri, si = first[a1], second[a2]
+        for j in meeting(groups, right[a1]):
+            if cell1 := ri[j]:
+                for (_, b2), cb in groups[j]:
+                    if cell2 := si[b2]:
+                        c = ca * cb
+                        for k1, w1 in cell1:
+                            cw = c * w1
+                            for k2, w2 in cell2:
+                                key, t = (k1, k2), cw * w2
+                                acc[key] = t if (old := get(key)) is None else old + t
+    return sp_nonzero(acc)
 
 
 def sparse_outer(a: dict, b: dict) -> dict:
@@ -658,14 +666,19 @@ def unit_products(alg: StructureAlgebra, legs) -> tuple:
 
 
 def add_outer3(acc: dict, c, u, v, w) -> None:
-    """acc += c u (x) v (x) w for u, v, w sequences of (index, coefficient)."""
+    """acc += c u (x) v (x) w for u, v, w sequences of (index, coefficient).
+    A key's first term is stored as it is, as in tensor_mul_sparse, and a
+    sum that cancels stays in acc as a zero: the caller drops zeros once
+    from the finished accumulator (`sp_nonzero`)."""
     if not (u and v and w):
         return    # a zero leg: no product is formed
+    get = acc.get
     for i, ci in u:
         for j, cj in v:
             cij = c * ci * cj
             for k, ck in w:
-                sp_add(acc, (i, j, k), cij * ck)
+                key, t = (i, j, k), cij * ck
+                acc[key] = t if (old := get(key)) is None else old + t
 
 
 def hexagon_sides(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict) -> tuple:
@@ -679,7 +692,8 @@ def hexagon_sides(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict) -> t
     A term a (x) b meets only the terms x (x) y whose product cell is
     nonempty, (b, y) for R^13 R^23 and (a, x) for R^13 R^12, read off
     alg.support with R grouped by second and by first leg; every pair skipped
-    has a zero leg, so the sums are those over every pair.
+    has a zero leg, so the sums are those over every pair.  Each side is one
+    accumulator, its zeros dropped once at the end (`sp_nonzero`).
     """
     times_one, one_times = unit_products(alg, {z for key in r for z in key})
     rows = alg.mult._rows
@@ -691,9 +705,11 @@ def hexagon_sides(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict) -> t
     r13r12: dict = {}
     for (a, b), c in r.items():
         for j, k, w in coal.comul_row(a):
-            sp_add(d_id, (j, k, b), c * w)
+            key, t = (j, k, b), c * w
+            d_id[key] = t if (old := d_id.get(key)) is None else old + t
         for j, k, w in coal.comul_row(b):
-            sp_add(id_d, (a, j, k), c * w)
+            key, t = (a, j, k), c * w
+            id_d[key] = t if (old := id_d.get(key)) is None else old + t
         ra, rb = rows[a], rows[b]
         for y in meeting(by_second, right[b]):
             if cell := rb[y]:
@@ -703,7 +719,7 @@ def hexagon_sides(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict) -> t
             if cell := ra[x]:
                 for (_, y), cxy in by_first[x]:
                     add_outer3(r13r12, c * cxy, cell, one_times[y], times_one[b])
-    return d_id, r13r23, id_d, r13r12
+    return tuple(map(sp_nonzero, (d_id, r13r23, id_d, r13r12)))
 
 
 def r_matrix_rows(rep: VerificationReport, alg: StructureAlgebra, coal: StructureCoalgebra,

@@ -20,6 +20,7 @@ from .exactlin import (
     TensorElem,
     Subspace,
     sp_add,
+    sp_nonzero,
     span_basis,
 )
 from .hopfcore import (
@@ -29,12 +30,14 @@ from .hopfcore import (
     add_outer3,
     algebra_map_failures,
     bialgebra_prelude,
+    by_leg,
     certified_scan,
     check_map,
     coalgebra_map_failures,
     convolution,
     host_generators,
     leg_map,
+    meeting,
     r_matrix_rows,
     tensor_mul_sparse,
     unit_products,
@@ -147,20 +150,35 @@ def unit_weak_comult_sides(w: WeakHopfData) -> tuple:
     """(Delta (x) id) Delta(1) and the products (Delta(1) (x) 1)(1 (x) Delta(1)) =
     sum c c' (a 1) (x) (b a') (x) (1 b') and (1 (x) Delta(1))(Delta(1) (x) 1) =
     sum c c' (1 a') (x) (a b') (x) (b 1) over terms c (a, b), c' (a', b') of
-    Delta(1), exact by bilinearity for any multiplication tensor."""
+    Delta(1), exact by bilinearity for any multiplication tensor.  A term
+    (a, b) meets only the terms whose middle cell is nonempty, (b, a') in
+    the first order and (a, b') in the second, read off alg.support with
+    Delta(1) grouped by first and by second leg, as hexagon_sides pairs the
+    terms of R; each side is one accumulator, its zeros dropped once at the
+    end."""
     alg, d1 = w.algebra, w.delta_one
     lhs: dict = {}
     for (a, b), c in d1.items():
         for p, q, ww in w.coalgebra.comul_row(a):
-            sp_add(lhs, (p, q, b), c * ww)
+            key, t = (p, q, b), c * ww
+            lhs[key] = t if (old := lhs.get(key)) is None else old + t
     times_one, one_times = unit_products(alg, {z for key in d1 for z in key})
+    rows = alg.mult._rows
+    right = alg.support[0]
+    by_first, by_second = by_leg(d1, 0), by_leg(d1, 1)
     order1: dict = {}
     order2: dict = {}
     for (a, b), c in d1.items():
-        for (a2, b2), c2 in d1.items():
-            add_outer3(order1, c * c2, times_one[a], alg.mul_row(b, a2), one_times[b2])
-            add_outer3(order2, c * c2, one_times[a2], alg.mul_row(a, b2), times_one[b])
-    return lhs, order1, order2
+        ra, rb = rows[a], rows[b]
+        for a2 in meeting(by_first, right[b]):
+            if cell := rb[a2]:
+                for (_, b2), c2 in by_first[a2]:
+                    add_outer3(order1, c * c2, times_one[a], cell, one_times[b2])
+        for b2 in meeting(by_second, right[a]):
+            if cell := ra[b2]:
+                for (a2, _), c2 in by_second[b2]:
+                    add_outer3(order2, c * c2, one_times[a2], cell, times_one[b])
+    return sp_nonzero(lhs), sp_nonzero(order1), sp_nonzero(order2)
 
 
 def verify_weak_bialgebra(w: WeakHopfData, subject: str = "weak_bialgebra") -> VerificationReport:

@@ -594,6 +594,26 @@ def test_global_flags_after_verify(tmp_path):
 
 
 @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_flags_of_one_call_do_not_reach_the_next(tmp_path, monkeypatch, before):
+    # one parser serves every call of main in a process: --json and --seed of
+    # the first call must not carry over to the second
+    from hopfsmash import cli
+    seen = []
+    monkeypatch.setattr(cli, "cmd_demo", lambda *args: seen.append(args) or 0)
+    flags = ["--json", str(tmp_path / "first.json"), "--seed", "3"]
+    assert main(flags + ["demo", "double-z2"] if before else ["demo", "double-z2"] + flags) == 0
+    assert main(["demo", "double-z2"]) == 0
+    assert seen == [("double-z2", 3, str(tmp_path / "first.json")), ("double-z2", 0, None)]
+    monkeypatch.undo()
+    monkeypatch.chdir(tmp_path)    # where a demo without --json writes its report
+    out = tmp_path / "real.json"
+    assert main(["demo", "double-z2", "--json", str(out)]) == 0
+    out.unlink()
+    assert main(["demo", "double-z2"]) == 0
+    assert not out.exists() and (tmp_path / "double-z2-report.json").exists()
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
 def test_construct_writes_its_json_report(tmp_path, before):
     # --json is a global flag: construct writes the report with verify's keys
     ws = write_workspace(tmp_path / "ws.json")
@@ -998,11 +1018,20 @@ def test_stage_times_prints_every_stage_and_leaves_the_verifiers_in_place(monkey
     from hopfsmash import hopfcore, qtriang
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
     stage_times = importlib.import_module("stage_times")
-    verifiers = (hopfcore.verify_hopf, qtriang.verify_qt)
+    verifiers = (hopfcore.verify_hopf, qtriang.verify_qt,
+                 hopfcore.intertwining_failures, hopfcore.hexagon_sides)
     assert stage_times.main(["z2", "--runs", "2"]) == 0
-    rows = [line.split("|")[1].strip() for line in capsys.readouterr().out.splitlines()[3:]]
+    lines = capsys.readouterr().out.splitlines()[3:]
+    rows = [line.split("|")[1].strip() for line in lines]
     assert [r.split("`")[1] for r in rows] == [s.strip() for s in stage_times.STAGES]
-    assert (hopfcore.verify_hopf, qtriang.verify_qt) == verifiers
+    assert (hopfcore.verify_hopf, qtriang.verify_qt,
+            hopfcore.intertwining_failures, hopfcore.hexagon_sides) == verifiers
+    # verify_qt is split into its intertwining scan and its hexagons: both
+    # ran, and, timed apart, they fit inside it
+    times = {line.split("`")[1]: float(line.split("|")[2]) for line in lines}
+    parts = [times[row.strip()] for row in stage_times.QT_PARTS]
+    assert [row.strip() for row in stage_times.QT_PARTS] == ["intertwines_comult", "hexagon_sides"]
+    assert all(s > 0 for s in parts) and sum(parts) <= times["verify_qt"]
     assert stage_times.main(["s3", "--runs", "1", "--skip", "double_smash_decomposition"]) == 0
     assert "double_smash_decomposition" not in capsys.readouterr().out
     with pytest.raises(SystemExit):

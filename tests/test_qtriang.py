@@ -16,7 +16,6 @@ from hopfsmash.hopfcore import (
     hexagon_sides,
     sp_add,
     sparse_outer,
-    tensor_mul_sparse,
 )
 from hopfsmash.modalg import ModuleAlgebraData, adjoint_module_algebra, is_quantum_commutative
 from hopfsmash.qtriang import (
@@ -39,6 +38,7 @@ from hopfsmash.qtriang import (
 )
 from hopfsmash.report import HypothesisFailure
 from hopfsmash.weakhopf import WeakHopfData, WeakQTStructure, verify_weak_qt
+from test_sparse_kernels import _tensor_mul_reference
 
 
 def test_trivial_r_passes(ks3, q_s3):
@@ -82,8 +82,8 @@ def _unit_padded_hexagon_reference(alg, coal, r):
             sp_add(d_id, (j, k, b), c * w)
         for j, k, w in coal.comul_row(b):
             sp_add(id_d, (a, j, k), c * w)
-    return (d_id, tensor_mul_sparse(algs3, r13, r23),
-            id_d, tensor_mul_sparse(algs3, r13, r12))
+    return (d_id, _tensor_mul_reference(algs3, r13, r23),
+            id_d, _tensor_mul_reference(algs3, r13, r12))
 
 
 @cache

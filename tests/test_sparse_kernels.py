@@ -2,11 +2,15 @@
 replaced.
 
 `tensor_mul_sparse` forms a pair of terms only where the first legs' cell is
-nonempty, and `hexagon_sides` pairs a term of R only with the terms whose
-product cell is nonempty.  The all-pairs loops are kept here as references,
-and the kernels must give the same keys and values on the R-matrices of
-D(kZ2), D(kS3) and B, and on seeded operands: 0, 1 and many terms, 2 and 3
-legs, cancelling terms and non-unital product tensors.
+nonempty, `hexagon_sides` pairs a term of R only with the terms whose
+product cell is nonempty, and `unit_weak_comult_sides` pairs the terms of
+Delta(1) the same way.  The all-pairs loops are kept here as references,
+and the kernels must give the same keys, values and scalar types (an integral
+value as an int) on the R-matrices of D(kZ2), D(kS3) and B, on Delta(1) of
+k^2 # kZ2, k^3 # kS3 and B, and on seeded operands: 0, 1 and many terms, two
+legs over one algebra or two, cancelling terms, running sums that pass
+through 0 and non-unital product tensors.  `tensor_mul_sparse` multiplies in
+A (x) B only; the reference takes any number of legs.
 """
 
 import random
@@ -14,15 +18,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from hopfsmash.exactlin import Tensor3
+from hopfsmash import demos as dm
+from hopfsmash.exactlin import LinearMap, Tensor3
 from hopfsmash.hopfcore import (
     StructureAlgebra,
     StructureCoalgebra,
-    add_outer3,
     hexagon_sides,
     tensor_mul_sparse,
     unit_products,
 )
+from hopfsmash.modalg import separability
+from hopfsmash.qtriang import trivial_qt
+from hopfsmash.smashcons import smash_algebra, smash_weak_structure
+from hopfsmash.weakhopf import WeakHopfData, unit_weak_comult_sides
 
 # ---------------------------------------------------------------------------
 # references: every pair of terms
@@ -37,7 +45,9 @@ def _add(acc, key, c):
         acc.pop(key, None)
 
 
-def _tensor_mul_reference(algs, u, v):
+def _tensor_mul_reference(algs, u, v, add=_add):
+    """The product in A_1 (x) ... (x) A_m over every pair of terms, each term
+    summed by add."""
     out = {}
     tabs = [alg.mult._rows for alg in algs]
     for ka, ca in u.items():
@@ -48,27 +58,59 @@ def _tensor_mul_reference(algs, u, v):
                 for row in legs:
                     terms = [(key + (k,), c * w) for key, c in terms for k, w in row]
                 for key, c in terms:
-                    _add(out, key, c)
+                    add(out, key, c)
     return out
 
 
-def _hexagon_reference(alg, coal, r):
+def _outer3(add, acc, c, u, v, w):
+    for i, ci in u:
+        for j, cj in v:
+            for k, ck in w:
+                add(acc, (i, j, k), c * ci * cj * ck)
+
+
+def _hexagon_reference(alg, coal, r, add=_add):
     times_one, one_times = unit_products(alg, {z for key in r for z in key})
     d_id, id_d, r13r23, r13r12 = {}, {}, {}, {}
     for (a, b), c in r.items():
         for j, k, w in coal.comul_row(a):
-            _add(d_id, (j, k, b), c * w)
+            add(d_id, (j, k, b), c * w)
         for j, k, w in coal.comul_row(b):
-            _add(id_d, (a, j, k), c * w)
+            add(id_d, (a, j, k), c * w)
         for (x, y), cxy in r.items():
-            add_outer3(r13r23, c * cxy, times_one[a], one_times[x], alg.mul_row(b, y))
-            add_outer3(r13r12, c * cxy, alg.mul_row(a, x), one_times[y], times_one[b])
+            _outer3(add, r13r23, c * cxy, times_one[a], one_times[x], alg.mul_row(b, y))
+            _outer3(add, r13r12, c * cxy, alg.mul_row(a, x), one_times[y], times_one[b])
     return d_id, r13r23, id_d, r13r12
+
+
+def _unit_weak_reference(w, add=_add):
+    """(Delta (x) id) Delta(1) and both orders of the weak unit products over
+    every pair of terms of Delta(1)."""
+    alg, d1 = w.algebra, w.delta_one
+    times_one, one_times = unit_products(alg, {z for key in d1 for z in key})
+    lhs, order1, order2 = {}, {}, {}
+    for (a, b), c in d1.items():
+        for p, q, cw in w.coalgebra.comul_row(a):
+            add(lhs, (p, q, b), c * cw)
+        for (a2, b2), c2 in d1.items():
+            _outer3(add, order1, c * c2, times_one[a], alg.mul_row(b, a2), one_times[b2])
+            _outer3(add, order2, c * c2, one_times[a2], alg.mul_row(a, b2), times_one[b])
+    return lhs, order1, order2
+
+
+def _typed(d):
+    """(key, value, scalar type) of each entry of d, an integral value as an
+    int, sorted by key."""
+    out = []
+    for k, v in sorted(d.items()):
+        v = int(v) if F(v).denominator == 1 else v
+        out.append((k, v, type(v)))
+    return out
 
 
 def _same(got, want):
     assert got == want
-    assert sorted(got.items()) == sorted(want.items())    # keys and values, listed
+    assert [(k, v, type(v)) for k, v in sorted(got.items())] == _typed(want)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +149,17 @@ def test_hexagon_sides_match_the_all_pairs_loop(r_worlds, world):
             _same(got, want)
 
 
+@pytest.mark.parametrize("world", ["k^2 # kZ2", "k^3 # kS3", "B"])
+def test_unit_weak_sides_match_the_all_pairs_loop(kz2, sws18, b54, world):
+    if world == "k^2 # kZ2":
+        m = dm.k2_module_algebra_over_z2(kz2)
+        w = smash_weak_structure(smash_algebra(m), trivial_qt(kz2), separability(m)).wha
+    else:
+        w = sws18.wha if world == "k^3 # kS3" else b54.wha
+    for got, want in zip(unit_weak_comult_sides(w), _unit_weak_reference(w)):
+        _same(got, want)
+
+
 # ---------------------------------------------------------------------------
 # seeded operands
 # ---------------------------------------------------------------------------
@@ -134,7 +187,7 @@ def test_seeded_products_match_the_all_pairs_loop(seed):
     rng = random.Random(seed)
     a = _random_algebra(rng, rng.randint(2, 6), rng.choice((0.05, 0.2, 0.5)))
     b = _random_algebra(rng, rng.randint(2, 6), rng.choice((0.05, 0.2, 0.5)))
-    for algs in ((a, a), (a, b), (b, a, a), (a, b, b)):
+    for algs in ((a, a), (a, b), (b, a), (b, b)):
         dims = [alg.dim for alg in algs]
         for su in (0, 1, 3, 30):
             for sv in (0, 1, 3, 30):
@@ -172,3 +225,66 @@ def test_seeded_hexagon_sides_match_the_all_pairs_loop(seed):
         r = _random_element(rng, (n, n), size)
         for got, want in zip(hexagon_sides(alg, coal, r), _hexagon_reference(alg, coal, r)):
             _same(got, want)
+
+
+def test_tensor_mul_sparse_refuses_other_than_two_legs():
+    rng = random.Random(5)
+    a = _random_algebra(rng, 3, 0.5)
+    for algs in ((), (a,), (a, a, a), (a, a, a, a)):
+        dims = [alg.dim for alg in algs]
+        for size in (0, 4):
+            u, v = _random_element(rng, dims, size), _random_element(rng, dims, size)
+            with pytest.raises(ValueError, match="A \\(x\\) B"):
+                tensor_mul_sparse(algs, u, v)
+
+
+# ---------------------------------------------------------------------------
+# running sums through 0: the kernels' scalar types
+# ---------------------------------------------------------------------------
+
+HALVES = (1, -1, 2, F(1, 2), F(-1, 2), F(3, 2), F(-3, 2))
+
+
+def _kept(acc, key, c):
+    """Sum without dropping a zero: a Fraction(0) stays, and a later int term
+    ends as a Fraction."""
+    acc[key] = acc.get(key, 0) + c
+
+
+def _retyped(side):
+    """The keys of side whose value a zero-keeping sum typed differently from
+    the reference's int-where-integral value."""
+    return [k for k, _, t in _typed(side) if type(side[k]) is not t]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_running_sums_through_zero_keep_int_where_integral(seed):
+    # dense integral products on few indices and operands (and units) in
+    # halves: many
+    # keys take several terms, and a sum that passes through 0 before an int
+    # term arrives is a Fraction(0) plus an int in a zero-keeping accumulator
+    rng = random.Random(seed)
+    n = rng.randint(2, 3)
+    entries = [(i, j, k, rng.choice((1, -1, 2))) for i in range(n) for j in range(n)
+               for k in range(n) if rng.random() < 0.6]
+    alg = StructureAlgebra(n, Tensor3.from_entries((n, n, n), entries), (1,) + (0,) * (n - 1))
+    coal = StructureCoalgebra(n, _random_algebra(rng, n, 0.5).mult, (1,) * n)
+    algs2 = (alg, alg)
+    retyped = {"product": 0, "hexagon": 0, "unit weak": 0}
+    for _ in range(30):
+        u = {(rng.randrange(n), rng.randrange(n)): rng.choice(HALVES) for _ in range(8)}
+        v = {(rng.randrange(n), rng.randrange(n)): rng.choice(HALVES) for _ in range(8)}
+        unit = tuple(rng.choice(HALVES) for _ in range(n))
+        w = WeakHopfData(StructureAlgebra(n, alg.mult, unit), coal, LinearMap.identity(n))
+        _same(tensor_mul_sparse(algs2, u, v), _tensor_mul_reference(algs2, u, v))
+        for got, want in zip(hexagon_sides(alg, coal, u), _hexagon_reference(alg, coal, u)):
+            _same(got, want)
+        for got, want in zip(unit_weak_comult_sides(w), _unit_weak_reference(w)):
+            _same(got, want)
+        kept = {"product": [_tensor_mul_reference(algs2, u, v, _kept)],
+                "hexagon": _hexagon_reference(alg, coal, u, _kept),
+                "unit weak": _unit_weak_reference(w, _kept)}
+        for kernel, sides in kept.items():
+            retyped[kernel] += sum(len(_retyped({k: c for k, c in side.items() if c}))
+                                   for side in sides)
+    assert all(retyped.values())    # the seeded operands reach the case for each kernel
