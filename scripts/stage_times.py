@@ -15,12 +15,13 @@ hexagons (`hexagon_sides`) timed apart; `adjoint_action_tensor`; `transmute` wit
 `decompose_hr` of the braided group and `wedderburn_blocks` of D(kG), the
 largest eliminations of the pipeline; and `double_smash_decomposition`, split
 into its builds of the carrier of H # D(kG) (`smash_carrier`) and of
-Heis(kG^cop) (`heisenberg_double`), and its `total_map_multiplicative` scan
-(`tensor_map_failures`, which reads the products of Heis(kG^cop) (x) kG off
-the two factors, timed while its failures are drawn).  A stage named
-after --skip is left out; H # D(kG) has dimension |G|^3, so on s4 that is the
-decomposition.  The table is markdown, one line per stage, with the median
-over the runs.
+Heis(kG^cop) (`heisenberg_double`), its `C_equals_full_centralizer`
+elimination (`StructureAlgebra.centralizer_basis`), and its
+`total_map_multiplicative` scan (`tensor_map_failures`, which reads the
+products of Heis(kG^cop) (x) kG off the two factors, timed while its failures
+are drawn).  A stage named after --skip is left out; H # D(kG) has dimension
+|G|^3, so on s4 that is the decomposition.  The table is markdown, one line
+per stage, with the median over the runs.
 """
 
 import argparse
@@ -48,14 +49,15 @@ STAGES = ("drinfeld_double", "  build", "  product", "  coproduct", "  verify_ho
           "  verify_qt", "    intertwines_comult", "    hexagon_sides", "adjoint_action_tensor", "transmute", "verify_braided_group",
           "almost_triangular_equivalences", "decompose_hr", "wedderburn_blocks",
           "double_smash_decomposition", "  smash_carrier", "  heisenberg_double",
-          "  total_map_multiplicative")
+          "  centralizer_basis", "  total_map_multiplicative")
 # sub-row of verify_qt -> the hopfcore name it times
 QT_PARTS = {"    intertwines_comult": "intertwining_failures",
             "    hexagon_sides": "hexagon_sides"}
-# sub-row of double_smash_decomposition -> the smashcons name it times
-DECOMPOSITION_PARTS = {"  smash_carrier": "smash_carrier",
-                       "  heisenberg_double": "heisenberg_double",
-                       "  total_map_multiplicative": "tensor_map_failures"}
+# sub-row of double_smash_decomposition -> (owner, name) of what it times
+DECOMPOSITION_PARTS = {"  smash_carrier": (smashcons, "smash_carrier"),
+                       "  heisenberg_double": (smashcons, "heisenberg_double"),
+                       "  centralizer_basis": (hopfcore.StructureAlgebra, "centralizer_basis"),
+                       "  total_map_multiplicative": (smashcons, "tensor_map_failures")}
 
 
 def host_table(name: str):
@@ -138,12 +140,12 @@ def one_run(h, skip) -> dict:
     stage("wedderburn_blocks", lambda: wedderburn_blocks(dh.algebra))
     parts: dict = {}
     with ExitStack() as stack:
-        for name in DECOMPOSITION_PARTS.values():
-            stack.enter_context(timed(smashcons, name, parts))
+        for owner, name in DECOMPOSITION_PARTS.values():
+            stack.enter_context(timed(owner, name, parts))
         stage("double_smash_decomposition",
               lambda: double_smash_decomposition(h, (dh, q)).require())
     if "double_smash_decomposition" in out:
-        out.update((row, parts.get(name, 0.0)) for row, name in DECOMPOSITION_PARTS.items())
+        out.update((row, parts.get(name, 0.0)) for row, (_, name) in DECOMPOSITION_PARTS.items())
     return out
 
 

@@ -292,7 +292,7 @@ def nw_direct_sum_report(w: ComoduleData, h: HopfData, components,
         comp_bases.append(emb)
         embedded_all.extend(emb)
     rep.add("components_span_nw",
-            Subspace(full.basis, full.ambient.dim) == Subspace(embedded_all, full.ambient.dim))
+            span_basis(full.basis, full.ambient.dim) == span_basis(embedded_all, full.ambient.dim))
     rep.check("cross_products_vanish",
               ((ci, cj) for ci, bi in enumerate(comp_bases) for cj, bj in enumerate(comp_bases)
                if ci != cj and any(full.ambient.mul_sparse(u, v) for u in bi for v in bj)))

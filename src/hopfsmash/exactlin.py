@@ -118,11 +118,15 @@ def sp(v) -> dict:
 
 
 def sp_add(acc: dict, key, c) -> None:
-    w = acc.get(key, 0) + c
-    if w == 0:
-        acc.pop(key, None)
-    else:
+    """acc[key] += c, a key's first term stored as it is; zeros are dropped."""
+    w = acc.get(key)
+    if w is None:
+        if c:
+            acc[key] = c
+    elif w := w + c:
         acc[key] = w
+    else:
+        del acc[key]
 
 
 def sp_nonzero(acc: dict) -> dict:
@@ -351,21 +355,38 @@ def _check_dim(v: dict, dim: int) -> dict:
     return v
 
 
+def _subtract(v: dict, c, row: dict) -> None:
+    """v -= c row in place, for c != 0 and a row without zeros; an entry that
+    cancels is deleted."""
+    get = v.get
+    for k, x in row.items():
+        w = get(k)
+        if w is None:
+            v[k] = -c * x
+        elif w := w - c * x:
+            v[k] = w
+        else:
+            del v[k]
+
+
 class Echelon:
     """A subspace grown one vector at a time, as echelon rows with leading
     coefficient 1 kept by leading index.  Echelon(rows) is the span of the
-    given sparse rows, read with their zero entries dropped.  residue(v)
-    reduces v in place and returns it, empty exactly when v lies in the span;
-    so pass a copy of a vector the caller still holds.  add(v) takes a nonzero
-    residue in as a row and returns that row.  reduced() lists the rows in
-    reduced echelon form."""
+    given sparse rows, read with their zero entries dropped; an empty row is
+    skipped uncopied.  residue(v) reduces v, a vector without zero entries,
+    in place and returns it, empty exactly when v lies in the span; so pass a
+    copy of a vector the caller still holds.  add(v) takes a nonzero residue
+    in as a row and returns that row: a residue led by the int 1 or -1
+    becomes the row itself (negated for -1, an integral Fraction written as
+    its int), with no division.  reduced() lists the rows in reduced echelon
+    form."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows=()):
         self.rows: dict = {}    # leading index -> row, leading coefficient 1
         for row in rows:
-            if v := self.residue({j: x for j, x in row.items() if x}):
+            if row and (v := self.residue({j: x for j, x in row.items() if x})):
                 self.add(v)
 
     def residue(self, v: dict) -> dict:
@@ -375,15 +396,22 @@ class Echelon:
             row = rows.get(lead)
             if row is None:
                 return v
-            c = v[lead]
-            for k, x in row.items():
-                sp_add(v, k, -c * x)
+            _subtract(v, v[lead], row)
         return v
 
     def add(self, v: dict) -> dict:
         lead = min(v)
         c = v[lead]
-        row = self.rows[lead] = {k: qdiv(x, c) for k, x in v.items()}
+        if type(c) is int and c in (1, -1):
+            for k, x in v.items():
+                if type(x) is not int and x.denominator == 1:
+                    v[k] = x = x.numerator
+                if c == -1:
+                    v[k] = -x
+            row = v
+        else:
+            row = {k: qdiv(x, c) for k, x in v.items()}
+        self.rows[lead] = row
         return row
 
     def reduced(self) -> list:
@@ -397,9 +425,7 @@ class Echelon:
             # a reduced row holds no lead but its own, so clearing one lead
             # of row adds no other
             for j in [j for j in row if j in done]:
-                c = row[j]
-                for k, x in done[j].items():
-                    sp_add(row, k, -c * x)
+                _subtract(row, row[j], done[j])
             done[lead] = row
         return [{k: rat(x) for k, x in sorted(done[lead].items())} for lead in leads]
 
@@ -439,7 +465,7 @@ def span_closure(seed, images, dim: int) -> list:
 
     def take(vectors) -> None:
         for v in vectors:
-            if v := ech.residue(dict(_check_dim(v, dim))):
+            if v := ech.residue({j: x for j, x in _check_dim(v, dim).items() if x}):
                 todo.append(ech.add(v))
 
     take(seed)
@@ -839,11 +865,14 @@ class Tensor3:
             for j, cj in x_sp.items():
                 c = ci * cj
                 for k, w in ri[j]:
-                    v = out.get(k, 0) + c * w
-                    if v == 0:
-                        out.pop(k, None)
-                    else:
+                    v = out.get(k)
+                    if v is None:
+                        if v := c * w:
+                            out[k] = v
+                    elif v := v + c * w:
                         out[k] = v
+                    else:
+                        del out[k]
         return out
 
     def entry(self, i: int, j: int, k: int) -> int | Fraction:

@@ -88,16 +88,10 @@ class StructureAlgebra(Record):
         """verify_algebra(self), computed once; shared, so read it."""
         return verify_algebra(self)
 
-    def is_commutative(self) -> bool:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.mul_row(i, j) != self.mul_row(j, i):
-                    return False
-        return True
-
     def centralizer_basis(self, vectors) -> list:
         """Exact basis of {w : w v = v w for all given v}: the kernel of the
-        sparse rows of w |-> w v - v w, read off the multiplication rows."""
+        nonempty sparse rows of w |-> w v - v w, read off the multiplication
+        rows."""
         n = self.dim
         rows = self.mult._rows
         eqs = []
@@ -110,7 +104,7 @@ class StructureAlgebra(Record):
                         sp_add(m[r], c, cj * w)
                     for r, w in rj[c]:
                         sp_add(m[r], c, -cj * w)
-            eqs.extend(m)
+            eqs.extend(filter(None, m))
         return kernel_basis(eqs, n)
 
     def center_basis(self) -> list:
@@ -659,10 +653,24 @@ def intertwining_failures(alg: StructureAlgebra, coal: StructureCoalgebra, r: di
 
 
 def unit_products(alg: StructureAlgebra, legs) -> tuple:
-    """({z: z 1}, {z: 1 z}) for z in legs, as tuples of (index, coefficient)."""
-    one = alg.unit_sparse
-    return ({z: tuple(alg.mul_sparse({z: 1}, one).items()) for z in legs},
-            {z: tuple(alg.mul_sparse(one, {z: 1}).items()) for z in legs})
+    """({z: z 1}, {z: 1 z}) for z in legs, as tuples of (index, coefficient).
+    Each term u of the unit, in its order, is read only at the z of legs
+    whose cell (z, u), resp. (u, z), alg.support lists as nonempty."""
+    one, rows = alg.unit_sparse, alg.mult._rows
+    right, left = alg.support
+    times_one: dict = {z: {} for z in legs}
+    one_times: dict = {z: {} for z in legs}
+    for u, cu in one.items():
+        for z in left[u]:
+            if (acc := times_one.get(z)) is not None:
+                for k, w in rows[z][u]:
+                    sp_add(acc, k, cu * w)
+        for z in right[u]:
+            if (acc := one_times.get(z)) is not None:
+                for k, w in rows[u][z]:
+                    sp_add(acc, k, cu * w)
+    return ({z: tuple(acc.items()) for z, acc in times_one.items()},
+            {z: tuple(acc.items()) for z, acc in one_times.items()})
 
 
 def add_outer3(acc: dict, c, u, v, w) -> None:
@@ -989,21 +997,6 @@ class GroupTable(Record):
             if self.table[i][j] == self.identity:
                 return j
         raise ValueError(f"element {i} has no inverse")
-
-    def conjugacy_classes(self) -> list:
-        n = self.order
-        seen = [False] * n
-        classes = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            cls = set()
-            for g in range(n):
-                cls.add(self.table[self.table[g][i]][self.inv(g)])
-            for x in cls:
-                seen[x] = True
-            classes.append(sorted(cls))
-        return classes
 
 
 def group_algebra(table: GroupTable) -> HopfData:

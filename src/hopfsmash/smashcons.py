@@ -110,10 +110,6 @@ class SmashProduct(Record):
         """(a |-> a # 1, h |-> 1 # h) as LinearMaps into A # H."""
         return inclusions(self.A_mod.A, self.H.algebra)
 
-    def include_a(self, a_sp: dict) -> dict:
-        """a |-> a # 1."""
-        return self.factor_inclusions[0].apply_sparse(a_sp)
-
     @property
     def h_inclusion(self) -> LinearMap:
         """The map H -> A#H, h |-> 1 # h."""
@@ -281,8 +277,8 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
             tensor_mul_sparse(algs2, one_t, one_t) == one_t)
 
     # target subalgebra A # 1 and source subalgebra {R^2.a # R^1}
-    rep.add("target_is_A_smash_1", Subspace(wha.target_basis, n) == Subspace(a_in.cols, n))
-    rep.add("source_is_Rtwisted_A", Subspace(wha.source_basis, n) == Subspace(twist.cols, n))
+    rep.add("target_is_A_smash_1", list(wha.target_basis) == span_basis(a_in.cols, n))
+    rep.add("source_is_Rtwisted_A", list(wha.source_basis) == span_basis(twist.cols, n))
 
     out = SmashWeakStructure(s, q, sep, wha, rep)
     rep.require()
@@ -509,9 +505,9 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
 
     # B_t = target(A) ~ A and B_s = sigma(A) ~ A^op
     rep.add("target_matches_closed_form",
-            Subspace(wha.target_basis, n) == Subspace(target.cols, n))
+            list(wha.target_basis) == span_basis(target.cols, n))
     rep.add("source_matches_closed_form",
-            Subspace(wha.source_basis, n) == Subspace(sigma.cols, n))
+            list(wha.source_basis) == span_basis(sigma.cols, n))
     rep.merge(check_map(target, A, carrier, ("algebra", "injective")), "target_iso.")
     rep.merge(check_map(sigma, a_op, carrier, ("algebra", "injective")), "source_iso.")
 
@@ -569,7 +565,7 @@ def phi_embed(sws: SmashWeakStructure, b: BAlgebra):
             diff_cols.append(lhs)
         rows.extend(LinearMap(n_b, n_b, diff_cols).transpose().cols)
     equalizer = kernel_basis(rows, n_b)
-    rep.add("image_equals_equalizer", Subspace(image, n_b) == Subspace(equalizer, n_b))
+    rep.add("image_equals_equalizer", image == span_basis(equalizer, n_b))
     rep.add("image_dimension", len(image) == s.carrier.dim, (len(image),))
     rep.require()
     return f, tuple(image), rep
@@ -670,7 +666,7 @@ def double_smash_decomposition(h: HopfData, double=None) -> VerificationReport:
     acting = ([iota_cols[u] for u in hei.generators] if iota.find("algebra_map").passed
               else iota_cols)
     rep.add("C_equals_full_centralizer",
-            Subspace(big.centralizer_basis(acting), ntot) == Subspace(c_cols, ntot))
+            span_basis(big.centralizer_basis(acting), ntot) == span_basis(c_cols, ntot))
 
     # total map mu: (y (x) t) |-> iota(y) c(t) on Heis (x) H, flat index
     # y * n + t; with the rank it certifies the carrier.  Its products are
@@ -830,7 +826,7 @@ def groupoid_case_study(table: GroupTable, point_action, h: HopfData | None = No
         tuple(stab.index(table.table[g1][g2]) for g2 in stab) for g1 in stab)))
     cvecs = [c_of(g1) for g1 in stab]
     rep.add("centralizer_is_stabilizer_algebra",
-            Subspace(cen, s.carrier.dim) == Subspace(cvecs, s.carrier.dim))
+            span_basis(cen, s.carrier.dim) == span_basis(cvecs, s.carrier.dim))
     rep.merge(check_map(LinearMap(len(stab), s.carrier.dim, cvecs), k_stab, s.carrier,
                         ("algebra", "injective")), "c.")
 

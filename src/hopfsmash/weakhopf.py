@@ -14,6 +14,7 @@ import itertools
 from functools import cached_property
 
 from .exactlin import (
+    Echelon,
     LinearMap,
     Record,
     Tensor3,
@@ -78,12 +79,18 @@ class WeakHopfData(HopfData):
     @cached_property
     def counit_form_pivots(self) -> tuple:
         """(F, H): indices of rows of T = _eps_of_prod, T[f][h] = eps(e_f e_h),
-        that span its row space, and of columns that span its column space;
-        the pivot columns of the RREF of T's columns and of T's rows, read as
-        the leading index of each canonical basis row."""
-        t = self.counit_form
-        return (tuple(min(row) for row in span_basis(t.transpose().cols, self.dim)),
-                tuple(min(row) for row in span_basis(t.cols, self.dim)))
+        that span its row space, and of columns that span its column space,
+        from one elimination of T's rows in index order.  F is the rows with a
+        nonzero residue, the greedy independent rows, which are the pivot
+        columns of the RREF of T's columns; H is the leads of the echelon,
+        the pivot columns of the RREF of T's rows."""
+        ech = Echelon()
+        fs = []
+        for f, row in enumerate(self._eps_of_prod):
+            if row and (v := ech.residue(dict(row))):
+                ech.add(v)
+                fs.append(f)
+        return tuple(fs), tuple(sorted(ech.rows))
 
     @cached_property
     def eps_s(self) -> LinearMap:
@@ -458,36 +465,6 @@ def groupoid_wha(g: GroupoidData) -> WeakHopfData:
                      StructureCoalgebra(n, comult, counit), anti)
     w.report.require()
     return w
-
-
-def pair_groupoid(t: int) -> GroupoidData:
-    """Morphisms (i, j): j -> i; the groupoid algebra is M_t(k)."""
-    morphs = [(i, j) for i in range(t) for j in range(t)]
-    idx = {m: a for a, m in enumerate(morphs)}
-    compose = tuple(
-        tuple(idx[(i, l)] if j == k else None for (k, l) in morphs)
-        for (i, j) in morphs)
-    return GroupoidData(
-        n_objects=t,
-        sources=tuple(j for (_, j) in morphs),
-        targets=tuple(i for (i, _) in morphs),
-        compose=compose,
-        identities=tuple(idx[(o, o)] for o in range(t)),
-        inverses=tuple(idx[(j, i)] for (i, j) in morphs),
-    )
-
-
-def one_object_groupoid(table) -> GroupoidData:
-    """A group, seen as a groupoid on one object."""
-    n = table.order
-    return GroupoidData(
-        n_objects=1,
-        sources=(0,) * n,
-        targets=(0,) * n,
-        compose=tuple(tuple(table.table[i][j] for j in range(n)) for i in range(n)),
-        identities=(table.identity,),
-        inverses=tuple(table.inv(i) for i in range(n)),
-    )
 
 
 def transformation_groupoid(table, point_action) -> GroupoidData:

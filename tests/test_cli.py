@@ -1042,20 +1042,25 @@ def test_stage_times_splits_the_decomposition_and_restores_smashcons(monkeypatch
     import importlib
     from pathlib import Path
 
-    from hopfsmash import smashcons
+    from hopfsmash import hopfcore, smashcons
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
     stage_times = importlib.import_module("stage_times")
-    names = stage_times.DECOMPOSITION_PARTS.values()
-    before = [getattr(smashcons, name) for name in names]
+    timed = stage_times.DECOMPOSITION_PARTS.values()
+    before = [vars(owner)[name] for owner, name in timed]
     assert stage_times.main(["z2", "--runs", "1"]) == 0
-    assert [getattr(smashcons, name) for name in names] == before
+    assert [vars(owner)[name] for owner, name in timed] == before
     rows = {line.split("`")[1]: float(line.split("|")[2])
             for line in capsys.readouterr().out.splitlines()[3:]}
     parts = [rows[row.strip()] for row in stage_times.DECOMPOSITION_PARTS]
     # each part ran, and the parts, timed apart, fit inside the whole; the
     # scan reads Heis (x) H off its factors, so no tensor_algebra row is left
     assert all(s > 0 for s in parts) and sum(parts) <= rows["double_smash_decomposition"]
-    assert stage_times.DECOMPOSITION_PARTS["  total_map_multiplicative"] == "tensor_map_failures"
+    assert stage_times.DECOMPOSITION_PARTS["  total_map_multiplicative"] == (
+        smashcons, "tensor_map_failures")
+    # the centralizer elimination of C_equals_full_centralizer is timed on
+    # the method itself, the one StructureAlgebra.centralizer_basis
+    assert stage_times.DECOMPOSITION_PARTS["  centralizer_basis"] == (
+        hopfcore.StructureAlgebra, "centralizer_basis")
     assert "tensor_algebra" not in rows
     assert stage_times.main(["z2", "--runs", "1", "--skip", "double_smash_decomposition"]) == 0
     out = capsys.readouterr().out

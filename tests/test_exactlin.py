@@ -24,6 +24,7 @@ from hopfsmash.exactlin import (
     rat_str,
     sorted_cell,
     sp,
+    sp_add,
     span_basis,
     split,
 )
@@ -422,6 +423,128 @@ def test_explicit_zeros_are_read_as_absent_entries():
     assert f.rank() == 2
     assert f.inverse() == LinearMap(2, 2, ({1: 1}, {0: F(1, 2)}))
     assert LinearMap(2, 2, ({0: 0}, {1: F(1)})).inverse() is None
+
+
+
+# pivots of 1 and -1 as ints and as Fractions, entries whose sums end at an
+# integral Fraction, and explicit zeros
+ECHELON_SCALARS = (1, -1, F(1), F(-1), 2, -3, F(1, 2), F(-3, 2), F(4, 3), F(2), 0)
+
+
+def _seeded_system(rng, ncols):
+    """Sparse rows over ECHELON_SCALARS: empty rows, and combinations of two
+    earlier rows (explicit zeros kept) for dependence and cancellation."""
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append({})
+        elif roll < 0.35 and rows:
+            a, b, c = rng.choice(rows), rng.choice(rows), rng.choice(ECHELON_SCALARS)
+            rows.append({j: a.get(j, 0) + c * b.get(j, 0) for j in a.keys() | b.keys()})
+        else:
+            rows.append({rng.randrange(ncols): rng.choice(ECHELON_SCALARS)
+                         for _ in range(rng.randint(1, 4))})
+    return rows
+
+
+def _assert_typed(x):
+    assert type(x) is (int if F(x).denominator == 1 else F)
+
+
+def test_echelon_matches_an_all_fraction_reference():
+    # Echelon's leads, residues and reduced rows, kernel_basis and span_basis
+    # against dense Gauss-Jordan over Fractions, with every scalar an int
+    # exactly where integral, in the stored rows as in the reduced ones
+    reached = {"unit pivot, integral Fraction": 0, "pivot -1": 0, "Fraction pivot +-1": 0,
+               "empty row": 0, "explicit zero": 0}
+    for seed in range(120):
+        rng = random.Random(seed)
+        ncols = rng.randint(1, 9)
+        rows = _seeded_system(rng, ncols)
+        dense = [tuple(F(r.get(j, 0)) for j in range(ncols)) for r in rows]
+        ref = _dense_rref(dense, ncols)
+        ech = Echelon()
+        for row in rows:
+            reached["empty row"] += not row
+            reached["explicit zero"] += 0 in row.values()
+            if v := ech.residue({j: x for j, x in row.items() if x}):
+                lead = v[min(v)]
+                unit = type(lead) is int and lead in (1, -1)
+                reached["pivot -1"] += unit and lead == -1
+                reached["Fraction pivot +-1"] += type(lead) is F and lead in (1, -1)
+                reached["unit pivot, integral Fraction"] += unit and any(
+                    type(x) is F and x.denominator == 1 for x in v.values())
+                ech.add(v)
+        assert ech.rows == Echelon(rows).rows
+        assert sorted(ech.rows) == list(_dense_pivots(ref))
+        for lead, row in ech.rows.items():
+            assert min(row) == lead and row[lead] == 1 and all(row.values())
+            for x in row.values():
+                _assert_typed(x)
+        got = ech.reduced()
+        _assert_reduced_form(got)
+        assert [_dense(r, ncols) for r in got] == ref
+        assert span_basis(rows, ncols) == got
+        kernel = kernel_basis(rows, ncols)
+        assert [_dense(v, ncols) for v in kernel] == _dense_kernel(dense, ncols)
+        for v in kernel:
+            for x in v.values():
+                _assert_typed(x)
+        # residues: members of the span (combinations of the rows) and
+        # arbitrary vectors
+        for _ in range(4):
+            if rows and rng.random() < 0.5:
+                coeffs = [rng.choice(ECHELON_SCALARS) for _ in rows]
+                q = {j: x for j in range(ncols)
+                     if (x := sum(c * r.get(j, 0) for c, r in zip(coeffs, rows)))}
+            else:
+                q = {rng.randrange(ncols): rng.choice(ECHELON_SCALARS) for _ in range(3)}
+                q = {j: x for j, x in q.items() if x}
+            in_span = len(_dense_rref(ref + [_dense(q, ncols)], ncols)) == len(ref)
+            assert (not ech.residue(dict(q))) == in_span
+    assert all(reached.values()), reached
+
+
+def _zero_start_add(acc, key, c):
+    """acc[key] += c from a zero start, zeros dropped, kept as the reference."""
+    w = acc.get(key, 0) + c
+    if w == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = w
+
+
+def _entries(d):
+    """(key, value, scalar type) of each entry of d, in its order."""
+    return [(k, v, type(v)) for k, v in d.items()]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_first_terms_are_stored_as_they_are(seed):
+    # sp_add and Tensor3.act store a key's first term where the reference
+    # adds it to 0: the same entries, order and scalar types, zeros dropped,
+    # over int and Fraction terms, Fraction(0) and int 0 among them
+    rng = random.Random(seed)
+    scalars = (*ECHELON_SCALARS, F(0))
+    acc, ref = {}, {}
+    for _ in range(300):
+        key, c = rng.randrange(6), rng.choice(scalars)
+        sp_add(acc, key, c)
+        _zero_start_add(ref, key, c)
+        assert _entries(acc) == _entries(ref)
+    n = rng.randint(2, 5)
+    t = Tensor3.from_entries((n, n, n), [(i, j, k, rng.choice(ECHELON_SCALARS))
+                                         for i in range(n) for j in range(n) for k in range(n)
+                                         if rng.random() < 0.4])
+    for _ in range(10):
+        h, x = ({rng.randrange(n): rng.choice(scalars) for _ in range(3)} for _ in range(2))
+        want = {}
+        for i, ci in h.items():
+            for j, cj in x.items():
+                for k, w in t.row(i, j):
+                    _zero_start_add(want, k, ci * cj * w)
+        assert _entries(t.act(h, x)) == _entries(want)
 
 
 def test_span_utilities():

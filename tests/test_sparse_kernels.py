@@ -227,6 +227,30 @@ def test_seeded_hexagon_sides_match_the_all_pairs_loop(seed):
             _same(got, want)
 
 
+
+@pytest.mark.parametrize("seed", range(12))
+def test_unit_products_are_the_sums_over_every_unit_term(seed):
+    # z 1 and 1 z over every term of a seeded unit of several terms, empty
+    # cells included: the same entries, raw scalar types and order of first
+    # arrival as summing each term in turn
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    unit = tuple(rng.choice(COEFFS) if rng.random() < 0.6 else 0 for _ in range(n))
+    alg = StructureAlgebra(n, _random_algebra(rng, n, rng.choice((0.1, 0.4))).mult, unit)
+    times_one, one_times = unit_products(alg, range(n))
+    rows = alg.mult._rows
+    for z in range(n):
+        right, left = {}, {}
+        for u, cu in ((u, cu) for u, cu in enumerate(unit) if cu):
+            for k, w in rows[z][u]:
+                _add(right, k, cu * w)
+            for k, w in rows[u][z]:
+                _add(left, k, cu * w)
+        for got, want in ((times_one[z], right), (one_times[z], left)):
+            assert got == tuple(want.items())
+            assert [type(c) for _, c in got] == list(map(type, want.values()))
+
+
 def test_tensor_mul_sparse_refuses_other_than_two_legs():
     rng = random.Random(5)
     a = _random_algebra(rng, 3, 0.5)

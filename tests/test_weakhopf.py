@@ -5,7 +5,8 @@ import pytest
 from hopfsmash import adjstable
 from hopfsmash import demos as dm
 from hopfsmash import weakhopf
-from hopfsmash.exactlin import LinearMap, Subspace, Tensor3, TensorElem, rank, sp, vec_dot
+from hopfsmash.exactlin import (LinearMap, Subspace, Tensor3, TensorElem, rank, sp, span_basis,
+                                vec_dot)
 from hopfsmash.hopfcore import (
     HopfData,
     StructureAlgebra,
@@ -14,7 +15,9 @@ from hopfsmash.hopfcore import (
     tensor_mul_sparse,
     verify_hopf,
 )
-from hopfsmash.qtriang import verify_qt
+from hopfsmash.modalg import separability
+from hopfsmash.qtriang import trivial_qt, verify_qt
+from hopfsmash.smashcons import smash_algebra, smash_weak_structure
 from hopfsmash.weakhopf import (
     GroupoidData,
     WeakHopfData,
@@ -23,14 +26,13 @@ from hopfsmash.weakhopf import (
     check_wha_morphism,
     counital_data,
     groupoid_wha,
-    one_object_groupoid,
-    pair_groupoid,
     transformation_groupoid,
     unit_weak_comult_sides,
     verify_weak_bialgebra,
     verify_weak_hopf,
     verify_weak_qt,
 )
+from reference import one_object_groupoid, pair_groupoid
 
 
 def test_hopf_inputs_pass_weak_verifiers(kz2, ks3):
@@ -290,6 +292,36 @@ def _smash_twin(w, comult_cell=None, counit_idx=None, mult_cell=None):
         d[i][j][k] += 1
         alg = StructureAlgebra(n, Tensor3.from_dense(d), w.unit)
     return WeakHopfData(alg, coal, w.antipode)
+
+
+def _two_rref_pivots(w):
+    """(F, H) as two eliminations read them, kept as the reference: the pivot
+    columns of the RREF of T's columns and of the RREF of T's rows."""
+    t = w.counit_form
+    return (tuple(min(row) for row in span_basis(t.transpose().cols, w.dim)),
+            tuple(min(row) for row in span_basis(t.cols, w.dim)))
+
+
+TWINS = {"mult (3, 2, 5)": {"mult_cell": (3, 2, 5)}, "mult (0, 0, 1)": {"mult_cell": (0, 0, 1)},
+         "mult (12, 6, 0)": {"mult_cell": (12, 6, 0)}, "comult (5, 1, 2)": {"comult_cell": (5, 1, 2)},
+         "counit 7": {"counit_idx": 7}}
+
+
+@pytest.mark.parametrize("world", ["k^2 # kZ2", "k^3 # kS3", "B", *TWINS])
+def test_counit_form_pivots_are_the_two_rref_pivots(kz2, sws18, b54, world):
+    # one elimination of T's rows gives what two RREFs gave, on the built
+    # algebras and on twins of k^3 # kS3, the mult twins not associative
+    if world == "k^2 # kZ2":
+        m = dm.k2_module_algebra_over_z2(kz2)
+        w = smash_weak_structure(smash_algebra(m), trivial_qt(kz2), separability(m)).wha
+    elif world in TWINS:
+        w = _smash_twin(sws18.wha, **TWINS[world])
+        assert w.algebra.report.find("associativity").passed == (not world.startswith("mult"))
+    else:
+        w = sws18.wha if world == "k^3 # kS3" else b54.wha
+    fs, hs = w.counit_form_pivots
+    assert (fs, hs) == _two_rref_pivots(w)
+    assert fs != hs    # so F read as the leads of the row echelon would not pass
 
 
 def test_weak_counit_reduced_scan_on_smash(sws18, monkeypatch):
