@@ -523,8 +523,7 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     conv, leaves = c_space.restricted(convolution_algebra(h.coalgebra).mult, c_basis, c_basis)
     if conv is None:
         raise HypothesisFailure("C(H*)-subalgebra", leaves)
-    c_blocks, fully_split = split([LinearMap(r, r, [dict(conv.row(i, j)) for j in range(r)])
-                                   for i in range(r)], r)
+    c_blocks, fully_split = split([conv.plane(i) for i in range(r)], r)
 
     # eps, an algebra map, is the unit of C: eps = sum_i F_i with F_i in the
     # i-th ideal, read off by one coordinate solve
@@ -562,10 +561,9 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     rep.check("blocks_ad_and_deltaR_stable", stability_failures())
 
     def minimality_failures():
-        gens = [LinearMap(n, n, [dict(bg.adjoint_action.row(t, c)) for c in range(n)])
-                for t in range(n)]
-        gens += [LinearMap(n, n, [dict(h.coalgebra.comult.row(c, k)) for c in range(n)])
-                 for k in range(n)]
+        # e_t .ad and the right hits c |-> c <- p_k = <p_k, c_(1)> c_(2)
+        gens = [*map(bg.adjoint_action.plane, range(n)),
+                *map(h.coalgebra.hits[1].plane, range(n))]
         for bi, blk in enumerate(blocks):
             span = Subspace(blk, n)
             restrs = [span.restrict(g) for g in gens]

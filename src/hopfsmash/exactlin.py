@@ -557,10 +557,6 @@ class Subspace:
             planes.append(sorted_plane(len(ys), cells))
         return Tensor3((len(planes), len(ys), len(self._vectors)), tuple(planes)), None
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Subspace) and self.ambient == other.ambient
-                and self.basis == other.basis)
-
 
 # ---------------------------------------------------------------------------
 # splitting into joint eigenspaces over Q
@@ -802,6 +798,11 @@ class Tensor3:
         """Nonzero (k, coeff) pairs of the (i, j) cell."""
         return self._rows[i][j]
 
+    def plane(self, i: int) -> LinearMap:
+        """Plane i as the map e_j |-> sum_k t[i][j][k] e_k: a left multiplication
+        or action by e_i; a plane along another leg is one of `permuted`."""
+        return LinearMap(self.dims[1], self.dims[2], [dict(cell) for cell in self._rows[i]])
+
     def support(self) -> tuple:
         """(right, left): right[i] lists the j whose cell (i, j) is nonempty,
         and left[j] the i, each ascending."""
@@ -817,10 +818,14 @@ class Tensor3:
         """The tensor u with u[i_order[0]][i_order[1]][i_order[2]] =
         t[i_0][i_1][i_2]: leg m of u is leg order[m] of t.  So (1, 0, 2) of a
         product is the opposite product, (0, 2, 1) of a coproduct the
-        co-opposite one, and a row of a permutation reads t along any leg."""
+        co-opposite one, and a row of a permutation reads t along any leg.
+        When the last leg stays, each cell moves whole, already sorted."""
         if sorted(order) != [0, 1, 2]:
             raise ValueError(f"{order!r} is not an order of the legs 0, 1, 2")
         a, b, c = order
+        if c == 2:
+            rows = self._rows if a == 0 else tuple(zip(*self._rows)) or ((),) * self.dims[1]
+            return Tensor3(tuple(self.dims[m] for m in order), rows)
         entries = []
         for i, plane in enumerate(self._rows):
             for j, cell in enumerate(plane):

@@ -84,28 +84,48 @@ class StructureAlgebra(Record):
         return self.mult.support()
 
     @cached_property
+    def unit_products(self) -> tuple:
+        """(times_one, one_times): times_one[z] = z 1 and one_times[z] = 1 z for
+        every index z, as tuples of (index, coefficient), computed once.  Each
+        term u of the unit, in its order, is read only at the z whose cell
+        (z, u), resp. (u, z), self.support lists as nonempty."""
+        rows = self.mult._rows
+        right, left = self.support
+        times_one = [{} for _ in range(self.dim)]
+        one_times = [{} for _ in range(self.dim)]
+        for u, cu in self.unit_sparse.items():
+            for z in left[u]:
+                for k, w in rows[z][u]:
+                    sp_add(times_one[z], k, cu * w)
+            for z in right[u]:
+                for k, w in rows[u][z]:
+                    sp_add(one_times[z], k, cu * w)
+        return tuple(tuple(tuple(acc.items()) for acc in side) for side in (times_one, one_times))
+
+    @cached_property
     def report(self) -> VerificationReport:
         """verify_algebra(self), computed once; shared, so read it."""
         return verify_algebra(self)
 
     def centralizer_basis(self, vectors) -> list:
         """Exact basis of {w : w v = v w for all given v}: the kernel of the
-        nonempty sparse rows of w |-> w v - v w, read off the multiplication
-        rows."""
-        n = self.dim
+        nonempty sparse rows of w |-> w v - v w, read off the cells (c, j)
+        and (j, c) that alg.support lists as nonempty for each term e_j of v."""
         rows = self.mult._rows
+        right, left = self.support
         eqs = []
         for v in vectors:
-            m = [{} for _ in range(n)]    # m[r][c]: e_r in e_c v - v e_c
+            m: dict = {}    # m[r][c]: e_r in e_c v - v e_c
             for j, cj in v.items():
                 rj = rows[j]
-                for c in range(n):
+                for c in left[j]:
                     for r, w in rows[c][j]:
-                        sp_add(m[r], c, cj * w)
+                        sp_add(m.setdefault(r, {}), c, cj * w)
+                for c in right[j]:
                     for r, w in rj[c]:
-                        sp_add(m[r], c, -cj * w)
-            eqs.extend(filter(None, m))
-        return kernel_basis(eqs, n)
+                        sp_add(m.setdefault(r, {}), c, -cj * w)
+            eqs.extend(filter(None, m.values()))
+        return kernel_basis(eqs, self.dim)
 
     def center_basis(self) -> list:
         return self.centralizer_basis([{i: 1} for i in range(self.dim)])
@@ -153,15 +173,10 @@ class StructureCoalgebra(Record):
 
     @cached_property
     def _rows2(self):
-        """Two-fold Sweedler rows ((a, b, c, coeff), ...) via (Delta x id)Delta."""
-        rows = []
-        for i in range(self.dim):
-            acc: dict = {}
-            for j, k, c in self.rows[i]:
-                for a, b, w in self.rows[j]:
-                    sp_add(acc, (a, b, k), c * w)
-            rows.append(tuple((a, b, k, c) for (a, b, k), c in acc.items()))
-        return tuple(rows)
+        """Two-fold Sweedler rows ((a, b, c, coeff), ...): (Delta x id)Delta by
+        `comult_leg` on each row."""
+        return tuple(tuple((a, b, k, c) for (a, b, k), c in comult_leg(
+            self, {(j, k): c for j, k, c in row}, 0).items()) for row in self.rows)
 
     def comul2_row(self, i: int):
         return self._rows2[i]
@@ -652,82 +667,78 @@ def intertwining_failures(alg: StructureAlgebra, coal: StructureCoalgebra, r: di
             yield (i,)
 
 
-def unit_products(alg: StructureAlgebra, legs) -> tuple:
-    """({z: z 1}, {z: 1 z}) for z in legs, as tuples of (index, coefficient).
-    Each term u of the unit, in its order, is read only at the z of legs
-    whose cell (z, u), resp. (u, z), alg.support lists as nonempty."""
-    one, rows = alg.unit_sparse, alg.mult._rows
-    right, left = alg.support
-    times_one: dict = {z: {} for z in legs}
-    one_times: dict = {z: {} for z in legs}
-    for u, cu in one.items():
-        for z in left[u]:
-            if (acc := times_one.get(z)) is not None:
-                for k, w in rows[z][u]:
-                    sp_add(acc, k, cu * w)
-        for z in right[u]:
-            if (acc := one_times.get(z)) is not None:
-                for k, w in rows[u][z]:
-                    sp_add(acc, k, cu * w)
-    return ({z: tuple(acc.items()) for z, acc in times_one.items()},
-            {z: tuple(acc.items()) for z, acc in one_times.items()})
+def padded_product(alg: StructureAlgebra, x: dict, x_legs, y: dict, y_legs) -> dict:
+    """x^{x_legs} y^{y_legs} in A (x) A (x) A for sparse 2-leg x, y keyed by
+    index pairs: the components of x sit on legs x_legs[0] and x_legs[1],
+    those of y on y_legs, each leg left free holds the unit, and the two
+    placements share exactly one leg (else ValueError).  So R^13 R^23 is
+    padded_product(alg, R, (0, 2), R, (1, 2)).
 
-
-def add_outer3(acc: dict, c, u, v, w) -> None:
-    """acc += c u (x) v (x) w for u, v, w sequences of (index, coefficient).
-    A key's first term is stored as it is, as in tensor_mul_sparse, and a
-    sum that cancels stays in acc as a zero: the caller drops zeros once
-    from the finished accumulator (`sp_nonzero`)."""
-    if not (u and v and w):
-        return    # a zero leg: no product is formed
+    Over pairs of terms, the shared leg holds the product of the two
+    components there, x's other leg z 1 and y's other leg 1 z, read off
+    alg.unit_products: by bilinearity this is the product for any
+    multiplication tensor, unital or not.  A term of x meets only the terms
+    of y whose shared cell is nonempty, read off alg.support with y grouped
+    by its shared component; every pair skipped has a zero leg, so the sum
+    is that over every pair.  Each pair adds the outer product of its three
+    legs into one accumulator; a key's first term is stored as it is, as in
+    tensor_mul_sparse, and the zeros are dropped once at the end
+    (`sp_nonzero`)."""
+    if not (len(x_legs) == len(set(x_legs)) == len(y_legs) == len(set(y_legs)) == 2
+            and {*x_legs, *y_legs} == {0, 1, 2}):
+        raise ValueError(f"legs {x_legs} and {y_legs} do not share exactly one of 0, 1, 2")
+    (shared,) = set(x_legs) & set(y_legs)
+    xs, ys = x_legs.index(shared), y_legs.index(shared)
+    # the position of each leg in (shared cell, z 1 of x, 1 z of y)
+    slot = {shared: 0, x_legs[1 - xs]: 1, y_legs[1 - ys]: 2}
+    i0, i1, i2 = (slot[leg] for leg in range(3))
+    times_one, one_times = alg.unit_products
+    rows, right = alg.mult._rows, alg.support[0]
+    groups: dict = {}
+    for key, c in y.items():
+        if v := one_times[key[1 - ys]]:
+            groups.setdefault(key[ys], []).append((v, c))
+    acc: dict = {}
     get = acc.get
-    for i, ci in u:
-        for j, cj in v:
-            cij = c * ci * cj
-            for k, ck in w:
-                key, t = (i, j, k), cij * ck
-                acc[key] = t if (old := get(key)) is None else old + t
+    for key, c in x.items():
+        p, u = key[xs], times_one[key[1 - xs]]
+        if u:
+            row = rows[p]
+            for q in meeting(groups, right[p]):
+                if cell := row[q]:
+                    for v, cy in groups[q]:
+                        legs, cc = (cell, u, v), c * cy
+                        for i, ci in legs[i0]:
+                            for j, cj in legs[i1]:
+                                cij = cc * ci * cj
+                                for k, ck in legs[i2]:
+                                    key3, t = (i, j, k), cij * ck
+                                    acc[key3] = t if (old := get(key3)) is None else old + t
+    return sp_nonzero(acc)
+
+
+def comult_leg(coal: StructureCoalgebra, x: dict, leg: int) -> dict:
+    """(Delta (x) id)(x) for leg 0 and (id (x) Delta)(x) for leg 1 (else
+    ValueError), x a sparse 2-leg element keyed by index pairs, read through
+    the Sweedler rows of coal.  One accumulator; a key's first term is stored
+    as it is, and its zeros are dropped once at the end (`sp_nonzero`)."""
+    if leg not in (0, 1):
+        raise ValueError(f"Delta acts on leg 0 or 1 of a 2-leg element, not on {leg!r}")
+    rows = coal.rows
+    acc: dict = {}
+    get = acc.get
+    for (a, b), c in x.items():
+        for j, k, w in rows[b if leg else a]:
+            key, t = (a, j, k) if leg else (j, k, b), c * w
+            acc[key] = t if (old := get(key)) is None else old + t
+    return sp_nonzero(acc)
 
 
 def hexagon_sides(alg: StructureAlgebra, coal: StructureCoalgebra, r: dict) -> tuple:
     """((Delta (x) id)(R), R^13 R^23, (id (x) Delta)(R), R^13 R^12) for a sparse
-    2-leg R keyed by index pairs.
-
-    Over pairs of terms a (x) b, x (x) y of R, R^13 R^23 = sum (a 1) (x) (1 x) (x) (b y)
-    and R^13 R^12 = sum (a x) (x) (1 y) (x) (b 1).  By bilinearity these equal the
-    products of the legs padded with every term of the unit, for any
-    multiplication tensor, unital or not; a 1 and 1 z are formed once per index.
-    A term a (x) b meets only the terms x (x) y whose product cell is
-    nonempty, (b, y) for R^13 R^23 and (a, x) for R^13 R^12, read off
-    alg.support with R grouped by second and by first leg; every pair skipped
-    has a zero leg, so the sums are those over every pair.  Each side is one
-    accumulator, its zeros dropped once at the end (`sp_nonzero`).
-    """
-    times_one, one_times = unit_products(alg, {z for key in r for z in key})
-    rows = alg.mult._rows
-    right = alg.support[0]
-    by_first, by_second = by_leg(r, 0), by_leg(r, 1)
-    d_id: dict = {}
-    id_d: dict = {}
-    r13r23: dict = {}
-    r13r12: dict = {}
-    for (a, b), c in r.items():
-        for j, k, w in coal.comul_row(a):
-            key, t = (j, k, b), c * w
-            d_id[key] = t if (old := d_id.get(key)) is None else old + t
-        for j, k, w in coal.comul_row(b):
-            key, t = (a, j, k), c * w
-            id_d[key] = t if (old := id_d.get(key)) is None else old + t
-        ra, rb = rows[a], rows[b]
-        for y in meeting(by_second, right[b]):
-            if cell := rb[y]:
-                for (x, _), cxy in by_second[y]:
-                    add_outer3(r13r23, c * cxy, times_one[a], one_times[x], cell)
-        for x in meeting(by_first, right[a]):
-            if cell := ra[x]:
-                for (_, y), cxy in by_first[x]:
-                    add_outer3(r13r12, c * cxy, cell, one_times[y], times_one[b])
-    return tuple(map(sp_nonzero, (d_id, r13r23, id_d, r13r12)))
+    2-leg R keyed by index pairs, by `comult_leg` and `padded_product`."""
+    return (comult_leg(coal, r, 0), padded_product(alg, r, (0, 2), r, (1, 2)),
+            comult_leg(coal, r, 1), padded_product(alg, r, (0, 2), r, (0, 1)))
 
 
 def r_matrix_rows(rep: VerificationReport, alg: StructureAlgebra, coal: StructureCoalgebra,

@@ -56,6 +56,12 @@ class ModuleAlgebraData(Record):
         vars(self).update(host=host, A=A, action=action)
 
     @cached_property
+    def action_on(self) -> Tensor3:
+        """The action with its first two legs swapped, formed once: its plane
+        a (`Tensor3.plane`) is r |-> r . e_a, from H to A."""
+        return self.action.permuted((1, 0, 2))
+
+    @cached_property
     def report(self) -> VerificationReport:
         """verify_module_algebra(self), computed once; shared, so read it."""
         return verify_module_algebra(self)
@@ -189,7 +195,7 @@ def verify_separability(m: ModuleAlgebraData, s: SeparabilityData) -> Verificati
 
         def antipode_flip_failures():
             for t in range(h.dim):
-                if (map_legs(acting({t: 1}), ident, x_sp)
+                if (map_legs(m.action.plane(t), ident, x_sp)
                         != map_legs(ident, acting(h.antipode.cols[t]), x_sp)):
                     yield (t,)
 
@@ -212,8 +218,7 @@ def is_H_simple(m: ModuleAlgebraData) -> HSimplicityResult:
     explicit H-stable ideals as not-simple witnesses; inconclusive otherwise."""
     A, h = m.A, m.host
     n = A.dim
-    ops = [LinearMap(n, n, [dict(A.mul_row(i, c)) for c in range(n)]) for i in range(n)]
-    ops += [LinearMap(n, n, [dict(m.action.row(t, c)) for c in range(n)]) for t in range(h.dim)]
+    ops = [*map(A.mult.plane, range(n)), *map(m.action.plane, range(h.dim))]
     commutant = kernel_basis(commutant_rows(ops, n), n * n)
     if len(commutant) == 1:
         return HSimplicityResult("certified_simple", commutant_dim=1)

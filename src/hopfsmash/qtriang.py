@@ -406,20 +406,17 @@ def comult_R_failures(bg: BraidedGroupData, acting):
 def double_braiding_failures(alg: StructureAlgebra, r: TensorElem, action: Tensor3,
                              vectors, delta_one: dict):
     """Indices (i,) of the vectors v_i with (R_2^2 R_1^1) . v (x) R_2^1 R_1^2
-    != (1_(1) . v) (x) 1_(2), for R_1 = R_2 = r over alg acting by action; the
-    left-hand side reads the terms x (x) y of R^21 R as (x . v) (x) y, and
-    the right-hand side is v (x) 1 when Delta(1) = 1 (x) 1."""
+    != (1_(1) . v) (x) 1_(2), for R_1 = R_2 = r over alg acting by action:
+    (f (x) id)(R^21 R) against (f (x) id)(Delta(1)), f(h) = h . v (`map_legs`),
+    f formed only at the first legs that map_legs reads; the right-hand side
+    is v (x) 1 when Delta(1) = 1 (x) 1."""
     z = tensor_mul_sparse((alg, alg), r.flip().terms, r.terms)
+    nh, _, na = action.dims
+    ident = LinearMap.identity(alg.dim)
+    firsts = {x for x, _ in z} | {x for x, _ in delta_one}
     for i, v in enumerate(vectors):
-        lhs: dict = {}
-        for (x, y), c in z.items():
-            for k, ck in action.act({x: 1}, v).items():
-                sp_add(lhs, (k, y), c * ck)
-        rhs: dict = {}
-        for (a, b), c in delta_one.items():
-            for k, ck in action.act({a: 1}, v).items():
-                sp_add(rhs, (k, b), c * ck)
-        if lhs != rhs:
+        f = LinearMap(nh, na, [action.act({x: 1}, v) if x in firsts else {} for x in range(nh)])
+        if map_legs(f, ident, z) != map_legs(f, ident, delta_one):
             yield (i,)
 
 
@@ -439,7 +436,7 @@ def muger_membership(q: QTStructure, act) -> tuple:
 
     def antipode_form_failures():
         for a in range(dim_a):
-            on_a = LinearMap(h.dim, dim_a, [dict(action.row(t, a)) for t in range(h.dim)])
+            on_a = act.action_on.plane(a)    # t |-> e_t . a
             if map_legs(on_a, ident, r) != map_legs(on_a, h.antipode, r21):
                 yield (a,)
 
@@ -481,11 +478,12 @@ def hr_dual_separability(q: QTStructure, ip, bg: BraidedGroupData | None = None)
                  if (c := vec_dot(lam, dict(mult[a][b])))}
     dual = bg.dual_right_action
     s_star = h.antipode.transpose()    # e^b |-> S*(e^b)
+    times = h.algebra.mult.permuted((1, 0, 2))    # plane r: e_i |-> e_i e_r
     entries = []
     for (r1, r2), cr in q.R.items():
         # e^a |-> e_r2 -> e^a = sum_i <e^a, e_i e_r2> e^i, e^b |-> S*(e^b) <<- e_r1
-        hit = LinearMap(n, n, [dict(mult[i][r2]) for i in range(n)]).transpose()
-        moved = LinearMap(n, n, [dict(dual.row(r1, g)) for g in range(n)]).compose(s_star)
+        hit = times.plane(r2).transpose()
+        moved = dual.plane(r1).compose(s_star)
         entries.extend((key, cr * c) for key, c in map_legs(hit, moved, delta_lam).items())
     x = TensorElem.from_entries((n, n), entries)
 

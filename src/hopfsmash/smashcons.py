@@ -21,10 +21,10 @@ import itertools
 from functools import cached_property
 
 from .exactlin import (
+    Echelon,
     LinearMap,
     Record,
     Tensor3,
-    Subspace,
     TensorElem,
     kernel_basis,
     rat_str,
@@ -185,19 +185,11 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
     _require_hypotheses(q, A_mod, ("quantum-commutativity", is_quantum_commutative),
                         ("drinfeld-element-acts-trivially", u_acts_trivially))
 
-    r_items = list(q.R.items())
     alpha = sep.alpha
     a_in, iota = s.factor_inclusions
-
-    def twisted(a_sp: dict) -> dict:
-        """R^2.a # R^1."""
-        out: dict = {}
-        for (r1, r2), cr in r_items:
-            for t, ct in A_mod.action.act({r2: 1}, a_sp).items():
-                sp_add(out, s.flat(t, r1), cr * ct)
-        return out
-
-    twist = LinearMap(na, n, [twisted({a: 1}) for a in range(na)])
+    # a |-> R^2.a # R^1 = sum (R^2.a # 1)(1 # R^1), as build_B forms sigma
+    twist = LinearMap(na, n, [multiply_legs(s.carrier, map_legs(
+        a_in.compose(A_mod.action_on.plane(a)), iota, q.R.flip().terms)) for a in range(na)])
     algs2 = (s.carrier, s.carrier)
     deltas = [{(p, pq): c for p, pq, c in h.coalgebra.comul_row(i)} for i in range(nh)]
     delta_one = map_legs(twist, a_in, sep.x.terms)    # sum (R^2.x^1 # R^1) (x) (x^2 # 1)
@@ -224,7 +216,7 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
         for a in range(na):
             for i in range(nh):
                 closed_s: dict = {}
-                for (r1, r2), cr in r_items:
+                for (r1, r2), cr in q.R.items():
                     hh = h.algebra.mul_sparse({r2: 1}, h.antipode.cols[i])
                     for ta, ca in A_mod.action.act(hh, {a: 1}).items():
                         sp_add(closed_s, s.flat(ta, r1), cr * ca)
@@ -431,11 +423,8 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
         """sum f(x^1) g(x^2) in B."""
         return multiply_legs(carrier, map_legs(f, g, x))
 
-    def by(a: int) -> LinearMap:
-        """r |-> r.a, from H to A."""
-        return LinearMap(nh, na, [dict(A_mod.action.row(r, a)) for r in range(nh)])
-
-    sigma = LinearMap(na, n, [products(left.compose(by(a)), iota, r_flip) for a in range(na)])
+    sigma = LinearMap(na, n, [products(left.compose(A_mod.action_on.plane(a)), iota, r_flip)
+                              for a in range(na)])
 
     # the slots of Delta_B, coproduct-shaped tensors on A, H and A*
     act, hmul = A_mod.action.act, h.algebra.mul_sparse
@@ -576,9 +565,9 @@ def rb_in_image_iff_muger(b: BAlgebra, image, q: QTStructure,
     """(R_B in Im phi (x) Im phi, A in Mueger center); the two must agree."""
     n = b.wha.dim
     r_map = leg_map(b.rqt.Rw.terms, n)
-    img = Subspace(image, n)
-    in_img = (all(img.contains(col) for col in r_map.cols)
-              and all(img.contains(row) for row in r_map.transpose().cols))
+    img = Echelon(image)    # membership: an empty residue of a zero-free copy
+    in_img = not any(img.residue({j: x for j, x in v.items() if x})
+                     for v in (*r_map.cols, *r_map.transpose().cols))
     member, _ = muger_membership(q, A_mod)
     if in_img != member:
         raise RuntimeError("R_B membership and Mueger membership disagree; "

@@ -1,8 +1,15 @@
 """Small readers and constructions that only the tests use: a commutativity
 test, the conjugacy classes of a group table, the pair and one-object
-groupoids, and the inclusion a |-> a # 1 of a smash product."""
+groupoids, the inclusion a |-> a # 1 of a smash product, and a Subspace's
+span as a value to compare."""
 
 from hopfsmash.weakhopf import GroupoidData
+
+
+def span_of(sub) -> tuple:
+    """(ambient, canonical basis) of an exactlin.Subspace: the fields that say
+    which subspace it is, as one value to compare."""
+    return sub.ambient, sub.basis
 
 
 def is_commutative(alg) -> bool:

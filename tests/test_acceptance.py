@@ -18,6 +18,7 @@ from hopfsmash.qtriang import (
     almost_triangular_equivalences,
 )
 from hopfsmash.report import HypothesisFailure
+from reference import span_of
 
 
 def _announce(num, text):
@@ -116,9 +117,9 @@ def test_criterion_6_decomposition(hr_decomposition, ks3, q_s3, ip_s3, bg_s3):
     assert ci.report.find("central_in_hr_star").passed
     assert ci.report.find("hit_spaces_match").passed
     # the class-idempotent hit spaces are the decomposition's blocks
-    dec_spaces = [Subspace(b, 6) for b in hr_decomposition.blocks]
+    dec_spaces = [span_of(Subspace(b, 6)) for b in hr_decomposition.blocks]
     assert len(ci.blocks) == len(dec_spaces)
-    assert all(Subspace(b, 6) in dec_spaces for b in ci.blocks)
+    assert all(span_of(Subspace(b, 6)) in dec_spaces for b in ci.blocks)
     _announce(6, "H_R(kS3) = blocks {1, 2, 3}; 3 exact central idempotents of "
                  "H_R^* with matching hit subspaces")
 

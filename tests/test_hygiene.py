@@ -327,6 +327,49 @@ def test_scan_finds_row_dict_builds():
     assert row_dict_builds(src) == [4, 6]
 
 
+def plane_map_builds(source: str, module: str) -> list:
+    """Line of every `LinearMap(...)` call with a comprehension argument whose
+    element is `dict(...)` of one tensor cell, such as
+    LinearMap(n, n, [dict(t.row(i, j)) for j in range(n)]), except inside
+    exactlin's `plane`: a plane of a tensor is read as a map by
+    `Tensor3.plane`, along another leg through `Tensor3.permuted`, in one
+    place."""
+    tree = ast.parse(source)
+    allowed = {id(node) for fn in ast.walk(tree)
+               if module == "exactlin" and isinstance(fn, ast.FunctionDef) and fn.name == "plane"
+               for node in ast.walk(fn)}
+
+    def cell_dicts(arg) -> bool:
+        return (isinstance(arg, (ast.ListComp, ast.GeneratorExp))
+                and isinstance(arg.elt, ast.Call) and isinstance(arg.elt.func, ast.Name)
+                and arg.elt.func.id == "dict" and len(arg.elt.args) == 1)
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and (node.func.id if isinstance(node.func, ast.Name)
+                       else getattr(node.func, "attr", None)) == "LinearMap"
+                  and any(map(cell_dicts, node.args)))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_plane_map_builds(path):
+    assert plane_map_builds(path.read_text(), path.stem) == []
+
+
+def test_scan_finds_plane_map_builds():
+    src = ("from .exactlin import LinearMap, Tensor3\n"
+           "def f(n, t, mult, a):\n"
+           "    ok = LinearMap(n, n, [t.act({x: 1}, a) for x in range(n)]), t.plane(0)\n"
+           "    m = LinearMap(n, n, [dict(t.row(i, j)) for j in range(n)])\n"
+           "    return m, ok, exactlin.LinearMap(n, n, (dict(mult[i][a]) for i in range(n)))\n"
+           "g = LinearMap(2, 2, [dict(x) for x in ({}, {})]).transpose()\n"
+           "h = LinearMap(1, 1, [{k: v for k, v in c} for c in ((),)]), dict(a=1)\n"
+           "def plane(t, i):\n"
+           "    return LinearMap(2, 2, [dict(cell) for cell in t._rows[i]])\n")
+    assert plane_map_builds(src, "exactlin") == [4, 5, 6]
+    assert plane_map_builds(src, "qtriang") == [4, 5, 6, 9]
+
+
 def file_writes(source: str, module: str) -> list:
     """Line of every call that writes a file: `write_text`, `write_bytes`, or
     an `open` whose mode is not a literal without w, a, x and + (the mode is

@@ -2,17 +2,23 @@
 replaced.
 
 `tensor_mul_sparse` forms a pair of terms only where the first legs' cell is
-nonempty, `hexagon_sides` pairs a term of R only with the terms whose
-product cell is nonempty, and `unit_weak_comult_sides` pairs the terms of
-Delta(1) the same way.  The all-pairs loops are kept here as references,
-and the kernels must give the same keys, values and scalar types (an integral
-value as an int) on the R-matrices of D(kZ2), D(kS3) and B, on Delta(1) of
-k^2 # kZ2, k^3 # kS3 and B, and on seeded operands: 0, 1 and many terms, two
-legs over one algebra or two, cancelling terms, running sums that pass
-through 0 and non-unital product tensors.  `tensor_mul_sparse` multiplies in
-A (x) B only; the reference takes any number of legs.
+nonempty.  `padded_product`, the one kernel of the hexagon sides and of the
+weak unit sides, pairs a term of x only with the terms of y whose cell on
+the shared leg is nonempty, and pads the free legs with the cached z 1 and
+1 z of `StructureAlgebra.unit_products`; `comult_leg` applies Delta on one
+leg.  The all-pairs loops are kept here as references, forming z 1 and 1 z
+themselves, and the kernels must give the same keys, values and scalar
+types (an integral value as an int) on the R-matrices of D(kZ2), D(kS3) and
+B, on Delta(1) of k^2 # kZ2, k^3 # kS3 and B, and on seeded operands: 0, 1
+and many terms, two legs over one algebra or two, every placement of two
+pairs of legs out of three that share one, cancelling terms, running sums
+that pass through 0 and non-unital product tensors.  `padded_product`,
+`comult_leg` and `Tensor3.plane` are also read against `dense()`.
+`tensor_mul_sparse` multiplies in A (x) B only; the reference takes any
+number of legs.
 """
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -23,9 +29,10 @@ from hopfsmash.exactlin import LinearMap, Tensor3
 from hopfsmash.hopfcore import (
     StructureAlgebra,
     StructureCoalgebra,
+    comult_leg,
     hexagon_sides,
+    padded_product,
     tensor_mul_sparse,
-    unit_products,
 )
 from hopfsmash.modalg import separability
 from hopfsmash.qtriang import trivial_qt
@@ -69,8 +76,26 @@ def _outer3(add, acc, c, u, v, w):
                 add(acc, (i, j, k), c * ci * cj * ck)
 
 
+def _unit_products_reference(alg):
+    """(z 1, 1 z) for every index z, as lists of (index, coefficient): each
+    nonzero term of the unit multiplied in turn."""
+    rows = alg.mult._rows
+    times_one, one_times = [], []
+    for z in range(alg.dim):
+        right, left = {}, {}
+        for u, cu in enumerate(alg.unit):
+            if cu:
+                for k, w in rows[z][u]:
+                    _add(right, k, cu * w)
+                for k, w in rows[u][z]:
+                    _add(left, k, cu * w)
+        times_one.append(list(right.items()))
+        one_times.append(list(left.items()))
+    return times_one, one_times
+
+
 def _hexagon_reference(alg, coal, r, add=_add):
-    times_one, one_times = unit_products(alg, {z for key in r for z in key})
+    times_one, one_times = _unit_products_reference(alg)
     d_id, id_d, r13r23, r13r12 = {}, {}, {}, {}
     for (a, b), c in r.items():
         for j, k, w in coal.comul_row(a):
@@ -87,7 +112,7 @@ def _unit_weak_reference(w, add=_add):
     """(Delta (x) id) Delta(1) and both orders of the weak unit products over
     every pair of terms of Delta(1)."""
     alg, d1 = w.algebra, w.delta_one
-    times_one, one_times = unit_products(alg, {z for key in d1 for z in key})
+    times_one, one_times = _unit_products_reference(alg)
     lhs, order1, order2 = {}, {}, {}
     for (a, b), c in d1.items():
         for p, q, cw in w.coalgebra.comul_row(a):
@@ -237,7 +262,7 @@ def test_unit_products_are_the_sums_over_every_unit_term(seed):
     n = rng.randint(2, 7)
     unit = tuple(rng.choice(COEFFS) if rng.random() < 0.6 else 0 for _ in range(n))
     alg = StructureAlgebra(n, _random_algebra(rng, n, rng.choice((0.1, 0.4))).mult, unit)
-    times_one, one_times = unit_products(alg, range(n))
+    times_one, one_times = alg.unit_products
     rows = alg.mult._rows
     for z in range(n):
         right, left = {}, {}
@@ -249,6 +274,134 @@ def test_unit_products_are_the_sums_over_every_unit_term(seed):
         for got, want in ((times_one[z], right), (one_times[z], left)):
             assert got == tuple(want.items())
             assert [type(c) for _, c in got] == list(map(type, want.values()))
+
+
+# every ordered placement of two pairs of legs out of three that share one
+# leg: the six placements of the two pairs, each pair in either order
+PLACEMENTS = [(xl, yl) for xl in itertools.permutations(range(3), 2)
+              for yl in itertools.permutations(range(3), 2) if len({*xl} & {*yl}) == 1]
+
+
+def _dense_product(t, a, b):
+    """a b for sparse a, b, read off the dense tensor t."""
+    n = len(t)
+    out = {k: sum(ca * cb * t[i][j][k] for i, ca in a.items() for j, cb in b.items())
+           for k in range(n)}
+    return {k: c for k, c in out.items() if c}
+
+
+def _padded_reference(alg, x, x_legs, y, y_legs):
+    """x^{x_legs} y^{y_legs} over every pair of terms, read off the dense
+    tensor: each leg is the product of the two factors there, a free leg of
+    either factor holding the unit vector."""
+    t, n = alg.mult.dense(), alg.dim
+    one = {u: c for u, c in enumerate(alg.unit) if c}
+    basis = [{i: 1} for i in range(n)] + [one]    # index n: the unit
+    prod = [[_dense_product(t, a, b) for b in basis] for a in basis]
+    out = {}
+    for kx, cx in x.items():
+        for ky, cy in y.items():
+            fx, fy = [n] * 3, [n] * 3
+            for leg, i in zip(x_legs, kx):
+                fx[leg] = i
+            for leg, i in zip(y_legs, ky):
+                fy[leg] = i
+            terms = [((), cx * cy)]
+            for a, b in zip(fx, fy):
+                terms = [(key + (k,), c * w) for key, c in terms for k, w in prod[a][b].items()]
+            for key, c in terms:
+                _add(out, key, c)
+    return out
+
+
+def test_the_placements_are_the_six_pairs_each_in_both_orders():
+    assert len(PLACEMENTS) == 24
+    assert len({(frozenset(xl), frozenset(yl)) for xl, yl in PLACEMENTS}) == 6
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_padded_product_matches_the_dense_all_pairs_product(seed):
+    # seeded non-unital products (the unit seeded too), operands of 0, 1 and
+    # many terms with Fraction constants, on every placement
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    unit = tuple(rng.choice((0, 0) + COEFFS) for _ in range(n))
+    alg = StructureAlgebra(n, _random_algebra(rng, n, rng.choice((0.1, 0.3, 0.6))).mult, unit)
+    for x_legs, y_legs in PLACEMENTS:
+        for sx, sy in ((0, 3), (3, 0), (1, 1), (1, 8), (8, 1), (10, 10)):
+            x, y = _random_element(rng, (n, n), sx), _random_element(rng, (n, n), sy)
+            _same(padded_product(alg, x, x_legs, y, y_legs),
+                  _padded_reference(alg, x, x_legs, y, y_legs))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_padded_product_drops_cancelling_terms(seed):
+    # rows 0 and 1 of the product agree, so on the shared leg e_0 - e_1 as
+    # the left factor times anything is zero: every term formed cancels
+    rng = random.Random(seed)
+    n = rng.randint(3, 5)
+    prod = _random_algebra(rng, n, 0.5, twin_rows=True)
+    alg = StructureAlgebra(n, prod.mult, tuple(rng.choice((1, F(1, 2), -1)) for _ in range(n)))
+    for x_legs, y_legs in PLACEMENTS:
+        xs = x_legs.index(({*x_legs} & {*y_legs}).pop())
+        z = rng.randrange(n)
+        cancel = {(0, z) if xs == 0 else (z, 0): F(3, 2), (1, z) if xs == 0 else (z, 1): F(-3, 2)}
+        y = _random_element(rng, (n, n), 10)
+        assert _padded_reference(alg, cancel, x_legs, y, y_legs) == {}
+        _same(padded_product(alg, cancel, x_legs, y, y_legs), {})
+        x = {**_random_element(rng, (n, n), 6), **cancel}
+        _same(padded_product(alg, x, x_legs, y, y_legs),
+              _padded_reference(alg, x, x_legs, y, y_legs))
+
+
+def test_padded_product_refuses_placements_that_do_not_share_one_leg():
+    alg = _random_algebra(random.Random(1), 3, 0.5)
+    x = {(0, 1): 1}
+    for x_legs, y_legs in (((0, 1), (0, 1)), ((0, 1), (1, 0)), ((0, 0), (1, 2)),
+                           ((0, 1), (1, 3)), ((0, 1, 2), (1, 2)), ((0,), (1, 2))):
+        with pytest.raises(ValueError, match="share exactly one"):
+            padded_product(alg, x, x_legs, x, y_legs)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_comult_leg_matches_the_dense_coproduct(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    coal = StructureCoalgebra(n, _random_algebra(rng, n, rng.choice((0.1, 0.4))).mult, (1,) * n)
+    d = coal.comult.dense()
+    for size in (0, 1, 3, 15):
+        x = _random_element(rng, (n, n), size)
+        on_first, on_second = {}, {}
+        for (a, b), c in x.items():
+            for j in range(n):
+                for k in range(n):
+                    _add(on_first, (j, k, b), c * d[a][j][k])
+                    _add(on_second, (a, j, k), c * d[b][j][k])
+        _same(comult_leg(coal, x, 0), on_first)
+        _same(comult_leg(coal, x, 1), on_second)
+    for leg in (-1, 2):
+        with pytest.raises(ValueError, match="leg 0 or 1"):
+            comult_leg(coal, {(0, 0): 1}, leg)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_plane_is_the_dense_plane(seed):
+    # planes of a tensor of three different dims, and along another leg
+    # through permuted: column j of plane i is the cell (i, j)
+    rng = random.Random(seed)
+    dims = rng.sample(range(1, 7), 3)
+    t = Tensor3.from_entries(dims, [(i, j, k, rng.choice(COEFFS)) for i in range(dims[0])
+                                    for j in range(dims[1]) for k in range(dims[2])
+                                    if rng.random() < 0.3])
+    d = t.dense()
+    for i in range(dims[0]):
+        f = t.plane(i)
+        assert (f.source_dim, f.target_dim) == (dims[1], dims[2])
+        assert f.matrix == tuple(tuple(d[i][j][k] for j in range(dims[1]))
+                                 for k in range(dims[2]))
+    for j in range(dims[1]):
+        assert t.permuted((1, 0, 2)).plane(j).matrix == tuple(
+            tuple(d[i][j][k] for i in range(dims[0])) for k in range(dims[2]))
 
 
 def test_tensor_mul_sparse_refuses_other_than_two_legs():
