@@ -19,7 +19,13 @@ Heis(kG^cop) (`heisenberg_double`), its `C_equals_full_centralizer`
 elimination (`StructureAlgebra.centralizer_basis`), and its
 `total_map_multiplicative` scan (`tensor_map_failures`, which reads the
 products of Heis(kG^cop) (x) kG off the two factors, timed while its failures
-are drawn).  A stage named after --skip is left out; H # D(kG) has dimension
+are drawn).  Last, `nd_transport_report` on the largest block D of H_R(kG)
+under the trivial R (the first of the largest, in `decompose_hr`'s order, on
+a braided group of its own, built with the block and the integrals before
+the clock starts), split into its `almost_triangular_wha_report`s, its
+`adjoint_stable_algebra`s (N_D inside `psi_phi`, and each one-dimensional
+N_W it compares with N_D) and its `wedderburn_blocks` (of N_D and of each
+N_W).  A stage named after --skip is left out; H # D(kG) has dimension
 |G|^3, so on s4 that is the decomposition.  The table is markdown, one line
 per stage, with the median over the runs.
 """
@@ -32,14 +38,15 @@ import types
 from contextlib import ExitStack, contextmanager
 
 from hopfsmash import demos as dm
-from hopfsmash import hopfcore, qtriang, smashcons
-from hopfsmash.adjstable import decompose_hr
+from hopfsmash import adjstable, hopfcore, qtriang, repdim, smashcons
+from hopfsmash.adjstable import decompose_hr, nd_transport_report
 from hopfsmash.exactlin import Tensor3
-from hopfsmash.hopfcore import drinfeld_double, group_algebra
+from hopfsmash.hopfcore import drinfeld_double, group_algebra, integrals
 from hopfsmash.qtriang import (
     adjoint_action_tensor,
     almost_triangular_equivalences,
     transmute,
+    trivial_qt,
     verify_braided_group,
 )
 from hopfsmash.repdim import wedderburn_blocks
@@ -49,7 +56,8 @@ STAGES = ("drinfeld_double", "  build", "  product", "  coproduct", "  verify_ho
           "  verify_qt", "    intertwines_comult", "    hexagon_sides", "adjoint_action_tensor", "transmute", "verify_braided_group",
           "almost_triangular_equivalences", "decompose_hr", "wedderburn_blocks",
           "double_smash_decomposition", "  smash_carrier", "  heisenberg_double",
-          "  centralizer_basis", "  total_map_multiplicative")
+          "  centralizer_basis", "  total_map_multiplicative", "nd_transport_report",
+          "  almost_triangular_wha_report", "  adjoint_stable_algebra", "  wedderburn_blocks")
 # sub-row of verify_qt -> the hopfcore name it times
 QT_PARTS = {"    intertwines_comult": "intertwining_failures",
             "    hexagon_sides": "hexagon_sides"}
@@ -58,6 +66,10 @@ DECOMPOSITION_PARTS = {"  smash_carrier": (smashcons, "smash_carrier"),
                        "  heisenberg_double": (smashcons, "heisenberg_double"),
                        "  centralizer_basis": (hopfcore.StructureAlgebra, "centralizer_basis"),
                        "  total_map_multiplicative": (smashcons, "tensor_map_failures")}
+# sub-row of nd_transport_report -> (owner, name) of what it times
+ND_PARTS = {"  almost_triangular_wha_report": (adjstable, "almost_triangular_wha_report"),
+            "  adjoint_stable_algebra": (adjstable, "adjoint_stable_algebra"),
+            "  wedderburn_blocks": (repdim, "wedderburn_blocks")}
 
 
 def host_table(name: str):
@@ -146,6 +158,18 @@ def one_run(h, skip) -> dict:
               lambda: double_smash_decomposition(h, (dh, q)).require())
     if "double_smash_decomposition" in out:
         out.update((row, parts.get(name, 0.0)) for row, (_, name) in DECOMPOSITION_PARTS.items())
+    if "nd_transport_report" not in skip:
+        q_triv = trivial_qt(h)
+        bg_triv, ip = transmute(q_triv), integrals(h)
+        dec = decompose_hr(bg_triv)
+        block = max(dec.blocks, key=len)
+        parts = {}
+        with ExitStack() as stack:
+            for owner, name in ND_PARTS.values():
+                stack.enter_context(timed(owner, name, parts))
+            stage("nd_transport_report",
+                  lambda: nd_transport_report(block, q_triv, ip, bg_triv, dec).require())
+        out.update((row, parts.get(name, 0.0)) for row, (_, name) in ND_PARTS.items())
     return out
 
 

@@ -244,18 +244,38 @@ def _amb_terms(v: dict, nh: int, nw: int) -> list:
     return [(((k // nw) // nh, (k // nw) % nh, k % nw), c) for k, c in v.items()]
 
 
+def _h_op(h: HopfData, bg: BraidedGroupData) -> HopfData:
+    """H^op of bg's host h, derived once per braided group."""
+    if "h_op" not in bg.memo:
+        bg.memo["h_op"] = opposites(h, "op")
+    return bg.memo["h_op"]
+
+
+def _ambient(nw: int, h: HopfData, bg: BraidedGroupData | None) -> StructureAlgebra:
+    """end_algebra(nw, H^op); with bg, formed once per braided group and nw on
+    _h_op's algebra and kept in bg.memo under ("ambient", nw)."""
+    if bg is None:
+        return end_algebra(nw, opposite_algebra(h.algebra))
+    key = ("ambient", nw)
+    if key not in bg.memo:
+        bg.memo[key] = end_algebra(nw, _h_op(h, bg).algebra)
+    return bg.memo[key]
+
+
 def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
                            bg: BraidedGroupData | None = None) -> AdjointStableAlgebra:
     """N_W = W* [] (H (x) W) with the convolution-style product
     x o y = sum v*_l (x) g_l h_j (x) <w*_j, v_l> w_j, the product of the
     ambient End(W*) (x) H^op = end_algebra(dim W, H^op) read on the cotensor by
     Subspace.restricted; closure, associativity and the unit law of the unit
-    sum_i w*_i (x) 1 (x) w_i are verified."""
+    sum_i w*_i (x) 1 (x) w_i are verified.  With bg, whose host is h, the
+    ambient is the one _ambient keeps per dim W, shared by every N_W of that
+    dimension: read it, do not modify it."""
     htw = build_h_tensor_w(w, h, bg)
     wd = dual_right_comodule(w)
     basis = cotensor(wd, htw.as_comodule())
     m = len(basis)
-    ambient = end_algebra(w.dim, opposite_algebra(h.algebra))
+    ambient = _ambient(w.dim, h, bg)
     span = Subspace(basis, ambient.dim)
     mult, leaves = span.restricted(ambient.mult, basis, basis)
     if mult is None:
@@ -439,9 +459,7 @@ def psi_phi(d_basis, q: QTStructure, bg: BraidedGroupData | None = None) -> PsiP
     w = ComoduleData(bg.braided_coalgebra, dd.dim, coaction)
     verify_left_comodule(w, "D_as_comodule").require()
     nd = adjoint_stable_algebra(w, h, bg)
-    if "h_op" not in bg.memo:
-        bg.memo["h_op"] = opposites(h, "op")
-    s = smash_algebra(dstar_module_algebra(dd, bg.memo["h_op"]))
+    s = smash_algebra(dstar_module_algebra(dd, _h_op(h, bg)))
     rep.add("dimensions_match", nd.carrier.dim == s.carrier.dim,
             (nd.carrier.dim, s.carrier.dim))
 

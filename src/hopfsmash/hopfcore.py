@@ -84,23 +84,27 @@ class StructureAlgebra(Record):
         return self.mult.support()
 
     @cached_property
-    def unit_products(self) -> tuple:
-        """(times_one, one_times): times_one[z] = z 1 and one_times[z] = 1 z for
-        every index z, as tuples of (index, coefficient), computed once.  Each
-        term u of the unit, in its order, is read only at the z whose cell
-        (z, u), resp. (u, z), self.support lists as nonempty."""
-        rows = self.mult._rows
-        right, left = self.support
-        times_one = [{} for _ in range(self.dim)]
-        one_times = [{} for _ in range(self.dim)]
-        for u, cu in self.unit_sparse.items():
-            for z in left[u]:
-                for k, w in rows[z][u]:
-                    sp_add(times_one[z], k, cu * w)
-            for z in right[u]:
+    def _unit_products(self) -> dict:
+        """unit_products' values, by index, as they are first read."""
+        return {}
+
+    def unit_products(self, z: int) -> tuple:
+        """(z 1, 1 z) for the index z, each a tuple of (index, coefficient),
+        formed at the first read of z and kept: a caller pays only for the
+        indices it reads.  Each term u of the unit, in its order, is read at
+        the cells (z, u) and (u, z)."""
+        if (got := self._unit_products.get(z)) is None:
+            rows = self.mult._rows
+            row = rows[z]
+            times_one: dict = {}
+            one_times: dict = {}
+            for u, cu in self.unit_sparse.items():
+                for k, w in row[u]:
+                    sp_add(times_one, k, cu * w)
                 for k, w in rows[u][z]:
-                    sp_add(one_times[z], k, cu * w)
-        return tuple(tuple(tuple(acc.items()) for acc in side) for side in (times_one, one_times))
+                    sp_add(one_times, k, cu * w)
+            got = self._unit_products[z] = (tuple(times_one.items()), tuple(one_times.items()))
+        return got
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -128,7 +132,17 @@ class StructureAlgebra(Record):
         return kernel_basis(eqs, self.dim)
 
     def center_basis(self) -> list:
-        return self.centralizer_basis([{i: 1} for i in range(self.dim)])
+        """Exact basis of the centre, the centralizer of S = self.generators
+        once self.report has passed associativity, else of every e_i.
+
+        If w commutes with s and t then, by associativity, w (s t) =
+        (s w) t = s (t w) = (s t) w; so T = {v : w v = v w} holds every
+        product of elements of S, hence their span A: the centralizer of S
+        is that of A, as for double_smash_decomposition's C.  Without
+        associativity the induction fails, so every index is kept.  Both
+        routes return kernel_basis's canonical basis of one subspace."""
+        idx = self.generators if self.report.find("associativity").passed else range(self.dim)
+        return self.centralizer_basis([{i: 1} for i in idx])
 
 
 def sweedler_rows(t: Tensor3) -> tuple:
@@ -676,14 +690,14 @@ def padded_product(alg: StructureAlgebra, x: dict, x_legs, y: dict, y_legs) -> d
 
     Over pairs of terms, the shared leg holds the product of the two
     components there, x's other leg z 1 and y's other leg 1 z, read off
-    alg.unit_products: by bilinearity this is the product for any
-    multiplication tensor, unital or not.  A term of x meets only the terms
-    of y whose shared cell is nonempty, read off alg.support with y grouped
-    by its shared component; every pair skipped has a zero leg, so the sum
-    is that over every pair.  Each pair adds the outer product of its three
-    legs into one accumulator; a key's first term is stored as it is, as in
-    tensor_mul_sparse, and the zeros are dropped once at the end
-    (`sp_nonzero`)."""
+    alg.unit_products at those legs only: by bilinearity this is the
+    product for any multiplication tensor, unital or not.  A term of x
+    meets only the terms of y whose shared cell is nonempty, read off
+    alg.support with y grouped by its shared component; every pair skipped
+    has a zero leg, so the sum is that over every pair.  Each pair adds the
+    outer product of its three legs into one accumulator; a key's first
+    term is stored as it is, as in tensor_mul_sparse, and the zeros are
+    dropped once at the end (`sp_nonzero`)."""
     if not (len(x_legs) == len(set(x_legs)) == len(y_legs) == len(set(y_legs)) == 2
             and {*x_legs, *y_legs} == {0, 1, 2}):
         raise ValueError(f"legs {x_legs} and {y_legs} do not share exactly one of 0, 1, 2")
@@ -692,16 +706,16 @@ def padded_product(alg: StructureAlgebra, x: dict, x_legs, y: dict, y_legs) -> d
     # the position of each leg in (shared cell, z 1 of x, 1 z of y)
     slot = {shared: 0, x_legs[1 - xs]: 1, y_legs[1 - ys]: 2}
     i0, i1, i2 = (slot[leg] for leg in range(3))
-    times_one, one_times = alg.unit_products
+    unit_products = alg.unit_products
     rows, right = alg.mult._rows, alg.support[0]
     groups: dict = {}
     for key, c in y.items():
-        if v := one_times[key[1 - ys]]:
+        if v := unit_products(key[1 - ys])[1]:
             groups.setdefault(key[ys], []).append((v, c))
     acc: dict = {}
     get = acc.get
     for key, c in x.items():
-        p, u = key[xs], times_one[key[1 - xs]]
+        p, u = key[xs], unit_products(key[1 - xs])[0]
         if u:
             row = rows[p]
             for q in meeting(groups, right[p]):

@@ -61,6 +61,16 @@ class ModuleAlgebraData(Record):
         a (`Tensor3.plane`) is r |-> r . e_a, from H to A."""
         return self.action.permuted((1, 0, 2))
 
+    def moved_into(self, a: int, into: LinearMap, legs) -> LinearMap:
+        """r |-> into(r . e_a) from H, into composed with action_on.plane(a)
+        but with its columns formed only at the r in legs, each off its
+        action cell (r, a), the others left empty: map_legs over an element
+        whose first legs all lie in legs reads no other column."""
+        cell = self.action.row
+        return LinearMap(self.host.dim, into.target_dim,
+                         [into.apply_sparse(dict(cell(r, a))) if r in legs else {}
+                          for r in range(self.host.dim)])
+
     @cached_property
     def report(self) -> VerificationReport:
         """verify_module_algebra(self), computed once; shared, so read it."""

@@ -239,9 +239,13 @@ class BraidedGroupData(Record):
     @cached_property
     def memo(self) -> dict:
         """What decompose_hr, psi_phi (per exact basis, and the host's H^op
-        once) and hr_dual_separability (per lambda) derive from this braided
-        group, each stored once built and verified; a refused input is not
-        stored.  Shared: read it, do not modify it."""
+        once, under "h_op") and hr_dual_separability (per lambda) derive from
+        this braided group, each stored once built and verified; a refused
+        input is not stored.  adjoint_stable_algebra adds, under
+        ("ambient", dim W), the ambient End(W*) (x) H^op of every N_W of that
+        dimension, built once on the stored H^op: it depends on the host and
+        dim W only, so it stays when an input is refused, and each N_W
+        carrier read on it is verified.  Shared: read it, do not modify it."""
         return {}
 
 

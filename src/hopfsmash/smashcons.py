@@ -188,8 +188,10 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
     alpha = sep.alpha
     a_in, iota = s.factor_inclusions
     # a |-> R^2.a # R^1 = sum (R^2.a # 1)(1 # R^1), as build_B forms sigma
+    r_flip = q.R.flip().terms
+    firsts = {r for r, _ in r_flip}
     twist = LinearMap(na, n, [multiply_legs(s.carrier, map_legs(
-        a_in.compose(A_mod.action_on.plane(a)), iota, q.R.flip().terms)) for a in range(na)])
+        A_mod.moved_into(a, a_in, firsts), iota, r_flip)) for a in range(na)])
     algs2 = (s.carrier, s.carrier)
     deltas = [{(p, pq): c for p, pq, c in h.coalgebra.comul_row(i)} for i in range(nh)]
     delta_one = map_legs(twist, a_in, sep.x.terms)    # sum (R^2.x^1 # R^1) (x) (x^2 # 1)
@@ -423,7 +425,8 @@ def build_B(A_mod: ModuleAlgebraData, q: QTStructure, sep: SeparabilityData) -> 
         """sum f(x^1) g(x^2) in B."""
         return multiply_legs(carrier, map_legs(f, g, x))
 
-    sigma = LinearMap(na, n, [products(left.compose(A_mod.action_on.plane(a)), iota, r_flip)
+    firsts = {r for r, _ in r_flip}
+    sigma = LinearMap(na, n, [products(A_mod.moved_into(a, left, firsts), iota, r_flip)
                               for a in range(na)])
 
     # the slots of Delta_B, coproduct-shaped tensors on A, H and A*

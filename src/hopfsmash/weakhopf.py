@@ -295,7 +295,19 @@ def verify_weak_qt(wq: WeakQTStructure, subject: str = "weak_qt") -> Verificatio
 def almost_triangular_wha_report(wq: WeakQTStructure,
                                  subject: str = "almost_triangular_wha") -> VerificationReport:
     """Conditions (2)-(6) of the almost-triangular equivalence, evaluated
-    independently and checked for mutual consistency."""
+    independently and checked for mutual consistency.
+
+    Condition (6) asks z = R^21 R to commute with every corner
+    C_ij = (Delta(1)(e_i (x) e_j))Delta(1).  By bilinearity alone C_ij is the
+    sum, over pairs of terms a (x) b and a' (x) b' of Delta(1), of
+    (e_a e_i) e_a' (x) (e_b e_j) e_b'; such a summand is 0 unless some e_k in
+    the cell (a, i) has a nonempty cell (k, a') and some e_l in the cell
+    (b, j) one (l, b').  A pair (i, j) that no two terms reach so has C_ij = 0,
+    both sides 0, and cannot fail; the scan forms only the reached pairs, in
+    order, so its first failing pair is that of all n^2.  No associativity
+    is used: the shortcut e_i e_a' != 0 would assume (e_a e_i) e_a' =
+    e_a (e_i e_a') and drop reachable corners on a host that is not
+    associative."""
     rep = VerificationReport(subject)
     w = wq.host
     n = w.dim
@@ -325,10 +337,19 @@ def almost_triangular_wha_report(wq: WeakQTStructure,
         alg, wq.Rw, adjoint_action_tensor(w), c_hs, d1), informational=True)
 
     def corner_failures():
-        # the corner is 0, and so are both sides, unless some term a (x) b of
-        # Delta(1) meets e_i (x) e_j in nonempty cells (a, i) and (b, j)
-        right = alg.support[0]
-        for i, j in sorted({(i, j) for a, b in d1 for i in right[a] for j in right[b]}):
+        # only the pairs (i, j) that two terms of Delta(1) reach (see above):
+        # reached[a, a2] lists the i with some e_k in the cell (a, i) whose
+        # cell (k, a2) is nonempty
+        rows = alg.mult._rows
+        right, left = alg.support
+        sides = [{key[leg] for key in d1} for leg in (0, 1)]
+        lefts = {x: set(left[x]) for side in sides for x in side}
+        reached = {(a, a2): [i for i in right[a]
+                             if not lefts[a2].isdisjoint(k for k, _ in rows[a][i])]
+                   for side in sides for a in side for a2 in side}
+        pairs = {p for a, b in d1 for a2, b2 in d1
+                 for p in itertools.product(reached[a, a2], reached[b, b2])}
+        for i, j in sorted(pairs):
             corner = tensor_mul_sparse(
                 algs2, tensor_mul_sparse(algs2, d1, {(i, j): 1}), d1)
             if tensor_mul_sparse(algs2, z, corner) != tensor_mul_sparse(algs2, corner, z):

@@ -1020,12 +1020,22 @@ def test_stage_times_prints_every_stage_and_leaves_the_verifiers_in_place(monkey
     stage_times = importlib.import_module("stage_times")
     verifiers = (hopfcore.verify_hopf, qtriang.verify_qt,
                  hopfcore.intertwining_failures, hopfcore.hexagon_sides)
+    nd_timed = [vars(owner)[name] for owner, name in stage_times.ND_PARTS.values()]
     assert stage_times.main(["z2", "--runs", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()[3:]
     rows = [line.split("|")[1].strip() for line in lines]
     assert [r.split("`")[1] for r in rows] == [s.strip() for s in stage_times.STAGES]
     assert (hopfcore.verify_hopf, qtriang.verify_qt,
             hopfcore.intertwining_failures, hopfcore.hexagon_sides) == verifiers
+    assert [vars(owner)[name] for owner, name in stage_times.ND_PARTS.values()] == nd_timed
+    # the N_D transport closes the table, split into its two almost-triangular
+    # reports, its N_D and N_W builds and their Wedderburn blocks: each ran,
+    # and, timed apart, they fit inside it
+    nd_rows = [(line.split("`")[1], float(line.split("|")[2])) for line in lines[-4:]]
+    assert [name for name, _ in nd_rows] == [
+        "nd_transport_report", "almost_triangular_wha_report", "adjoint_stable_algebra",
+        "wedderburn_blocks"]
+    assert all(t > 0 for _, t in nd_rows) and sum(t for _, t in nd_rows[1:]) <= nd_rows[0][1]
     # verify_qt is split into its intertwining scan and its hexagons: both
     # ran, and, timed apart, they fit inside it
     times = {line.split("`")[1]: float(line.split("|")[2]) for line in lines}
@@ -1034,8 +1044,14 @@ def test_stage_times_prints_every_stage_and_leaves_the_verifiers_in_place(monkey
     assert all(s > 0 for s in parts) and sum(parts) <= times["verify_qt"]
     assert stage_times.main(["s3", "--runs", "1", "--skip", "double_smash_decomposition"]) == 0
     assert "double_smash_decomposition" not in capsys.readouterr().out
+    assert stage_times.main(["z2", "--runs", "1", "--skip", "nd_transport_report"]) == 0
+    out = capsys.readouterr().out
+    assert "nd_transport_report" not in out
+    assert not any(f"`{row.strip()}` (in the above)" in out for row in stage_times.ND_PARTS)
     with pytest.raises(SystemExit):
         stage_times.main(["q5"])
+    with pytest.raises(SystemExit):
+        stage_times.main(["z2", "--skip", "  adjoint_stable_algebra"])
 
 
 def test_stage_times_splits_the_decomposition_and_restores_smashcons(monkeypatch, capsys):

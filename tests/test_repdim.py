@@ -3,8 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from hopfsmash import demos as dm
-from hopfsmash.exactlin import Tensor3, vec
-from hopfsmash.hopfcore import GroupTable, NotSemisimple, StructureAlgebra, group_algebra
+from hopfsmash.exactlin import Subspace, Tensor3, vec
+from hopfsmash.hopfcore import (GroupTable, NotSemisimple, StructureAlgebra, group_algebra,
+                                heisenberg_double)
 from hopfsmash.modalg import pointwise_algebra, trivial_module_algebra
 from hopfsmash.qtriang import trivial_qt
 from hopfsmash.repdim import (
@@ -15,7 +16,7 @@ from hopfsmash.repdim import (
 )
 from hopfsmash.report import HypothesisFailure
 from hopfsmash.weakhopf import groupoid_wha
-from reference import conjugacy_classes, pair_groupoid
+from reference import conjugacy_classes, pair_groupoid, span_of
 
 
 def test_blocks_ks3(ks3):
@@ -26,6 +27,59 @@ def test_blocks_ks3(ks3):
     assert br.blocks == (1, 1, 2)
     assert len(br.blocks) == len(ks3.algebra.center_basis())
     assert sum(d * d for d in br.blocks) == ks3.dim
+
+
+def _record_centralized(monkeypatch) -> list:
+    """The index sets StructureAlgebra.centralizer_basis is called on, one
+    list per call, while the patch holds."""
+    seen = []
+    real = StructureAlgebra.centralizer_basis
+
+    def recording(self, vectors):
+        vectors = list(vectors)
+        seen.append([i for v in vectors for i in v])
+        return real(self, vectors)
+
+    monkeypatch.setattr(StructureAlgebra, "centralizer_basis", recording)
+    return seen
+
+
+def test_center_basis_is_the_full_centralizer(ks3, double_s3, smash18, b54, monkeypatch):
+    # on verified algebras the centre is read off the generators, with the
+    # same canonical basis as the centralizer of every e_i
+    worlds = {"kS3": ks3.algebra, "D(kS3)": double_s3[0].algebra,
+              "Heis(kS3)": heisenberg_double(ks3), "k3 # kS3": smash18.carrier,
+              "B": b54.wha.algebra}
+    for name, alg in worlds.items():
+        full = alg.centralizer_basis([{i: 1} for i in range(alg.dim)])
+        assert alg.report.find("associativity").passed, name
+        assert len(alg.generators) < alg.dim, name
+        seen = _record_centralized(monkeypatch)
+        got = alg.center_basis()
+        monkeypatch.undo()
+        assert seen == [list(alg.generators)], name
+        assert span_of(Subspace(got, alg.dim)) == span_of(Subspace(full, alg.dim)), name
+        assert got == full, name
+
+
+def test_center_basis_keeps_every_index_without_associativity(ks3, monkeypatch):
+    # kS3 with the cells (1, 1) and (1, 3) swapped keeps its unit law but is
+    # not associative; there its generators have a larger centralizer than
+    # the algebra, and center_basis centralizes every e_i
+    alg = ks3.algebra
+    n = alg.dim
+    swap = {(1, 1): (1, 3), (1, 3): (1, 1)}
+    twin = StructureAlgebra(n, Tensor3.from_entries((n, n, n), [
+        (*swap.get((i, j), (i, j)), k, c) for i in range(n) for j in range(n)
+        for k, c in alg.mul_row(i, j)]), alg.unit)
+    assert twin.report.find("unit_law").passed
+    assert not twin.report.find("associativity").passed
+    full = twin.centralizer_basis([{i: 1} for i in range(n)])
+    assert len(twin.centralizer_basis([{i: 1} for i in twin.generators])) > len(full)
+    seen = _record_centralized(monkeypatch)
+    got = twin.center_basis()
+    assert seen == [list(range(n))]
+    assert span_of(Subspace(got, n)) == span_of(Subspace(full, n))
 
 
 def test_blocks_smash(smash18):

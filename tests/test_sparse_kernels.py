@@ -257,21 +257,27 @@ def test_seeded_hexagon_sides_match_the_all_pairs_loop(seed):
 def test_unit_products_are_the_sums_over_every_unit_term(seed):
     # z 1 and 1 z over every term of a seeded unit of several terms, empty
     # cells included: the same entries, raw scalar types and order of first
-    # arrival as summing each term in turn
+    # arrival as summing each term in turn.  The cache holds only the indices
+    # read so far, read in a seeded order with repeats, and a repeat returns
+    # the stored pair
     rng = random.Random(seed)
     n = rng.randint(2, 7)
     unit = tuple(rng.choice(COEFFS) if rng.random() < 0.6 else 0 for _ in range(n))
     alg = StructureAlgebra(n, _random_algebra(rng, n, rng.choice((0.1, 0.4))).mult, unit)
-    times_one, one_times = alg.unit_products
     rows = alg.mult._rows
-    for z in range(n):
+    order = [rng.randrange(n) for _ in range(n)] + rng.sample(range(n), n)
+    for step, z in enumerate(order):
+        first = z not in alg._unit_products
+        times_one, one_times = pair = alg.unit_products(z)
+        assert first or alg._unit_products[z] is pair
+        assert set(alg._unit_products) == set(order[:step + 1])
         right, left = {}, {}
         for u, cu in ((u, cu) for u, cu in enumerate(unit) if cu):
             for k, w in rows[z][u]:
                 _add(right, k, cu * w)
             for k, w in rows[u][z]:
                 _add(left, k, cu * w)
-        for got, want in ((times_one[z], right), (one_times[z], left)):
+        for got, want in ((times_one, right), (one_times, left)):
             assert got == tuple(want.items())
             assert [type(c) for _, c in got] == list(map(type, want.values()))
 
@@ -322,16 +328,22 @@ def test_the_placements_are_the_six_pairs_each_in_both_orders():
 @pytest.mark.parametrize("seed", range(12))
 def test_padded_product_matches_the_dense_all_pairs_product(seed):
     # seeded non-unital products (the unit seeded too), operands of 0, 1 and
-    # many terms with Fraction constants, on every placement
+    # many terms with Fraction constants, on every placement; the unit
+    # products are formed only at the operands' legs off the shared one
     rng = random.Random(seed)
     n = rng.randint(2, 5)
     unit = tuple(rng.choice((0, 0) + COEFFS) for _ in range(n))
     alg = StructureAlgebra(n, _random_algebra(rng, n, rng.choice((0.1, 0.3, 0.6))).mult, unit)
+    padded = set()
     for x_legs, y_legs in PLACEMENTS:
+        shared = ({*x_legs} & {*y_legs}).pop()
         for sx, sy in ((0, 3), (3, 0), (1, 1), (1, 8), (8, 1), (10, 10)):
             x, y = _random_element(rng, (n, n), sx), _random_element(rng, (n, n), sy)
             _same(padded_product(alg, x, x_legs, y, y_legs),
                   _padded_reference(alg, x, x_legs, y, y_legs))
+            padded |= {key[1 - x_legs.index(shared)] for key in x}
+            padded |= {key[1 - y_legs.index(shared)] for key in y}
+            assert set(alg._unit_products) <= padded
 
 
 @pytest.mark.parametrize("seed", range(6))

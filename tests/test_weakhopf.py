@@ -465,9 +465,25 @@ def corner_worlds(double_z2, double_s3, b54, q_s3, ip_s3, bg_s3, hr_decompositio
     return {**worlds, "B": b54.rqt, "N_D": seen[1]}
 
 
+def _product_cell_moved(wq, src, dst):
+    """wq over a twin of its host whose product cell src is moved to the
+    empty cell dst; coproduct, antipode, R and Rbar are kept."""
+    w = wq.host
+    alg, n = w.algebra, w.dim
+    assert alg.mul_row(*src) and not alg.mul_row(*dst)
+    entries = [(*(dst if (i, j) == src else (i, j)), k, c)
+               for i in range(n) for j in range(n) for k, c in alg.mul_row(i, j)]
+    twin = StructureAlgebra(n, Tensor3.from_entries((n, n, n), entries), alg.unit)
+    return WeakQTStructure(WeakHopfData(twin, w.coalgebra, w.antipode), wq.Rw, wq.Rw_bar)
+
+
 def test_cond6_corners_match_the_all_pairs_loop(corner_worlds):
     # the report forms only the corners that Delta(1) can reach; twins of N_D
-    # with one cell of R moved by +1 perturb z so that cond6 fails
+    # with one cell of R moved by +1 perturb z so that cond6 fails.  Twins
+    # with one product cell moved are not associative: on each, the corner
+    # (e_a e_i) e_a' is not e_a (e_i e_a'), and the shortcut e_i e_a' != 0
+    # would skip the first failing pair (it finds none on the first two and
+    # a later pair on the third)
     nd = corner_worlds["N_D"]
     n = nd.host.dim
     twins = {}
@@ -476,6 +492,9 @@ def test_cond6_corners_match_the_all_pairs_loop(corner_worlds):
         terms[cell] = terms.get(cell, 0) + 1
         twins[f"N_D {cell}"] = WeakQTStructure(
             nd.host, TensorElem.from_entries((n, n), terms.items()), nd.Rw_bar)
+    for src, dst in (((12, 17), (12, 10)), ((6, 5), (0, 16)), ((15, 9), (6, 14))):
+        twin = twins[f"N_D product {src} -> {dst}"] = _product_cell_moved(nd, src, dst)
+        assert not twin.host.algebra.report.find("associativity").passed
     for name, wq in {**corner_worlds, **twins}.items():
         check = almost_triangular_wha_report(wq).find("cond6_z_central_in_corner")
         ref = _cond6_reference(wq)
