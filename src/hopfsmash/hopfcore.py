@@ -276,18 +276,20 @@ def meeting(groups: dict, support_row):
     return groups if len(groups) <= len(support_row) else groups.keys() & support_row
 
 
-def tensor_mul_sparse(algs, u: dict, v: dict) -> dict:
+def tensor_mul_sparse(algs, u: dict, v: dict, groups=None) -> dict:
     """Product in A (x) B, algs = (A, B), of sparse elements keyed by index
     pairs; any other number of algebras raises ValueError.
 
     A pair of terms a, b is formed only where the first legs' cell (a_1, b_1)
     is nonempty: v is grouped by first leg, and a term of u meets the groups
     that its row of A.support names.  A pair skipped has a zero first leg, so
-    the product is that over every pair.  The cells (a_1, b_1) and (a_2, b_2)
-    are read directly and every term is summed into one accumulator, whose
-    zeros are dropped once at the end (`sp_nonzero`).  A key's first term is
-    stored as it is, not added to 0: 0 + Fraction goes through
-    Fraction.__radd__, many times the cost of the store.
+    the product is that over every pair.  A caller that multiplies by one v
+    many times passes by_leg(v, 0) as `groups`, formed once; else they are
+    formed here.  The cells (a_1, b_1) and (a_2, b_2) are read directly and
+    every term is summed into one accumulator, whose zeros are dropped once
+    at the end (`sp_nonzero`).  A key's first term is stored as it is, not
+    added to 0: 0 + Fraction goes through Fraction.__radd__, many times the
+    cost of the store.
     """
     if len(algs) != 2:
         raise ValueError(f"tensor_mul_sparse multiplies in A (x) B, not in {len(algs)} legs")
@@ -295,7 +297,8 @@ def tensor_mul_sparse(algs, u: dict, v: dict) -> dict:
         return {}
     first, second = (alg.mult._rows for alg in algs)
     right = algs[0].support[0]
-    groups = by_leg(v, 0)
+    if groups is None:
+        groups = by_leg(v, 0)
     acc: dict = {}
     get = acc.get
     for (a1, a2), ca in u.items():
@@ -363,8 +366,9 @@ def casimir_failures(alg: StructureAlgebra, x: dict):
     separability equation a x = x a."""
     algs2 = (alg, alg)
     one = alg.unit_sparse
+    groups = by_leg(x, 0)
     for a in range(alg.dim):
-        if tensor_mul_sparse(algs2, sparse_outer({a: 1}, one), x) \
+        if tensor_mul_sparse(algs2, sparse_outer({a: 1}, one), x, groups) \
                 != tensor_mul_sparse(algs2, x, sparse_outer(one, {a: 1})):
             yield (a,)
 
@@ -405,9 +409,12 @@ def generating_set(alg: StructureAlgebra, first=()) -> tuple:
     W, the least subspace with S in W and W S in W, is kept as an Echelon
     over the rationals; e_i joins S only when it is not yet in W, so on return
     W holds every e_i, that is W = A.  W is a subspace, not an index set: the
-    closure of index sets is sound only for monomial tensors.
+    closure of index sets is sound only for monomial tensors.  A row of W
+    with one entry is e_k (Echelon rows lead with 1), so its product with
+    e_s is a copy of the stored cell (k, s).
     """
     n = alg.dim
+    cells = alg.mult._rows
     w = Echelon()
     todo: list = []      # (row of W, s): products w s not yet reduced into W
     gens: list = []
@@ -427,7 +434,12 @@ def generating_set(alg: StructureAlgebra, first=()) -> tuple:
         grow(v)
         while todo:
             row, s = todo.pop()
-            if v := w.residue(alg.mul_sparse(row, {s: 1})):
+            if len(row) == 1:
+                (k,) = row
+                v = dict(cells[k][s])
+            else:
+                v = alg.mul_sparse(row, {s: 1})
+            if v := w.residue(v):
                 grow(v)
     return tuple(sorted(gens))
 
@@ -459,9 +471,9 @@ def certified_scan(failures, gens, full):
 # ---------------------------------------------------------------------------
 
 def verify_algebra(a: StructureAlgebra, subject: str = "algebra") -> VerificationReport:
-    """Left/right unit laws, and associativity as the module law of A acting
-    on itself, scanned by Light's test on the basis triples (i, s, k) with s
-    in S = a.generators.
+    """Left/right unit laws, read off a.unit_products, and associativity as
+    the module law of A acting on itself, scanned by Light's test on the
+    basis triples (i, s, k) with s in S = a.generators.
 
     If (x s) y = x (s y) for all x, y and s in S, then T = {w : (x w) y =
     x (w y) for all x, y} holds S, and for w in T, s in S:
@@ -470,10 +482,8 @@ def verify_algebra(a: StructureAlgebra, subject: str = "algebra") -> Verificatio
     """
     rep = VerificationReport(subject)
     n = a.dim
-    u = a.unit_sparse
     rep.check("unit_law", ((i,) for i in range(n)
-                           if a.mul_sparse(u, {i: 1}) != {i: 1}
-                           or a.mul_sparse({i: 1}, u) != {i: 1}))
+                           if a.unit_products(i) != (((i, 1),), ((i, 1),))))
     rep.check("associativity", certified_scan(
         lambda js: module_law_failures(a, a.mult, js), a.generators, range(n)))
     return rep
@@ -481,30 +491,35 @@ def verify_algebra(a: StructureAlgebra, subject: str = "algebra") -> Verificatio
 
 def counit_law_failures(rows, counit):
     """Indices (w,) with (eps (x) id) rho(e_w) != e_w, for the Sweedler rows
-    of a left coaction rho over a coalgebra with counit eps."""
+    of a left coaction rho over a coalgebra with counit eps: one accumulator
+    of the difference, a key's first term stored as it is."""
     for w, row in enumerate(rows):
-        acc: dict = {}
+        acc: dict = {w: -1}
+        get = acc.get
         for d, w2, c in row:
-            if counit[d]:
-                sp_add(acc, w2, c * counit[d])
-        if acc != {w: 1}:
+            if e := counit[d]:
+                t = c * e
+                acc[w2] = t if (old := get(w2)) is None else old + t
+        if any(acc.values()):
             yield (w,)
 
 
 def coassociativity_failures(rows, comul_rows, indices=None):
     """Indices (w,), w in `indices` (every index when None), with
     (Delta (x) id) rho(e_w) != (id (x) rho) rho(e_w), for the Sweedler rows of
-    a left coaction rho and of the coproduct Delta."""
+    a left coaction rho and of the coproduct Delta: both sides go into one
+    accumulator of their difference, a key's first term stored as it is."""
     for w in range(len(rows)) if indices is None else indices:
-        row = rows[w]
-        lhs: dict = {}
-        rhs: dict = {}
-        for d, w2, c in row:
+        acc: dict = {}
+        get = acc.get
+        for d, w2, c in rows[w]:
             for a, b, cc in comul_rows[d]:
-                sp_add(lhs, (a, b, w2), c * cc)
+                key, t = (a, b, w2), c * cc
+                acc[key] = t if (old := get(key)) is None else old + t
             for d2, w3, cc in rows[w2]:
-                sp_add(rhs, (d, d2, w3), c * cc)
-        if lhs != rhs:
+                key, t = (d, d2, w3), c * cc
+                acc[key] = -t if (old := get(key)) is None else old - t
+        if any(acc.values()):
             yield (w,)
 
 
@@ -544,11 +559,18 @@ def comult_multiplicative_failures(alg: StructureAlgebra, coal: StructureCoalgeb
 
     A term e_a (x) e_b of Delta(e_i) meets only its partners in Delta(e_j),
     the e_a2 (x) e_b2 with e_a e_a2 nonzero, listed once per (a, j) as the
-    (cell a a2, b2, w2) of mates[a].
+    (cell a a2, b2, w2) of mates[a]: each term of Delta(e_j), in order, is
+    filed under the a that alg.support lists beside a2.
     """
     rows, comul = alg.mult._rows, coal.rows
-    scans = [(j, [[(ra[a2], b2, w2) for a2, b2, w2 in comul[j] if ra[a2]] for ra in rows])
-             for j in right]
+    left = alg.support[1]    # left[a2]: the a with e_a e_a2 nonzero
+    scans = []
+    for j in right:
+        mates: list = [[] for _ in rows]
+        for a2, b2, w2 in comul[j]:
+            for a in left[a2]:
+                mates[a].append((rows[a][a2], b2, w2))
+        scans.append((j, mates))
     for i, ri in enumerate(rows):
         for j, mates in scans:
             acc: dict = {}    # Delta(e_i e_j) - Delta(e_i) Delta(e_j)
@@ -672,12 +694,14 @@ def intertwining_failures(alg: StructureAlgebra, coal: StructureCoalgebra, r: di
     Delta^cop(w) R Delta(s) = Delta^cop(w) Delta^cop(s) R = Delta^cop(w s) R,
     so T, a subspace, holds every left-normed word in S, T = A.  Neither a
     unit nor a counit law is used, so this serves weak bialgebras too.
+    R, the right operand of every Delta^cop(e_i) R, is grouped once.
     """
     algs2 = (alg, alg)
+    r_groups = by_leg(r, 0)
     for i in indices:
         dlt = {(a, b): c for a, b, c in coal.comul_row(i)}
         cop = {(b, a): c for a, b, c in coal.comul_row(i)}
-        if tensor_mul_sparse(algs2, r, dlt) != tensor_mul_sparse(algs2, cop, r):
+        if tensor_mul_sparse(algs2, r, dlt) != tensor_mul_sparse(algs2, cop, r, r_groups):
             yield (i,)
 
 
@@ -814,7 +838,7 @@ def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
     in S, once algebra.associativity has passed: T = {w : eps(x w) = eps(x)
     eps(w) for all x} holds S, and for w in T, s in S: eps(x (w s)) =
     eps((x w) s) = eps(x w) eps(s) = eps(x) eps(w) eps(s) = eps(x) eps(w s),
-    so T = A.
+    so T = A.  eps is summed over a cell only when the cell is nonempty.
     """
     rep = VerificationReport(subject)
     n = h.dim
@@ -824,10 +848,10 @@ def verify_hopf(h: HopfData, subject: str = "hopf") -> VerificationReport:
     rep.add("comult_unital", h.coalgebra.comul_sparse(h.algebra.unit_sparse) == unit2)
     rep.add("comult_multiplicative", multiplicative is None, multiplicative)
 
-    eps = h.counit
+    eps, rows = h.counit, h.mult._rows
     rep.check("counit_multiplicative", certified_scan(
-        lambda js: ((i, j) for i in range(n) for j in js
-                    if sum(c * eps[k] for k, c in h.algebra.mul_row(i, j))
+        lambda js: ((i, j) for i, ri in enumerate(rows) for j in js
+                    if (sum(c * eps[k] for k, c in cell) if (cell := ri[j]) else 0)
                     != eps[i] * eps[j]), gens, range(n)))
     rep.add("counit_unital", h.coalgebra.counit_sparse(h.algebra.unit_sparse) == 1)
 

@@ -65,7 +65,9 @@ def wedderburn_blocks(a: StructureAlgebra, *, seed: int = 0) -> BlockReport:
     polynomial mu of L_z on Z(A) has degree r = dim Z(A), the lambda_i are
     distinct, and the polynomial part Q of mu(x) sum_m p_m x^(-m-1) has
     Q(lambda_i) = d_i^2 mu'(lambda_i); so deg gcd(mu, Q - d^2 mu') blocks have
-    size d, rational lambda_i or not. Otherwise z is re-seeded."""
+    size d, rational lambda_i or not. Otherwise z is re-seeded.  Each
+    lambda_i, a root of mu, has exactly one d, so the d loop ends once r
+    blocks are found: every later gcd is 1."""
     alpha = _check_semisimple(a)
     n = a.dim
     center = a.center_basis()
@@ -86,6 +88,8 @@ def wedderburn_blocks(a: StructureAlgebra, *, seed: int = 0) -> BlockReport:
         dmu = [k * c for k, c in enumerate(mu)][1:]
         blocks = []
         for d in range(1, isqrt(n) + 1):
+            if len(blocks) == r:
+                break
             g = _poly_gcd(mu, [x - d * d * y for x, y in zip(q, dmu)])
             blocks.extend([d] * (len(g) - 1))
         if len(blocks) != r or sum(d * d for d in blocks) != n:

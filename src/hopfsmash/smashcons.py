@@ -38,6 +38,7 @@ from .hopfcore import (
     StructureAlgebra,
     StructureCoalgebra,
     algebra_map_failures,
+    by_leg,
     certified_scan,
     check_map,
     convolution,
@@ -260,9 +261,11 @@ def smash_weak_structure(s: SmashProduct, q: QTStructure, sep: SeparabilityData)
 
     # helper identity 1t(1#h_(1)) (x) ... = (1#h_(1))1t (x) ...
     def helper_4_failures():
+        one_t_groups = by_leg(one_t, 0)
         for i in range(nh):
             pairs = map_legs(iota, iota, deltas[i])
-            if tensor_mul_sparse(algs2, one_t, pairs) != tensor_mul_sparse(algs2, pairs, one_t):
+            if tensor_mul_sparse(algs2, one_t, pairs) != tensor_mul_sparse(algs2, pairs, one_t,
+                                                                           one_t_groups):
                 yield (i,)
 
     rep.check("helper_eq1_4", helper_4_failures())

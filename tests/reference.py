@@ -1,8 +1,10 @@
 """Small readers and constructions that only the tests use: a commutativity
 test, the conjugacy classes of a group table, the pair and one-object
-groupoids, the inclusion a |-> a # 1 of a smash product, and a Subspace's
-span as a value to compare."""
+groupoids, the inclusion a |-> a # 1 of a smash product, a Subspace's span
+as a value to compare, and the generating-set closure with every product
+formed by mul_sparse."""
 
+from hopfsmash.exactlin import Echelon
 from hopfsmash.weakhopf import GroupoidData
 
 
@@ -66,3 +68,31 @@ def one_object_groupoid(table) -> GroupoidData:
 def include_a(s, a_sp: dict) -> dict:
     """a |-> a # 1 in the smash product s."""
     return s.factor_inclusions[0].apply_sparse(a_sp)
+
+
+def generating_set_reference(alg, first=()) -> tuple:
+    """hopfcore.generating_set with every product w s of a row of W by a
+    generator formed by alg.mul_sparse, one-entry rows included."""
+    n = alg.dim
+    w = Echelon()
+    todo: list = []
+    gens: list = []
+
+    def grow(v: dict) -> None:
+        row = w.add(v)
+        todo.extend((row, s) for s in gens)
+
+    for i in (*first, *sorted(set(range(n)).difference(first))):
+        if len(w.rows) == n:
+            break
+        v = w.residue({i: 1})
+        if not v:
+            continue
+        gens.append(i)
+        todo.extend((row, i) for row in w.rows.values())
+        grow(v)
+        while todo:
+            row, s = todo.pop()
+            if v := w.residue(alg.mul_sparse(row, {s: 1})):
+                grow(v)
+    return tuple(sorted(gens))

@@ -1092,16 +1092,47 @@ def test_stage_times_splits_the_double_build_and_restores_the_kernels(monkeypatc
     from hopfsmash import hopfcore
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
     stage_times = importlib.import_module("stage_times")
-    before = (hopfcore.twisted_product, Tensor3.kron)
+    kernels = (hopfcore.twisted_product, Tensor3.kron, hopfcore.generating_set,
+               hopfcore.comult_multiplicative_failures)
     assert stage_times.main(["s3", "--runs", "1", "--skip", "double_smash_decomposition"]) == 0
-    assert (hopfcore.twisted_product, Tensor3.kron) == before
+    assert (hopfcore.twisted_product, Tensor3.kron, hopfcore.generating_set,
+            hopfcore.comult_multiplicative_failures) == kernels
     rows = {line.split("`")[1]: float(line.split("|")[2])
             for line in capsys.readouterr().out.splitlines()[3:]}
-    # the product and the coproduct ran, and fit inside the build
-    assert rows["product"] > 0 and rows["coproduct"] > 0
-    assert rows["product"] + rows["coproduct"] <= rows["build"]
+    # the product, the coproduct and the certified generators ran, and fit
+    # inside the build; the Delta scan ran, and fits inside verify_hopf
+    assert rows["product"] > 0 and rows["coproduct"] > 0 and rows["generating_set"] > 0
+    assert rows["product"] + rows["coproduct"] + rows["generating_set"] <= rows["build"]
+    assert 0 < rows["comult_multiplicative_failures"] <= rows["verify_hopf"]
     with pytest.raises(SystemExit):
         stage_times.main(["z2", "--skip", "  coproduct"])
+
+
+def test_stage_times_against_a_checkout_times_both_in_fresh_interpreters(monkeypatch, capsys,
+                                                                          tmp_path):
+    import importlib
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "scripts"))
+    stage_times = importlib.import_module("stage_times")
+    # this tree against itself: every stage of both, and a count of wins
+    # out of the runs; nothing is timed in this process
+    assert stage_times.main(["z2", "--runs", "2", "--skip", "double_smash_decomposition",
+                             "nd_transport_report", "--against", str(root)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("median of 2 runs, each in a fresh interpreter")
+    assert lines[1] == f"| stage | this tree (s) | {root} (s) | this tree faster |"
+    cells = [[c.strip() for c in line.split("|")[1:-1]] for line in lines[3:]]
+    skipped = {"double_smash_decomposition", "nd_transport_report"}
+    owners = {**stage_times.DECOMPOSITION_PARTS, **stage_times.ND_PARTS}
+    assert [c[0].split("`")[1] for c in cells] == [
+        s.strip() for s in stage_times.STAGES if s.strip() not in skipped and s not in owners]
+    assert all(float(c[1]) > 0 and float(c[2]) > 0 and c[3] in ("0/2", "1/2", "2/2")
+               for c in cells)
+    (tmp_path / "src").mkdir()
+    with pytest.raises(SystemExit):
+        stage_times.main(["z2", "--against", str(tmp_path)])
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,13 @@ from hopfsmash.hopfcore import (
 from hopfsmash.qtriang import (
     BraidedGroupData,
     QTStructure,
+    hr_star_algebra,
     transmute,
     verify_braided_group,
     verify_qt,
 )
 from hopfsmash.weakhopf import WeakHopfData, WeakQTStructure, verify_weak_bialgebra, verify_weak_qt
-from reference import span_of
+from reference import generating_set_reference, span_of
 
 DELTAS = (F(1), F(-1), F(2), F(1, 2))
 
@@ -224,6 +225,38 @@ def test_zero_product_needs_every_index():
     alg = StructureAlgebra(3, Tensor3.from_row_dicts((3, 3, 3), {}), (F(0),) * 3)
     assert generating_set(alg) == (0, 1, 2)
     assert verify_algebra(alg).find("associativity").passed
+
+
+def test_stored_cells_give_the_mul_sparse_closure(ks3, kz2, double_s3, b54, bg_s3, hosts,
+                                                  monkeypatch):
+    # a one-entry row of W is e_k, so generating_set copies the cell (k, s)
+    # where the closure kept in tests/reference.py calls mul_sparse: the same
+    # S, in basis order and from a reversed `first`, on the hosts and on
+    # every +1 single-cell twin of the product of kZ2 and kS3
+    worlds = [ks3.algebra, hosts["D(kZ2)"].algebra, double_s3[0].algebra,
+              hosts["k3#kS3"].algebra, b54.wha.algebra, hr_star_algebra(bg_s3)]
+    for h in (kz2, ks3):
+        n = h.dim
+        worlds += [StructureAlgebra(n, _perturbed_t3(h.mult, i, j, k, 1), h.unit)
+                   for i in range(n) for j in range(n) for k in range(n)]
+    assert len(worlds) == 6 + 8 + 216
+    calls = {"kernel": 0, "reference": 0}
+    real = StructureAlgebra.mul_sparse
+    side = "kernel"
+
+    def counted(alg, a, b):
+        calls[side] += 1
+        return real(alg, a, b)
+
+    monkeypatch.setattr(StructureAlgebra, "mul_sparse", counted)
+    for alg in worlds:
+        for first in ((), tuple(reversed(range(alg.dim)))):
+            side = "kernel"
+            got = generating_set(alg, first)
+            side = "reference"
+            assert got == generating_set_reference(alg, first), (alg.dim, first)
+    # both branches ran: products of one-entry rows skipped, the others formed
+    assert 0 < calls["kernel"] < calls["reference"]
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ def _build(kind: str):
         s3 = dm.s3_table()
         return GroupTable.from_lists(s3.elements, map(list, s3.table)), "table", "identity"
     h = group_algebra(dm.s3_table())
-    if kind == "StructureAlgebra":
-        return h.algebra, "mult", "support"
+    if kind == "StructureAlgebra":    # group_algebra's report read h.algebra's support
+        return StructureAlgebra(h.dim, h.mult, h.unit), "mult", "support"
     if kind == "HopfData":
         return h, "antipode", "antipode_inv"
     if kind == "WeakHopfData":

@@ -15,7 +15,8 @@ pairs of legs out of three that share one, cancelling terms, running sums
 that pass through 0 and non-unital product tensors.  `padded_product`,
 `comult_leg` and `Tensor3.plane` are also read against `dense()`.
 `tensor_mul_sparse` multiplies in A (x) B only; the reference takes any
-number of legs.
+number of legs.  A right operand grouped once by the caller (`by_leg`) gives
+the plain call's product, on kS3 (x) kS3 and on a non-associative twin.
 """
 
 import itertools
@@ -23,12 +24,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfsmash import demos as dm
 from hopfsmash.exactlin import LinearMap, Tensor3
 from hopfsmash.hopfcore import (
     StructureAlgebra,
     StructureCoalgebra,
+    by_leg,
     comult_leg,
     hexagon_sides,
     padded_product,
@@ -218,6 +222,33 @@ def test_seeded_products_match_the_all_pairs_loop(seed):
             for sv in (0, 1, 3, 30):
                 u, v = _random_element(rng, dims, su), _random_element(rng, dims, sv)
                 _same(tensor_mul_sparse(algs, u, v), _tensor_mul_reference(algs, u, v))
+
+
+def _sparse_2leg(n):
+    return st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           st.sampled_from(COEFFS), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grouped_right_operand_matches_the_plain_call(ks3, data):
+    # kS3, or its twin with one product cell moved by +1 (not associative):
+    # v grouped once serves several left operands, each product equal, with
+    # its scalar types, to the plain call's and to the all-pairs loop's
+    n = ks3.dim
+    alg = ks3.algebra
+    if cell := data.draw(st.none() | st.tuples(*[st.integers(0, n - 1)] * 3)):
+        moved = ks3.mult.dense()
+        moved[cell[0]][cell[1]][cell[2]] += 1
+        alg = StructureAlgebra(n, Tensor3.from_dense(moved), ks3.unit)
+    algs2 = (alg, alg)
+    v = data.draw(_sparse_2leg(n))
+    groups = by_leg(v, 0)
+    for u in data.draw(st.lists(_sparse_2leg(n), min_size=1, max_size=3)):
+        got = tensor_mul_sparse(algs2, u, v, groups)
+        _same(got, tensor_mul_sparse(algs2, u, v))
+        _same(got, _tensor_mul_reference(algs2, u, v))
+    assert groups == by_leg(v, 0)    # read, never changed
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -1,5 +1,6 @@
 """Every reduction of `verify_hopf`, `verify_qt`, `verify_module_algebra` and
-`verify_braided_group`, and the antipode rows of `verify_weak_hopf`, against
+`verify_braided_group`, and the antipode, unit and counit law,
+coassociativity and Delta-multiplicativity rows of `verify_weak_hopf`, against
 a reference that checks the axioms in full, on the single-cell twins of
 small hosts.
 
@@ -135,6 +136,20 @@ def _coalgebra_rows(prefix, delta, eps):
             (prefix + "coassociativity", _first((w,) for w in range(n) if not coassociative(w)))]
 
 
+def _unit_law_first(x):
+    """The first (i,) with 1 e_i != e_i or e_i 1 != e_i."""
+    e = [{i: 1} for i in range(x.n)]
+    return _first((i,) for i in range(x.n)
+                  if x.mul(x.one, e[i]) != e[i] or x.mul(e[i], x.one) != e[i])
+
+
+def _comult_multiplicative_first(x):
+    """The first (i, j) with Delta(e_i e_j) != Delta(e_i) Delta(e_j)."""
+    e = [{i: 1} for i in range(x.n)]
+    return _first((i, j) for i, j in itertools.product(range(x.n), repeat=2)
+                  if x.comul(x.mul(e[i], e[j])) != x.tmul(x.delta[i], x.delta[j]))
+
+
 def hopf_reference(h):
     """[(row, value)] in verify_hopf's order: a scan's value is its first
     failing case in full-scan order (None when none fails), a single test's
@@ -143,8 +158,7 @@ def hopf_reference(h):
     n = x.n
     e = [{i: 1} for i in range(n)]
     one = x.one
-    rows = [("algebra.unit_law", _first(
-        (i,) for i in range(n) if x.mul(one, e[i]) != e[i] or x.mul(e[i], one) != e[i]))]
+    rows = [("algebra.unit_law", _unit_law_first(x))]
     rows.append(("algebra.associativity", _first(
         (i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
         if x.mul(x.mul(e[i], e[j]), e[k]) != x.mul(e[i], x.mul(e[j], e[k])))))
@@ -152,9 +166,7 @@ def hopf_reference(h):
     rows.extend(_coalgebra_rows("coalgebra.", x.delta, x.eps))
     one2 = {(a, b): ca * cb for a, ca in one.items() for b, cb in one.items()}
     rows.append(("comult_unital", x.comul(one) == one2))
-    rows.append(("comult_multiplicative", _first(
-        (i, j) for i, j in itertools.product(range(n), repeat=2)
-        if x.comul(x.mul(e[i], e[j])) != x.tmul(x.delta[i], x.delta[j]))))
+    rows.append(("comult_multiplicative", _comult_multiplicative_first(x)))
     rows.append(("counit_multiplicative", _first(
         (i, j) for i, j in itertools.product(range(n), repeat=2)
         if x.counit(x.mul(e[i], e[j])) != x.eps[i] * x.eps[j])))
@@ -338,6 +350,15 @@ def weak_antipode_reference(w):
             ("antipode_triple", _first((i,) for i in range(n) if triple(i) != x.s_cols[i]))]
 
 
+def weak_bialgebra_reference(w):
+    """[(row, value)] of verify_weak_hopf's unit-law, counit-law,
+    coassociativity and Delta-multiplicativity rows, from the axioms."""
+    x = _Host(w)
+    return [("wba.algebra.unit_law", _unit_law_first(x)),
+            *_coalgebra_rows("wba.coalgebra.", x.delta, x.eps),
+            ("wba.comult_multiplicative", _comult_multiplicative_first(x))]
+
+
 def _mismatches(report, reference):
     """The rows whose verdict or witness differs from the reference's."""
     got = [(c.name, c.passed, c.witness) for c in report.checks]
@@ -510,27 +531,34 @@ def weak_smash_worlds(kz2, sws18):
 @pytest.mark.parametrize("name, count", [("k^2 # kZ2", 80), ("k^3 # kS3", 442)])
 def test_verify_weak_hopf_antipode_rows_match_the_dense_reference(weak_smash_worlds, name,
                                                                   count):
-    # every S twin and the Delta twins of both A # H; the other rows of
-    # verify_weak_hopf have no dense reference here
+    # every S twin and the Delta twins of both A # H: the antipode rows, the
+    # unit and counit laws, coassociativity and Delta multiplicativity; the
+    # other rows of verify_weak_hopf have no dense reference here
     w, empty_cells = weak_smash_worlds[name]
-    names = ("antipode_source", "antipode_target", "antipode_triple")
 
-    def rows(rep):
-        return [(row, rep.find(row).passed, rep.find(row).witness) for row in names]
+    def reference(w):
+        return weak_antipode_reference(w) + weak_bialgebra_reference(w)
+
+    def rows(rep, ref):
+        return [(row, rep.find(row).passed, rep.find(row).witness) for row, _ in ref]
 
     def want(reference):
         return [(row, v is None, v) for row, v in reference]
 
-    assert rows(verify_weak_hopf(w)) == want(weak_antipode_reference(w))
+    assert rows(verify_weak_hopf(w), ref := reference(w)) == want(ref)
     seen = failing = triple_failing = 0
+    failed_rows = set()
     for label, twin in weak_antipode_twins(w, empty_cells):
         seen += 1
         rep = verify_weak_hopf(twin)
-        assert rows(rep) == want(weak_antipode_reference(twin)), label
+        assert rows(rep, ref := reference(twin)) == want(ref), label
         failing += not rep.ok
         triple_failing += not rep.find("antipode_triple").passed
+        failed_rows.update(row for row, v in ref if v is not None)
     assert seen == failing == count    # every single-cell move breaks an axiom
     assert triple_failing
+    assert {"wba.coalgebra.counit_law", "wba.coalgebra.coassociativity",
+            "wba.comult_multiplicative"} <= failed_rows
 
 
 def _counital_reference(w):
