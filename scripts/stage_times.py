@@ -16,8 +16,9 @@ reports, with the build's product (`twisted_product`), coproduct
 (`intertwining_failures`, timed while its failures are drawn) and its
 hexagons (`hexagon_sides`) timed apart; `adjoint_action_tensor`; `transmute` with its report;
 `verify_braided_group` run a second time; `almost_triangular_equivalences`;
-`decompose_hr` of the braided group and `wedderburn_blocks` of D(kG), the
-largest eliminations of the pipeline; and `double_smash_decomposition`, split
+`decompose_hr` of the braided group, with its hit spaces D_i = F_i -> H_R
+(`hit_space`) timed apart, and `wedderburn_blocks` of D(kG), the largest
+eliminations of the pipeline; and `double_smash_decomposition`, split
 into its builds of the carrier of H # D(kG) (`smash_carrier`) and of
 Heis(kG^cop) (`heisenberg_double`), its `C_equals_full_centralizer`
 elimination (`StructureAlgebra.centralizer_basis`), and its
@@ -72,7 +73,7 @@ STAGES = ("drinfeld_double", "  build", "  product", "  coproduct", "  generatin
           "  verify_hopf", "    comult_multiplicative_failures", "  verify_qt",
           "    intertwines_comult", "    hexagon_sides", "adjoint_action_tensor", "transmute",
           "verify_braided_group", "almost_triangular_equivalences", "decompose_hr",
-          "wedderburn_blocks", "double_smash_decomposition", "  smash_carrier",
+          "  hit_space", "wedderburn_blocks", "double_smash_decomposition", "  smash_carrier",
           "  heisenberg_double", "  centralizer_basis", "  total_map_multiplicative",
           "nd_transport_report", "  almost_triangular_wha_report", "  adjoint_stable_algebra",
           "  wedderburn_blocks")
@@ -82,6 +83,8 @@ BUILD_PARTS = {"  generating_set": "generating_set",
 # sub-row of verify_qt -> the hopfcore name it times
 QT_PARTS = {"    intertwines_comult": "intertwining_failures",
             "    hexagon_sides": "hexagon_sides"}
+# sub-row of decompose_hr -> (owner, name) of what it times
+HR_PARTS = {"  hit_space": (adjstable, "hit_space")}
 # sub-row of double_smash_decomposition -> (owner, name) of what it times
 DECOMPOSITION_PARTS = {"  smash_carrier": (smashcons, "smash_carrier"),
                        "  heisenberg_double": (smashcons, "heisenberg_double"),
@@ -171,9 +174,15 @@ def one_run(h, skip) -> dict:
         stage("verify_braided_group", lambda: verify_braided_group(bg).require())
         stage("almost_triangular_equivalences",
               lambda: almost_triangular_equivalences(q, bg).require())
-        stage("decompose_hr", lambda: decompose_hr(bg).report.require())
+        parts: dict = {}
+        with ExitStack() as stack:
+            for owner, name in HR_PARTS.values():
+                stack.enter_context(timed(owner, name, parts))
+            stage("decompose_hr", lambda: decompose_hr(bg).report.require())
+        if "decompose_hr" in out:
+            out.update((row, parts.get(name, 0.0)) for row, (_, name) in HR_PARTS.items())
     stage("wedderburn_blocks", lambda: wedderburn_blocks(dh.algebra))
-    parts: dict = {}
+    parts = {}
     with ExitStack() as stack:
         for owner, name in DECOMPOSITION_PARTS.values():
             stack.enter_context(timed(owner, name, parts))

@@ -55,7 +55,6 @@ from .modalg import ModuleAlgebraData, SeparabilityData, regular_trace, verify_s
 from .qtriang import (
     BraidedGroupData,
     QTStructure,
-    adjoint_action_tensor,
     braided_group_of,
     classify_triangularity,
     hr_dual_separability,
@@ -175,12 +174,10 @@ class HTensorW(Record):
         return ComoduleData(self.w.coalgebra, self.dim, self.coaction)
 
 
-def build_h_tensor_w(w: ComoduleData, h: HopfData,
-                     bg: BraidedGroupData | None = None) -> HTensorW:
+def build_h_tensor_w(w: ComoduleData, h: HopfData, bg: BraidedGroupData) -> HTensorW:
     """h'(h (x) w) = h'h (x) w; rho(h (x) w) = h_(1) .ad w_<-1> (x) h_(2) (x) w_<0>."""
     nh, nw = h.dim, w.dim
     n = nh * nw
-    ad = adjoint_action_tensor(h) if bg is None else bg.adjoint_action
     # m (x) id_W at flat index i dim W + w, as HTensorW.flat
     action = h.mult.kron(Tensor3.from_entries((1, nw, nw), ((0, w, w, 1) for w in range(nw))))
 
@@ -191,7 +188,7 @@ def build_h_tensor_w(w: ComoduleData, h: HopfData,
             for p, pq, c in h.coalgebra.comul_row(i):
                 for d in range(nh):
                     for w0, cw in w.coaction.row(ww, d):
-                        for m, cm in ad.row(p, d):
+                        for m, cm in bg.adjoint_action.row(p, d):
                             c_entries.append((src, m, pq * nw + w0, c * cw * cm))
     coaction = Tensor3.from_entries((n, nh, n), c_entries)
 
@@ -238,12 +235,6 @@ class AdjointStableAlgebra(Record):
     ambient: StructureAlgebra    # end_algebra(dim W, H^op), holding the basis
 
 
-def _amb_terms(v: dict, nh: int, nw: int) -> list:
-    """((i, j, w), c) for the terms of a vector of W* (x) H (x) W, whose flat
-    index is (i dim H + j) dim W + w."""
-    return [(((k // nw) // nh, (k // nw) % nh, k % nw), c) for k, c in v.items()]
-
-
 def _h_op(h: HopfData, bg: BraidedGroupData) -> HopfData:
     """H^op of bg's host h, derived once per braided group."""
     if "h_op" not in bg.memo:
@@ -251,11 +242,9 @@ def _h_op(h: HopfData, bg: BraidedGroupData) -> HopfData:
     return bg.memo["h_op"]
 
 
-def _ambient(nw: int, h: HopfData, bg: BraidedGroupData | None) -> StructureAlgebra:
-    """end_algebra(nw, H^op); with bg, formed once per braided group and nw on
-    _h_op's algebra and kept in bg.memo under ("ambient", nw)."""
-    if bg is None:
-        return end_algebra(nw, opposite_algebra(h.algebra))
+def _ambient(nw: int, h: HopfData, bg: BraidedGroupData) -> StructureAlgebra:
+    """end_algebra(nw, H^op), formed once per braided group and nw on _h_op's
+    algebra and kept in bg.memo under ("ambient", nw)."""
     key = ("ambient", nw)
     if key not in bg.memo:
         bg.memo[key] = end_algebra(nw, _h_op(h, bg).algebra)
@@ -263,14 +252,14 @@ def _ambient(nw: int, h: HopfData, bg: BraidedGroupData | None) -> StructureAlge
 
 
 def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
-                           bg: BraidedGroupData | None = None) -> AdjointStableAlgebra:
+                           bg: BraidedGroupData) -> AdjointStableAlgebra:
     """N_W = W* [] (H (x) W) with the convolution-style product
     x o y = sum v*_l (x) g_l h_j (x) <w*_j, v_l> w_j, the product of the
     ambient End(W*) (x) H^op = end_algebra(dim W, H^op) read on the cotensor by
     Subspace.restricted; closure, associativity and the unit law of the unit
-    sum_i w*_i (x) 1 (x) w_i are verified.  With bg, whose host is h, the
-    ambient is the one _ambient keeps per dim W, shared by every N_W of that
-    dimension: read it, do not modify it."""
+    sum_i w*_i (x) 1 (x) w_i are verified.  bg is the braided group of h; the
+    ambient is the one _ambient keeps in it per dim W, shared by every N_W of
+    that dimension: read it, do not modify it."""
     htw = build_h_tensor_w(w, h, bg)
     wd = dual_right_comodule(w)
     basis = cotensor(wd, htw.as_comodule())
@@ -290,7 +279,7 @@ def adjoint_stable_algebra(w: ComoduleData, h: HopfData,
 
 
 def nw_direct_sum_report(w: ComoduleData, h: HopfData, components,
-                         bg: BraidedGroupData | None = None) -> VerificationReport:
+                         bg: BraidedGroupData) -> VerificationReport:
     """When W splits into coaction-stable coordinate blocks, N_W is the direct
     sum of the component algebras: spans add up and cross products vanish."""
     rep = VerificationReport("nw_direct_sum")
@@ -304,11 +293,12 @@ def nw_direct_sum_report(w: ComoduleData, h: HopfData, components,
             raise HypothesisFailure("component-coaction-stable", tuple(comp))
         entries = [(a, d, comp.index(w2), c)
                    for a, ww in enumerate(comp) for d, w2, c in w.rows[ww]]
-        wi = ComoduleData(w.coalgebra, len(comp),
-                          Tensor3.from_entries((len(comp), h.dim, len(comp)), entries))
-        ni = adjoint_stable_algebra(wi, h, bg)
-        emb = [{(comp[i] * nh + j) * nw + comp[ww]: c
-                for (i, j, ww), c in _amb_terms(b, nh, len(comp))} for b in ni.basis]
+        nc = len(comp)
+        ni = adjoint_stable_algebra(
+            ComoduleData(w.coalgebra, nc, Tensor3.from_entries((nc, nh, nc), entries)), h, bg)
+        # w*_i (x) e_j (x) w_ww of N_{W_i}, at flat index (i dim H + j) dim W_i + ww
+        emb = [{(comp[k // nc // nh] * nh + k // nc % nh) * nw + comp[k % nc]: c
+                for k, c in b.items()} for b in ni.basis]
         comp_bases.append(emb)
         embedded_all.extend(emb)
     rep.add("components_span_nw",
@@ -322,42 +312,29 @@ def nw_direct_sum_report(w: ComoduleData, h: HopfData, components,
 def cotensor_right_module(wdual: ComoduleData, v_com: ComoduleData,
                           v_action: Tensor3,
                           n_alg: AdjointStableAlgebra) -> VerificationReport:
-    """W* [] V is a right N_W-module via
-    (w'* (x) v).(w* (x) h (x) w) = w* (x) h v <w'*, w>; module laws checked
-    on the cotensor basis, for an object V with H-action v_action."""
+    """W* [] V is a right N_W-module, for an object V with H-action v_action:
+    E_ca (x) e_b of the ambient, at flat index (a dim H + b) dim W + c, sends
+    w*_c (x) v_y to w*_a (x) e_b v_y.  Read by Subspace.restricted on N_W's
+    basis and the cotensor basis, it is a left N_W^op-action, whose module law
+    (i, j, x) is the right law (t, p, q) = (x, j, i).  When it leaves the
+    cotensor, both laws fail with that witness, as nothing is read there."""
     rep = VerificationReport("cotensor_right_module")
-    h = n_alg.htw.h
-    nw = n_alg.w.dim
-    nh = h.dim
-    nv = v_com.dim
+    nw, nh, nv = n_alg.w.dim, n_alg.htw.h.dim, v_com.dim
     basis_v = cotensor(wdual, v_com)
-    span_v = Subspace(basis_v, nw * nv)
-    n_basis = n_alg.basis
-
-    def act(t_vec: dict, n_vec: dict) -> dict:
-        # t = sum T[i][vv] w*_i (x) v_vv at flat index i dim V + vv
-        out: dict = {}
-        n_terms = _amb_terms(n_vec, nh, nw)
-        for flat, ct in t_vec.items():
-            i, vv = divmod(flat, nv)
-            for (ap, b, c), cn in n_terms:
-                if c != i:
-                    continue
-                moved = v_action.act({b: 1}, {vv: 1})
-                for v2, cm in moved.items():
-                    sp_add(out, ap * nv + v2, ct * cn * cm)
-        return out
-
-    nn = len(n_basis)
-    rep.check("action_preserves_cotensor",
-              ((ti, p) for ti, t in enumerate(basis_v) for p in range(nn)
-               if not span_v.contains(act(t, n_basis[p]))))
-    rep.check("module_law",
-              ((ti, p, q) for ti, t in enumerate(basis_v) for p in range(nn) for q in range(nn)
-               if act(t, n_alg.ambient.mul_sparse(n_basis[p], n_basis[q]))
-               != act(act(t, n_basis[p]), n_basis[q])))
-    rep.check("unit_acts_trivially",
-              ((ti,) for ti, t in enumerate(basis_v) if act(t, n_alg.ambient.unit_sparse) != t))
+    action = Tensor3.from_entries((n_alg.ambient.dim, nw * nv, nw * nv), (
+        ((a * nh + b) * nw + c, c * nv + y, a * nv + y2, x)
+        for a in range(nw) for b in range(nh) for c in range(nw)
+        for y in range(nv) for y2, x in v_action.row(b, y)))
+    acts, leaves = Subspace(basis_v, nw * nv).restricted(action, n_alg.basis, basis_v)
+    if acts is None:
+        for name in ("action_preserves_cotensor", "module_law", "unit_acts_trivially"):
+            rep.add(name, False, leaves[::-1])
+        return rep
+    rep.add("action_preserves_cotensor", True)
+    rep.check("module_law", ((x, j, i) for i, j, x in
+                             module_law_failures(opposite_algebra(n_alg.carrier), acts)))
+    rep.check("unit_acts_trivially", ((t,) for t in range(len(basis_v))
+                                      if acts.act(n_alg.carrier.unit_sparse, {t: 1}) != {t: 1}))
     return rep
 
 
@@ -523,7 +500,15 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     unit eps along those ideals are the block idempotents, and D_i = F_i ->_R
     H_R. fully_split is False, and minimality is not certified, when a
     convolution eigenvalue is irrational and an ideal of C(H*) stays whole.
-    Computed once per bg; shared, so read it."""
+
+    e_t .ad is read once on each block's Subspace, over t in the host's
+    certified generators S once bg.report's adjoint_module_law passed, else
+    over every t; a block that leaves on S is read again over every t, so the
+    witness is the full scan's.  As (x s) .ad v = x .ad (s .ad v), a block
+    stable under S is stable under every left-normed word in S, and the planes
+    on S have the commutant of those over every t.  Per block, the scan order
+    is e_t .ad over t (t outer, vector inner), then Delta_R's slices per
+    vector.  Computed once per bg; shared, so read it."""
     if "decompose_hr" in bg.memo:
         return bg.memo["decompose_hr"]
     h = bg.host.host
@@ -562,16 +547,24 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     concat = [v for blk in blocks for v in blk]
     rep.add("direct_sum", len(concat) == n and rank(concat, n) == n)
 
+    units = LinearMap.identity(n).cols
+    gens = host_generators(h.algebra, h.report)
+    if gens is None or not bg.report.find("adjoint_module_law").passed:
+        gens = range(n)
+    spaces = [Subspace(blk, n) for blk in blocks]
+    ad_reads = []    # (planes, None), or (None, the first (t, vector) leaving the block)
+    for span, blk in zip(spaces, blocks):
+        read = span.restricted(bg.adjoint_action, [units[t] for t in gens], blk)
+        if read[0] is None and len(gens) < n:
+            read = span.restricted(bg.adjoint_action, units, blk)
+        ad_reads.append(read)
+
     def stability_failures():
-        """(block, vector, "ad", t) and (block, vector, "delta_r", slice), the
-        blocks in their returned order, in scan order: per basis vector, e_t
-        .ad v over t, then the slices of Delta_R(v)."""
-        for bi, blk in enumerate(blocks):
-            span = Subspace(blk, n)
+        # (block, vector, "ad", t), then (block, vector, "delta_r", slice)
+        for bi, (span, blk, (_, leaves)) in enumerate(zip(spaces, blocks, ad_reads)):
+            if leaves is not None:
+                yield (bi, leaves[1], "ad", leaves[0])
             for vi, v in enumerate(blk):
-                for t in range(n):
-                    if not span.contains(bg.adjoint_action.act({t: 1}, v)):
-                        yield (bi, vi, "ad", t)
                 for key, sl in _delta_slices(coal_r, v).items():
                     if not span.contains(sl):
                         yield (bi, vi, "delta_r", *key)
@@ -579,15 +572,14 @@ def decompose_hr(bg: BraidedGroupData) -> HrDecomposition:
     rep.check("blocks_ad_and_deltaR_stable", stability_failures())
 
     def minimality_failures():
-        # e_t .ad and the right hits c |-> c <- p_k = <p_k, c_(1)> c_(2)
-        gens = [*map(bg.adjoint_action.plane, range(n)),
-                *map(h.coalgebra.hits[1].plane, range(n))]
-        for bi, blk in enumerate(blocks):
-            span = Subspace(blk, n)
-            restrs = [span.restrict(g) for g in gens]
-            if None in restrs:
+        # e_t .ad as read above and the right hits c |-> c <- p_k = <p_k, c_(1)> c_(2)
+        for bi, (span, blk, (ad, _)) in enumerate(zip(spaces, blocks, ad_reads)):
+            hits, _ = span.restricted(h.coalgebra.hits[1], units, blk)
+            if ad is None or hits is None:
                 yield (bi, "not_invariant")
-            elif len(kernel_basis(commutant_rows(restrs, len(blk)), len(blk) ** 2)) != 1:
+                continue
+            ops = [*map(ad.plane, range(ad.dims[0])), *map(hits.plane, range(n))]
+            if len(kernel_basis(commutant_rows(ops, len(blk)), len(blk) ** 2)) != 1:
                 yield (bi,)
 
     rep.check("blocks_minimal", minimality_failures() if fully_split else ())
@@ -630,19 +622,17 @@ def nd_transport_report(d_basis, q: QTStructure, ip,
         decomposition = decompose_hr(bg)
     if not decomposition.fully_split:
         raise HypothesisFailure("hr-decomposition-split-over-Q")
-    concat = []
-    block_of = []
-    for bi, blk in enumerate(decomposition.blocks):
-        for v in blk:
-            concat.append(v)
-            block_of.append(bi)
+    concat = [v for blk in decomposition.blocks for v in blk]
+    block_of = [bi for bi, blk in enumerate(decomposition.blocks) for _ in blk]
     coords = Subspace(concat, nh).coords(ip.Lambda)
     if coords is None:
         raise HypothesisFailure("Lambda-in-span-of-decomposition")
     d_space = Subspace(dd.basis, nh)
+    inside = {bi for bi in {block_of[idx] for idx in coords}
+              if all(d_space.contains(u) for u in decomposition.blocks[bi])}
     lam_d: dict = {}
     for idx, c in coords.items():
-        if all(d_space.contains(u) for u in decomposition.blocks[block_of[idx]]):
+        if block_of[idx] in inside:
             for i, bv in concat[idx].items():
                 sp_add(lam_d, i, c * bv)
     alpha_d = d_space.coords(lam_d)

@@ -241,11 +241,11 @@ class BraidedGroupData(Record):
         """What decompose_hr, psi_phi (per exact basis, and the host's H^op
         once, under "h_op") and hr_dual_separability (per lambda) derive from
         this braided group, each stored once built and verified; a refused
-        input is not stored.  adjoint_stable_algebra adds, under
-        ("ambient", dim W), the ambient End(W*) (x) H^op of every N_W of that
-        dimension, built once on the stored H^op: it depends on the host and
-        dim W only, so it stays when an input is refused, and each N_W
-        carrier read on it is verified.  Shared: read it, do not modify it."""
+        input is not stored.  adjoint_stable_algebra, whose bg is required,
+        adds under ("ambient", dim W) the End(W*) (x) H^op shared by every
+        N_W of that dim W, built once on the stored H^op: it depends on the
+        host and dim W only, so it stays when an input is refused, and each
+        N_W carrier read on it is verified.  Shared: read it, do not modify it."""
         return {}
 
 

@@ -1,10 +1,11 @@
 """Small readers and constructions that only the tests use: a commutativity
 test, the conjugacy classes of a group table, the pair and one-object
 groupoids, the inclusion a |-> a # 1 of a smash product, a Subspace's span
-as a value to compare, and the generating-set closure with every product
-formed by mul_sparse."""
+as a value to compare, the generating-set closure with every product
+formed by mul_sparse, and the dense scans that decompose_hr's stability and
+minimality rows and cotensor_right_module's rows are compared with."""
 
-from hopfsmash.exactlin import Echelon
+from hopfsmash.exactlin import Echelon, Subspace, commutant_rows, kernel_basis, sp_add
 from hopfsmash.weakhopf import GroupoidData
 
 
@@ -96,3 +97,86 @@ def generating_set_reference(alg, first=()) -> tuple:
             if v := w.residue(alg.mul_sparse(row, {s: 1})):
                 grow(v)
     return tuple(sorted(gens))
+
+
+def hr_block_rows_reference(bg, blocks, fully_split) -> list:
+    """[(name, first witness or None)] for decompose_hr's rows
+    blocks_ad_and_deltaR_stable and blocks_minimal on the given blocks, by
+    dense scans: e_t .ad v tested by Subspace.contains for every t and every
+    vector (per block, t outer, vector inner), then the nonzero slices of
+    Delta_R(v) per vector, ("leg1", f) = (id (x) e^f) Delta_R(v) before ("leg2",
+    f), f ascending; and the commutant of the 2n maps e_t .ad and
+    c |-> c <- p_k, each restricted to the block by Subspace.restrict."""
+    h = bg.host.host
+    n = h.dim
+    spaces = [Subspace(blk, n) for blk in blocks]
+
+    def slices(v):
+        out = {}
+        for (a, b), c in bg.braided_coalgebra.comul_sparse(v).items():
+            out.setdefault(("leg1", b), {})[a] = c
+            out.setdefault(("leg2", a), {})[b] = c
+        return sorted(out.items())
+
+    def stability():
+        for bi, (span, blk) in enumerate(zip(spaces, blocks)):
+            for t in range(n):
+                for vi, v in enumerate(blk):
+                    if not span.contains(bg.adjoint_action.act({t: 1}, v)):
+                        yield (bi, vi, "ad", t)
+            for vi, v in enumerate(blk):
+                for key, sl in slices(v):
+                    if not span.contains(sl):
+                        yield (bi, vi, "delta_r", *key)
+
+    def minimality():
+        ops = [*map(bg.adjoint_action.plane, range(n)),
+               *map(h.coalgebra.hits[1].plane, range(n))]
+        for bi, (span, blk) in enumerate(zip(spaces, blocks)):
+            restrs = [span.restrict(g) for g in ops]
+            if None in restrs:
+                yield (bi, "not_invariant")
+            elif len(kernel_basis(commutant_rows(restrs, len(blk)), len(blk) ** 2)) != 1:
+                yield (bi,)
+
+    return [("blocks_ad_and_deltaR_stable", next(stability(), None)),
+            ("blocks_minimal", next(minimality(), None) if fully_split else None)]
+
+
+def cotensor_act_reference(n_alg, v_action):
+    """(w'* (x) v).(w* (x) h (x) w) = w* (x) h v <w'*, w> by hand: act(t, x)
+    for t in W* (x) V at flat index i dim V + v and x in N_W's ambient at
+    flat index (i dim H + j) dim W + w."""
+    nw, nh, nv = n_alg.w.dim, n_alg.htw.h.dim, v_action.dims[1]
+
+    def act(t_vec, n_vec):
+        out = {}
+        n_terms = [(((k // nw) // nh, (k // nw) % nh, k % nw), c) for k, c in n_vec.items()]
+        for flat, ct in t_vec.items():
+            i, vv = divmod(flat, nv)
+            for (ap, b, c), cn in n_terms:
+                if c == i:
+                    for v2, cm in v_action.act({b: 1}, {vv: 1}).items():
+                        sp_add(out, ap * nv + v2, ct * cn * cm)
+        return out
+
+    return act
+
+
+def cotensor_right_module_reference(n_alg, v_action, basis_v) -> list:
+    """[(name, first witness or None)] for cotensor_right_module's rows on the
+    basis basis_v of W* [] V, by the loops over (t, p) and (t, p, q), t outer,
+    every action formed in W* (x) V by cotensor_act_reference."""
+    act = cotensor_act_reference(n_alg, v_action)
+    span_v = Subspace(basis_v, n_alg.w.dim * v_action.dims[1])
+    n_basis, mul = n_alg.basis, n_alg.ambient.mul_sparse
+    nn = len(n_basis)
+    preserves = ((ti, p) for ti, t in enumerate(basis_v) for p in range(nn)
+                 if not span_v.contains(act(t, n_basis[p])))
+    module_law = ((ti, p, q) for ti, t in enumerate(basis_v) for p in range(nn)
+                  for q in range(nn) if act(t, mul(n_basis[p], n_basis[q]))
+                  != act(act(t, n_basis[p]), n_basis[q]))
+    unit = ((ti,) for ti, t in enumerate(basis_v) if act(t, n_alg.ambient.unit_sparse) != t)
+    return [("action_preserves_cotensor", next(preserves, None)),
+            ("module_law", next(module_law, None)),
+            ("unit_acts_trivially", next(unit, None))]

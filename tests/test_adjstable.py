@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +27,8 @@ from hopfsmash.hopfcore import (StructureCoalgebra, co_opposite, dual_hopf, end_
                                 opposite_algebra, opposites)
 from hopfsmash.qtriang import trivial_qt
 from hopfsmash.report import HypothesisFailure
-from reference import conjugacy_classes, span_of
+from reference import (conjugacy_classes, cotensor_act_reference, cotensor_right_module_reference,
+                       hr_block_rows_reference, span_of)
 
 
 def grouplike_comodule(bg, indices, dim_h=6):
@@ -140,6 +142,72 @@ def test_decompose_hr_stability_witness_is_the_first_failure(bg_s3, s3_table, co
     check = dec.report.find("blocks_ad_and_deltaR_stable")
     assert not check.passed
     assert check.witness == ((0, 0, "ad", 1) if corrupt_ad else (0, 0, "delta_r", "leg1", y))
+
+
+def _cell_moved(t, i, j):
+    """t with the last nonzero entry of cell (i, j) moved to the next index."""
+    cells = t.dense()
+    row = cells[i][j]
+    y = max(y for y, c in enumerate(row) if c)
+    row[(y + 1) % t.dims[2]] += row[y]
+    row[y] = 0
+    return Tensor3.from_dense(cells)
+
+
+def test_decompose_hr_rows_match_the_dense_reference(q_s3, double_z2, double_s3, monkeypatch):
+    # the stability and minimality rows against the scans over every t, on
+    # the blocks of four hosts and on twins with one cell of ad or of Delta_R
+    # moved at the last vector of the first multi-vector block; an ad twin
+    # fails the module law, so every t is read at once, and a Delta_R twin
+    # keeps it, so a block that leaves on S is read again over every t
+    from hopfsmash.hopfcore import drinfeld_double, group_algebra
+    from hopfsmash.qtriang import BraidedGroupData, transmute
+    reads = []
+    restricted = Subspace.restricted
+
+    def spy(self, t, xs, ys):
+        out = restricted(self, t, xs, ys)
+        reads.append((t, len(xs), out[0] is None))
+        return out
+
+    monkeypatch.setattr(Subspace, "restricted", spy)
+    paths = set()
+    for q in (q_s3, double_z2[1], drinfeld_double(group_algebra(dm.cyclic_table(3)))[1],
+              double_s3[1]):
+        bg = transmute(q)
+        n = q.host.dim
+        dec = decompose_hr(bg)
+        assert [(c.name, c.witness) for c in dec.report.checks[2:]] == \
+            hr_block_rows_reference(bg, dec.blocks, dec.fully_split)
+        blk = next((b for b in dec.blocks if len(b) > 1), None)
+        if blk is None:
+            continue
+        x = max(blk[-1])
+        twins = [BraidedGroupData(q, _cell_moved(bg.adjoint_action, t, x), bg.comult_R,
+                                  bg.antipode_R) for t in (1, n // 2, n - 1)
+                 if bg.adjoint_action.row(t, x)]
+        twins += [BraidedGroupData(q, bg.adjoint_action, _cell_moved(bg.comult_R, x, f),
+                                   bg.antipode_R) for f in (1, n // 2, n - 1)
+                  if bg.comult_R.row(x, f)]
+        for twin in twins:
+            law = twin.report.find("adjoint_module_law").passed
+            del reads[:]
+            dec = decompose_hr(twin)
+            rows = [(c.name, c.witness) for c in dec.report.checks[2:]]
+            assert rows == hr_block_rows_reference(twin, dec.blocks, dec.fully_split)
+            # (number of t read, whether the block left) per read of ad
+            ad_reads = [(m, left) for t, m, left in reads if t is twin.adjoint_action]
+            s = len(q.host.algebra.generators)
+            if not law:
+                assert {m for m, _ in ad_reads} == {n}
+                paths.add("every t")
+            elif (s, True) in ad_reads:
+                assert rows[0][1][2] == "ad"
+                assert ad_reads[ad_reads.index((s, True)) + 1] == (n, True)
+                paths.add("S, then every t")
+            else:
+                assert {m for m, _ in ad_reads} == {s}
+    assert paths == {"every t", "S, then every t"}
 
 
 def test_decompose_hr_kz2(kz2, q_z2):
@@ -410,6 +478,67 @@ def test_cotensor_right_module_fault(ks3, bg_s3):
     rep = cotensor_right_module(dual_right_comodule(w), htw.as_comodule(), bad, n)
     assert not rep.ok
     assert [(c.name, c.witness) for c in rep.failures()] == [("module_law", (0, 1, 1))]
+
+
+def _reproduces(n_alg, v_action, basis_v, name, witness):
+    """Whether the reference loops fail the row name at witness."""
+    act = cotensor_act_reference(n_alg, v_action)
+    t, n_basis = basis_v[witness[0]], n_alg.basis
+    if name == "action_preserves_cotensor":
+        return not Subspace(basis_v, n_alg.w.dim * v_action.dims[1]).contains(
+            act(t, n_basis[witness[1]]))
+    if name == "module_law":
+        p, q = n_basis[witness[1]], n_basis[witness[2]]
+        return act(t, n_alg.ambient.mul_sparse(p, q)) != act(act(t, p), q)
+    return act(t, n_alg.ambient.unit_sparse) != t
+
+
+@pytest.mark.parametrize("indices, planes", [([1], range(6)), ([1, 2], (1, 2))],
+                         ids=["k(12)", "k(12)+k(13)"])
+def test_cotensor_right_module_matches_the_reference_loops(indices, planes, ks3, bg_s3,
+                                                           monkeypatch):
+    # W spanned by group-likes and V = H (x) W: the existing fault, the +1
+    # twins of V's action on the given planes, and twins of the cotensor
+    # basis of W* [] V.  Each row passes or fails with the reference, and a
+    # witness is one the reference fails at; once the action leaves the
+    # cotensor, both law rows fail at that row's witness, as nothing can be
+    # read in cotensor coordinates.  Only on k(12) + k(13) is N_W's unit not
+    # its first basis vector, and does a module law fail at some p != q
+    from hopfsmash import adjstable
+    w = grouplike_comodule(bg_s3, indices)
+    n = adjoint_stable_algebra(w, ks3, bg_s3)
+    wd, v_com = dual_right_comodule(w), n.htw.as_comodule()
+    basis_v = cotensor(wd, v_com)
+    fault = n.htw.action.dense()
+    fault[1][0] = [F(0)] * len(fault[1][0])
+    cases = [("fault", Tensor3.from_dense(fault), basis_v)]
+    _, d1, d2 = n.htw.action.dims
+    for i, j, k in itertools.product(planes, range(d1), range(d2)):
+        cells = n.htw.action.dense()
+        cells[i][j][k] += 1
+        cases.append(("+1", Tensor3.from_dense(cells), basis_v))
+    cases += [("basis", n.htw.action, twin)
+              for twin in _twins(basis_v, w.dim * v_com.dim, (1,))]
+    failed = set()
+    for kind, action, basis in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(adjstable, "cotensor", lambda wd, m: basis)
+            rep = cotensor_right_module(wd, v_com, action, n)
+        ref = cotensor_right_module_reference(n, action, basis)
+        assert [c.name for c in rep.checks] == [name for name, _ in ref]
+        if rep.checks[0].passed:
+            assert [c.passed for c in rep.checks] == [wit is None for _, wit in ref]
+            assert all(c.passed or _reproduces(n, action, basis, c.name, c.witness)
+                       for c in rep.checks)
+        else:
+            witness = rep.checks[0].witness
+            assert ref[0][1] is not None
+            assert _reproduces(n, action, basis, "action_preserves_cotensor", witness)
+            assert [(c.passed, c.witness) for c in rep.checks] == [(False, witness)] * 3
+        failed.update((kind, c.name) for c in rep.failures())
+    assert {("fault", "module_law"), ("+1", "module_law"), ("+1", "unit_acts_trivially"),
+            ("+1", "action_preserves_cotensor"),
+            ("basis", "action_preserves_cotensor")} <= failed
 
 
 def test_subcoalgebra_closure_guard(q_s3, bg_s3):

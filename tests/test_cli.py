@@ -1021,6 +1021,7 @@ def test_stage_times_prints_every_stage_and_leaves_the_verifiers_in_place(monkey
     verifiers = (hopfcore.verify_hopf, qtriang.verify_qt,
                  hopfcore.intertwining_failures, hopfcore.hexagon_sides)
     nd_timed = [vars(owner)[name] for owner, name in stage_times.ND_PARTS.values()]
+    hr_timed = [vars(owner)[name] for owner, name in stage_times.HR_PARTS.values()]
     assert stage_times.main(["z2", "--runs", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()[3:]
     rows = [line.split("|")[1].strip() for line in lines]
@@ -1028,6 +1029,7 @@ def test_stage_times_prints_every_stage_and_leaves_the_verifiers_in_place(monkey
     assert (hopfcore.verify_hopf, qtriang.verify_qt,
             hopfcore.intertwining_failures, hopfcore.hexagon_sides) == verifiers
     assert [vars(owner)[name] for owner, name in stage_times.ND_PARTS.values()] == nd_timed
+    assert [vars(owner)[name] for owner, name in stage_times.HR_PARTS.values()] == hr_timed
     # the N_D transport closes the table, split into its two almost-triangular
     # reports, its N_D and N_W builds and their Wedderburn blocks: each ran,
     # and, timed apart, they fit inside it
@@ -1042,6 +1044,9 @@ def test_stage_times_prints_every_stage_and_leaves_the_verifiers_in_place(monkey
     parts = [times[row.strip()] for row in stage_times.QT_PARTS]
     assert [row.strip() for row in stage_times.QT_PARTS] == ["intertwines_comult", "hexagon_sides"]
     assert all(s > 0 for s in parts) and sum(parts) <= times["verify_qt"]
+    # decompose_hr's hit spaces ran and, timed apart, fit inside it
+    assert [row.strip() for row in stage_times.HR_PARTS] == ["hit_space"]
+    assert 0 < times["hit_space"] <= times["decompose_hr"]
     assert stage_times.main(["s3", "--runs", "1", "--skip", "double_smash_decomposition"]) == 0
     assert "double_smash_decomposition" not in capsys.readouterr().out
     assert stage_times.main(["z2", "--runs", "1", "--skip", "nd_transport_report"]) == 0
