@@ -15,6 +15,7 @@ Pairing conventions (fixed once):
 from __future__ import annotations
 
 import heapq
+import itertools
 from fractions import Fraction
 from functools import cached_property
 
@@ -110,6 +111,22 @@ class StructureAlgebra(Record):
     def report(self) -> VerificationReport:
         """verify_algebra(self), computed once; shared, so read it."""
         return verify_algebra(self)
+
+    twisting = None    # (A, B, tau) on a carrier that twisted_product built as A (x)_tau B
+
+    @cached_property
+    def associative_by_twisting(self) -> bool:
+        """True when self is A (x)_tau B as twisted_product wrote it, A and B
+        passed associativity and tau is a twisting map (`twisting_map_failures`
+        finds nothing), so self is associative with unit 1 (x) 1; computed
+        once.  The certificate trusts the cells that twisted_product wrote
+        from tau: a carrier built any other way, or rebuilt from its cells as
+        type(self)(dim, mult, unit), has no twisting and reads False."""
+        if self.twisting is None:
+            return False
+        a, b, tau = self.twisting
+        return (a.report.find("associativity").passed and b.report.find("associativity").passed
+                and next(twisting_map_failures(a, b, tau), None) is None)
 
     def centralizer_basis(self, vectors) -> list:
         """Exact basis of {w : w v = v w for all given v}: the kernel of the
@@ -471,12 +488,20 @@ def certified_scan(failures, gens, full):
 # ---------------------------------------------------------------------------
 
 def verify_algebra(a: StructureAlgebra, subject: str = "algebra") -> VerificationReport:
-    """Left/right unit laws, read off a.unit_products, and associativity as
-    the module law of A acting on itself, scanned by Light's test on the
-    basis triples (i, s, k) with s in S = a.generators.
+    """Left/right unit laws, read off a.unit_products, and associativity.
 
-    If (x s) y = x (s y) for all x, y and s in S, then T = {w : (x w) y =
-    x (w y) for all x, y} holds S, and for w in T, s in S:
+    A carrier that twisted_product built as A (x)_tau B passes associativity
+    on its certificate, a.associative_by_twisting: A and B passed
+    associativity and tau is a twisting map, so by Cap-Schichl-Vanzura A (x)_tau
+    B is associative (see twisting_map_failures).  The certificate trusts
+    that the carrier's cells are the ones twisted_product wrote from tau.
+
+    Every other algebra, and a carrier whose certificate fails, gets the
+    scan of associativity as the module law of A acting on itself: Light's
+    test on the basis triples (i, s, k) with s in S = a.generators, then,
+    when that finds a failure, every triple, so its verdict and witness are
+    the full scan's.  If (x s) y = x (s y) for all x, y and s in S, then
+    T = {w : (x w) y = x (w y) for all x, y} holds S, and for w in T, s in S:
     (x (w s)) y = ((x w) s) y = (x w)(s y) = x (w (s y)) = x ((w s) y)
     by w, s, w, s in turn; so T is closed under right products by S, T = A.
     """
@@ -484,7 +509,7 @@ def verify_algebra(a: StructureAlgebra, subject: str = "algebra") -> Verificatio
     n = a.dim
     rep.check("unit_law", ((i,) for i in range(n)
                            if a.unit_products(i) != (((i, 1),), ((i, 1),))))
-    rep.check("associativity", certified_scan(
+    rep.check("associativity", () if a.associative_by_twisting else certified_scan(
         lambda js: module_law_failures(a, a.mult, js), a.generators, range(n)))
     return rep
 
@@ -896,23 +921,32 @@ def algebra_map_failures(f: LinearMap, src: StructureAlgebra, dst: StructureAlge
 
 
 def tensor_map_failures(f: LinearMap, a: StructureAlgebra, b: StructureAlgebra,
-                        dst: StructureAlgebra):
-    """algebra_map_failures(f, tensor_algebra(a, b), dst) without building
-    A (x) B: on the flat index x * dim B + y, row x (x) y's products
+                        dst: StructureAlgebra, right=None):
+    """algebra_map_failures(f, tensor_algebra(a, b), dst, right) without
+    building A (x) B: on the flat index x * dim B + y, row x (x) y's products
     (x (x) y)(x2 (x) y2) = x x2 (x) y y2 are read off the outer product of
-    the factors' nonempty cells (x, x2) and (y, y2).  Every pair is scanned,
-    so the failures, and the first of them, are those of the built source."""
+    the factors' nonempty cells (x, x2) and (y, y2), for x2 (x) y2 in `right`
+    (every index when None).  So the failures, and the first of them, are
+    those of the built source on the same columns."""
     nb, nd = b.dim, dst.dim
     cols = f.cols
-    # cells[x]: the (x2, cell x x2) with the cell nonempty, for A and for B
+    keep = None if right is None else set(right)
+    # cells[x]: the (x2, cell x x2) with the cell nonempty, for A and for B;
+    # for A only at the x2 of some column x2 (x) y2 in keep
     a_cells, b_cells = ([[(j, plane[j]) for j in side]
                          for plane, side in zip(t.mult._rows, t.support[0])] for t in (a, b))
+    if keep is not None:
+        firsts = {j // nb for j in keep}
+        a_cells = [[(x2, cell) for x2, cell in row if x2 in firsts] for row in a_cells]
 
     def products(i: int, acc: dict) -> None:
         x, y = divmod(i, nb)
         for x2, cell_a in a_cells[x]:
             for y2, cell_b in b_cells[y]:
-                base = (x2 * nb + y2) * nd
+                j = x2 * nb + y2
+                if keep is not None and j not in keep:
+                    continue
+                base = j * nd
                 for ka, ca in cell_a:
                     shift = ka * nb
                     for kb, cb in cell_b:
@@ -921,7 +955,7 @@ def tensor_map_failures(f: LinearMap, a: StructureAlgebra, b: StructureAlgebra,
                             key = base + k
                             acc[key] = acc.get(key, 0) + c * w
 
-    return _map_failures(f, a.dim * nb, products, dst, None, False)
+    return _map_failures(f, a.dim * nb, products, dst, keep, False)
 
 
 def _map_failures(f: LinearMap, n: int, products, dst: StructureAlgebra, keep, dst_op: bool):
@@ -940,17 +974,20 @@ def _map_failures(f: LinearMap, n: int, products, dst: StructureAlgebra, keep, d
     for j in range(n) if keep is None else keep:
         for b, cb in cols[j].items():
             holders[b].append((j * nd, cb))
+    held = [b for b, hb in enumerate(holders) if hb]
     for i in range(n):
         acc: dict = {}    # j dim dst + k -> coefficient of e_k in f(e_i e_j) - f(e_i) f(e_j)
         products(i, acc)
         for a, ca in cols[i].items():
-            for b in dst_side[a]:
-                ab = dst_rows[b][a] if dst_op else dst_rows[a][b]
-                for base, cb in holders[b]:
-                    c = ca * cb
-                    for k, w in ab:
-                        key = base + k
-                        acc[key] = acc.get(key, 0) - c * w
+            # the b with a nonempty cell (a, b) and a holder, from the shorter list
+            side = dst_side[a] if len(dst_side[a]) <= len(held) else held
+            for b in side:
+                if (hb := holders[b]) and (ab := dst_rows[b][a] if dst_op else dst_rows[a][b]):
+                    for base, cb in hb:
+                        c = ca * cb
+                        for k, w in ab:
+                            key = base + k
+                            acc[key] = acc.get(key, 0) - c * w
         if any(acc.values()):
             yield from ((i, j) for j in sorted({key // nd for key, v in acc.items() if v}))
 
@@ -973,8 +1010,14 @@ def coalgebra_map_failures(f: LinearMap, src: StructureCoalgebra, dst: Structure
             yield (i,)
 
 
-def check_map(f: LinearMap, src, dst, kinds) -> VerificationReport:
-    """Per-kind morphism checks; kinds within {algebra, coalgebra, antipode, injective}."""
+def check_map(f: LinearMap, src, dst, kinds, gens=None) -> VerificationReport:
+    """Per-kind morphism checks; kinds within {algebra, coalgebra, antipode, injective}.
+
+    The algebra_map row is scanned on the pairs (i, s), s in gens, by
+    certified_scan when gens is not None: a caller passes a generating set S
+    of src only once src and dst are both associative.  Then T = {w : f(x w) =
+    f(x) f(w) for all x} holds S, and for w in T, s in S: f(x (w s)) =
+    f((x w) s) = f(x w) f(s) = f(x) f(w) f(s) = f(x) f(w s), so T = src."""
     if (f.source_dim, f.target_dim) != (src.dim, dst.dim):
         raise DimensionMismatch("map dims disagree with its source and target")
     rep = VerificationReport("map")
@@ -983,7 +1026,8 @@ def check_map(f: LinearMap, src, dst, kinds) -> VerificationReport:
     if "algebra" in kinds:
         sa = src.algebra if isinstance(src, HopfData) else src
         da = dst.algebra if isinstance(dst, HopfData) else dst
-        rep.check("algebra_map", algebra_map_failures(f, sa, da))
+        rep.check("algebra_map", certified_scan(
+            lambda js: algebra_map_failures(f, sa, da, js), gens, None))
         rep.add("unit_preserved", f.apply_sparse(sa.unit_sparse) == da.unit_sparse)
     if "coalgebra" in kinds:
         sc = src.coalgebra if isinstance(src, HopfData) else src
@@ -1260,7 +1304,9 @@ def twisted_product(a: StructureAlgebra, b: StructureAlgebra, tau) -> StructureA
     one term and one entry of x x3 form them, each is a scaled, shifted copy
     of a cell y3 y2, already sorted, written as `Tensor3.kron` writes; else
     through an accumulator and `sorted_cell`.  The carrier is returned
-    unverified; A # H, the Heisenberg double and D(H) are all built here."""
+    unverified, holding (a, b, tau) as its `twisting`, from which its
+    associativity is certified (`associative_by_twisting`); A # H, the
+    Heisenberg double and D(H) are all built here."""
     na, nb = a.dim, b.dim
     n = na * nb
     a_rows, left = a.mult._rows, a.support[1]
@@ -1303,7 +1349,119 @@ def twisted_product(a: StructureAlgebra, b: StructureAlgebra, tau) -> StructureA
     for x, cx in a.unit_sparse.items():
         for y, cy in b.unit_sparse.items():
             unit[x * nb + y] = cx * cy
-    return StructureAlgebra(n, Tensor3((n, n, n), tuple(map(tuple, planes))), tuple(unit))
+    out = StructureAlgebra(n, Tensor3((n, n, n), tuple(map(tuple, planes))), tuple(unit))
+    vars(out)["twisting"] = (a, b, tau)
+    return out
+
+
+def twisting_map_failures(a: StructureAlgebra, b: StructureAlgebra, tau):
+    """The cases where tau: B (x) A -> A (x) B, given as twisted_product reads
+    it, is not a twisting map, in this order:
+        ("unit_b", x)        tau(1 (x) e_x) != e_x (x) 1, every x;
+        ("unit_a", y)        tau(e_y (x) 1) != 1 (x) e_y, every y;
+        ("product_b", y, y2, x)
+            tau(e_y e_y2 (x) e_x) != (id (x) mu_B)(tau (x) id)(e_y (x) tau(e_y2 (x) e_x)),
+            y in S_B = b.generators, every y2 and x;
+        ("product_a", y, x, x2)
+            tau(e_y (x) e_x e_x2) != (mu_A (x) id)(id (x) tau)(tau(e_y (x) e_x) (x) e_x2),
+            x2 in S_A = a.generators, every y and x; or y in S_B, every x
+            and x2, when that is fewer cases.
+
+    Theorem (Cap, Schichl and Vanzura, Comm. Algebra 23, 1995): for A and B
+    associative and unital, A (x)_tau B is associative with unit 1 (x) 1 if
+    and only if tau is a twisting map, i.e. the four families above hold on
+    every index.  The two product equations are the associativity of the
+    carrier at (1 (x) y, 1 (x) y2, x (x) 1) and (1 (x) y, x (x) 1, x2 (x) 1).
+
+    Generators are enough, on associative A and B.  For the first equation,
+    T = {w : it holds at (w, y2, x) for all y2, x} is a subspace holding S_B.
+    For w in T and s in S_B, tau((w s) y2 (x) x) = tau(w (s y2) (x) x) is, by
+    w at (s y2, x) and s at (y2, x), x moved past y2, then s, then w, with
+    the B legs multiplied; by w at (s, x') for each term x' (x) y' of
+    tau(y2 (x) x), and B's associativity, that is the right side at
+    (w s, y2, x).  So T is closed under right products by S_B, T = B.  The
+    second is the mirror image: T = {w : it holds at (y, x, w) for all y, x}
+    holds S_A, and tau(y (x) x (w s)) = tau(y (x) (x w) s) is, by s at
+    (y, x w) and w at (y, x), y moved past x, then w, then s; by s at (y', w)
+    for each term x' (x) y' of tau(y (x) x), and A's associativity, that is
+    the right side at (y, x, w s), so T = A.  Once the first equation holds
+    everywhere, the second may instead take y in S_B: T = {w : it holds at
+    (w, x, x2) for all x, x2} holds S_B, and both sides at (w s, x, x2) are
+    x x2 moved past s, then w, with the B legs multiplied, by the first
+    equation at (w, s, .) and at the products of B legs, and by w and s; so
+    T = B.  A failure of the first equation is yielded before that scan, so
+    either way the scan is empty exactly when tau is a twisting map.
+
+    Each case keeps one accumulator of its two sides on the flat index
+    x * dim B + y and yields where a value is left nonzero."""
+    na, nb = a.dim, b.dim
+    n = na * nb
+    a_rows, b_rows = a.mult._rows, b.mult._rows
+    one_a, one_b = a.unit_sparse, b.unit_sparse
+    s_a, s_b = a.generators, b.generators
+
+    def cancels(sides) -> bool:
+        """True when the signed sums of tau's terms in sides cancel."""
+        acc: dict = {}
+        for sign, terms in sides:
+            for x3, y3, c in terms:
+                key = x3 * nb + y3
+                acc[key] = acc.get(key, 0) + sign * c
+        return not any(acc.values())
+
+    for x in range(na):
+        if not cancels([(cu, tau[u][x]) for u, cu in one_b.items()]
+                       + [(-1, [(x, v, cv) for v, cv in one_b.items()])]):
+            yield ("unit_b", x)
+    for y in range(nb):
+        if not cancels([(cu, tau[y][u]) for u, cu in one_a.items()]
+                       + [(-1, [(u, y, cu) for u, cu in one_a.items()])]):
+            yield ("unit_a", y)
+    for y in s_b:
+        ty, by = tau[y], b_rows[y]
+        for y2 in range(nb):
+            acc: dict = {}    # x n + x4 nb + m -> both sides of the first equation at x
+            for k, ck in by[y2]:
+                for x, terms in enumerate(tau[k]):
+                    base = x * n
+                    for x3, y3, c in terms:
+                        key = base + x3 * nb + y3
+                        acc[key] = acc.get(key, 0) + ck * c
+            for x, terms in enumerate(tau[y2]):
+                base = x * n
+                for x3, y3, c in terms:
+                    for x4, y4, c4 in ty[x3]:
+                        cc, at = c * c4, base + x4 * nb
+                        for m, cm in b_rows[y4][y3]:
+                            key = at + m
+                            acc[key] = acc.get(key, 0) - cc * cm
+            if any(acc.values()):
+                yield from (("product_b", y, y2, x)
+                            for x in sorted({key // n for key, v in acc.items() if v}))
+    # the second equation on x2 in S_A, or on y in S_B when that is fewer cases
+    ys, x2s = (s_b, range(na)) if len(s_b) * na < nb * len(s_a) else (range(nb), s_a)
+    for y in ys:
+        ty = tau[y]
+        for x, ax in enumerate(a_rows):
+            acc = {}    # x2 n + m nb + y4 -> both sides of the second equation at x2
+            for x2 in x2s:
+                base = x2 * n
+                for k, ck in ax[x2]:
+                    for x3, y3, c in ty[k]:
+                        key = base + x3 * nb + y3
+                        acc[key] = acc.get(key, 0) + ck * c
+            for x3, y3, c in ty[x]:
+                a3, t3 = a_rows[x3], tau[y3]
+                for x2 in x2s:
+                    base = x2 * n
+                    for x4, y4, c4 in t3[x2]:
+                        cc = c * c4
+                        for m, cm in a3[x4]:
+                            key = base + m * nb + y4
+                            acc[key] = acc.get(key, 0) - cc * cm
+            if any(acc.values()):
+                yield from (("product_a", y, x, x2)
+                            for x2 in sorted({key // n for key, v in acc.items() if v}))
 
 
 def smash_carrier(alg: StructureAlgebra, h: HopfData, action: Tensor3) -> StructureAlgebra:
@@ -1351,11 +1509,15 @@ def drinfeld_double(h: HopfData):
     dalg = twisted_product(dual, alg, tau)
 
     # the cached S tries the arrows p_a >< s first, s in S_H less each s the
-    # rest generate; the certificate is unchanged
+    # rest generate, or the first pair of H's indices that generates H when
+    # that leaves more than two; the certificate is unchanged
     s_h = list(alg.generators)
     for s in alg.generators:
         if set(generating_set(alg, rest := [t for t in s_h if t != s])) <= set(rest):
             s_h = rest
+    if len(s_h) > 2:
+        s_h = next((list(pair) for pair in itertools.combinations(range(n), 2)
+                    if set(generating_set(alg, pair)) <= set(pair)), s_h)
     vars(dalg)["generators"] = generating_set(dalg, [a * n + s for a in range(n) for s in s_h])
     # Delta_D is the tensor coalgebra (H*)^cop (x) H
     dcoal = StructureCoalgebra(nn, co_opposite(dual_coal).comult.kron(h.comult),

@@ -636,6 +636,19 @@ def test_cyclic_doubles_are_generated_by_their_arrows():
         assert span_of(_closure(alg, alg.generators)) == span_of(_whole(alg)), n
 
 
+def test_double_arrows_come_from_a_generating_pair_of_the_host(double_s3):
+    # S_H is pruned greedily, and replaced by the first pair of indices that
+    # generates H only when more than two are left: kS3 keeps its pruned
+    # pair (1, 2), kS4 (3 pruned generators) takes a pair, so |S| on D(kS4)
+    # falls from 56; each S is still generating_set's certified closure
+    assert double_s3[0].algebra.generators == (1, 2, 7, 8, 13, 14, 19, 20, 25, 31, 32)
+    ks4 = group_algebra(dm.symmetric_table(4))
+    assert len(ks4.algebra.generators) == 4
+    d4 = drinfeld_double(ks4)[0].algebra
+    assert len(d4.generators) <= 48
+    assert generating_set(d4, d4.generators) == d4.generators
+
+
 def test_closure_under_adversarial_first_orders(double_z3, double_s3, b54, s3_table):
     # a bad candidate order costs size, never the certificate
     z3 = dm.cyclic_table(3)

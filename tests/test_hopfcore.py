@@ -1315,14 +1315,43 @@ def _twisted_reference(a, b, tau):
                                             for k, v in enumerate(cell)))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("kind", ["random", "flip", "zero", "single"])
-def test_twisted_product_matches_the_dense_reference(kind, seed):
+TWISTED_WORLDS = ("D(kZ2)", "D(kS3)", "Heis(kS3)", "k^3 # kS3")
+
+
+@pytest.fixture(scope="module")
+def twisted_carriers(double_z2, double_s3, ks3, smash18):
+    return dict(zip(TWISTED_WORLDS, (double_z2[0].algebra, double_s3[0].algebra,
+                                     heisenberg_double(ks3), smash18.carrier)))
+
+
+@pytest.mark.parametrize("kind, seed", [
+    *itertools.product(("random", "flip", "zero", "single"), range(3)),
+    *((world, 0) for world in TWISTED_WORLDS)])
+def test_twisted_product_matches_the_dense_reference(kind, seed, request):
     # A (dim 3) and B (dim 2) are random products, not associative; the random
     # tau has Fraction constants, empty entries and pairs of terms that cancel.
     # "single" gives every tau entry one term and every A cell one entry, with
     # Fraction constants whose products are integral, so every cell is
-    # written directly and an integral Fraction must come out an int
+    # written directly and an integral Fraction must come out an int.  The
+    # twisted carriers the code builds are read with the factors and tau they
+    # keep: their associativity certificate trusts these cells
+    if kind in TWISTED_WORLDS:
+        built = request.getfixturevalue("twisted_carriers")[kind]
+        a, b, tau = built.twisting
+        assert built.associative_by_twisting
+    else:
+        built, a, b, tau = _random_twisted_product(kind, seed)
+    assert _typed(built.mult) == _typed(_twisted_reference(a, b, tau))
+    assert built.unit == tuple(ca * cb for ca in a.unit for cb in b.unit)
+    if kind == "flip":
+        flat = tensor_algebra(a, b)
+        assert _typed(built.mult) == _typed(flat.mult)
+        assert built.unit == flat.unit
+    assert any(any(plane) for plane in built.mult._rows) == (kind != "zero")
+
+
+def _random_twisted_product(kind, seed):
+    """(twisted_product(a, b, tau), a, b, tau) for the random kinds above."""
     rng = random.Random(seed)
     consts = (-2, -1, F(1, 2), 1, F(1, 3))
 
@@ -1350,11 +1379,114 @@ def test_twisted_product_matches_the_dense_reference(kind, seed):
                 for _ in range(3)] for _ in range(2)]
     else:
         tau = [[[(x2, y, 1)] if kind == "flip" else [] for x2 in range(3)] for y in range(2)]
-    built = hopfcore.twisted_product(a, b, tau)
-    assert _typed(built.mult) == _typed(_twisted_reference(a, b, tau))
-    assert built.unit == tuple(ca * cb for ca in a.unit for cb in b.unit)
-    if kind == "flip":
-        flat = tensor_algebra(a, b)
-        assert _typed(built.mult) == _typed(flat.mult)
-        assert built.unit == flat.unit
-    assert any(any(plane) for plane in built.mult._rows) == (kind != "zero")
+    return hopfcore.twisted_product(a, b, tau), a, b, tau
+
+
+def _twisting_reference(a, b, tau):
+    """The cases of every family of twisting_map_failures on every index,
+    by dense dict arithmetic on tau's terms: the unit conditions, then both
+    product equations with no generator reduction."""
+    na, nb = a.dim, b.dim
+
+    def t(y, x):    # tau(e_y (x) e_x) as {(x3, y3): c}
+        out = {}
+        for x3, y3, c in tau[y][x]:
+            sp_add(out, (x3, y3), c)
+        return out
+
+    def apply(terms, f):    # sum c f(key) over {key: c}
+        out = {}
+        for key, c in terms.items():
+            for k, w in f(key).items():
+                sp_add(out, k, c * w)
+        return out
+
+    def cell(alg, i, j):
+        return dict(alg.mult.row(i, j))
+
+    one_a, one_b = a.unit_sparse, b.unit_sparse
+    for x in range(na):
+        if apply(one_b, lambda u: t(u, x)) != {(x, v): c for v, c in one_b.items()}:
+            yield ("unit_b", x)
+    for y in range(nb):
+        if apply(one_a, lambda u: t(y, u)) != {(u, y): c for u, c in one_a.items()}:
+            yield ("unit_a", y)
+    for y, y2, x in itertools.product(range(nb), range(nb), range(na)):
+        lhs = apply(cell(b, y, y2), lambda k: t(k, x))
+        rhs = apply(t(y2, x), lambda k3: apply(t(y, k3[0]), lambda k4: {
+            (k4[0], m): cm for m, cm in cell(b, k4[1], k3[1]).items()}))
+        if lhs != rhs:
+            yield ("product_b", y, y2, x)
+    for y, x, x2 in itertools.product(range(nb), range(na), range(na)):
+        lhs = apply(cell(a, x, x2), lambda k: t(y, k))
+        rhs = apply(t(y, x), lambda k3: apply(t(k3[1], x2), lambda k4: {
+            (m, k4[1]): cm for m, cm in cell(a, k3[0], k4[0]).items()}))
+        if lhs != rhs:
+            yield ("product_a", y, x, x2)
+
+
+def _tau_twins(carrier, rng, count):
+    """count seeded +1 moves of one coefficient of tau, absent terms included."""
+    a, b, tau = carrier.twisting
+    for _ in range(count):
+        y, x, x3, y3 = (rng.randrange(d) for d in (b.dim, a.dim, a.dim, b.dim))
+        terms = {(p, q): c for p, q, c in tau[y][x]}
+        terms[x3, y3] = terms.get((x3, y3), 0) + 1
+        moved = [list(row) for row in tau]
+        moved[y][x] = [(p, q, c) for (p, q), c in terms.items() if c]
+        yield moved
+
+
+@pytest.mark.parametrize("world", TWISTED_WORLDS)
+def test_twisting_map_failures_on_generators_match_the_dense_scan(twisted_carriers, world):
+    # on associative factors the product equations scanned on S_B and S_A
+    # fail exactly when the dense scan over every index does, and every
+    # case yielded fails there; flip tau on two commutative factors passes
+    carrier = twisted_carriers[world]
+    a, b, tau = carrier.twisting
+    assert list(hopfcore.twisting_map_failures(a, b, tau)) == []
+    assert list(_twisting_reference(a, b, tau)) == []
+    rng = random.Random(world)
+    for moved in _tau_twins(carrier, rng, 12):
+        got = list(hopfcore.twisting_map_failures(a, b, moved))
+        dense = set(_twisting_reference(a, b, moved))
+        assert bool(got) == bool(dense)
+        assert set(got) <= dense
+        units = [case for case in dense if case[0].startswith("unit")]
+        assert [case for case in got if case[0].startswith("unit")] == sorted(
+            units, key=lambda case: (case[0] == "unit_a", case[1]))
+    k2 = pointwise_algebra(2)
+    flip = [[[(x, y, 1)] for x in range(2)] for y in range(2)]
+    assert list(hopfcore.twisting_map_failures(k2, k2, flip)) == []
+
+
+def test_a_rebuilt_twisted_carrier_gets_no_certificate(double_s3, monkeypatch):
+    # the certificate belongs to the carrier twisted_product returns; the
+    # same cells rebuilt, or a carrier whose factor fails associativity, get
+    # Light's test and then the full scan, with the same rows
+    carrier = double_s3[0].algebra
+    rebuilt = type(carrier)(carrier.dim, carrier.mult, carrier.unit)
+    assert carrier.associative_by_twisting and not rebuilt.associative_by_twisting
+    scans = []
+    real = hopfcore.module_law_failures
+    monkeypatch.setattr(hopfcore, "module_law_failures",
+                        lambda alg, action, right=None: scans.append(alg) or real(alg, action, right))
+    fresh = hopfcore.twisted_product(*carrier.twisting)
+    assert verify_algebra(fresh).checks == verify_algebra(rebuilt).checks == carrier.report.checks
+    assert scans == [rebuilt]
+    a, b, _ = carrier.twisting
+    # H* with e_0 added to the empty cell (0, 1): (p_0 p_1) p_0 != p_0 (p_1 p_0);
+    # the flip tau is a twisting map over any factors, so only the factor's
+    # report stands between A (x) B and a certificate
+    bad_a = StructureAlgebra(a.dim, Tensor3.from_entries(a.mult.dims, [
+        (i, j, k, c) for i, j in itertools.product(range(a.dim), repeat=2)
+        for k, c in a.mult.row(i, j)] + [(0, 1, 0, 1)]), a.unit)
+    flip = [[[(x, y, 1)] for x in range(a.dim)] for y in range(b.dim)]
+    assert list(hopfcore.twisting_map_failures(bad_a, b, flip)) == []
+    scans.clear()
+    twisted = hopfcore.twisted_product(bad_a, b, flip)
+    assert not twisted.associative_by_twisting
+    assert not bad_a.report.find("associativity").passed
+    row = verify_algebra(twisted).find("associativity")
+    assert not row.passed and row.witness == next(real(twisted, twisted.mult))
+    assert twisted in scans

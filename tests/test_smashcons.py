@@ -11,6 +11,7 @@ from hopfsmash.hopfcore import (
     HopfData,
     StructureAlgebra,
     algebra_map_failures,
+    certified_scan,
     co_opposite,
     drinfeld_double,
     dual_hopf,
@@ -580,9 +581,11 @@ def _factor_read_cases(f, dst):
 
 @pytest.mark.parametrize("host", ["kZ2", "kZ3", "kS3"])
 def test_factor_read_lists_the_failures_of_the_built_tensor_algebra(host, request, monkeypatch):
-    # mu, Heis and H as the decomposition hands them to tensor_map_failures;
-    # the factor read against the scan of tensor_algebra(Heis, H) on mu and
-    # the carrier, a moved column of mu, a moved carrier cell and a filled one
+    # mu, Heis, H and the columns K as the decomposition hands them to
+    # tensor_map_failures; the factor read against the scan of
+    # tensor_algebra(Heis, H) on mu and the carrier, a moved column of mu, a
+    # moved carrier cell and a filled one; the scan on K, then in full once
+    # that fails, lists the full scan's failures on each
     fixtures = {"kZ2": ("kz2", "double_z2"), "kS3": ("ks3", "double_s3")}
     if host in fixtures:
         h, double = map(request.getfixturevalue, fixtures[host])
@@ -592,14 +595,27 @@ def test_factor_read_lists_the_failures_of_the_built_tensor_algebra(host, reques
     with monkeypatch.context() as mp:
         mp.setattr(smashcons, "tensor_map_failures", lambda *args: seen.append(args) or iter(()))
         double_smash_decomposition(h, double)
-    (mu, hei, hh, big), = seen
+    (mu, hei, hh, big, keep), = seen
+    assert big.associative_by_twisting and len(keep) < big.dim
     flat = tensor_algebra(hei, hh)
     failing = []
     for f, dst in _factor_read_cases(mu, big):
         got = list(tensor_map_failures(f, hei, hh, dst))
         assert got == list(algebra_map_failures(f, flat, dst))
+        assert list(certified_scan(lambda js: tensor_map_failures(f, hei, hh, dst, js),
+                                   keep, None)) == got
         failing.append(len(got))
     assert failing[0] == 0 and all(failing[1:])
+    # mu with the columns y (x) t doubled for t, resp. y, off the support of
+    # the unit: still multiplicative on the columns of Heis (x) 1, resp.
+    # 1 (x) H, so only the other part of K finds the failures
+    n = hh.dim
+    for off_unit in (lambda y, t: t not in hh.unit_sparse, lambda y, t: y not in hei.unit_sparse):
+        f = LinearMap(big.dim, big.dim, [{k: 2 * c if off_unit(*divmod(j, n)) else c
+                                          for k, c in col.items()} for j, col in enumerate(mu.cols)])
+        got = list(tensor_map_failures(f, hei, hh, big))
+        assert got and list(certified_scan(
+            lambda js: tensor_map_failures(f, hei, hh, big, js), keep, None)) == got
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,13 +1,13 @@
 """Every reduction of `verify_hopf`, `verify_qt`, `verify_module_algebra` and
-`verify_braided_group`, and the antipode, unit and counit law,
-coassociativity and Delta-multiplicativity rows of `verify_weak_hopf`, against
-a reference that checks the axioms in full, on the single-cell twins of
-small hosts.
+`verify_braided_group`, the antipode, unit and counit law, coassociativity
+and Delta-multiplicativity rows of `verify_weak_hopf`, and the twisting-map
+certificate of a twisted product's associativity, against a reference that
+checks the axioms in full, on the single-cell twins of small hosts.
 
 A twin moves one number by +1: a cell of μ or Δ (empty cells included), an
 entry of the unit, the counit or the antipode, an entry of R, a cell of a
-module algebra's action or product, or a cell of a braided group's ad, Δ_R
-or S_R.  The references below scan every index, pair and triple, with plain
+module algebra's action or product, a cell of a braided group's ad, Δ_R
+or S_R, or a coefficient of a twisting map τ.  The references below scan every index, pair and triple, with plain
 dict arithmetic and nothing from hopfsmash beyond reading the data types;
 each row of the verifier's report must give the reference's verdict and
 witness.
@@ -20,7 +20,17 @@ import pytest
 
 from hopfsmash import demos as dm
 from hopfsmash.exactlin import LinearMap, Tensor3, TensorElem
-from hopfsmash.hopfcore import HopfData, StructureAlgebra, StructureCoalgebra, verify_hopf
+from hopfsmash.hopfcore import (
+    HopfData,
+    StructureAlgebra,
+    StructureCoalgebra,
+    heisenberg_double,
+    module_law_failures,
+    twisted_product,
+    twisting_map_failures,
+    verify_algebra,
+    verify_hopf,
+)
 from hopfsmash.modalg import ModuleAlgebraData, separability, verify_module_algebra
 from hopfsmash.qtriang import (
     BraidedGroupData,
@@ -486,6 +496,96 @@ def test_verify_module_algebra_twins_match_the_dense_reference(m3, name, count):
         assert _mismatches(rep, module_algebra_reference(twin)) == [], label
         failing += not rep.ok
     assert seen == failing == count    # every single-cell move breaks a law
+
+
+def _moved_tau(tau, moves):
+    """tau with the coefficient of e_x3 (x) e_y3 in tau(e_y (x) e_x) moved by d
+    for each ((y, x), (x3, y3), d) of moves; a term that cancels is dropped."""
+    moved = [list(row) for row in tau]
+    for (y, x), (x3, y3), d in moves:
+        terms = {(p, q): c for p, q, c in moved[y][x]}
+        terms[x3, y3] = terms.get((x3, y3), 0) + d
+        moved[y][x] = [(p, q, c) for (p, q), c in terms.items() if c]
+    return moved
+
+
+def twisting_twins(carrier):
+    """(label, twin) for every +1 move of one coefficient of the twisting
+    map tau of a twisted_product carrier: the term e_x3 (x) e_y3 of
+    tau(e_y (x) e_x), absent terms included; each twin is built by
+    twisted_product from the moved tau, so it keeps its factors and tau."""
+    a, b, tau = carrier.twisting
+    for y, x, x3, y3 in itertools.product(range(b.dim), range(a.dim), range(a.dim), range(b.dim)):
+        yield (y, x, x3, y3), twisted_product(a, b, _moved_tau(tau, [((y, x), (x3, y3), 1)]))
+
+
+def balanced_twisting_twins(carrier, sample=None, seed=0):
+    """(label, twin) for a +1 and a -1 move of one term e_x3 (x) e_y3 of tau
+    at two places (y, x), (y', x') chosen so that both unit conditions still
+    hold: x = x' outside the support of 1_A with 1_B equal at y and y', or
+    y = y' outside the support of 1_B with 1_A equal at x and x'.  A +1 twin
+    of these carriers always breaks a unit condition, so only these reach the
+    product equations alone.  All of them, or a seeded sample of `sample`."""
+    a, b, tau = carrier.twisting
+    one_a, one_b = a.unit_sparse, b.unit_sparse
+    places = [(p, q) for p, q in itertools.combinations(
+                  itertools.product(range(b.dim), range(a.dim)), 2)
+              if (p[1] == q[1] and p[1] not in one_a and one_b.get(p[0]) == one_b.get(q[0]))
+              or (p[0] == q[0] and p[0] not in one_b and one_a.get(p[1]) == one_a.get(q[1]))]
+    cases = [(p, q, term) for p, q in places
+             for term in itertools.product(range(a.dim), range(b.dim))]
+    if sample is not None:
+        cases = random.Random(seed).sample(cases, sample)
+    for p, q, term in cases:
+        yield (p, q, term), twisted_product(a, b, _moved_tau(tau, [(p, term, 1), (q, term, -1)]))
+
+
+def _twisting_families(twin, label):
+    """The families the twisting scan of a twin yields, after checking that
+    the scan fails exactly when Light's test on every triple does and that
+    the associativity row keeps the full scan's verdict and first witness."""
+    full = next(module_law_failures(twin, twin.mult), None)
+    families = {case[0] for case in twisting_map_failures(*twin.twisting)}
+    assert bool(families) == (full is not None), label
+    assert twin.associative_by_twisting == (full is None), label
+    row = verify_algebra(twin).find("associativity")
+    assert (row.passed, row.witness) == (full is None, full), label
+    return families
+
+
+@pytest.fixture(scope="module")
+def twisted_worlds(double_z2, double_s3, smash18, ks3):
+    return {"D(kZ2)": double_z2[0].algebra, "D(kS3)": double_s3[0].algebra,
+            "k^3 # kS3": smash18.carrier, "Heis(kS3)": heisenberg_double(ks3)}
+
+
+@pytest.mark.parametrize("name, count", [("D(kZ2)", 16), ("D(kS3)", 1296), ("k^3 # kS3", 324)])
+def test_twisting_map_twins_agree_with_the_full_light_scan(twisted_worlds, name, count):
+    # the twisting-map scan (on generators) fails exactly when Light's test
+    # on every triple does, and the associativity row, certified by tau when
+    # the scan is empty, keeps the full scan's verdict and first witness
+    carrier = twisted_worlds[name]
+    assert carrier.associative_by_twisting
+    assert carrier.report.find("associativity").passed
+    seen = failing = 0
+    for label, twin in twisting_twins(carrier):
+        seen += 1
+        failing += bool(_twisting_families(twin, label))
+    assert seen == failing == count    # every +1 move of tau breaks associativity
+
+
+def test_balanced_twisting_twins_reach_each_product_equation_alone(twisted_worlds):
+    # the same agreement where the unit conditions hold, so each product
+    # equation, scanned on generators, is on some twin the only one to fail
+    alone = set()
+    for name, sample in (("D(kZ2)", None), ("D(kS3)", 300), ("k^3 # kS3", None),
+                         ("Heis(kS3)", 300)):
+        for label, twin in balanced_twisting_twins(twisted_worlds[name], sample):
+            families = _twisting_families(twin, (name, label))
+            assert families <= {"product_a", "product_b"}, (name, label)
+            if len(families) == 1:
+                alone |= families
+    assert alone == {"product_a", "product_b"}
 
 
 @pytest.mark.parametrize("name, count", [("kS3", 468), ("D(kZ2)", 144)])
